@@ -110,7 +110,7 @@ pub struct RunReport {
     /// Milliseconds the slot loop proper ran — first generation through
     /// the last verification, excluding the hello/join bootstrap and the
     /// serving linger — the denominator for throughput comparisons
-    /// between the lockstep and pipelined runtimes.
+    /// across epoch windows.
     pub slot_loop_ms: u64,
     /// True when any slot barrier timed out and the node proceeded with an
     /// incomplete digest set (parity with the reference engine is then off).

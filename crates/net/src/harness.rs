@@ -155,8 +155,8 @@ pub struct ClusterConfig {
     pub gamma: usize,
     /// Whether nodes run the PoP verification workload over the wire.
     pub pop: bool,
-    /// Epoch window `W` passed to every node (`1` = slot lockstep;
-    /// `W ≥ 2` enables the pipelined runtime, PoP mode only).
+    /// Epoch window `W` passed to every node (`1` = slot lockstep, the
+    /// verify step runs inline; `W ≥ 2` pipelines it, PoP mode only).
     pub window: u64,
     /// Socket batch size passed to every node (datagrams per
     /// `sendmmsg`/`recvmmsg` wakeup).

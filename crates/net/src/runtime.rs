@@ -120,12 +120,13 @@ pub struct NetNodeConfig {
     /// Whether to run the PoP verification workload as a validator.
     pub pop: bool,
     /// Epoch window `W`: how many slots generation may run ahead of the
-    /// roster-wide completion low-watermark. `1` is the classic lockstep
-    /// (each slot fully verified everywhere before the next generation);
-    /// `W ≥ 2` pipelines generation against a background verify worker.
-    /// Only meaningful with `pop` (without verification the slot loop's
-    /// only cross-node dependency is the neighbor digest, which no window
-    /// can relax). Every process of a deployment must use the same value.
+    /// roster-wide completion low-watermark. `1` is lockstep (each slot
+    /// fully verified everywhere before the next generation; the verify
+    /// step runs inline on the generation thread); `W ≥ 2` pipelines
+    /// generation against a background verify worker. Only meaningful
+    /// with `pop` (without verification the slot loop's only cross-node
+    /// dependency is the neighbor digest, which no window can relax).
+    /// Every process of a deployment must use the same value.
     pub window: u64,
     /// Chain storage backend.
     pub storage: StorageMode,
@@ -306,37 +307,25 @@ fn record_span(shared: &Shared, node: u32, slot: u64, origin: u32, prefix: u64, 
 /// models absence — an explicit `Nack` for an unavailable block, so honest
 /// requesters fail fast instead of burning their retry budget.
 pub fn serve_wire_request(node: &LedgerNode, msg: &WireMessage) -> Option<WireMessage> {
+    let child_reply = |serve: ChildServe| match serve {
+        ChildServe::Found(block_id, header) => WireMessage::RpyChild(ChildReply {
+            claimed_owner: node.id(),
+            block_id,
+            header,
+        }),
+        ChildServe::NoChild => WireMessage::Nack { from: node.id() },
+        ChildServe::Pruned => WireMessage::PrunedNack {
+            from: node.id(),
+            retained_from: node.pruned_floor(),
+        },
+    };
     match msg {
-        WireMessage::ReqChild { target, .. } => {
-            node.serve_child_request(target).map(|serve| match serve {
-                ChildServe::Found(block_id, header) => WireMessage::RpyChild(ChildReply {
-                    claimed_owner: node.id(),
-                    block_id,
-                    header,
-                }),
-                ChildServe::NoChild => WireMessage::Nack { from: node.id() },
-                ChildServe::Pruned => WireMessage::PrunedNack {
-                    from: node.id(),
-                    retained_from: node.pruned_floor(),
-                },
-            })
-        }
+        WireMessage::ReqChild { target, .. } => node.serve_child_request(target).map(child_reply),
         WireMessage::ReqChildAt {
             target, horizon, ..
         } => node
             .serve_child_request_within(target, *horizon)
-            .map(|serve| match serve {
-                ChildServe::Found(block_id, header) => WireMessage::RpyChild(ChildReply {
-                    claimed_owner: node.id(),
-                    block_id,
-                    header,
-                }),
-                ChildServe::NoChild => WireMessage::Nack { from: node.id() },
-                ChildServe::Pruned => WireMessage::PrunedNack {
-                    from: node.id(),
-                    retained_from: node.pruned_floor(),
-                },
-            }),
+            .map(child_reply),
         WireMessage::FetchBlock { id, .. } => Some(match node.serve_block(*id) {
             BlockFetch::Served(block) => WireMessage::Block(Box::new(block)),
             BlockFetch::Pruned { retained_from } => WireMessage::PrunedNack {
@@ -358,8 +347,9 @@ pub struct NetPopTransport<'a> {
     /// Peer addressing.
     pub peers: &'a PeerTable,
     /// When set, child requests carry this horizon so run-ahead responders
-    /// answer from their store *as of that slot* — the pipelined validator
-    /// must see exactly what a lockstep one would have.
+    /// answer from their store *as of that slot* — a validator inside the
+    /// slot loop must see exactly what the engine's Verify phase saw.
+    /// `None` asks uncapped (`fig11_wire` audits static chains).
     pub horizon: Option<u64>,
     /// When set, every block fetched during the PoP walk is stamped with a
     /// [`SpanKind::Verified`] span on this ring (`None` = tracing off).
@@ -492,25 +482,27 @@ struct Shared {
     transfer_seen: Mutex<HashSet<NodeId>>,
     /// The slot the loop currently executes (served to join handshakes).
     current_slot: AtomicU64,
-    /// The configured epoch window (1 = lockstep); the dispatcher needs
-    /// it to infer completion watermarks from digests.
+    /// The configured epoch window; the dispatcher needs it to infer
+    /// completion watermarks from digests.
     window: u64,
-    /// Our own verify watermark: every slot below it has been verified
-    /// locally (the inline PoP in lockstep mode, the verify worker in
-    /// pipelined mode). Non-PoP runs advance it with generation.
+    /// Our own verify watermark: every slot below it has been committed
+    /// locally (`commit_slot`: verified in PoP mode, gossiped otherwise).
     verified_through: AtomicU64,
-    /// Version counter + condvar forming the pipeline's progress signal:
+    /// `request_retries` as of the last slot commit — the cursor that
+    /// journals each retransmission exactly once.
+    retries_journaled: AtomicU64,
+    /// Version counter + condvar forming the slot loop's progress signal:
     /// bumped whenever shared protocol state changes (digest heard, done
-    /// watermark raised, membership delta, own slot verified), so
-    /// pipelined waits park instead of polling.
+    /// watermark raised, membership delta, own slot verified), so barrier
+    /// waits park instead of polling.
     progress: Mutex<u64>,
     /// Wakes the waits parked on [`Shared::progress`].
     progress_cv: Condvar,
-    /// Generation start times of slots still in the pipeline, consumed by
-    /// whoever completes the slot's verification (end-to-end latency).
+    /// Generation start times of slots still in the pipeline, consumed at
+    /// the slot's commit (end-to-end latency).
     slot_started: Mutex<HashMap<u64, Instant>>,
-    /// The generation loop failed mid-run: the verify worker must wind
-    /// down instead of waiting out its timeouts slot by slot.
+    /// One half of the slot loop failed mid-run: the other must wind down
+    /// instead of waiting out its timeouts slot by slot.
     pipeline_abort: AtomicBool,
     /// Controller asked us to exit.
     shutdown: AtomicBool,
@@ -541,11 +533,20 @@ struct Shared {
     muted: AtomicBool,
 }
 
-/// What a slot loop hands back to the epilogue.
+/// What the slot loop hands back to the epilogue.
+#[derive(Clone, Copy, Default)]
 struct SlotLoopOutcome {
     degraded: bool,
     pop_attempts: u64,
     pop_successes: u64,
+}
+
+/// What the verify step carries from slot to slot: the node's trust state
+/// plus the run's verification counters.
+struct VerifyState {
+    trust_cache: TrustCache,
+    blacklist: Blacklist,
+    outcome: SlotLoopOutcome,
 }
 
 /// A deployed 2LDAG node: endpoint + dispatcher + slot loop.
@@ -691,6 +692,7 @@ need --join)",
                 current_slot: AtomicU64::new(0),
                 window: config.window,
                 verified_through: AtomicU64::new(0),
+                retries_journaled: AtomicU64::new(0),
                 progress: Mutex::new(0),
                 progress_cv: Condvar::new(),
                 slot_started: Mutex::new(HashMap::new()),
@@ -845,411 +847,129 @@ need --join)",
             ));
         }
 
-        let min_age = self.config.nodes as u64; // the paper's workload default
         let loop_started = Instant::now();
-        let outcome = if self.config.pop && self.config.window > 1 {
-            self.slot_loop_pipelined(start_slot, end_slot, min_age)?
-        } else {
-            self.slot_loop_lockstep(start_slot, end_slot, min_age)?
-        };
+        let outcome = self.slot_loop(start_slot, end_slot)?;
         let slot_loop_ms = (loop_started.elapsed().as_millis() as u64).max(1);
         self.wind_down(start_slot, end_slot, catch_up_ms, slot_loop_ms, outcome)
     }
 
-    /// The classic slot-lockstep loop (`window == 1`, and every non-PoP
-    /// run): generate → gossip → verify inline, with per-slot barriers.
-    /// Kept intact as the pipelined path's baseline.
-    fn slot_loop_lockstep(
+    /// The one slot loop. Every slot runs the generate → gossip step
+    /// ([`Self::generation_loop`]); PoP runs follow each with the verify
+    /// step ([`Self::verify_slot`]), strictly in slot order, behind the
+    /// window gate. Horizon-capped child requests
+    /// ([`WireMessage::ReqChildAt`]) keep every PoP exchange identical at
+    /// every window: a run-ahead responder answers from its store *as of
+    /// the slot under verification*.
+    fn slot_loop(&self, start_slot: u64, end_slot: u64) -> Result<SlotLoopOutcome, String> {
+        // Slots before our first are nobody's to verify: a joiner's drain
+        // and window gates measure from its own start.
+        self.shared
+            .verified_through
+            .store(start_slot, Ordering::Relaxed);
+        if !self.config.pop {
+            let degraded = self.generation_loop(start_slot, end_slot, None)?;
+            return Ok(SlotLoopOutcome {
+                degraded,
+                ..SlotLoopOutcome::default()
+            });
+        }
+        // The verify step owns the node's trust state for the whole run,
+        // returning it at the end; a generation-time fold sees the blank
+        // blacklist left behind (see `folds_in_verify`).
+        let mut state = {
+            let mut node = self.shared.node.write().expect("node lock poisoned");
+            VerifyState {
+                trust_cache: node.take_trust_cache(),
+                blacklist: node.take_blacklist(&self.cfg),
+                outcome: SlotLoopOutcome::default(),
+            }
+        };
+        // Who calls the verify step. At `W = 1` the window gate already
+        // makes generation of `t+1` wait for our own verification of `t`,
+        // so a thread hand-off would be pure overhead: the generation
+        // thread verifies inline. At `W > 1` a worker verifies while
+        // generation runs ahead.
+        let gen = if self.config.window == 1 {
+            self.generation_loop(start_slot, end_slot, Some(&mut state))
+        } else {
+            std::thread::scope(|scope| {
+                let worker = scope.spawn(|| {
+                    for slot in start_slot..end_slot {
+                        // Our own slot-`slot` block must exist before the
+                        // PoP scans.
+                        if self.shared.pipeline_abort.load(Ordering::Relaxed)
+                            || !self.wait_own_generated(slot)
+                        {
+                            state.outcome.degraded = true;
+                            break;
+                        }
+                        self.verify_slot(slot, &mut state);
+                    }
+                    if state.outcome.degraded {
+                        // Free the generation half from its window-gate waits.
+                        self.shared.pipeline_abort.store(true, Ordering::Relaxed);
+                        notify_progress(&self.shared);
+                    }
+                });
+                let gen = self.generation_loop(start_slot, end_slot, None);
+                if gen.is_err() {
+                    // The worker must not wait out its timeouts slot by slot
+                    // for blocks that will never be generated.
+                    self.shared.pipeline_abort.store(true, Ordering::Relaxed);
+                    notify_progress(&self.shared);
+                }
+                let verify = worker
+                    .join()
+                    .map_err(|_| "verify worker panicked".to_string());
+                gen.and_then(|degraded| verify.map(|()| degraded))
+            })
+        };
+        {
+            let mut node = self.shared.node.write().expect("node lock poisoned");
+            node.restore_trust_cache(state.trust_cache);
+            node.restore_blacklist(state.blacklist);
+        }
+        Ok(SlotLoopOutcome {
+            degraded: gen? || state.outcome.degraded,
+            ..state.outcome
+        })
+    }
+
+    /// Where slot `t`'s neighbour digests are folded into `A_i`. PoP at
+    /// `W = 1` folds them inside `verify_slot(t)`, *before* the PoP and
+    /// gated by the validator's blacklist — the engine's
+    /// gossip-then-verify order, load-bearing for parity under
+    /// ban-inducing adversaries (a folded digest earns parole credit and
+    /// the PoP records offenses, so folding after it would land each ban
+    /// one slot early and change which digests the chain accepts from
+    /// then on). Everywhere else the fold waits for the generation of
+    /// `t+1` and is not ban-gated: block `t+1` embeds the fold of `t`,
+    /// which the engine gates on the blacklist after verify(`t−1`), so
+    /// once generation outruns verification exact parity under bans is
+    /// impossible beyond `W = 2` without rollback.
+    fn folds_in_verify(&self) -> bool {
+        self.config.pop && self.config.window == 1
+    }
+
+    /// The generate → gossip step of every slot in `start_slot..end_slot`,
+    /// each followed by the verify step when the caller hands its state in
+    /// (`inline`). Returns whether any barrier degraded.
+    fn generation_loop(
         &self,
         start_slot: u64,
         end_slot: u64,
-        min_age: u64,
-    ) -> Result<SlotLoopOutcome, String> {
+        mut inline: Option<&mut VerifyState>,
+    ) -> Result<bool, String> {
         let id = self.config.id;
         let seed = self.config.seed;
+        let window = self.config.window;
         let mut degraded = false;
-        let mut pop_attempts = 0u64;
-        let mut pop_successes = 0u64;
         // Membership events already folded into the local topology; the
         // founders' initial graph counts as applied.
         let mut applied_joins: HashSet<NodeId> =
             (0..self.config.nodes as u32).map(NodeId).collect();
         let mut applied_leaves: HashSet<NodeId> = HashSet::new();
         let mut behavior_applied = false;
-
-        let telemetry = &self.shared.telemetry;
-        for slot in start_slot..end_slot {
-            let slot_begin = Instant::now();
-            self.shared.current_slot.store(slot, Ordering::Relaxed);
-            telemetry
-                .journal
-                .record(slot, EventKind::SlotStart, format!("slot {slot} begins"));
-            if !behavior_applied && self.adversary_active(slot) {
-                behavior_applied = true;
-                if self.config.behavior == Behavior::Flapper {
-                    self.flap_phase(slot);
-                    break;
-                }
-                self.activate_behavior(slot);
-            }
-            let retries_before = self.endpoint.stats().request_retries;
-            self.apply_membership(slot, &mut applied_joins, &mut applied_leaves);
-            let neighbors: Vec<NodeId> = self
-                .shared
-                .topology
-                .read()
-                .expect("topology poisoned")
-                .neighbors(id)
-                .to_vec();
-
-            // --- Digest barrier: collect the slot-1 digest of every
-            // neighbor that generated at slot-1 under the current roster.
-            // The barrier waits are the wire's cross-shard exchange.
-            let exchange_started = Instant::now();
-            if slot > start_slot && !self.digest_barrier(&neighbors, slot - 1) {
-                degraded = true;
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Timeout,
-                    format!("digest barrier for slot {} timed out", slot - 1),
-                );
-            }
-            // --- Phase lockstep (PoP mode only): the engine verifies slot
-            // t-1 before anyone generates slot t, so generation waits for
-            // every peer's SlotDone(t-1) — otherwise a fast peer's slot-t
-            // block could answer a slow validator's slot-(t-1) PoP with
-            // children the reference engine has not generated yet.
-            if self.config.pop && slot > start_slot && !self.done_barrier(slot - 1) {
-                degraded = true;
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Timeout,
-                    format!("done barrier for slot {} timed out", slot - 1),
-                );
-            }
-            telemetry
-                .phases
-                .record(Phase::Exchange, exchange_started.elapsed());
-
-            // --- Apply gossip and generate, mirroring the engine's phases.
-            let generate_started = Instant::now();
-            let (digest, equivocation) = {
-                let mut node = self.shared.node.write().expect("node lock poisoned");
-                node.begin_slot();
-                // In PoP mode the fold moves to the verify phase below
-                // (gossip-then-verify, the engine's order); here it would
-                // land *after* the previous slot's offense accounting and
-                // shift the blacklist ban/parole cadence off the reference.
-                if slot > start_slot && !self.config.pop {
-                    let mut buffered = self.shared.digests.lock().expect("digests poisoned");
-                    for &nb in &neighbors {
-                        let latest = buffered
-                            .get(&nb)
-                            .and_then(|per_slot| per_slot.range(..slot).next_back())
-                            .map(|(_, &d)| d);
-                        if let Some(d) = latest {
-                            node.receive_digest(nb, d);
-                        }
-                    }
-                    // Applied digests are spent; older entries can never be
-                    // read again, so the buffer stays O(lag), not O(slots).
-                    for per_slot in buffered.values_mut() {
-                        *per_slot = per_slot.split_off(&(slot - 1));
-                    }
-                }
-                let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
-                let payload = sensor_payload(&mut rng, id, slot);
-                let block = node
-                    .generate_block(&self.cfg, slot, payload)
-                    .map_err(|e| format!("generation failed at slot {slot}: {e}"))?;
-                telemetry
-                    .phases
-                    .record(Phase::Generate, generate_started.elapsed());
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Generate,
-                    format!("generated block #{}", node.chain_len() - 1),
-                );
-                // PerSlot durability: the engine's slot-boundary commit point.
-                let sync_started = Instant::now();
-                node.store_mut()
-                    .sync()
-                    .map_err(|e| format!("sync failed at slot {slot}: {e}"))?;
-                let synced = sync_started.elapsed();
-                telemetry.fsync.record(synced);
-                telemetry.phases.record(Phase::Commit, synced);
-                let equivocation = (behavior_applied
-                    && self.config.behavior == Behavior::Equivocate)
-                    .then(|| (block.id, block.header.digests.clone()));
-                (block.header_digest(), equivocation)
-            };
-            let gossip_started = Instant::now();
-            {
-                let mut own = self
-                    .shared
-                    .own_digests
-                    .lock()
-                    .expect("own digests poisoned");
-                own.insert(slot, digest);
-                // Peers can lag at most one barrier window, but a late
-                // joiner's catch-up pull may reach further back; 64 slots
-                // of 32-byte history is cheap insurance.
-                *own = own.split_off(&slot.saturating_sub(64));
-            }
-            let prefix = digest_prefix(&digest);
-            record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
-            // PoP walks the whole DAG, so in PoP mode every generating peer
-            // needs the digest (the barrier below proves global generation
-            // progress); without PoP only neighbors consume it.
-            let gossip_targets: Vec<(NodeId, SocketAddr)> = if self.config.pop {
-                self.generator_addrs(slot)
-            } else {
-                neighbors
-                    .iter()
-                    .filter_map(|&nb| self.peers.addr(nb).map(|a| (nb, a)))
-                    .collect()
-            };
-            let trace_ctx = self.gossip_trace_ctx(slot, prefix);
-            for (_, addr) in &gossip_targets {
-                let _ = self.endpoint.send_control_traced(
-                    *addr,
-                    &Control::SlotDigest { slot, digest },
-                    trace_ctx,
-                );
-            }
-            if !gossip_targets.is_empty() {
-                record_span(
-                    &self.shared,
-                    id.0,
-                    slot,
-                    id.0,
-                    prefix,
-                    SpanKind::GossipedOut,
-                );
-            }
-            if behavior_applied {
-                self.adversary_gossip(slot, digest, equivocation, &gossip_targets);
-            }
-            telemetry
-                .phases
-                .record(Phase::Gossip, gossip_started.elapsed());
-
-            // --- Verification workload: one PoP per generating validator.
-            if self.config.pop {
-                let verify_started = Instant::now();
-                // The engine's verify phase starts after *all* generation
-                // in the slot: wait until every generating peer announced
-                // its slot-t digest, proving its chain holds its blocks
-                // through t.
-                let all_generators: Vec<NodeId> = {
-                    let roster = self.shared.roster.lock().expect("roster poisoned");
-                    roster
-                        .generators_at(slot)
-                        .into_iter()
-                        .filter(|&p| p != id)
-                        .collect()
-                };
-                if !self.digest_barrier(&all_generators, slot) {
-                    degraded = true;
-                }
-                // Fold this slot's gossip *before* the PoP runs, mirroring
-                // the engine's gossip-then-verify phase order. The order is
-                // load-bearing for parity under ban-inducing adversaries: a
-                // folded digest earns blacklist service (parole) credit and
-                // the PoP below records offenses, so folding after the PoP
-                // would land each ban one slot early relative to the
-                // reference and change which digests the chain accepts from
-                // then on.
-                let fold_started = Instant::now();
-                let mut folded: Vec<(NodeId, Digest)> = Vec::new();
-                for &nb in &neighbors {
-                    let expected = {
-                        let roster = self.shared.roster.lock().expect("roster poisoned");
-                        roster.generates_at(nb, slot)
-                    };
-                    if !expected {
-                        continue;
-                    }
-                    let mut entry = None;
-                    for attempt in 0..2 {
-                        entry = self
-                            .shared
-                            .digests
-                            .lock()
-                            .expect("digests poisoned")
-                            .get(&nb)
-                            .and_then(|per_slot| per_slot.get(&slot))
-                            .copied();
-                        if entry.is_some() || attempt > 0 {
-                            break;
-                        }
-                        // A conflict discard can empty the entry between the
-                        // barrier above and this read; the re-barrier pulls
-                        // the canonical digest back from the peer directly.
-                        if !self.digest_barrier(std::slice::from_ref(&nb), slot) {
-                            break;
-                        }
-                    }
-                    match entry {
-                        Some(d) => folded.push((nb, d)),
-                        None => {
-                            degraded = true;
-                            telemetry.journal.record(
-                                slot,
-                                EventKind::Timeout,
-                                format!("no slot-{slot} digest from {nb} to fold"),
-                            );
-                        }
-                    }
-                }
-                {
-                    let mut node = self.shared.node.write().expect("node lock poisoned");
-                    for (nb, d) in folded {
-                        node.receive_digest(nb, d);
-                    }
-                }
-                {
-                    // Applied entries are spent; this slot's stay buffered
-                    // one more slot as conflict bait for late fakes, older
-                    // ones are pruned so the buffer stays O(lag).
-                    let mut buffered = self.shared.digests.lock().expect("digests poisoned");
-                    for per_slot in buffered.values_mut() {
-                        *per_slot = per_slot.split_off(&slot);
-                    }
-                }
-                telemetry
-                    .phases
-                    .record(Phase::Gossip, fold_started.elapsed());
-                // The engine never makes a malicious node a validator (its
-                // verify phase filters them out), so an active adversary
-                // skips the PoP identically — empty candidates — or the
-                // PoP counters would diverge from the reference run.
-                let candidates = if behavior_applied {
-                    Vec::new()
-                } else {
-                    let roster = self.shared.roster.lock().expect("roster poisoned");
-                    wire_pop_candidates(&roster, id, slot, min_age)
-                };
-                let mut target_rng = derived_rng(seed, stream::TARGET, slot, id);
-                if let Some(&target) = target_rng.choose(&candidates) {
-                    pop_attempts += 1;
-                    telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
-                    let pop_started = Instant::now();
-                    let report = self.run_wire_pop(slot, target);
-                    telemetry.pop_rtt.record(pop_started.elapsed());
-                    telemetry.merge_pop(&report.metrics);
-                    if report.is_success() {
-                        pop_successes += 1;
-                        telemetry.pop_successes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Pop,
-                        format!(
-                            "verified {target}: {} ({} distinct, {} msgs)",
-                            if report.is_success() { "ok" } else { "failed" },
-                            report.distinct_nodes,
-                            report.metrics.total_messages(),
-                        ),
-                    );
-                    if report.metrics.timeouts > 0 {
-                        telemetry.journal.record(
-                            slot,
-                            EventKind::Timeout,
-                            format!("{} PoP requests timed out", report.metrics.timeouts),
-                        );
-                    }
-                    if report.metrics.pruned_misses > 0 {
-                        telemetry.journal.record(
-                            slot,
-                            EventKind::Pruned,
-                            format!("{} pruned misses during PoP", report.metrics.pruned_misses),
-                        );
-                    }
-                }
-                // Announce slot completion whether or not a target
-                // qualified — peers gate their next slot on it.
-                for (_, addr) in self.generator_addrs(slot) {
-                    let _ = self
-                        .endpoint
-                        .send_control(addr, &Control::SlotDone { slot });
-                }
-                telemetry
-                    .phases
-                    .record(Phase::Verify, verify_started.elapsed());
-            }
-            let retries = self.endpoint.stats().request_retries - retries_before;
-            if retries > 0 {
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Retry,
-                    format!("{retries} request retransmissions"),
-                );
-            }
-            // The slot is fully executed (generated, gossiped, verified):
-            // raise the local watermark and close the latency sample.
-            self.record_slot_committed(slot);
-            self.shared
-                .verified_through
-                .store(slot + 1, Ordering::Relaxed);
-            telemetry.slot_latency.record(slot_begin.elapsed());
-        }
-        Ok(SlotLoopOutcome {
-            degraded,
-            pop_attempts,
-            pop_successes,
-        })
-    }
-
-    /// The epoch-windowed pipeline (`window > 1`, PoP mode): the
-    /// generation half runs up to `window` slots ahead of the roster-wide
-    /// completion low-watermark while a background worker verifies slots
-    /// strictly in order. Horizon-capped child requests
-    /// ([`WireMessage::ReqChildAt`]) keep every PoP exchange identical to
-    /// the lockstep run: a run-ahead responder answers from its store *as
-    /// of the slot under verification*.
-    fn slot_loop_pipelined(
-        &self,
-        start_slot: u64,
-        end_slot: u64,
-        min_age: u64,
-    ) -> Result<SlotLoopOutcome, String> {
-        // Slots before our first are nobody's to verify: a joiner's drain
-        // and window gates measure from its own start.
-        self.shared
-            .verified_through
-            .store(start_slot, Ordering::Relaxed);
-        let (gen, verify) = std::thread::scope(|scope| {
-            let worker = scope.spawn(|| self.verify_worker(start_slot, end_slot, min_age));
-            let gen = self.generation_loop(start_slot, end_slot);
-            if gen.is_err() {
-                // The worker must not wait out its timeouts slot by slot
-                // for blocks that will never be generated.
-                self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-                notify_progress(&self.shared);
-            }
-            (gen, worker.join())
-        });
-        let gen_degraded = gen?;
-        let verify = verify.map_err(|_| "verify worker panicked".to_string())?;
-        Ok(SlotLoopOutcome {
-            degraded: gen_degraded || verify.degraded,
-            pop_attempts: verify.pop_attempts,
-            pop_successes: verify.pop_successes,
-        })
-    }
-
-    /// The pipelined generation half: per-slot work minus verification.
-    /// Returns whether any barrier degraded.
-    fn generation_loop(&self, start_slot: u64, end_slot: u64) -> Result<bool, String> {
-        let id = self.config.id;
-        let seed = self.config.seed;
-        let window = self.config.window;
-        let mut degraded = false;
-        let mut applied_joins: HashSet<NodeId> =
-            (0..self.config.nodes as u32).map(NodeId).collect();
-        let mut applied_leaves: HashSet<NodeId> = HashSet::new();
-        let mut behavior_applied = false;
         let telemetry = &self.shared.telemetry;
         for slot in start_slot..end_slot {
             self.shared.current_slot.store(slot, Ordering::Relaxed);
@@ -1259,7 +979,7 @@ need --join)",
             if !behavior_applied && self.adversary_active(slot) {
                 behavior_applied = true;
                 if self.config.behavior == Behavior::Flapper {
-                    // The verify worker must not wait out timeouts for
+                    // A verify worker must not wait out timeouts for
                     // slots the flapper will never generate.
                     self.shared.pipeline_abort.store(true, Ordering::Relaxed);
                     notify_progress(&self.shared);
@@ -1273,63 +993,34 @@ need --join)",
                 .lock()
                 .expect("slot started poisoned")
                 .insert(slot, Instant::now());
-            let retries_before = self.endpoint.stats().request_retries;
             // Membership mutates the topology and neighbor set the verify
-            // worker reads; drain the pipeline to the boundary first so
+            // step reads; drain the pipeline to the boundary first so
             // every slot before the change is verified under the graph it
             // was generated under.
             if self.membership_pending(slot, &applied_joins, &applied_leaves) {
-                if !self.wait_verified_through(slot) {
-                    degraded = true;
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Timeout,
-                        format!("pipeline drain before membership at slot {slot} timed out"),
-                    );
-                }
+                degraded |= !self.wait_verified_through(slot);
                 self.apply_membership(slot, &mut applied_joins, &mut applied_leaves);
             }
-            let neighbors: Vec<NodeId> = self
-                .shared
-                .topology
-                .read()
-                .expect("topology poisoned")
-                .neighbors(id)
-                .to_vec();
+            let neighbors = self.neighbors();
 
+            // --- Digest barrier: our slot-t block embeds the slot-(t-1)
+            // digest of every neighbor that generated at t-1 under the
+            // current roster. The barrier waits are the wire's cross-shard
+            // exchange.
             let exchange_started = Instant::now();
-            // Data dependency (same as lockstep): our slot-t block embeds
-            // the neighbors' slot-(t-1) digests.
-            if slot > start_slot && !self.digest_barrier(&neighbors, slot - 1) {
-                degraded = true;
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Timeout,
-                    format!("digest barrier for slot {} timed out", slot - 1),
-                );
+            if slot > start_slot {
+                degraded |= !self.digest_barrier(&neighbors, slot - 1);
             }
-            // Window gate: generation may run at most `window` slots ahead
-            // of the cluster's completion low-watermark and of our own
-            // verify worker. With W = 1 this would degenerate to the
-            // lockstep done barrier.
-            if slot >= start_slot + window {
-                let floor = slot - window;
-                if !self.done_barrier(floor) {
-                    degraded = true;
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Timeout,
-                        format!("window gate: done barrier for slot {floor} timed out"),
-                    );
-                }
-                if !self.wait_verified_through(floor + 1) {
-                    degraded = true;
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Timeout,
-                        format!("window gate: own verification of slot {floor} timed out"),
-                    );
-                }
+            // --- Window gate (PoP mode only): generation may run at most
+            // `window` slots ahead of the cluster's completion
+            // low-watermark and of our own verification — otherwise a fast
+            // peer's block could answer a slow validator's PoP with
+            // children the reference engine has not generated yet. With
+            // `W = 1` this is the engine's phase order: slot t-1 verified
+            // everywhere before anyone generates slot t.
+            if self.config.pop && slot >= start_slot + window {
+                degraded |= !self.done_barrier(slot - window);
+                degraded |= !self.wait_verified_through(slot - window + 1);
             }
             telemetry
                 .phases
@@ -1337,27 +1028,12 @@ need --join)",
 
             // --- Apply gossip and generate, mirroring the engine's phases.
             let generate_started = Instant::now();
+            if slot > start_slot && !self.folds_in_verify() {
+                degraded |= !self.fold_digests(&neighbors, slot - 1, None);
+            }
             let (digest, equivocation) = {
                 let mut node = self.shared.node.write().expect("node lock poisoned");
                 node.begin_slot();
-                if slot > start_slot {
-                    let mut buffered = self.shared.digests.lock().expect("digests poisoned");
-                    for &nb in &neighbors {
-                        let latest = buffered
-                            .get(&nb)
-                            .and_then(|per_slot| per_slot.range(..slot).next_back())
-                            .map(|(_, &d)| d);
-                        if let Some(d) = latest {
-                            node.receive_digest(nb, d);
-                        }
-                    }
-                    // Unlike lockstep, the verify worker still reads digest
-                    // *presence* up to `window` slots back — prune to the
-                    // window floor, not to slot-1.
-                    for per_slot in buffered.values_mut() {
-                        *per_slot = per_slot.split_off(&slot.saturating_sub(window));
-                    }
-                }
                 let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
                 let payload = sensor_payload(&mut rng, id, slot);
                 let block = node
@@ -1399,11 +1075,20 @@ need --join)",
             }
             let prefix = digest_prefix(&digest);
             record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
-            // The verify worker may be parked on this very digest.
+            // A verify worker may be parked on this very digest.
             notify_progress(&self.shared);
-            // PoP mode: every generating peer consumes the digest.
+            // PoP walks the whole DAG, so in PoP mode every generating peer
+            // needs the digest (the verify step's barrier proves global
+            // generation progress); without PoP only neighbors consume it.
+            let gossip_targets: Vec<(NodeId, SocketAddr)> = if self.config.pop {
+                self.generator_addrs(slot)
+            } else {
+                neighbors
+                    .iter()
+                    .filter_map(|&nb| self.peers.addr(nb).map(|a| (nb, a)))
+                    .collect()
+            };
             let trace_ctx = self.gossip_trace_ctx(slot, prefix);
-            let gossip_targets = self.generator_addrs(slot);
             for (_, addr) in &gossip_targets {
                 let _ = self.endpoint.send_control_traced(
                     *addr,
@@ -1427,144 +1112,219 @@ need --join)",
             telemetry
                 .phases
                 .record(Phase::Gossip, gossip_started.elapsed());
-            let retries = self.endpoint.stats().request_retries - retries_before;
-            if retries > 0 {
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Retry,
-                    format!("{retries} request retransmissions"),
-                );
+            match inline.as_deref_mut() {
+                Some(state) => self.verify_slot(slot, state),
+                // Without PoP the slot is fully executed once gossiped.
+                None if !self.config.pop => self.commit_slot(slot),
+                None => {}
             }
         }
         Ok(degraded)
     }
 
-    /// The pipelined verify worker: verifies slots strictly in order,
-    /// mirroring the lockstep loop's PoP section exactly — same barrier,
-    /// same derived randomness, same target choice — with every child
-    /// lookup horizon-capped at the slot under verification.
-    fn verify_worker(&self, start_slot: u64, end_slot: u64, min_age: u64) -> SlotLoopOutcome {
+    /// The verify step of one slot, mirroring the engine's Verify phase —
+    /// same barrier, same derived randomness, same target choice — with
+    /// every child lookup horizon-capped at the slot under verification.
+    fn verify_slot(&self, slot: u64, state: &mut VerifyState) {
         let id = self.config.id;
-        let seed = self.config.seed;
         let telemetry = &self.shared.telemetry;
-        let mut outcome = SlotLoopOutcome {
-            degraded: false,
-            pop_attempts: 0,
-            pop_successes: 0,
+        let verify_started = Instant::now();
+        // The engine's verify phase starts after *all* generation in the
+        // slot: wait until every generating peer announced its slot-t
+        // digest, proving its chain holds its blocks through t.
+        let all_generators: Vec<NodeId> = {
+            let roster = self.shared.roster.lock().expect("roster poisoned");
+            roster
+                .generators_at(slot)
+                .into_iter()
+                .filter(|&p| p != id)
+                .collect()
         };
-        // The worker owns the node's trust state for the whole run (the
-        // generation half never reads it), returning it at the end.
-        let (mut trust_cache, mut blacklist) = {
-            let mut node = self.shared.node.write().expect("node lock poisoned");
-            (node.take_trust_cache(), node.take_blacklist(&self.cfg))
-        };
-        for slot in start_slot..end_slot {
-            if self.shared.pipeline_abort.load(Ordering::Relaxed) {
-                outcome.degraded = true;
-                break;
-            }
-            // Our own slot-`slot` block must exist before the PoP scans.
-            if !self.wait_own_generated(slot) {
-                outcome.degraded = true;
-                break;
-            }
-            let verify_started = Instant::now();
-            // The engine's verify phase starts after *all* generation in
-            // the slot (same barrier as the lockstep loop).
-            let all_generators: Vec<NodeId> = {
-                let roster = self.shared.roster.lock().expect("roster poisoned");
-                roster
-                    .generators_at(slot)
-                    .into_iter()
-                    .filter(|&p| p != id)
-                    .collect()
-            };
-            if !self.digest_barrier(&all_generators, slot) {
-                outcome.degraded = true;
-            }
-            // Active adversaries skip the validator role, mirroring the
-            // engine's verify-phase filter (see the lockstep loop).
-            let candidates = if self.adversary_active(slot) {
-                Vec::new()
-            } else {
-                let roster = self.shared.roster.lock().expect("roster poisoned");
-                wire_pop_candidates(&roster, id, slot, min_age)
-            };
-            let mut target_rng = derived_rng(seed, stream::TARGET, slot, id);
-            if let Some(&target) = target_rng.choose(&candidates) {
-                outcome.pop_attempts += 1;
-                telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
-                let pop_started = Instant::now();
-                let report =
-                    self.run_pop_with(slot, target, &mut trust_cache, &mut blacklist, Some(slot));
-                self.shared
-                    .blacklist_banned
-                    .store(blacklist.banned_count() as u64, Ordering::Relaxed);
-                telemetry.pop_rtt.record(pop_started.elapsed());
-                telemetry.merge_pop(&report.metrics);
-                if report.is_success() {
-                    outcome.pop_successes += 1;
-                    telemetry.pop_successes.fetch_add(1, Ordering::Relaxed);
-                }
-                telemetry.journal.record(
-                    slot,
-                    EventKind::Pop,
-                    format!(
-                        "verified {target}: {} ({} distinct, {} msgs)",
-                        if report.is_success() { "ok" } else { "failed" },
-                        report.distinct_nodes,
-                        report.metrics.total_messages(),
-                    ),
-                );
-                if report.metrics.timeouts > 0 {
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Timeout,
-                        format!("{} PoP requests timed out", report.metrics.timeouts),
-                    );
-                }
-                if report.metrics.pruned_misses > 0 {
-                    telemetry.journal.record(
-                        slot,
-                        EventKind::Pruned,
-                        format!("{} pruned misses during PoP", report.metrics.pruned_misses),
-                    );
-                }
-            }
-            // Slot completed (generated *and* verified): announce, raise
-            // the local watermark, close the latency sample.
-            for (_, addr) in self.generator_addrs(slot) {
-                let _ = self
-                    .endpoint
-                    .send_control(addr, &Control::SlotDone { slot });
-            }
-            self.record_slot_committed(slot);
-            self.shared
-                .verified_through
-                .store(slot + 1, Ordering::Relaxed);
-            notify_progress(&self.shared);
-            let started = self
-                .shared
-                .slot_started
-                .lock()
-                .expect("slot started poisoned")
-                .remove(&slot);
-            if let Some(started) = started {
-                telemetry.slot_latency.record(started.elapsed());
-            }
+        state.outcome.degraded |= !self.digest_barrier(&all_generators, slot);
+        if self.folds_in_verify() {
+            let fold_started = Instant::now();
+            state.outcome.degraded |=
+                !self.fold_digests(&self.neighbors(), slot, Some(&mut state.blacklist));
             telemetry
                 .phases
-                .record(Phase::Verify, verify_started.elapsed());
+                .record(Phase::Gossip, fold_started.elapsed());
         }
-        if outcome.degraded {
-            // Free the generation half from its window-gate waits.
-            self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-            notify_progress(&self.shared);
+        // The engine never makes a malicious node a validator (its verify
+        // phase filters them out), so an active adversary skips the PoP
+        // identically — empty candidates — or the PoP counters would
+        // diverge from the reference run.
+        let candidates = if self.adversary_active(slot) {
+            Vec::new()
+        } else {
+            let roster = self.shared.roster.lock().expect("roster poisoned");
+            let min_age = self.config.nodes as u64; // the paper's workload default
+            wire_pop_candidates(&roster, id, slot, min_age)
+        };
+        let mut target_rng = derived_rng(self.config.seed, stream::TARGET, slot, id);
+        if let Some(&target) = target_rng.choose(&candidates) {
+            state.outcome.pop_attempts += 1;
+            telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
+            let pop_started = Instant::now();
+            let report = self.run_pop_with(slot, target, state);
+            self.shared
+                .blacklist_banned
+                .store(state.blacklist.banned_count() as u64, Ordering::Relaxed);
+            telemetry.pop_rtt.record(pop_started.elapsed());
+            telemetry.merge_pop(&report.metrics);
+            if report.is_success() {
+                state.outcome.pop_successes += 1;
+                telemetry.pop_successes.fetch_add(1, Ordering::Relaxed);
+            }
+            telemetry.journal.record(
+                slot,
+                EventKind::Pop,
+                format!(
+                    "verified {target}: {} ({} distinct, {} msgs)",
+                    if report.is_success() { "ok" } else { "failed" },
+                    report.distinct_nodes,
+                    report.metrics.total_messages(),
+                ),
+            );
+            if report.metrics.timeouts > 0 {
+                telemetry.journal.record(
+                    slot,
+                    EventKind::Timeout,
+                    format!("{} PoP requests timed out", report.metrics.timeouts),
+                );
+            }
+            if report.metrics.pruned_misses > 0 {
+                telemetry.journal.record(
+                    slot,
+                    EventKind::Pruned,
+                    format!("{} pruned misses during PoP", report.metrics.pruned_misses),
+                );
+            }
         }
-        let mut node = self.shared.node.write().expect("node lock poisoned");
-        node.restore_trust_cache(trust_cache);
-        node.restore_blacklist(blacklist);
-        outcome
+        // Slot completed (generated *and* verified): announce it whether
+        // or not a target qualified — peers gate their window on it.
+        for (_, addr) in self.generator_addrs(slot) {
+            let _ = self
+                .endpoint
+                .send_control(addr, &Control::SlotDone { slot });
+        }
+        self.commit_slot(slot);
+        telemetry
+            .phases
+            .record(Phase::Verify, verify_started.elapsed());
+    }
+
+    /// Folds every neighbor's slot-`of` digest into `A_i`
+    /// (`receive_digest`), ban-gated by `blacklist` when the caller holds
+    /// the node's trust state. Returns `false` when a digest the roster
+    /// promises could not be had.
+    fn fold_digests(
+        &self,
+        neighbors: &[NodeId],
+        of: u64,
+        mut blacklist: Option<&mut Blacklist>,
+    ) -> bool {
+        let mut complete = true;
+        let mut folded: Vec<(NodeId, Digest)> = Vec::new();
+        for &nb in neighbors {
+            let expected = {
+                let roster = self.shared.roster.lock().expect("roster poisoned");
+                roster.generates_at(nb, of)
+            };
+            if !expected {
+                continue;
+            }
+            let buffered = || {
+                self.shared
+                    .digests
+                    .lock()
+                    .expect("digests poisoned")
+                    .get(&nb)
+                    .and_then(|per_slot| per_slot.get(&of))
+                    .copied()
+            };
+            // A conflict discard can empty the entry between the caller's
+            // barrier and this read; the re-barrier pulls the canonical
+            // digest back from the peer directly.
+            let entry = buffered().or_else(|| {
+                self.digest_barrier(std::slice::from_ref(&nb), of)
+                    .then(buffered)
+                    .flatten()
+            });
+            match entry {
+                Some(d) => folded.push((nb, d)),
+                None => {
+                    complete = false;
+                    self.shared.telemetry.journal.record(
+                        of,
+                        EventKind::Timeout,
+                        format!("no slot-{of} digest from {nb} to fold"),
+                    );
+                }
+            }
+        }
+        {
+            let mut node = self.shared.node.write().expect("node lock poisoned");
+            if let Some(held) = blacklist.as_deref_mut() {
+                std::mem::swap(held, node.blacklist_mut());
+            }
+            for (nb, d) in folded {
+                node.receive_digest(nb, d);
+            }
+            if let Some(held) = blacklist {
+                std::mem::swap(held, node.blacklist_mut());
+            }
+        }
+        // Applied digests are spent. The newest `window` slots stay
+        // buffered — as conflict bait for late fakes, and because the
+        // verify step reads digest *presence* up to `window` slots behind
+        // generation — so the buffer stays O(window), not O(slots).
+        let keep_from = (of + 1).saturating_sub(self.config.window);
+        let mut buffered = self.shared.digests.lock().expect("digests poisoned");
+        for per_slot in buffered.values_mut() {
+            *per_slot = per_slot.split_off(&keep_from);
+        }
+        complete
+    }
+
+    /// The slot's local commit point — fully executed (generated,
+    /// gossiped, and in PoP mode verified): journal the retransmissions
+    /// since the previous commit, raise the verify watermark, and close
+    /// the latency sample. One caller per run, in slot order.
+    fn commit_slot(&self, slot: u64) {
+        let telemetry = &self.shared.telemetry;
+        let total = self.endpoint.stats().request_retries;
+        let retries = total - self.shared.retries_journaled.swap(total, Ordering::Relaxed);
+        if retries > 0 {
+            telemetry.journal.record(
+                slot,
+                EventKind::Retry,
+                format!("{retries} request retransmissions"),
+            );
+        }
+        self.record_slot_committed(slot);
+        self.shared
+            .verified_through
+            .store(slot + 1, Ordering::Relaxed);
+        notify_progress(&self.shared);
+        let started = self
+            .shared
+            .slot_started
+            .lock()
+            .expect("slot started poisoned")
+            .remove(&slot);
+        if let Some(started) = started {
+            telemetry.slot_latency.record(started.elapsed());
+        }
+    }
+
+    /// This node's current radio neighbors.
+    fn neighbors(&self) -> Vec<NodeId> {
+        self.shared
+            .topology
+            .read()
+            .expect("topology poisoned")
+            .neighbors(self.config.id)
+            .to_vec()
     }
 
     /// True when a roster membership event at or before `slot` has not yet
@@ -1583,43 +1343,52 @@ need --join)",
         pending
     }
 
-    /// One barrier wait quantum. Lockstep keeps the seed's 5 ms sleep (its
-    /// timing is the baseline the saturation benchmark measures against);
-    /// the pipeline parks on the progress condvar instead, so a blocked
-    /// loop burns no syscall churn and wakes the moment the dispatcher
-    /// hears news.
+    /// One barrier wait quantum: park on the progress condvar, so a
+    /// blocked loop burns no syscall churn and wakes the moment the
+    /// dispatcher hears news.
     fn barrier_pause(&self) {
-        if self.config.window > 1 {
-            let version = self.shared.progress.lock().expect("progress poisoned");
-            let _ = self
-                .shared
-                .progress_cv
-                .wait_timeout(version, Duration::from_millis(25))
-                .expect("progress poisoned");
-        } else {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let version = self.shared.progress.lock().expect("progress poisoned");
+        let _ = self
+            .shared
+            .progress_cv
+            .wait_timeout(version, Duration::from_millis(25))
+            .expect("progress poisoned");
     }
 
-    /// Waits until our own slot-`slot` block has been generated. Returns
-    /// `false` on timeout or pipeline abort.
-    fn wait_own_generated(&self, slot: u64) -> bool {
+    /// The one wait loop: pauses until `ready()` holds. Gives up,
+    /// journaling a `Timeout` for `what` at `slot` and returning `false`,
+    /// once the slot timeout passes or the other half of the loop aborted.
+    fn wait_until(
+        &self,
+        slot: u64,
+        what: fmt::Arguments<'_>,
+        mut ready: impl FnMut() -> bool,
+    ) -> bool {
         let deadline = Instant::now() + self.config.slot_timeout;
-        loop {
-            if self
-                .shared
-                .own_digests
-                .lock()
-                .expect("own digests poisoned")
-                .contains_key(&slot)
-            {
-                return true;
-            }
-            if self.shared.pipeline_abort.load(Ordering::Relaxed) || Instant::now() > deadline {
+        while !ready() {
+            if Instant::now() > deadline || self.shared.pipeline_abort.load(Ordering::Relaxed) {
+                self.shared.telemetry.journal.record(
+                    slot,
+                    EventKind::Timeout,
+                    format!("{what} gave up"),
+                );
                 return false;
             }
             self.barrier_pause();
         }
+        true
+    }
+
+    /// Waits until our own slot-`slot` block has been generated (the
+    /// verify worker's hand-off from the generation thread).
+    fn wait_own_generated(&self, slot: u64) -> bool {
+        self.wait_until(slot, format_args!("own slot-{slot} generation"), || {
+            self.shared
+                .own_digests
+                .lock()
+                .expect("own digests poisoned")
+                .contains_key(&slot)
+        })
     }
 
     /// The trace context stamped onto this node's outbound digest gossip
@@ -1676,22 +1445,15 @@ need --join)",
         }
     }
 
-    /// Waits until the local verify watermark reaches `target`. Returns
-    /// `false` on timeout or pipeline abort.
+    /// Waits until the local verify watermark reaches `target`.
     fn wait_verified_through(&self, target: u64) -> bool {
-        let deadline = Instant::now() + self.config.slot_timeout;
-        loop {
-            if self.shared.verified_through.load(Ordering::Relaxed) >= target {
-                return true;
-            }
-            if self.shared.pipeline_abort.load(Ordering::Relaxed) || Instant::now() > deadline {
-                return false;
-            }
-            self.barrier_pause();
-        }
+        let what = format_args!("own verification below slot {target}");
+        self.wait_until(target, what, || {
+            self.shared.verified_through.load(Ordering::Relaxed) >= target
+        })
     }
 
-    /// Leave announcement + report/linger, shared by both slot loops.
+    /// Leave announcement + report/linger.
     fn wind_down(
         &self,
         start_slot: u64,
@@ -2130,11 +1892,9 @@ need --join)",
     /// Waits until every node of `from` that generated at `slot` (per the
     /// live roster — eviction shrinks the set mid-wait) announced its
     /// digest for `slot`, pulling stragglers with [`Control::DigestReq`].
-    /// Returns `false` on timeout.
     fn digest_barrier(&self, from: &[NodeId], slot: u64) -> bool {
-        let deadline = Instant::now() + self.config.slot_timeout;
         let mut next_pull = Instant::now() + Duration::from_millis(120);
-        loop {
+        self.wait_until(slot, format_args!("slot-{slot} digest barrier"), || {
             let missing: Vec<NodeId> = {
                 let buffered = self.shared.digests.lock().expect("digests poisoned");
                 let roster = self.shared.roster.lock().expect("roster poisoned");
@@ -2151,11 +1911,8 @@ need --join)",
             if missing.is_empty() {
                 return true;
             }
-            let now = Instant::now();
-            if now > deadline || self.shared.pipeline_abort.load(Ordering::Relaxed) {
-                return false;
-            }
             self.maybe_evict(&missing, slot);
+            let now = Instant::now();
             if now >= next_pull {
                 for nb in &missing {
                     if let Some(addr) = self.peers.addr(*nb) {
@@ -2166,8 +1923,8 @@ need --join)",
                 }
                 next_pull = now + Duration::from_millis(120);
             }
-            self.barrier_pause();
-        }
+            false
+        })
     }
 
     /// Waits until every peer that generated `slot` completed it
@@ -2175,15 +1932,10 @@ need --join)",
     /// [`Control::SlotDone`] for `slot` (if we completed it) and pulls the
     /// blockers' slot+W digests — a peer's digest for `slot + W` proves it
     /// completed `slot` (the window gate), which is how a late joiner with
-    /// no own progress at `slot` catches up without deadlocking. Returns
-    /// `false` on timeout.
+    /// no own progress at `slot` catches up without deadlocking.
     fn done_barrier(&self, slot: u64) -> bool {
-        let deadline = Instant::now() + self.config.slot_timeout;
         let mut next_push = Instant::now() + Duration::from_millis(120);
-        loop {
-            // Read fresh each pass: in pipelined mode the verify worker
-            // can complete `slot` mid-wait.
-            let executed_slot = self.shared.verified_through.load(Ordering::Relaxed) > slot;
+        self.wait_until(slot, format_args!("slot-{slot} done barrier"), || {
             let blocked: Vec<(NodeId, SocketAddr)> = {
                 let done = self.shared.done.lock().expect("done poisoned");
                 self.generator_addrs(slot)
@@ -2194,13 +1946,13 @@ need --join)",
             if blocked.is_empty() {
                 return true;
             }
-            let now = Instant::now();
-            if now > deadline || self.shared.pipeline_abort.load(Ordering::Relaxed) {
-                return false;
-            }
             let ids: Vec<NodeId> = blocked.iter().map(|(p, _)| *p).collect();
             self.maybe_evict(&ids, slot);
+            let now = Instant::now();
             if now >= next_push {
+                // Read fresh each pass: a verify worker can complete `slot`
+                // mid-wait.
+                let executed_slot = self.shared.verified_through.load(Ordering::Relaxed) > slot;
                 for (_, addr) in &blocked {
                     if executed_slot {
                         // If our SlotDone was lost, the peers are the ones
@@ -2219,8 +1971,8 @@ need --join)",
                 }
                 next_push = now + Duration::from_millis(120);
             }
-            self.barrier_pause();
-        }
+            false
+        })
     }
 
     /// Evicts any of `blocking` that was heard from once but has been
@@ -2276,37 +2028,12 @@ need --join)",
     }
 
     /// One PoP verification of `target` over the wire, with the engine's
-    /// derived randomness for this `(slot, validator)`.
-    fn run_wire_pop(&self, slot: u64, target: BlockId) -> PopReport {
-        let (mut trust_cache, mut blacklist) = {
-            let mut node = self.shared.node.write().expect("node lock poisoned");
-            (node.take_trust_cache(), node.take_blacklist(&self.cfg))
-        };
-        let report = self.run_pop_with(slot, target, &mut trust_cache, &mut blacklist, None);
-        self.shared
-            .blacklist_banned
-            .store(blacklist.banned_count() as u64, Ordering::Relaxed);
-        let mut node = self.shared.node.write().expect("node lock poisoned");
-        node.restore_trust_cache(trust_cache);
-        node.restore_blacklist(blacklist);
-        report
-    }
-
-    /// Runs one PoP with caller-held trust state. `horizon: None` is the
-    /// lockstep path: the validator reads its store under a read lock held
-    /// for the whole walk (nobody appends mid-slot). `Some(v)` is the
-    /// pipelined path: the generation half keeps appending while the walk
-    /// runs, so the validator reads through [`PipelinedStore`] (a fresh
-    /// read lock per call) and caps every child lookup — its own and the
-    /// wire's — at slot `v`, which makes the view identical to lockstep's.
-    fn run_pop_with(
-        &self,
-        slot: u64,
-        target: BlockId,
-        trust_cache: &mut TrustCache,
-        blacklist: &mut Blacklist,
-        horizon: Option<u64>,
-    ) -> PopReport {
+    /// derived randomness for this `(slot, validator)`. Generation may keep
+    /// appending while the walk runs, so the validator reads its own chain
+    /// through [`PipelinedStore`] (a fresh read lock per call) and caps
+    /// every child lookup — its own and the wire's — at `slot`, which
+    /// makes the view identical at every window.
+    fn run_pop_with(&self, slot: u64, target: BlockId, state: &mut VerifyState) -> PopReport {
         // Read locks: the dispatcher keeps serving peers' requests
         // concurrently, so symmetric cross-verification cannot deadlock;
         // the topology is only written at slot boundaries (with the
@@ -2316,7 +2043,7 @@ need --join)",
         let mut transport = NetPopTransport {
             endpoint: &self.endpoint,
             peers: &self.peers,
-            horizon,
+            horizon: Some(slot),
             spans: self
                 .shared
                 .telemetry
@@ -2324,43 +2051,26 @@ need --join)",
                 .is_enabled()
                 .then_some(&self.shared.telemetry.spans),
         };
-        match horizon {
-            None => {
-                let node = self.shared.node.read().expect("node lock poisoned");
-                let mut validator = Validator::new(
-                    &self.cfg,
-                    &topology,
-                    self.config.id,
-                    node.store(),
-                    trust_cache,
-                    blacklist,
-                    &mut pop_rng,
-                );
-                validator.run(target, &mut transport)
-            }
-            Some(h) => {
-                let store = PipelinedStore {
-                    node: &self.shared.node,
-                };
-                let mut validator = Validator::new(
-                    &self.cfg,
-                    &topology,
-                    self.config.id,
-                    &store,
-                    trust_cache,
-                    blacklist,
-                    &mut pop_rng,
-                )
-                .with_horizon(h);
-                validator.run(target, &mut transport)
-            }
-        }
+        let store = PipelinedStore {
+            node: &self.shared.node,
+        };
+        let mut validator = Validator::new(
+            &self.cfg,
+            &topology,
+            self.config.id,
+            &store,
+            &mut state.trust_cache,
+            &mut state.blacklist,
+            &mut pop_rng,
+        )
+        .with_horizon(slot);
+        validator.run(target, &mut transport)
     }
 
     /// Reports to the controller (until acked) or lingers serving peers,
     /// then honours a shutdown request or the linger deadline.
     fn epilogue(&self, run: &RunReport) {
-        match self.config.controller {
+        let serve_for = match self.config.controller {
             Some(controller) => {
                 let deadline = Instant::now() + self.config.slot_timeout;
                 while !self.shared.report_acked.load(Ordering::Relaxed) && Instant::now() < deadline
@@ -2372,19 +2082,15 @@ need --join)",
                 }
                 // Keep serving until the controller releases the cluster (it
                 // does so only after *every* node reported) or we time out.
-                let release = Instant::now() + self.config.slot_timeout;
-                while !self.shared.shutdown.load(Ordering::Relaxed) && Instant::now() < release {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+                self.config.slot_timeout
             }
-            None => {
-                // No controller: serve for the linger window so slower peers
-                // can still finish their barriers against us.
-                let release = Instant::now() + self.config.linger;
-                while !self.shared.shutdown.load(Ordering::Relaxed) && Instant::now() < release {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
+            // No controller: serve for the linger window so slower peers
+            // can still finish their barriers against us.
+            None => self.config.linger,
+        };
+        let release = Instant::now() + serve_for;
+        while !self.shared.shutdown.load(Ordering::Relaxed) && Instant::now() < release {
+            std::thread::sleep(Duration::from_millis(20));
         }
     }
 }
@@ -2732,8 +2438,8 @@ peer flagged as adversarial"
                 Control::ReportAck => shared.report_acked.store(true, Ordering::Relaxed),
                 Control::Report(_) => {} // only the harness controller consumes these
             }
-            // Any control message may have been the news a pipelined wait
-            // is parked on.
+            // Any control message may have been the news a barrier wait is
+            // parked on.
             notify_progress(shared);
         }
     }
@@ -2791,8 +2497,8 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
     };
     let current = shared.current_slot.load(Ordering::Relaxed);
     let verified = shared.verified_through.load(Ordering::Relaxed);
-    // Occupancy: slots in flight between generation and verification (the
-    // lockstep loop reads 1 mid-slot, the pipeline up to `window`).
+    // Occupancy: slots in flight between generation and verification (1
+    // mid-slot at `W = 1`, up to `window` otherwise).
     let window_occupancy = (current + 1).saturating_sub(verified);
     // Lag: how far the slowest generating peer's completion watermark
     // trails our current slot. Locks taken sequentially, never nested.
@@ -2847,10 +2553,10 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
     }
 }
 
-/// [`BlockBackend`] view over the live node for the pipelined validator:
-/// every call takes a fresh read lock, so the verify worker never holds
-/// the node lock across PoP network I/O (which would stall the generation
-/// half's writes for a whole round-trip). Horizon capping makes the walk
+/// [`BlockBackend`] view over the live node for the validator: every call
+/// takes a fresh read lock, so the verify step never holds the node lock
+/// across PoP network I/O (which would stall a run-ahead generation
+/// thread's writes for a whole round-trip). Horizon capping makes the walk
 /// insensitive to blocks appended between calls — every lookup the
 /// validator performs is filtered to `header.time <= horizon`, and the
 /// store below an already-generated slot never changes.

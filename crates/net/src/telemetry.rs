@@ -43,9 +43,9 @@ pub struct NodeTelemetry {
     /// Slot-loop phase latencies (generate/exchange/gossip/verify/commit).
     pub phases: PhaseTimings,
     /// End-to-end slot latency: from generation start until the slot's
-    /// verification completed. In lockstep mode this tracks the slot-loop
-    /// iteration; in pipelined mode it measures true pipeline depth (a
-    /// slot's verification can finish several generations later).
+    /// verification completed. At `W = 1` this tracks the slot-loop
+    /// iteration; at `W > 1` it measures true pipeline depth (a slot's
+    /// verification can finish several generations later).
     pub slot_latency: LatencyHistogram,
     /// Wall-clock latency of whole PoP verifications (wire round trips
     /// included).

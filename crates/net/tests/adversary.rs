@@ -168,6 +168,49 @@ fn equivocator_is_detected_and_honest_parity_holds() {
 }
 
 #[test]
+fn selfish_bans_land_on_the_engines_slot_in_lockstep() {
+    // Node 4 keeps generating and gossiping but serves silence, so honest
+    // validators record timeout offenses and ban it — and from then on
+    // discard its gossip. Which of its digests a chain still accepts
+    // depends on the ban landing on exactly the engine's slot: slot-t
+    // digests fold *before* the slot-t PoP, gated by the blacklist as of
+    // slot t-1. Folding after the PoP, or ungated at the next generation,
+    // diverges every honest chain (first at slot 7 on this seed).
+    let seed = 17;
+    let slots = 12;
+    let addrs = discover_ports(5);
+    let placements = [AdversaryPlacement {
+        node: NodeId(4),
+        behavior: Behavior::Selfish,
+        slot: 0,
+    }];
+    let configs: Vec<NetNodeConfig> = (0..5u32)
+        .map(|id| {
+            let mut c = founder_config(id, &addrs, 5, seed, slots);
+            c.pop = true;
+            c.slot_timeout = Duration::from_secs(20);
+            if id == 4 {
+                c.behavior = Behavior::Selfish;
+            }
+            c
+        })
+        .collect();
+
+    let outcomes = run_nodes(configs);
+    let reference = engine_reference(seed, 5, slots, true, &placements);
+
+    assert_honest_parity(&outcomes, &reference, &[0, 1, 2, 3]);
+    let wire_attempts: u64 = outcomes.iter().map(|o| o.run.pop_attempts).sum();
+    let wire_successes: u64 = outcomes.iter().map(|o| o.run.pop_successes).sum();
+    assert!(wire_attempts > 0, "the workload must run PoP verifications");
+    assert_eq!(
+        (wire_attempts, wire_successes),
+        reference.pop_counters(),
+        "PoP counters must match the engine under the same placement"
+    );
+}
+
+#[test]
 fn digest_liar_is_named_in_the_journal() {
     // Node 3 gossips corrupted digests for its own slots from slot 2 on.
     // Honest nodes must (a) re-pull and converge, (b) keep honest parity,

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tldag_net::runtime::NodeOutcome;
 use tldag_net::telemetry::{scrape_metrics, total_row, StatusRow};
-use tldag_net::{NetNode, NetNodeConfig};
-use tldag_obs::http_get;
+use tldag_net::{FaultSpec, NetNode, NetNodeConfig};
+use tldag_obs::{http_get, EventKind};
 use tldag_sim::NodeId;
 
 /// Binds-and-releases `n` loopback UDP ports.
@@ -207,5 +207,52 @@ fn telemetry_listeners_change_no_digest_and_no_pop_counter() {
         assert_eq!(a.run.pop_attempts, b.run.pop_attempts);
         assert_eq!(a.run.pop_successes, b.run.pop_successes);
         assert_eq!(a.run.chain_len, b.run.chain_len);
+    }
+}
+
+#[test]
+fn retransmissions_are_journaled_exactly_once_at_every_window() {
+    // 15% loss forces PoP request retransmissions. Each must land in
+    // exactly one journal `Retry` event whichever thread ran the PoP: per
+    // node, the counts the journal names sum to the transport's counter.
+    for window in [1, 4] {
+        let addrs = discover_udp_ports(3);
+        let handles: Vec<_> = founder_configs(&addrs, 72_003, 9, true)
+            .into_iter()
+            .map(|mut config| {
+                config.window = window;
+                config.fault = Some(FaultSpec::loss(0.15));
+                config.endpoint.request_timeout = Duration::from_millis(20);
+                config.linger = Duration::from_millis(500);
+                std::thread::spawn(move || {
+                    let node = NetNode::new(config).expect("node construction");
+                    let telemetry = node.telemetry();
+                    (node.run().expect("node run"), telemetry)
+                })
+            })
+            .collect();
+        let mut total = 0;
+        for handle in handles {
+            let (outcome, telemetry) = handle.join().expect("node thread panicked");
+            let journaled: u64 = telemetry
+                .journal
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::Retry)
+                .map(|e| {
+                    let count = e.message.split(' ').next().expect("count first");
+                    count
+                        .parse::<u64>()
+                        .expect("retry events lead with a count")
+                })
+                .sum();
+            assert_eq!(
+                journaled, outcome.stats.request_retries,
+                "W={window}: node {} journaled its retransmissions wrongly",
+                outcome.run.node
+            );
+            total += journaled;
+        }
+        assert!(total > 0, "W={window}: 15% loss must force retransmissions");
     }
 }

@@ -96,10 +96,11 @@ USAGE:
         Pipelining: --window W (PoP mode, W in 1..=32, default 1) lets
         generation run up to W slots ahead of the cluster's completion
         low-watermark while a background worker verifies slots in order
-        (horizon-capped child requests keep PoP answers byte-identical
-        to the W=1 lockstep); --batch K sets the socket send/recv batch
-        (datagrams per sendmmsg/recvmmsg wakeup); --drop P injects a
-        deterministic per-datagram drop probability for loss testing.
+        (1 = the verify step runs inline, slot lockstep; horizon-capped
+        child requests keep PoP answers byte-identical at every W);
+        --batch K sets the socket send/recv batch (datagrams per
+        sendmmsg/recvmmsg wakeup); --drop P injects a deterministic
+        per-datagram drop probability for loss testing.
         --behavior KIND[@SLOT] turns the node into a wire adversary from
         SLOT (default 0) on: selfish/unresponsive refuse to serve,
         corrupt-reply/corrupt-store tamper with answers, equivocate mints

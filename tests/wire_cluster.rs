@@ -33,20 +33,31 @@ fn three_process_cluster_matches_in_memory_digest() {
 #[test]
 fn cluster_with_pop_over_the_wire_matches_engine_counters() {
     // slots > nodes so the paper's min-age workload has qualifying targets;
-    // PoP then actually runs over the socket path on every node.
-    let mut config = base_config(4, 9, 7);
-    config.pop = true;
-    let outcome = run_cluster(&config).expect("cluster run");
-    assert!(!outcome.degraded());
-    assert_eq!(outcome.wire_digest, outcome.reference_digest);
-    assert!(
-        outcome.wire_pop.0 > 0,
-        "the verification workload must trigger over the wire"
-    );
-    assert_eq!(
-        outcome.wire_pop, outcome.reference_pop,
-        "wire PoP attempts/successes must match the engine's"
-    );
+    // PoP then actually runs over the socket path on every node. The
+    // window is an input: W = 1 verifies inline, W = 2 is the smallest
+    // window that hands verification to the worker thread, and at W = 8
+    // generation runs up to 8 slots ahead. Horizon-capped child requests
+    // must keep every PoP exchange — and therefore every chain digest and
+    // attempt/success counter — byte-identical to the engine at each.
+    for window in [1, 2, 8] {
+        let mut config = base_config(4, 9, 7);
+        config.pop = true;
+        config.window = window;
+        let outcome = run_cluster(&config).expect("cluster run");
+        assert!(!outcome.degraded(), "W={window}: no barrier may time out");
+        assert_eq!(
+            outcome.wire_digest, outcome.reference_digest,
+            "W={window}: the cluster must reproduce the engine's network digest"
+        );
+        assert!(
+            outcome.wire_pop.0 > 0,
+            "W={window}: the verification workload must trigger over the wire"
+        );
+        assert_eq!(
+            outcome.wire_pop, outcome.reference_pop,
+            "W={window}: wire PoP attempts/successes must match the engine's"
+        );
+    }
 }
 
 #[test]
@@ -85,45 +96,28 @@ fn churn_cluster_with_pop_matches_engine_counters() {
     // Same membership schedule with the verification workload on: the
     // joiner and the survivors all run PoP over the wire, and the
     // attempt/success counters must match the engine exactly (the
-    // candidate enumeration is membership-aware on both sides).
-    let mut config = base_config(4, 10, 7);
-    config.pop = true;
-    config.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
-    let outcome = run_cluster(&config).expect("cluster run");
-    assert!(!outcome.degraded());
-    assert_eq!(outcome.wire_digest, outcome.reference_digest);
-    assert!(outcome.wire_pop.0 > 0, "the workload must trigger");
-    assert_eq!(
-        outcome.wire_pop, outcome.reference_pop,
-        "wire PoP counters must match the engine's through churn"
-    );
-}
-
-#[test]
-fn pipelined_cluster_matches_lockstep_and_engine_exactly() {
-    // The epoch-window acceptance bar: with generation running up to 4
-    // slots ahead of verification, horizon-capped child requests must
-    // keep every PoP exchange — and therefore every chain digest and
-    // attempt/success counter — byte-identical to the engine (and hence
-    // to the W=1 lockstep run, which is engine-equivalent by the test
-    // above).
-    let mut config = base_config(4, 9, 7);
-    config.pop = true;
-    config.window = 4;
-    let outcome = run_cluster(&config).expect("cluster run");
-    assert!(
-        !outcome.degraded(),
-        "the pipeline must not stall on loopback"
-    );
-    assert_eq!(
-        outcome.wire_digest, outcome.reference_digest,
-        "the pipelined cluster must reproduce the engine's network digest"
-    );
-    assert!(outcome.wire_pop.0 > 0, "the workload must trigger");
-    assert_eq!(
-        outcome.wire_pop, outcome.reference_pop,
-        "pipelined PoP counters must match the engine's"
-    );
+    // candidate enumeration is membership-aware on both sides) — at every
+    // window, since a membership delta drains the pipeline first.
+    for window in [1, 2, 8] {
+        let mut config = base_config(4, 10, 7);
+        config.pop = true;
+        config.window = window;
+        config.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
+        let outcome = run_cluster(&config).expect("cluster run");
+        assert!(!outcome.degraded(), "W={window}: no barrier may time out");
+        assert_eq!(
+            outcome.wire_digest, outcome.reference_digest,
+            "W={window}: digest parity through churn"
+        );
+        assert!(
+            outcome.wire_pop.0 > 0,
+            "W={window}: the workload must trigger"
+        );
+        assert_eq!(
+            outcome.wire_pop, outcome.reference_pop,
+            "W={window}: wire PoP counters must match the engine's through churn"
+        );
+    }
 }
 
 #[test]

@@ -299,6 +299,26 @@ fn record_span(shared: &Shared, node: u32, slot: u64, origin: u32, prefix: u64, 
     }
 }
 
+/// The trace context stamped onto digest gossip for the slot-`slot` block
+/// of this node (`origin`), or `None` when tracing is off (the frame then
+/// carries exactly the v1 bytes).
+fn gossip_trace_ctx(shared: &Shared, origin: u32, slot: u64, prefix: u64) -> Option<TraceContext> {
+    shared.telemetry.spans.is_enabled().then(|| TraceContext {
+        origin,
+        slot,
+        prefix,
+        ts_micros: unix_micros(),
+    })
+}
+
+/// Every member generating at `slot` other than `me`.
+fn other_generators(shared: &Shared, me: NodeId, slot: u64) -> Vec<NodeId> {
+    let roster = shared.roster.lock().expect("roster poisoned");
+    let mut generators = roster.generators_at(slot);
+    generators.retain(|&p| p != me);
+    generators
+}
+
 /// Serves one inbound protocol request against a node's state, returning
 /// the reply to send (or `None` when the node stays silent / the message is
 /// not a request). Mirrors the simulator's responder semantics exactly:
@@ -1088,7 +1108,7 @@ need --join)",
                     .filter_map(|&nb| self.peers.addr(nb).map(|a| (nb, a)))
                     .collect()
             };
-            let trace_ctx = self.gossip_trace_ctx(slot, prefix);
+            let trace_ctx = gossip_trace_ctx(&self.shared, id.0, slot, prefix);
             for (_, addr) in &gossip_targets {
                 let _ = self.endpoint.send_control_traced(
                     *addr,
@@ -1132,14 +1152,7 @@ need --join)",
         // The engine's verify phase starts after *all* generation in the
         // slot: wait until every generating peer announced its slot-t
         // digest, proving its chain holds its blocks through t.
-        let all_generators: Vec<NodeId> = {
-            let roster = self.shared.roster.lock().expect("roster poisoned");
-            roster
-                .generators_at(slot)
-                .into_iter()
-                .filter(|&p| p != id)
-                .collect()
-        };
+        let all_generators = other_generators(&self.shared, id, slot);
         state.outcome.degraded |= !self.digest_barrier(&all_generators, slot);
         if self.folds_in_verify() {
             let fold_started = Instant::now();
@@ -1389,22 +1402,6 @@ need --join)",
                 .expect("own digests poisoned")
                 .contains_key(&slot)
         })
-    }
-
-    /// The trace context stamped onto this node's outbound digest gossip
-    /// for its slot-`slot` block, or `None` when tracing is off (the frame
-    /// then carries exactly the v1 bytes).
-    fn gossip_trace_ctx(&self, slot: u64, prefix: u64) -> Option<TraceContext> {
-        self.shared
-            .telemetry
-            .spans
-            .is_enabled()
-            .then(|| TraceContext {
-                origin: self.config.id.0,
-                slot,
-                prefix,
-                ts_micros: unix_micros(),
-            })
     }
 
     /// Stamps a [`SpanKind::Committed`] span on every block of `slot` this
@@ -2277,12 +2274,8 @@ peer flagged as adversarial"
                         // Re-sent digests carry the same trace context as
                         // the original gossip, so a pulled straggler still
                         // stitches into the requester's timeline.
-                        let ctx = shared.telemetry.spans.is_enabled().then(|| TraceContext {
-                            origin: endpoint.id().0,
-                            slot,
-                            prefix: digest_prefix(&digest),
-                            ts_micros: unix_micros(),
-                        });
+                        let ctx =
+                            gossip_trace_ctx(shared, endpoint.id().0, slot, digest_prefix(&digest));
                         let _ = endpoint.send_control_traced(
                             src,
                             &Control::SlotDigest { slot, digest },
@@ -2503,14 +2496,7 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
     // Lag: how far the slowest generating peer's completion watermark
     // trails our current slot. Locks taken sequentially, never nested.
     let watermark_lag = {
-        let generators: Vec<NodeId> = {
-            let roster = shared.roster.lock().expect("roster poisoned");
-            roster
-                .generators_at(current)
-                .into_iter()
-                .filter(|&p| p != node_id)
-                .collect()
-        };
+        let generators = other_generators(shared, node_id, current);
         let done = shared.done.lock().expect("done poisoned");
         generators
             .iter()

@@ -1,0 +1,916 @@
+//! The peer runtime: a full 2LDAG node over a real UDP socket.
+//!
+//! [`NetNode`] is the deployment form of one `LedgerNode`: an [`Endpoint`]
+//! plus an inbound dispatcher thread that serves the Sec. IV-C responder
+//! role (`REQ_CHILD` / `FetchBlock`, with the cooperative `Nack` /
+//! `PrunedNack` answers), and a slot loop that generates blocks, gossips
+//! slot-tagged digests, and optionally runs the PoP verification workload
+//! as a validator — over the wire, with timeout/retry loss recovery.
+//!
+//! ## Digest parity with the in-memory engine
+//!
+//! The slotted protocol is synchronous: a block generated at slot `t`
+//! references the freshest digest each neighbor broadcast at `t-1`. The
+//! runtime reproduces that over an asynchronous datagram network with a
+//! **digest barrier**: before generating at slot `t`, the node waits until
+//! it holds a [`Control::SlotDigest`] for slot `t-1` from every neighbor,
+//! pulling stragglers with [`Control::DigestReq`] (loss recovery on the
+//! gossip path). All per-node randomness comes from the engine's
+//! `(seed, slot, node)` derived streams, so a cluster of `NetNode`s on a
+//! shared seed produces **byte-identical chains** to `TldagNetwork` on the
+//! same seed — `tldag cluster` asserts exactly that.
+//!
+//! ## Dynamic membership
+//!
+//! The runtime executes the engine's `node_joins` / `node_leaves`
+//! semantics over the wire (see [`crate::membership`]):
+//!
+//! * **Join**: a `--join` process handshakes with any bootstrap peer
+//!   ([`Control::JoinReq`] → [`Control::JoinAck`] + roster transfer),
+//!   announces itself ([`Control::JoinAnnounce`], re-gossiped by every
+//!   peer that learns something new), and starts generating at its join
+//!   slot with an empty chain — its state catch-up rides the existing
+//!   pull-based `DigestReq` recovery path, so a joiner needs no bulk
+//!   transfer to participate.
+//! * **Leave**: a node whose schedule ends at slot `m` generates its last
+//!   block at `m - 1`, broadcasts [`Control::Leave`], and keeps *serving*
+//!   until the run winds down (its historical blocks stay fetchable,
+//!   matching the engine's "blocks stay referenced" semantics while the
+//!   process is alive; once it exits, PoP reports `BlockUnavailable`,
+//!   also matching).
+//! * **Eviction**: a peer that blocks a barrier and has gone silent
+//!   longer than the configured eviction window is treated as having left
+//!   at the blocked slot; the eviction is gossiped so the cluster
+//!   converges. Evictions always mark the run degraded — the reference
+//!   engine did not schedule them.
+//!
+//! Membership deltas apply at **slot boundaries**, leaves before joins —
+//! the canonical order every process (and the reference engine replay in
+//! the harness) uses, which keeps the digest barrier correct when the
+//! roster changes mid-run.
+
+use crate::control::{Control, RunReport, WireMember};
+use crate::endpoint::{Endpoint, EndpointConfig, Inbound};
+use crate::envelope::TraceContext;
+use crate::membership::{join_site, ChurnEvent, Roster};
+use crate::metrics::NetStats;
+use crate::peer::PeerTable;
+use crate::telemetry::{render_metrics, MetricsView, NodeTelemetry, JOURNAL_CAPACITY};
+use crate::transport::{FaultSpec, FaultyTransport, UdpTransport};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt;
+use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::{Duration, Instant};
+use tldag_core::attack::Behavior;
+use tldag_core::blacklist::Blacklist;
+use tldag_core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
+use tldag_core::codec::WireMessage;
+use tldag_core::config::ProtocolConfig;
+use tldag_core::error::TldagError;
+use tldag_core::network::{derived_rng, stream};
+use tldag_core::node::{BlockFetch, ChildServe, LedgerNode};
+use tldag_core::pop::messages::{ChildReply, FetchResponse, PopTransport};
+use tldag_core::pop::validator::{PopReport, Validator};
+use tldag_core::store::{BackendFactory, BlockBackend, BlockStore, TrustCache};
+use tldag_core::workload::sensor_payload;
+use tldag_crypto::sha256::sha256;
+use tldag_crypto::{Digest, KeyPair};
+use tldag_obs::{
+    trace_json, unix_micros, EventKind, HttpServer, Phase, Routes, SpanEvent, SpanKind, SpanStore,
+    DEFAULT_SPAN_CAPACITY,
+};
+use tldag_sim::topology::{Topology, TopologyConfig};
+use tldag_sim::{Bits, DetRng, NodeId};
+use tldag_storage::{DiskFactory, StorageOptions};
+
+mod adversary;
+mod dispatch;
+mod membership;
+mod pop;
+mod slot_loop;
+
+use dispatch::dispatch;
+pub use pop::{serve_wire_request, wire_pop_candidates, NetPopTransport};
+
+/// Where a deployed node keeps its chain `S_i`.
+#[derive(Clone, Debug)]
+pub enum StorageMode {
+    /// In-memory (volatile) chain.
+    Memory,
+    /// Durable segmented block log under the given directory.
+    Disk(PathBuf),
+}
+
+/// Configuration of one deployed node.
+#[derive(Clone, Debug)]
+pub struct NetNodeConfig {
+    /// This node's id within the deployment topology.
+    pub id: NodeId,
+    /// Address to bind the UDP socket on.
+    pub listen: SocketAddr,
+    /// Static bootstrap peer list (every founder of the deployment; empty
+    /// for a `--join` process, which learns peers from the handshake).
+    pub peers: Vec<(NodeId, SocketAddr)>,
+    /// Harness controller to report to, if any.
+    pub controller: Option<SocketAddr>,
+    /// Shared experiment seed; also determines the topology.
+    pub seed: u64,
+    /// Founding nodes in the deployment (initial topology size).
+    pub nodes: usize,
+    /// Deployment area side in meters (topology parameter).
+    pub side_m: f64,
+    /// Consensus path-length parameter γ.
+    pub gamma: usize,
+    /// Protocol horizon: founders execute slots `0..slots`.
+    pub slots: u64,
+    /// Whether to run the PoP verification workload as a validator.
+    pub pop: bool,
+    /// Epoch window `W`: how many slots generation may run ahead of the
+    /// roster-wide completion low-watermark. `1` is lockstep (each slot
+    /// fully verified everywhere before the next generation; the verify
+    /// step runs inline on the generation thread); `W ≥ 2` pipelines
+    /// generation against a background verify worker. Only meaningful
+    /// with `pop` (without verification the slot loop's only cross-node
+    /// dependency is the neighbor digest, which no window can relax).
+    /// Every process of a deployment must use the same value.
+    pub window: u64,
+    /// Chain storage backend.
+    pub storage: StorageMode,
+    /// Transport tuning.
+    pub endpoint: EndpointConfig,
+    /// Give-up deadline for the per-slot digest barrier.
+    pub slot_timeout: Duration,
+    /// Give-up deadline for the startup hello exchange / join handshake.
+    pub hello_timeout: Duration,
+    /// How long a controller-less node keeps serving after its last slot.
+    pub linger: Duration,
+    /// Scheduled churn shared by every process of the deployment
+    /// (`--churn`); drives deterministic membership for parity runs.
+    pub churn: Vec<ChurnEvent>,
+    /// Bootstrap peer for a dynamic join: when set, this node is a late
+    /// joiner and `peers` may be empty.
+    pub join: Option<SocketAddr>,
+    /// The joiner's first generation slot. `None` on a `--join` node
+    /// means "pick from the handshake" (bootstrap's slot plus a margin).
+    pub join_slot: Option<u64>,
+    /// Stop generating at this slot (the node's graceful leave). Defaults
+    /// to this node's scheduled leave in `churn`, if any.
+    pub leave_at: Option<u64>,
+    /// Evict a barrier-blocking peer after this much silence. `None`
+    /// disables liveness eviction (the default for parity runs).
+    pub evict_after: Option<Duration>,
+    /// Datagram fault injection on this node's transport (experiments).
+    pub fault: Option<FaultSpec>,
+    /// Hard wall-clock cap on the whole process: a watchdog thread exits
+    /// the process (code 124) once it passes, so a wedged or orphaned
+    /// node can never outlive its harness. `None` disables.
+    pub deadline: Option<Duration>,
+    /// Serve `GET /metrics` (Prometheus text) and `GET /journal` (JSONL)
+    /// on this address while the node runs. `None` disables the listener;
+    /// telemetry is recorded either way.
+    pub metrics_addr: Option<SocketAddr>,
+    /// Record block-lifecycle spans (generated → gossiped-out → received →
+    /// verified → committed) and stamp digest gossip with a wire-level
+    /// trace context, served from `GET /trace`. Tracing never changes the
+    /// protocol bytes' *content* — an untraced peer decodes stamped frames
+    /// identically — and a tracing-off run puts exactly the v1 bytes on
+    /// the wire.
+    pub trace: bool,
+    /// How this node behaves once `behavior_from` is reached. Anything but
+    /// [`Behavior::Honest`] makes the process a wire adversary: silent
+    /// kinds stop serving, gossip attackers push conflicting digests, and
+    /// the flapper goes dark until evicted, then spams rejoins. The
+    /// adversary's *canonical* chain stays protocol-conformant (the engine
+    /// generates for malicious nodes too), which is what keeps honest-node
+    /// parity with a reference engine run under the same placement.
+    pub behavior: Behavior,
+    /// First slot the behaviour activates at (honest before that).
+    pub behavior_from: u64,
+}
+
+impl NetNodeConfig {
+    /// A config with deployment-shaped defaults; `peers` and addresses must
+    /// still be filled in.
+    pub fn new(id: NodeId, listen: SocketAddr, seed: u64, nodes: usize, slots: u64) -> Self {
+        NetNodeConfig {
+            id,
+            listen,
+            peers: Vec::new(),
+            controller: None,
+            seed,
+            nodes,
+            side_m: 300.0,
+            gamma: 3,
+            slots,
+            pop: false,
+            window: 1,
+            storage: StorageMode::Memory,
+            endpoint: EndpointConfig::default(),
+            slot_timeout: Duration::from_secs(10),
+            hello_timeout: Duration::from_secs(10),
+            linger: Duration::from_millis(1500),
+            churn: Vec::new(),
+            join: None,
+            join_slot: None,
+            leave_at: None,
+            evict_after: None,
+            fault: None,
+            deadline: None,
+            metrics_addr: None,
+            trace: false,
+            behavior: Behavior::Honest,
+            behavior_from: 0,
+        }
+    }
+}
+
+/// End-of-run summary of one [`NetNode`].
+#[derive(Clone, Copy, Debug)]
+pub struct NodeOutcome {
+    /// The protocol-level summary (also what is reported to the harness).
+    pub run: RunReport,
+    /// Transport counters.
+    pub stats: NetStats,
+}
+
+/// The protocol configuration every deployment component derives from the
+/// CLI-visible knobs — one definition shared by `tldag run`, `tldag node`,
+/// `tldag cluster`, and the in-memory reference engine, so parity checks
+/// compare like with like.
+pub fn deployment_protocol_config(gamma: usize) -> ProtocolConfig {
+    ProtocolConfig::paper_default()
+        .with_body_bits(8 * 1024)
+        .with_gamma(gamma)
+        .with_difficulty(6)
+}
+
+/// The deployment topology for `(seed, nodes, side_m)` — identical to the
+/// simulator CLI's placement, so node processes and the reference engine
+/// agree on `G(V, E)` without exchanging it.
+pub fn deployment_topology(seed: u64, nodes: usize, side_m: f64) -> Topology {
+    let cfg = TopologyConfig {
+        nodes,
+        side_m,
+        ..TopologyConfig::paper_default()
+    };
+    Topology::random_connected(&cfg, &mut DetRng::seed_from(seed))
+}
+
+/// The deployment radio range in meters (the paper's default) — the
+/// parameter joins use to wire the newcomer's radio links.
+pub fn deployment_range_m() -> f64 {
+    TopologyConfig::paper_default().range_m
+}
+
+/// `sha256` over a chain's header digests in sequence order — the same
+/// quantity as `TldagNetwork::chain_digest`, computable node-locally.
+pub fn chain_digest_of(store: &dyn BlockBackend) -> Digest {
+    let mut bytes = Vec::new();
+    for block in store.iter() {
+        bytes.extend_from_slice(block.header_digest().as_bytes());
+    }
+    sha256(&bytes)
+}
+
+/// Combines per-node chain digests (in node order) into the network digest —
+/// the same quantity as `TldagNetwork::network_digest`.
+pub fn network_digest_of(chain_digests: &[Digest]) -> Digest {
+    let mut bytes = Vec::with_capacity(chain_digests.len() * 32);
+    for d in chain_digests {
+        bytes.extend_from_slice(d.as_bytes());
+    }
+    sha256(&bytes)
+}
+
+/// First 8 bytes (big-endian) of a header digest — the block identity key
+/// every lifecycle span and wire trace context carries.
+pub fn digest_prefix(digest: &Digest) -> u64 {
+    let mut p = [0u8; 8];
+    p.copy_from_slice(&digest.as_bytes()[..8]);
+    u64::from_be_bytes(p)
+}
+
+/// Records one lifecycle span on this node's trace ring. A no-op (modulo
+/// the drop counter) when tracing is off.
+fn record_span(shared: &Shared, node: u32, slot: u64, origin: u32, prefix: u64, kind: SpanKind) {
+    if shared.telemetry.spans.is_enabled() {
+        shared.telemetry.spans.record(SpanEvent {
+            slot,
+            origin,
+            prefix,
+            node,
+            kind,
+            ts_micros: unix_micros(),
+        });
+    }
+}
+
+/// The trace context stamped onto digest gossip for the slot-`slot` block
+/// of this node (`origin`), or `None` when tracing is off (the frame then
+/// carries exactly the v1 bytes).
+fn gossip_trace_ctx(shared: &Shared, origin: u32, slot: u64, prefix: u64) -> Option<TraceContext> {
+    shared.telemetry.spans.is_enabled().then(|| TraceContext {
+        origin,
+        slot,
+        prefix,
+        ts_micros: unix_micros(),
+    })
+}
+
+/// Every member generating at `slot` other than `me`.
+fn other_generators(shared: &Shared, me: NodeId, slot: u64) -> Vec<NodeId> {
+    let roster = shared.roster.lock().expect("roster poisoned");
+    let mut generators = roster.generators_at(slot);
+    generators.retain(|&p| p != me);
+    generators
+}
+
+/// Shared state between the slot loop and the inbound dispatcher thread.
+struct Shared {
+    node: RwLock<LedgerNode>,
+    /// The deployment graph, mutated at slot boundaries as membership
+    /// changes apply (joins add radio links, leaves cut them).
+    topology: RwLock<Topology>,
+    /// The membership view (who generates at which slot, and where).
+    roster: Mutex<Roster>,
+    /// Slot-tagged digests heard per peer (pruned as slots complete).
+    digests: Mutex<HashMap<NodeId, BTreeMap<u64, Digest>>>,
+    /// Own digest per recent slot, serving [`Control::DigestReq`] pulls
+    /// (pruned past the deepest lag any live barrier can exhibit).
+    own_digests: Mutex<BTreeMap<u64, Digest>>,
+    /// Peers that acknowledged our hello (founders) or join announcement
+    /// (joiners).
+    hello_acks: Mutex<HashSet<NodeId>>,
+    /// Highest slot each peer is known to have *completed* (generation and
+    /// verification) — from [`Control::SlotDone`] directly, or inferred
+    /// from a [`Control::SlotDigest`] (generating slot `t` implies `t-1`
+    /// completed everywhere). Drives the PoP-mode phase lockstep.
+    done: Mutex<HashMap<NodeId, u64>>,
+    /// The join handshake's ack, once received: responder, its current
+    /// slot, and how many roster entries to expect.
+    join_ack: Mutex<Option<(NodeId, u64, u32)>>,
+    /// Ids received via [`Control::RosterEntry`] (handshake completion).
+    transfer_seen: Mutex<HashSet<NodeId>>,
+    /// The slot the loop currently executes (served to join handshakes).
+    current_slot: AtomicU64,
+    /// The configured epoch window; the dispatcher needs it to infer
+    /// completion watermarks from digests.
+    window: u64,
+    /// Our own verify watermark: every slot below it has been committed
+    /// locally (`commit_slot`: verified in PoP mode, gossiped otherwise).
+    verified_through: AtomicU64,
+    /// `request_retries` as of the last slot commit — the cursor that
+    /// journals each retransmission exactly once.
+    retries_journaled: AtomicU64,
+    /// Version counter + condvar forming the slot loop's progress signal:
+    /// bumped whenever shared protocol state changes (digest heard, done
+    /// watermark raised, membership delta, own slot verified), so barrier
+    /// waits park instead of polling.
+    progress: Mutex<u64>,
+    /// Wakes the waits parked on [`Shared::progress`].
+    progress_cv: Condvar,
+    /// Generation start times of slots still in the pipeline, consumed at
+    /// the slot's commit (end-to-end latency).
+    slot_started: Mutex<HashMap<u64, Instant>>,
+    /// One half of the slot loop failed mid-run: the other must wind down
+    /// instead of waiting out its timeouts slot by slot.
+    pipeline_abort: AtomicBool,
+    /// Controller asked us to exit.
+    shutdown: AtomicBool,
+    /// Controller acknowledged our report.
+    report_acked: AtomicBool,
+    /// Histograms + journal, shared with the dispatcher, the metrics
+    /// listener, and (via [`NetNode::telemetry`]) in-process harnesses.
+    telemetry: Arc<NodeTelemetry>,
+    /// Traced block identities heard per slot — `(origin, prefix)` from
+    /// inbound digest gossip's trace contexts — consumed at the slot's
+    /// local commit point to stamp every known block of the slot with a
+    /// [`SpanKind::Committed`] span. Empty when tracing is off.
+    trace_keys: Mutex<BTreeMap<u64, Vec<(u32, u64)>>>,
+    /// The resolved metrics listener address (meaningful with port 0),
+    /// reported back in the [`RunReport`].
+    metrics_resolved: Mutex<Option<SocketAddr>>,
+    /// Peers flagged as adversarial from wire evidence — conflicting
+    /// `SlotDigest` pairs or rejected rejoin flaps — exported as the
+    /// `tldag_adversaries_detected` gauge and named in the journal.
+    suspects: Mutex<HashSet<NodeId>>,
+    /// The PoP blacklist's banned-peer count, sampled after every PoP run
+    /// (the blacklist itself travels with whoever holds the trust state)
+    /// and exported as the `tldag_blacklist_banned` gauge.
+    blacklist_banned: AtomicU64,
+    /// Dark-mode flag for the flapping adversary: while set, the
+    /// dispatcher neither serves requests nor acks control traffic, so
+    /// honest peers see the silence their eviction logic keys on.
+    muted: AtomicBool,
+}
+
+/// What the slot loop hands back to the epilogue.
+#[derive(Clone, Copy, Default)]
+struct SlotLoopOutcome {
+    degraded: bool,
+    pop_attempts: u64,
+    pop_successes: u64,
+}
+
+/// What the verify step carries from slot to slot: the node's trust state
+/// plus the run's verification counters.
+struct VerifyState {
+    trust_cache: TrustCache,
+    blacklist: Blacklist,
+    outcome: SlotLoopOutcome,
+}
+
+/// A deployed 2LDAG node: endpoint + dispatcher + slot loop.
+pub struct NetNode {
+    config: NetNodeConfig,
+    cfg: ProtocolConfig,
+    endpoint: Arc<Endpoint>,
+    peers: Arc<PeerTable>,
+    shared: Arc<Shared>,
+}
+
+impl NetNode {
+    /// Binds the node's socket and provisions its storage backend.
+    ///
+    /// # Errors
+    ///
+    /// Bind failures, storage errors when reopening a disk backend, and
+    /// inconsistent membership configuration.
+    pub fn new(mut config: NetNodeConfig) -> Result<Self, String> {
+        if !(1..=32).contains(&config.window) {
+            return Err(format!("--window {} out of range (1..=32)", config.window));
+        }
+        let cfg = deployment_protocol_config(config.gamma);
+        let topology = deployment_topology(config.seed, config.nodes, config.side_m);
+        let is_joiner = config.join.is_some();
+
+        // Resolve this node's scheduled join/leave from the churn spec.
+        for event in &config.churn {
+            match *event {
+                ChurnEvent::Join { id, slot } if id == config.id => {
+                    config.join_slot.get_or_insert(slot);
+                }
+                ChurnEvent::Leave { id, slot } if id == config.id => {
+                    config.leave_at.get_or_insert(slot);
+                }
+                _ => {}
+            }
+        }
+
+        if is_joiner {
+            if config.id.index() < config.nodes {
+                return Err(format!(
+                    "--join is for late joiners: --id {} names a founder of the \
+{}-node deployment",
+                    config.id, config.nodes
+                ));
+            }
+        } else {
+            if config.id.index() >= topology.len() {
+                return Err(format!(
+                    "--id {} out of range for a {}-node deployment (late joiners \
+need --join)",
+                    config.id,
+                    topology.len()
+                ));
+            }
+            // Fail fast on an incomplete peer list: the derived topology names
+            // every founder, and a missing address would otherwise surface as
+            // slot-long barrier timeouts instead of a startup error.
+            let missing: Vec<u32> = topology
+                .node_ids()
+                .filter(|&n| n != config.id && config.peers.iter().all(|(p, _)| *p != n))
+                .map(|n| n.0)
+                .collect();
+            if !missing.is_empty() {
+                return Err(format!(
+                    "--peers is missing addresses for nodes {missing:?} of the \
+{}-node deployment",
+                    topology.len()
+                ));
+            }
+        }
+
+        let backend: Box<dyn BlockBackend> = match &config.storage {
+            StorageMode::Memory => Box::new(BlockStore::new()),
+            StorageMode::Disk(dir) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| format!("cannot use storage dir {}: {e}", dir.display()))?;
+                DiskFactory::new(dir.clone(), StorageOptions::default()).create(config.id)
+            }
+        };
+        // A joiner's neighbor set is wired when its join applies at the
+        // join-slot boundary; founders take theirs from the topology.
+        let neighbors = if is_joiner {
+            Vec::new()
+        } else {
+            topology.neighbors(config.id).to_vec()
+        };
+        let node = LedgerNode::with_backend(config.id, neighbors, &cfg, backend);
+
+        let endpoint = match config.fault {
+            None => Endpoint::bind(config.id, config.listen, config.endpoint)
+                .map_err(|e| format!("cannot bind {}: {e}", config.listen))?,
+            Some(spec) => {
+                let udp = UdpTransport::bind(config.listen)
+                    .map_err(|e| format!("cannot bind {}: {e}", config.listen))?;
+                let rng =
+                    DetRng::seed_from(config.seed ^ 0x000f_a017 ^ (u64::from(config.id.0) << 40));
+                let faults = Arc::new(FaultyTransport::new(udp, spec, rng));
+                Endpoint::with_transport(config.id, Box::new(faults), config.endpoint)
+            }
+        };
+        let self_addr = endpoint
+            .local_addr()
+            .map_err(|e| format!("cannot read bound address: {e}"))?;
+        let peers = PeerTable::new(config.peers.iter().copied());
+
+        // The roster starts from the founders plus every scheduled event;
+        // dynamic joins/leaves merge in as their announcements arrive.
+        let mut roster = Roster::founders(config.nodes);
+        for (id, addr) in &config.peers {
+            roster.set_addr(*id, *addr);
+        }
+        for event in &config.churn {
+            match *event {
+                ChurnEvent::Join { id, slot } => {
+                    roster.learn_join(id, None, slot);
+                }
+                ChurnEvent::Leave { id, slot } => {
+                    roster.learn_leave(id, slot);
+                }
+            }
+        }
+        if let Some(slot) = config.join_slot {
+            roster.learn_join(config.id, Some(self_addr), slot);
+        }
+        roster.set_addr(config.id, self_addr);
+
+        Ok(NetNode {
+            cfg,
+            endpoint: Arc::new(endpoint),
+            peers: Arc::new(peers),
+            shared: Arc::new(Shared {
+                node: RwLock::new(node),
+                topology: RwLock::new(topology),
+                roster: Mutex::new(roster),
+                digests: Mutex::new(HashMap::new()),
+                own_digests: Mutex::new(BTreeMap::new()),
+                hello_acks: Mutex::new(HashSet::new()),
+                done: Mutex::new(HashMap::new()),
+                join_ack: Mutex::new(None),
+                transfer_seen: Mutex::new(HashSet::new()),
+                current_slot: AtomicU64::new(0),
+                window: config.window,
+                verified_through: AtomicU64::new(0),
+                retries_journaled: AtomicU64::new(0),
+                progress: Mutex::new(0),
+                progress_cv: Condvar::new(),
+                slot_started: Mutex::new(HashMap::new()),
+                pipeline_abort: AtomicBool::new(false),
+                shutdown: AtomicBool::new(false),
+                report_acked: AtomicBool::new(false),
+                telemetry: Arc::new(NodeTelemetry::with_span_capacity(
+                    JOURNAL_CAPACITY,
+                    if config.trace {
+                        DEFAULT_SPAN_CAPACITY
+                    } else {
+                        0
+                    },
+                )),
+                trace_keys: Mutex::new(BTreeMap::new()),
+                metrics_resolved: Mutex::new(None),
+                suspects: Mutex::new(HashSet::new()),
+                blacklist_banned: AtomicU64::new(0),
+                muted: AtomicBool::new(false),
+            }),
+            config,
+        })
+    }
+
+    /// The bound socket address (useful with an ephemeral `--listen` port).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket's failure to report its address.
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.endpoint.local_addr()
+    }
+
+    /// Shared handle to the node's telemetry (histograms + journal). The
+    /// handle stays valid while `run` consumes the node, so in-process
+    /// harnesses can read end-of-run latency distributions.
+    pub fn telemetry(&self) -> Arc<NodeTelemetry> {
+        Arc::clone(&self.shared.telemetry)
+    }
+
+    /// Runs the node to completion: bootstrap (hello exchange for
+    /// founders, join handshake for `--join` nodes), the slot loop of
+    /// generate → gossip → (optional) PoP, then report/linger. Returns
+    /// the final summary.
+    ///
+    /// # Errors
+    ///
+    /// Startup failures (peers never came up, handshake never answered)
+    /// and storage failures; barrier timeouts are *not* errors — they
+    /// mark the run `degraded` instead.
+    pub fn run(self) -> Result<NodeOutcome, String> {
+        // Watchdog: whatever happens to the slot loop or the harness, this
+        // process cannot outlive its deadline — no orphaned UDP listeners.
+        if let Some(deadline) = self.config.deadline {
+            let cutoff = Instant::now() + deadline;
+            std::thread::spawn(move || loop {
+                if Instant::now() >= cutoff {
+                    eprintln!("tldag node: watchdog deadline passed, exiting");
+                    std::process::exit(124);
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            });
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        // Metrics listener: serves scrapes for the node's whole lifetime
+        // (slot loop, report, linger), so `tldag status` sees mid-run and
+        // end-of-run state alike.
+        let metrics_server = match self.config.metrics_addr {
+            Some(addr) => {
+                let endpoint = Arc::clone(&self.endpoint);
+                let shared = Arc::clone(&self.shared);
+                let node_id = self.config.id;
+                let routes: Arc<Routes> = Arc::new(move |path: &str| match path {
+                    "/metrics" => Some((
+                        "text/plain; version=0.0.4".to_string(),
+                        render_metrics(&collect_view(node_id, &endpoint, &shared)),
+                    )),
+                    "/journal" => Some((
+                        "application/jsonl".to_string(),
+                        shared.telemetry.journal.to_jsonl(),
+                    )),
+                    "/trace" => Some((
+                        "application/json".to_string(),
+                        trace_json(
+                            node_id.0,
+                            &shared.telemetry.spans.snapshot(),
+                            shared.telemetry.spans.dropped(),
+                            shared.telemetry.spans.evicted(),
+                        ),
+                    )),
+                    _ => None,
+                });
+                let server = HttpServer::spawn(addr, routes)
+                    .map_err(|e| format!("cannot bind metrics listener {addr}: {e}"))?;
+                // With port 0 the kernel picks the port; the resolved
+                // address on stdout (and in the RunReport) is the only way
+                // a harness can find the listener.
+                let resolved = server.addr();
+                println!("metrics listening on {resolved}");
+                *self
+                    .shared
+                    .metrics_resolved
+                    .lock()
+                    .expect("metrics addr poisoned") = Some(resolved);
+                Some(server)
+            }
+            None => None,
+        };
+        let receiver = {
+            let endpoint = Arc::clone(&self.endpoint);
+            let shared = Arc::clone(&self.shared);
+            let peers = Arc::clone(&self.peers);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut handler = |inbound: Inbound| dispatch(&endpoint, &shared, &peers, inbound);
+                endpoint.run_receiver(&stop, &mut handler);
+            })
+        };
+
+        let outcome = self.drive();
+        stop.store(true, Ordering::Relaxed);
+        receiver.join().map_err(|_| "receiver thread panicked")?;
+        if let Some(server) = metrics_server {
+            server.shutdown();
+        }
+        outcome
+    }
+
+    /// The slot loop, separated so `run` can always tear the receiver down.
+    fn drive(&self) -> Result<NodeOutcome, String> {
+        let mut catch_up_ms = 0u64;
+        let start_slot = match self.config.join {
+            Some(bootstrap) => {
+                let started = Instant::now();
+                let slot = self.join_handshake(bootstrap)?;
+                catch_up_ms = started.elapsed().as_millis() as u64;
+                slot
+            }
+            None => {
+                self.hello_barrier()?;
+                0
+            }
+        };
+        let end_slot = self
+            .config
+            .leave_at
+            .unwrap_or(self.config.slots)
+            .min(self.config.slots);
+        if start_slot >= end_slot {
+            return Err(format!(
+                "nothing to execute: join slot {start_slot} is not before end slot {end_slot}"
+            ));
+        }
+
+        let loop_started = Instant::now();
+        let outcome = self.slot_loop(start_slot, end_slot)?;
+        let slot_loop_ms = (loop_started.elapsed().as_millis() as u64).max(1);
+        self.wind_down(start_slot, end_slot, catch_up_ms, slot_loop_ms, outcome)
+    }
+
+    /// Leave announcement + report/linger.
+    fn wind_down(
+        &self,
+        start_slot: u64,
+        end_slot: u64,
+        catch_up_ms: u64,
+        slot_loop_ms: u64,
+        outcome: SlotLoopOutcome,
+    ) -> Result<NodeOutcome, String> {
+        let id = self.config.id;
+        let telemetry = &self.shared.telemetry;
+        let SlotLoopOutcome {
+            mut degraded,
+            pop_attempts,
+            pop_successes,
+        } = outcome;
+
+        // --- Graceful leave: announce the departure so peers drop us from
+        // their rosters (and re-gossip the delta for lost copies).
+        if end_slot < self.config.slots {
+            telemetry.journal.record(
+                end_slot,
+                EventKind::Membership,
+                format!("{id} announcing graceful leave at slot {end_slot}"),
+            );
+            for _ in 0..3 {
+                for (_, addr) in self.generator_addrs(end_slot) {
+                    let _ = self.endpoint.send_control(
+                        addr,
+                        &Control::Leave {
+                            node: id,
+                            slot: end_slot,
+                        },
+                    );
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+
+        // --- Epilogue: flush, summarise, report, linger.
+        // An eviction means we cut a scheduled member loose — the chain
+        // necessarily diverged from the reference engine, so the report
+        // must say so even though no barrier timed out.
+        if self.endpoint.stats().evictions > 0 {
+            degraded = true;
+        }
+        let (chain_len, chain_digest) = {
+            let mut node = self.shared.node.write().expect("node lock poisoned");
+            node.store_mut()
+                .sync()
+                .map_err(|e| format!("final sync failed: {e}"))?;
+            (node.chain_len() as u64, chain_digest_of(node.store()))
+        };
+        let run = RunReport {
+            node: id,
+            slots: end_slot - start_slot,
+            chain_len,
+            chain_digest,
+            pop_attempts,
+            pop_successes,
+            catch_up_ms,
+            slot_loop_ms,
+            degraded,
+            net: self.endpoint.stats(),
+            metrics_addr: *self
+                .shared
+                .metrics_resolved
+                .lock()
+                .expect("metrics addr poisoned"),
+        };
+        self.epilogue(&run);
+        Ok(NodeOutcome {
+            run,
+            stats: self.endpoint.stats(),
+        })
+    }
+
+    /// Reports to the controller (until acked) or lingers serving peers,
+    /// then honours a shutdown request or the linger deadline.
+    fn epilogue(&self, run: &RunReport) {
+        let serve_for = match self.config.controller {
+            Some(controller) => {
+                let deadline = Instant::now() + self.config.slot_timeout;
+                while !self.shared.report_acked.load(Ordering::Relaxed) && Instant::now() < deadline
+                {
+                    let _ = self
+                        .endpoint
+                        .send_control(controller, &Control::Report(*run));
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                // Keep serving until the controller releases the cluster (it
+                // does so only after *every* node reported) or we time out.
+                self.config.slot_timeout
+            }
+            // No controller: serve for the linger window so slower peers
+            // can still finish their barriers against us.
+            None => self.config.linger,
+        };
+        let release = Instant::now() + serve_for;
+        while !self.shared.shutdown.load(Ordering::Relaxed) && Instant::now() < release {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+/// Bumps the progress version and wakes every wait parked on it.
+fn notify_progress(shared: &Shared) {
+    let mut version = shared.progress.lock().expect("progress poisoned");
+    *version = version.wrapping_add(1);
+    shared.progress_cv.notify_all();
+}
+
+/// Assembles a [`MetricsView`] from the node's live state — called by the
+/// metrics listener per scrape, under short read locks so a scrape never
+/// stalls the slot loop beyond a lock handoff.
+fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> MetricsView {
+    let (chain_len, durable_len, pruned_floor, fsync_count, segment_count) = {
+        let node = shared.node.read().expect("node lock poisoned");
+        let store = node.store();
+        (
+            node.chain_len() as u64,
+            store.durable_len() as u64,
+            u64::from(store.pruned_floor()),
+            store.fsync_count(),
+            store.segment_count(),
+        )
+    };
+    let (roster_members, roster_departed) = {
+        let roster = shared.roster.lock().expect("roster poisoned");
+        (
+            roster.entries().count() as u64,
+            roster
+                .entries()
+                .filter(|(_, m)| m.leave_slot.is_some())
+                .count() as u64,
+        )
+    };
+    let current = shared.current_slot.load(Ordering::Relaxed);
+    let verified = shared.verified_through.load(Ordering::Relaxed);
+    // Occupancy: slots in flight between generation and verification (1
+    // mid-slot at `W = 1`, up to `window` otherwise).
+    let window_occupancy = (current + 1).saturating_sub(verified);
+    // Lag: how far the slowest generating peer's completion watermark
+    // trails our current slot. Locks taken sequentially, never nested.
+    let watermark_lag = {
+        let generators = other_generators(shared, node_id, current);
+        let done = shared.done.lock().expect("done poisoned");
+        generators
+            .iter()
+            .map(|p| done.get(p).copied().unwrap_or(0))
+            .min()
+            .map_or(0, |low| current.saturating_sub(low))
+    };
+    let telemetry = &shared.telemetry;
+    MetricsView {
+        node: node_id,
+        slot: current,
+        window: shared.window,
+        window_occupancy,
+        watermark_lag,
+        net: endpoint.stats(),
+        pop: telemetry.pop(),
+        pop_attempts: telemetry.pop_attempts.load(Ordering::Relaxed),
+        pop_successes: telemetry.pop_successes.load(Ordering::Relaxed),
+        chain_len,
+        durable_len,
+        pruned_floor,
+        fsync_count,
+        segment_count,
+        roster_members,
+        roster_departed,
+        blacklist_banned: shared.blacklist_banned.load(Ordering::Relaxed),
+        adversaries_detected: shared.suspects.lock().expect("suspects poisoned").len() as u64,
+        journal_len: telemetry.journal.len() as u64,
+        journal_dropped: telemetry.journal.dropped(),
+        trace_spans: telemetry.spans.recorded(),
+        trace_dropped: telemetry.spans.dropped(),
+        trace_evicted: telemetry.spans.evicted(),
+        phases: telemetry.phases.snapshot(),
+        pop_rtt: telemetry.pop_rtt.snapshot(),
+        request_rtt: endpoint.request_rtt().snapshot(),
+        retry_backoff: endpoint.retry_backoff().snapshot(),
+        fsync: telemetry.fsync.snapshot(),
+        slot_latency: telemetry.slot_latency.snapshot(),
+        batch_fill: endpoint.batch_fill().snapshot(),
+    }
+}

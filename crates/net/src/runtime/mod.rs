@@ -839,6 +839,12 @@ fn notify_progress(shared: &Shared) {
     shared.progress_cv.notify_all();
 }
 
+/// Tells the other half of the slot loop to wind down, waking its waits.
+fn abort_pipeline(shared: &Shared) {
+    shared.pipeline_abort.store(true, Ordering::Relaxed);
+    notify_progress(shared);
+}
+
 /// Assembles a [`MetricsView`] from the node's live state — called by the
 /// metrics listener per scrape, under short read locks so a scrape never
 /// stalls the slot loop beyond a lock handoff.

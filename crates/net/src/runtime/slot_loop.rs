@@ -62,16 +62,14 @@ impl NetNode {
                     }
                     if state.outcome.degraded {
                         // Free the generation half from its window-gate waits.
-                        self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-                        notify_progress(&self.shared);
+                        abort_pipeline(&self.shared);
                     }
                 });
                 let gen = self.generation_loop(start_slot, end_slot, None);
                 if gen.is_err() {
                     // The worker must not wait out its timeouts slot by slot
                     // for blocks that will never be generated.
-                    self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-                    notify_progress(&self.shared);
+                    abort_pipeline(&self.shared);
                 }
                 let verify = worker
                     .join()
@@ -136,8 +134,7 @@ impl NetNode {
                 if self.config.behavior == Behavior::Flapper {
                     // A verify worker must not wait out timeouts for
                     // slots the flapper will never generate.
-                    self.shared.pipeline_abort.store(true, Ordering::Relaxed);
-                    notify_progress(&self.shared);
+                    abort_pipeline(&self.shared);
                     self.flap_phase(slot);
                     break;
                 }

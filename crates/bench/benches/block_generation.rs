@@ -5,6 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::node::LedgerNode;
+use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
+use tldag_crypto::schnorr::KeyPair;
+use tldag_crypto::Digest;
 use tldag_sim::NodeId;
 
 fn bench_generate_block(c: &mut Criterion) {
@@ -31,6 +34,44 @@ fn bench_generate_block(c: &mut Criterion) {
     group.finish();
 }
 
+/// Block creation at the paper's density: 18 neighbour digests plus the own
+/// previous one (a 716-byte puzzle prefix, 12 SHA-256 compressions), the
+/// deployments' difficulty 6 and a 1 KiB body — the shape the repo
+/// benchmark's `core.block_create_us` row measures. The `test_default` cases
+/// above have a 3-compression prefix, where re-hashing it per nonce never
+/// showed.
+fn bench_create_paper_density(c: &mut Criterion) {
+    let cfg = ProtocolConfig::paper_default()
+        .with_body_bits(8 * 1024)
+        .with_difficulty(6);
+    let keypair = KeyPair::from_seed(0);
+    let digests: Vec<DigestEntry> = (0..19u32)
+        .map(|i| DigestEntry {
+            // Own previous block last, as `generate_block` orders it.
+            origin: NodeId((i + 1) % 19),
+            digest: Digest::from_bytes([i as u8 + 1; 32]),
+        })
+        .collect();
+    let mut seq = 0u32;
+    c.bench_function("create_block/paper_density_d6_1k", |b| {
+        b.iter(|| {
+            // A fresh payload per block: a new root, so a new nonce search.
+            let mut payload = vec![0u8; 1024];
+            payload[..4].copy_from_slice(&seq.to_be_bytes());
+            let block = DataBlock::create(
+                &cfg,
+                BlockId::new(NodeId(0), seq),
+                u64::from(seq),
+                black_box(digests.clone()),
+                BlockBody::new(payload, cfg.body_bits),
+                &keypair,
+            );
+            seq += 1;
+            black_box(block.header.nonce)
+        });
+    });
+}
+
 fn bench_receive_digest(c: &mut Criterion) {
     let cfg = ProtocolConfig::test_default();
     let mut node = LedgerNode::new(NodeId(0), vec![NodeId(1)], &cfg);
@@ -43,5 +84,10 @@ fn bench_receive_digest(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_generate_block, bench_receive_digest);
+criterion_group!(
+    benches,
+    bench_generate_block,
+    bench_create_paper_density,
+    bench_receive_digest
+);
 criterion_main!(benches);

@@ -77,33 +77,42 @@ pub struct BlockHeader {
 }
 
 impl BlockHeader {
-    /// Canonical byte encoding of the pre-signature fields
-    /// `(version, time, root, digests, nonce)`. This is the message whose
-    /// hash is signed (Eq. 6).
-    pub fn presign_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.digests.len() * 36);
-        out.extend_from_slice(&self.version.to_be_bytes());
-        out.extend_from_slice(&self.time.to_be_bytes());
-        out.extend_from_slice(self.root.as_bytes());
-        out.extend_from_slice(&(self.digests.len() as u32).to_be_bytes());
+    /// Streams the Digests field into `h`, one `(origin ‖ digest)` entry at
+    /// a time.
+    fn absorb_digests(&self, h: &mut Sha256) {
         for entry in &self.digests {
-            out.extend_from_slice(&entry.origin.0.to_be_bytes());
-            out.extend_from_slice(entry.digest.as_bytes());
+            let mut bytes = [0u8; 36];
+            bytes[..4].copy_from_slice(&entry.origin.0.to_be_bytes());
+            bytes[4..].copy_from_slice(entry.digest.as_bytes());
+            h.update(&bytes);
         }
-        out.extend_from_slice(&self.nonce.to_be_bytes());
-        out
     }
 
-    /// The byte string covered by the difficulty puzzle:
-    /// `(root ‖ digests)` per Eq. (5) — `H(M(b^d), Δ, nonce) ≤ ρ`.
-    pub fn puzzle_prefix(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.digests.len() * 36);
-        out.extend_from_slice(self.root.as_bytes());
-        for entry in &self.digests {
-            out.extend_from_slice(&entry.origin.0.to_be_bytes());
-            out.extend_from_slice(entry.digest.as_bytes());
-        }
-        out
+    /// Streams the canonical encoding of the pre-signature fields
+    /// `(version, time, root, digests, nonce)` into `h`.
+    fn absorb_presign(&self, h: &mut Sha256) {
+        h.update(&self.version.to_be_bytes());
+        h.update(&self.time.to_be_bytes());
+        h.update(self.root.as_bytes());
+        h.update(&(self.digests.len() as u32).to_be_bytes());
+        self.absorb_digests(h);
+        h.update(&self.nonce.to_be_bytes());
+    }
+
+    /// Hash of the pre-signature fields: the message that is signed (Eq. 6).
+    fn presign_hash(&self) -> Digest {
+        let mut h = Sha256::new();
+        self.absorb_presign(&mut h);
+        h.finalize()
+    }
+
+    /// A hasher that has absorbed what the difficulty puzzle covers besides
+    /// the nonce: `(root ‖ digests)` per Eq. (5) — `H(M(b^d), Δ, nonce) ≤ ρ`.
+    fn puzzle_midstate(&self) -> Sha256 {
+        let mut h = Sha256::new();
+        h.update(self.root.as_bytes());
+        self.absorb_digests(&mut h);
+        h
     }
 
     /// The header digest `H(b^h)` that neighbors store and that children
@@ -111,7 +120,7 @@ impl BlockHeader {
     pub fn digest(&self) -> Digest {
         let mut h = Sha256::new();
         h.update(b"2ldag-header");
-        h.update(&self.presign_bytes());
+        self.absorb_presign(&mut h);
         h.update(&self.signature.to_bytes());
         h.finalize()
     }
@@ -144,30 +153,15 @@ impl BlockHeader {
 
     /// Verifies the signature under `pk`.
     pub fn verify_signature(&self, pk: &PublicKey) -> bool {
-        let msg = Sha256::new_with(&self.presign_bytes());
-        pk.verify(msg.as_bytes(), &self.signature)
+        pk.verify(self.presign_hash().as_bytes(), &self.signature)
     }
 
     /// Verifies the puzzle at `difficulty_bits`.
     pub fn verify_puzzle(&self, difficulty_bits: u8) -> bool {
         puzzle::check(
-            &puzzle::puzzle_digest(&self.puzzle_prefix(), self.nonce),
+            &puzzle::midstate_digest(&self.puzzle_midstate(), self.nonce),
             difficulty_bits,
         )
-    }
-}
-
-/// Helper: one-shot SHA-256 returning the digest (named constructor keeps the
-/// signature-site readable).
-trait Sha256Ext {
-    fn new_with(data: &[u8]) -> Digest;
-}
-
-impl Sha256Ext for Sha256 {
-    fn new_with(data: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
     }
 }
 
@@ -238,9 +232,8 @@ impl DataBlock {
             nonce: 0,
             signature: Signature::garbage(),
         };
-        header.nonce = puzzle::solve(&header.puzzle_prefix(), cfg.difficulty_bits, 0);
-        let msg = Sha256::new_with(&header.presign_bytes());
-        header.signature = keypair.sign(msg.as_bytes());
+        header.nonce = puzzle::solve_midstate(&header.puzzle_midstate(), cfg.difficulty_bits, 0);
+        header.signature = keypair.sign(header.presign_hash().as_bytes());
         DataBlock { id, header, body }
     }
 
@@ -409,6 +402,64 @@ mod tests {
         let r2 = body.merkle_root(64);
         assert_eq!(r1, r2);
         assert!(!r1.is_zero());
+    }
+
+    /// The `Vec` encodings the streaming hashers replaced, kept as the
+    /// reference every digest must stay byte-identical to.
+    fn presign_bytes(h: &BlockHeader) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&h.version.to_be_bytes());
+        out.extend_from_slice(&h.time.to_be_bytes());
+        out.extend_from_slice(h.root.as_bytes());
+        out.extend_from_slice(&(h.digests.len() as u32).to_be_bytes());
+        out.extend_from_slice(&puzzle_prefix(h)[32..]);
+        out.extend_from_slice(&h.nonce.to_be_bytes());
+        out
+    }
+
+    fn puzzle_prefix(h: &BlockHeader) -> Vec<u8> {
+        let mut out = h.root.as_bytes().to_vec();
+        for entry in &h.digests {
+            out.extend_from_slice(&entry.origin.0.to_be_bytes());
+            out.extend_from_slice(entry.digest.as_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_hashes_equal_the_canonical_byte_encodings() {
+        use tldag_crypto::sha256::sha256;
+        let mut cfg = cfg();
+        cfg.difficulty_bits = 6;
+        let kp = KeyPair::from_seed(11);
+        for entries in [0usize, 1, 2, 5, 18, 19] {
+            let digests = (0..entries)
+                .map(|i| DigestEntry {
+                    origin: NodeId(i as u32),
+                    digest: Digest::from_bytes([i as u8 + 1; 32]),
+                })
+                .collect();
+            let body = BlockBody::new(vec![entries as u8; 64], cfg.body_bits);
+            let id = BlockId::new(NodeId(11), 3);
+            let header = DataBlock::create(&cfg, id, 9, digests, body, &kp).header;
+
+            let prefix = puzzle_prefix(&header);
+            assert_eq!(header.nonce, puzzle::solve(&prefix, 6, 0), "{entries}");
+            assert!(puzzle::check(
+                &puzzle::puzzle_digest(&prefix, header.nonce),
+                6
+            ));
+            assert!(header.verify_puzzle(6));
+
+            let presign = presign_bytes(&header);
+            assert_eq!(header.presign_hash(), sha256(&presign), "{entries}");
+            assert!(header.verify_signature(&kp.public()));
+
+            let mut full = b"2ldag-header".to_vec();
+            full.extend_from_slice(&presign);
+            full.extend_from_slice(&header.signature.to_bytes());
+            assert_eq!(header.digest(), sha256(&full), "{entries}");
+        }
     }
 
     #[test]

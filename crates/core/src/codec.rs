@@ -443,15 +443,15 @@ const TRUST_CACHE_MAGIC: &[u8; 8] = b"TLDAGTC\x01";
 /// `magic ‖ count ‖ [owner, block-owner, seq, header-len, header]*` with the
 /// header in the canonical [`encode_header`] form.
 pub fn encode_trust_cache(cache: &crate::store::TrustCache) -> Vec<u8> {
-    let mut entries: Vec<&crate::store::TrustedHeader> = cache.iter().collect();
-    // The digest is a SHA-256 over the serialized header — cache the sort
-    // key, or every comparison would recompute it (this encoder runs at
-    // every commit point once persistence is on).
-    entries.sort_by_cached_key(|t| (t.owner, t.block_id.seq, t.header.digest()));
+    // The sort key's digest is the one the cache indexes the header under —
+    // nothing is re-hashed (this encoder runs at every commit point once
+    // persistence is on).
+    let mut entries: Vec<_> = cache.iter().collect();
+    entries.sort_unstable_by_key(|&(digest, t)| (t.owner, t.block_id.seq, digest));
     let mut out = Vec::with_capacity(16 + entries.len() * 96);
     out.extend_from_slice(TRUST_CACHE_MAGIC);
     out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-    for t in entries {
+    for (_, t) in entries {
         let header = encode_header(&t.header);
         out.extend_from_slice(&t.owner.0.to_be_bytes());
         out.extend_from_slice(&t.block_id.owner.0.to_be_bytes());
@@ -682,10 +682,15 @@ mod tests {
         assert_eq!(blob, encode_trust_cache(&cache), "encoding is stable");
         let decoded = decode_trust_cache(&blob).unwrap();
         assert_eq!(decoded.len(), cache.len());
-        for t in cache.iter() {
-            let hit = decoded.get(&t.header.digest()).expect("entry survives");
-            assert_eq!(hit, t);
+        for (digest, t) in cache.iter() {
+            assert_eq!(*digest, t.header.digest(), "keyed by its digest");
+            assert_eq!(decoded.get(digest), Some(t), "entry survives");
         }
+        assert_eq!(
+            encode_trust_cache(&decoded),
+            blob,
+            "round trip is byte-stable"
+        );
         // Any truncation is rejected, never silently partial.
         for cut in [0, 4, 11, blob.len() - 1] {
             assert!(decode_trust_cache(&blob[..cut]).is_err());

@@ -661,7 +661,8 @@ impl TldagNetwork {
                     }
                     let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
                     let payload = sensor_payload(&mut rng, id, slot);
-                    let digest = node.generate_block(cfg, slot, payload)?.header_digest();
+                    node.generate_block(cfg, slot, payload)?;
+                    let digest = node.own_latest_digest().expect("block just appended");
                     if per_append_sync {
                         node.store_mut().sync()?;
                     }

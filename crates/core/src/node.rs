@@ -214,7 +214,7 @@ impl LedgerNode {
 
     /// Digest of the node's own latest block.
     pub fn own_latest_digest(&self) -> Option<Digest> {
-        self.store.latest().map(|b| b.header_digest())
+        self.store.latest_digest()
     }
 
     /// Number of blocks generated so far.

@@ -7,16 +7,22 @@
 //! This is what makes repeated audits of the same region of the DAG cheap
 //! (the `{C1, D1, E2}` example of Sec. IV-B).
 
-use crate::store::{TrustCache, TrustedHeader};
+use crate::block::BlockId;
+use crate::store::TrustCache;
 use std::collections::HashSet;
 use tldag_crypto::Digest;
+use tldag_sim::NodeId;
 
-/// One cache-driven path extension.
-#[derive(Clone, Debug)]
+/// One cache-driven path extension: the identity of the trusted header that
+/// extends the path. The header itself stays in the cache.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TpsStep {
-    /// The trusted header that extends the path.
-    pub trusted: TrustedHeader,
-    /// Its header digest (the new verifying-block digest).
+    /// Node that generated the header's block.
+    pub owner: NodeId,
+    /// Block identity in the owner's chain.
+    pub block_id: BlockId,
+    /// Its header digest (the new verifying-block digest) — the key the
+    /// cache indexes the header under, never a re-hash.
     pub digest: Digest,
 }
 
@@ -35,16 +41,16 @@ pub fn extend(
     let mut steps = Vec::new();
     let mut tip = *current;
     while steps.len() < max_steps {
-        let Some(next) = cache
+        let Some((digest, next)) = cache
             .children_candidates(&tip)
             .into_iter()
-            .find(|t| !skip.contains(&t.header.digest()))
+            .find(|(digest, _)| !skip.contains(digest))
         else {
             break;
         };
-        let digest = next.header.digest();
         steps.push(TpsStep {
-            trusted: next.clone(),
+            owner: next.owner,
+            block_id: next.block_id,
             digest,
         });
         tip = digest;
@@ -55,10 +61,10 @@ pub fn extend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{BlockBody, BlockId, DataBlock, DigestEntry};
+    use crate::block::{BlockBody, DataBlock, DigestEntry};
     use crate::config::ProtocolConfig;
+    use crate::store::TrustedHeader;
     use tldag_crypto::schnorr::KeyPair;
-    use tldag_sim::NodeId;
 
     fn cfg() -> ProtocolConfig {
         ProtocolConfig::test_default()
@@ -107,11 +113,19 @@ mod tests {
         }
         let steps = extend(&cache, &root, &HashSet::new(), 100);
         assert_eq!(steps.len(), 3);
-        assert_eq!(steps[0].trusted.owner, NodeId(1));
-        assert_eq!(steps[2].trusted.owner, NodeId(3));
-        // Each step's header contains the previous digest.
-        assert!(steps[0].trusted.header.contains_digest(&root));
-        assert!(steps[1].trusted.header.contains_digest(&steps[0].digest));
+        assert_eq!(steps[0].owner, NodeId(1));
+        assert_eq!(steps[2].owner, NodeId(3));
+        // Each step is the cached block under its own header digest, and
+        // its header contains the previous digest.
+        for (step, block) in steps.iter().zip([&b1, &b2, &b3]) {
+            assert_eq!(
+                (step.block_id, step.digest),
+                (block.id, block.header_digest())
+            );
+        }
+        let header_of = |step: &TpsStep| &cache.get(&step.digest).unwrap().header;
+        assert!(header_of(&steps[0]).contains_digest(&root));
+        assert!(header_of(&steps[1]).contains_digest(&steps[0].digest));
     }
 
     #[test]
@@ -144,12 +158,12 @@ mod tests {
 
         // Without a skip set, TPS picks the earliest child.
         let steps = extend(&cache, &root, &HashSet::new(), 100);
-        assert_eq!(steps[0].trusted.owner, NodeId(1));
+        assert_eq!(steps[0].owner, NodeId(1));
 
         // Skipping the early block falls back to the alternative child.
         let skip: HashSet<Digest> = [early.header_digest()].into();
         let steps = extend(&cache, &root, &skip, 100);
-        assert_eq!(steps[0].trusted.owner, NodeId(2));
+        assert_eq!(steps[0].owner, NodeId(2));
     }
 
     #[test]

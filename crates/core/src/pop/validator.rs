@@ -216,7 +216,9 @@ struct Entry {
     owner: NodeId,
     block_id: BlockId,
     digest: Digest,
-    header: BlockHeader,
+    /// The header to cache on success; `None` for a step TPS served, whose
+    /// header is in the cache already (under `digest`).
+    fresh: Option<BlockHeader>,
     tried: HashSet<NodeId>,
 }
 
@@ -345,7 +347,7 @@ impl<'a> Validator<'a> {
             owner: target.owner,
             block_id: target,
             digest: block.header_digest(),
-            header: block.header.clone(),
+            fresh: Some(block.header),
             tried: HashSet::new(),
         }];
         let mut owners = OwnerMultiset::default();
@@ -368,12 +370,12 @@ impl<'a> Validator<'a> {
                 let budget = threshold * 4 + 16;
                 for step in tps::extend(self.trust_cache, &tip_digest, &popped, budget) {
                     metrics.tps_extensions += 1;
-                    owners.add(step.trusted.owner);
+                    owners.add(step.owner);
                     path.push(Entry {
-                        owner: step.trusted.owner,
-                        block_id: step.trusted.block_id,
+                        owner: step.owner,
+                        block_id: step.block_id,
                         digest: step.digest,
-                        header: step.trusted.header.clone(),
+                        fresh: None,
                         tried: HashSet::new(),
                     });
                     excluded.clear();
@@ -517,7 +519,7 @@ impl<'a> Validator<'a> {
                             owner: responder,
                             block_id: reply.block_id,
                             digest,
-                            header: reply.header,
+                            fresh: Some(reply.header),
                             tried: HashSet::new(),
                         });
                         // Successful extension: Algorithm 3 re-initialises
@@ -590,11 +592,14 @@ impl<'a> Validator<'a> {
     ) -> PopReport {
         let steps: Vec<PathStep> = path.iter().map(Entry::step).collect();
         for entry in path {
-            self.trust_cache.insert(TrustedHeader {
-                owner: entry.owner,
-                block_id: entry.block_id,
-                header: entry.header,
-            });
+            if let Some(header) = entry.fresh {
+                let trusted = TrustedHeader {
+                    owner: entry.owner,
+                    block_id: entry.block_id,
+                    header,
+                };
+                self.trust_cache.insert_keyed(entry.digest, trusted);
+            }
         }
         PopReport {
             outcome: Ok(()),

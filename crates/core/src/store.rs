@@ -185,6 +185,13 @@ pub trait BlockBackend: fmt::Debug + Send + Sync {
         }
     }
 
+    /// Header digest of the most recent block. Backends answer from the
+    /// digest `append` computed for their index; the default re-reads and
+    /// re-hashes [`Self::latest`].
+    fn latest_digest(&self) -> Option<Digest> {
+        self.latest().map(|b| b.header_digest())
+    }
+
     /// Looks a block up by its header digest.
     fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock>;
 
@@ -334,6 +341,8 @@ impl BackendFactory for MemoryBackendFactory {
 #[derive(Clone, Debug, Default)]
 pub struct BlockStore {
     blocks: Vec<DataBlock>,
+    /// Header digest of the last block in `blocks`.
+    latest_digest: Option<Digest>,
     /// Header digest → seq of the block with that header.
     by_digest: HashMap<Digest, u32>,
     /// Contained digest → seqs of blocks whose Digests field includes it
@@ -357,6 +366,7 @@ impl BlockBackend for BlockStore {
             });
         }
         let digest = block.header_digest();
+        self.latest_digest = Some(digest);
         self.by_digest.insert(digest, block.id.seq);
         for entry in &block.header.digests {
             self.children_of
@@ -374,6 +384,10 @@ impl BlockBackend for BlockStore {
 
     fn get(&self, seq: u32) -> Option<DataBlock> {
         self.blocks.get(seq as usize).cloned()
+    }
+
+    fn latest_digest(&self) -> Option<Digest> {
+        self.latest_digest
     }
 
     fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock> {
@@ -449,7 +463,14 @@ impl TrustCache {
 
     /// Inserts a verified header. Duplicate insertions are ignored.
     pub fn insert(&mut self, trusted: TrustedHeader) {
-        let digest = trusted.header.digest();
+        self.insert_keyed(trusted.header.digest(), trusted);
+    }
+
+    /// [`Self::insert`] for a caller that already holds the header's digest.
+    /// `digest` must be `trusted.header.digest()`: every lookup trusts the
+    /// key instead of re-hashing the header it indexes.
+    pub(crate) fn insert_keyed(&mut self, digest: Digest, trusted: TrustedHeader) {
+        debug_assert_eq!(digest, trusted.header.digest(), "cache key is the digest");
         if self.by_digest.contains_key(&digest) {
             return;
         }
@@ -477,28 +498,22 @@ impl TrustCache {
         self.by_digest.get(digest)
     }
 
-    /// A cached header whose Digests field contains `target` — the TPS
-    /// condition `H(b^h_v) ∈ b^h ∈ H_i` (Eq. 9). When several qualify the
-    /// earliest-generated (then lowest owner id) is returned so TPS is
-    /// deterministic.
-    pub fn child_of(&self, target: &Digest) -> Option<&TrustedHeader> {
-        let candidates = self.children_of.get(target)?;
-        candidates
-            .iter()
-            .filter_map(|d| self.by_digest.get(d))
-            .min_by_key(|t| (t.header.time, t.owner, t.block_id.seq))
-    }
-
-    /// All cached headers whose Digests field contains `target`, ordered by
-    /// (time, owner, seq). TPS consumers filter this list (e.g. skipping
-    /// rolled-back blocks) and take the first survivor.
-    pub fn children_candidates(&self, target: &Digest) -> Vec<&TrustedHeader> {
-        let mut candidates: Vec<&TrustedHeader> = self
+    /// All cached headers whose Digests field contains `target` — the TPS
+    /// condition `H(b^h_v) ∈ b^h ∈ H_i` (Eq. 9) — each with the digest it is
+    /// indexed under, ordered by (time, owner, seq) so TPS is deterministic.
+    /// TPS consumers filter this list (e.g. skipping rolled-back blocks) and
+    /// take the first survivor.
+    pub fn children_candidates(&self, target: &Digest) -> Vec<(Digest, &TrustedHeader)> {
+        let mut candidates: Vec<(Digest, &TrustedHeader)> = self
             .children_of
             .get(target)
-            .map(|ds| ds.iter().filter_map(|d| self.by_digest.get(d)).collect())
+            .map(|ds| {
+                ds.iter()
+                    .filter_map(|d| Some((*d, self.by_digest.get(d)?)))
+                    .collect()
+            })
             .unwrap_or_default();
-        candidates.sort_by_key(|t| (t.header.time, t.owner, t.block_id.seq));
+        candidates.sort_by_key(|(_, t)| (t.header.time, t.owner, t.block_id.seq));
         candidates
     }
 
@@ -510,9 +525,10 @@ impl TrustCache {
             .sum()
     }
 
-    /// Iterates over cached headers in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &TrustedHeader> {
-        self.by_digest.values()
+    /// Iterates over cached headers, each with the digest it is indexed
+    /// under, in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Digest, &TrustedHeader)> {
+        self.by_digest.iter()
     }
 }
 
@@ -559,6 +575,10 @@ mod tests {
 
         assert_eq!(store.len(), 2);
         assert_eq!(store.latest().unwrap().id.seq, 1);
+        assert_eq!(
+            store.latest_digest(),
+            store.latest().map(|b| b.header_digest())
+        );
         assert!(store.by_header_digest(&d0).is_some());
         assert_eq!(store.oldest_child_of(&d0).unwrap().id.seq, 1);
         assert_eq!(store.durable_len(), 2);
@@ -659,9 +679,11 @@ mod tests {
             header: block.header.clone(),
         });
         assert_eq!(cache.len(), 1);
-        let hit = cache.child_of(&parent_digest).unwrap();
-        assert_eq!(hit.owner, NodeId(2));
-        assert!(cache.child_of(&Digest::ZERO).is_none());
+        let hits = cache.children_candidates(&parent_digest);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].0, block.header_digest(), "keyed by its digest");
+        assert_eq!(hits[0].1.owner, NodeId(2));
+        assert!(cache.children_candidates(&Digest::ZERO).is_empty());
     }
 
     #[test]
@@ -697,7 +719,12 @@ mod tests {
             });
         }
         assert_eq!(cache.len(), 2, "duplicate insert ignored");
-        assert_eq!(cache.child_of(&target).unwrap().owner, NodeId(3));
+        let owners: Vec<NodeId> = cache
+            .children_candidates(&target)
+            .iter()
+            .map(|(_, t)| t.owner)
+            .collect();
+        assert_eq!(owners, [NodeId(3), NodeId(4)], "oldest child first");
     }
 
     #[test]

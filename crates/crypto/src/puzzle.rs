@@ -13,8 +13,22 @@ use crate::sha256::Sha256;
 /// Computes the puzzle digest `H(prefix ‖ nonce)` with the nonce encoded as
 /// four little-endian bytes (the 32-bit `Nonce` field of the block header).
 pub fn puzzle_digest(prefix: &[u8], nonce: u32) -> Digest {
+    midstate_digest(&midstate(prefix), nonce)
+}
+
+/// A hasher that has absorbed `prefix` — the state every nonce attempt over
+/// that prefix starts from.
+fn midstate(prefix: &[u8]) -> Sha256 {
     let mut h = Sha256::new();
     h.update(prefix);
+    h
+}
+
+/// [`puzzle_digest`] from a hasher that already absorbed the prefix. Callers
+/// holding the prefix as fields rather than bytes stream them into a
+/// [`Sha256`] and pass it here, so the nonce encoding stays in this module.
+pub fn midstate_digest(midstate: &Sha256, nonce: u32) -> Digest {
+    let mut h = midstate.clone();
     h.update(&nonce.to_le_bytes());
     h.finalize()
 }
@@ -47,9 +61,20 @@ pub fn check(digest: &Digest, difficulty_bits: u8) -> bool {
 /// assert!(puzzle::check(&puzzle::puzzle_digest(b"header fields", nonce), 8));
 /// ```
 pub fn solve(prefix: &[u8], difficulty_bits: u8, start: u32) -> u32 {
+    solve_midstate(&midstate(prefix), difficulty_bits, start)
+}
+
+/// [`solve`] from a hasher that already absorbed the prefix: the prefix goes
+/// through SHA-256 once and every attempt costs only the compressions that
+/// hold its tail, the nonce and the padding.
+///
+/// # Panics
+///
+/// As [`solve`].
+pub fn solve_midstate(midstate: &Sha256, difficulty_bits: u8, start: u32) -> u32 {
     let mut nonce = start;
     loop {
-        if check(&puzzle_digest(prefix, nonce), difficulty_bits) {
+        if check(&midstate_digest(midstate, nonce), difficulty_bits) {
             return nonce;
         }
         nonce = nonce

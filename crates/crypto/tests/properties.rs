@@ -123,3 +123,32 @@ proptest! {
         }
     }
 }
+
+/// The midstate search returns exactly the nonce a search that re-hashes
+/// `prefix ‖ nonce` from scratch finds first — at every prefix length
+/// across the SHA-256 block and padding boundaries (55/56, 63/64, 119/120,
+/// 183/184 …, where the nonce straddles or opens a block), every difficulty
+/// the deployments use, and a non-zero start.
+#[test]
+fn midstate_solve_equals_brute_force_at_every_prefix_length() {
+    for len in 0..=200usize {
+        let prefix: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+        let from_scratch = |nonce: u32| {
+            let mut message = prefix.clone();
+            message.extend_from_slice(&nonce.to_le_bytes());
+            sha256(&message)
+        };
+        for bits in 0..=8u8 {
+            let start = 1 + (len as u32) * 1_000 + u32::from(bits);
+            let expect = (start..)
+                .find(|&n| puzzle::check(&from_scratch(n), bits))
+                .unwrap();
+            assert_eq!(
+                puzzle::solve(&prefix, bits, start),
+                expect,
+                "len {len} bits {bits}"
+            );
+            assert_eq!(puzzle::puzzle_digest(&prefix, expect), from_scratch(expect));
+        }
+    }
+}

@@ -210,7 +210,8 @@ impl NetNode {
                 let equivocation = (behavior_applied
                     && self.config.behavior == Behavior::Equivocate)
                     .then(|| (block.id, block.header.digests.clone()));
-                (block.header_digest(), equivocation)
+                let digest = node.own_latest_digest().expect("block just appended");
+                (digest, equivocation)
             };
             let gossip_started = Instant::now();
             {

@@ -324,6 +324,10 @@ impl BlockBackend for DurableStore {
         self.get_inner(seq)
     }
 
+    fn latest_digest(&self) -> Option<Digest> {
+        self.index.latest_digest()
+    }
+
     fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock> {
         self.get_inner(self.index.seq_of_digest(digest)?)
     }

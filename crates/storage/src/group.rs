@@ -186,6 +186,11 @@ impl ShardLog {
             .map_or(0, |idx| idx.next_seq() as usize)
     }
 
+    /// Header digest of `node`'s newest block.
+    pub fn latest_digest_of(&self, node: NodeId) -> Option<Digest> {
+        self.indexes.get(&node.0)?.latest_digest()
+    }
+
     /// Durable chain length of `node` (blocks covered by the last fsync).
     pub fn durable_len_of(&self, node: NodeId) -> usize {
         self.durable.get(&node.0).copied().unwrap_or(0) as usize
@@ -435,6 +440,10 @@ impl BlockBackend for ShardedNodeStore {
 
     fn get(&self, seq: u32) -> Option<DataBlock> {
         self.log().get_of(self.node, seq)
+    }
+
+    fn latest_digest(&self) -> Option<Digest> {
+        self.log().latest_digest_of(self.node)
     }
 
     fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock> {

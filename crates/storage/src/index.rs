@@ -92,6 +92,11 @@ impl BlockIndex {
         self.entries.get(idx)
     }
 
+    /// Header digest of the newest retained entry.
+    pub fn latest_digest(&self) -> Option<Digest> {
+        self.entries.last().map(|e| e.digest)
+    }
+
     /// Seq of the block with header digest `digest`.
     pub fn seq_of_digest(&self, digest: &Digest) -> Option<u32> {
         self.by_digest.get(digest).copied()

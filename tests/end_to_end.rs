@@ -188,3 +188,79 @@ fn mixed_rate_fleet_still_verifies() {
         "{successes}/{attempts}"
     );
 }
+
+/// Protocol bytes pinned **across commits**: parity tests and `--selfcheck`
+/// compare a build with itself, so only constants recorded at an earlier
+/// commit can prove a hashing/caching change left every digest, every PoP
+/// decision and every accounted bit where it was. The expected values were
+/// recorded at commit 08abaf8 (before headers were hashed once); a change
+/// that moves any of them changed the protocol, not just its cost.
+#[test]
+fn golden_deployment_digest_and_pop_counters_are_pinned() {
+    use tldag::core::pop::validator::PopMetrics;
+    use tldag::net::runtime::{deployment_protocol_config, deployment_topology};
+
+    let (seed, nodes, gamma, slots) = (7u64, 12usize, 3usize, 40u64);
+    let topology = deployment_topology(seed, nodes, 300.0);
+    let mut net = TldagNetwork::new(
+        deployment_protocol_config(gamma),
+        topology,
+        GenerationSchedule::uniform(nodes),
+        seed,
+    );
+    net.set_verification_workload(VerificationWorkload::RandomPast {
+        min_age_slots: nodes as u64,
+    });
+    net.run_slots(slots);
+
+    assert_eq!(
+        net.network_digest().to_string(),
+        "0b92836b30b9c8f8cd4d0eb7d67dc01ca92069277d83271ab5d40bf8c1bc092a"
+    );
+    assert_eq!(net.pop_counters(), (336, 336));
+    assert_eq!(
+        net.accounting()
+            .network_total(TrafficClass::Consensus)
+            .bits(),
+        1_857_344
+    );
+    assert_eq!(
+        net.accounting()
+            .network_total(TrafficClass::DagConstruction)
+            .bits(),
+        1_996_800
+    );
+
+    // Two rounds of operator audits on top of the caches the 336 in-run
+    // PoPs warmed (their cold walks are what the Consensus bits above pin):
+    // these are served almost entirely by TPS, the path this test guards.
+    let mut summed = PopMetrics::default();
+    for round in 0..2u32 {
+        for v in 0..nodes as u32 {
+            let owner = NodeId((v + 1 + round) % nodes as u32);
+            let target = net.node(owner).store().get(v % 8).unwrap().id;
+            let report = net.run_pop(NodeId(v), target, true);
+            assert!(report.is_success(), "validator {v} round {round}");
+            summed.merge(&report.metrics);
+        }
+    }
+    let expected: Vec<(&str, u64)> = vec![
+        ("messages_sent", 25),
+        ("messages_received", 25),
+        ("bits_sent", 8000),
+        ("bits_received", 254_368),
+        ("req_child_sent", 1),
+        ("replies_received", 1),
+        ("invalid_replies", 0),
+        ("no_child_replies", 0),
+        ("pruned_misses", 0),
+        ("timeouts", 0),
+        ("offenses", 0),
+        ("tps_extensions", 101),
+        ("own_store_hits", 0),
+        ("rollbacks", 0),
+    ];
+    assert_eq!(summed.fields(), expected);
+    let cached: usize = net.nodes().iter().map(|n| n.trust_cache().len()).sum();
+    assert_eq!(cached, 630);
+}

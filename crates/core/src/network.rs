@@ -772,14 +772,14 @@ impl TldagNetwork {
                 traced: Vec<(NodeId, BlockId, PopReport)>,
             }
             let v_ranges = self.sharding.chunk_ranges(validators.len());
+            let targets = TargetPool::scan(&self.nodes, &self.departed, self.verification, slot);
             let pop_results: Vec<ShardPop> = {
                 let cfg = &self.cfg;
                 let topology = &self.topology;
                 let nodes = &self.nodes;
-                let departed = &self.departed;
+                let targets = &targets;
                 let routes = self.routes.as_deref();
                 let links = &self.links;
-                let verification = self.verification;
                 let validators = &validators;
                 let trace_enabled = self.trace.is_enabled();
                 run_sharded(&mut states, &v_ranges, move |range, chunk| {
@@ -792,14 +792,7 @@ impl TldagNetwork {
                     for (offset, (trust_cache, blacklist)) in chunk.iter_mut().enumerate() {
                         let validator = validators[range.start + offset];
                         let mut target_rng = derived_rng(seed, stream::TARGET, slot, validator);
-                        let Some(target) = choose_target_from(
-                            nodes,
-                            departed,
-                            verification,
-                            slot,
-                            validator,
-                            &mut target_rng,
-                        ) else {
+                        let Some(target) = targets.choose(validator, &mut target_rng) else {
                             continue;
                         };
                         out.attempts += 1;
@@ -938,14 +931,8 @@ impl TldagNetwork {
     /// node. Draws from the network's sequential stream; the slot loop uses
     /// per-validator derived streams instead.
     pub fn choose_target(&mut self, validator: NodeId) -> Option<BlockId> {
-        choose_target_from(
-            &self.nodes,
-            &self.departed,
-            self.verification,
-            self.slot,
-            validator,
-            &mut self.rng,
-        )
+        TargetPool::scan(&self.nodes, &self.departed, self.verification, self.slot)
+            .choose(validator, &mut self.rng)
     }
 
     /// A node joins the network at `position` with radio range `range_m`
@@ -1148,37 +1135,66 @@ restarting would fork its chain"
     }
 }
 
-/// Chooses a verification target for `validator`: a uniformly random
-/// qualifying block owned by another live node. Free-standing so the
-/// shard-parallel verify phase can run it with per-validator streams while
-/// the public [`TldagNetwork::choose_target`] keeps its sequential contract.
-fn choose_target_from(
-    nodes: &[LedgerNode],
-    departed: &[bool],
-    verification: VerificationWorkload,
-    now: Slot,
-    validator: NodeId,
-    rng: &mut DetRng,
-) -> Option<BlockId> {
-    if matches!(verification, VerificationWorkload::Disabled) {
-        // Skip the candidate scan entirely — with a disk backend it would
-        // decode every record of every chain just to discard it.
-        return None;
-    }
-    let mut candidates: Vec<BlockId> = Vec::new();
-    for node in nodes {
-        if node.id() == validator || departed[node.id().index()] {
-            continue;
+/// Every block that qualifies as a verification target at one slot: owners
+/// ascending, sequences ascending, departed owners contributing nothing.
+/// Scanned once and shared by all of the slot's validators, each of which
+/// draws from it with its own stream and steps over its own blocks.
+struct TargetPool {
+    candidates: Vec<BlockId>,
+    /// Per owner, where its blocks start in `candidates` and how many.
+    spans: Vec<(usize, usize)>,
+}
+
+impl TargetPool {
+    fn scan(
+        nodes: &[LedgerNode],
+        departed: &[bool],
+        verification: VerificationWorkload,
+        now: Slot,
+    ) -> Self {
+        let mut pool = TargetPool {
+            candidates: Vec::new(),
+            spans: Vec::with_capacity(nodes.len()),
+        };
+        if matches!(verification, VerificationWorkload::Disabled) {
+            // Skip the scan entirely — with a disk backend it would walk the
+            // index of every chain just to discard it.
+            return pool;
         }
-        // Metadata-only scan: never decodes bodies, so disk-backed stores
-        // answer from their index.
-        for (id, time) in node.store().iter_meta() {
-            if verification.qualifies(time, now) {
-                candidates.push(id);
+        for node in nodes {
+            let start = pool.candidates.len();
+            if !departed[node.id().index()] {
+                // Metadata-only scan: never decodes bodies, so disk-backed
+                // stores answer from their index.
+                pool.candidates.extend(
+                    node.store()
+                        .iter_meta()
+                        .filter(|&(_, time)| verification.qualifies(time, now))
+                        .map(|(id, _)| id),
+                );
             }
+            pool.spans.push((start, pool.candidates.len() - start));
         }
+        pool
     }
-    rng.choose(&candidates).copied()
+
+    /// A uniformly random qualifying block owned by another live node: one
+    /// draw over the pool without `validator`'s span, none when that is empty.
+    fn choose(&self, validator: NodeId, rng: &mut DetRng) -> Option<BlockId> {
+        let (own_start, own_len) = self.spans.get(validator.index()).copied().unwrap_or((0, 0));
+        let others = self.candidates.len() - own_len;
+        if others == 0 {
+            return None;
+        }
+        let pick = rng.index(others);
+        Some(
+            self.candidates[if pick < own_start {
+                pick
+            } else {
+                pick + own_len
+            }],
+        )
+    }
 }
 
 /// Runs one PoP verification with every dependency passed explicitly, so
@@ -1461,6 +1477,87 @@ mod tests {
         net.node_leaves(NodeId(3));
         let err = net.restart_node(NodeId(3)).unwrap_err();
         assert!(err.to_string().contains("not crashed"), "{err}");
+    }
+
+    /// The scan `TargetPool` replaced, one full pass per validator: the
+    /// reference for which block is chosen and how much of the stream is used.
+    fn choose_target_reference(
+        nodes: &[LedgerNode],
+        departed: &[bool],
+        verification: VerificationWorkload,
+        now: Slot,
+        validator: NodeId,
+        rng: &mut DetRng,
+    ) -> Option<BlockId> {
+        if matches!(verification, VerificationWorkload::Disabled) {
+            return None;
+        }
+        let mut candidates: Vec<BlockId> = Vec::new();
+        for node in nodes {
+            if node.id() == validator || departed[node.id().index()] {
+                continue;
+            }
+            for (id, time) in node.store().iter_meta() {
+                if verification.qualifies(time, now) {
+                    candidates.push(id);
+                }
+            }
+        }
+        rng.choose(&candidates).copied()
+    }
+
+    #[test]
+    fn target_pool_matches_the_per_validator_scan() {
+        let workloads = [
+            VerificationWorkload::RandomPast { min_age_slots: 3 },
+            VerificationWorkload::RandomPast { min_age_slots: 40 }, // nothing qualifies
+            VerificationWorkload::FirstEra { era_slots: 2 },
+            VerificationWorkload::Disabled,
+        ];
+        let mut chosen = 0;
+        for seed in 0..12u64 {
+            let mut net = small_net(100 + seed, 6 + (seed as usize % 5), 2);
+            net.set_verification_workload(VerificationWorkload::Disabled);
+            net.run_slots(4);
+            // Two owners leave with blocks in their chains, one node joins
+            // and stays empty-chained: validators of every kind below.
+            net.node_leaves(NodeId((seed % 5) as u32));
+            net.run_slots(3);
+            net.node_leaves(NodeId(5));
+            let spot = net.topology().position(NodeId(1));
+            let joiner = net.node_joins(spot, 50.0, 1);
+            assert_eq!(net.node(joiner).chain_len(), 0);
+
+            let now = net.slot();
+            for workload in workloads {
+                let pool = TargetPool::scan(&net.nodes, &net.departed, workload, now);
+                // One id past the last node: a validator that owns nothing.
+                for validator in (0..=net.nodes.len() as u32).map(NodeId) {
+                    let mut ref_rng = derived_rng(seed, stream::TARGET, now, validator);
+                    let mut pool_rng = ref_rng.clone();
+                    let expect = choose_target_reference(
+                        &net.nodes,
+                        &net.departed,
+                        workload,
+                        now,
+                        validator,
+                        &mut ref_rng,
+                    );
+                    let got = pool.choose(validator, &mut pool_rng);
+                    assert_eq!(got, expect, "seed {seed} {workload:?} {validator}");
+                    chosen += usize::from(got.is_some());
+                    assert_eq!(
+                        pool_rng.next_u64(),
+                        ref_rng.next_u64(),
+                        "stream position, seed {seed} {workload:?} {validator}"
+                    );
+                }
+            }
+        }
+        assert!(
+            chosen > 100,
+            "the comparison must see real choices: {chosen}"
+        );
     }
 
     #[test]

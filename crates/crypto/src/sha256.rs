@@ -4,12 +4,19 @@
 //! node, puzzle evaluation, and signature challenge in the workspace flows
 //! through this implementation. It is validated against the NIST short/long
 //! message vectors in the unit tests below.
+//!
+//! [`Sha256::update`] and [`Sha256::finalize`] reach the compression function
+//! through one entry point, `compress_blocks`, which picks a kernel per call
+//! from what the CPU reports: the SHA-NI kernel in `sha_ni.rs` on an x86-64
+//! CPU with the SHA extensions, and the portable scalar kernel below
+//! everywhere else. The scalar kernel is also the reference the unit tests
+//! hold the other one to, so both run on every host that has both.
 
 use crate::digest::Digest;
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -65,6 +72,16 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(compress_blocks, data);
+    }
+
+    /// Finishes the hash and returns the digest, consuming the hasher.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress_blocks)
+    }
+
+    /// [`Self::update`] over an explicit kernel (the tests name one).
+    fn update_with(&mut self, kernel: impl Fn(&mut [u32; 8], &[[u8; 64]]), data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buffer_len > 0 {
@@ -72,48 +89,33 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&rest[..take]);
             self.buffer_len += take;
             rest = &rest[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            kernel(&mut self.state, std::slice::from_ref(&self.buffer));
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let arr: &[u8; 64] = block.try_into().expect("split_at(64)");
-            self.compress(arr);
-            rest = tail;
+        let (blocks, tail) = rest.as_chunks::<64>();
+        if !blocks.is_empty() {
+            kernel(&mut self.state, blocks);
         }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffer_len = rest.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
-    /// Finishes the hash and returns the digest, consuming the hasher.
-    pub fn finalize(mut self) -> Digest {
+    /// [`Self::finalize`] over an explicit kernel.
+    fn finalize_with(mut self, kernel: impl Fn(&mut [u32; 8], &[[u8; 64]])) -> Digest {
+        // Padding: 0x80, zeros up to the last eight bytes of a block, then
+        // the message length in bits. `update` leaves `buffer_len < 64`.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80, then zero padding, then the 64-bit big-endian length.
-        self.update(&[0x80]);
-        // `update` changed total_len; padding is length-neutral from here on,
-        // so write zeros directly through the buffer machinery.
-        while self.buffer_len != 56 {
-            let zeros = if self.buffer_len < 56 {
-                56 - self.buffer_len
-            } else {
-                64 - self.buffer_len + 56
-            };
-            // Feed zeros in buffer-sized chunks.
-            let chunk = [0u8; 64];
-            let n = zeros.min(64);
-            let before = self.total_len;
-            self.update(&chunk[..n]);
-            self.total_len = before; // padding does not count toward message length
+        self.buffer[self.buffer_len] = 0x80;
+        self.buffer[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            kernel(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer = [0u8; 64];
         }
-        let before = self.total_len;
-        self.update(&bit_len.to_be_bytes());
-        self.total_len = before;
-        debug_assert_eq!(self.buffer_len, 0, "padding must close the final block");
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        kernel(&mut self.state, std::slice::from_ref(&self.buffer));
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -121,8 +123,32 @@ impl Sha256 {
         }
         Digest::from_bytes(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The one way into the compression function: folds whole `blocks` into
+/// `state` with the fastest kernel the running CPU supports.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::try_compress_blocks(state, blocks) {
+        return;
+    }
+    compress_blocks_scalar(state, blocks);
+}
+
+/// Which kernel hashes on this CPU, for logs and bench headers: `"sha-ni"`
+/// or `"scalar"`.
+pub fn kernel_name() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::supported() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
+/// The portable kernel: the only one on a CPU without SHA instructions, and
+/// the reference the tests compare the other against.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("chunks_exact(4)"));
@@ -136,7 +162,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -158,14 +184,14 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
@@ -200,52 +226,84 @@ pub fn sha256_pair(a: &[u8], b: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn hex_digest(s: &str) -> String {
-        sha256(s.as_bytes()).to_string()
+    type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
+
+    #[cfg(target_arch = "x86_64")]
+    fn sha_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        assert!(crate::sha_ni::try_compress_blocks(state, blocks));
+    }
+
+    /// Every kernel this host can run, called directly (no dispatch).
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("scalar", compress_blocks_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha_ni::supported() {
+            kernels.push(("sha-ni", sha_ni));
+        }
+        if kernels.len() == 1 {
+            println!("sha-ni leg skipped: this CPU does not report the SHA extensions");
+        }
+        kernels
+    }
+
+    /// Hashes the concatenation of `parts`, one `update` each, through `kernel`.
+    fn hash_with(kernel: Kernel, parts: &[&[u8]]) -> Digest {
+        let mut hasher = Sha256::new();
+        for part in parts {
+            hasher.update_with(kernel, part);
+        }
+        hasher.finalize_with(kernel)
+    }
+
+    /// Asserts `data` hashes to `expect` through every kernel and through
+    /// the public (dispatching) function.
+    fn assert_digest(data: &[u8], expect: &str) {
+        assert_eq!(sha256(data).to_string(), expect, "dispatch");
+        for (name, kernel) in kernels() {
+            assert_eq!(hash_with(kernel, &[data]).to_string(), expect, "{name}");
+        }
     }
 
     #[test]
     fn nist_empty_message() {
-        assert_eq!(
-            hex_digest(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_digest(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn nist_abc() {
-        assert_eq!(
-            hex_digest("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_digest(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn nist_two_block_message() {
-        assert_eq!(
-            hex_digest("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_digest(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn nist_896_bit_message() {
-        assert_eq!(
-            hex_digest(
-                "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
-                 hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
-            ),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        assert_digest(
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+              hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
         );
     }
 
     #[test]
     fn nist_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_string(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_digest(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -253,11 +311,15 @@ mod tests {
     fn streaming_matches_one_shot_at_every_split() {
         let data: Vec<u8> = (0..200u8).collect();
         let expect = sha256(&data);
-        for split in 0..data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), expect, "split at {split}");
+        for (name, kernel) in kernels() {
+            for split in 0..data.len() {
+                let (head, tail) = data.split_at(split);
+                assert_eq!(
+                    hash_with(kernel, &[head, tail]),
+                    expect,
+                    "{name}, split at {split}"
+                );
+            }
         }
     }
 
@@ -287,13 +349,69 @@ mod tests {
             ),
         ];
         for (len, expect) in known {
-            let data = vec![b'a'; len];
-            assert_eq!(sha256(&data).to_string(), expect, "len {len}");
+            assert_digest(&vec![b'a'; len], expect);
+        }
+    }
+
+    /// `finalize` as it was before padding was written straight into the
+    /// buffer: it re-entered `update` for the 0x80, the zeros and the length,
+    /// patching `total_len` back each time. Kept as the padding reference.
+    fn finalize_reference(mut h: Sha256) -> Digest {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update_with(compress_blocks_scalar, &[0x80]);
+        while h.buffer_len != 56 {
+            let zeros = if h.buffer_len < 56 {
+                56 - h.buffer_len
+            } else {
+                64 - h.buffer_len + 56
+            };
+            let before = h.total_len;
+            h.update_with(compress_blocks_scalar, &[0u8; 64][..zeros.min(64)]);
+            h.total_len = before;
+        }
+        h.update_with(compress_blocks_scalar, &bit_len.to_be_bytes());
+        assert_eq!(h.buffer_len, 0, "padding must close the final block");
+
+        let bytes: Vec<u8> = h.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        Digest::from_bytes(bytes.try_into().expect("eight words are 32 bytes"))
+    }
+
+    #[test]
+    fn padding_matches_the_reference_at_every_length() {
+        let data: Vec<u8> = (0..=300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=300 {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            assert_eq!(h.clone().finalize(), finalize_reference(h), "len {len}");
         }
     }
 
     #[test]
     fn pair_equals_concatenation() {
         assert_eq!(sha256_pair(b"foo", b"bar"), sha256(b"foobar"));
+    }
+
+    #[test]
+    fn kernel_name_is_the_kernel_dispatch_picks() {
+        let picked = kernels().last().expect("scalar is always there").0;
+        assert_eq!(kernel_name(), picked);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A hasher driven through the scalar kernel only agrees with the
+        /// dispatching one, whichever kernel that picks on this host.
+        #[test]
+        fn scalar_kernel_equals_dispatch(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            split in 0usize..4096,
+        ) {
+            let (head, tail) = data.split_at(split % (data.len() + 1));
+            prop_assert_eq!(
+                hash_with(compress_blocks_scalar, &[head, tail]),
+                sha256_pair(head, tail)
+            );
+        }
     }
 }

@@ -41,11 +41,12 @@ proptest! {
         }
     }
 
-    /// Multi-chunk absorption equals one-shot hashing for any chunking.
+    /// Multi-chunk absorption equals one-shot hashing for any chunking:
+    /// chunks shorter than a block, and chunks of several blocks.
     #[test]
     fn sha256_chunking_invariance(
         chunks in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..64), 0..8),
+            proptest::collection::vec(any::<u8>(), 0..300), 0..8),
     ) {
         let mut hasher = Sha256::new();
         let mut concat = Vec::new();
@@ -54,6 +55,42 @@ proptest! {
             concat.extend_from_slice(chunk);
         }
         prop_assert_eq!(hasher.finalize(), sha256(&concat));
+    }
+
+    /// Absorbing 1–5 whole blocks in one `update` equals absorbing them one
+    /// block at a time, whatever is already buffered in front of them.
+    #[test]
+    fn sha256_whole_blocks_in_one_call(
+        buffered in proptest::collection::vec(any::<u8>(), 0..64),
+        blocks in proptest::collection::vec(any::<[u8; 64]>(), 1..6),
+    ) {
+        let mut at_once = Sha256::new();
+        at_once.update(&buffered);
+        let mut one_by_one = at_once.clone();
+        at_once.update(blocks.as_flattened());
+        for block in &blocks {
+            one_by_one.update(block);
+        }
+        prop_assert_eq!(at_once.finalize(), one_by_one.finalize());
+    }
+
+    /// A cloned midstate finalised equals a fresh hash of the same bytes, and
+    /// the original keeps absorbing: how the puzzle tries one nonce after
+    /// another over one prefix.
+    #[test]
+    fn sha256_cloned_midstate(
+        prefix in proptest::collection::vec(any::<u8>(), 0..200),
+        nonces in proptest::collection::vec(any::<u64>(), 1..4),
+    ) {
+        let mut midstate = Sha256::new();
+        midstate.update(&prefix);
+        for nonce in nonces {
+            let mut attempt = midstate.clone();
+            attempt.update(&nonce.to_be_bytes());
+            let mut message = prefix.clone();
+            message.extend_from_slice(&nonce.to_be_bytes());
+            prop_assert_eq!(attempt.finalize(), sha256(&message));
+        }
     }
 
     /// The streaming Merkle root agrees with the materialised tree, and

@@ -46,8 +46,10 @@
 // `deny`, not `forbid`: the one sanctioned exception is [`mmsg`], the
 // Linux `sendmmsg`/`recvmmsg` FFI behind the batched datagram path. It is
 // a leaf module with its own `allow(unsafe_code)` and a portable fallback,
-// so no other module can grow unsafe blocks without tripping the lint.
+// so no other module can grow unsafe blocks without tripping the lint, and
+// clippy fails any block there that does not say why it is sound.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 use std::fmt;

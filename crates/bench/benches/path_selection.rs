@@ -1,7 +1,7 @@
 //! WPS/TPS micro-costs: next-hop selection over growing neighborhoods and
 //! trust-cache extension over growing caches.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::collections::HashSet;
 use std::hint::black_box;
 use tldag_core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
@@ -15,23 +15,40 @@ use tldag_sim::{DetRng, NodeId};
 
 fn bench_wps(c: &mut Criterion) {
     let mut group = c.benchmark_group("wps_select_next");
-    for n in [10usize, 50, 200] {
+    // Growing neighborhoods at a fixed 400 m side with a quarter of the nodes
+    // on the path, then the shape the repo benchmark runs: the paper's N = 50
+    // on a 300 m side (mean degree ≈ 18) with |R_i| = 8 of the 17 needed.
+    let cases = [
+        ("10", 10usize, 400.0, 10 / 4),
+        ("50", 50, 400.0, 50 / 4),
+        ("200", 200, 400.0, 200 / 4),
+        ("paper_density", 50, 300.0, 8),
+    ];
+    for (name, nodes, side_m, on_path) in cases {
         let topo = Topology::random_connected(
             &TopologyConfig {
-                nodes: n,
-                side_m: 400.0,
+                nodes,
+                side_m,
                 ..TopologyConfig::paper_default()
             },
             &mut DetRng::seed_from(1),
         );
         let candidates: Vec<NodeId> = topo.neighbors(NodeId(0)).to_vec();
-        let ri: HashSet<NodeId> = (0..n as u32 / 4).map(NodeId).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &topo, |b, topo| {
+        let ri: wps::OwnerMultiset = (0..on_path).map(NodeId).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(name), &topo, |b, topo| {
             let mut rng = DetRng::seed_from(2);
             b.iter(|| wps::select_next(black_box(topo), black_box(&candidates), &ri, &mut rng));
         });
     }
     group.finish();
+}
+
+fn trusted(block: DataBlock) -> TrustedHeader {
+    TrustedHeader {
+        owner: block.id.owner,
+        block_id: block.id,
+        header: block.header,
+    }
 }
 
 fn chain_cache(cfg: &ProtocolConfig, len: usize) -> (TrustCache, Digest) {
@@ -52,11 +69,7 @@ fn chain_cache(cfg: &ProtocolConfig, len: usize) -> (TrustCache, Digest) {
             &kp,
         );
         parent = block.header_digest();
-        cache.insert(TrustedHeader {
-            owner: block.id.owner,
-            block_id: block.id,
-            header: block.header,
-        });
+        cache.insert(trusted(block));
     }
     (cache, root)
 }
@@ -74,5 +87,62 @@ fn bench_tps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wps, bench_tps);
+/// What `finish_success` pays per header, plus the one header hash
+/// `insert` computes and `finish_success` already holds: headers at the
+/// paper's density (each contains its owner's previous digest and 18
+/// neighbors') filling a cache of 1 000. The 1 000 are a random tenth of
+/// 200 slots of a 50-node deployment, in random order — what a validator
+/// holds after its PoPs, where a contained digest has one or two cached
+/// children and not all nineteen.
+fn bench_trust_cache_insert(c: &mut Criterion) {
+    const NODES: u32 = 50;
+    const SLOTS: u32 = 200;
+    let cfg = ProtocolConfig::test_default();
+    let mut headers: Vec<TrustedHeader> = Vec::with_capacity((NODES * SLOTS) as usize);
+    let mut previous: Vec<Digest> = (0..NODES)
+        .map(|n| Digest::from_bytes([n as u8; 32]))
+        .collect();
+    for slot in 0..SLOTS {
+        let blocks: Vec<DataBlock> = (0..NODES)
+            .map(|owner| {
+                let digests = (0..19)
+                    .map(|k| (owner + NODES - 9 + k) % NODES)
+                    .map(|origin| DigestEntry {
+                        origin: NodeId(origin),
+                        digest: previous[origin as usize],
+                    })
+                    .collect();
+                DataBlock::create(
+                    &cfg,
+                    BlockId::new(NodeId(owner), slot),
+                    u64::from(slot),
+                    digests,
+                    BlockBody::new(vec![owner as u8], cfg.body_bits),
+                    &KeyPair::from_seed(u64::from(owner)),
+                )
+            })
+            .collect();
+        previous = blocks.iter().map(DataBlock::header_digest).collect();
+        headers.extend(blocks.into_iter().map(trusted));
+    }
+    DetRng::seed_from(3).shuffle(&mut headers);
+    headers.truncate(1_000);
+
+    let mut group = c.benchmark_group("trust_cache_insert");
+    group.throughput(Throughput::Elements(headers.len() as u64));
+    group.bench_with_input(
+        BenchmarkId::from_parameter("paper_density"),
+        &headers,
+        |b, headers| {
+            b.iter(|| {
+                let mut cache = TrustCache::new();
+                headers.iter().cloned().for_each(|t| cache.insert(t));
+                cache
+            });
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_wps, bench_tps, bench_trust_cache_insert);
 criterion_main!(benches);

@@ -43,7 +43,6 @@ pub fn extend(
     while steps.len() < max_steps {
         let Some((digest, next)) = cache
             .children_candidates(&tip)
-            .into_iter()
             .find(|(digest, _)| !skip.contains(digest))
         else {
             break;

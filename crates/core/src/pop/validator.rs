@@ -31,7 +31,8 @@ use crate::error::PopError;
 use crate::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
 use crate::pop::{tps, wps};
 use crate::store::{BlockBackend, TrustCache, TrustedHeader};
-use std::collections::{HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::HashSet;
 use tldag_crypto::schnorr::{KeyPair, PublicKey};
 use tldag_crypto::Digest;
 use tldag_sim::{Bits, DetRng, NodeId, Topology};
@@ -179,38 +180,6 @@ impl PopReport {
     }
 }
 
-/// Multiset of path owners; `R_i` is its distinct-element view.
-#[derive(Default)]
-struct OwnerMultiset {
-    counts: HashMap<NodeId, u32>,
-    distinct: HashSet<NodeId>,
-}
-
-impl OwnerMultiset {
-    fn add(&mut self, owner: NodeId) {
-        *self.counts.entry(owner).or_insert(0) += 1;
-        self.distinct.insert(owner);
-    }
-
-    fn remove(&mut self, owner: NodeId) {
-        if let Some(count) = self.counts.get_mut(&owner) {
-            *count -= 1;
-            if *count == 0 {
-                self.counts.remove(&owner);
-                self.distinct.remove(&owner);
-            }
-        }
-    }
-
-    fn len_distinct(&self) -> usize {
-        self.distinct.len()
-    }
-
-    fn set(&self) -> &HashSet<NodeId> {
-        &self.distinct
-    }
-}
-
 /// Internal path entry: a [`PathStep`] plus search bookkeeping.
 struct Entry {
     owner: NodeId,
@@ -232,11 +201,30 @@ impl Entry {
     }
 }
 
+/// Ids the key directory remembers; a larger (hostile or far-future) id is
+/// derived on every call instead, so no id can make the table allocate
+/// more than this many entries.
+const KEY_DIRECTORY_CAP: usize = 1 << 14;
+
 /// Looks up the registered public key of a node. Keys are provisioned from
 /// node ids at registration (Sec. IV-D assumes every node knows every public
-/// key), so the directory is computable.
+/// key), so the directory is computable — and, ids being dense, remembered
+/// per thread after the first derivation (no lock for the sharded verify
+/// phase's workers to share).
 pub fn registered_key(node: NodeId) -> PublicKey {
-    KeyPair::from_seed(u64::from(node.0)).public()
+    thread_local! {
+        static DIRECTORY: RefCell<Vec<Option<PublicKey>>> = const { RefCell::new(Vec::new()) };
+    }
+    let derive = || KeyPair::from_seed(u64::from(node.0)).public();
+    if node.index() >= KEY_DIRECTORY_CAP {
+        return derive();
+    }
+    DIRECTORY.with_borrow_mut(|keys| {
+        if keys.len() <= node.index() {
+            keys.resize(node.index() + 1, None);
+        }
+        *keys[node.index()].get_or_insert_with(derive)
+    })
 }
 
 /// The PoP validator role for one node.
@@ -350,7 +338,7 @@ impl<'a> Validator<'a> {
             fresh: Some(block.header),
             tried: HashSet::new(),
         }];
-        let mut owners = OwnerMultiset::default();
+        let mut owners = wps::OwnerMultiset::with_nodes(self.topology.len());
         owners.add(target.owner);
         // `V \ V'`: nodes excluded by the current rollback cascade
         // (Algorithm 3, line 27). Cleared whenever the path extends, because
@@ -404,7 +392,7 @@ impl<'a> Validator<'a> {
 
             let selected = match self.cfg.path_selection {
                 crate::config::PathSelection::Weighted => {
-                    wps::select_next(self.topology, &candidates, owners.set(), self.rng)
+                    wps::select_next(self.topology, &candidates, &owners, self.rng)
                 }
                 crate::config::PathSelection::Random => self.rng.choose(&candidates).copied(),
             };
@@ -614,4 +602,23 @@ impl<'a> Validator<'a> {
 /// header embeds `digest` for `owner`. Exposed for tests and tooling.
 pub fn reply_vouches_for(reply: &ChildReply, owner: NodeId, digest: &Digest) -> bool {
     reply.header.digest_of(owner) == Some(*digest)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_directory_serves_the_derived_key() {
+        let derived = |id: u32| KeyPair::from_seed(u64::from(id)).public();
+        let cap = KEY_DIRECTORY_CAP as u32;
+        // Out of order (the table grows over a gap), repeated (served from
+        // the table), and at or past the cap (derived, never stored).
+        for id in [7, 0, 7, 300, 299, cap - 1, cap, u32::MAX, 7] {
+            assert_eq!(registered_key(NodeId(id)), derived(id), "id {id}");
+        }
+        // Another thread starts from its own empty table.
+        let there = std::thread::spawn(|| registered_key(NodeId(7)));
+        assert_eq!(there.join().unwrap(), derived(7));
+    }
 }

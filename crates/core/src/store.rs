@@ -18,7 +18,7 @@
 use crate::block::{BlockHeader, BlockId, DataBlock};
 use crate::config::ProtocolConfig;
 use crate::error::TldagError;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use tldag_crypto::Digest;
 use tldag_sim::{Bits, NodeId};
@@ -209,6 +209,10 @@ pub trait BlockBackend: fmt::Debug + Send + Sync {
     /// verification with this so blocks minted while running ahead of the
     /// verification front never leak into a proof path — the reply is
     /// exactly what a lockstep responder would have held at `horizon`.
+    ///
+    /// Every responder lookup comes through here, so backends answer from
+    /// their index and materialise one block; the default is the
+    /// definition (and the reference the backends' tests compare against).
     fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<DataBlock> {
         self.children_of(target)
             .into_iter()
@@ -336,6 +340,61 @@ impl BackendFactory for MemoryBackendFactory {
     }
 }
 
+/// The value of a contained-digest index entry: the positions (chain seqs
+/// in `S_i`, slab indices in `H_i`) of the headers containing one digest.
+/// Most digests are contained by exactly one header a node holds, so that
+/// case lives inline and only a second child allocates.
+#[derive(Clone, Debug)]
+enum ChildList {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl ChildList {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            ChildList::One(only) => std::slice::from_ref(only),
+            ChildList::Many(all) => all,
+        }
+    }
+
+    fn insert(&mut self, at: usize, child: u32) {
+        match self {
+            ChildList::One(only) => {
+                let mut all = Vec::with_capacity(4);
+                all.push(*only);
+                all.insert(at, child);
+                *self = ChildList::Many(all);
+            }
+            ChildList::Many(all) => all.insert(at, child),
+        }
+    }
+}
+
+/// The children of `target` in a contained-digest index (none if absent).
+fn child_slice<'a>(index: &'a HashMap<Digest, ChildList>, target: &Digest) -> &'a [u32] {
+    index.get(target).map_or(&[], ChildList::as_slice)
+}
+
+/// Adds `child` to `target`'s list, at the position `at` picks from the
+/// list as it stands.
+fn index_child(
+    index: &mut HashMap<Digest, ChildList>,
+    target: Digest,
+    child: u32,
+    at: impl FnOnce(&[u32]) -> usize,
+) {
+    match index.entry(target) {
+        Entry::Vacant(slot) => {
+            slot.insert(ChildList::One(child));
+        }
+        Entry::Occupied(mut slot) => {
+            let list = slot.get_mut();
+            list.insert(at(list.as_slice()), child);
+        }
+    }
+}
+
 /// The append-only chain of blocks generated by one node (`S_i`),
 /// held entirely in memory.
 #[derive(Clone, Debug, Default)]
@@ -346,8 +405,9 @@ pub struct BlockStore {
     /// Header digest → seq of the block with that header.
     by_digest: HashMap<Digest, u32>,
     /// Contained digest → seqs of blocks whose Digests field includes it
-    /// (the responder's `C_{j'}(b_v)` lookup, Eq. 10).
-    children_of: HashMap<Digest, Vec<u32>>,
+    /// (the responder's `C_{j'}(b_v)` lookup, Eq. 10), ascending because
+    /// `append` only ever adds the next seq.
+    children_of: HashMap<Digest, ChildList>,
 }
 
 impl BlockStore {
@@ -369,10 +429,12 @@ impl BlockBackend for BlockStore {
         self.latest_digest = Some(digest);
         self.by_digest.insert(digest, block.id.seq);
         for entry in &block.header.digests {
-            self.children_of
-                .entry(entry.digest)
-                .or_default()
-                .push(block.id.seq);
+            index_child(
+                &mut self.children_of,
+                entry.digest,
+                block.id.seq,
+                <[u32]>::len,
+            );
         }
         self.blocks.push(block);
         Ok(())
@@ -395,15 +457,18 @@ impl BlockBackend for BlockStore {
     }
 
     fn oldest_child_of(&self, target: &Digest) -> Option<DataBlock> {
-        let seqs = self.children_of.get(target)?;
-        let min_seq = *seqs.iter().min()?;
-        self.get(min_seq)
+        self.oldest_child_of_within(target, u64::MAX)
     }
 
     fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
-        let mut seqs = self.children_of.get(target).cloned().unwrap_or_default();
-        seqs.sort_unstable();
+        let seqs = child_slice(&self.children_of, target);
         seqs.iter().filter_map(|&s| self.get(s)).collect()
+    }
+
+    fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<DataBlock> {
+        let seqs = child_slice(&self.children_of, target);
+        let mut children = seqs.iter().map(|&seq| &self.blocks[seq as usize]);
+        children.find(|b| b.header.time <= horizon).cloned()
     }
 
     fn iter(&self) -> Box<dyn Iterator<Item = DataBlock> + '_> {
@@ -445,14 +510,21 @@ pub struct TrustedHeader {
 
 /// The trusted-header cache `H_i` used by Trust Path Selection (Sec. IV-B).
 ///
-/// Indexed two ways: by the header's own digest, and by every digest the
-/// header *contains*, so TPS can answer "is there a cached child of block
-/// `d`?" in O(1).
+/// Headers live in a slab in insertion order, each beside the digest it is
+/// indexed under, and two maps point into the slab: one by the header's own
+/// digest, one by every digest the header *contains*, so TPS can answer "is
+/// there a cached child of block `d`?" with one probe. Two invariants hold
+/// after every insert: each key equals `header.digest()` of its value, and
+/// each child list is in `(time, owner, seq)` order with ties in insertion
+/// order — the order TPS prefers children in, kept at insert so that no
+/// lookup sorts.
 #[derive(Clone, Debug, Default)]
 pub struct TrustCache {
-    by_digest: HashMap<Digest, TrustedHeader>,
-    /// Contained digest → digests of cached headers that include it.
-    children_of: HashMap<Digest, Vec<Digest>>,
+    slab: Vec<(Digest, TrustedHeader)>,
+    /// Header digest → slab index.
+    by_digest: HashMap<Digest, u32>,
+    /// Contained digest → slab indices of cached headers that include it.
+    children_of: HashMap<Digest, ChildList>,
 }
 
 impl TrustCache {
@@ -471,64 +543,65 @@ impl TrustCache {
     /// key instead of re-hashing the header it indexes.
     pub(crate) fn insert_keyed(&mut self, digest: Digest, trusted: TrustedHeader) {
         debug_assert_eq!(digest, trusted.header.digest(), "cache key is the digest");
-        if self.by_digest.contains_key(&digest) {
+        let Entry::Vacant(slot) = self.by_digest.entry(digest) else {
             return;
+        };
+        let index = u32::try_from(self.slab.len()).expect("H_i holds fewer than 2^32 headers");
+        slot.insert(index);
+        self.slab.push((digest, trusted));
+        let slab = &self.slab;
+        let order = |i: u32| {
+            let t = &slab[i as usize].1;
+            (t.header.time, t.owner, t.block_id.seq)
+        };
+        let key = order(index);
+        for entry in &slab[index as usize].1.header.digests {
+            index_child(&mut self.children_of, entry.digest, index, |list| {
+                list.partition_point(|&i| order(i) <= key)
+            });
         }
-        for entry in &trusted.header.digests {
-            self.children_of
-                .entry(entry.digest)
-                .or_default()
-                .push(digest);
-        }
-        self.by_digest.insert(digest, trusted);
     }
 
     /// Number of cached headers.
     pub fn len(&self) -> usize {
-        self.by_digest.len()
+        self.slab.len()
     }
 
     /// True if the cache is empty (`H_i = ∅`, the Prop. 4 worst case).
     pub fn is_empty(&self) -> bool {
-        self.by_digest.is_empty()
+        self.slab.is_empty()
     }
 
     /// Fetches a cached header by its digest.
     pub fn get(&self, digest: &Digest) -> Option<&TrustedHeader> {
-        self.by_digest.get(digest)
+        let index = *self.by_digest.get(digest)?;
+        Some(&self.slab[index as usize].1)
     }
 
     /// All cached headers whose Digests field contains `target` — the TPS
     /// condition `H(b^h_v) ∈ b^h ∈ H_i` (Eq. 9) — each with the digest it is
     /// indexed under, ordered by (time, owner, seq) so TPS is deterministic.
-    /// TPS consumers filter this list (e.g. skipping rolled-back blocks) and
-    /// take the first survivor.
-    pub fn children_candidates(&self, target: &Digest) -> Vec<(Digest, &TrustedHeader)> {
-        let mut candidates: Vec<(Digest, &TrustedHeader)> = self
-            .children_of
-            .get(target)
-            .map(|ds| {
-                ds.iter()
-                    .filter_map(|d| Some((*d, self.by_digest.get(d)?)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        candidates.sort_by_key(|(_, t)| (t.header.time, t.owner, t.block_id.seq));
-        candidates
+    /// TPS consumers filter this sequence (e.g. skipping rolled-back blocks)
+    /// and take the first survivor.
+    pub fn children_candidates(
+        &self,
+        target: &Digest,
+    ) -> impl Iterator<Item = (Digest, &TrustedHeader)> {
+        child_slice(&self.children_of, target).iter().map(|&i| {
+            let (digest, trusted) = &self.slab[i as usize];
+            (*digest, trusted)
+        })
     }
 
     /// Logical storage footprint of `H_i` (header bits summed; Prop. 2).
     pub fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
-        self.by_digest
-            .values()
-            .map(|t| t.header.logical_bits(cfg))
-            .sum()
+        self.iter().map(|(_, t)| t.header.logical_bits(cfg)).sum()
     }
 
     /// Iterates over cached headers, each with the digest it is indexed
-    /// under, in unspecified order.
+    /// under, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&Digest, &TrustedHeader)> {
-        self.by_digest.iter()
+        self.slab.iter().map(|(digest, trusted)| (digest, trusted))
     }
 }
 
@@ -679,11 +752,11 @@ mod tests {
             header: block.header.clone(),
         });
         assert_eq!(cache.len(), 1);
-        let hits = cache.children_candidates(&parent_digest);
+        let hits: Vec<_> = cache.children_candidates(&parent_digest).collect();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, block.header_digest(), "keyed by its digest");
         assert_eq!(hits[0].1.owner, NodeId(2));
-        assert!(cache.children_candidates(&Digest::ZERO).is_empty());
+        assert_eq!(cache.children_candidates(&Digest::ZERO).count(), 0);
     }
 
     #[test]
@@ -721,10 +794,152 @@ mod tests {
         assert_eq!(cache.len(), 2, "duplicate insert ignored");
         let owners: Vec<NodeId> = cache
             .children_candidates(&target)
-            .iter()
             .map(|(_, t)| t.owner)
             .collect();
         assert_eq!(owners, [NodeId(3), NodeId(4)], "oldest child first");
+    }
+
+    /// `H_i` as it was: headers in a digest-keyed map, child lists of
+    /// digests in insertion order, collected and sorted on every lookup.
+    /// The reference the slab-backed cache must agree with.
+    #[derive(Default)]
+    struct ReferenceCache {
+        by_digest: HashMap<Digest, TrustedHeader>,
+        children_of: HashMap<Digest, Vec<Digest>>,
+    }
+
+    impl ReferenceCache {
+        fn insert(&mut self, trusted: TrustedHeader) {
+            let digest = trusted.header.digest();
+            if self.by_digest.contains_key(&digest) {
+                return;
+            }
+            for entry in &trusted.header.digests {
+                self.children_of
+                    .entry(entry.digest)
+                    .or_default()
+                    .push(digest);
+            }
+            self.by_digest.insert(digest, trusted);
+        }
+
+        fn children_candidates(&self, target: &Digest) -> Vec<(Digest, &TrustedHeader)> {
+            let mut candidates: Vec<(Digest, &TrustedHeader)> = self
+                .children_of
+                .get(target)
+                .map(|ds| {
+                    ds.iter()
+                        .filter_map(|d| Some((*d, self.by_digest.get(d)?)))
+                        .collect()
+                })
+                .unwrap_or_default();
+            candidates.sort_by_key(|(_, t)| (t.header.time, t.owner, t.block_id.seq));
+            candidates
+        }
+    }
+
+    #[test]
+    fn child_lists_sorted_at_insert_match_collect_and_sort() {
+        let cfg = cfg();
+        let parents: Vec<Digest> = (1..=6).map(|p| Digest::from_bytes([p; 32])).collect();
+        for seed in 0..6 {
+            let mut rng = tldag_sim::DetRng::seed_from(seed);
+            // Few owners, seqs and slots, so many headers share a
+            // (time, owner, seq) key while differing in body and digests:
+            // equivocating headers, whose relative order is insertion order.
+            let mut headers: Vec<TrustedHeader> = (0..48u8)
+                .map(|salt| {
+                    let owner = NodeId(rng.index(4) as u32);
+                    let digests = (0..1 + rng.index(4))
+                        .map(|_| DigestEntry {
+                            origin: NodeId(rng.index(4) as u32),
+                            // May repeat within one header.
+                            digest: parents[rng.index(parents.len())],
+                        })
+                        .collect();
+                    let block = DataBlock::create(
+                        &cfg,
+                        BlockId::new(owner, rng.index(3) as u32),
+                        rng.index(5) as u64,
+                        digests,
+                        BlockBody::new(vec![salt; 8], cfg.body_bits),
+                        &KeyPair::from_seed(u64::from(owner.0)),
+                    );
+                    TrustedHeader {
+                        owner,
+                        block_id: block.id,
+                        header: block.header,
+                    }
+                })
+                .collect();
+            // Random order, a third of the headers offered twice.
+            headers.extend_from_within(..16);
+            rng.shuffle(&mut headers);
+
+            let (mut cache, mut reference) = (TrustCache::new(), ReferenceCache::default());
+            for trusted in headers {
+                cache.insert(trusted.clone());
+                reference.insert(trusted);
+                assert_eq!(cache.len(), reference.by_digest.len());
+            }
+            for target in parents.iter().chain([&Digest::ZERO]) {
+                let got: Vec<_> = cache.children_candidates(target).collect();
+                assert_eq!(got, reference.children_candidates(target), "seed {seed}");
+            }
+            for (digest, trusted) in cache.iter() {
+                assert_eq!(reference.by_digest.get(digest), Some(trusted));
+                assert_eq!(cache.get(digest), Some(trusted));
+            }
+        }
+    }
+
+    #[test]
+    fn oldest_child_within_matches_the_trait_default() {
+        // The trait's default body, which `BlockStore` overrides.
+        fn by_definition(store: &BlockStore, target: &Digest, horizon: u64) -> Option<DataBlock> {
+            let mut children = store.children_of(target).into_iter();
+            children.find(|b| b.header.time <= horizon)
+        }
+        let cfg = cfg();
+        let [none, once, thrice] = [1, 2, 3].map(|d| Digest::from_bytes([d; 32]));
+        let contains = |digests: &[Digest]| {
+            let entry = |&digest| DigestEntry {
+                origin: NodeId(7),
+                digest,
+            };
+            digests.iter().map(entry).collect::<Vec<_>>()
+        };
+        let mut store = BlockStore::new();
+        let chain = [
+            contains(&[]),
+            contains(&[thrice]),
+            contains(&[once, thrice]),
+            contains(&[]),
+            contains(&[thrice]),
+        ];
+        for (seq, digests) in chain.into_iter().enumerate() {
+            // Slots 1, 3, 5, …: horizons fall on and between block times.
+            let time = 2 * seq as u64 + 1;
+            store
+                .append(make_block(&cfg, NodeId(1), seq as u32, time, digests))
+                .unwrap();
+        }
+        assert_eq!(store.children_of(&thrice).len(), 3);
+        for target in [&none, &once, &thrice] {
+            for horizon in 0..=10 {
+                assert_eq!(
+                    store.oldest_child_of_within(target, horizon),
+                    by_definition(&store, target, horizon),
+                    "horizon {horizon}"
+                );
+            }
+            assert_eq!(
+                store.oldest_child_of(target),
+                by_definition(&store, target, u64::MAX)
+            );
+        }
+        assert_eq!(store.oldest_child_of_within(&thrice, 4).unwrap().id.seq, 1);
+        assert_eq!(store.oldest_child_of_within(&once, 4), None);
     }
 
     #[test]

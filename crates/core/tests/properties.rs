@@ -11,21 +11,45 @@ use proptest::TestCaseError;
 use tldag_core::codec::{decode_trust_cache, encode_trust_cache};
 use tldag_core::config::ProtocolConfig;
 use tldag_core::network::TldagNetwork;
-use tldag_core::store::TrustCache;
+use tldag_core::store::{TrustCache, TrustedHeader};
 use tldag_core::workload::VerificationWorkload;
+use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
+use tldag_crypto::schnorr::KeyPair;
+use tldag_crypto::sha256::sha256;
+use tldag_crypto::Digest;
 use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::topology::{Topology, TopologyConfig};
 use tldag_sim::{DetRng, NodeId};
 
+/// The child lookup as it was before child lists were kept sorted: every
+/// cached header containing `target`, in insertion order (`iter`'s order),
+/// then a stable sort by `(time, owner, seq)`.
+fn collect_and_sort<'a>(
+    cache: &'a TrustCache,
+    target: &Digest,
+) -> Vec<(Digest, &'a TrustedHeader)> {
+    let mut candidates: Vec<(Digest, &TrustedHeader)> = cache
+        .iter()
+        .flat_map(|(key, t)| {
+            let hits = t.header.digests.iter().filter(|e| e.digest == *target);
+            hits.map(move |_| (*key, t))
+        })
+        .collect();
+    candidates.sort_by_key(|(_, t)| (t.header.time, t.owner, t.block_id.seq));
+    candidates
+}
+
 /// Every key equals its header's digest, every header is findable under
-/// every digest it contains, and every candidate handed to TPS is a live
-/// `(key, header)` pair whose header really contains the target.
+/// every digest it contains, every candidate handed to TPS is a live
+/// `(key, header)` pair whose header really contains the target, and the
+/// candidates come in the order a collect-and-sort would give.
 fn check_index(cache: &TrustCache) -> Result<(), TestCaseError> {
     for (key, trusted) in cache.iter() {
         prop_assert_eq!(*key, trusted.header.digest());
         prop_assert_eq!(cache.get(key), Some(trusted));
         for entry in &trusted.header.digests {
-            let candidates = cache.children_candidates(&entry.digest);
+            let candidates: Vec<_> = cache.children_candidates(&entry.digest).collect();
+            prop_assert_eq!(&candidates, &collect_and_sort(cache, &entry.digest));
             prop_assert!(candidates.contains(&(*key, trusted)));
             for (digest, child) in candidates {
                 prop_assert_eq!(cache.get(&digest), Some(child));
@@ -63,7 +87,7 @@ proptest! {
         for (validator, owner, seq) in audits {
             let (validator, owner) = (validator % nodes as u32, owner % nodes as u32);
             if validator != owner {
-                net.run_pop(NodeId(validator), tldag_core::BlockId::new(NodeId(owner), seq), true);
+                net.run_pop(NodeId(validator), BlockId::new(NodeId(owner), seq), true);
             }
         }
         let mut cached = 0;
@@ -80,4 +104,53 @@ proptest! {
         }
         prop_assert!(cached > 0, "the PoP runs cached something");
     }
+}
+
+/// `H_i`'s persisted form sorts by `(owner, seq, digest)`, so it depends on
+/// what was inserted and never on the order — or on how the cache lays its
+/// headers out in memory. The pinned hash was recorded before the cache
+/// became a slab.
+#[test]
+fn trust_cache_encoding_ignores_insertion_order_and_layout() {
+    let cfg = ProtocolConfig::test_default();
+    let mut rng = DetRng::seed_from(19);
+    let mut headers: Vec<TrustedHeader> = (0..40u32)
+        .map(|i| {
+            let owner = NodeId(i % 5);
+            let digests = (0..rng.index(4))
+                .map(|_| DigestEntry {
+                    origin: NodeId(rng.index(5) as u32),
+                    digest: Digest::from_bytes([rng.index(7) as u8; 32]),
+                })
+                .collect();
+            let block = DataBlock::create(
+                &cfg,
+                // Two headers per (owner, seq): the digest breaks the tie.
+                BlockId::new(owner, i / 10),
+                rng.index(6) as u64,
+                digests,
+                BlockBody::new(vec![i as u8; 8], cfg.body_bits),
+                &KeyPair::from_seed(u64::from(owner.0)),
+            );
+            TrustedHeader {
+                owner,
+                block_id: block.id,
+                header: block.header,
+            }
+        })
+        .collect();
+    let mut blobs = Vec::new();
+    for _ in 0..3 {
+        rng.shuffle(&mut headers);
+        let mut cache = TrustCache::new();
+        headers.iter().cloned().for_each(|t| cache.insert(t));
+        check_index(&cache).unwrap();
+        blobs.push(encode_trust_cache(&cache));
+    }
+    assert!(blobs.iter().all(|blob| *blob == blobs[0]));
+    assert_eq!(
+        sha256(&blobs[0]).to_string(),
+        "8e097b1e5d05750cf13963fc96ca757a00cc6baaaea9db353ece9f26662be4b4",
+        "bytes changed against the recorded encoding"
+    );
 }

@@ -248,6 +248,9 @@ impl BlockBackend for PipelinedStore<'_> {
     fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
         self.with(|s| s.children_of(target))
     }
+    fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<DataBlock> {
+        self.with(|s| s.oldest_child_of_within(target, horizon))
+    }
     fn iter(&self) -> Box<dyn Iterator<Item = DataBlock> + '_> {
         let blocks: Vec<DataBlock> = self.with(|s| s.iter().collect());
         Box::new(blocks.into_iter())

@@ -344,6 +344,10 @@ impl BlockBackend for DurableStore {
             .collect()
     }
 
+    fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<DataBlock> {
+        self.get_inner(self.index.oldest_child_of_within(target, horizon)?)
+    }
+
     fn iter(&self) -> Box<dyn Iterator<Item = DataBlock> + '_> {
         Box::new(
             (self.index.base_seq()..self.index.next_seq()).filter_map(|seq| self.get_inner(seq)),

@@ -348,9 +348,14 @@ impl ShardLog {
         self.get_of(node, seq)
     }
 
-    fn oldest_child_of(&self, node: NodeId, target: &Digest) -> Option<DataBlock> {
-        let seq = self.indexes.get(&node.0)?.oldest_child_of(target)?;
-        self.get_of(node, seq)
+    fn oldest_child_of_within(
+        &self,
+        node: NodeId,
+        target: &Digest,
+        horizon: u64,
+    ) -> Option<DataBlock> {
+        let index = self.indexes.get(&node.0)?;
+        self.get_of(node, index.oldest_child_of_within(target, horizon)?)
     }
 
     fn children_of(&self, node: NodeId, target: &Digest) -> Vec<DataBlock> {
@@ -451,7 +456,12 @@ impl BlockBackend for ShardedNodeStore {
     }
 
     fn oldest_child_of(&self, target: &Digest) -> Option<DataBlock> {
-        self.log().oldest_child_of(self.node, target)
+        self.oldest_child_of_within(target, u64::MAX)
+    }
+
+    fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<DataBlock> {
+        self.log()
+            .oldest_child_of_within(self.node, target, horizon)
     }
 
     fn children_of(&self, target: &Digest) -> Vec<DataBlock> {

@@ -114,6 +114,19 @@ impl BlockIndex {
         self.children.get(target)?.iter().min().copied()
     }
 
+    /// Oldest retained seq of a block that contains `target` and was
+    /// generated at or before slot `horizon`, answered from
+    /// [`IndexEntry::time`] without reading a record.
+    pub fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<u32> {
+        let within = |seq: &u32| self.entry(*seq).is_some_and(|e| e.time <= horizon);
+        self.children
+            .get(target)?
+            .iter()
+            .copied()
+            .filter(within)
+            .min()
+    }
+
     /// Sets the chain base of an **empty** index (full-scan recovery of a
     /// compacted log, where the oldest surviving record defines the base).
     ///

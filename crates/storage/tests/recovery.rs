@@ -3,13 +3,14 @@
 //! corruption, and segment compaction.
 
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 use tldag_core::config::ProtocolConfig;
-use tldag_core::store::BlockBackend;
+use tldag_core::store::{BlockBackend, BlockStore};
 use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_crypto::schnorr::KeyPair;
 use tldag_crypto::Digest;
 use tldag_sim::NodeId;
-use tldag_storage::{DurableStore, StorageOptions};
+use tldag_storage::{DurableStore, ShardLog, ShardedNodeStore, StorageOptions};
 
 /// A scratch directory removed on drop (best-effort).
 struct Scratch(std::path::PathBuf);
@@ -62,6 +63,88 @@ fn chain(n: u32, payload_bytes: usize) -> Vec<DataBlock> {
 
 fn opts() -> StorageOptions {
     StorageOptions::compact_test()
+}
+
+/// A block of `owner` at slot `time` whose Digests field holds `contained`.
+fn block_containing(owner: u32, seq: u32, time: u64, contained: &[Digest]) -> DataBlock {
+    let cfg = ProtocolConfig::test_default();
+    let entry = |&digest| DigestEntry {
+        origin: NodeId(7),
+        digest,
+    };
+    DataBlock::create(
+        &cfg,
+        BlockId::new(NodeId(owner), seq),
+        time,
+        contained.iter().map(entry).collect(),
+        BlockBody::new(vec![seq as u8; 64], cfg.body_bits),
+        &KeyPair::from_seed(u64::from(owner)),
+    )
+}
+
+#[test]
+fn oldest_child_within_is_answered_from_the_index_as_the_default_defines_it() {
+    // The trait's default body, which all three backends override.
+    fn by_definition(store: &dyn BlockBackend, target: &Digest, horizon: u64) -> Option<DataBlock> {
+        let mut children = store.children_of(target).into_iter();
+        children.find(|b| b.header.time <= horizon)
+    }
+    let [none, once, thrice] = [1, 2, 3].map(|d| Digest::from_bytes([d; 32]));
+    // Slots 1, 3, 5, …, so horizons fall on and between block times; long
+    // enough to roll segments and outgrow the 4-block read cache.
+    let chain: Vec<DataBlock> = (0..60u32)
+        .map(|seq| {
+            let contained: &[Digest] = match seq {
+                20 | 50 => &[thrice],
+                35 => &[once, thrice],
+                _ => &[],
+            };
+            block_containing(1, seq, 2 * u64::from(seq) + 1, contained)
+        })
+        .collect();
+
+    let scratch = Scratch::new("child-within");
+    let mut memory = BlockStore::new();
+    let mut durable = DurableStore::open(scratch.path().join("node"), opts()).unwrap();
+    let log = ShardLog::open(scratch.path().join("shard"), opts()).unwrap();
+    let log = Arc::new(Mutex::new(log));
+    let mut sharded = ShardedNodeStore::new(Arc::clone(&log), NodeId(1));
+    // A shard-mate containing the same digest earlier: never node 1's child.
+    let mut mate = ShardedNodeStore::new(log, NodeId(2));
+    mate.append(block_containing(2, 0, 0, &[thrice])).unwrap();
+    for block in &chain {
+        memory.append(block.clone()).unwrap();
+        durable.append(block.clone()).unwrap();
+        sharded.append(block.clone()).unwrap();
+    }
+    durable.sync().unwrap();
+    sharded.sync().unwrap();
+    drop(durable);
+    let reopened = DurableStore::open(scratch.path().join("node"), opts()).unwrap();
+
+    let backends: [(&str, &dyn BlockBackend); 3] = [
+        ("memory", &memory),
+        ("durable, reopened", &reopened),
+        ("sharded", &sharded),
+    ];
+    for (name, store) in backends {
+        assert_eq!(store.children_of(&thrice).len(), 3, "{name}");
+        for target in [&none, &once, &thrice] {
+            for horizon in 0..=120 {
+                assert_eq!(
+                    store.oldest_child_of_within(target, horizon),
+                    by_definition(store, target, horizon),
+                    "{name}, horizon {horizon}"
+                );
+            }
+        }
+        assert_eq!(
+            store.oldest_child_of_within(&thrice, 41),
+            Some(chain[20].clone())
+        );
+        assert_eq!(store.oldest_child_of_within(&once, 70), None, "{name}");
+        assert_eq!(store.oldest_child_of(&once), Some(chain[35].clone()));
+    }
 }
 
 #[test]

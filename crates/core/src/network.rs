@@ -24,8 +24,13 @@
 //!    only its own trust cache/blacklist (taken out of the array for the
 //!    phase), and traffic lands in per-shard accounting deltas merged in
 //!    shard order.
-//! 5. **Commit** — backends sync per [`SyncPolicy`]; with the group-commit
-//!    shard log in `tldag-storage` this is one fsync per shard per slot.
+//! 5. **Commit** — backends sync per [`SyncPolicy`], once each. When more
+//!    than one store has staged appends the syncs fan out over
+//!    `max(threads, COMMIT_FANOUT)` chunk threads — every node flushes its
+//!    own device, so the flushes overlap instead of queueing — and the slot
+//!    returns when all of them are durable; otherwise (memory-backed runs
+//!    always) they run inline. With the group-commit shard log in
+//!    `tldag-storage` this is one fsync per shard per slot at any width.
 //!
 //! Results are **byte-identical for every thread count** under a fixed
 //! seed: all per-node randomness (payloads, target choice, PoP tie-breaks,
@@ -122,6 +127,47 @@ where
             .map(|h| h.join().expect("shard worker panicked"))
             .collect()
     })
+}
+
+/// Least number of chunks a commit point splits the node array into once
+/// two or more stores have staged appends. In the deployment being modelled
+/// every node flushes its own device, so the flushes overlap; on one host
+/// the file system's journal folds concurrent `fdatasync`s into one commit.
+/// Not a setting: the smallest width within noise of the best in a sweep of
+/// the 50-node disk benchmark (docs/ARCHITECTURE.md, "The slotted
+/// simulation", has the sweep). Spawning and joining this many scoped
+/// threads costs about 0.2 ms against the milliseconds of device wait they
+/// overlap.
+const COMMIT_FANOUT: usize = 8;
+
+/// A commit point: `sync()` on every node's store, once each, returning when
+/// all of them are durable.
+///
+/// A store has staged appends when `durable_len() < len()`. With at most one
+/// such store — memory-backed networks always — the syncs run inline in node
+/// order and no thread is spawned. Otherwise the node array is cut into
+/// `max(sharding.threads, COMMIT_FANOUT)` contiguous chunks, one thread per
+/// chunk syncing its stores in node order. The phase draws no randomness and
+/// appends nothing, so the width cannot reach a chain or a digest.
+///
+/// # Errors
+///
+/// The first storage error in node order. A chunk stops at its first failing
+/// store; the other chunks run to completion.
+fn commit_stores(nodes: &mut [LedgerNode], sharding: Sharding) -> Result<(), TldagError> {
+    let staged = |node: &&LedgerNode| node.store().durable_len() < node.store().len();
+    let width = match nodes.iter().filter(staged).nth(1) {
+        Some(_second) => sharding.threads.max(COMMIT_FANOUT),
+        None => 1,
+    };
+    let ranges = Sharding::threads(width).chunk_ranges(nodes.len());
+    run_sharded(nodes, &ranges, |_, chunk| {
+        chunk
+            .iter_mut()
+            .try_for_each(|node| node.store_mut().sync())
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Transport over the simulated network: synchronous request/response with
@@ -622,13 +668,25 @@ impl TldagNetwork {
     ///
     /// # Errors
     ///
-    /// The first storage error raised while generating or syncing, reported
-    /// in shard order. The slot is left partially applied: blocks appended
-    /// before the error surfaced stay appended, and with `threads > 1` the
-    /// *other* shards complete their phase before the error is returned — so
-    /// the post-error chain state (unlike every successful run) depends on
-    /// the thread count. Callers that need reproducible error states should
-    /// run single-threaded; successful slots are byte-identical either way.
+    /// The first storage error raised while generating or syncing, in node
+    /// order. The slot is left partially applied, and how depends on the
+    /// phase that failed:
+    ///
+    /// - **Generation:** blocks appended before the error stay appended, and
+    ///   with `threads > 1` the *other* shards finish generating before the
+    ///   error is returned — so the chains after a failed generation (unlike
+    ///   every successful run) depend on the thread count. Callers that need
+    ///   reproducible error states there should run single-threaded.
+    /// - **Commit point:** nothing is appended there, so every chain is
+    ///   whole and the error decides only which stores are durable. The
+    ///   commit point's chunks are those of `max(threads, COMMIT_FANOUT)`:
+    ///   a chunk stops at its first failing store, every other chunk syncs
+    ///   all of its stores, and the lowest failing node's error is returned
+    ///   — the same outcome at every thread count up to `COMMIT_FANOUT`
+    ///   (8). With at most one store holding staged appends the syncs run
+    ///   inline and stop at the first failure.
+    ///
+    /// Successful slots are byte-identical at every thread count.
     pub fn try_step(&mut self) -> Result<SlotSummary, TldagError> {
         let slot = self.slot;
         let n = self.nodes.len();
@@ -855,21 +913,12 @@ impl TldagNetwork {
             .record(Phase::Verify, phase_started.elapsed());
 
         // --- Phase 5: commit point. Under `PerSlot`/`Grouped(n)` durable
-        // backends flush their tail so a crash loses at most the uncommitted
-        // slots; group-commit backends collapse a whole shard into one fsync.
-        // A no-op for the in-memory store.
+        // backends flush their tail, concurrently, so a crash loses at most
+        // the uncommitted slots; group-commit backends collapse a whole shard
+        // into one fsync. A no-op for the in-memory store.
         let phase_started = Instant::now();
         if self.sync_policy.syncs_at_slot_end(slot) {
-            let sync_results: Vec<Result<(), TldagError>> =
-                run_sharded(&mut self.nodes, &ranges, |_, chunk| {
-                    for node in chunk.iter_mut() {
-                        node.store_mut().sync()?;
-                    }
-                    Ok(())
-                });
-            for result in sync_results {
-                result?;
-            }
+            commit_stores(&mut self.nodes, self.sharding)?;
             if self.persist_trust_cache {
                 self.save_trust_caches()?;
             }
@@ -898,9 +947,7 @@ impl TldagNetwork {
     ///
     /// The first storage error, in node order.
     pub fn sync_storage(&mut self) -> Result<(), TldagError> {
-        for node in &mut self.nodes {
-            node.store_mut().sync()?;
-        }
+        commit_stores(&mut self.nodes, self.sharding)?;
         if self.persist_trust_cache {
             self.save_trust_caches()?;
         }
@@ -1240,6 +1287,8 @@ fn execute_pop(
 mod tests {
     use super::*;
     use crate::dag::LogicalDag;
+    use crate::store::{BlockBackend, BlockStore};
+    use crate::DataBlock;
     use tldag_sim::topology::TopologyConfig;
 
     fn small_net(seed: u64, nodes: usize, gamma: usize) -> TldagNetwork {
@@ -1558,6 +1607,181 @@ mod tests {
             chosen > 100,
             "the comparison must see real choices: {chosen}"
         );
+    }
+
+    /// Every `sync()` the backends of one network received, in call order:
+    /// which node's store, and on which thread.
+    type SyncLog = Arc<std::sync::Mutex<Vec<(NodeId, std::thread::ThreadId)>>>;
+
+    /// A memory chain with a durability watermark that only `sync` moves.
+    #[derive(Debug)]
+    struct CountingBackend {
+        node: NodeId,
+        chain: BlockStore,
+        /// Length at the last successful sync; `None` for a store that
+        /// never stages (it reports `len()`, as volatile backends do).
+        durable: Option<usize>,
+        fails: bool,
+        log: SyncLog,
+    }
+
+    impl BlockBackend for CountingBackend {
+        fn append(&mut self, block: DataBlock) -> Result<(), TldagError> {
+            self.chain.append(block)
+        }
+        fn len(&self) -> usize {
+            self.chain.len()
+        }
+        fn get(&self, seq: u32) -> Option<DataBlock> {
+            self.chain.get(seq)
+        }
+        fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock> {
+            self.chain.by_header_digest(digest)
+        }
+        fn oldest_child_of(&self, target: &Digest) -> Option<DataBlock> {
+            self.chain.oldest_child_of(target)
+        }
+        fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
+            self.chain.children_of(target)
+        }
+        fn iter(&self) -> Box<dyn Iterator<Item = DataBlock> + '_> {
+            self.chain.iter()
+        }
+        fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
+            self.chain.logical_bits(cfg)
+        }
+        fn resident_bytes(&self) -> usize {
+            self.chain.resident_bytes()
+        }
+        fn sync(&mut self) -> Result<(), TldagError> {
+            let here = std::thread::current().id();
+            self.log.lock().unwrap().push((self.node, here));
+            if self.fails {
+                return Err(TldagError::Storage(format!("{} cannot sync", self.node)));
+            }
+            if let Some(durable) = &mut self.durable {
+                *durable = self.chain.len();
+            }
+            Ok(())
+        }
+        fn durable_len(&self) -> usize {
+            self.durable.unwrap_or(self.chain.len())
+        }
+    }
+
+    #[derive(Debug)]
+    struct CountingFactory {
+        /// Whether a node's store stages its appends until `sync`.
+        stages: fn(NodeId) -> bool,
+        failing: Vec<u32>,
+        log: SyncLog,
+    }
+
+    impl BackendFactory for CountingFactory {
+        fn create(&mut self, node: NodeId) -> Box<dyn BlockBackend> {
+            Box::new(CountingBackend {
+                node,
+                chain: BlockStore::new(),
+                durable: (self.stages)(node).then_some(0),
+                fails: self.failing.contains(&node.0),
+                log: Arc::clone(&self.log),
+            })
+        }
+        fn reopen(&mut self, node: NodeId) -> Result<Box<dyn BlockBackend>, TldagError> {
+            Ok(self.create(node))
+        }
+    }
+
+    fn counting_net(
+        nodes: usize,
+        stages: fn(NodeId) -> bool,
+        failing: &[u32],
+    ) -> (TldagNetwork, SyncLog) {
+        let mut rng = DetRng::seed_from(21);
+        let topo = Topology::random_connected(&TopologyConfig::small(nodes), &mut rng);
+        let schedule = GenerationSchedule::uniform(topo.len());
+        let log = SyncLog::default();
+        let factory = CountingFactory {
+            stages,
+            failing: failing.to_vec(),
+            log: Arc::clone(&log),
+        };
+        let cfg = ProtocolConfig::test_default().with_gamma(2);
+        let net = TldagNetwork::with_factory(cfg, topo, schedule, 21, Box::new(factory));
+        (net, log)
+    }
+
+    /// `(len, durable_len)` of every store, in node order.
+    fn watermarks(net: &TldagNetwork) -> Vec<(usize, usize)> {
+        let marks = |n: &LedgerNode| (n.store().len(), n.store().durable_len());
+        net.nodes().iter().map(marks).collect()
+    }
+
+    #[test]
+    fn commit_point_stays_on_the_calling_thread_with_at_most_one_staged_store() {
+        let here = std::thread::current().id();
+        let cases: [fn(NodeId) -> bool; 2] = [|_| false, |id| id == NodeId(3)];
+        for stages in cases {
+            let (mut net, log) = counting_net(12, stages, &[]);
+            net.set_sharding(Sharding::threads(4));
+            net.run_slots(3);
+            net.sync_storage().unwrap();
+            let log = log.lock().unwrap();
+            assert_eq!(log.len(), 12 * 4, "every store is still synced each time");
+            assert!(log.iter().all(|&(_, thread)| thread == here));
+            assert_eq!(watermarks(&net), vec![(3, 3); 12]);
+        }
+    }
+
+    #[test]
+    fn commit_point_syncs_every_staged_store_once_off_thread() {
+        let here = std::thread::current().id();
+        let syncs_of = |log: &SyncLog, id: u32| {
+            let log = log.lock().unwrap();
+            log.iter().filter(|(node, _)| node.0 == id).count()
+        };
+
+        let (mut net, log) = counting_net(12, |_| true, &[]);
+        for slot in 1..=4 {
+            net.try_step().unwrap();
+            assert_eq!(watermarks(&net), vec![(slot, slot); 12], "slot {slot}");
+            for id in 0..12 {
+                assert_eq!(syncs_of(&log, id), slot, "n{id} after slot {slot}");
+            }
+        }
+        // Twelve staged stores: the fan-out ran, and never on this thread.
+        assert!(log.lock().unwrap().iter().all(|&(_, t)| t != here));
+
+        let (mut net, log) = counting_net(12, |_| true, &[]);
+        net.set_sync_policy(SyncPolicy::Grouped(3));
+        for (slot, durable) in [(1, 0), (2, 0), (3, 3), (4, 3), (5, 3)] {
+            net.try_step().unwrap();
+            assert_eq!(watermarks(&net), vec![(slot, durable); 12], "slot {slot}");
+        }
+        net.sync_storage().unwrap();
+        assert_eq!(watermarks(&net), vec![(5, 5); 12]);
+        for id in 0..12 {
+            assert_eq!(syncs_of(&log, id), 2, "one group boundary, one flush");
+        }
+    }
+
+    #[test]
+    fn commit_point_error_is_the_lowest_failing_node_at_every_thread_count() {
+        let outcome = |threads: usize| {
+            let (mut net, _log) = counting_net(40, |_| true, &[7, 31]);
+            net.set_sharding(Sharding::threads(threads));
+            let err = net.try_step().unwrap_err();
+            assert_eq!(err, TldagError::Storage("n7 cannot sync".into()));
+            watermarks(&net)
+        };
+        let single = outcome(1);
+        // Eight chunks of five: n7's chunk is 5..10 and n31's is 30..35.
+        // Each stops at its failing store; every other chunk is durable.
+        for (id, &(len, durable)) in single.iter().enumerate() {
+            let lost = (7..10).contains(&id) || (31..35).contains(&id);
+            assert_eq!((len, durable), (1, usize::from(!lost)), "n{id}");
+        }
+        assert_eq!(outcome(4), single);
     }
 
     #[test]

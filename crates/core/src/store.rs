@@ -27,10 +27,14 @@ use tldag_sim::{Bits, NodeId};
 ///
 /// The slot engine drives the cadence: `PerAppend` syncs inside the
 /// generation phase right after each append, the other two sync at slot
-/// boundaries. Durable backends translate a sync into an `fsync`; the
+/// boundaries. A slot-boundary sync is one commit point: every store's
+/// [`BlockBackend::sync`] is called exactly once — from several threads at
+/// once when more than one store has staged appends, because every node
+/// flushes its own device — and the slot returns only when all of them are
+/// durable. Durable backends translate a sync into an `fsync`; the
 /// group-commit shard log in `tldag-storage` additionally collapses the
 /// slot-boundary syncs of all nodes sharing a shard into **one** `fsync`
-/// per shard per slot.
+/// per shard per slot, whichever threads they arrive on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Every append is made durable immediately (one fsync per block).
@@ -341,17 +345,21 @@ impl BackendFactory for MemoryBackendFactory {
 }
 
 /// The value of a contained-digest index entry: the positions (chain seqs
-/// in `S_i`, slab indices in `H_i`) of the headers containing one digest.
-/// Most digests are contained by exactly one header a node holds, so that
-/// case lives inline and only a second child allocates.
+/// in `S_i` and in `tldag-storage`'s block index, slab indices in `H_i`) of
+/// the headers containing one digest. Most digests are contained by exactly
+/// one header a node holds, so that case lives inline and only a second
+/// child allocates. Never empty: an index drops the key instead.
 #[derive(Clone, Debug)]
-enum ChildList {
+pub enum ChildList {
+    /// The only child.
     One(u32),
+    /// Two or more children, in the order the index keeps them.
     Many(Vec<u32>),
 }
 
 impl ChildList {
-    fn as_slice(&self) -> &[u32] {
+    /// The children, in list order.
+    pub fn as_slice(&self) -> &[u32] {
         match self {
             ChildList::One(only) => std::slice::from_ref(only),
             ChildList::Many(all) => all,
@@ -372,13 +380,13 @@ impl ChildList {
 }
 
 /// The children of `target` in a contained-digest index (none if absent).
-fn child_slice<'a>(index: &'a HashMap<Digest, ChildList>, target: &Digest) -> &'a [u32] {
+pub fn child_slice<'a>(index: &'a HashMap<Digest, ChildList>, target: &Digest) -> &'a [u32] {
     index.get(target).map_or(&[], ChildList::as_slice)
 }
 
 /// Adds `child` to `target`'s list, at the position `at` picks from the
-/// list as it stands.
-fn index_child(
+/// list as it stands (`<[u32]>::len` appends).
+pub fn index_child(
     index: &mut HashMap<Digest, ChildList>,
     target: Digest,
     child: u32,

@@ -234,6 +234,7 @@ impl DurableStore {
             // between the two leaves harmless orphan segments (skipped on
             // replay, re-collected by the next compaction) instead of a
             // snapshot whose entries point at segments that no longer exist.
+            self.set.sync()?;
             self.write_snapshot()?;
         }
         for id in removed {
@@ -242,9 +243,10 @@ impl DurableStore {
         Ok(pruned_total)
     }
 
-    /// Flushes, fsyncs, and writes a fresh snapshot covering the whole log.
+    /// Writes a fresh snapshot covering the whole log. The caller has just
+    /// synced the log: a snapshot must never cover a record that a crash
+    /// could still lose.
     fn write_snapshot(&mut self) -> Result<(), TldagError> {
-        self.set.sync()?;
         let blob = self.index.encode_snapshot(
             self.set.tail_id(),
             self.set.segment_len(self.set.tail_id())?,
@@ -339,8 +341,8 @@ impl BlockBackend for DurableStore {
     fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
         self.index
             .children_of(target)
-            .into_iter()
-            .filter_map(|seq| self.get_inner(seq))
+            .iter()
+            .filter_map(|&seq| self.get_inner(seq))
             .collect()
     }
 

@@ -364,8 +364,8 @@ impl ShardLog {
         };
         index
             .children_of(target)
-            .into_iter()
-            .filter_map(|seq| self.get_of(node, seq))
+            .iter()
+            .filter_map(|&seq| self.get_of(node, seq))
             .collect()
     }
 

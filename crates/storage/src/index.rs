@@ -11,6 +11,7 @@ use crate::crc32::crc32;
 use std::collections::HashMap;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::error::TldagError;
+use tldag_core::store::{child_slice, index_child, ChildList};
 use tldag_core::DataBlock;
 use tldag_crypto::Digest;
 use tldag_sim::Bits;
@@ -56,8 +57,9 @@ pub struct BlockIndex {
     entries: Vec<IndexEntry>,
     /// Header digest → seq.
     by_digest: HashMap<Digest, u32>,
-    /// Contained digest → seqs of retained blocks containing it.
-    children: HashMap<Digest, Vec<u32>>,
+    /// Contained digest → seqs of retained blocks containing it, ascending
+    /// because `push` only ever adds the next seq.
+    children: HashMap<Digest, ChildList>,
 }
 
 impl BlockIndex {
@@ -103,15 +105,13 @@ impl BlockIndex {
     }
 
     /// Retained seqs (ascending) of blocks whose header contains `target`.
-    pub fn children_of(&self, target: &Digest) -> Vec<u32> {
-        let mut seqs = self.children.get(target).cloned().unwrap_or_default();
-        seqs.sort_unstable();
-        seqs
+    pub fn children_of(&self, target: &Digest) -> &[u32] {
+        child_slice(&self.children, target)
     }
 
     /// Oldest retained seq of a block whose header contains `target`.
     pub fn oldest_child_of(&self, target: &Digest) -> Option<u32> {
-        self.children.get(target)?.iter().min().copied()
+        self.children_of(target).first().copied()
     }
 
     /// Oldest retained seq of a block that contains `target` and was
@@ -119,12 +119,7 @@ impl BlockIndex {
     /// [`IndexEntry::time`] without reading a record.
     pub fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<u32> {
         let within = |seq: &u32| self.entry(*seq).is_some_and(|e| e.time <= horizon);
-        self.children
-            .get(target)?
-            .iter()
-            .copied()
-            .filter(within)
-            .min()
+        self.children_of(target).iter().copied().find(within)
     }
 
     /// Sets the chain base of an **empty** index (full-scan recovery of a
@@ -154,7 +149,7 @@ impl BlockIndex {
         self.owner = Some(block.id.owner.0);
         self.by_digest.insert(digest, seq);
         for d in &contained {
-            self.children.entry(*d).or_default().push(seq);
+            index_child(&mut self.children, *d, seq, <[u32]>::len);
         }
         self.entries.push(IndexEntry {
             digest,
@@ -174,11 +169,23 @@ impl BlockIndex {
         for entry in self.entries.drain(..drop) {
             self.by_digest.remove(&entry.digest);
             for d in &entry.contained {
-                if let Some(seqs) = self.children.get_mut(d) {
-                    seqs.retain(|&s| s >= new_base);
-                    if seqs.is_empty() {
+                let Some(list) = self.children.get_mut(d) else {
+                    continue; // an earlier pruned entry emptied it
+                };
+                let kept = match list {
+                    ChildList::One(seq) => usize::from(*seq >= new_base),
+                    ChildList::Many(seqs) => {
+                        seqs.retain(|&s| s >= new_base);
+                        seqs.len()
+                    }
+                };
+                match kept {
+                    0 => {
                         self.children.remove(d);
                     }
+                    // Back to the inline form, releasing the allocation.
+                    1 => *list = ChildList::One(list.as_slice()[0]),
+                    _ => {}
                 }
             }
         }
@@ -297,7 +304,7 @@ impl BlockIndex {
             }
             index.by_digest.insert(digest, seq);
             for d in &contained {
-                index.children.entry(*d).or_default().push(seq);
+                index_child(&mut index.children, *d, seq, <[u32]>::len);
             }
             index.entries.push(IndexEntry {
                 digest,
@@ -331,6 +338,10 @@ mod tests {
     use tldag_sim::NodeId;
 
     fn block(seq: u32, contained: Vec<Digest>) -> DataBlock {
+        block_at(seq, u64::from(seq), contained)
+    }
+
+    fn block_at(seq: u32, time: u64, contained: Vec<Digest>) -> DataBlock {
         let cfg = ProtocolConfig::test_default();
         let digests = contained
             .into_iter()
@@ -342,7 +353,7 @@ mod tests {
         DataBlock::create(
             &cfg,
             BlockId::new(NodeId(1), seq),
-            u64::from(seq),
+            time,
             digests,
             BlockBody::new(vec![seq as u8; 8], cfg.body_bits),
             &KeyPair::from_seed(1),
@@ -426,6 +437,153 @@ mod tests {
         // Appending continues at the chain seq, not the retained count.
         index.push(&block(6, vec![]), loc(6));
         assert_eq!(index.next_seq(), 7);
+    }
+
+    /// The child index as it was: a `Vec` of seqs per contained digest,
+    /// cloned and sorted by `children_of`, scanned for a minimum by the
+    /// `oldest_*` lookups. The reference the inline lists must agree with.
+    #[derive(Default)]
+    struct ReferenceChildren {
+        children: HashMap<Digest, Vec<u32>>,
+        /// Retained `(seq, time, contained)`, oldest first.
+        entries: Vec<(u32, u64, Vec<Digest>)>,
+    }
+
+    impl ReferenceChildren {
+        fn push(&mut self, block: &DataBlock) {
+            let contained: Vec<Digest> = block.header.digests.iter().map(|e| e.digest).collect();
+            for d in &contained {
+                self.children.entry(*d).or_default().push(block.id.seq);
+            }
+            self.entries
+                .push((block.id.seq, block.header.time, contained));
+        }
+
+        fn children_of(&self, target: &Digest) -> Vec<u32> {
+            let mut seqs = self.children.get(target).cloned().unwrap_or_default();
+            seqs.sort_unstable();
+            seqs
+        }
+
+        fn oldest_child_of(&self, target: &Digest) -> Option<u32> {
+            self.children.get(target)?.iter().min().copied()
+        }
+
+        fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<u32> {
+            let time_of = |seq: u32| self.entries.iter().find(|e| e.0 == seq).map(|e| e.1);
+            let within = |seq: &u32| time_of(*seq).is_some_and(|time| time <= horizon);
+            self.children
+                .get(target)?
+                .iter()
+                .copied()
+                .filter(within)
+                .min()
+        }
+
+        fn prune_below(&mut self, new_base: u32) {
+            let keep = self.entries.partition_point(|e| e.0 < new_base);
+            for (_, _, contained) in self.entries.drain(..keep) {
+                for d in &contained {
+                    if let Some(seqs) = self.children.get_mut(d) {
+                        seqs.retain(|&s| s >= new_base);
+                        if seqs.is_empty() {
+                            self.children.remove(d);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inline_child_lists_match_the_vec_and_sort_reference() {
+        let digest = |d: u8| Digest::from_bytes([d; 32]);
+        // Contained by no block, by exactly one, by exactly four; the pool
+        // digests land wherever the stream puts them.
+        let (none, once, four) = (digest(1), digest(2), digest(3));
+        let pool: Vec<Digest> = (10..15).map(digest).collect();
+        let mut targets = vec![none, once, four];
+        targets.extend(&pool);
+
+        for seed in 0..8u64 {
+            let mut rng = tldag_sim::DetRng::seed_from(seed);
+            let (mut index, mut reference) = (BlockIndex::new(), ReferenceChildren::default());
+            let once_at = rng.index(6) as u32;
+            let four_at: [u32; 4] = [2, 3 + rng.index(3) as u32, 9, 11 + rng.index(8) as u32];
+            let mut max_time = 0;
+            for _ in 0..40 {
+                if rng.index(5) == 0 {
+                    let span = index.next_seq() - index.base_seq();
+                    let new_base = index.base_seq() + rng.index(span as usize + 1) as u32;
+                    let dropped = index.prune_below(new_base);
+                    reference.prune_below(new_base);
+                    assert_eq!(index.base_seq(), new_base);
+                    assert_eq!(index.retained(), reference.entries.len());
+                    assert_eq!(dropped, span as usize - index.retained());
+                } else {
+                    let seq = index.next_seq();
+                    // A header may name one digest twice.
+                    let mut contained: Vec<Digest> = (0..rng.index(4))
+                        .map(|_| pool[rng.index(pool.len())])
+                        .collect();
+                    contained.extend((seq == once_at).then_some(once));
+                    contained.extend(four_at.contains(&seq).then_some(four));
+                    // Slots 1, 3, 5, …: horizons fall on and between them.
+                    let time = 2 * u64::from(seq) + 1;
+                    max_time = time;
+                    let block = block_at(seq, time, contained);
+                    index.push(&block, loc(seq));
+                    reference.push(&block);
+                }
+
+                assert_eq!(index.children.len(), reference.children.len());
+                for list in index.children.values() {
+                    let inline = matches!(list, ChildList::One(_));
+                    assert_eq!(inline, list.as_slice().len() == 1, "{list:?}");
+                }
+                for target in &targets {
+                    assert_eq!(index.children_of(target), reference.children_of(target));
+                    assert_eq!(
+                        index.oldest_child_of(target),
+                        reference.oldest_child_of(target)
+                    );
+                    for horizon in 0..=max_time + 1 {
+                        assert_eq!(
+                            index.oldest_child_of_within(target, horizon),
+                            reference.oldest_child_of_within(target, horizon),
+                            "seed {seed} horizon {horizon}"
+                        );
+                    }
+                }
+            }
+            assert!(index.next_seq() > 19, "every placed digest was pushed");
+        }
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let digest = |d: u8| Digest::from_bytes([d; 32]);
+        let (once, four) = (digest(2), digest(3));
+        let mut index = BlockIndex::new();
+        for seq in 0..9u32 {
+            let mut contained = vec![digest(10 + (seq % 3) as u8)];
+            contained.extend((seq == 4).then_some(once));
+            contained.extend((seq % 2 == 1).then_some(four));
+            index.push(&block(seq, contained), loc(seq));
+        }
+        index.prune_below(2);
+        index.push(&block(9, vec![four, four]), loc(9));
+        let blob = index.encode_snapshot(2, 300);
+        // Recorded by running this test at the commit before the child
+        // lists went inline: the snapshot format does not know about them.
+        assert_eq!(
+            tldag_crypto::sha256::sha256(&blob).to_string(),
+            "8832fc8305ecb41de5f5f21b72daad5779ba5140477a9397cbc5a4ac682653d2"
+        );
+        let (restored, ..) = BlockIndex::decode_snapshot(&blob).unwrap();
+        assert_eq!(restored.entries, index.entries);
+        assert_eq!(restored.children_of(&four), [3, 5, 7, 9, 9]);
+        assert_eq!(restored.children_of(&once), [4]);
     }
 
     #[test]

@@ -239,6 +239,23 @@ fn chain_continues_after_restart() {
 }
 
 #[test]
+fn a_sync_that_takes_a_snapshot_costs_one_fsync() {
+    let scratch = Scratch::new("snapshot-fsync");
+    let mut store = DurableStore::open(scratch.path(), opts()).unwrap();
+    for b in chain(8, 32) {
+        store.append(b).unwrap(); // snapshot_every = 8
+    }
+    let before = store.fsync_count();
+    store.sync().unwrap();
+    assert!(scratch.path().join("index.snap").exists());
+    assert_eq!(
+        store.fsync_count() - before,
+        1,
+        "the snapshot is written over the log this sync already made durable"
+    );
+}
+
+#[test]
 fn corrupt_snapshot_falls_back_to_full_scan() {
     let scratch = Scratch::new("bad-snapshot");
     let blocks = chain(20, 64);

@@ -5,7 +5,7 @@
 
 use tldag::core::config::ProtocolConfig;
 use tldag::core::network::TldagNetwork;
-use tldag::core::store::SyncPolicy;
+use tldag::core::store::{BackendFactory, SyncPolicy};
 use tldag::core::workload::VerificationWorkload;
 use tldag::crypto::Digest;
 use tldag::sim::bus::TrafficClass;
@@ -13,20 +13,29 @@ use tldag::sim::engine::{GenerationSchedule, Sharding};
 use tldag::sim::fault::LinkFaults;
 use tldag::sim::topology::{Topology, TopologyConfig};
 use tldag::sim::{DetRng, NodeId};
-use tldag::storage::ShardedDiskFactory;
+use tldag::storage::{DiskFactory, ShardedDiskFactory, StorageOptions};
 
 const NODES: usize = 32;
 const SLOTS: u64 = 12;
 const SEED: u64 = 4242;
 
 fn build_network(threads: usize, factory: Option<ShardedDiskFactory>) -> TldagNetwork {
+    let factory = factory.map(|f| Box::new(f) as Box<dyn BackendFactory>);
+    build_network_of(NODES, threads, factory)
+}
+
+fn build_network_of(
+    nodes: usize,
+    threads: usize,
+    factory: Option<Box<dyn BackendFactory>>,
+) -> TldagNetwork {
     let mut rng = DetRng::seed_from(SEED);
-    let topo = Topology::random_connected(&TopologyConfig::small(NODES), &mut rng);
+    let topo = Topology::random_connected(&TopologyConfig::small(nodes), &mut rng);
     let cfg = ProtocolConfig::test_default().with_gamma(2);
     let schedule = GenerationSchedule::uniform(topo.len());
     let mut net = match factory {
         None => TldagNetwork::new(cfg, topo, schedule, SEED),
-        Some(f) => TldagNetwork::with_factory(cfg, topo, schedule, SEED, Box::new(f)),
+        Some(f) => TldagNetwork::with_factory(cfg, topo, schedule, SEED, f),
     };
     net.set_sharding(Sharding::threads(threads));
     // Young-enough targets so the PoP phase actually runs in every slot, and
@@ -93,26 +102,62 @@ fn storage_backend_does_not_change_protocol_outcomes() {
 #[test]
 fn per_slot_group_commit_costs_one_fsync_per_shard_per_slot() {
     let dir = std::env::temp_dir().join(format!("tldag-shard-fsync-{}", std::process::id()));
-    let shards = 4;
-    let factory = ShardedDiskFactory::new(&dir, shards, NODES);
-    let logs = {
-        let mut net = build_network(shards, Some(factory));
+    // The commit point fans out over at least eight threads whatever
+    // `threads` says, so in every case below several of them reach one shard
+    // log at once, and with (4, 1) a commit thread's chunk straddles shards:
+    // the log's dirty flag must still make it one fsync per shard per slot.
+    for (shards, threads) in [(4, 4), (2, 2), (4, 1)] {
+        let factory = ShardedDiskFactory::new(&dir, shards, NODES);
+        let mut net = build_network(threads, Some(factory));
         net.set_sync_policy(SyncPolicy::PerSlot);
         net.run_slots(SLOTS);
         // Read each log's count through the first node of its band (the
         // factory shards by the same contiguous bands as the engine).
-        Sharding::threads(shards)
+        for (shard, band) in Sharding::threads(shards)
             .chunk_ranges(NODES)
             .iter()
-            .map(|band| net.node(NodeId(band.start as u32)).store().fsync_count())
-            .collect::<Vec<_>>()
-    };
-    for (shard, &fsyncs) in logs.iter().enumerate() {
-        assert_eq!(
-            fsyncs, SLOTS,
-            "shard {shard}: expected one fsync per slot, got {fsyncs}"
-        );
+            .enumerate()
+        {
+            let store = net.node(NodeId(band.start as u32)).store();
+            assert_eq!(
+                store.fsync_count(),
+                SLOTS,
+                "{shards} shards, {threads} threads, shard {shard}: one fsync per slot"
+            );
+            assert_eq!(store.durable_len(), SLOTS as usize);
+        }
+        drop(net);
+        let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn per_node_stores_committed_concurrently_recover_every_chain() {
+    // One durable store per node: every slot's commit point syncs twelve
+    // staged stores, so it takes the fan-out even at `threads(1)`.
+    let nodes = 12;
+    let mut memory = build_network_of(nodes, 1, None);
+    memory.run_slots(20);
+
+    let dir = std::env::temp_dir().join(format!("tldag-shard-pernode-{}", std::process::id()));
+    let factory = DiskFactory::new(&dir, StorageOptions::default());
+    let mut disk = build_network_of(nodes, 1, Some(Box::new(factory)));
+    disk.run_slots(20);
+    assert_eq!(fingerprint(&disk), fingerprint(&memory));
+    for id in (0..nodes as u32).map(NodeId) {
+        assert_eq!(disk.node(id).store().durable_len(), 20, "{id}");
+        assert_eq!(disk.node(id).store().fsync_count(), 20, "{id}");
+        disk.crash_node(id);
+    }
+    for id in (0..nodes as u32).map(NodeId) {
+        assert_eq!(disk.restart_node(id).expect("reopen"), 20, "{id}");
+    }
+    assert_eq!(
+        disk.network_digest(),
+        memory.network_digest(),
+        "every chain came back whole from its own directory"
+    );
+    drop(disk);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -152,8 +197,7 @@ fn grouped_policy_trailing_slots_need_the_shutdown_flush() {
     drop(net);
 
     let mut revived = ShardedDiskFactory::attach(&dir, 2, NODES);
-    let store = tldag::core::store::BackendFactory::reopen(&mut revived, NodeId(0))
-        .expect("shard log reopens");
+    let store = BackendFactory::reopen(&mut revived, NodeId(0)).expect("shard log reopens");
     assert_eq!(store.len(), 11, "flushed tail survives the cold reattach");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -179,8 +223,8 @@ fn per_slot_policy_loses_no_committed_block_across_process_crash() {
     // Cold restart: a fresh factory replays the shard logs from disk.
     let mut revived = ShardedDiskFactory::attach(&dir, shards, NODES);
     for (idx, &expect) in committed.iter().enumerate() {
-        let store = tldag::core::store::BackendFactory::reopen(&mut revived, NodeId(idx as u32))
-            .expect("shard log reopens");
+        let store =
+            BackendFactory::reopen(&mut revived, NodeId(idx as u32)).expect("shard log reopens");
         assert_eq!(
             store.len(),
             expect,

@@ -7,6 +7,9 @@
 //! * **A3 — bounds** (`ablation_bounds`): measured message/storage overhead
 //!   against the Proposition 1–6 analytic bounds.
 
+use crate::experiments::scale::Scale;
+use crate::report::{Report, Table};
+use crate::row;
 use tldag_core::analysis;
 use tldag_core::block::BlockId;
 use tldag_core::config::{PathSelection, ProtocolConfig};
@@ -69,6 +72,20 @@ impl AblationConfig {
             gamma: 4,
             seed: 17,
         }
+    }
+
+    fn at_scale(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(),
+            Scale::Quick => Self::quick(),
+        }
+    }
+
+    fn report(&self, name: &'static str, scale: Scale) -> Report {
+        Report::new(name, scale)
+            .param("nodes", self.nodes)
+            .param("gamma", self.gamma)
+            .param("probes", self.probes)
     }
 }
 
@@ -391,6 +408,91 @@ pub fn run_bounds_check(cfg: &AblationConfig) -> Vec<BoundRow> {
     }
 
     rows
+}
+
+/// A1 at `scale`.
+pub fn report_wps(scale: Scale) -> Report {
+    let cfg = AblationConfig::at_scale(scale);
+    let mut table = Table::new("ablation_wps", "A1: next-hop selection strategy");
+    for s in run_wps_ablation(&cfg) {
+        table.push(row![
+            "strategy" => s.label,
+            "successes" => s.successes,
+            "runs" => s.runs,
+            "mean_req_child" => s.mean_requests,
+            "mean_path_len" => s.mean_path_len,
+            "mean_rollbacks" => s.mean_rollbacks,
+        ]);
+    }
+    let mut report = cfg.report("ablation_wps", scale);
+    report.tables.push(table);
+    report
+}
+
+/// A2 at `scale`.
+pub fn report_tps(scale: Scale) -> Report {
+    let cfg = AblationConfig::at_scale(scale);
+    let mut table = Table::new("ablation_tps", "A2: trust-cache (TPS) contribution");
+    for s in run_tps_ablation(&cfg) {
+        table.push(row![
+            "mode" => s.label,
+            "first_run_req_child" => s.first_run_requests,
+            "mean_repeat_req_child" => s.mean_repeat_requests,
+            "mean_tps_extensions" => s.mean_tps_extensions,
+        ]);
+    }
+    let mut report = cfg.report("ablation_tps", scale);
+    report.tables.push(table);
+    report
+}
+
+/// A4 at `scale`.
+pub fn report_multihop(scale: Scale) -> Report {
+    let cfg = AblationConfig::at_scale(scale);
+    let stats = run_multihop_ablation(&cfg);
+    let mut table = Table::new(
+        "ablation_multihop",
+        "A4: physical-layer relaying of PoP traffic",
+    );
+    for s in &stats {
+        table.push(row![
+            "accounting" => s.label.as_str(),
+            "mean_node_consensus_mb" => s.mean_node_consensus_mb,
+            "network_consensus_mb" => s.network_consensus_mb,
+            "pop_success_rate" => s.success_rate,
+        ]);
+    }
+    let mut report = cfg.report("ablation_multihop", scale);
+    if stats[0].network_consensus_mb > 0.0 {
+        report.headline = format!(
+            "relay inflation factor {:.2}× — the headroom for the paper's proposed \
+shortest-path validator→verifier routing",
+            stats[1].network_consensus_mb / stats[0].network_consensus_mb
+        );
+    }
+    report.tables.push(table);
+    report
+}
+
+/// A3 at `scale`; every bound is an invariant of the run.
+pub fn report_bounds(scale: Scale) -> Report {
+    let cfg = AblationConfig::at_scale(scale);
+    let mut report = cfg.report("ablation_bounds", scale);
+    let mut table = Table::new(
+        "ablation_bounds",
+        "A3: measured vs analytic bounds (Propositions 1–4)",
+    );
+    for r in run_bounds_check(&cfg) {
+        report.invariant(format!("bound holds: {}", r.proposition), r.holds);
+        table.push(row![
+            "proposition" => r.proposition,
+            "measured" => r.measured,
+            "bound" => r.bound,
+            "holds" => r.holds,
+        ]);
+    }
+    report.tables.push(table);
+    report
 }
 
 #[cfg(test)]

@@ -19,15 +19,13 @@
 //! * **detection evidence** — conflicting-digest observations and the
 //!   `DigestReq` pull recoveries they triggered.
 
-use crate::Scale;
+use crate::experiments::cluster::{discover_ports, net_table, reference_run};
+use crate::report::{Report, Table};
+use crate::{row, Scale};
 use std::time::Instant;
 use tldag_core::attack::Behavior;
-use tldag_core::network::TldagNetwork;
-use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
-use tldag_net::runtime::{deployment_protocol_config, deployment_topology, NodeOutcome};
+use tldag_net::runtime::NodeOutcome;
 use tldag_net::{AdversaryPlacement, NetNode, NetNodeConfig, NetStats};
-use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::NodeId;
 
 /// The behavior mix, cycled over the adversary slots of a level: the
@@ -155,38 +153,6 @@ pub struct AdversaryData {
     pub points: Vec<AdversaryPoint>,
 }
 
-/// Discovers `n` distinct loopback UDP ports by binding and releasing.
-fn discover_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
-/// The engine reference for one cast: same seed, same topology, the
-/// placement applied through the same helper `tldag cluster` uses.
-fn reference_run(config: &AdversaryConfig, placements: &[AdversaryPlacement]) -> TldagNetwork {
-    let topology = deployment_topology(config.seed, config.founders, 300.0);
-    let cfg = deployment_protocol_config(config.gamma);
-    let schedule = GenerationSchedule::uniform(topology.len());
-    let mut net = TldagNetwork::new(cfg, topology, schedule, config.seed);
-    net.set_verification_workload(VerificationWorkload::RandomPast {
-        min_age_slots: config.founders as u64,
-    });
-    replay_reference_schedule(
-        &mut net,
-        &[],
-        placements,
-        config.founders,
-        config.seed,
-        config.slots,
-    );
-    net
-}
-
 /// Runs one in-process wire cluster with the given cast and returns the
 /// per-node outcomes in id order.
 fn wire_run(config: &AdversaryConfig, placements: &[AdversaryPlacement]) -> Vec<NodeOutcome> {
@@ -240,7 +206,14 @@ pub fn run(config: &AdversaryConfig) -> AdversaryData {
     let mut points = Vec::with_capacity(config.levels.len());
     for &adversaries in &config.levels {
         let placements = config.placements(adversaries);
-        let reference = reference_run(config, &placements);
+        let reference = reference_run(
+            config.seed,
+            config.founders,
+            config.gamma,
+            config.slots,
+            &[],
+            &placements,
+        );
 
         let started = Instant::now();
         let outcomes = wire_run(config, &placements);
@@ -281,6 +254,68 @@ pub fn run(config: &AdversaryConfig) -> AdversaryData {
         });
     }
     AdversaryData { points }
+}
+
+/// The adversary-fraction sweep at `scale`. Honest-subset digest parity
+/// and an undegraded barrier are invariants at every level.
+pub fn report(scale: Scale) -> Report {
+    let cfg = AdversaryConfig::at_scale(scale);
+    let data = run(&cfg);
+    let mut table = Table::new(
+        "fig15_adversary",
+        format!(
+            "Honest PoP reliability vs adversary fraction (γ = {})",
+            cfg.gamma
+        ),
+    );
+    let mut report = Report::new("fig15_adversary", scale)
+        .param("founders", cfg.founders)
+        .param("slots", cfg.slots);
+    for p in &data.points {
+        table.push(row![
+            "adversaries" => p.adversaries,
+            "fraction" => p.fraction,
+            "behaviors" => p.behaviors.as_str(),
+            "honest_attempts" => p.honest_attempts,
+            "honest_successes" => p.honest_successes,
+            "honest_completion" => p.honest_completion(),
+            "total_attempts" => p.total_pop.0,
+            "total_successes" => p.total_pop.1,
+            "ref_attempts" => p.reference_pop.0,
+            "ref_successes" => p.reference_pop.1,
+            "parity" => p.honest_parity,
+            "digest_conflicts" => p.digest_conflicts,
+            "conflict_pulls" => p.conflict_pulls,
+            "degraded_nodes" => p.degraded_nodes,
+            "wall_ms" => p.wall_ms,
+        ]);
+        let level = format!("{} adversaries", p.adversaries);
+        report.invariant(
+            format!("honest digest parity with {level}"),
+            p.honest_parity,
+        );
+        report.invariant(
+            format!("no degraded node with {level}"),
+            p.degraded_nodes == 0,
+        );
+    }
+    if let Some(p) = data.points.iter().find(|p| p.adversaries > 0) {
+        report.headline = format!(
+            "with {} Byzantine node(s) ({:.0}% of the cluster: {}), {:.1}% of honest PoP runs \
+completed",
+            p.adversaries,
+            p.fraction * 100.0,
+            p.behaviors,
+            p.honest_completion() * 100.0
+        );
+    }
+    let labelled = |p: &AdversaryPoint| (format!("{} adversaries", p.adversaries), p.net);
+    let net = net_table(
+        "fig15_adversary_net",
+        data.points.iter().map(labelled).collect(),
+    );
+    report.tables = vec![table, net];
+    report
 }
 
 #[cfg(test)]

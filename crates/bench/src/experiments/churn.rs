@@ -18,20 +18,16 @@
 //! * **digest parity** — whether the wire cluster still reproduced the
 //!   engine's `network_digest` byte-for-byte through the churn.
 
-use crate::Scale;
+use crate::experiments::cluster::{discover_ports, net_table, reference_run};
+use crate::report::{Report, Table};
+use crate::{row, Scale};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tldag_core::network::TldagNetwork;
-use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
 use tldag_net::membership::{validate_churn, ChurnEvent};
-use tldag_net::runtime::{
-    deployment_protocol_config, deployment_topology, network_digest_of, NodeOutcome,
-};
+use tldag_net::runtime::{network_digest_of, NodeOutcome};
 use tldag_net::telemetry::{scrape_metrics, StatusRow};
 use tldag_net::{FaultSpec, NetNode, NetNodeConfig, NetStats};
-use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::NodeId;
 
 /// One churn level of the sweep: how many late joins and graceful leaves
@@ -212,41 +208,8 @@ pub struct ChurnData {
     pub points: Vec<ChurnPoint>,
 }
 
-/// Discovers `n` distinct loopback UDP ports by binding and releasing.
-fn discover_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
-/// The engine reference for one schedule: same seed, same membership,
-/// replayed through the same helper the cluster harness uses — one
-/// definition of the reference, no drift between the two parity checks.
-fn reference_run(config: &ChurnConfig, events: &[ChurnEvent]) -> TldagNetwork {
-    let topology = deployment_topology(config.seed, config.founders, 300.0);
-    let cfg = deployment_protocol_config(config.gamma);
-    let schedule = GenerationSchedule::uniform(topology.len());
-    let mut net = TldagNetwork::new(cfg, topology, schedule, config.seed);
-    net.set_verification_workload(VerificationWorkload::RandomPast {
-        min_age_slots: config.founders as u64,
-    });
-    replay_reference_schedule(
-        &mut net,
-        events,
-        &[],
-        config.founders,
-        config.seed,
-        config.slots,
-    );
-    net
-}
-
 /// Discovers `n` distinct loopback TCP ports for the metrics listeners
-/// (bound together then released, like [`discover_ports`]).
+/// (bound together then released, like `discover_ports`).
 fn discover_tcp_ports(n: usize) -> Vec<std::net::SocketAddr> {
     let listeners: Vec<std::net::TcpListener> = (0..n)
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind metrics probe"))
@@ -354,7 +317,14 @@ pub fn run(config: &ChurnConfig) -> ChurnData {
     for &level in &config.levels {
         let events = config.schedule(level);
         validate_churn(&events, config.founders, config.slots).expect("generated schedule");
-        let reference = reference_run(config, &events);
+        let reference = reference_run(
+            config.seed,
+            config.founders,
+            config.gamma,
+            config.slots,
+            &events,
+            &[],
+        );
 
         let started = Instant::now();
         let (outcomes, samples) = wire_run(config, &events);
@@ -397,6 +367,83 @@ pub fn run(config: &ChurnConfig) -> ChurnData {
         });
     }
     ChurnData { points }
+}
+
+/// The churn sweep at `scale`. Digest parity and an undegraded barrier
+/// are invariants at every churn level.
+pub fn report(scale: Scale) -> Report {
+    let cfg = ChurnConfig::at_scale(scale);
+    let data = run(&cfg);
+    let mut points = Table::new(
+        "fig12_churn",
+        format!(
+            "PoP under membership churn over lossy UDP (γ = {}, {:.0}% loss)",
+            cfg.gamma,
+            cfg.loss * 100.0
+        ),
+    );
+    let mut samples = Table::new(
+        "fig12_churn_status",
+        "mid-run telemetry scraped from the live nodes",
+    );
+    let mut report = Report::new("fig12_churn", scale)
+        .param("founders", cfg.founders)
+        .param("slots", cfg.slots)
+        .param("loss", cfg.loss);
+    for p in &data.points {
+        points.push(row![
+            "joins" => p.joins,
+            "leaves" => p.leaves,
+            "pop_attempts" => p.pop_attempts,
+            "pop_successes" => p.pop_successes,
+            "completion" => p.completion(),
+            "ref_attempts" => p.reference_pop.0,
+            "ref_successes" => p.reference_pop.1,
+            "mean_catch_up_ms" => p.mean_catch_up_ms,
+            "max_catch_up_ms" => p.max_catch_up_ms,
+            "parity" => p.parity,
+            "degraded_nodes" => p.degraded_nodes,
+            "retries" => p.retries,
+            "datagrams" => p.datagrams,
+            "wall_ms" => p.wall_ms,
+        ]);
+        for s in &p.samples {
+            samples.push(row![
+                "joins" => p.joins,
+                "leaves" => p.leaves,
+                "slot" => s.slot,
+                "nodes" => s.nodes,
+                "chain_total" => s.chain_total,
+                "pop_attempts" => s.pop_attempts,
+                "pop_successes" => s.pop_successes,
+                "retries" => s.retries,
+            ]);
+        }
+        let level = format!("{} joins + {} leaves", p.joins, p.leaves);
+        report.invariant(format!("digest parity with {level}"), p.parity);
+        report.invariant(
+            format!("no degraded node with {level}"),
+            p.degraded_nodes == 0,
+        );
+    }
+    if let Some(p) = data.points.iter().find(|p| p.joins + p.leaves > 0) {
+        report.headline = format!(
+            "with {} joins + {} leaves at {:.0}% datagram loss, {:.1}% of PoP runs completed \
+and the joiners caught up in {:.0} ms mean",
+            p.joins,
+            p.leaves,
+            cfg.loss * 100.0,
+            p.completion() * 100.0,
+            p.mean_catch_up_ms
+        );
+    }
+    let labelled = |p: &ChurnPoint| (format!("{}+{}", p.joins, p.leaves), p.net);
+    let net = net_table(
+        "fig12_churn_net",
+        data.points.iter().map(labelled).collect(),
+    );
+    report.tables = vec![points, samples, net];
+    report
 }
 
 #[cfg(test)]

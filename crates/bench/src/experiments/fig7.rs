@@ -6,6 +6,8 @@
 //! Panel (d): the CDF of per-node storage at 200 slots for `C = 0.5` MB.
 
 use crate::experiments::scale::Scale;
+use crate::report::{Report, Table};
+use crate::row;
 use tldag_baselines::iota::IotaNetwork;
 use tldag_baselines::ledger::LedgerSim;
 use tldag_baselines::pbft::PbftNetwork;
@@ -13,7 +15,6 @@ use tldag_baselines::BaselineConfig;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::network::TldagNetwork;
 use tldag_sim::engine::GenerationSchedule;
-use tldag_sim::metrics::SeriesSet;
 use tldag_sim::stats::Cdf;
 use tldag_sim::topology::{Topology, TopologyConfig};
 use tldag_sim::{Bits, DetRng};
@@ -69,8 +70,8 @@ impl Fig7Config {
 pub struct Fig7Panel {
     /// Body size for this panel, in MB.
     pub c_mb: f64,
-    /// Series keyed "PBFT" / "IOTA" / "2LDAG"; y = mean node storage (MB).
-    pub series: SeriesSet,
+    /// Columns `slot`, `PBFT`, `IOTA`, `2LDAG`; y = mean node storage (MB).
+    pub series: Table,
 }
 
 /// The full Fig. 7 dataset.
@@ -91,7 +92,7 @@ pub fn run(cfg: &Fig7Config) -> Fig7Data {
     let mut panels = Vec::new();
     let mut cdf_samples: Vec<f64> = Vec::new();
 
-    for &c_mb in &cfg.bodies_mb {
+    for (i, &c_mb) in cfg.bodies_mb.iter().enumerate() {
         let body_bits = Bits::from_megabytes_f(c_mb).bits();
         let schedule = GenerationSchedule::uniform(cfg.nodes);
 
@@ -103,21 +104,22 @@ pub fn run(cfg: &Fig7Config) -> Fig7Data {
         let mut pbft = PbftNetwork::new(base, topology.clone(), cfg.seed);
         let mut iota = IotaNetwork::new(base, topology.clone(), cfg.seed);
 
-        let mut series = SeriesSet::new();
+        let letter = (b'a' + i as u8) as char;
+        let mut series = Table::new(
+            format!("fig7{letter}_storage_c{c_mb}"),
+            format!("Fig. 7({letter}): average node storage (MB), C = {c_mb} MB"),
+        );
         for slot in 1..=cfg.slots {
             LedgerSim::step(&mut tldag);
             LedgerSim::step(&mut pbft);
             LedgerSim::step(&mut iota);
             if slot % cfg.sample_every == 0 {
-                series
-                    .series_mut("PBFT")
-                    .record(slot, pbft.mean_storage_mb());
-                series
-                    .series_mut("IOTA")
-                    .record(slot, iota.mean_storage_mb());
-                series
-                    .series_mut("2LDAG")
-                    .record(slot, tldag.mean_storage_mb());
+                series.push(row![
+                    "slot" => slot,
+                    "PBFT" => pbft.mean_storage_mb(),
+                    "IOTA" => iota.mean_storage_mb(),
+                    "2LDAG" => tldag.mean_storage_mb(),
+                ]);
             }
         }
         if (c_mb - cfg.cdf_body_mb).abs() < 1e-9 {
@@ -134,6 +136,29 @@ pub fn run(cfg: &Fig7Config) -> Fig7Data {
         cdf: Cdf::from_samples(cdf_samples),
         cdf_body_mb: cfg.cdf_body_mb,
     }
+}
+
+/// Fig. 7 at `scale`: panels (a)–(c), then the CDF of panel (d).
+pub fn report(scale: Scale) -> Report {
+    let cfg = Fig7Config::at_scale(scale);
+    let data = run(&cfg);
+    let mut cdf = Table::new(
+        "fig7d_storage_cdf",
+        format!(
+            "Fig. 7(d): CDF of per-node 2LDAG storage at final slot, C = {} MB",
+            data.cdf_body_mb
+        ),
+    );
+    for (x, f) in data.cdf.points() {
+        cdf.push(row!["storage_mb" => x, "cdf" => f]);
+    }
+    let mut report = Report::new("fig7_storage", scale)
+        .param("nodes", cfg.nodes)
+        .param("slots", cfg.slots)
+        .param("gamma", cfg.gamma);
+    report.tables = data.panels.into_iter().map(|p| p.series).collect();
+    report.tables.push(cdf);
+    report
 }
 
 #[cfg(test)]
@@ -158,7 +183,7 @@ mod tests {
         let data = run(&tiny());
         assert_eq!(data.panels.len(), 1);
         let series = &data.panels[0].series;
-        let last = |name: &str| series.series(name).unwrap().last().unwrap().1;
+        let last = |name: &str| *series.column(name).last().unwrap();
         let (pbft, iota, tldag) = (last("PBFT"), last("IOTA"), last("2LDAG"));
         // Replicated ledgers store ~|V|× more than 2LDAG.
         assert!(pbft > tldag * 4.0, "PBFT {pbft} vs 2LDAG {tldag}");
@@ -168,13 +193,11 @@ mod tests {
     #[test]
     fn storage_grows_linearly_in_slots() {
         let data = run(&tiny());
-        let series = data.panels[0].series.series("2LDAG").unwrap();
-        let points = series.points();
-        assert!(points.len() >= 3);
-        let (s1, v1) = points[0];
-        let (s2, v2) = points[points.len() - 1];
-        let per_slot_early = v1 / s1 as f64;
-        let per_slot_late = v2 / s2 as f64;
+        let series = &data.panels[0].series;
+        let (slots, values) = (series.column("slot"), series.column("2LDAG"));
+        assert!(values.len() >= 3);
+        let per_slot_early = values[0] / slots[0];
+        let per_slot_late = values[values.len() - 1] / slots[slots.len() - 1];
         // Per-slot growth is nearly constant (headers + H_i add slack).
         assert!((per_slot_late / per_slot_early - 1.0).abs() < 0.25);
     }

@@ -11,6 +11,8 @@
 //! application traffic and excluded (see DESIGN.md §3.3).
 
 use crate::experiments::scale::Scale;
+use crate::report::{Report, Table};
+use crate::row;
 use tldag_baselines::iota::IotaNetwork;
 use tldag_baselines::pbft::PbftNetwork;
 use tldag_baselines::BaselineConfig;
@@ -21,7 +23,6 @@ use tldag_core::workload::VerificationWorkload;
 use tldag_sim::bus::TrafficClass;
 use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::fault::{FaultPlan, MaliciousPlacement};
-use tldag_sim::metrics::SeriesSet;
 use tldag_sim::stats::Cdf;
 use tldag_sim::topology::{Topology, TopologyConfig};
 use tldag_sim::{Bits, DetRng};
@@ -90,16 +91,16 @@ impl Fig8Config {
     }
 }
 
-/// The full Fig. 8 dataset. All series carry cumulative mean per-node
-/// transmitted megabits.
+/// The full Fig. 8 dataset. All series tables carry a `slot` column and
+/// cumulative mean per-node transmitted megabits per system.
 #[derive(Clone, Debug)]
 pub struct Fig8Data {
     /// Panel (a): PBFT, IOTA, and each 2LDAG variant.
-    pub overall: SeriesSet,
+    pub overall: Table,
     /// Panel (b): digest traffic per 2LDAG variant.
-    pub dag_construction: SeriesSet,
+    pub dag_construction: Table,
     /// Panel (c): PoP traffic per 2LDAG variant.
-    pub consensus: SeriesSet,
+    pub consensus: Table,
     /// Panel (d): per-node transmitted Mb at the final slot, per variant.
     pub cdfs: Vec<(String, Cdf)>,
     /// PoP attempt/success counters per variant (diagnostic).
@@ -113,9 +114,11 @@ pub fn run(cfg: &Fig8Config) -> Fig8Data {
     let body_bits = Bits::from_megabytes_f(cfg.body_mb).bits();
     let schedule = GenerationSchedule::uniform(cfg.nodes);
 
-    let mut overall = SeriesSet::new();
-    let mut dag_construction = SeriesSet::new();
-    let mut consensus = SeriesSet::new();
+    let slots: Vec<u64> = (1..=cfg.slots)
+        .filter(|slot| slot % cfg.sample_every == 0)
+        .collect();
+    let mut dag_construction = Vec::new();
+    let mut consensus = Vec::new();
     let mut cdfs = Vec::new();
     let mut pop_counters = Vec::new();
 
@@ -123,24 +126,24 @@ pub fn run(cfg: &Fig8Config) -> Fig8Data {
     let base = BaselineConfig::paper_default().with_body_bits(body_bits);
     let mut pbft = PbftNetwork::new(base, topology.clone(), cfg.seed);
     let mut iota = IotaNetwork::new(base, topology.clone(), cfg.seed);
+    let (mut pbft_mb, mut iota_mb) = (vec![], vec![]);
     for slot in 1..=cfg.slots {
         pbft.step();
         iota.step();
         if slot % cfg.sample_every == 0 {
-            overall.series_mut("PBFT").record(
-                slot,
+            pbft_mb.push(
                 pbft.accounting()
                     .mean_node_tx(TrafficClass::Pbft)
                     .as_megabits(),
             );
-            overall.series_mut("IOTA").record(
-                slot,
+            iota_mb.push(
                 iota.accounting()
                     .mean_node_tx(TrafficClass::IotaGossip)
                     .as_megabits(),
             );
         }
     }
+    let mut overall = vec![("PBFT".to_string(), pbft_mb), ("IOTA".to_string(), iota_mb)];
 
     // 2LDAG variants.
     for variant in &cfg.variants {
@@ -159,6 +162,7 @@ pub fn run(cfg: &Fig8Config) -> Fig8Data {
         );
         net.apply_fault_plan(&plan, Behavior::Unresponsive);
 
+        let (mut both, mut dags, mut pops) = (vec![], vec![], vec![]);
         for slot in 1..=cfg.slots {
             net.step();
             if slot % cfg.sample_every == 0 {
@@ -167,13 +171,14 @@ pub fn run(cfg: &Fig8Config) -> Fig8Data {
                     .mean_node_tx(TrafficClass::DagConstruction)
                     .as_megabits();
                 let pop = acc.mean_node_tx(TrafficClass::Consensus).as_megabits();
-                overall.series_mut(&variant.label).record(slot, dag + pop);
-                dag_construction
-                    .series_mut(&variant.label)
-                    .record(slot, dag);
-                consensus.series_mut(&variant.label).record(slot, pop);
+                both.push(dag + pop);
+                dags.push(dag);
+                pops.push(pop);
             }
         }
+        overall.push((variant.label.clone(), both));
+        dag_construction.push((variant.label.clone(), dags));
+        consensus.push((variant.label.clone(), pops));
         let per_node: Vec<f64> = net
             .accounting()
             .per_node_tx(&[TrafficClass::DagConstruction, TrafficClass::Consensus])
@@ -186,12 +191,64 @@ pub fn run(cfg: &Fig8Config) -> Fig8Data {
     }
 
     Fig8Data {
-        overall,
-        dag_construction,
-        consensus,
+        overall: Table::series(
+            "fig8a_comm_overall",
+            "Fig. 8(a): overall mean node communication (Mb transmitted)",
+            &slots,
+            &overall,
+        ),
+        dag_construction: Table::series(
+            "fig8b_comm_dag",
+            "Fig. 8(b): DAG-construction component (Mb)",
+            &slots,
+            &dag_construction,
+        ),
+        consensus: Table::series(
+            "fig8c_comm_consensus",
+            "Fig. 8(c): consensus component (Mb)",
+            &slots,
+            &consensus,
+        ),
         cdfs,
         pop_counters,
     }
+}
+
+/// Fig. 8 at `scale`: panels (a)–(c), the per-variant CDFs of panel (d),
+/// and the PoP counters behind the consensus traffic.
+pub fn report(scale: Scale) -> Report {
+    let cfg = Fig8Config::at_scale(scale);
+    let data = run(&cfg);
+    let mut cdf = Table::new(
+        "fig8d_comm_cdf",
+        "Fig. 8(d): CDF of per-node transmitted Mb at final slot",
+    );
+    for (label, points) in &data.cdfs {
+        for (x, f) in points.points() {
+            cdf.push(row!["variant" => label.as_str(), "comm_mb" => x, "cdf" => f]);
+        }
+    }
+    let mut pop = Table::new("fig8_pop", "PoP diagnostics");
+    for (label, attempts, successes) in &data.pop_counters {
+        pop.push(row![
+            "variant" => label.as_str(),
+            "pop_attempts" => *attempts,
+            "pop_successes" => *successes,
+            "success_rate" => *successes as f64 / (*attempts).max(1) as f64,
+        ]);
+    }
+    let mut report = Report::new("fig8_comm", scale)
+        .param("nodes", cfg.nodes)
+        .param("slots", cfg.slots)
+        .param("body_mb", cfg.body_mb);
+    report.tables = vec![
+        data.overall,
+        data.dag_construction,
+        data.consensus,
+        cdf,
+        pop,
+    ];
+    report
 }
 
 #[cfg(test)]
@@ -225,7 +282,7 @@ mod tests {
     fn tldag_transmits_orders_less_than_baselines() {
         let cfg = tiny();
         let data = run(&cfg);
-        let last = |set: &SeriesSet, name: &str| set.series(name).unwrap().last().unwrap().1;
+        let last = |set: &Table, name: &str| *set.column(name).last().unwrap();
         let pbft = last(&data.overall, "PBFT");
         let iota = last(&data.overall, "IOTA");
         let tldag = last(&data.overall, "2LDAG-2");
@@ -239,14 +296,8 @@ mod tests {
         // much higher than DAG construction" (digests are tiny).
         let cfg = tiny();
         let data = run(&cfg);
-        let dag = data
-            .dag_construction
-            .series("2LDAG-2")
-            .unwrap()
-            .last()
-            .unwrap()
-            .1;
-        let pop = data.consensus.series("2LDAG-2").unwrap().last().unwrap().1;
+        let dag = *data.dag_construction.column("2LDAG-2").last().unwrap();
+        let pop = *data.consensus.column("2LDAG-2").last().unwrap();
         // At tiny scale the trust cache quickly blankets the small target
         // era, so late PoPs are nearly free; consensus traffic still must be
         // the same order as digest traffic. The paper-scale run (fig8_comm)
@@ -258,8 +309,8 @@ mod tests {
     fn higher_gamma_costs_more_consensus_traffic() {
         let cfg = tiny();
         let data = run(&cfg);
-        let lo = data.consensus.series("2LDAG-2").unwrap().last().unwrap().1;
-        let hi = data.consensus.series("2LDAG-3").unwrap().last().unwrap().1;
+        let lo = *data.consensus.column("2LDAG-2").last().unwrap();
+        let hi = *data.consensus.column("2LDAG-3").last().unwrap();
         assert!(hi > lo, "γ=3 ({hi}) should out-talk γ=2 ({lo})");
     }
 

@@ -8,6 +8,8 @@
 //! first sampled slot where the probability hits zero.
 
 use crate::experiments::scale::Scale;
+use crate::report::{Cell, Report, Table};
+use crate::row;
 use tldag_core::attack::Behavior;
 use tldag_core::block::BlockId;
 use tldag_core::config::ProtocolConfig;
@@ -16,7 +18,6 @@ use tldag_core::network::TldagNetwork;
 use tldag_core::workload::VerificationWorkload;
 use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::fault::{FaultPlan, MaliciousPlacement};
-use tldag_sim::metrics::SeriesSet;
 use tldag_sim::topology::{Topology, TopologyConfig};
 use tldag_sim::{Bits, DetRng, NodeId};
 
@@ -111,14 +112,14 @@ impl Fig9Config {
     }
 }
 
-/// Result of one panel: failure-probability series keyed by
-/// `"{m} malicious"`.
+/// Result of one panel: a `slot` column and one failure-probability column
+/// per malicious count, named `"{m} malicious"`.
 #[derive(Clone, Debug)]
 pub struct Fig9PanelData {
     /// Consensus margin γ.
     pub gamma: usize,
     /// One series per malicious count; y ∈ [0, 1].
-    pub series: SeriesSet,
+    pub series: Table,
     /// Slots-to-consensus per malicious count (first sampled slot where every
     /// probe succeeded), `None` if never within the range.
     pub slots_to_consensus: Vec<(usize, Option<u64>)>,
@@ -128,14 +129,15 @@ pub struct Fig9PanelData {
 pub fn run(cfg: &Fig9Config) -> Vec<Fig9PanelData> {
     cfg.panels
         .iter()
-        .map(|panel| run_panel(cfg, panel))
+        .enumerate()
+        .map(|(i, panel)| run_panel(cfg, panel, (b'a' + i as u8) as char))
         .collect()
 }
 
-fn run_panel(cfg: &Fig9Config, panel: &Fig9Panel) -> Fig9PanelData {
+fn run_panel(cfg: &Fig9Config, panel: &Fig9Panel, letter: char) -> Fig9PanelData {
     let (start, end, step) = panel.slot_range;
     let sample_slots: Vec<u64> = (start..=end).step_by(step as usize).collect();
-    let mut series = SeriesSet::new();
+    let mut series = Vec::new();
     let mut slots_to_consensus = Vec::new();
 
     for &malicious in &panel.malicious_counts {
@@ -184,15 +186,11 @@ fn run_panel(cfg: &Fig9Config, panel: &Fig9Panel) -> Fig9PanelData {
             }
         }
 
-        let s = series.series_mut(&label);
-        for (i, &slot) in sample_slots.iter().enumerate() {
-            let p = if attempts[i] == 0 {
-                1.0
-            } else {
-                failures[i] as f64 / attempts[i] as f64
-            };
-            s.record(slot, p);
-        }
+        let probability = |i: usize| match attempts[i] {
+            0 => 1.0,
+            n => failures[i] as f64 / n as f64,
+        };
+        series.push((label, (0..sample_slots.len()).map(probability).collect()));
         let reached = sample_slots
             .iter()
             .enumerate()
@@ -203,7 +201,15 @@ fn run_panel(cfg: &Fig9Config, panel: &Fig9Panel) -> Fig9PanelData {
 
     Fig9PanelData {
         gamma: panel.gamma,
-        series,
+        series: Table::series(
+            format!("fig9{letter}_failure_gamma{}", panel.gamma),
+            format!(
+                "Fig. 9({letter}): consensus failure probability, γ = {}",
+                panel.gamma
+            ),
+            &sample_slots,
+            &series,
+        ),
         slots_to_consensus,
     }
 }
@@ -214,7 +220,7 @@ fn run_panel(cfg: &Fig9Config, panel: &Fig9Panel) -> Fig9PanelData {
 /// generating ("orphaned" block) can never be verified no matter how long
 /// the DAG grows, and Fig. 9 measures DAG-growth delay, not orphanhood (the
 /// paper's curves reach exactly zero). The orphan rate itself is reported by
-/// the `ablation_bounds` binary.
+/// the `ablation_bounds` experiment.
 fn pick_probe(
     net: &TldagNetwork,
     dag: &LogicalDag,
@@ -246,6 +252,33 @@ fn pick_probe(
     rng.choose(&candidates).map(|&t| (validator, t))
 }
 
+/// Fig. 9 at `scale`: one failure-probability panel per γ, then the first
+/// sampled slot at which every probe succeeded (blank: not within range).
+pub fn report(scale: Scale) -> Report {
+    let cfg = Fig9Config::at_scale(scale);
+    let panels = run(&cfg);
+    let mut reached = Table::new(
+        "fig9_slots_to_consensus",
+        "slots to consensus (first sampled slot with zero failures)",
+    );
+    for panel in &panels {
+        for &(malicious, slot) in &panel.slots_to_consensus {
+            reached.push(row![
+                "gamma" => panel.gamma,
+                "malicious" => malicious,
+                "slot" => slot.map_or(Cell::Float(f64::NAN), Cell::Int),
+            ]);
+        }
+    }
+    let mut report = Report::new("fig9_failure", scale)
+        .param("nodes", cfg.nodes)
+        .param("seeds", cfg.seeds)
+        .param("probes_per_sample", cfg.probes_per_sample);
+    report.tables = panels.into_iter().map(|p| p.series).collect();
+    report.tables.push(reached);
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,10 +301,9 @@ mod tests {
     #[test]
     fn failure_probability_decreases_with_slots() {
         let data = run(&tiny());
-        let series = data[0].series.series("0 malicious").unwrap();
-        let points = series.points();
-        let first = points.first().unwrap().1;
-        let last = points.last().unwrap().1;
+        let points = data[0].series.column("0 malicious");
+        let first = points[0];
+        let last = points[points.len() - 1];
         assert!(
             last <= first,
             "failure probability should not grow: {first} -> {last}"
@@ -284,8 +316,8 @@ mod tests {
     fn probabilities_are_valid() {
         let data = run(&tiny());
         for panel in &data {
-            for name in panel.series.names() {
-                for (_, p) in panel.series.series(name).unwrap().points() {
+            for name in &panel.series.columns[1..] {
+                for p in panel.series.column(name) {
                     assert!((0.0..=1.0).contains(&p));
                 }
             }
@@ -295,24 +327,8 @@ mod tests {
     #[test]
     fn malicious_nodes_do_not_reduce_failures() {
         let data = run(&tiny());
-        let clean: Vec<f64> = data[0]
-            .series
-            .series("0 malicious")
-            .unwrap()
-            .points()
-            .iter()
-            .map(|&(_, p)| p)
-            .collect();
-        let dirty: Vec<f64> = data[0]
-            .series
-            .series("2 malicious")
-            .unwrap()
-            .points()
-            .iter()
-            .map(|&(_, p)| p)
-            .collect();
-        let clean_sum: f64 = clean.iter().sum();
-        let dirty_sum: f64 = dirty.iter().sum();
+        let clean_sum: f64 = data[0].series.column("0 malicious").iter().sum();
+        let dirty_sum: f64 = data[0].series.column("2 malicious").iter().sum();
         assert!(dirty_sum >= clean_sum - 0.5, "adversaries should not help");
     }
 }

@@ -18,19 +18,15 @@
 //! (digest parity against the reference engine must hold with the span
 //! store enabled).
 
-use crate::Scale;
+use crate::experiments::cluster::{discover_ports, reference_run};
+use crate::report::{Report, Table};
+use crate::{row, Scale};
 use std::sync::Arc;
 use std::time::Duration;
-use tldag_core::network::TldagNetwork;
-use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
-use tldag_net::runtime::{
-    deployment_protocol_config, deployment_topology, network_digest_of, NodeOutcome,
-};
+use tldag_net::runtime::{network_digest_of, NodeOutcome};
 use tldag_net::telemetry::NodeTelemetry;
 use tldag_net::{NetNode, NetNodeConfig};
 use tldag_obs::{build_timelines, SpanEvent};
-use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::NodeId;
 
 /// Sweep parameters.
@@ -106,28 +102,6 @@ pub struct LifecycleData {
     pub reference_pop: (u64, u64),
 }
 
-fn discover_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
-fn reference_run(config: &LifecycleConfig) -> TldagNetwork {
-    let topology = deployment_topology(config.seed, config.nodes, 300.0);
-    let cfg = deployment_protocol_config(config.gamma);
-    let schedule = GenerationSchedule::uniform(topology.len());
-    let mut net = TldagNetwork::new(cfg, topology, schedule, config.seed);
-    net.set_verification_workload(VerificationWorkload::RandomPast {
-        min_age_slots: config.nodes as u64,
-    });
-    replay_reference_schedule(&mut net, &[], &[], config.nodes, config.seed, config.slots);
-    net
-}
-
 /// One traced in-process cluster run: per-node outcomes plus the
 /// telemetry handles whose span stores outlive the runtimes.
 fn wire_run(config: &LifecycleConfig, window: u64) -> Vec<(NodeOutcome, Arc<NodeTelemetry>)> {
@@ -174,7 +148,14 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 
 /// Runs the sweep.
 pub fn run(config: &LifecycleConfig) -> LifecycleData {
-    let reference = reference_run(config);
+    let reference = reference_run(
+        config.seed,
+        config.nodes,
+        config.gamma,
+        config.slots,
+        &[],
+        &[],
+    );
     let reference_digest = reference.network_digest();
     let reference_pop = reference.pop_counters();
 
@@ -238,6 +219,46 @@ pub fn run(config: &LifecycleConfig) -> LifecycleData {
         points,
         reference_pop,
     }
+}
+
+/// The traced window sweep at `scale`. Tracing must never perturb the
+/// protocol: digest parity is an invariant at every window.
+pub fn report(scale: Scale) -> Report {
+    let cfg = LifecycleConfig::at_scale(scale);
+    let data = run(&cfg);
+    let mut table = Table::new(
+        "fig14_lifecycle",
+        format!(
+            "Block lifecycle latency: generate → committed everywhere (γ = {})",
+            cfg.gamma
+        ),
+    );
+    let mut report = Report::new("fig14_lifecycle", scale)
+        .param("nodes", cfg.nodes)
+        .param("slots", cfg.slots)
+        .param("gamma", cfg.gamma)
+        .param("reference_pop_attempts", data.reference_pop.0)
+        .param("reference_pop_successes", data.reference_pop.1);
+    for p in &data.points {
+        table.push(row![
+            "window" => p.window,
+            "timelines" => p.timelines,
+            "fully_stitched" => p.fully_stitched,
+            "committed" => p.committed,
+            "spans" => p.spans,
+            "dropped" => p.dropped,
+            "p50_us" => p.p50_us,
+            "p99_us" => p.p99_us,
+            "max_us" => p.max_us,
+            "parity" => p.parity,
+            "pop_attempts" => p.wire_pop.0,
+            "pop_successes" => p.wire_pop.1,
+        ]);
+        let name = format!("digest parity under tracing at window {}", p.window);
+        report.invariant(name, p.parity);
+    }
+    report.tables.push(table);
+    report
 }
 
 #[cfg(test)]

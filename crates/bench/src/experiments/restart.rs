@@ -20,12 +20,13 @@ use tldag_core::network::TldagNetwork;
 use tldag_core::workload::VerificationWorkload;
 use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::fault::RestartPlan;
-use tldag_sim::metrics::SeriesSet;
 use tldag_sim::topology::{Topology, TopologyConfig};
 use tldag_sim::{DetRng, NodeId};
 use tldag_storage::{DiskFactory, StorageOptions};
 
 use crate::experiments::scale::Scale;
+use crate::report::{Report, Table};
+use crate::row;
 
 /// Parameters of the restart-recovery sweep.
 #[derive(Clone, Debug)]
@@ -131,9 +132,10 @@ impl RecoveryOutcome {
 #[derive(Clone, Debug)]
 pub struct RestartData {
     /// Failure probability of probes on victims' pre-crash blocks
-    /// (series `"victim blocks"`) and on other nodes' blocks
-    /// (control series `"control blocks"`), per sampled slot.
-    pub series: SeriesSet,
+    /// (column `"victim blocks"`) and on other nodes' blocks
+    /// (control column `"control blocks"`), per sampled slot; blank where
+    /// a slot had no probe of that kind.
+    pub series: Table,
     /// One entry per crash/revive cycle per seed.
     pub recoveries: Vec<RecoveryOutcome>,
     /// Largest resident-memory estimate observed across disk-backed nodes.
@@ -261,22 +263,29 @@ pub fn run(cfg: &RestartConfig) -> RestartData {
         peak_disk_bytes = peak_disk_bytes.max(estimate_disk_bytes(&cfg.storage_root, seed));
     }
 
-    let mut series = SeriesSet::new();
-    let victim = series.series_mut("victim blocks");
-    for (i, &slot) in sample_slots.iter().enumerate() {
-        if victim_attempts[i] > 0 {
-            victim.record(slot, victim_failures[i] as f64 / victim_attempts[i] as f64);
-        }
-    }
-    let control = series.series_mut("control blocks");
-    for (i, &slot) in sample_slots.iter().enumerate() {
-        if control_attempts[i] > 0 {
-            control.record(
-                slot,
-                control_failures[i] as f64 / control_attempts[i] as f64,
-            );
-        }
-    }
+    // 0/0 is NaN: a slot without probes of one kind stays blank.
+    let rates = |failures: &[u64], attempts: &[u64]| -> Vec<f64> {
+        let pairs = failures.iter().zip(attempts);
+        pairs.map(|(&f, &a)| f as f64 / a as f64).collect()
+    };
+    let series = Table::series(
+        "fig9_restart_failure",
+        format!(
+            "PoP failure probability around node restarts (γ = {})",
+            cfg.gamma
+        ),
+        &sample_slots,
+        &[
+            (
+                "victim blocks".into(),
+                rates(&victim_failures, &victim_attempts),
+            ),
+            (
+                "control blocks".into(),
+                rates(&control_failures, &control_attempts),
+            ),
+        ],
+    );
 
     RestartData {
         series,
@@ -393,6 +402,55 @@ fn pick_control_probe(
     rng.choose(&eligible).map(|&t| (validator, t))
 }
 
+/// The restart sweep at `scale`: the failure-probability series, the
+/// per-crash recovery audit, and the durability contract as an invariant.
+pub fn report(scale: Scale) -> Report {
+    let cfg = RestartConfig::at_scale(scale);
+    let data = run(&cfg);
+    let _ = std::fs::remove_dir_all(&cfg.storage_root);
+
+    let mut audit = Table::new("fig9_restart_audit", "recovery audit (crash → reopen)");
+    for r in &data.recoveries {
+        audit.push(row![
+            "seed" => r.seed,
+            "node" => r.node.to_string(),
+            "crash_slot" => r.crash_slot,
+            "revive_slot" => r.revive_slot,
+            "blocks_before_crash" => r.blocks_before_crash,
+            "durable_before_crash" => r.durable_before_crash,
+            "revived" => r.revived,
+            "blocks_recovered" => r.blocks_recovered,
+            "lost_committed_blocks" => r.lost_committed_blocks(),
+        ]);
+    }
+    let lost = data
+        .recoveries
+        .iter()
+        .filter(|r| r.lost_committed_blocks())
+        .count();
+    let last = |column: &str| {
+        let mut sampled = data.series.column(column).into_iter();
+        sampled.rfind(|v| !v.is_nan()).unwrap_or(f64::NAN)
+    };
+    let mut summary = Table::new("fig9_restart_summary", "durability and footprint");
+    summary.push(row![
+        "crashes" => data.recoveries.len(),
+        "lost_committed_blocks" => lost,
+        "final_victim_failure" => last("victim blocks"),
+        "final_control_failure" => last("control blocks"),
+        "peak_resident_bytes" => data.peak_resident_bytes,
+        "peak_disk_bytes" => data.peak_disk_bytes,
+    ]);
+    let mut report = Report::new("fig9_restart", scale)
+        .param("nodes", cfg.nodes)
+        .param("seeds", cfg.seeds)
+        .param("restarts", cfg.restarts)
+        .param("downtime_slots", cfg.downtime_slots);
+    report.invariant("no committed block lost across a crash", lost == 0);
+    report.tables = vec![data.series, audit, summary];
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,14 +503,10 @@ mod tests {
 
         // Victim-block probes must fail during downtime (owner unreachable)
         // and succeed again afterwards.
-        let victim = data.series.series("victim blocks").unwrap();
-        let worst = victim
-            .points()
-            .iter()
-            .map(|&(_, p)| p)
-            .fold(0.0f64, f64::max);
+        let victim = data.series.column("victim blocks");
+        let worst = victim.iter().copied().fold(0.0f64, f64::max);
         assert_eq!(worst, 1.0, "downtime must be observable: {victim:?}");
-        let last = victim.points().last().unwrap().1;
+        let last = victim[victim.len() - 1];
         assert_eq!(last, 0.0, "PoP on victim blocks must recover: {victim:?}");
 
         // Durable backends keep resident memory well below the on-disk chain.
@@ -467,11 +521,10 @@ mod tests {
         // Early control probes may fail while the DAG is young (the Fig. 9
         // effect); by the end of the run they must all succeed — restarts
         // elsewhere never regress consensus on unrelated blocks.
-        let control = data.series.series("control blocks").unwrap();
-        let points = control.points();
-        let last = points.last().unwrap();
+        let control = data.series.column("control blocks");
         assert_eq!(
-            last.1, 0.0,
+            control[control.len() - 1],
+            0.0,
             "control probes must settle at zero: {control:?}"
         );
     }

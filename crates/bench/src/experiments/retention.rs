@@ -34,6 +34,8 @@ use tldag_sim::{DetRng, NodeId};
 use tldag_storage::{DiskFactory, StorageOptions};
 
 use crate::experiments::scale::Scale;
+use crate::report::{Report, Table};
+use crate::row;
 
 /// Parameters of the retention sweep.
 #[derive(Clone, Debug)]
@@ -398,6 +400,72 @@ fn measure_disk_bytes(root: &std::path::Path) -> u64 {
         }
     }
     total
+}
+
+/// Both retention sweeps at `scale`. Invariants: the tightest budget
+/// prunes, every old probe ends in one of the three graceful outcomes, and
+/// a persisted `H_i` beats a cold restart.
+pub fn report(scale: Scale) -> Report {
+    let cfg = RetentionConfig::at_scale(scale);
+    let data = run(&cfg);
+    let mut budgets = Table::new(
+        "fig7_retention",
+        "disk usage & PoP availability vs retention budget (Eq. 2 horizons; 0 = unbounded)",
+    );
+    for b in &data.budgets {
+        budgets.push(row![
+            "horizon_blocks" => b.horizon_blocks.unwrap_or(0),
+            "budget_bytes" => b.budget_bytes.unwrap_or(0),
+            "mean_disk_bytes" => b.mean_disk_bytes,
+            "eq2_retained_bytes" => b.eq2_retained_bytes,
+            "mean_retained_blocks" => b.mean_retained_blocks,
+            "mean_pruned_floor" => b.mean_pruned_floor,
+            "old_ok" => b.old_success.0,
+            "old_attempts" => b.old_success.1,
+            "old_pruned_misses" => b.old_pruned_misses,
+            "old_path_pruned_failures" => b.old_path_pruned_failures,
+            "mid_ok" => b.mid_success.0,
+            "mid_attempts" => b.mid_success.1,
+        ]);
+    }
+    let mut warm = Table::new(
+        "fig7_retention_warm",
+        "TPS after restart: cold vs warm (persisted H_i)",
+    );
+    for w in &data.warm {
+        warm.push(row![
+            "persist" => w.persist,
+            "headers_after_restart" => w.headers_after_restart,
+            "tps_extensions" => w.tps_extensions,
+            "req_child_sent" => w.req_child_sent,
+            "successes" => w.successes,
+            "targets" => cfg.warm_targets,
+            "hit_rate" => w.hit_rate,
+        ]);
+    }
+    let mut report = Report::new("fig7_retention", scale)
+        .param("nodes", cfg.nodes)
+        .param("slots", cfg.slots)
+        .param("gamma", cfg.gamma);
+    let tightest = data.budgets.last().expect("at least one budget");
+    if tightest.horizon_blocks.is_some() {
+        report.invariant(
+            "the tightest budget prunes",
+            tightest.mean_pruned_floor > 0.0,
+        );
+        report.invariant(
+            "every old probe succeeds, misses the pruned target gracefully, or fails with \
+pruned evidence on the path",
+            tightest.old_success.0 + tightest.old_pruned_misses + tightest.old_path_pruned_failures
+                == tightest.old_success.1,
+        );
+    }
+    report.invariant(
+        "a warm restart's TPS hit rate beats a cold one's",
+        data.warm[1].hit_rate > data.warm[0].hit_rate,
+    );
+    report.tables = vec![budgets, warm];
+    report
 }
 
 #[cfg(test)]

@@ -21,16 +21,12 @@
 //! The headline is `speedup`: blocks/s at window `W` relative to the
 //! lockstep baseline of the same sweep.
 
-use crate::Scale;
+use crate::experiments::cluster::{discover_ports, reference_run};
+use crate::report::{Report, Table};
+use crate::{row, Scale};
 use std::time::{Duration, Instant};
-use tldag_core::network::TldagNetwork;
-use tldag_core::workload::VerificationWorkload;
-use tldag_net::harness::replay_reference_schedule;
-use tldag_net::runtime::{
-    deployment_protocol_config, deployment_topology, network_digest_of, NodeOutcome,
-};
+use tldag_net::runtime::{network_digest_of, NodeOutcome};
 use tldag_net::{NetNode, NetNodeConfig};
-use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::NodeId;
 
 /// Sweep parameters.
@@ -115,43 +111,6 @@ pub struct SaturationData {
     pub points: Vec<SaturationPoint>,
 }
 
-impl SaturationData {
-    /// The best speedup any pipelined window achieved over lockstep.
-    pub fn best_speedup(&self) -> f64 {
-        self.points
-            .iter()
-            .filter(|p| p.window > 1)
-            .map(|p| p.speedup)
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Discovers `n` distinct loopback UDP ports by binding and releasing.
-fn discover_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
-/// The engine reference: same seed, same workload, replayed through the
-/// same helper the cluster harness uses. Window-independent — the whole
-/// point of the pipeline is that the ledger it converges to is identical.
-fn reference_run(config: &SaturationConfig) -> TldagNetwork {
-    let topology = deployment_topology(config.seed, config.nodes, 300.0);
-    let cfg = deployment_protocol_config(config.gamma);
-    let schedule = GenerationSchedule::uniform(topology.len());
-    let mut net = TldagNetwork::new(cfg, topology, schedule, config.seed);
-    net.set_verification_workload(VerificationWorkload::RandomPast {
-        min_age_slots: config.nodes as u64,
-    });
-    replay_reference_schedule(&mut net, &[], &[], config.nodes, config.seed, config.slots);
-    net
-}
-
 /// Runs one in-process cluster at the given window and returns per-node
 /// outcomes (id order) plus each node's slot-latency histogram snapshot.
 type NodeResult = (NodeOutcome, tldag_net::telemetry::HistogramSnapshot);
@@ -189,7 +148,16 @@ fn wire_run(config: &SaturationConfig, window: u64) -> Vec<NodeResult> {
 
 /// Runs the sweep.
 pub fn run(config: &SaturationConfig) -> SaturationData {
-    let reference = reference_run(config);
+    // Window-independent: the whole point of the pipeline is that the
+    // ledger it converges to is identical.
+    let reference = reference_run(
+        config.seed,
+        config.nodes,
+        config.gamma,
+        config.slots,
+        &[],
+        &[],
+    );
     let reference_digest = reference.network_digest();
     let reference_pop = reference.pop_counters();
 
@@ -248,6 +216,64 @@ pub fn run(config: &SaturationConfig) -> SaturationData {
         };
     }
     SaturationData { points }
+}
+
+/// The window sweep at `scale`. Digest parity and an undegraded barrier
+/// are invariants at every window; loopback throughput itself is judged by
+/// the repo benchmark's `wire_*` workloads, not here.
+pub fn report(scale: Scale) -> Report {
+    let cfg = SaturationConfig::at_scale(scale);
+    let data = run(&cfg);
+    let mut table = Table::new(
+        "fig13_saturation",
+        format!(
+            "Loopback cluster throughput vs pipeline window (γ = {})",
+            cfg.gamma
+        ),
+    );
+    let mut report = Report::new("fig13_saturation", scale)
+        .param("nodes", cfg.nodes)
+        .param("slots", cfg.slots)
+        .param("gamma", cfg.gamma);
+    for p in &data.points {
+        table.push(row![
+            "window" => p.window,
+            "blocks" => p.blocks,
+            "blocks_per_s" => p.blocks_per_s,
+            "pops_per_s" => p.pops_per_s,
+            "p50_slot_ms" => p.p50_slot_ms,
+            "p99_slot_ms" => p.p99_slot_ms,
+            "slot_loop_ms" => p.slot_loop_ms,
+            "wall_ms" => p.wall_ms,
+            "speedup" => p.speedup,
+            "parity" => p.parity,
+            "degraded_nodes" => p.degraded_nodes,
+            "pop_attempts" => p.pop_attempts,
+            "pop_successes" => p.pop_successes,
+            "reference_pop_attempts" => p.reference_pop.0,
+            "reference_pop_successes" => p.reference_pop.1,
+            "retries" => p.retries,
+            "datagrams" => p.datagrams,
+        ]);
+        report.invariant(format!("digest parity at window {}", p.window), p.parity);
+        report.invariant(
+            format!("no degraded node at window {}", p.window),
+            p.degraded_nodes == 0,
+        );
+    }
+    let fastest = data
+        .points
+        .iter()
+        .max_by(|a, b| a.blocks_per_s.total_cmp(&b.blocks_per_s));
+    if let (Some(base), Some(best)) = (data.points.iter().find(|p| p.window == 1), fastest) {
+        report.headline = format!(
+            "window {} reaches {:.0} blocks/s vs {:.0} lockstep — {:.1}x, at byte-identical \
+digests",
+            best.window, best.blocks_per_s, base.blocks_per_s, best.speedup
+        );
+    }
+    report.tables.push(table);
+    report
 }
 
 #[cfg(test)]

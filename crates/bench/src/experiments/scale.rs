@@ -5,23 +5,11 @@
 pub enum Scale {
     /// The paper's settings: 50 nodes, up to 200 slots, full parameter grids.
     Paper,
-    /// Reduced settings for smoke tests and CI.
+    /// Reduced settings for smoke tests and CI (`--quick`).
     Quick,
 }
 
 impl Scale {
-    /// Resolves the scale from process arguments and environment:
-    /// `--quick` or `TLDAG_QUICK=1` selects [`Scale::Quick`].
-    pub fn from_env_args() -> Self {
-        let quick_flag = std::env::args().any(|a| a == "--quick" || a == "-q");
-        let quick_env = std::env::var("TLDAG_QUICK").is_ok_and(|v| v == "1" || v == "true");
-        if quick_flag || quick_env {
-            Scale::Quick
-        } else {
-            Scale::Paper
-        }
-    }
-
     /// Number of IoT nodes.
     pub fn nodes(self) -> usize {
         match self {

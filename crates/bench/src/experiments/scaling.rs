@@ -33,6 +33,8 @@ use tldag_sim::DetRng;
 use tldag_storage::{DiskFactory, ShardedDiskFactory, StorageOptions};
 
 use crate::experiments::scale::Scale;
+use crate::report::{Report, Table};
+use crate::row;
 
 /// Parameters of the scaling sweeps.
 #[derive(Clone, Debug)]
@@ -367,6 +369,79 @@ pub fn run(cfg: &ScalingConfig) -> ScalingData {
         verify_identical,
         sync_samples,
     }
+}
+
+/// All three scaling sweeps at `scale`. Invariants: every thread count
+/// produces the identical chains, with and without the PoP phase.
+pub fn report(scale: Scale) -> Report {
+    let cfg = ScalingConfig::at_scale(scale);
+    // Thread speedups need physical cores: on one core the sweep reads ~1×
+    // (the determinism check still runs), so the count is part of the result.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let data = run(&cfg);
+    let mut threads = Table::new(
+        "fig10_scaling_threads",
+        format!(
+            "slot-loop throughput vs worker threads ({} nodes, {} slots, memory)",
+            cfg.thread_sweep_nodes, cfg.thread_sweep_slots
+        ),
+    );
+    for s in &data.thread_samples {
+        threads.push(row![
+            "threads" => s.threads,
+            "wall_ms" => s.wall_ms,
+            "blocks_per_sec" => s.blocks_per_sec,
+            "speedup" => s.speedup,
+            "digest" => s.digest.as_str(),
+        ]);
+    }
+    let mut verify = Table::new(
+        "fig10_scaling_verify",
+        format!(
+            "determinism with PoP + lossy links on ({} nodes, {} slots, memory)",
+            cfg.verify_sweep_nodes, cfg.verify_sweep_slots
+        ),
+    );
+    for s in &data.verify_samples {
+        verify.push(row![
+            "threads" => s.threads,
+            "wall_ms" => s.wall_ms,
+            "pop_attempts" => s.pop_counters.0,
+            "pop_successes" => s.pop_counters.1,
+            "digest" => s.digest.as_str(),
+        ]);
+    }
+    let mut sync = Table::new(
+        "fig10_scaling_sync",
+        format!(
+            "disk-mode throughput vs sync policy ({} nodes, {} slots, {} shards)",
+            cfg.sync_sweep_nodes, cfg.sync_sweep_slots, cfg.sync_sweep_shards
+        ),
+    );
+    for s in &data.sync_samples {
+        sync.push(row![
+            "config" => s.config.as_str(),
+            "wall_ms" => s.wall_ms,
+            "blocks_per_sec" => s.blocks_per_sec,
+            "fsyncs" => s.fsyncs,
+            "speedup" => s.speedup,
+        ]);
+    }
+    let mut report = Report::new("fig10_scaling", scale)
+        .param("cores_available", cores)
+        .param("thread_sweep_nodes", cfg.thread_sweep_nodes)
+        .param("verify_sweep_nodes", cfg.verify_sweep_nodes)
+        .param("sync_sweep_nodes", cfg.sync_sweep_nodes);
+    report.invariant(
+        "chain digests identical across thread counts",
+        data.digests_identical,
+    );
+    report.invariant(
+        "PoP-phase digests and counters identical across thread counts",
+        data.verify_identical,
+    );
+    report.tables = vec![threads, verify, sync];
+    report
 }
 
 #[cfg(test)]

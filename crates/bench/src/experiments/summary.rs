@@ -6,6 +6,8 @@
 //! even when 49 % of nodes are malicious."*
 
 use crate::experiments::scale::Scale;
+use crate::report::{Report, Table};
+use crate::row;
 use tldag_baselines::iota::IotaNetwork;
 use tldag_baselines::ledger::LedgerSim;
 use tldag_baselines::pbft::PbftNetwork;
@@ -158,6 +160,57 @@ pub fn run(scale: Scale) -> SummaryData {
         success_rate_49pct,
         slots,
     }
+}
+
+/// The headline comparison at `scale`: the per-system costs, their log10
+/// ratios to 2LDAG, and consensus capability at ~49 % malicious nodes.
+pub fn report(scale: Scale) -> Report {
+    let data = run(scale);
+    let mut systems = Table::new(
+        "table1_summary",
+        format!(
+            "Headline comparison after {} slots (C = 0.5 MB)",
+            data.slots
+        ),
+    );
+    for r in &data.rows {
+        systems.push(row![
+            "system" => r.name.as_str(),
+            "storage_mb" => r.storage_mb,
+            "comm_mb" => r.comm_mb,
+        ]);
+    }
+    let mut orders = Table::new(
+        "table1_orders",
+        "orders of magnitude vs 2LDAG (log10 ratios; paper: storage ≈ 2, comm ≈ 3)",
+    );
+    let versus = [
+        ("PBFT", data.storage_orders.0, data.comm_orders.0),
+        ("IOTA", data.storage_orders.1, data.comm_orders.1),
+    ];
+    for (system, storage, comm) in versus {
+        orders.push(row!["versus" => system, "storage_orders" => storage, "comm_orders" => comm]);
+    }
+    let mut resilience = Table::new(
+        "table1_resilience",
+        "PoP with ~49% of nodes malicious (paper: consensus achieved)",
+    );
+    resilience.push(row![
+        "malicious_share" => 0.49,
+        "pop_success_rate" => data.success_rate_49pct,
+    ]);
+    let mut report = Report::new("table1_summary", scale).param("slots", data.slots);
+    report.headline = format!(
+        "storage {:.2}/{:.2} and communication {:.2}/{:.2} orders of magnitude below \
+PBFT/IOTA; {:.1}% of PoPs succeed with ~49% of nodes malicious",
+        data.storage_orders.0,
+        data.storage_orders.1,
+        data.comm_orders.0,
+        data.comm_orders.1,
+        data.success_rate_49pct * 100.0
+    );
+    report.tables = vec![systems, orders, resilience];
+    report
 }
 
 #[cfg(test)]

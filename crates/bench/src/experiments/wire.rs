@@ -13,7 +13,9 @@
 //! TPS is disabled so every path extension crosses the socket: the numbers
 //! measure the transport, not the validator's cache.
 
-use crate::Scale;
+use crate::experiments::cluster::net_table;
+use crate::report::{Report, Table};
+use crate::{row, Scale};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -318,6 +320,79 @@ pub fn run(config: &WireConfig) -> WireData {
         drop(wire); // join receiver threads before the next rate
     }
     WireData { points }
+}
+
+fn points_table(name: &str, cfg: &WireConfig, data: &WireData) -> Table {
+    let mut table = Table::new(
+        name,
+        format!(
+            "PoP over UDP under injected datagram faults (γ = {}, batch {})",
+            cfg.gamma, cfg.batch
+        ),
+    );
+    for p in &data.points {
+        table.push(row![
+            "loss" => p.loss,
+            "attempts" => p.attempts,
+            "successes" => p.successes,
+            "success_rate" => p.success_rate(),
+            "mean_latency_ms" => p.mean_latency_ms,
+            "max_latency_ms" => p.max_latency_ms,
+            "retries" => p.retries,
+            "timeouts" => p.timeouts,
+            "datagrams" => p.datagrams,
+            "injected_drops" => p.injected_drops,
+            "messages" => p.messages,
+            "rtt_p50_us" => p.rtt_p50_us,
+            "rtt_p99_us" => p.rtt_p99_us,
+        ]);
+    }
+    table
+}
+
+/// The loss sweep at `scale`, in both I/O modes: the batched receive path
+/// the runtime ships, then the one-datagram-per-wakeup loop it replaced.
+/// PoP completion must not be lower with batching at any swept loss rate.
+pub fn report(scale: Scale) -> Report {
+    let cfg = WireConfig::at_scale(scale);
+    let single_cfg = WireConfig {
+        batch: 1,
+        ..cfg.clone()
+    };
+    let (batched, single) = (run(&cfg), run(&single_cfg));
+    let mut report = Report::new("fig11_wire", scale)
+        .param("nodes", cfg.nodes)
+        .param("warm_slots", cfg.warm_slots)
+        .param("pops_per_rate", cfg.pops_per_rate)
+        .param("batch", cfg.batch);
+    for (b, s) in batched.points.iter().zip(&single.points) {
+        report.invariant(
+            format!(
+                "batched I/O completes no fewer PoPs than batch 1 at {:.0}% loss",
+                b.loss * 100.0
+            ),
+            b.success_rate() >= s.success_rate(),
+        );
+    }
+    // The wire stack earns its keep when loss is survivable.
+    if let Some(p) = batched.points.iter().find(|p| p.loss >= 0.10) {
+        report.headline = format!(
+            "at {:.0}% injected datagram loss, {:.1}% of PoP runs completed (via {} retries)",
+            p.loss * 100.0,
+            p.success_rate() * 100.0,
+            p.retries
+        );
+    }
+    let labelled = |p: &RatePoint| (format!("loss {}", p.loss), p.net);
+    report.tables = vec![
+        points_table("fig11_wire", &cfg, &batched),
+        points_table("fig11_wire_batch1", &single_cfg, &single),
+        net_table(
+            "fig11_wire_net",
+            batched.points.iter().map(labelled).collect(),
+        ),
+    ];
+    report
 }
 
 #[cfg(test)]

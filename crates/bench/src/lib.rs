@@ -1,31 +1,21 @@
 //! # tldag-bench — the 2LDAG evaluation harness
 //!
-//! One regeneration target per panel of the paper's evaluation (Sec. VI):
-//!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `fig7_storage` | Fig. 7(a–c) storage vs slots for C ∈ {0.1, 0.5, 1} MB, and 7(d) per-node storage CDF |
-//! | `fig7_retention` | Eq. 2 retention budgets: disk vs budget, PoP availability by block age, warm vs cold restart TPS |
-//! | `fig8_comm` | Fig. 8(a) overall comm, 8(b) DAG construction, 8(c) consensus, 8(d) per-node comm CDF |
-//! | `fig9_failure` | Fig. 9(a–d) consensus-failure probability for γ ∈ {10, 15, 20, 24} |
-//! | `fig9_restart` | Node kill + disk recovery: PoP availability through the outage |
-//! | `fig10_scaling` | Sharded-engine throughput vs threads; disk throughput vs sync policy |
-//! | `fig11_wire` | PoP over real UDP sockets under injected datagram loss/dup/reorder |
-//! | `fig12_churn` | Dynamic membership: join/leave churn over lossy UDP — PoP completion, joiner catch-up latency, digest parity |
-//! | `fig13_saturation` | Pipeline saturation: loopback cluster blocks/s, PoP/s, and p50/p99 slot latency vs epoch-window size, lockstep baseline |
-//! | `table1_summary` | The abstract's headline ratios (storage ≈2, comm ≈3 orders of magnitude) |
-//! | `ablation_wps` | WPS vs random next-hop selection |
-//! | `ablation_tps` | TPS cache on vs off over repeated verifications |
-//! | `ablation_bounds` | Measured overhead vs the Prop. 1–6 analytic bounds |
-//!
-//! All binaries accept `--quick` (or `TLDAG_QUICK=1`) for a reduced sweep and
-//! print both an aligned table and CSV. Criterion micro-benchmarks live in
+//! One binary, `experiments`, runs every panel of the paper's evaluation
+//! (Sec. VI) and the extensions from one table, [`experiments::REGISTRY`]:
+//! `experiments --list` prints it (name, what the row reproduces, how its
+//! artifact is gated). Every experiment module keeps its `run(&cfg)` and
+//! adds `report(scale)`, which returns the one result type,
+//! [`report::Report`]; the aligned tables on stdout, the CSVs and
+//! `BENCH_<name>.json` under `target/experiments/` are three views of that
+//! value, and [`gate`] compares the JSON against `experiments/baselines/`.
+//! `--quick` selects the reduced sweep. Criterion micro-benchmarks live in
 //! `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod gate;
 pub mod report;
 
 pub use experiments::scale::Scale;

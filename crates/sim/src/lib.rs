@@ -13,7 +13,7 @@
 //! * [`bus`] — a message bus that meters transmitted/received bits per node
 //!   and per traffic category.
 //! * [`fault`] — malicious-node selection and link-level fault injection.
-//! * [`metrics`] / [`stats`] — counters, time series, CDFs, and summary stats.
+//! * [`stats`] — CDFs and summary stats.
 //! * [`units`] — bit/byte/megabyte conversions used by the overhead model.
 //!
 //! # Example
@@ -35,7 +35,6 @@ pub mod bus;
 pub mod engine;
 pub mod fault;
 pub mod geometry;
-pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod topology;

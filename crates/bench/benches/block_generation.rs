@@ -3,8 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::node::LedgerNode;
+use tldag_core::store::{BlockBackend, BlockStore};
 use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_crypto::schnorr::KeyPair;
 use tldag_crypto::Digest;
@@ -45,13 +47,7 @@ fn bench_create_paper_density(c: &mut Criterion) {
         .with_body_bits(8 * 1024)
         .with_difficulty(6);
     let keypair = KeyPair::from_seed(0);
-    let digests: Vec<DigestEntry> = (0..19u32)
-        .map(|i| DigestEntry {
-            // Own previous block last, as `generate_block` orders it.
-            origin: NodeId((i + 1) % 19),
-            digest: Digest::from_bytes([i as u8 + 1; 32]),
-        })
-        .collect();
+    let digests: Arc<[DigestEntry]> = paper_density_digests().into();
     let mut seq = 0u32;
     c.bench_function("create_block/paper_density_d6_1k", |b| {
         b.iter(|| {
@@ -72,6 +68,48 @@ fn bench_create_paper_density(c: &mut Criterion) {
     });
 }
 
+/// 18 neighbour digests plus the own previous one, own last as
+/// `generate_block` orders them.
+fn paper_density_digests() -> Vec<DigestEntry> {
+    (0..19u32)
+        .map(|i| DigestEntry {
+            origin: NodeId((i + 1) % 19),
+            digest: Digest::from_bytes([i as u8 + 1; 32]),
+        })
+        .collect()
+}
+
+/// Copying a paper-density block, the way `S_i` reads, replies and `H_i`
+/// inserts do. The digest list is shared, so a clone is two reference-count
+/// bumps; a deep copy of the 684-byte list would show here first.
+fn bench_clone_paper_density(c: &mut Criterion) {
+    let cfg = ProtocolConfig::paper_default().with_body_bits(8 * 1024);
+    let keypair = KeyPair::from_seed(0);
+    let mut store = BlockStore::new();
+    for seq in 0..64u32 {
+        let block = DataBlock::create(
+            &cfg,
+            BlockId::new(NodeId(0), seq),
+            u64::from(seq),
+            paper_density_digests(),
+            BlockBody::new(vec![seq as u8; 1024], cfg.body_bits),
+            &keypair,
+        );
+        store.append(block).unwrap();
+    }
+    let block = store.latest().unwrap();
+    c.bench_function("block_clone/paper_density", |b| {
+        b.iter(|| black_box(black_box(&block).clone()));
+    });
+    let mut seq = 0u32;
+    c.bench_function("store_get/paper_density", |b| {
+        b.iter(|| {
+            seq = (seq + 1) % 64;
+            black_box(store.get(black_box(seq)))
+        });
+    });
+}
+
 fn bench_receive_digest(c: &mut Criterion) {
     let cfg = ProtocolConfig::test_default();
     let mut node = LedgerNode::new(NodeId(0), vec![NodeId(1)], &cfg);
@@ -88,6 +126,7 @@ criterion_group!(
     benches,
     bench_generate_block,
     bench_create_paper_density,
+    bench_clone_paper_density,
     bench_receive_digest
 );
 criterion_main!(benches);

@@ -111,7 +111,7 @@ fn bench_trust_cache_insert(c: &mut Criterion) {
                         origin: NodeId(origin),
                         digest: previous[origin as usize],
                     })
-                    .collect();
+                    .collect::<Vec<_>>();
                 DataBlock::create(
                     &cfg,
                     BlockId::new(NodeId(owner), slot),

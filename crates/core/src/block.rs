@@ -7,11 +7,18 @@
 //! (Sec. III-C). Headers hash to a [`Digest`] via a canonical, length-prefixed
 //! encoding; the same encoding (minus the signature) is what the node signs
 //! (Eq. 6) and what the difficulty puzzle covers (Eq. 5).
+//!
+//! A header's Digests field is an immutable shared list: cloning a header
+//! or a block bumps a reference count, so the owner's `S_i`, every `H_i`
+//! caching the header and every reply in flight hold one allocation. Code
+//! that needs a different list (a tampering adversary, a test) builds a
+//! fresh one and assigns it; nothing writes through a shared list.
 
 use crate::config::ProtocolConfig;
 use crate::error::ValidationError;
 use bytes::Bytes;
 use std::fmt;
+use std::sync::Arc;
 use tldag_crypto::merkle::merkle_root;
 use tldag_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use tldag_crypto::sha256::Sha256;
@@ -68,8 +75,8 @@ pub struct BlockHeader {
     /// Merkle root of the block body (`f_H` bits).
     pub root: Digest,
     /// Digests from neighbors plus own previous block
-    /// (`f_H × (n+1)` bits).
-    pub digests: Vec<DigestEntry>,
+    /// (`f_H × (n+1)` bits), shared by every clone of the header.
+    pub digests: Arc<[DigestEntry]>,
     /// Puzzle nonce (`f_n` = 32 bits).
     pub nonce: u32,
     /// Schnorr signature over the other header fields (`f_s` = 256 bits).
@@ -80,7 +87,7 @@ impl BlockHeader {
     /// Streams the Digests field into `h`, one `(origin ‖ digest)` entry at
     /// a time.
     fn absorb_digests(&self, h: &mut Sha256) {
-        for entry in &self.digests {
+        for entry in self.digests.iter() {
             let mut bytes = [0u8; 36];
             bytes[..4].copy_from_slice(&entry.origin.0.to_be_bytes());
             bytes[4..].copy_from_slice(entry.digest.as_bytes());
@@ -219,7 +226,7 @@ impl DataBlock {
         cfg: &ProtocolConfig,
         id: BlockId,
         time: Slot,
-        digests: Vec<DigestEntry>,
+        digests: impl Into<Arc<[DigestEntry]>>,
         body: BlockBody,
         keypair: &KeyPair,
     ) -> Self {
@@ -228,7 +235,7 @@ impl DataBlock {
             version: cfg.version,
             time,
             root,
-            digests,
+            digests: digests.into(),
             nonce: 0,
             signature: Signature::garbage(),
         };
@@ -361,9 +368,17 @@ mod tests {
         h.signature = Signature::garbage();
         assert_ne!(h.digest(), base);
 
+        // Copy-on-write: a fresh list, never a write through the shared one.
         let mut h = block.header.clone();
-        h.digests[0].digest = h.digests[0].digest.corrupted();
+        let mut digests = h.digests.to_vec();
+        digests[0].digest = digests[0].digest.corrupted();
+        h.digests = digests.into();
         assert_ne!(h.digest(), base);
+        assert_eq!(
+            block.header_digest(),
+            base,
+            "the original list is untouched"
+        );
     }
 
     #[test]
@@ -419,7 +434,7 @@ mod tests {
 
     fn puzzle_prefix(h: &BlockHeader) -> Vec<u8> {
         let mut out = h.root.as_bytes().to_vec();
-        for entry in &h.digests {
+        for entry in h.digests.iter() {
             out.extend_from_slice(&entry.origin.0.to_be_bytes());
             out.extend_from_slice(entry.digest.as_bytes());
         }
@@ -438,7 +453,7 @@ mod tests {
                     origin: NodeId(i as u32),
                     digest: Digest::from_bytes([i as u8 + 1; 32]),
                 })
-                .collect();
+                .collect::<Vec<_>>();
             let body = BlockBody::new(vec![entries as u8; 64], cfg.body_bits);
             let id = BlockId::new(NodeId(11), 3);
             let header = DataBlock::create(&cfg, id, 9, digests, body, &kp).header;

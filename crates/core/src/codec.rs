@@ -21,6 +21,8 @@ use tldag_sim::NodeId;
 /// Maximum digest entries a decoded header may carry (sanity bound: a node
 /// cannot have more neighbors than a deployment has nodes).
 const MAX_DIGEST_ENTRIES: usize = 4096;
+/// Encoded size of one digest entry: `origin ‖ digest`.
+const DIGEST_ENTRY_BYTES: usize = 4 + 32;
 /// Maximum payload bytes a decoded body may carry.
 const MAX_PAYLOAD_BYTES: usize = 16 * 1024 * 1024;
 
@@ -144,12 +146,12 @@ impl<'a> Reader<'a> {
 
 /// Encodes a block header.
 pub fn encode_header(header: &BlockHeader) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + header.digests.len() * 36);
+    let mut out = Vec::with_capacity(64 + header.digests.len() * DIGEST_ENTRY_BYTES);
     out.extend_from_slice(&header.version.to_be_bytes());
     out.extend_from_slice(&header.time.to_be_bytes());
     out.extend_from_slice(header.root.as_bytes());
     out.extend_from_slice(&(header.digests.len() as u32).to_be_bytes());
-    for entry in &header.digests {
+    for entry in header.digests.iter() {
         out.extend_from_slice(&entry.origin.0.to_be_bytes());
         out.extend_from_slice(entry.digest.as_bytes());
     }
@@ -166,12 +168,19 @@ fn read_header(r: &mut Reader<'_>) -> Result<BlockHeader, CodecError> {
     if count > MAX_DIGEST_ENTRIES {
         return Err(CodecError::LengthOverflow);
     }
-    let mut digests = Vec::with_capacity(count);
-    for _ in 0..count {
-        let origin = NodeId(r.u32()?);
-        let digest = r.digest()?;
-        digests.push(DigestEntry { origin, digest });
-    }
+    // Bounds-checked once, then collected from an exact-size iterator:
+    // one allocation, straight into the shared list.
+    let digests = r
+        .take(count * DIGEST_ENTRY_BYTES)?
+        .chunks_exact(DIGEST_ENTRY_BYTES)
+        .map(|raw| {
+            let (origin, digest) = raw.split_at(4);
+            DigestEntry {
+                origin: NodeId(u32::from_be_bytes(origin.try_into().expect("4 bytes"))),
+                digest: Digest::from_bytes(digest.try_into().expect("32 bytes")),
+            }
+        })
+        .collect();
     let nonce = r.u32()?;
     let signature = Signature::from_bytes(r.take(16)?.try_into().expect("16 bytes"));
     Ok(BlockHeader {
@@ -521,7 +530,7 @@ mod tests {
                 origin: NodeId(i as u32),
                 digest: Digest::from_bytes([i as u8; 32]),
             })
-            .collect();
+            .collect::<Vec<_>>();
         DataBlock::create(
             &cfg,
             BlockId::new(NodeId(3), 7),

@@ -356,11 +356,19 @@ impl LedgerNode {
         };
         let mut header = block.header;
         if self.behavior == Behavior::CorruptReply {
-            for entry in &mut header.digests {
-                if entry.digest == *target {
-                    entry.digest = entry.digest.corrupted();
-                }
-            }
+            // A fresh list: the stored one is shared with `S_i` and `H_i`.
+            header.digests = header
+                .digests
+                .iter()
+                .map(|&DigestEntry { origin, digest }| DigestEntry {
+                    origin,
+                    digest: if digest == *target {
+                        digest.corrupted()
+                    } else {
+                        digest
+                    },
+                })
+                .collect();
         }
         Some(ChildServe::Found(block.id, header))
     }

@@ -108,8 +108,9 @@ impl std::str::FromStr for SyncPolicy {
 /// Implementations must preserve the append-only, strictly sequential chain
 /// discipline (Sec. III-D) and answer the responder-side lookups of Eq. 10–11.
 /// Methods return **owned** blocks because durable backends decode records
-/// from disk; the in-memory backend clones, which is cheap — block bodies are
-/// reference-counted.
+/// from disk; the in-memory backend clones, which is cheap — block bodies
+/// and headers' digest lists are both reference-counted, so a clone copies
+/// no payload and no digest entry.
 ///
 /// Backends must be `Send + Sync`: the shard-parallel engine reads peer
 /// stores from several worker threads at once (PoP responder lookups), so
@@ -346,36 +347,103 @@ impl BackendFactory for MemoryBackendFactory {
 
 /// The value of a contained-digest index entry: the positions (chain seqs
 /// in `S_i` and in `tldag-storage`'s block index, slab indices in `H_i`) of
-/// the headers containing one digest. Most digests are contained by exactly
-/// one header a node holds, so that case lives inline and only a second
-/// child allocates. Never empty: an index drops the key instead.
+/// the headers containing one digest. Most digests are contained by a few
+/// headers a node holds, so up to [`ChildList::INLINE`] children live inline
+/// and only the next one allocates. The list is no larger than the `Vec`
+/// it replaces, so no index map bucket grows. Never empty: an index drops
+/// the key instead.
 #[derive(Clone, Debug)]
 pub enum ChildList {
     /// The only child.
     One(u32),
-    /// Two or more children, in the order the index keeps them.
+    /// Two or three children: the first `len` of `items`.
+    Few {
+        /// Live children (2 or 3).
+        len: u8,
+        /// The children, in list order; slots past `len` are unused.
+        items: [u32; ChildList::INLINE],
+    },
+    /// Four or more children, in the order the index keeps them.
     Many(Vec<u32>),
 }
 
+const _: () = assert!(std::mem::size_of::<ChildList>() == std::mem::size_of::<Vec<u32>>());
+
 impl ChildList {
+    /// Most children a list holds without allocating.
+    pub const INLINE: usize = 3;
+
     /// The children, in list order.
     pub fn as_slice(&self) -> &[u32] {
         match self {
             ChildList::One(only) => std::slice::from_ref(only),
+            ChildList::Few { len, items } => &items[..usize::from(*len)],
             ChildList::Many(all) => all,
         }
     }
 
-    fn insert(&mut self, at: usize, child: u32) {
-        match self {
-            ChildList::One(only) => {
-                let mut all = Vec::with_capacity(4);
-                all.push(*only);
-                all.insert(at, child);
-                *self = ChildList::Many(all);
+    /// The smallest form holding `children` (one to [`Self::INLINE`]).
+    fn inline(children: &[u32]) -> Self {
+        match *children {
+            [only] => ChildList::One(only),
+            _ => {
+                let mut items = [0; Self::INLINE];
+                items[..children.len()].copy_from_slice(children);
+                ChildList::Few {
+                    len: children.len() as u8,
+                    items,
+                }
             }
-            ChildList::Many(all) => all.insert(at, child),
         }
+    }
+
+    fn insert(&mut self, at: usize, child: u32) {
+        if let ChildList::Many(all) = self {
+            all.insert(at, child);
+            return;
+        }
+        let old = self.as_slice();
+        let mut buf = [0; Self::INLINE + 1];
+        buf[..at].copy_from_slice(&old[..at]);
+        buf[at] = child;
+        buf[at + 1..=old.len()].copy_from_slice(&old[at..]);
+        let grown = &buf[..=old.len()];
+        *self = if grown.len() <= Self::INLINE {
+            Self::inline(grown)
+        } else {
+            ChildList::Many(grown.to_vec())
+        };
+    }
+
+    /// Keeps the children `keep` accepts, in order, and moves the list back
+    /// to the smallest form that holds them (releasing the allocation once
+    /// [`Self::INLINE`] or fewer remain). Returns how many remain; at 0 the
+    /// caller drops the key, since a list is never empty.
+    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) -> usize {
+        let mut kept = [0; Self::INLINE];
+        let mut len = 0;
+        match self {
+            ChildList::Many(all) => {
+                all.retain(|&child| keep(child));
+                if all.len() > Self::INLINE {
+                    return all.len();
+                }
+                len = all.len();
+                kept[..len].copy_from_slice(all);
+            }
+            _ => {
+                for &child in self.as_slice() {
+                    if keep(child) {
+                        kept[len] = child;
+                        len += 1;
+                    }
+                }
+            }
+        }
+        if len > 0 {
+            *self = Self::inline(&kept[..len]);
+        }
+        len
     }
 }
 
@@ -436,7 +504,7 @@ impl BlockBackend for BlockStore {
         let digest = block.header_digest();
         self.latest_digest = Some(digest);
         self.by_digest.insert(digest, block.id.seq);
-        for entry in &block.header.digests {
+        for entry in block.header.digests.iter() {
             index_child(
                 &mut self.children_of,
                 entry.digest,
@@ -512,7 +580,8 @@ pub struct TrustedHeader {
     pub owner: NodeId,
     /// Block identity in the owner's chain.
     pub block_id: BlockId,
-    /// The verified header.
+    /// The verified header. Its digest list is the one the reply carried,
+    /// shared with the responder's `S_i` in the in-process engine.
     pub header: BlockHeader,
 }
 
@@ -563,7 +632,7 @@ impl TrustCache {
             (t.header.time, t.owner, t.block_id.seq)
         };
         let key = order(index);
-        for entry in &slab[index as usize].1.header.digests {
+        for entry in slab[index as usize].1.header.digests.iter() {
             index_child(&mut self.children_of, entry.digest, index, |list| {
                 list.partition_point(|&i| order(i) <= key)
             });
@@ -822,7 +891,7 @@ mod tests {
             if self.by_digest.contains_key(&digest) {
                 return;
             }
-            for entry in &trusted.header.digests {
+            for entry in trusted.header.digests.iter() {
                 self.children_of
                     .entry(entry.digest)
                     .or_default()
@@ -864,7 +933,7 @@ mod tests {
                             // May repeat within one header.
                             digest: parents[rng.index(parents.len())],
                         })
-                        .collect();
+                        .collect::<Vec<_>>();
                     let block = DataBlock::create(
                         &cfg,
                         BlockId::new(owner, rng.index(3) as u32),
@@ -948,6 +1017,71 @@ mod tests {
         }
         assert_eq!(store.oldest_child_of_within(&thrice, 4).unwrap().id.seq, 1);
         assert_eq!(store.oldest_child_of_within(&once, 4), None);
+    }
+
+    /// The list's form follows its length: one child in `One`, two or three
+    /// inline in `Few`, the heap only from four on.
+    fn form_fits(list: &ChildList) -> bool {
+        let len = list.as_slice().len();
+        match list {
+            ChildList::One(_) => len == 1,
+            ChildList::Few { .. } => (2..=ChildList::INLINE).contains(&len),
+            ChildList::Many(_) => len > ChildList::INLINE,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random inserts at random positions and random prunes, replayed on
+        /// a `Vec`: same children in the same order, in the smallest form.
+        #[test]
+        fn child_list_matches_a_vec_reference(
+            ops in proptest::collection::vec((0u32..5, 0u32..40, 0usize..12), 1..80),
+        ) {
+            let mut list: Option<ChildList> = None;
+            let mut reference: Vec<u32> = Vec::new();
+            for (op, child, at) in ops {
+                if op == 0 {
+                    // Prune everything below `child`, as `prune_below` does.
+                    let left = list.as_mut().map_or(0, |l| l.retain(|c| c >= child));
+                    reference.retain(|&c| c >= child);
+                    proptest::prop_assert_eq!(left, reference.len());
+                    if left == 0 {
+                        list = None;
+                    }
+                } else {
+                    let at = at % (reference.len() + 1);
+                    match list.as_mut() {
+                        Some(l) => l.insert(at, child),
+                        None => list = Some(ChildList::One(child)),
+                    }
+                    reference.insert(at, child);
+                }
+                match &list {
+                    Some(l) => {
+                        proptest::prop_assert_eq!(l.as_slice(), reference.as_slice());
+                        proptest::prop_assert!(form_fits(l), "{:?}", l);
+                    }
+                    None => proptest::prop_assert!(reference.is_empty()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn child_list_shrinks_back_inline_after_a_prune() {
+        let mut list = ChildList::One(1);
+        for child in 2..=6 {
+            list.insert(list.as_slice().len(), child);
+            assert!(form_fits(&list), "{list:?}");
+        }
+        assert!(matches!(list, ChildList::Many(_)));
+        assert_eq!(list.retain(|c| c >= 4), 3);
+        assert!(matches!(list, ChildList::Few { len: 3, .. }), "{list:?}");
+        assert_eq!(list.retain(|c| c >= 6), 1);
+        assert!(matches!(list, ChildList::One(6)));
+        assert_eq!(list.retain(|c| c > 6), 0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn check_index(cache: &TrustCache) -> Result<(), TestCaseError> {
     for (key, trusted) in cache.iter() {
         prop_assert_eq!(*key, trusted.header.digest());
         prop_assert_eq!(cache.get(key), Some(trusted));
-        for entry in &trusted.header.digests {
+        for entry in trusted.header.digests.iter() {
             let candidates: Vec<_> = cache.children_candidates(&entry.digest).collect();
             prop_assert_eq!(&candidates, &collect_and_sort(cache, &entry.digest));
             prop_assert!(candidates.contains(&(*key, trusted)));
@@ -122,7 +122,7 @@ fn trust_cache_encoding_ignores_insertion_order_and_layout() {
                     origin: NodeId(rng.index(5) as u32),
                     digest: Digest::from_bytes([rng.index(7) as u8; 32]),
                 })
-                .collect();
+                .collect::<Vec<_>>();
             let block = DataBlock::create(
                 &cfg,
                 // Two headers per (owner, seq): the digest breaks the tie.

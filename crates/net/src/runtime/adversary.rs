@@ -41,7 +41,7 @@ impl NetNode {
         &self,
         slot: u64,
         canonical: Digest,
-        equivocation: Option<(BlockId, Vec<DigestEntry>)>,
+        equivocation: Option<(BlockId, Arc<[DigestEntry]>)>,
         targets: &[(NodeId, SocketAddr)],
     ) {
         let id = self.config.id;
@@ -49,7 +49,8 @@ impl NetNode {
             Behavior::Equivocate => equivocation.map(|(block_id, digests)| {
                 // A real second block for the slot: same identity and
                 // parents, different body, freshly mined and signed — two
-                // distinct histories offered to the same neighbors.
+                // distinct histories offered to the same neighbors. The
+                // parents are the canonical block's shared list, read only.
                 let mut rng = derived_rng(self.config.seed, stream::GENERATE, slot, id);
                 let mut payload = sensor_payload(&mut rng, id, slot);
                 payload.push(0xEB);

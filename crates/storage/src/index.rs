@@ -172,20 +172,9 @@ impl BlockIndex {
                 let Some(list) = self.children.get_mut(d) else {
                     continue; // an earlier pruned entry emptied it
                 };
-                let kept = match list {
-                    ChildList::One(seq) => usize::from(*seq >= new_base),
-                    ChildList::Many(seqs) => {
-                        seqs.retain(|&s| s >= new_base);
-                        seqs.len()
-                    }
-                };
-                match kept {
-                    0 => {
-                        self.children.remove(d);
-                    }
-                    // Back to the inline form, releasing the allocation.
-                    1 => *list = ChildList::One(list.as_slice()[0]),
-                    _ => {}
+                // Shrinks back to the inline form, releasing the allocation.
+                if list.retain(|s| s >= new_base) == 0 {
+                    self.children.remove(d);
                 }
             }
         }
@@ -349,7 +338,7 @@ mod tests {
                 origin: NodeId(9),
                 digest,
             })
-            .collect();
+            .collect::<Vec<_>>();
         DataBlock::create(
             &cfg,
             BlockId::new(NodeId(1), seq),
@@ -538,8 +527,12 @@ mod tests {
 
                 assert_eq!(index.children.len(), reference.children.len());
                 for list in index.children.values() {
-                    let inline = matches!(list, ChildList::One(_));
-                    assert_eq!(inline, list.as_slice().len() == 1, "{list:?}");
+                    let expected_len = match list {
+                        ChildList::One(_) => 1..=1,
+                        ChildList::Few { .. } => 2..=ChildList::INLINE,
+                        ChildList::Many(_) => ChildList::INLINE + 1..=usize::MAX,
+                    };
+                    assert!(expected_len.contains(&list.as_slice().len()), "{list:?}");
                 }
                 for target in &targets {
                     assert_eq!(index.children_of(target), reference.children_of(target));

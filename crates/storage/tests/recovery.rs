@@ -76,7 +76,7 @@ fn block_containing(owner: u32, seq: u32, time: u64, contained: &[Digest]) -> Da
         &cfg,
         BlockId::new(NodeId(owner), seq),
         time,
-        contained.iter().map(entry).collect(),
+        contained.iter().map(entry).collect::<Vec<_>>(),
         BlockBody::new(vec![seq as u8; 64], cfg.body_bits),
         &KeyPair::from_seed(u64::from(owner)),
     )

@@ -27,7 +27,7 @@ fn block_from(
             origin: NodeId(origin),
             digest: Digest::from_bytes(bytes),
         })
-        .collect();
+        .collect::<Vec<_>>();
     DataBlock::create(
         &cfg,
         BlockId::new(NodeId(owner), seq),

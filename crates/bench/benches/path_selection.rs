@@ -51,20 +51,32 @@ fn trusted(block: DataBlock) -> TrustedHeader {
     }
 }
 
-fn chain_cache(cfg: &ProtocolConfig, len: usize) -> (TrustCache, Digest) {
+/// A chain of `len` cached headers, each naming `siblings` other digests
+/// and then its parent's, last.
+fn chain_cache(cfg: &ProtocolConfig, len: usize, siblings: u32) -> (TrustCache, Digest) {
     let kp = KeyPair::from_seed(9);
     let root = Digest::from_bytes([7; 32]);
     let mut cache = TrustCache::new();
     let mut parent = root;
     for i in 0..len {
+        let sibling = |k: u32| {
+            let mut bytes = [0xaa; 32];
+            bytes[..8].copy_from_slice(&(i as u64 * 64 + u64::from(k)).to_le_bytes());
+            DigestEntry {
+                origin: NodeId(k),
+                digest: Digest::from_bytes(bytes),
+            }
+        };
+        let mut digests: Vec<DigestEntry> = (0..siblings).map(sibling).collect();
+        digests.push(DigestEntry {
+            origin: NodeId((i as u32).wrapping_sub(1) % 16),
+            digest: parent,
+        });
         let block = DataBlock::create(
             cfg,
             BlockId::new(NodeId(i as u32 % 16), i as u32 / 16),
             i as u64,
-            vec![DigestEntry {
-                origin: NodeId((i as u32).wrapping_sub(1) % 16),
-                digest: parent,
-            }],
+            digests,
             BlockBody::new(vec![i as u8], cfg.body_bits),
             &kp,
         );
@@ -74,12 +86,22 @@ fn chain_cache(cfg: &ProtocolConfig, len: usize) -> (TrustCache, Digest) {
     (cache, root)
 }
 
+/// One-entry headers over growing caches, then 128 headers at the paper's
+/// density (19 entries, the parent's last): every step confirms its hit
+/// against the full digest, so a confirmation that scans the list shows
+/// in the last row and not in the others.
 fn bench_tps(c: &mut Criterion) {
     let cfg = ProtocolConfig::test_default();
     let mut group = c.benchmark_group("tps_extend");
-    for len in [16usize, 128, 1024] {
-        let (cache, root) = chain_cache(&cfg, len);
-        group.bench_with_input(BenchmarkId::from_parameter(len), &cache, |b, cache| {
+    let cases = [
+        ("16", 16usize, 0),
+        ("128", 128, 0),
+        ("1024", 1024, 0),
+        ("paper_density", 128, 18),
+    ];
+    for (name, len, siblings) in cases {
+        let (cache, root) = chain_cache(&cfg, len, siblings);
+        group.bench_with_input(BenchmarkId::from_parameter(name), &cache, |b, cache| {
             let skip = HashSet::new();
             b.iter(|| tps::extend(black_box(cache), black_box(&root), &skip, 64));
         });

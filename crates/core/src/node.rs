@@ -484,6 +484,88 @@ mod tests {
     }
 
     #[test]
+    fn responder_skips_a_child_that_only_shares_the_prefix() {
+        use crate::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
+        use crate::pop::validator::Validator;
+        use tldag_sim::topology::Topology;
+
+        /// Requests served straight from the nodes' own state.
+        struct Direct<'a>(&'a [LedgerNode]);
+        impl PopTransport for Direct<'_> {
+            fn fetch_block(
+                &mut self,
+                _: NodeId,
+                owner: NodeId,
+                id: BlockId,
+            ) -> Option<FetchResponse> {
+                match self.0[owner.index()].serve_block(id) {
+                    BlockFetch::Served(block) => Some(FetchResponse::Block(Box::new(block))),
+                    _ => None,
+                }
+            }
+            fn request_child(
+                &mut self,
+                _: NodeId,
+                to: NodeId,
+                target: Digest,
+            ) -> Option<ChildResponse> {
+                Some(match self.0[to.index()].serve_child_request(&target)? {
+                    ChildServe::Found(block_id, header) => ChildResponse::Found(ChildReply {
+                        claimed_owner: to,
+                        block_id,
+                        header,
+                    }),
+                    ChildServe::NoChild => ChildResponse::NoChild,
+                    ChildServe::Pruned => ChildResponse::Pruned,
+                })
+            }
+        }
+
+        let cfg = cfg().with_gamma(1);
+        let mut nodes = vec![
+            node_with_neighbors(0, &[1]),
+            node_with_neighbors(1, &[0, 2]),
+            node_with_neighbors(2, &[1]),
+        ];
+        let target = nodes[0].generate_block(&cfg, 0, vec![0]).unwrap();
+        let digest = target.header_digest();
+        let mut near = digest.into_bytes();
+        near[31] ^= 1;
+        // Node 1's oldest block holds a digest with the target's prefix, the
+        // next one the target itself.
+        nodes[1].receive_digest(NodeId(0), Digest::from_bytes(near));
+        nodes[1].generate_block(&cfg, 1, vec![1]).unwrap();
+        nodes[1].begin_slot();
+        nodes[1].receive_digest(NodeId(0), digest);
+        nodes[1].generate_block(&cfg, 2, vec![2]).unwrap();
+        let Some(ChildServe::Found(id, header)) = nodes[1].serve_child_request(&digest) else {
+            panic!("expected a child");
+        };
+        assert_eq!(id.seq, 1);
+        assert!(header.contains_digest(&digest));
+
+        // Node 2 audits the target through node 1: no invalid reply, no
+        // offense, and the verified path runs through the true child.
+        let topology = Topology::from_edges(3, &[(0, 1), (1, 2)]);
+        let (mut cache, mut blacklist) = (TrustCache::new(), nodes[2].blacklist().clone());
+        let mut rng = tldag_sim::DetRng::seed_from(1);
+        let report = Validator::new(
+            &cfg,
+            &topology,
+            NodeId(2),
+            nodes[2].store(),
+            &mut cache,
+            &mut blacklist,
+            &mut rng,
+        )
+        .run(target.id, &mut Direct(&nodes));
+        assert!(report.is_success(), "{report:?}");
+        assert_eq!(report.metrics.invalid_replies, 0);
+        assert_eq!(report.metrics.offenses, 0);
+        assert_eq!(report.path[1].block_id, id);
+    }
+
+    #[test]
     fn corrupt_reply_breaks_digest_reference() {
         let cfg = cfg();
         let mut node = node_with_neighbors(0, &[1]);

@@ -166,6 +166,42 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_prefix_never_extends_the_path() {
+        // A digest with `d`'s 64-bit prefix, the cache's index key.
+        let twin = |d: Digest| {
+            let mut bytes = d.into_bytes();
+            bytes[31] ^= 1;
+            Digest::from_bytes(bytes)
+        };
+        let cfg = cfg();
+        let root = Digest::from_bytes([5; 32]);
+        let b1 = block_with_parent(&cfg, 1, 0, 2, root);
+        let b2 = block_with_parent(&cfg, 2, 0, 3, b1.header_digest());
+        // Older than the true children, so each is the first candidate an
+        // unconfirmed lookup would take.
+        let impostors = [
+            block_with_parent(&cfg, 3, 0, 0, twin(root)),
+            block_with_parent(&cfg, 4, 0, 1, twin(b1.header_digest())),
+        ];
+        let mut cache = TrustCache::new();
+        for b in impostors.iter().chain([&b1, &b2]) {
+            cache.insert(trusted(b));
+        }
+        let steps = extend(&cache, &root, &HashSet::new(), 100);
+        let owners: Vec<NodeId> = steps.iter().map(|s| s.owner).collect();
+        assert_eq!(owners, [NodeId(1), NodeId(2)]);
+        let mut tip = root;
+        for step in &steps {
+            assert!(cache
+                .get(&step.digest)
+                .unwrap()
+                .header
+                .contains_digest(&tip));
+            tip = step.digest;
+        }
+    }
+
+    #[test]
     fn max_steps_bounds_extension() {
         let cfg = cfg();
         let root = Digest::from_bytes([4; 32]);

@@ -345,13 +345,13 @@ impl BackendFactory for MemoryBackendFactory {
     }
 }
 
-/// The value of a contained-digest index entry: the positions (chain seqs
-/// in `S_i` and in `tldag-storage`'s block index, slab indices in `H_i`) of
-/// the headers containing one digest. Most digests are contained by a few
-/// headers a node holds, so up to [`ChildList::INLINE`] children live inline
-/// and only the next one allocates. The list is no larger than the `Vec`
-/// it replaces, so no index map bucket grows. Never empty: an index drops
-/// the key instead.
+/// The value of a [`ChildIndex`] entry: the positions (chain seqs in `S_i`
+/// and in `tldag-storage`'s block index, slab index and digest-list position
+/// in `H_i`) of the headers containing a digest with one 64-bit prefix. Most
+/// prefixes are contained by a few headers a node holds, so up to
+/// [`ChildList::INLINE`] children live inline and only the next one
+/// allocates. The list is no larger than a `Vec`, so an index bucket is 32
+/// bytes. Never empty: an index drops the key instead.
 #[derive(Clone, Debug)]
 pub enum ChildList {
     /// The only child.
@@ -447,27 +447,103 @@ impl ChildList {
     }
 }
 
-/// The children of `target` in a contained-digest index (none if absent).
-pub fn child_slice<'a>(index: &'a HashMap<Digest, ChildList>, target: &Digest) -> &'a [u32] {
-    index.get(target).map_or(&[], ChildList::as_slice)
-}
+/// A contained-digest index: every digest some held header *contains*,
+/// keyed by its first 8 bytes, to the [`ChildList`] of headers containing a
+/// digest with that prefix.
+///
+/// A prefix is a quarter of the digest, so a bucket is 32 bytes, not 56.
+/// The price is that two contained digests may share a key: a list is a
+/// superset of one digest's children, so every lookup is confirmed against
+/// the full digest before it leaves the structure owning the index —
+/// through [`Self::confirmed`] for an index of chain seqs, and by
+/// [`TrustCache::children_candidates`] for `H_i`. Keys stay under std's
+/// SipHash with a random key, because contained digests are whatever a
+/// neighbor gossips.
+#[derive(Clone, Debug, Default)]
+pub struct ChildIndex(HashMap<u64, ChildList>);
 
-/// Adds `child` to `target`'s list, at the position `at` picks from the
-/// list as it stands (`<[u32]>::len` appends).
-pub fn index_child(
-    index: &mut HashMap<Digest, ChildList>,
-    target: Digest,
-    child: u32,
-    at: impl FnOnce(&[u32]) -> usize,
-) {
-    match index.entry(target) {
-        Entry::Vacant(slot) => {
-            slot.insert(ChildList::One(child));
+const _: () = assert!(std::mem::size_of::<(u64, ChildList)>() == 32);
+
+impl ChildIndex {
+    fn key(digest: &Digest) -> u64 {
+        let (prefix, _) = digest.as_bytes().split_first_chunk::<8>().expect("32 > 8");
+        u64::from_le_bytes(*prefix)
+    }
+
+    /// Every child indexed under a digest sharing `target`'s prefix, in list
+    /// order. Unconfirmed: some may not contain `target` itself, so only
+    /// this module, which confirms them, reads it.
+    fn candidates(&self, target: &Digest) -> &[u32] {
+        self.0
+            .get(&Self::key(target))
+            .map_or(&[], ChildList::as_slice)
+    }
+
+    /// The children of `target` in an index of chain seqs, in list order,
+    /// each as many times as its header names `target` — `count(seq)`, which
+    /// reads the header's digest list. A seq's entries under one key are
+    /// adjacent, because a header is indexed all at once and a prune keeps
+    /// the order, so a run of one seq holds its prefix hits and the first
+    /// `count` of them are the exact ones.
+    pub fn confirmed<'a>(
+        &'a self,
+        target: &Digest,
+        mut count: impl FnMut(u32) -> usize + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let runs = self.candidates(target).chunk_by(|a, b| a == b);
+        runs.flat_map(move |run| &run[..count(run[0]).min(run.len())])
+            .copied()
+    }
+
+    /// Adds `child` under `target`'s prefix, at the position `at` picks from
+    /// the list as it stands (`<[u32]>::len` appends).
+    pub fn insert(&mut self, target: &Digest, child: u32, at: impl FnOnce(&[u32]) -> usize) {
+        match self.0.entry(Self::key(target)) {
+            Entry::Vacant(slot) => {
+                slot.insert(ChildList::One(child));
+            }
+            Entry::Occupied(mut slot) => {
+                let list = slot.get_mut();
+                list.insert(at(list.as_slice()), child);
+            }
         }
-        Entry::Occupied(mut slot) => {
-            let list = slot.get_mut();
-            list.insert(at(list.as_slice()), child);
+    }
+
+    /// Keeps the children under `target`'s prefix that `keep` accepts, and
+    /// drops the key once none is left.
+    pub fn retain(&mut self, target: &Digest, keep: impl FnMut(u32) -> bool) {
+        let key = Self::key(target);
+        if let Some(list) = self.0.get_mut(&key) {
+            if list.retain(keep) == 0 {
+                self.0.remove(&key);
+            }
         }
+    }
+
+    /// Number of keys (distinct contained-digest prefixes).
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The child lists, in no particular order.
+    pub fn lists(&self) -> impl Iterator<Item = &ChildList> {
+        self.0.values()
+    }
+
+    /// Bytes of the buckets the map has room for, plus the heap of every
+    /// `Many` list.
+    pub fn resident_bytes(&self) -> usize {
+        let heap = |list: &ChildList| match list {
+            ChildList::Many(all) => all.capacity() * std::mem::size_of::<u32>(),
+            _ => 0,
+        };
+        self.0.capacity() * std::mem::size_of::<(u64, ChildList)>()
+            + self.lists().map(heap).sum::<usize>()
     }
 }
 
@@ -483,13 +559,22 @@ pub struct BlockStore {
     /// Contained digest → seqs of blocks whose Digests field includes it
     /// (the responder's `C_{j'}(b_v)` lookup, Eq. 10), ascending because
     /// `append` only ever adds the next seq.
-    children_of: HashMap<Digest, ChildList>,
+    children_of: ChildIndex,
 }
 
 impl BlockStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Seqs of the blocks containing `target`, ascending, each as many times
+    /// as its header names `target`.
+    fn child_seqs<'a>(&'a self, target: &'a Digest) -> impl Iterator<Item = u32> + 'a {
+        self.children_of.confirmed(target, move |seq| {
+            let digests = self.blocks[seq as usize].header.digests.iter();
+            digests.filter(|e| e.digest == *target).count()
+        })
     }
 }
 
@@ -505,12 +590,8 @@ impl BlockBackend for BlockStore {
         self.latest_digest = Some(digest);
         self.by_digest.insert(digest, block.id.seq);
         for entry in block.header.digests.iter() {
-            index_child(
-                &mut self.children_of,
-                entry.digest,
-                block.id.seq,
-                <[u32]>::len,
-            );
+            self.children_of
+                .insert(&entry.digest, block.id.seq, <[u32]>::len);
         }
         self.blocks.push(block);
         Ok(())
@@ -537,13 +618,15 @@ impl BlockBackend for BlockStore {
     }
 
     fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
-        let seqs = child_slice(&self.children_of, target);
-        seqs.iter().filter_map(|&s| self.get(s)).collect()
+        self.child_seqs(target)
+            .filter_map(|s| self.get(s))
+            .collect()
     }
 
     fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<DataBlock> {
-        let seqs = child_slice(&self.children_of, target);
-        let mut children = seqs.iter().map(|&seq| &self.blocks[seq as usize]);
+        let mut children = self
+            .child_seqs(target)
+            .map(|seq| &self.blocks[seq as usize]);
         children.find(|b| b.header.time <= horizon).cloned()
     }
 
@@ -569,7 +652,7 @@ impl BlockBackend for BlockStore {
             })
             .sum::<usize>()
             + self.by_digest.len() * (32 + 4)
-            + self.children_of.len() * (32 + 8)
+            + self.children_of.len() * (8 + 8)
     }
 }
 
@@ -589,22 +672,32 @@ pub struct TrustedHeader {
 ///
 /// Headers live in a slab in insertion order, each beside the digest it is
 /// indexed under, and two maps point into the slab: one by the header's own
-/// digest, one by every digest the header *contains*, so TPS can answer "is
-/// there a cached child of block `d`?" with one probe. Two invariants hold
-/// after every insert: each key equals `header.digest()` of its value, and
-/// each child list is in `(time, owner, seq)` order with ties in insertion
-/// order — the order TPS prefers children in, kept at insert so that no
-/// lookup sorts.
+/// digest, one ([`ChildIndex`]) by the prefix of every digest the header
+/// *contains*, so TPS can answer "is there a cached child of block `d`?"
+/// with one probe. Two invariants hold after every insert: each key equals
+/// `header.digest()` of its value, and each child list is in
+/// `(time, owner, seq)` order with ties in insertion order — the order TPS
+/// prefers children in, kept at insert so that no lookup sorts.
+///
+/// A child-list element is `slab index << 8 | position`: where in that
+/// header's digest list the indexed digest sits, capped at 255. Confirming
+/// a prefix hit against the full digest then reads one entry of the list
+/// instead of scanning it; slab indices are bounded at 2^24.
 #[derive(Clone, Debug, Default)]
 pub struct TrustCache {
     slab: Vec<(Digest, TrustedHeader)>,
     /// Header digest → slab index.
     by_digest: HashMap<Digest, u32>,
-    /// Contained digest → slab indices of cached headers that include it.
-    children_of: HashMap<Digest, ChildList>,
+    /// Contained-digest prefix → `index << 8 | position` of cached headers
+    /// that include it.
+    children_of: ChildIndex,
 }
 
 impl TrustCache {
+    /// The position field's cap: an element at `FAR` stands for a digest at
+    /// position 255 or later, confirmed by scanning the list from there.
+    const FAR: usize = 255;
+
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
@@ -623,18 +716,22 @@ impl TrustCache {
         let Entry::Vacant(slot) = self.by_digest.entry(digest) else {
             return;
         };
-        let index = u32::try_from(self.slab.len()).expect("H_i holds fewer than 2^32 headers");
+        let index = u32::try_from(self.slab.len())
+            .ok()
+            .filter(|&i| i < 1 << 24)
+            .expect("H_i holds fewer than 2^24 headers");
         slot.insert(index);
         self.slab.push((digest, trusted));
         let slab = &self.slab;
-        let order = |i: u32| {
-            let t = &slab[i as usize].1;
+        let order = |child: u32| {
+            let t = &slab[(child >> 8) as usize].1;
             (t.header.time, t.owner, t.block_id.seq)
         };
-        let key = order(index);
-        for entry in slab[index as usize].1.header.digests.iter() {
-            index_child(&mut self.children_of, entry.digest, index, |list| {
-                list.partition_point(|&i| order(i) <= key)
+        let key = order(index << 8);
+        for (position, entry) in slab[index as usize].1.header.digests.iter().enumerate() {
+            let child = index << 8 | position.min(Self::FAR) as u32;
+            self.children_of.insert(&entry.digest, child, |list| {
+                list.partition_point(|&c| order(c) <= key)
             });
         }
     }
@@ -659,15 +756,41 @@ impl TrustCache {
     /// condition `H(b^h_v) ∈ b^h ∈ H_i` (Eq. 9) — each with the digest it is
     /// indexed under, ordered by (time, owner, seq) so TPS is deterministic.
     /// TPS consumers filter this sequence (e.g. skipping rolled-back blocks)
-    /// and take the first survivor.
+    /// and take the first survivor. A header naming `target` twice appears
+    /// twice; one that only shares its prefix never appears.
     pub fn children_candidates(
         &self,
         target: &Digest,
     ) -> impl Iterator<Item = (Digest, &TrustedHeader)> {
-        child_slice(&self.children_of, target).iter().map(|&i| {
-            let (digest, trusted) = &self.slab[i as usize];
-            (*digest, trusted)
+        let target = *target;
+        // (slab index, far elements of it seen so far)
+        let mut far = (u32::MAX, 0);
+        let candidates = self.children_of.candidates(&target).iter();
+        candidates.filter_map(move |&child| {
+            let (index, position) = (child >> 8, (child & 0xff) as usize);
+            let (digest, trusted) = &self.slab[index as usize];
+            let digests = &trusted.header.digests;
+            let hit = if position < Self::FAR {
+                digests[position].digest == target
+            } else {
+                // A header's far elements are adjacent and in list order, so
+                // the k-th is a hit when `target` sits past `FAR` k times.
+                far = (index, if far.0 == index { far.1 + 1 } else { 1 });
+                let tail = digests[Self::FAR..].iter();
+                tail.filter(|e| e.digest == target).count() >= far.1
+            };
+            hit.then_some((*digest, trusted))
         })
+    }
+
+    /// Approximate bytes of process memory pinned by the cache: the slab,
+    /// `by_digest` and the child index, at the capacity each has grown to.
+    /// Digest lists are not counted; in the in-process engine they are
+    /// shared with the owners' `S_i`.
+    pub fn resident_bytes(&self) -> usize {
+        self.slab.capacity() * std::mem::size_of::<(Digest, TrustedHeader)>()
+            + self.by_digest.capacity() * std::mem::size_of::<(Digest, u32)>()
+            + self.children_of.resident_bytes()
     }
 
     /// Logical storage footprint of `H_i` (header bits summed; Prop. 2).
@@ -915,10 +1038,42 @@ mod tests {
         }
     }
 
+    /// A digest with `d`'s 64-bit prefix, the child index's key, that is
+    /// not `d`.
+    fn twin(d: Digest, salt: u8) -> Digest {
+        let mut bytes = d.into_bytes();
+        bytes[31] ^= salt;
+        Digest::from_bytes(bytes)
+    }
+
+    fn entries(digests: &[Digest]) -> Vec<DigestEntry> {
+        let entry = |&digest| DigestEntry {
+            origin: NodeId(7),
+            digest,
+        };
+        digests.iter().map(entry).collect()
+    }
+
+    fn trusted(block: &DataBlock) -> TrustedHeader {
+        TrustedHeader {
+            owner: block.id.owner,
+            block_id: block.id,
+            header: block.header.clone(),
+        }
+    }
+
     #[test]
     fn child_lists_sorted_at_insert_match_collect_and_sort() {
         let cfg = cfg();
-        let parents: Vec<Digest> = (1..=6).map(|p| Digest::from_bytes([p; 32])).collect();
+        let mut parents: Vec<Digest> = (1..=6).map(|p| Digest::from_bytes([p; 32])).collect();
+        // Keys shared between parents, and one with `Digest::ZERO`, which no
+        // header contains: a probe meets children of another digest.
+        parents.extend([
+            twin(parents[0], 1),
+            twin(parents[0], 2),
+            twin(parents[1], 1),
+        ]);
+        parents.push(twin(Digest::ZERO, 1));
         for seed in 0..6 {
             let mut rng = tldag_sim::DetRng::seed_from(seed);
             // Few owners, seqs and slots, so many headers share a
@@ -979,20 +1134,15 @@ mod tests {
         }
         let cfg = cfg();
         let [none, once, thrice] = [1, 2, 3].map(|d| Digest::from_bytes([d; 32]));
-        let contains = |digests: &[Digest]| {
-            let entry = |&digest| DigestEntry {
-                origin: NodeId(7),
-                digest,
-            };
-            digests.iter().map(entry).collect::<Vec<_>>()
-        };
+        // Each target shares its key with a digest some block contains.
+        let [near_none, near_once, near_thrice] = [none, once, thrice].map(|d| twin(d, 1));
         let mut store = BlockStore::new();
         let chain = [
-            contains(&[]),
-            contains(&[thrice]),
-            contains(&[once, thrice]),
-            contains(&[]),
-            contains(&[thrice]),
+            entries(&[near_thrice, near_none]),
+            entries(&[thrice]),
+            entries(&[near_once, once, thrice, near_thrice]),
+            entries(&[near_once]),
+            entries(&[thrice]),
         ];
         for (seq, digests) in chain.into_iter().enumerate() {
             // Slots 1, 3, 5, …: horizons fall on and between block times.
@@ -1002,7 +1152,12 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(store.children_of(&thrice).len(), 3);
-        for target in [&none, &once, &thrice] {
+        for target in [&none, &once, &thrice, &near_none, &near_once, &near_thrice] {
+            // The children are what a scan of the chain finds.
+            let scan: Vec<DataBlock> = (store.iter())
+                .filter(|b| b.header.contains_digest(target))
+                .collect();
+            assert_eq!(store.children_of(target), scan);
             for horizon in 0..=10 {
                 assert_eq!(
                     store.oldest_child_of_within(target, horizon),
@@ -1114,6 +1269,91 @@ mod tests {
         assert!("grouped:0".parse::<SyncPolicy>().is_err());
         assert!("grouped:x".parse::<SyncPolicy>().is_err());
         assert!("sometimes".parse::<SyncPolicy>().is_err());
+    }
+
+    #[test]
+    fn trust_cache_never_offers_a_header_that_only_shares_the_prefix() {
+        let cfg = cfg();
+        let target = Digest::from_bytes([5; 32]);
+        let near = twin(target, 1);
+        // The impostor is the oldest, so an unconfirmed lookup offers it first.
+        let impostor = make_block(&cfg, NodeId(1), 0, 1, entries(&[near]));
+        let both = make_block(&cfg, NodeId(2), 0, 2, entries(&[near, target]));
+        let child = make_block(&cfg, NodeId(3), 0, 3, entries(&[target]));
+        let mut cache = TrustCache::new();
+        for block in [&child, &impostor, &both] {
+            cache.insert(trusted(block));
+        }
+        let owners = |d: &Digest| -> Vec<NodeId> {
+            let candidates = cache.children_candidates(d);
+            candidates.map(|(_, t)| t.owner).collect()
+        };
+        assert_eq!(owners(&target), [NodeId(2), NodeId(3)]);
+        assert_eq!(owners(&near), [NodeId(1), NodeId(2)]);
+        assert_eq!(owners(&twin(target, 2)), []);
+    }
+
+    #[test]
+    fn children_candidates_scans_past_position_255() {
+        let cfg = cfg();
+        let target = Digest::from_bytes([6; 32]);
+        let near = twin(target, 1);
+        // Distinct digests whose prefixes are not the target's.
+        let mut far: Vec<Digest> = (0..300u32)
+            .map(|i| {
+                let mut bytes = [0xee; 32];
+                bytes[..4].copy_from_slice(&i.to_be_bytes());
+                Digest::from_bytes(bytes)
+            })
+            .collect();
+        far[290] = target;
+        far[260] = near;
+        let once_far = make_block(&cfg, NodeId(2), 0, 2, entries(&far));
+        far[291] = near;
+        far[299] = target;
+        let twice_far = make_block(&cfg, NodeId(3), 0, 3, entries(&far));
+        // Named twice, both within the position field.
+        let twice_near = make_block(&cfg, NodeId(1), 0, 1, entries(&[target, near, target]));
+        let mut cache = TrustCache::new();
+        for block in [&twice_far, &once_far, &twice_near] {
+            cache.insert(trusted(block));
+        }
+        let owners = |d: &Digest| -> Vec<NodeId> {
+            let candidates = cache.children_candidates(d);
+            candidates.map(|(_, t)| t.owner).collect()
+        };
+        let [one, two, three] = [1, 2, 3].map(NodeId);
+        assert_eq!(owners(&target), [one, one, two, three, three]);
+        assert_eq!(owners(&near), [one, two, three, three]);
+    }
+
+    #[test]
+    fn trust_cache_resident_bytes_counts_slab_index_and_heaps() {
+        let cfg = cfg();
+        let mut cache = TrustCache::new();
+        assert_eq!(cache.resident_bytes(), 0, "nothing allocated yet");
+        let [a, b] = [1, 2].map(|d| Digest::from_bytes([d; 32]));
+        let first = make_block(&cfg, NodeId(0), 0, 0, entries(&[a, b, a]));
+        cache.insert(trusted(&first));
+        for seq in 1..4 {
+            let block = make_block(&cfg, NodeId(0), seq, u64::from(seq), entries(&[a]));
+            cache.insert(trusted(&block));
+        }
+        // Four headers under their digests; two keys, `a`'s five children
+        // on the heap and `b`'s one inline.
+        let heap: usize = (cache.children_of.lists())
+            .map(|list| match list {
+                ChildList::Many(all) => all.capacity() * 4,
+                _ => 0,
+            })
+            .sum();
+        assert!(heap >= 5 * 4);
+        let header = std::mem::size_of::<(Digest, TrustedHeader)>();
+        let slab = cache.slab.capacity() * header;
+        let by_digest = cache.by_digest.capacity() * 36;
+        let buckets = cache.children_of.0.capacity() * 32;
+        assert!(slab >= 4 * header && by_digest >= 4 * 36 && buckets >= 2 * 32);
+        assert_eq!(cache.resident_bytes(), slab + by_digest + buckets + heap);
     }
 
     #[test]

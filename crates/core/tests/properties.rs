@@ -1,17 +1,22 @@
-//! Property-based tests for the trusted-header cache `H_i`.
+//! Property-based tests for the trusted-header cache `H_i` and the chain
+//! store `S_i`.
 //!
 //! Trust Path Selection and the PoP success epilogue read a header's digest
 //! from the key the cache indexes it under instead of re-hashing the header.
-//! That is only sound while every key *is* its value's digest and the
-//! contained-digest index points at live keys — the invariant checked here
-//! after arbitrary sequences of PoP runs, and across the persistence codec.
+//! That is only sound while every key *is* its value's digest and every
+//! contained-digest index hit is confirmed against the full digest — the
+//! invariant checked here after arbitrary sequences of PoP runs, across the
+//! persistence codec, and (the `prefix_collision_*` properties) under
+//! digests crafted to share the index's 64-bit key.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use std::collections::HashSet;
 use tldag_core::codec::{decode_trust_cache, encode_trust_cache};
 use tldag_core::config::ProtocolConfig;
 use tldag_core::network::TldagNetwork;
-use tldag_core::store::{TrustCache, TrustedHeader};
+use tldag_core::pop::tps;
+use tldag_core::store::{BlockBackend, BlockStore, TrustCache, TrustedHeader};
 use tldag_core::workload::VerificationWorkload;
 use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_crypto::schnorr::KeyPair;
@@ -153,4 +158,142 @@ fn trust_cache_encoding_ignores_insertion_order_and_layout() {
         "8e097b1e5d05750cf13963fc96ca757a00cc6baaaea9db353ece9f26662be4b4",
         "bytes changed against the recorded encoding"
     );
+}
+
+/// A digest with `d`'s 64-bit prefix, the child indexes' key, that is not
+/// `d`.
+fn twin(d: Digest) -> Digest {
+    let mut bytes = d.into_bytes();
+    bytes[31] ^= 1;
+    Digest::from_bytes(bytes)
+}
+
+/// Nine digests over three prefixes: every key is shared by three digests.
+fn colliding_digests() -> Vec<Digest> {
+    (0..9u8)
+        .map(|i| {
+            let mut bytes = [i / 3; 32];
+            bytes[31] = i % 3;
+            Digest::from_bytes(bytes)
+        })
+        .collect()
+}
+
+/// Up to eight picks from `pool`, one per byte of `picks`.
+fn pick(pool: &[Digest], count: u32, picks: u64) -> Vec<DigestEntry> {
+    (0..count)
+        .map(|k| DigestEntry {
+            origin: NodeId(k),
+            digest: pool[(picks >> (8 * k)) as usize % pool.len()],
+        })
+        .collect()
+}
+
+/// Algorithm 2 over the collect-and-sort lookup.
+fn reference_extend(
+    cache: &TrustCache,
+    root: &Digest,
+    skip: &HashSet<Digest>,
+    max_steps: usize,
+) -> Vec<Digest> {
+    let mut steps = Vec::new();
+    let mut tip = *root;
+    while steps.len() < max_steps {
+        let mut candidates = collect_and_sort(cache, &tip).into_iter();
+        let Some((digest, _)) = candidates.find(|(d, _)| !skip.contains(d)) else {
+            break;
+        };
+        steps.push(digest);
+        tip = digest;
+    }
+    steps
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Headers name digests that share keys with each other, and the
+    /// digests of earlier headers or their twins, so TPS walks chains in
+    /// which an older impostor waits under every key. No lookup may offer
+    /// a header that does not contain the target, and TPS takes the steps
+    /// a collect-and-sort lookup gives.
+    #[test]
+    fn prefix_collision_never_offers_a_false_child(
+        headers in proptest::collection::vec((0u32..6, any::<u64>(), 0u64..6, 0u32..4), 1..32),
+        skip_bits in any::<u32>(),
+    ) {
+        let cfg = ProtocolConfig::test_default();
+        let mut pool = colliding_digests();
+        let mut targets = pool.clone();
+        let mut cache = TrustCache::new();
+        let mut skip = HashSet::new();
+        for (i, (count, picks, time, owner)) in headers.into_iter().enumerate() {
+            let block = DataBlock::create(
+                &cfg,
+                BlockId::new(NodeId(owner), i as u32 / 4),
+                time,
+                pick(&pool, count, picks),
+                BlockBody::new(vec![i as u8; 8], cfg.body_bits),
+                &KeyPair::from_seed(u64::from(owner)),
+            );
+            let digest = block.header_digest();
+            pool.extend([digest, twin(digest)]);
+            targets.extend([digest, twin(digest)]);
+            if i % 3 == 0 && skip_bits >> (i % 32) & 1 == 1 {
+                skip.insert(digest);
+            }
+            cache.insert(TrustedHeader { owner: NodeId(owner), block_id: block.id, header: block.header });
+        }
+        check_index(&cache)?;
+        for target in &targets {
+            let candidates: Vec<_> = cache.children_candidates(target).collect();
+            prop_assert_eq!(&candidates, &collect_and_sort(&cache, target));
+            let steps = tps::extend(&cache, target, &skip, 64);
+            let digests: Vec<Digest> = steps.iter().map(|s| s.digest).collect();
+            prop_assert_eq!(&digests, &reference_extend(&cache, target, &skip, 64));
+            let mut tip = *target;
+            for digest in digests {
+                prop_assert!(cache.get(&digest).unwrap().header.contains_digest(&tip));
+                tip = digest;
+            }
+        }
+    }
+
+    /// A chain whose headers name colliding digests: the responder lookups
+    /// return exactly what a scan of the chain for the full digest finds.
+    #[test]
+    fn prefix_collision_block_store_answers_only_true_children(
+        chain in proptest::collection::vec((0u32..5, any::<u64>()), 1..40),
+    ) {
+        let cfg = ProtocolConfig::test_default();
+        let digests = colliding_digests();
+        let mut store = BlockStore::new();
+        for (seq, (count, picks)) in chain.into_iter().enumerate() {
+            let block = DataBlock::create(
+                &cfg,
+                BlockId::new(NodeId(1), seq as u32),
+                // Slots 1, 3, 5, …: horizons fall on and between them.
+                2 * seq as u64 + 1,
+                pick(&digests, count, picks),
+                BlockBody::new(vec![seq as u8; 8], cfg.body_bits),
+                &KeyPair::from_seed(1),
+            );
+            store.append(block).unwrap();
+        }
+        for target in &digests {
+            let scan: Vec<DataBlock> = store
+                .iter()
+                .flat_map(|b| {
+                    let copies = b.header.digests.iter().filter(|e| e.digest == *target).count();
+                    std::iter::repeat_n(b, copies)
+                })
+                .collect();
+            prop_assert_eq!(&store.children_of(target), &scan);
+            prop_assert_eq!(store.oldest_child_of(target), scan.first().cloned());
+            for horizon in 0..=2 * store.len() as u64 {
+                let within = scan.iter().find(|b| b.header.time <= horizon).cloned();
+                prop_assert_eq!(store.oldest_child_of_within(target, horizon), within);
+            }
+        }
+    }
 }

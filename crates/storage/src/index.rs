@@ -11,7 +11,7 @@ use crate::crc32::crc32;
 use std::collections::HashMap;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::error::TldagError;
-use tldag_core::store::{child_slice, index_child, ChildList};
+use tldag_core::store::ChildIndex;
 use tldag_core::DataBlock;
 use tldag_crypto::Digest;
 use tldag_sim::Bits;
@@ -59,7 +59,7 @@ pub struct BlockIndex {
     by_digest: HashMap<Digest, u32>,
     /// Contained digest → seqs of retained blocks containing it, ascending
     /// because `push` only ever adds the next seq.
-    children: HashMap<Digest, ChildList>,
+    children: ChildIndex,
 }
 
 impl BlockIndex {
@@ -104,14 +104,15 @@ impl BlockIndex {
         self.by_digest.get(digest).copied()
     }
 
-    /// Retained seqs (ascending) of blocks whose header contains `target`.
-    pub fn children_of(&self, target: &Digest) -> &[u32] {
-        child_slice(&self.children, target)
+    /// Retained seqs (ascending) of blocks whose header contains `target`,
+    /// each as many times as the header names it.
+    pub fn children_of(&self, target: &Digest) -> Vec<u32> {
+        self.child_seqs(target).collect()
     }
 
     /// Oldest retained seq of a block whose header contains `target`.
     pub fn oldest_child_of(&self, target: &Digest) -> Option<u32> {
-        self.children_of(target).first().copied()
+        self.child_seqs(target).next()
     }
 
     /// Oldest retained seq of a block that contains `target` and was
@@ -119,7 +120,16 @@ impl BlockIndex {
     /// [`IndexEntry::time`] without reading a record.
     pub fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<u32> {
         let within = |seq: &u32| self.entry(*seq).is_some_and(|e| e.time <= horizon);
-        self.children_of(target).iter().copied().find(within)
+        self.child_seqs(target).find(within)
+    }
+
+    /// The prefix hits of `target`, confirmed against
+    /// [`IndexEntry::contained`].
+    fn child_seqs<'a>(&'a self, target: &'a Digest) -> impl Iterator<Item = u32> + 'a {
+        self.children.confirmed(target, move |seq| {
+            let contained = self.entry(seq).map_or(&[][..], |e| &e.contained);
+            contained.iter().filter(|d| *d == target).count()
+        })
     }
 
     /// Sets the chain base of an **empty** index (full-scan recovery of a
@@ -149,7 +159,7 @@ impl BlockIndex {
         self.owner = Some(block.id.owner.0);
         self.by_digest.insert(digest, seq);
         for d in &contained {
-            index_child(&mut self.children, *d, seq, <[u32]>::len);
+            self.children.insert(d, seq, <[u32]>::len);
         }
         self.entries.push(IndexEntry {
             digest,
@@ -169,13 +179,9 @@ impl BlockIndex {
         for entry in self.entries.drain(..drop) {
             self.by_digest.remove(&entry.digest);
             for d in &entry.contained {
-                let Some(list) = self.children.get_mut(d) else {
-                    continue; // an earlier pruned entry emptied it
-                };
-                // Shrinks back to the inline form, releasing the allocation.
-                if list.retain(|s| s >= new_base) == 0 {
-                    self.children.remove(d);
-                }
+                // Shrinks back to the inline form, releasing the allocation;
+                // a key another digest shares keeps that digest's survivors.
+                self.children.retain(d, |s| s >= new_base);
             }
         }
         self.base_seq = new_base;
@@ -197,7 +203,7 @@ impl BlockIndex {
         self.entries.len() * per_entry
             + contained
             + self.by_digest.len() * (32 + 4)
-            + self.children.len() * (32 + 16)
+            + self.children.len() * (8 + 16)
     }
 
     /// Serializes the index (with the log position it covers) into a
@@ -271,7 +277,7 @@ impl BlockIndex {
             base_seq,
             entries: Vec::with_capacity(count),
             by_digest: HashMap::with_capacity(count),
-            children: HashMap::new(),
+            children: ChildIndex::default(),
         };
         for i in 0..count {
             let seq = base_seq + i as u32;
@@ -293,7 +299,7 @@ impl BlockIndex {
             }
             index.by_digest.insert(digest, seq);
             for d in &contained {
-                index_child(&mut index.children, *d, seq, <[u32]>::len);
+                index.children.insert(d, seq, <[u32]>::len);
             }
             index.entries.push(IndexEntry {
                 digest,
@@ -321,7 +327,9 @@ const SNAPSHOT_VERSION: u32 = 1;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use tldag_core::config::ProtocolConfig;
+    use tldag_core::store::ChildList;
     use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
     use tldag_crypto::schnorr::KeyPair;
     use tldag_sim::NodeId;
@@ -484,15 +492,29 @@ mod tests {
         }
     }
 
+    /// A digest with `d`'s 64-bit prefix, the child index's key, that is
+    /// not `d`.
+    fn twin(d: Digest, salt: u8) -> Digest {
+        let mut bytes = d.into_bytes();
+        bytes[31] ^= salt;
+        Digest::from_bytes(bytes)
+    }
+
     #[test]
     fn inline_child_lists_match_the_vec_and_sort_reference() {
         let digest = |d: u8| Digest::from_bytes([d; 32]);
         // Contained by no block, by exactly one, by exactly four; the pool
         // digests land wherever the stream puts them.
         let (none, once, four) = (digest(1), digest(2), digest(3));
-        let pool: Vec<Digest> = (10..15).map(digest).collect();
+        let mut pool: Vec<Digest> = (10..15).map(digest).collect();
+        // Digests sharing a key: with each other, with a pool digest, and
+        // with `none` and `four`, so a probe meets children of another digest.
+        let (ten, eleven) = (pool[0], pool[1]);
+        pool.extend([twin(ten, 1), twin(ten, 2), twin(eleven, 1)]);
+        pool.extend([twin(none, 1), twin(four, 1)]);
         let mut targets = vec![none, once, four];
         targets.extend(&pool);
+        let mut shared_a_key = false;
 
         for seed in 0..8u64 {
             let mut rng = tldag_sim::DetRng::seed_from(seed);
@@ -525,8 +547,13 @@ mod tests {
                     reference.push(&block);
                 }
 
-                assert_eq!(index.children.len(), reference.children.len());
-                for list in index.children.values() {
+                // One key per distinct prefix of the reference's digests.
+                let prefixes: HashSet<&[u8]> = (reference.children.keys())
+                    .map(|d| &d.as_bytes()[..8])
+                    .collect();
+                assert_eq!(index.children.len(), prefixes.len());
+                shared_a_key |= prefixes.len() < reference.children.len();
+                for list in index.children.lists() {
                     let expected_len = match list {
                         ChildList::One(_) => 1..=1,
                         ChildList::Few { .. } => 2..=ChildList::INLINE,
@@ -551,6 +578,48 @@ mod tests {
             }
             assert!(index.next_seq() > 19, "every placed digest was pushed");
         }
+        assert!(shared_a_key, "the streams put two digests under one key");
+    }
+
+    #[test]
+    fn colliding_prefixes_are_confirmed_and_pruned_per_digest() {
+        let target = Digest::from_bytes([4; 32]);
+        let (near, nearer) = (twin(target, 1), twin(target, 2));
+        let mut index = BlockIndex::new();
+        let contents: [&[Digest]; 7] = [
+            &[near],
+            &[target, near],
+            &[near, nearer, near],
+            &[target, target],
+            &[nearer],
+            &[],
+            &[near, target],
+        ];
+        for (seq, contained) in contents.into_iter().enumerate() {
+            index.push(&block(seq as u32, contained.to_vec()), loc(seq as u32));
+        }
+        assert_eq!(index.children.len(), 1, "three digests, one key");
+        assert_eq!(index.children_of(&target), [1, 3, 3, 6]);
+        assert_eq!(index.children_of(&near), [0, 1, 2, 2, 6]);
+        assert_eq!(index.children_of(&nearer), [2, 4]);
+        assert_eq!(index.oldest_child_of(&target), Some(1));
+        assert_eq!(index.oldest_child_of(&nearer), Some(2));
+        assert_eq!(index.oldest_child_of_within(&target, 0), None);
+        assert_eq!(index.oldest_child_of_within(&nearer, 3), Some(2));
+        assert_eq!(index.oldest_child_of(&twin(target, 3)), None);
+
+        // Dropping `near`'s oldest children leaves the survivors of all
+        // three digests under the shared key.
+        index.prune_below(3);
+        assert_eq!(index.children_of(&target), [3, 3, 6]);
+        assert_eq!(index.children_of(&near), [6]);
+        assert_eq!(index.children_of(&nearer), [4]);
+        index.prune_below(6);
+        assert_eq!(index.children.len(), 1, "seq 6 still holds the key");
+        assert_eq!(index.oldest_child_of(&nearer), None);
+        index.prune_below(7);
+        assert!(index.children.is_empty(), "the last child drops the key");
+        assert_eq!(index.children_of(&target), [0u32; 0]);
     }
 
     #[test]

@@ -6,24 +6,27 @@
 //! one previously generated block via PoP (consensus). Storage and
 //! communication are metered with the paper's logical sizes.
 //!
-//! ## The sharded slot engine
+//! ## The parallel slot engine
 //!
 //! DAG ledgers admit leaderless, parallel progress, and the slot loop
-//! exploits exactly that: nodes are partitioned into contiguous shards
-//! ([`Sharding`]) and each slot runs as a sequence of shard-parallel phases
-//! with deterministic cross-shard exchanges at the phase boundaries:
+//! exploits exactly that. Each slot runs as a sequence of phases with
+//! deterministic exchanges at the phase boundaries; the two that carry the
+//! slot's CPU work run on the calling thread plus a pool of persistent slot
+//! workers ([`Sharding::threads`] wide, the host's cores by default), every
+//! participant claiming one item at a time from a shared counter:
 //!
 //! 1. **Generate** — every scheduled node mines, signs, and appends its
-//!    block (each worker owns a disjoint `&mut` slice of the node array).
+//!    block. The node array moves into the phase, one lock per node; a
+//!    claimant holds only the node it claimed.
 //! 2. **Exchange** — new digests are routed into per-receiver inboxes in
 //!    sender-id order, and DAG-construction traffic is accounted.
-//! 3. **Gossip** — each shard drains its nodes' inboxes (`A_i` updates,
-//!    flood detection).
-//! 4. **Verify** — generating honest nodes run PoP shard-parallel: peer
-//!    chains are read through shared references, each validator mutates
-//!    only its own trust cache/blacklist (taken out of the array for the
-//!    phase), and traffic lands in per-shard accounting deltas merged in
-//!    shard order.
+//! 3. **Gossip** — the calling thread drains every inbox (`A_i` updates,
+//!    flood detection): about as much work as a thread spawn and join
+//!    costs, so it never fans out.
+//! 4. **Verify** — each generating honest node runs one PoP. Peer chains
+//!    are shared read-only, each validator mutates only its own trust
+//!    cache/blacklist (taken out of its node for the phase), and traffic
+//!    lands in one accounting delta per participant.
 //! 5. **Commit** — backends sync per [`SyncPolicy`], once each. When more
 //!    than one store has staged appends the syncs fan out over
 //!    `max(threads, COMMIT_FANOUT)` chunk threads — every node flushes its
@@ -33,10 +36,13 @@
 //!    `tldag-storage` this is one fsync per shard per slot at any width.
 //!
 //! Results are **byte-identical for every thread count** under a fixed
-//! seed: all per-node randomness (payloads, target choice, PoP tie-breaks,
-//! link faults) is derived from `(seed, slot, node)` instead of a shared
-//! sequential stream, and every merge happens in node-id order while the
-//! remaining cross-shard sums (accounting) are commutative.
+//! seed, and no claiming order can change them: all per-node randomness
+//! (payloads, target choice, PoP tie-breaks, link faults) is derived from
+//! `(seed, slot, node)` instead of a shared sequential stream, an item
+//! mutates only its own node's (or validator's) state and reads nothing
+//! another item of the same phase writes, accounting deltas merge by sums,
+//! and everything else a phase produces — digests, outcomes, errors, trace
+//! lines — is merged in node-id order.
 
 use crate::attack::Behavior;
 use crate::blacklist::Blacklist;
@@ -49,7 +55,10 @@ use crate::pop::validator::{PopReport, Validator};
 use crate::store::{BackendFactory, MemoryBackendFactory, SyncPolicy, TrustCache};
 use crate::workload::{sensor_payload, VerificationWorkload};
 use std::ops::Range;
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 use tldag_crypto::sha256::sha256;
 use tldag_crypto::Digest;
@@ -92,9 +101,278 @@ pub fn derived_rng(seed: u64, purpose: u64, slot: Slot, node: NodeId) -> DetRng 
         .fork((u64::from(node.0) << 3) | purpose)
 }
 
+/// Least number of items — nodes in generate, validators in verify — a
+/// phase gives each thread: a phase over `items` runs on
+/// `min(threads, items / MIN_CLAIMS_PER_THREAD)` threads, at least one.
+/// Not a setting: the smallest value at which no network size in a sweep
+/// ran slower fanned out than inline (docs/ARCHITECTURE.md, "The slotted
+/// simulation"). It also keeps the 4-node engine the wire runtime checks
+/// parity against from ever starting a worker.
+const MIN_CLAIMS_PER_THREAD: usize = 4;
+
+/// Threads a phase over `items` claimable items runs on.
+fn fan_out(sharding: Sharding, items: usize) -> usize {
+    sharding.threads.min(items / MIN_CLAIMS_PER_THREAD).max(1)
+}
+
+/// The next unclaimed index below `len`, if any.
+fn next_claim(counter: &AtomicUsize, len: usize) -> Option<usize> {
+    // Relaxed: the counter hands out indices and publishes nothing; the
+    // items themselves are behind locks or read-only.
+    let index = counter.fetch_add(1, Ordering::Relaxed);
+    (index < len).then_some(index)
+}
+
+/// One participant's share of a phase, as a worker runs it.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// The slot loop's worker threads. They are spawned the first time a phase
+/// fans out, wait on their task channels between phases, and are joined
+/// when the network is dropped. A phase therefore costs a channel send and
+/// a wake-up instead of a thread spawn, and each worker keeps its
+/// thread-local key directory (`pop::validator::registered_key`) and its
+/// malloc arena from slot to slot.
+#[derive(Debug, Default)]
+struct SlotPool {
+    workers: Vec<SlotWorker>,
+}
+
+#[derive(Debug)]
+struct SlotWorker {
+    tasks: mpsc::Sender<Task>,
+    thread: JoinHandle<()>,
+}
+
+impl SlotPool {
+    /// Runs `claim` over `job` on the calling thread and on up to
+    /// `threads - 1` workers, and hands the job back with the outputs of
+    /// every participant. Participants claim items from the job until none
+    /// are left, so which participant produced what carries no meaning:
+    /// callers merge by item index.
+    ///
+    /// Returns only once every participant has reported, so no worker still
+    /// holds the job. A panic in any participant comes back as the `Err`
+    /// for the caller to re-raise once it has taken its state back.
+    fn run<J, T>(
+        &mut self,
+        threads: usize,
+        job: J,
+        claim: fn(&J) -> T,
+    ) -> (J, thread::Result<Vec<T>>)
+    where
+        J: Send + Sync + 'static,
+        T: Send + 'static,
+    {
+        let job = Arc::new(job);
+        let (report, reports) = mpsc::channel();
+        let mut sent = 0;
+        for worker in self.workers(threads.saturating_sub(1)) {
+            let job = Arc::clone(&job);
+            let report = report.clone();
+            let task: Task = Box::new(move || {
+                let out = panic::catch_unwind(AssertUnwindSafe(|| claim(&job)));
+                drop(job); // before reporting, so the caller gets the job back
+                let _ = report.send(out);
+            });
+            // A send fails only when the worker's thread is gone; the task
+            // and its job handle are dropped with the error, and the other
+            // participants claim that share.
+            sent += usize::from(worker.tasks.send(task).is_ok());
+        }
+        // Now only the tasks hold senders, so a task dropped unrun ends the
+        // wait below instead of hanging it.
+        drop(report);
+        let mut outs = vec![panic::catch_unwind(AssertUnwindSafe(|| claim(&job)))];
+        outs.extend(reports.iter().take(sent));
+        let job =
+            Arc::try_unwrap(job).unwrap_or_else(|_| unreachable!("every participant has reported"));
+        (job, outs.into_iter().collect())
+    }
+
+    /// The first `wanted` workers, spawning any not running yet. Fewer when
+    /// the OS refuses a thread: the running participants then claim its
+    /// share.
+    fn workers(&mut self, wanted: usize) -> &[SlotWorker] {
+        while self.workers.len() < wanted {
+            let (tasks, inbox) = mpsc::channel::<Task>();
+            let spawned = thread::Builder::new()
+                .name(format!("tldag-slot-{}", self.workers.len() + 1))
+                .spawn(move || inbox.into_iter().for_each(|task| task()));
+            match spawned {
+                Ok(thread) => self.workers.push(SlotWorker { tasks, thread }),
+                Err(_) => break,
+            }
+        }
+        &self.workers[..wanted.min(self.workers.len())]
+    }
+}
+
+impl Drop for SlotPool {
+    /// Closes every task channel, which ends each worker's loop, and joins
+    /// the workers.
+    fn drop(&mut self) {
+        let threads: Vec<JoinHandle<()>> = self.workers.drain(..).map(|w| w.thread).collect();
+        for thread in threads {
+            // Tasks catch their own panics, so a worker only ever returns.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The generate phase: the node array, moved in for the phase with one
+/// lock per node, and what a node needs to mine, sign and append its block.
+struct GenerateJob {
+    next: AtomicUsize,
+    nodes: Vec<Mutex<LedgerNode>>,
+    /// Whether each node generates this slot: scheduled and not departed.
+    generates: Vec<bool>,
+    cfg: ProtocolConfig,
+    seed: u64,
+    slot: Slot,
+    per_append_sync: bool,
+}
+
+/// What one participant of the generate phase produced.
+#[derive(Default)]
+struct Generated {
+    /// Every node that attempted a block, with the outcome.
+    attempts: Vec<(NodeId, Result<(), TldagError>)>,
+    /// Digests to broadcast; each node's are contiguous, in emission order.
+    outgoing: Vec<(NodeId, Digest)>,
+}
+
+impl GenerateJob {
+    /// Claims nodes until none are left. Every scheduled node attempts its
+    /// block whatever another node's attempt did.
+    fn claim(&self) -> Generated {
+        let mut out = Generated::default();
+        while let Some(index) = next_claim(&self.next, self.nodes.len()) {
+            let mut node = self.nodes[index]
+                .lock()
+                .expect("a node is claimed once, so no claimant panicked holding it");
+            node.begin_slot();
+            if self.generates[index] {
+                let id = NodeId(index as u32);
+                let outcome = self.generate(&mut node, id, &mut out.outgoing);
+                out.attempts.push((id, outcome));
+            }
+        }
+        out
+    }
+
+    /// Generates `node`'s block from its derived stream and queues the
+    /// digests it broadcasts.
+    fn generate(
+        &self,
+        node: &mut LedgerNode,
+        id: NodeId,
+        outgoing: &mut Vec<(NodeId, Digest)>,
+    ) -> Result<(), TldagError> {
+        let mut rng = derived_rng(self.seed, stream::GENERATE, self.slot, id);
+        let payload = sensor_payload(&mut rng, id, self.slot);
+        node.generate_block(&self.cfg, self.slot, payload)?;
+        let digest = node.own_latest_digest().expect("block just appended");
+        if self.per_append_sync {
+            node.store_mut().sync()?;
+        }
+        outgoing.push((id, digest));
+
+        // Flooders push extra (bogus) digests, which neighbors detect.
+        if let Behavior::Flooder { rate_multiplier } = node.behavior() {
+            for _ in 1..rate_multiplier {
+                let mut bytes = [0u8; 32];
+                for word in bytes.chunks_mut(8) {
+                    word.copy_from_slice(&rng.next_u64().to_be_bytes());
+                }
+                outgoing.push((id, Digest::from_bytes(bytes)));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The verify phase: the node array, shared read-only, and each
+/// validator's own mutable state, taken out of its node for the phase.
+struct VerifyJob {
+    next: AtomicUsize,
+    /// Validators in id order, each with its `H_i` and blacklist.
+    validators: Vec<(NodeId, Mutex<(TrustCache, Blacklist)>)>,
+    nodes: Vec<LedgerNode>,
+    topology: Arc<Topology>,
+    routes: Option<Arc<[Vec<Option<NodeId>>]>>,
+    targets: TargetPool,
+    links: LinkFaults,
+    cfg: ProtocolConfig,
+    seed: u64,
+    slot: Slot,
+    trace: bool,
+}
+
+/// What one participant of the verify phase produced.
+struct Verified {
+    attempts: usize,
+    successes: usize,
+    accounting: Accounting,
+    /// `(validator, target, report)` of each PoP, when tracing.
+    traced: Vec<(NodeId, BlockId, PopReport)>,
+}
+
+impl VerifyJob {
+    /// Claims validators until none are left; each runs one PoP on a target
+    /// drawn from its own stream.
+    fn claim(&self) -> Verified {
+        let mut out = Verified {
+            attempts: 0,
+            successes: 0,
+            accounting: Accounting::new(self.nodes.len()),
+            traced: Vec::new(),
+        };
+        while let Some(index) = next_claim(&self.next, self.validators.len()) {
+            let (validator, state) = &self.validators[index];
+            let validator = *validator;
+            let mut target_rng = derived_rng(self.seed, stream::TARGET, self.slot, validator);
+            let Some(target) = self.targets.choose(validator, &mut target_rng) else {
+                continue;
+            };
+            out.attempts += 1;
+            let mut pop_rng = derived_rng(self.seed, stream::POP, self.slot, validator);
+            let mut links = self
+                .links
+                .fork(self.slot.wrapping_mul(stream::LINKS << 32) ^ u64::from(validator.0));
+            let mut state = state
+                .lock()
+                .expect("a validator is claimed once, so no claimant panicked holding it");
+            let (trust_cache, blacklist) = &mut *state;
+            let report = execute_pop(
+                &self.cfg,
+                &self.topology,
+                &self.nodes,
+                self.routes.as_deref(),
+                &mut out.accounting,
+                &mut links,
+                validator,
+                target,
+                true,
+                trust_cache,
+                blacklist,
+                &mut pop_rng,
+            );
+            if report.is_success() {
+                out.successes += 1;
+            }
+            if self.trace {
+                out.traced.push((validator, target, report));
+            }
+        }
+        out
+    }
+}
+
 /// Runs `worker` over the chunks of `items` described by `ranges`: inline
-/// when there is at most one chunk, on scoped worker threads otherwise.
-/// Results are returned in range order, so merges stay deterministic.
+/// when there is at most one chunk, on scoped threads otherwise. Results
+/// are returned in range order, so merges stay deterministic. Only the
+/// commit point uses it: its width is I/O concurrency, not cores, and its
+/// chunks are what its error rule is stated in.
 fn run_sharded<I, T, F>(items: &mut [I], ranges: &[Range<usize>], worker: F) -> Vec<T>
 where
     I: Send,
@@ -364,7 +642,10 @@ pub struct SlotSummary {
 #[derive(Debug)]
 pub struct TldagNetwork {
     cfg: ProtocolConfig,
-    topology: Topology,
+    /// Behind an `Arc` so the verify phase's workers can share it. No
+    /// worker holds it between slots, so membership changes mutate it in
+    /// place.
+    topology: Arc<Topology>,
     nodes: Vec<LedgerNode>,
     schedule: GenerationSchedule,
     accounting: Accounting,
@@ -374,8 +655,10 @@ pub struct TldagNetwork {
     /// [`Self::choose_target`] calls from experiments).
     rng: DetRng,
     slot: Slot,
-    /// Shard-parallel execution policy for the slot loop.
+    /// How many threads the slot loop's parallel phases may use.
     sharding: Sharding,
+    /// Persistent workers of the generate and verify phases.
+    pool: SlotPool,
     /// When appended blocks are forced onto stable storage.
     sync_policy: SyncPolicy,
     verification: VerificationWorkload,
@@ -383,7 +666,7 @@ pub struct TldagNetwork {
     pop_successes: u64,
     /// Per-source shortest-path parents, rebuilt lazily when the topology
     /// changes; only populated under `cfg.multihop_accounting`.
-    routes: Option<Vec<Vec<Option<NodeId>>>>,
+    routes: Option<Arc<[Vec<Option<NodeId>>]>>,
     /// Nodes that left the network (they stop generating and serving).
     departed: Vec<bool>,
     /// Optional event trace (disabled by default).
@@ -462,11 +745,12 @@ impl TldagNetwork {
             seed,
             rng: DetRng::seed_from(seed),
             slot: 0,
-            sharding: Sharding::single(),
+            sharding: Sharding::default(),
+            pool: SlotPool::default(),
             sync_policy: SyncPolicy::default(),
             verification: VerificationWorkload::paper_default(n),
             nodes,
-            topology,
+            topology: Arc::new(topology),
             schedule,
             pop_attempts: 0,
             pop_successes: 0,
@@ -498,9 +782,10 @@ impl TldagNetwork {
         self.verification = workload;
     }
 
-    /// Sets the shard-parallel execution policy. A fixed seed produces
-    /// byte-identical chains, accounting, and PoP counters for **every**
-    /// thread count — sharding changes wall-clock time, never results.
+    /// Sets how many threads the slot loop may use (default: the host's
+    /// cores, [`Sharding::default`]). A fixed seed produces byte-identical
+    /// chains, accounting, PoP counters and traces for **every** thread
+    /// count — the width changes wall-clock time, never results.
     pub fn set_sharding(&mut self, sharding: Sharding) {
         self.sharding = sharding;
     }
@@ -656,8 +941,9 @@ impl TldagNetwork {
     /// digest a node emits is seen — and referenced — by all its neighbors'
     /// next blocks, which is what links the whole DAG together.
     ///
-    /// The slot runs shard-parallel under the configured [`Sharding`]; see
-    /// the module docs for the phase structure and the determinism argument.
+    /// The slot runs on as many threads as the configured [`Sharding`]
+    /// allows; see the module docs for the phase structure and the
+    /// determinism argument.
     pub fn step(&mut self) -> SlotSummary {
         self.try_step()
             .expect("storage backend failed during a slot")
@@ -672,11 +958,13 @@ impl TldagNetwork {
     /// order. The slot is left partially applied, and how depends on the
     /// phase that failed:
     ///
-    /// - **Generation:** blocks appended before the error stay appended, and
-    ///   with `threads > 1` the *other* shards finish generating before the
-    ///   error is returned — so the chains after a failed generation (unlike
-    ///   every successful run) depend on the thread count. Callers that need
-    ///   reproducible error states there should run single-threaded.
+    /// - **Generation:** every scheduled node attempts its block whatever
+    ///   another node's attempt did, so each block that could be appended
+    ///   is, and the lowest failing node's error is returned. Neither the
+    ///   thread count nor the order in which threads claim nodes can change
+    ///   the chains or the error. Nothing after generation runs: no digest
+    ///   of the slot is delivered, no PoP runs, nothing is committed, and
+    ///   the slot counter does not advance.
     /// - **Commit point:** nothing is appended there, so every chain is
     ///   whole and the error decides only which stores are durable. The
     ///   commit point's chunks are those of `max(threads, COMMIT_FANOUT)`:
@@ -687,68 +975,58 @@ impl TldagNetwork {
     ///   inline and stop at the first failure.
     ///
     /// Successful slots are byte-identical at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside a backend or the protocol, on whichever thread it
+    /// happened, is re-raised here once every thread of the phase has
+    /// stopped, with the node array back in place.
     pub fn try_step(&mut self) -> Result<SlotSummary, TldagError> {
         let slot = self.slot;
         let n = self.nodes.len();
-        let ranges = self.sharding.chunk_ranges(n);
         let seed = self.seed;
 
         // --- Phase 1: block generation from slot-start state (Sec. III-D).
-        // Each worker owns a disjoint slice of the node array; payloads and
-        // flooder digests come from the node's derived stream.
+        // Payloads and flooder digests come from each node's derived stream.
         let phase_started = Instant::now();
-        struct ShardGen {
-            generated: Vec<NodeId>,
-            outgoing: Vec<(NodeId, Digest)>,
-        }
-        let gen_results: Vec<Result<ShardGen, TldagError>> = {
-            let cfg = &self.cfg;
-            let schedule = &self.schedule;
-            let departed = &self.departed;
-            let per_append_sync = self.sync_policy.syncs_per_append();
-            run_sharded(&mut self.nodes, &ranges, move |range, chunk| {
-                let mut out = ShardGen {
-                    generated: Vec::new(),
-                    outgoing: Vec::new(),
-                };
-                for (offset, node) in chunk.iter_mut().enumerate() {
-                    let id = NodeId((range.start + offset) as u32);
-                    node.begin_slot();
-                    if departed[id.index()] || !schedule.generates(id, slot) {
-                        continue;
-                    }
-                    let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
-                    let payload = sensor_payload(&mut rng, id, slot);
-                    node.generate_block(cfg, slot, payload)?;
-                    let digest = node.own_latest_digest().expect("block just appended");
-                    if per_append_sync {
-                        node.store_mut().sync()?;
-                    }
-                    out.generated.push(id);
-                    out.outgoing.push((id, digest));
-
-                    // Flooders push extra (bogus) digests, which neighbors
-                    // detect.
-                    if let Behavior::Flooder { rate_multiplier } = node.behavior() {
-                        for _ in 1..rate_multiplier {
-                            let mut bytes = [0u8; 32];
-                            for word in bytes.chunks_mut(8) {
-                                word.copy_from_slice(&rng.next_u64().to_be_bytes());
-                            }
-                            out.outgoing.push((id, Digest::from_bytes(bytes)));
-                        }
-                    }
-                }
-                Ok(out)
-            })
+        let job = GenerateJob {
+            next: AtomicUsize::new(0),
+            generates: (0..n)
+                .map(|i| !self.departed[i] && self.schedule.generates(NodeId(i as u32), slot))
+                .collect(),
+            nodes: std::mem::take(&mut self.nodes)
+                .into_iter()
+                .map(Mutex::new)
+                .collect(),
+            cfg: self.cfg,
+            seed,
+            slot,
+            per_append_sync: self.sync_policy.syncs_per_append(),
         };
-        // Merging in shard order = node-id order (chunks are contiguous).
-        let mut generated: Vec<NodeId> = Vec::new();
-        let mut outgoing: Vec<(NodeId, Digest)> = Vec::new();
-        for result in gen_results {
-            let shard = result?;
-            generated.extend(shard.generated);
-            outgoing.extend(shard.outgoing);
+        let (job, claimed) = self
+            .pool
+            .run(fan_out(self.sharding, n), job, GenerateJob::claim);
+        // A poisoned lock means its claimant panicked: that panic is
+        // re-raised just below, with the node as the panic left it.
+        self.nodes = job
+            .nodes
+            .into_iter()
+            .map(|node| node.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let claimed = claimed.unwrap_or_else(|payload| panic::resume_unwind(payload));
+        // Node-id order; the sort of `outgoing` is stable, so a flooder's
+        // digests keep their emission order.
+        let (mut attempts, mut outgoing) = (Vec::new(), Vec::new());
+        for part in claimed {
+            attempts.extend(part.attempts);
+            outgoing.extend(part.outgoing);
+        }
+        attempts.sort_unstable_by_key(|&(id, _)| id);
+        outgoing.sort_by_key(|&(id, _)| id);
+        let mut generated: Vec<NodeId> = Vec::with_capacity(attempts.len());
+        for (id, outcome) in attempts {
+            outcome?;
+            generated.push(id);
         }
         if self.trace.is_enabled() {
             for &id in &generated {
@@ -786,125 +1064,81 @@ impl TldagNetwork {
         self.phase_timings
             .record(Phase::Exchange, phase_started.elapsed());
 
-        // --- Phase 3: gossip — each shard drains its nodes' inboxes.
+        // --- Phase 3: gossip — every node drains its inbox, inline.
         let phase_started = Instant::now();
-        {
-            let inboxes = &inboxes;
-            run_sharded(&mut self.nodes, &ranges, |range, chunk| {
-                for (offset, node) in chunk.iter_mut().enumerate() {
-                    for &(from, digest) in &inboxes[range.start + offset] {
-                        node.receive_digest(from, digest);
-                    }
-                }
-            });
+        for (node, inbox) in self.nodes.iter_mut().zip(&inboxes) {
+            for &(from, digest) in inbox {
+                node.receive_digest(from, digest);
+            }
         }
 
         self.phase_timings
             .record(Phase::Gossip, phase_started.elapsed());
 
         // --- Phase 4: verification workload — each honest generator runs one
-        // PoP. Validators read peer chains through shared references and
-        // mutate only their own trust cache/blacklist (taken out of the node
-        // array for the phase); traffic lands in per-shard accounting deltas.
+        // PoP. Validators read peer chains through the shared node array and
+        // mutate only their own trust cache/blacklist; traffic lands in one
+        // accounting delta per participant.
         let phase_started = Instant::now();
-        let validators: Vec<NodeId> = generated
+        let mut pop_attempts = 0usize;
+        let mut pop_successes = 0usize;
+        let honest: Vec<NodeId> = generated
             .iter()
             .copied()
             .filter(|v| !self.nodes[v.index()].behavior().is_malicious())
             .collect();
-        let mut pop_attempts = 0usize;
-        let mut pop_successes = 0usize;
+        let validators: Vec<(NodeId, Mutex<(TrustCache, Blacklist)>)> = honest
+            .into_iter()
+            .map(|v| {
+                let node = &mut self.nodes[v.index()];
+                let state = (node.take_trust_cache(), node.take_blacklist(&self.cfg));
+                (v, Mutex::new(state))
+            })
+            .collect();
         if !validators.is_empty() {
-            let mut states: Vec<(TrustCache, Blacklist)> = validators
-                .iter()
-                .map(|v| {
-                    let node = &mut self.nodes[v.index()];
-                    (node.take_trust_cache(), node.take_blacklist(&self.cfg))
-                })
-                .collect();
-
-            struct ShardPop {
-                attempts: usize,
-                successes: usize,
-                accounting: Accounting,
-                traced: Vec<(NodeId, BlockId, PopReport)>,
-            }
-            let v_ranges = self.sharding.chunk_ranges(validators.len());
-            let targets = TargetPool::scan(&self.nodes, &self.departed, self.verification, slot);
-            let pop_results: Vec<ShardPop> = {
-                let cfg = &self.cfg;
-                let topology = &self.topology;
-                let nodes = &self.nodes;
-                let targets = &targets;
-                let routes = self.routes.as_deref();
-                let links = &self.links;
-                let validators = &validators;
-                let trace_enabled = self.trace.is_enabled();
-                run_sharded(&mut states, &v_ranges, move |range, chunk| {
-                    let mut out = ShardPop {
-                        attempts: 0,
-                        successes: 0,
-                        accounting: Accounting::new(n),
-                        traced: Vec::new(),
-                    };
-                    for (offset, (trust_cache, blacklist)) in chunk.iter_mut().enumerate() {
-                        let validator = validators[range.start + offset];
-                        let mut target_rng = derived_rng(seed, stream::TARGET, slot, validator);
-                        let Some(target) = targets.choose(validator, &mut target_rng) else {
-                            continue;
-                        };
-                        out.attempts += 1;
-                        let mut pop_rng = derived_rng(seed, stream::POP, slot, validator);
-                        let mut links = links
-                            .fork(slot.wrapping_mul(stream::LINKS << 32) ^ u64::from(validator.0));
-                        let report = execute_pop(
-                            cfg,
-                            topology,
-                            nodes,
-                            routes,
-                            &mut out.accounting,
-                            &mut links,
-                            validator,
-                            target,
-                            true,
-                            trust_cache,
-                            blacklist,
-                            &mut pop_rng,
-                        );
-                        if report.is_success() {
-                            out.successes += 1;
-                        }
-                        if trace_enabled {
-                            out.traced.push((validator, target, report));
-                        }
-                    }
-                    out
-                })
+            let threads = fan_out(self.sharding, validators.len());
+            let job = VerifyJob {
+                next: AtomicUsize::new(0),
+                validators,
+                targets: TargetPool::scan(&self.nodes, &self.departed, self.verification, slot),
+                nodes: std::mem::take(&mut self.nodes),
+                topology: Arc::clone(&self.topology),
+                routes: self.routes.clone(),
+                links: self.links.clone(),
+                cfg: self.cfg,
+                seed,
+                slot,
+                trace: self.trace.is_enabled(),
             };
-
-            for (&validator, (trust_cache, blacklist)) in validators.iter().zip(states) {
+            let (job, claimed) = self.pool.run(threads, job, VerifyJob::claim);
+            self.nodes = job.nodes;
+            for (validator, state) in job.validators {
+                let (trust_cache, blacklist) =
+                    state.into_inner().unwrap_or_else(PoisonError::into_inner);
                 let node = &mut self.nodes[validator.index()];
                 node.restore_trust_cache(trust_cache);
                 node.restore_blacklist(blacklist);
             }
-            // Shard deltas merge in shard order; the counters are sums, so
-            // the totals are order-independent anyway.
-            for shard in pop_results {
-                pop_attempts += shard.attempts;
-                pop_successes += shard.successes;
-                self.accounting.merge(&shard.accounting);
-                for (validator, target, report) in shard.traced {
-                    self.trace.record(
-                        slot,
-                        TraceKind::Pop,
-                        format!(
-                            "{validator} verified {target}: {:?} ({} distinct, {} msgs)",
-                            report.outcome.as_ref().map(|_| "ok"),
-                            report.distinct_nodes,
-                            report.metrics.total_messages()
-                        ),
-                    );
-                }
+            let claimed = claimed.unwrap_or_else(|payload| panic::resume_unwind(payload));
+            let mut traced = Vec::new();
+            for part in claimed {
+                pop_attempts += part.attempts;
+                pop_successes += part.successes;
+                self.accounting.merge(&part.accounting);
+                traced.extend(part.traced);
+            }
+            traced.sort_unstable_by_key(|&(validator, ..)| validator);
+            for (validator, target, report) in traced {
+                self.trace.record(
+                    slot,
+                    TraceKind::Pop,
+                    format!(
+                        "{validator} verified {target}: {:?} ({} distinct, {} msgs)",
+                        report.outcome.as_ref().map(|_| "ok"),
+                        report.distinct_nodes,
+                        report.metrics.total_messages()
+                    ),
+                );
             }
         }
         self.pop_attempts += pop_attempts as u64;
@@ -992,7 +1226,7 @@ impl TldagNetwork {
         range_m: f64,
         period: u64,
     ) -> NodeId {
-        let id = self.topology.add_node(position, range_m);
+        let id = Arc::make_mut(&mut self.topology).add_node(position, range_m);
         let neighbors = self.topology.neighbors(id).to_vec();
         for &nb in &neighbors {
             self.nodes[nb.index()].add_neighbor(id);
@@ -1017,7 +1251,7 @@ impl TldagNetwork {
     /// unavailable — exactly what PoP's `BlockUnavailable` reports.
     pub fn node_leaves(&mut self, id: NodeId) {
         let former: Vec<NodeId> = self.topology.neighbors(id).to_vec();
-        self.topology.isolate_node(id);
+        Arc::make_mut(&mut self.topology).isolate_node(id);
         for nb in former {
             self.nodes[nb.index()].remove_neighbor(id);
         }
@@ -1245,7 +1479,7 @@ impl TargetPool {
 }
 
 /// Runs one PoP verification with every dependency passed explicitly, so
-/// both the sequential API and the shard-parallel verify phase share one
+/// both the sequential API and the parallel verify phase share one
 /// implementation. The validator's own state arrives via `trust_cache` /
 /// `blacklist`; `nodes` is only ever read.
 #[allow(clippy::too_many_arguments)]
@@ -1613,6 +1847,17 @@ mod tests {
     /// which node's store, and on which thread.
     type SyncLog = Arc<std::sync::Mutex<Vec<(NodeId, std::thread::ThreadId)>>>;
 
+    /// How a test store misbehaves.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Fault {
+        /// Every `sync` fails.
+        Sync,
+        /// The third `append` and every later one fail.
+        Append,
+        /// The third `append` panics.
+        PanicOnAppend,
+    }
+
     /// A memory chain with a durability watermark that only `sync` moves.
     #[derive(Debug)]
     struct CountingBackend {
@@ -1621,12 +1866,21 @@ mod tests {
         /// Length at the last successful sync; `None` for a store that
         /// never stages (it reports `len()`, as volatile backends do).
         durable: Option<usize>,
-        fails: bool,
+        fault: Option<Fault>,
         log: SyncLog,
     }
 
     impl BlockBackend for CountingBackend {
         fn append(&mut self, block: DataBlock) -> Result<(), TldagError> {
+            if self.chain.len() >= 2 {
+                match self.fault {
+                    Some(Fault::Append) => {
+                        return Err(TldagError::Storage(format!("{} cannot append", self.node)))
+                    }
+                    Some(Fault::PanicOnAppend) => panic!("{} append panicked", self.node),
+                    _ => {}
+                }
+            }
             self.chain.append(block)
         }
         fn len(&self) -> usize {
@@ -1656,7 +1910,7 @@ mod tests {
         fn sync(&mut self) -> Result<(), TldagError> {
             let here = std::thread::current().id();
             self.log.lock().unwrap().push((self.node, here));
-            if self.fails {
+            if self.fault == Some(Fault::Sync) {
                 return Err(TldagError::Storage(format!("{} cannot sync", self.node)));
             }
             if let Some(durable) = &mut self.durable {
@@ -1673,7 +1927,7 @@ mod tests {
     struct CountingFactory {
         /// Whether a node's store stages its appends until `sync`.
         stages: fn(NodeId) -> bool,
-        failing: Vec<u32>,
+        faults: Vec<(u32, Fault)>,
         log: SyncLog,
     }
 
@@ -1683,7 +1937,11 @@ mod tests {
                 node,
                 chain: BlockStore::new(),
                 durable: (self.stages)(node).then_some(0),
-                fails: self.failing.contains(&node.0),
+                fault: self
+                    .faults
+                    .iter()
+                    .find(|&&(id, _)| id == node.0)
+                    .map(|&(_, fault)| fault),
                 log: Arc::clone(&self.log),
             })
         }
@@ -1695,7 +1953,7 @@ mod tests {
     fn counting_net(
         nodes: usize,
         stages: fn(NodeId) -> bool,
-        failing: &[u32],
+        faults: &[(u32, Fault)],
     ) -> (TldagNetwork, SyncLog) {
         let mut rng = DetRng::seed_from(21);
         let topo = Topology::random_connected(&TopologyConfig::small(nodes), &mut rng);
@@ -1703,7 +1961,7 @@ mod tests {
         let log = SyncLog::default();
         let factory = CountingFactory {
             stages,
-            failing: failing.to_vec(),
+            faults: faults.to_vec(),
             log: Arc::clone(&log),
         };
         let cfg = ProtocolConfig::test_default().with_gamma(2);
@@ -1768,7 +2026,8 @@ mod tests {
     #[test]
     fn commit_point_error_is_the_lowest_failing_node_at_every_thread_count() {
         let outcome = |threads: usize| {
-            let (mut net, _log) = counting_net(40, |_| true, &[7, 31]);
+            let (mut net, _log) =
+                counting_net(40, |_| true, &[(7, Fault::Sync), (31, Fault::Sync)]);
             net.set_sharding(Sharding::threads(threads));
             let err = net.try_step().unwrap_err();
             assert_eq!(err, TldagError::Storage("n7 cannot sync".into()));
@@ -1782,6 +2041,98 @@ mod tests {
             assert_eq!((len, durable), (1, usize::from(!lost)), "n{id}");
         }
         assert_eq!(outcome(4), single);
+    }
+
+    #[test]
+    fn generation_error_is_the_lowest_failing_node_at_every_thread_count() {
+        let outcome = |threads: usize| {
+            let (mut net, _log) =
+                counting_net(40, |_| true, &[(31, Fault::Append), (7, Fault::Append)]);
+            net.set_sharding(Sharding::threads(threads));
+            net.run_slots(2);
+            let err = net.try_step().unwrap_err();
+            assert_eq!(err, TldagError::Storage("n7 cannot append".into()));
+            assert_eq!(net.slot(), 2, "a failed slot does not advance");
+            let chains: Vec<_> = net
+                .topology()
+                .node_ids()
+                .map(|id| net.chain_digest(id))
+                .collect();
+            (watermarks(&net), chains)
+        };
+        let single = outcome(1);
+        // Every node but the two failing ones appended its third block; the
+        // failed slot committed nothing.
+        for (id, &(len, durable)) in single.0.iter().enumerate() {
+            let expect = if id == 7 || id == 31 { 2 } else { 3 };
+            assert_eq!((len, durable), (expect, 2), "n{id}");
+        }
+        for threads in [2, 3, 8] {
+            assert_eq!(outcome(threads), single, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_any_slot_thread_reaches_the_caller() {
+        let (mut net, _log) = counting_net(12, |_| true, &[(5, Fault::PanicOnAppend)]);
+        net.set_sharding(Sharding::threads(2));
+        net.run_slots(2);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| net.try_step()));
+        let payload = caught.expect_err("the panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(message, "n5 append panicked");
+        assert_eq!(net.pool.workers.len(), 1, "the pool was in use");
+        assert_eq!(net.nodes().len(), 12, "the node array is back in place");
+
+        // Dropping a network joins its idle workers at once.
+        let started = Instant::now();
+        drop(net);
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_panicking_worker_is_reported_and_stays_usable() {
+        fn on_worker() -> bool {
+            thread::current()
+                .name()
+                .is_some_and(|name| name.starts_with("tldag-slot-"))
+        }
+        let mut pool = SlotPool::default();
+        let (job, outs) = pool.run(3, 7u32, |&job| {
+            assert!(!on_worker(), "only the calling thread may finish");
+            job
+        });
+        assert_eq!(job, 7);
+        let payload = outs.expect_err("two workers panicked");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"only the calling thread may finish")
+        );
+        assert_eq!(pool.workers.len(), 2);
+        // The same workers take the next job.
+        let (_, outs) = pool.run(3, (), |_| on_worker());
+        let mut outs = outs.expect("no participant panics");
+        outs.sort_unstable();
+        assert_eq!(outs, [false, true, true]);
+        assert_eq!(pool.workers.len(), 2);
+    }
+
+    #[test]
+    fn a_small_network_never_starts_a_worker() {
+        // The wire runtime's reference engine: four nodes, PoP on.
+        let mut net = small_net(16, 4, 1);
+        net.set_sharding(Sharding::threads(8));
+        net.set_verification_workload(VerificationWorkload::RandomPast { min_age_slots: 2 });
+        net.run_slots(6);
+        assert!(net.pop_counters().0 > 0, "the verify phase ran");
+        assert!(net.pool.workers.is_empty());
+        // Eight nodes at two per thread fan out to two threads.
+        let mut net = small_net(16, 8, 1);
+        net.set_sharding(Sharding::threads(8));
+        net.step();
+        assert_eq!(net.pool.workers.len(), 1);
     }
 
     #[test]

@@ -11,14 +11,21 @@ use crate::topology::NodeId;
 /// A discrete time slot (0-based).
 pub type Slot = u64;
 
-/// Shard-parallel execution policy for a slotted simulation loop.
+/// How many threads a slotted simulation loop may use.
 ///
-/// The engine partitions nodes into `threads` contiguous shards and runs
-/// each slot phase shard-parallel, with a deterministic cross-shard message
-/// exchange between phases. Results are **identical for every thread count**
-/// given the same seed: all per-node randomness is derived from
-/// `(seed, slot, node)` rather than drawn from one shared stream, and
-/// per-shard results are merged in shard (= node id) order.
+/// The engine runs its CPU-heavy slot phases on up to `threads` threads,
+/// with a deterministic message exchange between phases. Results are
+/// **identical for every thread count** given the same seed: all per-node
+/// randomness is derived from `(seed, slot, node)` rather than drawn from
+/// one shared stream, and per-thread results are merged in node-id order.
+///
+/// The default is one thread per core the process may run on
+/// ([`std::thread::available_parallelism`], which honours CPU affinity and
+/// cgroup quotas), and one when that is unknown.
+///
+/// [`Sharding::chunk_ranges`] splits `0..n` into `threads` contiguous
+/// bands, for the work that is dealt out in chunks rather than claimed one
+/// item at a time (the engine's commit point, group-commit shard logs).
 ///
 /// # Example
 ///
@@ -33,18 +40,21 @@ pub type Slot = u64;
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Sharding {
-    /// Number of worker threads (= shards). `1` runs the loop inline.
+    /// Number of threads (= shards). `1` runs the loop inline.
     pub threads: usize,
 }
 
 impl Default for Sharding {
+    /// One thread per available core.
     fn default() -> Self {
-        Sharding::single()
+        Sharding {
+            threads: std::thread::available_parallelism().map_or(1, usize::from),
+        }
     }
 }
 
 impl Sharding {
-    /// Single-threaded execution (the seed behaviour).
+    /// Single-threaded execution.
     pub fn single() -> Self {
         Sharding { threads: 1 }
     }
@@ -62,9 +72,7 @@ impl Sharding {
     /// The shard (chunk index) that `index` falls into when `0..n` is split
     /// by [`Sharding::chunk_ranges`], in O(1). Indices at or beyond `n`
     /// (e.g. nodes that joined after sizing) land in the last shard.
-    /// Storage factories use this to give each worker thread its own shard
-    /// log — appends then never cross a shard boundary, so the log mutexes
-    /// stay uncontended.
+    /// Storage factories use this to map each node id to its shard log.
     pub fn shard_of(&self, n: usize, index: usize) -> usize {
         if n == 0 {
             return 0;

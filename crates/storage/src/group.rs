@@ -22,8 +22,7 @@
 //!     seg-000000.log   sealed segment (records of the shard's node band)
 //!     seg-000001.log   tail segment
 //!     LOCK             single-writer guard
-//!   shard-0001/        …  (bands follow Sharding::chunk_ranges, so each
-//!                          engine worker thread owns one log)
+//!   shard-0001/        …  (contiguous node-id bands, Sharding::chunk_ranges)
 //! ```
 //!
 //! Records reuse the [`crate::record`] frame; no extra framing is needed
@@ -407,9 +406,9 @@ impl ShardLog {
 
 /// One node's [`BlockBackend`] view over a shared [`ShardLog`].
 ///
-/// Handles of the same shard share the log through an `Arc<Mutex<…>>`;
-/// within the shard-parallel engine each shard is driven by one worker
-/// thread, so the mutex is effectively uncontended.
+/// Handles of the same shard share the log through an `Arc<Mutex<…>>`.
+/// The engine's threads claim nodes one at a time, so two of them can
+/// append to one shard's log in the same slot; the mutex serialises them.
 #[derive(Debug)]
 pub struct ShardedNodeStore {
     log: Arc<Mutex<ShardLog>>,
@@ -511,12 +510,15 @@ impl BlockBackend for ShardedNodeStore {
 }
 
 /// Provisions group-committed storage: `shards` shard logs under a root
-/// directory, each shared by one **contiguous band** of node ids — the same
-/// bands `tldag_sim::engine::Sharding::chunk_ranges` deals to the engine's
-/// worker threads. With the shard count equal to `--threads`, every worker
-/// appends only to its own shard's log, so the log mutexes stay
-/// uncontended and the record order within each file is the worker's own
-/// deterministic append order.
+/// directory, each shared by one **contiguous band** of node ids
+/// (`tldag_sim::engine::Sharding::chunk_ranges` over the sized node
+/// count). A log belongs to node ids, not to threads: the engine's threads
+/// claim nodes one at a time, so with more than one thread a shard's
+/// records from one slot can interleave in any order. Each member's own
+/// records stay in its append order, which is all recovery needs; the byte
+/// layout of a file, and so which records share a segment, can differ
+/// between runs. Under a retention budget a member's pruned floor can
+/// therefore differ by run too.
 ///
 /// Implements [`BackendFactory`], so `TldagNetwork::with_factory` can run
 /// any experiment with one fsync per shard per sync point. Trust caches

@@ -176,10 +176,11 @@ each node's chain in a durable segmented block log under --storage-dir
 (default: a fresh directory under the system temp dir) with crash recovery
 and bounded resident memory; `disk-sharded` group-commits all nodes of a
 shard into one multiplexed log (one fsync per shard per sync point, shard
-count = --threads).
+count = --threads, so the number of cores unless given).
 
---threads W shards the slot loop across W worker threads. Results are
-byte-identical for every thread count under a fixed seed.
+--threads W runs the slot loop on up to W threads (default: one per
+available core). Results are byte-identical for every thread count under a
+fixed seed.
 
 --sync-policy picks the durability cadence: `per-append` (fsync every
 block), `per-slot` (fsync at each slot boundary; default), or `grouped:N`
@@ -194,7 +195,7 @@ disk backend.
 
 Defaults: --nodes 16, --side 300, --slots 40, --gamma 3, --malicious 0,
           --seq 0, --validator 0, --seed 42, --storage memory,
-          --threads 1, --sync-policy per-slot, no retention budget.
+          --threads <cores>, --sync-policy per-slot, no retention budget.
 ";
 
 struct Args {
@@ -275,7 +276,7 @@ fn build_network(args: &Args) -> Result<TldagNetwork, String> {
     // runs and wire deployments execute one protocol.
     let cfg = tldag::net::runtime::deployment_protocol_config(gamma);
     let schedule = GenerationSchedule::uniform(topology.len());
-    let threads: usize = args.get("threads", 1)?;
+    let threads: usize = args.get("threads", Sharding::default().threads)?;
     if threads == 0 {
         return Err("--threads must be positive".into());
     }

@@ -12,6 +12,7 @@ use tldag::sim::bus::TrafficClass;
 use tldag::sim::engine::{GenerationSchedule, Sharding};
 use tldag::sim::fault::LinkFaults;
 use tldag::sim::topology::{Topology, TopologyConfig};
+use tldag::sim::trace::Trace;
 use tldag::sim::{DetRng, NodeId};
 use tldag::storage::{DiskFactory, ShardedDiskFactory, StorageOptions};
 
@@ -67,20 +68,37 @@ fn fingerprint(net: &TldagNetwork) -> (Vec<Digest>, u64, u64, (u64, u64), usize)
 
 #[test]
 fn fixed_seed_is_identical_across_thread_counts() {
-    let mut reference = build_network(1, None);
-    reference.run_slots(SLOTS);
-    let expected = fingerprint(&reference);
-    assert!(expected.3 .0 > 0, "PoP workload must trigger");
-
-    for threads in [2, 4, 7] {
+    // PoP on, lossy links on, and a trace whose Pop lines pin the order in
+    // which the verify phase's results are merged.
+    let run = |threads: usize| {
         let mut net = build_network(threads, None);
+        net.set_trace(Trace::enabled());
         net.run_slots(SLOTS);
+        (fingerprint(&net), net.trace().to_jsonl())
+    };
+    let (expected, trace) = run(1);
+    assert!(expected.3 .0 > 0, "PoP workload must trigger");
+    assert!(trace.contains("\"kind\":\"pop\""), "the trace records PoPs");
+
+    for threads in [2, 3, 8] {
+        let (got, got_trace) = run(threads);
         assert_eq!(
-            fingerprint(&net),
-            expected,
+            got, expected,
             "threads={threads} diverged from the single-threaded run"
         );
+        assert_eq!(got_trace, trace, "threads={threads}: trace records differ");
     }
+}
+
+#[test]
+fn the_default_width_is_the_available_parallelism() {
+    let mut rng = DetRng::seed_from(SEED);
+    let topo = Topology::random_connected(&TopologyConfig::small(8), &mut rng);
+    let schedule = GenerationSchedule::uniform(topo.len());
+    let net = TldagNetwork::new(ProtocolConfig::test_default(), topo, schedule, SEED);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    assert_eq!(net.sharding().threads, cores);
+    assert_eq!(Sharding::default().threads, cores);
 }
 
 #[test]

@@ -79,6 +79,35 @@ fn paper_density_digests() -> Vec<DigestEntry> {
         .collect()
 }
 
+/// Hashing one paper-density header (19 entries, 1 KiB body, difficulty
+/// 6): `digest` is the header digest a validator computes per fetched
+/// target and accepted `RPY_CHILD`; `validate` is the fetched target's
+/// check (Merkle root, pre-sign hash + signature, puzzle). An encoding that
+/// feeds the hasher per entry shows in both.
+fn bench_header_hash_paper_density(c: &mut Criterion) {
+    let cfg = ProtocolConfig::paper_default()
+        .with_body_bits(8 * 1024)
+        .with_difficulty(6);
+    let keypair = KeyPair::from_seed(0);
+    let block = DataBlock::create(
+        &cfg,
+        BlockId::new(NodeId(0), 1),
+        1,
+        paper_density_digests(),
+        BlockBody::new(vec![1u8; 1024], cfg.body_bits),
+        &keypair,
+    );
+    let pk = keypair.public();
+    let mut group = c.benchmark_group("header_hash");
+    group.bench_function("paper_density/digest", |b| {
+        b.iter(|| black_box(&block.header).digest());
+    });
+    group.bench_function("paper_density/validate", |b| {
+        b.iter(|| black_box(&block).validate(&cfg, &pk));
+    });
+    group.finish();
+}
+
 /// Copying a paper-density block, the way `S_i` reads, replies and `H_i`
 /// inserts do. The digest list is shared, so a clone is two reference-count
 /// bumps; a deep copy of the 684-byte list would show here first.
@@ -126,6 +155,7 @@ criterion_group!(
     benches,
     bench_generate_block,
     bench_create_paper_density,
+    bench_header_hash_paper_density,
     bench_clone_paper_density,
     bench_receive_digest
 );

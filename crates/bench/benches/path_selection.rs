@@ -89,21 +89,29 @@ fn chain_cache(cfg: &ProtocolConfig, len: usize, siblings: u32) -> (TrustCache, 
 /// One-entry headers over growing caches, then 128 headers at the paper's
 /// density (19 entries, the parent's last): every step confirms its hit
 /// against the full digest, so a confirmation that scans the list shows
-/// in the last row and not in the others.
+/// in the `paper_density` row and not in the others. Each of those walks
+/// to the 64-step budget; `first_17_of_128` takes the γ + 1 = 17 steps a
+/// validator consumes before its proof is complete, so a walk that looks
+/// up steps nobody asked for shows there.
 fn bench_tps(c: &mut Criterion) {
     let cfg = ProtocolConfig::test_default();
     let mut group = c.benchmark_group("tps_extend");
     let cases = [
-        ("16", 16usize, 0),
-        ("128", 128, 0),
-        ("1024", 1024, 0),
-        ("paper_density", 128, 18),
+        ("16", 16usize, 0, 64),
+        ("128", 128, 0, 64),
+        ("1024", 1024, 0, 64),
+        ("paper_density", 128, 18, 64),
+        ("first_17_of_128", 128, 18, 17),
     ];
-    for (name, len, siblings) in cases {
+    for (name, len, siblings, taken) in cases {
         let (cache, root) = chain_cache(&cfg, len, siblings);
         group.bench_with_input(BenchmarkId::from_parameter(name), &cache, |b, cache| {
             let skip = HashSet::new();
-            b.iter(|| tps::extend(black_box(cache), black_box(&root), &skip, 64));
+            b.iter(|| {
+                tps::extend(black_box(cache), black_box(&root), &skip, 64)
+                    .take(taken)
+                    .count()
+            });
         });
     }
     group.finish();

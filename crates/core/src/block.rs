@@ -83,15 +83,26 @@ pub struct BlockHeader {
     pub signature: Signature,
 }
 
+/// Bytes of one encoded Digests entry: `origin` (4, big-endian) ‖ digest.
+const ENTRY_BYTES: usize = 4 + 32;
+
+/// Entries [`BlockHeader::absorb_digests`] encodes per `update`: 28 × 36 B
+/// = 1 008 B of stack, so the paper's 19-entry list is one call.
+const ENTRIES_PER_UPDATE: usize = 28;
+
 impl BlockHeader {
-    /// Streams the Digests field into `h`, one `(origin ‖ digest)` entry at
-    /// a time.
+    /// Absorbs the Digests field into `h`: each run of up to
+    /// [`ENTRIES_PER_UPDATE`] `(origin ‖ digest)` entries is encoded into a
+    /// stack buffer and handed over in one `update`, so the hasher
+    /// compresses whole blocks instead of topping up its buffer per entry.
     fn absorb_digests(&self, h: &mut Sha256) {
-        for entry in self.digests.iter() {
-            let mut bytes = [0u8; 36];
-            bytes[..4].copy_from_slice(&entry.origin.0.to_be_bytes());
-            bytes[4..].copy_from_slice(entry.digest.as_bytes());
-            h.update(&bytes);
+        let mut bytes = [0u8; ENTRIES_PER_UPDATE * ENTRY_BYTES];
+        for run in self.digests.chunks(ENTRIES_PER_UPDATE) {
+            for (entry, out) in run.iter().zip(bytes.chunks_exact_mut(ENTRY_BYTES)) {
+                out[..4].copy_from_slice(&entry.origin.0.to_be_bytes());
+                out[4..].copy_from_slice(entry.digest.as_bytes());
+            }
+            h.update(&bytes[..run.len() * ENTRY_BYTES]);
         }
     }
 
@@ -447,11 +458,13 @@ mod tests {
         let mut cfg = cfg();
         cfg.difficulty_bits = 6;
         let kp = KeyPair::from_seed(11);
-        for entries in [0usize, 1, 2, 5, 18, 19] {
+        // The paper's 19 entries, and either side of `absorb_digests`'s
+        // 28-entry chunk boundaries.
+        for entries in [0usize, 1, 2, 5, 18, 19, 27, 28, 29, 56, 57, 300] {
             let digests = (0..entries)
                 .map(|i| DigestEntry {
                     origin: NodeId(i as u32),
-                    digest: Digest::from_bytes([i as u8 + 1; 32]),
+                    digest: Digest::from_bytes([(i as u8).wrapping_add(1); 32]),
                 })
                 .collect::<Vec<_>>();
             let body = BlockBody::new(vec![entries as u8; 64], cfg.body_bits);

@@ -29,32 +29,32 @@ pub struct TpsStep {
 /// Extends the path from `current` using cached headers until the cache runs
 /// dry or `max_steps` extensions were taken (Algorithm 2's loop).
 ///
+/// The walk is lazy: each step is looked up when the caller asks for it, so
+/// a validator that stops at `γ + 1` owners pays for the steps its proof
+/// uses and for nothing past them.
+///
 /// `skip` contains header digests that must not be used (blocks rolled back
 /// earlier in this PoP run). Acyclicity of the logical DAG guarantees
 /// termination; `max_steps` is a defensive bound.
-pub fn extend(
-    cache: &TrustCache,
+pub fn extend<'a>(
+    cache: &'a TrustCache,
     current: &Digest,
-    skip: &HashSet<Digest>,
+    skip: &'a HashSet<Digest>,
     max_steps: usize,
-) -> Vec<TpsStep> {
-    let mut steps = Vec::new();
+) -> impl Iterator<Item = TpsStep> + 'a {
     let mut tip = *current;
-    while steps.len() < max_steps {
-        let Some((digest, next)) = cache
+    std::iter::from_fn(move || {
+        let (digest, next) = cache
             .children_candidates(&tip)
-            .find(|(digest, _)| !skip.contains(digest))
-        else {
-            break;
-        };
-        steps.push(TpsStep {
+            .find(|(digest, _)| !skip.contains(digest))?;
+        tip = digest;
+        Some(TpsStep {
             owner: next.owner,
             block_id: next.block_id,
             digest,
-        });
-        tip = digest;
-    }
-    steps
+        })
+    })
+    .take(max_steps)
 }
 
 #[cfg(test)]
@@ -110,7 +110,7 @@ mod tests {
         for b in [&b1, &b2, &b3] {
             cache.insert(trusted(b));
         }
-        let steps = extend(&cache, &root, &HashSet::new(), 100);
+        let steps: Vec<TpsStep> = extend(&cache, &root, &HashSet::new(), 100).collect();
         assert_eq!(steps.len(), 3);
         assert_eq!(steps[0].owner, NodeId(1));
         assert_eq!(steps[2].owner, NodeId(3));
@@ -134,14 +134,14 @@ mod tests {
         let b1 = block_with_parent(&cfg, 1, 0, 1, root);
         let mut cache = TrustCache::new();
         cache.insert(trusted(&b1));
-        let steps = extend(&cache, &root, &HashSet::new(), 100);
+        let steps: Vec<TpsStep> = extend(&cache, &root, &HashSet::new(), 100).collect();
         assert_eq!(steps.len(), 1);
     }
 
     #[test]
     fn empty_cache_extends_nothing() {
         let cache = TrustCache::new();
-        let steps = extend(&cache, &Digest::ZERO, &HashSet::new(), 100);
+        let steps: Vec<TpsStep> = extend(&cache, &Digest::ZERO, &HashSet::new(), 100).collect();
         assert!(steps.is_empty());
     }
 
@@ -156,12 +156,12 @@ mod tests {
         cache.insert(trusted(&late));
 
         // Without a skip set, TPS picks the earliest child.
-        let steps = extend(&cache, &root, &HashSet::new(), 100);
+        let steps: Vec<TpsStep> = extend(&cache, &root, &HashSet::new(), 100).collect();
         assert_eq!(steps[0].owner, NodeId(1));
 
         // Skipping the early block falls back to the alternative child.
         let skip: HashSet<Digest> = [early.header_digest()].into();
-        let steps = extend(&cache, &root, &skip, 100);
+        let steps: Vec<TpsStep> = extend(&cache, &root, &skip, 100).collect();
         assert_eq!(steps[0].owner, NodeId(2));
     }
 
@@ -187,7 +187,7 @@ mod tests {
         for b in impostors.iter().chain([&b1, &b2]) {
             cache.insert(trusted(b));
         }
-        let steps = extend(&cache, &root, &HashSet::new(), 100);
+        let steps: Vec<TpsStep> = extend(&cache, &root, &HashSet::new(), 100).collect();
         let owners: Vec<NodeId> = steps.iter().map(|s| s.owner).collect();
         assert_eq!(owners, [NodeId(1), NodeId(2)]);
         let mut tip = root;
@@ -212,7 +212,7 @@ mod tests {
             parent = b.header_digest();
             cache.insert(trusted(&b));
         }
-        let steps = extend(&cache, &root, &HashSet::new(), 4);
+        let steps: Vec<TpsStep> = extend(&cache, &root, &HashSet::new(), 4).collect();
         assert_eq!(steps.len(), 4);
     }
 }

@@ -352,7 +352,9 @@ impl<'a> Validator<'a> {
             if metrics.req_child_sent >= self.cfg.max_requests {
                 break;
             }
-            // TPS fast-forward (Algorithm 3, line 9).
+            // TPS fast-forward (Algorithm 3, line 9). The walk is lazy, so
+            // breaking at `γ + 1` owners is where its lookups stop too; the
+            // budget only caps a walk that never completes the proof.
             if self.cfg.enable_tps && owners.len_distinct() < threshold {
                 let tip_digest = path.last().expect("path never empty here").digest;
                 let budget = threshold * 4 + 16;

@@ -7,7 +7,9 @@
 //! contained-digest index hit is confirmed against the full digest — the
 //! invariant checked here after arbitrary sequences of PoP runs, across the
 //! persistence codec, and (the `prefix_collision_*` properties) under
-//! digests crafted to share the index's 64-bit key.
+//! digests crafted to share the index's 64-bit key. Two more hold the audit
+//! fast paths to their references: the lazy TPS walk to the eager one, and
+//! the chunked header hash to the canonical byte encoding.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -18,10 +20,10 @@ use tldag_core::network::TldagNetwork;
 use tldag_core::pop::tps;
 use tldag_core::store::{BlockBackend, BlockStore, TrustCache, TrustedHeader};
 use tldag_core::workload::VerificationWorkload;
-use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
+use tldag_core::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
 use tldag_crypto::schnorr::KeyPair;
 use tldag_crypto::sha256::sha256;
-use tldag_crypto::Digest;
+use tldag_crypto::{puzzle, Digest};
 use tldag_sim::engine::GenerationSchedule;
 use tldag_sim::topology::{Topology, TopologyConfig};
 use tldag_sim::{DetRng, NodeId};
@@ -209,47 +211,79 @@ fn reference_extend(
     steps
 }
 
+/// A cache whose headers name digests that share keys with each other, and
+/// the digests of earlier headers or their twins, so TPS walks chains in
+/// which an older impostor waits under every key. Returns the cache, every
+/// digest worth walking from, and the headers `skip_bits` marks as rolled
+/// back.
+fn colliding_cache(
+    headers: Vec<(u32, u64, u64, u32)>,
+    skip_bits: u32,
+) -> (TrustCache, Vec<Digest>, HashSet<Digest>) {
+    let cfg = ProtocolConfig::test_default();
+    let mut pool = colliding_digests();
+    let mut targets = pool.clone();
+    let mut cache = TrustCache::new();
+    let mut skip = HashSet::new();
+    for (i, (count, picks, time, owner)) in headers.into_iter().enumerate() {
+        let block = DataBlock::create(
+            &cfg,
+            BlockId::new(NodeId(owner), i as u32 / 4),
+            time,
+            pick(&pool, count, picks),
+            BlockBody::new(vec![i as u8; 8], cfg.body_bits),
+            &KeyPair::from_seed(u64::from(owner)),
+        );
+        let digest = block.header_digest();
+        pool.extend([digest, twin(digest)]);
+        targets.extend([digest, twin(digest)]);
+        if i % 3 == 0 && skip_bits >> (i % 32) & 1 == 1 {
+            skip.insert(digest);
+        }
+        cache.insert(TrustedHeader {
+            owner: NodeId(owner),
+            block_id: block.id,
+            header: block.header,
+        });
+    }
+    (cache, targets, skip)
+}
+
+/// The canonical encodings a header's hashes cover: the puzzle prefix
+/// `root ‖ digests` (Eq. 5, before the nonce) and the signed pre-sign
+/// fields `version ‖ time ‖ root ‖ |digests| ‖ digests ‖ nonce` (Eq. 6).
+fn canonical_bytes(header: &BlockHeader) -> (Vec<u8>, Vec<u8>) {
+    let mut prefix = header.root.as_bytes().to_vec();
+    for entry in header.digests.iter() {
+        prefix.extend_from_slice(&entry.origin.0.to_be_bytes());
+        prefix.extend_from_slice(entry.digest.as_bytes());
+    }
+    let mut presign = header.version.to_be_bytes().to_vec();
+    presign.extend_from_slice(&header.time.to_be_bytes());
+    presign.extend_from_slice(header.root.as_bytes());
+    presign.extend_from_slice(&(header.digests.len() as u32).to_be_bytes());
+    presign.extend_from_slice(&prefix[32..]);
+    presign.extend_from_slice(&header.nonce.to_be_bytes());
+    (prefix, presign)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Headers name digests that share keys with each other, and the
-    /// digests of earlier headers or their twins, so TPS walks chains in
-    /// which an older impostor waits under every key. No lookup may offer
-    /// a header that does not contain the target, and TPS takes the steps
-    /// a collect-and-sort lookup gives.
+    /// Headers name colliding digests (see [`colliding_cache`]). No lookup
+    /// may offer a header that does not contain the target, and TPS takes
+    /// the steps a collect-and-sort lookup gives.
     #[test]
     fn prefix_collision_never_offers_a_false_child(
         headers in proptest::collection::vec((0u32..6, any::<u64>(), 0u64..6, 0u32..4), 1..32),
         skip_bits in any::<u32>(),
     ) {
-        let cfg = ProtocolConfig::test_default();
-        let mut pool = colliding_digests();
-        let mut targets = pool.clone();
-        let mut cache = TrustCache::new();
-        let mut skip = HashSet::new();
-        for (i, (count, picks, time, owner)) in headers.into_iter().enumerate() {
-            let block = DataBlock::create(
-                &cfg,
-                BlockId::new(NodeId(owner), i as u32 / 4),
-                time,
-                pick(&pool, count, picks),
-                BlockBody::new(vec![i as u8; 8], cfg.body_bits),
-                &KeyPair::from_seed(u64::from(owner)),
-            );
-            let digest = block.header_digest();
-            pool.extend([digest, twin(digest)]);
-            targets.extend([digest, twin(digest)]);
-            if i % 3 == 0 && skip_bits >> (i % 32) & 1 == 1 {
-                skip.insert(digest);
-            }
-            cache.insert(TrustedHeader { owner: NodeId(owner), block_id: block.id, header: block.header });
-        }
+        let (cache, targets, skip) = colliding_cache(headers, skip_bits);
         check_index(&cache)?;
         for target in &targets {
             let candidates: Vec<_> = cache.children_candidates(target).collect();
             prop_assert_eq!(&candidates, &collect_and_sort(&cache, target));
-            let steps = tps::extend(&cache, target, &skip, 64);
-            let digests: Vec<Digest> = steps.iter().map(|s| s.digest).collect();
+            let digests: Vec<Digest> = tps::extend(&cache, target, &skip, 64).map(|s| s.digest).collect();
             prop_assert_eq!(&digests, &reference_extend(&cache, target, &skip, 64));
             let mut tip = *target;
             for digest in digests {
@@ -257,6 +291,59 @@ proptest! {
                 tip = digest;
             }
         }
+    }
+
+    /// A validator stops consuming TPS steps once `|R_i| = γ + 1`: the
+    /// first `k` steps of the lazy walk are the first `k` of the eager
+    /// reference, for every `k`, including one past the budget.
+    #[test]
+    fn lazy_tps_walk_takes_the_reference_prefix(
+        headers in proptest::collection::vec((0u32..6, any::<u64>(), 0u64..6, 0u32..4), 1..32),
+        skip_bits in any::<u32>(),
+        budget in 0usize..8,
+        k in 0usize..12,
+    ) {
+        let (cache, targets, skip) = colliding_cache(headers, skip_bits);
+        for target in &targets {
+            let taken: Vec<Digest> = tps::extend(&cache, target, &skip, budget)
+                .take(k)
+                .map(|s| s.digest)
+                .collect();
+            let mut reference = reference_extend(&cache, target, &skip, budget);
+            reference.truncate(k);
+            prop_assert_eq!(taken, reference);
+        }
+    }
+
+    /// Every header hash covers the canonical encoding at any list length,
+    /// `absorb_digests`'s 28-entry chunk boundaries included: the digest,
+    /// the signature over the pre-sign hash, and the puzzle at any nonce.
+    #[test]
+    fn header_hash_equals_the_canonical_byte_encoding(
+        entries in proptest::collection::vec((any::<u32>(), any::<u64>()), 0..300),
+        nonce in any::<u32>(),
+        difficulty in 0u8..6,
+    ) {
+        let cfg = ProtocolConfig::test_default();
+        let kp = KeyPair::from_seed(entries.len() as u64);
+        let digests = entries
+            .iter()
+            .map(|&(origin, seed)| DigestEntry {
+                origin: NodeId(origin),
+                digest: Digest::from_bytes([seed.to_le_bytes(); 4].concat().try_into().unwrap()),
+            })
+            .collect::<Vec<_>>();
+        let body = BlockBody::new(vec![entries.len() as u8; 8], cfg.body_bits);
+        let mut header = DataBlock::create(&cfg, BlockId::new(NodeId(1), 2), 3, digests, body, &kp).header;
+        let (_, presign) = canonical_bytes(&header);
+        prop_assert!(kp.public().verify(sha256(&presign).as_bytes(), &header.signature));
+
+        header.nonce = nonce;
+        let (prefix, presign) = canonical_bytes(&header);
+        let full = [&b"2ldag-header"[..], &presign, &header.signature.to_bytes()].concat();
+        prop_assert_eq!(header.digest(), sha256(&full));
+        let reference = puzzle::check(&puzzle::puzzle_digest(&prefix, nonce), difficulty);
+        prop_assert_eq!(header.verify_puzzle(difficulty), reference);
     }
 
     /// A chain whose headers name colliding digests: the responder lookups

@@ -12,9 +12,12 @@
 //! * [`merkle`] — a binary Merkle tree with inclusion proofs over block bodies.
 //! * [`schnorr`] — Schnorr signatures over a 64-bit safe-prime field. This is
 //!   **simulation-grade**: structurally a real Schnorr scheme (key generation,
-//!   deterministic nonces, batch-verifiable equations) but with a deliberately small
-//!   field, so it must never be used outside simulations. The 2LDAG overhead model
-//!   accounts signatures at the paper's `f_s = 256` bits regardless.
+//!   deterministic nonces, the standard verification equation) but with a
+//!   deliberately small field, so it must never be used outside simulations.
+//!   A signature is the `(e, s)` pair and carries no commitment `R`, so
+//!   signatures are verified one at a time, never in a batch. The 2LDAG
+//!   overhead model accounts signatures at the paper's `f_s = 256` bits
+//!   regardless.
 //! * [`puzzle`] — leading-zero-bit difficulty puzzles (`H(fields ‖ nonce) ≤ ρ`).
 //!
 //! # Example
@@ -32,7 +35,7 @@
 //! ```
 
 // `deny`, not `forbid`: the one sanctioned exception is `sha_ni`, a leaf
-// module with its own `allow` whose single guarded call enters a kernel
+// module with its own `allow` whose two guarded calls enter kernels
 // compiled for CPU features the build target does not promise. No other
 // module can grow such a block without tripping the lint, and clippy fails
 // any block that does not say why it is sound.

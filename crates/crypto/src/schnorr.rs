@@ -14,6 +14,12 @@
 //!
 //! Group: `p = 2q + 1` a safe prime (found deterministically at first use),
 //! `g = 4` generating the order-`q` subgroup of quadratic residues.
+//!
+//! Powers of `g` (key generation, signing, the `g^s` of verification) read
+//! a fixed-base table built once beside [`group_params`]: sixteen 4-bit
+//! windows of sixteen entries, 2 KiB, so `g^x` is fifteen products where
+//! square-and-multiply (`powmod`) takes about ninety. Every key, signature
+//! and verdict equals what `powmod` gives.
 
 use crate::sha256::Sha256;
 use std::fmt;
@@ -106,6 +112,28 @@ pub fn group_params() -> &'static GroupParams {
     })
 }
 
+/// `G_TABLE[i][j] = g^(j·16^i) mod p`: one row per 4-bit window of a 64-bit
+/// exponent.
+static G_TABLE: OnceLock<[[u64; 16]; 16]> = OnceLock::new();
+
+/// `g^exp mod p`: one table entry per 4-bit window of `exp`.
+fn g_pow(exp: u64) -> u64 {
+    let params = group_params();
+    let table = G_TABLE.get_or_init(|| {
+        let mut table = [[1u64; 16]; 16];
+        let mut base = params.g;
+        for row in &mut table {
+            for j in 1..16 {
+                row[j] = mulmod(row[j - 1], base, params.p);
+            }
+            base = mulmod(row[15], base, params.p);
+        }
+        table
+    });
+    let entry = |window: usize| table[window][(exp >> (4 * window)) as usize & 15];
+    (1..16).fold(entry(0), |acc, window| mulmod(acc, entry(window), params.p))
+}
+
 /// A secret (signing) key: an exponent in `[1, q-1]`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SecretKey(u64);
@@ -156,7 +184,7 @@ impl PublicKey {
         if self.0 <= 1 || self.0 >= params.p {
             return false;
         }
-        let gs = powmod(params.g, sig.s, params.p);
+        let gs = g_pow(sig.s);
         let pk_neg_e = powmod(self.0, params.q - sig.e, params.p);
         let r = mulmod(gs, pk_neg_e, params.p);
         challenge(r, self.0, message, params.q) == sig.e
@@ -235,7 +263,7 @@ impl KeyPair {
         h.update(b"2ldag-keygen");
         h.update(&seed.to_be_bytes());
         let sk = h.finalize().prefix_u64() % (params.q - 1) + 1;
-        let pk = powmod(params.g, sk, params.p);
+        let pk = g_pow(sk);
         KeyPair {
             sk: SecretKey(sk),
             pk: PublicKey(pk),
@@ -255,7 +283,7 @@ impl KeyPair {
         h.update(&self.sk.0.to_be_bytes());
         h.update(message);
         let k = h.finalize().prefix_u64() % (params.q - 1) + 1;
-        let r = powmod(params.g, k, params.p);
+        let r = g_pow(k);
         let e = challenge(r, self.pk.0, message, params.q);
         let s = (k + mulmod(e, self.sk.0, params.q)) % params.q;
         Signature { e, s }
@@ -265,6 +293,103 @@ impl KeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `KeyPair::sign` as it was before the table of `g`, kept as the
+    /// reference: `g^k` by `powmod`.
+    fn sign_reference(kp: &KeyPair, message: &[u8]) -> Signature {
+        let params = group_params();
+        let mut h = Sha256::new();
+        h.update(b"2ldag-schnorr-nonce");
+        h.update(&kp.sk.0.to_be_bytes());
+        h.update(message);
+        let k = h.finalize().prefix_u64() % (params.q - 1) + 1;
+        let r = powmod(params.g, k, params.p);
+        let e = challenge(r, kp.pk.0, message, params.q);
+        let s = (k + mulmod(e, kp.sk.0, params.q)) % params.q;
+        Signature { e, s }
+    }
+
+    /// `PublicKey::verify` as it was, kept as the reference.
+    fn verify_reference(pk: u64, message: &[u8], sig: &Signature) -> bool {
+        let params = group_params();
+        if sig.e >= params.q || sig.s >= params.q {
+            return false;
+        }
+        if pk <= 1 || pk >= params.p {
+            return false;
+        }
+        let gs = powmod(params.g, sig.s, params.p);
+        let pk_neg_e = powmod(pk, params.q - sig.e, params.p);
+        let r = mulmod(gs, pk_neg_e, params.p);
+        challenge(r, pk, message, params.q) == sig.e
+    }
+
+    #[test]
+    fn table_powers_of_g_at_the_window_edges() {
+        let params = group_params();
+        for exp in [0, 1, 15, 16, 17, 255, 256, params.q - 1, params.q, u64::MAX] {
+            assert_eq!(g_pow(exp), powmod(params.g, exp, params.p), "g^{exp}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The table of `g` equals the `powmod` reference for any exponent.
+        #[test]
+        fn table_powers_of_g_equal_the_powmod_reference(exp in any::<u64>()) {
+            let params = group_params();
+            prop_assert_eq!(g_pow(exp), powmod(params.g, exp, params.p));
+        }
+
+        /// Keys and signature bytes equal the reference signer's.
+        #[test]
+        fn sign_equals_the_reference_signer(
+            seed in any::<u64>(),
+            message in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let kp = KeyPair::from_seed(seed);
+            let params = group_params();
+            prop_assert_eq!(kp.pk.0, powmod(params.g, kp.sk.0, params.p));
+            prop_assert_eq!(kp.sign(&message).to_bytes(), sign_reference(&kp, &message).to_bytes());
+        }
+
+        /// `verify` agrees with the reference verifier on any `(pk, e, s)`:
+        /// genuine signatures, near misses, and values out of range —
+        /// `e ≥ q`, `s ≥ q`, and `pk ∈ {0, 1, ≥ p}`.
+        #[test]
+        fn verify_agrees_with_the_reference_verifier(
+            seed in any::<u64>(),
+            message in proptest::collection::vec(any::<u8>(), 0..64),
+            pk_kind in 0u8..6,
+            sig_kind in 0u8..5,
+            raw in any::<u64>(),
+        ) {
+            let params = group_params();
+            let kp = KeyPair::from_seed(seed);
+            let genuine = kp.sign(&message);
+            let pk = match pk_kind {
+                0 | 1 => kp.pk.0,
+                // 0 or 1; then any value ≥ p; then any residue, in the group or not.
+                2 => raw % 2,
+                3 => params.p + raw % (u64::MAX - params.p + 1),
+                4 => raw % params.p,
+                _ => KeyPair::from_seed(seed ^ 1).pk.0,
+            };
+            let sig = match sig_kind {
+                0 | 1 => genuine,
+                2 => Signature { e: params.q + raw % (u64::MAX - params.q + 1), ..genuine },
+                3 => Signature { s: params.q + raw % (u64::MAX - params.q + 1), ..genuine },
+                _ => Signature { e: raw % params.q, s: raw.rotate_left(17) % params.q },
+            };
+            prop_assert_eq!(
+                PublicKey(pk).verify(&message, &sig),
+                verify_reference(pk, &message, &sig),
+                "pk {:#x} sig {:?}", pk, sig
+            );
+        }
+    }
 
     #[test]
     fn group_params_are_a_safe_prime_group() {

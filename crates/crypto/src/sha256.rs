@@ -11,6 +11,12 @@
 //! CPU with the SHA extensions, and the portable scalar kernel below
 //! everywhere else. The scalar kernel is also the reference the unit tests
 //! hold the other one to, so both run on every host that has both.
+//!
+//! On a CPU with SHA-NI the puzzle search has a second way in,
+//! `OpenWord::finish_pair`: the closing blocks of a message whose last word
+//! is still open are built once, and each call finishes two candidate
+//! words in one pass, the two compressions interleaved. Elsewhere the
+//! search goes through `update` and `finalize` like any other message.
 
 use crate::digest::Digest;
 
@@ -117,12 +123,78 @@ impl Sha256 {
         self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         kernel(&mut self.state, std::slice::from_ref(&self.buffer));
 
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest::from_bytes(out)
+        digest_of(&self.state)
     }
+
+    /// What is left to hash once one more big-endian word is appended, when
+    /// the bytes absorbed so far end on a word boundary and the running CPU
+    /// has the SHA-NI kernel; `None` otherwise.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn open_word(&self) -> Option<OpenWord> {
+        if !self.buffer_len.is_multiple_of(4) || !crate::sha_ni::supported() {
+            return None;
+        }
+        // The buffered tail, a zero placeholder for the word, then the
+        // padding of the one or two blocks that close the message.
+        let end = self.buffer_len + 4;
+        let count = if end <= 55 { 1 } else { 2 };
+        let mut bytes = [0u8; 128];
+        bytes[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        bytes[end] = 0x80;
+        let bit_len = self.total_len.wrapping_add(4).wrapping_mul(8);
+        bytes[64 * count - 8..64 * count].copy_from_slice(&bit_len.to_be_bytes());
+        let (blocks, _) = bytes.as_chunks::<64>();
+        Some(OpenWord {
+            state: self.state,
+            blocks: [words_of(&blocks[0]), words_of(&blocks[1])],
+            count,
+            at: self.buffer_len / 4,
+        })
+    }
+}
+
+/// The final one or two blocks of a message whose last four bytes are an
+/// aligned word still to be chosen, built once so that each candidate word
+/// costs only the compressions: the search behind the Eq. 5 puzzle.
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct OpenWord {
+    /// The state after every whole block before the open word.
+    state: [u32; 8],
+    /// The closing blocks as big-endian words, padding included; the open
+    /// word reads zero.
+    blocks: [[u32; 16]; 2],
+    /// How many of `blocks` the message uses (two when the length does not
+    /// fit beside the open word).
+    count: usize,
+    /// Index of the open word in `blocks[0]`.
+    at: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl OpenWord {
+    /// The final states (the digests as words) of the message closed by
+    /// `words[0]` and by `words[1]`, computed in one SHA-NI pass.
+    pub(crate) fn finish_pair(&self, words: [u32; 2]) -> [[u32; 8]; 2] {
+        crate::sha_ni::try_finish_pair(&self.state, &self.blocks[..self.count], self.at, words)
+            .expect("open_word saw the CPU report SHA-NI")
+    }
+}
+
+/// The digest bytes of a final state: its words, big-endian.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest::from_bytes(out)
+}
+
+/// A block's sixteen big-endian message words.
+#[cfg(target_arch = "x86_64")]
+fn words_of(block: &[u8; 64]) -> [u32; 16] {
+    std::array::from_fn(|i| {
+        u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"))
+    })
 }
 
 /// The one way into the compression function: folds whole `blocks` into
@@ -383,6 +455,36 @@ mod tests {
             let mut h = Sha256::new();
             h.update(&data[..len]);
             assert_eq!(h.clone().finalize(), finalize_reference(h), "len {len}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn open_word_finishes_like_update_and_finalize() {
+        let data: Vec<u8> = (0..=200u32).map(|i| (i * 13 + 5) as u8).collect();
+        let words: [u32; 2] = [0x0123_4567, 0xfedc_ba98];
+        let sha_ni = crate::sha_ni::supported();
+        for len in 0..=200 {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            let Some(open) = h.open_word() else {
+                assert!(
+                    !(sha_ni && len.is_multiple_of(4)),
+                    "len {len}: aligned on SHA-NI, yet no open word"
+                );
+                continue;
+            };
+            assert!(
+                sha_ni && len.is_multiple_of(4),
+                "len {len}: unaligned or no SHA-NI, yet an open word"
+            );
+            let expect = words.map(|word| {
+                let mut attempt = h.clone();
+                attempt.update(&word.to_be_bytes());
+                attempt.finalize()
+            });
+            let states = open.finish_pair(words);
+            assert_eq!(states.map(|s| digest_of(&s)), expect, "len {len}");
         }
     }
 

@@ -164,8 +164,10 @@ proptest! {
 /// The midstate search returns exactly the nonce a search that re-hashes
 /// `prefix ‖ nonce` from scratch finds first — at every prefix length
 /// across the SHA-256 block and padding boundaries (55/56, 63/64, 119/120,
-/// 183/184 …, where the nonce straddles or opens a block), every difficulty
-/// the deployments use, and a non-zero start.
+/// 183/184 …, where the nonce straddles or opens a block; every tail
+/// offset mod 64, so one- and two-block open-word searches and the
+/// unaligned fallback), every difficulty the deployments use and more, and
+/// a non-zero start.
 #[test]
 fn midstate_solve_equals_brute_force_at_every_prefix_length() {
     for len in 0..=200usize {
@@ -175,7 +177,7 @@ fn midstate_solve_equals_brute_force_at_every_prefix_length() {
             message.extend_from_slice(&nonce.to_le_bytes());
             sha256(&message)
         };
-        for bits in 0..=8u8 {
+        for bits in 0..=10u8 {
             let start = 1 + (len as u32) * 1_000 + u32::from(bits);
             let expect = (start..)
                 .find(|&n| puzzle::check(&from_scratch(n), bits))

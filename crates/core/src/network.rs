@@ -18,13 +18,18 @@
 //! 1. **Generate** — every scheduled node mines, signs, and appends its
 //!    block. The node array moves into the phase, one lock per node; a
 //!    claimant holds only the node it claimed.
-//! 2. **Exchange** — new digests are routed into per-receiver inboxes in
-//!    sender-id order, and DAG-construction traffic is accounted.
-//! 3. **Gossip** — the calling thread drains every inbox (`A_i` updates,
-//!    flood detection): about as much work as a thread spawn and join
-//!    costs, so it never fans out.
-//! 4. **Verify** — each generating honest node runs one PoP. Peer chains
-//!    are shared read-only, each validator mutates only its own trust
+//! 2. **Exchange** — the DAG-construction traffic of every new digest to
+//!    every neighbor is accounted.
+//! 3. **Gossip** — the calling thread delivers every new digest to the
+//!    sender's neighbors straight from the generate phase's sender-ordered
+//!    list (`A_i` updates, flood detection), so each receiver sees its
+//!    digests in sender-id order. About as much work as a pool run's
+//!    wake-up and join costs, so it never fans out.
+//! 4. **Verify** — each generating honest node runs one PoP on a target
+//!    drawn from the slot's [`TargetPool`]: per owner, the seq range of its
+//!    qualifying blocks, one binary search of each node's store, so its
+//!    cost follows the node count, not the chains' length. Peer chains are
+//!    shared read-only, each validator mutates only its own trust
 //!    cache/blacklist (taken out of its node for the phase), and traffic
 //!    lands in one accounting delta per participant.
 //! 5. **Commit** — backends sync per [`SyncPolicy`], once each. When more
@@ -1044,31 +1049,28 @@ impl TldagNetwork {
         self.phase_timings
             .record(Phase::Generate, phase_started.elapsed());
 
-        // --- Phase 2: deterministic cross-shard exchange. Digests are routed
-        // into per-receiver inboxes in sender-id order and the DAG
-        // construction traffic is accounted (cheap, serial).
+        // --- Phase 2: exchange — the DAG-construction traffic of every
+        // digest sent to every neighbor is accounted (cheap, serial).
         let phase_started = Instant::now();
-        let mut inboxes: Vec<Vec<(NodeId, Digest)>> = vec![Vec::new(); n];
-        for &(from, digest) in &outgoing {
+        let digest_bits = self.cfg.digest_message_bits();
+        for &(from, _) in &outgoing {
             for &nb in self.topology.neighbors(from) {
-                self.accounting.record(
-                    from,
-                    nb,
-                    TrafficClass::DagConstruction,
-                    self.cfg.digest_message_bits(),
-                );
-                inboxes[nb.index()].push((from, digest));
+                self.accounting
+                    .record(from, nb, TrafficClass::DagConstruction, digest_bits);
             }
         }
 
         self.phase_timings
             .record(Phase::Exchange, phase_started.elapsed());
 
-        // --- Phase 3: gossip — every node drains its inbox, inline.
+        // --- Phase 3: gossip — every digest is delivered straight from
+        // `outgoing`, inline. A delivery touches only its receiver, so each
+        // receiver sees its digests in `outgoing` order: senders ascending,
+        // a flooder's in emission order.
         let phase_started = Instant::now();
-        for (node, inbox) in self.nodes.iter_mut().zip(&inboxes) {
-            for &(from, digest) in inbox {
-                node.receive_digest(from, digest);
+        for &(from, digest) in &outgoing {
+            for &nb in self.topology.neighbors(from) {
+                self.nodes[nb.index()].receive_digest(from, digest);
             }
         }
 
@@ -1100,7 +1102,7 @@ impl TldagNetwork {
             let job = VerifyJob {
                 next: AtomicUsize::new(0),
                 validators,
-                targets: TargetPool::scan(&self.nodes, &self.departed, self.verification, slot),
+                targets: TargetPool::new(&self.nodes, &self.departed, self.verification, slot),
                 nodes: std::mem::take(&mut self.nodes),
                 topology: Arc::clone(&self.topology),
                 routes: self.routes.clone(),
@@ -1212,7 +1214,7 @@ impl TldagNetwork {
     /// node. Draws from the network's sequential stream; the slot loop uses
     /// per-validator derived streams instead.
     pub fn choose_target(&mut self, validator: NodeId) -> Option<BlockId> {
-        TargetPool::scan(&self.nodes, &self.departed, self.verification, self.slot)
+        TargetPool::new(&self.nodes, &self.departed, self.verification, self.slot)
             .choose(validator, &mut self.rng)
     }
 
@@ -1416,65 +1418,91 @@ restarting would fork its chain"
     }
 }
 
-/// Every block that qualifies as a verification target at one slot: owners
-/// ascending, sequences ascending, departed owners contributing nothing.
-/// Scanned once and shared by all of the slot's validators, each of which
-/// draws from it with its own stream and steps over its own blocks.
-struct TargetPool {
-    candidates: Vec<BlockId>,
-    /// Per owner, where its blocks start in `candidates` and how many.
-    spans: Vec<(usize, usize)>,
+/// The verification targets of one slot: per owner, the seq range of its
+/// qualifying blocks, in owner order. Owner `i`'s range is node `i`'s
+/// retained blocks generated at or before the workload's cut-off, or empty
+/// when the node has departed. Built once a slot from one
+/// [`BlockBackend::generated_through`](crate::store::BlockBackend::generated_through)
+/// lookup per node, and shared by all of the slot's validators, each of
+/// which draws from it with its own stream and steps over its own blocks.
+///
+/// Listing every range's blocks in owner order, then in seq order, gives
+/// the list a scan of every chain would build; [`Self::choose`] returns the
+/// block that one `rng.choose` over that list without the validator's own
+/// blocks returns, after the same single draw.
+#[derive(Clone, Debug, Default)]
+pub struct TargetPool {
+    /// Per owner, `(first seq, blocks of all earlier owners)`.
+    owners: Vec<(u32, usize)>,
+    /// Blocks of all owners.
+    len: usize,
 }
 
 impl TargetPool {
-    fn scan(
+    /// The pool at slot `now`: every live node's blocks that `verification`
+    /// admits. `departed[i]` marks node `i` as gone.
+    pub fn new(
         nodes: &[LedgerNode],
         departed: &[bool],
         verification: VerificationWorkload,
         now: Slot,
     ) -> Self {
-        let mut pool = TargetPool {
-            candidates: Vec::new(),
-            spans: Vec::with_capacity(nodes.len()),
+        // With no cut-off nothing qualifies, and no store is asked.
+        let Some(cut_off) = verification.latest_target_slot(now) else {
+            return Self::default();
         };
-        if matches!(verification, VerificationWorkload::Disabled) {
-            // Skip the scan entirely — with a disk backend it would walk the
-            // index of every chain just to discard it.
-            return pool;
-        }
-        for node in nodes {
-            let start = pool.candidates.len();
-            if !departed[node.id().index()] {
-                // Metadata-only scan: never decodes bodies, so disk-backed
-                // stores answer from their index.
-                pool.candidates.extend(
-                    node.store()
-                        .iter_meta()
-                        .filter(|&(_, time)| verification.qualifies(time, now))
-                        .map(|(id, _)| id),
-                );
+        Self::from_ranges(nodes.iter().map(|node| {
+            if departed[node.id().index()] {
+                0..0
+            } else {
+                node.store().generated_through(cut_off)
             }
-            pool.spans.push((start, pool.candidates.len() - start));
+        }))
+    }
+
+    /// The pool whose owner `i` holds the blocks with seqs `ranges[i]`.
+    pub fn from_ranges(ranges: impl IntoIterator<Item = Range<u32>>) -> Self {
+        let mut pool = Self::default();
+        for range in ranges {
+            pool.owners.push((range.start, pool.len));
+            pool.len += range.len();
         }
         pool
     }
 
+    /// Owner `i`'s blocks: where they start in the pool's order, and how
+    /// many. An id past the last owner has none, placed after everything.
+    fn span(&self, owner: usize) -> (usize, usize) {
+        match self.owners.get(owner) {
+            Some(&(_, before)) => {
+                let after = self.owners.get(owner + 1).map_or(self.len, |o| o.1);
+                (before, after - before)
+            }
+            None => (self.len, 0),
+        }
+    }
+
     /// A uniformly random qualifying block owned by another live node: one
-    /// draw over the pool without `validator`'s span, none when that is empty.
-    fn choose(&self, validator: NodeId, rng: &mut DetRng) -> Option<BlockId> {
-        let (own_start, own_len) = self.spans.get(validator.index()).copied().unwrap_or((0, 0));
-        let others = self.candidates.len() - own_len;
+    /// `rng.index` draw over the pool without `validator`'s blocks, none
+    /// (and no draw) when that leaves nothing.
+    pub fn choose(&self, validator: NodeId, rng: &mut DetRng) -> Option<BlockId> {
+        let (own_start, own_len) = self.span(validator.index());
+        let others = self.len - own_len;
         if others == 0 {
             return None;
         }
-        let pick = rng.index(others);
-        Some(
-            self.candidates[if pick < own_start {
-                pick
-            } else {
-                pick + own_len
-            }],
-        )
+        let mut pick = rng.index(others);
+        if pick >= own_start {
+            pick += own_len;
+        }
+        // The last owner starting at or before `pick`: owners with no blocks
+        // share their start with the next one, so they are never it.
+        let owner = self.owners.partition_point(|&(_, before)| before <= pick) - 1;
+        let (first_seq, before) = self.owners[owner];
+        Some(BlockId::new(
+            NodeId(owner as u32),
+            first_seq + (pick - before) as u32,
+        ))
     }
 }
 
@@ -1813,7 +1841,7 @@ mod tests {
 
             let now = net.slot();
             for workload in workloads {
-                let pool = TargetPool::scan(&net.nodes, &net.departed, workload, now);
+                let pool = TargetPool::new(&net.nodes, &net.departed, workload, now);
                 // One id past the last node: a validator that owns nothing.
                 for validator in (0..=net.nodes.len() as u32).map(NodeId) {
                     let mut ref_rng = derived_rng(seed, stream::TARGET, now, validator);

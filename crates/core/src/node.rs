@@ -25,7 +25,6 @@ use crate::block::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
 use crate::config::ProtocolConfig;
 use crate::error::TldagError;
 use crate::store::{BlockBackend, BlockStore, TrustCache};
-use std::collections::BTreeMap;
 use tldag_crypto::schnorr::{KeyPair, PublicKey};
 use tldag_crypto::Digest;
 use tldag_sim::engine::Slot;
@@ -71,15 +70,30 @@ pub struct LedgerNode {
     id: NodeId,
     keypair: KeyPair,
     neighbors: Vec<NodeId>,
-    /// `A_i`: latest digest per neighbor, ordered for determinism.
-    latest_digests: BTreeMap<NodeId, Digest>,
+    /// `A_i`: latest digest per neighbor, sorted by id — the order a block
+    /// lists them in.
+    latest_digests: Vec<(NodeId, Digest)>,
     store: Box<dyn BlockBackend>,
     trust_cache: TrustCache,
     blacklist: Blacklist,
     behavior: Behavior,
-    /// Digests received per slot per neighbor, for flood detection.
-    digests_this_slot: BTreeMap<NodeId, u32>,
+    /// Digests received this slot per neighbor, sorted by id, for flood
+    /// detection. Cleared, not freed, at slot start.
+    digests_this_slot: Vec<(NodeId, u32)>,
     flood_limit_per_slot: u32,
+}
+
+/// The value an id-sorted `entries` holds for `id`, inserted as `fresh` at
+/// its place in the order when absent.
+fn sorted_entry<T>(entries: &mut Vec<(NodeId, T)>, id: NodeId, fresh: T) -> &mut T {
+    let at = match entries.binary_search_by_key(&id, |entry| entry.0) {
+        Ok(at) => at,
+        Err(at) => {
+            entries.insert(at, (id, fresh));
+            at
+        }
+    };
+    &mut entries[at].1
 }
 
 impl LedgerNode {
@@ -105,12 +119,12 @@ impl LedgerNode {
             id,
             keypair: KeyPair::from_seed(u64::from(id.0)),
             neighbors,
-            latest_digests: BTreeMap::new(),
+            latest_digests: Vec::new(),
             store: backend,
             trust_cache: TrustCache::new(),
             blacklist: Blacklist::new(cfg.blacklist),
             behavior: Behavior::Honest,
-            digests_this_slot: BTreeMap::new(),
+            digests_this_slot: Vec::new(),
             flood_limit_per_slot: 2,
         }
     }
@@ -142,7 +156,7 @@ impl LedgerNode {
     /// is dropped from `A_i`, so future blocks no longer reference it.
     pub fn remove_neighbor(&mut self, neighbor: NodeId) {
         self.neighbors.retain(|&n| n != neighbor);
-        self.latest_digests.remove(&neighbor);
+        self.latest_digests.retain(|&(id, _)| id != neighbor);
     }
 
     /// Current behaviour.
@@ -209,7 +223,11 @@ impl LedgerNode {
 
     /// Latest digest heard from `neighbor` (`A_i` lookup).
     pub fn latest_digest_from(&self, neighbor: NodeId) -> Option<Digest> {
-        self.latest_digests.get(&neighbor).copied()
+        let at = self
+            .latest_digests
+            .binary_search_by_key(&neighbor, |entry| entry.0)
+            .ok()?;
+        Some(self.latest_digests[at].1)
     }
 
     /// Digest of the node's own latest block.
@@ -229,6 +247,10 @@ impl LedgerNode {
     /// The Digests field contains the latest digest from each neighbor heard
     /// so far, plus the previous own-block digest (absent for genesis).
     ///
+    /// `slot` must be later than the slot of the chain's last block: that
+    /// generation order is what [`BlockBackend::generated_through`] relies
+    /// on, and debug builds check it here.
+    ///
     /// # Errors
     ///
     /// [`TldagError::Storage`] when the backend cannot persist the block.
@@ -240,10 +262,17 @@ impl LedgerNode {
         slot: Slot,
         payload: Vec<u8>,
     ) -> Result<DataBlock, TldagError> {
+        debug_assert!(
+            self.store
+                .latest()
+                .is_none_or(|last| last.header.time < slot),
+            "{} generates at slot {slot}, not after its last block",
+            self.id
+        );
         let mut digests: Vec<DigestEntry> = self
             .latest_digests
             .iter()
-            .map(|(&origin, &digest)| DigestEntry { origin, digest })
+            .map(|&(origin, digest)| DigestEntry { origin, digest })
             .collect();
         if let Some(prev) = self.own_latest_digest() {
             digests.push(DigestEntry {
@@ -272,13 +301,13 @@ impl LedgerNode {
             self.blacklist.record_service(from);
             return false;
         }
-        let count = self.digests_this_slot.entry(from).or_insert(0);
+        let count = sorted_entry(&mut self.digests_this_slot, from, 0);
         *count += 1;
         if *count > self.flood_limit_per_slot {
             self.blacklist.record_failure(from);
             return false;
         }
-        self.latest_digests.insert(from, digest);
+        *sorted_entry(&mut self.latest_digests, from, digest) = digest;
         self.blacklist.record_service(from);
         true
     }
@@ -382,6 +411,7 @@ impl LedgerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn cfg() -> ProtocolConfig {
         ProtocolConfig::test_default()
@@ -615,6 +645,127 @@ mod tests {
         assert_eq!(node.storage_bits(&cfg), Bits::ZERO);
         node.generate_block(&cfg, 0, vec![0]).unwrap();
         assert_eq!(node.storage_bits(&cfg), cfg.block_bits(0));
+    }
+
+    /// `A_i` and the flood counters as they were, in `BTreeMap`s, with the
+    /// digest handling they fed: the reference the id-sorted vectors must
+    /// agree with.
+    struct ReferenceAi {
+        neighbors: Vec<NodeId>,
+        latest_digests: BTreeMap<NodeId, Digest>,
+        digests_this_slot: BTreeMap<NodeId, u32>,
+        blacklist: Blacklist,
+    }
+
+    impl ReferenceAi {
+        fn receive_digest(&mut self, from: NodeId, digest: Digest) -> bool {
+            if !self.neighbors.contains(&from) {
+                return false;
+            }
+            if self.blacklist.is_banned(from) {
+                self.blacklist.record_service(from);
+                return false;
+            }
+            let count = self.digests_this_slot.entry(from).or_insert(0);
+            *count += 1;
+            if *count > 2 {
+                self.blacklist.record_failure(from);
+                return false;
+            }
+            self.latest_digests.insert(from, digest);
+            self.blacklist.record_service(from);
+            true
+        }
+
+        fn remove_neighbor(&mut self, neighbor: NodeId) {
+            self.neighbors.retain(|&n| n != neighbor);
+            self.latest_digests.remove(&neighbor);
+        }
+
+        /// The Digests field of the next block, given the own previous one.
+        fn digest_list(&self, own: NodeId, prev: Option<Digest>) -> Vec<DigestEntry> {
+            let mut digests: Vec<DigestEntry> = (self.latest_digests.iter())
+                .map(|(&origin, &digest)| DigestEntry { origin, digest })
+                .collect();
+            digests.extend(prev.map(|digest| DigestEntry {
+                origin: own,
+                digest,
+            }));
+            digests
+        }
+    }
+
+    proptest::proptest! {
+        /// Random digest deliveries (flooders included), slot starts,
+        /// neighbor changes, bans and blocks, replayed on the `BTreeMap`
+        /// reference: the same verdicts, `A_i`, bans and digest lists.
+        #[test]
+        fn a_i_in_sorted_vectors_matches_the_btreemap_reference(
+            ops in proptest::collection::vec((0u8..8, 0u32..9, proptest::any::<u8>()), 1..160),
+        ) {
+            let mut cfg = cfg();
+            cfg.blacklist = crate::config::BlacklistConfig {
+                ban_after_failures: 2,
+                parole_after_services: 3,
+            };
+            let neighbors: Vec<NodeId> = [5, 2, 7, 1].map(NodeId).to_vec();
+            let mut node = LedgerNode::new(NodeId(0), neighbors.clone(), &cfg);
+            let mut reference = ReferenceAi {
+                neighbors,
+                latest_digests: BTreeMap::new(),
+                digests_this_slot: BTreeMap::new(),
+                blacklist: Blacklist::new(cfg.blacklist),
+            };
+            let mut slot = 0;
+            for (op, peer, byte) in ops {
+                let peer = NodeId(peer);
+                match op {
+                    // Deliveries are the common case; a peer heard three
+                    // times between slot starts is a flooder.
+                    0..=2 => {
+                        let digest = Digest::from_bytes([byte; 32]);
+                        proptest::prop_assert_eq!(
+                            node.receive_digest(peer, digest),
+                            reference.receive_digest(peer, digest)
+                        );
+                    }
+                    3 => {
+                        node.begin_slot();
+                        reference.digests_this_slot.clear();
+                    }
+                    4 => {
+                        node.add_neighbor(peer);
+                        if !reference.neighbors.contains(&peer) {
+                            reference.neighbors.push(peer);
+                        }
+                    }
+                    5 => {
+                        node.remove_neighbor(peer);
+                        reference.remove_neighbor(peer);
+                    }
+                    6 => {
+                        node.blacklist_mut().record_failure(peer);
+                        reference.blacklist.record_failure(peer);
+                    }
+                    _ => {
+                        let expect = reference.digest_list(node.id(), node.own_latest_digest());
+                        let block = node.generate_block(&cfg, slot, vec![byte]).unwrap();
+                        slot += 1;
+                        proptest::prop_assert_eq!(&block.header.digests[..], &expect[..]);
+                    }
+                }
+                for id in (0..9).map(NodeId) {
+                    proptest::prop_assert_eq!(
+                        node.latest_digest_from(id),
+                        reference.latest_digests.get(&id).copied()
+                    );
+                }
+                proptest::prop_assert_eq!(
+                    node.blacklist().banned_peers(),
+                    reference.blacklist.banned_peers()
+                );
+            }
+        }
     }
 
     #[test]

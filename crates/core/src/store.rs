@@ -20,6 +20,7 @@ use crate::config::ProtocolConfig;
 use crate::error::TldagError;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::ops::Range;
 use tldag_crypto::Digest;
 use tldag_sim::{Bits, NodeId};
 
@@ -232,6 +233,24 @@ pub trait BlockBackend: fmt::Debug + Send + Sync {
     /// serve this from their index; the default decodes full blocks.
     fn iter_meta(&self) -> Box<dyn Iterator<Item = (BlockId, u64)> + '_> {
         Box::new(self.iter().map(|b| (b.id, b.header.time)))
+    }
+
+    /// Seqs of the retained blocks generated at or before `slot`: the
+    /// verification-target lookup, called for every node once a slot.
+    /// Empty, and starting at the pruned floor, when none is.
+    ///
+    /// Relies on the chain's generation order: `time` never decreases along
+    /// a chain (the engine appends one block per node per slot, a restart
+    /// resumes at a later slot, and pruning drops a prefix), so the blocks
+    /// this selects are a prefix of the retained ones. Backends binary-search
+    /// their index; the default walks [`Self::iter_meta`] up to the first
+    /// later block.
+    fn generated_through(&self, slot: u64) -> Range<u32> {
+        let mut blocks = self.iter_meta().take_while(|&(_, time)| time <= slot);
+        match blocks.next() {
+            Some((first, _)) => first.seq..first.seq + 1 + blocks.count() as u32,
+            None => self.pruned_floor()..self.pruned_floor(),
+        }
     }
 
     /// Logical storage footprint of `S_i` (Eq. 2 summed over blocks).
@@ -636,6 +655,10 @@ impl BlockBackend for BlockStore {
 
     fn iter_meta(&self) -> Box<dyn Iterator<Item = (BlockId, u64)> + '_> {
         Box::new(self.blocks.iter().map(|b| (b.id, b.header.time)))
+    }
+
+    fn generated_through(&self, slot: u64) -> Range<u32> {
+        0..self.blocks.partition_point(|b| b.header.time <= slot) as u32
     }
 
     fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
@@ -1172,6 +1195,59 @@ mod tests {
         }
         assert_eq!(store.oldest_child_of_within(&thrice, 4).unwrap().id.seq, 1);
         assert_eq!(store.oldest_child_of_within(&once, 4), None);
+    }
+
+    /// A store answering `generated_through` by the trait's default.
+    #[derive(Debug)]
+    struct DefaultRange(BlockStore);
+
+    impl BlockBackend for DefaultRange {
+        fn append(&mut self, block: DataBlock) -> Result<(), TldagError> {
+            self.0.append(block)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn get(&self, seq: u32) -> Option<DataBlock> {
+            self.0.get(seq)
+        }
+        fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock> {
+            self.0.by_header_digest(digest)
+        }
+        fn oldest_child_of(&self, target: &Digest) -> Option<DataBlock> {
+            self.0.oldest_child_of(target)
+        }
+        fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
+            self.0.children_of(target)
+        }
+        fn iter(&self) -> Box<dyn Iterator<Item = DataBlock> + '_> {
+            self.0.iter()
+        }
+        fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
+            self.0.logical_bits(cfg)
+        }
+        fn resident_bytes(&self) -> usize {
+            self.0.resident_bytes()
+        }
+    }
+
+    #[test]
+    fn generated_through_matches_the_trait_default_and_the_definition() {
+        let cfg = cfg();
+        // Equal times are allowed: the contract is that time never decreases.
+        let times = [2u64, 2, 3, 5, 5, 5, 9];
+        let mut store = DefaultRange(BlockStore::new());
+        assert_eq!(store.generated_through(100), 0..0);
+        assert_eq!(store.0.generated_through(100), 0..0);
+        for (seq, &time) in times.iter().enumerate() {
+            let block = make_block(&cfg, NodeId(4), seq as u32, time, vec![]);
+            store.append(block).unwrap();
+        }
+        for slot in 0..=10 {
+            let expect = times.iter().filter(|&&t| t <= slot).count() as u32;
+            assert_eq!(store.0.generated_through(slot), 0..expect, "slot {slot}");
+            assert_eq!(store.generated_through(slot), 0..expect, "slot {slot}");
+        }
     }
 
     /// The list's form follows its length: one child in `One`, two or three

@@ -49,6 +49,18 @@ impl VerificationWorkload {
             VerificationWorkload::Disabled => false,
         }
     }
+
+    /// The latest generation slot that [`Self::qualifies`] at `now`, or
+    /// `None` when no slot does. Every rule admits a prefix of time, so a
+    /// block qualifies exactly when its slot is at or before this cut-off,
+    /// and a chain's qualifying blocks are a prefix of it.
+    pub fn latest_target_slot(&self, now: Slot) -> Option<Slot> {
+        match *self {
+            VerificationWorkload::RandomPast { min_age_slots } => now.checked_sub(min_age_slots),
+            VerificationWorkload::FirstEra { era_slots } => era_slots.checked_sub(1),
+            VerificationWorkload::Disabled => None,
+        }
+    }
 }
 
 /// Synthesises one sensor reading: a small struct-of-fields payload
@@ -92,6 +104,42 @@ mod tests {
     #[test]
     fn disabled_never_qualifies() {
         assert!(!VerificationWorkload::Disabled.qualifies(0, 1000));
+    }
+
+    proptest::proptest! {
+        /// The cut-off is `qualifies` restated: a block qualifies exactly
+        /// when its slot is at or before it, `now < min_age` and `era = 0`
+        /// included.
+        #[test]
+        fn qualifies_iff_at_or_before_the_cut_off(
+            bound in 0u64..12,
+            block_slot in 0u64..40,
+            now in 0u64..40,
+        ) {
+            for workload in [
+                VerificationWorkload::RandomPast { min_age_slots: bound },
+                VerificationWorkload::FirstEra { era_slots: bound },
+                VerificationWorkload::Disabled,
+            ] {
+                let cut = workload.latest_target_slot(now);
+                proptest::prop_assert_eq!(
+                    workload.qualifies(block_slot, now),
+                    cut.is_some_and(|cut| block_slot <= cut),
+                    "{:?} block {} now {}", workload, block_slot, now
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cut_off_edges() {
+        let past = VerificationWorkload::RandomPast { min_age_slots: 5 };
+        assert_eq!(past.latest_target_slot(4), None);
+        assert_eq!(past.latest_target_slot(5), Some(0));
+        let era = |era_slots| VerificationWorkload::FirstEra { era_slots };
+        assert_eq!(era(0).latest_target_slot(100), None);
+        assert_eq!(era(3).latest_target_slot(0), Some(2));
+        assert_eq!(VerificationWorkload::Disabled.latest_target_slot(9), None);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use tldag_core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_core::codec::WireMessage;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::error::TldagError;
-use tldag_core::network::{derived_rng, stream};
+use tldag_core::network::{derived_rng, stream, TargetPool};
 use tldag_core::node::{BlockFetch, ChildServe, LedgerNode};
 use tldag_core::pop::messages::{ChildReply, FetchResponse, PopTransport};
 use tldag_core::pop::validator::{PopReport, Validator};
@@ -93,7 +93,7 @@ mod pop;
 mod slot_loop;
 
 use dispatch::dispatch;
-pub use pop::{serve_wire_request, wire_pop_candidates, NetPopTransport};
+pub use pop::{serve_wire_request, wire_target_pool, NetPopTransport};
 
 /// Where a deployed node keeps its chain `S_i`.
 #[derive(Clone, Debug)]

@@ -1,5 +1,5 @@
 //! PoP over the wire: the responder role, the socket transport, the
-//! closed-form candidate scan, and the validator's view of the live chain.
+//! closed-form target pool, and the validator's view of the live chain.
 
 use super::*;
 
@@ -123,15 +123,32 @@ impl PopTransport for NetPopTransport<'_> {
     }
 }
 
-/// The verification-target candidates the in-memory engine would scan at
+/// The verification targets the in-memory engine's [`TargetPool`] holds at
 /// `slot`, computed closed-form from the deployment invariants (uniform
 /// schedule): a member that joined at slot `j` holds blocks with sequence
-/// `t - j` and generation time `t` for every `t` it generated in, and
-/// departed members are skipped entirely — exactly the engine's
-/// `choose_target` scan under the same membership history. Enumeration
-/// order matches the engine's (owners ascending, sequences ascending), so
-/// the derived target stream picks the same block.
-pub fn wire_pop_candidates(
+/// `t - j` and generation time `t` for every `t` it generated in, so its
+/// qualifying blocks are seqs `0..=horizon - j`; departed members hold none.
+/// Owners are in id order, as in the engine, so [`TargetPool::choose`] on a
+/// validator's derived target stream picks the same block.
+pub fn wire_target_pool(roster: &Roster, slot: u64, min_age: u64) -> TargetPool {
+    // The latest qualifying generation time.
+    let Some(horizon) = slot.checked_sub(min_age) else {
+        return TargetPool::default();
+    };
+    let qualifying = |owner: NodeId| match roster.member(owner) {
+        Some(m) if !roster.departed_by(owner, slot) && m.join_slot <= horizon => {
+            0..(horizon - m.join_slot + 1) as u32
+        }
+        _ => 0..0,
+    };
+    TargetPool::from_ranges((0..roster.total_ids()).map(|id| qualifying(NodeId(id))))
+}
+
+/// The candidate list [`wire_target_pool`] replaced: every qualifying block
+/// of every other member, listed owner by owner — the reference it must
+/// agree with under `rng.choose`.
+#[cfg(test)]
+fn wire_pop_candidates(
     roster: &Roster,
     validator: NodeId,
     slot: u64,
@@ -263,5 +280,50 @@ impl BlockBackend for PipelinedStore<'_> {
     }
     fn pruned_floor(&self) -> u32 {
         self.with(|s| s.pruned_floor())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    proptest::proptest! {
+        /// Random rosters — founders, joins, leaves, evictions and re-joins
+        /// at random slots — and random validators, slots and ages: the
+        /// closed-form pool picks the block `rng.choose` picks from the
+        /// candidate list, and leaves the stream where it leaves it.
+        #[test]
+        fn wire_target_pool_matches_the_candidate_list(
+            founders in 1usize..6,
+            churn in proptest::collection::vec((0u8..3, 0u32..9, 0u64..30), 0..12),
+            validator in 0u32..10,
+            slot in 0u64..40,
+            min_age in 0u64..12,
+            seed in proptest::any::<u64>(),
+        ) {
+            let mut roster = Roster::founders(founders);
+            for (kind, id, at) in churn {
+                let id = NodeId(id);
+                match kind {
+                    0 => {
+                        roster.learn_join(id, None, at);
+                    }
+                    1 => {
+                        roster.learn_leave(id, at);
+                    }
+                    _ => {
+                        roster.evict(id, at);
+                    }
+                }
+            }
+            let validator = NodeId(validator);
+            let mut list_rng = derived_rng(seed, stream::TARGET, slot, validator);
+            let mut pool_rng = list_rng.clone();
+            let candidates = wire_pop_candidates(&roster, validator, slot, min_age);
+            let expect = list_rng.choose(&candidates).copied();
+            let got = wire_target_pool(&roster, slot, min_age).choose(validator, &mut pool_rng);
+            proptest::prop_assert_eq!(got, expect, "{:?} slot {} age {}", roster, slot, min_age);
+            proptest::prop_assert_eq!(pool_rng.next_u64(), list_rng.next_u64());
+        }
     }
 }

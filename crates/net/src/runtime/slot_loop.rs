@@ -297,17 +297,17 @@ impl NetNode {
         }
         // The engine never makes a malicious node a validator (its verify
         // phase filters them out), so an active adversary skips the PoP
-        // identically — empty candidates — or the PoP counters would
-        // diverge from the reference run.
-        let candidates = if self.adversary_active(slot) {
-            Vec::new()
+        // identically — no target — or the PoP counters would diverge from
+        // the reference run.
+        let target = if self.adversary_active(slot) {
+            None
         } else {
             let roster = self.shared.roster.lock().expect("roster poisoned");
             let min_age = self.config.nodes as u64; // the paper's workload default
-            wire_pop_candidates(&roster, id, slot, min_age)
+            let mut target_rng = derived_rng(self.config.seed, stream::TARGET, slot, id);
+            wire_target_pool(&roster, slot, min_age).choose(id, &mut target_rng)
         };
-        let mut target_rng = derived_rng(self.config.seed, stream::TARGET, slot, id);
-        if let Some(&target) = target_rng.choose(&candidates) {
+        if let Some(target) = target {
             state.outcome.pop_attempts += 1;
             telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
             let pop_started = Instant::now();

@@ -47,6 +47,7 @@ use crate::record;
 use crate::segment::{SegmentSet, StorageOptions};
 use std::collections::{HashMap, VecDeque};
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use tldag_core::config::ProtocolConfig;
@@ -367,6 +368,10 @@ impl BlockBackend for DurableStore {
                     .map(|e| (BlockId::new(NodeId(owner), seq), e.time))
             }),
         )
+    }
+
+    fn generated_through(&self, slot: u64) -> Range<u32> {
+        self.index.generated_through(slot)
     }
 
     fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {

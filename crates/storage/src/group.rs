@@ -64,6 +64,7 @@ use crate::record;
 use crate::segment::{SegmentSet, StorageOptions};
 use std::collections::BTreeMap;
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use tldag_core::config::ProtocolConfig;
@@ -386,6 +387,12 @@ impl ShardLog {
             .collect()
     }
 
+    fn generated_through_of(&self, node: NodeId, slot: u64) -> Range<u32> {
+        self.indexes
+            .get(&node.0)
+            .map_or(0..0, |idx| idx.generated_through(slot))
+    }
+
     fn logical_bits_of(&self, node: NodeId, cfg: &ProtocolConfig) -> Bits {
         self.indexes
             .get(&node.0)
@@ -473,6 +480,10 @@ impl BlockBackend for ShardedNodeStore {
 
     fn iter_meta(&self) -> Box<dyn Iterator<Item = (BlockId, u64)> + '_> {
         Box::new(self.log().iter_meta_of(self.node).into_iter())
+    }
+
+    fn generated_through(&self, slot: u64) -> Range<u32> {
+        self.log().generated_through_of(self.node, slot)
     }
 
     fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {

@@ -9,6 +9,7 @@
 
 use crate::crc32::crc32;
 use std::collections::HashMap;
+use std::ops::Range;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::error::TldagError;
 use tldag_core::store::ChildIndex;
@@ -92,6 +93,14 @@ impl BlockIndex {
     pub fn entry(&self, seq: u32) -> Option<&IndexEntry> {
         let idx = seq.checked_sub(self.base_seq)? as usize;
         self.entries.get(idx)
+    }
+
+    /// Seqs of the retained entries generated at or before `slot`, found by
+    /// binary search over [`IndexEntry::time`], which never decreases along
+    /// a chain. Empty, starting at the base, when none is.
+    pub fn generated_through(&self, slot: u64) -> Range<u32> {
+        let count = self.entries.partition_point(|e| e.time <= slot);
+        self.base_seq..self.base_seq + count as u32
     }
 
     /// Header digest of the newest retained entry.
@@ -434,6 +443,28 @@ mod tests {
         // Appending continues at the chain seq, not the retained count.
         index.push(&block(6, vec![]), loc(6));
         assert_eq!(index.next_seq(), 7);
+    }
+
+    #[test]
+    fn generated_through_is_the_retained_prefix_at_or_before_a_slot() {
+        let mut index = BlockIndex::new();
+        assert_eq!(index.generated_through(9), 0..0);
+        // Times 1, 1, 4, 4, 7, …: equal neighbours and gaps.
+        let time = |seq: u32| u64::from(seq / 2 * 3 + 1);
+        for seq in 0..12 {
+            index.push(&block_at(seq, time(seq), vec![]), loc(seq));
+        }
+        for new_base in [0, 5, 11] {
+            index.prune_below(new_base);
+            for slot in 0..=20 {
+                let kept = (new_base..12).filter(|&seq| time(seq) <= slot).count() as u32;
+                assert_eq!(
+                    index.generated_through(slot),
+                    new_base..new_base + kept,
+                    "base {new_base} slot {slot}"
+                );
+            }
+        }
     }
 
     /// The child index as it was: a `Vec` of seqs per contained digest,

@@ -1,13 +1,15 @@
 //! Retention and trust-cache persistence acceptance: fixed-seed runs stay
 //! byte-identical across every storage backend with retention **off**; with
 //! retention **on**, PoP requests for pruned blocks come back as graceful
-//! counted misses (never a panic); and a node restarted with a persisted
-//! `H_i` resumes TPS warm while a cold restart starts from scratch.
+//! counted misses (never a panic); a node restarted with a persisted `H_i`
+//! resumes TPS warm while a cold restart starts from scratch; and the slot
+//! engine's verification targets, looked up by generation time, are the
+//! scan's on pruned, restarted and sharded durable stores.
 
 use tldag::core::block::BlockId;
 use tldag::core::config::ProtocolConfig;
 use tldag::core::error::PopError;
-use tldag::core::network::TldagNetwork;
+use tldag::core::network::{derived_rng, stream, TargetPool, TldagNetwork};
 use tldag::core::workload::VerificationWorkload;
 use tldag::crypto::Digest;
 use tldag::sim::engine::{GenerationSchedule, Sharding};
@@ -221,5 +223,101 @@ fn persisted_trust_cache_survives_restart_and_warms_tps() {
     assert!(
         warm_req < cold_req,
         "warm TPS must save REQ_CHILD traffic ({warm_req} vs {cold_req})"
+    );
+}
+
+/// The verification targets the slot engine draws from, against the scan
+/// they replaced: every qualifying block of every other live owner, listed
+/// from `iter_meta` and drawn with `rng.choose`. Checks every validator id
+/// (plus one past the last) under several workloads at the network's
+/// current slot, and returns how many draws found a target.
+fn assert_targets_match_the_scan(net: &TldagNetwork, label: &str) -> usize {
+    let now = net.slot();
+    let departed: Vec<bool> = (net.topology().node_ids())
+        .map(|id| net.has_departed(id))
+        .collect();
+    let mut chosen = 0;
+    for workload in [
+        VerificationWorkload::RandomPast { min_age_slots: 1 },
+        VerificationWorkload::RandomPast { min_age_slots: 4 },
+        VerificationWorkload::RandomPast { min_age_slots: 40 }, // nothing qualifies
+        VerificationWorkload::FirstEra { era_slots: 12 },
+    ] {
+        let pool = TargetPool::new(net.nodes(), &departed, workload, now);
+        for validator in (0..=net.nodes().len() as u32).map(NodeId) {
+            let mut scan_rng = derived_rng(SEED, stream::TARGET, now, validator);
+            let mut pool_rng = scan_rng.clone();
+            let candidates: Vec<BlockId> = (net.nodes().iter())
+                .filter(|node| node.id() != validator && !departed[node.id().index()])
+                .flat_map(|node| node.store().iter_meta())
+                .filter(|&(_, time)| workload.qualifies(time, now))
+                .map(|(id, _)| id)
+                .collect();
+            let expect = scan_rng.choose(&candidates).copied();
+            let got = pool.choose(validator, &mut pool_rng);
+            assert_eq!(got, expect, "{label}: {workload:?} {validator}");
+            assert_eq!(
+                pool_rng.next_u64(),
+                scan_rng.next_u64(),
+                "{label}: stream position, {workload:?} {validator}"
+            );
+            chosen += usize::from(got.is_some());
+        }
+    }
+    chosen
+}
+
+/// Acceptance: the range-based target pool picks the scan's block on the
+/// durable backends — pruned chain prefixes, chains that resumed after a
+/// crash and restart, and the sharded log's per-member indexes.
+#[test]
+fn target_pool_matches_the_scan_on_pruned_restarted_and_sharded_stores() {
+    let tight = StorageOptions {
+        segment_bytes: 2 * 1024,
+        flush_buffer_bytes: 512,
+        retain_disk_bytes: Some(4 * 1024),
+        ..StorageOptions::default()
+    };
+    let disk_dir = scratch("targets-disk");
+    let mut disk = build(Some(Box::new(DiskFactory::new(&disk_dir, tight.clone()))));
+    disk.run_slots(30);
+    let floors = || (disk.topology().node_ids()).filter(|&id| disk.node(id).pruned_floor() > 0);
+    assert!(
+        floors().count() > NODES / 2,
+        "the budget prunes most chains"
+    );
+    let mut chosen = assert_targets_match_the_scan(&disk, "pruned");
+
+    // Two nodes go down for three slots: their chains sit out of the pool,
+    // then come back with a gap in generation time.
+    let (a, b) = (NodeId(3), NodeId(11));
+    disk.crash_node(a);
+    disk.crash_node(b);
+    disk.run_slots(3);
+    chosen += assert_targets_match_the_scan(&disk, "crashed");
+    disk.restart_node(a).unwrap();
+    disk.restart_node(b).unwrap();
+    disk.run_slots(4);
+    chosen += assert_targets_match_the_scan(&disk, "restarted");
+    drop(disk);
+    let _ = std::fs::remove_dir_all(&disk_dir);
+
+    let shard_dir = scratch("targets-shard");
+    let mut sharded = build(Some(Box::new(
+        ShardedDiskFactory::new(&shard_dir, 3, NODES).with_options(StorageOptions {
+            retain_disk_bytes: Some(24 * 1024),
+            ..tight
+        }),
+    )));
+    sharded.run_slots(30);
+    let pruned = (sharded.topology().node_ids()).any(|id| sharded.node(id).pruned_floor() > 0);
+    assert!(pruned, "the shard budget prunes some member chain");
+    chosen += assert_targets_match_the_scan(&sharded, "sharded");
+    drop(sharded);
+    let _ = std::fs::remove_dir_all(&shard_dir);
+
+    assert!(
+        chosen > 100,
+        "the comparison must see real choices: {chosen}"
     );
 }

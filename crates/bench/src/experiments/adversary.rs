@@ -4,8 +4,8 @@
 //! working while a minority of nodes misbehave: equivocators minting
 //! conflicting slot blocks, digest liars poisoning the gossip plane, and
 //! parasites re-advertising abandoned side-chain parents. This experiment
-//! runs a full in-process wire cluster of [`NetNode`] runtimes over real
-//! loopback UDP, placing `k` Byzantine nodes (cycling equivocate /
+//! runs a full in-process wire cluster of [`tldag_net::NetNode`] runtimes
+//! over real loopback UDP, placing `k` Byzantine nodes (cycling equivocate /
 //! digest-lie / parasite, on the highest ids — node 0 stays honest,
 //! matching the `--adversary` CLI convention) and sweeping `k` from zero
 //! up to the ⌊n/3⌋ tolerance bound. Per level it reports
@@ -19,13 +19,14 @@
 //! * **detection evidence** — conflicting-digest observations and the
 //!   `DigestReq` pull recoveries they triggered.
 
-use crate::experiments::cluster::{discover_ports, net_table, reference_run};
+use crate::experiments::cluster::net_table;
 use crate::report::{Report, Table};
 use crate::{row, Scale};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tldag_core::attack::Behavior;
+use tldag_net::harness::discover_ports;
 use tldag_net::runtime::NodeOutcome;
-use tldag_net::{AdversaryPlacement, NetNode, NetNodeConfig, NetStats};
+use tldag_net::{AdversaryPlacement, Deployment, LoopbackCluster, NetStats};
 use tldag_sim::NodeId;
 
 /// The behavior mix, cycled over the adversary slots of a level: the
@@ -153,70 +154,35 @@ pub struct AdversaryData {
     pub points: Vec<AdversaryPoint>,
 }
 
-/// Runs one in-process wire cluster with the given cast and returns the
-/// per-node outcomes in id order.
-fn wire_run(config: &AdversaryConfig, placements: &[AdversaryPlacement]) -> Vec<NodeOutcome> {
-    let addrs = discover_ports(config.founders);
-    let handles: Vec<std::thread::JoinHandle<NodeOutcome>> = (0..config.founders)
-        .map(|i| {
-            let id = NodeId(i as u32);
-            let mut node_config =
-                NetNodeConfig::new(id, addrs[i], config.seed, config.founders, config.slots);
-            node_config.gamma = config.gamma;
-            // PoP mode: digest gossip fans out to every generator, so
-            // detection does not depend on where an adversary happens to
-            // sit in the radio topology.
-            node_config.pop = true;
-            node_config.peers = (0..config.founders)
-                .filter(|&j| j != i)
-                .map(|j| (NodeId(j as u32), addrs[j]))
-                .collect();
-            if let Some(p) = placements.iter().find(|p| p.node == id) {
-                node_config.behavior = p.behavior;
-                node_config.behavior_from = p.slot;
-            }
-            // A selfish node never answers, so requests aimed at it must
-            // burn their full retry schedule; keep that schedule short so
-            // the failure is cheap and the slot budget generous so the
-            // barrier never degrades while it burns.
-            node_config.endpoint.request_timeout = std::time::Duration::from_millis(40);
-            node_config.endpoint.max_retries = 8;
-            node_config.endpoint.max_backoff = std::time::Duration::from_millis(300);
-            node_config.slot_timeout = std::time::Duration::from_secs(20);
-            node_config.hello_timeout = std::time::Duration::from_secs(20);
-            node_config.linger = std::time::Duration::from_millis(2500);
-            std::thread::spawn(move || {
-                NetNode::new(node_config)
-                    .expect("node construction")
-                    .run()
-                    .expect("node run")
-            })
-        })
-        .collect();
-    let mut outcomes: Vec<NodeOutcome> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
-        .collect();
-    outcomes.sort_by_key(|o| o.run.node.0);
-    outcomes
-}
-
 /// Runs the sweep.
 pub fn run(config: &AdversaryConfig) -> AdversaryData {
     let mut points = Vec::with_capacity(config.levels.len());
     for &adversaries in &config.levels {
         let placements = config.placements(adversaries);
-        let reference = reference_run(
-            config.seed,
-            config.founders,
-            config.gamma,
-            config.slots,
-            &[],
-            &placements,
-        );
+        let mut deployment = Deployment::new(config.seed, config.founders, config.slots);
+        deployment.gamma = config.gamma;
+        // PoP mode: digest gossip fans out to every generator, so detection
+        // does not depend on where an adversary sits in the radio topology.
+        deployment.pop = true;
+        deployment.adversaries = placements.clone();
+        let reference = deployment.reference();
 
         let started = Instant::now();
-        let outcomes = wire_run(config, &placements);
+        let addrs = discover_ports(config.founders).expect("probe ports");
+        let mut configs = deployment.member_configs(&addrs);
+        for c in &mut configs {
+            // A selfish node never answers, so requests aimed at it must
+            // burn their full retry schedule; keep that schedule short so
+            // the failure is cheap and the slot budget generous so the
+            // barrier never degrades while it burns.
+            c.endpoint.request_timeout = Duration::from_millis(40);
+            c.endpoint.max_retries = 8;
+            c.endpoint.max_backoff = Duration::from_millis(300);
+            c.slot_timeout = Duration::from_secs(20);
+            c.hello_timeout = Duration::from_secs(20);
+            c.linger = Duration::from_millis(2500);
+        }
+        let outcomes = LoopbackCluster::run(configs);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let is_adversary = |id: u32| placements.iter().any(|p| p.node.0 == id);

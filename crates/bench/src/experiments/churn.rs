@@ -6,9 +6,9 @@
 //! not a fault. This experiment measures the wire runtime's membership
 //! control plane under both churn *and* injected datagram loss: for each
 //! churn level (number of scheduled late joins + graceful leaves) a full
-//! in-process cluster of [`NetNode`] runtimes executes the schedule over
-//! fault-injecting transports ([`tldag_net::FaultyTransport`]), with PoP
-//! verification on, and reports
+//! in-process cluster of [`tldag_net::NetNode`] runtimes executes the
+//! schedule over fault-injecting transports
+//! ([`tldag_net::FaultyTransport`]), with PoP verification on, and reports
 //!
 //! * **PoP completion** — verifications that reached consensus over the
 //!   lossy wire, against the in-memory engine's count on the identical
@@ -18,16 +18,16 @@
 //! * **digest parity** — whether the wire cluster still reproduced the
 //!   engine's `network_digest` byte-for-byte through the churn.
 
-use crate::experiments::cluster::{discover_ports, net_table, reference_run};
+use crate::experiments::cluster::net_table;
 use crate::report::{Report, Table};
 use crate::{row, Scale};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
+use tldag_net::harness::{discover_ports, discover_tcp_ports};
 use tldag_net::membership::{validate_churn, ChurnEvent};
 use tldag_net::runtime::{network_digest_of, NodeOutcome};
 use tldag_net::telemetry::{scrape_metrics, StatusRow};
-use tldag_net::{FaultSpec, NetNode, NetNodeConfig, NetStats};
+use tldag_net::{Deployment, FaultSpec, LoopbackCluster, NetStats};
 use tldag_sim::NodeId;
 
 /// One churn level of the sweep: how many late joins and graceful leaves
@@ -208,107 +208,35 @@ pub struct ChurnData {
     pub points: Vec<ChurnPoint>,
 }
 
-/// Discovers `n` distinct loopback TCP ports for the metrics listeners
-/// (bound together then released, like `discover_ports`).
-fn discover_tcp_ports(n: usize) -> Vec<std::net::SocketAddr> {
-    let listeners: Vec<std::net::TcpListener> = (0..n)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind metrics probe"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("metrics probe addr"))
-        .collect()
-}
-
-/// Runs one in-process wire cluster over lossy transports and returns the
-/// per-node outcomes in id order, plus the mid-run telemetry samples a
-/// scraper thread collected from the nodes' metrics endpoints while the
-/// cluster ran.
-fn wire_run(config: &ChurnConfig, events: &[ChurnEvent]) -> (Vec<NodeOutcome>, Vec<ChurnSample>) {
-    let joins = events
-        .iter()
-        .filter(|e| matches!(e, ChurnEvent::Join { .. }))
-        .count();
-    let total = config.founders + joins;
-    let addrs = discover_ports(total);
-    let metrics_addrs = discover_tcp_ports(total);
-
-    let handles: Vec<std::thread::JoinHandle<NodeOutcome>> = (0..total)
-        .map(|i| {
-            let id = NodeId(i as u32);
-            let mut node_config =
-                NetNodeConfig::new(id, addrs[i], config.seed, config.founders, config.slots);
-            node_config.gamma = config.gamma;
-            node_config.pop = true;
-            node_config.churn = events.to_vec();
-            // The runtime derives each node's fault stream from (seed, id),
-            // so the loss pattern is deterministic yet uncorrelated across
-            // nodes; the protocol seed stays shared for parity.
-            node_config.fault = Some(FaultSpec::degraded(config.loss));
-            node_config.endpoint.request_timeout = std::time::Duration::from_millis(40);
-            node_config.endpoint.max_retries = 8;
-            node_config.endpoint.max_backoff = std::time::Duration::from_millis(300);
-            node_config.slot_timeout = std::time::Duration::from_secs(20);
-            node_config.hello_timeout = std::time::Duration::from_secs(20);
-            node_config.linger = std::time::Duration::from_millis(2500);
-            node_config.metrics_addr = Some(metrics_addrs[i]);
-            if i >= config.founders {
-                node_config.join = Some(addrs[0]);
-            } else {
-                node_config.peers = (0..config.founders)
-                    .filter(|&j| j != i)
-                    .map(|j| (NodeId(j as u32), addrs[j]))
-                    .collect();
-            }
-            std::thread::spawn(move || {
-                NetNode::new(node_config)
-                    .expect("node construction")
-                    .run()
-                    .expect("node run")
+/// Scrapes the live cluster until every node has returned: the same path
+/// `tldag status` takes, reduced to one aggregated sample per sweep.
+fn sample_until_finished(
+    cluster: &LoopbackCluster,
+    metrics_addrs: &[SocketAddr],
+) -> Vec<ChurnSample> {
+    let mut samples = Vec::new();
+    while !cluster.is_finished() {
+        std::thread::sleep(Duration::from_millis(120));
+        let rows: Vec<StatusRow> = metrics_addrs
+            .iter()
+            .filter_map(|addr| {
+                scrape_metrics(*addr, Duration::from_millis(300))
+                    .ok()
+                    .map(|s| StatusRow::from_samples(addr.to_string(), &s))
             })
-        })
-        .collect();
-    // Scrape the live cluster while it runs: the same path `tldag status`
-    // takes, reduced to one aggregated sample per sweep.
-    let stop = Arc::new(AtomicBool::new(false));
-    let samples: Arc<Mutex<Vec<ChurnSample>>> = Arc::new(Mutex::new(Vec::new()));
-    let sampler = {
-        let stop = Arc::clone(&stop);
-        let samples = Arc::clone(&samples);
-        let targets = metrics_addrs.clone();
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(120));
-                let rows: Vec<StatusRow> = targets
-                    .iter()
-                    .filter_map(|addr| {
-                        scrape_metrics(*addr, Duration::from_millis(300))
-                            .ok()
-                            .map(|s| StatusRow::from_samples(addr.to_string(), &s))
-                    })
-                    .collect();
-                if !rows.is_empty() {
-                    samples.lock().expect("samples poisoned").push(ChurnSample {
-                        slot: rows.iter().map(|r| r.slot).max().unwrap_or(0),
-                        nodes: rows.len() as u64,
-                        chain_total: rows.iter().map(|r| r.chain_len).sum(),
-                        pop_attempts: rows.iter().map(|r| r.pop_attempts).sum(),
-                        pop_successes: rows.iter().map(|r| r.pop_successes).sum(),
-                        retries: rows.iter().map(|r| r.request_retries).sum(),
-                    });
-                }
-            }
-        })
-    };
-    let mut outcomes: Vec<NodeOutcome> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
-        .collect();
-    stop.store(true, Ordering::Relaxed);
-    sampler.join().expect("sampler thread panicked");
-    outcomes.sort_by_key(|o| o.run.node.0);
-    let samples = samples.lock().expect("samples poisoned").clone();
-    (outcomes, samples)
+            .collect();
+        if !rows.is_empty() {
+            samples.push(ChurnSample {
+                slot: rows.iter().map(|r| r.slot).max().unwrap_or(0),
+                nodes: rows.len() as u64,
+                chain_total: rows.iter().map(|r| r.chain_len).sum(),
+                pop_attempts: rows.iter().map(|r| r.pop_attempts).sum(),
+                pop_successes: rows.iter().map(|r| r.pop_successes).sum(),
+                retries: rows.iter().map(|r| r.request_retries).sum(),
+            });
+        }
+    }
+    samples
 }
 
 /// Runs the sweep.
@@ -317,17 +245,33 @@ pub fn run(config: &ChurnConfig) -> ChurnData {
     for &level in &config.levels {
         let events = config.schedule(level);
         validate_churn(&events, config.founders, config.slots).expect("generated schedule");
-        let reference = reference_run(
-            config.seed,
-            config.founders,
-            config.gamma,
-            config.slots,
-            &events,
-            &[],
-        );
+        let mut deployment = Deployment::new(config.seed, config.founders, config.slots);
+        deployment.gamma = config.gamma;
+        deployment.pop = true;
+        deployment.churn = events;
+        let reference = deployment.reference();
 
         let started = Instant::now();
-        let (outcomes, samples) = wire_run(config, &events);
+        let total = deployment.members();
+        let addrs = discover_ports(total).expect("probe ports");
+        let metrics_addrs = discover_tcp_ports(total).expect("probe metrics ports");
+        let mut configs = deployment.member_configs(&addrs);
+        for (c, metrics_addr) in configs.iter_mut().zip(&metrics_addrs) {
+            // The runtime derives each node's fault stream from (seed, id),
+            // so the loss pattern is deterministic yet uncorrelated across
+            // nodes; the protocol seed stays shared for parity.
+            c.fault = Some(FaultSpec::degraded(config.loss));
+            c.endpoint.request_timeout = Duration::from_millis(40);
+            c.endpoint.max_retries = 8;
+            c.endpoint.max_backoff = Duration::from_millis(300);
+            c.slot_timeout = Duration::from_secs(20);
+            c.hello_timeout = Duration::from_secs(20);
+            c.linger = Duration::from_millis(2500);
+            c.metrics_addr = Some(*metrics_addr);
+        }
+        let cluster = LoopbackCluster::spawn(configs);
+        let samples = sample_until_finished(&cluster, &metrics_addrs);
+        let outcomes: Vec<NodeOutcome> = cluster.join().into_iter().map(|(o, _)| o).collect();
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let wire_digest = network_digest_of(

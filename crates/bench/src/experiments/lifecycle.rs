@@ -18,16 +18,13 @@
 //! (digest parity against the reference engine must hold with the span
 //! store enabled).
 
-use crate::experiments::cluster::{discover_ports, reference_run};
 use crate::report::{Report, Table};
 use crate::{row, Scale};
-use std::sync::Arc;
 use std::time::Duration;
-use tldag_net::runtime::{network_digest_of, NodeOutcome};
-use tldag_net::telemetry::NodeTelemetry;
-use tldag_net::{NetNode, NetNodeConfig};
+use tldag_net::harness::discover_ports;
+use tldag_net::runtime::network_digest_of;
+use tldag_net::{Deployment, LoopbackCluster};
 use tldag_obs::{build_timelines, SpanEvent};
-use tldag_sim::NodeId;
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -102,41 +99,6 @@ pub struct LifecycleData {
     pub reference_pop: (u64, u64),
 }
 
-/// One traced in-process cluster run: per-node outcomes plus the
-/// telemetry handles whose span stores outlive the runtimes.
-fn wire_run(config: &LifecycleConfig, window: u64) -> Vec<(NodeOutcome, Arc<NodeTelemetry>)> {
-    let addrs = discover_ports(config.nodes);
-    let handles: Vec<std::thread::JoinHandle<(NodeOutcome, Arc<NodeTelemetry>)>> = (0..config
-        .nodes)
-        .map(|i| {
-            let id = NodeId(i as u32);
-            let mut node_config =
-                NetNodeConfig::new(id, addrs[i], config.seed, config.nodes, config.slots);
-            node_config.gamma = config.gamma;
-            node_config.pop = true;
-            node_config.window = window;
-            node_config.trace = true;
-            node_config.linger = Duration::from_millis(600);
-            node_config.peers = (0..config.nodes)
-                .filter(|&j| j != i)
-                .map(|j| (NodeId(j as u32), addrs[j]))
-                .collect();
-            std::thread::spawn(move || {
-                let node = NetNode::new(node_config).expect("node construction");
-                let telemetry = node.telemetry();
-                let outcome = node.run().expect("node run");
-                (outcome, telemetry)
-            })
-        })
-        .collect();
-    let mut results: Vec<(NodeOutcome, Arc<NodeTelemetry>)> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
-        .collect();
-    results.sort_by_key(|(o, _)| o.run.node.0);
-    results
-}
-
 /// `q`-quantile of an unsorted latency sample (nearest-rank).
 fn quantile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -148,20 +110,24 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 
 /// Runs the sweep.
 pub fn run(config: &LifecycleConfig) -> LifecycleData {
-    let reference = reference_run(
-        config.seed,
-        config.nodes,
-        config.gamma,
-        config.slots,
-        &[],
-        &[],
-    );
+    let mut deployment = Deployment::new(config.seed, config.nodes, config.slots);
+    deployment.gamma = config.gamma;
+    deployment.pop = true;
+    let reference = deployment.reference();
     let reference_digest = reference.network_digest();
     let reference_pop = reference.pop_counters();
 
     let mut points = Vec::with_capacity(config.windows.len());
     for &window in &config.windows {
-        let results = wire_run(config, window);
+        let addrs = discover_ports(config.nodes).expect("probe ports");
+        let mut configs = deployment.member_configs(&addrs);
+        for c in &mut configs {
+            c.window = window;
+            c.trace = true;
+            c.linger = Duration::from_millis(600);
+        }
+        // The telemetry handles' span stores outlive the runtimes.
+        let results = LoopbackCluster::spawn(configs).join();
 
         let wire_digest = network_digest_of(
             &results

@@ -5,8 +5,8 @@
 //! bound DLedger (arXiv:1902.09031) removes by committing asynchronously
 //! with lazy interest-based sync. This experiment measures exactly that
 //! gap on loopback: for each pipeline window `W` an in-process cluster of
-//! [`NetNode`] runtimes executes the same seeded schedule with PoP
-//! verification on, and reports
+//! [`tldag_net::NetNode`] runtimes executes the same seeded schedule with
+//! PoP verification on, and reports
 //!
 //! * **blocks/s** — cluster-wide generation throughput over the slot
 //!   loop's critical path (the slowest node's `slot_loop_ms`, which
@@ -21,13 +21,12 @@
 //! The headline is `speedup`: blocks/s at window `W` relative to the
 //! lockstep baseline of the same sweep.
 
-use crate::experiments::cluster::{discover_ports, reference_run};
 use crate::report::{Report, Table};
 use crate::{row, Scale};
 use std::time::{Duration, Instant};
-use tldag_net::runtime::{network_digest_of, NodeOutcome};
-use tldag_net::{NetNode, NetNodeConfig};
-use tldag_sim::NodeId;
+use tldag_net::harness::discover_ports;
+use tldag_net::runtime::network_digest_of;
+use tldag_net::{Deployment, LoopbackCluster};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -111,60 +110,27 @@ pub struct SaturationData {
     pub points: Vec<SaturationPoint>,
 }
 
-/// Runs one in-process cluster at the given window and returns per-node
-/// outcomes (id order) plus each node's slot-latency histogram snapshot.
-type NodeResult = (NodeOutcome, tldag_net::telemetry::HistogramSnapshot);
-
-fn wire_run(config: &SaturationConfig, window: u64) -> Vec<NodeResult> {
-    let addrs = discover_ports(config.nodes);
-    let handles: Vec<std::thread::JoinHandle<NodeResult>> = (0..config.nodes)
-        .map(|i| {
-            let id = NodeId(i as u32);
-            let mut node_config =
-                NetNodeConfig::new(id, addrs[i], config.seed, config.nodes, config.slots);
-            node_config.gamma = config.gamma;
-            node_config.pop = true;
-            node_config.window = window;
-            node_config.linger = Duration::from_millis(600);
-            node_config.peers = (0..config.nodes)
-                .filter(|&j| j != i)
-                .map(|j| (NodeId(j as u32), addrs[j]))
-                .collect();
-            std::thread::spawn(move || {
-                let node = NetNode::new(node_config).expect("node construction");
-                let telemetry = node.telemetry();
-                let outcome = node.run().expect("node run");
-                (outcome, telemetry.slot_latency.snapshot())
-            })
-        })
-        .collect();
-    let mut results: Vec<NodeResult> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
-        .collect();
-    results.sort_by_key(|(o, _)| o.run.node.0);
-    results
-}
-
 /// Runs the sweep.
 pub fn run(config: &SaturationConfig) -> SaturationData {
     // Window-independent: the whole point of the pipeline is that the
     // ledger it converges to is identical.
-    let reference = reference_run(
-        config.seed,
-        config.nodes,
-        config.gamma,
-        config.slots,
-        &[],
-        &[],
-    );
+    let mut deployment = Deployment::new(config.seed, config.nodes, config.slots);
+    deployment.gamma = config.gamma;
+    deployment.pop = true;
+    let reference = deployment.reference();
     let reference_digest = reference.network_digest();
     let reference_pop = reference.pop_counters();
 
     let mut points: Vec<SaturationPoint> = Vec::with_capacity(config.windows.len());
     for &window in &config.windows {
         let started = Instant::now();
-        let results = wire_run(config, window);
+        let addrs = discover_ports(config.nodes).expect("probe ports");
+        let mut configs = deployment.member_configs(&addrs);
+        for c in &mut configs {
+            c.window = window;
+            c.linger = Duration::from_millis(600);
+        }
+        let results = LoopbackCluster::spawn(configs).join();
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let wire_digest = network_digest_of(
@@ -173,9 +139,9 @@ pub fn run(config: &SaturationConfig) -> SaturationData {
                 .map(|(o, _)| o.run.chain_digest)
                 .collect::<Vec<_>>(),
         );
-        let mut latency = results[0].1;
-        for (_, snap) in &results[1..] {
-            latency.merge(snap);
+        let mut latency = results[0].1.slot_latency.snapshot();
+        for (_, telemetry) in &results[1..] {
+            latency.merge(&telemetry.slot_latency.snapshot());
         }
         let blocks: u64 = results.iter().map(|(o, _)| o.run.chain_len).sum();
         let pop_successes: u64 = results.iter().map(|(o, _)| o.run.pop_successes).sum();

@@ -265,19 +265,16 @@ impl DataBlock {
     /// # Errors
     ///
     /// Returns the first failing [`ValidationError`]. The paper's Algorithm 3
-    /// only checks the root; signature and puzzle checks are hardening
-    /// controlled by `cfg.verify_signatures`.
+    /// only checks the root; signature and puzzle checks are hardening.
     pub fn validate(&self, cfg: &ProtocolConfig, pk: &PublicKey) -> Result<(), ValidationError> {
         if self.body.merkle_root(cfg.merkle_chunk_bytes) != self.header.root {
             return Err(ValidationError::RootMismatch);
         }
-        if cfg.verify_signatures {
-            if !self.header.verify_signature(pk) {
-                return Err(ValidationError::SignatureInvalid);
-            }
-            if !self.header.verify_puzzle(cfg.difficulty_bits) {
-                return Err(ValidationError::PuzzleInvalid);
-            }
+        if !self.header.verify_signature(pk) {
+            return Err(ValidationError::SignatureInvalid);
+        }
+        if !self.header.verify_puzzle(cfg.difficulty_bits) {
+            return Err(ValidationError::PuzzleInvalid);
         }
         Ok(())
     }

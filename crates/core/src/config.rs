@@ -75,9 +75,6 @@ pub struct ProtocolConfig {
     /// Tolerable number of malicious nodes `γ`; consensus needs `γ + 1`
     /// distinct nodes on the proof path.
     pub gamma: usize,
-    /// Whether the validator verifies header signatures and puzzles on every
-    /// retrieved header, in addition to the paper's digest-consistency check.
-    pub verify_signatures: bool,
     /// Bytes per Merkle leaf when chunking a block body.
     pub merkle_chunk_bytes: usize,
     /// Framing overhead in bits added to every PoP message (type tag + ids).
@@ -117,7 +114,6 @@ impl ProtocolConfig {
             body_bits: Bits::from_megabytes_f(0.5).bits(),
             difficulty_bits: 8,
             gamma: 16,
-            verify_signatures: true,
             merkle_chunk_bytes: 64,
             framing_bits: 64,
             path_selection: PathSelection::Weighted,

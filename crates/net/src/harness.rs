@@ -20,6 +20,14 @@
 //! are killed explicitly on every failure path, and the child guard kills
 //! whatever is left on drop — a failed run can never strand UDP listeners
 //! that would wedge a rerun on the same ports.
+//!
+//! The same module stands up *in-process* loopback clusters for the
+//! experiments and the wire tests, so a deployment under test is addressed
+//! and compared in one place: [`discover_ports`] / [`discover_tcp_ports`]
+//! probe free localhost addresses, [`Deployment::member_configs`] peers the
+//! founders and points each scheduled joiner at its bootstrap,
+//! [`LoopbackCluster`] runs every member as a [`NetNode`] thread, and
+//! [`Deployment::reference`] builds the in-memory engine run it must match.
 
 use crate::control::{Control, RunReport};
 use crate::endpoint::{Endpoint, EndpointConfig, Inbound};
@@ -29,14 +37,16 @@ use crate::metrics::NetStats;
 use crate::peer::format_peer_list;
 use crate::runtime::{
     deployment_protocol_config, deployment_range_m, deployment_topology, network_digest_of,
+    NetNode, NetNodeConfig, NodeOutcome,
 };
-use crate::telemetry::{scrape_metrics, StatusRow};
+use crate::telemetry::{scrape_metrics, NodeTelemetry, StatusRow};
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tldag_core::attack::Behavior;
 use tldag_core::network::TldagNetwork;
@@ -229,12 +239,21 @@ impl ClusterConfig {
 
     /// Total processes the run spawns: founders plus scheduled joiners.
     pub fn total_processes(&self) -> usize {
-        self.nodes
-            + self
-                .churn
-                .iter()
-                .filter(|e| matches!(e, ChurnEvent::Join { .. }))
-                .count()
+        self.deployment().members()
+    }
+
+    /// The deployment the processes run and the reference replays.
+    fn deployment(&self) -> Deployment {
+        Deployment {
+            seed: self.seed,
+            founders: self.nodes,
+            side_m: self.side_m,
+            gamma: self.gamma,
+            pop: self.pop,
+            slots: self.slots,
+            churn: self.churn.clone(),
+            adversaries: self.adversaries.clone(),
+        }
     }
 
     /// Node ids with no scheduled adversary placement, in id order — the
@@ -364,52 +383,246 @@ impl Drop for ChildGuard {
     }
 }
 
-/// Finds `n` bindable localhost TCP ports (for the metrics listeners).
+/// Finds `n` distinct bindable localhost UDP addresses by binding them all
+/// and releasing them together.
 ///
-/// Same release-then-rebind race as [`discover_ports`]; the harness's
-/// single retry on an early child exit absorbs a stolen port.
-fn discover_tcp_ports(n: usize) -> Result<Vec<u16>, String> {
-    let mut sockets = Vec::with_capacity(n);
-    let mut ports = Vec::with_capacity(n);
-    for _ in 0..n {
-        let socket = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| format!("cannot discover a free metrics port: {e}"))?;
-        ports.push(
-            socket
-                .local_addr()
-                .map_err(|e| format!("cannot read discovered metrics port: {e}"))?
-                .port(),
-        );
-        sockets.push(socket);
-    }
-    Ok(ports)
+/// The release-then-rebind window is a race: a concurrent bind on the same
+/// host can steal a port before its node binds it. [`run_cluster`] absorbs
+/// that with one retry on an early child exit.
+///
+/// # Errors
+///
+/// The probe socket cannot be bound or read back.
+pub fn discover_ports(n: usize) -> Result<Vec<SocketAddr>, String> {
+    let sockets = (0..n)
+        .map(|_| UdpSocket::bind("127.0.0.1:0"))
+        .collect::<std::io::Result<Vec<_>>>()
+        .map_err(|e| format!("cannot discover a free port: {e}"))?;
+    sockets
+        .iter()
+        .map(UdpSocket::local_addr)
+        .collect::<std::io::Result<_>>()
+        .map_err(|e| format!("cannot read discovered port: {e}"))
 }
 
-/// Finds `n` bindable localhost UDP ports.
-fn discover_ports(n: usize) -> Result<Vec<u16>, String> {
-    let mut sockets = Vec::with_capacity(n);
-    let mut ports = Vec::with_capacity(n);
-    for _ in 0..n {
-        let socket = UdpSocket::bind("127.0.0.1:0")
-            .map_err(|e| format!("cannot discover a free port: {e}"))?;
-        ports.push(
-            socket
-                .local_addr()
-                .map_err(|e| format!("cannot read discovered port: {e}"))?
-                .port(),
-        );
-        // Held until all are discovered so probes cannot collide.
-        sockets.push(socket);
+/// Finds `n` distinct bindable localhost TCP addresses (for the metrics
+/// listeners), with the same release-then-rebind race as [`discover_ports`].
+///
+/// # Errors
+///
+/// The probe listener cannot be bound or read back.
+pub fn discover_tcp_ports(n: usize) -> Result<Vec<SocketAddr>, String> {
+    let listeners = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<std::io::Result<Vec<_>>>()
+        .map_err(|e| format!("cannot discover a free metrics port: {e}"))?;
+    listeners
+        .iter()
+        .map(TcpListener::local_addr)
+        .collect::<std::io::Result<_>>()
+        .map_err(|e| format!("cannot read discovered metrics port: {e}"))
+}
+
+/// One deployment under test: the founders, horizon and protocol knobs
+/// every member shares, plus its membership schedule and adversary cast.
+/// It yields both sides of the parity contract — the members' node configs
+/// ([`Deployment::member_configs`]) and the engine run they must reproduce
+/// ([`Deployment::reference`]).
+#[derive(Clone, Debug)]
+pub struct Deployment {
+    /// Shared experiment seed (also fixes the topology).
+    pub seed: u64,
+    /// Founding nodes; scheduled joiners take the ids after them.
+    pub founders: usize,
+    /// Deployment area side in meters.
+    pub side_m: f64,
+    /// Consensus parameter γ.
+    pub gamma: usize,
+    /// Whether members run the PoP verification workload.
+    pub pop: bool,
+    /// Protocol horizon in slots.
+    pub slots: u64,
+    /// Scheduled late joins and graceful leaves (a valid schedule, see
+    /// [`validate_churn`]).
+    pub churn: Vec<ChurnEvent>,
+    /// Scheduled adversaries.
+    pub adversaries: Vec<AdversaryPlacement>,
+}
+
+impl Deployment {
+    /// An honest, churn-free deployment with the `tldag cluster` defaults
+    /// (300 m side, γ = 3, PoP off).
+    pub fn new(seed: u64, founders: usize, slots: u64) -> Self {
+        Deployment {
+            seed,
+            founders,
+            side_m: 300.0,
+            gamma: 3,
+            pop: false,
+            slots,
+            churn: Vec::new(),
+            adversaries: Vec::new(),
+        }
     }
-    Ok(ports)
+
+    /// Founders plus scheduled joiners.
+    pub fn members(&self) -> usize {
+        self.founders
+            + self
+                .churn
+                .iter()
+                .filter(|e| matches!(e, ChurnEvent::Join { .. }))
+                .count()
+    }
+
+    /// One node config per member, in id order, listening on `addrs[id]`.
+    /// Founders list every other founder as a peer. A scheduled joiner is
+    /// provisioned with only a bootstrap address — the lowest founder
+    /// still a member at its join slot (a departed bootstrap keeps
+    /// serving, but a live one answers faster) — so the join handshake
+    /// carries the roster. Adversary placements set `behavior` /
+    /// `behavior_from`; every other field keeps its [`NetNodeConfig::new`]
+    /// default for the caller to adjust.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one address per member.
+    pub fn member_configs(&self, addrs: &[SocketAddr]) -> Vec<NetNodeConfig> {
+        assert_eq!(addrs.len(), self.members(), "one address per member");
+        let left_by = |founder: usize, slot: u64| {
+            self.churn.iter().any(|e| {
+                matches!(*e, ChurnEvent::Leave { id, slot: at }
+                    if id.0 as usize == founder && at <= slot)
+            })
+        };
+        (0..addrs.len())
+            .map(|i| {
+                let id = NodeId(i as u32);
+                let mut config =
+                    NetNodeConfig::new(id, addrs[i], self.seed, self.founders, self.slots);
+                config.side_m = self.side_m;
+                config.gamma = self.gamma;
+                config.pop = self.pop;
+                config.churn = self.churn.clone();
+                if i < self.founders {
+                    config.peers = (0..self.founders)
+                        .filter(|&j| j != i)
+                        .map(|j| (NodeId(j as u32), addrs[j]))
+                        .collect();
+                } else {
+                    let join_slot = self
+                        .churn
+                        .iter()
+                        .find_map(|e| match *e {
+                            ChurnEvent::Join { id: j, slot } if j == id => Some(slot),
+                            _ => None,
+                        })
+                        .expect("joiner ids come from the churn schedule");
+                    let bootstrap = (0..self.founders)
+                        .find(|&f| !left_by(f, join_slot))
+                        .unwrap_or(0);
+                    config.join = Some(addrs[bootstrap]);
+                }
+                if let Some(p) = self.adversaries.iter().find(|p| p.node == id) {
+                    config.behavior = p.behavior;
+                    config.behavior_from = p.slot;
+                }
+                config
+            })
+            .collect()
+    }
+
+    /// The in-memory engine run the members must reproduce: the same
+    /// topology, protocol config and workload, with the membership schedule
+    /// and adversary cast replayed by [`replay_reference_schedule`].
+    pub fn reference(&self) -> TldagNetwork {
+        let topology = deployment_topology(self.seed, self.founders, self.side_m);
+        let cfg = deployment_protocol_config(self.gamma);
+        let schedule = GenerationSchedule::uniform(topology.len());
+        let mut reference = TldagNetwork::new(cfg, topology, schedule, self.seed);
+        reference.set_verification_workload(if self.pop {
+            VerificationWorkload::RandomPast {
+                min_age_slots: self.founders as u64,
+            }
+        } else {
+            VerificationWorkload::Disabled
+        });
+        replay_reference_schedule(
+            &mut reference,
+            &self.churn,
+            &self.adversaries,
+            self.founders,
+            self.seed,
+            self.slots,
+        );
+        reference
+    }
+}
+
+/// A loopback cluster running in this process: every member a [`NetNode`]
+/// on its own thread. Mid-run observers (metrics scrapers, journal
+/// readers) run between [`LoopbackCluster::spawn`] and
+/// [`LoopbackCluster::join`].
+#[must_use = "join the cluster to reap its node threads"]
+pub struct LoopbackCluster {
+    members: Vec<JoinHandle<(NodeOutcome, Arc<NodeTelemetry>)>>,
+}
+
+impl LoopbackCluster {
+    /// Starts one node thread per config.
+    ///
+    /// Each thread panics if its node cannot be built or fails its run;
+    /// [`LoopbackCluster::join`] surfaces that.
+    pub fn spawn(configs: Vec<NetNodeConfig>) -> Self {
+        let members = configs
+            .into_iter()
+            .map(|config| {
+                std::thread::spawn(move || {
+                    let node = NetNode::new(config).expect("node construction");
+                    let telemetry = node.telemetry();
+                    (node.run().expect("node run"), telemetry)
+                })
+            })
+            .collect();
+        LoopbackCluster { members }
+    }
+
+    /// Whether every node thread has returned (or panicked).
+    pub fn is_finished(&self) -> bool {
+        self.members.iter().all(JoinHandle::is_finished)
+    }
+
+    /// Waits for every node and returns its outcome and telemetry, in id
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any node thread panicked.
+    pub fn join(self) -> Vec<(NodeOutcome, Arc<NodeTelemetry>)> {
+        let mut members: Vec<_> = self
+            .members
+            .into_iter()
+            .map(|h| h.join().expect("node thread panicked"))
+            .collect();
+        members.sort_by_key(|(outcome, _)| outcome.run.node.0);
+        members
+    }
+
+    /// Spawns `configs`, waits for them, and keeps only the outcomes: the
+    /// whole run for a caller that observes nothing mid-run.
+    pub fn run(configs: Vec<NetNodeConfig>) -> Vec<NodeOutcome> {
+        let members = LoopbackCluster::spawn(configs).join();
+        members.into_iter().map(|(outcome, _)| outcome).collect()
+    }
 }
 
 /// Replays a membership schedule on a reference engine and runs it for
 /// `slots` slots: the **same** leaves-before-joins slot-boundary
 /// application and derived `join_site` placement every `NetNode` uses, so
-/// any consumer comparing a wire run against the engine (`run_cluster`,
-/// `fig12_churn`) computes the identical reference — one definition, no
-/// drift.
+/// any consumer comparing a wire run against the engine
+/// ([`Deployment::reference`], and through it `run_cluster` and every
+/// in-process cluster) computes the identical reference — one definition,
+/// no drift.
 ///
 /// `adversaries` are applied with [`TldagNetwork::set_behavior`] at the
 /// same slot boundary the wire node activates its `--behavior`, so the
@@ -475,32 +688,6 @@ pub fn replay_reference_schedule(
     }
 }
 
-/// Replays the cluster's experiment — including its membership schedule —
-/// on the in-memory engine, returning the reference network after
-/// `config.slots` slots.
-fn reference_run(config: &ClusterConfig) -> TldagNetwork {
-    let topology = deployment_topology(config.seed, config.nodes, config.side_m);
-    let cfg = deployment_protocol_config(config.gamma);
-    let schedule = GenerationSchedule::uniform(topology.len());
-    let mut reference = TldagNetwork::new(cfg, topology, schedule, config.seed);
-    reference.set_verification_workload(if config.pop {
-        VerificationWorkload::RandomPast {
-            min_age_slots: config.nodes as u64,
-        }
-    } else {
-        VerificationWorkload::Disabled
-    });
-    replay_reference_schedule(
-        &mut reference,
-        &config.churn,
-        &config.adversaries,
-        config.nodes,
-        config.seed,
-        config.slots,
-    );
-    reference
-}
-
 /// Runs a full cluster: spawn, collect, compare. Node processes are always
 /// reaped, whatever path is taken.
 ///
@@ -541,8 +728,9 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     if config.nodes == 0 {
         return Err("--nodes must be positive".into());
     }
-    let total = config.total_processes();
-    let ports: Vec<u16> = match config.base_port {
+    let deployment = config.deployment();
+    let total = deployment.members();
+    let addrs: Vec<SocketAddr> = match config.base_port {
         Some(base) => {
             let last = u64::from(base) + total as u64 - 1;
             if last > u64::from(u16::MAX) {
@@ -550,19 +738,14 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
                     "--base-port {base} + {total} nodes exceeds port 65535"
                 ));
             }
-            (0..total as u16).map(|i| base + i).collect()
+            (0..total as u16)
+                .map(|i| SocketAddr::from(([127, 0, 0, 1], base + i)))
+                .collect()
         }
         None => discover_ports(total)?,
     };
-    let addrs: Vec<SocketAddr> = ports
-        .iter()
-        .map(|p| format!("127.0.0.1:{p}").parse().expect("addr"))
-        .collect();
     let metrics_addrs: Vec<SocketAddr> = if config.metrics {
         discover_tcp_ports(total)?
-            .iter()
-            .map(|p| format!("127.0.0.1:{p}").parse().expect("addr"))
-            .collect()
     } else {
         Vec::new()
     };
@@ -642,7 +825,6 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // destructors run then): a generous watchdog inside each node covers
     // the whole report window plus the shutdown grace.
     let child_deadline = config.report_timeout + Duration::from_secs(30);
-    let churn_spec = format_churn_spec(&config.churn);
 
     // --- Spawn one real process per member: founders first, then the
     // scheduled joiners (provisioned with only a bootstrap address — the
@@ -650,71 +832,46 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     let mut guard = ChildGuard {
         children: Vec::with_capacity(total),
     };
-    for i in 0..total {
-        let id = NodeId(i as u32);
-        let is_joiner = i >= config.nodes;
+    for member in deployment.member_configs(&addrs) {
+        let i = member.id.0 as usize;
         let mut cmd = Command::new(&config.exe);
         cmd.arg("node")
             .arg("--id")
             .arg(i.to_string())
             .arg("--listen")
-            .arg(addrs[i].to_string())
+            .arg(member.listen.to_string())
             .arg("--controller")
             .arg(controller_addr.to_string())
             .arg("--seed")
-            .arg(config.seed.to_string())
+            .arg(member.seed.to_string())
             .arg("--nodes")
-            .arg(config.nodes.to_string())
+            .arg(member.nodes.to_string())
             .arg("--side")
-            .arg(config.side_m.to_string())
+            .arg(member.side_m.to_string())
             .arg("--gamma")
-            .arg(config.gamma.to_string())
+            .arg(member.gamma.to_string())
             .arg("--slots")
-            .arg(config.slots.to_string())
+            .arg(member.slots.to_string())
             .arg("--deadline")
             .arg(child_deadline.as_secs().to_string())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit());
-        if is_joiner {
-            // Bootstrap via a founder that is still a member at the join
-            // slot (a departed bootstrap keeps serving, but a live one
-            // answers faster).
-            let join_slot = config
-                .churn
-                .iter()
-                .find_map(|e| match *e {
-                    ChurnEvent::Join { id: j, slot } if j == id => Some(slot),
-                    _ => None,
-                })
-                .expect("joiner ids come from the churn spec");
-            let bootstrap = (0..config.nodes)
-                .find(|&f| {
-                    !config.churn.iter().any(|e| {
-                        matches!(*e, ChurnEvent::Leave { id: l, slot }
-                            if l == NodeId(f as u32) && slot <= join_slot)
-                    })
-                })
-                .unwrap_or(0);
-            cmd.arg("--join").arg(addrs[bootstrap].to_string());
-        } else {
-            let peers: Vec<(NodeId, SocketAddr)> = (0..config.nodes)
-                .filter(|&j| j != i)
-                .map(|j| (NodeId(j as u32), addrs[j]))
-                .collect();
-            cmd.arg("--peers").arg(format_peer_list(&peers));
+        match member.join {
+            Some(bootstrap) => cmd.arg("--join").arg(bootstrap.to_string()),
+            None => cmd.arg("--peers").arg(format_peer_list(&member.peers)),
+        };
+        if !member.churn.is_empty() {
+            cmd.arg("--churn").arg(format_churn_spec(&member.churn));
         }
-        if !churn_spec.is_empty() {
-            cmd.arg("--churn").arg(&churn_spec);
-        }
-        if let Some(p) = config.adversaries.iter().find(|p| p.node == id) {
+        if member.behavior != Behavior::Honest {
             cmd.arg("--behavior")
-                .arg(format!("{}@{}", p.behavior, p.slot));
+                .arg(format!("{}@{}", member.behavior, member.behavior_from));
         }
         if let Some(evict_after) = config.evict_after {
             cmd.arg("--evict-after")
                 .arg(evict_after.as_secs_f64().to_string());
         }
-        if config.pop {
+        if member.pop {
             cmd.arg("--pop");
         }
         if config.window > 1 {
@@ -749,7 +906,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
                 return Err(msg);
             }
         };
-        guard.children.push((id, child));
+        guard.children.push((member.id, child));
     }
 
     // --- Collect all reports (or fail with whatever went wrong), scraping
@@ -803,7 +960,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // --- The in-memory reference on the same seed and churn schedule,
     // computed *before* the cluster is released: a parity failure then
     // still has every node alive and serving DigestReq pulls.
-    let reference = reference_run(config);
+    let reference = deployment.reference();
 
     let mut ordered = Vec::with_capacity(total);
     for i in 0..total {
@@ -969,4 +1126,63 @@ fn run_forensics(
             .collect();
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn founders_peer_each_other_and_joiners_bootstrap_off_the_lowest_live_founder() {
+        let addrs: Vec<SocketAddr> = (0..5)
+            .map(|i| SocketAddr::from(([127, 0, 0, 1], 9300 + i)))
+            .collect();
+        let mut deployment = Deployment::new(5, 3, 10);
+        deployment.churn = vec![
+            ChurnEvent::Join {
+                id: NodeId(3),
+                slot: 2,
+            },
+            ChurnEvent::Leave {
+                id: NodeId(0),
+                slot: 3,
+            },
+            ChurnEvent::Join {
+                id: NodeId(4),
+                slot: 5,
+            },
+        ];
+        deployment.adversaries = vec![AdversaryPlacement {
+            node: NodeId(2),
+            behavior: Behavior::Selfish,
+            slot: 4,
+        }];
+        validate_churn(&deployment.churn, 3, 10).expect("valid schedule");
+        let configs = deployment.member_configs(&addrs);
+        assert_eq!(configs.len(), 5);
+        for (i, config) in configs.iter().enumerate().take(3) {
+            let expected: Vec<(NodeId, SocketAddr)> = (0..3)
+                .filter(|&j| j != i)
+                .map(|j| (NodeId(j as u32), addrs[j]))
+                .collect();
+            assert_eq!(
+                config.peers, expected,
+                "founder {i} peers every other founder"
+            );
+            assert_eq!(config.join, None);
+        }
+        // Founder 0 is still a member at slot 2, and gone by slot 5.
+        assert_eq!(configs[3].join, Some(addrs[0]));
+        assert_eq!(configs[4].join, Some(addrs[1]));
+        assert!(configs[3].peers.is_empty() && configs[4].peers.is_empty());
+        for (i, config) in configs.iter().enumerate() {
+            assert_eq!((config.id, config.listen), (NodeId(i as u32), addrs[i]));
+            assert_eq!(config.churn, deployment.churn);
+        }
+        assert_eq!(
+            (configs[2].behavior, configs[2].behavior_from),
+            (Behavior::Selfish, 4)
+        );
+        assert_eq!(configs[1].behavior, Behavior::Honest);
+    }
 }

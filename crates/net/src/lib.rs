@@ -28,7 +28,9 @@
 //!   slot boundaries — and the wire-side PoP validator.
 //! * [`harness`] — the `tldag cluster` multi-process deployment harness
 //!   with `network_digest` parity checking against the in-memory engine,
-//!   including under a scheduled churn of late joins and graceful leaves.
+//!   including under a scheduled churn of late joins and graceful leaves,
+//!   and the in-process [`LoopbackCluster`] + [`Deployment`] reference the
+//!   experiments and wire tests stand their clusters up with.
 //! * [`telemetry`] — live observability: per-node histograms + journal
 //!   ([`telemetry::NodeTelemetry`]), the `/metrics` + `/journal` +
 //!   `/trace` HTTP routes, and the `tldag status` scraper/aggregator.
@@ -75,7 +77,7 @@ pub use explore::{Explorer, ExplorerSource};
 pub use forensics::{diagnose, timelines_for_slot, DivergenceReport, SlotMismatch};
 pub use harness::{
     format_adversary_schedule, parse_adversary_spec, run_cluster, AdversaryPlacement,
-    ClusterConfig, ClusterOutcome,
+    ClusterConfig, ClusterOutcome, Deployment, LoopbackCluster,
 };
 pub use membership::{parse_churn_spec, ChurnEvent, Roster};
 pub use metrics::{NetMetrics, NetStats};

@@ -7,56 +7,9 @@
 
 use std::net::SocketAddr;
 use std::time::Duration;
-use tldag_net::runtime::NodeOutcome;
-use tldag_net::{FaultSpec, NetNode, NetNodeConfig, PeerTable};
+use tldag_net::harness::discover_ports;
+use tldag_net::{Deployment, FaultSpec, LoopbackCluster, NetNodeConfig, PeerTable};
 use tldag_sim::NodeId;
-
-/// Binds-and-releases `n` loopback UDP ports.
-fn discover_ports(n: usize) -> Vec<SocketAddr> {
-    let sockets: Vec<std::net::UdpSocket> = (0..n)
-        .map(|_| std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe"))
-        .collect();
-    sockets
-        .iter()
-        .map(|s| s.local_addr().expect("probe addr"))
-        .collect()
-}
-
-fn founder_config(
-    id: u32,
-    addrs: &[SocketAddr],
-    founders: usize,
-    seed: u64,
-    slots: u64,
-) -> NetNodeConfig {
-    let mut config = NetNodeConfig::new(NodeId(id), addrs[id as usize], seed, founders, slots);
-    config.peers = (0..founders)
-        .filter(|&j| j != id as usize)
-        .map(|j| (NodeId(j as u32), addrs[j]))
-        .collect();
-    config.linger = Duration::from_millis(2500);
-    config
-}
-
-fn run_nodes(configs: Vec<NetNodeConfig>) -> Vec<NodeOutcome> {
-    let handles: Vec<std::thread::JoinHandle<NodeOutcome>> = configs
-        .into_iter()
-        .map(|config| {
-            std::thread::spawn(move || {
-                NetNode::new(config)
-                    .expect("node construction")
-                    .run()
-                    .expect("node run")
-            })
-        })
-        .collect();
-    let mut outcomes: Vec<NodeOutcome> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
-        .collect();
-    outcomes.sort_by_key(|o| o.run.node.0);
-    outcomes
-}
 
 #[test]
 fn silent_peer_is_evicted_and_the_cluster_finishes() {
@@ -65,20 +18,18 @@ fn silent_peer_is_evicted_and_the_cluster_finishes() {
     // Nodes 0 and 1 expect 9 slots; without eviction they would burn a
     // full slot_timeout per remaining slot. With eviction they cut node 2
     // loose at the first blocked barrier and finish.
-    let addrs = discover_ports(3);
-    let mut configs: Vec<NetNodeConfig> = (0..3u32)
-        .map(|id| {
-            let mut c = founder_config(id, &addrs, 3, 90_701, 9);
-            c.evict_after = Some(Duration::from_millis(600));
-            c.slot_timeout = Duration::from_secs(30);
-            c
-        })
-        .collect();
+    let addrs = discover_ports(3).expect("probe ports");
+    let mut configs = Deployment::new(90_701, 3, 9).member_configs(&addrs);
+    for c in &mut configs {
+        c.evict_after = Some(Duration::from_millis(600));
+        c.slot_timeout = Duration::from_secs(30);
+        c.linger = Duration::from_millis(2500);
+    }
     configs[2].slots = 3;
     configs[2].evict_after = None;
     configs[2].linger = Duration::from_millis(200);
 
-    let outcomes = run_nodes(configs);
+    let outcomes = LoopbackCluster::run(configs);
     assert_eq!(outcomes[2].run.chain_len, 3, "the dying node ran 3 slots");
     for survivor in &outcomes[..2] {
         assert_eq!(
@@ -108,29 +59,24 @@ fn dynamic_join_races_slot_boundaries_under_loss() {
     // boundary. PoP lockstep paces the founders, and fixed fault seeds
     // drop a deterministic subset of the handshake/announce datagrams, so
     // the race is exercised reproducibly.
-    let addrs = discover_ports(4);
-    let seed = 77_412;
-    let slots = 12;
-    let mut configs: Vec<NetNodeConfig> = (0..3u32)
-        .map(|id| {
-            let mut c = founder_config(id, &addrs, 3, seed, slots);
-            c.pop = true;
-            c.fault = Some(FaultSpec::degraded(0.10));
-            c.slot_timeout = Duration::from_secs(20);
-            c.hello_timeout = Duration::from_secs(20);
-            c
-        })
-        .collect();
+    let (seed, slots) = (77_412, 12);
+    let addrs = discover_ports(4).expect("probe ports");
+    let mut deployment = Deployment::new(seed, 3, slots);
+    deployment.pop = true;
+    let mut configs = deployment.member_configs(&addrs[..3]);
+    // The joiner is outside the schedule: only its bootstrap is known.
     let mut joiner = NetNodeConfig::new(NodeId(3), addrs[3], seed, 3, slots);
     joiner.pop = true;
     joiner.join = Some(addrs[0]);
-    joiner.fault = Some(FaultSpec::degraded(0.10));
-    joiner.slot_timeout = Duration::from_secs(20);
-    joiner.hello_timeout = Duration::from_secs(20);
-    joiner.linger = Duration::from_millis(2500);
     configs.push(joiner);
+    for c in &mut configs {
+        c.fault = Some(FaultSpec::degraded(0.10));
+        c.slot_timeout = Duration::from_secs(20);
+        c.hello_timeout = Duration::from_secs(20);
+        c.linger = Duration::from_millis(2500);
+    }
 
-    let outcomes = run_nodes(configs);
+    let outcomes = LoopbackCluster::run(configs);
     let joiner = &outcomes[3];
     assert!(
         joiner.run.catch_up_ms > 0,

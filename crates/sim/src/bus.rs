@@ -6,15 +6,12 @@
 //! The bus therefore meters every send at both endpoints, tagged with a
 //! [`TrafficClass`], and exposes per-node/per-class totals for the plots.
 //!
-//! Delivery semantics are synchronous within a slot: the simulator is a
-//! single-threaded discrete-time model, so `send` immediately enqueues to the
-//! destination's inbox and accounting happens at send time. Request/response
-//! exchanges (PoP) are accounted directly by the caller through
-//! [`MessageBus::accounting_mut`].
+//! Accounting happens at send time: the simulator is a discrete-time model,
+//! so every exchange (digest broadcast or PoP request/response) is recorded
+//! by its caller through [`Accounting::record`] when it is made.
 
 use crate::topology::NodeId;
 use crate::units::Bits;
-use std::collections::VecDeque;
 
 /// Category of traffic, used to split Fig. 8's panels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -196,133 +193,19 @@ impl Accounting {
     }
 }
 
-/// An in-flight message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Envelope<M> {
-    /// Sender.
-    pub from: NodeId,
-    /// Destination.
-    pub to: NodeId,
-    /// Traffic category for accounting.
-    pub class: TrafficClass,
-    /// Logical size on the wire.
-    pub size: Bits,
-    /// Payload.
-    pub message: M,
-}
-
-/// A synchronous, accounted message bus between simulated nodes.
-///
-/// # Example
-///
-/// ```
-/// use tldag_sim::bus::{MessageBus, TrafficClass};
-/// use tldag_sim::{Bits, NodeId};
-///
-/// let mut bus: MessageBus<&'static str> = MessageBus::new(2);
-/// bus.send(NodeId(0), NodeId(1), TrafficClass::Other, Bits::from_bytes(4), "ping");
-/// let msg = bus.pop_inbox(NodeId(1)).unwrap();
-/// assert_eq!(msg.message, "ping");
-/// assert_eq!(bus.accounting().tx(NodeId(0), TrafficClass::Other).bits(), 32);
-/// ```
-#[derive(Clone, Debug)]
-pub struct MessageBus<M> {
-    inboxes: Vec<VecDeque<Envelope<M>>>,
-    accounting: Accounting,
-    messages_sent: u64,
-}
-
-impl<M> MessageBus<M> {
-    /// Creates a bus connecting `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        MessageBus {
-            inboxes: (0..nodes).map(|_| VecDeque::new()).collect(),
-            accounting: Accounting::new(nodes),
-            messages_sent: 0,
-        }
-    }
-
-    /// Sends a message, recording its size at both endpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node id is out of bounds.
-    pub fn send(&mut self, from: NodeId, to: NodeId, class: TrafficClass, size: Bits, message: M) {
-        self.accounting.record(from, to, class, size);
-        self.messages_sent += 1;
-        self.inboxes[to.index()].push_back(Envelope {
-            from,
-            to,
-            class,
-            size,
-            message,
-        });
-    }
-
-    /// Pops the oldest message from `node`'s inbox.
-    pub fn pop_inbox(&mut self, node: NodeId) -> Option<Envelope<M>> {
-        self.inboxes[node.index()].pop_front()
-    }
-
-    /// Drains all pending messages for `node`.
-    pub fn drain_inbox(&mut self, node: NodeId) -> Vec<Envelope<M>> {
-        self.inboxes[node.index()].drain(..).collect()
-    }
-
-    /// Number of undelivered messages for `node`.
-    pub fn inbox_len(&self, node: NodeId) -> usize {
-        self.inboxes[node.index()].len()
-    }
-
-    /// Total messages ever sent through the bus.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
-    /// Read-only accounting view.
-    pub fn accounting(&self) -> &Accounting {
-        &self.accounting
-    }
-
-    /// Mutable accounting, for callers that account request/response pairs
-    /// directly (synchronous exchanges that never sit in an inbox).
-    pub fn accounting_mut(&mut self) -> &mut Accounting {
-        &mut self.accounting
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn send_and_receive() {
-        let mut bus: MessageBus<u32> = MessageBus::new(3);
-        bus.send(
-            NodeId(0),
-            NodeId(2),
-            TrafficClass::Other,
-            Bits::from_bits(10),
-            42,
-        );
-        assert_eq!(bus.inbox_len(NodeId(2)), 1);
-        let env = bus.pop_inbox(NodeId(2)).unwrap();
-        assert_eq!(env.message, 42);
-        assert_eq!(env.from, NodeId(0));
-        assert!(bus.pop_inbox(NodeId(2)).is_none());
-    }
-
-    #[test]
     fn accounting_records_both_endpoints() {
-        let mut bus: MessageBus<()> = MessageBus::new(2);
-        bus.send(
+        let mut acc = Accounting::new(2);
+        acc.record(
             NodeId(0),
             NodeId(1),
             TrafficClass::Consensus,
             Bits::from_bits(100),
-            (),
         );
-        let acc = bus.accounting();
         assert_eq!(acc.tx(NodeId(0), TrafficClass::Consensus).bits(), 100);
         assert_eq!(acc.rx(NodeId(1), TrafficClass::Consensus).bits(), 100);
         assert_eq!(acc.rx(NodeId(0), TrafficClass::Consensus).bits(), 0);
@@ -370,21 +253,6 @@ mod tests {
         let mut a = Accounting::new(2);
         let b = Accounting::new(3);
         a.merge(&b);
-    }
-
-    #[test]
-    fn drain_preserves_order() {
-        let mut bus: MessageBus<u32> = MessageBus::new(2);
-        for i in 0..5 {
-            bus.send(NodeId(0), NodeId(1), TrafficClass::Other, Bits::ZERO, i);
-        }
-        let drained: Vec<u32> = bus
-            .drain_inbox(NodeId(1))
-            .into_iter()
-            .map(|e| e.message)
-            .collect();
-        assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-        assert_eq!(bus.inbox_len(NodeId(1)), 0);
     }
 
     #[test]

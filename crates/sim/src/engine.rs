@@ -1,4 +1,4 @@
-//! Time-slot bookkeeping and block-generation schedules.
+//! Slot-loop sharding and block-generation schedules.
 //!
 //! The paper divides time into slots; "each node generates at most one block
 //! in each time slot" (Sec. VI), and for the consensus experiments "each node
@@ -113,50 +113,6 @@ impl Sharding {
     }
 }
 
-/// Simple slot counter with a horizon.
-///
-/// # Example
-///
-/// ```
-/// use tldag_sim::engine::SlotClock;
-///
-/// let mut clock = SlotClock::new(3);
-/// let seen: Vec<u64> = std::iter::from_fn(|| clock.tick()).collect();
-/// assert_eq!(seen, vec![0, 1, 2]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct SlotClock {
-    next: Slot,
-    horizon: Slot,
-}
-
-impl SlotClock {
-    /// Creates a clock that yields slots `0..horizon`.
-    pub fn new(horizon: Slot) -> Self {
-        SlotClock { next: 0, horizon }
-    }
-
-    /// Returns the next slot, or `None` once the horizon is reached.
-    pub fn tick(&mut self) -> Option<Slot> {
-        if self.next >= self.horizon {
-            return None;
-        }
-        let s = self.next;
-        self.next += 1;
-        Some(s)
-    }
-
-    /// The current (next unticked) slot.
-    pub fn current(&self) -> Slot {
-        self.next
-    }
-
-    /// Total number of slots this clock will yield.
-    pub fn horizon(&self) -> Slot {
-        self.horizon
-    }
-}
-
 /// Per-node block-generation periods, in slots per block.
 ///
 /// A node with period `p` generates a block in every slot `s` with
@@ -263,18 +219,6 @@ impl GenerationSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_yields_horizon_slots() {
-        let mut clock = SlotClock::new(5);
-        let mut n = 0;
-        while clock.tick().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 5);
-        assert!(clock.tick().is_none());
-        assert_eq!(clock.current(), 5);
-    }
 
     #[test]
     fn uniform_schedule_generates_every_slot() {

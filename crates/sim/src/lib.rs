@@ -9,9 +9,9 @@
 //!   reproducible from a single `u64` seed.
 //! * [`geometry`] / [`topology`] — unit-disk graphs built with the paper's
 //!   incremental connected-placement procedure.
-//! * [`engine`] — time-slot bookkeeping and generation schedules.
-//! * [`bus`] — a message bus that meters transmitted/received bits per node
-//!   and per traffic category.
+//! * [`engine`] — slot-loop sharding and generation schedules.
+//! * [`bus`] — traffic accounting that meters transmitted/received bits per
+//!   node and per traffic category.
 //! * [`fault`] — malicious-node selection and link-level fault injection.
 //! * [`stats`] — CDFs and summary stats.
 //! * [`units`] — bit/byte/megabyte conversions used by the overhead model.
@@ -41,8 +41,8 @@ pub mod topology;
 pub mod trace;
 pub mod units;
 
-pub use bus::{Accounting, MessageBus, TrafficClass};
-pub use engine::{GenerationSchedule, SlotClock};
+pub use bus::{Accounting, TrafficClass};
+pub use engine::GenerationSchedule;
 pub use fault::{FaultPlan, RestartEvent, RestartPlan};
 pub use rng::DetRng;
 pub use topology::{NodeId, Topology, TopologyConfig};

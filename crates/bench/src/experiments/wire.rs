@@ -264,7 +264,7 @@ pub fn run(config: &WireConfig) -> WireData {
 
             // Fresh validator state per run: each PoP is an independent
             // sample of the transport (no cache, no carried-over bans).
-            let mut trust = TrustCache::new();
+            let trust = TrustCache::new();
             let mut blacklist = Blacklist::new(cfg.blacklist);
             let mut pop_rng = DetRng::seed_from(target_rng.next_u64());
             let mut transport = NetPopTransport {
@@ -279,7 +279,7 @@ pub fn run(config: &WireConfig) -> WireData {
                 &topology,
                 validator_id,
                 own_store,
-                &mut trust,
+                &trust,
                 &mut blacklist,
                 &mut pop_rng,
             )

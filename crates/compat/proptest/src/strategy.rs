@@ -148,4 +148,5 @@ tuple_strategy! {
     (A, B)
     (A, B, C)
     (A, B, C, D)
+    (A, B, C, D, E)
 }

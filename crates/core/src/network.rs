@@ -28,10 +28,12 @@
 //! 4. **Verify** — each generating honest node runs one PoP on a target
 //!    drawn from the slot's [`TargetPool`]: per owner, the seq range of its
 //!    qualifying blocks, one binary search of each node's store, so its
-//!    cost follows the node count, not the chains' length. Peer chains are
-//!    shared read-only, each validator mutates only its own trust
-//!    cache/blacklist (taken out of its node for the phase), and traffic
-//!    lands in one accounting delta per participant.
+//!    cost follows the node count, not the chains' length. Peer chains and
+//!    every `H_i` are shared read-only, each validator mutates only its own
+//!    blacklist (taken out of its node for the phase), and traffic lands in
+//!    one accounting delta per participant. Once the pool returns, the
+//!    headers each successful run verified are committed to the header
+//!    arena every node's `H_i` shares, validator by validator in id order.
 //! 5. **Commit** — backends sync per [`SyncPolicy`], once each. When more
 //!    than one store has staged appends the syncs fan out over
 //!    `max(threads, COMMIT_FANOUT)` chunk threads — every node flushes its
@@ -57,7 +59,9 @@ use crate::error::TldagError;
 use crate::node::{BlockFetch, ChildServe, LedgerNode};
 use crate::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
 use crate::pop::validator::{PopReport, Validator};
-use crate::store::{BackendFactory, MemoryBackendFactory, SyncPolicy, TrustCache};
+use crate::store::{
+    BackendFactory, FreshHeaders, HeaderArena, MemoryBackendFactory, SyncPolicy, TrustCache,
+};
 use crate::workload::{sensor_payload, VerificationWorkload};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -296,12 +300,12 @@ impl GenerateJob {
     }
 }
 
-/// The verify phase: the node array, shared read-only, and each
-/// validator's own mutable state, taken out of its node for the phase.
+/// The verify phase: the node array, `H_i`s included, shared read-only,
+/// and each validator's blacklist, taken out of its node for the phase.
 struct VerifyJob {
     next: AtomicUsize,
-    /// Validators in id order, each with its `H_i` and blacklist.
-    validators: Vec<(NodeId, Mutex<(TrustCache, Blacklist)>)>,
+    /// Validators in id order, each with its blacklist.
+    validators: Vec<(NodeId, Mutex<Blacklist>)>,
     nodes: Vec<LedgerNode>,
     topology: Arc<Topology>,
     routes: Option<Arc<[Vec<Option<NodeId>>]>>,
@@ -320,6 +324,8 @@ struct Verified {
     accounting: Accounting,
     /// `(validator, target, report)` of each PoP, when tracing.
     traced: Vec<(NodeId, BlockId, PopReport)>,
+    /// The headers each successful PoP verified, for the serial commit.
+    trusted: Vec<(NodeId, FreshHeaders)>,
 }
 
 impl VerifyJob {
@@ -331,6 +337,7 @@ impl VerifyJob {
             successes: 0,
             accounting: Accounting::new(self.nodes.len()),
             traced: Vec::new(),
+            trusted: Vec::new(),
         };
         while let Some(index) = next_claim(&self.next, self.validators.len()) {
             let (validator, state) = &self.validators[index];
@@ -344,11 +351,10 @@ impl VerifyJob {
             let mut links = self
                 .links
                 .fork(self.slot.wrapping_mul(stream::LINKS << 32) ^ u64::from(validator.0));
-            let mut state = state
+            let mut blacklist = state
                 .lock()
                 .expect("a validator is claimed once, so no claimant panicked holding it");
-            let (trust_cache, blacklist) = &mut *state;
-            let report = execute_pop(
+            let mut report = execute_pop(
                 &self.cfg,
                 &self.topology,
                 &self.nodes,
@@ -358,12 +364,14 @@ impl VerifyJob {
                 validator,
                 target,
                 true,
-                trust_cache,
-                blacklist,
+                self.nodes[validator.index()].trust_cache(),
+                &mut blacklist,
                 &mut pop_rng,
             );
             if report.is_success() {
                 out.successes += 1;
+                out.trusted
+                    .push((validator, std::mem::take(&mut report.trusted)));
             }
             if self.trace {
                 out.traced.push((validator, target, report));
@@ -690,6 +698,9 @@ pub struct TldagNetwork {
     /// Cache size at the last save, per node — skips no-op writes
     /// (`TrustCache` is insert-only, so a changed size ⇔ new entries).
     trust_saved_len: Vec<usize>,
+    /// The header arena every live node's `H_i` is a member of: each
+    /// trusted header is indexed once, not once per node trusting it.
+    trust_arena: Arc<HeaderArena>,
     /// Wall-clock latency of each slot-loop phase (always on: recording is
     /// a handful of relaxed atomics per slot, and the timings never touch
     /// protocol randomness — digests are identical with or without a
@@ -732,15 +743,14 @@ impl TldagNetwork {
             topology.len(),
             "schedule must cover every node"
         );
+        let trust_arena = Arc::new(HeaderArena::default());
         let nodes: Vec<LedgerNode> = topology
             .node_ids()
             .map(|id| {
-                LedgerNode::with_backend(
-                    id,
-                    topology.neighbors(id).to_vec(),
-                    &cfg,
-                    factory.create(id),
-                )
+                let neighbors = topology.neighbors(id).to_vec();
+                let mut node = LedgerNode::with_backend(id, neighbors, &cfg, factory.create(id));
+                node.restore_trust_cache(TrustCache::member_of(&trust_arena));
+                node
             })
             .collect();
         let n = topology.len();
@@ -767,6 +777,7 @@ impl TldagNetwork {
             crashed_chain_len: vec![None; n],
             persist_trust_cache: false,
             trust_saved_len: vec![0; n],
+            trust_arena,
             phase_timings: Arc::new(PhaseTimings::new()),
         };
         network.rebuild_routes();
@@ -844,6 +855,27 @@ impl TldagNetwork {
             self.trust_saved_len[idx] = len;
         }
         Ok(())
+    }
+
+    /// The header arena every live node's `H_i` is a member of.
+    pub fn trust_arena(&self) -> &HeaderArena {
+        &self.trust_arena
+    }
+
+    /// Commits fresh headers, each batch to the `H_i` of the node beside
+    /// it, in the order given: the serial point at which the shared arena
+    /// grows ([`HeaderArena::commit`]).
+    fn commit_trust(&mut self, fresh: Vec<(NodeId, FreshHeaders)>) {
+        if fresh.is_empty() {
+            return;
+        }
+        let mut caches: Vec<&mut TrustCache> = self
+            .nodes
+            .iter_mut()
+            .map(LedgerNode::trust_cache_mut)
+            .collect();
+        let fresh = fresh.into_iter().map(|(id, headers)| (id.index(), headers));
+        HeaderArena::commit(&mut self.trust_arena, &mut caches, fresh);
     }
 
     /// Installs an event trace (use [`Trace::bounded`] to cap memory).
@@ -1078,9 +1110,11 @@ impl TldagNetwork {
             .record(Phase::Gossip, phase_started.elapsed());
 
         // --- Phase 4: verification workload — each honest generator runs one
-        // PoP. Validators read peer chains through the shared node array and
-        // mutate only their own trust cache/blacklist; traffic lands in one
-        // accounting delta per participant.
+        // PoP. Validators read peer chains and their own `H_i` through the
+        // shared node array and mutate only their own blacklist; traffic
+        // lands in one accounting delta per participant. The headers the
+        // runs verified are committed after the pool returns, in validator
+        // order, whatever the thread count.
         let phase_started = Instant::now();
         let mut pop_attempts = 0usize;
         let mut pop_successes = 0usize;
@@ -1089,12 +1123,11 @@ impl TldagNetwork {
             .copied()
             .filter(|v| !self.nodes[v.index()].behavior().is_malicious())
             .collect();
-        let validators: Vec<(NodeId, Mutex<(TrustCache, Blacklist)>)> = honest
+        let validators: Vec<(NodeId, Mutex<Blacklist>)> = honest
             .into_iter()
             .map(|v| {
-                let node = &mut self.nodes[v.index()];
-                let state = (node.take_trust_cache(), node.take_blacklist(&self.cfg));
-                (v, Mutex::new(state))
+                let blacklist = self.nodes[v.index()].take_blacklist(&self.cfg);
+                (v, Mutex::new(blacklist))
             })
             .collect();
         if !validators.is_empty() {
@@ -1114,21 +1147,23 @@ impl TldagNetwork {
             };
             let (job, claimed) = self.pool.run(threads, job, VerifyJob::claim);
             self.nodes = job.nodes;
-            for (validator, state) in job.validators {
-                let (trust_cache, blacklist) =
-                    state.into_inner().unwrap_or_else(PoisonError::into_inner);
-                let node = &mut self.nodes[validator.index()];
-                node.restore_trust_cache(trust_cache);
-                node.restore_blacklist(blacklist);
+            for (validator, blacklist) in job.validators {
+                let blacklist = blacklist
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner);
+                self.nodes[validator.index()].restore_blacklist(blacklist);
             }
             let claimed = claimed.unwrap_or_else(|payload| panic::resume_unwind(payload));
-            let mut traced = Vec::new();
+            let (mut traced, mut trusted) = (Vec::new(), Vec::new());
             for part in claimed {
                 pop_attempts += part.attempts;
                 pop_successes += part.successes;
                 self.accounting.merge(&part.accounting);
                 traced.extend(part.traced);
+                trusted.extend(part.trusted);
             }
+            trusted.sort_unstable_by_key(|&(validator, _)| validator);
+            self.commit_trust(trusted);
             traced.sort_unstable_by_key(|&(validator, ..)| validator);
             for (validator, target, report) in traced {
                 self.trace.record(
@@ -1234,8 +1269,9 @@ impl TldagNetwork {
             self.nodes[nb.index()].add_neighbor(id);
         }
         let backend = self.factory.create(id);
-        self.nodes
-            .push(LedgerNode::with_backend(id, neighbors, &self.cfg, backend));
+        let mut node = LedgerNode::with_backend(id, neighbors, &self.cfg, backend);
+        node.restore_trust_cache(TrustCache::member_of(&self.trust_arena));
+        self.nodes.push(node);
         self.schedule.push(period, self.slot % period);
         self.accounting.grow();
         self.departed.push(false);
@@ -1329,20 +1365,20 @@ restarting would fork its chain"
         self.crashed_chain_len[idx] = None;
         let neighbors = self.topology.neighbors(id).to_vec();
         let mut node = LedgerNode::with_backend(id, neighbors, &self.cfg, backend);
-        // Warm restart: restore the persisted `H_i` so TPS resumes from the
-        // pre-crash trust state instead of re-verifying paths from scratch.
+        node.restore_trust_cache(TrustCache::member_of(&self.trust_arena));
+        self.nodes[idx] = node;
+        self.departed[idx] = false;
+        // Warm restart: the persisted `H_i` rejoins the shared arena, in the
+        // order it was decoded, so TPS resumes from the pre-crash trust
+        // state instead of re-verifying paths from scratch.
         let mut warm_headers = 0usize;
         if self.persist_trust_cache {
             if let Some(cache) = self.factory.load_trust_cache(id)? {
                 warm_headers = cache.len();
-                self.trust_saved_len[idx] = warm_headers;
-                node.restore_trust_cache(cache);
-            } else {
-                self.trust_saved_len[idx] = 0;
+                self.commit_trust(vec![(id, cache.to_fresh())]);
             }
+            self.trust_saved_len[idx] = warm_headers;
         }
-        self.nodes[idx] = node;
-        self.departed[idx] = false;
         self.trace.record(
             self.slot,
             TraceKind::Membership,
@@ -1359,14 +1395,11 @@ restarting would fork its chain"
     /// With `commit = true` (the normal protocol), the validator's trust
     /// cache and blacklist are updated and traffic is accounted. With
     /// `commit = false` the run is a measurement probe: state and accounting
-    /// are untouched (used by the Fig. 9 failure-probability sweeps).
+    /// are untouched (used by the Fig. 9 failure-probability sweeps), and
+    /// the headers it verified are dropped. Either way the returned report's
+    /// [`PopReport::trusted`] is empty.
     pub fn run_pop(&mut self, validator: NodeId, target: BlockId, commit: bool) -> PopReport {
         let vid = validator.index();
-        let mut trust_cache = if commit {
-            self.nodes[vid].take_trust_cache()
-        } else {
-            self.nodes[vid].trust_cache().clone()
-        };
         let mut blacklist = if commit {
             self.nodes[vid].take_blacklist(&self.cfg)
         } else {
@@ -1374,7 +1407,7 @@ restarting would fork its chain"
         };
         let mut pop_rng = DetRng::seed_from(self.rng.next_u64());
 
-        let report = execute_pop(
+        let mut report = execute_pop(
             &self.cfg,
             &self.topology,
             &self.nodes,
@@ -1384,14 +1417,15 @@ restarting would fork its chain"
             validator,
             target,
             commit,
-            &mut trust_cache,
+            self.nodes[vid].trust_cache(),
             &mut blacklist,
             &mut pop_rng,
         );
 
+        let trusted = std::mem::take(&mut report.trusted);
         if commit {
-            self.nodes[vid].restore_trust_cache(trust_cache);
             self.nodes[vid].restore_blacklist(blacklist);
+            self.commit_trust(vec![(validator, trusted)]);
         }
         report
     }
@@ -1508,8 +1542,8 @@ impl TargetPool {
 
 /// Runs one PoP verification with every dependency passed explicitly, so
 /// both the sequential API and the parallel verify phase share one
-/// implementation. The validator's own state arrives via `trust_cache` /
-/// `blacklist`; `nodes` is only ever read.
+/// implementation. The validator's own state arrives via `trust_cache`,
+/// which the run only reads, and `blacklist`; `nodes` is only ever read.
 #[allow(clippy::too_many_arguments)]
 fn execute_pop(
     cfg: &ProtocolConfig,
@@ -1521,7 +1555,7 @@ fn execute_pop(
     validator: NodeId,
     target: BlockId,
     meter: bool,
-    trust_cache: &mut TrustCache,
+    trust_cache: &TrustCache,
     blacklist: &mut Blacklist,
     pop_rng: &mut DetRng,
 ) -> PopReport {
@@ -1632,20 +1666,47 @@ mod tests {
         assert_eq!(dag.block_count(), net.total_blocks());
     }
 
+    /// Every node's `H_i` as the digests it trusts, in its order.
+    fn member_sets(net: &TldagNetwork) -> Vec<Vec<Digest>> {
+        let sets = net.nodes().iter().map(|node| node.trust_cache().iter());
+        sets.map(|set| set.map(|(digest, _)| *digest).collect())
+            .collect()
+    }
+
     #[test]
     fn probe_does_not_change_state_or_accounting() {
         let mut net = small_net(6, 8, 2);
         net.set_verification_workload(VerificationWorkload::Disabled);
         net.run_slots(6);
+        // A committed audit by another validator puts headers in the arena
+        // that node 0 does not trust.
+        let audited = net.node(NodeId(2)).store().get(1).unwrap().id;
+        assert!(net.run_pop(NodeId(5), audited, true).is_success());
         let target = net.node(NodeId(1)).store().get(0).unwrap().id;
         let before_bits = net
             .accounting()
             .network_total(TrafficClass::Consensus)
             .bits();
         let before_cache = net.node(NodeId(0)).trust_cache().len();
+        let (before_arena, before_sets) = (net.trust_arena().len(), member_sets(&net));
+        assert!(before_arena > 0);
 
         let report = net.run_pop(NodeId(0), target, false);
         assert!(report.is_success());
+        assert!(report.trusted.is_empty(), "a probe drops what it verified");
+        assert_eq!(
+            net.trust_arena().len(),
+            before_arena,
+            "the arena is untouched"
+        );
+        assert_eq!(
+            member_sets(&net),
+            before_sets,
+            "every member set is untouched"
+        );
+        for node in net.nodes() {
+            assert!(node.trust_cache().is_member_of(&net.trust_arena));
+        }
 
         assert_eq!(
             net.accounting()

@@ -184,13 +184,13 @@ impl LedgerNode {
         &self.trust_cache
     }
 
-    /// Mutable trust cache (the validator updates it during PoP).
-    pub fn trust_cache_mut(&mut self) -> &mut TrustCache {
+    /// Mutable trust cache: the network commits verified headers to it.
+    pub(crate) fn trust_cache_mut(&mut self) -> &mut TrustCache {
         &mut self.trust_cache
     }
 
-    /// Takes the trust cache out of the node (restored after a PoP run to
-    /// satisfy the borrow checker across node-array accesses).
+    /// Takes the trust cache out of the node, leaving an empty one with an
+    /// arena of its own (a wire node's verify step holds it for the run).
     pub fn take_trust_cache(&mut self) -> TrustCache {
         std::mem::take(&mut self.trust_cache)
     }
@@ -577,14 +577,14 @@ mod tests {
         // Node 2 audits the target through node 1: no invalid reply, no
         // offense, and the verified path runs through the true child.
         let topology = Topology::from_edges(3, &[(0, 1), (1, 2)]);
-        let (mut cache, mut blacklist) = (TrustCache::new(), nodes[2].blacklist().clone());
+        let (cache, mut blacklist) = (TrustCache::new(), nodes[2].blacklist().clone());
         let mut rng = tldag_sim::DetRng::seed_from(1);
         let report = Validator::new(
             &cfg,
             &topology,
             NodeId(2),
             nodes[2].store(),
-            &mut cache,
+            &cache,
             &mut blacklist,
             &mut rng,
         )

@@ -17,7 +17,8 @@
 //!      26–31): the popped owner leaves `R_i` and is excluded (`V'`), and the
 //!      search resumes one block earlier.
 //! 4. On success, every header on the path enters the trust cache `H_i`
-//!    (line 39).
+//!    (line 39) — once the caller commits the report's
+//!    [`PopReport::trusted`] headers, so a run only ever reads `H_i`.
 //!
 //! Micro-loops (Fig. 6) arise naturally: when a fast node's blocks alternate
 //! with a slow neighbor's, the path may revisit owners without growing
@@ -30,7 +31,7 @@ use crate::config::ProtocolConfig;
 use crate::error::PopError;
 use crate::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
 use crate::pop::{tps, wps};
-use crate::store::{BlockBackend, TrustCache, TrustedHeader};
+use crate::store::{BlockBackend, FreshHeaders, TrustCache, TrustedHeader};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use tldag_crypto::schnorr::{KeyPair, PublicKey};
@@ -171,9 +172,30 @@ pub struct PopReport {
     pub distinct_nodes: usize,
     /// Message/byte counters.
     pub metrics: PopMetrics,
+    /// The path's headers the run fetched rather than read from `H_i`, to
+    /// be trusted when the run is committed ([`TrustCache::commit`]); empty
+    /// unless the run succeeded. Whoever commits the run takes them, so a
+    /// report handed on has none.
+    pub trusted: FreshHeaders,
 }
 
 impl PopReport {
+    /// A run that ended without consensus.
+    fn failed(
+        outcome: PopError,
+        path: Vec<PathStep>,
+        distinct_nodes: usize,
+        metrics: PopMetrics,
+    ) -> Self {
+        PopReport {
+            outcome: Err(outcome),
+            path,
+            distinct_nodes,
+            metrics,
+            trusted: FreshHeaders::default(),
+        }
+    }
+
     /// Whether consensus was reached.
     pub fn is_success(&self) -> bool {
         self.outcome.is_ok()
@@ -229,15 +251,15 @@ pub fn registered_key(node: NodeId) -> PublicKey {
 
 /// The PoP validator role for one node.
 ///
-/// Borrows the validator node's mutable state (`H_i`, blacklist) and
-/// read-only views of the topology and its own store; all remote interaction
-/// goes through the [`PopTransport`].
+/// Borrows the validator node's blacklist, the only state a run mutates,
+/// and read-only views of `H_i`, the topology and its own store; all remote
+/// interaction goes through the [`PopTransport`].
 pub struct Validator<'a> {
     cfg: &'a ProtocolConfig,
     topology: &'a Topology,
     id: NodeId,
     own_store: &'a dyn BlockBackend,
-    trust_cache: &'a mut TrustCache,
+    trust_cache: &'a TrustCache,
     blacklist: &'a mut Blacklist,
     rng: &'a mut DetRng,
     /// When set, the validator's own-store responses are capped to blocks
@@ -255,7 +277,7 @@ impl<'a> Validator<'a> {
         topology: &'a Topology,
         id: NodeId,
         own_store: &'a dyn BlockBackend,
-        trust_cache: &'a mut TrustCache,
+        trust_cache: &'a TrustCache,
         blacklist: &'a mut Blacklist,
         rng: &'a mut DetRng,
     ) -> Self {
@@ -290,14 +312,10 @@ impl<'a> Validator<'a> {
         metrics.bits_sent += self.cfg.fetch_request_bits();
         let block = match transport.fetch_block(self.id, target.owner, target) {
             None => {
-                return PopReport {
-                    outcome: Err(PopError::BlockUnavailable {
-                        owner: target.owner,
-                    }),
-                    path: Vec::new(),
-                    distinct_nodes: 0,
-                    metrics,
+                let unavailable = PopError::BlockUnavailable {
+                    owner: target.owner,
                 };
+                return PopReport::failed(unavailable, Vec::new(), 0, metrics);
             }
             Some(FetchResponse::Pruned { retained_from }) => {
                 // Graceful miss: the owner compacted the block away under
@@ -305,30 +323,22 @@ impl<'a> Validator<'a> {
                 metrics.messages_received += 1;
                 metrics.bits_received += self.cfg.nack_bits();
                 metrics.pruned_misses += 1;
-                return PopReport {
-                    outcome: Err(PopError::TargetPruned {
-                        owner: target.owner,
-                        retained_from,
-                    }),
-                    path: Vec::new(),
-                    distinct_nodes: 0,
-                    metrics,
+                let pruned = PopError::TargetPruned {
+                    owner: target.owner,
+                    retained_from,
                 };
+                return PopReport::failed(pruned, Vec::new(), 0, metrics);
             }
             Some(FetchResponse::Block(block)) => *block,
         };
         metrics.messages_received += 1;
         metrics.bits_received += self.cfg.block_response_bits(block.header.digest_entries());
         if let Err(reason) = block.validate(self.cfg, &registered_key(target.owner)) {
-            return PopReport {
-                outcome: Err(PopError::InvalidBlock {
-                    owner: target.owner,
-                    reason,
-                }),
-                path: Vec::new(),
-                distinct_nodes: 0,
-                metrics,
+            let invalid = PopError::InvalidBlock {
+                owner: target.owner,
+                reason,
             };
+            return PopReport::failed(invalid, Vec::new(), 0, metrics);
         }
 
         let mut path: Vec<Entry> = vec![Entry {
@@ -413,15 +423,11 @@ impl<'a> Validator<'a> {
                         continue;
                     }
                     None => {
-                        return PopReport {
-                            outcome: Err(PopError::PathExhausted {
-                                distinct_nodes: 0,
-                                required: threshold,
-                            }),
-                            path: Vec::new(),
+                        let exhausted = PopError::PathExhausted {
                             distinct_nodes: 0,
-                            metrics,
+                            required: threshold,
                         };
+                        return PopReport::failed(exhausted, Vec::new(), 0, metrics);
                     }
                 }
             };
@@ -531,15 +537,12 @@ impl<'a> Validator<'a> {
         }
 
         // Defensive: the iteration cap was hit (cannot happen on a finite DAG).
-        PopReport {
-            outcome: Err(PopError::PathExhausted {
-                distinct_nodes: owners.len_distinct(),
-                required: threshold,
-            }),
-            path: path.iter().map(Entry::step).collect(),
+        let exhausted = PopError::PathExhausted {
             distinct_nodes: owners.len_distinct(),
-            metrics,
-        }
+            required: threshold,
+        };
+        let path = path.iter().map(Entry::step).collect();
+        PopReport::failed(exhausted, path, owners.len_distinct(), metrics)
     }
 
     /// Validates a `RPY_CHILD` header (Algorithm 3, line 21, plus hardening).
@@ -566,7 +569,9 @@ impl<'a> Validator<'a> {
             && reply.header.verify_puzzle(self.cfg.difficulty_bits)
     }
 
-    /// Success epilogue: cache every header on the path (line 39).
+    /// Success epilogue: hand back every header on the path that `H_i`
+    /// does not hold yet, for the caller to cache when it commits the run
+    /// (line 39).
     fn finish_success(
         &mut self,
         path: Vec<Entry>,
@@ -574,14 +579,15 @@ impl<'a> Validator<'a> {
         metrics: PopMetrics,
     ) -> PopReport {
         let steps: Vec<PathStep> = path.iter().map(Entry::step).collect();
+        let mut trusted = FreshHeaders::default();
         for entry in path {
             if let Some(header) = entry.fresh {
-                let trusted = TrustedHeader {
+                let header = TrustedHeader {
                     owner: entry.owner,
                     block_id: entry.block_id,
                     header,
                 };
-                self.trust_cache.insert_keyed(entry.digest, trusted);
+                trusted.push(entry.digest, header);
             }
         }
         PopReport {
@@ -589,6 +595,7 @@ impl<'a> Validator<'a> {
             path: steps,
             distinct_nodes,
             metrics,
+            trusted,
         }
     }
 }

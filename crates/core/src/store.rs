@@ -3,7 +3,9 @@
 //! A 2LDAG node stores **only its own blocks** (`S_i`, Sec. III-A) plus the
 //! headers it has already verified through PoP (`H_i`, Sec. IV-B). Both are
 //! sized by the overhead model so Propositions 2 and 3 can be checked against
-//! simulated runs.
+//! simulated runs. A node's `H_i` ([`TrustCache`]) is its view of a
+//! [`HeaderArena`], which the slot engine shares between all its nodes so
+//! that each trusted header is indexed once per process.
 //!
 //! `S_i` is accessed through the [`BlockBackend`] trait so a node can run on
 //! either the in-memory [`BlockStore`] (fast, volatile — the original seed
@@ -21,6 +23,7 @@ use crate::error::TldagError;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 use tldag_crypto::Digest;
 use tldag_sim::{Bits, NodeId};
 
@@ -691,59 +694,140 @@ pub struct TrustedHeader {
     pub header: BlockHeader,
 }
 
-/// The trusted-header cache `H_i` used by Trust Path Selection (Sec. IV-B).
+impl TrustedHeader {
+    /// Whether both name the same block: the provenance a header digest
+    /// does not cover.
+    fn same_block(&self, other: &TrustedHeader) -> bool {
+        (self.owner, self.block_id) == (other.owner, other.block_id)
+    }
+}
+
+/// Headers a PoP run verified, each with its header digest, in path order:
+/// what the validator trusts once the run is committed
+/// ([`TrustCache::commit`], or [`HeaderArena::commit`] for the engine's
+/// shared arena). Built by the validator from digests it already holds, or
+/// collected from headers, which hashes each one, so every digest is its
+/// header's.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FreshHeaders(Vec<(Digest, TrustedHeader)>);
+
+impl FreshHeaders {
+    /// Adds a header under `digest`, which must be `trusted.header.digest()`.
+    pub(crate) fn push(&mut self, digest: Digest, trusted: TrustedHeader) {
+        debug_assert_eq!(digest, trusted.header.digest(), "cache key is the digest");
+        self.0.push((digest, trusted));
+    }
+
+    /// True if the run verified nothing to trust.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl FromIterator<TrustedHeader> for FreshHeaders {
+    fn from_iter<I: IntoIterator<Item = TrustedHeader>>(headers: I) -> Self {
+        let keyed = headers.into_iter().map(|t| (t.header.digest(), t));
+        FreshHeaders(keyed.collect())
+    }
+}
+
+/// The trusted headers of every `H_i` in one process, each indexed once:
+/// the first time any member trusts it.
 ///
-/// Headers live in a slab in insertion order, each beside the digest it is
-/// indexed under, and two maps point into the slab: one by the header's own
-/// digest, one ([`ChildIndex`]) by the prefix of every digest the header
+/// Headers live in a slab in first-trusted order, each beside the digest it
+/// is indexed under, and two maps point into the slab: one by the header's
+/// own digest, one ([`ChildIndex`]) by the prefix of every digest the header
 /// *contains*, so TPS can answer "is there a cached child of block `d`?"
 /// with one probe. Two invariants hold after every insert: each key equals
 /// `header.digest()` of its value, and each child list is in
-/// `(time, owner, seq)` order with ties in insertion order — the order TPS
-/// prefers children in, kept at insert so that no lookup sorts.
+/// `(time, owner, seq)` order with ties in first-trusted order — the order
+/// TPS prefers children in, kept at insert so that no lookup sorts.
 ///
 /// A child-list element is `slab index << 8 | position`: where in that
 /// header's digest list the indexed digest sits, capped at 255. Confirming
 /// a prefix hit against the full digest then reads one entry of the list
 /// instead of scanning it; slab indices are bounded at 2^24.
+///
+/// A [`TrustCache`] is one member's view of an arena. [`TrustCache::new`]
+/// gives a cache an arena of its own (a device's `H_i`, a `NetNode`'s);
+/// the slot engine makes every node a member of one arena
+/// ([`TrustCache::member_of`]), whose information is per header while the
+/// per-node caches it replaces paid per (node, header). An arena changes
+/// only at serial points — [`TrustCache::commit`], [`HeaderArena::commit`]
+/// — so reading it takes no lock.
 #[derive(Clone, Debug, Default)]
-pub struct TrustCache {
+pub struct HeaderArena {
     slab: Vec<(Digest, TrustedHeader)>,
-    /// Header digest → slab index.
+    /// Header digest → slab index of the first header trusted under it.
     by_digest: HashMap<Digest, u32>,
-    /// Contained-digest prefix → `index << 8 | position` of cached headers
-    /// that include it.
+    /// Header digest → slab indices of later headers under the same digest
+    /// that name another block (a responder's claim the digest does not
+    /// cover). Empty unless a peer lies about a block id.
+    renamed: HashMap<Digest, Vec<u32>>,
+    /// Contained-digest prefix → `index << 8 | position` of headers that
+    /// include it.
     children_of: ChildIndex,
 }
 
-impl TrustCache {
+impl HeaderArena {
     /// The position field's cap: an element at `FAR` stands for a digest at
     /// position 255 or later, confirmed by scanning the list from there.
     const FAR: usize = 255;
 
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// Number of headers, over all members.
+    pub fn len(&self) -> usize {
+        self.slab.len()
     }
 
-    /// Inserts a verified header. Duplicate insertions are ignored.
-    pub fn insert(&mut self, trusted: TrustedHeader) {
-        self.insert_keyed(trusted.header.digest(), trusted);
+    /// True if no member trusts anything.
+    pub fn is_empty(&self) -> bool {
+        self.slab.is_empty()
     }
 
-    /// [`Self::insert`] for a caller that already holds the header's digest.
-    /// `digest` must be `trusted.header.digest()`: every lookup trusts the
-    /// key instead of re-hashing the header it indexes.
-    pub(crate) fn insert_keyed(&mut self, digest: Digest, trusted: TrustedHeader) {
-        debug_assert_eq!(digest, trusted.header.digest(), "cache key is the digest");
-        let Entry::Vacant(slot) = self.by_digest.entry(digest) else {
-            return;
-        };
+    /// Approximate bytes of process memory the arena pins, shared by all its
+    /// members: the slab, both digest maps and the child index, at the
+    /// capacity each has grown to. Digest lists are not counted; in the
+    /// in-process engine they are shared with the owners' `S_i`. Each
+    /// member adds its own set, 4 bytes and a bit per header.
+    pub fn resident_bytes(&self) -> usize {
+        let renamed = self.renamed.values().map(|v| v.capacity() * 4);
+        self.slab.capacity() * std::mem::size_of::<(Digest, TrustedHeader)>()
+            + self.by_digest.capacity() * std::mem::size_of::<(Digest, u32)>()
+            + self.renamed.capacity() * std::mem::size_of::<(Digest, Vec<u32>)>()
+            + renamed.sum::<usize>()
+            + self.children_of.resident_bytes()
+    }
+
+    /// The slab index of `trusted`, which is `digest`'s header: the entry an
+    /// earlier member trusted for the same block, or a new one, indexed now.
+    fn intern(&mut self, digest: Digest, trusted: TrustedHeader) -> u32 {
+        let same_block = |&i: &u32| self.slab[i as usize].1.same_block(&trusted);
+        if let Some(index) = self.under(&digest).find(same_block) {
+            return index;
+        }
+        let known = self.by_digest.contains_key(&digest);
+        let index = self.index(digest, trusted);
+        if known {
+            self.renamed.entry(digest).or_default().push(index);
+        } else {
+            self.by_digest.insert(digest, index);
+        }
+        index
+    }
+
+    /// Slab indices of every header trusted under `digest`, the first first.
+    fn under(&self, digest: &Digest) -> impl Iterator<Item = u32> + '_ {
+        let first = self.by_digest.get(digest).copied();
+        let renamed = self.renamed.get(digest).into_iter().flatten().copied();
+        first.into_iter().chain(renamed)
+    }
+
+    /// Appends a header to the slab and indexes every digest it contains.
+    fn index(&mut self, digest: Digest, trusted: TrustedHeader) -> u32 {
         let index = u32::try_from(self.slab.len())
             .ok()
             .filter(|&i| i < 1 << 24)
-            .expect("H_i holds fewer than 2^24 headers");
-        slot.insert(index);
+            .expect("an arena holds fewer than 2^24 headers");
         self.slab.push((digest, trusted));
         let slab = &self.slab;
         let order = |child: u32| {
@@ -757,22 +841,166 @@ impl TrustCache {
                 list.partition_point(|&c| order(c) <= key)
             });
         }
+        index
+    }
+
+    /// Commits `fresh` — batches of headers, each beside the index in
+    /// `caches` of the cache trusting it — in the order given: the serial
+    /// point at which a shared arena grows.
+    ///
+    /// Every cache that is a member of `shared` hands its handle back
+    /// first, so the arena has one owner and grows in place, and gets the
+    /// grown arena back after. (A handle held anywhere else, say a cloned
+    /// cache, keeps the arena it saw and makes this one commit copy it.) A
+    /// cache with an arena of its own commits to that.
+    pub fn commit(
+        shared: &mut Arc<HeaderArena>,
+        caches: &mut [&mut TrustCache],
+        fresh: impl IntoIterator<Item = (usize, FreshHeaders)>,
+    ) {
+        let parked = Arc::new(HeaderArena::default());
+        let members: Vec<bool> = (caches.iter_mut())
+            .map(|cache| {
+                let member = Arc::ptr_eq(&cache.arena, shared);
+                if member {
+                    cache.arena = Arc::clone(&parked);
+                }
+                member
+            })
+            .collect();
+        let arena = Arc::make_mut(shared);
+        for (at, headers) in fresh {
+            if members[at] {
+                caches[at].own.trust_all(arena, headers);
+            } else {
+                caches[at].commit(headers);
+            }
+        }
+        for (cache, member) in caches.iter_mut().zip(members) {
+            if member {
+                cache.arena = Arc::clone(shared);
+            }
+        }
+    }
+}
+
+/// One member's headers: slab indices in the order it trusted them, and the
+/// same set as a bitset over the slab, which lookups test before touching
+/// an entry.
+#[derive(Clone, Debug, Default)]
+struct Membership {
+    order: Vec<u32>,
+    bits: Vec<u64>,
+}
+
+impl Membership {
+    fn contains(&self, index: u32) -> bool {
+        let word = self.bits.get(index as usize / 64).copied().unwrap_or(0);
+        word >> (index % 64) & 1 == 1
+    }
+
+    /// The index of this member's header under `digest`, if it trusts one.
+    fn find(&self, arena: &HeaderArena, digest: &Digest) -> Option<u32> {
+        arena.under(digest).find(|&index| self.contains(index))
+    }
+
+    /// Trusts each header in `fresh`, in order, indexing it in `arena` if no
+    /// member did before. A header already trusted under its digest is
+    /// ignored.
+    fn trust_all(&mut self, arena: &mut HeaderArena, fresh: FreshHeaders) {
+        for (digest, trusted) in fresh.0 {
+            if self.find(arena, &digest).is_some() {
+                continue;
+            }
+            let index = arena.intern(digest, trusted);
+            let word = index as usize / 64;
+            if self.bits.len() <= word {
+                self.bits.resize(word + 1, 0);
+            }
+            self.bits[word] |= 1 << (index % 64);
+            self.order.push(index);
+        }
+    }
+}
+
+/// The trusted-header cache `H_i` used by Trust Path Selection (Sec. IV-B):
+/// one member's view of a [`HeaderArena`], its headers in the order it
+/// trusted them.
+///
+/// Lookups walk the arena's structures and keep this member's headers, so
+/// every answer — candidates and their order, `get`, `iter` — is the one a
+/// cache holding only these headers would give, whoever else shares the
+/// arena. The one exception is the order of children with equal
+/// `(time, owner, seq)`, which follows the arena's first-trusted order
+/// rather than this member's; only equivocating headers tie, and the engine
+/// mints none.
+#[derive(Clone, Debug, Default)]
+pub struct TrustCache {
+    arena: Arc<HeaderArena>,
+    own: Membership,
+}
+
+impl TrustCache {
+    /// Creates an empty cache with an arena of its own: a device's `H_i`,
+    /// or a `NetNode`'s, whose arena has one member.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty member of `arena`, which grows through
+    /// [`HeaderArena::commit`].
+    pub fn member_of(arena: &Arc<HeaderArena>) -> Self {
+        TrustCache {
+            arena: Arc::clone(arena),
+            own: Membership::default(),
+        }
+    }
+
+    /// Whether this cache is a member of `arena`.
+    pub fn is_member_of(&self, arena: &Arc<HeaderArena>) -> bool {
+        Arc::ptr_eq(&self.arena, arena)
+    }
+
+    /// The arena this cache is a view of.
+    pub fn arena(&self) -> &HeaderArena {
+        &self.arena
+    }
+
+    /// Inserts a verified header. Duplicate insertions are ignored.
+    pub fn insert(&mut self, trusted: TrustedHeader) {
+        self.commit(std::iter::once(trusted).collect());
+    }
+
+    /// Trusts every header of a committed PoP run, in path order, in this
+    /// cache's arena. A cache sharing its arena copies it first (see
+    /// [`HeaderArena::commit`] for growing a shared arena in place).
+    pub fn commit(&mut self, fresh: FreshHeaders) {
+        self.own.trust_all(Arc::make_mut(&mut self.arena), fresh);
+    }
+
+    /// This cache's headers as fresh ones, in the order it trusted them: to
+    /// trust them again in another arena.
+    pub(crate) fn to_fresh(&self) -> FreshHeaders {
+        let entries = self
+            .iter()
+            .map(|(digest, trusted)| (*digest, trusted.clone()));
+        FreshHeaders(entries.collect())
     }
 
     /// Number of cached headers.
     pub fn len(&self) -> usize {
-        self.slab.len()
+        self.own.order.len()
     }
 
     /// True if the cache is empty (`H_i = ∅`, the Prop. 4 worst case).
     pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
+        self.own.order.is_empty()
     }
 
     /// Fetches a cached header by its digest.
     pub fn get(&self, digest: &Digest) -> Option<&TrustedHeader> {
-        let index = *self.by_digest.get(digest)?;
-        Some(&self.slab[index as usize].1)
+        let index = self.own.find(&self.arena, digest)?;
+        Some(&self.arena.slab[index as usize].1)
     }
 
     /// All cached headers whose Digests field contains `target` — the TPS
@@ -786,34 +1014,50 @@ impl TrustCache {
         target: &Digest,
     ) -> impl Iterator<Item = (Digest, &TrustedHeader)> {
         let target = *target;
+        let arena = &*self.arena;
         // (slab index, far elements of it seen so far)
         let mut far = (u32::MAX, 0);
-        let candidates = self.children_of.candidates(&target).iter();
+        let candidates = arena.children_of.candidates(&target).iter();
         candidates.filter_map(move |&child| {
             let (index, position) = (child >> 8, (child & 0xff) as usize);
-            let (digest, trusted) = &self.slab[index as usize];
+            if !self.own.contains(index) {
+                return None;
+            }
+            let (digest, trusted) = &arena.slab[index as usize];
             let digests = &trusted.header.digests;
-            let hit = if position < Self::FAR {
+            let hit = if position < HeaderArena::FAR {
                 digests[position].digest == target
             } else {
                 // A header's far elements are adjacent and in list order, so
                 // the k-th is a hit when `target` sits past `FAR` k times.
                 far = (index, if far.0 == index { far.1 + 1 } else { 1 });
-                let tail = digests[Self::FAR..].iter();
+                let tail = digests[HeaderArena::FAR..].iter();
                 tail.filter(|e| e.digest == target).count() >= far.1
             };
             hit.then_some((*digest, trusted))
         })
     }
 
-    /// Approximate bytes of process memory pinned by the cache: the slab,
-    /// `by_digest` and the child index, at the capacity each has grown to.
-    /// Digest lists are not counted; in the in-process engine they are
-    /// shared with the owners' `S_i`.
+    /// What one device holding these headers alone would pin: the slab,
+    /// `by_digest` and the child index of a cache with an arena of its own,
+    /// at exact fit (no table slack). It counts this member's headers and
+    /// index entries only, so sharing an arena never shrinks it;
+    /// [`HeaderArena::resident_bytes`] is the process's side.
     pub fn resident_bytes(&self) -> usize {
-        self.slab.capacity() * std::mem::size_of::<(Digest, TrustedHeader)>()
-            + self.by_digest.capacity() * std::mem::size_of::<(Digest, u32)>()
-            + self.children_of.resident_bytes()
+        let mut children: HashMap<u64, usize> = HashMap::new();
+        for (_, trusted) in self.iter() {
+            for entry in trusted.header.digests.iter() {
+                *children.entry(ChildIndex::key(&entry.digest)).or_default() += 1;
+            }
+        }
+        let heap = (children.values())
+            .filter(|&&n| n > ChildList::INLINE)
+            .map(|n| n * std::mem::size_of::<u32>());
+        self.len()
+            * (std::mem::size_of::<(Digest, TrustedHeader)>()
+                + std::mem::size_of::<(Digest, u32)>())
+            + children.len() * std::mem::size_of::<(u64, ChildList)>()
+            + heap.sum::<usize>()
     }
 
     /// Logical storage footprint of `H_i` (header bits summed; Prop. 2).
@@ -822,9 +1066,12 @@ impl TrustCache {
     }
 
     /// Iterates over cached headers, each with the digest it is indexed
-    /// under, in insertion order.
+    /// under, in the order this cache trusted them.
     pub fn iter(&self) -> impl Iterator<Item = (&Digest, &TrustedHeader)> {
-        self.slab.iter().map(|(digest, trusted)| (digest, trusted))
+        self.own.order.iter().map(|&index| {
+            let (digest, trusted) = &self.arena.slab[index as usize];
+            (digest, trusted)
+        })
     }
 }
 
@@ -1403,21 +1650,28 @@ mod tests {
         assert_eq!(owners(&near), [one, two, three, three]);
     }
 
-    #[test]
-    fn trust_cache_resident_bytes_counts_slab_index_and_heaps() {
+    /// Four headers: one naming `a, b, a`, three naming `a`.
+    fn four_headers() -> Vec<TrustedHeader> {
         let cfg = cfg();
-        let mut cache = TrustCache::new();
-        assert_eq!(cache.resident_bytes(), 0, "nothing allocated yet");
         let [a, b] = [1, 2].map(|d| Digest::from_bytes([d; 32]));
         let first = make_block(&cfg, NodeId(0), 0, 0, entries(&[a, b, a]));
-        cache.insert(trusted(&first));
-        for seq in 1..4 {
-            let block = make_block(&cfg, NodeId(0), seq, u64::from(seq), entries(&[a]));
-            cache.insert(trusted(&block));
-        }
+        let rest =
+            (1..4).map(|seq| make_block(&cfg, NodeId(0), seq, u64::from(seq), entries(&[a])));
+        std::iter::once(first)
+            .chain(rest)
+            .map(|b| trusted(&b))
+            .collect()
+    }
+
+    #[test]
+    fn arena_resident_bytes_counts_slab_maps_index_and_heaps() {
+        let mut cache = TrustCache::new();
+        assert_eq!(cache.arena().resident_bytes(), 0, "nothing allocated yet");
+        four_headers().into_iter().for_each(|t| cache.insert(t));
+        let arena = cache.arena();
         // Four headers under their digests; two keys, `a`'s five children
         // on the heap and `b`'s one inline.
-        let heap: usize = (cache.children_of.lists())
+        let heap: usize = (arena.children_of.lists())
             .map(|list| match list {
                 ChildList::Many(all) => all.capacity() * 4,
                 _ => 0,
@@ -1425,11 +1679,132 @@ mod tests {
             .sum();
         assert!(heap >= 5 * 4);
         let header = std::mem::size_of::<(Digest, TrustedHeader)>();
-        let slab = cache.slab.capacity() * header;
-        let by_digest = cache.by_digest.capacity() * 36;
-        let buckets = cache.children_of.0.capacity() * 32;
+        let slab = arena.slab.capacity() * header;
+        let by_digest = arena.by_digest.capacity() * 36;
+        let buckets = arena.children_of.0.capacity() * 32;
         assert!(slab >= 4 * header && by_digest >= 4 * 36 && buckets >= 2 * 32);
-        assert_eq!(cache.resident_bytes(), slab + by_digest + buckets + heap);
+        assert_eq!(arena.resident_bytes(), slab + by_digest + buckets + heap);
+    }
+
+    #[test]
+    fn a_members_resident_bytes_is_what_one_device_would_hold() {
+        let headers = four_headers();
+        let header = std::mem::size_of::<(Digest, TrustedHeader)>();
+        // Exact fit: four slab entries and digest-map entries, two keys,
+        // and `a`'s five children on the heap.
+        let one_device = 4 * (header + 36) + 2 * 32 + 5 * 4;
+        let mut alone = TrustCache::new();
+        assert_eq!(alone.resident_bytes(), 0);
+        headers.iter().cloned().for_each(|t| alone.insert(t));
+        assert_eq!(alone.resident_bytes(), one_device);
+
+        // The same headers beside a member trusting two of them and one
+        // more: the arena holds five headers once, and the first member's
+        // figure does not move.
+        let other = make_block(&cfg(), NodeId(1), 0, 9, vec![]);
+        let mut shared = Arc::new(HeaderArena::default());
+        let (mut a, mut b) = (
+            TrustCache::member_of(&shared),
+            TrustCache::member_of(&shared),
+        );
+        let fresh = [
+            (0, headers.iter().cloned().collect()),
+            (
+                1,
+                [&headers[3], &headers[0], &trusted(&other)]
+                    .into_iter()
+                    .cloned()
+                    .collect(),
+            ),
+        ];
+        HeaderArena::commit(&mut shared, &mut [&mut a, &mut b], fresh);
+        assert_eq!(shared.len(), 5);
+        assert_eq!((a.len(), b.len()), (4, 3));
+        assert_eq!(a.resident_bytes(), one_device);
+        assert_eq!(b.resident_bytes(), 3 * (header + 36) + 2 * 32);
+    }
+
+    #[test]
+    fn a_shared_arena_grows_in_place_and_a_held_handle_keeps_its_snapshot() {
+        let headers = four_headers();
+        let mut shared = Arc::new(HeaderArena::default());
+        let (mut a, mut b) = (
+            TrustCache::member_of(&shared),
+            TrustCache::member_of(&shared),
+        );
+        let first: FreshHeaders = headers[..2].iter().cloned().collect();
+        HeaderArena::commit(&mut shared, &mut [&mut a, &mut b], [(1, first)]);
+        assert!(a.is_member_of(&shared) && b.is_member_of(&shared));
+        assert_eq!((a.len(), b.len(), shared.len()), (0, 2, 2));
+        let slab = shared.slab.as_ptr();
+
+        // A clone holds a handle: the next commit copies the arena, the
+        // members move on to the copy, and the clone still sees two headers.
+        let snapshot = b.clone();
+        let rest: FreshHeaders = headers[1..].iter().cloned().collect();
+        HeaderArena::commit(&mut shared, &mut [&mut a, &mut b], [(0, rest)]);
+        assert!(a.is_member_of(&shared) && b.is_member_of(&shared));
+        assert!(!snapshot.is_member_of(&shared));
+        assert_eq!((a.len(), b.len(), shared.len()), (3, 2, 4));
+        assert_eq!((snapshot.len(), snapshot.arena().len()), (2, 2));
+        assert_ne!(shared.slab.as_ptr(), slab, "copied, not grown in place");
+
+        // With no handle elsewhere the arena grows in place.
+        drop(snapshot);
+        let slab = shared.slab.as_ptr();
+        let capacity = shared.slab.capacity();
+        let again: FreshHeaders = headers[..1].iter().cloned().collect();
+        HeaderArena::commit(&mut shared, &mut [&mut a, &mut b], [(0, again)]);
+        assert_eq!((a.len(), shared.len()), (4, 4));
+        assert_eq!(
+            (shared.slab.as_ptr(), shared.slab.capacity()),
+            (slab, capacity)
+        );
+
+        // A cache with an arena of its own commits to it.
+        let mut private = TrustCache::new();
+        let fresh: FreshHeaders = headers[..1].iter().cloned().collect();
+        HeaderArena::commit(&mut shared, &mut [&mut a, &mut private], [(1, fresh)]);
+        assert_eq!(
+            (private.len(), private.arena().len(), shared.len()),
+            (1, 1, 4)
+        );
+    }
+
+    #[test]
+    fn a_renamed_header_keeps_each_members_block_id() {
+        let headers = four_headers();
+        let mut renamed = headers[2].clone();
+        renamed.block_id.seq += 7;
+        let mut shared = Arc::new(HeaderArena::default());
+        let (mut a, mut b) = (
+            TrustCache::member_of(&shared),
+            TrustCache::member_of(&shared),
+        );
+        let fresh = [
+            (0, headers.iter().cloned().collect()),
+            (
+                1,
+                [renamed.clone(), headers[2].clone()].into_iter().collect(),
+            ),
+        ];
+        HeaderArena::commit(&mut shared, &mut [&mut a, &mut b], fresh);
+        let digest = headers[2].header.digest();
+        assert_eq!(shared.len(), 5, "one slab entry per (digest, block)");
+        assert_eq!(a.get(&digest), Some(&headers[2]));
+        assert_eq!(b.get(&digest), Some(&renamed), "b's first claim wins for b");
+        assert_eq!(
+            b.len(),
+            1,
+            "the second offer under the digest is a duplicate"
+        );
+        let a_target = Digest::from_bytes([1; 32]);
+        let seqs = |cache: &TrustCache| -> Vec<u32> {
+            let hits = cache.children_candidates(&a_target);
+            hits.map(|(_, t)| t.block_id.seq).collect()
+        };
+        assert_eq!(seqs(&a), [0, 0, 1, 2, 3]);
+        assert_eq!(seqs(&b), [9]);
     }
 
     #[test]

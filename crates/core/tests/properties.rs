@@ -9,16 +9,20 @@
 //! persistence codec, and (the `prefix_collision_*` properties) under
 //! digests crafted to share the index's 64-bit key. Two more hold the audit
 //! fast paths to their references: the lazy TPS walk to the eager one, and
-//! the chunked header hash to the canonical byte encoding.
+//! the chunked header hash to the canonical byte encoding. The last holds
+//! every member of a shared header arena to the per-node cache it replaced.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use tldag_core::codec::{decode_trust_cache, encode_trust_cache};
 use tldag_core::config::ProtocolConfig;
 use tldag_core::network::TldagNetwork;
 use tldag_core::pop::tps;
-use tldag_core::store::{BlockBackend, BlockStore, TrustCache, TrustedHeader};
+use tldag_core::store::{
+    BlockBackend, BlockStore, FreshHeaders, HeaderArena, TrustCache, TrustedHeader,
+};
 use tldag_core::workload::VerificationWorkload;
 use tldag_core::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
 use tldag_crypto::schnorr::KeyPair;
@@ -382,5 +386,264 @@ proptest! {
                 prop_assert_eq!(store.oldest_child_of_within(target, horizon), within);
             }
         }
+    }
+}
+
+/// `H_i` as it was before the header arena, kept as the reference: one
+/// cache per node, its headers in a slab in insertion order, `by_digest`
+/// into the slab, and each contained digest's 64-bit prefix mapped to
+/// `slab index << 8 | position` elements in `(time, owner, seq)` order, ties
+/// in insertion order. (The child lists are plain `Vec`s here; the inline
+/// form has its own reference test in `store.rs`.)
+#[derive(Default)]
+struct PerNodeCache {
+    slab: Vec<(Digest, TrustedHeader)>,
+    by_digest: HashMap<Digest, u32>,
+    children_of: HashMap<u64, Vec<u32>>,
+}
+
+impl PerNodeCache {
+    const FAR: usize = 255;
+
+    fn key(digest: &Digest) -> u64 {
+        u64::from_le_bytes(digest.as_bytes()[..8].try_into().unwrap())
+    }
+
+    fn insert(&mut self, trusted: TrustedHeader) {
+        let digest = trusted.header.digest();
+        if self.by_digest.contains_key(&digest) {
+            return;
+        }
+        let index = self.slab.len() as u32;
+        self.by_digest.insert(digest, index);
+        self.slab.push((digest, trusted));
+        let slab = &self.slab;
+        let order = |child: u32| {
+            let t = &slab[(child >> 8) as usize].1;
+            (t.header.time, t.owner, t.block_id.seq)
+        };
+        let key = order(index << 8);
+        for (position, entry) in slab[index as usize].1.header.digests.iter().enumerate() {
+            let list = self
+                .children_of
+                .entry(Self::key(&entry.digest))
+                .or_default();
+            let at = list.partition_point(|&c| order(c) <= key);
+            list.insert(at, index << 8 | position.min(Self::FAR) as u32);
+        }
+    }
+
+    fn children_candidates(&self, target: &Digest) -> Vec<(Digest, &TrustedHeader)> {
+        let mut far = (u32::MAX, 0);
+        let list = self.children_of.get(&Self::key(target));
+        let candidates = list.into_iter().flatten().filter_map(|&child| {
+            let (index, position) = (child >> 8, (child & 0xff) as usize);
+            let (digest, trusted) = &self.slab[index as usize];
+            let digests = &trusted.header.digests;
+            let hit = if position < Self::FAR {
+                digests[position].digest == *target
+            } else {
+                far = (index, if far.0 == index { far.1 + 1 } else { 1 });
+                let tail = digests[Self::FAR..].iter();
+                tail.filter(|e| e.digest == *target).count() >= far.1
+            };
+            hit.then_some((*digest, trusted))
+        });
+        candidates.collect()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&Digest, &TrustedHeader)> {
+        self.slab.iter().map(|(digest, trusted)| (digest, trusted))
+    }
+}
+
+/// Headers over colliding digests, as [`colliding_cache`] builds them; a
+/// spec whose last field is 0 gets 256 to 300 entries, its picks past
+/// position 255. With
+/// `equivocate`, owners reuse seqs, so headers can tie on
+/// `(time, owner, seq)`. Returns the headers and every digest worth looking
+/// up.
+fn arena_headers(
+    specs: &[(u32, u64, u64, u32, u8)],
+    equivocate: bool,
+) -> (Vec<TrustedHeader>, Vec<Digest>) {
+    let cfg = ProtocolConfig::test_default();
+    let mut pool = colliding_digests();
+    let mut targets = pool.clone();
+    targets.push(Digest::ZERO);
+    let mut headers = Vec::new();
+    for (i, &(count, picks, time, owner, far)) in specs.iter().enumerate() {
+        let mut digests = pick(&pool, count, picks);
+        if far == 0 {
+            let filler = (0..256 + (picks % 45) as u32).map(|k| {
+                let mut bytes = [0xee; 32];
+                bytes[..4].copy_from_slice(&k.to_be_bytes());
+                bytes[4..8].copy_from_slice(&(i as u32).to_be_bytes());
+                DigestEntry {
+                    origin: NodeId(k),
+                    digest: Digest::from_bytes(bytes),
+                }
+            });
+            digests.splice(..0, filler);
+        }
+        let seq = if equivocate { i as u32 / 4 } else { i as u32 };
+        let block = DataBlock::create(
+            &cfg,
+            BlockId::new(NodeId(owner), seq),
+            time,
+            digests,
+            BlockBody::new(vec![i as u8; 8], cfg.body_bits),
+            &KeyPair::from_seed(u64::from(owner)),
+        );
+        let digest = block.header_digest();
+        pool.extend([digest, twin(digest)]);
+        targets.extend([digest, twin(digest)]);
+        headers.push(TrustedHeader {
+            owner: NodeId(owner),
+            block_id: block.id,
+            header: block.header,
+        });
+    }
+    (headers, targets)
+}
+
+/// Runs `slots` of commits against one shared arena of `members` caches,
+/// and against a per-node reference and a cache with an arena of its own
+/// per member. Each slot commits `(member, header picks, rename)` batches
+/// in order — rename 1 offers the even picks under another block id, which
+/// a header digest does not cover — then looks one target up for one
+/// member. Returns, per member, the arena member, its reference and its
+/// private cache.
+type Slot = (Vec<(usize, Vec<usize>, u8)>, usize, usize);
+
+fn run_shared_arena(
+    members: usize,
+    headers: &[TrustedHeader],
+    targets: &[Digest],
+    slots: Vec<Slot>,
+) -> Result<Vec<(TrustCache, PerNodeCache, TrustCache)>, TestCaseError> {
+    let mut shared = Arc::new(HeaderArena::default());
+    let mut caches: Vec<TrustCache> = (0..members)
+        .map(|_| TrustCache::member_of(&shared))
+        .collect();
+    let mut reference: Vec<PerNodeCache> = (0..members).map(|_| PerNodeCache::default()).collect();
+    let mut private: Vec<TrustCache> = (0..members).map(|_| TrustCache::new()).collect();
+    for (commits, lookup, target) in slots {
+        let mut fresh = Vec::new();
+        for (member, picks, rename) in commits {
+            let member = member % members;
+            let batch: Vec<TrustedHeader> = picks
+                .iter()
+                .map(|&p| {
+                    let mut trusted = headers[p % headers.len()].clone();
+                    if rename == 1 && p % 2 == 0 {
+                        trusted.block_id.seq += 1000;
+                    }
+                    trusted
+                })
+                .collect();
+            for trusted in &batch {
+                reference[member].insert(trusted.clone());
+                private[member].insert(trusted.clone());
+            }
+            fresh.push((member, batch.into_iter().collect::<FreshHeaders>()));
+        }
+        let mut views: Vec<&mut TrustCache> = caches.iter_mut().collect();
+        HeaderArena::commit(&mut shared, &mut views, fresh);
+        let (member, target) = (lookup % members, &targets[target % targets.len()]);
+        let got: Vec<_> = caches[member].children_candidates(target).collect();
+        prop_assert_eq!(got, reference[member].children_candidates(target));
+    }
+    for cache in &caches {
+        prop_assert!(
+            cache.is_member_of(&shared),
+            "every member keeps the grown arena"
+        );
+    }
+    let each = caches.into_iter().zip(reference).zip(private);
+    Ok(each
+        .map(|((cache, reference), private)| (cache, reference, private))
+        .collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One to eight members trust random, overlapping sets of headers over
+    /// colliding digests (some past position 255, some offered twice or
+    /// under another block id), committed in slots interleaved with
+    /// lookups. Each member answers as its per-node reference: the same
+    /// candidates in the same order for every digest, the same `iter`
+    /// order, the same `get`, and the same persisted bytes as a cache with
+    /// an arena of its own. The arena holds each (digest, block) once.
+    #[test]
+    fn shared_arena_members_match_per_node_caches(
+        members in 1usize..=8,
+        specs in proptest::collection::vec(
+            (0u32..6, any::<u64>(), 0u64..6, 0u32..4, 0u8..7),
+            1..20,
+        ),
+        slots in proptest::collection::vec(
+            (
+                proptest::collection::vec(
+                    (0usize..8, proptest::collection::vec(0usize..64, 1..6), 0u8..10),
+                    0..4,
+                ),
+                0usize..8,
+                0usize..256,
+            ),
+            1..12,
+        ),
+    ) {
+        let (headers, targets) = arena_headers(&specs, false);
+        let runs = run_shared_arena(members, &headers, &targets, slots)?;
+        let mut distinct = HashSet::new();
+        for (cache, reference, private) in &runs {
+            for target in &targets {
+                let got: Vec<_> = cache.children_candidates(target).collect();
+                prop_assert_eq!(&got, &reference.children_candidates(target));
+                let alone: Vec<_> = private.children_candidates(target).collect();
+                prop_assert_eq!(&alone, &got);
+            }
+            let order: Vec<_> = cache.iter().collect();
+            prop_assert_eq!(&order, &reference.iter().collect::<Vec<_>>());
+            prop_assert_eq!(&order, &private.iter().collect::<Vec<_>>());
+            for (digest, trusted) in reference.iter() {
+                prop_assert_eq!(cache.get(digest), Some(trusted));
+                distinct.insert((*digest, trusted.block_id));
+            }
+            prop_assert_eq!(encode_trust_cache(cache), encode_trust_cache(private));
+            prop_assert_eq!(cache.resident_bytes(), private.resident_bytes());
+            check_index(cache)?;
+        }
+        prop_assert_eq!(runs[0].0.arena().len(), distinct.len());
+    }
+
+    /// One member trusting equivocating headers — equal `(time, owner, seq)`,
+    /// different digests — keeps the per-node cache's insertion-order
+    /// tie-break.
+    #[test]
+    fn shared_arena_of_one_member_keeps_the_insertion_order_tie_break(
+        specs in proptest::collection::vec(
+            (0u32..6, any::<u64>(), 0u64..3, 0u32..2, 0u8..10),
+            1..24,
+        ),
+        slots in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..1, proptest::collection::vec(0usize..64, 1..6), 0u8..1), 1..3),
+                0usize..1,
+                0usize..256,
+            ),
+            1..10,
+        ),
+    ) {
+        let (headers, targets) = arena_headers(&specs, true);
+        let runs = run_shared_arena(1, &headers, &targets, slots)?;
+        let (cache, reference, _) = &runs[0];
+        for target in &targets {
+            let got: Vec<_> = cache.children_candidates(target).collect();
+            prop_assert_eq!(got, reference.children_candidates(target));
+        }
+        prop_assert!(cache.iter().eq(reference.iter()));
     }
 }

@@ -153,18 +153,14 @@ pub fn format_adversary_schedule(placements: &[AdversaryPlacement]) -> String {
 pub struct ClusterConfig {
     /// The `tldag` binary to spawn node processes from.
     pub exe: PathBuf,
-    /// Number of founding nodes (= processes at start).
-    pub nodes: usize,
-    /// Slots each founder executes.
-    pub slots: u64,
-    /// Shared experiment seed.
-    pub seed: u64,
-    /// Deployment area side in meters.
-    pub side_m: f64,
-    /// Consensus parameter γ.
-    pub gamma: usize,
-    /// Whether nodes run the PoP verification workload over the wire.
-    pub pop: bool,
+    /// What the processes run and the reference engine replays: seed,
+    /// founders (= processes at start), slots each founder executes,
+    /// protocol knobs, churn (late joins are spawned as extra processes
+    /// bootstrapped via the join handshake) and adversaries (each placement
+    /// is passed to its node process as `--behavior` and applied to the
+    /// reference at the same slot boundary, so the honest-subset parity
+    /// verdict compares like with like).
+    pub deployment: Deployment,
     /// Epoch window `W` passed to every node (`1` = slot lockstep, the
     /// verify step runs inline; `W ≥ 2` pipelines it, PoP mode only).
     pub window: u64,
@@ -181,14 +177,6 @@ pub struct ClusterConfig {
     pub base_port: Option<u16>,
     /// How long the controller waits for all reports.
     pub report_timeout: Duration,
-    /// Scheduled membership changes: late joins (spawned as extra
-    /// processes bootstrapped via the join handshake) and graceful leaves.
-    pub churn: Vec<ChurnEvent>,
-    /// Scheduled wire adversaries (see [`parse_adversary_spec`]). Each
-    /// placement is passed to its node process as `--behavior` and applied
-    /// to the reference engine at the same slot boundary, so the
-    /// honest-subset parity verdict compares like with like.
-    pub adversaries: Vec<AdversaryPlacement>,
     /// When set, every node evicts a barrier-blocking peer that has gone
     /// silent for this long (`tldag node --evict-after`). Required for
     /// runs that must *exclude* a silent adversary instead of waiting out
@@ -216,20 +204,13 @@ impl ClusterConfig {
     pub fn new(exe: PathBuf, nodes: usize, slots: u64, seed: u64) -> Self {
         ClusterConfig {
             exe,
-            nodes,
-            slots,
-            seed,
-            side_m: 300.0,
-            gamma: 3,
-            pop: false,
+            deployment: Deployment::new(seed, nodes, slots),
             window: 1,
             batch: None,
             drop: 0.0,
             storage_root: None,
             base_port: None,
             report_timeout: Duration::from_secs(60),
-            churn: Vec::new(),
-            adversaries: Vec::new(),
             evict_after: None,
             metrics: false,
             sample_every: None,
@@ -239,21 +220,7 @@ impl ClusterConfig {
 
     /// Total processes the run spawns: founders plus scheduled joiners.
     pub fn total_processes(&self) -> usize {
-        self.deployment().members()
-    }
-
-    /// The deployment the processes run and the reference replays.
-    fn deployment(&self) -> Deployment {
-        Deployment {
-            seed: self.seed,
-            founders: self.nodes,
-            side_m: self.side_m,
-            gamma: self.gamma,
-            pop: self.pop,
-            slots: self.slots,
-            churn: self.churn.clone(),
-            adversaries: self.adversaries.clone(),
-        }
+        self.deployment.members()
     }
 
     /// Node ids with no scheduled adversary placement, in id order — the
@@ -261,7 +228,7 @@ impl ClusterConfig {
     pub fn honest_ids(&self) -> Vec<NodeId> {
         (0..self.total_processes() as u32)
             .map(NodeId)
-            .filter(|id| !self.adversaries.iter().any(|p| p.node == *id))
+            .filter(|id| !self.deployment.adversaries.iter().any(|p| p.node == *id))
             .collect()
     }
 }
@@ -696,18 +663,19 @@ pub fn replay_reference_schedule(
 /// An invalid churn schedule, spawn failures, early child exits, and
 /// report-collection timeouts.
 pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
-    validate_churn(&config.churn, config.nodes, config.slots)?;
-    for p in &config.adversaries {
-        if p.node.0 as usize >= config.nodes {
+    let deployment = &config.deployment;
+    validate_churn(&deployment.churn, deployment.founders, deployment.slots)?;
+    for p in &deployment.adversaries {
+        if p.node.0 as usize >= deployment.founders {
             return Err(format!(
                 "adversary placement on n{} is outside the {} founders",
-                p.node.0, config.nodes
+                p.node.0, deployment.founders
             ));
         }
-        if p.slot >= config.slots {
+        if p.slot >= deployment.slots {
             return Err(format!(
                 "adversary n{} activates at slot {} but the run has only {} slots",
-                p.node.0, p.slot, config.slots
+                p.node.0, p.slot, deployment.slots
             ));
         }
     }
@@ -725,10 +693,10 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
 }
 
 fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
-    if config.nodes == 0 {
+    let deployment = &config.deployment;
+    if deployment.founders == 0 {
         return Err("--nodes must be positive".into());
     }
-    let deployment = config.deployment();
     let total = deployment.members();
     let addrs: Vec<SocketAddr> = match config.base_port {
         Some(base) => {
@@ -1011,7 +979,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // diff them against the reference before anything shuts down. For
     // adversarial runs the verdict (and hence the trigger) is the honest
     // subset: a flapper's own dark chain is an expected fork, not a bug.
-    let verdict_failed = if config.adversaries.is_empty() {
+    let verdict_failed = if deployment.adversaries.is_empty() {
         wire_digest != reference_digest
     } else {
         honest_wire_digest != honest_reference_digest
@@ -1052,7 +1020,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
         wire_digest,
         reference_digest,
         reference_chains,
-        adversaries: config.adversaries.clone(),
+        adversaries: deployment.adversaries.clone(),
         honest_wire_digest,
         honest_reference_digest,
         wire_pop,
@@ -1087,7 +1055,8 @@ fn run_forensics(
         .map(|(i, _)| i as u32)
         .collect();
     // Nodes retain the last 64 slots of own-digest history for pulls.
-    let window = config.slots.saturating_sub(64)..config.slots;
+    let slots = config.deployment.slots;
+    let window = slots.saturating_sub(64)..slots;
 
     for _round in 0..4 {
         let missing: Vec<(u32, u64)> = {

@@ -181,7 +181,9 @@ impl NetNode {
     /// appending while the walk runs, so the validator reads its own chain
     /// through [`PipelinedStore`] (a fresh read lock per call) and caps
     /// every child lookup — its own and the wire's — at `slot`, which
-    /// makes the view identical at every window.
+    /// makes the view identical at every window. A successful run's headers
+    /// are committed to the node's `H_i` right after it, as the engine's
+    /// `run_pop` does.
     pub(super) fn run_pop_with(
         &self,
         slot: u64,
@@ -213,12 +215,16 @@ impl NetNode {
             &topology,
             self.config.id,
             &store,
-            &mut state.trust_cache,
+            &state.trust_cache,
             &mut state.blacklist,
             &mut pop_rng,
         )
         .with_horizon(slot);
-        validator.run(target, &mut transport)
+        let mut report = validator.run(target, &mut transport);
+        state
+            .trust_cache
+            .commit(std::mem::take(&mut report.trusted));
+        report
     }
 }
 

@@ -651,9 +651,9 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     let slots: u64 = args.get("slots", 6)?;
     let seed: u64 = args.get("seed", 42)?;
     let mut config = tldag::net::ClusterConfig::new(exe, nodes, slots, seed);
-    config.side_m = args.get("side", 300.0)?;
-    config.gamma = args.get("gamma", 3)?;
-    config.pop = args.switch("pop");
+    config.deployment.side_m = args.get("side", 300.0)?;
+    config.deployment.gamma = args.get("gamma", 3)?;
+    config.deployment.pop = args.switch("pop");
     config.window = args.get("window", 1)?;
     config.batch = match args.flags.get("batch") {
         None => None,
@@ -677,8 +677,8 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         ),
     };
     config.report_timeout = std::time::Duration::from_secs(args.get("timeout", 60)?);
-    config.churn = tldag::net::parse_churn_spec(&args.get("churn", String::new())?)?;
-    config.adversaries =
+    config.deployment.churn = tldag::net::parse_churn_spec(&args.get("churn", String::new())?)?;
+    config.deployment.adversaries =
         tldag::net::parse_adversary_spec(&args.get("adversary", String::new())?, nodes)?;
     config.evict_after = match args.flags.get("evict-after") {
         None => None,
@@ -717,16 +717,17 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         }
     };
 
+    let deployment = &config.deployment;
     println!(
         "cluster: {} node processes × {slots} slots (seed {seed}{}{}{})",
         config.total_processes(),
-        if config.pop { ", PoP on" } else { "" },
-        if config.churn.is_empty() {
+        if deployment.pop { ", PoP on" } else { "" },
+        if deployment.churn.is_empty() {
             String::new()
         } else {
             format!(
                 ", churn {}",
-                tldag::net::membership::format_churn_spec(&config.churn)
+                tldag::net::membership::format_churn_spec(&deployment.churn)
             )
         },
         match &config.storage_root {
@@ -734,10 +735,10 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
             None => String::new(),
         }
     );
-    if !config.adversaries.is_empty() {
+    if !deployment.adversaries.is_empty() {
         println!(
             "adversaries: {}",
-            tldag::net::format_adversary_schedule(&config.adversaries)
+            tldag::net::format_adversary_schedule(&deployment.adversaries)
         );
     }
     let outcome = tldag::net::run_cluster(&config)?;
@@ -787,7 +788,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
                 .join(" ")
         );
     }
-    if config.pop {
+    if deployment.pop {
         println!(
             "  PoP wire {}/{} vs reference {}/{}",
             outcome.wire_pop.1,

@@ -2,7 +2,8 @@
 //! byte-identical across every storage backend with retention **off**; with
 //! retention **on**, PoP requests for pruned blocks come back as graceful
 //! counted misses (never a panic); a node restarted with a persisted `H_i`
-//! resumes TPS warm while a cold restart starts from scratch; and the slot
+//! resumes TPS warm while a cold restart starts from scratch, its `H_i`
+//! back in the header arena the other nodes share; and the slot
 //! engine's verification targets, looked up by generation time, are the
 //! scan's on pruned, restarted and sharded durable stores.
 
@@ -10,6 +11,7 @@ use tldag::core::block::BlockId;
 use tldag::core::config::ProtocolConfig;
 use tldag::core::error::PopError;
 use tldag::core::network::{derived_rng, stream, TargetPool, TldagNetwork};
+use tldag::core::store::BackendFactory;
 use tldag::core::workload::VerificationWorkload;
 use tldag::crypto::Digest;
 use tldag::sim::engine::{GenerationSchedule, Sharding};
@@ -224,6 +226,67 @@ fn persisted_trust_cache_survives_restart_and_warms_tps() {
         warm_req < cold_req,
         "warm TPS must save REQ_CHILD traffic ({warm_req} vs {cold_req})"
     );
+}
+
+/// A node restarted with its persisted `H_i` rejoins the header arena the
+/// other nodes share: it trusts what the decoded file holds, in the file's
+/// order, and every lookup answers as the standalone decoded cache does.
+#[test]
+fn restarted_trust_cache_rejoins_the_shared_arena() {
+    let dir = scratch("rejoin");
+    let mut net = build(Some(Box::new(DiskFactory::new(
+        &dir,
+        StorageOptions::default(),
+    ))));
+    net.set_persist_trust_cache(true);
+    net.run_slots(SLOTS);
+    let victim = NodeId(5);
+    assert!(!net.node(victim).trust_cache().is_empty());
+    net.sync_storage().unwrap();
+    net.crash_node(victim);
+    net.run_slots(2);
+    let arena_before = net.trust_arena().len();
+    net.restart_node(victim).unwrap();
+
+    let decoded = DiskFactory::new(&dir, StorageOptions::default())
+        .load_trust_cache(victim)
+        .unwrap()
+        .expect("H_i was persisted");
+    let rejoined = net.node(victim).trust_cache();
+    assert!(
+        std::ptr::eq(rejoined.arena(), net.trust_arena()),
+        "the restarted node shares the arena"
+    );
+    assert_eq!(
+        net.trust_arena().len(),
+        arena_before,
+        "every header it trusts was in the arena already"
+    );
+    assert!(
+        rejoined.iter().eq(decoded.iter()),
+        "the file's headers, in its order"
+    );
+    let mut probes = 0;
+    for (digest, trusted) in decoded.iter() {
+        let contained = trusted.header.digests.iter().map(|e| e.digest);
+        for target in contained.chain([*digest]) {
+            let got: Vec<_> = rejoined.children_candidates(&target).collect();
+            let want: Vec<_> = decoded.children_candidates(&target).collect();
+            assert_eq!(got, want, "children of {target}");
+            probes += 1;
+        }
+    }
+    assert!(
+        probes > 20,
+        "the comparison must see real lookups: {probes}"
+    );
+    net.run_slots(2);
+    assert!(std::ptr::eq(
+        net.node(victim).trust_cache().arena(),
+        net.trust_arena()
+    ));
+    drop(net);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The verification targets the slot engine draws from, against the scan

@@ -3,6 +3,7 @@
 //! across storage backends, and `SyncPolicy::PerSlot` must never lose a
 //! committed block across a whole-process crash/restart.
 
+use tldag::core::codec::encode_trust_cache;
 use tldag::core::config::ProtocolConfig;
 use tldag::core::network::TldagNetwork;
 use tldag::core::store::{BackendFactory, SyncPolicy};
@@ -46,12 +47,18 @@ fn build_network_of(
     net
 }
 
-/// Everything observable about a finished run.
-fn fingerprint(net: &TldagNetwork) -> (Vec<Digest>, u64, u64, (u64, u64), usize) {
+/// Everything observable about a finished run: chains, traffic, PoP
+/// counters, and every node's `H_i` as it persists.
+type Fingerprint = (Vec<Digest>, u64, u64, (u64, u64), usize, Vec<Vec<u8>>);
+
+fn fingerprint(net: &TldagNetwork) -> Fingerprint {
     let chains: Vec<Digest> = net
         .topology()
         .node_ids()
         .map(|id| net.chain_digest(id))
+        .collect();
+    let trust = (net.nodes().iter())
+        .map(|node| encode_trust_cache(node.trust_cache()))
         .collect();
     (
         chains,
@@ -63,13 +70,15 @@ fn fingerprint(net: &TldagNetwork) -> (Vec<Digest>, u64, u64, (u64, u64), usize)
             .bits(),
         net.pop_counters(),
         net.total_blocks(),
+        trust,
     )
 }
 
 #[test]
 fn fixed_seed_is_identical_across_thread_counts() {
     // PoP on, lossy links on, and a trace whose Pop lines pin the order in
-    // which the verify phase's results are merged.
+    // which the verify phase's results are merged; the `H_i` bytes pin the
+    // serial commit into the shared header arena.
     let run = |threads: usize| {
         let mut net = build_network(threads, None);
         net.set_trace(Trace::enabled());
@@ -78,6 +87,10 @@ fn fixed_seed_is_identical_across_thread_counts() {
     };
     let (expected, trace) = run(1);
     assert!(expected.3 .0 > 0, "PoP workload must trigger");
+    assert!(
+        expected.5.iter().any(|blob| blob.len() > 12),
+        "the PoPs filled some H_i"
+    );
     assert!(trace.contains("\"kind\":\"pop\""), "the trace records PoPs");
 
     for threads in [2, 3, 8] {

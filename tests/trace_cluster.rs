@@ -35,7 +35,7 @@ fn base_config(nodes: usize, slots: u64, seed: u64) -> ClusterConfig {
 #[test]
 fn traced_cluster_stitches_timelines_across_all_nodes() {
     let mut config = base_config(3, 6, 20260808);
-    config.pop = true;
+    config.deployment.pop = true;
     config.metrics = true;
     config.trace = true;
     let outcome = run_cluster(&config).expect("cluster run");
@@ -102,11 +102,11 @@ fn tracing_never_perturbs_digests_or_pop_counters() {
     // side-channel that shifted even one datagram would break the
     // engine-parity invariant every other acceptance test relies on.)
     let mut plain = base_config(3, 6, 7);
-    plain.pop = true;
+    plain.deployment.pop = true;
     let baseline = run_cluster(&plain).expect("untraced cluster run");
 
     let mut traced = base_config(3, 6, 7);
-    traced.pop = true;
+    traced.deployment.pop = true;
     traced.metrics = true;
     traced.trace = true;
     let observed = run_cluster(&traced).expect("traced cluster run");

@@ -41,7 +41,7 @@ fn cluster_with_pop_over_the_wire_matches_engine_counters() {
     // attempt/success counter — byte-identical to the engine at each.
     for window in [1, 2, 8] {
         let mut config = base_config(4, 9, 7);
-        config.pop = true;
+        config.deployment.pop = true;
         config.window = window;
         let outcome = run_cluster(&config).expect("cluster run");
         assert!(!outcome.degraded(), "W={window}: no barrier may time out");
@@ -69,7 +69,7 @@ fn churn_cluster_matches_engine_through_join_and_leave() {
     // the in-memory engine driving the same node_joins/node_leaves
     // schedule.
     let mut config = base_config(4, 8, 20260726);
-    config.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@6").expect("spec");
+    config.deployment.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@6").expect("spec");
     let outcome = run_cluster(&config).expect("cluster run");
     assert!(!outcome.degraded(), "no barrier may time out on loopback");
     assert_eq!(
@@ -100,9 +100,9 @@ fn churn_cluster_with_pop_matches_engine_counters() {
     // window, since a membership delta drains the pipeline first.
     for window in [1, 2, 8] {
         let mut config = base_config(4, 10, 7);
-        config.pop = true;
+        config.deployment.pop = true;
         config.window = window;
-        config.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
+        config.deployment.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
         let outcome = run_cluster(&config).expect("cluster run");
         assert!(!outcome.degraded(), "W={window}: no barrier may time out");
         assert_eq!(
@@ -127,7 +127,7 @@ fn lossy_cluster_heals_to_parity() {
     // run to exact parity (the chance of any request exhausting its
     // 6-retry budget at this rate is ~1e-5 per exchange).
     let mut config = base_config(3, 6, 20260808);
-    config.pop = true;
+    config.deployment.pop = true;
     config.drop = 0.1;
     let outcome = run_cluster(&config).expect("cluster run");
     assert!(

@@ -367,13 +367,12 @@ impl BackendFactory for MemoryBackendFactory {
     }
 }
 
-/// The value of a [`ChildIndex`] entry: the positions (chain seqs in `S_i`
-/// and in `tldag-storage`'s block index, slab index and digest-list position
-/// in `H_i`) of the headers containing a digest with one 64-bit prefix. Most
-/// prefixes are contained by a few headers a node holds, so up to
+/// The value of a [`ChildIndex`] entry: the positions (slab index and
+/// digest-list position) of the arena headers containing a digest with one
+/// 64-bit prefix. Most prefixes are contained by a few headers, so up to
 /// [`ChildList::INLINE`] children live inline and only the next one
 /// allocates. The list is no larger than a `Vec`, so an index bucket is 32
-/// bytes. Never empty: an index drops the key instead.
+/// bytes. Never empty: the index only creates a list with a child in it.
 #[derive(Clone, Debug)]
 pub enum ChildList {
     /// The only child.
@@ -404,21 +403,6 @@ impl ChildList {
         }
     }
 
-    /// The smallest form holding `children` (one to [`Self::INLINE`]).
-    fn inline(children: &[u32]) -> Self {
-        match *children {
-            [only] => ChildList::One(only),
-            _ => {
-                let mut items = [0; Self::INLINE];
-                items[..children.len()].copy_from_slice(children);
-                ChildList::Few {
-                    len: children.len() as u8,
-                    items,
-                }
-            }
-        }
-    }
-
     fn insert(&mut self, at: usize, child: u32) {
         if let ChildList::Many(all) = self {
             all.insert(at, child);
@@ -431,56 +415,29 @@ impl ChildList {
         buf[at + 1..=old.len()].copy_from_slice(&old[at..]);
         let grown = &buf[..=old.len()];
         *self = if grown.len() <= Self::INLINE {
-            Self::inline(grown)
+            let mut items = [0; Self::INLINE];
+            items[..grown.len()].copy_from_slice(grown);
+            ChildList::Few {
+                len: grown.len() as u8,
+                items,
+            }
         } else {
             ChildList::Many(grown.to_vec())
         };
     }
-
-    /// Keeps the children `keep` accepts, in order, and moves the list back
-    /// to the smallest form that holds them (releasing the allocation once
-    /// [`Self::INLINE`] or fewer remain). Returns how many remain; at 0 the
-    /// caller drops the key, since a list is never empty.
-    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) -> usize {
-        let mut kept = [0; Self::INLINE];
-        let mut len = 0;
-        match self {
-            ChildList::Many(all) => {
-                all.retain(|&child| keep(child));
-                if all.len() > Self::INLINE {
-                    return all.len();
-                }
-                len = all.len();
-                kept[..len].copy_from_slice(all);
-            }
-            _ => {
-                for &child in self.as_slice() {
-                    if keep(child) {
-                        kept[len] = child;
-                        len += 1;
-                    }
-                }
-            }
-        }
-        if len > 0 {
-            *self = Self::inline(&kept[..len]);
-        }
-        len
-    }
 }
 
-/// A contained-digest index: every digest some held header *contains*,
+/// The header arena's index: every digest some arena header *contains*,
 /// keyed by its first 8 bytes, to the [`ChildList`] of headers containing a
-/// digest with that prefix.
+/// digest with that prefix, each list in the order the arena inserts into
+/// it.
 ///
 /// A prefix is a quarter of the digest, so a bucket is 32 bytes, not 56.
 /// The price is that two contained digests may share a key: a list is a
-/// superset of one digest's children, so every lookup is confirmed against
-/// the full digest before it leaves the structure owning the index —
-/// through [`Self::confirmed`] for an index of chain seqs, and by
-/// [`TrustCache::children_candidates`] for `H_i`. Keys stay under std's
+/// superset of one digest's children, so [`TrustCache::children_candidates`]
+/// confirms every hit against the full digest. Keys stay under std's
 /// SipHash with a random key, because contained digests are whatever a
-/// neighbor gossips.
+/// neighbor gossips. Nothing is ever removed: the arena only grows.
 #[derive(Clone, Debug, Default)]
 pub struct ChildIndex(HashMap<u64, ChildList>);
 
@@ -501,22 +458,6 @@ impl ChildIndex {
             .map_or(&[], ChildList::as_slice)
     }
 
-    /// The children of `target` in an index of chain seqs, in list order,
-    /// each as many times as its header names `target` — `count(seq)`, which
-    /// reads the header's digest list. A seq's entries under one key are
-    /// adjacent, because a header is indexed all at once and a prune keeps
-    /// the order, so a run of one seq holds its prefix hits and the first
-    /// `count` of them are the exact ones.
-    pub fn confirmed<'a>(
-        &'a self,
-        target: &Digest,
-        mut count: impl FnMut(u32) -> usize + 'a,
-    ) -> impl Iterator<Item = u32> + 'a {
-        let runs = self.candidates(target).chunk_by(|a, b| a == b);
-        runs.flat_map(move |run| &run[..count(run[0]).min(run.len())])
-            .copied()
-    }
-
     /// Adds `child` under `target`'s prefix, at the position `at` picks from
     /// the list as it stands (`<[u32]>::len` appends).
     pub fn insert(&mut self, target: &Digest, child: u32, at: impl FnOnce(&[u32]) -> usize) {
@@ -529,27 +470,6 @@ impl ChildIndex {
                 list.insert(at(list.as_slice()), child);
             }
         }
-    }
-
-    /// Keeps the children under `target`'s prefix that `keep` accepts, and
-    /// drops the key once none is left.
-    pub fn retain(&mut self, target: &Digest, keep: impl FnMut(u32) -> bool) {
-        let key = Self::key(target);
-        if let Some(list) = self.0.get_mut(&key) {
-            if list.retain(keep) == 0 {
-                self.0.remove(&key);
-            }
-        }
-    }
-
-    /// Number of keys (distinct contained-digest prefixes).
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// The child lists, in no particular order.
@@ -569,6 +489,198 @@ impl ChildIndex {
     }
 }
 
+/// One [`ChainIndex`] entry: a contained digest's 64-bit prefix as two
+/// words, high first, then the seq of the block containing it; 12 bytes,
+/// where a `(u64, u32)` pair would pad to 16. Runs are sorted by
+/// `(prefix, seq)`, the array's lexicographic order.
+type ChainEntry = [u32; 3];
+
+/// `e`'s 64-bit prefix.
+fn prefix(e: &ChainEntry) -> u64 {
+    u64::from(e[0]) << 32 | u64::from(e[1])
+}
+
+/// A sorted run of a [`ChainIndex`], with the seqs it spans.
+#[derive(Clone, Debug)]
+struct Run {
+    entries: Box<[ChainEntry]>,
+    /// Smallest and largest seq of an entry.
+    first: u32,
+    last: u32,
+}
+
+impl Run {
+    /// `older` and `newer` as one run; every seq of `older` is at most every
+    /// seq of `newer`, so of two entries with one prefix the newer run's
+    /// goes last. Merges from the back into `older`'s allocation, grown in
+    /// place where the allocator can.
+    fn merge(older: Run, newer: Run) -> Run {
+        let (mut i, mut j) = (older.entries.len(), newer.entries.len());
+        let mut merged = older.entries.into_vec();
+        merged.reserve_exact(j);
+        merged.resize(i + j, [0; 3]);
+        // Branch-free: which side an entry comes from is a coin toss for
+        // random prefixes. What is left of `older` at the end is in place.
+        while i > 0 && j > 0 {
+            let (last_older, last_newer) = (merged[i - 1], newer.entries[j - 1]);
+            let from_older = prefix(&last_older) > prefix(&last_newer);
+            merged[i + j - 1] = if from_older { last_older } else { last_newer };
+            i -= usize::from(from_older);
+            j -= usize::from(!from_older);
+        }
+        merged[..j].copy_from_slice(&newer.entries[..j]);
+        Run {
+            entries: merged.into_boxed_slice(),
+            first: older.first,
+            last: newer.last,
+        }
+    }
+}
+
+/// The contained-digest index of one chain (`S_i`'s in [`BlockStore`],
+/// and `tldag-storage`'s `BlockIndex`): for every digest a block contains,
+/// one 12-byte entry of its 64-bit prefix and the block's seq, nothing
+/// hashed.
+///
+/// A chain only grows at its end, so entries arrive in seq order. The
+/// newest sit in a tail of fewer than [`Self::TAIL`], in arrival order;
+/// when it fills it is sorted into an exact-size run, and runs merge like a
+/// binary counter (each run larger than the next newer one), so `n` entries
+/// sit in at most `log2(n / 64) + 1` runs, oldest first. A lookup
+/// binary-searches each run for the prefix, oldest first, then scans the
+/// tail: its hits come out in seq order, for O(runs · log n + hits) whatever
+/// the keys, so gossiped digests chosen to collide buy an attacker nothing
+/// beyond the prefix hits [`Self::children`] confirms away.
+#[derive(Clone, Debug, Default)]
+pub struct ChainIndex {
+    runs: Vec<Run>,
+    tail: Vec<ChainEntry>,
+}
+
+impl ChainIndex {
+    /// Entries the tail holds before it becomes a run.
+    pub const TAIL: usize = 64;
+
+    /// Indexes `target` as contained by block `seq`, which is no older than
+    /// any block indexed before it.
+    pub fn push(&mut self, target: &Digest, seq: u32) {
+        debug_assert!(
+            self.last_seq().is_none_or(|last| last <= seq),
+            "a chain index grows in seq order"
+        );
+        let key = ChildIndex::key(target);
+        self.tail.push([(key >> 32) as u32, key as u32, seq]);
+        if self.tail.len() == Self::TAIL {
+            let mut entries: Box<[ChainEntry]> = self.tail.as_slice().into();
+            entries.sort_unstable_by_key(|e| (prefix(e), e[2]));
+            let (first, last) = (self.tail[0][2], self.tail[Self::TAIL - 1][2]);
+            self.tail.clear();
+            self.runs.push(Run {
+                entries,
+                first,
+                last,
+            });
+            self.settle();
+        }
+    }
+
+    fn last_seq(&self) -> Option<u32> {
+        (self.tail.last().map(|e| e[2])).or(self.runs.last().map(|r| r.last))
+    }
+
+    /// Merges neighbouring runs until each is larger than the next newer
+    /// one.
+    fn settle(&mut self) {
+        let small = |runs: &[Run]| {
+            (1..runs.len())
+                .rev()
+                .find(|&at| runs[at - 1].entries.len() <= runs[at].entries.len())
+        };
+        while let Some(at) = small(&self.runs) {
+            let newer = self.runs.remove(at);
+            let older = self.runs.remove(at - 1);
+            self.runs.insert(at - 1, Run::merge(older, newer));
+        }
+    }
+
+    /// Seqs of the blocks holding a digest with `target`'s prefix, once per
+    /// such digest, ascending. Unconfirmed, so private.
+    fn hits(&self, target: &Digest) -> impl Iterator<Item = u32> + '_ {
+        let key = ChildIndex::key(target);
+        let same = move |e: &&ChainEntry| prefix(e) == key;
+        let runs = self.runs.iter().flat_map(move |run| {
+            let from = run.entries.partition_point(|e| prefix(e) < key);
+            run.entries[from..].iter().take_while(same)
+        });
+        runs.chain(self.tail.iter().filter(same)).map(|e| e[2])
+    }
+
+    /// The blocks containing `target`, ascending, each as many times as its
+    /// digest list names `target`: `count(seq)`, which reads that list, and
+    /// which is 0 for a block that only holds a digest sharing the prefix.
+    pub fn children<'a>(
+        &'a self,
+        target: &Digest,
+        mut count: impl FnMut(u32) -> usize + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let mut previous = None;
+        let seqs = self.hits(target);
+        seqs.filter(move |&seq| previous.replace(seq) != Some(seq))
+            .flat_map(move |seq| std::iter::repeat_n(seq, count(seq)))
+    }
+
+    /// Drops every entry of a block older than `floor`: whole runs below
+    /// it, and the older entries of the run (or tail) that straddles it.
+    pub fn prune_below(&mut self, floor: u32) {
+        let below = self.runs.partition_point(|run| run.last < floor);
+        self.runs.drain(..below);
+        if let Some(run) = self.runs.first_mut().filter(|run| run.first < floor) {
+            let kept: Box<[ChainEntry]> = run
+                .entries
+                .iter()
+                .filter(|e| e[2] >= floor)
+                .copied()
+                .collect();
+            run.first = kept
+                .iter()
+                .map(|e| e[2])
+                .min()
+                .expect("the run reaches the floor");
+            run.entries = kept;
+            self.settle();
+        }
+        self.tail.retain(|e| e[2] >= floor);
+    }
+
+    /// Number of entries: one per contained digest of an indexed block.
+    pub fn len(&self) -> usize {
+        self.tail.len() + self.run_lens().sum::<usize>()
+    }
+
+    /// True if nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entries in each run, oldest first (the tail not included).
+    pub fn run_lens(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.runs.iter().map(|run| run.entries.len())
+    }
+
+    /// Entries waiting in the tail.
+    pub fn tail_len(&self) -> usize {
+        self.tail.len()
+    }
+
+    /// Bytes the index pins: 12 per entry in the runs and per tail slot
+    /// allocated, plus the run table at its capacity.
+    pub fn resident_bytes(&self) -> usize {
+        let entries = self.run_lens().sum::<usize>() + self.tail.capacity();
+        entries * std::mem::size_of::<ChainEntry>()
+            + self.runs.capacity() * std::mem::size_of::<Run>()
+    }
+}
+
 /// The append-only chain of blocks generated by one node (`S_i`),
 /// held entirely in memory.
 #[derive(Clone, Debug, Default)]
@@ -578,10 +690,9 @@ pub struct BlockStore {
     latest_digest: Option<Digest>,
     /// Header digest → seq of the block with that header.
     by_digest: HashMap<Digest, u32>,
-    /// Contained digest → seqs of blocks whose Digests field includes it
-    /// (the responder's `C_{j'}(b_v)` lookup, Eq. 10), ascending because
-    /// `append` only ever adds the next seq.
-    children_of: ChildIndex,
+    /// Contained-digest prefix → seqs of blocks whose Digests field holds
+    /// it (the responder's `C_{j'}(b_v)` lookup, Eq. 10).
+    children_of: ChainIndex,
 }
 
 impl BlockStore {
@@ -593,7 +704,7 @@ impl BlockStore {
     /// Seqs of the blocks containing `target`, ascending, each as many times
     /// as its header names `target`.
     fn child_seqs<'a>(&'a self, target: &'a Digest) -> impl Iterator<Item = u32> + 'a {
-        self.children_of.confirmed(target, move |seq| {
+        self.children_of.children(target, move |seq| {
             let digests = self.blocks[seq as usize].header.digests.iter();
             digests.filter(|e| e.digest == *target).count()
         })
@@ -612,8 +723,7 @@ impl BlockBackend for BlockStore {
         self.latest_digest = Some(digest);
         self.by_digest.insert(digest, block.id.seq);
         for entry in block.header.digests.iter() {
-            self.children_of
-                .insert(&entry.digest, block.id.seq, <[u32]>::len);
+            self.children_of.push(&entry.digest, block.id.seq);
         }
         self.blocks.push(block);
         Ok(())
@@ -678,7 +788,7 @@ impl BlockBackend for BlockStore {
             })
             .sum::<usize>()
             + self.by_digest.len() * (32 + 4)
-            + self.children_of.len() * (8 + 8)
+            + self.children_of.resident_bytes()
     }
 }
 
@@ -1511,55 +1621,26 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
-        /// Random inserts at random positions and random prunes, replayed on
-        /// a `Vec`: same children in the same order, in the smallest form.
+        /// Random inserts at random positions, replayed on a `Vec`: same
+        /// children in the same order, in the smallest form.
         #[test]
         fn child_list_matches_a_vec_reference(
-            ops in proptest::collection::vec((0u32..5, 0u32..40, 0usize..12), 1..80),
+            ops in proptest::collection::vec((0u32..40, 0usize..12), 1..80),
         ) {
             let mut list: Option<ChildList> = None;
             let mut reference: Vec<u32> = Vec::new();
-            for (op, child, at) in ops {
-                if op == 0 {
-                    // Prune everything below `child`, as `prune_below` does.
-                    let left = list.as_mut().map_or(0, |l| l.retain(|c| c >= child));
-                    reference.retain(|&c| c >= child);
-                    proptest::prop_assert_eq!(left, reference.len());
-                    if left == 0 {
-                        list = None;
-                    }
-                } else {
-                    let at = at % (reference.len() + 1);
-                    match list.as_mut() {
-                        Some(l) => l.insert(at, child),
-                        None => list = Some(ChildList::One(child)),
-                    }
-                    reference.insert(at, child);
+            for (child, at) in ops {
+                let at = at % (reference.len() + 1);
+                match list.as_mut() {
+                    Some(l) => l.insert(at, child),
+                    None => list = Some(ChildList::One(child)),
                 }
-                match &list {
-                    Some(l) => {
-                        proptest::prop_assert_eq!(l.as_slice(), reference.as_slice());
-                        proptest::prop_assert!(form_fits(l), "{:?}", l);
-                    }
-                    None => proptest::prop_assert!(reference.is_empty()),
-                }
+                reference.insert(at, child);
+                let l = list.as_ref().expect("a child was inserted");
+                proptest::prop_assert_eq!(l.as_slice(), reference.as_slice());
+                proptest::prop_assert!(form_fits(l), "{:?}", l);
             }
         }
-    }
-
-    #[test]
-    fn child_list_shrinks_back_inline_after_a_prune() {
-        let mut list = ChildList::One(1);
-        for child in 2..=6 {
-            list.insert(list.as_slice().len(), child);
-            assert!(form_fits(&list), "{list:?}");
-        }
-        assert!(matches!(list, ChildList::Many(_)));
-        assert_eq!(list.retain(|c| c >= 4), 3);
-        assert!(matches!(list, ChildList::Few { len: 3, .. }), "{list:?}");
-        assert_eq!(list.retain(|c| c >= 6), 1);
-        assert!(matches!(list, ChildList::One(6)));
-        assert_eq!(list.retain(|c| c > 6), 0);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! persistence codec, and (the `prefix_collision_*` properties) under
 //! digests crafted to share the index's 64-bit key. Two more hold the audit
 //! fast paths to their references: the lazy TPS walk to the eager one, and
-//! the chunked header hash to the canonical byte encoding. The last holds
-//! every member of a shared header arena to the per-node cache it replaced.
+//! the chunked header hash to the canonical byte encoding. One holds `S_i`'s
+//! chain index to a scan of the chain at every prune floor, and the last
+//! holds every member of a shared header arena to the per-node cache it
+//! replaced.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -21,7 +23,7 @@ use tldag_core::config::ProtocolConfig;
 use tldag_core::network::TldagNetwork;
 use tldag_core::pop::tps;
 use tldag_core::store::{
-    BlockBackend, BlockStore, FreshHeaders, HeaderArena, TrustCache, TrustedHeader,
+    BlockBackend, BlockStore, ChainIndex, FreshHeaders, HeaderArena, TrustCache, TrustedHeader,
 };
 use tldag_core::workload::VerificationWorkload;
 use tldag_core::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
@@ -386,6 +388,111 @@ proptest! {
                 prop_assert_eq!(store.oldest_child_of_within(target, horizon), within);
             }
         }
+    }
+}
+
+/// The chain index's shape: a tail short of a run, runs each larger than the
+/// next newer one, every run but the oldest (which a prune may have
+/// filtered) a power-of-two multiple of the tail, so at most
+/// `log2(n / 64) + 1` of them.
+fn check_chain_index_shape(index: &ChainIndex) -> Result<(), TestCaseError> {
+    prop_assert!(index.tail_len() < ChainIndex::TAIL);
+    let runs: Vec<usize> = index.run_lens().collect();
+    prop_assert!(runs.windows(2).all(|w| w[0] > w[1]), "{:?}", runs);
+    let doubled =
+        |&n: &usize| n % ChainIndex::TAIL == 0 && (n / ChainIndex::TAIL).is_power_of_two();
+    prop_assert!(runs.iter().skip(1).all(doubled), "{:?}", runs);
+    let chunks = runs.iter().sum::<usize>() / ChainIndex::TAIL;
+    let bound = (usize::BITS - chunks.leading_zeros()).max(1) as usize;
+    prop_assert!(runs.len() <= bound, "{:?}", runs);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `S_i`'s contained-digest index against a scan of the chain. Blocks
+    /// name up to 15 of nine prefix-colliding digests, repeats included, so
+    /// up to 90 blocks flush the 64-entry tail mid-block and merge runs of
+    /// every size to 1 024 entries. The index is pruned once while it grows
+    /// (at `cut`, below `floor`) and then, on copies, at every floor up to
+    /// the chain's end; each lookup equals the scan of the blocks it keeps.
+    /// A `BlockStore` holding the chain answers `children_of`,
+    /// `oldest_child_of_within` at every horizon and `by_header_digest` as
+    /// the scan does.
+    #[test]
+    fn chain_index_matches_the_scan_reference(
+        chain in proptest::collection::vec(proptest::collection::vec(0usize..9, 0..16), 1..90),
+        cut in any::<u32>(),
+        floor in any::<u32>(),
+    ) {
+        let digests = colliding_digests();
+        let named: Vec<Vec<Digest>> = (chain.iter())
+            .map(|picks| picks.iter().map(|&p| digests[p]).collect())
+            .collect();
+        let copies = |seq: usize, target: &Digest| named[seq].iter().filter(|d| *d == target).count();
+        let scan = |target: &Digest, floor: usize| -> Vec<u32> {
+            (floor..named.len())
+                .flat_map(|seq| std::iter::repeat_n(seq as u32, copies(seq, target)))
+                .collect()
+        };
+
+        let cut = cut as usize % (named.len() + 1);
+        let floor = floor as usize % (cut + 1);
+        let mut index = ChainIndex::default();
+        for (seq, contained) in named.iter().enumerate() {
+            if seq == cut {
+                index.prune_below(floor as u32);
+            }
+            for d in contained {
+                index.push(d, seq as u32);
+            }
+        }
+        if cut == named.len() {
+            index.prune_below(floor as u32);
+        }
+        for floor in floor..=named.len() {
+            let mut pruned = index.clone();
+            pruned.prune_below(floor as u32);
+            let kept: usize = named[floor..].iter().map(Vec::len).sum();
+            prop_assert_eq!(pruned.len(), kept);
+            check_chain_index_shape(&pruned)?;
+            for target in &digests {
+                let children = pruned.children(target, |seq| copies(seq as usize, target));
+                prop_assert_eq!(children.collect::<Vec<u32>>(), scan(target, floor));
+            }
+        }
+
+        let cfg = ProtocolConfig::test_default();
+        let mut store = BlockStore::new();
+        for (seq, contained) in named.iter().enumerate() {
+            let entries = contained.iter().map(|&digest| DigestEntry { origin: NodeId(2), digest });
+            let block = DataBlock::create(
+                &cfg,
+                BlockId::new(NodeId(1), seq as u32),
+                // Slots 1, 3, 5, …: horizons fall on and between them.
+                2 * seq as u64 + 1,
+                entries.collect::<Vec<_>>(),
+                BlockBody::new(vec![seq as u8; 8], cfg.body_bits),
+                &KeyPair::from_seed(1),
+            );
+            store.append(block).unwrap();
+        }
+        for target in &digests {
+            let scan = scan(target, 0);
+            let seqs = |blocks: Vec<DataBlock>| blocks.iter().map(|b| b.id.seq).collect::<Vec<u32>>();
+            prop_assert_eq!(seqs(store.children_of(target)), scan.clone());
+            for horizon in 0..=2 * named.len() as u64 + 1 {
+                let within = scan.iter().copied().find(|&seq| 2 * u64::from(seq) < horizon);
+                let got = store.oldest_child_of_within(target, horizon).map(|b| b.id.seq);
+                prop_assert_eq!(got, within);
+            }
+        }
+        for block in store.iter() {
+            let found = store.by_header_digest(&block.header_digest()).map(|b| b.id);
+            prop_assert_eq!(found, Some(block.id));
+        }
+        prop_assert!(store.by_header_digest(&digests[0]).is_none());
     }
 }
 

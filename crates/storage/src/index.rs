@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::error::TldagError;
-use tldag_core::store::ChildIndex;
+use tldag_core::store::ChainIndex;
 use tldag_core::DataBlock;
 use tldag_crypto::Digest;
 use tldag_sim::Bits;
@@ -58,9 +58,8 @@ pub struct BlockIndex {
     entries: Vec<IndexEntry>,
     /// Header digest → seq.
     by_digest: HashMap<Digest, u32>,
-    /// Contained digest → seqs of retained blocks containing it, ascending
-    /// because `push` only ever adds the next seq.
-    children: ChildIndex,
+    /// Contained-digest prefix → seqs of retained blocks containing it.
+    children: ChainIndex,
 }
 
 impl BlockIndex {
@@ -135,7 +134,7 @@ impl BlockIndex {
     /// The prefix hits of `target`, confirmed against
     /// [`IndexEntry::contained`].
     fn child_seqs<'a>(&'a self, target: &'a Digest) -> impl Iterator<Item = u32> + 'a {
-        self.children.confirmed(target, move |seq| {
+        self.children.children(target, move |seq| {
             let contained = self.entry(seq).map_or(&[][..], |e| &e.contained);
             contained.iter().filter(|d| *d == target).count()
         })
@@ -168,7 +167,7 @@ impl BlockIndex {
         self.owner = Some(block.id.owner.0);
         self.by_digest.insert(digest, seq);
         for d in &contained {
-            self.children.insert(d, seq, <[u32]>::len);
+            self.children.push(d, seq);
         }
         self.entries.push(IndexEntry {
             digest,
@@ -187,12 +186,8 @@ impl BlockIndex {
         let drop = (new_base - self.base_seq) as usize;
         for entry in self.entries.drain(..drop) {
             self.by_digest.remove(&entry.digest);
-            for d in &entry.contained {
-                // Shrinks back to the inline form, releasing the allocation;
-                // a key another digest shares keeps that digest's survivors.
-                self.children.retain(d, |s| s >= new_base);
-            }
         }
+        self.children.prune_below(new_base);
         self.base_seq = new_base;
         drop
     }
@@ -212,7 +207,7 @@ impl BlockIndex {
         self.entries.len() * per_entry
             + contained
             + self.by_digest.len() * (32 + 4)
-            + self.children.len() * (8 + 16)
+            + self.children.resident_bytes()
     }
 
     /// Serializes the index (with the log position it covers) into a
@@ -286,7 +281,7 @@ impl BlockIndex {
             base_seq,
             entries: Vec::with_capacity(count),
             by_digest: HashMap::with_capacity(count),
-            children: ChildIndex::default(),
+            children: ChainIndex::default(),
         };
         for i in 0..count {
             let seq = base_seq + i as u32;
@@ -308,7 +303,7 @@ impl BlockIndex {
             }
             index.by_digest.insert(digest, seq);
             for d in &contained {
-                index.children.insert(d, seq, <[u32]>::len);
+                index.children.push(d, seq);
             }
             index.entries.push(IndexEntry {
                 digest,
@@ -338,7 +333,6 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use tldag_core::config::ProtocolConfig;
-    use tldag_core::store::ChildList;
     use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
     use tldag_crypto::schnorr::KeyPair;
     use tldag_sim::NodeId;
@@ -531,6 +525,22 @@ mod tests {
         Digest::from_bytes(bytes)
     }
 
+    /// The chain index's shape: a tail short of a run, runs each larger than
+    /// the next newer one, every run but the oldest (which a prune may have
+    /// filtered) a power-of-two multiple of the tail, so at most
+    /// `log2(n / 64) + 1` of them.
+    fn assert_chain_index_shape(children: &ChainIndex) {
+        assert!(children.tail_len() < ChainIndex::TAIL);
+        let runs: Vec<usize> = children.run_lens().collect();
+        assert!(runs.windows(2).all(|w| w[0] > w[1]), "{runs:?}");
+        let doubled =
+            |&n: &usize| n % ChainIndex::TAIL == 0 && (n / ChainIndex::TAIL).is_power_of_two();
+        assert!(runs.iter().skip(1).all(doubled), "{runs:?}");
+        let chunks = runs.iter().sum::<usize>() / ChainIndex::TAIL;
+        let bound = (usize::BITS - chunks.leading_zeros()).max(1) as usize;
+        assert!(runs.len() <= bound, "{runs:?}");
+    }
+
     #[test]
     fn inline_child_lists_match_the_vec_and_sort_reference() {
         let digest = |d: u8| Digest::from_bytes([d; 32]);
@@ -564,8 +574,9 @@ mod tests {
                     assert_eq!(dropped, span as usize - index.retained());
                 } else {
                     let seq = index.next_seq();
-                    // A header may name one digest twice.
-                    let mut contained: Vec<Digest> = (0..rng.index(4))
+                    // A header may name one digest twice; up to nine pool
+                    // digests a block fill the chain index's tail into runs.
+                    let mut contained: Vec<Digest> = (0..rng.index(10))
                         .map(|_| pool[rng.index(pool.len())])
                         .collect();
                     contained.extend((seq == once_at).then_some(once));
@@ -578,20 +589,14 @@ mod tests {
                     reference.push(&block);
                 }
 
-                // One key per distinct prefix of the reference's digests.
+                // One entry per contained digest of a retained block.
+                let contained = reference.entries.iter().map(|e| e.2.len());
+                assert_eq!(index.children.len(), contained.sum::<usize>());
                 let prefixes: HashSet<&[u8]> = (reference.children.keys())
                     .map(|d| &d.as_bytes()[..8])
                     .collect();
-                assert_eq!(index.children.len(), prefixes.len());
                 shared_a_key |= prefixes.len() < reference.children.len();
-                for list in index.children.lists() {
-                    let expected_len = match list {
-                        ChildList::One(_) => 1..=1,
-                        ChildList::Few { .. } => 2..=ChildList::INLINE,
-                        ChildList::Many(_) => ChildList::INLINE + 1..=usize::MAX,
-                    };
-                    assert!(expected_len.contains(&list.as_slice().len()), "{list:?}");
-                }
+                assert_chain_index_shape(&index.children);
                 for target in &targets {
                     assert_eq!(index.children_of(target), reference.children_of(target));
                     assert_eq!(
@@ -629,7 +634,7 @@ mod tests {
         for (seq, contained) in contents.into_iter().enumerate() {
             index.push(&block(seq as u32, contained.to_vec()), loc(seq as u32));
         }
-        assert_eq!(index.children.len(), 1, "three digests, one key");
+        assert_eq!(index.children.len(), 11, "one entry per contained digest");
         assert_eq!(index.children_of(&target), [1, 3, 3, 6]);
         assert_eq!(index.children_of(&near), [0, 1, 2, 2, 6]);
         assert_eq!(index.children_of(&nearer), [2, 4]);
@@ -646,10 +651,10 @@ mod tests {
         assert_eq!(index.children_of(&near), [6]);
         assert_eq!(index.children_of(&nearer), [4]);
         index.prune_below(6);
-        assert_eq!(index.children.len(), 1, "seq 6 still holds the key");
+        assert_eq!(index.children.len(), 2, "seq 6's two entries remain");
         assert_eq!(index.oldest_child_of(&nearer), None);
         index.prune_below(7);
-        assert!(index.children.is_empty(), "the last child drops the key");
+        assert!(index.children.is_empty(), "the last block's entries go");
         assert_eq!(index.children_of(&target), [0u32; 0]);
     }
 

@@ -7,7 +7,6 @@
 //! are out of scope — the evaluation needs the message/storage profile and a
 //! correct ordering core, not a production PBFT.
 
-use crate::config::BaselineConfig;
 use crate::pbft::messages::{BlockMeta, Destination, PbftMessage};
 use std::collections::{HashMap, HashSet};
 use tldag_crypto::Digest;
@@ -274,11 +273,6 @@ impl Replica {
         }
         out
     }
-}
-
-/// Exposes message-size computation for the cluster driver.
-pub fn message_bits(cfg: &BaselineConfig, msg: &PbftMessage) -> tldag_sim::Bits {
-    msg.bits(cfg)
 }
 
 #[cfg(test)]

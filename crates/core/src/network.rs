@@ -48,7 +48,7 @@
 //! `(seed, slot, node)` instead of a shared sequential stream, an item
 //! mutates only its own node's (or validator's) state and reads nothing
 //! another item of the same phase writes, accounting deltas merge by sums,
-//! and everything else a phase produces — digests, outcomes, errors, trace
+//! and everything else a phase produces — digests, outcomes, errors, journal
 //! lines — is merged in node-id order.
 
 use crate::attack::Behavior;
@@ -60,7 +60,8 @@ use crate::node::{BlockFetch, ChildServe, LedgerNode};
 use crate::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
 use crate::pop::validator::{PopReport, Validator};
 use crate::store::{
-    BackendFactory, FreshHeaders, HeaderArena, MemoryBackendFactory, SyncPolicy, TrustCache,
+    BackendFactory, BlockBackend, FreshHeaders, HeaderArena, MemoryBackendFactory, SyncPolicy,
+    TrustCache,
 };
 use crate::workload::{sensor_payload, VerificationWorkload};
 use std::ops::Range;
@@ -71,11 +72,10 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 use tldag_crypto::sha256::sha256;
 use tldag_crypto::Digest;
-use tldag_obs::{Phase, PhaseTimings};
+use tldag_obs::{EventKind, Journal, Phase, PhaseTimings};
 use tldag_sim::bus::{Accounting, TrafficClass};
 use tldag_sim::engine::{GenerationSchedule, Sharding, Slot};
 use tldag_sim::fault::{FaultPlan, LinkFaults};
-use tldag_sim::trace::{Trace, TraceKind};
 use tldag_sim::{Bits, DetRng, NodeId, Topology};
 
 /// Purpose labels for the per-(seed, slot, node) derived RNG streams. Keeping
@@ -314,7 +314,8 @@ struct VerifyJob {
     cfg: ProtocolConfig,
     seed: u64,
     slot: Slot,
-    trace: bool,
+    /// Whether the engine's journal is on: only then is `traced` collected.
+    journal: bool,
 }
 
 /// What one participant of the verify phase produced.
@@ -322,7 +323,7 @@ struct Verified {
     attempts: usize,
     successes: usize,
     accounting: Accounting,
-    /// `(validator, target, report)` of each PoP, when tracing.
+    /// `(validator, target, report)` of each PoP, when journaling.
     traced: Vec<(NodeId, BlockId, PopReport)>,
     /// The headers each successful PoP verified, for the serial commit.
     trusted: Vec<(NodeId, FreshHeaders)>,
@@ -373,7 +374,7 @@ impl VerifyJob {
                 out.trusted
                     .push((validator, std::mem::take(&mut report.trusted)));
             }
-            if self.trace {
+            if self.journal {
                 out.traced.push((validator, target, report));
             }
         }
@@ -682,8 +683,8 @@ pub struct TldagNetwork {
     routes: Option<Arc<[Vec<Option<NodeId>>]>>,
     /// Nodes that left the network (they stop generating and serving).
     departed: Vec<bool>,
-    /// Optional event trace (disabled by default).
-    trace: Trace,
+    /// Event journal (disabled by default: `Journal::bounded(0)`).
+    journal: Journal,
     /// Lossy-link model applied to PoP exchanges (perfect by default).
     links: LinkFaults,
     /// Provisions block backends for joining and restarting nodes.
@@ -771,7 +772,7 @@ impl TldagNetwork {
             pop_successes: 0,
             routes: None,
             departed: vec![false; n],
-            trace: Trace::disabled(),
+            journal: Journal::bounded(0),
             links: LinkFaults::perfect(),
             factory,
             crashed_chain_len: vec![None; n],
@@ -878,9 +879,10 @@ impl TldagNetwork {
         HeaderArena::commit(&mut self.trust_arena, &mut caches, fresh);
     }
 
-    /// Installs an event trace (use [`Trace::bounded`] to cap memory).
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
+    /// Installs an event journal ([`Journal::bounded`] caps its memory;
+    /// `usize::MAX` keeps everything).
+    pub fn set_journal(&mut self, journal: Journal) {
+        self.journal = journal;
     }
 
     /// Installs a lossy-link model for PoP exchanges. Lost messages surface
@@ -890,9 +892,18 @@ impl TldagNetwork {
         self.links = links;
     }
 
-    /// The event trace collected so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    /// The events journaled so far.
+    pub fn journal(&self) -> &Journal {
+        &self.journal
+    }
+
+    /// Journals an event at the current slot. The engine has no clock, so
+    /// it stamps `ts_ms = 0`; `message` is only built when the journal is
+    /// enabled.
+    fn log(&self, kind: EventKind, message: impl FnOnce() -> String) {
+        if self.journal.is_enabled() {
+            self.journal.record_at(0, self.slot, kind, message());
+        }
     }
 
     /// Per-phase wall-clock latency histograms of the slot loop
@@ -1065,17 +1076,11 @@ impl TldagNetwork {
             outcome?;
             generated.push(id);
         }
-        if self.trace.is_enabled() {
-            for &id in &generated {
-                self.trace.record(
-                    slot,
-                    TraceKind::Generate,
-                    format!(
-                        "{id} generated block #{}",
-                        self.nodes[id.index()].chain_len() - 1
-                    ),
-                );
-            }
+        for &id in &generated {
+            self.log(EventKind::Generate, || {
+                let seq = self.nodes[id.index()].chain_len() - 1;
+                format!("{id} generated block #{seq}")
+            });
         }
 
         self.phase_timings
@@ -1143,7 +1148,7 @@ impl TldagNetwork {
                 cfg: self.cfg,
                 seed,
                 slot,
-                trace: self.trace.is_enabled(),
+                journal: self.journal.is_enabled(),
             };
             let (job, claimed) = self.pool.run(threads, job, VerifyJob::claim);
             self.nodes = job.nodes;
@@ -1166,16 +1171,17 @@ impl TldagNetwork {
             self.commit_trust(trusted);
             traced.sort_unstable_by_key(|&(validator, ..)| validator);
             for (validator, target, report) in traced {
-                self.trace.record(
-                    slot,
-                    TraceKind::Pop,
+                self.log(EventKind::Pop, || {
+                    let outcome = match &report.outcome {
+                        Ok(()) => "ok".to_string(),
+                        Err(e) => format!("failed ({e})"),
+                    };
                     format!(
-                        "{validator} verified {target}: {:?} ({} distinct, {} msgs)",
-                        report.outcome.as_ref().map(|_| "ok"),
+                        "{validator} verified {target}: {outcome} ({} distinct, {} msgs)",
                         report.distinct_nodes,
                         report.metrics.total_messages()
-                    ),
-                );
+                    )
+                });
             }
         }
         self.pop_attempts += pop_attempts as u64;
@@ -1278,8 +1284,7 @@ impl TldagNetwork {
         self.crashed_chain_len.push(None);
         self.trust_saved_len.push(0);
         self.rebuild_routes();
-        self.trace
-            .record(self.slot, TraceKind::Membership, format!("{id} joined"));
+        self.log(EventKind::Membership, || format!("{id} joined"));
         id
     }
 
@@ -1300,8 +1305,7 @@ impl TldagNetwork {
         self.nodes[id.index()].set_behavior(Behavior::Unresponsive);
         self.departed[id.index()] = true;
         self.rebuild_routes();
-        self.trace
-            .record(self.slot, TraceKind::Membership, format!("{id} left"));
+        self.log(EventKind::Membership, || format!("{id} left"));
     }
 
     /// Whether `id` has left the network.
@@ -1329,8 +1333,7 @@ impl TldagNetwork {
         dead.set_behavior(Behavior::Unresponsive);
         self.nodes[idx] = dead;
         self.departed[idx] = true;
-        self.trace
-            .record(self.slot, TraceKind::Membership, format!("{id} crashed"));
+        self.log(EventKind::Membership, || format!("{id} crashed"));
     }
 
     /// Restarts a crashed node from its durable storage: the factory reopens
@@ -1379,14 +1382,12 @@ restarting would fork its chain"
             }
             self.trust_saved_len[idx] = warm_headers;
         }
-        self.trace.record(
-            self.slot,
-            TraceKind::Membership,
+        self.log(EventKind::Membership, || {
             format!(
                 "{id} restarted with {recovered} recovered blocks, \
 {warm_headers} trusted headers"
-            ),
-        );
+            )
+        });
         Ok(recovered)
     }
 
@@ -1430,35 +1431,54 @@ restarting would fork its chain"
         report
     }
 
-    /// A digest committing to node `id`'s whole chain: the hash of all
-    /// header digests in sequence order. Two runs that produce the same
-    /// chain digest for every node produced byte-identical chains — the
-    /// check behind the thread-count determinism guarantee.
+    /// A digest committing to node `id`'s whole chain ([`chain_digest_of`]).
+    /// Two runs that produce the same chain digest for every node produced
+    /// byte-identical chains — the check behind the thread-count
+    /// determinism guarantee.
     pub fn chain_digest(&self, id: NodeId) -> Digest {
-        let mut bytes = Vec::new();
-        for block in self.nodes[id.index()].store().iter() {
-            bytes.extend_from_slice(block.header_digest().as_bytes());
-        }
-        sha256(&bytes)
+        chain_digest_of(self.nodes[id.index()].store())
     }
 
-    /// A digest committing to every node's chain (in node order).
+    /// A digest committing to every node's chain, in node order
+    /// ([`network_digest_of`]).
     pub fn network_digest(&self) -> Digest {
-        let mut bytes = Vec::with_capacity(self.nodes.len() * 32);
-        for id in self.topology.node_ids() {
-            bytes.extend_from_slice(self.chain_digest(id).as_bytes());
-        }
-        sha256(&bytes)
+        let chains: Vec<Digest> = self
+            .topology
+            .node_ids()
+            .map(|id| self.chain_digest(id))
+            .collect();
+        network_digest_of(&chains)
     }
+}
+
+/// `sha256` over a chain's header digests in sequence order: the chain
+/// digest of the engine ([`TldagNetwork::chain_digest`]) and of a deployed
+/// node, which computes it from its own store.
+pub fn chain_digest_of(store: &dyn BlockBackend) -> Digest {
+    let mut bytes = Vec::new();
+    for block in store.iter() {
+        bytes.extend_from_slice(block.header_digest().as_bytes());
+    }
+    sha256(&bytes)
+}
+
+/// Combines per-node chain digests (in node order) into the network
+/// digest, the quantity wire/engine parity is asserted on.
+pub fn network_digest_of(chain_digests: &[Digest]) -> Digest {
+    let mut bytes = Vec::with_capacity(chain_digests.len() * 32);
+    for d in chain_digests {
+        bytes.extend_from_slice(d.as_bytes());
+    }
+    sha256(&bytes)
 }
 
 /// The verification targets of one slot: per owner, the seq range of its
 /// qualifying blocks, in owner order. Owner `i`'s range is node `i`'s
 /// retained blocks generated at or before the workload's cut-off, or empty
 /// when the node has departed. Built once a slot from one
-/// [`BlockBackend::generated_through`](crate::store::BlockBackend::generated_through)
-/// lookup per node, and shared by all of the slot's validators, each of
-/// which draws from it with its own stream and steps over its own blocks.
+/// [`BlockBackend::generated_through`] lookup per node, and shared by all
+/// of the slot's validators, each of which draws from it with its own
+/// stream and steps over its own blocks.
 ///
 /// Listing every range's blocks in owner order, then in seq order, gives
 /// the list a scan of every chain would build; [`Self::choose`] returns the

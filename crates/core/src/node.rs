@@ -25,7 +25,7 @@ use crate::block::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
 use crate::config::ProtocolConfig;
 use crate::error::TldagError;
 use crate::store::{BlockBackend, BlockStore, TrustCache};
-use tldag_crypto::schnorr::{KeyPair, PublicKey};
+use tldag_crypto::schnorr::KeyPair;
 use tldag_crypto::Digest;
 use tldag_sim::engine::Slot;
 use tldag_sim::{Bits, NodeId};
@@ -132,11 +132,6 @@ impl LedgerNode {
     /// The node's id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The node's public key (every node knows every key, Sec. IV-D).
-    pub fn public_key(&self) -> PublicKey {
-        self.keypair.public()
     }
 
     /// The neighbor set `N(i)`.

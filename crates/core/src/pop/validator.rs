@@ -600,12 +600,6 @@ impl<'a> Validator<'a> {
     }
 }
 
-/// Convenience check mirroring the digest-consistency rule: true when `reply`'s
-/// header embeds `digest` for `owner`. Exposed for tests and tooling.
-pub fn reply_vouches_for(reply: &ChildReply, owner: NodeId, digest: &Digest) -> bool {
-    reply.header.digest_of(owner) == Some(*digest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -185,11 +185,6 @@ pub struct MerkleProof {
 }
 
 impl MerkleProof {
-    /// Leaf index this proof is for.
-    pub fn leaf_index(&self) -> usize {
-        self.index
-    }
-
     /// Proof depth (number of sibling hashes).
     pub fn len(&self) -> usize {
         self.siblings.len()

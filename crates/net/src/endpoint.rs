@@ -239,18 +239,6 @@ impl Endpoint {
         encode_message_traced(kind, self.id, seq, req_id, payload, self.config.mtu, trace)
     }
 
-    /// Sends an unsolicited protocol message; returns its sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Oversize`] when the message cannot be fragmented.
-    pub fn send_wire(&self, to: SocketAddr, msg: &WireMessage) -> Result<u64, NetError> {
-        let seq = self.alloc_seq();
-        let frames = self.encode_frames(Kind::Wire, seq, 0, &codec::encode_message(msg), None)?;
-        self.send_frames(to, &frames);
-        Ok(seq)
-    }
-
     /// Sends a protocol reply correlated to request `req_id`.
     ///
     /// # Errors

@@ -70,13 +70,13 @@ use tldag_core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_core::codec::WireMessage;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::error::TldagError;
+pub use tldag_core::network::{chain_digest_of, network_digest_of};
 use tldag_core::network::{derived_rng, stream, TargetPool};
 use tldag_core::node::{BlockFetch, ChildServe, LedgerNode};
 use tldag_core::pop::messages::{ChildReply, FetchResponse, PopTransport};
 use tldag_core::pop::validator::{PopReport, Validator};
 use tldag_core::store::{BackendFactory, BlockBackend, BlockStore, TrustCache};
 use tldag_core::workload::sensor_payload;
-use tldag_crypto::sha256::sha256;
 use tldag_crypto::{Digest, KeyPair};
 use tldag_obs::{
     trace_json, unix_micros, EventKind, HttpServer, Phase, Routes, SpanEvent, SpanKind, SpanStore,
@@ -263,26 +263,6 @@ pub fn deployment_topology(seed: u64, nodes: usize, side_m: f64) -> Topology {
 /// parameter joins use to wire the newcomer's radio links.
 pub fn deployment_range_m() -> f64 {
     TopologyConfig::paper_default().range_m
-}
-
-/// `sha256` over a chain's header digests in sequence order — the same
-/// quantity as `TldagNetwork::chain_digest`, computable node-locally.
-pub fn chain_digest_of(store: &dyn BlockBackend) -> Digest {
-    let mut bytes = Vec::new();
-    for block in store.iter() {
-        bytes.extend_from_slice(block.header_digest().as_bytes());
-    }
-    sha256(&bytes)
-}
-
-/// Combines per-node chain digests (in node order) into the network digest —
-/// the same quantity as `TldagNetwork::network_digest`.
-pub fn network_digest_of(chain_digests: &[Digest]) -> Digest {
-    let mut bytes = Vec::with_capacity(chain_digests.len() * 32);
-    for d in chain_digests {
-        bytes.extend_from_slice(d.as_bytes());
-    }
-    sha256(&bytes)
 }
 
 /// First 8 bytes (big-endian) of a header digest — the block identity key

@@ -5,13 +5,15 @@
 //! lock-free latency histograms for the slot loop's phases, PoP round
 //! trips, and fsyncs, plus a bounded [`Journal`] of structured events
 //! (slot lifecycle, membership changes, retries, timeouts, pruned
-//! misses). With `--metrics-addr` set, the node serves two HTTP routes:
+//! misses) — the same journal type the in-memory engine keeps as
+//! `TldagNetwork::journal`. With `--metrics-addr` set, the node serves
+//! two HTTP routes:
 //!
 //! * `GET /metrics` — Prometheus-style text built by [`render_metrics`]
 //!   from a [`MetricsView`] (transport counters, PoP counters, storage
 //!   gauges, roster state, and every histogram), and
-//! * `GET /journal` — the journal as JSONL, one event per line (the same
-//!   schema as the simulator's `Trace::to_jsonl`).
+//! * `GET /journal` — the journal as JSONL, one event per line
+//!   ([`Journal::to_jsonl`], also what an engine transcript dumps).
 //!
 //! The scraper half ([`scrape_metrics`], [`StatusRow`],
 //! [`render_status_table`], [`status_json`]) powers `tldag status`: it

@@ -80,14 +80,6 @@ impl Expo {
         self.sample(name, &[], value);
     }
 
-    /// Emits one gauge family with several labeled series.
-    pub fn gauge_series(&mut self, name: &str, help: &str, series: &[(&[(&str, &str)], f64)]) {
-        self.header(name, help, "gauge");
-        for (labels, value) in series {
-            self.sample(name, labels, *value);
-        }
-    }
-
     /// Emits one histogram family: per series, cumulative
     /// `name_bucket{…,le="…"}` lines (non-empty buckets plus `+Inf`), then
     /// `name_sum` and `name_count`.

@@ -1,19 +1,21 @@
 //! The structured event journal: a bounded ring of protocol events.
 //!
-//! One event model serves both execution styles:
+//! One [`Journal`] records what a slot did wherever the protocol runs: the
+//! in-memory slot engine keeps one (`TldagNetwork::journal`), and so does
+//! every deployed node (`NodeTelemetry::journal`), so an engine transcript
+//! and a node's `/journal` dump render and serialize identically. The ring
+//! sits behind a mutex so the wire's slot loop, dispatcher thread, and
+//! metrics listener can all touch it.
 //!
-//! * the simulator's `Trace` (single-threaded, `&mut self`) stores
-//!   [`JournalEvent`]s directly, and
-//! * the wire runtime's [`Journal`] wraps the same ring in a mutex so the
-//!   slot loop, dispatcher thread, and metrics listener can all touch it.
-//!
-//! Events carry a monotonically increasing sequence number, a
-//! milliseconds-since-journal-creation timestamp (0 in the simulator,
-//! which has no wall clock), the protocol slot, an [`EventKind`], and a
-//! free-form message. The JSONL dump (`/journal` on the metrics endpoint)
-//! emits one `{"seq":…,"ts_ms":…,"slot":…,"kind":…,"msg":…}` object per
-//! line, oldest first, preceded by nothing — a dropped-count is exposed as
-//! a metric, not a line.
+//! Events carry a monotonically increasing sequence number, a timestamp in
+//! milliseconds, the protocol slot, an [`EventKind`], and a free-form
+//! message. [`Journal::record`] stamps the milliseconds since the journal
+//! was created; the engine, which has no clock, records through
+//! [`Journal::record_at`] with `ts_ms = 0`. The JSONL dump (`/journal` on
+//! the metrics endpoint) emits one
+//! `{"seq":…,"ts_ms":…,"slot":…,"kind":…,"msg":…}` object per line, oldest
+//! first, preceded by nothing — a dropped-count is exposed as a metric, not
+//! a line.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -77,7 +79,7 @@ impl fmt::Display for EventKind {
 pub struct JournalEvent {
     /// Monotonic sequence number (survives ring eviction).
     pub seq: u64,
-    /// Milliseconds since the journal was created (0 in the simulator).
+    /// Milliseconds since the journal was created (0 from the engine).
     pub ts_ms: u64,
     /// Slot at which the event occurred.
     pub slot: u64,
@@ -87,9 +89,8 @@ pub struct JournalEvent {
     pub message: String,
 }
 
-/// Renders events as a readable transcript — the format the simulator's
-/// `Trace::render` has always used: a dropped-count banner, then one
-/// `[ slot] kind message` line per event.
+/// Renders events as a readable transcript: a dropped-count banner, then
+/// one `[ slot] kind message` line per event.
 pub fn render_events<'a>(
     events: impl IntoIterator<Item = &'a JournalEvent>,
     dropped: u64,
@@ -154,7 +155,8 @@ struct Ring {
     dropped: u64,
 }
 
-/// A thread-safe bounded event journal for the wire runtime.
+/// A thread-safe bounded event journal. `Journal::bounded(0)` is disabled
+/// and `Journal::bounded(usize::MAX)` unbounded.
 ///
 /// Recording takes a short mutex critical section (push + maybe pop) —
 /// journal events are per-slot and per-membership-change, not per-datagram,
@@ -188,12 +190,29 @@ impl Journal {
         }
     }
 
-    /// Records an event, evicting the oldest past the capacity bound.
+    /// Whether events are kept at all (capacity above zero). Callers gate
+    /// building an event's message on it, so a disabled journal costs a
+    /// branch per event.
+    pub fn is_enabled(&self) -> bool {
+        self.capacity > 0
+    }
+
+    /// Records an event stamped with the milliseconds since the journal was
+    /// created, evicting the oldest past the capacity bound.
     pub fn record(&self, slot: u64, kind: EventKind, message: impl Into<String>) {
-        if self.capacity == 0 {
+        if self.is_enabled() {
+            let ts_ms = self.epoch.elapsed().as_millis() as u64;
+            self.record_at(ts_ms, slot, kind, message);
+        }
+    }
+
+    /// Records an event with a caller-supplied timestamp: the slot engine
+    /// has no clock and stamps `ts_ms = 0`, so its transcript is a pure
+    /// function of the seed.
+    pub fn record_at(&self, ts_ms: u64, slot: u64, kind: EventKind, message: impl Into<String>) {
+        if !self.is_enabled() {
             return;
         }
-        let ts_ms = self.epoch.elapsed().as_millis() as u64;
         let mut inner = self.inner.lock().expect("journal poisoned");
         if inner.events.len() >= self.capacity {
             inner.events.pop_front();
@@ -282,13 +301,49 @@ mod tests {
     #[test]
     fn zero_capacity_journal_is_inert() {
         let j = Journal::bounded(0);
+        assert!(!j.is_enabled());
         j.record(0, EventKind::Other, "ignored");
+        j.record_at(0, 0, EventKind::Other, "ignored");
         assert!(j.is_empty());
         assert_eq!(j.dropped(), 0);
     }
 
     #[test]
-    fn render_matches_trace_format() {
+    fn unbounded_keeps_everything_in_arrival_order() {
+        let j = Journal::bounded(usize::MAX);
+        assert!(j.is_enabled());
+        for i in 0..5 {
+            j.record_at(0, i, EventKind::Generate, format!("event {i}"));
+        }
+        let slots: Vec<u64> = j.events().iter().map(|e| e.slot).collect();
+        assert_eq!(slots, vec![0, 1, 2, 3, 4]);
+        assert_eq!(j.dropped(), 0);
+    }
+
+    #[test]
+    fn caller_stamped_event_is_the_exact_jsonl_line() {
+        let j = Journal::bounded(usize::MAX);
+        j.record_at(0, 4, EventKind::Generate, "n0 generated b4");
+        assert_eq!(
+            j.to_jsonl(),
+            "{\"seq\":0,\"ts_ms\":0,\"slot\":4,\"kind\":\"gen\",\"msg\":\"n0 generated b4\"}\n"
+        );
+    }
+
+    #[test]
+    fn events_filter_by_kind() {
+        let j = Journal::bounded(usize::MAX);
+        j.record_at(0, 0, EventKind::Generate, "g");
+        j.record_at(0, 0, EventKind::Pop, "p1");
+        j.record_at(0, 1, EventKind::Pop, "p2");
+        let of_kind = |kind| j.events().iter().filter(|e| e.kind == kind).count();
+        assert_eq!(of_kind(EventKind::Pop), 2);
+        assert_eq!(of_kind(EventKind::Generate), 1);
+        assert_eq!(of_kind(EventKind::Penalty), 0);
+    }
+
+    #[test]
+    fn render_shows_slot_kind_and_message() {
         let j = Journal::bounded(4);
         j.record(12, EventKind::Membership, "n9 joined");
         assert!(j.render().contains("[   12] mem n9 joined"));

@@ -9,8 +9,9 @@
 //!   give p50/p90/p99/max and feed the text exposition.
 //! * [`journal`] — [`Journal`]: a bounded ring-buffer of structured
 //!   events (slot lifecycle, membership, retries, timeouts, pruned
-//!   misses) with a JSONL dump, sharing its event model ([`EventKind`],
-//!   [`JournalEvent`]) with the simulator's `Trace`.
+//!   misses) with a JSONL dump. The slot engine and a deployed node
+//!   keep the same type, so both record [`JournalEvent`]s of one
+//!   [`EventKind`] set.
 //! * [`expo`] — Prometheus-style text exposition: a tiny builder for
 //!   counters/gauges/histograms and a parser ([`parse_exposition`]) used
 //!   by the `tldag status` scraper and the tests.

@@ -134,20 +134,6 @@ impl Accounting {
         Bits::from_bits(self.network_total(class).bits() / self.len() as u64)
     }
 
-    /// Per-node totals across all classes, for CDF plots (Fig. 8(d)).
-    pub fn per_node_totals(&self) -> Vec<Bits> {
-        (0..self.len() as u32)
-            .map(|i| self.node_total_all(NodeId(i)))
-            .collect()
-    }
-
-    /// Bits transmitted by `node` across all classes. The paper defines
-    /// communication overhead as "the total amount of data a node transmits",
-    /// so the Fig. 8 series are tx-based.
-    pub fn node_tx_all(&self, node: NodeId) -> Bits {
-        TrafficClass::ALL.iter().map(|&c| self.tx(node, c)).sum()
-    }
-
     /// Sum of transmitted bits in `class` across the network.
     pub fn network_tx(&self, class: TrafficClass) -> Bits {
         (0..self.len() as u32)

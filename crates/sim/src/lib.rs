@@ -16,6 +16,9 @@
 //! * [`stats`] — CDFs and summary stats.
 //! * [`units`] — bit/byte/megabyte conversions used by the overhead model.
 //!
+//! The crate keeps no event log: the slot engine and a deployed node
+//! record what a slot did in the same `tldag_obs::Journal`.
+//!
 //! # Example
 //!
 //! ```
@@ -38,7 +41,6 @@ pub mod geometry;
 pub mod rng;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 pub mod units;
 
 pub use bus::{Accounting, TrafficClass};

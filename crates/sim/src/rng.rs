@@ -106,16 +106,6 @@ impl DetRng {
         self.next_below(bound as u64) as usize
     }
 
-    /// Uniform value in the half-open integer range `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.next_below(hi - lo)
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn unit_f64(&mut self) -> f64 {
         // 53 random mantissa bits.

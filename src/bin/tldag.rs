@@ -1,34 +1,5 @@
-//! `tldag` — command-line driver for the 2LDAG simulator.
-//!
-//! ```text
-//! tldag topology [--nodes N] [--side M] [--seed S]
-//! tldag run      [--nodes N] [--slots T] [--gamma G] [--malicious M]
-//!                [--seed S] [--trace] [--threads W]
-//!                [--sync-policy per-append|per-slot|grouped:N]
-//!                [--storage memory|disk|disk-sharded] [--storage-dir PATH]
-//!                [--retain-bytes B] [--persist-trust-cache]
-//! tldag verify   --owner K [--seq Q] [--validator V]
-//!                [--nodes N] [--slots T] [--gamma G] [--seed S]
-//!                [--threads W] [--sync-policy P]
-//!                [--storage memory|disk|disk-sharded] [--storage-dir PATH]
-//!                [--retain-bytes B] [--persist-trust-cache]
-//! tldag node     --id I --listen ADDR --peers 0@A,1@B,... [--slots T]
-//!                [--seed S] [--nodes N] [--side M] [--gamma G] [--pop]
-//!                [--window W] [--batch K] [--drop P] [--trace]
-//!                [--controller ADDR] [--storage memory|disk]
-//!                [--storage-dir PATH] [--join ADDR] [--join-slot K]
-//!                [--leave-at M] [--churn SPEC] [--evict-after SECS]
-//!                [--deadline SECS] [--metrics-addr ADDR]
-//!                [--behavior KIND[@SLOT]]
-//! tldag cluster  [--nodes N] [--slots T] [--seed S] [--side M] [--gamma G]
-//!                [--pop] [--window W] [--batch K] [--drop P] [--trace]
-//!                [--storage memory|disk] [--storage-dir PATH]
-//!                [--base-port P] [--timeout SECS] [--churn SPEC]
-//!                [--metrics] [--status-every SECS]
-//!                [--adversary SPEC] [--evict-after SECS]
-//! tldag status   --targets ADDR,ADDR,... [--json] [--timeout SECS]
-//! tldag explore  <ADDR | --segments DIR> [--listen ADDR] [--duration SECS]
-//! ```
+//! `tldag` — command-line driver for the 2LDAG simulator and wire
+//! runtime. `tldag help` prints the synopsis (`USAGE`).
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -37,12 +8,12 @@ use tldag::core::block::BlockId;
 use tldag::core::network::TldagNetwork;
 use tldag::core::store::SyncPolicy;
 use tldag::core::workload::VerificationWorkload;
+use tldag::obs::Journal;
 use tldag::sim::bus::TrafficClass;
 use tldag::sim::engine::GenerationSchedule;
 use tldag::sim::engine::Sharding;
 use tldag::sim::fault::{FaultPlan, MaliciousPlacement};
 use tldag::sim::topology::{Topology, TopologyConfig};
-use tldag::sim::trace::Trace;
 use tldag::sim::{DetRng, NodeId};
 use tldag::storage::{DiskFactory, ShardedDiskFactory, StorageOptions};
 
@@ -392,7 +363,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let slots: u64 = args.get("slots", 40)?;
     let mut net = build_network(args)?;
     if args.switch("trace") {
-        net.set_trace(Trace::bounded(40));
+        net.set_journal(Journal::bounded(40));
     }
     net.try_run_slots(slots)
         .map_err(|e| format!("simulation stopped: {e}"))?;
@@ -454,7 +425,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
     );
     if args.switch("trace") {
-        println!("\nlast events:\n{}", net.trace().render());
+        println!("\nlast events:\n{}", net.journal().render());
     }
     Ok(())
 }
@@ -465,15 +436,18 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     let seq: u32 = args.get("seq", 0)?;
     let validator: u32 = args.get("validator", 0)?;
     let mut net = build_network(args)?;
+    let nodes = net.topology().len();
+    for (flag, id) in [("owner", owner), ("validator", validator)] {
+        if id as usize >= nodes {
+            return Err(format!("--{flag} {id} out of range (--nodes {nodes})"));
+        }
+    }
     net.set_verification_workload(VerificationWorkload::Disabled);
     net.try_run_slots(slots)
         .map_err(|e| format!("simulation stopped: {e}"))?;
     net.sync_storage()
         .map_err(|e| format!("final storage flush failed: {e}"))?;
 
-    if owner as usize >= net.topology().len() {
-        return Err("--owner out of range".into());
-    }
     let target = BlockId::new(NodeId(owner), seq);
     if net.node(NodeId(owner)).store().get(seq).is_none() {
         return Err(format!("{target} does not exist (chain too short)"));

@@ -155,23 +155,24 @@ fn relays_earn_traffic_under_multihop_accounting() {
 
 #[test]
 fn trace_captures_protocol_events() {
-    use tldag::sim::trace::{Trace, TraceKind};
+    use tldag::obs::{EventKind, Journal};
 
     let mut net = network(11, 8, 2, false);
-    net.set_trace(Trace::bounded(256));
+    net.set_journal(Journal::bounded(256));
     net.set_verification_workload(VerificationWorkload::RandomPast { min_age_slots: 8 });
     net.run_slots(12);
     let p = net.topology().position(NodeId(0));
     let joined = net.node_joins(Point::new(p.x + 3.0, p.y), 50.0, 1);
     net.node_leaves(NodeId(5));
 
-    let trace = net.trace();
-    assert!(!trace.is_empty());
-    assert!(!trace.of_kind(TraceKind::Generate).is_empty());
-    assert!(!trace.of_kind(TraceKind::Pop).is_empty());
-    let membership = trace.of_kind(TraceKind::Membership);
-    assert_eq!(membership.len(), 2);
-    let rendered = trace.render();
+    let journal = net.journal();
+    let events = journal.events();
+    let of_kind = |kind| events.iter().filter(|e| e.kind == kind).count();
+    assert!(!events.is_empty());
+    assert!(of_kind(EventKind::Generate) > 0);
+    assert!(of_kind(EventKind::Pop) > 0);
+    assert_eq!(of_kind(EventKind::Membership), 2);
+    let rendered = journal.render();
     assert!(rendered.contains(&format!("{joined} joined")));
     assert!(rendered.contains("n5 left"));
 }

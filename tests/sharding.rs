@@ -9,11 +9,11 @@ use tldag::core::network::TldagNetwork;
 use tldag::core::store::{BackendFactory, SyncPolicy};
 use tldag::core::workload::VerificationWorkload;
 use tldag::crypto::Digest;
+use tldag::obs::Journal;
 use tldag::sim::bus::TrafficClass;
 use tldag::sim::engine::{GenerationSchedule, Sharding};
 use tldag::sim::fault::LinkFaults;
 use tldag::sim::topology::{Topology, TopologyConfig};
-use tldag::sim::trace::Trace;
 use tldag::sim::{DetRng, NodeId};
 use tldag::storage::{DiskFactory, ShardedDiskFactory, StorageOptions};
 
@@ -76,30 +76,40 @@ fn fingerprint(net: &TldagNetwork) -> Fingerprint {
 
 #[test]
 fn fixed_seed_is_identical_across_thread_counts() {
-    // PoP on, lossy links on, and a trace whose Pop lines pin the order in
-    // which the verify phase's results are merged; the `H_i` bytes pin the
-    // serial commit into the shared header arena.
+    // PoP on, lossy links on, and a journal whose Pop lines pin the order
+    // in which the verify phase's results are merged; the `H_i` bytes pin
+    // the serial commit into the shared header arena.
     let run = |threads: usize| {
         let mut net = build_network(threads, None);
-        net.set_trace(Trace::enabled());
+        net.set_journal(Journal::bounded(usize::MAX));
         net.run_slots(SLOTS);
-        (fingerprint(&net), net.trace().to_jsonl())
+        (fingerprint(&net), net.journal().to_jsonl())
     };
-    let (expected, trace) = run(1);
+    let (expected, transcript) = run(1);
     assert!(expected.3 .0 > 0, "PoP workload must trigger");
     assert!(
         expected.5.iter().any(|blob| blob.len() > 12),
         "the PoPs filled some H_i"
     );
-    assert!(trace.contains("\"kind\":\"pop\""), "the trace records PoPs");
+    assert!(
+        transcript.contains("\"kind\":\"pop\""),
+        "the journal records PoPs"
+    );
+    assert!(
+        transcript.lines().all(|line| line.contains("\"ts_ms\":0,")),
+        "the engine has no clock: every event is stamped 0"
+    );
 
     for threads in [2, 3, 8] {
-        let (got, got_trace) = run(threads);
+        let (got, got_transcript) = run(threads);
         assert_eq!(
             got, expected,
             "threads={threads} diverged from the single-threaded run"
         );
-        assert_eq!(got_trace, trace, "threads={threads}: trace records differ");
+        assert_eq!(
+            got_transcript, transcript,
+            "threads={threads}: journal transcripts differ"
+        );
     }
 }
 

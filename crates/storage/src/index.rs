@@ -211,25 +211,39 @@ impl BlockIndex {
     }
 
     /// Serializes the index (with the log position it covers) into a
-    /// checksummed snapshot blob.
+    /// checksummed snapshot blob: [`Self::encode_chains`] of this one chain.
     pub fn encode_snapshot(&self, covered_segment: u32, covered_offset: u64) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64 + self.entries.len() * 96);
-        body.extend_from_slice(&self.owner.unwrap_or(u32::MAX).to_be_bytes());
-        body.extend_from_slice(&self.base_seq.to_be_bytes());
-        body.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
-        body.extend_from_slice(&covered_segment.to_be_bytes());
-        body.extend_from_slice(&covered_offset.to_be_bytes());
-        for e in &self.entries {
-            body.extend_from_slice(e.digest.as_bytes());
-            body.extend_from_slice(&e.location.segment.to_be_bytes());
-            body.extend_from_slice(&e.location.offset.to_be_bytes());
-            body.extend_from_slice(&e.location.len.to_be_bytes());
-            body.extend_from_slice(&e.time.to_be_bytes());
-            body.extend_from_slice(&e.digest_entries.to_be_bytes());
-            body.extend_from_slice(&e.body_bits.to_be_bytes());
-            body.extend_from_slice(&(e.contained.len() as u32).to_be_bytes());
-            for d in &e.contained {
-                body.extend_from_slice(d.as_bytes());
+        Self::encode_chains([self], covered_segment, covered_offset)
+    }
+
+    /// Serializes the chains of one log (with the log position they cover)
+    /// into one checksummed snapshot blob: a header, then one section per
+    /// chain, `[owner, base, count, covered segment, covered offset,
+    /// entries…]`. A one-chain blob is the single-chain format unchanged.
+    pub fn encode_chains<'a>(
+        chains: impl IntoIterator<Item = &'a BlockIndex>,
+        covered_segment: u32,
+        covered_offset: u64,
+    ) -> Vec<u8> {
+        let mut body = Vec::new();
+        for chain in chains {
+            body.extend_from_slice(&chain.owner.unwrap_or(u32::MAX).to_be_bytes());
+            body.extend_from_slice(&chain.base_seq.to_be_bytes());
+            body.extend_from_slice(&(chain.entries.len() as u32).to_be_bytes());
+            body.extend_from_slice(&covered_segment.to_be_bytes());
+            body.extend_from_slice(&covered_offset.to_be_bytes());
+            for e in &chain.entries {
+                body.extend_from_slice(e.digest.as_bytes());
+                body.extend_from_slice(&e.location.segment.to_be_bytes());
+                body.extend_from_slice(&e.location.offset.to_be_bytes());
+                body.extend_from_slice(&e.location.len.to_be_bytes());
+                body.extend_from_slice(&e.time.to_be_bytes());
+                body.extend_from_slice(&e.digest_entries.to_be_bytes());
+                body.extend_from_slice(&e.body_bits.to_be_bytes());
+                body.extend_from_slice(&(e.contained.len() as u32).to_be_bytes());
+                for d in &e.contained {
+                    body.extend_from_slice(d.as_bytes());
+                }
             }
         }
         let mut out = Vec::with_capacity(16 + body.len());
@@ -240,14 +254,30 @@ impl BlockIndex {
         out
     }
 
-    /// Restores an index from a snapshot blob, returning it together with
-    /// the `(segment, offset)` position up to which the log is covered.
+    /// Restores an index from a one-chain snapshot blob, returning it
+    /// together with the `(segment, offset)` position up to which the log
+    /// is covered.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_chains`], and when the blob holds another number
+    /// of chains than one.
+    pub fn decode_snapshot(data: &[u8]) -> Result<(Self, u32, u64), TldagError> {
+        let (chains, segment, offset) = Self::decode_chains(data)?;
+        let [index] = <[Self; 1]>::try_from(chains)
+            .map_err(|_| TldagError::Corrupt("snapshot: not one chain".into()))?;
+        Ok((index, segment, offset))
+    }
+
+    /// Restores every chain of an [`Self::encode_chains`] blob, with the
+    /// `(segment, offset)` position up to which the log is covered.
     ///
     /// # Errors
     ///
     /// [`TldagError::Corrupt`] on any framing, checksum, or structure
-    /// violation — the caller falls back to a full log scan.
-    pub fn decode_snapshot(data: &[u8]) -> Result<(Self, u32, u64), TldagError> {
+    /// violation, or when the blob holds no chain or its sections disagree
+    /// on the covered position — the caller falls back to a full log scan.
+    pub fn decode_chains(data: &[u8]) -> Result<(Vec<Self>, u32, u64), TldagError> {
         let corrupt = |msg: &str| TldagError::Corrupt(format!("snapshot: {msg}"));
         if data.len() < 16 || &data[0..8] != SNAPSHOT_MAGIC {
             return Err(corrupt("missing magic"));
@@ -262,67 +292,74 @@ impl BlockIndex {
             return Err(corrupt("checksum mismatch"));
         }
 
-        let mut pos = 0usize;
-        let mut take = |n: usize| -> Result<&[u8], TldagError> {
-            let slice = body
-                .get(pos..pos + n)
-                .ok_or_else(|| TldagError::Corrupt("snapshot: truncated body".into()))?;
-            pos += n;
-            Ok(slice)
-        };
-        let owner_raw = u32::from_be_bytes(take(4)?.try_into().expect("4 bytes"));
-        let base_seq = u32::from_be_bytes(take(4)?.try_into().expect("4 bytes"));
-        let count = u32::from_be_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-        let covered_segment = u32::from_be_bytes(take(4)?.try_into().expect("4 bytes"));
-        let covered_offset = u64::from_be_bytes(take(8)?.try_into().expect("8 bytes"));
-
-        let mut index = BlockIndex {
-            owner: (owner_raw != u32::MAX).then_some(owner_raw),
-            base_seq,
-            entries: Vec::with_capacity(count),
-            by_digest: HashMap::with_capacity(count),
-            children: ChainIndex::default(),
-        };
-        for i in 0..count {
-            let seq = base_seq + i as u32;
-            let digest = Digest::from_bytes(take(32)?.try_into().expect("32 bytes"));
-            let segment = u32::from_be_bytes(take(4)?.try_into().expect("4 bytes"));
-            let offset = u64::from_be_bytes(take(8)?.try_into().expect("8 bytes"));
-            let len = u32::from_be_bytes(take(4)?.try_into().expect("4 bytes"));
-            let time = u64::from_be_bytes(take(8)?.try_into().expect("8 bytes"));
-            let digest_entries = u32::from_be_bytes(take(4)?.try_into().expect("4 bytes"));
-            let body_bits = u64::from_be_bytes(take(8)?.try_into().expect("8 bytes"));
-            let contained_count =
-                u32::from_be_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
-            if contained_count > 1 << 20 {
-                return Err(corrupt("absurd contained-digest count"));
+        let mut rest = body;
+        let mut chains = Vec::new();
+        let mut covered = None;
+        while !rest.is_empty() {
+            let owner_raw = u32::from_be_bytes(take(&mut rest)?);
+            let base_seq = u32::from_be_bytes(take(&mut rest)?);
+            let count = u32::from_be_bytes(take(&mut rest)?) as usize;
+            let position = (
+                u32::from_be_bytes(take(&mut rest)?),
+                u64::from_be_bytes(take(&mut rest)?),
+            );
+            if covered.is_some_and(|c| c != position) {
+                return Err(corrupt("sections cover different positions"));
             }
-            let mut contained = Vec::with_capacity(contained_count);
-            for _ in 0..contained_count {
-                contained.push(Digest::from_bytes(take(32)?.try_into().expect("32 bytes")));
+            covered = Some(position);
+            let mut index = BlockIndex {
+                owner: (owner_raw != u32::MAX).then_some(owner_raw),
+                base_seq,
+                entries: Vec::with_capacity(count),
+                by_digest: HashMap::with_capacity(count),
+                children: ChainIndex::default(),
+            };
+            for i in 0..count {
+                let seq = base_seq + i as u32;
+                let digest = Digest::from_bytes(take(&mut rest)?);
+                let segment = u32::from_be_bytes(take(&mut rest)?);
+                let offset = u64::from_be_bytes(take(&mut rest)?);
+                let len = u32::from_be_bytes(take(&mut rest)?);
+                let time = u64::from_be_bytes(take(&mut rest)?);
+                let digest_entries = u32::from_be_bytes(take(&mut rest)?);
+                let body_bits = u64::from_be_bytes(take(&mut rest)?);
+                let contained_count = u32::from_be_bytes(take(&mut rest)?) as usize;
+                if contained_count > 1 << 20 {
+                    return Err(corrupt("absurd contained-digest count"));
+                }
+                let contained = (0..contained_count)
+                    .map(|_| take(&mut rest).map(Digest::from_bytes))
+                    .collect::<Result<Vec<_>, _>>()?;
+                index.by_digest.insert(digest, seq);
+                for d in &contained {
+                    index.children.push(d, seq);
+                }
+                index.entries.push(IndexEntry {
+                    digest,
+                    location: RecordLocation {
+                        segment,
+                        offset,
+                        len,
+                    },
+                    time,
+                    digest_entries,
+                    body_bits,
+                    contained,
+                });
             }
-            index.by_digest.insert(digest, seq);
-            for d in &contained {
-                index.children.push(d, seq);
-            }
-            index.entries.push(IndexEntry {
-                digest,
-                location: RecordLocation {
-                    segment,
-                    offset,
-                    len,
-                },
-                time,
-                digest_entries,
-                body_bits,
-                contained,
-            });
+            chains.push(index);
         }
-        if pos != body.len() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok((index, covered_segment, covered_offset))
+        let (segment, offset) = covered.ok_or_else(|| corrupt("no chain"))?;
+        Ok((chains, segment, offset))
     }
+}
+
+/// Splits the next `N` bytes off a snapshot body.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], TldagError> {
+    let head = rest
+        .split_off(..N)
+        .ok_or_else(|| TldagError::Corrupt("snapshot: truncated body".into()))?;
+    Ok(head.try_into().expect("N bytes"))
 }
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"TLDAGSNP";

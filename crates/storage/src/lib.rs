@@ -10,19 +10,19 @@
 //!
 //! * [`record`] — CRC-32-framed records around the canonical
 //!   `tldag_core::codec` block encoding; torn writes are detectable.
-//! * [`segment`] — the shared segmented-log core ([`SegmentSet`]): segment
-//!   files, rolls, streaming replay with torn-tail truncation, retention
-//!   accounting, and the single-writer directory lock. Both engines are
-//!   built on it.
+//! * [`segment`] — the segmented-log core ([`SegmentSet`]): segment files,
+//!   rolls, streaming replay with torn-tail truncation, retention
+//!   accounting, and the single-writer directory lock.
 //! * [`index`] — the digest → (segment, offset) index rebuilt on open, plus
 //!   its checksummed snapshot form.
-//! * [`engine`] — [`DurableStore`] (the backend) and [`DiskFactory`] (one
-//!   store per node for `TldagNetwork::with_factory`).
-//! * [`group`] — the group-commit layer: [`ShardLog`] multiplexes every
-//!   node of a shard into one segmented log so a slot-boundary sync costs
-//!   **one** fsync per shard per slot ([`ShardedDiskFactory`] provisions
-//!   it); under a retention budget it rolls and compacts like the per-node
-//!   engine, respecting every member band's chain head.
+//! * [`log`] — the one durable block log, [`ShardLog`]: the chains of one or
+//!   more owners in one group-committed segmented log, with index snapshots,
+//!   a decoded-block cache and head-guarded compaction. [`LogView`] is its
+//!   one [`tldag_core::store::BlockBackend`]: [`DurableStore`] owns a log
+//!   for one node, [`ShardedNodeStore`] shares one with its shard.
+//! * [`factory`] — [`DiskFactory`] (a log per node, `node-<id>/`) and
+//!   [`ShardedDiskFactory`] (a log per shard, `shard-NNNN/`, one fsync per
+//!   shard per slot) for `TldagNetwork::with_factory`.
 //!
 //! ## Example
 //!
@@ -63,13 +63,13 @@
 #![warn(missing_docs)]
 
 pub mod crc32;
-pub mod engine;
-pub mod group;
+pub mod factory;
 pub mod index;
+pub mod log;
 pub mod record;
 pub mod segment;
 
-pub use engine::{DiskFactory, DurableStore};
-pub use group::{ShardLog, ShardedDiskFactory, ShardedNodeStore};
+pub use factory::{DiskFactory, ShardedDiskFactory};
+pub use log::{DurableStore, LogHolder, LogView, ShardLog, ShardedNodeStore};
 pub use segment::{SegmentSet, StorageOptions};
 pub use tldag_core::store::SyncPolicy;

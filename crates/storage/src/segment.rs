@@ -1,9 +1,9 @@
-//! The shared segmented-log core: the file-level machinery both storage
-//! engines are built on.
+//! The segmented-log core: the file-level machinery under the durable
+//! block log ([`crate::log::ShardLog`]).
 //!
 //! A [`SegmentSet`] owns one directory of numbered append-only segment files
 //! (`<prefix>-000000.log`, `<prefix>-000001.log`, …) plus a `LOCK` file, and
-//! provides exactly the mechanics the engines share:
+//! provides the mechanics the log builds on:
 //!
 //! * **Rolling** — appends go to the tail segment; when a record would push
 //!   the tail past [`StorageOptions::segment_bytes`] the tail is flushed,
@@ -18,20 +18,17 @@
 //!   record boundary. Anything invalid in a sealed segment is reported as
 //!   [`TldagError::Corrupt`].
 //! * **Retention accounting** — [`SegmentSet::disk_usage_bytes`] and the
-//!   retire/delete primitives let the engines implement compaction policies
-//!   (which entries survive is *policy* and stays with the engines; which
-//!   bytes exist on disk is *mechanism* and lives here).
+//!   retire/delete primitives let the log implement its compaction policy
+//!   (which entries survive is *policy* and stays with the log; which bytes
+//!   exist on disk is *mechanism* and lives here).
 //! * **Single-writer locking** — opening a directory acquires a `LOCK` file
-//!   carrying the holder's PID. A second live handle on the same directory
-//!   (same process, or another live process) gets a clear
+//!   carrying the holder's PID (4 little-endian bytes). A second live handle
+//!   on the same directory (same process, or another live process) gets a clear
 //!   [`TldagError::Locked`] instead of silently corrupting the log; stale
 //!   locks left by dead processes are reclaimed.
 //!
-//! The per-node [`crate::engine::DurableStore`] layers an indexed chain,
-//! snapshots, and an Eq. 2 retention budget on top; the group-commit
-//! [`crate::group::ShardLog`] layers per-owner demultiplexed indexes and the
-//! one-fsync-per-batch durability contract. Both share every byte of the
-//! file handling below.
+//! The log layers per-owner indexes, snapshots, the read cache, the Eq. 2
+//! retention budget and the one-fsync-per-batch durability contract on top.
 
 use crate::record::{self, RecordRead};
 use std::collections::BTreeMap;
@@ -44,12 +41,11 @@ use tldag_core::DataBlock;
 
 pub use crate::index::RecordLocation;
 
-/// Tuning knobs shared by the segmented-log engines.
+/// Tuning knobs of the durable block log ([`crate::log::ShardLog`]), for
+/// one owner or many alike.
 ///
-/// `snapshot_every` and `cache_blocks` only apply to the per-node
-/// [`crate::engine::DurableStore`] (the group-commit shard log keeps no
-/// decoded-block cache and recovers by full scan); the remaining fields
-/// drive the shared [`SegmentSet`] core.
+/// `snapshot_every` and `cache_blocks` drive the log's index snapshot and
+/// decoded-block cache; the remaining fields drive the [`SegmentSet`] core.
 #[derive(Clone, Debug)]
 pub struct StorageOptions {
     /// Target maximum bytes per segment file (records never span segments).
@@ -99,9 +95,11 @@ impl StorageOptions {
 
 /// Exclusive directory lock, held for the lifetime of a [`SegmentSet`].
 ///
-/// The lock is a `LOCK` file containing the holder's PID, created with
-/// `O_EXCL`. A lock whose recorded PID no longer names a live process is
-/// stale (the holder crashed) and is silently reclaimed.
+/// The lock is a `LOCK` file containing the holder's PID as 4 little-endian
+/// bytes, created with `O_EXCL`. The fixed width keeps the directory's size
+/// independent of the PID. A lock whose content is not 4 bytes, or whose PID
+/// no longer names a live process, is stale (the holder crashed) and is
+/// silently reclaimed.
 #[derive(Debug)]
 struct DirLock {
     path: PathBuf,
@@ -113,15 +111,12 @@ impl DirLock {
         loop {
             match OpenOptions::new().write(true).create_new(true).open(&path) {
                 Ok(file) => {
-                    let pid = std::process::id().to_string();
-                    file.write_all_at(pid.as_bytes(), 0)
+                    file.write_all_at(&encode_pid(std::process::id()), 0)
                         .map_err(|e| TldagError::io("write lock file", &e))?;
                     return Ok(DirLock { path });
                 }
                 Err(e) if e.kind() == ErrorKind::AlreadyExists => {
-                    let holder = fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u32>().ok());
+                    let holder = fs::read(&path).ok().and_then(|b| decode_pid(&b));
                     if holder.is_some_and(pid_is_live) {
                         return Err(TldagError::Locked {
                             dir: dir.display().to_string(),
@@ -149,6 +144,15 @@ impl Drop for DirLock {
     }
 }
 
+fn encode_pid(pid: u32) -> [u8; 4] {
+    pid.to_le_bytes()
+}
+
+/// The PID a `LOCK` file names; `None` for any content but 4 bytes.
+fn decode_pid(bytes: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(bytes.try_into().ok()?))
+}
+
 /// Whether `pid` names a live process. Our own PID is always live (the lock
 /// is held by another handle in this very process); otherwise `/proc/<pid>`
 /// decides. On a system without procfs every foreign lock is treated as
@@ -166,13 +170,13 @@ pub struct SegmentAppend {
     /// Where the record landed.
     pub location: RecordLocation,
     /// Whether the append sealed the previous tail and started a new
-    /// segment — the engines hook their compaction policies here.
+    /// segment — the log hooks its compaction policy here.
     pub rolled: bool,
 }
 
 /// A directory of numbered segment files with a write-buffered tail.
 ///
-/// This is the *mechanism* half of both storage engines; see the module docs
+/// This is the *mechanism* half of the durable block log; see the module docs
 /// for the contract. Callers must run [`SegmentSet::replay`] exactly once
 /// after [`SegmentSet::open`] (it establishes the valid tail length) before
 /// appending.
@@ -656,6 +660,15 @@ mod tests {
         let set = SegmentSet::open(&dir, "seg", 1 << 20, 64).unwrap();
         drop(set);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lock_pids_have_one_width_and_round_trip() {
+        let (low, high) = (encode_pid(7), encode_pid(4_194_303));
+        assert_eq!(low.len(), high.len());
+        assert_eq!(decode_pid(&low), Some(7));
+        assert_eq!(decode_pid(&high), Some(4_194_303));
+        assert_eq!(decode_pid(b"12345"), None, "the old decimal form is stale");
     }
 
     #[test]

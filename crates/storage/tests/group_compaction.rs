@@ -131,6 +131,32 @@ fn budgeted_log_survives_clean_reopen_byte_identically() {
     }
 }
 
+#[test]
+fn corrupt_snapshot_under_a_multi_owner_log_falls_back_to_full_scan() {
+    let scratch = Scratch::new("bad-snapshot");
+    let blocks = interleaved_chains(3, 20, 48);
+    let opts = StorageOptions {
+        snapshot_every: 8,
+        ..tiny_segments(None)
+    };
+    {
+        let mut log = ShardLog::open(scratch.path(), opts.clone()).unwrap();
+        for b in &blocks {
+            log.append(b.clone()).unwrap();
+        }
+        log.sync().unwrap();
+    }
+    let snap = scratch.path().join("index.snap");
+    assert!(snap.exists(), "snapshot must have been written");
+    std::fs::write(&snap, b"garbage that is definitely not a snapshot").unwrap();
+
+    let log = ShardLog::open(scratch.path(), opts).unwrap();
+    for b in &blocks {
+        assert_eq!(log.len_of(b.id.owner), 20, "full scan recovers every chain");
+        assert_eq!(log.get_of(b.id.owner, b.id.seq).as_ref(), Some(b));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -138,7 +164,9 @@ proptest! {
     /// retention budget, crashed with a torn tail write, recovers every
     /// non-pruned chain byte-identically — each member chain comes back as
     /// a contiguous suffix `floor..recovered_len` of the original, with
-    /// every surviving block equal to what was appended.
+    /// every surviving block equal to what was appended. Whether recovery
+    /// starts from an index snapshot or scans every segment depends on
+    /// `snapshot_every`, which is an input too.
     #[test]
     fn torn_tail_crash_recovers_non_pruned_chains_byte_identically(
         owners in 2u32..5,
@@ -146,10 +174,14 @@ proptest! {
         payload in 8usize..80,
         budget_kib in 3u64..10,
         cut_back in 1u64..160,
+        snapshot_pick in 0usize..3,
     ) {
         let scratch = Scratch::new(&format!("torn-{owners}-{blocks_per_owner}-{payload}"));
         let blocks = interleaved_chains(owners, blocks_per_owner, payload);
-        let opts = tiny_segments(Some(budget_kib * 1024));
+        let opts = StorageOptions {
+            snapshot_every: [1, 8, 1024][snapshot_pick],
+            ..tiny_segments(Some(budget_kib * 1024))
+        };
         {
             let mut log = ShardLog::open(scratch.path(), opts.clone()).unwrap();
             for b in &blocks {

@@ -58,22 +58,37 @@ fn traced_run_prints_generate_and_pop_lines() {
 #[test]
 fn disk_run_persists_trust_caches() {
     let dir = std::env::temp_dir().join(format!("tldag-cli-disk-{}", std::process::id()));
-    let text = assert_success(&[
-        "run",
-        "--nodes",
-        "8",
-        "--slots",
-        "12",
-        "--storage",
-        "disk",
-        "--storage-dir",
-        dir.to_str().expect("utf-8 temp dir"),
-        "--persist-trust-cache",
-    ]);
-    assert!(text.contains("storage backend: disk"), "{text}");
-    assert!(text.contains("trust caches"), "{text}");
-    assert!(dir.join("node-0").is_dir());
-    let _ = std::fs::remove_dir_all(&dir);
+    for (storage, extra, first_dir) in [
+        ("disk", &[][..], "node-0"),
+        (
+            "disk-sharded",
+            &["--retain-bytes", "8192"][..],
+            "shard-0000",
+        ),
+    ] {
+        let mut argv = vec![
+            "run",
+            "--nodes",
+            "8",
+            "--slots",
+            "12",
+            "--storage",
+            storage,
+            "--storage-dir",
+            dir.to_str().expect("utf-8 temp dir"),
+            "--persist-trust-cache",
+        ];
+        argv.extend_from_slice(extra);
+        let text = assert_success(&argv);
+        assert!(
+            text.contains(&format!("storage backend: {storage} (")),
+            "{text}"
+        );
+        assert!(text.contains("trust caches"), "{text}");
+        assert_eq!(text.contains("retention"), !extra.is_empty(), "{text}");
+        assert!(dir.join(first_dir).is_dir(), "{storage}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -224,7 +224,10 @@ fn grouped_policy_trailing_slots_need_the_shutdown_flush() {
     // only staged. A clean shutdown must flush them via sync_storage(), or a
     // cold reattach comes back short.
     let dir = std::env::temp_dir().join(format!("tldag-shard-tail-{}", std::process::id()));
-    let factory = ShardedDiskFactory::new(&dir, 2, NODES).with_flush_buffer(1 << 24);
+    let factory = ShardedDiskFactory::new(&dir, 2, NODES).with_options(StorageOptions {
+        flush_buffer_bytes: 1 << 24,
+        ..StorageOptions::default()
+    });
     let mut net = build_network(2, Some(factory));
     net.set_sync_policy(SyncPolicy::Grouped(3));
     net.run_slots(11);
@@ -249,7 +252,10 @@ fn per_slot_policy_loses_no_committed_block_across_process_crash() {
     let shards = 4;
     // Huge flush buffer: unsynced records live in process memory only, so
     // dropping the network + factory models a whole-process crash.
-    let factory = ShardedDiskFactory::new(&dir, shards, NODES).with_flush_buffer(1 << 24);
+    let factory = ShardedDiskFactory::new(&dir, shards, NODES).with_options(StorageOptions {
+        flush_buffer_bytes: 1 << 24,
+        ..StorageOptions::default()
+    });
     let mut net = build_network(shards, Some(factory));
     net.set_sync_policy(SyncPolicy::PerSlot);
     net.run_slots(SLOTS);

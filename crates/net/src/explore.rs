@@ -1,238 +1,179 @@
-//! The `tldag explore` live DAG explorer.
+//! The `tldag explore` DAG explorer: a browsable JSON view of a 2LDAG
+//! deployment's DAG over the dependency-free HTTP listener `/metrics` uses,
+//! from either of two sources:
 //!
-//! Serves a browsable JSON view of a 2LDAG deployment's DAG structure and
-//! PoP state over the same dependency-free HTTP listener the `/metrics`
-//! endpoint uses, from either of two sources:
-//!
-//! * **Disk segments** (`--segments DIR`): opens the durable block logs a
-//!   cluster run left behind (a single node directory, or a cluster root
-//!   of `node-<i>` subdirectories), reconstructs every chain and the
-//!   cross-chain digest edges that link blocks into the logical DAG, and
-//!   serves the full structural view.
-//! * **A live node** (`--target ADDR`, the node's `--metrics-addr`):
-//!   proxies the node's `/metrics` + `/trace` endpoints into a causal
-//!   view — chain/PoP state from the exposition, per-slot block lifecycle
-//!   timelines from the span store.
+//! * **Disk segments** (`--segments DIR`): the durable block logs a run left
+//!   behind — a `node-<i>/` or `shard-XXXX/` log directory, or a root of
+//!   them (the `disk` and `disk-sharded` layouts). Every chain and the
+//!   cross-chain digest edges are served straight from the logs' indexes;
+//!   the explorer holds the logs (and their locks) while it serves.
+//! * **A live node** (`--target ADDR`, the node's `--metrics-addr`): its
+//!   `/metrics` + `/trace` proxied into a causal view — chain/PoP state
+//!   from the exposition, per-slot block lifecycle timelines from the spans.
 //!
 //! Endpoints (both sources):
 //!
-//! * `GET /dag` — deployment summary: chains, lengths, heads (segments)
-//!   or live chain/PoP state plus timeline count (live).
+//! * `GET /dag` — chains, lengths and heads (segments), or live chain/PoP
+//!   state plus timeline count (live).
 //! * `GET /slot/<t>` — the blocks generated at slot `t` with their digest
 //!   edges (segments) or their lifecycle timelines (live).
-//! * `GET /block/<o>-<q>` — one block in full: header fields, digest
-//!   entries with resolved parent blocks, and resolved children
-//!   (segments, `o-q` = owner and sequence number) or the matching
-//!   block's timelines (live, `o-q` = origin and slot).
+//! * `GET /block/<o>-<q>` — one block: header fields, digest entries with
+//!   resolved parent blocks, and resolved children (segments, `o-q` = owner
+//!   and sequence number), or its timelines (live, `o-q` = origin and slot).
 
 use crate::forensics::timelines_for_slot;
-use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
+// A glob so the unit tests' `use super::*` still finds `HashMap`.
+use std::collections::*;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use tldag_core::block::DataBlock;
 use tldag_core::store::BlockBackend;
 use tldag_crypto::Digest;
 use tldag_obs::{http_get, HttpServer, Routes};
-use tldag_storage::{DurableStore, StorageOptions};
+use tldag_storage::{DurableStore, ShardLog, ShardedNodeStore, StorageOptions};
 
 /// Where the explorer reads its DAG from.
 #[derive(Clone, Debug)]
 pub enum ExplorerSource {
     /// Proxy a live node's `/metrics` + `/trace` endpoints.
     Live(SocketAddr),
-    /// Open durable block logs under this directory (a node dir, or a
-    /// cluster root containing `node-<i>` subdirectories).
+    /// Open durable block logs under this directory (a log directory, or a
+    /// root of `node-<i>` / `shard-XXXX` log directories).
     Segments(PathBuf),
 }
 
-/// One block's explorer-facing metadata.
-#[derive(Clone, Debug)]
-struct BlockMeta {
-    owner: u32,
-    seq: u32,
-    slot: u64,
-    digest: Digest,
-    /// The header's Digests field: `(origin, digest)` entries.
-    entries: Vec<(u32, Digest)>,
-}
+/// Every chain under a segments root, by owner.
+type Chains = BTreeMap<u32, Box<dyn BlockBackend>>;
 
-impl BlockMeta {
-    fn id(&self) -> String {
-        format!("{}-{}", self.owner, self.seq)
-    }
-}
-
-/// The reconstructed DAG: every chain plus the digest-edge indexes.
-#[derive(Debug, Default)]
-struct DagModel {
-    /// Owner → chain, seq-ascending.
-    chains: BTreeMap<u32, Vec<BlockMeta>>,
-    /// Header digest → `(owner, seq)` of the block it names.
-    by_digest: HashMap<Digest, (u32, u32)>,
-    /// Header digest → blocks whose Digests field references it.
-    children: HashMap<Digest, Vec<(u32, u32)>>,
-}
-
-impl DagModel {
-    fn insert(&mut self, meta: BlockMeta) {
-        self.by_digest.insert(meta.digest, (meta.owner, meta.seq));
-        for (_, parent) in &meta.entries {
-            self.children
-                .entry(*parent)
-                .or_default()
-                .push((meta.owner, meta.seq));
-        }
-        self.chains.entry(meta.owner).or_default().push(meta);
-    }
-
-    fn get(&self, owner: u32, seq: u32) -> Option<&BlockMeta> {
-        self.chains.get(&owner)?.iter().find(|b| b.seq == seq)
-    }
-
-    fn resolve(&self, digest: &Digest) -> Option<String> {
-        self.by_digest.get(digest).map(|(o, q)| format!("{o}-{q}"))
-    }
-
-    fn block_count(&self) -> usize {
-        self.chains.values().map(Vec::len).sum()
-    }
-
-    fn max_slot(&self) -> u64 {
-        self.chains
-            .values()
-            .flat_map(|c| c.iter().map(|b| b.slot))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Opens every durable block log under `root` and rebuilds the DAG.
+/// Opens every block log under `root` as one [`BlockBackend`] per owner: a
+/// [`DurableStore`] for a one-owner `node-<i>` log, and [`ShardedNodeStore`]
+/// views of one [`ShardLog`] for a `shard-XXXX` log.
 ///
 /// # Errors
 ///
 /// An unreadable directory, a locked or corrupt log, or a root with no
 /// blocks at all.
-fn load_segments(root: &Path) -> Result<DagModel, String> {
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let entries =
-        std::fs::read_dir(root).map_err(|e| format!("cannot read {}: {e}", root.display()))?;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir()
-            && path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("node-"))
-        {
-            dirs.push(path);
-        }
-    }
+fn open_chains(root: &Path) -> Result<Chains, String> {
+    let named = |dir: &Path, prefix: &str| {
+        dir.file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with(prefix))
+    };
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root)
+        .map_err(|e| format!("cannot read {}: {e}", root.display()))?
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| path.is_dir() && (named(path, "node-") || named(path, "shard-")))
+        .collect();
     if dirs.is_empty() {
-        // A single node's log directory.
+        // A single log directory.
         dirs.push(root.to_path_buf());
     }
     dirs.sort();
-
-    let mut model = DagModel::default();
+    let mut chains = Chains::new();
     for dir in &dirs {
-        let store = DurableStore::open(dir, StorageOptions::default())
-            .map_err(|e| format!("cannot open block log {}: {e}", dir.display()))?;
-        for block in store.iter() {
-            model.insert(BlockMeta {
-                owner: block.id.owner.0,
-                seq: block.id.seq,
-                slot: block.header.time,
-                digest: block.header_digest(),
-                entries: block
-                    .header
-                    .digests
-                    .iter()
-                    .map(|e| (e.origin.0, e.digest))
-                    .collect(),
-            });
+        let cannot_open = |e| format!("cannot open block log {}: {e}", dir.display());
+        if named(dir, "shard-") {
+            let log = ShardLog::open(dir, StorageOptions::default()).map_err(cannot_open)?;
+            let owners: Vec<_> = log.owners().collect();
+            let log = Arc::new(Mutex::new(log));
+            for owner in owners {
+                let view = ShardedNodeStore::new(Arc::clone(&log), owner);
+                chains.insert(owner.0, Box::new(view));
+            }
+        } else {
+            let store = DurableStore::open(dir, StorageOptions::default()).map_err(cannot_open)?;
+            let owner = store.iter_meta().next().map(|(id, _)| id.owner.0);
+            if let Some(owner) = owner {
+                chains.insert(owner, Box::new(store));
+            }
         }
     }
-    if model.block_count() == 0 {
+    if chains.is_empty() {
         return Err(format!("no blocks under {}", root.display()));
     }
-    for chain in model.chains.values_mut() {
-        chain.sort_by_key(|b| b.seq);
-    }
-    Ok(model)
+    Ok(chains)
+}
+
+/// Blocks a chain still holds (its length less the pruned prefix).
+fn retained(chain: &dyn BlockBackend) -> usize {
+    chain.len() - chain.pruned_floor() as usize
+}
+
+/// A block's explorer id, `<owner>-<seq>`.
+fn block_id(block: &DataBlock) -> String {
+    format!("{}-{}", block.id.owner.0, block.id.seq)
 }
 
 fn json_str_array(items: impl IntoIterator<Item = String>) -> String {
-    let mut out = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item);
-    }
-    out.push(']');
-    out
+    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
 }
 
-fn block_json(model: &DagModel, meta: &BlockMeta) -> String {
-    let edges = json_str_array(meta.entries.iter().map(|(origin, digest)| {
+fn block_json(chains: &Chains, block: &DataBlock) -> String {
+    let edges = json_str_array(block.header.digests.iter().map(|entry| {
+        let parent = chains
+            .get(&entry.origin.0)
+            .and_then(|chain| chain.by_header_digest(&entry.digest));
         format!(
-            "{{\"origin\":{origin},\"digest\":\"{digest}\",\"block\":{}}}",
-            match model.resolve(digest) {
-                Some(id) => format!("\"{id}\""),
-                None => "null".to_string(),
-            }
+            "{{\"origin\":{},\"digest\":\"{}\",\"block\":{}}}",
+            entry.origin.0,
+            entry.digest,
+            parent.map_or("null".to_string(), |p| format!("\"{}\"", block_id(&p)))
         )
     }));
+    let digest = block.header_digest();
     let children = json_str_array(
-        model
-            .children
-            .get(&meta.digest)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .map(|(o, q)| format!("\"{o}-{q}\"")),
+        chains
+            .values()
+            .flat_map(|chain| chain.children_of(&digest))
+            .map(|child| format!("\"{}\"", block_id(&child))),
     );
     format!(
-        "{{\"id\":\"{}\",\"owner\":{},\"seq\":{},\"slot\":{},\"digest\":\"{}\",\
+        "{{\"id\":\"{}\",\"owner\":{},\"seq\":{},\"slot\":{},\"digest\":\"{digest}\",\
 \"edges\":{edges},\"children\":{children}}}",
-        meta.id(),
-        meta.owner,
-        meta.seq,
-        meta.slot,
-        meta.digest
+        block_id(block),
+        block.id.owner.0,
+        block.id.seq,
+        block.header.time,
     )
 }
 
-fn dag_json(model: &DagModel) -> String {
-    let chains = json_str_array(model.chains.iter().map(|(owner, chain)| {
+fn dag_json(chains: &Chains) -> String {
+    let heads = json_str_array(chains.iter().map(|(owner, chain)| {
         format!(
             "{{\"node\":{owner},\"len\":{},\"head\":\"{}\"}}",
-            chain.len(),
+            retained(chain.as_ref()),
             chain
-                .last()
-                .map(|b| b.digest.to_string())
-                .unwrap_or_default()
+                .latest_digest()
+                .as_ref()
+                .map_or_else(String::new, Digest::to_string)
         )
     }));
     format!(
         "{{\"source\":\"segments\",\"nodes\":{},\"blocks\":{},\"max_slot\":{},\
-\"chains\":{chains}}}",
-        model.chains.len(),
-        model.block_count(),
-        model.max_slot()
+\"chains\":{heads}}}",
+        chains.len(),
+        chains.values().map(|c| retained(c.as_ref())).sum::<usize>(),
+        chains
+            .values()
+            .filter_map(|c| c.latest())
+            .map(|b| b.header.time)
+            .max()
+            .unwrap_or(0)
     )
 }
 
-fn slot_json(model: &DagModel, slot: u64) -> String {
-    let blocks = json_str_array(
-        model
-            .chains
-            .values()
-            .flat_map(|chain| chain.iter().filter(|b| b.slot == slot))
-            .map(|meta| block_json(model, meta)),
-    );
+fn slot_json(chains: &Chains, slot: u64) -> String {
+    let blocks = json_str_array(chains.values().flat_map(|chain| {
+        chain
+            .iter_meta()
+            .filter(|&(_, time)| time == slot)
+            .filter_map(|(id, _)| chain.get(id.seq))
+            .map(|block| block_json(chains, &block))
+            .collect::<Vec<_>>()
+    }));
     format!("{{\"slot\":{slot},\"blocks\":{blocks}}}")
 }
 
@@ -244,19 +185,19 @@ fn parse_pair(suffix: &str) -> Option<(u32, u64)> {
 
 const JSON: &str = "application/json";
 
-fn segment_routes(model: DagModel) -> Arc<Routes> {
+fn segment_routes(chains: Chains) -> Arc<Routes> {
     Arc::new(move |path: &str| -> Option<(String, String)> {
         if path == "/dag" {
-            return Some((JSON.to_string(), dag_json(&model)));
+            return Some((JSON.to_string(), dag_json(&chains)));
         }
         if let Some(raw) = path.strip_prefix("/slot/") {
             let slot: u64 = raw.parse().ok()?;
-            return Some((JSON.to_string(), slot_json(&model, slot)));
+            return Some((JSON.to_string(), slot_json(&chains, slot)));
         }
         if let Some(raw) = path.strip_prefix("/block/") {
             let (owner, seq) = parse_pair(raw)?;
-            let meta = model.get(owner, seq as u32)?;
-            return Some((JSON.to_string(), block_json(&model, meta)));
+            let block = chains.get(&owner)?.get(u32::try_from(seq).ok()?)?;
+            return Some((JSON.to_string(), block_json(&chains, &block)));
         }
         None
     })
@@ -274,13 +215,14 @@ fn live_routes(target: SocketAddr) -> Arc<Routes> {
             let timelines = http_get(target, "/trace", LIVE_TIMEOUT)
                 .map(|t| t.matches("\"stitched\":").count())
                 .unwrap_or(0);
-            let mut out = String::from("{\"source\":\"live\",");
-            let _ = write!(
-                out,
-                "\"target\":\"{target}\",\"timelines\":{timelines},\"status\":{}}}",
-                row.to_json()
-            );
-            return Some((JSON.to_string(), out));
+            let status = row.to_json();
+            return Some((
+                JSON.to_string(),
+                format!(
+                    "{{\"source\":\"live\",\"target\":\"{target}\",\"timelines\":{timelines},\
+\"status\":{status}}}"
+                ),
+            ));
         }
         if let Some(raw) = path.strip_prefix("/slot/") {
             let slot: u64 = raw.parse().ok()?;
@@ -324,7 +266,7 @@ impl Explorer {
     /// An unreadable or empty segment directory, or a bind failure.
     pub fn spawn(listen: SocketAddr, source: ExplorerSource) -> Result<Explorer, String> {
         let routes = match source {
-            ExplorerSource::Segments(root) => segment_routes(load_segments(&root)?),
+            ExplorerSource::Segments(root) => segment_routes(open_chains(&root)?),
             ExplorerSource::Live(target) => live_routes(target),
         };
         let server = HttpServer::spawn(listen, routes)

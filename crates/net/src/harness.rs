@@ -32,15 +32,15 @@
 use crate::control::{Control, RunReport};
 use crate::endpoint::{Endpoint, EndpointConfig, Inbound};
 use crate::forensics::{diagnose, timelines_for_slot, DivergenceReport};
-use crate::membership::{format_churn_spec, join_site, validate_churn, ChurnEvent, Roster};
+use crate::membership::{join_site, validate_churn, ChurnEvent, Roster};
 use crate::metrics::NetStats;
-use crate::peer::format_peer_list;
 use crate::runtime::{
     deployment_protocol_config, deployment_range_m, deployment_topology, network_digest_of,
     NetNode, NetNodeConfig, NodeOutcome,
 };
 use crate::telemetry::{scrape_metrics, NodeTelemetry, StatusRow};
-use std::collections::{BTreeMap, HashMap};
+use crate::transport::FaultSpec;
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -148,28 +148,20 @@ pub fn format_adversary_schedule(placements: &[AdversaryPlacement]) -> String {
         .join(", ")
 }
 
-/// Configuration of one cluster run.
+/// Configuration of one cluster run: the deployment, plus what the process
+/// harness itself needs.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// The `tldag` binary to spawn node processes from.
     pub exe: PathBuf,
     /// What the processes run and the reference engine replays: seed,
     /// founders (= processes at start), slots each founder executes,
-    /// protocol knobs, churn (late joins are spawned as extra processes
-    /// bootstrapped via the join handshake) and adversaries (each placement
-    /// is passed to its node process as `--behavior` and applied to the
-    /// reference at the same slot boundary, so the honest-subset parity
-    /// verdict compares like with like).
+    /// protocol and per-node knobs, churn (late joins are spawned as extra
+    /// processes bootstrapped via the join handshake) and adversaries (each
+    /// placement is passed to its node process as `--behavior` and applied
+    /// to the reference at the same slot boundary, so the honest-subset
+    /// parity verdict compares like with like).
     pub deployment: Deployment,
-    /// Epoch window `W` passed to every node (`1` = slot lockstep, the
-    /// verify step runs inline; `W ≥ 2` pipelines it, PoP mode only).
-    pub window: u64,
-    /// Socket batch size passed to every node (datagrams per
-    /// `sendmmsg`/`recvmmsg` wakeup).
-    pub batch: Option<usize>,
-    /// Per-datagram drop probability injected at every node's transport
-    /// (deterministic per node seed); `0.0` means a clean transport.
-    pub drop: f64,
     /// When set, node `i` stores its chain on disk under `root/node-i`.
     pub storage_root: Option<PathBuf>,
     /// First UDP port; node `i` listens on `base_port + i`. When `None`,
@@ -177,26 +169,18 @@ pub struct ClusterConfig {
     pub base_port: Option<u16>,
     /// How long the controller waits for all reports.
     pub report_timeout: Duration,
-    /// When set, every node evicts a barrier-blocking peer that has gone
-    /// silent for this long (`tldag node --evict-after`). Required for
-    /// runs that must *exclude* a silent adversary instead of waiting out
-    /// every barrier on it.
-    pub evict_after: Option<Duration>,
     /// When true, every node serves `GET /metrics` + `GET /journal` on a
-    /// discovered localhost TCP port, and the harness records the
-    /// endpoints in [`ClusterOutcome::metrics_addrs`].
+    /// discovered localhost TCP port, announced on stdout as
+    /// `metrics endpoints: ...` before the nodes spawn. With
+    /// [`Deployment::trace`] also set, the harness scrapes each node's
+    /// `/trace` after the reports arrive
+    /// ([`ClusterOutcome::trace_snapshots`]).
     pub metrics: bool,
     /// With [`ClusterConfig::metrics`] set, scrape every node this often
     /// while waiting for reports and keep the aggregated
     /// [`StatusRow`] snapshots as a mid-run time series
     /// ([`ClusterOutcome::status_series`]). `None` disables sampling.
     pub sample_every: Option<Duration>,
-    /// When true, every node records causal block-lifecycle spans
-    /// (`--trace`); combined with [`ClusterConfig::metrics`] the harness
-    /// scrapes each node's `/trace` endpoint after the reports arrive and
-    /// keeps the snapshots ([`ClusterOutcome::trace_snapshots`]). Tracing
-    /// never changes protocol byte content.
-    pub trace: bool,
 }
 
 impl ClusterConfig {
@@ -205,31 +189,12 @@ impl ClusterConfig {
         ClusterConfig {
             exe,
             deployment: Deployment::new(seed, nodes, slots),
-            window: 1,
-            batch: None,
-            drop: 0.0,
             storage_root: None,
             base_port: None,
             report_timeout: Duration::from_secs(60),
-            evict_after: None,
             metrics: false,
             sample_every: None,
-            trace: false,
         }
-    }
-
-    /// Total processes the run spawns: founders plus scheduled joiners.
-    pub fn total_processes(&self) -> usize {
-        self.deployment.members()
-    }
-
-    /// Node ids with no scheduled adversary placement, in id order — the
-    /// subset the honest-parity verdict is computed over.
-    pub fn honest_ids(&self) -> Vec<NodeId> {
-        (0..self.total_processes() as u32)
-            .map(NodeId)
-            .filter(|id| !self.deployment.adversaries.iter().any(|p| p.node == *id))
-            .collect()
     }
 }
 
@@ -245,9 +210,6 @@ pub struct ClusterOutcome {
     pub reference_digest: Digest,
     /// Per-node chain digests of the reference run, for mismatch diagnosis.
     pub reference_chains: Vec<Digest>,
-    /// The adversary placements the run was configured with (empty for an
-    /// all-honest run).
-    pub adversaries: Vec<AdversaryPlacement>,
     /// Network digest over only the honest nodes' wire chains — the
     /// verdict subset when adversaries are scheduled (a flapping adversary
     /// legitimately forks its *own* chain from the reference by going
@@ -262,16 +224,13 @@ pub struct ClusterOutcome {
     pub reference_pop: (u64, u64),
     /// Transport counters merged across every node's report.
     pub net: NetStats,
-    /// The `/metrics` endpoints the nodes served, in node order (empty
-    /// unless [`ClusterConfig::metrics`] was set).
-    pub metrics_addrs: Vec<SocketAddr>,
     /// Mid-run scrape snapshots (one `Vec<StatusRow>` per sample, a row
     /// per node that answered), oldest first. Populated only with
     /// [`ClusterConfig::metrics`] + [`ClusterConfig::sample_every`].
     pub status_series: Vec<Vec<StatusRow>>,
     /// One `/trace` JSON snapshot per answering node, taken after every
     /// report arrived but before the cluster was released. Populated only
-    /// with [`ClusterConfig::trace`] + [`ClusterConfig::metrics`].
+    /// with [`Deployment::trace`] + [`ClusterConfig::metrics`].
     pub trace_snapshots: Vec<String>,
     /// The slot-by-slot divergence diagnosis, present only when digest
     /// parity failed and the harness could pull per-slot evidence from
@@ -280,14 +239,9 @@ pub struct ClusterOutcome {
 }
 
 impl ClusterOutcome {
-    /// Whether the wire cluster reproduced the reference digest exactly.
-    pub fn parity(&self) -> bool {
-        self.wire_digest == self.reference_digest
-    }
-
-    /// Whether the honest subset reproduced the reference: the verdict for
-    /// adversarial runs. Identical to [`Self::parity`] when no adversaries
-    /// were scheduled.
+    /// The run's verdict: whether the honest subset reproduced the
+    /// reference. With no adversaries scheduled that is every node, and
+    /// the verdict is full `network_digest` parity.
     pub fn honest_parity(&self) -> bool {
         self.honest_wire_digest == self.honest_reference_digest
     }
@@ -390,11 +344,11 @@ pub fn discover_tcp_ports(n: usize) -> Result<Vec<SocketAddr>, String> {
         .map_err(|e| format!("cannot read discovered metrics port: {e}"))
 }
 
-/// One deployment under test: the founders, horizon and protocol knobs
-/// every member shares, plus its membership schedule and adversary cast.
-/// It yields both sides of the parity contract — the members' node configs
-/// ([`Deployment::member_configs`]) and the engine run they must reproduce
-/// ([`Deployment::reference`]).
+/// One deployment under test: the founders, horizon, protocol and per-node
+/// knobs every member shares, plus its membership schedule and adversary
+/// cast. It yields both sides of the parity contract — the members' node
+/// configs ([`Deployment::member_configs`]) and the engine run they must
+/// reproduce ([`Deployment::reference`]).
 #[derive(Clone, Debug)]
 pub struct Deployment {
     /// Shared experiment seed (also fixes the topology).
@@ -414,11 +368,26 @@ pub struct Deployment {
     pub churn: Vec<ChurnEvent>,
     /// Scheduled adversaries.
     pub adversaries: Vec<AdversaryPlacement>,
+    /// Epoch window `W` of every member ([`NetNodeConfig::window`]).
+    pub window: u64,
+    /// Socket batch size of every member (datagrams per
+    /// `sendmmsg`/`recvmmsg` wakeup); `None` keeps the endpoint default.
+    pub batch: Option<usize>,
+    /// Per-datagram drop probability injected at every member's transport
+    /// (deterministic per node seed); `0.0` means a clean transport.
+    pub drop: f64,
+    /// When set, every member evicts a barrier-blocking peer that has gone
+    /// silent this long. Required for runs that must *exclude* a silent
+    /// adversary instead of waiting out every barrier on it.
+    pub evict_after: Option<Duration>,
+    /// Whether every member records causal block-lifecycle spans. Tracing
+    /// never changes protocol byte content.
+    pub trace: bool,
 }
 
 impl Deployment {
     /// An honest, churn-free deployment with the `tldag cluster` defaults
-    /// (300 m side, γ = 3, PoP off).
+    /// (300 m side, γ = 3, PoP off, lockstep, clean transport).
     pub fn new(seed: u64, founders: usize, slots: u64) -> Self {
         Deployment {
             seed,
@@ -429,6 +398,11 @@ impl Deployment {
             slots,
             churn: Vec::new(),
             adversaries: Vec::new(),
+            window: 1,
+            batch: None,
+            drop: 0.0,
+            evict_after: None,
+            trace: false,
         }
     }
 
@@ -448,20 +422,16 @@ impl Deployment {
     /// still a member at its join slot (a departed bootstrap keeps
     /// serving, but a live one answers faster) — so the join handshake
     /// carries the roster. Adversary placements set `behavior` /
-    /// `behavior_from`; every other field keeps its [`NetNodeConfig::new`]
-    /// default for the caller to adjust.
+    /// `behavior_from`, and the per-node knobs are copied in; every other
+    /// field keeps its [`NetNodeConfig::new`] default for the caller to
+    /// adjust.
     ///
     /// # Panics
     ///
     /// Panics unless there is exactly one address per member.
     pub fn member_configs(&self, addrs: &[SocketAddr]) -> Vec<NetNodeConfig> {
         assert_eq!(addrs.len(), self.members(), "one address per member");
-        let left_by = |founder: usize, slot: u64| {
-            self.churn.iter().any(|e| {
-                matches!(*e, ChurnEvent::Leave { id, slot: at }
-                    if id.0 as usize == founder && at <= slot)
-            })
-        };
+        let roster = Roster::scheduled(self.founders, &self.churn);
         (0..addrs.len())
             .map(|i| {
                 let id = NodeId(i as u32);
@@ -471,22 +441,24 @@ impl Deployment {
                 config.gamma = self.gamma;
                 config.pop = self.pop;
                 config.churn = self.churn.clone();
+                config.window = self.window;
+                if let Some(batch) = self.batch {
+                    config.endpoint.batch = batch;
+                }
+                config.fault = (self.drop != 0.0).then(|| FaultSpec::loss(self.drop));
+                config.evict_after = self.evict_after;
+                config.trace = self.trace;
                 if i < self.founders {
                     config.peers = (0..self.founders)
                         .filter(|&j| j != i)
                         .map(|j| (NodeId(j as u32), addrs[j]))
                         .collect();
                 } else {
-                    let join_slot = self
-                        .churn
-                        .iter()
-                        .find_map(|e| match *e {
-                            ChurnEvent::Join { id: j, slot } if j == id => Some(slot),
-                            _ => None,
-                        })
+                    let join_slot = config
+                        .own_churn_slot(true)
                         .expect("joiner ids come from the churn schedule");
                     let bootstrap = (0..self.founders)
-                        .find(|&f| !left_by(f, join_slot))
+                        .find(|&f| !roster.departed_by(NodeId(f as u32), join_slot))
                         .unwrap_or(0);
                     config.join = Some(addrs[bootstrap]);
                 }
@@ -613,17 +585,7 @@ pub fn replay_reference_schedule(
     // The full-schedule roster: what every wire process knows from its
     // `--churn` spec, and therefore what `join_site` must be computed
     // against for the placements to agree.
-    let mut roster = Roster::founders(founders);
-    for event in churn {
-        match *event {
-            ChurnEvent::Join { id, slot } => {
-                roster.learn_join(id, None, slot);
-            }
-            ChurnEvent::Leave { id, slot } => {
-                roster.learn_leave(id, slot);
-            }
-        }
-    }
+    let roster = Roster::scheduled(founders, churn);
     // Canonical application order regardless of how the caller built the
     // schedule: by slot, leaves before joins, ids ascending.
     let mut events = churn.to_vec();
@@ -721,14 +683,8 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // an observer tailing the harness can scrape the live endpoints
     // mid-run instead of guessing at ports.
     if !metrics_addrs.is_empty() {
-        println!(
-            "metrics endpoints: {}",
-            metrics_addrs
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
+        let listed: Vec<String> = metrics_addrs.iter().map(ToString::to_string).collect();
+        println!("metrics endpoints: {}", listed.join(" "));
     }
 
     // --- The controller endpoint: collect reports, ack each.
@@ -743,7 +699,22 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     let controller_addr = controller
         .local_addr()
         .map_err(|e| format!("controller address: {e}"))?;
-    let reports: Arc<Mutex<HashMap<NodeId, RunReport>>> = Arc::new(Mutex::new(HashMap::new()));
+    // Children may not outlive the harness even if it is SIGKILLed (no
+    // destructors run then): a generous watchdog inside each node covers
+    // the whole report window plus the shutdown grace.
+    let child_deadline = config.report_timeout + Duration::from_secs(30);
+    let mut members = deployment.member_configs(&addrs);
+    for member in &mut members {
+        let i = member.id.index();
+        member.controller = Some(controller_addr);
+        member.deadline = Some(child_deadline);
+        member.metrics_addr = metrics_addrs.get(i).copied();
+        if let Some(root) = &config.storage_root {
+            member.storage = Some(root.clone());
+        }
+        member.validate()?;
+    }
+    let reports: Arc<Mutex<BTreeMap<NodeId, RunReport>>> = Arc::default();
     // Per-slot digests answered to the controller's forensic DigestReq
     // pulls, keyed by (node, slot).
     let pulled: Arc<Mutex<BTreeMap<(u32, u64), Digest>>> = Arc::new(Mutex::new(BTreeMap::new()));
@@ -781,191 +752,102 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
             controller.run_receiver(&stop, &mut handler);
         })
     };
-    // Joins every failure path through one teardown: children killed
-    // first (ports released), then the collector thread.
-    let fail = |guard: &mut ChildGuard, msg: String| -> String {
-        guard.kill_all();
-        stop.store(true, Ordering::Relaxed);
-        msg
-    };
-
-    // Children may not outlive the harness even if it is SIGKILLed (no
-    // destructors run then): a generous watchdog inside each node covers
-    // the whole report window plus the shutdown grace.
-    let child_deadline = config.report_timeout + Duration::from_secs(30);
-
     // --- Spawn one real process per member: founders first, then the
     // scheduled joiners (provisioned with only a bootstrap address — the
-    // join handshake transfers the roster).
+    // join handshake transfers the roster) — and collect every report,
+    // scraping the live metrics endpoints on the way when sampling is on.
     let mut guard = ChildGuard {
         children: Vec::with_capacity(total),
     };
-    for member in deployment.member_configs(&addrs) {
-        let i = member.id.0 as usize;
-        let mut cmd = Command::new(&config.exe);
-        cmd.arg("node")
-            .arg("--id")
-            .arg(i.to_string())
-            .arg("--listen")
-            .arg(member.listen.to_string())
-            .arg("--controller")
-            .arg(controller_addr.to_string())
-            .arg("--seed")
-            .arg(member.seed.to_string())
-            .arg("--nodes")
-            .arg(member.nodes.to_string())
-            .arg("--side")
-            .arg(member.side_m.to_string())
-            .arg("--gamma")
-            .arg(member.gamma.to_string())
-            .arg("--slots")
-            .arg(member.slots.to_string())
-            .arg("--deadline")
-            .arg(child_deadline.as_secs().to_string())
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit());
-        match member.join {
-            Some(bootstrap) => cmd.arg("--join").arg(bootstrap.to_string()),
-            None => cmd.arg("--peers").arg(format_peer_list(&member.peers)),
-        };
-        if !member.churn.is_empty() {
-            cmd.arg("--churn").arg(format_churn_spec(&member.churn));
-        }
-        if member.behavior != Behavior::Honest {
-            cmd.arg("--behavior")
-                .arg(format!("{}@{}", member.behavior, member.behavior_from));
-        }
-        if let Some(evict_after) = config.evict_after {
-            cmd.arg("--evict-after")
-                .arg(evict_after.as_secs_f64().to_string());
-        }
-        if member.pop {
-            cmd.arg("--pop");
-        }
-        if config.window > 1 {
-            cmd.arg("--window").arg(config.window.to_string());
-        }
-        if let Some(batch) = config.batch {
-            cmd.arg("--batch").arg(batch.to_string());
-        }
-        if config.drop > 0.0 {
-            cmd.arg("--drop").arg(config.drop.to_string());
-        }
-        if config.trace {
-            cmd.arg("--trace");
-        }
-        if let Some(addr) = metrics_addrs.get(i) {
-            cmd.arg("--metrics-addr").arg(addr.to_string());
-        }
-        if let Some(root) = &config.storage_root {
-            cmd.arg("--storage")
-                .arg("disk")
-                .arg("--storage-dir")
-                .arg(root.join(format!("node-{i}")));
-        }
-        let child = match cmd.spawn() {
-            Ok(child) => child,
-            Err(e) => {
-                let msg = fail(
-                    &mut guard,
-                    format!("cannot spawn node {i} from {}: {e}", config.exe.display()),
-                );
-                let _ = collector.join();
-                return Err(msg);
-            }
-        };
-        guard.children.push((member.id, child));
-    }
-
-    // --- Collect all reports (or fail with whatever went wrong), scraping
-    // the live metrics endpoints on the way when sampling is on.
-    let deadline = Instant::now() + config.report_timeout;
     let mut status_series: Vec<Vec<StatusRow>> = Vec::new();
-    let mut next_sample = config.sample_every.map(|every| Instant::now() + every);
-    let collected = loop {
-        if let (Some(at), Some(every)) = (next_sample, config.sample_every) {
-            if Instant::now() >= at {
-                next_sample = Some(Instant::now() + every);
-                let rows: Vec<StatusRow> = metrics_addrs
-                    .iter()
-                    .filter_map(|addr| {
-                        // A node that already shut down (or is still
-                        // binding) simply misses this sample.
-                        scrape_metrics(*addr, Duration::from_millis(500))
-                            .ok()
-                            .map(|samples| StatusRow::from_samples(addr.to_string(), &samples))
-                    })
-                    .collect();
-                if !rows.is_empty() {
-                    status_series.push(rows);
+    let collected = (|| -> Result<Vec<RunReport>, String> {
+        for member in members {
+            let child = Command::new(&config.exe)
+                .arg("node")
+                .args(member.to_args())
+                .stdout(Stdio::null())
+                .stderr(Stdio::inherit())
+                .spawn()
+                .map_err(|e| {
+                    let exe = config.exe.display();
+                    format!("cannot spawn node {} from {exe}: {e}", member.id.0)
+                })?;
+            guard.children.push((member.id, child));
+        }
+        let deadline = Instant::now() + config.report_timeout;
+        let mut next_sample = config.sample_every.map(|every| Instant::now() + every);
+        loop {
+            if let (Some(at), Some(every)) = (next_sample, config.sample_every) {
+                if Instant::now() >= at {
+                    next_sample = Some(Instant::now() + every);
+                    let rows: Vec<StatusRow> = metrics_addrs
+                        .iter()
+                        .filter_map(|addr| {
+                            // A node that already shut down (or is still
+                            // binding) simply misses this sample.
+                            scrape_metrics(*addr, Duration::from_millis(500))
+                                .ok()
+                                .map(|samples| StatusRow::from_samples(addr.to_string(), &samples))
+                        })
+                        .collect();
+                    if !rows.is_empty() {
+                        status_series.push(rows);
+                    }
                 }
             }
+            let collected = reports.lock().expect("reports poisoned");
+            if collected.len() == total {
+                return Ok(collected.values().copied().collect());
+            }
+            let have = collected.len();
+            drop(collected);
+            let failures = guard.harvest_failures();
+            if !failures.is_empty() {
+                return Err(failures.join("; "));
+            }
+            if Instant::now() > deadline {
+                let timeout = config.report_timeout;
+                return Err(format!(
+                    "cluster timed out: {have}/{total} reports within {timeout:?}"
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(30));
         }
-        let have = reports.lock().expect("reports poisoned").len();
-        if have == total {
-            break reports.lock().expect("reports poisoned").clone();
-        }
-        let failures = guard.harvest_failures();
-        if !failures.is_empty() {
-            let msg = fail(&mut guard, failures.join("; "));
+    })();
+    // Every failure path tears down alike: children killed first (ports
+    // released), then the collector thread.
+    let ordered = match collected {
+        Ok(ordered) => ordered,
+        Err(msg) => {
+            guard.kill_all();
+            stop.store(true, Ordering::Relaxed);
             let _ = collector.join();
             return Err(msg);
         }
-        if Instant::now() > deadline {
-            let msg = fail(
-                &mut guard,
-                format!(
-                    "cluster timed out: {have}/{total} reports within {:?}",
-                    config.report_timeout
-                ),
-            );
-            let _ = collector.join();
-            return Err(msg);
-        }
-        std::thread::sleep(Duration::from_millis(30));
     };
 
     // --- The in-memory reference on the same seed and churn schedule,
     // computed *before* the cluster is released: a parity failure then
     // still has every node alive and serving DigestReq pulls.
     let reference = deployment.reference();
-
-    let mut ordered = Vec::with_capacity(total);
-    for i in 0..total {
-        let id = NodeId(i as u32);
-        match collected.get(&id) {
-            Some(report) => ordered.push(*report),
-            None => {
-                let msg = fail(&mut guard, format!("missing report from node {i}"));
-                let _ = collector.join();
-                return Err(msg);
-            }
-        }
-    }
-    let wire_digest =
-        network_digest_of(&ordered.iter().map(|r| r.chain_digest).collect::<Vec<_>>());
+    let wire_chains: Vec<Digest> = ordered.iter().map(|r| r.chain_digest).collect();
     let reference_chains: Vec<Digest> = (0..total)
         .map(|i| reference.chain_digest(NodeId(i as u32)))
         .collect();
-    let reference_digest = reference.network_digest();
-    // The honest-subset digests: the verdict pair for adversarial runs
-    // (equal to the full pair when no adversaries are scheduled).
-    let honest_ids = config.honest_ids();
-    let honest_wire_digest = network_digest_of(
-        &honest_ids
-            .iter()
-            .map(|id| ordered[id.0 as usize].chain_digest)
-            .collect::<Vec<_>>(),
-    );
-    let honest_reference_digest = network_digest_of(
-        &honest_ids
-            .iter()
-            .map(|id| reference_chains[id.0 as usize])
-            .collect::<Vec<_>>(),
-    );
+    // The verdict pair: the network digest over the nodes no adversary is
+    // placed on (every node of an honest run, where it is the full digest).
+    let honest_digest = |chains: &[Digest]| {
+        let honest: Vec<Digest> = (0..total)
+            .filter(|&i| deployment.adversaries.iter().all(|p| p.node.index() != i))
+            .map(|i| chains[i])
+            .collect();
+        network_digest_of(&honest)
+    };
+    let honest_wire_digest = honest_digest(&wire_chains);
+    let honest_reference_digest = honest_digest(&reference_chains);
 
     // --- Trace snapshots while the nodes still serve `/trace`.
-    let trace_snapshots: Vec<String> = if config.trace {
+    let trace_snapshots: Vec<String> = if deployment.trace {
         metrics_addrs
             .iter()
             .filter_map(|addr| http_get(*addr, "/trace", Duration::from_secs(1)).ok())
@@ -979,12 +861,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // diff them against the reference before anything shuts down. For
     // adversarial runs the verdict (and hence the trigger) is the honest
     // subset: a flapper's own dark chain is an expected fork, not a bug.
-    let verdict_failed = if deployment.adversaries.is_empty() {
-        wire_digest != reference_digest
-    } else {
-        honest_wire_digest != honest_reference_digest
-    };
-    let forensics = if verdict_failed {
+    let forensics = if honest_wire_digest != honest_reference_digest {
         Some(run_forensics(
             config,
             &controller,
@@ -1017,16 +894,14 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
         net.merge(&report.net);
     }
     Ok(ClusterOutcome {
-        wire_digest,
-        reference_digest,
+        wire_digest: network_digest_of(&wire_chains),
+        reference_digest: reference.network_digest(),
         reference_chains,
-        adversaries: deployment.adversaries.clone(),
         honest_wire_digest,
         honest_reference_digest,
         wire_pop,
         reference_pop: reference.pop_counters(),
         net,
-        metrics_addrs,
         status_series,
         trace_snapshots,
         forensics,

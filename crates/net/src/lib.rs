@@ -37,6 +37,9 @@
 //! * [`forensics`] — slot-by-slot divergence diagnosis on parity
 //!   failures: first divergent slot, differing block digests, and the
 //!   offending blocks' causal lifecycle timelines.
+//! * [`argv`] — the `tldag` command line: the per-subcommand flag parser
+//!   and the `tldag node` argv of a [`NetNodeConfig`], which the harness
+//!   spawns members with and `tldag node` reads back.
 //! * [`explore`] — the `tldag explore` DAG explorer: `/dag`, `/slot/<t>`
 //!   and `/block/<id>` served from disk segments or a live node's
 //!   telemetry endpoints.
@@ -56,6 +59,7 @@
 
 use std::fmt;
 
+pub mod argv;
 pub mod control;
 pub mod endpoint;
 pub mod envelope;
@@ -82,7 +86,7 @@ pub use harness::{
 pub use membership::{parse_churn_spec, ChurnEvent, Roster};
 pub use metrics::{NetMetrics, NetStats};
 pub use peer::PeerTable;
-pub use runtime::{NetNode, NetNodeConfig, NetPopTransport, StorageMode};
+pub use runtime::{NetNode, NetNodeConfig, NetPopTransport};
 pub use telemetry::{
     render_metrics, render_status_table, scrape_metrics, status_json, total_row, MetricsView,
     NodeTelemetry, StatusRow,

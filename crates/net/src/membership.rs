@@ -75,6 +75,19 @@ impl Roster {
         Roster { members }
     }
 
+    /// The founders plus every join and leave `churn` schedules: what each
+    /// process of a deployment knows before it starts.
+    pub fn scheduled(founders: usize, churn: &[ChurnEvent]) -> Self {
+        let mut roster = Roster::founders(founders);
+        for event in churn {
+            match *event {
+                ChurnEvent::Join { id, slot } => roster.learn_join(id, None, slot),
+                ChurnEvent::Leave { id, slot } => roster.learn_leave(id, slot),
+            };
+        }
+        roster
+    }
+
     /// Records a member's endpoint address.
     pub fn set_addr(&mut self, id: NodeId, addr: SocketAddr) {
         if let Some(m) = self.members.get_mut(&id) {

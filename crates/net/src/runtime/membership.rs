@@ -144,10 +144,10 @@ impl NetNode {
         // responder's progress so its announcement can outrun the cluster
         // (which may be generating up to `window` slots past the
         // responder's verified slot).
-        let join_slot = match self.config.join_slot {
-            Some(slot) => slot,
-            None => responder_slot + 3 + self.config.window,
-        };
+        let join_slot = self
+            .config
+            .own_churn_slot(true)
+            .unwrap_or(responder_slot + 3 + self.config.window);
         let self_addr = self
             .endpoint
             .local_addr()

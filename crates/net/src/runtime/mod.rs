@@ -95,15 +95,6 @@ mod slot_loop;
 use dispatch::dispatch;
 pub use pop::{serve_wire_request, wire_target_pool, NetPopTransport};
 
-/// Where a deployed node keeps its chain `S_i`.
-#[derive(Clone, Debug)]
-pub enum StorageMode {
-    /// In-memory (volatile) chain.
-    Memory,
-    /// Durable segmented block log under the given directory.
-    Disk(PathBuf),
-}
-
 /// Configuration of one deployed node.
 #[derive(Clone, Debug)]
 pub struct NetNodeConfig {
@@ -137,8 +128,9 @@ pub struct NetNodeConfig {
     /// dependency is the neighbor digest, which no window can relax).
     /// Every process of a deployment must use the same value.
     pub window: u64,
-    /// Chain storage backend.
-    pub storage: StorageMode,
+    /// Where the node keeps its chain `S_i`: a durable block log in
+    /// `<dir>/node-<id>/`, or in memory when `None`.
+    pub storage: Option<PathBuf>,
     /// Transport tuning.
     pub endpoint: EndpointConfig,
     /// Give-up deadline for the per-slot digest barrier.
@@ -147,18 +139,16 @@ pub struct NetNodeConfig {
     pub hello_timeout: Duration,
     /// How long a controller-less node keeps serving after its last slot.
     pub linger: Duration,
-    /// Scheduled churn shared by every process of the deployment
-    /// (`--churn`); drives deterministic membership for parity runs.
+    /// Scheduled churn (`--churn`): shared by every process of a parity
+    /// run, and the one place a node's own join and leave slots are set (a
+    /// node whose own `Leave` is at slot `m` generates its last block at
+    /// `m - 1`).
     pub churn: Vec<ChurnEvent>,
     /// Bootstrap peer for a dynamic join: when set, this node is a late
-    /// joiner and `peers` may be empty.
+    /// joiner and `peers` may be empty. Its first generation slot is its
+    /// own `Join` in `churn`, or else picked from the handshake (the
+    /// bootstrap's slot plus a margin).
     pub join: Option<SocketAddr>,
-    /// The joiner's first generation slot. `None` on a `--join` node
-    /// means "pick from the handshake" (bootstrap's slot plus a margin).
-    pub join_slot: Option<u64>,
-    /// Stop generating at this slot (the node's graceful leave). Defaults
-    /// to this node's scheduled leave in `churn`, if any.
-    pub leave_at: Option<u64>,
     /// Evict a barrier-blocking peer after this much silence. `None`
     /// disables liveness eviction (the default for parity runs).
     pub evict_after: Option<Duration>,
@@ -207,15 +197,13 @@ impl NetNodeConfig {
             slots,
             pop: false,
             window: 1,
-            storage: StorageMode::Memory,
+            storage: None,
             endpoint: EndpointConfig::default(),
             slot_timeout: Duration::from_secs(10),
             hello_timeout: Duration::from_secs(10),
             linger: Duration::from_millis(1500),
             churn: Vec::new(),
             join: None,
-            join_slot: None,
-            leave_at: None,
             evict_after: None,
             fault: None,
             deadline: None,
@@ -224,6 +212,16 @@ impl NetNodeConfig {
             behavior: Behavior::Honest,
             behavior_from: 0,
         }
+    }
+
+    /// The slot of this node's own scheduled join (`join`) or leave in
+    /// `churn`.
+    pub(crate) fn own_churn_slot(&self, join: bool) -> Option<u64> {
+        self.churn.iter().find_map(|e| match *e {
+            ChurnEvent::Join { id, slot } if join && id == self.id => Some(slot),
+            ChurnEvent::Leave { id, slot } if !join && id == self.id => Some(slot),
+            _ => None,
+        })
     }
 }
 
@@ -419,26 +417,11 @@ impl NetNode {
     ///
     /// Bind failures, storage errors when reopening a disk backend, and
     /// inconsistent membership configuration.
-    pub fn new(mut config: NetNodeConfig) -> Result<Self, String> {
-        if !(1..=32).contains(&config.window) {
-            return Err(format!("--window {} out of range (1..=32)", config.window));
-        }
+    pub fn new(config: NetNodeConfig) -> Result<Self, String> {
+        config.validate()?;
         let cfg = deployment_protocol_config(config.gamma);
         let topology = deployment_topology(config.seed, config.nodes, config.side_m);
         let is_joiner = config.join.is_some();
-
-        // Resolve this node's scheduled join/leave from the churn spec.
-        for event in &config.churn {
-            match *event {
-                ChurnEvent::Join { id, slot } if id == config.id => {
-                    config.join_slot.get_or_insert(slot);
-                }
-                ChurnEvent::Leave { id, slot } if id == config.id => {
-                    config.leave_at.get_or_insert(slot);
-                }
-                _ => {}
-            }
-        }
 
         if is_joiner {
             if config.id.index() < config.nodes {
@@ -475,8 +458,8 @@ need --join)",
         }
 
         let backend: Box<dyn BlockBackend> = match &config.storage {
-            StorageMode::Memory => Box::new(BlockStore::new()),
-            StorageMode::Disk(dir) => {
+            None => Box::new(BlockStore::new()),
+            Some(dir) => {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| format!("cannot use storage dir {}: {e}", dir.display()))?;
                 DiskFactory::new(dir.clone(), StorageOptions::default()).create(config.id)
@@ -510,21 +493,11 @@ need --join)",
 
         // The roster starts from the founders plus every scheduled event;
         // dynamic joins/leaves merge in as their announcements arrive.
-        let mut roster = Roster::founders(config.nodes);
+        let mut roster = Roster::scheduled(config.nodes, &config.churn);
         for (id, addr) in &config.peers {
             roster.set_addr(*id, *addr);
         }
-        for event in &config.churn {
-            match *event {
-                ChurnEvent::Join { id, slot } => {
-                    roster.learn_join(id, None, slot);
-                }
-                ChurnEvent::Leave { id, slot } => {
-                    roster.learn_leave(id, slot);
-                }
-            }
-        }
-        if let Some(slot) = config.join_slot {
+        if let Some(slot) = config.own_churn_slot(true) {
             roster.learn_join(config.id, Some(self_addr), slot);
         }
         roster.set_addr(config.id, self_addr);
@@ -692,7 +665,7 @@ need --join)",
         };
         let end_slot = self
             .config
-            .leave_at
+            .own_churn_slot(false)
             .unwrap_or(self.config.slots)
             .min(self.config.slots);
         if start_slot >= end_slot {

@@ -414,6 +414,10 @@ fn quantile(samples: &[Sample], name: &str, labels: &[(&str, &str)], q: f64) -> 
 impl StatusRow {
     /// Builds a row from one node's scraped samples.
     pub fn from_samples(target: impl Into<String>, samples: &[Sample]) -> StatusRow {
+        let phase_p50 = |phase| {
+            let labels = [("phase", phase)];
+            quantile(samples, "tldag_phase_latency_micros", &labels, 0.5)
+        };
         StatusRow {
             target: target.into(),
             node: tldag_obs::expo::sample_value(samples, "tldag_node", &[]).map(|v| v as u64),
@@ -426,24 +430,9 @@ impl StatusRow {
             request_timeouts: scalar(samples, "tldag_net_request_timeouts_total"),
             window_occupancy: scalar(samples, "tldag_window_occupancy"),
             watermark_lag: scalar(samples, "tldag_watermark_lag"),
-            generate_p50: quantile(
-                samples,
-                "tldag_phase_latency_micros",
-                &[("phase", "generate")],
-                0.5,
-            ),
-            verify_p50: quantile(
-                samples,
-                "tldag_phase_latency_micros",
-                &[("phase", "verify")],
-                0.5,
-            ),
-            commit_p50: quantile(
-                samples,
-                "tldag_phase_latency_micros",
-                &[("phase", "commit")],
-                0.5,
-            ),
+            generate_p50: phase_p50("generate"),
+            verify_p50: phase_p50("verify"),
+            commit_p50: phase_p50("commit"),
             rtt_p50: quantile(samples, "tldag_request_rtt_micros", &[], 0.5),
             rtt_p99: quantile(samples, "tldag_request_rtt_micros", &[], 0.99),
         }

@@ -1,5 +1,6 @@
 //! Membership churn edges over real sockets: liveness eviction of a
-//! silently dead peer, a dynamic (unscheduled) join racing the slot
+//! silently dead peer, a manual leave only the leaver was configured
+//! with, a dynamic (unscheduled) join racing the slot
 //! boundaries of a running cluster, and re-join of a previously evicted
 //! id at the addressing layer. Loss injection uses fixed
 //! [`FaultyTransport`] seeds, so every run exercises the same datagram
@@ -8,7 +9,7 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 use tldag_net::harness::discover_ports;
-use tldag_net::{Deployment, FaultSpec, LoopbackCluster, NetNodeConfig, PeerTable};
+use tldag_net::{ChurnEvent, Deployment, FaultSpec, LoopbackCluster, NetNodeConfig, PeerTable};
 use tldag_sim::NodeId;
 
 #[test]
@@ -49,6 +50,36 @@ fn silent_peer_is_evicted_and_the_cluster_finishes() {
         "an evicting node must report its run degraded — the chain \
 diverged from the reference schedule"
     );
+}
+
+#[test]
+fn manual_leave_ends_the_leavers_chain_and_degrades_no_one() {
+    // Only node 2's own config carries its leave (`--churn leave:2@5`);
+    // the others learn it from the departure announcement. The leaver
+    // generates its last block at slot 4, and the survivors run all 8
+    // slots without a timed-out barrier or an eviction.
+    let leave = ChurnEvent::Leave {
+        id: NodeId(2),
+        slot: 5,
+    };
+    let addrs = discover_ports(3).expect("probe ports");
+    let mut configs = Deployment::new(90_703, 3, 8).member_configs(&addrs);
+    configs[2].churn = vec![leave];
+
+    let outcomes = LoopbackCluster::run(configs);
+    let leaver = &outcomes[2].run;
+    assert_eq!(
+        (leaver.slots, leaver.chain_len),
+        (5, 5),
+        "the leaver generates one block a slot through slot 4"
+    );
+    for survivor in &outcomes[..2] {
+        assert_eq!(survivor.run.chain_len, 8, "survivors run every slot");
+    }
+    for outcome in &outcomes {
+        assert!(!outcome.run.degraded, "node {} degraded", outcome.run.node);
+        assert_eq!(outcome.stats.evictions, 0, "a leave is not an eviction");
+    }
 }
 
 #[test]

@@ -208,6 +208,11 @@ impl ShardLog {
         self.set.disk_usage_bytes()
     }
 
+    /// The owners with a chain in this log, ascending.
+    pub fn owners(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.indexes.keys().map(|&owner| NodeId(owner))
+    }
+
     /// Chain length of `node`.
     pub fn len_of(&self, node: NodeId) -> usize {
         self.indexes

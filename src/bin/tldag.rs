@@ -1,19 +1,23 @@
 //! `tldag` — command-line driver for the 2LDAG simulator and wire
 //! runtime. `tldag help` prints the synopsis (`USAGE`).
 
-use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 use tldag::core::attack::Behavior;
 use tldag::core::block::BlockId;
 use tldag::core::network::TldagNetwork;
-use tldag::core::store::SyncPolicy;
+use tldag::core::store::{BackendFactory, SyncPolicy};
 use tldag::core::workload::VerificationWorkload;
+use tldag::net::argv::Args;
+use tldag::net::{ClusterConfig, NetNodeConfig};
 use tldag::obs::Journal;
 use tldag::sim::bus::TrafficClass;
 use tldag::sim::engine::GenerationSchedule;
 use tldag::sim::engine::Sharding;
 use tldag::sim::fault::{FaultPlan, MaliciousPlacement};
-use tldag::sim::topology::{Topology, TopologyConfig};
+use tldag::sim::topology::Topology;
 use tldag::sim::{DetRng, NodeId};
 use tldag::storage::{DiskFactory, ShardedDiskFactory, StorageOptions};
 
@@ -24,18 +28,15 @@ USAGE:
     tldag topology [--nodes N] [--side METERS] [--seed S]
         Print the deployment produced by the paper's placement rule.
 
-    tldag run [--nodes N] [--slots T] [--gamma G] [--malicious M]
-              [--seed S] [--trace] [--threads W] [--sync-policy P]
-              [--storage memory|disk|disk-sharded] [--storage-dir P]
-              [--retain-bytes B] [--persist-trust-cache]
+    tldag run [--nodes N] [--side METERS] [--slots T] [--gamma G]
+              [--malicious M] [--seed S] [--trace] [--threads W]
+              [--sync-policy P] [--storage memory|disk|disk-sharded]
+              [--storage-dir P] [--retain-bytes B] [--persist-trust-cache]
         Run a slotted simulation with the paper's verification workload
-        and print storage/communication/PoP summaries.
+        and print storage/communication/PoP summaries (--trace: the last
+        journal events).
 
-    tldag verify --owner K [--seq Q] [--validator V]
-                 [--nodes N] [--slots T] [--gamma G] [--seed S]
-                 [--threads W] [--sync-policy P]
-                 [--storage memory|disk|disk-sharded] [--storage-dir P]
-                 [--retain-bytes B] [--persist-trust-cache]
+    tldag verify --owner K [--seq Q] [--validator V] [any `run` flag but --trace]
         Run a simulation, then verify block K#Q from node V via
         Proof-of-Path and print the proof path.
 
@@ -43,197 +44,97 @@ USAGE:
                [--seed S] [--nodes N] [--side M] [--gamma G] [--pop]
                [--window W] [--batch K] [--drop P] [--trace]
                [--controller ADDR] [--storage memory|disk] [--storage-dir P]
-               [--join ADDR] [--join-slot K] [--leave-at M]
-               [--churn SPEC] [--evict-after SECS] [--deadline SECS]
-               [--metrics-addr ADDR] [--behavior KIND[@SLOT]]
-        Run ONE real 2LDAG node over UDP: generate blocks, gossip
-        slot-tagged digests with pull-based loss recovery, serve
-        REQ_CHILD/FetchBlock, and (with --pop) verify blocks over the
-        wire. The topology is derived from (--seed, --nodes, --side),
-        so every process agrees on G(V,E) without exchanging it.
-        Dynamic membership: --join ADDR bootstraps a late joiner off any
-        live member (handshake transfers the roster; --join-slot pins the
-        first generation slot, otherwise it is negotiated); --leave-at M
-        makes the node generate its last block at M-1, announce its
-        departure, and wind down; --churn SPEC shares a deterministic
-        membership schedule (join:ID@SLOT,leave:ID@SLOT,...) across the
-        deployment; --evict-after SECS evicts a barrier-blocking peer
-        that has gone silent; --deadline SECS hard-caps the process
-        lifetime (watchdog against orphaned listeners). --metrics-addr
-        serves live telemetry over HTTP while the node runs: GET /metrics
-        is a Prometheus-style text exposition (phase-latency histograms,
-        transport/PoP counters, storage gauges, roster state), GET
-        /journal dumps the node's bounded event journal as JSONL.
-        Pipelining: --window W (PoP mode, W in 1..=32, default 1) lets
-        generation run up to W slots ahead of the cluster's completion
-        low-watermark while a background worker verifies slots in order
-        (1 = the verify step runs inline, slot lockstep; horizon-capped
-        child requests keep PoP answers byte-identical at every W);
-        --batch K sets the socket send/recv batch (datagrams per
-        sendmmsg/recvmmsg wakeup); --drop P injects a deterministic
-        per-datagram drop probability for loss testing.
-        --behavior KIND[@SLOT] turns the node into a wire adversary from
-        SLOT (default 0) on: selfish/unresponsive refuse to serve,
-        corrupt-reply/corrupt-store tamper with answers, equivocate mints
-        a second conflicting block per slot, digest-lie gossips corrupted
-        SlotDigests, parasite re-advertises conflicting digests for stale
-        slots, flapper goes dark until evicted then spams rejoins. The
-        adversary's canonical chain stays protocol-conformant, so honest
-        peers converge by pulling the slot directly.
-        --trace records causal block-lifecycle spans (generated →
-        gossiped-out → received → verified → committed) in a bounded
-        lock-free span store and serves them as cross-node-stitchable
-        timelines at GET /trace (needs --metrics-addr). Tracing never
-        changes protocol byte content: a traced run's chain digests are
-        identical to an untraced run's on the same seed.
+               [--join ADDR] [--churn SPEC] [--evict-after SECS]
+               [--deadline SECS] [--metrics-addr ADDR] [--behavior KIND[@SLOT]]
+        Run ONE real 2LDAG node over UDP: generate, gossip slot digests
+        with pull-based loss recovery, serve REQ_CHILD/FetchBlock, and
+        (--pop) verify blocks over the wire. G(V,E) is derived from
+        (--seed, --nodes, --side), so every process agrees on it.
+        --churn join:ID@SLOT,leave:ID@SLOT,... is the membership schedule,
+        shared by a deployment or given to one node alone: the node's own
+        join pins its first slot, its own leave:ID@M makes it generate its
+        last block at M-1, announce the departure and wind down. --join
+        ADDR bootstraps a late joiner off any live member (without its own
+        join entry the first slot is negotiated). --evict-after SECS evicts
+        a silent barrier-blocking peer; --deadline SECS caps the process
+        lifetime. --metrics-addr serves GET /metrics (Prometheus text),
+        /journal (JSONL) and, with --trace (causal block-lifecycle spans,
+        never changing a protocol byte), /trace. --window W (PoP mode,
+        1..=32) lets generation run W slots ahead of the verify worker (1 =
+        lockstep); --batch K datagrams per sendmmsg/recvmmsg wakeup; --drop
+        P injects deterministic datagram loss. --behavior KIND[@SLOT] makes
+        the node a wire adversary from SLOT on: selfish, unresponsive,
+        corrupt-reply, corrupt-store, equivocate, digest-lie, parasite,
+        flapper.
 
     tldag cluster [--nodes N] [--slots T] [--seed S] [--side M]
                   [--gamma G] [--pop] [--window W] [--batch K] [--drop P]
                   [--trace] [--storage memory|disk] [--storage-dir P]
-                  [--base-port P] [--timeout SECS]
-                  [--churn SPEC] [--metrics] [--status-every SECS]
-                  [--adversary SPEC] [--evict-after SECS]
-        Spawn N real `tldag node` processes on localhost UDP ports, run
-        T slots, collect their reports, and verify network_digest parity
-        against the in-memory engine on the same seed. With --churn, also
-        spawn the scheduled late joiners (bootstrapped via the join
-        handshake, not a provisioned peer list) and replay the identical
-        node_joins/node_leaves schedule on the reference engine — parity
-        is asserted through the membership changes. Exits non-zero on a
-        parity failure — and on one, pulls the suspect nodes' recent
-        per-slot digests over the still-live control plane and prints a
-        divergence forensics report: first divergent slot, the differing
-        block digests, and (with --trace) the offending blocks' lifecycle
-        timelines. --metrics gives every node a localhost telemetry
-        endpoint (announced as `metrics endpoints: ...` before the nodes
-        spawn); with --status-every SECS the harness also scrapes all
-        of them periodically and prints the mid-run time series. --trace
-        turns on block-lifecycle tracing at every node.
-        --adversary SPEC schedules wire adversaries: comma-separated
-        kind:count[@slot] groups (e.g. `selfish:2,equivocate:1@4`; kinds
-        as in `tldag node --behavior`), placed deterministically on the
-        highest founder ids (never node 0) and applied to the reference
-        engine at the same slot boundary. The verdict then becomes
-        honest-subset digest parity — honest nodes must reproduce the
-        engine exactly *despite* the attack, and the detection counters
-        (digest conflicts, conflict pulls, flap rejections, evictions)
-        are printed. A flapper adversary's own chain is expected to fork
-        (it goes dark mid-run); pass --evict-after SECS so honest nodes
-        evict it instead of waiting out every barrier.
+                  [--base-port P] [--timeout SECS] [--churn SPEC] [--metrics]
+                  [--status-every SECS] [--adversary SPEC] [--evict-after SECS]
+        Spawn N `tldag node` processes on localhost UDP ports (plus the
+        --churn joiners, bootstrapped by the join handshake), run T slots,
+        and check network_digest parity against the in-memory engine
+        replaying the same schedule; on a failure, print a divergence
+        forensics report from the still-live nodes and exit non-zero.
+        --metrics gives every node a telemetry endpoint (announced before
+        they spawn), and --status-every SECS scrapes them mid-run.
+        --adversary kind:count[@slot],... (kinds as in --behavior) places
+        adversaries on the highest founder ids and on the reference
+        engine; the verdict is then honest-subset parity, with detection
+        counters printed (a flapper needs --evict-after).
 
     tldag status --targets ADDR,ADDR,... [--json] [--timeout SECS]
-        Scrape the /metrics endpoint of every listed node of a live
-        cluster and render one aggregated status table (slot, chain
-        length, PoP counters, request retries/timeouts, and p50/p99
-        latencies re-estimated from the scraped histogram buckets), plus
-        a TOTAL row summed over the raw samples. --json prints the same
-        aggregation as machine-readable JSON. Targets that do not answer
-        within --timeout (default 2s) are reported on stderr and skipped.
+        Scrape every node's /metrics and print one table (slot, chain, PoP,
+        retries/timeouts, p50 latencies from the scraped histograms) with a
+        TOTAL row, or --json. Targets silent past --timeout (default 2s)
+        are skipped; exits non-zero when none answers.
 
     tldag explore <ADDR | --segments DIR> [--listen ADDR] [--duration SECS]
-        Serve a browsable JSON view of a deployment's DAG at GET /dag,
-        GET /slot/<t>, and GET /block/<o>-<q>. With a node's metrics
-        ADDR, proxies that live node's /metrics + /trace into a causal
-        view (block ids are origin-slot). With --segments DIR, opens the
-        durable block logs a cluster run left behind (a node dir or a
-        cluster root of node-<i> subdirs) and serves the full structural
-        DAG with resolved cross-chain digest edges (block ids are
-        owner-seq). --listen picks the serving address (default
-        127.0.0.1:0, printed on startup); --duration exits after SECS
-        (default: serve until killed).
+        Serve a deployment's DAG as JSON at GET /dag, /slot/<t> and
+        /block/<o>-<q>: a live node's /metrics + /trace (ids origin-slot),
+        or with --segments the block logs a run left behind (a node-<i> or
+        shard-XXXX dir, or a root of them; ids owner-seq) with resolved
+        digest edges. --listen defaults to 127.0.0.1:0 (printed);
+        --duration exits after SECS.
 
 Storage backends: `memory` (default) keeps every chain in RAM; `disk` puts
 each node's chain in a durable segmented block log under --storage-dir
-(default: a fresh directory under the system temp dir) with crash recovery
-and bounded resident memory; `disk-sharded` group-commits all nodes of a
-shard into one multiplexed log (one fsync per shard per sync point, shard
-count = --threads, so the number of cores unless given).
-
---threads W runs the slot loop on up to W threads (default: one per
-available core). Results are byte-identical for every thread count under a
-fixed seed.
-
---sync-policy picks the durability cadence: `per-append` (fsync every
-block), `per-slot` (fsync at each slot boundary; default), or `grouped:N`
-(fsync every N slots).
-
---retain-bytes B caps each log's disk usage (per node for `disk`, per
-shard for `disk-sharded`): segment rolls compact the oldest sealed
-segments away and PoP answers requests for pruned blocks with a graceful
-miss. --persist-trust-cache saves each node's verified-header cache H_i
-at every commit point, so a restarted node resumes TPS warm. Both need a
-disk backend.
+(default: a fresh directory under the system temp dir); `disk-sharded`
+group-commits a shard of nodes into one log (one fsync per shard per sync
+point, --threads shards). --threads W runs the slot loop on up to W
+threads; results are byte-identical for every W. --sync-policy is
+`per-append`, `per-slot` or `grouped:N` (fsync every N slots).
+--retain-bytes B caps each log's disk usage (pruned blocks answer PoP with
+a graceful miss); --persist-trust-cache saves each node's H_i at every
+commit point. Both need a disk backend.
 
 Defaults: --nodes 16, --side 300, --slots 40, --gamma 3, --malicious 0,
           --seq 0, --validator 0, --seed 42, --storage memory,
           --threads <cores>, --sync-policy per-slot, no retention budget.
 ";
 
-struct Args {
-    flags: HashMap<String, String>,
-    switches: Vec<String>,
-}
-
-impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
-        let mut flags = HashMap::new();
-        let mut switches = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = &argv[i];
-            let Some(name) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected argument `{arg}`"));
-            };
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                flags.insert(name.to_string(), argv[i + 1].clone());
-                i += 2;
-            } else {
-                switches.push(name.to_string());
-                i += 1;
-            }
-        }
-        Ok(Args { flags, switches })
-    }
-
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("invalid value for --{name}: `{raw}`")),
-        }
-    }
-
-    fn required<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
-        let raw = self
-            .flags
-            .get(name)
-            .ok_or_else(|| format!("missing required flag --{name}"))?;
-        raw.parse()
-            .map_err(|_| format!("invalid value for --{name}: `{raw}`"))
-    }
-
-    fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
-}
+// Flag tables (see `Args::parse`): `name=` takes a value, `name` is a switch.
+const TOPOLOGY_FLAGS: &str = "nodes= side= seed=";
+const ENGINE_FLAGS: &str = "slots= gamma= malicious= threads= sync-policy= storage= \
+    storage-dir= retain-bytes= persist-trust-cache";
+const RUN_FLAGS: &str = "trace";
+const VERIFY_FLAGS: &str = "owner= seq= validator=";
+const CLUSTER_FLAGS: &str = "nodes= slots= seed= side= gamma= pop window= batch= drop= trace \
+    storage= storage-dir= base-port= timeout= churn= metrics status-every= adversary= \
+    evict-after=";
+const STATUS_FLAGS: &str = "targets= json timeout=";
+const EXPLORE_FLAGS: &str = "target= segments= listen= duration=";
 
 fn build_topology(args: &Args) -> Result<(Topology, u64), String> {
     let nodes: usize = args.get("nodes", 16)?;
-    let side: f64 = args.get("side", 300.0)?;
     let seed: u64 = args.get("seed", 42)?;
     if nodes == 0 {
         return Err("--nodes must be positive".into());
     }
-    let cfg = TopologyConfig {
-        nodes,
-        side_m: side,
-        ..TopologyConfig::paper_default()
-    };
-    Ok((
-        Topology::random_connected(&cfg, &mut DetRng::seed_from(seed)),
-        seed,
-    ))
+    // The placement every wire node derives, so both run one deployment.
+    let topology = tldag::net::runtime::deployment_topology(seed, nodes, args.get("side", 300.0)?);
+    Ok((topology, seed))
 }
 
 fn build_network(args: &Args) -> Result<TldagNetwork, String> {
@@ -253,13 +154,7 @@ fn build_network(args: &Args) -> Result<TldagNetwork, String> {
     }
     let sync_policy: SyncPolicy = args.get("sync-policy", SyncPolicy::PerSlot)?;
     let storage: String = args.get("storage", "memory".to_string())?;
-    let retain_bytes: Option<u64> = match args.flags.get("retain-bytes") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --retain-bytes: `{raw}`"))?,
-        ),
-    };
+    let retain_bytes: Option<u64> = args.opt("retain-bytes")?;
     let persist_trust = args.switch("persist-trust-cache");
     if storage == "memory" && (retain_bytes.is_some() || persist_trust) {
         return Err(
@@ -277,39 +172,37 @@ fn build_network(args: &Args) -> Result<TldagNetwork, String> {
         }
         opts
     };
-    let storage_dir = |args: &Args| -> Result<String, String> {
-        let default_dir = std::env::temp_dir()
-            .join(format!("tldag-run-{}", std::process::id()))
-            .display()
-            .to_string();
-        let dir: String = args.get("storage-dir", default_dir)?;
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot use --storage-dir {dir}: {e}"))?;
-        Ok(dir)
-    };
-    let retention_note = match retain_bytes {
-        Some(b) => format!(", retain {b} B"),
-        None => String::new(),
-    };
-    let mut net = match storage.as_str() {
-        "memory" => TldagNetwork::new(cfg, topology.clone(), schedule, seed),
-        "disk" => {
-            let dir = storage_dir(args)?;
-            println!("storage backend: disk ({dir}{retention_note})");
-            let factory = DiskFactory::new(dir, opts);
-            TldagNetwork::with_factory(cfg, topology.clone(), schedule, seed, Box::new(factory))
-        }
-        "disk-sharded" => {
-            let dir = storage_dir(args)?;
-            println!("storage backend: disk-sharded ({dir}, {threads} shard logs{retention_note})");
-            let factory = ShardedDiskFactory::new(dir, threads, topology.len()).with_options(opts);
-            TldagNetwork::with_factory(cfg, topology.clone(), schedule, seed, Box::new(factory))
+    let factory: Option<Box<dyn BackendFactory>> = match storage.as_str() {
+        "memory" => None,
+        "disk" | "disk-sharded" => {
+            let dir = args.storage_dir("run")?;
+            std::fs::create_dir_all(&dir)
+                .map_err(|e| format!("cannot use --storage-dir {}: {e}", dir.display()))?;
+            let retain = retain_bytes.map_or(String::new(), |b| format!(", retain {b} B"));
+            if storage == "disk" {
+                println!("storage backend: disk ({}{retain})", dir.display());
+                Some(Box::new(DiskFactory::new(dir, opts)))
+            } else {
+                let shards = format!("{threads} shard logs{retain}");
+                println!(
+                    "storage backend: disk-sharded ({}, {shards})",
+                    dir.display()
+                );
+                let nodes = topology.len();
+                Some(Box::new(
+                    ShardedDiskFactory::new(dir, threads, nodes).with_options(opts),
+                ))
+            }
         }
         other => {
             return Err(format!(
                 "invalid value for --storage: `{other}` (memory|disk|disk-sharded)"
             ))
         }
+    };
+    let mut net = match factory {
+        None => TldagNetwork::new(cfg, topology.clone(), schedule, seed),
+        Some(factory) => TldagNetwork::with_factory(cfg, topology.clone(), schedule, seed, factory),
     };
     net.set_sharding(Sharding::threads(threads));
     net.set_sync_policy(sync_policy);
@@ -336,8 +229,8 @@ fn build_network(args: &Args) -> Result<TldagNetwork, String> {
     Ok(net)
 }
 
-fn cmd_topology(args: &Args) -> Result<(), String> {
-    let (topo, seed) = build_topology(args)?;
+fn cmd_topology(argv: &[String]) -> Result<(), String> {
+    let (topo, seed) = build_topology(&Args::parse(argv, &[TOPOLOGY_FLAGS])?)?;
     println!(
         "{} nodes, seed {seed}: {} links, mean degree {:.1}, diameter {:?}",
         topo.len(),
@@ -359,7 +252,8 @@ fn cmd_topology(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(argv: &[String]) -> Result<(), String> {
+    let args = &Args::parse(argv, &[TOPOLOGY_FLAGS, ENGINE_FLAGS, RUN_FLAGS])?;
     let slots: u64 = args.get("slots", 40)?;
     let mut net = build_network(args)?;
     if args.switch("trace") {
@@ -380,21 +274,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     );
     println!("  blocks network-wide : {}", net.total_blocks());
     println!("  mean node storage   : {:.3} MB", net.mean_storage_mb());
-    let resident: usize = net
-        .topology()
-        .node_ids()
-        .map(|id| net.node(id).store().resident_bytes())
-        .sum();
+    let nodes = || net.topology().node_ids().map(|id| net.node(id));
+    let resident: usize = nodes().map(|n| n.store().resident_bytes()).sum();
     println!(
         "  resident block mem  : {:.1} KiB total across nodes",
         resident as f64 / 1024.0
     );
-    let max_floor = net
-        .topology()
-        .node_ids()
-        .map(|id| net.node(id).pruned_floor())
-        .max()
-        .unwrap_or(0);
+    let max_floor = nodes().map(|n| n.pruned_floor()).max().unwrap_or(0);
     if max_floor > 0 {
         println!(
             "  retention           : deepest pruned floor at seq {max_floor} \
@@ -402,11 +288,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
     }
     if net.persists_trust_cache() {
-        let cached: usize = net
-            .topology()
-            .node_ids()
-            .map(|id| net.node(id).trust_cache().len())
-            .sum();
+        let cached: usize = nodes().map(|n| n.trust_cache().len()).sum();
         println!("  trust caches        : persisted at commit points ({cached} headers total)");
     }
     let acc = net.accounting();
@@ -418,11 +300,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     );
     println!(
         "  PoP verifications   : {successes}/{attempts} succeeded ({:.1}%)",
-        if attempts == 0 {
-            0.0
-        } else {
-            100.0 * successes as f64 / attempts as f64
-        }
+        100.0 * successes as f64 / attempts.max(1) as f64
     );
     if args.switch("trace") {
         println!("\nlast events:\n{}", net.journal().render());
@@ -430,7 +308,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_verify(args: &Args) -> Result<(), String> {
+fn cmd_verify(argv: &[String]) -> Result<(), String> {
+    let args = &Args::parse(argv, &[TOPOLOGY_FLAGS, ENGINE_FLAGS, VERIFY_FLAGS])?;
     let slots: u64 = args.get("slots", 40)?;
     let owner: u32 = args.required("owner")?;
     let seq: u32 = args.get("seq", 0)?;
@@ -476,119 +355,8 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_node(args: &Args) -> Result<(), String> {
-    let id: u32 = args.required("id")?;
-    let listen: std::net::SocketAddr = args.required("listen")?;
-    let peers = tldag::net::peer::parse_peer_list(&args.get("peers", String::new())?)?;
-    let seed: u64 = args.get("seed", 42)?;
-    let nodes: usize = args.get("nodes", peers.len() + 1)?;
-    let slots: u64 = args.get("slots", 8)?;
-    let mut config = tldag::net::NetNodeConfig::new(NodeId(id), listen, seed, nodes, slots);
-    config.peers = peers;
-    config.side_m = args.get("side", 300.0)?;
-    config.gamma = args.get("gamma", 3)?;
-    config.pop = args.switch("pop");
-    config.window = args.get("window", 1)?;
-    config.trace = args.switch("trace");
-    config.endpoint.batch = args.get("batch", config.endpoint.batch)?;
-    let drop_rate: f64 = args.get("drop", 0.0)?;
-    if !(0.0..1.0).contains(&drop_rate) {
-        return Err(format!(
-            "invalid value for --drop: `{drop_rate}` (0.0..1.0)"
-        ));
-    }
-    if drop_rate > 0.0 {
-        config.fault = Some(tldag::net::FaultSpec {
-            drop: drop_rate,
-            duplicate: 0.0,
-            reorder: 0.0,
-        });
-    }
-    config.controller = match args.flags.get("controller") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --controller: `{raw}`"))?,
-        ),
-    };
-    config.join = match args.flags.get("join") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --join: `{raw}`"))?,
-        ),
-    };
-    config.join_slot = match args.flags.get("join-slot") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --join-slot: `{raw}`"))?,
-        ),
-    };
-    config.leave_at = match args.flags.get("leave-at") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --leave-at: `{raw}`"))?,
-        ),
-    };
-    config.churn = tldag::net::parse_churn_spec(&args.get("churn", String::new())?)?;
-    config.evict_after = match args.flags.get("evict-after") {
-        None => None,
-        Some(raw) => {
-            let secs: f64 = raw
-                .parse()
-                .map_err(|_| format!("invalid value for --evict-after: `{raw}`"))?;
-            Some(std::time::Duration::from_secs_f64(secs))
-        }
-    };
-    config.deadline = match args.flags.get("deadline") {
-        None => None,
-        Some(raw) => {
-            let secs: u64 = raw
-                .parse()
-                .map_err(|_| format!("invalid value for --deadline: `{raw}`"))?;
-            Some(std::time::Duration::from_secs(secs))
-        }
-    };
-    config.metrics_addr = match args.flags.get("metrics-addr") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --metrics-addr: `{raw}`"))?,
-        ),
-    };
-    if let Some(raw) = args.flags.get("behavior") {
-        let (kind, from) = match raw.split_once('@') {
-            Some((kind, slot)) => (
-                kind,
-                slot.parse::<u64>()
-                    .map_err(|_| format!("invalid value for --behavior: `{raw}`"))?,
-            ),
-            None => (raw.as_str(), 0),
-        };
-        config.behavior = Behavior::parse_kind(kind).ok_or_else(|| {
-            format!("invalid value for --behavior: `{raw}` (expected KIND[@SLOT])")
-        })?;
-        config.behavior_from = from;
-    }
-    let storage: String = args.get("storage", "memory".to_string())?;
-    config.storage = match storage.as_str() {
-        "memory" => tldag::net::StorageMode::Memory,
-        "disk" => {
-            let default_dir = std::env::temp_dir()
-                .join(format!("tldag-node-{id}-{}", std::process::id()))
-                .display()
-                .to_string();
-            let dir: String = args.get("storage-dir", default_dir)?;
-            tldag::net::StorageMode::Disk(dir.into())
-        }
-        other => {
-            return Err(format!(
-                "invalid value for --storage: `{other}` (memory|disk)"
-            ))
-        }
-    };
+fn cmd_node(argv: &[String]) -> Result<(), String> {
+    let config = NetNodeConfig::from_args(argv)?;
     let outcome = tldag::net::NetNode::new(config)?
         .run()
         .map_err(|e| format!("node failed: {e}"))?;
@@ -619,71 +387,34 @@ fn cmd_node(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_cluster(args: &Args) -> Result<(), String> {
+fn cmd_cluster(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &[CLUSTER_FLAGS])?;
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let nodes: usize = args.get("nodes", 3)?;
     let slots: u64 = args.get("slots", 6)?;
     let seed: u64 = args.get("seed", 42)?;
-    let mut config = tldag::net::ClusterConfig::new(exe, nodes, slots, seed);
-    config.deployment.side_m = args.get("side", 300.0)?;
-    config.deployment.gamma = args.get("gamma", 3)?;
-    config.deployment.pop = args.switch("pop");
-    config.window = args.get("window", 1)?;
-    config.batch = match args.flags.get("batch") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --batch: `{raw}`"))?,
-        ),
-    };
-    config.drop = args.get("drop", 0.0)?;
-    if !(0.0..1.0).contains(&config.drop) {
-        return Err(format!(
-            "invalid value for --drop: `{}` (0.0..1.0)",
-            config.drop
-        ));
-    }
-    config.base_port = match args.flags.get("base-port") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --base-port: `{raw}`"))?,
-        ),
-    };
-    config.report_timeout = std::time::Duration::from_secs(args.get("timeout", 60)?);
-    config.deployment.churn = tldag::net::parse_churn_spec(&args.get("churn", String::new())?)?;
-    config.deployment.adversaries =
+    let mut config = ClusterConfig::new(exe, nodes, slots, seed);
+    let d = &mut config.deployment;
+    d.side_m = args.get("side", d.side_m)?;
+    d.gamma = args.get("gamma", d.gamma)?;
+    d.pop = args.switch("pop");
+    d.window = args.get("window", d.window)?;
+    d.batch = args.opt("batch")?;
+    d.drop = args.get("drop", d.drop)?;
+    d.evict_after = args.secs("evict-after")?;
+    d.trace = args.switch("trace");
+    d.churn = tldag::net::parse_churn_spec(&args.get("churn", String::new())?)?;
+    d.adversaries =
         tldag::net::parse_adversary_spec(&args.get("adversary", String::new())?, nodes)?;
-    config.evict_after = match args.flags.get("evict-after") {
-        None => None,
-        Some(raw) => {
-            let secs: f64 = raw
-                .parse()
-                .map_err(|_| format!("invalid value for --evict-after: `{raw}`"))?;
-            Some(std::time::Duration::from_secs_f64(secs))
-        }
-    };
-    config.trace = args.switch("trace");
-    config.metrics = args.switch("metrics") || args.flags.contains_key("status-every");
-    config.sample_every = match args.flags.get("status-every") {
-        None => None,
-        Some(raw) => {
-            let secs: f64 = raw
-                .parse()
-                .map_err(|_| format!("invalid value for --status-every: `{raw}`"))?;
-            Some(std::time::Duration::from_secs_f64(secs))
-        }
-    };
-    let storage: String = args.get("storage", "memory".to_string())?;
-    config.storage_root = match storage.as_str() {
+    config.base_port = args.opt("base-port")?;
+    if let Some(timeout) = args.secs("timeout")? {
+        config.report_timeout = timeout;
+    }
+    config.sample_every = args.secs("status-every")?;
+    config.metrics = args.switch("metrics") || config.sample_every.is_some();
+    config.storage_root = match args.get("storage", "memory".to_string())?.as_str() {
         "memory" => None,
-        "disk" => {
-            let default_dir = std::env::temp_dir()
-                .join(format!("tldag-cluster-{}", std::process::id()))
-                .display()
-                .to_string();
-            Some(args.get("storage-dir", default_dir)?.into())
-        }
+        "disk" => Some(args.storage_dir("cluster")?),
         other => {
             return Err(format!(
                 "invalid value for --storage: `{other}` (memory|disk)"
@@ -692,23 +423,21 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     };
 
     let deployment = &config.deployment;
-    println!(
-        "cluster: {} node processes × {slots} slots (seed {seed}{}{}{})",
-        config.total_processes(),
-        if deployment.pop { ", PoP on" } else { "" },
-        if deployment.churn.is_empty() {
-            String::new()
-        } else {
-            format!(
-                ", churn {}",
-                tldag::net::membership::format_churn_spec(&deployment.churn)
-            )
-        },
-        match &config.storage_root {
-            Some(root) => format!(", disk under {}", root.display()),
-            None => String::new(),
-        }
+    let mut header = format!(
+        "cluster: {} node processes × {slots} slots (seed {seed}",
+        deployment.members()
     );
+    if deployment.pop {
+        header += ", PoP on";
+    }
+    if !deployment.churn.is_empty() {
+        let churn = tldag::net::membership::format_churn_spec(&deployment.churn);
+        header += &format!(", churn {churn}");
+    }
+    if let Some(root) = &config.storage_root {
+        header += &format!(", disk under {}", root.display());
+    }
+    println!("{header})");
     if !deployment.adversaries.is_empty() {
         println!(
             "adversaries: {}",
@@ -751,17 +480,6 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
         "  wire totals              : {} datagrams out / {} in, {} retries, {} timeouts",
         n.datagrams_sent, n.datagrams_received, n.request_retries, n.request_timeouts
     );
-    if !outcome.metrics_addrs.is_empty() {
-        println!(
-            "  metrics endpoints        : {}",
-            outcome
-                .metrics_addrs
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-    }
     if deployment.pop {
         println!(
             "  PoP wire {}/{} vs reference {}/{}",
@@ -771,7 +489,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
             outcome.reference_pop.0
         );
     }
-    let adversarial = !outcome.adversaries.is_empty();
+    let adversarial = !deployment.adversaries.is_empty();
     if adversarial {
         println!(
             "  honest-subset digest     : wire {} vs reference {}",
@@ -786,12 +504,7 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     // The verdict for an adversarial run is the honest subset: a dark
     // adversary legitimately forks its own chain from the engine, and
     // excluding it is the protocol working, not a reproduction bug.
-    let verdict = if adversarial {
-        outcome.honest_parity()
-    } else {
-        outcome.parity()
-    };
-    if verdict {
+    if outcome.honest_parity() {
         if adversarial {
             println!("HONEST PARITY OK: honest nodes reproduced the in-memory engine under attack");
         } else {
@@ -813,44 +526,38 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_explore(args: &Args) -> Result<(), String> {
-    let source = match (args.flags.get("target"), args.flags.get("segments")) {
-        (Some(raw), None) => tldag::net::ExplorerSource::Live(
-            raw.parse()
-                .map_err(|_| format!("invalid value for --target: `{raw}`"))?,
-        ),
-        (None, Some(dir)) => tldag::net::ExplorerSource::Segments(dir.into()),
-        (Some(_), Some(_)) => {
-            return Err("--target and --segments are mutually exclusive".into());
-        }
-        (None, None) => {
-            return Err("explore needs a source: a node's metrics ADDR or --segments DIR".into());
-        }
+fn cmd_explore(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &[EXPLORE_FLAGS])?;
+    let source = match (args.opt("target")?, args.opt::<PathBuf>("segments")?) {
+        (Some(addr), None) => tldag::net::ExplorerSource::Live(addr),
+        (None, Some(dir)) => tldag::net::ExplorerSource::Segments(dir),
+        (Some(_), Some(_)) => return Err("--target and --segments are mutually exclusive".into()),
+        (None, None) => return Err("explore needs a node's metrics ADDR or --segments DIR".into()),
     };
-    let listen: std::net::SocketAddr = args.get("listen", "127.0.0.1:0".parse().expect("addr"))?;
+    let listen: SocketAddr = args.get("listen", SocketAddr::from(([127, 0, 0, 1], 0)))?;
     let explorer = tldag::net::Explorer::spawn(listen, source)?;
     println!("explorer listening on {}", explorer.addr());
     println!("  GET /dag  GET /slot/<t>  GET /block/<o>-<q>");
-    let duration: f64 = args.get("duration", 0.0)?;
-    if duration > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(duration));
-        explorer.shutdown();
-    } else {
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
+    match args.secs("duration")? {
+        Some(duration) if !duration.is_zero() => {
+            std::thread::sleep(duration);
+            explorer.shutdown();
         }
+        _ => loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        },
     }
     Ok(())
 }
 
-fn cmd_status(args: &Args) -> Result<(), String> {
+fn cmd_status(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &[STATUS_FLAGS])?;
     let raw: String = args.required("targets")?;
-    let timeout = std::time::Duration::from_secs_f64(args.get("timeout", 2.0)?);
+    let timeout = args.secs("timeout")?.unwrap_or(Duration::from_secs(2));
     let mut rows = Vec::new();
     let mut per_node = Vec::new();
-    let mut errors = Vec::new();
     for target in raw.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let addr: std::net::SocketAddr = target
+        let addr: SocketAddr = target
             .parse()
             .map_err(|_| format!("invalid target `{target}` (expected HOST:PORT)"))?;
         match tldag::net::scrape_metrics(addr, timeout) {
@@ -858,11 +565,8 @@ fn cmd_status(args: &Args) -> Result<(), String> {
                 rows.push(tldag::net::StatusRow::from_samples(target, &samples));
                 per_node.push(samples);
             }
-            Err(e) => errors.push(e),
+            Err(e) => eprintln!("warning: {e}"),
         }
-    }
-    for e in &errors {
-        eprintln!("warning: {e}");
     }
     if rows.is_empty() {
         return Err("no target answered".into());
@@ -889,22 +593,20 @@ fn main() -> ExitCode {
     if command == "explore" && argv.get(1).is_some_and(|a| !a.starts_with("--")) {
         argv.insert(1, "--target".to_string());
     }
-    let result = match Args::parse(&argv[1..]) {
-        Err(e) => Err(e),
-        Ok(args) => match command.as_str() {
-            "topology" => cmd_topology(&args),
-            "run" => cmd_run(&args),
-            "verify" => cmd_verify(&args),
-            "node" => cmd_node(&args),
-            "cluster" => cmd_cluster(&args),
-            "status" => cmd_status(&args),
-            "explore" => cmd_explore(&args),
-            "help" | "--help" | "-h" => {
-                print!("{USAGE}");
-                Ok(())
-            }
-            other => Err(format!("unknown command `{other}`")),
-        },
+    let rest = &argv[1..];
+    let result = match command.as_str() {
+        "topology" => cmd_topology(rest),
+        "run" => cmd_run(rest),
+        "verify" => cmd_verify(rest),
+        "node" => cmd_node(rest),
+        "cluster" => cmd_cluster(rest),
+        "status" => cmd_status(rest),
+        "explore" => cmd_explore(rest),
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown command `{other}`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -37,7 +37,7 @@ fn traced_cluster_stitches_timelines_across_all_nodes() {
     let mut config = base_config(3, 6, 20260808);
     config.deployment.pop = true;
     config.metrics = true;
-    config.trace = true;
+    config.deployment.trace = true;
     let outcome = run_cluster(&config).expect("cluster run");
     assert!(!outcome.degraded(), "no barrier may time out on loopback");
     assert_eq!(
@@ -108,7 +108,7 @@ fn tracing_never_perturbs_digests_or_pop_counters() {
     let mut traced = base_config(3, 6, 7);
     traced.deployment.pop = true;
     traced.metrics = true;
-    traced.trace = true;
+    traced.deployment.trace = true;
     let observed = run_cluster(&traced).expect("traced cluster run");
 
     assert_eq!(

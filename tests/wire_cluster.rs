@@ -42,7 +42,7 @@ fn cluster_with_pop_over_the_wire_matches_engine_counters() {
     for window in [1, 2, 8] {
         let mut config = base_config(4, 9, 7);
         config.deployment.pop = true;
-        config.window = window;
+        config.deployment.window = window;
         let outcome = run_cluster(&config).expect("cluster run");
         assert!(!outcome.degraded(), "W={window}: no barrier may time out");
         assert_eq!(
@@ -101,7 +101,7 @@ fn churn_cluster_with_pop_matches_engine_counters() {
     for window in [1, 2, 8] {
         let mut config = base_config(4, 10, 7);
         config.deployment.pop = true;
-        config.window = window;
+        config.deployment.window = window;
         config.deployment.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
         let outcome = run_cluster(&config).expect("cluster run");
         assert!(!outcome.degraded(), "W={window}: no barrier may time out");
@@ -128,7 +128,7 @@ fn lossy_cluster_heals_to_parity() {
     // 6-retry budget at this rate is ~1e-5 per exchange).
     let mut config = base_config(3, 6, 20260808);
     config.deployment.pop = true;
-    config.drop = 0.1;
+    config.deployment.drop = 0.1;
     let outcome = run_cluster(&config).expect("cluster run");
     assert!(
         !outcome.degraded(),

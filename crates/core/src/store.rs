@@ -564,11 +564,16 @@ impl ChainIndex {
     /// Indexes `target` as contained by block `seq`, which is no older than
     /// any block indexed before it.
     pub fn push(&mut self, target: &Digest, seq: u32) {
+        self.push_prefix(ChildIndex::key(target), seq);
+    }
+
+    /// [`Self::push`] of a digest already cut to its 64-bit prefix, as
+    /// [`Self::entries_by_seq`] hands it out.
+    pub fn push_prefix(&mut self, key: u64, seq: u32) {
         debug_assert!(
             self.last_seq().is_none_or(|last| last <= seq),
             "a chain index grows in seq order"
         );
-        let key = ChildIndex::key(target);
         self.tail.push([(key >> 32) as u32, key as u32, seq]);
         if self.tail.len() == Self::TAIL {
             let mut entries: Box<[ChainEntry]> = self.tail.as_slice().into();
@@ -650,6 +655,18 @@ impl ChainIndex {
             self.settle();
         }
         self.tail.retain(|e| e[2] >= floor);
+    }
+
+    /// Every entry as `(prefix, seq)`, ordered by seq, then prefix: pushed
+    /// back in this order through [`Self::push_prefix`], they rebuild an
+    /// index that answers every lookup as this one does.
+    pub fn entries_by_seq(&self) -> Vec<(u64, u32)> {
+        let runs = self.runs.iter().flat_map(|run| run.entries.iter());
+        let mut entries: Vec<(u64, u32)> = (runs.chain(&self.tail))
+            .map(|e| (prefix(e), e[2]))
+            .collect();
+        entries.sort_unstable_by_key(|&(prefix, seq)| (seq, prefix));
+        entries
     }
 
     /// Number of entries: one per contained digest of an indexed block.

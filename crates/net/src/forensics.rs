@@ -55,11 +55,6 @@ pub struct DivergenceReport {
 }
 
 impl DivergenceReport {
-    /// Whether the diff found any provable disagreement.
-    pub fn is_divergent(&self) -> bool {
-        self.first_divergent_slot.is_some()
-    }
-
     /// Human-readable multi-line rendering for the CLI and logs.
     pub fn render(&self) -> String {
         let mut out = String::from("divergence forensics:\n");
@@ -245,7 +240,6 @@ mod tests {
             wire.insert((1u32, slot), served);
         }
         let report = diagnose(&wire, &reference, &[1], 0..6);
-        assert!(report.is_divergent());
         assert_eq!(report.first_divergent_slot, Some(3));
         assert_eq!(report.mismatches.len(), 3, "slots 3, 4, 5 all differ");
         let at3 = &report.mismatches[&3];
@@ -282,7 +276,7 @@ mod tests {
             reference.insert((0u32, slot), digest(slot as u8));
         }
         let report = diagnose(&wire, &reference, &[0], 0..4);
-        assert!(!report.is_divergent());
+        assert_eq!(report.first_divergent_slot, None);
         assert!(report.mismatches.is_empty());
         assert!(report
             .render()

@@ -101,12 +101,6 @@ impl PeerTable {
             .copied()
     }
 
-    /// Whether `peer` was heard from within `window`.
-    pub fn alive_within(&self, peer: NodeId, window: Duration) -> bool {
-        self.last_heard(peer)
-            .is_some_and(|at| at.elapsed() <= window)
-    }
-
     /// Whether `peer` was heard from once but has now been silent longer
     /// than `window` — the eviction predicate. A peer that was *never*
     /// heard from is a bootstrap straggler, not an eviction candidate;
@@ -219,9 +213,10 @@ mod tests {
         let a: SocketAddr = "127.0.0.1:9001".parse().unwrap();
         let table = PeerTable::new([(NodeId(1), a), (NodeId(2), a)]);
         assert_eq!(table.silent_peers(), vec![NodeId(1), NodeId(2)]);
-        assert!(!table.alive_within(NodeId(1), Duration::from_secs(60)));
+        assert!(table.last_heard(NodeId(1)).is_none());
         table.mark_heard(NodeId(1));
-        assert!(table.alive_within(NodeId(1), Duration::from_secs(60)));
+        assert!(table.last_heard(NodeId(1)).is_some());
+        assert!(!table.gone_quiet(NodeId(1), Duration::from_secs(60)));
         assert_eq!(table.silent_peers(), vec![NodeId(2)]);
         assert!(table.last_heard(NodeId(2)).is_none());
     }

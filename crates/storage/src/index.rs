@@ -1,14 +1,18 @@
 //! The in-memory digest → (segment, offset) index over the block log,
 //! plus its checksummed snapshot encoding.
 //!
-//! The index holds **no block bodies** — per retained block it keeps the
-//! 32-byte header digest, the record's location, and the two numbers the
-//! overhead model needs (digest-entry count, logical body bits). That is what
-//! bounds a durable node's resident memory: `O(index) + O(tail buffer) +
-//! O(cache)` instead of `O(chain)`.
+//! The index holds **fixed-size entries and no digest lists**. Per retained
+//! block it keeps one [`IndexEntry`] (the 32-byte header digest, the
+//! record's location, the generation slot, and the two numbers the overhead
+//! model needs) and one 12-byte prefix entry per digest it names, in two
+//! [`ChainIndex`]es: one over header digests, one over contained digests.
+//! Nothing is hashed and nothing is allocated per block. A header-digest hit
+//! is confirmed against [`IndexEntry::digest`]; a contained-digest hit is
+//! confirmed against the record the lookup reads anyway
+//! ([`BlockIndex::children`]). That is what bounds a durable node's resident
+//! memory: `O(index) + O(tail buffer) + O(cache)` instead of `O(chain)`.
 
 use crate::crc32::crc32;
-use std::collections::HashMap;
 use std::ops::Range;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::error::TldagError;
@@ -29,7 +33,7 @@ pub struct RecordLocation {
 }
 
 /// Per-block index entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexEntry {
     /// Header digest `H(b^h)`.
     pub digest: Digest,
@@ -42,10 +46,9 @@ pub struct IndexEntry {
     pub digest_entries: u32,
     /// Logical body bits `C` (for Eq. 2 sizing).
     pub body_bits: u64,
-    /// Digests contained in the header's Digests field (for the responder's
-    /// `C_{j'}(b_v)` lookup and for snapshot-time children rebuilding).
-    pub contained: Vec<Digest>,
 }
+
+const _: () = assert!(std::mem::size_of::<IndexEntry>() == 72);
 
 /// The full index over a (possibly pruned) chain prefix.
 #[derive(Clone, Debug, Default)]
@@ -56,9 +59,10 @@ pub struct BlockIndex {
     base_seq: u32,
     /// Entries for seqs `base_seq ..`.
     entries: Vec<IndexEntry>,
-    /// Header digest → seq.
-    by_digest: HashMap<Digest, u32>,
-    /// Contained-digest prefix → seqs of retained blocks containing it.
+    /// Header-digest prefix → seq, confirmed against [`IndexEntry::digest`].
+    by_digest: ChainIndex,
+    /// Contained-digest prefix → seqs of retained blocks containing it,
+    /// confirmed against the blocks' records.
     children: ChainIndex,
 }
 
@@ -107,37 +111,38 @@ impl BlockIndex {
         self.entries.last().map(|e| e.digest)
     }
 
-    /// Seq of the block with header digest `digest`.
+    /// Seq of the retained block with header digest `digest`.
     pub fn seq_of_digest(&self, digest: &Digest) -> Option<u32> {
-        self.by_digest.get(digest).copied()
+        let is_it = |seq| usize::from(self.entry(seq).is_some_and(|e| e.digest == *digest));
+        self.by_digest.children(digest, is_it).next()
     }
 
-    /// Retained seqs (ascending) of blocks whose header contains `target`,
-    /// each as many times as the header names it.
-    pub fn children_of(&self, target: &Digest) -> Vec<u32> {
-        self.child_seqs(target).collect()
-    }
-
-    /// Oldest retained seq of a block whose header contains `target`.
-    pub fn oldest_child_of(&self, target: &Digest) -> Option<u32> {
-        self.child_seqs(target).next()
-    }
-
-    /// Oldest retained seq of a block that contains `target` and was
-    /// generated at or before slot `horizon`, answered from
-    /// [`IndexEntry::time`] without reading a record.
-    pub fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<u32> {
-        let within = |seq: &u32| self.entry(*seq).is_some_and(|e| e.time <= horizon);
-        self.child_seqs(target).find(within)
-    }
-
-    /// The prefix hits of `target`, confirmed against
-    /// [`IndexEntry::contained`].
-    fn child_seqs<'a>(&'a self, target: &'a Digest) -> impl Iterator<Item = u32> + 'a {
-        self.children.children(target, move |seq| {
-            let contained = self.entry(seq).map_or(&[][..], |e| &e.contained);
-            contained.iter().filter(|d| *d == target).count()
-        })
+    /// The retained blocks whose header contains `target` and that were
+    /// generated at or before slot `horizon`, oldest first, each with the
+    /// number of times its Digests field names `target`.
+    ///
+    /// The index keeps only a 64-bit prefix of each contained digest, so
+    /// every prefix hit is confirmed against its block, which `read` fetches
+    /// by seq: once per hit, and only for a hit inside the horizon
+    /// ([`IndexEntry::time`] is checked first). A hit whose block names only
+    /// another digest with `target`'s prefix is read and dropped. The
+    /// iterator is lazy, so a caller after the oldest child reads no block
+    /// past it.
+    pub fn children<'a>(
+        &'a self,
+        target: &'a Digest,
+        horizon: u64,
+        mut read: impl FnMut(u32) -> Option<DataBlock> + 'a,
+    ) -> impl Iterator<Item = (DataBlock, usize)> + 'a {
+        // A count of 1: each block holding a prefix hit once, unconfirmed.
+        let hits = self.children.children(target, |_| 1);
+        hits.filter(move |&seq| self.entry(seq).is_some_and(|e| e.time <= horizon))
+            .filter_map(move |seq| {
+                let block = read(seq)?;
+                let digests = block.header.digests.iter();
+                let copies = digests.filter(|e| e.digest == *target).count();
+                (copies > 0).then_some((block, copies))
+            })
     }
 
     /// Sets the chain base of an **empty** index (full-scan recovery of a
@@ -157,26 +162,27 @@ impl BlockIndex {
     /// Registers the next block of the chain.
     pub fn push(&mut self, block: &DataBlock, location: RecordLocation) {
         debug_assert_eq!(block.id.seq, self.next_seq(), "index append out of order");
-        let digest = block.header_digest();
-        let seq = block.id.seq;
-        let contained: Vec<Digest> = block.header.digests.iter().map(|e| e.digest).collect();
         debug_assert!(
             self.owner.is_none_or(|o| o == block.id.owner.0),
             "one chain, one owner"
         );
         self.owner = Some(block.id.owner.0);
-        self.by_digest.insert(digest, seq);
-        for d in &contained {
-            self.children.push(d, seq);
+        for entry in block.header.digests.iter() {
+            self.children.push(&entry.digest, block.id.seq);
         }
-        self.entries.push(IndexEntry {
-            digest,
+        self.push_entry(IndexEntry {
+            digest: block.header_digest(),
             location,
             time: block.header.time,
             digest_entries: block.header.digests.len() as u32,
             body_bits: block.body.logical_bits,
-            contained,
         });
+    }
+
+    /// Appends the entry of seq [`Self::next_seq`] and indexes its digest.
+    fn push_entry(&mut self, entry: IndexEntry) {
+        self.by_digest.push(&entry.digest, self.next_seq());
+        self.entries.push(entry);
     }
 
     /// Drops every entry below `new_base` (compaction). Returns the number
@@ -184,9 +190,8 @@ impl BlockIndex {
     pub fn prune_below(&mut self, new_base: u32) -> usize {
         let new_base = new_base.clamp(self.base_seq, self.next_seq());
         let drop = (new_base - self.base_seq) as usize;
-        for entry in self.entries.drain(..drop) {
-            self.by_digest.remove(&entry.digest);
-        }
+        self.entries.drain(..drop);
+        self.by_digest.prune_below(new_base);
         self.children.prune_below(new_base);
         self.base_seq = new_base;
         drop
@@ -200,13 +205,11 @@ impl BlockIndex {
             .sum()
     }
 
-    /// Rough resident-memory estimate in bytes.
+    /// Bytes the index pins: the entry array at its capacity, plus both
+    /// prefix indexes as [`ChainIndex::resident_bytes`] counts them.
     pub fn resident_bytes(&self) -> usize {
-        let per_entry = std::mem::size_of::<IndexEntry>();
-        let contained: usize = self.entries.iter().map(|e| e.contained.len() * 32).sum();
-        self.entries.len() * per_entry
-            + contained
-            + self.by_digest.len() * (32 + 4)
+        self.entries.capacity() * std::mem::size_of::<IndexEntry>()
+            + self.by_digest.resident_bytes()
             + self.children.resident_bytes()
     }
 
@@ -219,7 +222,8 @@ impl BlockIndex {
     /// Serializes the chains of one log (with the log position they cover)
     /// into one checksummed snapshot blob: a header, then one section per
     /// chain, `[owner, base, count, covered segment, covered offset,
-    /// entries…]`. A one-chain blob is the single-chain format unchanged.
+    /// entries…, contained count, (prefix, seq)…]`, the contained-digest
+    /// prefixes in [`ChainIndex::entries_by_seq`] order.
     pub fn encode_chains<'a>(
         chains: impl IntoIterator<Item = &'a BlockIndex>,
         covered_segment: u32,
@@ -240,10 +244,12 @@ impl BlockIndex {
                 body.extend_from_slice(&e.time.to_be_bytes());
                 body.extend_from_slice(&e.digest_entries.to_be_bytes());
                 body.extend_from_slice(&e.body_bits.to_be_bytes());
-                body.extend_from_slice(&(e.contained.len() as u32).to_be_bytes());
-                for d in &e.contained {
-                    body.extend_from_slice(d.as_bytes());
-                }
+            }
+            let contained = chain.children.entries_by_seq();
+            body.extend_from_slice(&(contained.len() as u32).to_be_bytes());
+            for (prefix, seq) in contained {
+                body.extend_from_slice(&prefix.to_be_bytes());
+                body.extend_from_slice(&seq.to_be_bytes());
             }
         }
         let mut out = Vec::with_capacity(16 + body.len());
@@ -275,8 +281,9 @@ impl BlockIndex {
     /// # Errors
     ///
     /// [`TldagError::Corrupt`] on any framing, checksum, or structure
-    /// violation, or when the blob holds no chain or its sections disagree
-    /// on the covered position — the caller falls back to a full log scan.
+    /// violation, on a snapshot format other than 2, or when the
+    /// blob holds no chain or its sections disagree on the covered position
+    /// — the caller falls back to a full log scan.
     pub fn decode_chains(data: &[u8]) -> Result<(Vec<Self>, u32, u64), TldagError> {
         let corrupt = |msg: &str| TldagError::Corrupt(format!("snapshot: {msg}"));
         if data.len() < 16 || &data[0..8] != SNAPSHOT_MAGIC {
@@ -307,15 +314,16 @@ impl BlockIndex {
                 return Err(corrupt("sections cover different positions"));
             }
             covered = Some(position);
+            if count > rest.len() / ENTRY_BYTES {
+                return Err(corrupt("truncated body"));
+            }
             let mut index = BlockIndex {
                 owner: (owner_raw != u32::MAX).then_some(owner_raw),
                 base_seq,
                 entries: Vec::with_capacity(count),
-                by_digest: HashMap::with_capacity(count),
-                children: ChainIndex::default(),
+                ..BlockIndex::default()
             };
-            for i in 0..count {
-                let seq = base_seq + i as u32;
+            for _ in 0..count {
                 let digest = Digest::from_bytes(take(&mut rest)?);
                 let segment = u32::from_be_bytes(take(&mut rest)?);
                 let offset = u64::from_be_bytes(take(&mut rest)?);
@@ -323,18 +331,7 @@ impl BlockIndex {
                 let time = u64::from_be_bytes(take(&mut rest)?);
                 let digest_entries = u32::from_be_bytes(take(&mut rest)?);
                 let body_bits = u64::from_be_bytes(take(&mut rest)?);
-                let contained_count = u32::from_be_bytes(take(&mut rest)?) as usize;
-                if contained_count > 1 << 20 {
-                    return Err(corrupt("absurd contained-digest count"));
-                }
-                let contained = (0..contained_count)
-                    .map(|_| take(&mut rest).map(Digest::from_bytes))
-                    .collect::<Result<Vec<_>, _>>()?;
-                index.by_digest.insert(digest, seq);
-                for d in &contained {
-                    index.children.push(d, seq);
-                }
-                index.entries.push(IndexEntry {
+                index.push_entry(IndexEntry {
                     digest,
                     location: RecordLocation {
                         segment,
@@ -344,8 +341,18 @@ impl BlockIndex {
                     time,
                     digest_entries,
                     body_bits,
-                    contained,
                 });
+            }
+            let contained = u32::from_be_bytes(take(&mut rest)?);
+            let mut floor = index.base_seq;
+            for _ in 0..contained {
+                let prefix = u64::from_be_bytes(take(&mut rest)?);
+                let seq = u32::from_be_bytes(take(&mut rest)?);
+                if !(floor..index.next_seq()).contains(&seq) {
+                    return Err(corrupt("contained entry out of order"));
+                }
+                floor = seq;
+                index.children.push_prefix(prefix, seq);
             }
             chains.push(index);
         }
@@ -363,12 +370,18 @@ fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], TldagError> {
 }
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"TLDAGSNP";
-const SNAPSHOT_VERSION: u32 = 1;
+/// 2: contained digests as `(prefix, seq)` entries after a chain's entries.
+/// A version 1 blob (each entry followed by its contained digests in full)
+/// is rejected like any unknown version, so its log is rebuilt by a scan.
+const SNAPSHOT_VERSION: u32 = 2;
+/// Encoded bytes of one entry, contained digests aside.
+const ENTRY_BYTES: usize = 32 + 4 + 8 + 4 + 8 + 4 + 8;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::cell::Cell;
+    use std::collections::{HashMap, HashSet};
     use tldag_core::config::ProtocolConfig;
     use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
     use tldag_crypto::schnorr::KeyPair;
@@ -405,29 +418,60 @@ mod tests {
         }
     }
 
+    /// [`BlockIndex::children`] with `chain` (every block by seq, pruned ones
+    /// included) as the records: each child's seq once per copy of `target`
+    /// its header names.
+    fn children_of(index: &BlockIndex, chain: &[DataBlock], target: &Digest) -> Vec<u32> {
+        let read = |seq: u32| chain.get(seq as usize).cloned();
+        let children = index.children(target, u64::MAX, read);
+        children
+            .flat_map(|(b, copies)| std::iter::repeat_n(b.id.seq, copies))
+            .collect()
+    }
+
+    /// The oldest child at or before `horizon`, read from `chain`.
+    fn oldest_child_within(
+        index: &BlockIndex,
+        chain: &[DataBlock],
+        target: &Digest,
+        horizon: u64,
+    ) -> Option<u32> {
+        let read = |seq: u32| chain.get(seq as usize).cloned();
+        let mut children = index.children(target, horizon, read);
+        children.next().map(|(b, _)| b.id.seq)
+    }
+
+    fn oldest_child(index: &BlockIndex, chain: &[DataBlock], target: &Digest) -> Option<u32> {
+        oldest_child_within(index, chain, target, u64::MAX)
+    }
+
     #[test]
     fn push_and_lookup() {
         let mut index = BlockIndex::new();
         let parent = Digest::from_bytes([7; 32]);
-        let b0 = block(0, vec![]);
-        let b1 = block(1, vec![parent]);
-        let b2 = block(2, vec![parent]);
-        for b in [&b0, &b1, &b2] {
+        let chain = [
+            block(0, vec![]),
+            block(1, vec![parent]),
+            block(2, vec![parent]),
+        ];
+        for b in &chain {
             index.push(b, loc(b.id.seq));
         }
         assert_eq!(index.next_seq(), 3);
-        assert_eq!(index.seq_of_digest(&b1.header_digest()), Some(1));
-        assert_eq!(index.oldest_child_of(&parent), Some(1));
-        assert_eq!(index.children_of(&parent), vec![1, 2]);
+        assert_eq!(index.seq_of_digest(&chain[1].header_digest()), Some(1));
+        assert_eq!(oldest_child(&index, &chain, &parent), Some(1));
+        assert_eq!(children_of(&index, &chain, &parent), vec![1, 2]);
     }
 
     #[test]
     fn snapshot_round_trip() {
         let mut index = BlockIndex::new();
         let parent = Digest::from_bytes([3; 32]);
-        for seq in 0..5 {
-            let contained = if seq > 0 { vec![parent] } else { vec![] };
-            index.push(&block(seq, contained), loc(seq));
+        let chain: Vec<DataBlock> = (0..5)
+            .map(|seq| block(seq, if seq > 0 { vec![parent] } else { vec![] }))
+            .collect();
+        for b in &chain {
+            index.push(b, loc(b.id.seq));
         }
         let blob = index.encode_snapshot(1, 777);
         let (restored, seg, off) = BlockIndex::decode_snapshot(&blob).unwrap();
@@ -435,7 +479,10 @@ mod tests {
         assert_eq!(off, 777);
         assert_eq!(restored.next_seq(), 5);
         assert_eq!(restored.entries, index.entries);
-        assert_eq!(restored.children_of(&parent), index.children_of(&parent));
+        assert_eq!(
+            children_of(&restored, &chain, &parent),
+            children_of(&index, &chain, &parent)
+        );
     }
 
     #[test]
@@ -450,13 +497,18 @@ mod tests {
         let idx = flipped.len() - 5;
         flipped[idx] ^= 1;
         assert!(BlockIndex::decode_snapshot(&flipped).is_err());
+        // The checksum covers the body only: a version 1 header over a
+        // valid body is still refused, and the log falls back to a scan.
+        let mut old = blob.clone();
+        old[8..12].copy_from_slice(&1u32.to_be_bytes());
+        assert!(BlockIndex::decode_snapshot(&old).is_err());
     }
 
     #[test]
     fn prune_below_rewrites_base_and_children() {
         let mut index = BlockIndex::new();
         let parent = Digest::from_bytes([3; 32]);
-        let blocks: Vec<DataBlock> = (0..6)
+        let mut blocks: Vec<DataBlock> = (0..6)
             .map(|seq| block(seq, if seq % 2 == 1 { vec![parent] } else { vec![] }))
             .collect();
         for b in &blocks {
@@ -469,11 +521,22 @@ mod tests {
         assert!(index.entry(2).is_none());
         assert!(index.entry(3).is_some());
         assert_eq!(index.seq_of_digest(&blocks[1].header_digest()), None);
-        // Children below the new base (seq 1) are gone; 3 and 5 survive.
-        assert_eq!(index.children_of(&parent), vec![3, 5]);
+        assert_eq!(index.seq_of_digest(&blocks[3].header_digest()), Some(3));
+        // Children below the new base (seq 1) are gone, and never read;
+        // 3 and 5 survive.
+        let read = |seq: u32| {
+            assert!(seq >= 3, "seq {seq} is below the base");
+            blocks.get(seq as usize).cloned()
+        };
+        let survivors: Vec<u32> = (index.children(&parent, u64::MAX, read))
+            .map(|(b, _)| b.id.seq)
+            .collect();
+        assert_eq!(survivors, vec![3, 5]);
         // Appending continues at the chain seq, not the retained count.
-        index.push(&block(6, vec![]), loc(6));
+        blocks.push(block(6, vec![]));
+        index.push(&blocks[6], loc(6));
         assert_eq!(index.next_seq(), 7);
+        assert_eq!(index.seq_of_digest(&blocks[6].header_digest()), Some(6));
     }
 
     #[test]
@@ -500,7 +563,7 @@ mod tests {
 
     /// The child index as it was: a `Vec` of seqs per contained digest,
     /// cloned and sorted by `children_of`, scanned for a minimum by the
-    /// `oldest_*` lookups. The reference the inline lists must agree with.
+    /// `oldest_*` lookups. The reference the chain index must agree with.
     #[derive(Default)]
     struct ReferenceChildren {
         children: HashMap<Digest, Vec<u32>>,
@@ -579,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_child_lists_match_the_vec_and_sort_reference() {
+    fn confirmed_children_match_the_vec_and_sort_reference() {
         let digest = |d: u8| Digest::from_bytes([d; 32]);
         // Contained by no block, by exactly one, by exactly four; the pool
         // digests land wherever the stream puts them.
@@ -597,6 +660,7 @@ mod tests {
         for seed in 0..8u64 {
             let mut rng = tldag_sim::DetRng::seed_from(seed);
             let (mut index, mut reference) = (BlockIndex::new(), ReferenceChildren::default());
+            let mut chain = Vec::new();
             let once_at = rng.index(6) as u32;
             let four_at: [u32; 4] = [2, 3 + rng.index(3) as u32, 9, 11 + rng.index(8) as u32];
             let mut max_time = 0;
@@ -624,25 +688,31 @@ mod tests {
                     let block = block_at(seq, time, contained);
                     index.push(&block, loc(seq));
                     reference.push(&block);
+                    chain.push(block);
                 }
 
                 // One entry per contained digest of a retained block.
                 let contained = reference.entries.iter().map(|e| e.2.len());
                 assert_eq!(index.children.len(), contained.sum::<usize>());
+                assert_eq!(index.by_digest.len(), index.retained());
                 let prefixes: HashSet<&[u8]> = (reference.children.keys())
                     .map(|d| &d.as_bytes()[..8])
                     .collect();
                 shared_a_key |= prefixes.len() < reference.children.len();
                 assert_chain_index_shape(&index.children);
+                assert_chain_index_shape(&index.by_digest);
                 for target in &targets {
-                    assert_eq!(index.children_of(target), reference.children_of(target));
                     assert_eq!(
-                        index.oldest_child_of(target),
+                        children_of(&index, &chain, target),
+                        reference.children_of(target)
+                    );
+                    assert_eq!(
+                        oldest_child(&index, &chain, target),
                         reference.oldest_child_of(target)
                     );
                     for horizon in 0..=max_time + 1 {
                         assert_eq!(
-                            index.oldest_child_of_within(target, horizon),
+                            oldest_child_within(&index, &chain, target, horizon),
                             reference.oldest_child_of_within(target, horizon),
                             "seed {seed} horizon {horizon}"
                         );
@@ -668,57 +738,150 @@ mod tests {
             &[],
             &[near, target],
         ];
-        for (seq, contained) in contents.into_iter().enumerate() {
-            index.push(&block(seq as u32, contained.to_vec()), loc(seq as u32));
+        let chain: Vec<DataBlock> = (contents.into_iter().enumerate())
+            .map(|(seq, contained)| block(seq as u32, contained.to_vec()))
+            .collect();
+        for b in &chain {
+            index.push(b, loc(b.id.seq));
         }
         assert_eq!(index.children.len(), 11, "one entry per contained digest");
-        assert_eq!(index.children_of(&target), [1, 3, 3, 6]);
-        assert_eq!(index.children_of(&near), [0, 1, 2, 2, 6]);
-        assert_eq!(index.children_of(&nearer), [2, 4]);
-        assert_eq!(index.oldest_child_of(&target), Some(1));
-        assert_eq!(index.oldest_child_of(&nearer), Some(2));
-        assert_eq!(index.oldest_child_of_within(&target, 0), None);
-        assert_eq!(index.oldest_child_of_within(&nearer, 3), Some(2));
-        assert_eq!(index.oldest_child_of(&twin(target, 3)), None);
+        assert_eq!(children_of(&index, &chain, &target), [1, 3, 3, 6]);
+        assert_eq!(children_of(&index, &chain, &near), [0, 1, 2, 2, 6]);
+        assert_eq!(children_of(&index, &chain, &nearer), [2, 4]);
+        assert_eq!(oldest_child(&index, &chain, &target), Some(1));
+        assert_eq!(oldest_child(&index, &chain, &nearer), Some(2));
+        assert_eq!(oldest_child_within(&index, &chain, &target, 0), None);
+        assert_eq!(oldest_child_within(&index, &chain, &nearer, 3), Some(2));
+        assert_eq!(oldest_child(&index, &chain, &twin(target, 3)), None);
+
+        // Each hit's block is read once, each copy counted from that read;
+        // the oldest child reads the blocks up to it, and a horizon check
+        // reads nothing past the horizon.
+        let reads = Cell::new(Vec::new());
+        let read = |seq: u32| {
+            let mut seen = reads.take();
+            seen.push(seq);
+            reads.set(seen);
+            chain.get(seq as usize).cloned()
+        };
+        let children: Vec<(u32, usize)> = (index.children(&target, u64::MAX, read))
+            .map(|(b, copies)| (b.id.seq, copies))
+            .collect();
+        assert_eq!(children, [(1, 1), (3, 2), (6, 1)]);
+        assert_eq!(
+            reads.take(),
+            [0, 1, 2, 3, 4, 6],
+            "every hit once, seq 5 never"
+        );
+        assert!(index.children(&nearer, u64::MAX, read).next().is_some());
+        assert_eq!(reads.take(), [0, 1, 2], "a forgery older than the child");
+        assert!(index.children(&target, 0, read).next().is_none());
+        assert_eq!(reads.take(), [0], "only the hit inside the horizon");
 
         // Dropping `near`'s oldest children leaves the survivors of all
         // three digests under the shared key.
         index.prune_below(3);
-        assert_eq!(index.children_of(&target), [3, 3, 6]);
-        assert_eq!(index.children_of(&near), [6]);
-        assert_eq!(index.children_of(&nearer), [4]);
+        assert_eq!(children_of(&index, &chain, &target), [3, 3, 6]);
+        assert_eq!(children_of(&index, &chain, &near), [6]);
+        assert_eq!(children_of(&index, &chain, &nearer), [4]);
         index.prune_below(6);
         assert_eq!(index.children.len(), 2, "seq 6's two entries remain");
-        assert_eq!(index.oldest_child_of(&nearer), None);
+        assert_eq!(oldest_child(&index, &chain, &nearer), None);
         index.prune_below(7);
         assert!(index.children.is_empty(), "the last block's entries go");
-        assert_eq!(index.children_of(&target), [0u32; 0]);
+        assert!(index.by_digest.is_empty(), "and its header digest");
+        assert_eq!(children_of(&index, &chain, &target), [0u32; 0]);
+    }
+
+    #[test]
+    fn header_digests_sharing_a_prefix_are_confirmed_per_entry() {
+        // Header digests are hashes, so the collisions are forced: the
+        // index is rebuilt from entries whose digests share one prefix.
+        let real = Digest::from_bytes([5; 32]);
+        let mut index = BlockIndex::new();
+        for seq in 0..5 {
+            index.push_entry(IndexEntry {
+                digest: twin(real, seq as u8),
+                location: loc(seq),
+                time: u64::from(seq),
+                digest_entries: 0,
+                body_bits: 0,
+            });
+        }
+        for seq in 0..5 {
+            assert_eq!(index.seq_of_digest(&twin(real, seq as u8)), Some(seq));
+        }
+        assert_eq!(index.seq_of_digest(&twin(real, 9)), None);
+        index.prune_below(3);
+        assert_eq!(index.seq_of_digest(&twin(real, 1)), None);
+        assert_eq!(index.seq_of_digest(&twin(real, 4)), Some(4));
+    }
+
+    /// The chain of the pinned snapshot tests: seqs 0–8 each name one of
+    /// three digests, plus `once` at seq 4 and `four` at odd seqs, and seq 9
+    /// names `four` twice.
+    fn pinned_chain() -> (Vec<DataBlock>, Digest, Digest) {
+        let digest = |d: u8| Digest::from_bytes([d; 32]);
+        let (once, four) = (digest(2), digest(3));
+        let mut chain: Vec<DataBlock> = (0..9u32)
+            .map(|seq| {
+                let mut contained = vec![digest(10 + (seq % 3) as u8)];
+                contained.extend((seq == 4).then_some(once));
+                contained.extend((seq % 2 == 1).then_some(four));
+                block(seq, contained)
+            })
+            .collect();
+        chain.push(block(9, vec![four, four]));
+        (chain, once, four)
+    }
+
+    /// The pinned chain indexed with seqs 0 and 1 pruned before seq 9.
+    fn pinned_index(chain: &[DataBlock]) -> BlockIndex {
+        let mut index = BlockIndex::new();
+        for b in &chain[..9] {
+            index.push(b, loc(b.id.seq));
+        }
+        index.prune_below(2);
+        index.push(&chain[9], loc(9));
+        index
     }
 
     #[test]
     fn snapshot_bytes_are_pinned() {
-        let digest = |d: u8| Digest::from_bytes([d; 32]);
-        let (once, four) = (digest(2), digest(3));
-        let mut index = BlockIndex::new();
-        for seq in 0..9u32 {
-            let mut contained = vec![digest(10 + (seq % 3) as u8)];
-            contained.extend((seq == 4).then_some(once));
-            contained.extend((seq % 2 == 1).then_some(four));
-            index.push(&block(seq, contained), loc(seq));
-        }
-        index.prune_below(2);
-        index.push(&block(9, vec![four, four]), loc(9));
+        let (chain, once, four) = pinned_chain();
+        let index = pinned_index(&chain);
         let blob = index.encode_snapshot(2, 300);
-        // Recorded by running this test at the commit before the child
-        // lists went inline: the snapshot format does not know about them.
+        // Recorded when version 2 was introduced: other bytes here are a
+        // new format, and need a new `SNAPSHOT_VERSION`.
         assert_eq!(
             tldag_crypto::sha256::sha256(&blob).to_string(),
-            "8832fc8305ecb41de5f5f21b72daad5779ba5140477a9397cbc5a4ac682653d2"
+            "a2eb39a1ddfba83f817b8130fe68bf44237899f52561a7310e0a3e5d27580a25"
         );
         let (restored, ..) = BlockIndex::decode_snapshot(&blob).unwrap();
         assert_eq!(restored.entries, index.entries);
-        assert_eq!(restored.children_of(&four), [3, 5, 7, 9, 9]);
-        assert_eq!(restored.children_of(&once), [4]);
+        assert_eq!(children_of(&restored, &chain, &four), [3, 5, 7, 9, 9]);
+        assert_eq!(children_of(&restored, &chain, &once), [4]);
+    }
+
+    #[test]
+    fn resident_bytes_count_allocations_not_lengths() {
+        let (chain, ..) = pinned_chain();
+        let mut index = BlockIndex::new();
+        assert_eq!(index.resident_bytes(), 0);
+        for b in &chain {
+            index.push(b, loc(b.id.seq));
+        }
+        let held = index.resident_bytes();
+        let contained: usize = chain.iter().map(|b| b.header.digests.len()).sum();
+        let entries = index.entries.capacity() * std::mem::size_of::<IndexEntry>();
+        assert!(held >= entries + 12 * (contained + chain.len()), "{held}");
+        // The entry `Vec` and the tails keep their capacity through a prune,
+        // and this chain's entries all sit in the tails (no run to
+        // reallocate), so the count does not fall.
+        assert_eq!(index.children.run_lens().len(), 0);
+        assert_eq!(index.by_digest.run_lens().len(), 0);
+        index.prune_below(8);
+        assert_eq!(index.resident_bytes(), held);
     }
 
     #[test]

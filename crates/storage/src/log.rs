@@ -549,6 +549,21 @@ impl<L: LogHolder> LogView<L> {
             .flatten()
     }
 
+    /// `f` over this view's children of `target` generated at or before
+    /// `horizon` ([`BlockIndex::children`]), each prefix hit read once,
+    /// through the decoded-block cache and then the segment.
+    fn children<R>(
+        &self,
+        target: &Digest,
+        horizon: u64,
+        f: impl FnOnce(&mut dyn Iterator<Item = (DataBlock, usize)>) -> R,
+    ) -> Option<R> {
+        let node = self.node?;
+        self.chain(
+            |log, index| f(&mut index.children(target, horizon, |seq| log.get_of(node, seq))),
+        )
+    }
+
     /// The retained seqs of this view's chain.
     fn retained(&self) -> Range<u32> {
         self.chain(|_, index| index.base_seq()..index.next_seq())
@@ -586,19 +601,20 @@ impl<L: LogHolder> BlockBackend for LogView<L> {
     }
 
     fn oldest_child_of(&self, target: &Digest) -> Option<DataBlock> {
-        self.read(|index| index.oldest_child_of(target))
+        self.oldest_child_of_within(target, u64::MAX)
     }
 
     fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
-        let seqs = self.chain(|_, index| index.children_of(target));
-        seqs.unwrap_or_default()
-            .into_iter()
-            .filter_map(|seq| self.get(seq))
-            .collect()
+        let copies = |(block, copies)| std::iter::repeat_n(block, copies);
+        self.children(target, u64::MAX, |children| {
+            children.flat_map(copies).collect()
+        })
+        .unwrap_or_default()
     }
 
     fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<DataBlock> {
-        self.read(|index| index.oldest_child_of_within(target, horizon))
+        let oldest = self.children(target, horizon, |children| children.next());
+        oldest.flatten().map(|(block, _)| block)
     }
 
     fn iter(&self) -> Box<dyn Iterator<Item = DataBlock> + '_> {

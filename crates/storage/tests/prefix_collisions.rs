@@ -1,17 +1,21 @@
-//! The durable block index keys its chain index by a 64-bit digest prefix.
-//! Digests that share a prefix must never answer for each other: after any
-//! interleaving of appends and prunes, across the snapshot codec and a
-//! full-scan replay, every child lookup equals a scan of the retained
-//! entries for the full digest.
+//! The durable block index keys its chain indexes by a 64-bit digest
+//! prefix and confirms a contained-digest hit against the block each lookup
+//! reads. Digests that share a prefix must never answer for each other:
+//! after any interleaving of appends and prunes, across the snapshot codec
+//! and a full-scan replay, every child lookup equals a scan of the retained
+//! blocks' full digests, and so does every lookup of a [`DurableStore`]
+//! holding a forged digest.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use tldag_core::config::ProtocolConfig;
+use tldag_core::store::BlockBackend;
 use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_crypto::schnorr::KeyPair;
 use tldag_crypto::Digest;
 use tldag_sim::NodeId;
 use tldag_storage::index::{BlockIndex, RecordLocation};
+use tldag_storage::{DurableStore, StorageOptions};
 
 fn location(seq: u32) -> RecordLocation {
     RecordLocation {
@@ -51,24 +55,59 @@ fn block(seq: u32, contained: Vec<Digest>) -> DataBlock {
     )
 }
 
-/// Every lookup against a scan of the retained entries: each retained seq
-/// once per copy of `target` its header names, ascending.
-fn check(index: &BlockIndex, universe: &[Digest]) -> Result<(), TestCaseError> {
+/// [`BlockIndex::children`] with `chain` (every block by seq, pruned ones
+/// included) as the records: each child's seq once per copy of `target`
+/// its header names.
+fn children_of(index: &BlockIndex, chain: &[DataBlock], target: &Digest) -> Vec<u32> {
+    let read = |seq: u32| chain.get(seq as usize).cloned();
+    (index.children(target, u64::MAX, read))
+        .flat_map(|(block, copies)| std::iter::repeat_n(block.id.seq, copies))
+        .collect()
+}
+
+/// The oldest child at or before `horizon`, read from `chain`.
+fn oldest_child_within(
+    index: &BlockIndex,
+    chain: &[DataBlock],
+    target: &Digest,
+    horizon: u64,
+) -> Option<u32> {
+    let read = |seq: u32| chain.get(seq as usize).cloned();
+    let mut children = index.children(target, horizon, read);
+    children.next().map(|(block, _)| block.id.seq)
+}
+
+/// Each retained seq once per copy of `target` its header names,
+/// ascending: the scan every lookup must equal.
+fn scan(index: &BlockIndex, chain: &[DataBlock], target: &Digest) -> Vec<u32> {
+    (index.base_seq()..index.next_seq())
+        .flat_map(|seq| {
+            let digests = chain[seq as usize].header.digests.iter();
+            let copies = digests.filter(|e| e.digest == *target).count();
+            std::iter::repeat_n(seq, copies)
+        })
+        .collect()
+}
+
+/// Every lookup against a scan of the retained blocks' full digests.
+fn check(
+    index: &BlockIndex,
+    chain: &[DataBlock],
+    universe: &[Digest],
+) -> Result<(), TestCaseError> {
     for target in universe {
-        let mut scan = Vec::new();
-        for seq in index.base_seq()..index.next_seq() {
-            let entry = index.entry(seq).expect("retained");
-            let copies = entry.contained.iter().filter(|d| *d == target).count();
-            scan.extend(std::iter::repeat_n(seq, copies));
-        }
-        prop_assert_eq!(index.children_of(target), scan.clone());
-        prop_assert_eq!(index.oldest_child_of(target), scan.first().copied());
+        let scan = scan(index, chain, target);
+        prop_assert_eq!(children_of(index, chain, target), scan.clone());
+        prop_assert_eq!(
+            oldest_child_within(index, chain, target, u64::MAX),
+            scan.first().copied()
+        );
         for horizon in 0..=2 * u64::from(index.next_seq()) + 1 {
             let within = scan
                 .iter()
                 .copied()
                 .find(|&seq| 2 * u64::from(seq) < horizon);
-            prop_assert_eq!(index.oldest_child_of_within(target, horizon), within);
+            prop_assert_eq!(oldest_child_within(index, chain, target, horizon), within);
         }
     }
     Ok(())
@@ -86,6 +125,7 @@ proptest! {
     ) {
         let universe = universe();
         let mut index = BlockIndex::new();
+        let mut chain = Vec::new();
         for (op, picks) in ops {
             if op == 0 {
                 let span = index.next_seq() - index.base_seq();
@@ -95,19 +135,19 @@ proptest! {
                 let contained = (0..op - 1)
                     .map(|k| universe[(picks >> (4 * k)) as usize % universe.len()])
                     .collect();
-                index.push(&block(seq, contained), location(seq));
+                chain.push(block(seq, contained));
+                index.push(&chain[seq as usize], location(seq));
             }
-            check(&index, &universe)?;
+            check(&index, &chain, &universe)?;
         }
         let (restored, ..) = BlockIndex::decode_snapshot(&index.encode_snapshot(0, 0)).unwrap();
-        check(&restored, &universe)?;
+        check(&restored, &chain, &universe)?;
     }
 }
 
-/// `check` at one horizon set: [`children_of`](BlockIndex::children_of),
-/// `oldest_child_of` and `seq_of_digest` for every target and block, but
-/// `oldest_child_of_within` at every horizon for `deep` only, which keeps a
-/// floor-by-floor sweep cheap.
+/// `check` at one horizon set: every child, the oldest child and
+/// `seq_of_digest` for every target and block, but the oldest child at
+/// every horizon for `deep` only, which keeps a floor-by-floor sweep cheap.
 fn check_floor(
     index: &BlockIndex,
     chain: &[DataBlock],
@@ -115,22 +155,19 @@ fn check_floor(
     deep: &Digest,
 ) -> Result<(), TestCaseError> {
     for target in universe {
-        let scan: Vec<u32> = (index.base_seq()..index.next_seq())
-            .flat_map(|seq| {
-                let digests = chain[seq as usize].header.digests.iter();
-                let copies = digests.filter(|e| e.digest == *target).count();
-                std::iter::repeat_n(seq, copies)
-            })
-            .collect();
-        prop_assert_eq!(index.children_of(target), scan.clone());
-        prop_assert_eq!(index.oldest_child_of(target), scan.first().copied());
+        let scan = scan(index, chain, target);
+        prop_assert_eq!(children_of(index, chain, target), scan.clone());
+        prop_assert_eq!(
+            oldest_child_within(index, chain, target, u64::MAX),
+            scan.first().copied()
+        );
         if target == deep {
             for horizon in 0..=2 * u64::from(index.next_seq()) + 1 {
                 let within = scan
                     .iter()
                     .copied()
                     .find(|&seq| 2 * u64::from(seq) < horizon);
-                prop_assert_eq!(index.oldest_child_of_within(target, horizon), within);
+                prop_assert_eq!(oldest_child_within(index, chain, target, horizon), within);
             }
         }
     }
@@ -198,4 +235,107 @@ proptest! {
             }
         }
     }
+}
+
+/// A block of node 1 at slot `2 * seq + 1` naming `contained`, with a
+/// payload that rolls a 4 KiB segment every few dozen blocks.
+fn stored_block(seq: u32, contained: &[Digest]) -> DataBlock {
+    let cfg = ProtocolConfig::test_default();
+    let entry = |&digest| DigestEntry {
+        origin: NodeId(2),
+        digest,
+    };
+    DataBlock::create(
+        &cfg,
+        BlockId::new(NodeId(1), seq),
+        2 * u64::from(seq) + 1,
+        contained.iter().map(entry).collect::<Vec<_>>(),
+        BlockBody::new(vec![seq as u8; 64], cfg.body_bits),
+        &KeyPair::from_seed(1),
+    )
+}
+
+#[test]
+fn a_forged_prefix_never_answers_for_the_real_digest_in_a_durable_store() {
+    // A neighbour's real block, whose digest is public once gossiped, and a
+    // forgery sharing its 64-bit prefix, named in a later block. A block's
+    // own owner knows its digest before publishing it, so a second forgery
+    // is named twice before the true child: the lookups read and drop those
+    // blocks on the way to it.
+    let real = block(0, vec![]).header_digest();
+    let twin = |salt: u8| {
+        let mut bytes = real.into_bytes();
+        bytes[31] ^= salt;
+        Digest::from_bytes(bytes)
+    };
+    let (forged, early) = (twin(0x5a), twin(0xa5));
+    let chain: Vec<DataBlock> = (0..40u32)
+        .map(|seq| match seq {
+            10 | 33 => stored_block(seq, &[real]),
+            25 => stored_block(seq, &[forged]),
+            4 | 7 => stored_block(seq, &[early]),
+            _ => stored_block(seq, &[]),
+        })
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("tldag-forged-prefix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = StorageOptions::compact_test();
+    let mut store = DurableStore::open(&dir, opts.clone()).unwrap();
+    for b in &chain {
+        store.append(b.clone()).unwrap();
+    }
+    store.sync().unwrap();
+    assert!(store.segment_count() > 1, "the chain spans segments");
+    let seqs = |blocks: Vec<DataBlock>| blocks.iter().map(|b| b.id.seq).collect::<Vec<_>>();
+    let check = |store: &DurableStore, how: &str| {
+        assert_eq!(seqs(store.children_of(&real)), [10, 33], "{how}");
+        assert_eq!(seqs(store.children_of(&forged)), [25], "{how}");
+        assert_eq!(seqs(store.children_of(&early)), [4, 7], "{how}");
+        assert_eq!(
+            store.oldest_child_of(&real),
+            Some(chain[10].clone()),
+            "{how}"
+        );
+        assert_eq!(
+            store.oldest_child_of(&forged),
+            Some(chain[25].clone()),
+            "{how}"
+        );
+        for horizon in 0..=2 * chain.len() as u64 {
+            let true_child = (horizon >= 21).then(|| chain[10].clone());
+            let forgery = (horizon >= 51).then(|| chain[25].clone());
+            let early_forgery = (horizon >= 9).then(|| chain[4].clone());
+            assert_eq!(
+                store.oldest_child_of_within(&real, horizon),
+                true_child,
+                "{how}"
+            );
+            assert_eq!(
+                store.oldest_child_of_within(&forged, horizon),
+                forgery,
+                "{how}"
+            );
+            assert_eq!(
+                store.oldest_child_of_within(&early, horizon),
+                early_forgery,
+                "{how}"
+            );
+        }
+        assert_eq!(store.by_header_digest(&forged), None, "{how}");
+        assert_eq!(
+            store.by_header_digest(&chain[25].header_digest()),
+            Some(chain[25].clone())
+        );
+    };
+    check(&store, "live");
+    drop(store);
+    let reopened = DurableStore::open(&dir, opts.clone()).unwrap();
+    check(&reopened, "reopened from the snapshot");
+    drop(reopened);
+    std::fs::remove_file(dir.join("index.snap")).unwrap();
+    let rescanned = DurableStore::open(&dir, opts).unwrap();
+    check(&rescanned, "reopened by a full scan");
+    drop(rescanned);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

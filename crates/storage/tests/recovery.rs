@@ -424,6 +424,57 @@ fn resident_memory_stays_bounded_by_index_and_cache() {
     );
 }
 
+#[test]
+fn resident_memory_stays_bounded_at_the_benchmark_block_shape() {
+    // `engine_disk`'s blocks: a 36-byte payload and 19 digest entries, the
+    // predecessor and 18 neighbours' digests. Header digests outweigh the
+    // payload, so an index that copied them would pin more than the disk.
+    let scratch = Scratch::new("resident-shape");
+    let cfg = ProtocolConfig::test_default();
+    let kp = KeyPair::from_seed(1);
+    let neighbour = |seq: u32, k: u32| {
+        let seed = [seq.to_be_bytes(), k.to_be_bytes()].concat();
+        DigestEntry {
+            origin: NodeId(2 + k),
+            digest: tldag_crypto::sha256::sha256(&seed),
+        }
+    };
+    let mut store = DurableStore::open(
+        scratch.path(),
+        StorageOptions {
+            cache_blocks: 4,
+            flush_buffer_bytes: 2 * 1024,
+            ..StorageOptions::compact_test()
+        },
+    )
+    .unwrap();
+    let mut prev = None;
+    for seq in 0..200u32 {
+        let mut digests: Vec<DigestEntry> = (0..18).map(|k| neighbour(seq, k)).collect();
+        digests.push(DigestEntry {
+            origin: NodeId(1),
+            digest: prev.unwrap_or_else(|| neighbour(seq, 18).digest),
+        });
+        let block = DataBlock::create(
+            &cfg,
+            BlockId::new(NodeId(1), seq),
+            u64::from(seq),
+            digests,
+            BlockBody::new(vec![seq as u8; 36], cfg.body_bits),
+            &kp,
+        );
+        prev = Some(block.header_digest());
+        store.append(block).unwrap();
+    }
+    store.sync().unwrap();
+    let resident = store.resident_bytes();
+    let on_disk = store.disk_usage_bytes() as usize;
+    assert!(
+        resident < on_disk / 2,
+        "resident {resident} B should be under half the {on_disk} B chain"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

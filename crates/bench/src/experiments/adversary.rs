@@ -15,7 +15,8 @@
 //!   regression gate holds at ≥ 95% for fractions ≤ 1/3),
 //! * **honest digest parity** — every honest node's chain digest must be
 //!   byte-identical to an in-memory engine run under the *same*
-//!   [`Behavior`] placement (the honest-subset parity contract), and
+//!   [`Behavior`] placement (the honest-subset parity contract), with the
+//!   cluster's PoP-counter parity reported beside it, and
 //! * **detection evidence** — conflicting-digest observations and the
 //!   `DigestReq` pull recoveries they triggered.
 
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 use tldag_core::attack::Behavior;
 use tldag_net::harness::discover_ports;
 use tldag_net::runtime::NodeOutcome;
-use tldag_net::{AdversaryPlacement, Deployment, LoopbackCluster, NetStats};
+use tldag_net::{judge, AdversaryPlacement, Deployment, LoopbackCluster, Verdict};
 use tldag_sim::NodeId;
 
 /// The behavior mix, cycled over the adversary slots of a level: the
@@ -118,22 +119,12 @@ pub struct AdversaryPoint {
     pub honest_attempts: u64,
     /// Honest PoP runs that reached consensus.
     pub honest_successes: u64,
-    /// PoP runs attempted / completed across the *whole* cluster.
-    pub total_pop: (u64, u64),
-    /// The engine reference's (attempts, successes) under the same cast.
-    pub reference_pop: (u64, u64),
-    /// Every honest node's chain digest matched the engine reference.
-    pub honest_parity: bool,
-    /// Conflicting `SlotDigest` pairs honest nodes observed.
-    pub digest_conflicts: u64,
-    /// `DigestReq` pulls issued to resolve conflicts.
-    pub conflict_pulls: u64,
-    /// Nodes that proceeded past a timed-out barrier.
-    pub degraded_nodes: u64,
+    /// The run judged against the engine reference under the same cast:
+    /// honest-subset digest parity, the whole cluster's PoP counters and
+    /// the detection counters (`digest_conflicts`, `conflict_pulls`).
+    pub verdict: Verdict,
     /// Wall-clock for the whole cluster run, ms.
     pub wall_ms: f64,
-    /// Transport counters merged across every node's report.
-    pub net: NetStats,
 }
 
 impl AdversaryPoint {
@@ -185,14 +176,10 @@ pub fn run(config: &AdversaryConfig) -> AdversaryData {
         let outcomes = LoopbackCluster::run(configs);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        let is_adversary = |id: u32| placements.iter().any(|p| p.node.0 == id);
         let honest: Vec<&NodeOutcome> = outcomes
             .iter()
-            .filter(|o| !is_adversary(o.run.node.0))
+            .filter(|o| placements.iter().all(|p| p.node != o.run.node))
             .collect();
-        let honest_parity = honest
-            .iter()
-            .all(|o| o.run.chain_digest == reference.chain_digest(o.run.node));
         points.push(AdversaryPoint {
             adversaries,
             fraction: adversaries as f64 / config.founders as f64,
@@ -203,27 +190,20 @@ pub fn run(config: &AdversaryConfig) -> AdversaryData {
                 .join(" "),
             honest_attempts: honest.iter().map(|o| o.run.pop_attempts).sum(),
             honest_successes: honest.iter().map(|o| o.run.pop_successes).sum(),
-            total_pop: (
-                outcomes.iter().map(|o| o.run.pop_attempts).sum(),
-                outcomes.iter().map(|o| o.run.pop_successes).sum(),
+            verdict: judge(
+                &deployment,
+                &reference,
+                outcomes.iter().map(NodeOutcome::report),
             ),
-            reference_pop: reference.pop_counters(),
-            honest_parity,
-            digest_conflicts: outcomes.iter().map(|o| o.stats.digest_conflicts).sum(),
-            conflict_pulls: outcomes.iter().map(|o| o.stats.conflict_pulls).sum(),
-            degraded_nodes: outcomes.iter().filter(|o| o.run.degraded).count() as u64,
             wall_ms,
-            net: outcomes.iter().fold(NetStats::default(), |mut acc, o| {
-                acc.merge(&o.stats);
-                acc
-            }),
         });
     }
     AdversaryData { points }
 }
 
 /// The adversary-fraction sweep at `scale`. Honest-subset digest parity
-/// and an undegraded barrier are invariants at every level.
+/// and an undegraded barrier are invariants at every level; PoP-counter
+/// parity is a column.
 pub fn report(scale: Scale) -> Report {
     let cfg = AdversaryConfig::at_scale(scale);
     let data = run(&cfg);
@@ -238,6 +218,7 @@ pub fn report(scale: Scale) -> Report {
         .param("founders", cfg.founders)
         .param("slots", cfg.slots);
     for p in &data.points {
+        let v = &p.verdict;
         table.push(row![
             "adversaries" => p.adversaries,
             "fraction" => p.fraction,
@@ -245,24 +226,25 @@ pub fn report(scale: Scale) -> Report {
             "honest_attempts" => p.honest_attempts,
             "honest_successes" => p.honest_successes,
             "honest_completion" => p.honest_completion(),
-            "total_attempts" => p.total_pop.0,
-            "total_successes" => p.total_pop.1,
-            "ref_attempts" => p.reference_pop.0,
-            "ref_successes" => p.reference_pop.1,
-            "parity" => p.honest_parity,
-            "digest_conflicts" => p.digest_conflicts,
-            "conflict_pulls" => p.conflict_pulls,
-            "degraded_nodes" => p.degraded_nodes,
+            "total_attempts" => v.wire_pop.0,
+            "total_successes" => v.wire_pop.1,
+            "ref_attempts" => v.reference_pop.0,
+            "ref_successes" => v.reference_pop.1,
+            "pop_parity" => v.pop_parity(),
+            "parity" => v.honest_parity(),
+            "digest_conflicts" => v.net.digest_conflicts,
+            "conflict_pulls" => v.net.conflict_pulls,
+            "degraded_nodes" => v.degraded.len(),
             "wall_ms" => p.wall_ms,
         ]);
         let level = format!("{} adversaries", p.adversaries);
         report.invariant(
             format!("honest digest parity with {level}"),
-            p.honest_parity,
+            v.honest_parity(),
         );
         report.invariant(
             format!("no degraded node with {level}"),
-            p.degraded_nodes == 0,
+            v.degraded.is_empty(),
         );
     }
     if let Some(p) = data.points.iter().find(|p| p.adversaries > 0) {
@@ -275,7 +257,7 @@ completed",
             p.honest_completion() * 100.0
         );
     }
-    let labelled = |p: &AdversaryPoint| (format!("{} adversaries", p.adversaries), p.net);
+    let labelled = |p: &AdversaryPoint| (format!("{} adversaries", p.adversaries), p.verdict.net);
     let net = net_table(
         "fig15_adversary_net",
         data.points.iter().map(labelled).collect(),
@@ -300,14 +282,15 @@ mod tests {
         };
         let data = run(&config);
         let p = &data.points[0];
+        let v = &p.verdict;
         assert_eq!(p.behaviors, "n3:equivocate");
         assert!(
-            p.honest_parity,
-            "honest chains must match the engine reference"
+            v.honest_parity(),
+            "honest chains must match the engine reference:\n{v}"
         );
-        assert_eq!(
-            p.total_pop, p.reference_pop,
-            "cluster PoP counters must match the engine under the same cast"
+        assert!(
+            v.pop_parity(),
+            "cluster PoP counters must match the engine under the same cast:\n{v}"
         );
         assert!(
             p.honest_attempts > 0,
@@ -320,11 +303,11 @@ mod tests {
             p.honest_completion()
         );
         assert!(
-            p.digest_conflicts >= 1 && p.conflict_pulls >= 1,
+            v.net.digest_conflicts >= 1 && v.net.conflict_pulls >= 1,
             "detection must fire (conflicts {}, pulls {})",
-            p.digest_conflicts,
-            p.conflict_pulls
+            v.net.digest_conflicts,
+            v.net.conflict_pulls
         );
-        assert_eq!(p.degraded_nodes, 0, "no barrier may time out");
+        assert!(v.degraded.is_empty(), "no barrier may time out");
     }
 }

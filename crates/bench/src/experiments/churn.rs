@@ -16,7 +16,9 @@
 //! * **catch-up latency** — wall-clock from a joiner's first `JoinReq`
 //!   to being announced and slot-ready (the membership plane's cost), and
 //! * **digest parity** — whether the wire cluster still reproduced the
-//!   engine's `network_digest` byte-for-byte through the churn.
+//!   engine's `network_digest` byte-for-byte through the churn (an
+//!   invariant), and whether its PoP counters matched the engine's (a
+//!   column: loss may cost a verification the engine completes).
 
 use crate::experiments::cluster::net_table;
 use crate::report::{Report, Table};
@@ -25,9 +27,9 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 use tldag_net::harness::{discover_ports, discover_tcp_ports};
 use tldag_net::membership::{validate_churn, ChurnEvent};
-use tldag_net::runtime::{network_digest_of, NodeOutcome};
+use tldag_net::runtime::NodeOutcome;
 use tldag_net::telemetry::{scrape_metrics, StatusRow};
-use tldag_net::{Deployment, FaultSpec, LoopbackCluster, NetStats};
+use tldag_net::{judge, Deployment, FaultSpec, LoopbackCluster, Verdict};
 use tldag_sim::NodeId;
 
 /// One churn level of the sweep: how many late joins and graceful leaves
@@ -163,28 +165,14 @@ pub struct ChurnPoint {
     pub joins: usize,
     /// Graceful leaves in the schedule.
     pub leaves: usize,
-    /// PoP runs attempted across the wire cluster.
-    pub pop_attempts: u64,
-    /// PoP runs that reached consensus.
-    pub pop_successes: u64,
-    /// The reference engine's (attempts, successes) on the same schedule.
-    pub reference_pop: (u64, u64),
+    /// The run judged against the engine reference on the same schedule.
+    pub verdict: Verdict,
     /// Mean joiner catch-up latency (handshake → announced), ms.
     pub mean_catch_up_ms: f64,
     /// Worst joiner catch-up latency, ms.
     pub max_catch_up_ms: f64,
-    /// Whether the wire `network_digest` matched the engine's.
-    pub parity: bool,
-    /// Nodes that proceeded past a timed-out barrier.
-    pub degraded_nodes: u64,
-    /// Request retransmissions across every endpoint.
-    pub retries: u64,
-    /// Datagrams sent across every endpoint.
-    pub datagrams: u64,
     /// Wall-clock for the whole cluster run, ms.
     pub wall_ms: f64,
-    /// Transport counters merged across every node's report.
-    pub net: NetStats,
     /// Mid-run telemetry time series, oldest first (scraped from the live
     /// nodes' metrics endpoints while the cluster ran).
     pub samples: Vec<ChurnSample>,
@@ -193,10 +181,9 @@ pub struct ChurnPoint {
 impl ChurnPoint {
     /// Fraction of PoP runs that reached consensus.
     pub fn completion(&self) -> f64 {
-        if self.pop_attempts == 0 {
-            0.0
-        } else {
-            self.pop_successes as f64 / self.pop_attempts as f64
+        match self.verdict.wire_pop {
+            (0, _) => 0.0,
+            (attempts, successes) => successes as f64 / attempts as f64,
         }
     }
 }
@@ -274,11 +261,10 @@ pub fn run(config: &ChurnConfig) -> ChurnData {
         let outcomes: Vec<NodeOutcome> = cluster.join().into_iter().map(|(o, _)| o).collect();
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        let wire_digest = network_digest_of(
-            &outcomes
-                .iter()
-                .map(|o| o.run.chain_digest)
-                .collect::<Vec<_>>(),
+        let verdict = judge(
+            &deployment,
+            &reference,
+            outcomes.iter().map(NodeOutcome::report),
         );
         let catch_ups: Vec<f64> = outcomes
             .iter()
@@ -293,20 +279,10 @@ pub fn run(config: &ChurnConfig) -> ChurnData {
         points.push(ChurnPoint {
             joins: level.joins,
             leaves: level.leaves,
-            pop_attempts: outcomes.iter().map(|o| o.run.pop_attempts).sum(),
-            pop_successes: outcomes.iter().map(|o| o.run.pop_successes).sum(),
-            reference_pop: reference.pop_counters(),
+            verdict,
             mean_catch_up_ms: mean_catch_up,
             max_catch_up_ms: catch_ups.iter().cloned().fold(0.0, f64::max),
-            parity: wire_digest == reference.network_digest(),
-            degraded_nodes: outcomes.iter().filter(|o| o.run.degraded).count() as u64,
-            retries: outcomes.iter().map(|o| o.stats.request_retries).sum(),
-            datagrams: outcomes.iter().map(|o| o.stats.datagrams_sent).sum(),
             wall_ms,
-            net: outcomes.iter().fold(NetStats::default(), |mut acc, o| {
-                acc.merge(&o.stats);
-                acc
-            }),
             samples,
         });
     }
@@ -314,7 +290,7 @@ pub fn run(config: &ChurnConfig) -> ChurnData {
 }
 
 /// The churn sweep at `scale`. Digest parity and an undegraded barrier
-/// are invariants at every churn level.
+/// are invariants at every churn level; PoP-counter parity is a column.
 pub fn report(scale: Scale) -> Report {
     let cfg = ChurnConfig::at_scale(scale);
     let data = run(&cfg);
@@ -335,20 +311,22 @@ pub fn report(scale: Scale) -> Report {
         .param("slots", cfg.slots)
         .param("loss", cfg.loss);
     for p in &data.points {
+        let v = &p.verdict;
         points.push(row![
             "joins" => p.joins,
             "leaves" => p.leaves,
-            "pop_attempts" => p.pop_attempts,
-            "pop_successes" => p.pop_successes,
+            "pop_attempts" => v.wire_pop.0,
+            "pop_successes" => v.wire_pop.1,
             "completion" => p.completion(),
-            "ref_attempts" => p.reference_pop.0,
-            "ref_successes" => p.reference_pop.1,
+            "ref_attempts" => v.reference_pop.0,
+            "ref_successes" => v.reference_pop.1,
+            "pop_parity" => v.pop_parity(),
             "mean_catch_up_ms" => p.mean_catch_up_ms,
             "max_catch_up_ms" => p.max_catch_up_ms,
-            "parity" => p.parity,
-            "degraded_nodes" => p.degraded_nodes,
-            "retries" => p.retries,
-            "datagrams" => p.datagrams,
+            "parity" => v.honest_parity(),
+            "degraded_nodes" => v.degraded.len(),
+            "retries" => v.net.request_retries,
+            "datagrams" => v.net.datagrams_sent,
             "wall_ms" => p.wall_ms,
         ]);
         for s in &p.samples {
@@ -364,10 +342,10 @@ pub fn report(scale: Scale) -> Report {
             ]);
         }
         let level = format!("{} joins + {} leaves", p.joins, p.leaves);
-        report.invariant(format!("digest parity with {level}"), p.parity);
+        report.invariant(format!("digest parity with {level}"), v.honest_parity());
         report.invariant(
             format!("no degraded node with {level}"),
-            p.degraded_nodes == 0,
+            v.degraded.is_empty(),
         );
     }
     if let Some(p) = data.points.iter().find(|p| p.joins + p.leaves > 0) {
@@ -381,7 +359,7 @@ and the joiners caught up in {:.0} ms mean",
             p.mean_catch_up_ms
         );
     }
-    let labelled = |p: &ChurnPoint| (format!("{}+{}", p.joins, p.leaves), p.net);
+    let labelled = |p: &ChurnPoint| (format!("{}+{}", p.joins, p.leaves), p.verdict.net);
     let net = net_table(
         "fig12_churn_net",
         data.points.iter().map(labelled).collect(),
@@ -409,16 +387,18 @@ mod tests {
         };
         let data = run(&config);
         let p = &data.points[0];
-        assert!(p.parity, "churn + loss must not break digest parity");
-        assert_eq!(
-            (p.pop_attempts, p.pop_successes),
-            p.reference_pop,
-            "wire PoP counters must match the engine through churn"
+        assert!(
+            p.verdict.holds(),
+            "churn + loss must keep digest parity and the engine's PoP counters:\n{}",
+            p.verdict
         );
         assert!(
             p.mean_catch_up_ms > 0.0,
             "the joiner's catch-up latency must be measured"
         );
-        assert_eq!(p.degraded_nodes, 0, "no barrier may time out at this loss");
+        assert!(
+            p.verdict.degraded.is_empty(),
+            "no barrier may time out at this loss"
+        );
     }
 }

@@ -15,15 +15,14 @@
 //! only when the verify worker catches up to it. This panel quantifies
 //! that trade with p50/p99 quantiles over all fully-traced blocks, and
 //! verifies on the way that tracing itself never perturbs the protocol
-//! (digest parity against the reference engine must hold with the span
-//! store enabled).
+//! (digest and PoP-counter parity against the reference engine must hold
+//! with the span store enabled, and no barrier may time out).
 
 use crate::report::{Report, Table};
 use crate::{row, Scale};
 use std::time::Duration;
 use tldag_net::harness::discover_ports;
-use tldag_net::runtime::network_digest_of;
-use tldag_net::{Deployment, LoopbackCluster};
+use tldag_net::{judge, Deployment, LoopbackCluster, Verdict};
 use tldag_obs::{build_timelines, SpanEvent};
 
 /// Sweep parameters.
@@ -64,7 +63,7 @@ impl LifecycleConfig {
 }
 
 /// Lifecycle-latency measurements at one window size.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct LifecyclePoint {
     /// The pipeline window (1 = lockstep).
     pub window: u64,
@@ -84,10 +83,8 @@ pub struct LifecyclePoint {
     pub p99_us: u64,
     /// Worst generate → committed-everywhere latency, µs.
     pub max_us: u64,
-    /// Whether the traced cluster still reproduced the reference digest.
-    pub parity: bool,
-    /// PoP (attempts, successes) summed over the wire nodes.
-    pub wire_pop: (u64, u64),
+    /// The traced run judged against the engine reference.
+    pub verdict: Verdict,
 }
 
 /// The sweep output.
@@ -95,8 +92,6 @@ pub struct LifecyclePoint {
 pub struct LifecycleData {
     /// One point per window, in sweep order.
     pub points: Vec<LifecyclePoint>,
-    /// The reference engine's PoP counters (window-independent).
-    pub reference_pop: (u64, u64),
 }
 
 /// `q`-quantile of an unsorted latency sample (nearest-rank).
@@ -114,8 +109,6 @@ pub fn run(config: &LifecycleConfig) -> LifecycleData {
     deployment.gamma = config.gamma;
     deployment.pop = true;
     let reference = deployment.reference();
-    let reference_digest = reference.network_digest();
-    let reference_pop = reference.pop_counters();
 
     let mut points = Vec::with_capacity(config.windows.len());
     for &window in &config.windows {
@@ -129,15 +122,11 @@ pub fn run(config: &LifecycleConfig) -> LifecycleData {
         // The telemetry handles' span stores outlive the runtimes.
         let results = LoopbackCluster::spawn(configs).join();
 
-        let wire_digest = network_digest_of(
-            &results
-                .iter()
-                .map(|(o, _)| o.run.chain_digest)
-                .collect::<Vec<_>>(),
+        let verdict = judge(
+            &deployment,
+            &reference,
+            results.iter().map(|(o, _)| o.report()),
         );
-        let wire_pop = results.iter().fold((0, 0), |(a, s), (o, _)| {
-            (a + o.run.pop_attempts, s + o.run.pop_successes)
-        });
 
         // Merge every node's span store into one cross-node event set —
         // the same stitching `/trace` does per node, but cluster-wide.
@@ -177,18 +166,15 @@ pub fn run(config: &LifecycleConfig) -> LifecycleData {
             p50_us: quantile(&latencies, 0.50),
             p99_us: quantile(&latencies, 0.99),
             max_us: latencies.last().copied().unwrap_or(0),
-            parity: wire_digest == reference_digest,
-            wire_pop,
+            verdict,
         });
     }
-    LifecycleData {
-        points,
-        reference_pop,
-    }
+    LifecycleData { points }
 }
 
 /// The traced window sweep at `scale`. Tracing must never perturb the
-/// protocol: digest parity is an invariant at every window.
+/// protocol: digest parity, PoP-counter parity and an undegraded barrier
+/// are invariants at every window.
 pub fn report(scale: Scale) -> Report {
     let cfg = LifecycleConfig::at_scale(scale);
     let data = run(&cfg);
@@ -199,13 +185,19 @@ pub fn report(scale: Scale) -> Report {
             cfg.gamma
         ),
     );
+    // Window-independent: every point is judged against one reference.
+    let reference_pop = data
+        .points
+        .first()
+        .map_or((0, 0), |p| p.verdict.reference_pop);
     let mut report = Report::new("fig14_lifecycle", scale)
         .param("nodes", cfg.nodes)
         .param("slots", cfg.slots)
         .param("gamma", cfg.gamma)
-        .param("reference_pop_attempts", data.reference_pop.0)
-        .param("reference_pop_successes", data.reference_pop.1);
+        .param("reference_pop_attempts", reference_pop.0)
+        .param("reference_pop_successes", reference_pop.1);
     for p in &data.points {
+        let v = &p.verdict;
         table.push(row![
             "window" => p.window,
             "timelines" => p.timelines,
@@ -216,12 +208,20 @@ pub fn report(scale: Scale) -> Report {
             "p50_us" => p.p50_us,
             "p99_us" => p.p99_us,
             "max_us" => p.max_us,
-            "parity" => p.parity,
-            "pop_attempts" => p.wire_pop.0,
-            "pop_successes" => p.wire_pop.1,
+            "parity" => v.honest_parity(),
+            "pop_attempts" => v.wire_pop.0,
+            "pop_successes" => v.wire_pop.1,
         ]);
-        let name = format!("digest parity under tracing at window {}", p.window);
-        report.invariant(name, p.parity);
+        let at = format!("at window {}", p.window);
+        report.invariant(
+            format!("digest parity under tracing {at}"),
+            v.honest_parity(),
+        );
+        report.invariant(
+            format!("PoP counters equal the engine's {at}"),
+            v.pop_parity(),
+        );
+        report.invariant(format!("no degraded node {at}"), v.degraded.is_empty());
     }
     report.tables.push(table);
     report
@@ -243,10 +243,10 @@ mod tests {
         let data = run(&config);
         assert_eq!(data.points.len(), 1);
         let p = &data.points[0];
-        assert!(p.parity, "tracing must not perturb the protocol");
-        assert_eq!(
-            p.wire_pop, data.reference_pop,
-            "traced cluster must match the engine's PoP counters"
+        assert!(
+            p.verdict.holds(),
+            "tracing must not perturb the protocol or the engine's PoP counters:\n{}",
+            p.verdict
         );
         assert_eq!(
             p.timelines,

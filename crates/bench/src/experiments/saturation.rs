@@ -25,8 +25,7 @@ use crate::report::{Report, Table};
 use crate::{row, Scale};
 use std::time::{Duration, Instant};
 use tldag_net::harness::discover_ports;
-use tldag_net::runtime::network_digest_of;
-use tldag_net::{Deployment, LoopbackCluster};
+use tldag_net::{judge, Deployment, LoopbackCluster, Verdict};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -66,22 +65,14 @@ impl SaturationConfig {
 }
 
 /// Measurements at one window size.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct SaturationPoint {
     /// The pipeline window (1 = lockstep baseline).
     pub window: u64,
     /// Blocks generated across the cluster (nodes × slots).
     pub blocks: u64,
-    /// PoP verifications attempted across the cluster.
-    pub pop_attempts: u64,
-    /// PoP verifications that reached consensus.
-    pub pop_successes: u64,
-    /// The reference engine's (attempts, successes) on the same seed.
-    pub reference_pop: (u64, u64),
-    /// Whether the cluster reproduced the engine's `network_digest`.
-    pub parity: bool,
-    /// Nodes that proceeded past a timed-out barrier.
-    pub degraded_nodes: u64,
+    /// The run judged against the engine reference on the same seed.
+    pub verdict: Verdict,
     /// Slot-loop critical path: the slowest node's `slot_loop_ms`.
     pub slot_loop_ms: u64,
     /// Wall-clock for the whole cluster run (bootstrap + linger included).
@@ -94,10 +85,6 @@ pub struct SaturationPoint {
     pub p50_slot_ms: f64,
     /// 99th-percentile slot latency, ms.
     pub p99_slot_ms: f64,
-    /// Request retransmissions across every endpoint.
-    pub retries: u64,
-    /// Datagrams sent across every endpoint.
-    pub datagrams: u64,
     /// blocks/s relative to this sweep's window-1 point (1.0 when this
     /// *is* the baseline; 0.0 when the sweep has no baseline).
     pub speedup: f64,
@@ -118,8 +105,6 @@ pub fn run(config: &SaturationConfig) -> SaturationData {
     deployment.gamma = config.gamma;
     deployment.pop = true;
     let reference = deployment.reference();
-    let reference_digest = reference.network_digest();
-    let reference_pop = reference.pop_counters();
 
     let mut points: Vec<SaturationPoint> = Vec::with_capacity(config.windows.len());
     for &window in &config.windows {
@@ -133,18 +118,17 @@ pub fn run(config: &SaturationConfig) -> SaturationData {
         let results = LoopbackCluster::spawn(configs).join();
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-        let wire_digest = network_digest_of(
-            &results
-                .iter()
-                .map(|(o, _)| o.run.chain_digest)
-                .collect::<Vec<_>>(),
+        let verdict = judge(
+            &deployment,
+            &reference,
+            results.iter().map(|(o, _)| o.report()),
         );
         let mut latency = results[0].1.slot_latency.snapshot();
         for (_, telemetry) in &results[1..] {
             latency.merge(&telemetry.slot_latency.snapshot());
         }
         let blocks: u64 = results.iter().map(|(o, _)| o.run.chain_len).sum();
-        let pop_successes: u64 = results.iter().map(|(o, _)| o.run.pop_successes).sum();
+        let pop_successes = verdict.wire_pop.1;
         // The cluster is only as fast as its slowest slot loop.
         let slot_loop_ms = results
             .iter()
@@ -155,19 +139,13 @@ pub fn run(config: &SaturationConfig) -> SaturationData {
         points.push(SaturationPoint {
             window,
             blocks,
-            pop_attempts: results.iter().map(|(o, _)| o.run.pop_attempts).sum(),
-            pop_successes,
-            reference_pop,
-            parity: wire_digest == reference_digest,
-            degraded_nodes: results.iter().filter(|(o, _)| o.run.degraded).count() as u64,
+            verdict,
             slot_loop_ms,
             wall_ms,
             blocks_per_s: blocks as f64 / secs,
             pops_per_s: pop_successes as f64 / secs,
             p50_slot_ms: latency.p50() as f64 / 1e3,
             p99_slot_ms: latency.p99() as f64 / 1e3,
-            retries: results.iter().map(|(o, _)| o.stats.request_retries).sum(),
-            datagrams: results.iter().map(|(o, _)| o.stats.datagrams_sent).sum(),
             speedup: 0.0,
         });
     }
@@ -184,9 +162,9 @@ pub fn run(config: &SaturationConfig) -> SaturationData {
     SaturationData { points }
 }
 
-/// The window sweep at `scale`. Digest parity and an undegraded barrier
-/// are invariants at every window; loopback throughput itself is judged by
-/// the repo benchmark's `wire_*` workloads, not here.
+/// The window sweep at `scale`. Digest parity, PoP-counter parity and an
+/// undegraded barrier are invariants at every window; loopback throughput
+/// itself is judged by the repo benchmark's `wire_*` workloads, not here.
 pub fn report(scale: Scale) -> Report {
     let cfg = SaturationConfig::at_scale(scale);
     let data = run(&cfg);
@@ -202,6 +180,7 @@ pub fn report(scale: Scale) -> Report {
         .param("slots", cfg.slots)
         .param("gamma", cfg.gamma);
     for p in &data.points {
+        let v = &p.verdict;
         table.push(row![
             "window" => p.window,
             "blocks" => p.blocks,
@@ -212,19 +191,26 @@ pub fn report(scale: Scale) -> Report {
             "slot_loop_ms" => p.slot_loop_ms,
             "wall_ms" => p.wall_ms,
             "speedup" => p.speedup,
-            "parity" => p.parity,
-            "degraded_nodes" => p.degraded_nodes,
-            "pop_attempts" => p.pop_attempts,
-            "pop_successes" => p.pop_successes,
-            "reference_pop_attempts" => p.reference_pop.0,
-            "reference_pop_successes" => p.reference_pop.1,
-            "retries" => p.retries,
-            "datagrams" => p.datagrams,
+            "parity" => v.honest_parity(),
+            "degraded_nodes" => v.degraded.len(),
+            "pop_attempts" => v.wire_pop.0,
+            "pop_successes" => v.wire_pop.1,
+            "reference_pop_attempts" => v.reference_pop.0,
+            "reference_pop_successes" => v.reference_pop.1,
+            "retries" => v.net.request_retries,
+            "datagrams" => v.net.datagrams_sent,
         ]);
-        report.invariant(format!("digest parity at window {}", p.window), p.parity);
+        report.invariant(
+            format!("digest parity at window {}", p.window),
+            v.honest_parity(),
+        );
+        report.invariant(
+            format!("PoP counters equal the engine's at window {}", p.window),
+            v.pop_parity(),
+        );
         report.invariant(
             format!("no degraded node at window {}", p.window),
-            p.degraded_nodes == 0,
+            v.degraded.is_empty(),
         );
     }
     let fastest = data
@@ -258,14 +244,13 @@ mod tests {
         let data = run(&config);
         assert_eq!(data.points.len(), 2);
         for p in &data.points {
-            assert!(p.parity, "window {} must keep digest parity", p.window);
-            assert_eq!(
-                (p.pop_attempts, p.pop_successes),
-                p.reference_pop,
-                "window {} must match the engine's PoP counters",
+            let v = &p.verdict;
+            assert!(
+                v.holds(),
+                "window {} must keep digest parity and the engine's PoP counters:\n{v}",
                 p.window
             );
-            assert_eq!(p.degraded_nodes, 0, "no barrier may time out on loopback");
+            assert!(v.degraded.is_empty(), "no barrier may time out on loopback");
             assert_eq!(p.blocks, 3 * 12, "every node generates once per slot");
             assert!(p.blocks_per_s > 0.0);
         }

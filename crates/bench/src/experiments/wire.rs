@@ -16,8 +16,6 @@
 use crate::experiments::cluster::net_table;
 use crate::report::{Report, Table};
 use crate::{row, Scale};
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tldag_core::blacklist::Blacklist;
@@ -28,11 +26,9 @@ use tldag_core::node::LedgerNode;
 use tldag_core::pop::validator::Validator;
 use tldag_core::store::TrustCache;
 use tldag_core::workload::VerificationWorkload;
-use tldag_net::runtime::{
-    deployment_protocol_config, deployment_topology, serve_wire_request, NetPopTransport,
-};
+use tldag_net::runtime::{deployment_protocol_config, deployment_topology, NetPopTransport};
 use tldag_net::{
-    Endpoint, EndpointConfig, FaultSpec, FaultyTransport, Inbound, NetStats, PeerTable,
+    Endpoint, EndpointConfig, FaultSpec, FaultyTransport, NetStats, PeerTable, ReceiverGuard,
     UdpTransport,
 };
 use tldag_sim::engine::GenerationSchedule;
@@ -139,10 +135,8 @@ pub struct WireData {
 /// One live endpoint: a responder (or the validator) with its receiver
 /// thread and a handle on its fault injector.
 struct WireNode {
-    endpoint: Arc<Endpoint>,
+    receiver: ReceiverGuard,
     faults: Arc<FaultyTransport<UdpTransport>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl WireNode {
@@ -160,40 +154,14 @@ impl WireNode {
                 ..EndpointConfig::default()
             },
         ));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let endpoint = Arc::clone(&endpoint);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut handler = |inbound: Inbound| {
-                    if let Inbound::Wire { src, seq, msg, .. } = inbound {
-                        if let Some(reply) = serve_wire_request(&node, &msg) {
-                            let _ = endpoint.send_reply(src, seq, &reply);
-                        }
-                    }
-                };
-                endpoint.run_receiver(&stop, &mut handler);
-            })
-        };
         WireNode {
-            endpoint,
+            receiver: endpoint.serve(node),
             faults,
-            stop,
-            thread: Some(thread),
         }
     }
 
-    fn addr(&self) -> SocketAddr {
-        self.endpoint.local_addr().expect("addr")
-    }
-}
-
-impl Drop for WireNode {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    fn endpoint(&self) -> &Endpoint {
+        self.receiver.endpoint()
     }
 }
 
@@ -246,9 +214,9 @@ pub fn run(config: &WireConfig) -> WireData {
         let peers = PeerTable::new(
             wire.iter()
                 .enumerate()
-                .map(|(i, w)| (NodeId(i as u32), w.addr())),
+                .map(|(i, w)| (NodeId(i as u32), w.endpoint().local_addr().expect("addr"))),
         );
-        let validator_endpoint = &wire[validator_id.index()].endpoint;
+        let validator_endpoint = wire[validator_id.index()].endpoint();
         let own_store = nodes[validator_id.index()].store();
 
         let mut target_rng = DetRng::seed_from(config.seed ^ 0x000f_1611 ^ rate_idx as u64);
@@ -296,7 +264,7 @@ pub fn run(config: &WireConfig) -> WireData {
         let mut net = NetStats::default();
         let mut injected_drops = 0u64;
         for w in &wire {
-            net.merge(&w.endpoint.stats());
+            net.merge(&w.endpoint().stats());
             injected_drops += w.faults.injected_drops();
         }
         let datagrams = net.datagrams_sent;

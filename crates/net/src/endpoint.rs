@@ -10,15 +10,21 @@
 //!   number across retries, so retransmissions are idempotent on the
 //!   responder and a late reply to an earlier attempt still matches.
 //!
-//! Exactly one thread runs [`Endpoint::run_receiver`]; replies are consumed
-//! there and handed to the blocked requester, everything else (requests,
-//! control traffic) goes to the caller-supplied handler. All send paths take
-//! `&self`, so the endpoint is shared behind an `Arc`.
+//! Exactly one thread runs [`Endpoint::run_receiver`], and the
+//! [`ReceiverGuard`] enforces it: [`Endpoint::spawn_receiver`] (or
+//! [`Endpoint::serve`], for a responder that only answers protocol
+//! requests) starts the loop on its own thread and stops and joins it on
+//! drop, and a second concurrent receive loop on one endpoint panics.
+//! Replies are consumed there and handed to the blocked requester,
+//! everything else (requests, control traffic) goes to the caller-supplied
+//! handler. All send paths take `&self`, so the endpoint is shared behind
+//! an `Arc`.
 
 use crate::control::{decode_control, Control};
 use crate::envelope::{decode_datagram, encode_message_traced, Kind, TraceContext, DEFAULT_MTU};
 use crate::frag::Reassembler;
 use crate::metrics::{NetMetrics, NetStats};
+use crate::runtime::serve_wire_request;
 use crate::transport::{Datagram, RecvSlot, UdpTransport};
 use crate::NetError;
 use std::collections::HashMap;
@@ -26,9 +32,11 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tldag_core::codec::{self, CodecError, WireMessage};
+use tldag_core::node::LedgerNode;
 use tldag_obs::LatencyHistogram;
 use tldag_sim::NodeId;
 
@@ -111,6 +119,10 @@ pub struct Endpoint {
     id: NodeId,
     transport: Box<dyn Datagram>,
     config: EndpointConfig,
+    /// Set while a thread is inside [`Endpoint::run_receiver`]. It guards
+    /// a usage rule and publishes no data (the loop's state is its own), so
+    /// `Relaxed` suffices.
+    receiving: AtomicBool,
     next_seq: AtomicU64,
     pending: Mutex<HashMap<u64, SyncSender<(NodeId, WireMessage)>>>,
     metrics: NetMetrics,
@@ -160,6 +172,7 @@ impl Endpoint {
             id,
             transport,
             config,
+            receiving: AtomicBool::new(false),
             next_seq: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
             metrics: NetMetrics::default(),
@@ -297,8 +310,8 @@ impl Endpoint {
     /// exhausted (counted in `request_timeouts`) — a silent peer costs
     /// bounded time, never a hang.
     ///
-    /// Requires [`Endpoint::run_receiver`] to be live on another thread;
-    /// without it every request times out.
+    /// Requires a receiver ([`Endpoint::spawn_receiver`]) to be live on
+    /// another thread; without it every request times out.
     pub fn request(&self, to: SocketAddr, msg: &WireMessage) -> Option<(NodeId, WireMessage)> {
         let seq = self.alloc_seq();
         let frames = self
@@ -350,7 +363,16 @@ impl Endpoint {
     /// per wakeup, decodes envelopes, reassembles fragments, consumes
     /// replies, and hands everything else to `handler`. Malformed traffic
     /// is counted and dropped — never a panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another thread is already running this endpoint's receive
+    /// loop.
     pub fn run_receiver(&self, stop: &AtomicBool, handler: &mut dyn FnMut(Inbound)) {
+        assert!(
+            !self.receiving.swap(true, Ordering::Relaxed),
+            "a second receive loop on one endpoint"
+        );
         let _ = self
             .transport
             .set_read_timeout(Some(self.config.park_timeout.max(Duration::from_millis(1))));
@@ -388,6 +410,38 @@ impl Endpoint {
                 );
             }
         }
+        self.receiving.store(false, Ordering::Relaxed);
+    }
+
+    /// Runs [`Endpoint::run_receiver`] on its own thread until the returned
+    /// guard is finished or dropped. `handler` gets the endpoint too, to
+    /// reply from.
+    pub fn spawn_receiver(
+        self: &Arc<Self>,
+        mut handler: impl FnMut(&Endpoint, Inbound) + Send + 'static,
+    ) -> ReceiverGuard {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (endpoint, flag) = (Arc::clone(self), Arc::clone(&stop));
+        let thread = std::thread::spawn(move || {
+            endpoint.run_receiver(&flag, &mut |inbound| handler(&endpoint, inbound));
+        });
+        ReceiverGuard {
+            endpoint: Arc::clone(self),
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    /// A responder for `node`'s chain: answers every protocol request
+    /// through [`serve_wire_request`] and ignores control traffic.
+    pub fn serve(self: &Arc<Self>, node: Arc<LedgerNode>) -> ReceiverGuard {
+        self.spawn_receiver(move |endpoint, inbound| {
+            if let Inbound::Wire { src, seq, msg, .. } = inbound {
+                if let Some(reply) = serve_wire_request(&node, &msg) {
+                    let _ = endpoint.send_reply(src, seq, &reply);
+                }
+            }
+        })
     }
 
     /// Decodes one received datagram and routes its message: replies to
@@ -480,5 +534,74 @@ impl Endpoint {
             }
             None => NetMetrics::inc(&self.metrics.replies_unmatched),
         }
+    }
+}
+
+/// The thread running one endpoint's receive loop
+/// ([`Endpoint::spawn_receiver`]). Dropping the guard stops the loop and
+/// joins the thread; [`ReceiverGuard::finish`] does the same and reports a
+/// panicked handler.
+#[must_use = "dropping the guard stops the receiver"]
+pub struct ReceiverGuard {
+    endpoint: Arc<Endpoint>,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl ReceiverGuard {
+    /// The endpoint this guard receives for.
+    pub fn endpoint(&self) -> &Arc<Endpoint> {
+        &self.endpoint
+    }
+
+    /// Stops the receive loop and joins its thread.
+    ///
+    /// # Errors
+    ///
+    /// The handler panicked.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.stop_and_join()
+    }
+
+    fn stop_and_join(&mut self) -> Result<(), String> {
+        self.stop.store(true, Ordering::Relaxed);
+        match self.thread.take() {
+            Some(thread) => thread
+                .join()
+                .map_err(|_| "receiver thread panicked".to_string()),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Drop for ReceiverGuard {
+    fn drop(&mut self) {
+        let _ = self.stop_and_join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_receive_loop_per_endpoint_and_finish_reports_its_panic() {
+        let config = EndpointConfig {
+            park_timeout: Duration::from_millis(10),
+            ..EndpointConfig::default()
+        };
+        let listen = "127.0.0.1:0".parse().expect("addr");
+        let endpoint = Arc::new(Endpoint::bind(NodeId(0), listen, config).expect("bind"));
+        let first = endpoint.spawn_receiver(|_, _| {});
+        while !endpoint.receiving.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+        let second = endpoint.spawn_receiver(|_, _| {});
+        assert!(second.finish().is_err(), "a second loop must panic");
+        first.finish().expect("the first loop stops cleanly");
+        let again = endpoint.spawn_receiver(|_, _| {});
+        again
+            .finish()
+            .expect("a loop may start once the first stopped");
     }
 }

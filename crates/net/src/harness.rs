@@ -26,8 +26,10 @@
 //! and compared in one place: [`discover_ports`] / [`discover_tcp_ports`]
 //! probe free localhost addresses, [`Deployment::member_configs`] peers the
 //! founders and points each scheduled joiner at its bootstrap,
-//! [`LoopbackCluster`] runs every member as a [`NetNode`] thread, and
-//! [`Deployment::reference`] builds the in-memory engine run it must match.
+//! [`LoopbackCluster`] runs every member as a [`NetNode`] thread,
+//! [`Deployment::reference`] builds the in-memory engine run it must match,
+//! and [`judge`] turns the members' reports into the one [`Verdict`] every
+//! caller reads.
 
 use crate::control::{Control, RunReport};
 use crate::endpoint::{Endpoint, EndpointConfig, Inbound};
@@ -41,10 +43,10 @@ use crate::runtime::{
 use crate::telemetry::{scrape_metrics, NodeTelemetry, StatusRow};
 use crate::transport::FaultSpec;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::net::{SocketAddr, TcpListener, UdpSocket};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -203,27 +205,9 @@ impl ClusterConfig {
 pub struct ClusterOutcome {
     /// Per-node end-of-run reports, in node order (founders then joiners).
     pub reports: Vec<RunReport>,
-    /// Network digest assembled from the wire nodes' chain digests.
-    pub wire_digest: Digest,
-    /// Network digest of the in-memory reference run on the same seed and
-    /// membership schedule.
-    pub reference_digest: Digest,
-    /// Per-node chain digests of the reference run, for mismatch diagnosis.
-    pub reference_chains: Vec<Digest>,
-    /// Network digest over only the honest nodes' wire chains — the
-    /// verdict subset when adversaries are scheduled (a flapping adversary
-    /// legitimately forks its *own* chain from the reference by going
-    /// dark, so full parity is not the right bar).
-    pub honest_wire_digest: Digest,
-    /// The same honest-subset digest computed from the reference engine
-    /// with the identical behavior placements applied.
-    pub honest_reference_digest: Digest,
-    /// PoP (attempts, successes) summed over the wire nodes.
-    pub wire_pop: (u64, u64),
-    /// PoP (attempts, successes) of the reference engine.
-    pub reference_pop: (u64, u64),
-    /// Transport counters merged across every node's report.
-    pub net: NetStats,
+    /// The reports judged against the in-memory reference run on the same
+    /// seed, membership schedule and adversary cast.
+    pub verdict: Verdict,
     /// Mid-run scrape snapshots (one `Vec<StatusRow>` per sample, a row
     /// per node that answered), oldest first. Populated only with
     /// [`ClusterConfig::metrics`] + [`ClusterConfig::sample_every`].
@@ -236,20 +220,6 @@ pub struct ClusterOutcome {
     /// parity failed and the harness could pull per-slot evidence from
     /// the still-live nodes.
     pub forensics: Option<DivergenceReport>,
-}
-
-impl ClusterOutcome {
-    /// The run's verdict: whether the honest subset reproduced the
-    /// reference. With no adversaries scheduled that is every node, and
-    /// the verdict is full `network_digest` parity.
-    pub fn honest_parity(&self) -> bool {
-        self.honest_wire_digest == self.honest_reference_digest
-    }
-
-    /// Whether any node proceeded past a timed-out barrier.
-    pub fn degraded(&self) -> bool {
-        self.reports.iter().any(|r| r.degraded)
-    }
 }
 
 /// Kills every child on drop, so no path out of the harness leaks
@@ -617,6 +587,136 @@ pub fn replay_reference_schedule(
     }
 }
 
+/// One wire run judged against its engine reference: both halves of the
+/// parity contract (wire digest == engine digest, PoP counters equal), the
+/// members that diverged or degraded, and the merged transport counters.
+/// [`judge`] is the one place it is computed; `run_cluster`, the
+/// in-process clusters, the experiments and the wire tests all read it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Verdict {
+    /// Network digest over every member's wire chain.
+    pub wire_digest: Digest,
+    /// The reference engine's network digest.
+    pub reference_digest: Digest,
+    /// Network digest over the wire chains of the members no adversary is
+    /// placed on (every member of an honest run, where it is the full
+    /// digest). A flapping adversary legitimately forks its own chain by
+    /// going dark, so under attack this subset is the digest verdict.
+    pub honest_wire_digest: Digest,
+    /// The same subset of the reference engine's chains.
+    pub honest_reference_digest: Digest,
+    /// Members whose wire chain differs from the reference's, in id order
+    /// (an adversary's fork included).
+    pub diverged: Vec<NodeId>,
+    /// PoP (attempts, successes) summed over the members.
+    pub wire_pop: (u64, u64),
+    /// The reference engine's PoP (attempts, successes).
+    pub reference_pop: (u64, u64),
+    /// Members that proceeded past a timed-out barrier or evicted a peer.
+    pub degraded: Vec<NodeId>,
+    /// Transport counters merged across every member's report.
+    pub net: NetStats,
+    /// Whether the deployment placed adversaries: the contract is then the
+    /// honest-subset digest alone, and the PoP counters are reported
+    /// beside it.
+    pub adversarial: bool,
+}
+
+impl Verdict {
+    /// Whether the honest subset reproduced the reference (with no
+    /// adversaries, full `network_digest` parity).
+    pub fn honest_parity(&self) -> bool {
+        self.honest_wire_digest == self.honest_reference_digest
+    }
+
+    /// Whether the wire PoP counters equal the reference's.
+    pub fn pop_parity(&self) -> bool {
+        self.wire_pop == self.reference_pop
+    }
+
+    /// The whole contract: honest-subset digest parity, plus equal PoP
+    /// counters unless the run is adversarial.
+    pub fn holds(&self) -> bool {
+        self.honest_parity() && (self.adversarial || self.pop_parity())
+    }
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "  wire network digest      : {}", self.wire_digest)?;
+        writeln!(f, "  reference network digest : {}", self.reference_digest)?;
+        if self.adversarial {
+            writeln!(
+                f,
+                "  honest-subset digest     : wire {} vs reference {}",
+                self.honest_wire_digest, self.honest_reference_digest
+            )?;
+        }
+        let ((wa, ws), (ra, rs)) = (self.wire_pop, self.reference_pop);
+        writeln!(f, "  PoP wire {ws}/{wa} vs reference {rs}/{ra}")?;
+        if !self.diverged.is_empty() || !self.degraded.is_empty() {
+            let ids = |ids: &[NodeId]| ids.iter().map(|id| id.0.to_string()).collect::<Vec<_>>();
+            writeln!(
+                f,
+                "  diverged nodes [{}], degraded nodes [{}]",
+                ids(&self.diverged).join(" "),
+                ids(&self.degraded).join(" ")
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Judges the members' end-of-run reports against `reference`, the engine
+/// run of `deployment` ([`Deployment::reference`]; build it once per
+/// sweep). Reports may come in any order; every member of the deployment
+/// should report once.
+pub fn judge(
+    deployment: &Deployment,
+    reference: &TldagNetwork,
+    reports: impl IntoIterator<Item = RunReport>,
+) -> Verdict {
+    let mut reports: Vec<RunReport> = reports.into_iter().collect();
+    reports.sort_by_key(|r| r.node);
+    let wire: Vec<Digest> = reports.iter().map(|r| r.chain_digest).collect();
+    let engine: Vec<Digest> = reports
+        .iter()
+        .map(|r| reference.chain_digest(r.node))
+        .collect();
+    let honest = |chains: &[Digest]| {
+        let kept = reports
+            .iter()
+            .zip(chains)
+            .filter(|(r, _)| deployment.adversaries.iter().all(|p| p.node != r.node));
+        network_digest_of(&kept.map(|(_, digest)| *digest).collect::<Vec<_>>())
+    };
+    let mut net = NetStats::default();
+    let mut wire_pop = (0, 0);
+    for r in &reports {
+        net.merge(&r.net);
+        wire_pop = (wire_pop.0 + r.pop_attempts, wire_pop.1 + r.pop_successes);
+    }
+    Verdict {
+        wire_digest: network_digest_of(&wire),
+        reference_digest: reference.network_digest(),
+        honest_wire_digest: honest(&wire),
+        honest_reference_digest: honest(&engine),
+        diverged: (reports.iter().zip(wire.iter().zip(&engine)))
+            .filter(|(_, (w, e))| w != e)
+            .map(|(r, _)| r.node)
+            .collect(),
+        wire_pop,
+        reference_pop: reference.pop_counters(),
+        degraded: reports
+            .iter()
+            .filter(|r| r.degraded)
+            .map(|r| r.node)
+            .collect(),
+        net,
+        adversarial: !deployment.adversaries.is_empty(),
+    }
+}
+
 /// Runs a full cluster: spawn, collect, compare. Node processes are always
 /// reaped, whatever path is taken.
 ///
@@ -718,38 +818,32 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // Per-slot digests answered to the controller's forensic DigestReq
     // pulls, keyed by (node, slot).
     let pulled: Arc<Mutex<BTreeMap<(u32, u64), Digest>>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let stop = Arc::new(AtomicBool::new(false));
     let collector = {
-        let controller = Arc::clone(&controller);
         let reports = Arc::clone(&reports);
         let pulled = Arc::clone(&pulled);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut handler = |inbound: Inbound| match inbound {
-                Inbound::Control {
-                    src,
-                    msg: Control::Report(report),
-                    ..
-                } => {
-                    reports
-                        .lock()
-                        .expect("reports poisoned")
-                        .insert(report.node, report);
-                    let _ = controller.send_control(src, &Control::ReportAck);
-                }
-                Inbound::Control {
-                    from,
-                    msg: Control::SlotDigest { slot, digest },
-                    ..
-                } => {
-                    pulled
-                        .lock()
-                        .expect("pulled digests poisoned")
-                        .insert((from.0, slot), digest);
-                }
-                _ => {}
-            };
-            controller.run_receiver(&stop, &mut handler);
+        controller.spawn_receiver(move |controller, inbound| match inbound {
+            Inbound::Control {
+                src,
+                msg: Control::Report(report),
+                ..
+            } => {
+                reports
+                    .lock()
+                    .expect("reports poisoned")
+                    .insert(report.node, report);
+                let _ = controller.send_control(src, &Control::ReportAck);
+            }
+            Inbound::Control {
+                from,
+                msg: Control::SlotDigest { slot, digest },
+                ..
+            } => {
+                pulled
+                    .lock()
+                    .expect("pulled digests poisoned")
+                    .insert((from.0, slot), digest);
+            }
+            _ => {}
         })
     };
     // --- Spawn one real process per member: founders first, then the
@@ -814,37 +908,15 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
             std::thread::sleep(Duration::from_millis(30));
         }
     })();
-    // Every failure path tears down alike: children killed first (ports
+    // A failure tears down in drop order: children killed first (ports
     // released), then the collector thread.
-    let ordered = match collected {
-        Ok(ordered) => ordered,
-        Err(msg) => {
-            guard.kill_all();
-            stop.store(true, Ordering::Relaxed);
-            let _ = collector.join();
-            return Err(msg);
-        }
-    };
+    let ordered = collected?;
 
     // --- The in-memory reference on the same seed and churn schedule,
-    // computed *before* the cluster is released: a parity failure then
-    // still has every node alive and serving DigestReq pulls.
+    // judged *before* the cluster is released: a parity failure then still
+    // has every node alive and serving DigestReq pulls.
     let reference = deployment.reference();
-    let wire_chains: Vec<Digest> = ordered.iter().map(|r| r.chain_digest).collect();
-    let reference_chains: Vec<Digest> = (0..total)
-        .map(|i| reference.chain_digest(NodeId(i as u32)))
-        .collect();
-    // The verdict pair: the network digest over the nodes no adversary is
-    // placed on (every node of an honest run, where it is the full digest).
-    let honest_digest = |chains: &[Digest]| {
-        let honest: Vec<Digest> = (0..total)
-            .filter(|&i| deployment.adversaries.iter().all(|p| p.node.index() != i))
-            .map(|i| chains[i])
-            .collect();
-        network_digest_of(&honest)
-    };
-    let honest_wire_digest = honest_digest(&wire_chains);
-    let honest_reference_digest = honest_digest(&reference_chains);
+    let verdict = judge(deployment, &reference, ordered.iter().copied());
 
     // --- Trace snapshots while the nodes still serve `/trace`.
     let trace_snapshots: Vec<String> = if deployment.trace {
@@ -861,20 +933,17 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // diff them against the reference before anything shuts down. For
     // adversarial runs the verdict (and hence the trigger) is the honest
     // subset: a flapper's own dark chain is an expected fork, not a bug.
-    let forensics = if honest_wire_digest != honest_reference_digest {
-        Some(run_forensics(
+    let forensics = (!verdict.honest_parity()).then(|| {
+        run_forensics(
             config,
             &controller,
             &addrs,
-            &ordered,
+            &verdict.diverged,
             &reference,
-            &reference_chains,
             &pulled,
             &trace_snapshots,
-        ))
-    } else {
-        None
-    };
+        )
+    });
 
     // --- Release the cluster and reap the processes.
     for addr in &addrs {
@@ -883,52 +952,29 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
         }
     }
     guard.shutdown(Instant::now() + Duration::from_secs(5));
-    stop.store(true, Ordering::Relaxed);
-    collector.join().map_err(|_| "collector thread panicked")?;
-
-    let wire_pop = ordered.iter().fold((0, 0), |(a, s), r| {
-        (a + r.pop_attempts, s + r.pop_successes)
-    });
-    let mut net = NetStats::default();
-    for report in &ordered {
-        net.merge(&report.net);
-    }
+    collector.finish()?;
     Ok(ClusterOutcome {
-        wire_digest: network_digest_of(&wire_chains),
-        reference_digest: reference.network_digest(),
-        reference_chains,
-        honest_wire_digest,
-        honest_reference_digest,
-        wire_pop,
-        reference_pop: reference.pop_counters(),
-        net,
+        reports: ordered,
+        verdict,
         status_series,
         trace_snapshots,
         forensics,
-        reports: ordered,
     })
 }
 
 /// Pulls per-slot digests from every chain-level suspect over the live
 /// [`Control::DigestReq`] path and diffs them against the reference
 /// engine's blocks. Best-effort: silence is reported, never fatal.
-#[allow(clippy::too_many_arguments)]
 fn run_forensics(
     config: &ClusterConfig,
     controller: &Endpoint,
     addrs: &[SocketAddr],
-    reports: &[RunReport],
+    diverged: &[NodeId],
     reference: &TldagNetwork,
-    reference_chains: &[Digest],
     pulled: &Arc<Mutex<BTreeMap<(u32, u64), Digest>>>,
     trace_snapshots: &[String],
 ) -> DivergenceReport {
-    let suspects: Vec<u32> = reports
-        .iter()
-        .enumerate()
-        .filter(|(i, r)| r.chain_digest != reference_chains[*i])
-        .map(|(i, _)| i as u32)
-        .collect();
+    let suspects: Vec<u32> = diverged.iter().map(|id| id.0).collect();
     // Nodes retain the last 64 slots of own-digest history for pulls.
     let slots = config.deployment.slots;
     let window = slots.saturating_sub(64)..slots;
@@ -975,6 +1021,92 @@ fn run_forensics(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A 3-founder deployment, its engine reference, and one report per
+    /// member that reproduces the reference exactly.
+    fn reproduced(
+        adversaries: Vec<AdversaryPlacement>,
+    ) -> (Deployment, TldagNetwork, Vec<RunReport>) {
+        let mut deployment = Deployment::new(3, 3, 4);
+        deployment.adversaries = adversaries;
+        let reference = deployment.reference();
+        let reports = (0..3)
+            .map(|i| RunReport {
+                node: NodeId(i),
+                slots: 4,
+                chain_len: 4,
+                chain_digest: reference.chain_digest(NodeId(i)),
+                pop_attempts: 0,
+                pop_successes: 0,
+                catch_up_ms: 0,
+                slot_loop_ms: 1,
+                degraded: false,
+                net: NetStats {
+                    datagrams_sent: u64::from(i) + 1,
+                    ..NetStats::default()
+                },
+                metrics_addr: None,
+            })
+            .collect();
+        (deployment, reference, reports)
+    }
+
+    #[test]
+    fn an_honest_run_judges_the_full_digest() {
+        let (deployment, reference, mut reports) = reproduced(Vec::new());
+        reports.reverse();
+        let verdict = judge(&deployment, &reference, reports);
+        assert_eq!(verdict.wire_digest, reference.network_digest());
+        assert_eq!(verdict.honest_wire_digest, verdict.wire_digest);
+        assert_eq!(verdict.honest_reference_digest, verdict.reference_digest);
+        assert!(verdict.holds() && verdict.diverged.is_empty() && verdict.degraded.is_empty());
+        assert_eq!(verdict.net.datagrams_sent, 1 + 2 + 3, "counters merge");
+    }
+
+    #[test]
+    fn an_adversarys_fork_is_listed_but_spares_the_honest_verdict() {
+        let placement = AdversaryPlacement {
+            node: NodeId(2),
+            behavior: Behavior::Flapper,
+            slot: 1,
+        };
+        let (deployment, reference, mut reports) = reproduced(vec![placement]);
+        reports[2].chain_digest = Digest::ZERO;
+        reports[2].pop_attempts = 1;
+        let verdict = judge(&deployment, &reference, reports.clone());
+        assert!(verdict.honest_parity(), "{verdict}");
+        assert!(verdict.holds(), "PoP counters are not judged under attack");
+        assert_ne!(verdict.wire_digest, verdict.reference_digest);
+        assert_eq!(verdict.diverged, vec![NodeId(2)]);
+
+        // The same fork on an honest member fails the verdict.
+        reports[1].chain_digest = Digest::ZERO;
+        let verdict = judge(&deployment, &reference, reports);
+        assert!(!verdict.honest_parity());
+        assert_eq!(verdict.diverged, vec![NodeId(1), NodeId(2)]);
+    }
+
+    #[test]
+    fn a_pop_mismatch_fails_only_the_pop_half() {
+        let (deployment, reference, mut reports) = reproduced(Vec::new());
+        reports[0].pop_attempts = 1;
+        let verdict = judge(&deployment, &reference, reports);
+        assert!(verdict.honest_parity() && verdict.diverged.is_empty());
+        assert!(!verdict.pop_parity() && !verdict.holds());
+        assert_eq!((verdict.wire_pop, verdict.reference_pop), ((1, 0), (0, 0)));
+    }
+
+    #[test]
+    fn a_degraded_report_is_counted() {
+        let (deployment, reference, mut reports) = reproduced(Vec::new());
+        reports[1].degraded = true;
+        let verdict = judge(&deployment, &reference, reports);
+        assert_eq!(verdict.degraded, vec![NodeId(1)]);
+        assert!(
+            verdict.holds(),
+            "degradation is reported beside the contract"
+        );
+    }
 
     #[test]
     fn founders_peer_each_other_and_joiners_bootstrap_off_the_lowest_live_founder() {

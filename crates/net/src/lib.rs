@@ -30,7 +30,8 @@
 //!   with `network_digest` parity checking against the in-memory engine,
 //!   including under a scheduled churn of late joins and graceful leaves,
 //!   and the in-process [`LoopbackCluster`] + [`Deployment`] reference the
-//!   experiments and wire tests stand their clusters up with.
+//!   experiments and wire tests stand their clusters up with; [`judge`]
+//!   computes the one parity [`Verdict`] all of them read.
 //! * [`telemetry`] — live observability: per-node histograms + journal
 //!   ([`telemetry::NodeTelemetry`]), the `/metrics` + `/journal` +
 //!   `/trace` HTTP routes, and the `tldag status` scraper/aggregator.
@@ -76,12 +77,12 @@ pub mod runtime;
 pub mod telemetry;
 pub mod transport;
 
-pub use endpoint::{Endpoint, EndpointConfig, Inbound};
+pub use endpoint::{Endpoint, EndpointConfig, Inbound, ReceiverGuard};
 pub use explore::{Explorer, ExplorerSource};
 pub use forensics::{diagnose, timelines_for_slot, DivergenceReport, SlotMismatch};
 pub use harness::{
-    format_adversary_schedule, parse_adversary_spec, run_cluster, AdversaryPlacement,
-    ClusterConfig, ClusterOutcome, Deployment, LoopbackCluster,
+    format_adversary_schedule, judge, parse_adversary_spec, run_cluster, AdversaryPlacement,
+    ClusterConfig, ClusterOutcome, Deployment, LoopbackCluster, Verdict,
 };
 pub use membership::{parse_churn_spec, ChurnEvent, Roster};
 pub use metrics::{NetMetrics, NetStats};

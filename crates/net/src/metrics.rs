@@ -52,6 +52,12 @@ macro_rules! net_metrics {
                     $($field: next()?,)+
                 })
             }
+
+            /// Folds another snapshot into this one field-by-field
+            /// (aggregating a cluster's nodes).
+            pub fn merge(&mut self, other: &$snap) {
+                $(self.$field += other.$field;)+
+            }
         }
     };
 }
@@ -165,65 +171,6 @@ impl NetMetrics {
     }
 }
 
-impl NetStats {
-    /// Folds another snapshot into this one field-by-field (aggregating a
-    /// cluster's nodes).
-    pub fn merge(&mut self, other: &NetStats) {
-        let NetStats {
-            datagrams_sent,
-            datagrams_received,
-            bytes_sent,
-            bytes_received,
-            crc_drops,
-            malformed_drops,
-            version_drops,
-            unknown_tag_drops,
-            codec_error_drops,
-            messages_reassembled,
-            reassembly_evictions,
-            requests_sent,
-            request_retries,
-            replies_matched,
-            replies_unmatched,
-            request_timeouts,
-            joins_served,
-            membership_gossip,
-            evictions,
-            recv_wakeups,
-            idle_wakeups,
-            send_batches,
-            digest_conflicts,
-            conflict_pulls,
-            flap_rejections,
-        } = other;
-        self.datagrams_sent += datagrams_sent;
-        self.datagrams_received += datagrams_received;
-        self.bytes_sent += bytes_sent;
-        self.bytes_received += bytes_received;
-        self.crc_drops += crc_drops;
-        self.malformed_drops += malformed_drops;
-        self.version_drops += version_drops;
-        self.unknown_tag_drops += unknown_tag_drops;
-        self.codec_error_drops += codec_error_drops;
-        self.messages_reassembled += messages_reassembled;
-        self.reassembly_evictions += reassembly_evictions;
-        self.requests_sent += requests_sent;
-        self.request_retries += request_retries;
-        self.replies_matched += replies_matched;
-        self.replies_unmatched += replies_unmatched;
-        self.request_timeouts += request_timeouts;
-        self.joins_served += joins_served;
-        self.membership_gossip += membership_gossip;
-        self.evictions += evictions;
-        self.recv_wakeups += recv_wakeups;
-        self.idle_wakeups += idle_wakeups;
-        self.send_batches += send_batches;
-        self.digest_conflicts += digest_conflicts;
-        self.conflict_pulls += conflict_pulls;
-        self.flap_rejections += flap_rejections;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,19 +188,16 @@ mod tests {
 
     #[test]
     fn merge_sums_fields() {
-        let mut a = NetStats {
-            datagrams_sent: 1,
-            request_retries: 2,
-            ..NetStats::default()
-        };
-        let b = NetStats {
-            datagrams_sent: 3,
-            unknown_tag_drops: 4,
-            ..NetStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.datagrams_sent, 4);
-        assert_eq!(a.request_retries, 2);
-        assert_eq!(a.unknown_tag_drops, 4);
+        let mut value = 0;
+        let stats = NetStats::try_from_values(|| {
+            value += 1;
+            Ok::<u64, ()>(value)
+        })
+        .expect("infallible");
+        let mut doubled = stats;
+        doubled.merge(&stats);
+        for ((name, once), (_, twice)) in stats.fields().into_iter().zip(doubled.fields()) {
+            assert_eq!(twice, 2 * once, "merge skipped {name}");
+        }
     }
 }

@@ -186,7 +186,7 @@ peer flagged as adversarial"
                         // the original gossip, so a pulled straggler still
                         // stitches into the requester's timeline.
                         let ctx =
-                            gossip_trace_ctx(shared, endpoint.id().0, slot, digest_prefix(&digest));
+                            gossip_trace_ctx(shared, endpoint.id().0, slot, digest.prefix_u64());
                         let _ = endpoint.send_control_traced(
                             src,
                             &Control::SlotDigest { slot, digest },

@@ -234,6 +234,18 @@ pub struct NodeOutcome {
     pub stats: NetStats,
 }
 
+impl NodeOutcome {
+    /// The run report with the endpoint's final counters (the serving
+    /// linger included) as its `net`: what an in-process cluster hands
+    /// [`crate::harness::judge`].
+    pub fn report(&self) -> RunReport {
+        RunReport {
+            net: self.stats,
+            ..self.run
+        }
+    }
+}
+
 /// The protocol configuration every deployment component derives from the
 /// CLI-visible knobs — one definition shared by `tldag run`, `tldag node`,
 /// `tldag cluster`, and the in-memory reference engine, so parity checks
@@ -261,14 +273,6 @@ pub fn deployment_topology(seed: u64, nodes: usize, side_m: f64) -> Topology {
 /// parameter joins use to wire the newcomer's radio links.
 pub fn deployment_range_m() -> f64 {
     TopologyConfig::paper_default().range_m
-}
-
-/// First 8 bytes (big-endian) of a header digest — the block identity key
-/// every lifecycle span and wire trace context carries.
-pub fn digest_prefix(digest: &Digest) -> u64 {
-    let mut p = [0u8; 8];
-    p.copy_from_slice(&digest.as_bytes()[..8]);
-    u64::from_be_bytes(p)
 }
 
 /// Records one lifecycle span on this node's trace ring. A no-op (modulo
@@ -583,7 +587,6 @@ need --join)",
                 std::thread::sleep(Duration::from_millis(200));
             });
         }
-        let stop = Arc::new(AtomicBool::new(false));
         // Metrics listener: serves scrapes for the node's whole lifetime
         // (slot loop, report, linger), so `tldag status` sees mid-run and
         // end-of-run state alike.
@@ -629,19 +632,15 @@ need --join)",
             None => None,
         };
         let receiver = {
-            let endpoint = Arc::clone(&self.endpoint);
             let shared = Arc::clone(&self.shared);
             let peers = Arc::clone(&self.peers);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut handler = |inbound: Inbound| dispatch(&endpoint, &shared, &peers, inbound);
-                endpoint.run_receiver(&stop, &mut handler);
+            self.endpoint.spawn_receiver(move |endpoint, inbound| {
+                dispatch(endpoint, &shared, &peers, inbound)
             })
         };
 
         let outcome = self.drive();
-        stop.store(true, Ordering::Relaxed);
-        receiver.join().map_err(|_| "receiver thread panicked")?;
+        receiver.finish()?;
         if let Some(server) = metrics_server {
             server.shutdown();
         }

@@ -78,7 +78,7 @@ impl PopTransport for NetPopTransport<'_> {
                     spans.record(SpanEvent {
                         slot: block.header.time,
                         origin: block.id.owner.0,
-                        prefix: digest_prefix(&block.header_digest()),
+                        prefix: block.header_digest().prefix_u64(),
                         node: self.endpoint.id().0,
                         kind: SpanKind::Verified,
                         ts_micros: unix_micros(),

@@ -226,7 +226,7 @@ impl NetNode {
                 // 32-byte history is cheap insurance.
                 *own = own.split_off(&slot.saturating_sub(64));
             }
-            let prefix = digest_prefix(&digest);
+            let prefix = digest.prefix_u64();
             record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
             // A verify worker may be parked on this very digest.
             notify_progress(&self.shared);
@@ -495,7 +495,7 @@ impl NetNode {
                 me,
                 slot,
                 me,
-                digest_prefix(&digest),
+                digest.prefix_u64(),
                 SpanKind::Committed,
             );
         }

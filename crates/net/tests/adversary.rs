@@ -7,10 +7,9 @@
 
 use std::time::{Duration, Instant};
 use tldag_core::attack::Behavior;
-use tldag_core::network::TldagNetwork;
 use tldag_net::harness::{discover_ports, discover_tcp_ports};
 use tldag_net::runtime::NodeOutcome;
-use tldag_net::{AdversaryPlacement, Deployment, LoopbackCluster, NetNodeConfig};
+use tldag_net::{judge, AdversaryPlacement, Deployment, LoopbackCluster, NetNodeConfig, Verdict};
 use tldag_obs::http_get;
 use tldag_sim::NodeId;
 
@@ -35,16 +34,21 @@ fn deploy(
     (deployment, configs)
 }
 
-/// Honest chains must match the engine reference block for block; the
-/// adversary's canonical chain is out of scope for the verdict.
-fn assert_honest_parity(outcomes: &[NodeOutcome], reference: &TldagNetwork, honest: &[u32]) {
-    for &id in honest {
-        assert_eq!(
-            outcomes[id as usize].run.chain_digest,
-            reference.chain_digest(NodeId(id)),
-            "honest node n{id} diverged from the engine reference"
-        );
-    }
+/// The outcomes judged against the engine reference under the same
+/// placement. Honest chains must match it block for block; the adversary's
+/// canonical chain is out of scope for the verdict.
+fn honest_verdict(deployment: &Deployment, outcomes: &[NodeOutcome]) -> Verdict {
+    let reference = deployment.reference();
+    let verdict = judge(
+        deployment,
+        &reference,
+        outcomes.iter().map(NodeOutcome::report),
+    );
+    assert!(
+        verdict.honest_parity(),
+        "an honest node diverged from the engine reference:\n{verdict}"
+    );
+    verdict
 }
 
 #[test]
@@ -65,32 +69,25 @@ fn equivocator_is_detected_and_honest_parity_holds() {
         c.slot_timeout = Duration::from_secs(20);
     }
 
-    let outcomes = LoopbackCluster::run(configs);
-    let reference = deployment.reference();
-
-    assert_honest_parity(&outcomes, &reference, &[0, 1, 2]);
-    let conflicts: u64 = outcomes.iter().map(|o| o.stats.digest_conflicts).sum();
-    let pulls: u64 = outcomes.iter().map(|o| o.stats.conflict_pulls).sum();
+    let verdict = honest_verdict(&deployment, &LoopbackCluster::run(configs));
+    let (conflicts, pulls) = (verdict.net.digest_conflicts, verdict.net.conflict_pulls);
     assert!(
         conflicts >= 1 && pulls >= 1,
         "honest nodes must detect the equivocation and re-pull \
 (conflicts {conflicts}, pulls {pulls})"
     );
-    for o in &outcomes {
-        assert!(
-            !o.run.degraded,
-            "node {} timed out a barrier — pull recovery failed",
-            o.run.node
-        );
-    }
-    let wire_attempts: u64 = outcomes.iter().map(|o| o.run.pop_attempts).sum();
-    let wire_successes: u64 = outcomes.iter().map(|o| o.run.pop_successes).sum();
-    let (ref_attempts, ref_successes) = reference.pop_counters();
-    assert!(wire_attempts > 0, "the workload must run PoP verifications");
-    assert_eq!(
-        (wire_attempts, wire_successes),
-        (ref_attempts, ref_successes),
-        "PoP counters must match the engine under the same placement"
+    assert!(
+        verdict.degraded.is_empty(),
+        "nodes {:?} timed out a barrier — pull recovery failed",
+        verdict.degraded
+    );
+    assert!(
+        verdict.wire_pop.0 > 0,
+        "the workload must run PoP verifications"
+    );
+    assert!(
+        verdict.pop_parity(),
+        "PoP counters must match the engine under the same placement:\n{verdict}"
     );
 }
 
@@ -113,17 +110,14 @@ fn selfish_bans_land_on_the_engines_slot_in_lockstep() {
         c.slot_timeout = Duration::from_secs(20);
     }
 
-    let outcomes = LoopbackCluster::run(configs);
-    let reference = deployment.reference();
-
-    assert_honest_parity(&outcomes, &reference, &[0, 1, 2, 3]);
-    let wire_attempts: u64 = outcomes.iter().map(|o| o.run.pop_attempts).sum();
-    let wire_successes: u64 = outcomes.iter().map(|o| o.run.pop_successes).sum();
-    assert!(wire_attempts > 0, "the workload must run PoP verifications");
-    assert_eq!(
-        (wire_attempts, wire_successes),
-        reference.pop_counters(),
-        "PoP counters must match the engine under the same placement"
+    let verdict = honest_verdict(&deployment, &LoopbackCluster::run(configs));
+    assert!(
+        verdict.wire_pop.0 > 0,
+        "the workload must run PoP verifications"
+    );
+    assert!(
+        verdict.pop_parity(),
+        "PoP counters must match the engine under the same placement:\n{verdict}"
     );
 }
 
@@ -173,12 +167,16 @@ fn digest_liar_is_named_in_the_journal() {
         named,
         "node 0's journal must name n3 as adversarial; last scrape:\n{journal}"
     );
-    assert_honest_parity(&outcomes, &deployment.reference(), &[0, 1, 2]);
-    let pulls: u64 = outcomes.iter().map(|o| o.stats.conflict_pulls).sum();
-    assert!(pulls >= 1, "the lie must trigger DigestReq pull recovery");
-    for o in &outcomes {
-        assert!(!o.run.degraded, "node {} timed out a barrier", o.run.node);
-    }
+    let verdict = honest_verdict(&deployment, &outcomes);
+    assert!(
+        verdict.net.conflict_pulls >= 1,
+        "the lie must trigger DigestReq pull recovery"
+    );
+    assert!(
+        verdict.degraded.is_empty(),
+        "nodes {:?} timed out a barrier",
+        verdict.degraded
+    );
 }
 
 /// A flapper goes dark mid-run, is evicted by liveness, then spams rejoin

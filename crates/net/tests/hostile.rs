@@ -13,7 +13,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::net::UdpSocket;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tldag_core::codec::{self, WireMessage};
@@ -212,26 +212,21 @@ fn live_endpoint_attributes_every_hostile_class() {
         .expect("bind victim"),
     );
     let target = victim.local_addr().expect("victim addr");
-    let stop = Arc::new(AtomicBool::new(false));
     let delivered = Arc::new(AtomicU64::new(0));
     let receiver = {
-        let victim = Arc::clone(&victim);
-        let stop = Arc::clone(&stop);
         let delivered = Arc::clone(&delivered);
-        std::thread::spawn(move || {
-            victim.run_receiver(&stop, &mut |inbound| {
-                // Forged identities are the runtime's problem; the endpoint
-                // just delivers. Touch the fields so a torn decode panics.
-                match inbound {
-                    Inbound::Wire { from, seq, .. } => {
-                        let _ = (from, seq);
-                    }
-                    Inbound::Control { from, .. } => {
-                        let _ = from;
-                    }
+        victim.spawn_receiver(move |_, inbound| {
+            // Forged identities are the runtime's problem; the endpoint
+            // just delivers. Touch the fields so a torn decode panics.
+            match inbound {
+                Inbound::Wire { from, seq, .. } => {
+                    let _ = (from, seq);
                 }
-                delivered.fetch_add(1, Ordering::Relaxed);
-            });
+                Inbound::Control { from, .. } => {
+                    let _ = from;
+                }
+            }
+            delivered.fetch_add(1, Ordering::Relaxed);
         })
     };
 
@@ -287,8 +282,7 @@ fn live_endpoint_attributes_every_hostile_class() {
     while Instant::now() < deadline && victim.stats().datagrams_received < expected {
         std::thread::sleep(Duration::from_millis(20));
     }
-    stop.store(true, Ordering::Relaxed);
-    receiver.join().expect("receiver thread");
+    receiver.finish().expect("receiver thread");
 
     let stats = victim.stats();
     assert_eq!(

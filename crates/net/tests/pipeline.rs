@@ -4,15 +4,15 @@
 //! dropped cleanly, and an idle receiver parks instead of spinning.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tldag_core::block::BlockId;
 use tldag_core::codec::WireMessage;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::node::LedgerNode;
-use tldag_net::runtime::serve_wire_request;
-use tldag_net::{Endpoint, EndpointConfig, FaultSpec, FaultyTransport, Inbound, UdpTransport};
+use tldag_net::{
+    Endpoint, EndpointConfig, FaultSpec, FaultyTransport, ReceiverGuard, UdpTransport,
+};
 use tldag_sim::{DetRng, NodeId};
 
 fn loopback() -> SocketAddr {
@@ -29,61 +29,24 @@ fn fast_config() -> EndpointConfig {
 }
 
 /// An endpoint whose transport duplicates and reorders datagrams with the
-/// given seed, running its receiver on a background thread.
-struct FaultyPeer {
-    endpoint: Arc<Endpoint>,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl FaultyPeer {
-    fn spawn(id: NodeId, seed: u64, node: Option<LedgerNode>) -> (Self, SocketAddr) {
-        let spec = FaultSpec {
-            drop: 0.0,
-            duplicate: 0.3,
-            reorder: 0.3,
-        };
-        let udp = UdpTransport::bind(loopback()).expect("bind");
-        let faulty = Arc::new(FaultyTransport::new(udp, spec, DetRng::seed_from(seed)));
-        let endpoint = Arc::new(Endpoint::with_transport(
-            id,
-            Box::new(faulty),
-            fast_config(),
-        ));
-        let addr = endpoint.local_addr().expect("addr");
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let endpoint = Arc::clone(&endpoint);
-            let stop = Arc::clone(&stop);
-            let node = node.map(Arc::new);
-            std::thread::spawn(move || {
-                let mut handler = |inbound: Inbound| {
-                    if let (Inbound::Wire { src, seq, msg, .. }, Some(node)) = (inbound, &node) {
-                        if let Some(reply) = serve_wire_request(node, &msg) {
-                            let _ = endpoint.send_reply(src, seq, &reply);
-                        }
-                    }
-                };
-                endpoint.run_receiver(&stop, &mut handler);
-            })
-        };
-        (
-            FaultyPeer {
-                endpoint,
-                stop,
-                thread: Some(thread),
-            },
-            addr,
-        )
-    }
-}
-
-impl Drop for FaultyPeer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+/// given seed, running its receiver on a background thread (serving
+/// `node`'s chain, if given).
+fn faulty_peer(id: NodeId, seed: u64, node: Option<LedgerNode>) -> ReceiverGuard {
+    let spec = FaultSpec {
+        drop: 0.0,
+        duplicate: 0.3,
+        reorder: 0.3,
+    };
+    let udp = UdpTransport::bind(loopback()).expect("bind");
+    let faulty = Arc::new(FaultyTransport::new(udp, spec, DetRng::seed_from(seed)));
+    let endpoint = Arc::new(Endpoint::with_transport(
+        id,
+        Box::new(faulty),
+        fast_config(),
+    ));
+    match node {
+        Some(node) => endpoint.serve(Arc::new(node)),
+        None => endpoint.spawn_receiver(|_, _| {}),
     }
 }
 
@@ -104,12 +67,13 @@ fn interleaved_fragments_under_dup_and_reorder_always_reassemble() {
             node.generate_block(&cfg, slot as u64, vec![slot as u8; 8 * 1024])
                 .expect("generate");
         }
-        let (responder, addr) = FaultyPeer::spawn(NodeId(1), 0xD00D ^ seed, Some(node));
-        let (requester, _) = FaultyPeer::spawn(NodeId(0), 0xBEEF ^ (seed << 8), None);
+        let responder = faulty_peer(NodeId(1), 0xD00D ^ seed, Some(node));
+        let addr = responder.endpoint().local_addr().expect("addr");
+        let requester = faulty_peer(NodeId(0), 0xBEEF ^ (seed << 8), None);
 
         let workers: Vec<_> = (0..2)
             .map(|lane| {
-                let endpoint = Arc::clone(&requester.endpoint);
+                let endpoint = Arc::clone(requester.endpoint());
                 std::thread::spawn(move || {
                     for seq in 0..blocks as u32 {
                         let want = BlockId::new(NodeId(1), seq);
@@ -137,7 +101,7 @@ fn interleaved_fragments_under_dup_and_reorder_always_reassemble() {
         for w in workers {
             w.join().expect("requester lane");
         }
-        let stats = requester.endpoint.stats();
+        let stats = requester.endpoint().stats();
         assert!(
             stats.messages_reassembled >= 2 * blocks as u64,
             "seed {seed}: every reply must cross fragment reassembly, stats {stats:?}"
@@ -158,18 +122,9 @@ fn idle_receiver_parks_instead_of_spinning() {
     // loop should wake a handful of times; the old spin woke thousands.
     let endpoint =
         Arc::new(Endpoint::bind(NodeId(0), loopback(), EndpointConfig::default()).expect("bind"));
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread = {
-        let endpoint = Arc::clone(&endpoint);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut handler = |_inbound: Inbound| {};
-            endpoint.run_receiver(&stop, &mut handler);
-        })
-    };
+    let receiver = endpoint.spawn_receiver(|_, _| {});
     std::thread::sleep(Duration::from_millis(1050));
-    stop.store(true, Ordering::Relaxed);
-    thread.join().expect("receiver thread");
+    receiver.finish().expect("receiver thread");
 
     let stats = endpoint.stats();
     assert!(

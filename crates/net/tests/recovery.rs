@@ -4,7 +4,7 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tldag_core::block::BlockId;
@@ -12,8 +12,7 @@ use tldag_core::codec::WireMessage;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::node::LedgerNode;
 use tldag_net::envelope;
-use tldag_net::runtime::serve_wire_request;
-use tldag_net::{Datagram, Endpoint, EndpointConfig, Inbound, UdpTransport};
+use tldag_net::{Datagram, Endpoint, EndpointConfig, ReceiverGuard, UdpTransport};
 use tldag_sim::NodeId;
 
 fn loopback() -> SocketAddr {
@@ -60,122 +59,51 @@ impl Datagram for DropFirst {
 
 /// A responder node with `blocks` blocks (1 KiB payloads) serving protocol
 /// requests from its own receiver thread.
-struct Responder {
-    endpoint: Arc<Endpoint>,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Responder {
-    fn spawn(id: NodeId, blocks: usize, drop_first: u64) -> (Self, SocketAddr) {
-        let cfg = ProtocolConfig::test_default();
-        let mut node = LedgerNode::new(id, vec![], &cfg);
-        for slot in 0..blocks {
-            node.generate_block(&cfg, slot as u64, vec![slot as u8; 1024])
-                .expect("generate");
-        }
-        let transport = DropFirst {
-            inner: UdpTransport::bind(loopback()).expect("bind"),
-            remaining: AtomicU64::new(drop_first),
-        };
-        let endpoint = Arc::new(Endpoint::with_transport(
-            id,
-            Box::new(transport),
-            fast_config(),
-        ));
-        let addr = endpoint.local_addr().expect("addr");
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let endpoint = Arc::clone(&endpoint);
-            let stop = Arc::clone(&stop);
-            let node = Arc::new(node);
-            std::thread::spawn(move || {
-                let mut handler = |inbound: Inbound| {
-                    if let Inbound::Wire { src, seq, msg, .. } = inbound {
-                        if let Some(reply) = serve_wire_request(&node, &msg) {
-                            let _ = endpoint.send_reply(src, seq, &reply);
-                        }
-                    }
-                };
-                endpoint.run_receiver(&stop, &mut handler);
-            })
-        };
-        (
-            Responder {
-                endpoint,
-                stop,
-                thread: Some(thread),
-            },
-            addr,
-        )
+fn responder(id: NodeId, blocks: usize, drop_first: u64) -> ReceiverGuard {
+    let cfg = ProtocolConfig::test_default();
+    let mut node = LedgerNode::new(id, vec![], &cfg);
+    for slot in 0..blocks {
+        node.generate_block(&cfg, slot as u64, vec![slot as u8; 1024])
+            .expect("generate");
     }
-}
-
-impl Drop for Responder {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    let transport = DropFirst {
+        inner: UdpTransport::bind(loopback()).expect("bind"),
+        remaining: AtomicU64::new(drop_first),
+    };
+    let endpoint = Arc::new(Endpoint::with_transport(
+        id,
+        Box::new(transport),
+        fast_config(),
+    ));
+    endpoint.serve(Arc::new(node))
 }
 
 /// A requester endpoint whose receiver routes replies back to `request`.
-struct Requester {
-    endpoint: Arc<Endpoint>,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Requester {
-    fn spawn(id: NodeId) -> Self {
-        let endpoint =
-            Arc::new(Endpoint::bind(id, loopback(), fast_config()).expect("bind requester"));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let endpoint = Arc::clone(&endpoint);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut handler = |_inbound: Inbound| {};
-                endpoint.run_receiver(&stop, &mut handler);
-            })
-        };
-        Requester {
-            endpoint,
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for Requester {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+fn requester(id: NodeId) -> ReceiverGuard {
+    let endpoint = Arc::new(Endpoint::bind(id, loopback(), fast_config()).expect("bind requester"));
+    endpoint.spawn_receiver(|_, _| {})
 }
 
 #[test]
 fn dropped_fetch_reply_is_retried_and_succeeds() {
     // The responder's first outbound datagram — its first FetchBlock reply —
     // is lost; the requester's retry makes the exchange succeed anyway.
-    let (responder, addr) = Responder::spawn(NodeId(1), 2, 1);
-    let requester = Requester::spawn(NodeId(0));
+    let responder = responder(NodeId(1), 2, 1);
+    let addr = responder.endpoint().local_addr().expect("addr");
+    let requester = requester(NodeId(0));
 
     let msg = WireMessage::FetchBlock {
         from: NodeId(0),
         id: BlockId::new(NodeId(1), 1),
     };
-    let reply = requester.endpoint.request(addr, &msg);
+    let reply = requester.endpoint().request(addr, &msg);
     let Some((from, WireMessage::Block(block))) = reply else {
         panic!("expected the retried fetch to deliver a block, got {reply:?}");
     };
     assert_eq!(from, NodeId(1));
     assert_eq!(block.id, BlockId::new(NodeId(1), 1));
 
-    let stats = requester.endpoint.stats();
+    let stats = requester.endpoint().stats();
     assert!(
         stats.request_retries >= 1,
         "recovery must go through a retry"
@@ -191,10 +119,10 @@ fn silent_peer_surfaces_as_timeout_metric_not_a_hang() {
     // within the (bounded) retry budget and count one timeout.
     let silent = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind silent");
     let addr = silent.local_addr().expect("addr");
-    let requester = Requester::spawn(NodeId(0));
+    let requester = requester(NodeId(0));
 
     let started = Instant::now();
-    let reply = requester.endpoint.request(
+    let reply = requester.endpoint().request(
         addr,
         &WireMessage::ReqChild {
             from: NodeId(0),
@@ -207,7 +135,7 @@ fn silent_peer_surfaces_as_timeout_metric_not_a_hang() {
         elapsed < Duration::from_secs(5),
         "retry budget must bound the wait, took {elapsed:?}"
     );
-    let stats = requester.endpoint.stats();
+    let stats = requester.endpoint().stats();
     assert_eq!(stats.request_timeouts, 1);
     assert_eq!(stats.request_retries, 4, "every retry was spent");
     assert_eq!(stats.replies_matched, 0);
@@ -222,25 +150,10 @@ fn fragmented_block_reply_reassembles_over_the_socket() {
         .expect("generate");
     let endpoint = Arc::new(Endpoint::bind(NodeId(1), loopback(), fast_config()).expect("bind"));
     let addr = endpoint.local_addr().expect("addr");
-    let stop = Arc::new(AtomicBool::new(false));
-    let serve = {
-        let endpoint = Arc::clone(&endpoint);
-        let stop = Arc::clone(&stop);
-        let node = Arc::new(node);
-        std::thread::spawn(move || {
-            let mut handler = |inbound: Inbound| {
-                if let Inbound::Wire { src, seq, msg, .. } = inbound {
-                    if let Some(reply) = serve_wire_request(&node, &msg) {
-                        let _ = endpoint.send_reply(src, seq, &reply);
-                    }
-                }
-            };
-            endpoint.run_receiver(&stop, &mut handler);
-        })
-    };
+    let serve = endpoint.serve(Arc::new(node));
 
-    let requester = Requester::spawn(NodeId(0));
-    let reply = requester.endpoint.request(
+    let requester = requester(NodeId(0));
+    let reply = requester.endpoint().request(
         addr,
         &WireMessage::FetchBlock {
             from: NodeId(0),
@@ -252,17 +165,17 @@ fn fragmented_block_reply_reassembles_over_the_socket() {
     };
     assert_eq!(block.body.payload.len(), 64 * 1024);
     assert!(
-        requester.endpoint.stats().messages_reassembled >= 1,
+        requester.endpoint().stats().messages_reassembled >= 1,
         "the reply must have crossed fragment reassembly"
     );
 
-    stop.store(true, Ordering::Relaxed);
-    serve.join().expect("responder thread");
+    serve.finish().expect("responder thread");
 }
 
 #[test]
 fn malformed_and_skewed_traffic_is_counted_and_dropped() {
-    let (responder, addr) = Responder::spawn(NodeId(1), 1, 0);
+    let responder = responder(NodeId(1), 1, 0);
+    let addr = responder.endpoint().local_addr().expect("addr");
     let probe = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind probe");
 
     // A well-framed envelope whose codec payload has an unknown message tag
@@ -289,7 +202,7 @@ fn malformed_and_skewed_traffic_is_counted_and_dropped() {
 
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = responder.endpoint.stats();
+        let stats = responder.endpoint().stats();
         if stats.unknown_tag_drops >= 1 && stats.crc_drops >= 1 && stats.malformed_drops >= 1 {
             break;
         }

@@ -473,56 +473,45 @@ fn cmd_cluster(argv: &[String]) -> Result<(), String> {
             );
         }
     }
-    println!("  wire network digest      : {}", outcome.wire_digest);
-    println!("  reference network digest : {}", outcome.reference_digest);
-    let n = &outcome.net;
+    let verdict = &outcome.verdict;
+    print!("{verdict}");
+    let n = &verdict.net;
     println!(
         "  wire totals              : {} datagrams out / {} in, {} retries, {} timeouts",
         n.datagrams_sent, n.datagrams_received, n.request_retries, n.request_timeouts
     );
-    if deployment.pop {
-        println!(
-            "  PoP wire {}/{} vs reference {}/{}",
-            outcome.wire_pop.1,
-            outcome.wire_pop.0,
-            outcome.reference_pop.1,
-            outcome.reference_pop.0
-        );
-    }
-    let adversarial = !deployment.adversaries.is_empty();
-    if adversarial {
-        println!(
-            "  honest-subset digest     : wire {} vs reference {}",
-            outcome.honest_wire_digest, outcome.honest_reference_digest
-        );
+    if verdict.adversarial {
         println!(
             "  adversary detection      : {} digest conflicts, {} conflict pulls, \
 {} flap rejections, {} evictions",
             n.digest_conflicts, n.conflict_pulls, n.flap_rejections, n.evictions
         );
     }
-    // The verdict for an adversarial run is the honest subset: a dark
-    // adversary legitimately forks its own chain from the engine, and
-    // excluding it is the protocol working, not a reproduction bug.
-    if outcome.honest_parity() {
-        if adversarial {
+    // The verdict for an adversarial run is the honest-subset digest: a
+    // dark adversary legitimately forks its own chain from the engine, and
+    // excluding it is the protocol working, not a reproduction bug. An
+    // honest run must also match the engine's PoP counters.
+    if verdict.holds() {
+        if verdict.adversarial {
             println!("HONEST PARITY OK: honest nodes reproduced the in-memory engine under attack");
         } else {
             println!("PARITY OK: the UDP cluster reproduced the in-memory engine exactly");
         }
         Ok(())
     } else {
-        for (i, report) in outcome.reports.iter().enumerate() {
-            if report.chain_digest != outcome.reference_chains[i] {
-                println!("  MISMATCH at node {i}");
-            }
+        for id in &verdict.diverged {
+            println!("  MISMATCH at node {}", id.0);
         }
         // The harness already pulled per-slot evidence from the live
         // nodes before releasing them — name the fork, don't just panic.
         if let Some(forensics) = &outcome.forensics {
             print!("{}", forensics.render());
         }
-        Err("PARITY FAILED: wire and in-memory digests differ".into())
+        if verdict.honest_parity() {
+            Err("PARITY FAILED: wire and in-memory PoP counters differ".into())
+        } else {
+            Err("PARITY FAILED: wire and in-memory digests differ".into())
+        }
     }
 }
 

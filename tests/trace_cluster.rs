@@ -39,10 +39,14 @@ fn traced_cluster_stitches_timelines_across_all_nodes() {
     config.metrics = true;
     config.deployment.trace = true;
     let outcome = run_cluster(&config).expect("cluster run");
-    assert!(!outcome.degraded(), "no barrier may time out on loopback");
-    assert_eq!(
-        outcome.wire_digest, outcome.reference_digest,
-        "the traced cluster must reproduce the engine's network digest"
+    let verdict = &outcome.verdict;
+    assert!(
+        verdict.degraded.is_empty(),
+        "no barrier may time out on loopback"
+    );
+    assert!(
+        verdict.holds(),
+        "the traced cluster must reproduce the engine's network digest:\n{verdict}"
     );
 
     assert_eq!(
@@ -111,23 +115,18 @@ fn tracing_never_perturbs_digests_or_pop_counters() {
     traced.deployment.trace = true;
     let observed = run_cluster(&traced).expect("traced cluster run");
 
+    let (plain, traced) = (&baseline.verdict, &observed.verdict);
+    assert!(plain.holds(), "untraced run must be at parity:\n{plain}");
+    assert!(traced.holds(), "traced run must be at parity:\n{traced}");
     assert_eq!(
-        baseline.wire_digest, baseline.reference_digest,
-        "untraced run must be at parity"
-    );
-    assert_eq!(
-        observed.wire_digest, observed.reference_digest,
-        "traced run must be at parity"
-    );
-    assert_eq!(
-        baseline.wire_digest, observed.wire_digest,
+        plain.wire_digest, traced.wire_digest,
         "tracing changed the network digest"
     );
     assert_eq!(
-        baseline.wire_pop, observed.wire_pop,
+        plain.wire_pop, traced.wire_pop,
         "tracing changed the PoP attempt/success counters"
     );
-    assert!(baseline.wire_pop.0 > 0, "the workload must trigger");
+    assert!(plain.wire_pop.0 > 0, "the workload must trigger");
     assert!(
         baseline.trace_snapshots.is_empty(),
         "untraced runs must not scrape /trace"

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use tldag::net::{run_cluster, ClusterConfig};
+use tldag::net::{run_cluster, ClusterConfig, ClusterOutcome};
 
 fn tldag_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_tldag"))
@@ -17,14 +17,22 @@ fn base_config(nodes: usize, slots: u64, seed: u64) -> ClusterConfig {
     config
 }
 
+/// Runs `config` and asserts the whole parity contract: the engine's
+/// network digest and PoP counters, with no barrier timed out (loss must be
+/// healed by retries, not by barriers timing out).
+fn run_at_parity(config: &ClusterConfig, case: &str) -> ClusterOutcome {
+    let outcome = run_cluster(config).expect("cluster run");
+    let verdict = &outcome.verdict;
+    assert!(
+        verdict.holds() && verdict.degraded.is_empty(),
+        "{case}: the UDP cluster must reproduce the in-memory engine undegraded:\n{verdict}"
+    );
+    outcome
+}
+
 #[test]
 fn three_process_cluster_matches_in_memory_digest() {
-    let outcome = run_cluster(&base_config(3, 5, 20260726)).expect("cluster run");
-    assert!(!outcome.degraded(), "no barrier may time out on loopback");
-    assert_eq!(
-        outcome.wire_digest, outcome.reference_digest,
-        "UDP cluster must reproduce the in-memory network digest"
-    );
+    let outcome = run_at_parity(&base_config(3, 5, 20260726), "3 processes");
     for report in &outcome.reports {
         assert_eq!(report.chain_len, 5, "every node generates once per slot");
     }
@@ -43,19 +51,10 @@ fn cluster_with_pop_over_the_wire_matches_engine_counters() {
         let mut config = base_config(4, 9, 7);
         config.deployment.pop = true;
         config.deployment.window = window;
-        let outcome = run_cluster(&config).expect("cluster run");
-        assert!(!outcome.degraded(), "W={window}: no barrier may time out");
-        assert_eq!(
-            outcome.wire_digest, outcome.reference_digest,
-            "W={window}: the cluster must reproduce the engine's network digest"
-        );
+        let verdict = run_at_parity(&config, &format!("W={window}")).verdict;
         assert!(
-            outcome.wire_pop.0 > 0,
+            verdict.wire_pop.0 > 0,
             "W={window}: the verification workload must trigger over the wire"
-        );
-        assert_eq!(
-            outcome.wire_pop, outcome.reference_pop,
-            "W={window}: wire PoP attempts/successes must match the engine's"
         );
     }
 }
@@ -70,12 +69,7 @@ fn churn_cluster_matches_engine_through_join_and_leave() {
     // schedule.
     let mut config = base_config(4, 8, 20260726);
     config.deployment.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@6").expect("spec");
-    let outcome = run_cluster(&config).expect("cluster run");
-    assert!(!outcome.degraded(), "no barrier may time out on loopback");
-    assert_eq!(
-        outcome.wire_digest, outcome.reference_digest,
-        "the churned UDP cluster must reproduce the engine's network digest"
-    );
+    let outcome = run_at_parity(&config, "churn");
     assert_eq!(outcome.reports.len(), 5, "founders plus the joiner report");
     assert_eq!(
         outcome.reports[4].chain_len, 5,
@@ -103,19 +97,10 @@ fn churn_cluster_with_pop_matches_engine_counters() {
         config.deployment.pop = true;
         config.deployment.window = window;
         config.deployment.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
-        let outcome = run_cluster(&config).expect("cluster run");
-        assert!(!outcome.degraded(), "W={window}: no barrier may time out");
-        assert_eq!(
-            outcome.wire_digest, outcome.reference_digest,
-            "W={window}: digest parity through churn"
-        );
+        let verdict = run_at_parity(&config, &format!("churn at W={window}")).verdict;
         assert!(
-            outcome.wire_pop.0 > 0,
+            verdict.wire_pop.0 > 0,
             "W={window}: the workload must trigger"
-        );
-        assert_eq!(
-            outcome.wire_pop, outcome.reference_pop,
-            "W={window}: wire PoP counters must match the engine's through churn"
         );
     }
 }
@@ -129,16 +114,7 @@ fn lossy_cluster_heals_to_parity() {
     let mut config = base_config(3, 6, 20260808);
     config.deployment.pop = true;
     config.deployment.drop = 0.1;
-    let outcome = run_cluster(&config).expect("cluster run");
-    assert!(
-        !outcome.degraded(),
-        "loss must be healed by retries, not barriers timing out"
-    );
-    assert_eq!(
-        outcome.wire_digest, outcome.reference_digest,
-        "a lossy cluster must still converge to the engine's digest"
-    );
-    assert_eq!(outcome.wire_pop, outcome.reference_pop);
+    run_at_parity(&config, "10% loss");
 }
 
 #[test]
@@ -147,8 +123,7 @@ fn disk_backed_cluster_keeps_parity() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut config = base_config(3, 4, 99);
     config.storage_root = Some(dir.clone());
-    let outcome = run_cluster(&config).expect("cluster run");
-    assert_eq!(outcome.wire_digest, outcome.reference_digest);
+    run_at_parity(&config, "disk");
     // The chains actually live on disk: every node directory has a log.
     for i in 0..3 {
         let node_dir = dir.join(format!("node-{i}"));

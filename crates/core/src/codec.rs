@@ -236,7 +236,7 @@ pub fn decode_block(data: &[u8]) -> Result<DataBlock, CodecError> {
     if payload_len > MAX_PAYLOAD_BYTES {
         return Err(CodecError::LengthOverflow);
     }
-    let payload = r.take(payload_len)?.to_vec();
+    let payload = r.take(payload_len)?;
     r.finish()?;
     Ok(DataBlock {
         id: BlockId::new(owner, seq),

@@ -108,8 +108,12 @@ pub enum NetError {
     BadCrc,
     /// The envelope speaks an unsupported protocol version.
     BadVersion(u8),
-    /// The envelope kind byte names no known channel.
+    /// The envelope kind bits name no known channel.
     BadKind(u8),
+    /// An envelope header field is malformed: a reserved flag bit is set,
+    /// a varint runs past 10 bytes or past `u64`, or the sender exceeds
+    /// `u32::MAX`.
+    BadHeader,
     /// A control payload carries an unknown tag (runtime version skew).
     BadControlTag(u8),
     /// An encoded socket address names an unknown family (version skew,
@@ -118,7 +122,8 @@ pub enum NetError {
     BadAddressFamily(u8),
     /// A length field disagrees with the actual data.
     LengthMismatch,
-    /// Fragment fields are inconsistent (zero count, index out of range).
+    /// Fragment fields are inconsistent (zero count, index out of range,
+    /// a field above `u16::MAX`).
     BadFragment,
     /// The message cannot be framed (too many fragments, or no payload
     /// room under the configured MTU).
@@ -133,6 +138,7 @@ impl fmt::Display for NetError {
             NetError::BadCrc => write!(f, "checksum mismatch"),
             NetError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
             NetError::BadKind(k) => write!(f, "unknown envelope kind {k:#04x}"),
+            NetError::BadHeader => write!(f, "malformed envelope header field"),
             NetError::BadControlTag(t) => write!(f, "unknown control tag {t:#04x}"),
             NetError::BadAddressFamily(v) => write!(f, "unknown address family {v}"),
             NetError::LengthMismatch => write!(f, "length field disagrees with data"),

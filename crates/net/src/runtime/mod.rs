@@ -166,7 +166,7 @@ pub struct NetNodeConfig {
     /// verified → committed) and stamp digest gossip with a wire-level
     /// trace context, served from `GET /trace`. Tracing never changes the
     /// protocol bytes' *content* — an untraced peer decodes stamped frames
-    /// identically — and a tracing-off run puts exactly the v1 bytes on
+    /// identically — and a tracing-off run puts no extension bytes on
     /// the wire.
     pub trace: bool,
     /// How this node behaves once `behavior_from` is reached. Anything but
@@ -292,7 +292,7 @@ fn record_span(shared: &Shared, node: u32, slot: u64, origin: u32, prefix: u64, 
 
 /// The trace context stamped onto digest gossip for the slot-`slot` block
 /// of this node (`origin`), or `None` when tracing is off (the frame then
-/// carries exactly the v1 bytes).
+/// carries no extension region).
 fn gossip_trace_ctx(shared: &Shared, origin: u32, slot: u64, prefix: u64) -> Option<TraceContext> {
     shared.telemetry.spans.is_enabled().then(|| TraceContext {
         origin,

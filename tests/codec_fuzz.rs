@@ -10,7 +10,9 @@ use tldag::core::config::ProtocolConfig;
 use tldag::crypto::schnorr::KeyPair;
 use tldag::crypto::Digest;
 use tldag::net::envelope;
+use tldag::net::frag::Reassembler;
 use tldag::sim::NodeId;
+use tldag::storage::crc32::crc32;
 
 fn block_from(
     owner: u32,
@@ -129,13 +131,85 @@ proptest! {
     }
 
     /// Decoding arbitrary bytes as a datagram envelope never panics: it
-    /// either errors cleanly or yields a self-consistent envelope.
+    /// either errors cleanly or yields a self-consistent envelope. The same
+    /// bytes behind the magic with a valid CRC appended reach the header
+    /// parser, which random bytes almost never would.
     #[test]
     fn envelope_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        if let Ok((env, chunk)) = envelope::decode_datagram(&data) {
-            prop_assert!(env.frag_index < env.frag_count);
-            prop_assert_eq!(chunk.len(), data.len() - envelope::OVERHEAD);
+        let mut sealed = b"TL".to_vec();
+        sealed.extend_from_slice(&data);
+        let crc = crc32(&sealed).to_be_bytes();
+        sealed.extend_from_slice(&crc);
+        for datagram in [&data, &sealed] {
+            if let Ok((env, chunk)) = envelope::decode_datagram(datagram) {
+                prop_assert!(env.frag_index < env.frag_count);
+                // chunk.len() = data.len() - header - ext - 4: the payload
+                // follows a header of at least the minimum size and ends
+                // before the CRC; the extension region between them is
+                // empty unless the EXT flag is set.
+                let header = chunk.as_ptr() as usize - datagram.as_ptr() as usize;
+                prop_assert!(header >= envelope::MIN_HEADER_LEN);
+                let ext = (datagram.len() - envelope::TRAILER_LEN).checked_sub(header + chunk.len());
+                prop_assert!(ext.is_some(), "the payload overruns the CRC");
+                let ext = ext.unwrap_or_default();
+                if datagram[2] & envelope::FLAG_EXT == 0 {
+                    prop_assert_eq!(ext, 0);
+                }
+                if env.trace.is_some() {
+                    prop_assert!(ext >= envelope::TRACE_EXT_LEN);
+                }
+                prop_assert_eq!(
+                    chunk.len(),
+                    datagram.len() - header - ext - envelope::TRAILER_LEN
+                );
+            }
         }
+    }
+
+    /// A variable header must never push a datagram past the MTU: for any
+    /// sender, msg seq and req id (u64::MAX makes the widest header), any
+    /// payload up to 64 KiB and any MTU from 128 bytes, with or without a
+    /// trace extension, every datagram fits and reassembly returns the
+    /// payload.
+    #[test]
+    fn envelope_datagrams_fit_the_mtu_and_reassemble(
+        sender in any::<u32>(),
+        seq in any::<u64>(),
+        req_id in any::<u64>(),
+        picks in (0u8..4, 0u8..4, 0u8..4),
+        payload in proptest::collection::vec(any::<u8>(), 0..65_537),
+        mtu in 128usize..=2048,
+        traced in any::<bool>(),
+    ) {
+        // Mix the extremes in: the widest and narrowest varints.
+        let edge = |pick: u8, random: u64| match pick {
+            0 => u64::MAX,
+            1 => 0,
+            2 => random % 128,
+            _ => random,
+        };
+        let sender = NodeId(u32::try_from(edge(picks.0, sender.into())).unwrap_or(u32::MAX));
+        let (seq, req_id) = (edge(picks.1, seq), edge(picks.2, req_id));
+        let trace = traced.then_some(envelope::TraceContext {
+            origin: sender.0,
+            slot: seq,
+            prefix: req_id,
+            ts_micros: u64::MAX,
+        });
+        let frames = envelope::encode_message_traced(
+            envelope::Kind::Control, sender, seq, req_id, &payload, mtu, trace,
+        ).unwrap();
+        let mut reassembler = Reassembler::new(1 << 20);
+        let mut done = None;
+        for frame in &frames {
+            prop_assert!(frame.len() <= mtu, "{} B over a {} B MTU", frame.len(), mtu);
+            let (env, chunk) = envelope::decode_datagram(frame).unwrap();
+            prop_assert_eq!((env.sender, env.msg_seq, env.req_id), (sender, seq, req_id));
+            prop_assert_eq!(env.trace, trace);
+            prop_assert!(done.is_none(), "completed before the last fragment");
+            done = reassembler.offer(&env, chunk);
+        }
+        prop_assert_eq!(done, Some(payload));
     }
 
     /// A truncated datagram envelope never decodes.

@@ -53,43 +53,44 @@ pub struct PathStep {
     pub digest: Digest,
 }
 
-/// Counters describing one PoP run; the raw material for Fig. 8 and the
-/// Proposition 4/6 checks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PopMetrics {
-    /// Messages emitted by the validator (block fetch + `REQ_CHILD`s).
-    pub messages_sent: u64,
-    /// Messages received (block + `RPY_CHILD`s).
-    pub messages_received: u64,
-    /// Bits transmitted.
-    pub bits_sent: Bits,
-    /// Bits received.
-    pub bits_received: Bits,
-    /// `REQ_CHILD` messages sent.
-    pub req_child_sent: u64,
-    /// `RPY_CHILD` messages received.
-    pub replies_received: u64,
-    /// Replies rejected by the consistency/signature checks.
-    pub invalid_replies: u64,
-    /// Cooperative "no child stored" replies.
-    pub no_child_replies: u64,
-    /// Graceful pruned misses: the target block was compacted away at the
-    /// verifier, or a responder's pruned chain could not rule out a child
-    /// (Eq. 2 retention budgets in action — cooperative, never an offense).
-    pub pruned_misses: u64,
-    /// Requests that timed out.
-    pub timeouts: u64,
-    /// Offenses recorded against responders (Sec. IV-D.6): every timeout or
-    /// invalid reply that fed the blacklist. `offenses =` blacklist
-    /// `record_failure` calls, so it is the counter the wire runtime exports
-    /// as `tldag_pop_offenses_total`.
-    pub offenses: u64,
-    /// Path extensions served from the trust cache (TPS).
-    pub tps_extensions: u64,
-    /// Path extensions served from the validator's own store.
-    pub own_store_hits: u64,
-    /// Rollbacks performed (Algorithm 3, lines 26–31).
-    pub rollbacks: u64,
+tldag_obs::counters! {
+    /// Counters describing one PoP run; the raw material for Fig. 8 and the
+    /// Proposition 4/6 checks. `fields` reports the bit counters in bits.
+    pub struct PopMetrics {
+        /// Messages emitted by the validator (block fetch + `REQ_CHILD`s).
+        messages_sent: u64,
+        /// Messages received (block + `RPY_CHILD`s).
+        messages_received: u64,
+        /// Bits transmitted.
+        bits_sent: Bits,
+        /// Bits received.
+        bits_received: Bits,
+        /// `REQ_CHILD` messages sent.
+        req_child_sent: u64,
+        /// `RPY_CHILD` messages received.
+        replies_received: u64,
+        /// Replies rejected by the consistency/signature checks.
+        invalid_replies: u64,
+        /// Cooperative "no child stored" replies.
+        no_child_replies: u64,
+        /// Graceful pruned misses: the target block was compacted away at the
+        /// verifier, or a responder's pruned chain could not rule out a child
+        /// (Eq. 2 retention budgets in action — cooperative, never an offense).
+        pruned_misses: u64,
+        /// Requests that timed out.
+        timeouts: u64,
+        /// Offenses recorded against responders (Sec. IV-D.6): every timeout or
+        /// invalid reply that fed the blacklist. `offenses =` blacklist
+        /// `record_failure` calls, so it is the counter the wire runtime exports
+        /// as `tldag_pop_offenses_total`.
+        offenses: u64,
+        /// Path extensions served from the trust cache (TPS).
+        tps_extensions: u64,
+        /// Path extensions served from the validator's own store.
+        own_store_hits: u64,
+        /// Rollbacks performed (Algorithm 3, lines 26–31).
+        rollbacks: u64,
+    }
 }
 
 impl PopMetrics {
@@ -101,62 +102,6 @@ impl PopMetrics {
     /// Total traffic in bits.
     pub fn total_bits(&self) -> Bits {
         self.bits_sent + self.bits_received
-    }
-
-    /// Folds another run's counters into this one (accumulating across a
-    /// node's lifetime for telemetry).
-    pub fn merge(&mut self, other: &PopMetrics) {
-        let PopMetrics {
-            messages_sent,
-            messages_received,
-            bits_sent,
-            bits_received,
-            req_child_sent,
-            replies_received,
-            invalid_replies,
-            no_child_replies,
-            pruned_misses,
-            timeouts,
-            offenses,
-            tps_extensions,
-            own_store_hits,
-            rollbacks,
-        } = *other;
-        self.messages_sent += messages_sent;
-        self.messages_received += messages_received;
-        self.bits_sent += bits_sent;
-        self.bits_received += bits_received;
-        self.req_child_sent += req_child_sent;
-        self.replies_received += replies_received;
-        self.invalid_replies += invalid_replies;
-        self.no_child_replies += no_child_replies;
-        self.pruned_misses += pruned_misses;
-        self.timeouts += timeouts;
-        self.offenses += offenses;
-        self.tps_extensions += tps_extensions;
-        self.own_store_hits += own_store_hits;
-        self.rollbacks += rollbacks;
-    }
-
-    /// Every counter as `(name, value)` pairs, for metric exposition
-    /// (bit counters are reported in bits).
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("messages_sent", self.messages_sent),
-            ("messages_received", self.messages_received),
-            ("bits_sent", self.bits_sent.bits()),
-            ("bits_received", self.bits_received.bits()),
-            ("req_child_sent", self.req_child_sent),
-            ("replies_received", self.replies_received),
-            ("invalid_replies", self.invalid_replies),
-            ("no_child_replies", self.no_child_replies),
-            ("pruned_misses", self.pruned_misses),
-            ("timeouts", self.timeouts),
-            ("offenses", self.offenses),
-            ("tps_extensions", self.tps_extensions),
-            ("own_store_hits", self.own_store_hits),
-            ("rollbacks", self.rollbacks),
-        ]
     }
 }
 

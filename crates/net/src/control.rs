@@ -527,6 +527,79 @@ mod tests {
         }
     }
 
+    /// A report's exact bytes, with a distinct value in every `NetStats`
+    /// counter: the counters travel in `NetStats::fields` order.
+    #[test]
+    fn report_bytes_are_pinned() {
+        let mut next = 0x0100u64;
+        let net = NetStats::try_from_values(|| {
+            next += 1;
+            Ok::<u64, ()>(next)
+        })
+        .expect("infallible");
+        let report = Control::Report(RunReport {
+            node: NodeId(2),
+            slots: 8,
+            chain_len: 9,
+            chain_digest: Digest::from_bytes([7; 32]),
+            pop_attempts: 5,
+            pop_successes: 4,
+            catch_up_ms: 12,
+            slot_loop_ms: 480,
+            degraded: true,
+            net,
+            metrics_addr: Some("127.0.0.1:9100".parse().unwrap()),
+        });
+        let hex: String = encode_control(&report)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let golden = concat!(
+            // tag, node, slots, chain_len
+            "05",
+            "00000002",
+            "0000000000000008",
+            "0000000000000009",
+            // chain_digest
+            "0707070707070707070707070707070707070707070707070707070707070707",
+            // pop_attempts, pop_successes, catch_up_ms, slot_loop_ms, degraded
+            "0000000000000005",
+            "0000000000000004",
+            "000000000000000c",
+            "00000000000001e0",
+            "01",
+            // the 25 NetStats counters, 0x101..=0x119 in fields() order
+            "0000000000000101",
+            "0000000000000102",
+            "0000000000000103",
+            "0000000000000104",
+            "0000000000000105",
+            "0000000000000106",
+            "0000000000000107",
+            "0000000000000108",
+            "0000000000000109",
+            "000000000000010a",
+            "000000000000010b",
+            "000000000000010c",
+            "000000000000010d",
+            "000000000000010e",
+            "000000000000010f",
+            "0000000000000110",
+            "0000000000000111",
+            "0000000000000112",
+            "0000000000000113",
+            "0000000000000114",
+            "0000000000000115",
+            "0000000000000116",
+            "0000000000000117",
+            "0000000000000118",
+            "0000000000000119",
+            // metrics_addr: present, 127.0.0.1:9100
+            "01047f000001238c",
+        );
+        assert_eq!(hex, golden);
+    }
+
     #[test]
     fn unknown_tag_rejected() {
         assert_eq!(decode_control(&[0xee]), Err(NetError::BadControlTag(0xee)));

@@ -40,7 +40,7 @@ use crate::runtime::{
     deployment_protocol_config, deployment_range_m, deployment_topology, network_digest_of,
     NetNode, NetNodeConfig, NodeOutcome,
 };
-use crate::telemetry::{scrape_metrics, NodeTelemetry, StatusRow};
+use crate::telemetry::NodeTelemetry;
 use crate::transport::FaultSpec;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -178,11 +178,6 @@ pub struct ClusterConfig {
     /// `/trace` after the reports arrive
     /// ([`ClusterOutcome::trace_snapshots`]).
     pub metrics: bool,
-    /// With [`ClusterConfig::metrics`] set, scrape every node this often
-    /// while waiting for reports and keep the aggregated
-    /// [`StatusRow`] snapshots as a mid-run time series
-    /// ([`ClusterOutcome::status_series`]). `None` disables sampling.
-    pub sample_every: Option<Duration>,
 }
 
 impl ClusterConfig {
@@ -195,7 +190,6 @@ impl ClusterConfig {
             base_port: None,
             report_timeout: Duration::from_secs(60),
             metrics: false,
-            sample_every: None,
         }
     }
 }
@@ -208,10 +202,6 @@ pub struct ClusterOutcome {
     /// The reports judged against the in-memory reference run on the same
     /// seed, membership schedule and adversary cast.
     pub verdict: Verdict,
-    /// Mid-run scrape snapshots (one `Vec<StatusRow>` per sample, a row
-    /// per node that answered), oldest first. Populated only with
-    /// [`ClusterConfig::metrics`] + [`ClusterConfig::sample_every`].
-    pub status_series: Vec<Vec<StatusRow>>,
     /// One `/trace` JSON snapshot per answering node, taken after every
     /// report arrived but before the cluster was released. Populated only
     /// with [`Deployment::trace`] + [`ClusterConfig::metrics`].
@@ -848,12 +838,10 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     };
     // --- Spawn one real process per member: founders first, then the
     // scheduled joiners (provisioned with only a bootstrap address — the
-    // join handshake transfers the roster) — and collect every report,
-    // scraping the live metrics endpoints on the way when sampling is on.
+    // join handshake transfers the roster) — and collect every report.
     let mut guard = ChildGuard {
         children: Vec::with_capacity(total),
     };
-    let mut status_series: Vec<Vec<StatusRow>> = Vec::new();
     let collected = (|| -> Result<Vec<RunReport>, String> {
         for member in members {
             let child = Command::new(&config.exe)
@@ -869,26 +857,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
             guard.children.push((member.id, child));
         }
         let deadline = Instant::now() + config.report_timeout;
-        let mut next_sample = config.sample_every.map(|every| Instant::now() + every);
         loop {
-            if let (Some(at), Some(every)) = (next_sample, config.sample_every) {
-                if Instant::now() >= at {
-                    next_sample = Some(Instant::now() + every);
-                    let rows: Vec<StatusRow> = metrics_addrs
-                        .iter()
-                        .filter_map(|addr| {
-                            // A node that already shut down (or is still
-                            // binding) simply misses this sample.
-                            scrape_metrics(*addr, Duration::from_millis(500))
-                                .ok()
-                                .map(|samples| StatusRow::from_samples(addr.to_string(), &samples))
-                        })
-                        .collect();
-                    if !rows.is_empty() {
-                        status_series.push(rows);
-                    }
-                }
-            }
             let collected = reports.lock().expect("reports poisoned");
             if collected.len() == total {
                 return Ok(collected.values().copied().collect());
@@ -956,7 +925,6 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     Ok(ClusterOutcome {
         reports: ordered,
         verdict,
-        status_series,
         trace_snapshots,
         forensics,
     })

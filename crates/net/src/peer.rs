@@ -93,7 +93,7 @@ impl PeerTable {
     }
 
     /// When `peer` was last heard from, if ever.
-    pub fn last_heard(&self, peer: NodeId) -> Option<Instant> {
+    fn last_heard(&self, peer: NodeId) -> Option<Instant> {
         self.last_heard
             .lock()
             .expect("peer liveness poisoned")
@@ -103,23 +103,10 @@ impl PeerTable {
 
     /// Whether `peer` was heard from once but has now been silent longer
     /// than `window` — the eviction predicate. A peer that was *never*
-    /// heard from is a bootstrap straggler, not an eviction candidate;
-    /// see [`PeerTable::silent_peers`].
+    /// heard from is a bootstrap straggler, not an eviction candidate.
     pub fn gone_quiet(&self, peer: NodeId, window: Duration) -> bool {
         self.last_heard(peer)
             .is_some_and(|at| at.elapsed() > window)
-    }
-
-    /// Peers never heard from at all (bootstrap stragglers).
-    pub fn silent_peers(&self) -> Vec<NodeId> {
-        let heard = self.last_heard.lock().expect("peer liveness poisoned");
-        self.addrs
-            .read()
-            .expect("peer table poisoned")
-            .keys()
-            .filter(|id| !heard.contains_key(id))
-            .copied()
-            .collect()
     }
 }
 
@@ -212,12 +199,10 @@ mod tests {
     fn liveness_tracks_heard_peers() {
         let a: SocketAddr = "127.0.0.1:9001".parse().unwrap();
         let table = PeerTable::new([(NodeId(1), a), (NodeId(2), a)]);
-        assert_eq!(table.silent_peers(), vec![NodeId(1), NodeId(2)]);
         assert!(table.last_heard(NodeId(1)).is_none());
         table.mark_heard(NodeId(1));
         assert!(table.last_heard(NodeId(1)).is_some());
         assert!(!table.gone_quiet(NodeId(1), Duration::from_secs(60)));
-        assert_eq!(table.silent_peers(), vec![NodeId(2)]);
         assert!(table.last_heard(NodeId(2)).is_none());
     }
 }

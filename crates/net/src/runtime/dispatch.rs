@@ -148,8 +148,8 @@ pub(super) fn dispatch(endpoint: &Endpoint, shared: &Shared, peers: &PeerTable, 
                         }
                     };
                     if conflict {
-                        endpoint.metrics().bump_digest_conflicts();
-                        endpoint.metrics().bump_conflict_pulls();
+                        NetMetrics::inc(&endpoint.metrics().digest_conflicts);
+                        NetMetrics::inc(&endpoint.metrics().conflict_pulls);
                         let _ = endpoint.send_control(src, &Control::DigestReq { slot });
                         let newly = shared
                             .suspects
@@ -195,7 +195,7 @@ peer flagged as adversarial"
                     }
                 }
                 Control::JoinReq { .. } => {
-                    endpoint.metrics().bump_joins_served();
+                    NetMetrics::inc(&endpoint.metrics().joins_served);
                     let entries: Vec<WireMember> = {
                         let roster = shared.roster.lock().expect("roster poisoned");
                         roster
@@ -263,7 +263,7 @@ peer flagged as adversarial"
                         roster.member(id).is_some_and(|m| m.leave_slot.is_some())
                     };
                     if flapping {
-                        endpoint.metrics().bump_flap_rejections();
+                        NetMetrics::inc(&endpoint.metrics().flap_rejections);
                         let newly = shared
                             .suspects
                             .lock()
@@ -296,7 +296,7 @@ peer flagged as adversarial"
                             },
                         );
                         if news {
-                            endpoint.metrics().bump_membership_gossip();
+                            NetMetrics::inc(&endpoint.metrics().membership_gossip);
                             shared.telemetry.journal.record(
                                 slot,
                                 EventKind::Membership,
@@ -324,7 +324,7 @@ peer flagged as adversarial"
                         mark_done(shared, leaver, slot - 1);
                     }
                     if news {
-                        endpoint.metrics().bump_membership_gossip();
+                        NetMetrics::inc(&endpoint.metrics().membership_gossip);
                         shared.telemetry.journal.record(
                             slot,
                             EventKind::Membership,

@@ -383,7 +383,7 @@ impl NetNode {
             if !evicted {
                 continue;
             }
-            self.endpoint.metrics().bump_evictions();
+            NetMetrics::inc(&self.endpoint.metrics().evictions);
             self.shared.telemetry.journal.record(
                 slot,
                 EventKind::Membership,

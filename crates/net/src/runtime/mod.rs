@@ -53,7 +53,7 @@ use crate::control::{Control, RunReport, WireMember};
 use crate::endpoint::{Endpoint, EndpointConfig, Inbound};
 use crate::envelope::TraceContext;
 use crate::membership::{join_site, ChurnEvent, Roster};
-use crate::metrics::NetStats;
+use crate::metrics::{NetMetrics, NetStats};
 use crate::peer::PeerTable;
 use crate::telemetry::{render_metrics, MetricsView, NodeTelemetry, JOURNAL_CAPACITY};
 use crate::transport::{FaultSpec, FaultyTransport, UdpTransport};

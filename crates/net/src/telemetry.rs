@@ -1,25 +1,8 @@
-//! Live node telemetry: histograms, the event journal, the `/metrics`
-//! exposition, and the `tldag status` scraper.
-//!
-//! Every deployed [`crate::runtime::NetNode`] owns a [`NodeTelemetry`]:
-//! lock-free latency histograms for the slot loop's phases, PoP round
-//! trips, and fsyncs, plus a bounded [`Journal`] of structured events
-//! (slot lifecycle, membership changes, retries, timeouts, pruned
-//! misses) — the same journal type the in-memory engine keeps as
-//! `TldagNetwork::journal`. With `--metrics-addr` set, the node serves
-//! two HTTP routes:
-//!
-//! * `GET /metrics` — Prometheus-style text built by [`render_metrics`]
-//!   from a [`MetricsView`] (transport counters, PoP counters, storage
-//!   gauges, roster state, and every histogram), and
-//! * `GET /journal` — the journal as JSONL, one event per line
-//!   ([`Journal::to_jsonl`], also what an engine transcript dumps).
-//!
-//! The scraper half ([`scrape_metrics`], [`StatusRow`],
-//! [`render_status_table`], [`status_json`]) powers `tldag status`: it
-//! pulls `/metrics` from every node of a live cluster, re-estimates
-//! quantiles from the scraped bucket series, and renders one row per node
-//! plus a `TOTAL` row aggregated by summing the raw samples.
+//! Live node telemetry ([`NodeTelemetry`]), the `/metrics` exposition and
+//! the `tldag status` scraper, each metric declared once: [`MetricsView`]'s
+//! field list gives every family's kind, name and help text, and
+//! [`StatusRow`]'s column list says where `tldag status` reads a column in
+//! a scrape and how its `TOTAL` row aggregates it.
 
 use crate::metrics::NetStats;
 use std::net::SocketAddr;
@@ -27,6 +10,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Mutex;
 use std::time::Duration;
 use tldag_core::pop::validator::PopMetrics;
+use tldag_obs::expo::sample_value;
 pub use tldag_obs::HistogramSnapshot;
 use tldag_obs::{
     histogram_quantile, http_get, parse_exposition, Expo, Journal, LatencyHistogram, Phase,
@@ -67,12 +51,6 @@ pub struct NodeTelemetry {
     pop: Mutex<PopMetrics>,
 }
 
-impl Default for NodeTelemetry {
-    fn default() -> Self {
-        Self::new(JOURNAL_CAPACITY)
-    }
-}
-
 impl NodeTelemetry {
     /// Telemetry with a journal bounded to `journal_capacity` events and
     /// span tracing disabled.
@@ -110,246 +88,179 @@ impl NodeTelemetry {
     }
 }
 
-/// A point-in-time view of one node's observable state — the input to
-/// [`render_metrics`]. The runtime assembles it under its own locks so the
-/// renderer stays a pure function.
-#[derive(Clone, Debug)]
-pub struct MetricsView {
-    /// The reporting node.
-    pub node: NodeId,
-    /// The slot its loop currently executes.
-    pub slot: u64,
-    /// Transport counters.
-    pub net: NetStats,
-    /// Accumulated PoP counters.
-    pub pop: PopMetrics,
-    /// PoP verifications attempted.
-    pub pop_attempts: u64,
-    /// PoP verifications that reached consensus.
-    pub pop_successes: u64,
-    /// Chain length (blocks).
-    pub chain_len: u64,
-    /// Leading blocks guaranteed durable.
-    pub durable_len: u64,
-    /// First retained sequence number (retention floor).
-    pub pruned_floor: u64,
-    /// Physical fsyncs issued by the store.
-    pub fsync_count: u64,
-    /// On-disk log segments backing the store.
-    pub segment_count: u64,
-    /// Roster members ever known (founders + joins).
-    pub roster_members: u64,
-    /// Members that have left or been evicted.
-    pub roster_departed: u64,
-    /// Peers currently banned by this node's PoP blacklist (offense-driven,
-    /// Sec. IV-D.6; parole can shrink it again).
-    pub blacklist_banned: u64,
-    /// Distinct peers the net layer has flagged as adversarial from wire
-    /// evidence (conflicting `SlotDigest`s, rejected rejoin flaps).
-    pub adversaries_detected: u64,
-    /// Journal events currently retained.
-    pub journal_len: u64,
-    /// Journal events evicted by the ring bound.
-    pub journal_dropped: u64,
-    /// Lifecycle spans ever recorded by the trace ring.
-    pub trace_spans: u64,
-    /// Spans recorded against a disabled (capacity-0) trace ring.
-    pub trace_dropped: u64,
-    /// Live spans overwritten because the trace ring was full.
-    pub trace_evicted: u64,
-    /// Configured pipeline window (1 = lockstep).
-    pub window: u64,
-    /// Slots currently in flight: generated but not yet verified locally
-    /// (always ≤ window; 1 means the pipeline is drained).
-    pub window_occupancy: u64,
-    /// How far the roster-wide completion low-watermark trails this
-    /// node's generation head, in slots — the stall-pressure gauge.
-    pub watermark_lag: u64,
-    /// Per-phase slot-loop latency snapshots.
-    pub phases: Vec<(Phase, HistogramSnapshot)>,
-    /// End-to-end slot latency snapshot (generation start → verified).
-    pub slot_latency: HistogramSnapshot,
-    /// Datagrams handled per receiver wakeup (a count histogram stored in
-    /// the microsecond buckets: "µs" reads as "datagrams").
-    pub batch_fill: HistogramSnapshot,
-    /// PoP round-trip latency snapshot.
-    pub pop_rtt: HistogramSnapshot,
-    /// Request/reply round-trip latency snapshot.
-    pub request_rtt: HistogramSnapshot,
-    /// Realized retry-backoff waits snapshot.
-    pub retry_backoff: HistogramSnapshot,
-    /// Storage sync latency snapshot.
-    pub fsync: HistogramSnapshot,
+/// How a [`MetricsView`] field is exposed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Gauge,
+    /// On a counter struct the name is a prefix: `<prefix><field>_total`.
+    Counter,
+    Histogram,
+}
+
+/// One `/metrics` family and the [`MetricsView`] field it renders.
+struct Family {
+    kind: Kind,
+    name: &'static str,
+    help: &'static str,
+    value: fn(&MetricsView) -> &dyn Expose,
+}
+
+/// Declares [`MetricsView`] from `field: type, kind name, help;` entries
+/// (the help doubles as the doc), with [`FAMILIES`] and `family` names.
+macro_rules! metrics_view {
+    (
+        $(#[$sdoc:meta])*
+        pub struct MetricsView {
+            $($(#[$doc:meta])* $field:ident: $ty:ty, $kind:ident $name:literal, $help:literal;)+
+        }
+    ) => {
+        $(#[$sdoc])*
+        #[derive(Clone, Debug)]
+        pub struct MetricsView {
+            $(#[doc = $help] $(#[$doc])* pub $field: $ty,)+
+        }
+
+        /// Every family [`render_metrics`] emits, in order.
+        const FAMILIES: &[Family] = &[$(Family {
+            kind: Kind::$kind,
+            name: $name,
+            help: $help,
+            value: |view| &view.$field,
+        },)+];
+
+        /// Family names, by the [`MetricsView`] field that renders them.
+        #[allow(dead_code, non_upper_case_globals)]
+        mod family {
+            $(pub(super) const $field: &str = $name;)+
+        }
+    };
+}
+
+metrics_view! {
+    /// A point-in-time view of one node's observable state — the input to
+    /// [`render_metrics`]. The runtime assembles it under its own locks so
+    /// the renderer stays a pure function.
+    pub struct MetricsView {
+        node: NodeId, Gauge "tldag_node", "Node id of this process.";
+        slot: u64, Gauge "tldag_slot", "Slot the node's loop currently executes.";
+        chain_len: u64, Gauge "tldag_chain_len", "Chain length in blocks.";
+        durable_len: u64, Gauge "tldag_chain_durable_len",
+            "Leading blocks guaranteed to survive a crash.";
+        pruned_floor: u64, Gauge "tldag_pruned_floor", "First sequence number still retained.";
+        fsync_count: u64, Counter "tldag_store_fsync_total",
+            "Physical fsync calls issued by the store.";
+        segment_count: u64, Gauge "tldag_store_segments",
+            "On-disk log segments backing the store.";
+        roster_members: u64, Gauge "tldag_roster_members", "Members ever known to the roster.";
+        roster_departed: u64, Gauge "tldag_roster_departed", "Members that left or were evicted.";
+        /// Offense-driven (Sec. IV-D.6); parole can shrink it again.
+        blacklist_banned: u64, Gauge "tldag_blacklist_banned",
+            "Peers currently banned by the PoP blacklist.";
+        /// The evidence: conflicting `SlotDigest`s, rejected rejoin flaps.
+        adversaries_detected: u64, Gauge "tldag_adversaries_detected",
+            "Distinct peers flagged as adversarial from wire evidence.";
+        journal_len: u64, Gauge "tldag_journal_events",
+            "Events currently retained in the journal ring.";
+        journal_dropped: u64, Counter "tldag_journal_dropped_total",
+            "Events evicted by the journal's ring bound.";
+        trace_spans: u64, Counter "tldag_trace_spans_total",
+            "Block-lifecycle spans ever recorded by the trace ring.";
+        trace_dropped: u64, Counter "tldag_trace_dropped_total",
+            "Spans recorded while tracing was disabled.";
+        trace_evicted: u64, Counter "tldag_trace_evicted_total",
+            "Live spans overwritten because the trace ring was full.";
+        window: u64, Gauge "tldag_window", "Configured pipeline window (1 = lockstep).";
+        /// Always ≤ `window`; 1 means the pipeline is drained.
+        window_occupancy: u64, Gauge "tldag_window_occupancy",
+            "Slots generated but not yet verified locally.";
+        /// The stall-pressure gauge.
+        watermark_lag: u64, Gauge "tldag_watermark_lag",
+            "Slots the roster-wide completion low-watermark trails the head.";
+        pop_attempts: u64, Counter "tldag_pop_attempts_total", "PoP verifications attempted.";
+        pop_successes: u64, Counter "tldag_pop_successes_total",
+            "PoP verifications that reached consensus.";
+        /// Exposed as one `tldag_net_<field>_total` per field.
+        net: NetStats, Counter "tldag_net_", "Transport counter (see crate::metrics).";
+        /// Exposed as one `tldag_pop_<field>_total` per field.
+        pop: PopMetrics, Counter "tldag_pop_", "PoP validator counter (see PopMetrics).";
+        phases: Vec<(Phase, HistogramSnapshot)>, Histogram "tldag_phase_latency_micros",
+            "Slot-loop phase latency in microseconds.";
+        /// At `W > 1` it measures pipeline depth, not one loop iteration.
+        slot_latency: HistogramSnapshot, Histogram "tldag_slot_latency_micros",
+            "End-to-end slot latency (generation start to verified) in \
+microseconds.";
+        batch_fill: HistogramSnapshot, Histogram "tldag_batch_fill",
+            "Datagrams handled per receiver wakeup (bucket bounds are counts, \
+not microseconds).";
+        pop_rtt: HistogramSnapshot, Histogram "tldag_pop_rtt_micros",
+            "Whole-PoP verification latency in microseconds.";
+        request_rtt: HistogramSnapshot, Histogram "tldag_request_rtt_micros",
+            "Answered request/reply round trip in microseconds.";
+        retry_backoff: HistogramSnapshot, Histogram "tldag_retry_backoff_micros",
+            "Per-attempt waits that timed out before a retry, in microseconds.";
+        fsync: HistogramSnapshot, Histogram "tldag_fsync_micros",
+            "Storage sync latency in microseconds.";
+    }
+}
+
+/// A [`MetricsView`] field written into the exposition as its family.
+trait Expose {
+    fn expose(&self, expo: &mut Expo, family: &Family);
+}
+
+impl Expose for u64 {
+    fn expose(&self, expo: &mut Expo, f: &Family) {
+        match f.kind {
+            Kind::Gauge => expo.gauge(f.name, f.help, *self as f64),
+            _ => expo.counter(f.name, f.help, *self),
+        }
+    }
+}
+
+impl Expose for NodeId {
+    fn expose(&self, expo: &mut Expo, f: &Family) {
+        u64::from(self.0).expose(expo, f);
+    }
+}
+
+/// The family of one counter-struct field.
+fn counter_family(prefix: &str, field: &str) -> String {
+    format!("{prefix}{field}_total")
+}
+
+macro_rules! expose_counters {
+    ($($counters:ty),+) => {$(
+        impl Expose for $counters {
+            fn expose(&self, expo: &mut Expo, f: &Family) {
+                for (field, value) in self.fields() {
+                    expo.counter(&counter_family(f.name, field), f.help, value);
+                }
+            }
+        }
+    )+};
+}
+expose_counters!(NetStats, PopMetrics);
+
+impl Expose for HistogramSnapshot {
+    fn expose(&self, expo: &mut Expo, f: &Family) {
+        expo.histogram(f.name, f.help, &[(&[], self)]);
+    }
+}
+
+impl Expose for Vec<(Phase, HistogramSnapshot)> {
+    fn expose(&self, expo: &mut Expo, f: &Family) {
+        let labels: Vec<_> = self.iter().map(|(p, _)| [("phase", p.name())]).collect();
+        let series = self.iter().zip(&labels).map(|(s, l)| (&l[..], &s.1));
+        expo.histogram(f.name, f.help, &series.collect::<Vec<_>>());
+    }
 }
 
 /// Renders a [`MetricsView`] as Prometheus-style exposition text.
 pub fn render_metrics(view: &MetricsView) -> String {
     let mut expo = Expo::new();
-    expo.gauge("tldag_node", "Node id of this process.", view.node.0 as f64);
-    expo.gauge(
-        "tldag_slot",
-        "Slot the node's loop currently executes.",
-        view.slot as f64,
-    );
-    expo.gauge(
-        "tldag_chain_len",
-        "Chain length in blocks.",
-        view.chain_len as f64,
-    );
-    expo.gauge(
-        "tldag_chain_durable_len",
-        "Leading blocks guaranteed to survive a crash.",
-        view.durable_len as f64,
-    );
-    expo.gauge(
-        "tldag_pruned_floor",
-        "First sequence number still retained.",
-        view.pruned_floor as f64,
-    );
-    expo.counter(
-        "tldag_store_fsync_total",
-        "Physical fsync calls issued by the store.",
-        view.fsync_count,
-    );
-    expo.gauge(
-        "tldag_store_segments",
-        "On-disk log segments backing the store.",
-        view.segment_count as f64,
-    );
-    expo.gauge(
-        "tldag_roster_members",
-        "Members ever known to the roster.",
-        view.roster_members as f64,
-    );
-    expo.gauge(
-        "tldag_roster_departed",
-        "Members that left or were evicted.",
-        view.roster_departed as f64,
-    );
-    expo.gauge(
-        "tldag_blacklist_banned",
-        "Peers currently banned by the PoP blacklist.",
-        view.blacklist_banned as f64,
-    );
-    expo.gauge(
-        "tldag_adversaries_detected",
-        "Distinct peers flagged as adversarial from wire evidence.",
-        view.adversaries_detected as f64,
-    );
-    expo.gauge(
-        "tldag_journal_events",
-        "Events currently retained in the journal ring.",
-        view.journal_len as f64,
-    );
-    expo.counter(
-        "tldag_journal_dropped_total",
-        "Events evicted by the journal's ring bound.",
-        view.journal_dropped,
-    );
-    expo.counter(
-        "tldag_trace_spans_total",
-        "Block-lifecycle spans ever recorded by the trace ring.",
-        view.trace_spans,
-    );
-    expo.counter(
-        "tldag_trace_dropped_total",
-        "Spans recorded while tracing was disabled.",
-        view.trace_dropped,
-    );
-    expo.counter(
-        "tldag_trace_evicted_total",
-        "Live spans overwritten because the trace ring was full.",
-        view.trace_evicted,
-    );
-    expo.gauge(
-        "tldag_window",
-        "Configured pipeline window (1 = lockstep).",
-        view.window as f64,
-    );
-    expo.gauge(
-        "tldag_window_occupancy",
-        "Slots generated but not yet verified locally.",
-        view.window_occupancy as f64,
-    );
-    expo.gauge(
-        "tldag_watermark_lag",
-        "Slots the roster-wide completion low-watermark trails the head.",
-        view.watermark_lag as f64,
-    );
-    expo.counter(
-        "tldag_pop_attempts_total",
-        "PoP verifications attempted.",
-        view.pop_attempts,
-    );
-    expo.counter(
-        "tldag_pop_successes_total",
-        "PoP verifications that reached consensus.",
-        view.pop_successes,
-    );
-
-    for (name, value) in &view.net.fields() {
-        expo.counter(
-            &format!("tldag_net_{name}_total"),
-            "Transport counter (see crate::metrics).",
-            *value,
-        );
+    for family in FAMILIES {
+        (family.value)(view).expose(&mut expo, family);
     }
-    for (name, value) in &view.pop.fields() {
-        expo.counter(
-            &format!("tldag_pop_{name}_total"),
-            "PoP validator counter (see PopMetrics).",
-            *value,
-        );
-    }
-
-    let phase_labels: Vec<[(&str, &str); 1]> = view
-        .phases
-        .iter()
-        .map(|(p, _)| [("phase", p.name())])
-        .collect();
-    let phase_series: Vec<(&[(&str, &str)], &HistogramSnapshot)> = view
-        .phases
-        .iter()
-        .zip(phase_labels.iter())
-        .map(|((_, snap), labels)| (labels.as_slice(), snap))
-        .collect();
-    expo.histogram(
-        "tldag_phase_latency_micros",
-        "Slot-loop phase latency in microseconds.",
-        &phase_series,
-    );
-    expo.histogram(
-        "tldag_slot_latency_micros",
-        "End-to-end slot latency (generation start to verified) in \
-microseconds.",
-        &[(&[], &view.slot_latency)],
-    );
-    expo.histogram(
-        "tldag_batch_fill",
-        "Datagrams handled per receiver wakeup (bucket bounds are counts, \
-not microseconds).",
-        &[(&[], &view.batch_fill)],
-    );
-    expo.histogram(
-        "tldag_pop_rtt_micros",
-        "Whole-PoP verification latency in microseconds.",
-        &[(&[], &view.pop_rtt)],
-    );
-    expo.histogram(
-        "tldag_request_rtt_micros",
-        "Answered request/reply round trip in microseconds.",
-        &[(&[], &view.request_rtt)],
-    );
-    expo.histogram(
-        "tldag_retry_backoff_micros",
-        "Per-attempt waits that timed out before a retry, in microseconds.",
-        &[(&[], &view.retry_backoff)],
-    );
-    expo.histogram(
-        "tldag_fsync_micros",
-        "Storage sync latency in microseconds.",
-        &[(&[], &view.fsync)],
-    );
     expo.finish()
 }
 
@@ -364,187 +275,195 @@ pub fn scrape_metrics(addr: SocketAddr, timeout: Duration) -> Result<Vec<Sample>
     parse_exposition(&body).map_err(|e| format!("scrape {addr}: {e}"))
 }
 
-/// One row of the `tldag status` table, extracted from scraped samples.
-#[derive(Clone, Debug)]
-pub struct StatusRow {
-    /// The scrape target (`host:port`, or `TOTAL` for the aggregate).
-    pub target: String,
-    /// Node id (`None` for the aggregate row).
-    pub node: Option<u64>,
-    /// Current slot (max over nodes for the aggregate).
-    pub slot: u64,
-    /// Chain length (sum for the aggregate).
-    pub chain_len: u64,
-    /// PoP attempts / successes.
-    pub pop_attempts: u64,
+/// Where a status column reads one node's value, and so how the `TOTAL`
+/// row gets it: from the summed samples (counters, buckets), except where
+/// a sum means nothing.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// A gauge or counter family.
+    Scalar(&'static str),
+    /// A gauge whose `TOTAL` is the per-node maximum.
+    Peak(&'static str),
+    /// One `NetStats` counter, by field.
+    Net(&'static str),
+    /// A quantile (µs) of a histogram family, or of one phase's series.
+    Quantile(&'static str, Option<Phase>, f64),
+}
+
+impl Source {
+    fn read(self, samples: &[Sample]) -> u64 {
+        let value = match self {
+            Source::Scalar(name) | Source::Peak(name) => sample_value(samples, name, &[]),
+            Source::Net(field) => sample_value(samples, &counter_family(family::net, field), &[]),
+            Source::Quantile(name, phase, q) => {
+                let labels: Vec<_> = phase.iter().map(|p| ("phase", p.name())).collect();
+                histogram_quantile(samples, name, &labels, q)
+            }
+        };
+        value.unwrap_or(0.0) as u64
+    }
+
+    /// Microseconds: `_us` on the JSON key, `u` in the table.
+    fn micros(self) -> bool {
+        matches!(self, Source::Quantile(..))
+    }
+}
+
+/// A status column's table cell: hidden (JSON only), or its header and
+/// width over the value or over `value/previous column`.
+enum Cell {
+    Hidden,
+    Shown(&'static str, usize),
+    OverPrevious(&'static str, usize),
+}
+
+/// One `tldag status` column after `target` and `node`; `name` is the
+/// [`StatusRow`] field and the JSON key.
+struct Column {
+    name: &'static str,
+    source: Source,
+    cell: Cell,
+}
+
+/// Declares [`StatusRow`] and [`COLUMNS`] from one list, so the row's
+/// builders and renderers loop over the columns instead of naming them.
+macro_rules! status_row {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $source:ident($($arg:expr),+), $cell:ident$(($($c:expr),+))?;
+    )+) => {
+        /// One row of the `tldag status` table, extracted from scraped samples.
+        #[derive(Clone, Debug)]
+        pub struct StatusRow {
+            /// The scrape target (`host:port`, or `TOTAL` for the aggregate).
+            pub target: String,
+            /// Node id (`None` for the aggregate row).
+            pub node: Option<u64>,
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        /// Every column after `target` and `node`, in [`StatusRow`] order.
+        const COLUMNS: &[Column] = &[$(Column {
+            name: stringify!($field),
+            source: Source::$source($($arg),+),
+            cell: Cell::$cell$(($($c),+))?,
+        },)+];
+
+        impl StatusRow {
+            fn from_values(target: String, node: Option<u64>, values: Vec<u64>) -> StatusRow {
+                let mut values = values.into_iter();
+                StatusRow { target, node, $($field: values.next().unwrap_or(0),)+ }
+            }
+
+            fn values(&self) -> Vec<u64> {
+                vec![$(self.$field,)+]
+            }
+        }
+    };
+}
+
+status_row! {
+    /// Current slot.
+    slot: Peak(family::slot), Shown("SLOT", 6);
+    /// Chain length.
+    chain_len: Scalar(family::chain_len), Shown("CHAIN", 6);
+    /// PoP verifications attempted.
+    pop_attempts: Scalar(family::pop_attempts), Hidden;
     /// PoP verifications that reached consensus.
-    pub pop_successes: u64,
+    pop_successes: Scalar(family::pop_successes), OverPrevious("POP OK/AT", 9);
     /// Requests initiated.
-    pub requests_sent: u64,
+    requests_sent: Net("requests_sent"), Shown("REQS", 8);
     /// Request retransmissions.
-    pub request_retries: u64,
+    request_retries: Net("request_retries"), Shown("RETRY", 7);
     /// Requests that exhausted their retry budget.
-    pub request_timeouts: u64,
-    /// Slots generated but not yet verified locally (max for the
-    /// aggregate — summing occupancies across nodes is meaningless).
-    pub window_occupancy: u64,
-    /// Slots the roster-wide low-watermark trails the head (max for the
-    /// aggregate).
-    pub watermark_lag: u64,
+    request_timeouts: Net("request_timeouts"), Shown("TIMEOUT", 8);
+    /// Slots generated but not yet verified locally.
+    window_occupancy: Peak(family::window_occupancy), Shown("OCC", 4);
+    /// Slots the roster-wide low-watermark trails the head.
+    watermark_lag: Peak(family::watermark_lag), Shown("LAG", 4);
     /// Generate-phase median latency in microseconds.
-    pub generate_p50: u64,
+    generate_p50: Quantile(family::phases, Some(Phase::Generate), 0.5), Shown("GEN P50", 9);
     /// Verify-phase median latency in microseconds.
-    pub verify_p50: u64,
+    verify_p50: Quantile(family::phases, Some(Phase::Verify), 0.5), Shown("VRF P50", 9);
     /// Commit-phase median latency in microseconds.
-    pub commit_p50: u64,
+    commit_p50: Quantile(family::phases, Some(Phase::Commit), 0.5), Shown("CMT P50", 9);
     /// Request round-trip median in microseconds.
-    pub rtt_p50: u64,
+    rtt_p50: Quantile(family::request_rtt, None, 0.5), Shown("RTT P50", 9);
     /// Request round-trip 99th percentile in microseconds.
-    pub rtt_p99: u64,
-}
-
-fn scalar(samples: &[Sample], name: &str) -> u64 {
-    tldag_obs::expo::sample_value(samples, name, &[]).unwrap_or(0.0) as u64
-}
-
-fn quantile(samples: &[Sample], name: &str, labels: &[(&str, &str)], q: f64) -> u64 {
-    histogram_quantile(samples, name, labels, q).unwrap_or(0.0) as u64
+    rtt_p99: Quantile(family::request_rtt, None, 0.99), Hidden;
 }
 
 impl StatusRow {
     /// Builds a row from one node's scraped samples.
     pub fn from_samples(target: impl Into<String>, samples: &[Sample]) -> StatusRow {
-        let phase_p50 = |phase| {
-            let labels = [("phase", phase)];
-            quantile(samples, "tldag_phase_latency_micros", &labels, 0.5)
-        };
-        StatusRow {
-            target: target.into(),
-            node: tldag_obs::expo::sample_value(samples, "tldag_node", &[]).map(|v| v as u64),
-            slot: scalar(samples, "tldag_slot"),
-            chain_len: scalar(samples, "tldag_chain_len"),
-            pop_attempts: scalar(samples, "tldag_pop_attempts_total"),
-            pop_successes: scalar(samples, "tldag_pop_successes_total"),
-            requests_sent: scalar(samples, "tldag_net_requests_sent_total"),
-            request_retries: scalar(samples, "tldag_net_request_retries_total"),
-            request_timeouts: scalar(samples, "tldag_net_request_timeouts_total"),
-            window_occupancy: scalar(samples, "tldag_window_occupancy"),
-            watermark_lag: scalar(samples, "tldag_watermark_lag"),
-            generate_p50: phase_p50("generate"),
-            verify_p50: phase_p50("verify"),
-            commit_p50: phase_p50("commit"),
-            rtt_p50: quantile(samples, "tldag_request_rtt_micros", &[], 0.5),
-            rtt_p99: quantile(samples, "tldag_request_rtt_micros", &[], 0.99),
-        }
+        let node = sample_value(samples, family::node, &[]).map(|v| v as u64);
+        let values = COLUMNS.iter().map(|c| c.source.read(samples)).collect();
+        StatusRow::from_values(target.into(), node, values)
     }
 
     /// One JSON object for this row (stable key order, no trailing spaces).
     pub fn to_json(&self) -> String {
-        let node = match self.node {
-            Some(n) => n.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"target\":\"{}\",\"node\":{},\"slot\":{},\"chain_len\":{},\
-\"pop_attempts\":{},\"pop_successes\":{},\"requests_sent\":{},\
-\"request_retries\":{},\"request_timeouts\":{},\"window_occupancy\":{},\
-\"watermark_lag\":{},\"generate_p50_us\":{},\
-\"verify_p50_us\":{},\"commit_p50_us\":{},\"rtt_p50_us\":{},\"rtt_p99_us\":{}}}",
-            self.target,
-            node,
-            self.slot,
-            self.chain_len,
-            self.pop_attempts,
-            self.pop_successes,
-            self.requests_sent,
-            self.request_retries,
-            self.request_timeouts,
-            self.window_occupancy,
-            self.watermark_lag,
-            self.generate_p50,
-            self.verify_p50,
-            self.commit_p50,
-            self.rtt_p50,
-            self.rtt_p99,
-        )
+        let node = self.node.map_or("null".to_string(), |n| n.to_string());
+        let mut json = format!("{{\"target\":\"{}\",\"node\":{node}", self.target);
+        for (column, value) in COLUMNS.iter().zip(self.values()) {
+            let unit = if column.source.micros() { "_us" } else { "" };
+            json += &format!(",\"{}{unit}\":{value}", column.name);
+        }
+        json + "}"
     }
 }
 
 /// Merges scraped sample sets by summing the values of identical
-/// `(name, labels)` series — counters and cumulative bucket series sum
-/// correctly; gauges become sums too, which the aggregate row corrects for
-/// where a sum is wrong (slot uses the per-node max instead).
-pub fn merge_samples(per_node: &[Vec<Sample>]) -> Vec<Sample> {
+/// `(name, labels)` series.
+fn merge_samples(per_node: &[Vec<Sample>]) -> Vec<Sample> {
     let mut merged: Vec<Sample> = Vec::new();
-    for samples in per_node {
-        for s in samples {
-            match merged
-                .iter_mut()
-                .find(|m| m.name == s.name && m.labels == s.labels)
-            {
-                Some(m) => m.value += s.value,
-                None => merged.push(s.clone()),
-            }
+    for s in per_node.iter().flatten() {
+        let same = |m: &&mut Sample| m.name == s.name && m.labels == s.labels;
+        match merged.iter_mut().find(same) {
+            Some(m) => m.value += s.value,
+            None => merged.push(s.clone()),
         }
     }
     merged
 }
 
-/// Builds the aggregate `TOTAL` row: counters and histograms are summed
-/// across nodes (quantiles re-estimated from the merged buckets); `slot`,
-/// `window_occupancy`, and `watermark_lag` are per-node maxima, `node` is
-/// absent.
+/// Builds the aggregate `TOTAL` row (no `node`): every column read from
+/// the summed samples — quantiles re-estimated from the summed buckets —
+/// but slot, window occupancy and watermark lag as per-node maxima.
 pub fn total_row(per_node: &[Vec<Sample>], rows: &[StatusRow]) -> StatusRow {
     let merged = merge_samples(per_node);
-    let mut total = StatusRow::from_samples("TOTAL", &merged);
-    total.node = None;
-    total.slot = rows.iter().map(|r| r.slot).max().unwrap_or(0);
-    total.window_occupancy = rows.iter().map(|r| r.window_occupancy).max().unwrap_or(0);
-    total.watermark_lag = rows.iter().map(|r| r.watermark_lag).max().unwrap_or(0);
-    total
+    let peak = |i: usize| rows.iter().map(|row| row.values()[i]).max().unwrap_or(0);
+    let value = |(i, column): (usize, &Column)| match column.source {
+        Source::Peak(_) => peak(i),
+        source => source.read(&merged),
+    };
+    let values = COLUMNS.iter().enumerate().map(value).collect();
+    StatusRow::from_values("TOTAL".to_string(), None, values)
 }
 
 /// Renders status rows as an aligned table.
 pub fn render_status_table(rows: &[StatusRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>4} {:>6} {:>6} {:>9} {:>8} {:>7} {:>8} {:>4} {:>4} {:>9} {:>9} {:>9} {:>9}\n",
-        "TARGET",
-        "NODE",
-        "SLOT",
-        "CHAIN",
-        "POP OK/AT",
-        "REQS",
-        "RETRY",
-        "TIMEOUT",
-        "OCC",
-        "LAG",
-        "GEN P50",
-        "VRF P50",
-        "CMT P50",
-        "RTT P50"
-    ));
+    let mut out = format!("{:<22} {:>4}", "TARGET", "NODE");
+    for column in COLUMNS {
+        if let Cell::Shown(header, width) | Cell::OverPrevious(header, width) = column.cell {
+            out += &format!(" {header:>width$}");
+        }
+    }
     for row in rows {
         let node = row.node.map_or("-".to_string(), |n| n.to_string());
-        out.push_str(&format!(
-            "{:<22} {:>4} {:>6} {:>6} {:>9} {:>8} {:>7} {:>8} {:>4} {:>4} {:>8}u {:>8}u {:>8}u {:>8}u\n",
-            row.target,
-            node,
-            row.slot,
-            row.chain_len,
-            format!("{}/{}", row.pop_successes, row.pop_attempts),
-            row.requests_sent,
-            row.request_retries,
-            row.request_timeouts,
-            row.window_occupancy,
-            row.watermark_lag,
-            row.generate_p50,
-            row.verify_p50,
-            row.commit_p50,
-            row.rtt_p50,
-        ));
+        out += &format!("\n{:<22} {node:>4}", row.target);
+        let values = row.values();
+        for (i, column) in COLUMNS.iter().enumerate() {
+            let unit = if column.source.micros() { "u" } else { "" };
+            let (cell, width) = match column.cell {
+                Cell::Hidden => continue,
+                Cell::Shown(_, width) => (format!("{}{unit}", values[i]), width),
+                Cell::OverPrevious(_, width) => (format!("{}/{}", values[i], values[i - 1]), width),
+            };
+            out += &format!(" {cell:>width$}");
+        }
     }
-    out
+    out + "\n"
 }
 
 /// Renders status rows (the per-node rows plus the aggregate) as one JSON
@@ -615,6 +534,79 @@ mod tests {
             request_rtt: HistogramSnapshot::default(),
             retry_backoff: HistogramSnapshot::default(),
             fsync: telemetry.fsync.snapshot(),
+        }
+    }
+
+    /// Node 2's `sample_view` scraped as `10.0.0.1:9100`, plus a node 3 one
+    /// slot ahead with more retries, and their `TOTAL`.
+    fn two_rows_and_total() -> (Vec<StatusRow>, StatusRow) {
+        let first = parse_exposition(&render_metrics(&sample_view())).expect("parses");
+        let mut second = first.clone();
+        for s in &mut second {
+            match s.name.as_str() {
+                "tldag_node" => s.value = 3.0,
+                "tldag_slot" => s.value = 8.0,
+                "tldag_window_occupancy" => s.value = 1.0,
+                "tldag_watermark_lag" => s.value = 5.0,
+                "tldag_net_request_retries_total" => s.value = 12.0,
+                _ => {}
+            }
+        }
+        let rows = vec![
+            StatusRow::from_samples("10.0.0.1:9100", &first),
+            StatusRow::from_samples("10.0.0.2:9101", &second),
+        ];
+        let total = total_row(&[first, second], &rows);
+        (rows, total)
+    }
+
+    #[test]
+    fn exposition_text_is_pinned() {
+        assert_eq!(
+            render_metrics(&sample_view()),
+            include_str!("../tests/golden/metrics.prom")
+        );
+    }
+
+    #[test]
+    fn status_table_and_json_are_pinned() {
+        let (rows, total) = two_rows_and_total();
+        let mut all = rows.clone();
+        all.push(total.clone());
+        assert_eq!(
+            render_status_table(&all),
+            include_str!("../tests/golden/status.txt")
+        );
+        assert_eq!(
+            status_json(&rows, &total) + "\n",
+            include_str!("../tests/golden/status.json")
+        );
+    }
+
+    /// Every declared family is rendered with its kind, and named in
+    /// ARCHITECTURE's `/metrics` catalogue — a counter struct's families
+    /// by their `<prefix><field>_total` pattern.
+    #[test]
+    fn every_family_is_rendered_and_documented() {
+        let text = render_metrics(&sample_view());
+        let doc = include_str!("../../../docs/ARCHITECTURE.md");
+        for family in FAMILIES {
+            let kind = format!("{:?}", family.kind).to_lowercase();
+            let name = family.name;
+            let (rendered, documented) = if name.ends_with('_') {
+                let rendered = text.lines().any(|l| {
+                    l.starts_with(&format!("# TYPE {name}")) && l.ends_with("_total counter")
+                });
+                (rendered, doc.contains(&format!("`{name}<field>_total`")))
+            } else {
+                let rendered = text.contains(&format!("# TYPE {name} {kind}\n"));
+                let documented = [format!("`{name}`"), format!("`{name}{{")]
+                    .iter()
+                    .any(|quoted| doc.contains(quoted.as_str()));
+                (rendered, documented)
+            };
+            assert!(rendered, "{name} is not rendered as a {kind}");
+            assert!(documented, "{name} is missing from docs/ARCHITECTURE.md");
         }
     }
 

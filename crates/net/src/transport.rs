@@ -244,8 +244,6 @@ pub struct FaultyTransport<T: Datagram> {
     spec: FaultSpec,
     state: Mutex<FaultState>,
     injected_drops: AtomicU64,
-    injected_duplicates: AtomicU64,
-    injected_reorders: AtomicU64,
 }
 
 impl<T: Datagram> FaultyTransport<T> {
@@ -256,8 +254,6 @@ impl<T: Datagram> FaultyTransport<T> {
             spec,
             state: Mutex::new(FaultState { rng, held: None }),
             injected_drops: AtomicU64::new(0),
-            injected_duplicates: AtomicU64::new(0),
-            injected_reorders: AtomicU64::new(0),
         }
     }
 
@@ -265,22 +261,12 @@ impl<T: Datagram> FaultyTransport<T> {
     pub fn injected_drops(&self) -> u64 {
         self.injected_drops.load(Ordering::Relaxed)
     }
-
-    /// Datagrams duplicated by injection so far.
-    pub fn injected_duplicates(&self) -> u64 {
-        self.injected_duplicates.load(Ordering::Relaxed)
-    }
-
-    /// Datagrams reordered by injection so far.
-    pub fn injected_reorders(&self) -> u64 {
-        self.injected_reorders.load(Ordering::Relaxed)
-    }
 }
 
 impl<T: Datagram> Drop for FaultyTransport<T> {
     /// Flushes a reorder-held datagram: without this, the *last* datagram
-    /// of a stream that hit the reorder branch would be silently lost while
-    /// the stats report it as reordered, not dropped.
+    /// of a stream that hit the reorder branch would be lost without being
+    /// counted in `injected_drops`.
     fn drop(&mut self) {
         if let Ok(mut state) = self.state.lock() {
             if let Some((buf, addr)) = state.held.take() {
@@ -304,7 +290,6 @@ impl<T: Datagram> Datagram for FaultyTransport<T> {
             return Ok(buf.len()); // swallowed: the caller believes it sent
         }
         if released.is_none() && self.spec.reorder > 0.0 && state.rng.chance(self.spec.reorder) {
-            self.injected_reorders.fetch_add(1, Ordering::Relaxed);
             state.held = Some((buf.to_vec(), addr));
             return Ok(buf.len());
         }
@@ -312,7 +297,6 @@ impl<T: Datagram> Datagram for FaultyTransport<T> {
         drop(state);
         self.inner.send_to(buf, addr)?;
         if duplicate {
-            self.injected_duplicates.fetch_add(1, Ordering::Relaxed);
             self.inner.send_to(buf, addr)?;
         }
         if let Some((held_buf, held_addr)) = released {
@@ -422,8 +406,9 @@ mod tests {
         // Flush any held datagram by sending one more.
         t.send_to(&[200], addr()).unwrap();
         let sent = t.inner.sent.lock().unwrap();
-        assert!(t.injected_reorders() > 10);
         let mut seen: Vec<u8> = sent.iter().map(|d| d[0]).collect();
+        let swapped = seen.windows(2).filter(|pair| pair[0] > pair[1]).count();
+        assert!(swapped > 10, "only {swapped} adjacent pairs swapped");
         assert!(seen.len() >= 100, "reordering must not drop datagrams");
         seen.sort_unstable();
         seen.dedup();
@@ -503,6 +488,5 @@ mod tests {
         );
         t.send_to(&[1], addr()).unwrap();
         assert_eq!(t.inner.sent.lock().unwrap().len(), 2);
-        assert_eq!(t.injected_duplicates(), 1);
     }
 }

@@ -1,8 +1,10 @@
 //! # tldag-obs — observability primitives for the tldag workspace
 //!
-//! Live telemetry for a deployed 2LDAG cluster, built from four std-only
+//! Live telemetry for a deployed 2LDAG cluster, built from std-only
 //! pieces (no dependencies, no async, no unsafe):
 //!
+//! * [`counters!`] — one field list per counter struct (`NetStats`,
+//!   `PopMetrics`): `fields`, `merge`, `try_from_values`, an atomic twin.
 //! * [`hist`] — [`LatencyHistogram`]: a lock-free, log2-bucketed latency
 //!   histogram over relaxed atomics. Recording is a couple of
 //!   `fetch_add`s, so it can sit on the slot loop's hot path; snapshots
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counters;
 pub mod expo;
 pub mod hist;
 pub mod http;

@@ -80,6 +80,20 @@ impl Bits {
     }
 }
 
+/// The raw bit count, as a counter value (`PopMetrics::fields`).
+impl From<Bits> for u64 {
+    fn from(bits: Bits) -> u64 {
+        bits.0
+    }
+}
+
+/// A raw bit count read back as [`Bits`] (`PopMetrics::try_from_values`).
+impl From<u64> for Bits {
+    fn from(bits: u64) -> Bits {
+        Bits(bits)
+    }
+}
+
 impl Add for Bits {
     type Output = Bits;
     fn add(self, rhs: Bits) -> Bits {

@@ -71,14 +71,15 @@ USAGE:
                   [--gamma G] [--pop] [--window W] [--batch K] [--drop P]
                   [--trace] [--storage memory|disk] [--storage-dir P]
                   [--base-port P] [--timeout SECS] [--churn SPEC] [--metrics]
-                  [--status-every SECS] [--adversary SPEC] [--evict-after SECS]
+                  [--adversary SPEC] [--evict-after SECS]
         Spawn N `tldag node` processes on localhost UDP ports (plus the
         --churn joiners, bootstrapped by the join handshake), run T slots,
         and check network_digest parity against the in-memory engine
         replaying the same schedule; on a failure, print a divergence
         forensics report from the still-live nodes and exit non-zero.
-        --metrics gives every node a telemetry endpoint (announced before
-        they spawn), and --status-every SECS scrapes them mid-run.
+        --metrics gives every node a telemetry endpoint; the `metrics
+        endpoints:` line printed before they spawn lists the --targets
+        for `tldag status`.
         --adversary kind:count[@slot],... (kinds as in --behavior) places
         adversaries on the highest founder ids and on the reference
         engine; the verdict is then honest-subset parity, with detection
@@ -121,8 +122,7 @@ const ENGINE_FLAGS: &str = "slots= gamma= malicious= threads= sync-policy= stora
 const RUN_FLAGS: &str = "trace";
 const VERIFY_FLAGS: &str = "owner= seq= validator=";
 const CLUSTER_FLAGS: &str = "nodes= slots= seed= side= gamma= pop window= batch= drop= trace \
-    storage= storage-dir= base-port= timeout= churn= metrics status-every= adversary= \
-    evict-after=";
+    storage= storage-dir= base-port= timeout= churn= metrics adversary= evict-after=";
 const STATUS_FLAGS: &str = "targets= json timeout=";
 const EXPLORE_FLAGS: &str = "target= segments= listen= duration=";
 
@@ -410,8 +410,7 @@ fn cmd_cluster(argv: &[String]) -> Result<(), String> {
     if let Some(timeout) = args.secs("timeout")? {
         config.report_timeout = timeout;
     }
-    config.sample_every = args.secs("status-every")?;
-    config.metrics = args.switch("metrics") || config.sample_every.is_some();
+    config.metrics = args.switch("metrics");
     config.storage_root = match args.get("storage", "memory".to_string())?.as_str() {
         "memory" => None,
         "disk" => Some(args.storage_dir("cluster")?),
@@ -455,23 +454,6 @@ fn cmd_cluster(argv: &[String]) -> Result<(), String> {
             report.pop_attempts,
             if report.degraded { "  [DEGRADED]" } else { "" }
         );
-    }
-    if !outcome.status_series.is_empty() {
-        println!(
-            "  mid-run status ({} samples):",
-            outcome.status_series.len()
-        );
-        for rows in &outcome.status_series {
-            println!(
-                "    slot {:>4}: {} nodes answered, chain Σ{}, PoP {}/{}, {} retries",
-                rows.iter().map(|r| r.slot).max().unwrap_or(0),
-                rows.len(),
-                rows.iter().map(|r| r.chain_len).sum::<u64>(),
-                rows.iter().map(|r| r.pop_successes).sum::<u64>(),
-                rows.iter().map(|r| r.pop_attempts).sum::<u64>(),
-                rows.iter().map(|r| r.request_retries).sum::<u64>(),
-            );
-        }
     }
     let verdict = &outcome.verdict;
     print!("{verdict}");

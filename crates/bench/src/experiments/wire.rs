@@ -16,7 +16,7 @@
 use crate::experiments::cluster::net_table;
 use crate::report::{Report, Table};
 use crate::{row, Scale};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tldag_core::blacklist::Blacklist;
 use tldag_core::block::BlockId;
@@ -28,7 +28,7 @@ use tldag_core::store::TrustCache;
 use tldag_core::workload::VerificationWorkload;
 use tldag_net::runtime::{deployment_protocol_config, deployment_topology, NetPopTransport};
 use tldag_net::{
-    Endpoint, EndpointConfig, FaultSpec, FaultyTransport, NetStats, PeerTable, ReceiverGuard,
+    Endpoint, EndpointConfig, FaultSpec, FaultyTransport, NetStats, ReceiverGuard, Roster,
     UdpTransport,
 };
 use tldag_sim::engine::GenerationSchedule;
@@ -211,11 +211,11 @@ pub fn run(config: &WireConfig) -> WireData {
                 )
             })
             .collect();
-        let peers = PeerTable::new(
-            wire.iter()
-                .enumerate()
-                .map(|(i, w)| (NodeId(i as u32), w.endpoint().local_addr().expect("addr"))),
-        );
+        let mut roster = Roster::founders(wire.len());
+        for (i, w) in wire.iter().enumerate() {
+            roster.set_addr(NodeId(i as u32), w.endpoint().local_addr().expect("addr"));
+        }
+        let roster = Mutex::new(roster);
         let validator_endpoint = wire[validator_id.index()].endpoint();
         let own_store = nodes[validator_id.index()].store();
 
@@ -237,7 +237,7 @@ pub fn run(config: &WireConfig) -> WireData {
             let mut pop_rng = DetRng::seed_from(target_rng.next_u64());
             let mut transport = NetPopTransport {
                 endpoint: validator_endpoint,
-                peers: &peers,
+                roster: &roster,
                 horizon: None,
                 spans: None,
             };

@@ -8,6 +8,7 @@
 use crate::Scale;
 use std::fmt::Write as _;
 use std::path::Path;
+use tldag_obs::journal::json_escape;
 
 /// One typed table cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -99,7 +100,7 @@ impl Cell {
                 let s = format!("{v:.6}");
                 s.trim_end_matches('0').trim_end_matches('.').to_string()
             }
-            Cell::Str(v) => json_string(v),
+            Cell::Str(v) => json_escape(v),
             other => other.text(),
         }
     }
@@ -242,8 +243,8 @@ impl Table {
             json_object(fields.map(|(key, cell)| (key.as_str(), cell.json())))
         });
         json_object([
-            ("name", json_string(&self.name)),
-            ("title", json_string(&self.title)),
+            ("name", json_escape(&self.name)),
+            ("title", json_escape(&self.title)),
             ("rows", json_array(rows)),
         ])
     }
@@ -314,14 +315,14 @@ impl Report {
     pub fn to_json(&self) -> String {
         let params = self.params.iter().map(|(k, v)| (*k, v.json()));
         let invariants = self.invariants.iter().map(|(name, holds)| {
-            json_object([("name", json_string(name)), ("holds", holds.to_string())])
+            json_object([("name", json_escape(name)), ("holds", holds.to_string())])
         });
         json_object(
-            std::iter::once(("experiment", json_string(self.name)))
+            std::iter::once(("experiment", json_escape(self.name)))
                 .chain(params)
                 .chain([
                     ("tables", json_array(self.tables.iter().map(Table::to_json))),
-                    ("headline", json_string(&self.headline)),
+                    ("headline", json_escape(&self.headline)),
                     ("invariants", json_array(invariants)),
                 ]),
         )
@@ -346,34 +347,12 @@ impl Report {
 fn json_object<'a>(fields: impl IntoIterator<Item = (&'a str, String)>) -> String {
     let fields = fields
         .into_iter()
-        .map(|(key, value)| format!("\"{}\":{value}", json_escape(key)));
+        .map(|(key, value)| format!("{}:{value}", json_escape(key)));
     format!("{{{}}}", fields.collect::<Vec<_>>().join(","))
 }
 
 fn json_array(items: impl IntoIterator<Item = String>) -> String {
     format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
-}
-
-fn json_string(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn csv_escape(s: &str) -> String {

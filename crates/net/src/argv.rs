@@ -5,10 +5,10 @@
 //! back.
 
 use crate::membership::{format_churn_spec, parse_churn_spec};
-use crate::peer::{format_peer_list, parse_peer_list};
 use crate::runtime::NetNodeConfig;
 use crate::transport::FaultSpec;
 use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
@@ -240,11 +240,42 @@ impl NetNodeConfig {
     }
 }
 
+/// Parses a `0@127.0.0.1:9000,2@127.0.0.1:9002` peer list.
+///
+/// # Errors
+///
+/// A human-readable message naming the offending entry.
+fn parse_peer_list(raw: &str) -> Result<Vec<(NodeId, SocketAddr)>, String> {
+    let mut out = Vec::new();
+    for entry in raw.split(',').filter(|e| !e.is_empty()) {
+        let (id_raw, addr_raw) = entry
+            .split_once('@')
+            .ok_or_else(|| format!("peer `{entry}` is not id@host:port"))?;
+        let id: u32 = id_raw
+            .parse()
+            .map_err(|_| format!("peer `{entry}` has a non-numeric id"))?;
+        let addr: SocketAddr = addr_raw
+            .parse()
+            .map_err(|_| format!("peer `{entry}` has an invalid address"))?;
+        out.push((NodeId(id), addr));
+    }
+    Ok(out)
+}
+
+/// Renders peers back into the `id@addr,...` form [`parse_peer_list`]
+/// accepts.
+fn format_peer_list(peers: &[(NodeId, SocketAddr)]) -> String {
+    peers
+        .iter()
+        .map(|(id, addr)| format!("{}@{addr}", id.0))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::membership::ChurnEvent;
-    use std::net::SocketAddr;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(ToString::to_string).collect()
@@ -348,5 +379,22 @@ mod tests {
                 .expect_err("out of range");
             assert!(err.contains(flag), "{extra:?}: {err}");
         }
+    }
+
+    #[test]
+    fn parse_and_format_round_trip() {
+        let raw = "0@127.0.0.1:9000,2@127.0.0.1:9002";
+        let peers = parse_peer_list(raw).unwrap();
+        assert_eq!(peers.len(), 2);
+        assert_eq!(peers[0].0, NodeId(0));
+        assert_eq!(format_peer_list(&peers), raw);
+    }
+
+    #[test]
+    fn malformed_entries_are_named() {
+        assert!(parse_peer_list("nope").unwrap_err().contains("nope"));
+        assert!(parse_peer_list("x@127.0.0.1:1").is_err());
+        assert!(parse_peer_list("1@not-an-addr").is_err());
+        assert!(parse_peer_list("").unwrap().is_empty());
     }
 }

@@ -12,10 +12,10 @@
 //!   [`UdpTransport`] for real sockets, [`FaultyTransport`] for
 //!   deterministic loss/duplication/reorder injection (the `fig11_wire`
 //!   knob).
-//! * [`peer`] — dynamic [`PeerTable`] with liveness tracking (inserts on
-//!   join, forgets on leave/eviction).
-//! * [`membership`] — the [`membership::Roster`]: who generates at which
-//!   slot, churn-spec parsing, and deterministic join placement.
+//! * [`membership`] — the [`membership::Roster`], the node's one
+//!   membership book: who generates at which slot, every peer's address
+//!   and liveness (the eviction signal), churn-spec parsing, and
+//!   deterministic join placement.
 //! * [`endpoint`] — the [`Endpoint`]: framing + reassembly + reply
 //!   correlation + request retry with bounded backoff, fully metered
 //!   ([`metrics`]).
@@ -39,8 +39,9 @@
 //!   failures: first divergent slot, differing block digests, and the
 //!   offending blocks' causal lifecycle timelines.
 //! * [`argv`] — the `tldag` command line: the per-subcommand flag parser
-//!   and the `tldag node` argv of a [`NetNodeConfig`], which the harness
-//!   spawns members with and `tldag node` reads back.
+//!   and the `tldag node` argv of a [`NetNodeConfig`] (its `id@host:port`
+//!   peer list included), which the harness spawns members with and
+//!   `tldag node` reads back.
 //! * [`explore`] — the `tldag explore` DAG explorer: `/dag`, `/slot/<t>`
 //!   and `/block/<id>` served from disk segments or a live node's
 //!   telemetry endpoints.
@@ -72,7 +73,6 @@ pub mod membership;
 pub mod metrics;
 #[cfg(target_os = "linux")]
 mod mmsg;
-pub mod peer;
 pub mod runtime;
 pub mod telemetry;
 pub mod transport;
@@ -86,7 +86,6 @@ pub use harness::{
 };
 pub use membership::{parse_churn_spec, ChurnEvent, Roster};
 pub use metrics::{NetMetrics, NetStats};
-pub use peer::PeerTable;
 pub use runtime::{NetNode, NetNodeConfig, NetPopTransport};
 pub use telemetry::{
     render_metrics, render_status_table, scrape_metrics, status_json, total_row, MetricsView,

@@ -22,9 +22,14 @@
 //! anchored within radio range of a live member — every process (and the
 //! reference engine) computes the same radio links without ever shipping
 //! coordinates over the wire.
+//!
+//! The roster is also the node's one address book and liveness record:
+//! every valid envelope marks its sender heard, which tells "never heard
+//! from" apart from "went quiet" — the signal behind liveness eviction.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 use tldag_core::network::{derived_rng, stream};
 use tldag_sim::geometry::Point;
 use tldag_sim::{NodeId, Topology};
@@ -42,6 +47,50 @@ pub struct Member {
     /// Whether the departure was a liveness eviction rather than a
     /// graceful/scheduled leave (evicted members may re-join).
     pub evicted: bool,
+    /// What this process has heard from the member lately.
+    pub liveness: Liveness,
+}
+
+impl Member {
+    fn new(addr: Option<SocketAddr>, join_slot: u64) -> Self {
+        Member {
+            addr,
+            join_slot,
+            leave_slot: None,
+            evicted: false,
+            liveness: Liveness::Unheard,
+        }
+    }
+
+    /// Where requests to the member go (PoP, digest pulls, hellos): its
+    /// address, unless this process cut it off by eviction. A graceful
+    /// leaver stays addressable — it keeps serving.
+    pub fn request_addr(&self) -> Option<SocketAddr> {
+        self.addr.filter(|_| self.liveness != Liveness::Cut)
+    }
+
+    /// Writes the member's address; a member cut off by eviction becomes
+    /// addressable again, from a clean liveness slate.
+    fn readdress(&mut self, addr: SocketAddr) {
+        self.addr = Some(addr);
+        if self.liveness == Liveness::Cut {
+            self.liveness = Liveness::Unheard;
+        }
+    }
+}
+
+/// A member's liveness as one process sees it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Liveness {
+    /// No authenticated envelope arrived yet: a bootstrap straggler, never
+    /// an eviction candidate.
+    Unheard,
+    /// The last authenticated envelope arrived at this instant.
+    Heard(Instant),
+    /// Evicted by this process for silence: the address is kept (the
+    /// evictee is still sent its `Leave`), but no request goes to it until
+    /// it is re-addressed.
+    Cut,
 }
 
 /// The membership view of one deployment: every id that ever participated,
@@ -60,17 +109,7 @@ impl Roster {
     /// A roster of `founders` nodes present from slot 0, addresses unknown.
     pub fn founders(founders: usize) -> Self {
         let members = (0..founders as u32)
-            .map(|id| {
-                (
-                    NodeId(id),
-                    Member {
-                        addr: None,
-                        join_slot: 0,
-                        leave_slot: None,
-                        evicted: false,
-                    },
-                )
-            })
+            .map(|id| (NodeId(id), Member::new(None, 0)))
             .collect();
         Roster { members }
     }
@@ -91,13 +130,46 @@ impl Roster {
     /// Records a member's endpoint address.
     pub fn set_addr(&mut self, id: NodeId, addr: SocketAddr) {
         if let Some(m) = self.members.get_mut(&id) {
-            m.addr = Some(addr);
+            m.readdress(addr);
         }
     }
 
-    /// The member's address, if known.
-    pub fn addr(&self, id: NodeId) -> Option<SocketAddr> {
-        self.members.get(&id).and_then(|m| m.addr)
+    /// Where requests to `id` go ([`Member::request_addr`]), if anywhere.
+    pub fn request_addr(&self, id: NodeId) -> Option<SocketAddr> {
+        self.members.get(&id).and_then(Member::request_addr)
+    }
+
+    /// Records that an authenticated envelope from `id` just arrived from
+    /// `src` (`None` for protocol traffic, which never re-addresses). A
+    /// member with no request address is first addressed at `src` — a
+    /// scheduled joiner whose announcement was missed, or an evictee back
+    /// from a clean slate. Ids outside the roster are ignored.
+    pub fn mark_heard(&mut self, id: NodeId, src: Option<SocketAddr>) {
+        if let Some(m) = self.members.get_mut(&id) {
+            if let Some(src) = src.filter(|_| m.request_addr().is_none()) {
+                m.readdress(src);
+            }
+            if m.request_addr().is_some() {
+                m.liveness = Liveness::Heard(Instant::now());
+            }
+        }
+    }
+
+    /// Whether `id` was heard from once but has now been silent longer
+    /// than `window` — the eviction predicate.
+    pub fn gone_quiet(&self, id: NodeId, window: Duration) -> bool {
+        self.members
+            .get(&id)
+            .is_some_and(|m| matches!(m.liveness, Liveness::Heard(at) if at.elapsed() > window))
+    }
+
+    /// Cuts `id` off after this process evicted it: no more requests, and
+    /// its liveness history is cleared. Returns the kept address, where
+    /// the evictee is told of its eviction.
+    pub fn cut(&mut self, id: NodeId) -> Option<SocketAddr> {
+        let m = self.members.get_mut(&id)?;
+        m.liveness = Liveness::Cut;
+        m.addr
     }
 
     /// The member's entry, if it ever participated.
@@ -117,35 +189,22 @@ impl Roster {
     pub fn learn_join(&mut self, id: NodeId, addr: Option<SocketAddr>, slot: u64) -> bool {
         match self.members.get_mut(&id) {
             None => {
-                self.members.insert(
-                    id,
-                    Member {
-                        addr,
-                        join_slot: slot,
-                        leave_slot: None,
-                        evicted: false,
-                    },
-                );
-                true
-            }
-            Some(m) if m.evicted && m.leave_slot.is_some_and(|l| l <= slot) => {
-                // Re-join of an evicted id: a fresh lifecycle entry. The
-                // previous incarnation's chain is gone with its process, so
-                // the rejoin behaves like a brand-new join at `slot`.
-                *m = Member {
-                    addr: addr.or(m.addr),
-                    join_slot: slot,
-                    leave_slot: None,
-                    evicted: false,
-                };
+                self.members.insert(id, Member::new(addr, slot));
                 true
             }
             Some(m) => {
+                // Re-join of an evicted id: a fresh lifecycle entry. The
+                // previous incarnation's chain is gone with its process, so
+                // the rejoin behaves like a brand-new join at `slot`.
+                let rejoin = m.evicted && m.leave_slot.is_some_and(|l| l <= slot);
+                if rejoin {
+                    (m.join_slot, m.leave_slot, m.evicted) = (slot, None, false);
+                }
                 let new_addr = addr.is_some() && m.addr != addr;
                 if let Some(a) = addr {
-                    m.addr = Some(a);
+                    m.readdress(a);
                 }
-                new_addr
+                rejoin || new_addr
             }
         }
     }
@@ -452,6 +511,130 @@ mod tests {
         assert_eq!((m.join_slot, m.leave_slot), (7, None));
         assert!(!roster.generates_at(NodeId(1), 5));
         assert!(roster.generates_at(NodeId(1), 7));
+    }
+
+    fn liveness(roster: &Roster, id: u32) -> Liveness {
+        roster.member(NodeId(id)).unwrap().liveness
+    }
+
+    #[test]
+    fn insert_and_forget_track_churn() {
+        let mut roster = Roster::founders(1);
+        roster.set_addr(NodeId(0), addr(9001));
+        assert!(
+            roster.learn_join(NodeId(5), Some(addr(9002)), 3),
+            "new peer is a change"
+        );
+        assert!(
+            !roster.learn_join(NodeId(5), Some(addr(9002)), 3),
+            "same addr is idempotent"
+        );
+        let ids: Vec<NodeId> = roster.entries().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![NodeId(0), NodeId(5)]);
+        roster.mark_heard(NodeId(5), None);
+        assert!(roster.evict(NodeId(5), 4));
+        assert_eq!(roster.cut(NodeId(5)), Some(addr(9002)));
+        assert_eq!(roster.request_addr(NodeId(5)), None);
+        assert_eq!(
+            liveness(&roster, 5),
+            Liveness::Cut,
+            "a re-join must not inherit the evicted incarnation's liveness"
+        );
+        // Re-join on a different port re-addresses the id.
+        assert!(roster.learn_join(NodeId(5), Some(addr(9001)), 7));
+        assert_eq!(roster.request_addr(NodeId(5)), Some(addr(9001)));
+    }
+
+    #[test]
+    fn gone_quiet_distinguishes_silence_from_never_heard() {
+        let mut roster = Roster::founders(2);
+        roster.set_addr(NodeId(1), addr(9001));
+        // Never heard: a bootstrap straggler, not an eviction candidate.
+        assert!(!roster.gone_quiet(NodeId(1), Duration::from_millis(0)));
+        roster.mark_heard(NodeId(1), None);
+        assert!(!roster.gone_quiet(NodeId(1), Duration::from_secs(60)));
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(roster.gone_quiet(NodeId(1), Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn liveness_tracks_heard_peers() {
+        let mut roster = Roster::founders(3);
+        roster.set_addr(NodeId(1), addr(9001));
+        roster.set_addr(NodeId(2), addr(9001));
+        assert_eq!(liveness(&roster, 1), Liveness::Unheard);
+        roster.mark_heard(NodeId(1), None);
+        assert!(matches!(liveness(&roster, 1), Liveness::Heard(_)));
+        assert!(!roster.gone_quiet(NodeId(1), Duration::from_secs(60)));
+        assert_eq!(liveness(&roster, 2), Liveness::Unheard);
+        // Protocol traffic from a member with no address marks nothing,
+        // and an id outside the roster is ignored.
+        roster.mark_heard(NodeId(0), None);
+        assert_eq!(liveness(&roster, 0), Liveness::Unheard);
+        roster.mark_heard(NodeId(9), Some(addr(9009)));
+        assert!(roster.member(NodeId(9)).is_none());
+    }
+
+    #[test]
+    fn an_evicted_member_is_not_pop_addressable() {
+        let mut roster = Roster::founders(3);
+        roster.set_addr(NodeId(2), addr(9002));
+        roster.mark_heard(NodeId(2), None);
+        assert!(roster.evict(NodeId(2), 5));
+        assert_eq!(
+            roster.cut(NodeId(2)),
+            Some(addr(9002)),
+            "the evictee is still told"
+        );
+        assert_eq!(roster.request_addr(NodeId(2)), None);
+        assert!(
+            !roster.gone_quiet(NodeId(2), Duration::ZERO),
+            "liveness is cleared"
+        );
+        // Protocol traffic never re-addresses it; the membership fan-out
+        // still knows where it is.
+        roster.mark_heard(NodeId(2), None);
+        assert_eq!(roster.request_addr(NodeId(2)), None);
+        assert_eq!(roster.member(NodeId(2)).unwrap().addr, Some(addr(9002)));
+    }
+
+    #[test]
+    fn a_graceful_leaver_stays_addressable() {
+        let mut roster = Roster::founders(3);
+        roster.set_addr(NodeId(1), addr(9001));
+        roster.mark_heard(NodeId(1), None);
+        assert!(roster.learn_leave(NodeId(1), 4));
+        assert!(roster.departed_by(NodeId(1), 4));
+        assert_eq!(
+            roster.request_addr(NodeId(1)),
+            Some(addr(9001)),
+            "a leaver keeps serving"
+        );
+        assert!(matches!(liveness(&roster, 1), Liveness::Heard(_)));
+        assert!(roster.peer_addrs_at(4, NodeId(0)).is_empty());
+    }
+
+    #[test]
+    fn re_registration_clears_liveness() {
+        let mut roster = Roster::founders(2);
+        roster.set_addr(NodeId(1), addr(9001));
+        roster.mark_heard(NodeId(1), None);
+        let Liveness::Heard(before) = liveness(&roster, 1) else {
+            panic!("just heard");
+        };
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(roster.evict(NodeId(1), 3));
+        roster.cut(NodeId(1));
+        // An authenticated envelope from a new port re-registers the
+        // evictee, heard now rather than at its old incarnation's instant.
+        roster.mark_heard(NodeId(1), Some(addr(9101)));
+        assert_eq!(roster.request_addr(NodeId(1)), Some(addr(9101)));
+        assert!(matches!(liveness(&roster, 1), Liveness::Heard(at) if at > before));
+        // An address learned from membership traffic starts unheard.
+        roster.cut(NodeId(1));
+        roster.set_addr(NodeId(1), addr(9102));
+        assert_eq!(roster.request_addr(NodeId(1)), Some(addr(9102)));
+        assert_eq!(liveness(&roster, 1), Liveness::Unheard);
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl NetNode {
         let mut rejoins = 0u32;
         while Instant::now() < deadline && !self.shared.shutdown.load(Ordering::Relaxed) {
             let evicted = {
-                let roster = self.shared.roster.lock().expect("roster poisoned");
+                let roster = self.shared.roster();
                 roster.member(id).is_some_and(|m| m.leave_slot.is_some())
             };
             if evicted && rejoins < 40 {

@@ -5,7 +5,7 @@ use super::*;
 
 /// The inbound dispatcher: serves protocol requests against the node state
 /// and folds control traffic into the shared runtime state.
-pub(super) fn dispatch(endpoint: &Endpoint, shared: &Shared, peers: &PeerTable, inbound: Inbound) {
+pub(super) fn dispatch(endpoint: &Endpoint, shared: &Shared, inbound: Inbound) {
     if shared.muted.load(Ordering::Relaxed) {
         // A flapping adversary is dark: it serves nothing and acks nothing,
         // but still folds the state it needs to run the attack — its own
@@ -13,11 +13,7 @@ pub(super) fn dispatch(endpoint: &Endpoint, shared: &Shared, peers: &PeerTable, 
         if let Inbound::Control { msg, .. } = inbound {
             match msg {
                 Control::Leave { node: leaver, slot } => {
-                    shared
-                        .roster
-                        .lock()
-                        .expect("roster poisoned")
-                        .learn_leave(leaver, slot);
+                    shared.roster().learn_leave(leaver, slot);
                 }
                 Control::Shutdown => shared.shutdown.store(true, Ordering::Relaxed),
                 Control::ReportAck => shared.report_acked.store(true, Ordering::Relaxed),
@@ -34,9 +30,7 @@ pub(super) fn dispatch(endpoint: &Endpoint, shared: &Shared, peers: &PeerTable, 
             msg,
             trace: _,
         } => {
-            if peers.addr(from).is_some() {
-                peers.mark_heard(from);
-            }
+            shared.roster().mark_heard(from, None);
             let reply = {
                 let node = shared.node.read().expect("node lock poisoned");
                 serve_wire_request(&node, &msg)
@@ -54,23 +48,7 @@ pub(super) fn dispatch(endpoint: &Endpoint, shared: &Shared, peers: &PeerTable, 
             // Organic address learning: any authenticated control envelope
             // from a roster member we cannot address yet fills the gap (a
             // scheduled joiner whose announcement we missed, say).
-            if peers.addr(from).is_none() && from != endpoint.id() {
-                let known = {
-                    let mut roster = shared.roster.lock().expect("roster poisoned");
-                    if roster.member(from).is_some() {
-                        roster.set_addr(from, src);
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if known {
-                    peers.insert(from, src);
-                }
-            }
-            if peers.addr(from).is_some() {
-                peers.mark_heard(from);
-            }
+            shared.roster().mark_heard(from, Some(src));
             match msg {
                 Control::Hello { from: peer } => {
                     let _ = endpoint.send_control(
@@ -197,7 +175,7 @@ peer flagged as adversarial"
                 Control::JoinReq { .. } => {
                     NetMetrics::inc(&endpoint.metrics().joins_served);
                     let entries: Vec<WireMember> = {
-                        let roster = shared.roster.lock().expect("roster poisoned");
+                        let roster = shared.roster();
                         roster
                             .entries()
                             .map(|(id, m)| WireMember {
@@ -231,7 +209,7 @@ peer flagged as adversarial"
                 }
                 Control::RosterEntry(m) => {
                     {
-                        let mut roster = shared.roster.lock().expect("roster poisoned");
+                        let mut roster = shared.roster();
                         roster.learn_join(m.id, m.addr, m.join_slot);
                         if let Some(leave) = m.leave_slot {
                             if m.evicted {
@@ -239,11 +217,6 @@ peer flagged as adversarial"
                             } else {
                                 roster.learn_leave(m.id, leave);
                             }
-                        }
-                    }
-                    if let Some(addr) = m.addr {
-                        if m.id != endpoint.id() {
-                            peers.insert(m.id, addr);
                         }
                     }
                     shared
@@ -259,7 +232,7 @@ peer flagged as adversarial"
                     // never re-enters a barrier set. (An evicted id can
                     // still come back as a fresh process in a later run.)
                     let flapping = {
-                        let roster = shared.roster.lock().expect("roster poisoned");
+                        let roster = shared.roster();
                         roster.member(id).is_some_and(|m| m.leave_slot.is_some())
                     };
                     if flapping {
@@ -279,14 +252,7 @@ peer flagged as adversarial"
                             );
                         }
                     } else {
-                        let news = shared.roster.lock().expect("roster poisoned").learn_join(
-                            id,
-                            Some(addr),
-                            slot,
-                        );
-                        if id != endpoint.id() {
-                            peers.insert(id, addr);
-                        }
+                        let news = shared.roster().learn_join(id, Some(addr), slot);
                         // Always ack: the joiner retries its announcement
                         // until every member confirmed receipt.
                         let _ = endpoint.send_control(
@@ -312,11 +278,7 @@ peer flagged as adversarial"
                     }
                 }
                 Control::Leave { node: leaver, slot } => {
-                    let news = shared
-                        .roster
-                        .lock()
-                        .expect("roster poisoned")
-                        .learn_leave(leaver, slot);
+                    let news = shared.roster().learn_leave(leaver, slot);
                     // A leave at m implies the leaver completed m-1 — keeps
                     // the lockstep live even when its SlotDone was lost and
                     // the process is already gone.
@@ -355,7 +317,7 @@ peer flagged as adversarial"
 /// datagram to be healed by whichever peer did hear it.
 fn gossip_delta(endpoint: &Endpoint, shared: &Shared, learned_from: SocketAddr, msg: &Control) {
     let targets: Vec<SocketAddr> = {
-        let roster = shared.roster.lock().expect("roster poisoned");
+        let roster = shared.roster();
         roster
             .entries()
             .filter(|(id, m)| *id != endpoint.id() && m.addr.is_some_and(|a| a != learned_from))

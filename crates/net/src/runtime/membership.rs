@@ -4,20 +4,26 @@
 use super::*;
 
 impl NetNode {
-    /// True when a roster membership event at or before `slot` has not yet
-    /// been folded into the local topology.
-    pub(super) fn membership_pending(
+    /// The roster's membership events at or before `slot` not yet folded
+    /// into the local topology: `(leaves, joins)`, each ascending.
+    pub(super) fn pending_membership(
         &self,
         slot: u64,
         applied_joins: &HashSet<NodeId>,
         applied_leaves: &HashSet<NodeId>,
-    ) -> bool {
-        let roster = self.shared.roster.lock().expect("roster poisoned");
-        let pending = roster.entries().any(|(p, m)| {
-            (m.leave_slot.is_some_and(|l| l <= slot) && !applied_leaves.contains(&p))
-                || (m.join_slot <= slot && !applied_joins.contains(&p))
-        });
-        pending
+    ) -> (Vec<NodeId>, Vec<NodeId>) {
+        let roster = self.shared.roster();
+        let leaves = roster
+            .entries()
+            .filter(|(p, m)| m.leave_slot.is_some_and(|l| l <= slot) && !applied_leaves.contains(p))
+            .map(|(p, _)| p)
+            .collect();
+        let joins = roster
+            .entries()
+            .filter(|(p, m)| m.join_slot <= slot && !applied_joins.contains(p))
+            .map(|(p, _)| p)
+            .collect();
+        (leaves, joins)
     }
 
     /// Applies membership events effective at or before `slot` to the
@@ -32,22 +38,8 @@ impl NetNode {
         applied_leaves: &mut HashSet<NodeId>,
     ) {
         let me = self.config.id;
-        let (pending_leaves, pending_joins) = {
-            let roster = self.shared.roster.lock().expect("roster poisoned");
-            let leaves: Vec<NodeId> = roster
-                .entries()
-                .filter(|(p, m)| {
-                    m.leave_slot.is_some_and(|l| l <= slot) && !applied_leaves.contains(p)
-                })
-                .map(|(p, _)| p)
-                .collect();
-            let joins: Vec<NodeId> = roster
-                .entries()
-                .filter(|(p, m)| m.join_slot <= slot && !applied_joins.contains(p))
-                .map(|(p, _)| p)
-                .collect();
-            (leaves, joins)
-        };
+        let (pending_leaves, pending_joins) =
+            self.pending_membership(slot, applied_joins, applied_leaves);
         if pending_leaves.is_empty() && pending_joins.is_empty() {
             return;
         }
@@ -76,7 +68,7 @@ impl NetNode {
                 continue;
             }
             let site = {
-                let roster = self.shared.roster.lock().expect("roster poisoned");
+                let roster = self.shared.roster();
                 let join_slot = roster.member(peer).map_or(slot, |m| m.join_slot);
                 join_site(
                     &topology,
@@ -152,71 +144,74 @@ impl NetNode {
             .endpoint
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
-        {
-            let mut roster = self.shared.roster.lock().expect("roster poisoned");
-            roster.learn_join(me, Some(self_addr), join_slot);
-        }
+        self.shared
+            .roster()
+            .learn_join(me, Some(self_addr), join_slot);
 
-        // Phase 3: announce until every live member acked (or deadline).
+        // Phase 3: announce to every live member until each acked. Past
+        // the deadline, proceed rather than abort: gossip can still
+        // converge the roster, and the barrier pulls recover the rest.
         let announce = Control::JoinAnnounce {
             id: me,
             slot: join_slot,
             addr: self_addr,
         };
-        loop {
-            let targets = self.generator_addrs(join_slot);
-            let missing: Vec<(NodeId, SocketAddr)> = {
-                let acks = self.shared.hello_acks.lock().expect("hello acks poisoned");
-                targets
-                    .into_iter()
-                    .filter(|(p, _)| !acks.contains(p))
-                    .collect()
-            };
-            if missing.is_empty() {
-                return Ok(join_slot);
-            }
-            if Instant::now() > deadline {
-                // Gossip can still converge the roster; the barrier pulls
-                // recover the rest. Proceed rather than abort.
-                return Ok(join_slot);
-            }
-            for (_, addr) in &missing {
-                let _ = self.endpoint.send_control(*addr, &announce);
-            }
-            std::thread::sleep(Duration::from_millis(60));
-        }
+        let period = Duration::from_millis(60);
+        let _ = self.until_acked(&announce, period, deadline, || {
+            self.generator_addrs(join_slot)
+        });
+        Ok(join_slot)
     }
 
-    /// Sends hellos until every founder peer acked (sockets are up) or the
-    /// deadline passes.
+    /// Sends hellos until every peer addressable at startup (every other
+    /// founder) acked — sockets are up — or the deadline passes.
     pub(super) fn hello_barrier(&self) -> Result<(), String> {
         let deadline = Instant::now() + self.config.hello_timeout;
-        let all: Vec<NodeId> = self.peers.ids();
+        let founders: Vec<(NodeId, SocketAddr)> = self
+            .shared
+            .roster()
+            .entries()
+            .filter(|&(id, _)| id != self.config.id)
+            .filter_map(|(id, m)| Some((id, m.request_addr()?)))
+            .collect();
+        let hello = Control::Hello {
+            from: self.config.id,
+        };
+        self.until_acked(&hello, Duration::from_millis(50), deadline, || {
+            founders.clone()
+        })
+        .map_err(|missing| {
+            let ids: Vec<u32> = missing.iter().map(|p| p.0).collect();
+            format!("peers never came up: {ids:?}")
+        })
+    }
+
+    /// The one bootstrap ack loop: every `period`, sends `msg` to each of
+    /// `targets()` that has not acked yet, until all have or `deadline`
+    /// passes — then returns the ids still missing.
+    fn until_acked(
+        &self,
+        msg: &Control,
+        period: Duration,
+        deadline: Instant,
+        targets: impl Fn() -> Vec<(NodeId, SocketAddr)>,
+    ) -> Result<(), Vec<NodeId>> {
         loop {
-            let missing: Vec<NodeId> = {
+            let mut missing = targets();
+            {
                 let acks = self.shared.hello_acks.lock().expect("hello acks poisoned");
-                all.iter().filter(|p| !acks.contains(p)).copied().collect()
-            };
+                missing.retain(|(p, _)| !acks.contains(p));
+            }
             if missing.is_empty() {
                 return Ok(());
             }
             if Instant::now() > deadline {
-                return Err(format!(
-                    "peers never came up: {:?}",
-                    missing.iter().map(|p| p.0).collect::<Vec<_>>()
-                ));
+                return Err(missing.into_iter().map(|(p, _)| p).collect());
             }
-            for peer in &missing {
-                if let Some(addr) = self.peers.addr(*peer) {
-                    let _ = self.endpoint.send_control(
-                        addr,
-                        &Control::Hello {
-                            from: self.config.id,
-                        },
-                    );
-                }
+            for (_, addr) in &missing {
+                let _ = self.endpoint.send_control(*addr, msg);
             }
-            std::thread::sleep(Duration::from_millis(50));
+            std::thread::sleep(period);
         }
     }
 
@@ -284,7 +279,7 @@ impl NetNode {
         self.wait_until(slot, format_args!("slot-{slot} digest barrier"), || {
             let missing: Vec<NodeId> = {
                 let buffered = self.shared.digests.lock().expect("digests poisoned");
-                let roster = self.shared.roster.lock().expect("roster poisoned");
+                let roster = self.shared.roster();
                 from.iter()
                     .filter(|nb| roster.generates_at(**nb, slot))
                     .filter(|nb| {
@@ -301,12 +296,17 @@ impl NetNode {
             self.maybe_evict(&missing, slot);
             let now = Instant::now();
             if now >= next_pull {
-                for nb in &missing {
-                    if let Some(addr) = self.peers.addr(*nb) {
-                        let _ = self
-                            .endpoint
-                            .send_control(addr, &Control::DigestReq { slot });
-                    }
+                let addrs: Vec<SocketAddr> = {
+                    let roster = self.shared.roster();
+                    missing
+                        .iter()
+                        .filter_map(|&nb| roster.request_addr(nb))
+                        .collect()
+                };
+                for addr in addrs {
+                    let _ = self
+                        .endpoint
+                        .send_control(addr, &Control::DigestReq { slot });
                 }
                 next_pull = now + Duration::from_millis(120);
             }
@@ -364,45 +364,32 @@ impl NetNode {
 
     /// Evicts any of `blocking` that was heard from once but has been
     /// silent beyond the configured window: records the departure at
-    /// `slot` in the roster (so barriers stop waiting), forgets the
-    /// address, and gossips the eviction so the cluster converges.
+    /// `slot` in the roster (so barriers stop waiting), cuts the peer off
+    /// from requests, and gossips the eviction so the cluster converges.
     fn maybe_evict(&self, blocking: &[NodeId], slot: u64) {
         let Some(window) = self.config.evict_after else {
             return;
         };
         for &peer in blocking {
-            if !self.peers.gone_quiet(peer, window) {
-                continue;
-            }
-            let evicted = self
-                .shared
-                .roster
-                .lock()
-                .expect("roster poisoned")
-                .evict(peer, slot);
-            if !evicted {
-                continue;
-            }
+            let evictee_addr = {
+                let mut roster = self.shared.roster();
+                if !roster.gone_quiet(peer, window) || !roster.evict(peer, slot) {
+                    continue;
+                }
+                roster.cut(peer)
+            };
             NetMetrics::inc(&self.endpoint.metrics().evictions);
             self.shared.telemetry.journal.record(
                 slot,
                 EventKind::Membership,
                 format!("evicted silent peer {peer} at slot {slot}"),
             );
-            self.peers.forget(peer);
             // Tell the evictee too: `generator_addrs` no longer lists it,
             // and when every honest node evicts inside the same quiet
             // window the `news` re-gossip guard fires nowhere, so without
             // a direct send the verdict never reaches the peer it names
             // (a flapper waits on exactly that signal to start rejoining).
             let mut targets = self.generator_addrs(slot);
-            let evictee_addr = self
-                .shared
-                .roster
-                .lock()
-                .expect("roster poisoned")
-                .member(peer)
-                .and_then(|m| m.addr);
             if let Some(addr) = evictee_addr {
                 targets.push((peer, addr));
             }
@@ -417,10 +404,6 @@ impl NetNode {
     /// All generating members at `slot` (other than us) whose address is
     /// known — the gossip/lockstep fan-out set.
     pub(super) fn generator_addrs(&self, slot: u64) -> Vec<(NodeId, SocketAddr)> {
-        self.shared
-            .roster
-            .lock()
-            .expect("roster poisoned")
-            .peer_addrs_at(slot, self.config.id)
+        self.shared.roster().peer_addrs_at(slot, self.config.id)
     }
 }

@@ -54,7 +54,6 @@ use crate::endpoint::{Endpoint, EndpointConfig, Inbound};
 use crate::envelope::TraceContext;
 use crate::membership::{join_site, ChurnEvent, Roster};
 use crate::metrics::{NetMetrics, NetStats};
-use crate::peer::PeerTable;
 use crate::telemetry::{render_metrics, MetricsView, NodeTelemetry, JOURNAL_CAPACITY};
 use crate::transport::{FaultSpec, FaultyTransport, UdpTransport};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -62,7 +61,7 @@ use std::fmt;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 use tldag_core::attack::Behavior;
 use tldag_core::blacklist::Blacklist;
@@ -75,7 +74,7 @@ use tldag_core::network::{derived_rng, stream, TargetPool};
 use tldag_core::node::{BlockFetch, ChildServe, LedgerNode};
 use tldag_core::pop::messages::{ChildReply, FetchResponse, PopTransport};
 use tldag_core::pop::validator::{PopReport, Validator};
-use tldag_core::store::{BackendFactory, BlockBackend, BlockStore, TrustCache};
+use tldag_core::store::{BlockBackend, BlockStore, TrustCache};
 use tldag_core::workload::sensor_payload;
 use tldag_crypto::{Digest, KeyPair};
 use tldag_obs::{
@@ -304,7 +303,7 @@ fn gossip_trace_ctx(shared: &Shared, origin: u32, slot: u64, prefix: u64) -> Opt
 
 /// Every member generating at `slot` other than `me`.
 fn other_generators(shared: &Shared, me: NodeId, slot: u64) -> Vec<NodeId> {
-    let roster = shared.roster.lock().expect("roster poisoned");
+    let roster = shared.roster();
     let mut generators = roster.generators_at(slot);
     generators.retain(|&p| p != me);
     generators
@@ -316,7 +315,8 @@ struct Shared {
     /// The deployment graph, mutated at slot boundaries as membership
     /// changes apply (joins add radio links, leaves cut them).
     topology: RwLock<Topology>,
-    /// The membership view (who generates at which slot, and where).
+    /// The membership book: who generates at which slot, where each
+    /// member is reached, and when it was last heard.
     roster: Mutex<Roster>,
     /// Slot-tagged digests heard per peer (pruned as slots complete).
     digests: Mutex<HashMap<NodeId, BTreeMap<u64, Digest>>>,
@@ -389,20 +389,18 @@ struct Shared {
     muted: AtomicBool,
 }
 
-/// What the slot loop hands back to the epilogue.
-#[derive(Clone, Copy, Default)]
-struct SlotLoopOutcome {
-    degraded: bool,
-    pop_attempts: u64,
-    pop_successes: u64,
+impl Shared {
+    fn roster(&self) -> MutexGuard<'_, Roster> {
+        self.roster.lock().expect("roster poisoned")
+    }
 }
 
-/// What the verify step carries from slot to slot: the node's trust state
-/// plus the run's verification counters.
+/// What the verify step carries from slot to slot: the node's trust state,
+/// and whether a barrier of the verify half gave up.
 struct VerifyState {
     trust_cache: TrustCache,
     blacklist: Blacklist,
-    outcome: SlotLoopOutcome,
+    degraded: bool,
 }
 
 /// A deployed 2LDAG node: endpoint + dispatcher + slot loop.
@@ -410,7 +408,6 @@ pub struct NetNode {
     config: NetNodeConfig,
     cfg: ProtocolConfig,
     endpoint: Arc<Endpoint>,
-    peers: Arc<PeerTable>,
     shared: Arc<Shared>,
 }
 
@@ -419,8 +416,8 @@ impl NetNode {
     ///
     /// # Errors
     ///
-    /// Bind failures, storage errors when reopening a disk backend, and
-    /// inconsistent membership configuration.
+    /// Bind failures, a block log that cannot be opened, and inconsistent
+    /// membership configuration.
     pub fn new(config: NetNodeConfig) -> Result<Self, String> {
         config.validate()?;
         let cfg = deployment_protocol_config(config.gamma);
@@ -463,11 +460,11 @@ need --join)",
 
         let backend: Box<dyn BlockBackend> = match &config.storage {
             None => Box::new(BlockStore::new()),
-            Some(dir) => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("cannot use storage dir {}: {e}", dir.display()))?;
-                DiskFactory::new(dir.clone(), StorageOptions::default()).create(config.id)
-            }
+            Some(dir) => Box::new(
+                DiskFactory::new(dir.clone(), StorageOptions::default())
+                    .open_fresh(config.id)
+                    .map_err(|e| format!("cannot open storage in {}: {e}", dir.display()))?,
+            ),
         };
         // A joiner's neighbor set is wired when its join applies at the
         // join-slot boundary; founders take theirs from the topology.
@@ -493,23 +490,19 @@ need --join)",
         let self_addr = endpoint
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
-        let peers = PeerTable::new(config.peers.iter().copied());
 
-        // The roster starts from the founders plus every scheduled event;
-        // dynamic joins/leaves merge in as their announcements arrive.
+        // The roster starts from the founders plus every scheduled event
+        // (our own join included); dynamic joins/leaves merge in as their
+        // announcements arrive.
         let mut roster = Roster::scheduled(config.nodes, &config.churn);
         for (id, addr) in &config.peers {
             roster.set_addr(*id, *addr);
-        }
-        if let Some(slot) = config.own_churn_slot(true) {
-            roster.learn_join(config.id, Some(self_addr), slot);
         }
         roster.set_addr(config.id, self_addr);
 
         Ok(NetNode {
             cfg,
             endpoint: Arc::new(endpoint),
-            peers: Arc::new(peers),
             shared: Arc::new(Shared {
                 node: RwLock::new(node),
                 topology: RwLock::new(topology),
@@ -633,10 +626,8 @@ need --join)",
         };
         let receiver = {
             let shared = Arc::clone(&self.shared);
-            let peers = Arc::clone(&self.peers);
-            self.endpoint.spawn_receiver(move |endpoint, inbound| {
-                dispatch(endpoint, &shared, &peers, inbound)
-            })
+            self.endpoint
+                .spawn_receiver(move |endpoint, inbound| dispatch(endpoint, &shared, inbound))
         };
 
         let outcome = self.drive();
@@ -674,9 +665,9 @@ need --join)",
         }
 
         let loop_started = Instant::now();
-        let outcome = self.slot_loop(start_slot, end_slot)?;
+        let degraded = self.slot_loop(start_slot, end_slot)?;
         let slot_loop_ms = (loop_started.elapsed().as_millis() as u64).max(1);
-        self.wind_down(start_slot, end_slot, catch_up_ms, slot_loop_ms, outcome)
+        self.wind_down(start_slot, end_slot, catch_up_ms, slot_loop_ms, degraded)
     }
 
     /// Leave announcement + report/linger.
@@ -686,15 +677,10 @@ need --join)",
         end_slot: u64,
         catch_up_ms: u64,
         slot_loop_ms: u64,
-        outcome: SlotLoopOutcome,
+        mut degraded: bool,
     ) -> Result<NodeOutcome, String> {
         let id = self.config.id;
         let telemetry = &self.shared.telemetry;
-        let SlotLoopOutcome {
-            mut degraded,
-            pop_attempts,
-            pop_successes,
-        } = outcome;
 
         // --- Graceful leave: announce the departure so peers drop us from
         // their rosters (and re-gossip the delta for lost copies).
@@ -737,8 +723,9 @@ need --join)",
             slots: end_slot - start_slot,
             chain_len,
             chain_digest,
-            pop_attempts,
-            pop_successes,
+            // The verify half has joined: the counters are final.
+            pop_attempts: telemetry.pop_attempts.load(Ordering::Relaxed),
+            pop_successes: telemetry.pop_successes.load(Ordering::Relaxed),
             catch_up_ms,
             slot_loop_ms,
             degraded,
@@ -813,7 +800,7 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
         )
     };
     let (roster_members, roster_departed) = {
-        let roster = shared.roster.lock().expect("roster poisoned");
+        let roster = shared.roster();
         (
             roster.entries().count() as u64,
             roster

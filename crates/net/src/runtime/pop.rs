@@ -48,8 +48,9 @@ pub fn serve_wire_request(node: &LedgerNode, msg: &WireMessage) -> Option<WireMe
 pub struct NetPopTransport<'a> {
     /// The validator's endpoint.
     pub endpoint: &'a Endpoint,
-    /// Peer addressing.
-    pub peers: &'a PeerTable,
+    /// The membership book requests are addressed from
+    /// ([`Roster::request_addr`]).
+    pub roster: &'a Mutex<Roster>,
     /// When set, child requests carry this horizon so run-ahead responders
     /// answer from their store *as of that slot* — a validator inside the
     /// slot loop must see exactly what the engine's Verify phase saw.
@@ -60,6 +61,15 @@ pub struct NetPopTransport<'a> {
     pub spans: Option<&'a SpanStore>,
 }
 
+impl NetPopTransport<'_> {
+    fn request_addr(&self, peer: NodeId) -> Option<SocketAddr> {
+        self.roster
+            .lock()
+            .expect("roster poisoned")
+            .request_addr(peer)
+    }
+}
+
 impl PopTransport for NetPopTransport<'_> {
     fn fetch_block(
         &mut self,
@@ -67,7 +77,7 @@ impl PopTransport for NetPopTransport<'_> {
         owner: NodeId,
         id: BlockId,
     ) -> Option<FetchResponse> {
-        let addr = self.peers.addr(owner)?;
+        let addr = self.request_addr(owner)?;
         let msg = WireMessage::FetchBlock {
             from: validator,
             id,
@@ -102,7 +112,7 @@ impl PopTransport for NetPopTransport<'_> {
         target: Digest,
     ) -> Option<tldag_core::pop::messages::ChildResponse> {
         use tldag_core::pop::messages::ChildResponse;
-        let addr = self.peers.addr(responder)?;
+        let addr = self.request_addr(responder)?;
         let msg = match self.horizon {
             Some(horizon) => WireMessage::ReqChildAt {
                 from: validator,
@@ -198,7 +208,7 @@ impl NetNode {
         let mut pop_rng = derived_rng(self.config.seed, stream::POP, slot, self.config.id);
         let mut transport = NetPopTransport {
             endpoint: &self.endpoint,
-            peers: &self.peers,
+            roster: &self.shared.roster,
             horizon: Some(slot),
             spans: self
                 .shared

@@ -10,23 +10,15 @@ impl NetNode {
     /// window gate. Horizon-capped child requests
     /// ([`WireMessage::ReqChildAt`]) keep every PoP exchange identical at
     /// every window: a run-ahead responder answers from its store *as of
-    /// the slot under verification*.
-    pub(super) fn slot_loop(
-        &self,
-        start_slot: u64,
-        end_slot: u64,
-    ) -> Result<SlotLoopOutcome, String> {
+    /// the slot under verification*. Returns whether any barrier gave up.
+    pub(super) fn slot_loop(&self, start_slot: u64, end_slot: u64) -> Result<bool, String> {
         // Slots before our first are nobody's to verify: a joiner's drain
         // and window gates measure from its own start.
         self.shared
             .verified_through
             .store(start_slot, Ordering::Relaxed);
         if !self.config.pop {
-            let degraded = self.generation_loop(start_slot, end_slot, None)?;
-            return Ok(SlotLoopOutcome {
-                degraded,
-                ..SlotLoopOutcome::default()
-            });
+            return self.generation_loop(start_slot, end_slot, None);
         }
         // The verify step owns the node's trust state for the whole run,
         // returning it at the end; a generation-time fold sees the blank
@@ -36,7 +28,7 @@ impl NetNode {
             VerifyState {
                 trust_cache: node.take_trust_cache(),
                 blacklist: node.take_blacklist(&self.cfg),
-                outcome: SlotLoopOutcome::default(),
+                degraded: false,
             }
         };
         // Who calls the verify step. At `W = 1` the window gate already
@@ -55,12 +47,12 @@ impl NetNode {
                         if self.shared.pipeline_abort.load(Ordering::Relaxed)
                             || !self.wait_own_generated(slot)
                         {
-                            state.outcome.degraded = true;
+                            state.degraded = true;
                             break;
                         }
                         self.verify_slot(slot, &mut state);
                     }
-                    if state.outcome.degraded {
+                    if state.degraded {
                         // Free the generation half from its window-gate waits.
                         abort_pipeline(&self.shared);
                     }
@@ -82,10 +74,7 @@ impl NetNode {
             node.restore_trust_cache(state.trust_cache);
             node.restore_blacklist(state.blacklist);
         }
-        Ok(SlotLoopOutcome {
-            degraded: gen? || state.outcome.degraded,
-            ..state.outcome
-        })
+        Ok(gen? || state.degraded)
     }
 
     /// Where slot `t`'s neighbour digests are folded into `A_i`. PoP at
@@ -149,7 +138,8 @@ impl NetNode {
             // step reads; drain the pipeline to the boundary first so
             // every slot before the change is verified under the graph it
             // was generated under.
-            if self.membership_pending(slot, &applied_joins, &applied_leaves) {
+            let (leaves, joins) = self.pending_membership(slot, &applied_joins, &applied_leaves);
+            if !leaves.is_empty() || !joins.is_empty() {
                 degraded |= !self.wait_verified_through(slot);
                 self.apply_membership(slot, &mut applied_joins, &mut applied_leaves);
             }
@@ -236,9 +226,10 @@ impl NetNode {
             let gossip_targets: Vec<(NodeId, SocketAddr)> = if self.config.pop {
                 self.generator_addrs(slot)
             } else {
+                let roster = self.shared.roster();
                 neighbors
                     .iter()
-                    .filter_map(|&nb| self.peers.addr(nb).map(|a| (nb, a)))
+                    .filter_map(|&nb| Some((nb, roster.request_addr(nb)?)))
                     .collect()
             };
             let trace_ctx = gossip_trace_ctx(&self.shared, id.0, slot, prefix);
@@ -286,10 +277,10 @@ impl NetNode {
         // slot: wait until every generating peer announced its slot-t
         // digest, proving its chain holds its blocks through t.
         let all_generators = other_generators(&self.shared, id, slot);
-        state.outcome.degraded |= !self.digest_barrier(&all_generators, slot);
+        state.degraded |= !self.digest_barrier(&all_generators, slot);
         if self.folds_in_verify() {
             let fold_started = Instant::now();
-            state.outcome.degraded |=
+            state.degraded |=
                 !self.fold_digests(&self.neighbors(), slot, Some(&mut state.blacklist));
             telemetry
                 .phases
@@ -302,13 +293,12 @@ impl NetNode {
         let target = if self.adversary_active(slot) {
             None
         } else {
-            let roster = self.shared.roster.lock().expect("roster poisoned");
+            let roster = self.shared.roster();
             let min_age = self.config.nodes as u64; // the paper's workload default
             let mut target_rng = derived_rng(self.config.seed, stream::TARGET, slot, id);
             wire_target_pool(&roster, slot, min_age).choose(id, &mut target_rng)
         };
         if let Some(target) = target {
-            state.outcome.pop_attempts += 1;
             telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
             let pop_started = Instant::now();
             let report = self.run_pop_with(slot, target, state);
@@ -318,7 +308,6 @@ impl NetNode {
             telemetry.pop_rtt.record(pop_started.elapsed());
             telemetry.merge_pop(&report.metrics);
             if report.is_success() {
-                state.outcome.pop_successes += 1;
                 telemetry.pop_successes.fetch_add(1, Ordering::Relaxed);
             }
             telemetry.journal.record(
@@ -372,11 +361,7 @@ impl NetNode {
         let mut complete = true;
         let mut folded: Vec<(NodeId, Digest)> = Vec::new();
         for &nb in neighbors {
-            let expected = {
-                let roster = self.shared.roster.lock().expect("roster poisoned");
-                roster.generates_at(nb, of)
-            };
-            if !expected {
+            if !self.shared.roster().generates_at(nb, of) {
                 continue;
             }
             let buffered = || {

@@ -9,7 +9,7 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 use tldag_net::harness::discover_ports;
-use tldag_net::{ChurnEvent, Deployment, FaultSpec, LoopbackCluster, NetNodeConfig, PeerTable};
+use tldag_net::{ChurnEvent, Deployment, FaultSpec, LoopbackCluster, NetNodeConfig, Roster};
 use tldag_sim::NodeId;
 
 #[test]
@@ -139,20 +139,23 @@ fn dynamic_join_races_slot_boundaries_under_loss() {
 
 #[test]
 fn evicted_id_can_rejoin_at_the_addressing_layer() {
-    // The PeerTable half of re-join: forget must clear liveness so the
-    // fresh incarnation is not instantly re-evicted on stale silence.
+    // The roster half of re-join: the eviction cut must clear liveness so
+    // the fresh incarnation is not instantly re-evicted on stale silence.
     let a: SocketAddr = "127.0.0.1:9401".parse().unwrap();
     let b: SocketAddr = "127.0.0.1:9402".parse().unwrap();
-    let table = PeerTable::new([(NodeId(1), a)]);
-    table.mark_heard(NodeId(1));
+    let mut roster = Roster::founders(2);
+    roster.set_addr(NodeId(1), a);
+    roster.mark_heard(NodeId(1), None);
     std::thread::sleep(Duration::from_millis(10));
-    assert!(table.gone_quiet(NodeId(1), Duration::from_millis(1)));
-    table.forget(NodeId(1));
+    assert!(roster.gone_quiet(NodeId(1), Duration::from_millis(1)));
+    assert!(roster.evict(NodeId(1), 3));
+    assert_eq!(roster.cut(NodeId(1)), Some(a), "the evictee is still told");
+    assert_eq!(roster.request_addr(NodeId(1)), None);
     // Re-join on a new port: addressable again, not "gone quiet".
-    assert!(table.insert(NodeId(1), b));
-    assert_eq!(table.addr(NodeId(1)), Some(b));
+    assert!(roster.learn_join(NodeId(1), Some(b), 5));
+    assert_eq!(roster.request_addr(NodeId(1)), Some(b));
     assert!(
-        !table.gone_quiet(NodeId(1), Duration::from_millis(1)),
+        !roster.gone_quiet(NodeId(1), Duration::from_millis(1)),
         "a re-joined id must start from a clean liveness slate"
     );
 }

@@ -1,6 +1,7 @@
 //! Transport loss-recovery acceptance: dropped datagrams are retried and
 //! recovered, silent peers cost bounded time and surface as a timeout
-//! metric, and malformed traffic is counted — never a hang, never a panic.
+//! metric, malformed traffic is counted, and a block log that cannot be
+//! opened is a startup error — never a hang, never a panic.
 
 use std::io;
 use std::net::SocketAddr;
@@ -12,7 +13,9 @@ use tldag_core::codec::WireMessage;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::node::LedgerNode;
 use tldag_net::envelope;
-use tldag_net::{Datagram, Endpoint, EndpointConfig, ReceiverGuard, UdpTransport};
+use tldag_net::{
+    Datagram, Endpoint, EndpointConfig, NetNode, NetNodeConfig, ReceiverGuard, UdpTransport,
+};
 use tldag_sim::NodeId;
 
 fn loopback() -> SocketAddr {
@@ -212,4 +215,19 @@ fn malformed_and_skewed_traffic_is_counted_and_dropped() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+#[test]
+fn an_unopenable_block_log_is_a_startup_error() {
+    // A regular file where node 0's log directory belongs.
+    let dir = std::env::temp_dir().join(format!("tldag-unopenable-log-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("storage dir");
+    std::fs::write(dir.join("node-0"), b"not a directory").expect("blocker file");
+    let mut config = NetNodeConfig::new(NodeId(0), loopback(), 7, 2, 4);
+    config.peers = vec![(NodeId(1), loopback())];
+    config.storage = Some(dir.clone());
+    let outcome = NetNode::new(config).err();
+    let _ = std::fs::remove_dir_all(&dir);
+    let err = outcome.expect("NetNode::new must report the storage failure");
+    assert!(err.contains("cannot open storage"), "{err}");
 }

@@ -33,6 +33,19 @@ impl DiskFactory {
         }
     }
 
+    /// Opens a **fresh** store for `node`, wiping any leftovers from a
+    /// previous run.
+    ///
+    /// # Errors
+    ///
+    /// As [`DurableStore::open`]: the node directory cannot be created (a
+    /// regular file in its place, say) or the log cannot be opened.
+    pub fn open_fresh(&self, node: NodeId) -> Result<DurableStore, TldagError> {
+        let dir = self.node_dir(node);
+        let _ = fs::remove_dir_all(&dir);
+        DurableStore::open(dir, self.opts.clone())
+    }
+
     fn node_dir(&self, node: NodeId) -> PathBuf {
         self.root.join(format!("node-{}", node.0))
     }
@@ -43,20 +56,19 @@ impl DiskFactory {
 }
 
 impl BackendFactory for DiskFactory {
-    /// Creates a **fresh** store for `node`, wiping any leftovers from a
-    /// previous run of the same experiment.
+    /// [`DiskFactory::open_fresh`].
     ///
     /// # Panics
     ///
-    /// Panics when the directory cannot be created — a simulation cannot
+    /// Panics when the store cannot be opened — a simulation cannot
     /// proceed without its storage root.
     fn create(&mut self, node: NodeId) -> Box<dyn BlockBackend> {
-        let dir = self.node_dir(node);
-        let _ = fs::remove_dir_all(&dir);
-        Box::new(
-            DurableStore::open(&dir, self.opts.clone())
-                .unwrap_or_else(|e| panic!("cannot create store in {}: {e}", dir.display())),
-        )
+        Box::new(self.open_fresh(node).unwrap_or_else(|e| {
+            panic!(
+                "cannot create store in {}: {e}",
+                self.node_dir(node).display()
+            )
+        }))
     }
 
     /// Reopens `node`'s directory, recovering the durable chain prefix.

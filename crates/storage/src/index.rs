@@ -213,12 +213,6 @@ impl BlockIndex {
             + self.children.resident_bytes()
     }
 
-    /// Serializes the index (with the log position it covers) into a
-    /// checksummed snapshot blob: [`Self::encode_chains`] of this one chain.
-    pub fn encode_snapshot(&self, covered_segment: u32, covered_offset: u64) -> Vec<u8> {
-        Self::encode_chains([self], covered_segment, covered_offset)
-    }
-
     /// Serializes the chains of one log (with the log position they cover)
     /// into one checksummed snapshot blob: a header, then one section per
     /// chain, `[owner, base, count, covered segment, covered offset,
@@ -258,21 +252,6 @@ impl BlockIndex {
         out.extend_from_slice(&crc32(&body).to_be_bytes());
         out.extend_from_slice(&body);
         out
-    }
-
-    /// Restores an index from a one-chain snapshot blob, returning it
-    /// together with the `(segment, offset)` position up to which the log
-    /// is covered.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::decode_chains`], and when the blob holds another number
-    /// of chains than one.
-    pub fn decode_snapshot(data: &[u8]) -> Result<(Self, u32, u64), TldagError> {
-        let (chains, segment, offset) = Self::decode_chains(data)?;
-        let [index] = <[Self; 1]>::try_from(chains)
-            .map_err(|_| TldagError::Corrupt("snapshot: not one chain".into()))?;
-        Ok((index, segment, offset))
     }
 
     /// Restores every chain of an [`Self::encode_chains`] blob, with the
@@ -473,8 +452,10 @@ mod tests {
         for b in &chain {
             index.push(b, loc(b.id.seq));
         }
-        let blob = index.encode_snapshot(1, 777);
-        let (restored, seg, off) = BlockIndex::decode_snapshot(&blob).unwrap();
+        let blob = BlockIndex::encode_chains([&index], 1, 777);
+        let (mut chains, seg, off) = BlockIndex::decode_chains(&blob).unwrap();
+        assert_eq!(chains.len(), 1);
+        let restored = chains.pop().unwrap();
         assert_eq!(seg, 1);
         assert_eq!(off, 777);
         assert_eq!(restored.next_seq(), 5);
@@ -489,19 +470,19 @@ mod tests {
     fn snapshot_corruption_rejected() {
         let mut index = BlockIndex::new();
         index.push(&block(0, vec![]), loc(0));
-        let blob = index.encode_snapshot(0, 10);
+        let blob = BlockIndex::encode_chains([&index], 0, 10);
         for cut in [0, 8, 15, blob.len() - 1] {
-            assert!(BlockIndex::decode_snapshot(&blob[..cut]).is_err());
+            assert!(BlockIndex::decode_chains(&blob[..cut]).is_err());
         }
         let mut flipped = blob.clone();
         let idx = flipped.len() - 5;
         flipped[idx] ^= 1;
-        assert!(BlockIndex::decode_snapshot(&flipped).is_err());
+        assert!(BlockIndex::decode_chains(&flipped).is_err());
         // The checksum covers the body only: a version 1 header over a
         // valid body is still refused, and the log falls back to a scan.
         let mut old = blob.clone();
         old[8..12].copy_from_slice(&1u32.to_be_bytes());
-        assert!(BlockIndex::decode_snapshot(&old).is_err());
+        assert!(BlockIndex::decode_chains(&old).is_err());
     }
 
     #[test]
@@ -850,14 +831,15 @@ mod tests {
     fn snapshot_bytes_are_pinned() {
         let (chain, once, four) = pinned_chain();
         let index = pinned_index(&chain);
-        let blob = index.encode_snapshot(2, 300);
+        let blob = BlockIndex::encode_chains([&index], 2, 300);
         // Recorded when version 2 was introduced: other bytes here are a
         // new format, and need a new `SNAPSHOT_VERSION`.
         assert_eq!(
             tldag_crypto::sha256::sha256(&blob).to_string(),
             "a2eb39a1ddfba83f817b8130fe68bf44237899f52561a7310e0a3e5d27580a25"
         );
-        let (restored, ..) = BlockIndex::decode_snapshot(&blob).unwrap();
+        let (mut chains, ..) = BlockIndex::decode_chains(&blob).unwrap();
+        let restored = chains.pop().unwrap();
         assert_eq!(restored.entries, index.entries);
         assert_eq!(children_of(&restored, &chain, &four), [3, 5, 7, 9, 9]);
         assert_eq!(children_of(&restored, &chain, &once), [4]);

@@ -140,7 +140,8 @@ proptest! {
             }
             check(&index, &chain, &universe)?;
         }
-        let (restored, ..) = BlockIndex::decode_snapshot(&index.encode_snapshot(0, 0)).unwrap();
+        let blob = BlockIndex::encode_chains([&index], 0, 0);
+        let restored = BlockIndex::decode_chains(&blob).unwrap().0.pop().unwrap();
         check(&restored, &chain, &universe)?;
     }
 }
@@ -221,7 +222,8 @@ proptest! {
             check_floor(&pruned, &chain, &universe, &universe[at as usize % universe.len()])?;
         }
 
-        let (decoded, ..) = BlockIndex::decode_snapshot(&index.encode_snapshot(0, 0)).unwrap();
+        let blob = BlockIndex::encode_chains([&index], 0, 0);
+        let decoded = BlockIndex::decode_chains(&blob).unwrap().0.pop().unwrap();
         let mut replayed = BlockIndex::new();
         if index.base_seq() > 0 {
             replayed.start_at(index.base_seq());

@@ -8,12 +8,14 @@
 //! [`report::Report`]; the aligned tables on stdout, the CSVs and
 //! `BENCH_<name>.json` under `target/experiments/` are three views of that
 //! value, and [`gate`] compares the JSON against `experiments/baselines/`.
-//! `--quick` selects the reduced sweep. Criterion micro-benchmarks live in
-//! `benches/`.
+//! `--quick` selects the reduced sweep. [`compare`] judges two builds of
+//! the repo benchmark against each other. Criterion micro-benchmarks live
+//! in `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compare;
 pub mod experiments;
 pub mod gate;
 pub mod report;

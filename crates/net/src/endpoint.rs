@@ -40,11 +40,14 @@ use tldag_core::node::LedgerNode;
 use tldag_obs::LatencyHistogram;
 use tldag_sim::NodeId;
 
+/// Bytes of one receive slot: the datagram limit plus one byte, so a
+/// datagram larger than any conforming sender emits fills the slot and is
+/// told apart from one that fits exactly.
+const RECV_SLOT_LEN: usize = DEFAULT_MTU + 1;
+
 /// Tuning knobs for an [`Endpoint`].
 #[derive(Clone, Copy, Debug)]
 pub struct EndpointConfig {
-    /// Maximum datagram size, including envelope overhead.
-    pub mtu: usize,
     /// First-attempt reply timeout; doubles per retry up to
     /// [`EndpointConfig::max_backoff`].
     pub request_timeout: Duration,
@@ -56,7 +59,8 @@ pub struct EndpointConfig {
     pub reassembly_budget: usize,
     /// Datagrams received (and decoded) per receiver wakeup: the parked
     /// receive that ends the wait plus up to `batch - 1` drained without
-    /// blocking. 1 reproduces the old one-datagram-per-wakeup loop.
+    /// blocking. 1 reproduces the old one-datagram-per-wakeup loop. Each
+    /// costs one receive buffer of [`DEFAULT_MTU`] + 1 bytes.
     pub batch: usize,
     /// How long the receiver parks in the kernel per wakeup when idle.
     /// Long parks mean near-zero idle syscall churn; the receiver still
@@ -67,7 +71,6 @@ pub struct EndpointConfig {
 impl Default for EndpointConfig {
     fn default() -> Self {
         EndpointConfig {
-            mtu: DEFAULT_MTU,
             request_timeout: Duration::from_millis(80),
             max_retries: 6,
             max_backoff: Duration::from_millis(500),
@@ -249,7 +252,7 @@ impl Endpoint {
         payload: &[u8],
         trace: Option<TraceContext>,
     ) -> Result<Vec<Vec<u8>>, NetError> {
-        encode_message_traced(kind, self.id, seq, req_id, payload, self.config.mtu, trace)
+        encode_message_traced(kind, self.id, seq, req_id, payload, DEFAULT_MTU, trace)
     }
 
     /// Sends a protocol reply correlated to request `req_id`.
@@ -376,9 +379,7 @@ impl Endpoint {
         let _ = self
             .transport
             .set_read_timeout(Some(self.config.park_timeout.max(Duration::from_millis(1))));
-        let mut slots: Vec<RecvSlot> = (0..self.config.batch.max(1))
-            .map(|_| RecvSlot::new(65536))
-            .collect();
+        let mut slots = self.recv_slots();
         let mut reassembler = Reassembler::new(self.config.reassembly_budget);
         let mut seen_evictions = 0u64;
         while !stop.load(Ordering::Relaxed) {
@@ -413,6 +414,13 @@ impl Endpoint {
         self.receiving.store(false, Ordering::Relaxed);
     }
 
+    /// The receive loop's buffers: `batch` slots of [`RECV_SLOT_LEN`] bytes.
+    fn recv_slots(&self) -> Vec<RecvSlot> {
+        (0..self.config.batch.max(1))
+            .map(|_| RecvSlot::new(RECV_SLOT_LEN))
+            .collect()
+    }
+
     /// Runs [`Endpoint::run_receiver`] on its own thread until the returned
     /// guard is finished or dropped. `handler` gets the endpoint too, to
     /// reply from.
@@ -445,7 +453,10 @@ impl Endpoint {
     }
 
     /// Decodes one received datagram and routes its message: replies to
-    /// the pending-request table, everything else to `handler`.
+    /// the pending-request table, everything else to `handler`. A datagram
+    /// that filled its whole [`RECV_SLOT_LEN`] slot was larger than
+    /// [`DEFAULT_MTU`] and arrived truncated: it is a malformed drop, never
+    /// decoded.
     fn process_datagram(
         &self,
         datagram: &[u8],
@@ -456,6 +467,10 @@ impl Endpoint {
     ) {
         NetMetrics::inc(&self.metrics.datagrams_received);
         NetMetrics::add(&self.metrics.bytes_received, datagram.len() as u64);
+        if datagram.len() > DEFAULT_MTU {
+            NetMetrics::inc(&self.metrics.malformed_drops);
+            return;
+        }
         let (env, fragment) = match decode_datagram(datagram) {
             Ok(d) => d,
             Err(e) => {
@@ -583,6 +598,22 @@ impl Drop for ReceiverGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn receive_slots_hold_one_datagram_each() {
+        for batch in [1, 4, EndpointConfig::default().batch] {
+            let config = EndpointConfig {
+                batch,
+                ..EndpointConfig::default()
+            };
+            let listen = "127.0.0.1:0".parse().expect("addr");
+            let endpoint = Endpoint::bind(NodeId(0), listen, config).expect("bind");
+            let slots = endpoint.recv_slots();
+            assert_eq!(slots.len(), batch);
+            let bytes: usize = slots.iter().map(|s| s.buf.capacity()).sum();
+            assert_eq!(bytes, batch * (DEFAULT_MTU + 1), "batch {batch}");
+        }
+    }
 
     #[test]
     fn one_receive_loop_per_endpoint_and_finish_reports_its_panic() {

@@ -57,6 +57,16 @@
 //! malformed or bit-flipped datagram yields a clean [`NetError`], never a
 //! panic, and the CRC rejects any single-bit corruption outright.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic
+    )
+)]
+
 use crate::NetError;
 use tldag_sim::NodeId;
 use tldag_storage::crc32::crc32;
@@ -117,14 +127,16 @@ impl TraceContext {
     }
 
     fn decode(body: &[u8]) -> Option<Self> {
-        if body.len() != TRACE_BODY_LEN {
-            return None;
-        }
+        let body: &[u8; TRACE_BODY_LEN] = body.try_into().ok()?;
+        let (origin, rest) = body.split_first_chunk()?;
+        let (slot, rest) = rest.split_first_chunk()?;
+        let (prefix, rest) = rest.split_first_chunk()?;
+        let (ts_micros, _) = rest.split_first_chunk()?;
         Some(TraceContext {
-            origin: u32::from_be_bytes(body[0..4].try_into().ok()?),
-            slot: u64::from_be_bytes(body[4..12].try_into().ok()?),
-            prefix: u64::from_be_bytes(body[12..20].try_into().ok()?),
-            ts_micros: u64::from_be_bytes(body[20..28].try_into().ok()?),
+            origin: u32::from_be_bytes(*origin),
+            slot: u64::from_be_bytes(*slot),
+            prefix: u64::from_be_bytes(*prefix),
+            ts_micros: u64::from_be_bytes(*ts_micros),
         })
     }
 }
@@ -323,8 +335,10 @@ pub fn encode_message_traced(
         frag_fields = width;
     };
     let mut out = Vec::with_capacity(frag_count);
+    let mut rest = payload;
     for i in 0..frag_count {
-        let chunk = &payload[i * room..payload.len().min((i + 1) * room)];
+        let (chunk, tail) = rest.split_at(rest.len().min(room));
+        rest = tail;
         out.push(encode_datagram(
             &Envelope {
                 kind,
@@ -346,21 +360,17 @@ pub fn encode_message_traced(
 /// whose stated length overruns the region is a framing violation.
 fn parse_extensions(mut ext: &[u8]) -> Result<Option<TraceContext>, NetError> {
     let mut trace = None;
-    while !ext.is_empty() {
-        if ext.len() < 2 {
-            return Err(NetError::LengthMismatch);
-        }
-        let (tag, len) = (ext[0], ext[1] as usize);
-        if ext.len() < 2 + len {
-            return Err(NetError::LengthMismatch);
-        }
-        let body = &ext[2..2 + len];
+    while let Some((&tag, rest)) = ext.split_first() {
+        let (&len, rest) = rest.split_first().ok_or(NetError::LengthMismatch)?;
+        let (body, rest) = rest
+            .split_at_checked(len.into())
+            .ok_or(NetError::LengthMismatch)?;
         if tag == EXT_TRACE && trace.is_none() {
             // A recognised tag with a malformed body is a framing violation
             // (the CRC already passed, so this is a sender bug, not noise).
             trace = Some(TraceContext::decode(body).ok_or(NetError::LengthMismatch)?);
         }
-        ext = &ext[2 + len..];
+        ext = rest;
     }
     Ok(trace)
 }
@@ -382,14 +392,14 @@ pub fn decode_datagram(data: &[u8]) -> Result<(Envelope, &[u8]), NetError> {
     if data.len() < MIN_HEADER_LEN + TRAILER_LEN {
         return Err(NetError::Truncated);
     }
-    if data[..MAGIC.len()] != MAGIC {
-        return Err(NetError::BadMagic);
-    }
-    let (body, trailer) = data.split_at(data.len() - TRAILER_LEN);
-    if crc32(body) != u32::from_be_bytes(trailer.try_into().expect("4")) {
+    let (body, trailer) = data
+        .split_last_chunk::<TRAILER_LEN>()
+        .ok_or(NetError::Truncated)?;
+    let header = body.strip_prefix(&MAGIC).ok_or(NetError::BadMagic)?;
+    if crc32(body) != u32::from_be_bytes(*trailer) {
         return Err(NetError::BadCrc);
     }
-    let flags = body[MAGIC.len()];
+    let (&flags, mut rest) = header.split_first().ok_or(NetError::Truncated)?;
     let version = flags >> 6;
     if version != PROTOCOL_VERSION {
         return Err(NetError::BadVersion(version));
@@ -398,7 +408,6 @@ pub fn decode_datagram(data: &[u8]) -> Result<(Envelope, &[u8]), NetError> {
     if flags & FLAG_RESERVED != 0 {
         return Err(NetError::BadHeader);
     }
-    let mut rest = &body[MAGIC.len() + 1..];
     let sender = u32::try_from(take_varint(&mut rest)?).map_err(|_| NetError::BadHeader)?;
     let msg_seq = take_varint(&mut rest)?;
     let req_id = if flags & FLAG_REPLY != 0 {
@@ -417,11 +426,8 @@ pub fn decode_datagram(data: &[u8]) -> Result<(Envelope, &[u8]), NetError> {
         return Err(NetError::BadFragment);
     }
     let (payload, ext) = if flags & FLAG_EXT != 0 {
-        let len = take_varint(&mut rest)?;
-        if len > rest.len() as u64 {
-            return Err(NetError::LengthMismatch);
-        }
-        rest.split_at(len as usize)
+        let len = usize::try_from(take_varint(&mut rest)?).map_err(|_| NetError::LengthMismatch)?;
+        rest.split_at_checked(len).ok_or(NetError::LengthMismatch)?
     } else {
         (rest, &[][..])
     };

@@ -8,6 +8,16 @@
 //! remaining fragments will be retransmitted by the request/retry layer if
 //! anyone still cares).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic
+    )
+)]
+
 use crate::envelope::Envelope;
 use std::collections::HashMap;
 use tldag_sim::NodeId;
@@ -73,11 +83,14 @@ impl Reassembler {
         partial.stamp = stamp;
         if partial.frags.len() != env.frag_count as usize {
             // A sender reused a seq with a different shape; distrust both.
-            let stale = self.partials.remove(&key).expect("present");
-            self.buffered_bytes -= stale.bytes;
+            if let Some(stale) = self.partials.remove(&key) {
+                self.buffered_bytes -= stale.bytes;
+            }
             return None;
         }
-        let slot = &mut partial.frags[env.frag_index as usize];
+        // The envelope decoder bounds the index by the count, which is the
+        // table's length here.
+        let slot = partial.frags.get_mut(usize::from(env.frag_index))?;
         if slot.is_some() {
             return None; // duplicate fragment
         }
@@ -86,11 +99,11 @@ impl Reassembler {
         partial.bytes += payload.len();
         self.buffered_bytes += payload.len();
         if partial.received == partial.frags.len() {
-            let done = self.partials.remove(&key).expect("present");
+            let done = self.partials.remove(&key)?;
             self.buffered_bytes -= done.bytes;
             let mut out = Vec::with_capacity(done.bytes - slot_table_bytes);
             for frag in done.frags {
-                out.extend_from_slice(&frag.expect("all fragments received"));
+                out.extend_from_slice(&frag?);
             }
             return Some(out);
         }
@@ -103,13 +116,13 @@ impl Reassembler {
     /// message larger than the budget can still complete.
     fn enforce_budget(&mut self) {
         while self.buffered_bytes > self.budget_bytes && self.partials.len() > 1 {
-            let oldest = self
-                .partials
-                .iter()
-                .min_by_key(|(_, p)| p.stamp)
+            let oldest = self.partials.iter().min_by_key(|(_, p)| p.stamp);
+            let Some(evicted) = oldest
                 .map(|(&k, _)| k)
-                .expect("non-empty");
-            let evicted = self.partials.remove(&oldest).expect("present");
+                .and_then(|k| self.partials.remove(&k))
+            else {
+                break;
+            };
             self.buffered_bytes -= evicted.bytes;
             self.evictions += 1;
         }

@@ -21,7 +21,11 @@ use std::os::fd::AsRawFd;
 /// buffer plus the length and source the transport fills in per wakeup.
 #[derive(Debug)]
 pub struct RecvSlot {
-    /// Datagram buffer; its length bounds the largest receivable datagram.
+    /// Datagram buffer. Its length bounds what one receive copies: a longer
+    /// datagram is truncated to it and reported as that length, on the
+    /// parked `recv_from` and the `recvmmsg` drain alike. The endpoint sizes
+    /// it one byte past the datagram limit, so a full slot means an
+    /// oversized datagram.
     pub buf: Vec<u8>,
     /// Bytes of [`RecvSlot::buf`] filled by the last receive (0 = the slot
     /// was filled with an undecodable source address and must be skipped).

@@ -19,9 +19,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tldag_core::codec::{self, WireMessage};
+use tldag_core::config::ProtocolConfig;
+use tldag_core::node::LedgerNode;
 use tldag_net::envelope::{
-    decode_datagram, encode_message, Kind, FLAG_EXT, FLAG_FRAG, FLAG_REPLY, FLAG_RESERVED,
-    MIN_HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    decode_datagram, encode_message, Kind, DEFAULT_MTU, FLAG_EXT, FLAG_FRAG, FLAG_REPLY,
+    FLAG_RESERVED, MIN_HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 use tldag_net::frag::Reassembler;
 use tldag_net::{Endpoint, EndpointConfig, Inbound, NetError};
@@ -424,4 +426,108 @@ fn live_endpoint_attributes_every_hostile_class() {
         1,
         "exactly the forged-sender unsolicited message reaches the handler"
     );
+}
+
+/// Datagrams past the wire's limit, on both receive paths. An endpoint's
+/// receive slots hold [`DEFAULT_MTU`] + 1 bytes, so a datagram of exactly
+/// `DEFAULT_MTU` bytes (every fragment but the last of a block-sized
+/// message) is read whole, while one byte more, or 60 000, fills the slot
+/// and is counted as one malformed drop without being decoded. The
+/// oversized datagrams are valid fragments a sender with a larger MTU would
+/// emit, so a receiver that read and decoded them would count no drop. The
+/// burst is queued before the receiver starts: its first datagram ends the
+/// parked `recv_from` and the rest are drained by `recvmmsg` in the same
+/// wakeup. The two rounds swap which oversized datagram each path sees.
+#[test]
+fn oversized_datagrams_are_dropped_on_both_receive_paths() {
+    let cfg = ProtocolConfig::test_default();
+    let mut node = LedgerNode::new(NodeId(5), vec![], &cfg);
+    let blocks: Vec<_> = (0..2u8)
+        .map(|slot| {
+            node.generate_block(&cfg, slot.into(), vec![slot; 4000])
+                .expect("generate")
+        })
+        .collect();
+    let huge = node
+        .generate_block(&cfg, 2, vec![2; 70_000])
+        .expect("generate");
+    let huge = codec::encode_message(&WireMessage::Block(Box::new(huge)));
+    // The first fragment of the huge block at an MTU of `len`: exactly
+    // `len` bytes, and well-formed.
+    let oversized = |seq: u64, len: usize| {
+        let first = encode_message(Kind::Wire, NodeId(5), seq, 0, &huge, len)
+            .expect("encode")
+            .swap_remove(0);
+        assert_eq!(first.len(), len);
+        first
+    };
+    let messages: Vec<Vec<Vec<u8>>> = blocks
+        .iter()
+        .enumerate()
+        .map(|(seq, block)| {
+            let msg = codec::encode_message(&WireMessage::Block(Box::new(block.clone())));
+            encode_message(Kind::Wire, NodeId(5), seq as u64 + 1, 0, &msg, DEFAULT_MTU)
+                .expect("encode")
+        })
+        .collect();
+    for frames in &messages {
+        assert!(frames.len() >= 3, "a block spans several datagrams");
+        let (last, full) = frames.split_last().expect("frames");
+        assert!(full.iter().all(|f| f.len() == DEFAULT_MTU));
+        assert!(last.len() <= DEFAULT_MTU);
+    }
+
+    for (parked, drained) in [(60_000, DEFAULT_MTU + 1), (DEFAULT_MTU + 1, 60_000)] {
+        let victim = Arc::new(
+            Endpoint::bind(
+                NodeId(0),
+                "127.0.0.1:0".parse().unwrap(),
+                EndpointConfig::default(),
+            )
+            .expect("bind victim"),
+        );
+        let target = victim.local_addr().expect("victim addr");
+        let attacker = UdpSocket::bind("127.0.0.1:0").expect("bind attacker");
+        let mut burst = vec![oversized(100, parked)];
+        for (seq, frames) in (101..).zip(&messages) {
+            burst.extend(frames.iter().cloned());
+            burst.push(oversized(seq, drained));
+        }
+        for datagram in &burst {
+            attacker.send_to(datagram, target).expect("attacker send");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+
+        let delivered = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let receiver = {
+            let delivered = Arc::clone(&delivered);
+            victim.spawn_receiver(move |_, inbound| {
+                if let Inbound::Wire {
+                    msg: WireMessage::Block(block),
+                    ..
+                } = inbound
+                {
+                    delivered.lock().unwrap().push(*block);
+                }
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline && victim.stats().datagrams_received < burst.len() as u64 {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        receiver.finish().expect("the receiver must not panic");
+
+        let stats = victim.stats();
+        assert_eq!(stats.datagrams_received, burst.len() as u64, "{stats:?}");
+        assert_eq!(
+            stats.malformed_drops, 3,
+            "one drop per oversized datagram ({parked} B parked, {drained} B drained)"
+        );
+        assert_eq!(stats.messages_reassembled, 2);
+        assert!(
+            stats.datagrams_received > stats.recv_wakeups - stats.idle_wakeups,
+            "some datagrams must come through the recvmmsg drain: {stats:?}"
+        );
+        assert_eq!(*delivered.lock().unwrap(), blocks);
+    }
 }

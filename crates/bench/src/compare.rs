@@ -13,6 +13,9 @@
 //! how many pairs the change won, and a [`Verdict`]: *resolved* when the
 //! medians sit further apart than the parent's inter-quartile distance,
 //! *unresolved* otherwise, and *identical* when every run read the same.
+//! Below [`MIN_PAIRS`] pairs a row whose parent runs spread gets no timing
+//! verdict at all; an exact row, where every parent run read one value,
+//! keeps its verdict at any count.
 //! The kernels' medians sit under the table, so calibration drift shows
 //! beside every verdict. Which way is better comes from `BENCHMARK.json`'s
 //! `end_to_end` list, read from the current directory.
@@ -23,6 +26,9 @@ use std::process::Command;
 
 /// The failed share of a run's operations, judged beside the metrics.
 pub const FAILED_SHARE: &str = "ops_failed_share";
+
+/// Fewest pairs that can carry a verdict on a row whose parent runs spread.
+pub const MIN_PAIRS: usize = 10;
 
 /// One benchmark run, parsed from its standard output.
 #[derive(Clone, Debug, PartialEq)]
@@ -253,8 +259,10 @@ pub fn render(
         } else {
             (cm - pm) / pm.abs() * 100.0
         };
+        let exact = p.iter().all(|v| *v == p[0]);
         let judged = match verdict(&p, &c) {
             Verdict::Identical => "identical".to_string(),
+            _ if !exact && pairs < MIN_PAIRS => format!("too few pairs ({pairs} < {MIN_PAIRS})"),
             Verdict::Unresolved => "unresolved".to_string(),
             Verdict::Resolved => {
                 let better = if lower { cm < pm } else { cm > pm };
@@ -494,6 +502,60 @@ ops: 33192 attempted, 2 failed (ops_failed_share 0.000060)\n\
         );
         assert!(
             table.contains("wire calibration kernel: p50 median 3.100 ms parent, 3.100 ms change")
+        );
+    }
+
+    #[test]
+    fn a_spread_row_needs_ten_pairs_for_a_verdict() {
+        let run = parse_run(RUN).expect("parses");
+        // Every run of a side reads one `setup_s` (an exact row), while
+        // `peak_rss_mb` spreads by 0.01 MiB a run.
+        let runs = |pairs: usize, setup: f64, rss: f64| -> Vec<Run> {
+            (0..pairs)
+                .map(|i| {
+                    let mut r = run.clone();
+                    r.metrics[0].1 = setup;
+                    r.metrics[2].1 = rss + 0.01 * i as f64;
+                    r
+                })
+                .collect()
+        };
+        let directions = vec![
+            ("setup_s".to_string(), true),
+            ("peak_rss_mb".to_string(), true),
+        ];
+        let line = |table: &str, name: &str| {
+            table
+                .lines()
+                .find(|l| l.starts_with(name))
+                .unwrap_or_else(|| panic!("no {name} row in\n{table}"))
+                .to_string()
+        };
+        // Nine pairs: the spread row is refused, the exact one judged.
+        let table = render(
+            "wire_pipelined",
+            &directions,
+            &runs(9, 0.05, 16.0),
+            &runs(9, 0.04, 12.0),
+        );
+        assert!(
+            line(&table, "peak_rss_mb").ends_with("9/9   too few pairs (9 < 10)"),
+            "{table}"
+        );
+        assert!(
+            line(&table, "setup_s").ends_with("9/9   resolved, better"),
+            "{table}"
+        );
+        // Ten pairs of the same spread resolve.
+        let table = render(
+            "wire_pipelined",
+            &directions,
+            &runs(10, 0.05, 16.0),
+            &runs(10, 0.04, 12.0),
+        );
+        assert!(
+            line(&table, "peak_rss_mb").ends_with("10/10  resolved, better"),
+            "{table}"
         );
     }
 }

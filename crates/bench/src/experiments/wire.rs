@@ -16,7 +16,7 @@
 use crate::experiments::cluster::net_table;
 use crate::report::{Report, Table};
 use crate::{row, Scale};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tldag_core::blacklist::Blacklist;
 use tldag_core::block::BlockId;
@@ -215,7 +215,6 @@ pub fn run(config: &WireConfig) -> WireData {
         for (i, w) in wire.iter().enumerate() {
             roster.set_addr(NodeId(i as u32), w.endpoint().local_addr().expect("addr"));
         }
-        let roster = Mutex::new(roster);
         let validator_endpoint = wire[validator_id.index()].endpoint();
         let own_store = nodes[validator_id.index()].store();
 
@@ -237,7 +236,7 @@ pub fn run(config: &WireConfig) -> WireData {
             let mut pop_rng = DetRng::seed_from(target_rng.next_u64());
             let mut transport = NetPopTransport {
                 endpoint: validator_endpoint,
-                roster: &roster,
+                addr_of: &|peer| roster.request_addr(peer),
                 horizon: None,
                 spans: None,
             };

@@ -16,7 +16,6 @@
 
 use crate::config::ProtocolConfig;
 use crate::error::ValidationError;
-use bytes::Bytes;
 use std::fmt;
 use std::sync::Arc;
 use tldag_crypto::merkle::merkle_root;
@@ -191,14 +190,14 @@ impl BlockHeader {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BlockBody {
     /// The actual payload bytes carried in the simulation.
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
     /// The logical body size `C` in bits.
     pub logical_bits: u64,
 }
 
 impl BlockBody {
     /// Creates a body from payload bytes with logical size `c_bits`.
-    pub fn new(payload: impl Into<Bytes>, c_bits: u64) -> Self {
+    pub fn new(payload: impl Into<Arc<[u8]>>, c_bits: u64) -> Self {
         BlockBody {
             payload: payload.into(),
             logical_bits: c_bits,
@@ -321,7 +320,7 @@ mod tests {
     fn tampered_body_fails_root_check() {
         let cfg = cfg();
         let (mut block, kp) = sample_block(&cfg, 2);
-        block.body.payload = Bytes::from(vec![0u8; 100]);
+        block.body.payload = vec![0u8; 100].into();
         assert_eq!(
             block.validate(&cfg, &kp.public()),
             Err(ValidationError::RootMismatch)

@@ -12,7 +12,6 @@
 
 use crate::block::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
 use crate::pop::messages::{ChildReply, ChildResponse};
-use bytes::Bytes;
 use std::fmt;
 use tldag_crypto::schnorr::Signature;
 use tldag_crypto::Digest;
@@ -242,7 +241,7 @@ pub fn decode_block(data: &[u8]) -> Result<DataBlock, CodecError> {
         id: BlockId::new(owner, seq),
         header,
         body: BlockBody {
-            payload: Bytes::from(payload),
+            payload: payload.into(),
             logical_bits,
         },
     })

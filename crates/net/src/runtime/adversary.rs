@@ -12,7 +12,7 @@ impl NetNode {
     /// Applies the configured behaviour to the ledger node (so the serve
     /// paths — silence, corrupt replies, corrupt bodies — take effect) and
     /// journals the turn. Not used for the flapper, which goes dark via
-    /// [`Shared::muted`] instead.
+    /// [`Book::muted`] instead.
     pub(super) fn activate_behavior(&self, slot: u64) {
         self.shared
             .node
@@ -71,9 +71,8 @@ impl NetNode {
                 // reference.
                 let prev = self
                     .shared
+                    .book()
                     .own_digests
-                    .lock()
-                    .expect("own digests poisoned")
                     .get(&slot.wrapping_sub(1))
                     .copied();
                 prev.map(|d| (slot - 1, d.corrupted()))
@@ -108,7 +107,7 @@ impl NetNode {
     /// twice the slot timeout so the process still reports and exits.
     pub(super) fn flap_phase(&self, from_slot: u64) {
         let id = self.config.id;
-        self.shared.muted.store(true, Ordering::Relaxed);
+        self.shared.book().muted = true;
         self.shared.telemetry.journal.record(
             from_slot,
             EventKind::Penalty,
@@ -117,20 +116,22 @@ impl NetNode {
         let targets = self.generator_addrs(from_slot);
         let deadline = Instant::now() + self.config.slot_timeout * 2;
         let mut rejoins = 0u32;
-        while Instant::now() < deadline && !self.shared.shutdown.load(Ordering::Relaxed) {
-            let evicted = {
-                let roster = self.shared.roster();
-                roster.member(id).is_some_and(|m| m.leave_slot.is_some())
+        while Instant::now() < deadline {
+            let (shutdown, evicted, current) = {
+                let book = self.shared.book();
+                let evicted = book
+                    .roster
+                    .member(id)
+                    .is_some_and(|m| m.leave_slot.is_some());
+                (book.shutdown, evicted, book.current_slot)
             };
+            if shutdown {
+                break;
+            }
             if evicted && rejoins < 40 {
                 // Rejoin churn: announce a join a little past wherever the
                 // cluster is, without ever contributing blocks.
-                let slot = self
-                    .shared
-                    .current_slot
-                    .load(Ordering::Relaxed)
-                    .max(from_slot)
-                    + 2;
+                let slot = current.max(from_slot) + 2;
                 if let Ok(addr) = self.endpoint.local_addr() {
                     let announce = Control::JoinAnnounce { id, slot, addr };
                     for (_, peer) in &targets {
@@ -146,10 +147,11 @@ impl NetNode {
                     }
                 }
             }
-            std::thread::sleep(Duration::from_millis(50));
+            let next = Instant::now() + Duration::from_millis(50);
+            self.shared.park(next, |b| b.shutdown.then_some(()));
         }
         // The attack is over; unmute so the epilogue's report/ack exchange
         // with the controller works normally.
-        self.shared.muted.store(false, Ordering::Relaxed);
+        self.shared.book().muted = false;
     }
 }

@@ -12,7 +12,8 @@ impl NetNode {
         applied_joins: &HashSet<NodeId>,
         applied_leaves: &HashSet<NodeId>,
     ) -> (Vec<NodeId>, Vec<NodeId>) {
-        let roster = self.shared.roster();
+        let book = self.shared.book();
+        let roster = &book.roster;
         let leaves = roster
             .entries()
             .filter(|(p, m)| m.leave_slot.is_some_and(|l| l <= slot) && !applied_leaves.contains(p))
@@ -68,11 +69,11 @@ impl NetNode {
                 continue;
             }
             let site = {
-                let roster = self.shared.roster();
-                let join_slot = roster.member(peer).map_or(slot, |m| m.join_slot);
+                let book = self.shared.book();
+                let join_slot = book.roster.member(peer).map_or(slot, |m| m.join_slot);
                 join_site(
                     &topology,
-                    &roster,
+                    &book.roster,
                     self.config.seed,
                     join_slot,
                     peer,
@@ -107,19 +108,11 @@ impl NetNode {
         let deadline = Instant::now() + self.config.hello_timeout;
 
         // Phase 1: pull the roster (re-requesting refreshes lost entries).
+        let transferred = |book: &mut Book| match book.join_ack {
+            Some((_, slot, members)) if book.transfer_seen.len() as u32 >= members => Some(slot),
+            _ => None,
+        };
         let responder_slot = loop {
-            let ack = *self.shared.join_ack.lock().expect("join ack poisoned");
-            if let Some((_, slot, members)) = ack {
-                let seen = self
-                    .shared
-                    .transfer_seen
-                    .lock()
-                    .expect("transfer seen poisoned")
-                    .len() as u32;
-                if seen >= members {
-                    break slot;
-                }
-            }
             if Instant::now() > deadline {
                 return Err(format!(
                     "join handshake with {bootstrap} timed out (no roster)"
@@ -128,7 +121,10 @@ impl NetNode {
             let _ = self
                 .endpoint
                 .send_control(bootstrap, &Control::JoinReq { from: me });
-            std::thread::sleep(Duration::from_millis(60));
+            let resend = Instant::now() + Duration::from_millis(60);
+            if let Some(slot) = self.shared.park(resend, transferred) {
+                break slot;
+            }
         };
 
         // Phase 2: resolve the join slot. A scheduled joiner brings it in
@@ -145,7 +141,8 @@ impl NetNode {
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
         self.shared
-            .roster()
+            .book()
+            .roster
             .learn_join(me, Some(self_addr), join_slot);
 
         // Phase 3: announce to every live member until each acked. Past
@@ -157,8 +154,8 @@ impl NetNode {
             addr: self_addr,
         };
         let period = Duration::from_millis(60);
-        let _ = self.until_acked(&announce, period, deadline, || {
-            self.generator_addrs(join_slot)
+        let _ = self.until_acked(&announce, period, deadline, |book| {
+            book.roster.peer_addrs_at(join_slot, me)
         });
         Ok(join_slot)
     }
@@ -169,7 +166,8 @@ impl NetNode {
         let deadline = Instant::now() + self.config.hello_timeout;
         let founders: Vec<(NodeId, SocketAddr)> = self
             .shared
-            .roster()
+            .book()
+            .roster
             .entries()
             .filter(|&(id, _)| id != self.config.id)
             .filter_map(|(id, m)| Some((id, m.request_addr()?)))
@@ -177,7 +175,7 @@ impl NetNode {
         let hello = Control::Hello {
             from: self.config.id,
         };
-        self.until_acked(&hello, Duration::from_millis(50), deadline, || {
+        self.until_acked(&hello, Duration::from_millis(50), deadline, |_| {
             founders.clone()
         })
         .map_err(|missing| {
@@ -194,14 +192,15 @@ impl NetNode {
         msg: &Control,
         period: Duration,
         deadline: Instant,
-        targets: impl Fn() -> Vec<(NodeId, SocketAddr)>,
+        targets: impl Fn(&Book) -> Vec<(NodeId, SocketAddr)>,
     ) -> Result<(), Vec<NodeId>> {
         loop {
-            let mut missing = targets();
-            {
-                let acks = self.shared.hello_acks.lock().expect("hello acks poisoned");
-                missing.retain(|(p, _)| !acks.contains(p));
-            }
+            let missing = {
+                let book = self.shared.book();
+                let mut missing = targets(&book);
+                missing.retain(|(p, _)| !book.hello_acks.contains(p));
+                missing
+            };
             if missing.is_empty() {
                 return Ok(());
             }
@@ -211,63 +210,63 @@ impl NetNode {
             for (_, addr) in &missing {
                 let _ = self.endpoint.send_control(*addr, msg);
             }
-            std::thread::sleep(period);
+            self.shared.park(Instant::now() + period, |book| {
+                let acked = missing.iter().all(|(p, _)| book.hello_acks.contains(p));
+                acked.then_some(())
+            });
         }
     }
 
-    /// One barrier wait quantum: park on the progress condvar, so a
-    /// blocked loop burns no syscall churn and wakes the moment the
-    /// dispatcher hears news.
-    fn barrier_pause(&self) {
-        let version = self.shared.progress.lock().expect("progress poisoned");
-        let _ = self
-            .shared
-            .progress_cv
-            .wait_timeout(version, Duration::from_millis(25))
-            .expect("progress poisoned");
-    }
-
-    /// The one wait loop: pauses until `ready()` holds. Gives up,
-    /// journaling a `Timeout` for `what` at `slot` and returning `false`,
-    /// once the slot timeout passes or the other half of the loop aborted.
+    /// The one barrier wait: parks on the book until `check` finds the
+    /// barrier passed, making the sends a blocked check asks for with the
+    /// book released. Gives up, journaling a `Timeout` for `what` at `slot`
+    /// and returning `false`, once the slot timeout passes or the other
+    /// half of the loop aborted.
     fn wait_until(
         &self,
         slot: u64,
         what: fmt::Arguments<'_>,
-        mut ready: impl FnMut() -> bool,
+        mut check: impl FnMut(&mut Book) -> ControlFlow<(), Sends>,
     ) -> bool {
         let deadline = Instant::now() + self.config.slot_timeout;
-        while !ready() {
-            if Instant::now() > deadline || self.shared.pipeline_abort.load(Ordering::Relaxed) {
-                self.shared.telemetry.journal.record(
-                    slot,
-                    EventKind::Timeout,
-                    format!("{what} gave up"),
-                );
-                return false;
+        loop {
+            let step = self.shared.park(deadline, |book| match check(book) {
+                ControlFlow::Continue(sends) if sends.is_empty() && !book.pipeline_abort => None,
+                step => Some(step),
+            });
+            match step {
+                Some(ControlFlow::Break(())) => return true,
+                Some(ControlFlow::Continue(sends)) if !sends.is_empty() => {
+                    // A blocked check may have evicted a peer: other waits
+                    // must look at the roster again too.
+                    self.shared.changed.notify_all();
+                    send_all(&self.endpoint, sends);
+                }
+                _ => {
+                    self.shared.telemetry.journal.record(
+                        slot,
+                        EventKind::Timeout,
+                        format!("{what} gave up"),
+                    );
+                    return false;
+                }
             }
-            self.barrier_pause();
         }
-        true
     }
 
     /// Waits until our own slot-`slot` block has been generated (the
     /// verify worker's hand-off from the generation thread).
     pub(super) fn wait_own_generated(&self, slot: u64) -> bool {
-        self.wait_until(slot, format_args!("own slot-{slot} generation"), || {
-            self.shared
-                .own_digests
-                .lock()
-                .expect("own digests poisoned")
-                .contains_key(&slot)
+        self.wait_until(slot, format_args!("own slot-{slot} generation"), |book| {
+            passed_if(book.own_digests.contains_key(&slot))
         })
     }
 
     /// Waits until the local verify watermark reaches `target`.
     pub(super) fn wait_verified_through(&self, target: u64) -> bool {
         let what = format_args!("own verification below slot {target}");
-        self.wait_until(target, what, || {
-            self.shared.verified_through.load(Ordering::Relaxed) >= target
+        self.wait_until(target, what, |book| {
+            passed_if(book.verified_through >= target)
         })
     }
 
@@ -275,42 +274,28 @@ impl NetNode {
     /// live roster — eviction shrinks the set mid-wait) announced its
     /// digest for `slot`, pulling stragglers with [`Control::DigestReq`].
     pub(super) fn digest_barrier(&self, from: &[NodeId], slot: u64) -> bool {
-        let mut next_pull = Instant::now() + Duration::from_millis(120);
-        self.wait_until(slot, format_args!("slot-{slot} digest barrier"), || {
-            let missing: Vec<NodeId> = {
-                let buffered = self.shared.digests.lock().expect("digests poisoned");
-                let roster = self.shared.roster();
-                from.iter()
-                    .filter(|nb| roster.generates_at(**nb, slot))
-                    .filter(|nb| {
-                        !buffered
-                            .get(nb)
-                            .is_some_and(|per_slot| per_slot.contains_key(&slot))
-                    })
-                    .copied()
-                    .collect()
-            };
+        let mut next_pull = Instant::now() + RESEND_PERIOD;
+        self.wait_until(slot, format_args!("slot-{slot} digest barrier"), |book| {
+            let missing: Vec<NodeId> = from
+                .iter()
+                .filter(|&&nb| book.roster.generates_at(nb, slot) && book.heard(nb, slot).is_none())
+                .copied()
+                .collect();
             if missing.is_empty() {
-                return true;
+                return ControlFlow::Break(());
             }
-            self.maybe_evict(&missing, slot);
+            let mut sends = self.maybe_evict(book, &missing, slot);
             let now = Instant::now();
             if now >= next_pull {
-                let addrs: Vec<SocketAddr> = {
-                    let roster = self.shared.roster();
+                sends.extend(
                     missing
                         .iter()
-                        .filter_map(|&nb| roster.request_addr(nb))
-                        .collect()
-                };
-                for addr in addrs {
-                    let _ = self
-                        .endpoint
-                        .send_control(addr, &Control::DigestReq { slot });
-                }
-                next_pull = now + Duration::from_millis(120);
+                        .filter_map(|&nb| book.roster.request_addr(nb))
+                        .map(|addr| (addr, Control::DigestReq { slot }, None)),
+                );
+                next_pull = now + RESEND_PERIOD;
             }
-            false
+            ControlFlow::Continue(sends)
         })
     }
 
@@ -321,89 +306,94 @@ impl NetNode {
     /// completed `slot` (the window gate), which is how a late joiner with
     /// no own progress at `slot` catches up without deadlocking.
     pub(super) fn done_barrier(&self, slot: u64) -> bool {
-        let mut next_push = Instant::now() + Duration::from_millis(120);
-        self.wait_until(slot, format_args!("slot-{slot} done barrier"), || {
-            let blocked: Vec<(NodeId, SocketAddr)> = {
-                let done = self.shared.done.lock().expect("done poisoned");
-                self.generator_addrs(slot)
-                    .into_iter()
-                    .filter(|(p, _)| done.get(p).is_none_or(|&s| s < slot))
-                    .collect()
-            };
+        let mut next_push = Instant::now() + RESEND_PERIOD;
+        self.wait_until(slot, format_args!("slot-{slot} done barrier"), |book| {
+            let mut blocked = book.roster.peer_addrs_at(slot, self.config.id);
+            blocked.retain(|(p, _)| book.done.get(p).is_none_or(|&s| s < slot));
             if blocked.is_empty() {
-                return true;
+                return ControlFlow::Break(());
             }
             let ids: Vec<NodeId> = blocked.iter().map(|(p, _)| *p).collect();
-            self.maybe_evict(&ids, slot);
+            let mut sends = self.maybe_evict(book, &ids, slot);
             let now = Instant::now();
             if now >= next_push {
                 // Read fresh each pass: a verify worker can complete `slot`
                 // mid-wait.
-                let executed_slot = self.shared.verified_through.load(Ordering::Relaxed) > slot;
-                for (_, addr) in &blocked {
+                let executed_slot = book.verified_through > slot;
+                let pull = Control::DigestReq {
+                    slot: slot + self.shared.window,
+                };
+                for (_, addr) in blocked {
                     if executed_slot {
                         // If our SlotDone was lost, the peers are the ones
                         // blocked — on us — and the mutual re-broadcast
                         // releases everyone.
-                        let _ = self
-                            .endpoint
-                            .send_control(*addr, &Control::SlotDone { slot });
+                        sends.push((addr, Control::SlotDone { slot }, None));
                     }
-                    let _ = self.endpoint.send_control(
-                        *addr,
-                        &Control::DigestReq {
-                            slot: slot + self.shared.window,
-                        },
-                    );
+                    sends.push((addr, pull, None));
                 }
-                next_push = now + Duration::from_millis(120);
+                next_push = now + RESEND_PERIOD;
             }
-            false
+            ControlFlow::Continue(sends)
         })
     }
 
     /// Evicts any of `blocking` that was heard from once but has been
     /// silent beyond the configured window: records the departure at
     /// `slot` in the roster (so barriers stop waiting), cuts the peer off
-    /// from requests, and gossips the eviction so the cluster converges.
-    fn maybe_evict(&self, blocking: &[NodeId], slot: u64) {
+    /// from requests, and returns the `Leave`s that gossip the eviction so
+    /// the cluster converges.
+    fn maybe_evict(&self, book: &mut Book, blocking: &[NodeId], slot: u64) -> Sends {
+        let mut sends = Sends::new();
         let Some(window) = self.config.evict_after else {
-            return;
+            return sends;
         };
         for &peer in blocking {
-            let evictee_addr = {
-                let mut roster = self.shared.roster();
-                if !roster.gone_quiet(peer, window) || !roster.evict(peer, slot) {
-                    continue;
-                }
-                roster.cut(peer)
-            };
+            let roster = &mut book.roster;
+            if !roster.gone_quiet(peer, window) || !roster.evict(peer, slot) {
+                continue;
+            }
+            let evictee_addr = roster.cut(peer);
             NetMetrics::inc(&self.endpoint.metrics().evictions);
             self.shared.telemetry.journal.record(
                 slot,
                 EventKind::Membership,
                 format!("evicted silent peer {peer} at slot {slot}"),
             );
-            // Tell the evictee too: `generator_addrs` no longer lists it,
-            // and when every honest node evicts inside the same quiet
-            // window the `news` re-gossip guard fires nowhere, so without
-            // a direct send the verdict never reaches the peer it names
-            // (a flapper waits on exactly that signal to start rejoining).
-            let mut targets = self.generator_addrs(slot);
+            // Tell the evictee too: the roster no longer lists it as a
+            // generator, and when every honest node evicts inside the same
+            // quiet window the `news` re-gossip guard fires nowhere, so
+            // without a direct send the verdict never reaches the peer it
+            // names (a flapper waits on exactly that signal to start
+            // rejoining).
+            let mut targets = roster.peer_addrs_at(slot, self.config.id);
             if let Some(addr) = evictee_addr {
                 targets.push((peer, addr));
             }
-            for (_, addr) in targets {
-                let _ = self
-                    .endpoint
-                    .send_control(addr, &Control::Leave { node: peer, slot });
-            }
+            let leave = Control::Leave { node: peer, slot };
+            sends.extend(targets.into_iter().map(|(_, addr)| (addr, leave, None)));
         }
+        sends
     }
 
     /// All generating members at `slot` (other than us) whose address is
     /// known — the gossip/lockstep fan-out set.
     pub(super) fn generator_addrs(&self, slot: u64) -> Vec<(NodeId, SocketAddr)> {
-        self.shared.roster().peer_addrs_at(slot, self.config.id)
+        self.shared
+            .book()
+            .roster
+            .peer_addrs_at(slot, self.config.id)
+    }
+}
+
+/// How often a blocked barrier re-sends its pulls and pushes.
+const RESEND_PERIOD: Duration = Duration::from_millis(120);
+
+/// A barrier check that only waits for `passed`, sending nothing meanwhile.
+fn passed_if(passed: bool) -> ControlFlow<(), Sends> {
+    if passed {
+        ControlFlow::Break(())
+    } else {
+        ControlFlow::Continue(Sends::new())
     }
 }

@@ -59,8 +59,9 @@ use crate::transport::{FaultSpec, FaultyTransport, UdpTransport};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 use tldag_core::attack::Behavior;
@@ -301,97 +302,181 @@ fn gossip_trace_ctx(shared: &Shared, origin: u32, slot: u64, prefix: u64) -> Opt
     })
 }
 
-/// Every member generating at `slot` other than `me`.
-fn other_generators(shared: &Shared, me: NodeId, slot: u64) -> Vec<NodeId> {
-    let roster = shared.roster();
-    let mut generators = roster.generators_at(slot);
-    generators.retain(|&p| p != me);
-    generators
+/// How long one park on the book lasts at most before a wait looks again
+/// at its clocks (pull and push periods, eviction windows, deadlines).
+const PARK_QUANTUM: Duration = Duration::from_millis(25);
+
+/// Datagrams decided under the book (with the trace context each carries),
+/// sent by [`send_all`] once the book is released.
+type Sends = Vec<(SocketAddr, Control, Option<TraceContext>)>;
+
+fn send_all(endpoint: &Endpoint, sends: Sends) {
+    for (addr, msg, ctx) in sends {
+        let _ = endpoint.send_control_traced(addr, &msg, ctx);
+    }
 }
 
 /// Shared state between the slot loop and the inbound dispatcher thread.
+///
+/// Locks are taken in the order `topology → node → book`, and the book is
+/// never held across a datagram send, a PoP walk or an fsync.
 struct Shared {
     node: RwLock<LedgerNode>,
     /// The deployment graph, mutated at slot boundaries as membership
     /// changes apply (joins add radio links, leaves cut them).
     topology: RwLock<Topology>,
+    /// Everything else the two threads share that changes.
+    book: Mutex<Book>,
+    /// Wakes the waits parked on [`Shared::book`]; notified after every
+    /// change a wait may be parked on.
+    changed: Condvar,
+    /// The configured epoch window; the dispatcher needs it to infer
+    /// completion watermarks from digests.
+    window: u64,
+    /// Histograms + journal, shared with the dispatcher, the metrics
+    /// listener, and (via [`NetNode::telemetry`]) in-process harnesses.
+    telemetry: Arc<NodeTelemetry>,
+}
+
+/// A node's mutable bookkeeping apart from its chain: one plain value
+/// behind [`Shared::book`], so a wait checks it and parks under one lock.
+#[derive(Default)]
+struct Book {
     /// The membership book: who generates at which slot, where each
     /// member is reached, and when it was last heard.
-    roster: Mutex<Roster>,
+    roster: Roster,
     /// Slot-tagged digests heard per peer (pruned as slots complete).
-    digests: Mutex<HashMap<NodeId, BTreeMap<u64, Digest>>>,
+    digests: HashMap<NodeId, BTreeMap<u64, Digest>>,
     /// Own digest per recent slot, serving [`Control::DigestReq`] pulls
     /// (pruned past the deepest lag any live barrier can exhibit).
-    own_digests: Mutex<BTreeMap<u64, Digest>>,
+    own_digests: BTreeMap<u64, Digest>,
     /// Peers that acknowledged our hello (founders) or join announcement
     /// (joiners).
-    hello_acks: Mutex<HashSet<NodeId>>,
+    hello_acks: HashSet<NodeId>,
     /// Highest slot each peer is known to have *completed* (generation and
     /// verification) — from [`Control::SlotDone`] directly, or inferred
     /// from a [`Control::SlotDigest`] (generating slot `t` implies `t-1`
     /// completed everywhere). Drives the PoP-mode phase lockstep.
-    done: Mutex<HashMap<NodeId, u64>>,
+    done: HashMap<NodeId, u64>,
     /// The join handshake's ack, once received: responder, its current
     /// slot, and how many roster entries to expect.
-    join_ack: Mutex<Option<(NodeId, u64, u32)>>,
+    join_ack: Option<(NodeId, u64, u32)>,
     /// Ids received via [`Control::RosterEntry`] (handshake completion).
-    transfer_seen: Mutex<HashSet<NodeId>>,
+    transfer_seen: HashSet<NodeId>,
     /// The slot the loop currently executes (served to join handshakes).
-    current_slot: AtomicU64,
-    /// The configured epoch window; the dispatcher needs it to infer
-    /// completion watermarks from digests.
-    window: u64,
+    current_slot: u64,
     /// Our own verify watermark: every slot below it has been committed
     /// locally (`commit_slot`: verified in PoP mode, gossiped otherwise).
-    verified_through: AtomicU64,
+    verified_through: u64,
     /// `request_retries` as of the last slot commit — the cursor that
     /// journals each retransmission exactly once.
-    retries_journaled: AtomicU64,
-    /// Version counter + condvar forming the slot loop's progress signal:
-    /// bumped whenever shared protocol state changes (digest heard, done
-    /// watermark raised, membership delta, own slot verified), so barrier
-    /// waits park instead of polling.
-    progress: Mutex<u64>,
-    /// Wakes the waits parked on [`Shared::progress`].
-    progress_cv: Condvar,
+    retries_journaled: u64,
     /// Generation start times of slots still in the pipeline, consumed at
     /// the slot's commit (end-to-end latency).
-    slot_started: Mutex<HashMap<u64, Instant>>,
+    slot_started: HashMap<u64, Instant>,
     /// One half of the slot loop failed mid-run: the other must wind down
     /// instead of waiting out its timeouts slot by slot.
-    pipeline_abort: AtomicBool,
+    pipeline_abort: bool,
     /// Controller asked us to exit.
-    shutdown: AtomicBool,
+    shutdown: bool,
     /// Controller acknowledged our report.
-    report_acked: AtomicBool,
-    /// Histograms + journal, shared with the dispatcher, the metrics
-    /// listener, and (via [`NetNode::telemetry`]) in-process harnesses.
-    telemetry: Arc<NodeTelemetry>,
+    report_acked: bool,
     /// Traced block identities heard per slot — `(origin, prefix)` from
     /// inbound digest gossip's trace contexts — consumed at the slot's
     /// local commit point to stamp every known block of the slot with a
     /// [`SpanKind::Committed`] span. Empty when tracing is off.
-    trace_keys: Mutex<BTreeMap<u64, Vec<(u32, u64)>>>,
+    trace_keys: BTreeMap<u64, Vec<(u32, u64)>>,
     /// The resolved metrics listener address (meaningful with port 0),
     /// reported back in the [`RunReport`].
-    metrics_resolved: Mutex<Option<SocketAddr>>,
+    metrics_addr: Option<SocketAddr>,
     /// Peers flagged as adversarial from wire evidence — conflicting
     /// `SlotDigest` pairs or rejected rejoin flaps — exported as the
     /// `tldag_adversaries_detected` gauge and named in the journal.
-    suspects: Mutex<HashSet<NodeId>>,
+    suspects: HashSet<NodeId>,
     /// The PoP blacklist's banned-peer count, sampled after every PoP run
     /// (the blacklist itself travels with whoever holds the trust state)
     /// and exported as the `tldag_blacklist_banned` gauge.
-    blacklist_banned: AtomicU64,
+    blacklist_banned: u64,
     /// Dark-mode flag for the flapping adversary: while set, the
     /// dispatcher neither serves requests nor acks control traffic, so
     /// honest peers see the silence their eviction logic keys on.
-    muted: AtomicBool,
+    muted: bool,
+}
+
+impl Book {
+    /// The slot-`slot` digest heard from `peer`, if any.
+    fn heard(&self, peer: NodeId, slot: u64) -> Option<Digest> {
+        self.digests.get(&peer)?.get(&slot).copied()
+    }
+
+    /// Every member generating at `slot` other than `me`.
+    fn other_generators(&self, me: NodeId, slot: u64) -> Vec<NodeId> {
+        let mut generators = self.roster.generators_at(slot);
+        generators.retain(|&p| p != me);
+        generators
+    }
+
+    /// Raises `peer`'s highest-completed-slot watermark (monotonic).
+    fn mark_done(&mut self, peer: NodeId, slot: u64) {
+        let entry = self.done.entry(peer).or_insert(slot);
+        *entry = (*entry).max(slot);
+    }
 }
 
 impl Shared {
-    fn roster(&self) -> MutexGuard<'_, Roster> {
-        self.roster.lock().expect("roster poisoned")
+    fn new(node: LedgerNode, topology: Topology, roster: Roster, window: u64, trace: bool) -> Self {
+        Shared {
+            node: RwLock::new(node),
+            topology: RwLock::new(topology),
+            book: Mutex::new(Book {
+                roster,
+                ..Book::default()
+            }),
+            changed: Condvar::new(),
+            window,
+            telemetry: Arc::new(NodeTelemetry::with_span_capacity(
+                JOURNAL_CAPACITY,
+                if trace { DEFAULT_SPAN_CAPACITY } else { 0 },
+            )),
+        }
+    }
+
+    /// The book, for a read or a change no wait is parked on.
+    fn book(&self) -> MutexGuard<'_, Book> {
+        self.book.lock().expect("book poisoned")
+    }
+
+    /// Applies `change` to the book and wakes every wait parked on it.
+    fn update<T>(&self, change: impl FnOnce(&mut Book) -> T) -> T {
+        let out = change(&mut self.book());
+        self.changed.notify_all();
+        out
+    }
+
+    /// Parks on the book until `check` returns `Some` or `until` passes.
+    /// `check` runs under the lock, and the condvar releases that lock only
+    /// as it parks, so a change made after a failed check is always seen:
+    /// its notify finds the wait parked, or the change lands before the
+    /// next check.
+    fn park<T>(&self, until: Instant, mut check: impl FnMut(&mut Book) -> Option<T>) -> Option<T> {
+        let mut book = self.book();
+        loop {
+            let mut found = None;
+            let quantum = until
+                .saturating_duration_since(Instant::now())
+                .min(PARK_QUANTUM);
+            book = self
+                .changed
+                .wait_timeout_while(book, quantum, |book| {
+                    found = check(book);
+                    found.is_none()
+                })
+                .expect("book poisoned")
+                .0;
+            if found.is_some() || Instant::now() >= until {
+                return found;
+            }
+        }
     }
 }
 
@@ -503,40 +588,13 @@ need --join)",
         Ok(NetNode {
             cfg,
             endpoint: Arc::new(endpoint),
-            shared: Arc::new(Shared {
-                node: RwLock::new(node),
-                topology: RwLock::new(topology),
-                roster: Mutex::new(roster),
-                digests: Mutex::new(HashMap::new()),
-                own_digests: Mutex::new(BTreeMap::new()),
-                hello_acks: Mutex::new(HashSet::new()),
-                done: Mutex::new(HashMap::new()),
-                join_ack: Mutex::new(None),
-                transfer_seen: Mutex::new(HashSet::new()),
-                current_slot: AtomicU64::new(0),
-                window: config.window,
-                verified_through: AtomicU64::new(0),
-                retries_journaled: AtomicU64::new(0),
-                progress: Mutex::new(0),
-                progress_cv: Condvar::new(),
-                slot_started: Mutex::new(HashMap::new()),
-                pipeline_abort: AtomicBool::new(false),
-                shutdown: AtomicBool::new(false),
-                report_acked: AtomicBool::new(false),
-                telemetry: Arc::new(NodeTelemetry::with_span_capacity(
-                    JOURNAL_CAPACITY,
-                    if config.trace {
-                        DEFAULT_SPAN_CAPACITY
-                    } else {
-                        0
-                    },
-                )),
-                trace_keys: Mutex::new(BTreeMap::new()),
-                metrics_resolved: Mutex::new(None),
-                suspects: Mutex::new(HashSet::new()),
-                blacklist_banned: AtomicU64::new(0),
-                muted: AtomicBool::new(false),
-            }),
+            shared: Arc::new(Shared::new(
+                node,
+                topology,
+                roster,
+                config.window,
+                config.trace,
+            )),
             config,
         })
     }
@@ -615,11 +673,7 @@ need --join)",
                 // a harness can find the listener.
                 let resolved = server.addr();
                 println!("metrics listening on {resolved}");
-                *self
-                    .shared
-                    .metrics_resolved
-                    .lock()
-                    .expect("metrics addr poisoned") = Some(resolved);
+                self.shared.book().metrics_addr = Some(resolved);
                 Some(server)
             }
             None => None,
@@ -645,7 +699,9 @@ need --join)",
             Some(bootstrap) => {
                 let started = Instant::now();
                 let slot = self.join_handshake(bootstrap)?;
-                catch_up_ms = started.elapsed().as_millis() as u64;
+                // Whole milliseconds, at least one: a loopback handshake
+                // can finish inside one, and 0 means no handshake ran.
+                catch_up_ms = (started.elapsed().as_millis() as u64).max(1);
                 slot
             }
             None => {
@@ -730,11 +786,7 @@ need --join)",
             slot_loop_ms,
             degraded,
             net: self.endpoint.stats(),
-            metrics_addr: *self
-                .shared
-                .metrics_resolved
-                .lock()
-                .expect("metrics addr poisoned"),
+            metrics_addr: self.shared.book().metrics_addr,
         };
         self.epilogue(&run);
         Ok(NodeOutcome {
@@ -749,12 +801,18 @@ need --join)",
         let serve_for = match self.config.controller {
             Some(controller) => {
                 let deadline = Instant::now() + self.config.slot_timeout;
-                while !self.shared.report_acked.load(Ordering::Relaxed) && Instant::now() < deadline
-                {
+                while Instant::now() < deadline {
                     let _ = self
                         .endpoint
                         .send_control(controller, &Control::Report(*run));
-                    std::thread::sleep(Duration::from_millis(100));
+                    let resend = Instant::now() + Duration::from_millis(100);
+                    if self
+                        .shared
+                        .park(resend, |b| b.report_acked.then_some(()))
+                        .is_some()
+                    {
+                        break;
+                    }
                 }
                 // Keep serving until the controller releases the cluster (it
                 // does so only after *every* node reported) or we time out.
@@ -765,28 +823,19 @@ need --join)",
             None => self.config.linger,
         };
         let release = Instant::now() + serve_for;
-        while !self.shared.shutdown.load(Ordering::Relaxed) && Instant::now() < release {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        self.shared.park(release, |b| b.shutdown.then_some(()));
     }
-}
-
-/// Bumps the progress version and wakes every wait parked on it.
-fn notify_progress(shared: &Shared) {
-    let mut version = shared.progress.lock().expect("progress poisoned");
-    *version = version.wrapping_add(1);
-    shared.progress_cv.notify_all();
 }
 
 /// Tells the other half of the slot loop to wind down, waking its waits.
 fn abort_pipeline(shared: &Shared) {
-    shared.pipeline_abort.store(true, Ordering::Relaxed);
-    notify_progress(shared);
+    shared.update(|b| b.pipeline_abort = true);
 }
 
 /// Assembles a [`MetricsView`] from the node's live state — called by the
-/// metrics listener per scrape, under short read locks so a scrape never
-/// stalls the slot loop beyond a lock handoff.
+/// metrics listener per scrape, under short locks taken one after the other
+/// (the node's, then the book's), so a scrape never stalls the slot loop
+/// beyond a lock handoff.
 fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> MetricsView {
     let (chain_len, durable_len, pruned_floor, fsync_count, segment_count) = {
         let node = shared.node.read().expect("node lock poisoned");
@@ -799,32 +848,27 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
             store.segment_count(),
         )
     };
-    let (roster_members, roster_departed) = {
-        let roster = shared.roster();
-        (
-            roster.entries().count() as u64,
-            roster
-                .entries()
-                .filter(|(_, m)| m.leave_slot.is_some())
-                .count() as u64,
-        )
-    };
-    let current = shared.current_slot.load(Ordering::Relaxed);
-    let verified = shared.verified_through.load(Ordering::Relaxed);
+    let book = shared.book();
+    let roster = &book.roster;
+    let roster_members = roster.entries().count() as u64;
+    let roster_departed = roster
+        .entries()
+        .filter(|(_, m)| m.leave_slot.is_some())
+        .count() as u64;
+    let current = book.current_slot;
     // Occupancy: slots in flight between generation and verification (1
     // mid-slot at `W = 1`, up to `window` otherwise).
-    let window_occupancy = (current + 1).saturating_sub(verified);
+    let window_occupancy = (current + 1).saturating_sub(book.verified_through);
     // Lag: how far the slowest generating peer's completion watermark
-    // trails our current slot. Locks taken sequentially, never nested.
-    let watermark_lag = {
-        let generators = other_generators(shared, node_id, current);
-        let done = shared.done.lock().expect("done poisoned");
-        generators
-            .iter()
-            .map(|p| done.get(p).copied().unwrap_or(0))
-            .min()
-            .map_or(0, |low| current.saturating_sub(low))
-    };
+    // trails our current slot.
+    let watermark_lag = book
+        .other_generators(node_id, current)
+        .iter()
+        .map(|p| book.done.get(p).copied().unwrap_or(0))
+        .min()
+        .map_or(0, |low| current.saturating_sub(low));
+    let (blacklist_banned, adversaries_detected) = (book.blacklist_banned, book.suspects.len());
+    drop(book);
     let telemetry = &shared.telemetry;
     MetricsView {
         node: node_id,
@@ -843,8 +887,8 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
         segment_count,
         roster_members,
         roster_departed,
-        blacklist_banned: shared.blacklist_banned.load(Ordering::Relaxed),
-        adversaries_detected: shared.suspects.lock().expect("suspects poisoned").len() as u64,
+        blacklist_banned,
+        adversaries_detected: adversaries_detected as u64,
         journal_len: telemetry.journal.len() as u64,
         journal_dropped: telemetry.journal.dropped(),
         trace_spans: telemetry.spans.recorded(),
@@ -857,5 +901,64 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
         fsync: telemetry.fsync.snapshot(),
         slot_latency: telemetry.slot_latency.snapshot(),
         batch_fill: endpoint.batch_fill().snapshot(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    /// A node's shared state with no socket, for exercising the book alone.
+    fn bare_shared() -> Shared {
+        let cfg = deployment_protocol_config(3);
+        let node =
+            LedgerNode::with_backend(NodeId(0), Vec::new(), &cfg, Box::new(BlockStore::new()));
+        let topology = deployment_topology(1, 4, 300.0);
+        Shared::new(node, topology, Roster::founders(4), 1, false)
+    }
+
+    /// A change another thread makes right after a wait's first (failed)
+    /// check still wakes the wait at once: the check and the park happen
+    /// under the book's one lock, so the change lands either before the
+    /// check or after the park, never in between where its notify would
+    /// reach no waiter and the wait would sleep out its quantum.
+    #[test]
+    fn a_change_right_after_the_check_wakes_the_wait() {
+        let shared = &bare_shared();
+        let rendezvous = &Barrier::new(2);
+        std::thread::scope(|scope| {
+            for target in 1..=100u64 {
+                let changer = scope.spawn(move || {
+                    rendezvous.wait();
+                    // Take the book the moment the waiter lets go of it.
+                    let mut book = loop {
+                        if let Ok(book) = shared.book.try_lock() {
+                            break book;
+                        }
+                        std::hint::spin_loop();
+                    };
+                    book.verified_through = target;
+                    drop(book);
+                    shared.changed.notify_all();
+                });
+                let mut first = true;
+                let started = Instant::now();
+                let woke = shared.park(started + Duration::from_secs(5), |book| {
+                    let passed = book.verified_through >= target;
+                    if std::mem::take(&mut first) {
+                        rendezvous.wait();
+                    }
+                    passed.then_some(())
+                });
+                let waited = started.elapsed();
+                changer.join().expect("changer panicked");
+                assert_eq!(woke, Some(()), "wait {target} timed out");
+                assert!(
+                    waited < PARK_QUANTUM * 4 / 5,
+                    "wait {target} took {waited:?}: the change's wake-up was missed"
+                );
+            }
+        });
     }
 }

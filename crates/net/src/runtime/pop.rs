@@ -48,9 +48,9 @@ pub fn serve_wire_request(node: &LedgerNode, msg: &WireMessage) -> Option<WireMe
 pub struct NetPopTransport<'a> {
     /// The validator's endpoint.
     pub endpoint: &'a Endpoint,
-    /// The membership book requests are addressed from
-    /// ([`Roster::request_addr`]).
-    pub roster: &'a Mutex<Roster>,
+    /// Where a peer's requests go ([`Roster::request_addr`] in the
+    /// caller's membership book); `None` skips the peer as unreachable.
+    pub addr_of: &'a dyn Fn(NodeId) -> Option<SocketAddr>,
     /// When set, child requests carry this horizon so run-ahead responders
     /// answer from their store *as of that slot* — a validator inside the
     /// slot loop must see exactly what the engine's Verify phase saw.
@@ -61,15 +61,6 @@ pub struct NetPopTransport<'a> {
     pub spans: Option<&'a SpanStore>,
 }
 
-impl NetPopTransport<'_> {
-    fn request_addr(&self, peer: NodeId) -> Option<SocketAddr> {
-        self.roster
-            .lock()
-            .expect("roster poisoned")
-            .request_addr(peer)
-    }
-}
-
 impl PopTransport for NetPopTransport<'_> {
     fn fetch_block(
         &mut self,
@@ -77,7 +68,7 @@ impl PopTransport for NetPopTransport<'_> {
         owner: NodeId,
         id: BlockId,
     ) -> Option<FetchResponse> {
-        let addr = self.request_addr(owner)?;
+        let addr = (self.addr_of)(owner)?;
         let msg = WireMessage::FetchBlock {
             from: validator,
             id,
@@ -112,7 +103,7 @@ impl PopTransport for NetPopTransport<'_> {
         target: Digest,
     ) -> Option<tldag_core::pop::messages::ChildResponse> {
         use tldag_core::pop::messages::ChildResponse;
-        let addr = self.request_addr(responder)?;
+        let addr = (self.addr_of)(responder)?;
         let msg = match self.horizon {
             Some(horizon) => WireMessage::ReqChildAt {
                 from: validator,
@@ -206,9 +197,10 @@ impl NetNode {
         // pipeline drained to the boundary first).
         let topology = self.shared.topology.read().expect("topology poisoned");
         let mut pop_rng = derived_rng(self.config.seed, stream::POP, slot, self.config.id);
+        let addr_of = |peer| self.shared.book().roster.request_addr(peer);
         let mut transport = NetPopTransport {
             endpoint: &self.endpoint,
-            roster: &self.shared.roster,
+            addr_of: &addr_of,
             horizon: Some(slot),
             spans: self
                 .shared

@@ -14,9 +14,7 @@ impl NetNode {
     pub(super) fn slot_loop(&self, start_slot: u64, end_slot: u64) -> Result<bool, String> {
         // Slots before our first are nobody's to verify: a joiner's drain
         // and window gates measure from its own start.
-        self.shared
-            .verified_through
-            .store(start_slot, Ordering::Relaxed);
+        self.shared.update(|b| b.verified_through = start_slot);
         if !self.config.pop {
             return self.generation_loop(start_slot, end_slot, None);
         }
@@ -44,9 +42,8 @@ impl NetNode {
                     for slot in start_slot..end_slot {
                         // Our own slot-`slot` block must exist before the
                         // PoP scans.
-                        if self.shared.pipeline_abort.load(Ordering::Relaxed)
-                            || !self.wait_own_generated(slot)
-                        {
+                        let aborted = self.shared.book().pipeline_abort;
+                        if aborted || !self.wait_own_generated(slot) {
                             state.degraded = true;
                             break;
                         }
@@ -114,7 +111,7 @@ impl NetNode {
         let mut behavior_applied = false;
         let telemetry = &self.shared.telemetry;
         for slot in start_slot..end_slot {
-            self.shared.current_slot.store(slot, Ordering::Relaxed);
+            self.shared.book().current_slot = slot;
             telemetry
                 .journal
                 .record(slot, EventKind::SlotStart, format!("slot {slot} begins"));
@@ -129,11 +126,7 @@ impl NetNode {
                 }
                 self.activate_behavior(slot);
             }
-            self.shared
-                .slot_started
-                .lock()
-                .expect("slot started poisoned")
-                .insert(slot, Instant::now());
+            self.shared.book().slot_started.insert(slot, Instant::now());
             // Membership mutates the topology and neighbor set the verify
             // step reads; drain the pipeline to the boundary first so
             // every slot before the change is verified under the graph it
@@ -204,34 +197,27 @@ impl NetNode {
                 (digest, equivocation)
             };
             let gossip_started = Instant::now();
-            {
-                let mut own = self
-                    .shared
-                    .own_digests
-                    .lock()
-                    .expect("own digests poisoned");
-                own.insert(slot, digest);
+            // A verify worker may be parked on this very digest. PoP walks
+            // the whole DAG, so in PoP mode every generating peer needs the
+            // digest (the verify step's barrier proves global generation
+            // progress); without PoP only neighbors consume it.
+            let gossip_targets: Vec<(NodeId, SocketAddr)> = self.shared.update(|book| {
+                book.own_digests.insert(slot, digest);
                 // Peers can lag at most one window, but a late joiner's
                 // catch-up pull may reach further back; 64 slots of
                 // 32-byte history is cheap insurance.
-                *own = own.split_off(&slot.saturating_sub(64));
-            }
+                book.own_digests = book.own_digests.split_off(&slot.saturating_sub(64));
+                if self.config.pop {
+                    book.roster.peer_addrs_at(slot, id)
+                } else {
+                    neighbors
+                        .iter()
+                        .filter_map(|&nb| Some((nb, book.roster.request_addr(nb)?)))
+                        .collect()
+                }
+            });
             let prefix = digest.prefix_u64();
             record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
-            // A verify worker may be parked on this very digest.
-            notify_progress(&self.shared);
-            // PoP walks the whole DAG, so in PoP mode every generating peer
-            // needs the digest (the verify step's barrier proves global
-            // generation progress); without PoP only neighbors consume it.
-            let gossip_targets: Vec<(NodeId, SocketAddr)> = if self.config.pop {
-                self.generator_addrs(slot)
-            } else {
-                let roster = self.shared.roster();
-                neighbors
-                    .iter()
-                    .filter_map(|&nb| Some((nb, roster.request_addr(nb)?)))
-                    .collect()
-            };
             let trace_ctx = gossip_trace_ctx(&self.shared, id.0, slot, prefix);
             for (_, addr) in &gossip_targets {
                 let _ = self.endpoint.send_control_traced(
@@ -276,7 +262,7 @@ impl NetNode {
         // The engine's verify phase starts after *all* generation in the
         // slot: wait until every generating peer announced its slot-t
         // digest, proving its chain holds its blocks through t.
-        let all_generators = other_generators(&self.shared, id, slot);
+        let all_generators = self.shared.book().other_generators(id, slot);
         state.degraded |= !self.digest_barrier(&all_generators, slot);
         if self.folds_in_verify() {
             let fold_started = Instant::now();
@@ -293,18 +279,15 @@ impl NetNode {
         let target = if self.adversary_active(slot) {
             None
         } else {
-            let roster = self.shared.roster();
             let min_age = self.config.nodes as u64; // the paper's workload default
             let mut target_rng = derived_rng(self.config.seed, stream::TARGET, slot, id);
-            wire_target_pool(&roster, slot, min_age).choose(id, &mut target_rng)
+            wire_target_pool(&self.shared.book().roster, slot, min_age).choose(id, &mut target_rng)
         };
         if let Some(target) = target {
             telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
             let pop_started = Instant::now();
             let report = self.run_pop_with(slot, target, state);
-            self.shared
-                .blacklist_banned
-                .store(state.blacklist.banned_count() as u64, Ordering::Relaxed);
+            self.shared.book().blacklist_banned = state.blacklist.banned_count() as u64;
             telemetry.pop_rtt.record(pop_started.elapsed());
             telemetry.merge_pop(&report.metrics);
             if report.is_success() {
@@ -361,24 +344,19 @@ impl NetNode {
         let mut complete = true;
         let mut folded: Vec<(NodeId, Digest)> = Vec::new();
         for &nb in neighbors {
-            if !self.shared.roster().generates_at(nb, of) {
-                continue;
-            }
-            let buffered = || {
-                self.shared
-                    .digests
-                    .lock()
-                    .expect("digests poisoned")
-                    .get(&nb)
-                    .and_then(|per_slot| per_slot.get(&of))
-                    .copied()
+            let buffered = {
+                let book = self.shared.book();
+                if !book.roster.generates_at(nb, of) {
+                    continue;
+                }
+                book.heard(nb, of)
             };
             // A conflict discard can empty the entry between the caller's
             // barrier and this read; the re-barrier pulls the canonical
             // digest back from the peer directly.
-            let entry = buffered().or_else(|| {
+            let entry = buffered.or_else(|| {
                 self.digest_barrier(std::slice::from_ref(&nb), of)
-                    .then(buffered)
+                    .then(|| self.shared.book().heard(nb, of))
                     .flatten()
             });
             match entry {
@@ -410,8 +388,7 @@ impl NetNode {
         // verify step reads digest *presence* up to `window` slots behind
         // generation — so the buffer stays O(window), not O(slots).
         let keep_from = (of + 1).saturating_sub(self.config.window);
-        let mut buffered = self.shared.digests.lock().expect("digests poisoned");
-        for per_slot in buffered.values_mut() {
+        for per_slot in self.shared.book().digests.values_mut() {
             *per_slot = per_slot.split_off(&keep_from);
         }
         complete
@@ -424,7 +401,7 @@ impl NetNode {
     fn commit_slot(&self, slot: u64) {
         let telemetry = &self.shared.telemetry;
         let total = self.endpoint.stats().request_retries;
-        let retries = total - self.shared.retries_journaled.swap(total, Ordering::Relaxed);
+        let retries = total - std::mem::replace(&mut self.shared.book().retries_journaled, total);
         if retries > 0 {
             telemetry.journal.record(
                 slot,
@@ -433,16 +410,10 @@ impl NetNode {
             );
         }
         self.record_slot_committed(slot);
-        self.shared
-            .verified_through
-            .store(slot + 1, Ordering::Relaxed);
-        notify_progress(&self.shared);
-        let started = self
-            .shared
-            .slot_started
-            .lock()
-            .expect("slot started poisoned")
-            .remove(&slot);
+        let started = self.shared.update(|book| {
+            book.verified_through = slot + 1;
+            book.slot_started.remove(&slot)
+        });
         if let Some(started) = started {
             telemetry.slot_latency.record(started.elapsed());
         }
@@ -467,13 +438,14 @@ impl NetNode {
             return;
         }
         let me = self.config.id.0;
-        let own = self
-            .shared
-            .own_digests
-            .lock()
-            .expect("own digests poisoned")
-            .get(&slot)
-            .copied();
+        let (own, heard) = {
+            let mut book = self.shared.book();
+            let own = book.own_digests.get(&slot).copied();
+            let heard = book.trace_keys.remove(&slot).unwrap_or_default();
+            // Keys below the committed slot can never be consumed anymore.
+            book.trace_keys = book.trace_keys.split_off(&slot);
+            (own, heard)
+        };
         if let Some(digest) = own {
             record_span(
                 &self.shared,
@@ -484,13 +456,6 @@ impl NetNode {
                 SpanKind::Committed,
             );
         }
-        let heard = {
-            let mut keys = self.shared.trace_keys.lock().expect("trace keys poisoned");
-            let heard = keys.remove(&slot).unwrap_or_default();
-            // Keys below the committed slot can never be consumed anymore.
-            *keys = keys.split_off(&slot);
-            heard
-        };
         for (origin, prefix) in heard {
             record_span(&self.shared, me, slot, origin, prefix, SpanKind::Committed);
         }

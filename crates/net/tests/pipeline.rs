@@ -90,8 +90,8 @@ fn interleaved_fragments_under_dup_and_reorder_always_reassemble() {
                         assert_eq!(from, NodeId(1));
                         assert_eq!(block.id, want);
                         assert_eq!(
-                            block.body.payload,
-                            vec![seq as u8; 8 * 1024],
+                            &block.body.payload[..],
+                            &[seq as u8; 8 * 1024][..],
                             "lane {lane}: reassembly returned a corrupt payload"
                         );
                     }

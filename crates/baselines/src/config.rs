@@ -10,17 +10,17 @@ use tldag_sim::Bits;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BaselineConfig {
     /// Block/transaction body size `C` in bits.
-    pub body_bits: u64,
+    pub(crate) body_bits: u64,
     /// Hash size in bits (`f_H`).
-    pub f_h: u64,
+    pub(crate) f_h: u64,
     /// Signature size in bits (`f_s`).
-    pub f_s: u64,
+    pub(crate) f_s: u64,
     /// Constant header overhead in bits (version + time + nonce, etc.).
-    pub header_const_bits: u64,
+    pub(crate) header_const_bits: u64,
     /// Framing overhead per message in bits.
-    pub framing_bits: u64,
+    pub(crate) framing_bits: u64,
     /// Number of parents an IOTA transaction approves.
-    pub iota_parents: usize,
+    pub(crate) iota_parents: usize,
 }
 
 impl BaselineConfig {
@@ -58,22 +58,17 @@ impl BaselineConfig {
     }
 
     /// Size of a PBFT `PRE-PREPARE` (carries the full block).
-    pub fn pre_prepare_bits(&self) -> Bits {
+    pub(crate) fn pre_prepare_bits(&self) -> Bits {
         self.block_bits() + Bits::from_bits(self.framing_bits)
     }
 
     /// Size of a PBFT `PREPARE`/`COMMIT` vote (digest + signature).
-    pub fn vote_bits(&self) -> Bits {
-        Bits::from_bits(self.f_h + self.f_s + self.framing_bits)
-    }
-
-    /// Size of a PBFT `VIEW-CHANGE` message (simplified: digest + signature).
-    pub fn view_change_bits(&self) -> Bits {
+    pub(crate) fn vote_bits(&self) -> Bits {
         Bits::from_bits(self.f_h + self.f_s + self.framing_bits)
     }
 
     /// Size of an IOTA transaction on the wire: block + two parent hashes.
-    pub fn iota_tx_bits(&self) -> Bits {
+    pub(crate) fn iota_tx_bits(&self) -> Bits {
         self.block_bits() + Bits::from_bits(self.f_h * self.iota_parents as u64 + self.framing_bits)
     }
 }

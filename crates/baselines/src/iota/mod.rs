@@ -12,8 +12,8 @@
 //! `2|E| − (|V| − 1)` transmissions per transaction. Per-node totals are
 //! derived from the BFS trees, which are precomputed once per topology.
 
-pub mod tangle;
-pub mod tips;
+pub(crate) mod tangle;
+pub(crate) mod tips;
 
 pub use tangle::{Tangle, Transaction, TxId};
 pub use tips::{select_tips, TipSelection};
@@ -128,11 +128,6 @@ impl IotaNetwork {
         &self.tangle
     }
 
-    /// The physical topology used for gossip.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Executes one slot: every node issues one transaction and floods it.
     pub fn step(&mut self) {
         let slot = self.slot;
@@ -149,13 +144,6 @@ impl IotaNetwork {
             self.flood_tx(issuer);
         }
         self.slot += 1;
-    }
-
-    /// Runs `k` slots.
-    pub fn run_slots(&mut self, k: u64) {
-        for _ in 0..k {
-            self.step();
-        }
     }
 
     fn flood_tx(&mut self, issuer: NodeId) {
@@ -177,12 +165,12 @@ impl IotaNetwork {
     }
 
     /// Current slot.
-    pub fn slot(&self) -> Slot {
+    pub(crate) fn slot(&self) -> Slot {
         self.slot
     }
 
     /// Per-node storage: the full tangle at every node.
-    pub fn storage_bits_per_node(&self) -> Vec<Bits> {
+    pub(crate) fn storage_bits_per_node(&self) -> Vec<Bits> {
         vec![self.tangle.total_bits(); self.topology.len()]
     }
 
@@ -193,8 +181,17 @@ impl IotaNetwork {
 }
 
 #[cfg(test)]
+impl IotaNetwork {
+    /// The physical topology used for gossip.
+    fn topology(&self) -> &Topology {
+        &self.topology
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::LedgerSim;
     use tldag_sim::topology::TopologyConfig;
 
     fn net(n: usize, seed: u64) -> IotaNetwork {

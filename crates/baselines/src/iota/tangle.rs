@@ -14,10 +14,10 @@ pub struct TxId(pub u32);
 
 impl TxId {
     /// The genesis transaction id.
-    pub const GENESIS: TxId = TxId(0);
+    pub(crate) const GENESIS: TxId = TxId(0);
 
     /// Index into the tangle's transaction list.
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -26,15 +26,15 @@ impl TxId {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Transaction {
     /// This transaction's id.
-    pub id: TxId,
+    pub(crate) id: TxId,
     /// Node that issued it.
-    pub issuer: NodeId,
+    pub(crate) issuer: NodeId,
     /// Slot in which it was issued.
-    pub slot: Slot,
+    pub(crate) slot: Slot,
     /// Approved transactions (empty only for genesis).
-    pub parents: Vec<TxId>,
+    pub(crate) parents: Vec<TxId>,
     /// Wire/storage size.
-    pub bits: Bits,
+    pub(crate) bits: Bits,
 }
 
 /// The append-only tangle.
@@ -73,20 +73,15 @@ impl Tangle {
         self.txs.is_empty()
     }
 
-    /// A transaction by id.
-    pub fn get(&self, id: TxId) -> Option<&Transaction> {
-        self.txs.get(id.index())
-    }
-
     /// Current tips (no approvers), in ascending id order.
-    pub fn tips(&self) -> Vec<TxId> {
+    pub(crate) fn tips(&self) -> Vec<TxId> {
         let mut tips: Vec<TxId> = self.tips.iter().copied().collect();
         tips.sort_unstable();
         tips
     }
 
     /// Direct approvers of `id`.
-    pub fn children(&self, id: TxId) -> &[TxId] {
+    pub(crate) fn children(&self, id: TxId) -> &[TxId] {
         &self.children[id.index()]
     }
 
@@ -120,31 +115,15 @@ impl Tangle {
     }
 
     /// Total storage of the full tangle (what **every** IOTA node keeps).
-    pub fn total_bits(&self) -> Bits {
+    pub(crate) fn total_bits(&self) -> Bits {
         self.txs.iter().map(|t| t.bits).sum()
-    }
-
-    /// Exact number of transactions that directly or transitively approve
-    /// `id` (its descendant count), via BFS.
-    pub fn descendant_count(&self, id: TxId) -> usize {
-        let mut seen = HashSet::new();
-        let mut queue = vec![id];
-        while let Some(cur) = queue.pop() {
-            for &child in self.children(cur) {
-                if seen.insert(child) {
-                    queue.push(child);
-                }
-            }
-        }
-        seen.len()
     }
 
     /// Cumulative weights (1 + descendant count) for every transaction,
     /// computed by the standard DP approximation over the reverse topological
     /// order (append order is topological). Diamond shapes are over-counted,
-    /// as in common IOTA implementations; the exact value is available via
-    /// [`Self::descendant_count`].
-    pub fn cumulative_weights_approx(&self) -> Vec<u64> {
+    /// as in common IOTA implementations.
+    pub(crate) fn cumulative_weights_approx(&self) -> Vec<u64> {
         let mut w = vec![1u64; self.txs.len()];
         for i in (0..self.txs.len()).rev() {
             for child in &self.children[i] {
@@ -170,6 +149,24 @@ impl Tangle {
             }
             false
         })
+    }
+}
+
+#[cfg(test)]
+impl Tangle {
+    /// Exact number of transactions that directly or transitively approve
+    /// `id` (its descendant count), via BFS.
+    fn descendant_count(&self, id: TxId) -> usize {
+        let mut seen = HashSet::new();
+        let mut queue = vec![id];
+        while let Some(cur) = queue.pop() {
+            for &child in self.children(cur) {
+                if seen.insert(child) {
+                    queue.push(child);
+                }
+            }
+        }
+        seen.len()
     }
 }
 

@@ -12,8 +12,9 @@
 //!   tips; every node stores the entire tangle, and every transaction floods
 //!   the physical network.
 //!
-//! Both implement the [`LedgerSim`] trait so the bench harness can sweep all
-//! three systems (including [`tldag_core::network::TldagNetwork`]) uniformly.
+//! Both implement the [`ledger::LedgerSim`] trait so the bench harness can
+//! sweep all three systems (including
+//! [`tldag_core::network::TldagNetwork`]) uniformly.
 //!
 //! # Example
 //!
@@ -36,10 +37,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
+pub(crate) mod config;
 pub mod iota;
 pub mod ledger;
 pub mod pbft;
 
 pub use config::BaselineConfig;
-pub use ledger::LedgerSim;

@@ -1,14 +1,14 @@
 //! A message-driven PBFT cluster for protocol-correctness tests.
 //!
 //! Wires [`Replica`]s together through an in-memory queue with full byte
-//! accounting. Faulty replicas can be silenced (crash faults) to exercise
-//! quorum margins and view changes. The experiment-scale model
-//! ([`crate::pbft::PbftNetwork`]) shares the same message-size definitions
-//! but accounts phases in aggregate; `consistency` tests in the workspace
-//! assert the two agree.
+//! accounting. It is the happy-path reference for the experiment-scale model
+//! ([`crate::pbft::PbftNetwork`]), which shares the same message-size
+//! definitions but accounts phases in aggregate; `tests/cross_system.rs`
+//! asserts the two agree. Tests can silence replicas (crash faults) to
+//! exercise quorum margins.
 
 use crate::config::BaselineConfig;
-use crate::pbft::messages::{BlockMeta, Destination, PbftMessage};
+use crate::pbft::messages::{BlockMeta, PbftMessage};
 use crate::pbft::replica::Replica;
 use std::collections::VecDeque;
 use tldag_sim::bus::{Accounting, TrafficClass};
@@ -36,16 +36,6 @@ impl PbftCluster {
         }
     }
 
-    /// Crash-faults a replica: it neither sends nor processes messages.
-    pub fn silence(&mut self, id: NodeId) {
-        self.silenced[id.index()] = true;
-    }
-
-    /// Read access to a replica.
-    pub fn replica(&self, id: NodeId) -> &Replica {
-        &self.replicas[id.index()]
-    }
-
     /// The accounting ledger.
     pub fn accounting(&self) -> &Accounting {
         &self.accounting
@@ -55,7 +45,7 @@ impl PbftCluster {
     /// to quiescence. Returns `true` when a quorum of live replicas committed
     /// the block.
     pub fn submit(&mut self, client: NodeId, block: BlockMeta) -> bool {
-        let primary = self.replicas[0].primary_of(self.current_view());
+        let primary = self.replicas[0].primary_of(0);
         self.enqueue(client, primary, PbftMessage::Request { block });
         self.run_to_quiescence();
         let committed = self
@@ -67,48 +57,20 @@ impl PbftCluster {
         committed > 2 * self.replicas[0].f()
     }
 
-    /// Triggers a view change from every live replica (used when the primary
-    /// is silenced) and drives it to completion.
-    pub fn force_view_change(&mut self) {
-        let ids: Vec<NodeId> = (0..self.replicas.len() as u32).map(NodeId).collect();
-        for id in ids {
-            if self.silenced[id.index()] {
-                continue;
-            }
-            let out = self.replicas[id.index()].suspect_primary();
-            self.dispatch(id, out);
-        }
-        self.run_to_quiescence();
-    }
-
-    /// The view agreed by the (first live) replica.
-    pub fn current_view(&self) -> u64 {
-        self.replicas
-            .iter()
-            .zip(&self.silenced)
-            .find(|(_, &s)| !s)
-            .map(|(r, _)| r.view())
-            .unwrap_or(0)
-    }
-
     fn enqueue(&mut self, from: NodeId, to: NodeId, msg: PbftMessage) {
         self.accounting
             .record(from, to, TrafficClass::Pbft, msg.bits(&self.cfg));
         self.queue.push_back((from, to, msg));
     }
 
-    fn dispatch(&mut self, from: NodeId, outbound: Vec<(Destination, PbftMessage)>) {
-        for (dest, msg) in outbound {
-            match dest {
-                Destination::Broadcast => {
-                    for i in 0..self.replicas.len() as u32 {
-                        let to = NodeId(i);
-                        if to != from {
-                            self.enqueue(from, to, msg);
-                        }
-                    }
+    /// Sends each outbound message to every other replica.
+    fn broadcast(&mut self, from: NodeId, outbound: Vec<PbftMessage>) {
+        for msg in outbound {
+            for i in 0..self.replicas.len() as u32 {
+                let to = NodeId(i);
+                if to != from {
+                    self.enqueue(from, to, msg);
                 }
-                Destination::One(to) => self.enqueue(from, to, msg),
             }
         }
     }
@@ -119,8 +81,21 @@ impl PbftCluster {
                 continue;
             }
             let out = self.replicas[to.index()].handle(from, msg);
-            self.dispatch(to, out);
+            self.broadcast(to, out);
         }
+    }
+}
+
+#[cfg(test)]
+impl PbftCluster {
+    /// Crash-faults a replica: it neither sends nor processes messages.
+    fn silence(&mut self, id: NodeId) {
+        self.silenced[id.index()] = true;
+    }
+
+    /// Read access to a replica.
+    fn replica(&self, id: NodeId) -> &Replica {
+        &self.replicas[id.index()]
     }
 }
 
@@ -185,16 +160,6 @@ mod tests {
         cluster.silence(NodeId(2));
         cluster.silence(NodeId(3)); // 2 > f = 1
         assert!(!cluster.submit(NodeId(1), block(1)));
-    }
-
-    #[test]
-    fn view_change_elects_new_primary_and_recovers() {
-        let mut cluster = PbftCluster::new(BaselineConfig::test_default(), 4);
-        cluster.silence(NodeId(0)); // kill the view-0 primary
-        assert!(!cluster.submit(NodeId(1), block(1)), "dead primary stalls");
-        cluster.force_view_change();
-        assert_eq!(cluster.current_view(), 1);
-        assert!(cluster.submit(NodeId(1), block(2)), "new primary commits");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! PBFT wire messages (Castro & Liskov, OSDI '99), simplified to what the
-//! evaluation and the protocol tests need: the three happy-path phases plus
-//! a view-change.
+//! evaluation and the protocol tests need: the three happy-path phases.
 
 use crate::config::BaselineConfig;
 use tldag_crypto::Digest;
@@ -23,7 +22,7 @@ pub struct BlockMeta {
 
 /// A PBFT protocol message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PbftMessage {
+pub(crate) enum PbftMessage {
     /// Client request carrying a block to order (client → primary).
     Request {
         /// The block to order.
@@ -60,34 +59,17 @@ pub enum PbftMessage {
         /// Voting replica.
         replica: NodeId,
     },
-    /// Vote to move to `new_view` after a primary failure (all → all).
-    ViewChange {
-        /// The proposed new view.
-        new_view: u64,
-        /// Voting replica.
-        replica: NodeId,
-    },
 }
 
 impl PbftMessage {
     /// Logical wire size of the message.
-    pub fn bits(&self, cfg: &BaselineConfig) -> Bits {
+    pub(crate) fn bits(&self, cfg: &BaselineConfig) -> Bits {
         match self {
             PbftMessage::Request { block } => block.bits + Bits::from_bits(cfg.framing_bits),
             PbftMessage::PrePrepare { .. } => cfg.pre_prepare_bits(),
             PbftMessage::Prepare { .. } | PbftMessage::Commit { .. } => cfg.vote_bits(),
-            PbftMessage::ViewChange { .. } => cfg.view_change_bits(),
         }
     }
-}
-
-/// Delivery target of an outbound message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Destination {
-    /// Send to every other replica.
-    Broadcast,
-    /// Send to one replica.
-    One(NodeId),
 }
 
 #[cfg(test)]

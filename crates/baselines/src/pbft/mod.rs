@@ -2,7 +2,7 @@
 //!
 //! Two layers:
 //!
-//! * [`replica`]/[`cluster`] — a message-driven PBFT state machine with
+//! * `replica`/`cluster` — a message-driven PBFT state machine with
 //!   views, quorums, and crash-fault handling, used by protocol tests.
 //! * [`PbftNetwork`] — the experiment-scale model: per slot, every IoT node's
 //!   block runs through the three-phase protocol and is appended to a chain
@@ -10,13 +10,12 @@
 //!   the cluster's happy path but accounted in `O(n)` aggregate operations,
 //!   which is what makes 50-node × 200-slot sweeps instant.
 
-pub mod cluster;
-pub mod messages;
-pub mod replica;
+pub(crate) mod cluster;
+pub(crate) mod messages;
+pub(crate) mod replica;
 
 pub use cluster::PbftCluster;
-pub use messages::{BlockMeta, PbftMessage};
-pub use replica::Replica;
+pub use messages::BlockMeta;
 
 use crate::config::BaselineConfig;
 use tldag_crypto::sha256::Sha256;
@@ -61,18 +60,8 @@ impl PbftNetwork {
         }
     }
 
-    /// Number of replicas.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the network has no replicas.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The view-0 primary.
-    pub fn primary(&self) -> NodeId {
+    pub(crate) fn primary(&self) -> NodeId {
         NodeId(0)
     }
 
@@ -96,13 +85,6 @@ impl PbftNetwork {
             self.commit_instance(block);
         }
         self.slot += 1;
-    }
-
-    /// Runs `k` slots.
-    pub fn run_slots(&mut self, k: u64) {
-        for _ in 0..k {
-            self.step();
-        }
     }
 
     /// Accounts one happy-path consensus instance and appends the block.
@@ -163,7 +145,7 @@ impl PbftNetwork {
     }
 
     /// Current slot count.
-    pub fn slot(&self) -> Slot {
+    pub(crate) fn slot(&self) -> Slot {
         self.slot
     }
 
@@ -173,7 +155,7 @@ impl PbftNetwork {
     }
 
     /// Per-node storage: the full replicated chain at every node.
-    pub fn storage_bits_per_node(&self) -> Vec<Bits> {
+    pub(crate) fn storage_bits_per_node(&self) -> Vec<Bits> {
         vec![self.chain_bits; self.n]
     }
 
@@ -186,6 +168,7 @@ impl PbftNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::LedgerSim;
     use tldag_sim::topology::TopologyConfig;
     use tldag_sim::DetRng;
 

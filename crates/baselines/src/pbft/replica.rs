@@ -1,13 +1,11 @@
 //! A PBFT replica state machine.
 //!
-//! Implements the happy path (pre-prepare → prepare → commit with `2f` /
-//! `2f + 1` quorums) and a simplified view change: on suspecting the primary,
-//! replicas broadcast `VIEW-CHANGE` votes and adopt the new view once `2f + 1`
-//! replicas agree. Checkpointing, watermarks, and the new-view certificate
-//! are out of scope — the evaluation needs the message/storage profile and a
+//! Implements the happy path of view 0: pre-prepare → prepare → commit with
+//! `2f` / `2f + 1` quorums. View changes, checkpointing and watermarks are
+//! out of scope — the evaluation needs the message/storage profile and a
 //! correct ordering core, not a production PBFT.
 
-use crate::pbft::messages::{BlockMeta, Destination, PbftMessage};
+use crate::pbft::messages::{BlockMeta, PbftMessage};
 use std::collections::{HashMap, HashSet};
 use tldag_crypto::Digest;
 use tldag_sim::NodeId;
@@ -23,7 +21,7 @@ struct Instance {
 
 /// A PBFT replica.
 #[derive(Clone, Debug)]
-pub struct Replica {
+pub(crate) struct Replica {
     id: NodeId,
     n: usize,
     view: u64,
@@ -31,7 +29,6 @@ pub struct Replica {
     instances: HashMap<(u64, u64), Instance>,
     chain: Vec<BlockMeta>,
     committed_digests: HashSet<Digest>,
-    view_change_votes: HashMap<u64, HashSet<NodeId>>,
 }
 
 impl Replica {
@@ -40,7 +37,7 @@ impl Replica {
     /// # Panics
     ///
     /// Panics if `n == 0` or `id` is outside the cluster.
-    pub fn new(id: NodeId, n: usize) -> Self {
+    pub(crate) fn new(id: NodeId, n: usize) -> Self {
         assert!(n > 0, "cluster must be non-empty");
         assert!(id.index() < n, "replica id out of range");
         Replica {
@@ -51,42 +48,31 @@ impl Replica {
             instances: HashMap::new(),
             chain: Vec::new(),
             committed_digests: HashSet::new(),
-            view_change_votes: HashMap::new(),
         }
     }
 
     /// Number of tolerated Byzantine replicas, `f = ⌊(n-1)/3⌋`.
-    pub fn f(&self) -> usize {
+    pub(crate) fn f(&self) -> usize {
         (self.n - 1) / 3
     }
 
     /// The primary of view `v` (round-robin).
-    pub fn primary_of(&self, view: u64) -> NodeId {
+    pub(crate) fn primary_of(&self, view: u64) -> NodeId {
         NodeId((view % self.n as u64) as u32)
     }
 
     /// Whether this replica is the current primary.
-    pub fn is_primary(&self) -> bool {
+    pub(crate) fn is_primary(&self) -> bool {
         self.primary_of(self.view) == self.id
     }
 
-    /// Current view number.
-    pub fn view(&self) -> u64 {
-        self.view
-    }
-
-    /// The committed chain.
-    pub fn chain(&self) -> &[BlockMeta] {
-        &self.chain
-    }
-
     /// Whether `digest` has been committed.
-    pub fn has_committed(&self, digest: &Digest) -> bool {
+    pub(crate) fn has_committed(&self, digest: &Digest) -> bool {
         self.committed_digests.contains(digest)
     }
 
-    /// Handles one message, returning outbound messages.
-    pub fn handle(&mut self, from: NodeId, msg: PbftMessage) -> Vec<(Destination, PbftMessage)> {
+    /// Handles one message, returning the messages to broadcast.
+    pub(crate) fn handle(&mut self, from: NodeId, msg: PbftMessage) -> Vec<PbftMessage> {
         match msg {
             PbftMessage::Request { block } => self.on_request(block),
             PbftMessage::PrePrepare { view, seq, block } => {
@@ -104,25 +90,10 @@ impl Replica {
                 digest,
                 replica,
             } => self.on_commit(view, seq, digest, replica),
-            PbftMessage::ViewChange { new_view, replica } => self.on_view_change(new_view, replica),
         }
     }
 
-    /// Starts a view change (called when the primary is suspected).
-    pub fn suspect_primary(&mut self) -> Vec<(Destination, PbftMessage)> {
-        let new_view = self.view + 1;
-        let mut out = self.on_view_change(new_view, self.id);
-        out.push((
-            Destination::Broadcast,
-            PbftMessage::ViewChange {
-                new_view,
-                replica: self.id,
-            },
-        ));
-        out
-    }
-
-    fn on_request(&mut self, block: BlockMeta) -> Vec<(Destination, PbftMessage)> {
+    fn on_request(&mut self, block: BlockMeta) -> Vec<PbftMessage> {
         if !self.is_primary() {
             return Vec::new(); // non-primaries ignore direct requests
         }
@@ -133,10 +104,7 @@ impl Replica {
         let instance = self.instances.entry((view, seq)).or_default();
         instance.block = Some(block);
         instance.prepares.insert(self.id);
-        vec![(
-            Destination::Broadcast,
-            PbftMessage::PrePrepare { view, seq, block },
-        )]
+        vec![PbftMessage::PrePrepare { view, seq, block }]
     }
 
     fn on_pre_prepare(
@@ -145,7 +113,7 @@ impl Replica {
         view: u64,
         seq: u64,
         block: BlockMeta,
-    ) -> Vec<(Destination, PbftMessage)> {
+    ) -> Vec<PbftMessage> {
         if view != self.view || from != self.primary_of(view) {
             return Vec::new();
         }
@@ -157,15 +125,12 @@ impl Replica {
         instance.prepares.insert(from); // primary's implicit prepare
         instance.prepares.insert(self.id);
         self.next_seq = self.next_seq.max(seq + 1);
-        let mut out = vec![(
-            Destination::Broadcast,
-            PbftMessage::Prepare {
-                view,
-                seq,
-                digest: block.digest,
-                replica: self.id,
-            },
-        )];
+        let mut out = vec![PbftMessage::Prepare {
+            view,
+            seq,
+            digest: block.digest,
+            replica: self.id,
+        }];
         out.extend(self.try_advance(view, seq));
         out
     }
@@ -176,7 +141,7 @@ impl Replica {
         seq: u64,
         digest: Digest,
         replica: NodeId,
-    ) -> Vec<(Destination, PbftMessage)> {
+    ) -> Vec<PbftMessage> {
         if view != self.view {
             return Vec::new();
         }
@@ -194,7 +159,7 @@ impl Replica {
         seq: u64,
         digest: Digest,
         replica: NodeId,
-    ) -> Vec<(Destination, PbftMessage)> {
+    ) -> Vec<PbftMessage> {
         if view != self.view {
             return Vec::new();
         }
@@ -207,7 +172,7 @@ impl Replica {
     }
 
     /// Fires prepared/committed transitions for an instance.
-    fn try_advance(&mut self, view: u64, seq: u64) -> Vec<(Destination, PbftMessage)> {
+    fn try_advance(&mut self, view: u64, seq: u64) -> Vec<PbftMessage> {
         let f = self.f();
         let mut out = Vec::new();
         let Some(instance) = self.instances.get_mut(&(view, seq)) else {
@@ -219,15 +184,12 @@ impl Replica {
         // Prepared: pre-prepare + 2f matching prepares (own vote included).
         if instance.prepares.len() > 2 * f && !instance.commits.contains(&self.id) {
             instance.commits.insert(self.id);
-            out.push((
-                Destination::Broadcast,
-                PbftMessage::Commit {
-                    view,
-                    seq,
-                    digest: block.digest,
-                    replica: self.id,
-                },
-            ));
+            out.push(PbftMessage::Commit {
+                view,
+                seq,
+                digest: block.digest,
+                replica: self.id,
+            });
         }
         // Committed: 2f + 1 commits.
         if instance.commits.len() > 2 * f
@@ -240,38 +202,13 @@ impl Replica {
         }
         out
     }
+}
 
-    fn on_view_change(
-        &mut self,
-        new_view: u64,
-        replica: NodeId,
-    ) -> Vec<(Destination, PbftMessage)> {
-        if new_view <= self.view {
-            return Vec::new();
-        }
-        let quorum = 2 * self.f() + 1;
-        let my_id = self.id;
-        let votes = self.view_change_votes.entry(new_view).or_default();
-        votes.insert(replica);
-        let mut out = Vec::new();
-        // Echo our own vote once someone else initiates (mutual suspicion).
-        if !votes.contains(&my_id) {
-            votes.insert(my_id);
-            out.push((
-                Destination::Broadcast,
-                PbftMessage::ViewChange {
-                    new_view,
-                    replica: my_id,
-                },
-            ));
-        }
-        if self.view_change_votes[&new_view].len() >= quorum {
-            self.view = new_view;
-            // Uncommitted instances of older views are abandoned; clients
-            // retransmit (simplification: no new-view certificate replay).
-            self.instances.retain(|&(v, _), _| v >= new_view);
-        }
-        out
+#[cfg(test)]
+impl Replica {
+    /// The committed chain.
+    pub(crate) fn chain(&self) -> &[BlockMeta] {
+        &self.chain
     }
 }
 
@@ -308,7 +245,7 @@ mod tests {
         let mut primary = Replica::new(NodeId(0), 4);
         let out1 = primary.handle(NodeId(1), PbftMessage::Request { block: block(1) });
         let out2 = primary.handle(NodeId(2), PbftMessage::Request { block: block(2) });
-        let seq_of = |out: &[(Destination, PbftMessage)]| match out[0].1 {
+        let seq_of = |out: &[PbftMessage]| match out[0] {
             PbftMessage::PrePrepare { seq, .. } => seq,
             _ => panic!("expected pre-prepare"),
         };
@@ -350,55 +287,17 @@ mod tests {
     }
 
     #[test]
-    fn stale_view_messages_ignored() {
-        let mut r = Replica::new(NodeId(1), 4);
-        // Move to view 1 via a quorum of view-changes.
-        r.handle(
-            NodeId(2),
-            PbftMessage::ViewChange {
-                new_view: 1,
-                replica: NodeId(2),
-            },
-        );
-        r.handle(
-            NodeId(3),
-            PbftMessage::ViewChange {
-                new_view: 1,
-                replica: NodeId(3),
-            },
-        );
-        assert_eq!(r.view(), 1);
-        // A view-0 pre-prepare is now stale.
+    fn other_view_messages_ignored() {
+        let mut r = Replica::new(NodeId(2), 4);
+        // A pre-prepare from view 1's primary does not reach a view-0 replica.
         let out = r.handle(
-            NodeId(0),
+            NodeId(1),
             PbftMessage::PrePrepare {
-                view: 0,
+                view: 1,
                 seq: 0,
                 block: block(1),
             },
         );
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn view_change_quorum_advances_view() {
-        let mut r = Replica::new(NodeId(0), 4);
-        assert_eq!(r.view(), 0);
-        r.handle(
-            NodeId(1),
-            PbftMessage::ViewChange {
-                new_view: 1,
-                replica: NodeId(1),
-            },
-        );
-        assert_eq!(r.view(), 0, "one external vote + own echo < quorum of 3");
-        r.handle(
-            NodeId(2),
-            PbftMessage::ViewChange {
-                new_view: 1,
-                replica: NodeId(2),
-            },
-        );
-        assert_eq!(r.view(), 1, "3 votes reach the 2f+1 = 3 quorum");
     }
 }

@@ -13,7 +13,7 @@
 //! how many pairs the change won, and a [`Verdict`]: *resolved* when the
 //! medians sit further apart than the parent's inter-quartile distance,
 //! *unresolved* otherwise, and *identical* when every run read the same.
-//! Below [`MIN_PAIRS`] pairs a row whose parent runs spread gets no timing
+//! Below `MIN_PAIRS` pairs a row whose parent runs spread gets no timing
 //! verdict at all; an exact row, where every parent run read one value,
 //! keeps its verdict at any count.
 //! The kernels' medians sit under the table, so calibration drift shows
@@ -25,29 +25,29 @@ use std::path::Path;
 use std::process::Command;
 
 /// The failed share of a run's operations, judged beside the metrics.
-pub const FAILED_SHARE: &str = "ops_failed_share";
+pub(crate) const FAILED_SHARE: &str = "ops_failed_share";
 
 /// Fewest pairs that can carry a verdict on a row whose parent runs spread.
-pub const MIN_PAIRS: usize = 10;
+pub(crate) const MIN_PAIRS: usize = 10;
 
 /// One benchmark run, parsed from its standard output.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Run {
     /// The result object's `correct` flag.
-    pub correct: bool,
+    pub(crate) correct: bool,
     /// Operations attempted.
-    pub attempted: u64,
+    pub(crate) attempted: u64,
     /// Operations that failed.
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// `(name, value)` of every metric, in the result object's order.
-    pub metrics: Vec<(String, f64)>,
+    pub(crate) metrics: Vec<(String, f64)>,
     /// `(kernel, p50 ms)` of every calibration kernel the run printed.
-    pub kernels: Vec<(String, f64)>,
+    pub(crate) kernels: Vec<(String, f64)>,
 }
 
 impl Run {
     /// The value of metric `name` ([`FAILED_SHARE`] included).
-    pub fn metric(&self, name: &str) -> Option<f64> {
+    pub(crate) fn metric(&self, name: &str) -> Option<f64> {
         if name == FAILED_SHARE {
             return Some(self.failed as f64 / self.attempted.max(1) as f64);
         }
@@ -83,7 +83,7 @@ fn string<'a>(text: &'a str, key: &str) -> Option<&'a str> {
 /// # Errors
 ///
 /// The last line is not a result object, or a field of it is missing.
-pub fn parse_run(stdout: &str) -> Result<Run, String> {
+pub(crate) fn parse_run(stdout: &str) -> Result<Run, String> {
     let line = stdout
         .lines()
         .rev()
@@ -163,7 +163,7 @@ fn sorted(values: &[f64]) -> Vec<f64> {
 }
 
 /// The median (linear between the two middle values).
-pub fn median(values: &[f64]) -> f64 {
+pub(crate) fn median(values: &[f64]) -> f64 {
     let v = sorted(values);
     match v.len() {
         0 => 0.0,
@@ -175,7 +175,7 @@ pub fn median(values: &[f64]) -> f64 {
 /// Third minus first quartile by Python's `statistics.quantiles(values,
 /// n=4)` (the "exclusive" method), the spread `tldag-benchmark --repeat`
 /// reports.
-pub fn iqr(values: &[f64]) -> f64 {
+pub(crate) fn iqr(values: &[f64]) -> f64 {
     let v = sorted(values);
     let n = v.len();
     if n < 2 {
@@ -202,7 +202,7 @@ pub enum Verdict {
 }
 
 /// Judges `change` against `parent` (one value per run each).
-pub fn verdict(parent: &[f64], change: &[f64]) -> Verdict {
+pub(crate) fn verdict(parent: &[f64], change: &[f64]) -> Verdict {
     let first = parent.first().or(change.first());
     if parent.iter().chain(change).all(|v| Some(v) == first) {
         Verdict::Identical
@@ -214,7 +214,7 @@ pub fn verdict(parent: &[f64], change: &[f64]) -> Verdict {
 }
 
 /// Pairs in which `change` is strictly better than `parent`.
-pub fn wins(parent: &[f64], change: &[f64], lower_is_better: bool) -> usize {
+pub(crate) fn wins(parent: &[f64], change: &[f64], lower_is_better: bool) -> usize {
     parent
         .iter()
         .zip(change)
@@ -223,7 +223,7 @@ pub fn wins(parent: &[f64], change: &[f64], lower_is_better: bool) -> usize {
 }
 
 /// The comparison table for one workload: every metric of `directions`
-/// plus [`FAILED_SHARE`], then the kernels' medians.
+/// plus `FAILED_SHARE`, then the kernels' medians.
 pub fn render(
     workload: &str,
     directions: &[(String, bool)],
@@ -311,7 +311,7 @@ pub fn render(
 
 /// Runs `bin --workload W --seconds S` to completion and parses it. A run
 /// with failed operations exits non-zero but still prints its result
-/// object: it is kept, and its failures count in [`FAILED_SHARE`].
+/// object: it is kept, and its failures count in `FAILED_SHARE`.
 ///
 /// # Errors
 ///

@@ -21,39 +21,39 @@ use tldag_sim::{Bits, DetRng, NodeId};
 
 /// Result of one path-selection strategy run.
 #[derive(Clone, Debug)]
-pub struct SelectionStats {
+pub(crate) struct SelectionStats {
     /// Strategy label.
-    pub label: String,
+    pub(crate) label: String,
     /// PoP runs measured.
-    pub runs: u64,
+    pub(crate) runs: u64,
     /// Success count.
-    pub successes: u64,
+    pub(crate) successes: u64,
     /// Mean `REQ_CHILD` messages per successful run.
-    pub mean_requests: f64,
+    pub(crate) mean_requests: f64,
     /// Mean path length per successful run.
-    pub mean_path_len: f64,
+    pub(crate) mean_path_len: f64,
     /// Mean rollbacks per run.
-    pub mean_rollbacks: f64,
+    pub(crate) mean_rollbacks: f64,
 }
 
 /// Shared scenario parameters for A1/A2.
 #[derive(Clone, Copy, Debug)]
-pub struct AblationConfig {
+pub(crate) struct AblationConfig {
     /// Nodes in the network.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Warm-up slots before measuring.
-    pub warmup_slots: u64,
+    pub(crate) warmup_slots: u64,
     /// PoP probes measured.
-    pub probes: usize,
+    pub(crate) probes: usize,
     /// Consensus margin.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl AblationConfig {
     /// Defaults sized for the paper topology.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         AblationConfig {
             nodes: 50,
             warmup_slots: 120,
@@ -64,7 +64,7 @@ impl AblationConfig {
     }
 
     /// Reduced run.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         AblationConfig {
             nodes: 14,
             warmup_slots: 40,
@@ -138,7 +138,7 @@ fn probe_targets(net: &TldagNetwork, count: usize, rng: &mut DetRng) -> Vec<(Nod
 }
 
 /// A1: WPS vs uniform-random next-hop selection.
-pub fn run_wps_ablation(cfg: &AblationConfig) -> Vec<SelectionStats> {
+pub(crate) fn run_wps_ablation(cfg: &AblationConfig) -> Vec<SelectionStats> {
     [
         ("WPS (Algorithm 1)", PathSelection::Weighted),
         ("random next-hop", PathSelection::Random),
@@ -186,20 +186,20 @@ pub fn run_wps_ablation(cfg: &AblationConfig) -> Vec<SelectionStats> {
 
 /// Result of the TPS ablation: message counts for repeated verification.
 #[derive(Clone, Debug)]
-pub struct TpsStats {
+pub(crate) struct TpsStats {
     /// "TPS enabled" / "TPS disabled".
-    pub label: String,
+    pub(crate) label: String,
     /// Requests in the first verification (cold cache).
-    pub first_run_requests: u64,
+    pub(crate) first_run_requests: u64,
     /// Mean requests across the repeat verifications.
-    pub mean_repeat_requests: f64,
+    pub(crate) mean_repeat_requests: f64,
     /// Mean TPS extensions across repeats.
-    pub mean_tps_extensions: f64,
+    pub(crate) mean_tps_extensions: f64,
 }
 
 /// A2: repeated verification of blocks in the same DAG region, with and
 /// without the trust cache.
-pub fn run_tps_ablation(cfg: &AblationConfig) -> Vec<TpsStats> {
+pub(crate) fn run_tps_ablation(cfg: &AblationConfig) -> Vec<TpsStats> {
     [true, false]
         .into_iter()
         .map(|enable_tps| {
@@ -242,21 +242,21 @@ pub fn run_tps_ablation(cfg: &AblationConfig) -> Vec<TpsStats> {
 /// Result of the multi-hop accounting ablation (A4, the paper's Sec. VII
 /// future-work quantification).
 #[derive(Clone, Debug)]
-pub struct MultihopStats {
+pub(crate) struct MultihopStats {
     /// "endpoint" / "multi-hop".
-    pub label: String,
+    pub(crate) label: String,
     /// Mean per-node transmitted consensus traffic, megabits.
-    pub mean_node_consensus_mb: f64,
+    pub(crate) mean_node_consensus_mb: f64,
     /// Network-wide consensus traffic, megabits.
-    pub network_consensus_mb: f64,
+    pub(crate) network_consensus_mb: f64,
     /// PoP success rate.
-    pub success_rate: f64,
+    pub(crate) success_rate: f64,
 }
 
 /// A4: endpoint-only vs shortest-physical-path accounting of PoP traffic.
 /// The gap is the relay burden that the paper's proposed validator-to-
 /// verifier routing optimisation would address.
-pub fn run_multihop_ablation(cfg: &AblationConfig) -> Vec<MultihopStats> {
+pub(crate) fn run_multihop_ablation(cfg: &AblationConfig) -> Vec<MultihopStats> {
     [false, true]
         .into_iter()
         .map(|multihop| {
@@ -305,19 +305,19 @@ pub fn run_multihop_ablation(cfg: &AblationConfig) -> Vec<MultihopStats> {
 
 /// One row of the bounds report (A3).
 #[derive(Clone, Debug)]
-pub struct BoundRow {
+pub(crate) struct BoundRow {
     /// Which proposition.
-    pub proposition: String,
+    pub(crate) proposition: String,
     /// Measured value.
-    pub measured: f64,
+    pub(crate) measured: f64,
     /// Analytic bound.
-    pub bound: f64,
+    pub(crate) bound: f64,
     /// Whether the bound holds.
-    pub holds: bool,
+    pub(crate) holds: bool,
 }
 
 /// A3: measured overhead vs Propositions 1–4 on an honest run.
-pub fn run_bounds_check(cfg: &AblationConfig) -> Vec<BoundRow> {
+pub(crate) fn run_bounds_check(cfg: &AblationConfig) -> Vec<BoundRow> {
     let mut net = build_network(cfg, PathSelection::Weighted, true);
     let schedule = GenerationSchedule::uniform(cfg.nodes);
     for _ in 0..cfg.warmup_slots {
@@ -411,7 +411,7 @@ pub fn run_bounds_check(cfg: &AblationConfig) -> Vec<BoundRow> {
 }
 
 /// A1 at `scale`.
-pub fn report_wps(scale: Scale) -> Report {
+pub(crate) fn report_wps(scale: Scale) -> Report {
     let cfg = AblationConfig::at_scale(scale);
     let mut table = Table::new("ablation_wps", "A1: next-hop selection strategy");
     for s in run_wps_ablation(&cfg) {
@@ -430,7 +430,7 @@ pub fn report_wps(scale: Scale) -> Report {
 }
 
 /// A2 at `scale`.
-pub fn report_tps(scale: Scale) -> Report {
+pub(crate) fn report_tps(scale: Scale) -> Report {
     let cfg = AblationConfig::at_scale(scale);
     let mut table = Table::new("ablation_tps", "A2: trust-cache (TPS) contribution");
     for s in run_tps_ablation(&cfg) {
@@ -447,7 +447,7 @@ pub fn report_tps(scale: Scale) -> Report {
 }
 
 /// A4 at `scale`.
-pub fn report_multihop(scale: Scale) -> Report {
+pub(crate) fn report_multihop(scale: Scale) -> Report {
     let cfg = AblationConfig::at_scale(scale);
     let stats = run_multihop_ablation(&cfg);
     let mut table = Table::new(
@@ -475,7 +475,7 @@ shortest-path validator→verifier routing",
 }
 
 /// A3 at `scale`; every bound is an invariant of the run.
-pub fn report_bounds(scale: Scale) -> Report {
+pub(crate) fn report_bounds(scale: Scale) -> Report {
     let cfg = AblationConfig::at_scale(scale);
     let mut report = cfg.report("ablation_bounds", scale);
     let mut table = Table::new(

@@ -48,26 +48,26 @@ const KINDS: [Behavior; 3] = [
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
-pub struct AdversaryConfig {
+pub(crate) struct AdversaryConfig {
     /// Founding nodes (no churn in this sweep — the adversaries are the
     /// variable under test).
-    pub founders: usize,
+    pub(crate) founders: usize,
     /// Protocol horizon in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Consensus parameter γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Experiment seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Slot from which every placed adversary switches on (honest until
     /// then, so the cluster always bootstraps cleanly).
-    pub from_slot: u64,
+    pub(crate) from_slot: u64,
     /// Adversary counts to sweep, each ≤ ⌊founders/3⌋.
-    pub levels: Vec<usize>,
+    pub(crate) levels: Vec<usize>,
 }
 
 impl AdversaryConfig {
     /// Sweep sized for `scale`.
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         match scale {
             Scale::Paper => AdversaryConfig {
                 founders: 9,
@@ -91,7 +91,7 @@ impl AdversaryConfig {
     /// The placement for one level: `k` adversaries on the highest ids,
     /// walking down, kinds cycling through `KINDS`. Deterministic, so
     /// the wire cluster and the engine reference see the identical cast.
-    pub fn placements(&self, adversaries: usize) -> Vec<AdversaryPlacement> {
+    pub(crate) fn placements(&self, adversaries: usize) -> Vec<AdversaryPlacement> {
         assert!(
             adversaries < self.founders,
             "at least one honest node must remain"
@@ -108,28 +108,28 @@ impl AdversaryConfig {
 
 /// Measurements at one adversary level.
 #[derive(Clone, Debug)]
-pub struct AdversaryPoint {
+pub(crate) struct AdversaryPoint {
     /// Byzantine nodes in the cluster.
-    pub adversaries: usize,
+    pub(crate) adversaries: usize,
     /// `adversaries / founders`.
-    pub fraction: f64,
+    pub(crate) fraction: f64,
     /// The cast, e.g. `"n5:selfish n4:equivocate"` (empty at level 0).
-    pub behaviors: String,
+    pub(crate) behaviors: String,
     /// PoP runs attempted by honest nodes.
-    pub honest_attempts: u64,
+    pub(crate) honest_attempts: u64,
     /// Honest PoP runs that reached consensus.
-    pub honest_successes: u64,
+    pub(crate) honest_successes: u64,
     /// The run judged against the engine reference under the same cast:
     /// honest-subset digest parity, the whole cluster's PoP counters and
     /// the detection counters (`digest_conflicts`, `conflict_pulls`).
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
     /// Wall-clock for the whole cluster run, ms.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
 }
 
 impl AdversaryPoint {
     /// Fraction of honest PoP runs that reached consensus.
-    pub fn honest_completion(&self) -> f64 {
+    pub(crate) fn honest_completion(&self) -> f64 {
         if self.honest_attempts == 0 {
             0.0
         } else {
@@ -140,13 +140,13 @@ impl AdversaryPoint {
 
 /// The sweep output.
 #[derive(Clone, Debug)]
-pub struct AdversaryData {
+pub(crate) struct AdversaryData {
     /// One point per adversary level, in sweep order.
-    pub points: Vec<AdversaryPoint>,
+    pub(crate) points: Vec<AdversaryPoint>,
 }
 
 /// Runs the sweep.
-pub fn run(config: &AdversaryConfig) -> AdversaryData {
+pub(crate) fn run(config: &AdversaryConfig) -> AdversaryData {
     let mut points = Vec::with_capacity(config.levels.len());
     for &adversaries in &config.levels {
         let placements = config.placements(adversaries);
@@ -204,7 +204,7 @@ pub fn run(config: &AdversaryConfig) -> AdversaryData {
 /// The adversary-fraction sweep at `scale`. Honest-subset digest parity
 /// and an undegraded barrier are invariants at every level; PoP-counter
 /// parity is a column.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = AdversaryConfig::at_scale(scale);
     let data = run(&cfg);
     let mut table = Table::new(

@@ -35,34 +35,34 @@ use tldag_sim::NodeId;
 /// One churn level of the sweep: how many late joins and graceful leaves
 /// the schedule contains.
 #[derive(Clone, Copy, Debug)]
-pub struct ChurnLevel {
+pub(crate) struct ChurnLevel {
     /// Late joiners (spawned mid-run, bootstrapped via the handshake).
-    pub joins: usize,
+    pub(crate) joins: usize,
     /// Graceful leavers (founders departing before the horizon).
-    pub leaves: usize,
+    pub(crate) leaves: usize,
 }
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
-pub struct ChurnConfig {
+pub(crate) struct ChurnConfig {
     /// Founding nodes.
-    pub founders: usize,
+    pub(crate) founders: usize,
     /// Protocol horizon in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Consensus parameter γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Experiment seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Injected datagram drop probability (duplication/reordering scaled
     /// off it, see [`FaultSpec::degraded`]).
-    pub loss: f64,
+    pub(crate) loss: f64,
     /// Churn levels to sweep.
-    pub levels: Vec<ChurnLevel>,
+    pub(crate) levels: Vec<ChurnLevel>,
 }
 
 impl ChurnConfig {
     /// Sweep sized for `scale`.
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         match scale {
             Scale::Paper => ChurnConfig {
                 founders: 6,
@@ -121,7 +121,7 @@ impl ChurnConfig {
     /// slot 2 on (consecutive ids past the founders), leaves walking back
     /// from two slots before the horizon (sparing founder 0, the
     /// bootstrap).
-    pub fn schedule(&self, level: ChurnLevel) -> Vec<ChurnEvent> {
+    pub(crate) fn schedule(&self, level: ChurnLevel) -> Vec<ChurnEvent> {
         let mut events = Vec::new();
         for j in 0..level.joins {
             events.push(ChurnEvent::Join {
@@ -143,44 +143,44 @@ impl ChurnConfig {
 /// One mid-run telemetry sample: the cluster's aggregated state as seen
 /// by scraping every live node's `/metrics` endpoint while slots advance.
 #[derive(Clone, Copy, Debug)]
-pub struct ChurnSample {
+pub(crate) struct ChurnSample {
     /// Highest slot any scraped node was executing.
-    pub slot: u64,
+    pub(crate) slot: u64,
     /// Nodes that answered the scrape.
-    pub nodes: u64,
+    pub(crate) nodes: u64,
     /// Blocks across all answering chains.
-    pub chain_total: u64,
+    pub(crate) chain_total: u64,
     /// PoP verifications attempted so far (sum).
-    pub pop_attempts: u64,
+    pub(crate) pop_attempts: u64,
     /// PoP verifications completed so far (sum).
-    pub pop_successes: u64,
+    pub(crate) pop_successes: u64,
     /// Request retransmissions so far (sum).
-    pub retries: u64,
+    pub(crate) retries: u64,
 }
 
 /// Measurements at one churn level.
 #[derive(Clone, Debug)]
-pub struct ChurnPoint {
+pub(crate) struct ChurnPoint {
     /// Late joins in the schedule.
-    pub joins: usize,
+    pub(crate) joins: usize,
     /// Graceful leaves in the schedule.
-    pub leaves: usize,
+    pub(crate) leaves: usize,
     /// The run judged against the engine reference on the same schedule.
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
     /// Mean joiner catch-up latency (handshake → announced), ms.
-    pub mean_catch_up_ms: f64,
+    pub(crate) mean_catch_up_ms: f64,
     /// Worst joiner catch-up latency, ms.
-    pub max_catch_up_ms: f64,
+    pub(crate) max_catch_up_ms: f64,
     /// Wall-clock for the whole cluster run, ms.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
     /// Mid-run telemetry time series, oldest first (scraped from the live
     /// nodes' metrics endpoints while the cluster ran).
-    pub samples: Vec<ChurnSample>,
+    pub(crate) samples: Vec<ChurnSample>,
 }
 
 impl ChurnPoint {
     /// Fraction of PoP runs that reached consensus.
-    pub fn completion(&self) -> f64 {
+    pub(crate) fn completion(&self) -> f64 {
         match self.verdict.wire_pop {
             (0, _) => 0.0,
             (attempts, successes) => successes as f64 / attempts as f64,
@@ -190,9 +190,9 @@ impl ChurnPoint {
 
 /// The sweep output.
 #[derive(Clone, Debug)]
-pub struct ChurnData {
+pub(crate) struct ChurnData {
     /// One point per churn level, in sweep order.
-    pub points: Vec<ChurnPoint>,
+    pub(crate) points: Vec<ChurnPoint>,
 }
 
 /// Scrapes the live cluster until every node has returned: the same path
@@ -227,7 +227,7 @@ fn sample_until_finished(
 }
 
 /// Runs the sweep.
-pub fn run(config: &ChurnConfig) -> ChurnData {
+pub(crate) fn run(config: &ChurnConfig) -> ChurnData {
     let mut points = Vec::with_capacity(config.levels.len());
     for &level in &config.levels {
         let events = config.schedule(level);
@@ -291,7 +291,7 @@ pub fn run(config: &ChurnConfig) -> ChurnData {
 
 /// The churn sweep at `scale`. Digest parity and an undegraded barrier
 /// are invariants at every churn level; PoP-counter parity is a column.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = ChurnConfig::at_scale(scale);
     let data = run(&cfg);
     let mut points = Table::new(

@@ -21,28 +21,28 @@ use tldag_sim::{Bits, DetRng};
 
 /// Parameters of the Fig. 7 sweep.
 #[derive(Clone, Debug)]
-pub struct Fig7Config {
+pub(crate) struct Fig7Config {
     /// Number of nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Horizon in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Sampling interval.
-    pub sample_every: u64,
+    pub(crate) sample_every: u64,
     /// Body sizes in MB, one panel each.
-    pub bodies_mb: Vec<f64>,
+    pub(crate) bodies_mb: Vec<f64>,
     /// Body size used for the CDF panel.
-    pub cdf_body_mb: f64,
+    pub(crate) cdf_body_mb: f64,
     /// Consensus margin for the 2LDAG runs.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Topology parameters.
-    pub topology: TopologyConfig,
+    pub(crate) topology: TopologyConfig,
     /// Root seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Fig7Config {
     /// Builds the configuration for a [`Scale`].
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         Fig7Config {
             nodes: scale.nodes(),
             slots: scale.slots(),
@@ -67,26 +67,24 @@ impl Fig7Config {
 
 /// One storage-vs-slots panel.
 #[derive(Clone, Debug)]
-pub struct Fig7Panel {
-    /// Body size for this panel, in MB.
-    pub c_mb: f64,
+pub(crate) struct Fig7Panel {
     /// Columns `slot`, `PBFT`, `IOTA`, `2LDAG`; y = mean node storage (MB).
-    pub series: Table,
+    pub(crate) series: Table,
 }
 
 /// The full Fig. 7 dataset.
 #[derive(Clone, Debug)]
-pub struct Fig7Data {
+pub(crate) struct Fig7Data {
     /// Panels (a)–(c).
-    pub panels: Vec<Fig7Panel>,
+    pub(crate) panels: Vec<Fig7Panel>,
     /// Panel (d): per-node 2LDAG storage (MB) at the final slot.
-    pub cdf: Cdf,
+    pub(crate) cdf: Cdf,
     /// Body size of the CDF panel.
-    pub cdf_body_mb: f64,
+    pub(crate) cdf_body_mb: f64,
 }
 
 /// Runs the sweep.
-pub fn run(cfg: &Fig7Config) -> Fig7Data {
+pub(crate) fn run(cfg: &Fig7Config) -> Fig7Data {
     let mut rng = DetRng::seed_from(cfg.seed);
     let topology = Topology::random_connected(&cfg.topology, &mut rng);
     let mut panels = Vec::new();
@@ -128,7 +126,7 @@ pub fn run(cfg: &Fig7Config) -> Fig7Data {
                 .map(|b| b.as_megabytes())
                 .collect();
         }
-        panels.push(Fig7Panel { c_mb, series });
+        panels.push(Fig7Panel { series });
     }
 
     Fig7Data {
@@ -139,7 +137,7 @@ pub fn run(cfg: &Fig7Config) -> Fig7Data {
 }
 
 /// Fig. 7 at `scale`: panels (a)–(c), then the CDF of panel (d).
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = Fig7Config::at_scale(scale);
     let data = run(&cfg);
     let mut cdf = Table::new(

@@ -29,37 +29,37 @@ use tldag_sim::{Bits, DetRng};
 
 /// One 2LDAG adversary setting.
 #[derive(Clone, Debug)]
-pub struct GammaVariant {
+pub(crate) struct GammaVariant {
     /// Series label, e.g. `"2LDAG-33%"`.
-    pub label: String,
+    pub(crate) label: String,
     /// Consensus margin γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Number of malicious (unresponsive) nodes.
-    pub malicious: usize,
+    pub(crate) malicious: usize,
 }
 
 /// Parameters of the Fig. 8 sweep.
 #[derive(Clone, Debug)]
-pub struct Fig8Config {
+pub(crate) struct Fig8Config {
     /// Number of nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Horizon in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Sampling interval.
-    pub sample_every: u64,
+    pub(crate) sample_every: u64,
     /// Body size in MB (the paper uses 0.5).
-    pub body_mb: f64,
+    pub(crate) body_mb: f64,
     /// The 2LDAG adversary settings (paper: 33 % and 49 %).
-    pub variants: Vec<GammaVariant>,
+    pub(crate) variants: Vec<GammaVariant>,
     /// Topology parameters.
-    pub topology: TopologyConfig,
+    pub(crate) topology: TopologyConfig,
     /// Root seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Fig8Config {
     /// Builds the configuration for a [`Scale`].
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         let nodes = scale.nodes();
         // Floor keeps the 49 % setting feasible at any scale: consensus
         // needs gamma + 1 distinct path nodes among the nodes - gamma honest
@@ -94,21 +94,21 @@ impl Fig8Config {
 /// The full Fig. 8 dataset. All series tables carry a `slot` column and
 /// cumulative mean per-node transmitted megabits per system.
 #[derive(Clone, Debug)]
-pub struct Fig8Data {
+pub(crate) struct Fig8Data {
     /// Panel (a): PBFT, IOTA, and each 2LDAG variant.
-    pub overall: Table,
+    pub(crate) overall: Table,
     /// Panel (b): digest traffic per 2LDAG variant.
-    pub dag_construction: Table,
+    pub(crate) dag_construction: Table,
     /// Panel (c): PoP traffic per 2LDAG variant.
-    pub consensus: Table,
+    pub(crate) consensus: Table,
     /// Panel (d): per-node transmitted Mb at the final slot, per variant.
-    pub cdfs: Vec<(String, Cdf)>,
+    pub(crate) cdfs: Vec<(String, Cdf)>,
     /// PoP attempt/success counters per variant (diagnostic).
-    pub pop_counters: Vec<(String, u64, u64)>,
+    pub(crate) pop_counters: Vec<(String, u64, u64)>,
 }
 
 /// Runs the sweep.
-pub fn run(cfg: &Fig8Config) -> Fig8Data {
+pub(crate) fn run(cfg: &Fig8Config) -> Fig8Data {
     let mut rng = DetRng::seed_from(cfg.seed);
     let topology = Topology::random_connected(&cfg.topology, &mut rng);
     let body_bits = Bits::from_megabytes_f(cfg.body_mb).bits();
@@ -216,7 +216,7 @@ pub fn run(cfg: &Fig8Config) -> Fig8Data {
 
 /// Fig. 8 at `scale`: panels (a)–(c), the per-variant CDFs of panel (d),
 /// and the PoP counters behind the consensus traffic.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = Fig8Config::at_scale(scale);
     let data = run(&cfg);
     let mut cdf = Table::new(

@@ -23,38 +23,38 @@ use tldag_sim::{Bits, DetRng, NodeId};
 
 /// One Fig. 9 panel setting.
 #[derive(Clone, Debug)]
-pub struct Fig9Panel {
+pub(crate) struct Fig9Panel {
     /// Consensus margin γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Malicious-node counts to sweep (one series each).
-    pub malicious_counts: Vec<usize>,
+    pub(crate) malicious_counts: Vec<usize>,
     /// Sampled slots: `(start, end, step)`.
-    pub slot_range: (u64, u64, u64),
+    pub(crate) slot_range: (u64, u64, u64),
 }
 
 /// Parameters of the Fig. 9 sweep.
 #[derive(Clone, Debug)]
-pub struct Fig9Config {
+pub(crate) struct Fig9Config {
     /// Number of nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Panels to produce.
-    pub panels: Vec<Fig9Panel>,
+    pub(crate) panels: Vec<Fig9Panel>,
     /// Probe PoPs per sampled slot per seed.
-    pub probes_per_sample: usize,
+    pub(crate) probes_per_sample: usize,
     /// Independent seeds.
-    pub seeds: u64,
+    pub(crate) seeds: u64,
     /// Body size in MB (the paper uses 0.5; failure probability does not
     /// depend on it, only sizes do).
-    pub body_mb: f64,
+    pub(crate) body_mb: f64,
     /// Topology parameters.
-    pub topology: TopologyConfig,
+    pub(crate) topology: TopologyConfig,
 }
 
 impl Fig9Config {
     /// Builds the configuration for a [`Scale`]. Paper panels:
     /// γ=10 with {0,5,8,10} malicious, γ=15 with {0,5,10,15},
     /// γ=20 with {0,5,18,20}, γ=24 with {0,5,10,20,22,24}.
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         match scale {
             Scale::Paper => Fig9Config {
                 nodes: 50,
@@ -115,18 +115,18 @@ impl Fig9Config {
 /// Result of one panel: a `slot` column and one failure-probability column
 /// per malicious count, named `"{m} malicious"`.
 #[derive(Clone, Debug)]
-pub struct Fig9PanelData {
+pub(crate) struct Fig9PanelData {
     /// Consensus margin γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// One series per malicious count; y ∈ [0, 1].
-    pub series: Table,
+    pub(crate) series: Table,
     /// Slots-to-consensus per malicious count (first sampled slot where every
     /// probe succeeded), `None` if never within the range.
-    pub slots_to_consensus: Vec<(usize, Option<u64>)>,
+    pub(crate) slots_to_consensus: Vec<(usize, Option<u64>)>,
 }
 
 /// Runs all panels.
-pub fn run(cfg: &Fig9Config) -> Vec<Fig9PanelData> {
+pub(crate) fn run(cfg: &Fig9Config) -> Vec<Fig9PanelData> {
     cfg.panels
         .iter()
         .enumerate()
@@ -254,7 +254,7 @@ fn pick_probe(
 
 /// Fig. 9 at `scale`: one failure-probability panel per γ, then the first
 /// sampled slot at which every probe succeeded (blank: not within range).
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = Fig9Config::at_scale(scale);
     let panels = run(&cfg);
     let mut reached = Table::new(

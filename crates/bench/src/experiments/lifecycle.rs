@@ -27,22 +27,22 @@ use tldag_obs::{build_timelines, SpanEvent};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
-pub struct LifecycleConfig {
+pub(crate) struct LifecycleConfig {
     /// Nodes (= UDP endpoints, all founders).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Protocol horizon in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Consensus parameter γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Experiment seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Pipeline windows to sweep; 1 = lockstep.
-    pub windows: Vec<u64>,
+    pub(crate) windows: Vec<u64>,
 }
 
 impl LifecycleConfig {
     /// Sweep sized for `scale`.
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         match scale {
             Scale::Paper => LifecycleConfig {
                 nodes: 4,
@@ -64,34 +64,34 @@ impl LifecycleConfig {
 
 /// Lifecycle-latency measurements at one window size.
 #[derive(Clone, Debug)]
-pub struct LifecyclePoint {
+pub(crate) struct LifecyclePoint {
     /// The pipeline window (1 = lockstep).
-    pub window: u64,
+    pub(crate) window: u64,
     /// Block timelines assembled from the merged span stores.
-    pub timelines: u64,
+    pub(crate) timelines: u64,
     /// Timelines with spans from every node of the cluster.
-    pub fully_stitched: u64,
+    pub(crate) fully_stitched: u64,
     /// Timelines with a full-quorum committed-everywhere instant.
-    pub committed: u64,
+    pub(crate) committed: u64,
     /// Spans recorded across every node.
-    pub spans: u64,
+    pub(crate) spans: u64,
     /// Spans lost to ring eviction or contention across every node.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Median generate → committed-everywhere latency, µs.
-    pub p50_us: u64,
+    pub(crate) p50_us: u64,
     /// 99th-percentile generate → committed-everywhere latency, µs.
-    pub p99_us: u64,
+    pub(crate) p99_us: u64,
     /// Worst generate → committed-everywhere latency, µs.
-    pub max_us: u64,
+    pub(crate) max_us: u64,
     /// The traced run judged against the engine reference.
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
 }
 
 /// The sweep output.
 #[derive(Clone, Debug)]
-pub struct LifecycleData {
+pub(crate) struct LifecycleData {
     /// One point per window, in sweep order.
-    pub points: Vec<LifecyclePoint>,
+    pub(crate) points: Vec<LifecyclePoint>,
 }
 
 /// `q`-quantile of an unsorted latency sample (nearest-rank).
@@ -104,7 +104,7 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// Runs the sweep.
-pub fn run(config: &LifecycleConfig) -> LifecycleData {
+pub(crate) fn run(config: &LifecycleConfig) -> LifecycleData {
     let mut deployment = Deployment::new(config.seed, config.nodes, config.slots);
     deployment.gamma = config.gamma;
     deployment.pop = true;
@@ -175,7 +175,7 @@ pub fn run(config: &LifecycleConfig) -> LifecycleData {
 /// The traced window sweep at `scale`. Tracing must never perturb the
 /// protocol: digest parity, PoP-counter parity and an undegraded barrier
 /// are invariants at every window.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = LifecycleConfig::at_scale(scale);
     let data = run(&cfg);
     let mut table = Table::new(

@@ -2,21 +2,21 @@
 //! [`REGISTRY`] that is the single list of what can be run, what each row
 //! reproduces, and how its `BENCH_<name>.json` is gated.
 
-pub mod ablation;
-pub mod adversary;
-pub mod churn;
+pub(crate) mod ablation;
+pub(crate) mod adversary;
+pub(crate) mod churn;
 mod cluster;
-pub mod fig7;
-pub mod fig8;
-pub mod fig9;
-pub mod lifecycle;
-pub mod restart;
-pub mod retention;
-pub mod saturation;
-pub mod scale;
-pub mod scaling;
-pub mod summary;
-pub mod wire;
+pub(crate) mod fig7;
+pub(crate) mod fig8;
+pub(crate) mod fig9;
+pub(crate) mod lifecycle;
+pub(crate) mod restart;
+pub(crate) mod retention;
+pub(crate) mod saturation;
+pub(crate) mod scale;
+pub(crate) mod scaling;
+pub(crate) mod summary;
+pub(crate) mod wire;
 
 use crate::gate::Rule;
 use crate::report::Report;
@@ -30,15 +30,15 @@ pub struct Experiment {
     /// The name on the command line and in `BENCH_<name>.json`.
     pub name: &'static str,
     /// What it reproduces (the README table cell).
-    pub reproduces: &'static str,
+    pub(crate) reproduces: &'static str,
     /// A panel of the paper's own evaluation: engine-only, deterministic,
     /// sub-second at `--quick`, pinned by an exact baseline.
     pub paper_panel: bool,
     /// Runs the sweep at a scale.
-    pub run: fn(Scale) -> Report,
+    pub(crate) run: fn(Scale) -> Report,
     /// `(key, rule)` pairs the gate holds the JSON artifact to; the key
     /// `"*"` selects every numeric key.
-    pub gates: &'static [(&'static str, Rule)],
+    pub(crate) gates: &'static [(&'static str, Rule)],
 }
 
 impl Experiment {

@@ -30,36 +30,36 @@ use crate::row;
 
 /// Parameters of the restart-recovery sweep.
 #[derive(Clone, Debug)]
-pub struct RestartConfig {
+pub(crate) struct RestartConfig {
     /// Number of nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Horizon in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Consensus margin γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// How many distinct nodes crash per run.
-    pub restarts: usize,
+    pub(crate) restarts: usize,
     /// Crash slots are drawn uniformly from this window.
-    pub crash_window: std::ops::Range<u64>,
+    pub(crate) crash_window: std::ops::Range<u64>,
     /// Slots each crashed node stays down.
-    pub downtime_slots: u64,
+    pub(crate) downtime_slots: u64,
     /// Probe PoPs per sampled slot per seed.
-    pub probes_per_sample: usize,
+    pub(crate) probes_per_sample: usize,
     /// Sampling interval in slots.
-    pub sample_every: u64,
+    pub(crate) sample_every: u64,
     /// Independent seeds.
-    pub seeds: u64,
+    pub(crate) seeds: u64,
     /// Topology parameters.
-    pub topology: TopologyConfig,
+    pub(crate) topology: TopologyConfig,
     /// Root directory for the per-seed, per-node block logs.
-    pub storage_root: PathBuf,
+    pub(crate) storage_root: PathBuf,
     /// Durable-engine tuning.
-    pub storage: StorageOptions,
+    pub(crate) storage: StorageOptions,
 }
 
 impl RestartConfig {
     /// Builds the configuration for a [`Scale`].
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         let storage_root =
             std::env::temp_dir().join(format!("tldag-restart-{}-{scale:?}", std::process::id()));
         match scale {
@@ -100,52 +100,52 @@ impl RestartConfig {
 
 /// What one crash/revive cycle recovered.
 #[derive(Clone, Debug)]
-pub struct RecoveryOutcome {
+pub(crate) struct RecoveryOutcome {
     /// Seed of the run.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The crashed node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Slot the process died.
-    pub crash_slot: u64,
+    pub(crate) crash_slot: u64,
     /// Slot the process returned.
-    pub revive_slot: u64,
+    pub(crate) revive_slot: u64,
     /// Chain length when the process died.
-    pub blocks_before_crash: usize,
+    pub(crate) blocks_before_crash: usize,
     /// Durability watermark when the process died (synced blocks).
-    pub durable_before_crash: usize,
+    pub(crate) durable_before_crash: usize,
     /// Chain length recovered from the reopened block log.
-    pub blocks_recovered: usize,
+    pub(crate) blocks_recovered: usize,
     /// Whether the revive slot fell inside the run horizon (a crash near
     /// the end of the run may never be revived; that is not data loss).
-    pub revived: bool,
+    pub(crate) revived: bool,
 }
 
 impl RecoveryOutcome {
     /// The durability contract: nothing synced may be lost on recovery.
     /// Never-revived crashes are excluded — nothing was reopened to audit.
-    pub fn lost_committed_blocks(&self) -> bool {
+    pub(crate) fn lost_committed_blocks(&self) -> bool {
         self.revived && self.blocks_recovered < self.durable_before_crash
     }
 }
 
 /// Result of the sweep.
 #[derive(Clone, Debug)]
-pub struct RestartData {
+pub(crate) struct RestartData {
     /// Failure probability of probes on victims' pre-crash blocks
     /// (column `"victim blocks"`) and on other nodes' blocks
     /// (control column `"control blocks"`), per sampled slot; blank where
     /// a slot had no probe of that kind.
-    pub series: Table,
+    pub(crate) series: Table,
     /// One entry per crash/revive cycle per seed.
-    pub recoveries: Vec<RecoveryOutcome>,
+    pub(crate) recoveries: Vec<RecoveryOutcome>,
     /// Largest resident-memory estimate observed across disk-backed nodes.
-    pub peak_resident_bytes: usize,
+    pub(crate) peak_resident_bytes: usize,
     /// Largest on-disk chain observed (bytes), for the resident/disk ratio.
-    pub peak_disk_bytes: u64,
+    pub(crate) peak_disk_bytes: u64,
 }
 
 /// Runs the sweep.
-pub fn run(cfg: &RestartConfig) -> RestartData {
+pub(crate) fn run(cfg: &RestartConfig) -> RestartData {
     let sample_slots: Vec<u64> = (cfg.sample_every..=cfg.slots)
         .step_by(cfg.sample_every as usize)
         .collect();
@@ -404,7 +404,7 @@ fn pick_control_probe(
 
 /// The restart sweep at `scale`: the failure-probability series, the
 /// per-crash recovery audit, and the durability contract as an invariant.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = RestartConfig::at_scale(scale);
     let data = run(&cfg);
     let _ = std::fs::remove_dir_all(&cfg.storage_root);

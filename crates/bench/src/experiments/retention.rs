@@ -39,37 +39,37 @@ use crate::row;
 
 /// Parameters of the retention sweep.
 #[derive(Clone, Debug)]
-pub struct RetentionConfig {
+pub(crate) struct RetentionConfig {
     /// Number of nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Horizon in slots (every node generates one block per slot).
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Consensus margin γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Retention horizons in blocks (`None` = unbounded, the baseline).
     /// The disk budget for horizon `h` is `h × (Eq. 2 block bytes + frame)`.
-    pub horizons: Vec<Option<u32>>,
+    pub(crate) horizons: Vec<Option<u32>>,
     /// Probe PoPs per age class per budget.
-    pub probes: usize,
+    pub(crate) probes: usize,
     /// Slots to run before the warm-restart victim crashes.
-    pub warm_slots: u64,
+    pub(crate) warm_slots: u64,
     /// Slots the victim stays down.
-    pub downtime_slots: u64,
+    pub(crate) downtime_slots: u64,
     /// Targets the victim verifies before the crash (and re-verifies after).
-    pub warm_targets: usize,
+    pub(crate) warm_targets: usize,
     /// Experiment seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Topology parameters.
-    pub topology: TopologyConfig,
+    pub(crate) topology: TopologyConfig,
     /// Root directory for the per-budget node stores.
-    pub storage_root: PathBuf,
+    pub(crate) storage_root: PathBuf,
     /// Base engine options (segment size is kept small so budgets bite).
-    pub storage: StorageOptions,
+    pub(crate) storage: StorageOptions,
 }
 
 impl RetentionConfig {
     /// Builds the configuration for a [`Scale`].
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         let storage_root =
             std::env::temp_dir().join(format!("tldag-fig7ret-{}-{scale:?}", std::process::id()));
         let storage = StorageOptions {
@@ -115,60 +115,58 @@ impl RetentionConfig {
 
 /// One budget's measurements.
 #[derive(Clone, Debug)]
-pub struct BudgetSample {
+pub(crate) struct BudgetSample {
     /// The retention horizon in blocks (`None` = unbounded).
-    pub horizon_blocks: Option<u32>,
+    pub(crate) horizon_blocks: Option<u32>,
     /// The derived per-node disk budget in bytes (`None` = unbounded).
-    pub budget_bytes: Option<u64>,
+    pub(crate) budget_bytes: Option<u64>,
     /// Mean measured on-disk bytes per node at the end of the run.
-    pub mean_disk_bytes: f64,
+    pub(crate) mean_disk_bytes: f64,
     /// Eq. 2 **logical** size of the retained window, in bytes per node
     /// (the model prices the full sensed body `C`; the simulator's physical
     /// payloads are smaller, so this tracks the *model's* budget).
-    pub eq2_retained_bytes: f64,
+    pub(crate) eq2_retained_bytes: f64,
     /// Mean retained blocks per node (`len − pruned floor`).
-    pub mean_retained_blocks: f64,
+    pub(crate) mean_retained_blocks: f64,
     /// Mean pruned floor across nodes (0 = nothing pruned).
-    pub mean_pruned_floor: f64,
+    pub(crate) mean_pruned_floor: f64,
     /// Old-block probes: successes / attempts.
-    pub old_success: (u64, u64),
+    pub(crate) old_success: (u64, u64),
     /// Old-block probes answered with a graceful `TargetPruned` miss.
-    pub old_pruned_misses: u64,
+    pub(crate) old_pruned_misses: u64,
     /// Old-block probes where the target itself was still retained but
     /// consensus failed with pruned evidence on the proof path (another
     /// node's compacted chain answered a path extension with `Pruned`) —
     /// the third graceful outcome retention can produce.
-    pub old_path_pruned_failures: u64,
+    pub(crate) old_path_pruned_failures: u64,
     /// Mid-age probes (above every pruned floor): successes / attempts.
-    pub mid_success: (u64, u64),
-    /// `ChildResponse::Pruned` replies observed on the probe paths.
-    pub pruned_replies_on_paths: u64,
+    pub(crate) mid_success: (u64, u64),
 }
 
 /// One warm-restart measurement (persistence off or on).
 #[derive(Clone, Debug)]
-pub struct WarmSample {
+pub(crate) struct WarmSample {
     /// Whether `H_i` persistence was enabled.
-    pub persist: bool,
+    pub(crate) persist: bool,
     /// Trusted headers in the victim's cache right after the restart.
-    pub headers_after_restart: usize,
+    pub(crate) headers_after_restart: usize,
     /// TPS path extensions across the post-restart re-verifications.
-    pub tps_extensions: u64,
+    pub(crate) tps_extensions: u64,
     /// `REQ_CHILD` messages the re-verifications still had to send.
-    pub req_child_sent: u64,
+    pub(crate) req_child_sent: u64,
     /// Post-restart re-verifications that reached consensus.
-    pub successes: u64,
+    pub(crate) successes: u64,
     /// TPS cache hit-rate: extensions / (extensions + REQ_CHILDs).
-    pub hit_rate: f64,
+    pub(crate) hit_rate: f64,
 }
 
 /// Results of both sweeps.
 #[derive(Clone, Debug)]
-pub struct RetentionData {
+pub(crate) struct RetentionData {
     /// One sample per budget, in sweep order.
-    pub budgets: Vec<BudgetSample>,
+    pub(crate) budgets: Vec<BudgetSample>,
     /// Cold (persist off) then warm (persist on) restart samples.
-    pub warm: Vec<WarmSample>,
+    pub(crate) warm: Vec<WarmSample>,
 }
 
 /// Estimated physical bytes of one block record: the Eq. 2 logical size
@@ -182,7 +180,7 @@ fn protocol(gamma: usize) -> ProtocolConfig {
 }
 
 /// Runs both sweeps.
-pub fn run(cfg: &RetentionConfig) -> RetentionData {
+pub(crate) fn run(cfg: &RetentionConfig) -> RetentionData {
     let mut rng = DetRng::seed_from(cfg.seed);
     let topology = Topology::random_connected(&cfg.topology, &mut rng);
     let proto = protocol(cfg.gamma);
@@ -267,7 +265,6 @@ fn run_budget(
     let mut old_pruned_misses = 0u64;
     let mut old_path_pruned_failures = 0u64;
     let mut mid_success = (0u64, 0u64);
-    let mut pruned_replies_on_paths = 0u64;
     let ids: Vec<NodeId> = topology.node_ids().collect();
     for _ in 0..cfg.probes {
         let owner = *probe_rng.choose(&ids).expect("nodes exist");
@@ -291,7 +288,6 @@ fn run_budget(
                     old_path_pruned_failures += 1;
                 }
             }
-            pruned_replies_on_paths += report.metrics.pruned_misses;
         }
     }
 
@@ -306,7 +302,6 @@ fn run_budget(
         old_pruned_misses,
         old_path_pruned_failures,
         mid_success,
-        pruned_replies_on_paths,
     }
 }
 
@@ -405,7 +400,7 @@ fn measure_disk_bytes(root: &std::path::Path) -> u64 {
 /// Both retention sweeps at `scale`. Invariants: the tightest budget
 /// prunes, every old probe ends in one of the three graceful outcomes, and
 /// a persisted `H_i` beats a cold restart.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = RetentionConfig::at_scale(scale);
     let data = run(&cfg);
     let mut budgets = Table::new(

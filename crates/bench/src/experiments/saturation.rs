@@ -29,22 +29,22 @@ use tldag_net::{judge, Deployment, LoopbackCluster, Verdict};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
-pub struct SaturationConfig {
+pub(crate) struct SaturationConfig {
     /// Nodes (= UDP endpoints, all founders).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Protocol horizon in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Consensus parameter γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Experiment seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Pipeline windows to sweep; include 1 for the lockstep baseline.
-    pub windows: Vec<u64>,
+    pub(crate) windows: Vec<u64>,
 }
 
 impl SaturationConfig {
     /// Sweep sized for `scale`.
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         match scale {
             Scale::Paper => SaturationConfig {
                 nodes: 5,
@@ -66,39 +66,39 @@ impl SaturationConfig {
 
 /// Measurements at one window size.
 #[derive(Clone, Debug)]
-pub struct SaturationPoint {
+pub(crate) struct SaturationPoint {
     /// The pipeline window (1 = lockstep baseline).
-    pub window: u64,
+    pub(crate) window: u64,
     /// Blocks generated across the cluster (nodes × slots).
-    pub blocks: u64,
+    pub(crate) blocks: u64,
     /// The run judged against the engine reference on the same seed.
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
     /// Slot-loop critical path: the slowest node's `slot_loop_ms`.
-    pub slot_loop_ms: u64,
+    pub(crate) slot_loop_ms: u64,
     /// Wall-clock for the whole cluster run (bootstrap + linger included).
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
     /// Cluster generation throughput over the slot-loop critical path.
-    pub blocks_per_s: f64,
+    pub(crate) blocks_per_s: f64,
     /// Cluster verification throughput on the same denominator.
-    pub pops_per_s: f64,
+    pub(crate) pops_per_s: f64,
     /// Median generation-to-verified slot latency, ms (merged histograms).
-    pub p50_slot_ms: f64,
+    pub(crate) p50_slot_ms: f64,
     /// 99th-percentile slot latency, ms.
-    pub p99_slot_ms: f64,
+    pub(crate) p99_slot_ms: f64,
     /// blocks/s relative to this sweep's window-1 point (1.0 when this
     /// *is* the baseline; 0.0 when the sweep has no baseline).
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// The sweep output.
 #[derive(Clone, Debug)]
-pub struct SaturationData {
+pub(crate) struct SaturationData {
     /// One point per window, in sweep order.
-    pub points: Vec<SaturationPoint>,
+    pub(crate) points: Vec<SaturationPoint>,
 }
 
 /// Runs the sweep.
-pub fn run(config: &SaturationConfig) -> SaturationData {
+pub(crate) fn run(config: &SaturationConfig) -> SaturationData {
     // Window-independent: the whole point of the pipeline is that the
     // ledger it converges to is identical.
     let mut deployment = Deployment::new(config.seed, config.nodes, config.slots);
@@ -165,7 +165,7 @@ pub fn run(config: &SaturationConfig) -> SaturationData {
 /// The window sweep at `scale`. Digest parity, PoP-counter parity and an
 /// undegraded barrier are invariants at every window; loopback throughput
 /// itself is judged by the repo benchmark's `wire_*` workloads, not here.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = SaturationConfig::at_scale(scale);
     let data = run(&cfg);
     let mut table = Table::new(

@@ -11,7 +11,7 @@ pub enum Scale {
 
 impl Scale {
     /// Number of IoT nodes.
-    pub fn nodes(self) -> usize {
+    pub(crate) fn nodes(self) -> usize {
         match self {
             Scale::Paper => 50,
             Scale::Quick => 16,
@@ -19,7 +19,7 @@ impl Scale {
     }
 
     /// Horizon in slots for the storage/communication sweeps.
-    pub fn slots(self) -> u64 {
+    pub(crate) fn slots(self) -> u64 {
         match self {
             Scale::Paper => 200,
             Scale::Quick => 60,
@@ -27,18 +27,10 @@ impl Scale {
     }
 
     /// Sampling interval in slots.
-    pub fn sample_every(self) -> u64 {
+    pub(crate) fn sample_every(self) -> u64 {
         match self {
             Scale::Paper => 25,
             Scale::Quick => 10,
-        }
-    }
-
-    /// Independent seeds for probability estimates (Fig. 9).
-    pub fn seeds(self) -> u64 {
-        match self {
-            Scale::Paper => 12,
-            Scale::Quick => 4,
         }
     }
 }
@@ -58,6 +50,5 @@ mod tests {
     fn quick_is_smaller_everywhere() {
         assert!(Scale::Quick.nodes() < Scale::Paper.nodes());
         assert!(Scale::Quick.slots() < Scale::Paper.slots());
-        assert!(Scale::Quick.seeds() < Scale::Paper.seeds());
     }
 }

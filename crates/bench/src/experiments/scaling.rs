@@ -38,33 +38,33 @@ use crate::row;
 
 /// Parameters of the scaling sweeps.
 #[derive(Clone, Debug)]
-pub struct ScalingConfig {
+pub(crate) struct ScalingConfig {
     /// Nodes in the thread sweep (memory backend).
-    pub thread_sweep_nodes: usize,
+    pub(crate) thread_sweep_nodes: usize,
     /// Slots per thread-sweep run.
-    pub thread_sweep_slots: u64,
+    pub(crate) thread_sweep_slots: u64,
     /// Thread counts to sweep.
-    pub threads: Vec<usize>,
+    pub(crate) threads: Vec<usize>,
     /// Nodes in the PoP-enabled determinism sweep (smaller than the thread
     /// sweep: the candidate scan is O(nodes²) per slot).
-    pub verify_sweep_nodes: usize,
+    pub(crate) verify_sweep_nodes: usize,
     /// Slots per PoP-enabled determinism run.
-    pub verify_sweep_slots: u64,
+    pub(crate) verify_sweep_slots: u64,
     /// Nodes in the sync-policy sweep (disk backends).
-    pub sync_sweep_nodes: usize,
+    pub(crate) sync_sweep_nodes: usize,
     /// Slots per sync-policy run.
-    pub sync_sweep_slots: u64,
+    pub(crate) sync_sweep_slots: u64,
     /// Shards (= engine threads) for the group-committed runs.
-    pub sync_sweep_shards: usize,
+    pub(crate) sync_sweep_shards: usize,
     /// Experiment seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Root directory for the disk runs (wiped per run).
-    pub storage_root: PathBuf,
+    pub(crate) storage_root: PathBuf,
 }
 
 impl ScalingConfig {
     /// Builds the configuration for a [`Scale`].
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         let (thread_sweep_nodes, thread_sweep_slots, threads) = match scale {
             Scale::Paper => (10_000, 5, vec![1, 2, 4, 8]),
             Scale::Quick => (1_000, 3, vec![1, 2, 4]),
@@ -94,61 +94,61 @@ impl ScalingConfig {
 
 /// One measured run of the thread sweep.
 #[derive(Clone, Debug)]
-pub struct ThreadSample {
+pub(crate) struct ThreadSample {
     /// Worker threads used.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Wall-clock milliseconds for the whole run.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
     /// Blocks generated per second of wall time.
-    pub blocks_per_sec: f64,
+    pub(crate) blocks_per_sec: f64,
     /// Throughput relative to the single-threaded run.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
     /// Hex prefix of the run's network digest (chains of all nodes).
-    pub digest: String,
+    pub(crate) digest: String,
 }
 
 /// One measured run of the sync-policy sweep.
 #[derive(Clone, Debug)]
-pub struct SyncSample {
+pub(crate) struct SyncSample {
     /// Human-readable storage configuration.
-    pub config: String,
+    pub(crate) config: String,
     /// Wall-clock milliseconds for the whole run.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
     /// Blocks generated per second of wall time.
-    pub blocks_per_sec: f64,
+    pub(crate) blocks_per_sec: f64,
     /// Physical fsyncs issued across the run.
-    pub fsyncs: u64,
+    pub(crate) fsyncs: u64,
     /// Throughput relative to the per-node-fsync baseline.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 /// One measured run of the PoP-enabled determinism sweep.
 #[derive(Clone, Debug)]
-pub struct VerifySample {
+pub(crate) struct VerifySample {
     /// Worker threads used.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Wall-clock milliseconds for the whole run.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
     /// Lifetime PoP attempts / successes — must match across thread counts.
-    pub pop_counters: (u64, u64),
+    pub(crate) pop_counters: (u64, u64),
     /// Hex prefix of the run's network digest.
-    pub digest: String,
+    pub(crate) digest: String,
 }
 
 /// Results of all three sweeps.
 #[derive(Clone, Debug)]
-pub struct ScalingData {
+pub(crate) struct ScalingData {
     /// Thread-sweep samples, in sweep order (threads ascending).
-    pub thread_samples: Vec<ThreadSample>,
+    pub(crate) thread_samples: Vec<ThreadSample>,
     /// Whether every thread count produced the identical network digest.
-    pub digests_identical: bool,
+    pub(crate) digests_identical: bool,
     /// PoP-enabled determinism samples (verification workload + lossy
     /// links on), exercising the shard-parallel verify phase at scale.
-    pub verify_samples: Vec<VerifySample>,
+    pub(crate) verify_samples: Vec<VerifySample>,
     /// Whether the PoP-enabled runs matched (digests **and** counters).
-    pub verify_identical: bool,
+    pub(crate) verify_identical: bool,
     /// Sync-policy samples, baseline first.
-    pub sync_samples: Vec<SyncSample>,
+    pub(crate) sync_samples: Vec<SyncSample>,
 }
 
 /// A deployment whose mean degree stays moderate (~7) at any scale: a
@@ -304,7 +304,7 @@ fn run_disk(
 }
 
 /// Runs both sweeps.
-pub fn run(cfg: &ScalingConfig) -> ScalingData {
+pub(crate) fn run(cfg: &ScalingConfig) -> ScalingData {
     // --- Thread sweep (memory backend). One topology shared by all runs.
     eprintln!(
         "fig10_scaling: building {}-node deployment …",
@@ -373,7 +373,7 @@ pub fn run(cfg: &ScalingConfig) -> ScalingData {
 
 /// All three scaling sweeps at `scale`. Invariants: every thread count
 /// produces the identical chains, with and without the PoP phase.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = ScalingConfig::at_scale(scale);
     // Thread speedups need physical cores: on one core the sweep reads ~1×
     // (the determinism check still runs), so the count is part of the result.

@@ -24,32 +24,32 @@ use tldag_sim::{Bits, DetRng};
 
 /// Per-system measurements at the end of the run.
 #[derive(Clone, Debug)]
-pub struct SystemRow {
+pub(crate) struct SystemRow {
     /// System name.
-    pub name: String,
+    pub(crate) name: String,
     /// Mean per-node storage in MB.
-    pub storage_mb: f64,
+    pub(crate) storage_mb: f64,
     /// Mean per-node transmitted Mb (protocol traffic).
-    pub comm_mb: f64,
+    pub(crate) comm_mb: f64,
 }
 
 /// The headline summary.
 #[derive(Clone, Debug)]
-pub struct SummaryData {
+pub(crate) struct SummaryData {
     /// Rows for 2LDAG, PBFT, IOTA.
-    pub rows: Vec<SystemRow>,
+    pub(crate) rows: Vec<SystemRow>,
     /// log10 of PBFT/2LDAG and IOTA/2LDAG storage ratios.
-    pub storage_orders: (f64, f64),
+    pub(crate) storage_orders: (f64, f64),
     /// log10 of PBFT/2LDAG and IOTA/2LDAG communication ratios.
-    pub comm_orders: (f64, f64),
+    pub(crate) comm_orders: (f64, f64),
     /// PoP success rate with 49 % malicious nodes, over the whole run.
-    pub success_rate_49pct: f64,
+    pub(crate) success_rate_49pct: f64,
     /// Slots simulated.
-    pub slots: u64,
+    pub(crate) slots: u64,
 }
 
 /// Runs the headline comparison.
-pub fn run(scale: Scale) -> SummaryData {
+pub(crate) fn run(scale: Scale) -> SummaryData {
     let nodes = scale.nodes();
     let slots = scale.slots();
     let seed = 21;
@@ -164,7 +164,7 @@ pub fn run(scale: Scale) -> SummaryData {
 
 /// The headline comparison at `scale`: the per-system costs, their log10
 /// ratios to 2LDAG, and consensus capability at ~49 % malicious nodes.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let data = run(scale);
     let mut systems = Table::new(
         "table1_summary",

@@ -36,29 +36,29 @@ use tldag_sim::{DetRng, NodeId, Topology};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
-pub struct WireConfig {
+pub(crate) struct WireConfig {
     /// Nodes (= UDP endpoints).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Slots of in-memory warm-up that build the chains to verify.
-    pub warm_slots: u64,
+    pub(crate) warm_slots: u64,
     /// PoP verifications measured per fault rate.
-    pub pops_per_rate: usize,
+    pub(crate) pops_per_rate: usize,
     /// Consensus parameter γ.
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Experiment seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Datagram fault rates to sweep (drop probability; duplication and
     /// reordering are scaled off it, see [`FaultSpec::degraded`]).
-    pub loss_rates: Vec<f64>,
+    pub(crate) loss_rates: Vec<f64>,
     /// Datagrams per receiver wakeup on every endpoint: 1 reproduces the
     /// lockstep-era one-datagram-per-wakeup loop, the default is the
     /// pipelined batched receive path.
-    pub batch: usize,
+    pub(crate) batch: usize,
 }
 
 impl WireConfig {
     /// Sweep sized for `scale`.
-    pub fn at_scale(scale: Scale) -> Self {
+    pub(crate) fn at_scale(scale: Scale) -> Self {
         match scale {
             Scale::Paper => WireConfig {
                 nodes: 12,
@@ -84,39 +84,39 @@ impl WireConfig {
 
 /// Measurements at one fault rate.
 #[derive(Clone, Debug)]
-pub struct RatePoint {
+pub(crate) struct RatePoint {
     /// Injected datagram drop probability (per direction).
-    pub loss: f64,
+    pub(crate) loss: f64,
     /// PoP runs attempted.
-    pub attempts: u64,
+    pub(crate) attempts: u64,
     /// PoP runs that reached consensus.
-    pub successes: u64,
+    pub(crate) successes: u64,
     /// Mean wall-clock latency of one PoP, milliseconds.
-    pub mean_latency_ms: f64,
+    pub(crate) mean_latency_ms: f64,
     /// Worst-case PoP latency, milliseconds.
-    pub max_latency_ms: f64,
+    pub(crate) max_latency_ms: f64,
     /// Request retransmissions the validator's endpoint performed.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Requests that exhausted their retry budget.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Datagrams sent across every endpoint.
-    pub datagrams: u64,
+    pub(crate) datagrams: u64,
     /// Datagrams the fault injection swallowed (all endpoints).
-    pub injected_drops: u64,
+    pub(crate) injected_drops: u64,
     /// Protocol messages the validator exchanged (PoP metric).
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// Transport counters merged across every endpoint at this rate.
-    pub net: NetStats,
+    pub(crate) net: NetStats,
     /// Median request round trip on the validator's endpoint, µs
     /// (telemetry histogram estimate: upper bound, < 2× exact).
-    pub rtt_p50_us: u64,
+    pub(crate) rtt_p50_us: u64,
     /// 99th-percentile request round trip on the validator's endpoint, µs.
-    pub rtt_p99_us: u64,
+    pub(crate) rtt_p99_us: u64,
 }
 
 impl RatePoint {
     /// Fraction of PoP runs that reached consensus.
-    pub fn success_rate(&self) -> f64 {
+    pub(crate) fn success_rate(&self) -> f64 {
         if self.attempts == 0 {
             0.0
         } else {
@@ -127,9 +127,9 @@ impl RatePoint {
 
 /// The sweep output.
 #[derive(Clone, Debug)]
-pub struct WireData {
+pub(crate) struct WireData {
     /// One point per fault rate, in sweep order.
-    pub points: Vec<RatePoint>,
+    pub(crate) points: Vec<RatePoint>,
 }
 
 /// One live endpoint: a responder (or the validator) with its receiver
@@ -189,7 +189,7 @@ fn warm_nodes(
 }
 
 /// Runs the sweep.
-pub fn run(config: &WireConfig) -> WireData {
+pub(crate) fn run(config: &WireConfig) -> WireData {
     let mut cfg = deployment_protocol_config(config.gamma);
     cfg.enable_tps = false; // measure the wire, not the cache
     let topology = deployment_topology(config.seed, config.nodes, 300.0);
@@ -320,7 +320,7 @@ fn points_table(name: &str, cfg: &WireConfig, data: &WireData) -> Table {
 /// The loss sweep at `scale`, in both I/O modes: the batched receive path
 /// the runtime ships, then the one-datagram-per-wakeup loop it replaced.
 /// PoP completion must not be lower with batching at any swept loss rate.
-pub fn report(scale: Scale) -> Report {
+pub(crate) fn report(scale: Scale) -> Report {
     let cfg = WireConfig::at_scale(scale);
     let single_cfg = WireConfig {
         batch: 1,

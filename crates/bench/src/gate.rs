@@ -16,7 +16,7 @@ const RATE_EPSILON: f64 = 1e-9;
 
 /// How the current values of one key are judged against the baseline's.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Rule {
+pub(crate) enum Rule {
     /// Equal, to the last printed digit.
     Exact,
     /// Not below the baseline, nor below `floor`.
@@ -57,7 +57,7 @@ impl std::fmt::Display for Rule {
 ///
 /// A description of the first difference: a missing key, a changed sweep
 /// shape, or the first value that breaks `rule`.
-pub fn check(rule: Rule, key: &str, baseline: &str, current: &str) -> Result<usize, String> {
+pub(crate) fn check(rule: Rule, key: &str, baseline: &str, current: &str) -> Result<usize, String> {
     let select = |json: &str| -> Vec<(String, f64)> {
         let all = json_scalars(json).into_iter();
         all.filter(|(k, _)| key == "*" || k == key).collect()

@@ -5,7 +5,7 @@
 //! `experiments --list` prints it (name, what the row reproduces, how its
 //! artifact is gated). Every experiment module keeps its `run(&cfg)` and
 //! adds `report(scale)`, which returns the one result type,
-//! [`report::Report`]; the aligned tables on stdout, the CSVs and
+//! `report::Report`; the aligned tables on stdout, the CSVs and
 //! `BENCH_<name>.json` under `target/experiments/` are three views of that
 //! value, and [`gate`] compares the JSON against `experiments/baselines/`.
 //! `--quick` selects the reduced sweep. [`compare`] judges two builds of

@@ -1,9 +1,9 @@
 //! The one result type every experiment returns. A [`Table`] of typed
 //! [`Cell`]s has exactly three views — [`Table::render`] (aligned text),
-//! [`Table::to_csv`] and [`Table::to_json`] — and a [`Report`] groups an
+//! [`Table::to_csv`] and [`Table::to_json`] — and a `Report` groups an
 //! experiment's tables with its parameters, headline and invariants; it is
 //! what `target/experiments/BENCH_<name>.json` holds and what the gate
-//! ([`crate::gate`]) reads back with [`json_scalars`].
+//! ([`crate::gate`]) reads back with `json_scalars`.
 
 use crate::Scale;
 use std::fmt::Write as _;
@@ -64,7 +64,7 @@ macro_rules! row {
 
 impl Cell {
     /// The cell as a number (flags as 1/0, labels as `NaN`).
-    pub fn as_f64(&self) -> f64 {
+    pub(crate) fn as_f64(&self) -> f64 {
         match self {
             Cell::Int(v) => *v as f64,
             Cell::Float(v) => *v,
@@ -110,14 +110,14 @@ impl Cell {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Table {
     /// File stem of the table's CSV under `target/experiments/`.
-    pub name: String,
+    pub(crate) name: String,
     /// Heading printed above the rendered table.
-    pub title: String,
+    pub(crate) title: String,
     /// Column names — the text header, the CSV header and the JSON keys —
     /// as the first row pushed named them.
-    pub columns: Vec<String>,
+    pub(crate) columns: Vec<String>,
     /// Rows, each as long as `columns`.
-    pub rows: Vec<Vec<Cell>>,
+    pub(crate) rows: Vec<Vec<Cell>>,
 }
 
 impl Table {
@@ -143,7 +143,7 @@ impl Table {
 
     /// A slot-indexed table: a `slot` column followed by one float column
     /// per named series (each as long as `slots`; `NaN` = not sampled).
-    pub fn series(
+    pub(crate) fn series(
         name: impl Into<String>,
         title: impl Into<String>,
         slots: &[u64],
@@ -180,7 +180,7 @@ impl Table {
     /// # Panics
     ///
     /// If the table has no such column.
-    pub fn column(&self, name: &str) -> Vec<f64> {
+    pub(crate) fn column(&self, name: &str) -> Vec<f64> {
         let at = self
             .columns
             .iter()
@@ -252,22 +252,22 @@ impl Table {
 
 /// What one experiment run produced.
 #[derive(Clone, Debug)]
-pub struct Report {
+pub(crate) struct Report {
     /// The experiment's registry name (`BENCH_<name>.json`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The sweep's parameters, `scale` first.
-    pub params: Vec<(&'static str, Cell)>,
+    pub(crate) params: Vec<(&'static str, Cell)>,
     /// The panels, in print order.
-    pub tables: Vec<Table>,
+    pub(crate) tables: Vec<Table>,
     /// The one-sentence result (empty = none).
-    pub headline: String,
+    pub(crate) headline: String,
     /// Named conditions that must all hold for the run to count as a pass.
-    pub invariants: Vec<(String, bool)>,
+    pub(crate) invariants: Vec<(String, bool)>,
 }
 
 impl Report {
     /// An empty report for `name` at `scale`.
-    pub fn new(name: &'static str, scale: Scale) -> Self {
+    pub(crate) fn new(name: &'static str, scale: Scale) -> Self {
         Report {
             name,
             params: vec![("scale", format!("{scale:?}").into())],
@@ -278,23 +278,23 @@ impl Report {
     }
 
     /// Adds a sweep parameter.
-    pub fn param(mut self, key: &'static str, value: impl Into<Cell>) -> Self {
+    pub(crate) fn param(mut self, key: &'static str, value: impl Into<Cell>) -> Self {
         self.params.push((key, value.into()));
         self
     }
 
     /// Records a named condition the run must satisfy.
-    pub fn invariant(&mut self, name: impl Into<String>, holds: bool) {
+    pub(crate) fn invariant(&mut self, name: impl Into<String>, holds: bool) {
         self.invariants.push((name.into(), holds));
     }
 
     /// Whether every invariant holds.
-    pub fn passed(&self) -> bool {
+    pub(crate) fn passed(&self) -> bool {
         self.invariants.iter().all(|(_, holds)| *holds)
     }
 
     /// Parameters, every table, the headline and the invariant tally.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let params = self.params.iter().map(|(k, v)| format!("{k}={}", v.text()));
         let mut out = format!("{}: {}\n", self.name, params.collect::<Vec<_>>().join(" "));
         self.tables.iter().for_each(|t| out.push_str(&t.render()));
@@ -312,7 +312,7 @@ impl Report {
     }
 
     /// The whole report as one JSON document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let params = self.params.iter().map(|(k, v)| (*k, v.json()));
         let invariants = self.invariants.iter().map(|(name, holds)| {
             json_object([("name", json_escape(name)), ("holds", holds.to_string())])
@@ -334,7 +334,7 @@ impl Report {
     /// # Errors
     ///
     /// The first I/O error.
-    pub fn write(&self, dir: &Path) -> std::io::Result<()> {
+    pub(crate) fn write(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         for table in &self.tables {
             std::fs::write(dir.join(format!("{}.csv", table.name)), table.to_csv())?;
@@ -369,7 +369,7 @@ fn csv_escape(s: &str) -> String {
 /// dependency. Booleans read as 1/0 so flags gate like rates; strings,
 /// `null`s, objects and arrays are skipped, so text inside a string value
 /// never counts as a key.
-pub fn json_scalars(json: &str) -> Vec<(String, f64)> {
+pub(crate) fn json_scalars(json: &str) -> Vec<(String, f64)> {
     let bytes = json.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -405,14 +405,8 @@ pub fn json_scalars(json: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// The values of one key, in document order (see [`json_scalars`]).
-pub fn json_numbers(json: &str, key: &str) -> Vec<f64> {
-    let all = json_scalars(json).into_iter();
-    all.filter(|(k, _)| k == key).map(|(_, v)| v).collect()
-}
-
 /// Formats a float compactly for tables.
-pub fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
     } else if v.abs() >= 1000.0 {
@@ -422,6 +416,13 @@ pub fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v:.4}")
     }
+}
+
+/// The values of one key, in document order (see [`json_scalars`]).
+#[cfg(test)]
+fn json_numbers(json: &str, key: &str) -> Vec<f64> {
+    let all = json_scalars(json).into_iter();
+    all.filter(|(k, _)| k == key).map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]

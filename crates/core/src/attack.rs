@@ -63,23 +63,8 @@ pub enum Behavior {
 }
 
 impl Behavior {
-    /// Whether this behaviour answers protocol requests honestly. The gossip
-    /// attackers (equivocator, digest-liar, parasite) serve pulls from their
-    /// canonical chain — their lies live purely in the push path, which is
-    /// what lets honest nodes converge by pulling the slot directly.
-    pub fn responds_honestly(&self) -> bool {
-        matches!(
-            self,
-            Behavior::Honest
-                | Behavior::Flooder { .. }
-                | Behavior::Equivocate
-                | Behavior::DigestLie
-                | Behavior::Parasite
-        )
-    }
-
     /// Whether the node refuses to respond at all.
-    pub fn is_silent(&self) -> bool {
+    pub(crate) fn is_silent(&self) -> bool {
         matches!(
             self,
             Behavior::Unresponsive | Behavior::Selfish | Behavior::Flapper
@@ -128,6 +113,24 @@ impl fmt::Display for Behavior {
             Behavior::Parasite => write!(f, "parasite"),
             Behavior::Flapper => write!(f, "flapper"),
         }
+    }
+}
+
+#[cfg(test)]
+impl Behavior {
+    /// Whether this behaviour answers protocol requests honestly. The gossip
+    /// attackers (equivocator, digest-liar, parasite) serve pulls from their
+    /// canonical chain — their lies live purely in the push path, which is
+    /// what lets honest nodes converge by pulling the slot directly.
+    fn responds_honestly(&self) -> bool {
+        matches!(
+            self,
+            Behavior::Honest
+                | Behavior::Flooder { .. }
+                | Behavior::Equivocate
+                | Behavior::DigestLie
+                | Behavior::Parasite
+        )
     }
 }
 

@@ -55,7 +55,7 @@ impl Blacklist {
 
     /// Records a successful protocol interaction (valid reply), clearing the
     /// failure streak.
-    pub fn record_success(&mut self, peer: NodeId) {
+    pub(crate) fn record_success(&mut self, peer: NodeId) {
         if let Some(record) = self.peers.get_mut(&peer) {
             record.consecutive_failures = 0;
         }
@@ -64,7 +64,7 @@ impl Blacklist {
     /// Records that `peer` helped transmit a block (delivered a valid
     /// digest). Banned peers accumulate parole credit and are released once
     /// they reach the configured service count.
-    pub fn record_service(&mut self, peer: NodeId) {
+    pub(crate) fn record_service(&mut self, peer: NodeId) {
         if let Some(record) = self.peers.get_mut(&peer) {
             if record.banned {
                 record.services_while_banned += 1;
@@ -77,8 +77,16 @@ impl Blacklist {
         }
     }
 
+    /// Number of currently banned peers.
+    pub fn banned_count(&self) -> usize {
+        self.peers.values().filter(|r| r.banned).count()
+    }
+}
+
+#[cfg(test)]
+impl Blacklist {
     /// Ids of all currently banned peers.
-    pub fn banned_peers(&self) -> Vec<NodeId> {
+    pub(crate) fn banned_peers(&self) -> Vec<NodeId> {
         let mut banned: Vec<NodeId> = self
             .peers
             .iter()
@@ -86,11 +94,6 @@ impl Blacklist {
             .collect();
         banned.sort_unstable();
         banned
-    }
-
-    /// Number of currently banned peers.
-    pub fn banned_count(&self) -> usize {
-        self.peers.values().filter(|r| r.banned).count()
     }
 }
 

@@ -40,11 +40,6 @@ impl BlockId {
     pub const fn new(owner: NodeId, seq: u32) -> Self {
         BlockId { owner, seq }
     }
-
-    /// The genesis block id of `owner`.
-    pub const fn genesis(owner: NodeId) -> Self {
-        BlockId { owner, seq: 0 }
-    }
 }
 
 impl fmt::Display for BlockId {
@@ -144,7 +139,7 @@ impl BlockHeader {
 
     /// Looks up the digest this header commits to for node `origin`
     /// (the paper's `GetDigest(b^h, v)`).
-    pub fn digest_of(&self, origin: NodeId) -> Option<Digest> {
+    pub(crate) fn digest_of(&self, origin: NodeId) -> Option<Digest> {
         self.digests
             .iter()
             .find(|e| e.origin == origin)
@@ -159,12 +154,12 @@ impl BlockHeader {
 
     /// Number of digest entries (`n + 1` for a node with `n` neighbors once
     /// all neighbors have been heard from).
-    pub fn digest_entries(&self) -> usize {
+    pub(crate) fn digest_entries(&self) -> usize {
         self.digests.len()
     }
 
     /// Logical size of this header in the overhead model.
-    pub fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
+    pub(crate) fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
         cfg.header_bits(self.digests.len())
     }
 
@@ -206,7 +201,7 @@ impl BlockBody {
 
     /// Merkle root over the payload chunked into `chunk_bytes` leaves
     /// (at least one leaf, so the empty payload has a defined root).
-    pub fn merkle_root(&self, chunk_bytes: usize) -> Digest {
+    pub(crate) fn merkle_root(&self, chunk_bytes: usize) -> Digest {
         let chunk = chunk_bytes.max(1);
         if self.payload.is_empty() {
             return merkle_root([&b""[..]]);
@@ -281,6 +276,14 @@ impl DataBlock {
     /// Logical size of the full block (Eq. 2).
     pub fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
         self.header.logical_bits(cfg) + Bits::from_bits(self.body.logical_bits)
+    }
+}
+
+#[cfg(test)]
+impl BlockId {
+    /// The genesis block id of `owner`.
+    pub(crate) const fn genesis(owner: NodeId) -> Self {
+        BlockId { owner, seq: 0 }
     }
 }
 

@@ -9,9 +9,18 @@
 //! The *logical* sizes of the overhead model (Eq. 2–3) are defined by
 //! [`crate::config::ProtocolConfig`]; this codec is the concrete transport
 //! representation and is deliberately close to those sizes.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic
+    )
+)]
 
 use crate::block::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
-use crate::pop::messages::{ChildReply, ChildResponse};
+use crate::pop::messages::ChildReply;
 use std::fmt;
 use tldag_crypto::schnorr::Signature;
 use tldag_crypto::Digest;
@@ -79,12 +88,25 @@ impl<'a> Reader<'a> {
     /// [`CodecError::LengthOverflow`] when `n` overflows the cursor.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).ok_or(CodecError::LengthOverflow)?;
-        if end > self.data.len() {
-            return Err(CodecError::UnexpectedEnd);
-        }
-        let slice = &self.data[self.pos..end];
+        let slice = self
+            .data
+            .get(self.pos..end)
+            .ok_or(CodecError::UnexpectedEnd)?;
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Consumes the next `N` bytes as an array.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEnd`] when fewer than `N` bytes remain.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, _) = self
+            .take(N)?
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::UnexpectedEnd)?;
+        Ok(*head)
     }
 
     /// Reads one byte.
@@ -93,7 +115,8 @@ impl<'a> Reader<'a> {
     ///
     /// [`CodecError::UnexpectedEnd`] at end of input.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.array()?;
+        Ok(byte)
     }
 
     /// Reads a big-endian `u32`.
@@ -102,9 +125,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`CodecError::UnexpectedEnd`] when fewer than 4 bytes remain.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_be_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_be_bytes(self.array()?))
     }
 
     /// Reads a big-endian `u64`.
@@ -113,9 +134,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`CodecError::UnexpectedEnd`] when fewer than 8 bytes remain.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_be_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_be_bytes(self.array()?))
     }
 
     /// Reads a 32-byte digest.
@@ -124,9 +143,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`CodecError::UnexpectedEnd`] when fewer than 32 bytes remain.
     pub fn digest(&mut self) -> Result<Digest, CodecError> {
-        Ok(Digest::from_bytes(
-            self.take(32)?.try_into().expect("32 bytes"),
-        ))
+        Ok(Digest::from_bytes(self.array()?))
     }
 
     /// Asserts the input was consumed exactly.
@@ -169,6 +186,7 @@ fn read_header(r: &mut Reader<'_>) -> Result<BlockHeader, CodecError> {
     }
     // Bounds-checked once, then collected from an exact-size iterator:
     // one allocation, straight into the shared list.
+    #[allow(clippy::expect_used)] // chunks_exact yields DIGEST_ENTRY_BYTES = 4 + 32 bytes
     let digests = r
         .take(count * DIGEST_ENTRY_BYTES)?
         .chunks_exact(DIGEST_ENTRY_BYTES)
@@ -181,7 +199,7 @@ fn read_header(r: &mut Reader<'_>) -> Result<BlockHeader, CodecError> {
         })
         .collect();
     let nonce = r.u32()?;
-    let signature = Signature::from_bytes(r.take(16)?.try_into().expect("16 bytes"));
+    let signature = Signature::from_bytes(r.array()?);
     Ok(BlockHeader {
         version,
         time,
@@ -502,19 +520,6 @@ pub fn decode_trust_cache(data: &[u8]) -> Result<crate::store::TrustCache, Codec
     Ok(cache)
 }
 
-/// Converts a [`ChildResponse`] into its wire form. A pruned miss carries
-/// `retained_from`, the responder's pruned floor.
-pub fn response_to_wire(from: NodeId, response: &ChildResponse, retained_from: u32) -> WireMessage {
-    match response {
-        ChildResponse::Found(reply) => WireMessage::RpyChild(reply.clone()),
-        ChildResponse::NoChild => WireMessage::Nack { from },
-        ChildResponse::Pruned => WireMessage::PrunedNack {
-            from,
-            retained_from,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,31 +642,6 @@ mod tests {
         for tag in 0x09..=0x20u8 {
             assert_eq!(decode_message(&[tag]), Err(CodecError::UnknownTag(tag)));
         }
-    }
-
-    #[test]
-    fn response_to_wire_maps_both_variants() {
-        let block = sample_block(1);
-        let found = ChildResponse::Found(ChildReply {
-            claimed_owner: NodeId(1),
-            block_id: block.id,
-            header: block.header.clone(),
-        });
-        assert!(matches!(
-            response_to_wire(NodeId(1), &found, 0),
-            WireMessage::RpyChild(_)
-        ));
-        assert_eq!(
-            response_to_wire(NodeId(2), &ChildResponse::NoChild, 0),
-            WireMessage::Nack { from: NodeId(2) }
-        );
-        assert_eq!(
-            response_to_wire(NodeId(2), &ChildResponse::Pruned, 9),
-            WireMessage::PrunedNack {
-                from: NodeId(2),
-                retained_from: 9
-            }
-        );
     }
 
     #[test]

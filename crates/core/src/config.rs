@@ -24,10 +24,10 @@ pub enum PathSelection {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlacklistConfig {
     /// Consecutive failures (timeout or invalid reply) before a peer is banned.
-    pub ban_after_failures: u32,
+    pub(crate) ban_after_failures: u32,
     /// Number of valid digests a banned peer must deliver ("help transmit a
     /// certain number of blocks") before it is paroled.
-    pub parole_after_services: u32,
+    pub(crate) parole_after_services: u32,
 }
 
 impl Default for BlacklistConfig {
@@ -54,17 +54,17 @@ impl Default for BlacklistConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProtocolConfig {
     /// Protocol version recorded in every header.
-    pub version: u32,
+    pub(crate) version: u32,
     /// Version field size in bits (`f_v`).
-    pub f_v: u64,
+    pub(crate) f_v: u64,
     /// Time field size in bits (`f_t`).
-    pub f_t: u64,
+    pub(crate) f_t: u64,
     /// Hash/digest size in bits (`f_H`).
-    pub f_h: u64,
+    pub(crate) f_h: u64,
     /// Nonce field size in bits (`f_n`).
-    pub f_n: u64,
+    pub(crate) f_n: u64,
     /// Signature field size in bits (`f_s`).
-    pub f_s: u64,
+    pub(crate) f_s: u64,
     /// Block body size in bits (`C`).
     pub body_bits: u64,
     /// Difficulty of the generation puzzle in leading zero bits (Eq. 5). The
@@ -78,7 +78,7 @@ pub struct ProtocolConfig {
     /// Bytes per Merkle leaf when chunking a block body.
     pub merkle_chunk_bytes: usize,
     /// Framing overhead in bits added to every PoP message (type tag + ids).
-    pub framing_bits: u64,
+    pub(crate) framing_bits: u64,
     /// Next-responder selection strategy (ablation knob).
     pub path_selection: PathSelection,
     /// When true, PoP traffic is accounted along shortest physical paths
@@ -95,7 +95,7 @@ pub struct ProtocolConfig {
     /// population can force long rollback cascades; real deployments stop
     /// paying after a deadline. Exceeding the budget aborts the run with
     /// `PathExhausted`.
-    pub max_requests: u64,
+    pub(crate) max_requests: u64,
     /// Blacklist penalty parameters.
     pub blacklist: BlacklistConfig,
 }
@@ -172,33 +172,33 @@ impl ProtocolConfig {
     }
 
     /// Size of a digest broadcast message (one hash on the wire).
-    pub fn digest_message_bits(&self) -> Bits {
+    pub(crate) fn digest_message_bits(&self) -> Bits {
         Bits::from_bits(self.f_h + self.framing_bits)
     }
 
     /// Size of a `REQ_CHILD` message (carries `H(b^h_v)`).
-    pub fn req_child_bits(&self) -> Bits {
+    pub(crate) fn req_child_bits(&self) -> Bits {
         Bits::from_bits(self.f_h + self.framing_bits)
     }
 
     /// Size of a `RPY_CHILD` message carrying a header with
     /// `digest_entries` digests.
-    pub fn rpy_child_bits(&self, digest_entries: usize) -> Bits {
+    pub(crate) fn rpy_child_bits(&self, digest_entries: usize) -> Bits {
         self.header_bits(digest_entries) + Bits::from_bits(self.framing_bits)
     }
 
     /// Size of a cooperative "no child stored" reply (a NACK).
-    pub fn nack_bits(&self) -> Bits {
+    pub(crate) fn nack_bits(&self) -> Bits {
         Bits::from_bits(self.framing_bits)
     }
 
     /// Size of a block-fetch request.
-    pub fn fetch_request_bits(&self) -> Bits {
+    pub(crate) fn fetch_request_bits(&self) -> Bits {
         Bits::from_bits(self.f_h + self.framing_bits)
     }
 
     /// Size of a block-fetch response (full block).
-    pub fn block_response_bits(&self, digest_entries: usize) -> Bits {
+    pub(crate) fn block_response_bits(&self, digest_entries: usize) -> Bits {
         self.block_bits(digest_entries) + Bits::from_bits(self.framing_bits)
     }
 

@@ -80,28 +80,6 @@ impl LogicalDag {
         self.children.get(d).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Whether `descendant` is reachable from `ancestor` by following
-    /// child edges — i.e. `descendant`'s node "points to" `ancestor`
-    /// (Sec. III-C). A block is considered its own descendant.
-    pub fn is_descendant(&self, ancestor: &Digest, descendant: &Digest) -> bool {
-        if ancestor == descendant {
-            return true;
-        }
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([*ancestor]);
-        while let Some(d) = queue.pop_front() {
-            for child in self.children_of(&d) {
-                if child == descendant {
-                    return true;
-                }
-                if seen.insert(*child) {
-                    queue.push_back(*child);
-                }
-            }
-        }
-        false
-    }
-
     /// All distinct owner nodes of blocks that are descendants of `d`
     /// (including `d`'s own owner). This is the consensus oracle: PoP can
     /// gather at most this set into `R_i`.
@@ -179,6 +157,31 @@ impl LogicalDag {
     pub fn is_valid_path(&self, path: &[Digest]) -> bool {
         path.windows(2)
             .all(|w| self.children_of(&w[0]).contains(&w[1]))
+    }
+}
+
+#[cfg(test)]
+impl LogicalDag {
+    /// Whether `descendant` is reachable from `ancestor` by following
+    /// child edges — i.e. `descendant`'s node "points to" `ancestor`
+    /// (Sec. III-C). A block is considered its own descendant.
+    fn is_descendant(&self, ancestor: &Digest, descendant: &Digest) -> bool {
+        if ancestor == descendant {
+            return true;
+        }
+        let mut seen = HashSet::new();
+        let mut queue = VecDeque::from([*ancestor]);
+        while let Some(d) = queue.pop_front() {
+            for child in self.children_of(&d) {
+                if child == descendant {
+                    return true;
+                }
+                if seen.insert(*child) {
+                    queue.push_back(*child);
+                }
+            }
+        }
+        false
     }
 }
 

@@ -67,10 +67,4 @@ pub mod workload;
 
 pub use attack::Behavior;
 pub use block::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
-pub use config::{PathSelection, ProtocolConfig};
-pub use error::{PopError, TldagError, ValidationError};
-pub use network::{SlotSummary, TldagNetwork};
-pub use node::LedgerNode;
-pub use pop::{PopMetrics, PopReport, Validator};
-pub use store::{BackendFactory, BlockBackend, BlockStore, MemoryBackendFactory, TrustCache};
-pub use workload::VerificationWorkload;
+pub use error::TldagError;

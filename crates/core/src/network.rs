@@ -93,7 +93,7 @@ pub mod stream {
     /// PoP next-hop tie-breaks.
     pub const POP: u64 = 3;
     /// Link-fault decisions during one validator's PoP exchanges.
-    pub const LINKS: u64 = 4;
+    pub(crate) const LINKS: u64 = 4;
     /// Join-site placement for dynamic membership: where a node joining at
     /// a given slot appears in the deployment area. Drawn from the joiner's
     /// derived stream so a wire deployment and the in-memory engine agree
@@ -622,7 +622,7 @@ impl PopTransport for SimTransport<'_> {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotSummary {
     /// The slot that was executed.
-    pub slot: Slot,
+    pub(crate) slot: Slot,
     /// Blocks generated in this slot.
     pub blocks_generated: usize,
     /// PoP runs attempted by generating nodes.
@@ -665,8 +665,8 @@ pub struct TldagNetwork {
     accounting: Accounting,
     /// The experiment seed; every per-(slot, node) stream derives from it.
     seed: u64,
-    /// Sequential stream for out-of-loop draws (ad-hoc [`Self::run_pop`] /
-    /// [`Self::choose_target`] calls from experiments).
+    /// Sequential stream for out-of-loop draws (ad-hoc [`Self::run_pop`]
+    /// calls from experiments).
     rng: DetRng,
     slot: Slot,
     /// How many threads the slot loop's parallel phases may use.
@@ -1248,15 +1248,6 @@ impl TldagNetwork {
             last = self.try_step()?;
         }
         Ok(last)
-    }
-
-    /// Chooses a verification target for `validator` under the current
-    /// workload policy: a uniformly random qualifying block owned by another
-    /// node. Draws from the network's sequential stream; the slot loop uses
-    /// per-validator derived streams instead.
-    pub fn choose_target(&mut self, validator: NodeId) -> Option<BlockId> {
-        TargetPool::new(&self.nodes, &self.departed, self.verification, self.slot)
-            .choose(validator, &mut self.rng)
     }
 
     /// A node joins the network at `position` with radio range `range_m`

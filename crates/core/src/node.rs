@@ -155,7 +155,7 @@ impl LedgerNode {
     }
 
     /// Current behaviour.
-    pub fn behavior(&self) -> Behavior {
+    pub(crate) fn behavior(&self) -> Behavior {
         self.behavior
     }
 
@@ -214,15 +214,6 @@ impl LedgerNode {
     /// Mutable blacklist access.
     pub fn blacklist_mut(&mut self) -> &mut Blacklist {
         &mut self.blacklist
-    }
-
-    /// Latest digest heard from `neighbor` (`A_i` lookup).
-    pub fn latest_digest_from(&self, neighbor: NodeId) -> Option<Digest> {
-        let at = self
-            .latest_digests
-            .binary_search_by_key(&neighbor, |entry| entry.0)
-            .ok()?;
-        Some(self.latest_digests[at].1)
     }
 
     /// Digest of the node's own latest block.
@@ -400,6 +391,18 @@ impl LedgerNode {
     /// Total logical storage: `|S_i| + |H_i|` in bits (Prop. 3's quantity).
     pub fn storage_bits(&self, cfg: &ProtocolConfig) -> Bits {
         self.store.logical_bits(cfg) + self.trust_cache.logical_bits(cfg)
+    }
+}
+
+#[cfg(test)]
+impl LedgerNode {
+    /// Latest digest heard from `neighbor` (`A_i` lookup).
+    fn latest_digest_from(&self, neighbor: NodeId) -> Option<Digest> {
+        let at = self
+            .latest_digests
+            .binary_search_by_key(&neighbor, |entry| entry.0)
+            .ok()?;
+        Some(self.latest_digests[at].1)
     }
 }
 

@@ -22,5 +22,4 @@ pub mod tps;
 pub mod validator;
 pub mod wps;
 
-pub use messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
-pub use validator::{PathStep, PopMetrics, PopReport, Validator};
+pub use validator::PopMetrics;

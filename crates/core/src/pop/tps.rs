@@ -18,9 +18,9 @@ use tldag_sim::NodeId;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TpsStep {
     /// Node that generated the header's block.
-    pub owner: NodeId,
+    pub(crate) owner: NodeId,
     /// Block identity in the owner's chain.
-    pub block_id: BlockId,
+    pub(crate) block_id: BlockId,
     /// Its header digest (the new verifying-block digest) — the key the
     /// cache indexes the header under, never a re-hash.
     pub digest: Digest,

@@ -26,7 +26,7 @@ pub struct OwnerMultiset {
 impl OwnerMultiset {
     /// An empty multiset sized for a topology of `nodes` ids (it still
     /// grows for a later joiner's id).
-    pub fn with_nodes(nodes: usize) -> Self {
+    pub(crate) fn with_nodes(nodes: usize) -> Self {
         OwnerMultiset {
             counts: vec![0; nodes],
             distinct: 0,
@@ -34,7 +34,7 @@ impl OwnerMultiset {
     }
 
     /// Adds one block of `owner` to the path.
-    pub fn add(&mut self, owner: NodeId) {
+    pub(crate) fn add(&mut self, owner: NodeId) {
         if self.counts.len() <= owner.index() {
             self.counts.resize(owner.index() + 1, 0);
         }
@@ -45,7 +45,7 @@ impl OwnerMultiset {
 
     /// Removes one block of `owner` from the path (a rollback); removing an
     /// absent owner does nothing.
-    pub fn remove(&mut self, owner: NodeId) {
+    pub(crate) fn remove(&mut self, owner: NodeId) {
         if let Some(count) = self.counts.get_mut(owner.index()).filter(|c| **c > 0) {
             *count -= 1;
             self.distinct -= usize::from(*count == 0);
@@ -53,12 +53,12 @@ impl OwnerMultiset {
     }
 
     /// Whether `node` owns a block on the path (`node ∈ R_i`).
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         self.counts.get(node.index()).is_some_and(|&c| c > 0)
     }
 
     /// `|R_i|`: the number of distinct owners on the path.
-    pub fn len_distinct(&self) -> usize {
+    pub(crate) fn len_distinct(&self) -> usize {
         self.distinct
     }
 }
@@ -74,19 +74,13 @@ impl FromIterator<NodeId> for OwnerMultiset {
 /// The WPS weight of `candidate` given the current path set `ri` (Eq. 7),
 /// returned as the exact rational `(numerator, denominator)` to avoid
 /// floating-point ties.
-pub fn weight(topology: &Topology, candidate: NodeId, ri: &OwnerMultiset) -> (usize, usize) {
+pub(crate) fn weight(topology: &Topology, candidate: NodeId, ri: &OwnerMultiset) -> (usize, usize) {
     let neighbors = topology.neighbors(candidate);
     let mut overlap = neighbors.iter().filter(|n| ri.contains(**n)).count();
     if ri.contains(candidate) {
         overlap += 1;
     }
     (overlap, neighbors.len() + 1)
-}
-
-/// The WPS weight as an `f64`, for reporting.
-pub fn weight_f64(topology: &Topology, candidate: NodeId, ri: &OwnerMultiset) -> f64 {
-    let (num, den) = weight(topology, candidate, ri);
-    num as f64 / den as f64
 }
 
 /// Compares two rational weights `a = an/ad`, `b = bn/bd` exactly.
@@ -157,6 +151,13 @@ pub fn select_next(
         return Some(z[0]); // lines 5-7
     }
     rng.choose(&z).copied() // lines 8-13
+}
+
+/// The WPS weight as an `f64`.
+#[cfg(test)]
+fn weight_f64(topology: &Topology, candidate: NodeId, ri: &OwnerMultiset) -> f64 {
+    let (num, den) = weight(topology, candidate, ri);
+    num as f64 / den as f64
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub enum SyncPolicy {
 
 impl SyncPolicy {
     /// Whether the engine should sync backends at the **end** of `slot`.
-    pub fn syncs_at_slot_end(self, slot: u64) -> bool {
+    pub(crate) fn syncs_at_slot_end(self, slot: u64) -> bool {
         match self {
             SyncPolicy::PerAppend => false, // already durable per append
             SyncPolicy::PerSlot => true,
@@ -70,7 +70,7 @@ impl SyncPolicy {
     }
 
     /// Whether the engine should sync right after each append.
-    pub fn syncs_per_append(self) -> bool {
+    pub(crate) fn syncs_per_append(self) -> bool {
         matches!(self, SyncPolicy::PerAppend)
     }
 }
@@ -374,7 +374,7 @@ impl BackendFactory for MemoryBackendFactory {
 /// allocates. The list is no larger than a `Vec`, so an index bucket is 32
 /// bytes. Never empty: the index only creates a list with a child in it.
 #[derive(Clone, Debug)]
-pub enum ChildList {
+pub(crate) enum ChildList {
     /// The only child.
     One(u32),
     /// Two or three children: the first `len` of `items`.
@@ -392,10 +392,10 @@ const _: () = assert!(std::mem::size_of::<ChildList>() == std::mem::size_of::<Ve
 
 impl ChildList {
     /// Most children a list holds without allocating.
-    pub const INLINE: usize = 3;
+    pub(crate) const INLINE: usize = 3;
 
     /// The children, in list order.
-    pub fn as_slice(&self) -> &[u32] {
+    pub(crate) fn as_slice(&self) -> &[u32] {
         match self {
             ChildList::One(only) => std::slice::from_ref(only),
             ChildList::Few { len, items } => &items[..usize::from(*len)],
@@ -439,7 +439,7 @@ impl ChildList {
 /// SipHash with a random key, because contained digests are whatever a
 /// neighbor gossips. Nothing is ever removed: the arena only grows.
 #[derive(Clone, Debug, Default)]
-pub struct ChildIndex(HashMap<u64, ChildList>);
+pub(crate) struct ChildIndex(HashMap<u64, ChildList>);
 
 const _: () = assert!(std::mem::size_of::<(u64, ChildList)>() == 32);
 
@@ -460,7 +460,7 @@ impl ChildIndex {
 
     /// Adds `child` under `target`'s prefix, at the position `at` picks from
     /// the list as it stands (`<[u32]>::len` appends).
-    pub fn insert(&mut self, target: &Digest, child: u32, at: impl FnOnce(&[u32]) -> usize) {
+    pub(crate) fn insert(&mut self, target: &Digest, child: u32, at: impl FnOnce(&[u32]) -> usize) {
         match self.0.entry(Self::key(target)) {
             Entry::Vacant(slot) => {
                 slot.insert(ChildList::One(child));
@@ -470,22 +470,6 @@ impl ChildIndex {
                 list.insert(at(list.as_slice()), child);
             }
         }
-    }
-
-    /// The child lists, in no particular order.
-    pub fn lists(&self) -> impl Iterator<Item = &ChildList> {
-        self.0.values()
-    }
-
-    /// Bytes of the buckets the map has room for, plus the heap of every
-    /// `Many` list.
-    pub fn resident_bytes(&self) -> usize {
-        let heap = |list: &ChildList| match list {
-            ChildList::Many(all) => all.capacity() * std::mem::size_of::<u32>(),
-            _ => 0,
-        };
-        self.0.capacity() * std::mem::size_of::<(u64, ChildList)>()
-            + self.lists().map(heap).sum::<usize>()
     }
 }
 
@@ -844,11 +828,6 @@ impl FreshHeaders {
         debug_assert_eq!(digest, trusted.header.digest(), "cache key is the digest");
         self.0.push((digest, trusted));
     }
-
-    /// True if the run verified nothing to trust.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
 }
 
 impl FromIterator<TrustedHeader> for FreshHeaders {
@@ -863,7 +842,7 @@ impl FromIterator<TrustedHeader> for FreshHeaders {
 ///
 /// Headers live in a slab in first-trusted order, each beside the digest it
 /// is indexed under, and two maps point into the slab: one by the header's
-/// own digest, one ([`ChildIndex`]) by the prefix of every digest the header
+/// own digest, one (`ChildIndex`) by the prefix of every digest the header
 /// *contains*, so TPS can answer "is there a cached child of block `d`?"
 /// with one probe. Two invariants hold after every insert: each key equals
 /// `header.digest()` of its value, and each child list is in
@@ -909,20 +888,6 @@ impl HeaderArena {
     /// True if no member trusts anything.
     pub fn is_empty(&self) -> bool {
         self.slab.is_empty()
-    }
-
-    /// Approximate bytes of process memory the arena pins, shared by all its
-    /// members: the slab, both digest maps and the child index, at the
-    /// capacity each has grown to. Digest lists are not counted; in the
-    /// in-process engine they are shared with the owners' `S_i`. Each
-    /// member adds its own set, 4 bytes and a bit per header.
-    pub fn resident_bytes(&self) -> usize {
-        let renamed = self.renamed.values().map(|v| v.capacity() * 4);
-        self.slab.capacity() * std::mem::size_of::<(Digest, TrustedHeader)>()
-            + self.by_digest.capacity() * std::mem::size_of::<(Digest, u32)>()
-            + self.renamed.capacity() * std::mem::size_of::<(Digest, Vec<u32>)>()
-            + renamed.sum::<usize>()
-            + self.children_of.resident_bytes()
     }
 
     /// The slab index of `trusted`, which is `digest`'s header: the entry an
@@ -1169,7 +1134,7 @@ impl TrustCache {
     /// `by_digest` and the child index of a cache with an arena of its own,
     /// at exact fit (no table slack). It counts this member's headers and
     /// index entries only, so sharing an arena never shrinks it;
-    /// [`HeaderArena::resident_bytes`] is the process's side.
+    /// `HeaderArena::resident_bytes` is the process's side.
     pub fn resident_bytes(&self) -> usize {
         let mut children: HashMap<u64, usize> = HashMap::new();
         for (_, trusted) in self.iter() {
@@ -1199,6 +1164,14 @@ impl TrustCache {
             let (digest, trusted) = &self.arena.slab[index as usize];
             (digest, trusted)
         })
+    }
+}
+
+#[cfg(test)]
+impl FreshHeaders {
+    /// True if the run verified nothing to trust.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
@@ -1759,29 +1732,6 @@ mod tests {
             .chain(rest)
             .map(|b| trusted(&b))
             .collect()
-    }
-
-    #[test]
-    fn arena_resident_bytes_counts_slab_maps_index_and_heaps() {
-        let mut cache = TrustCache::new();
-        assert_eq!(cache.arena().resident_bytes(), 0, "nothing allocated yet");
-        four_headers().into_iter().for_each(|t| cache.insert(t));
-        let arena = cache.arena();
-        // Four headers under their digests; two keys, `a`'s five children
-        // on the heap and `b`'s one inline.
-        let heap: usize = (arena.children_of.lists())
-            .map(|list| match list {
-                ChildList::Many(all) => all.capacity() * 4,
-                _ => 0,
-            })
-            .sum();
-        assert!(heap >= 5 * 4);
-        let header = std::mem::size_of::<(Digest, TrustedHeader)>();
-        let slab = arena.slab.capacity() * header;
-        let by_digest = arena.by_digest.capacity() * 36;
-        let buckets = arena.children_of.0.capacity() * 32;
-        assert!(slab >= 4 * header && by_digest >= 4 * 36 && buckets >= 2 * 32);
-        assert_eq!(arena.resident_bytes(), slab + by_digest + buckets + heap);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum VerificationWorkload {
 
 impl VerificationWorkload {
     /// The paper's default for a network of `n` nodes.
-    pub fn paper_default(n: usize) -> Self {
+    pub(crate) fn paper_default(n: usize) -> Self {
         VerificationWorkload::RandomPast {
             min_age_slots: n as u64,
         }
@@ -54,7 +54,7 @@ impl VerificationWorkload {
     /// `None` when no slot does. Every rule admits a prefix of time, so a
     /// block qualifies exactly when its slot is at or before this cut-off,
     /// and a chain's qualifying blocks are a prefix of it.
-    pub fn latest_target_slot(&self, now: Slot) -> Option<Slot> {
+    pub(crate) fn latest_target_slot(&self, now: Slot) -> Option<Slot> {
         match *self {
             VerificationWorkload::RandomPast { min_age_slots } => now.checked_sub(min_age_slots),
             VerificationWorkload::FirstEra { era_slots } => era_slots.checked_sub(1),

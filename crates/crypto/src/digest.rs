@@ -5,7 +5,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Number of bytes in a [`Digest`].
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 /// A 256-bit digest (the output of [`crate::sha256`]).
 ///
@@ -53,7 +53,7 @@ impl Digest {
 
     /// Number of leading zero bits, used by the difficulty puzzle
     /// (`H(...) ≤ ρ` in Eq. 5 of the paper).
-    pub fn leading_zero_bits(&self) -> u32 {
+    pub(crate) fn leading_zero_bits(&self) -> u32 {
         let mut count = 0u32;
         for &byte in &self.0 {
             if byte == 0 {

@@ -53,5 +53,4 @@ pub mod sha256;
 mod sha_ni;
 
 pub use digest::Digest;
-pub use merkle::{MerkleProof, MerkleTree};
-pub use schnorr::{KeyPair, PublicKey, SecretKey, Signature};
+pub use schnorr::KeyPair;

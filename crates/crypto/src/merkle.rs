@@ -35,7 +35,7 @@ fn hash_node(left: &Digest, right: &Digest) -> Digest {
 }
 
 /// Root digest of an empty tree.
-pub fn empty_root() -> Digest {
+pub(crate) fn empty_root() -> Digest {
     let mut h = Sha256::new();
     h.update(&[EMPTY_TAG]);
     h.finalize()
@@ -137,7 +137,7 @@ impl MerkleTree {
     }
 
     /// Number of leaves (zero for the empty tree).
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         if self.levels.len() == 1 && self.levels[0].len() == 1 && self.levels[0][0] == empty_root()
         {
             0
@@ -185,16 +185,6 @@ pub struct MerkleProof {
 }
 
 impl MerkleProof {
-    /// Proof depth (number of sibling hashes).
-    pub fn len(&self) -> usize {
-        self.siblings.len()
-    }
-
-    /// Returns `true` for the trivial proof of a single-leaf tree.
-    pub fn is_empty(&self) -> bool {
-        self.siblings.is_empty()
-    }
-
     /// Verifies that `leaf_data` is included under `root` at this proof's index.
     pub fn verify(&self, root: &Digest, leaf_data: &[u8]) -> bool {
         let mut acc = hash_leaf(leaf_data);
@@ -206,6 +196,14 @@ impl MerkleProof {
             };
         }
         acc == *root
+    }
+}
+
+#[cfg(test)]
+impl MerkleProof {
+    /// Returns `true` for the trivial proof of a single-leaf tree.
+    fn is_empty(&self) -> bool {
+        self.siblings.is_empty()
     }
 }
 

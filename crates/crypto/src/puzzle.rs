@@ -139,11 +139,6 @@ fn leading_zero_bits(state: &[u32; 8]) -> u32 {
     count
 }
 
-/// Expected number of hash evaluations to solve at `difficulty_bits`.
-pub fn expected_attempts(difficulty_bits: u8) -> u64 {
-    1u64 << difficulty_bits.min(63)
-}
-
 /// Number of attempts [`solve`] actually made for a given result, assuming it
 /// started at `start`. Used by tests and by the DoS detector, which flags
 /// peers producing blocks implausibly faster than the expected attempt count.
@@ -259,13 +254,6 @@ mod tests {
         let a = solve(b"prefix-a", 8, 0);
         let b = solve(b"prefix-a", 8, 0);
         assert_eq!(a, b, "solve must be deterministic");
-    }
-
-    #[test]
-    fn expected_attempts_doubles_per_bit() {
-        assert_eq!(expected_attempts(0), 1);
-        assert_eq!(expected_attempts(8), 256);
-        assert_eq!(expected_attempts(9), 512);
     }
 
     #[test]

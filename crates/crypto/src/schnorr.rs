@@ -16,7 +16,7 @@
 //! `g = 4` generating the order-`q` subgroup of quadratic residues.
 //!
 //! Powers of `g` (key generation, signing, the `g^s` of verification) read
-//! a fixed-base table built once beside [`group_params`]: sixteen 4-bit
+//! a fixed-base table built once beside `group_params`: sixteen 4-bit
 //! windows of sixteen entries, 2 KiB, so `g^x` is fifteen products where
 //! square-and-multiply (`powmod`) takes about ninety. Every key, signature
 //! and verdict equals what `powmod` gives.
@@ -81,13 +81,13 @@ fn is_prime_u64(n: u64) -> bool {
 
 /// The group parameters shared by every key pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GroupParams {
+pub(crate) struct GroupParams {
     /// Safe prime modulus, `p = 2q + 1`, `p < 2^63`.
-    pub p: u64,
+    pub(crate) p: u64,
     /// Prime order of the quadratic-residue subgroup.
-    pub q: u64,
+    pub(crate) q: u64,
     /// Generator of the order-`q` subgroup (`g = 4 = 2²`).
-    pub g: u64,
+    pub(crate) g: u64,
 }
 
 static PARAMS: OnceLock<GroupParams> = OnceLock::new();
@@ -97,7 +97,7 @@ static PARAMS: OnceLock<GroupParams> = OnceLock::new();
 /// The search starts just below `2^62` and walks downward over odd `q`
 /// until both `q` and `2q + 1` are prime; it is deterministic, so every
 /// process in the workspace agrees on the same group.
-pub fn group_params() -> &'static GroupParams {
+pub(crate) fn group_params() -> &'static GroupParams {
     PARAMS.get_or_init(|| {
         let mut q: u64 = (1u64 << 61) - 1; // odd starting point below 2^61
         loop {
@@ -136,7 +136,7 @@ fn g_pow(exp: u64) -> u64 {
 
 /// A secret (signing) key: an exponent in `[1, q-1]`.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey(u64);
+pub(crate) struct SecretKey(u64);
 
 impl fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -165,11 +165,6 @@ impl PublicKey {
     /// Raw group element.
     pub fn to_u64(self) -> u64 {
         self.0
-    }
-
-    /// Big-endian byte encoding used in challenge hashes.
-    pub fn to_bytes(self) -> [u8; 8] {
-        self.0.to_be_bytes()
     }
 
     /// Verifies `sig` over `message`.

@@ -288,7 +288,8 @@ pub fn sha256(data: &[u8]) -> Digest {
 
 /// SHA-256 over the concatenation of two byte slices, a frequent pattern when
 /// hashing `(parent_digest ‖ child_bytes)` pairs.
-pub fn sha256_pair(a: &[u8], b: &[u8]) -> Digest {
+#[cfg(test)]
+fn sha256_pair(a: &[u8], b: &[u8]) -> Digest {
     let mut hasher = Sha256::new();
     hasher.update(a);
     hasher.update(b);

@@ -1,6 +1,6 @@
 //! The `tldag` command line in one place: the flag parser every subcommand
 //! uses ([`Args`]), and the `tldag node` argv of a [`NetNodeConfig`]
-//! ([`NetNodeConfig::to_args`] / [`NetNodeConfig::from_args`]) — the one
+//! (`NetNodeConfig::to_args` / [`NetNodeConfig::from_args`]) — the one
 //! spelling the cluster harness spawns members with and `tldag node` reads
 //! back.
 
@@ -18,7 +18,7 @@ use tldag_sim::NodeId;
 /// The flags `tldag node` accepts — every one [`NetNodeConfig::to_args`]
 /// can emit — as a flag table: `name=` takes a value, a bare `name` is a
 /// switch.
-pub const NODE_FLAGS: &str = "id= listen= peers= controller= seed= nodes= side= gamma= \
+pub(crate) const NODE_FLAGS: &str = "id= listen= peers= controller= seed= nodes= side= gamma= \
     slots= pop window= batch= drop= trace storage= storage-dir= join= churn= evict-after= \
     deadline= metrics-addr= behavior=";
 
@@ -121,7 +121,7 @@ impl NetNodeConfig {
     /// as this config. It carries every field but `endpoint` (except its
     /// `batch`), the timeouts and `linger`, and of `fault` only the drop
     /// rate.
-    pub fn to_args(&self) -> Vec<String> {
+    pub(crate) fn to_args(&self) -> Vec<String> {
         let disk_dir = self.storage.as_ref().map(|dir| dir.display().to_string());
         let secs = |d: Option<Duration>| d.map(|d| d.as_secs_f64().to_string());
         let values = [
@@ -170,14 +170,14 @@ impl NetNodeConfig {
         out
     }
 
-    /// Parses a `tldag node` argv (see [`NODE_FLAGS`]). Absent flags keep
+    /// Parses a `tldag node` argv (see `NODE_FLAGS`). Absent flags keep
     /// the [`NetNodeConfig::new`] defaults; `--nodes` defaults to one more
     /// than the peer list.
     ///
     /// # Errors
     ///
     /// As [`Args::parse`], a missing `--id` or `--listen`, a value that does
-    /// not parse, or a config [`NetNodeConfig::validate`] rejects.
+    /// not parse, or a config `NetNodeConfig::validate` rejects.
     pub fn from_args(argv: &[String]) -> Result<Self, String> {
         let args = Args::parse(argv, &[NODE_FLAGS])?;
         let id = NodeId(args.required("id")?);
@@ -227,7 +227,7 @@ impl NetNodeConfig {
     /// # Errors
     ///
     /// `window` outside `1..=32`, or a fault drop rate outside `0.0..1.0`.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(1..=32).contains(&self.window) {
             return Err(format!("--window {} out of range (1..=32)", self.window));
         }

@@ -13,6 +13,15 @@
 //! receiver missing a neighbor's digest *pulls* it with
 //! [`Control::DigestReq`] — the interest/nack-style recovery DLedger uses
 //! over lossy IoT transports.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::panic
+    )
+)]
 
 use crate::metrics::NetStats;
 use crate::NetError;
@@ -70,21 +79,12 @@ fn encode_addr(out: &mut Vec<u8>, addr: SocketAddr) {
 
 fn decode_addr(r: &mut Reader<'_>) -> Result<SocketAddr, NetError> {
     let ip: IpAddr = match r.u8().map_err(framing)? {
-        ADDR_V4 => {
-            let o = r.take(4).map_err(framing)?;
-            IpAddr::V4(Ipv4Addr::new(o[0], o[1], o[2], o[3]))
-        }
-        ADDR_V6 => {
-            let o = r.take(16).map_err(framing)?;
-            let mut bytes = [0u8; 16];
-            bytes.copy_from_slice(o);
-            IpAddr::V6(Ipv6Addr::from(bytes))
-        }
+        ADDR_V4 => IpAddr::V4(Ipv4Addr::from(r.array::<4>().map_err(framing)?)),
+        ADDR_V6 => IpAddr::V6(Ipv6Addr::from(r.array::<16>().map_err(framing)?)),
         other => return Err(NetError::BadAddressFamily(other)),
     };
-    let port_hi = r.u8().map_err(framing)?;
-    let port_lo = r.u8().map_err(framing)?;
-    Ok(SocketAddr::new(ip, u16::from_be_bytes([port_hi, port_lo])))
+    let port = u16::from_be_bytes(r.array().map_err(framing)?);
+    Ok(SocketAddr::new(ip, port))
 }
 
 /// A node's end-of-run summary, shipped to the harness controller.

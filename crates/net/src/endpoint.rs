@@ -84,7 +84,7 @@ impl Default for EndpointConfig {
 /// A message delivered to the receive-loop handler (replies are routed to
 /// their waiting requester internally and never reach the handler).
 ///
-/// Inherits [`Control`]'s size skew: `Report` dwarfs everything else but
+/// Inherits `Control`'s size skew: `Report` dwarfs everything else but
 /// travels once per run, and `Inbound` itself lives on the receive-loop
 /// stack — it is never stored in bulk, so indirection would buy nothing.
 #[allow(clippy::large_enum_variant)]
@@ -186,7 +186,7 @@ impl Endpoint {
     }
 
     /// The node id this endpoint stamps into outgoing envelopes.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.id
     }
 
@@ -200,7 +200,7 @@ impl Endpoint {
     }
 
     /// The endpoint's live metrics.
-    pub fn metrics(&self) -> &NetMetrics {
+    pub(crate) fn metrics(&self) -> &NetMetrics {
         &self.metrics
     }
 
@@ -215,13 +215,13 @@ impl Endpoint {
     }
 
     /// Histogram of per-attempt waits that timed out (realized backoff).
-    pub fn retry_backoff(&self) -> &LatencyHistogram {
+    pub(crate) fn retry_backoff(&self) -> &LatencyHistogram {
         &self.retry_backoff
     }
 
     /// Histogram of datagrams decoded per productive receiver wakeup
     /// (unit: datagrams, stored in the histogram's microsecond buckets).
-    pub fn batch_fill(&self) -> &LatencyHistogram {
+    pub(crate) fn batch_fill(&self) -> &LatencyHistogram {
         &self.batch_fill
     }
 
@@ -279,7 +279,7 @@ impl Endpoint {
     ///
     /// [`NetError::Oversize`] when the message cannot be fragmented
     /// (control messages always fit one datagram in practice).
-    pub fn send_control(&self, to: SocketAddr, msg: &Control) -> Result<u64, NetError> {
+    pub(crate) fn send_control(&self, to: SocketAddr, msg: &Control) -> Result<u64, NetError> {
         self.send_control_traced(to, msg, None)
     }
 
@@ -290,7 +290,7 @@ impl Endpoint {
     /// # Errors
     ///
     /// [`NetError::Oversize`] when the message cannot be fragmented.
-    pub fn send_control_traced(
+    pub(crate) fn send_control_traced(
         &self,
         to: SocketAddr,
         msg: &Control,

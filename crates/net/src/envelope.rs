@@ -45,7 +45,7 @@
 //! unknown tags, which is what makes extensions version-tolerant: a peer
 //! that predates a tag ignores it and still delivers the payload. The CRC
 //! covers the extensions, so corruption there is rejected like anywhere
-//! else. The only tag defined today is [`EXT_TRACE`]: a 28-byte
+//! else. The only tag defined today is `EXT_TRACE`: a 28-byte
 //! [`TraceContext`] `(origin u32, slot u64, prefix u64, ts_micros u64)`
 //! stitching a block's receive/verify spans on remote nodes back to its
 //! originator. It is attached only when tracing is enabled, so
@@ -72,7 +72,7 @@ use tldag_sim::NodeId;
 use tldag_storage::crc32::crc32;
 
 /// Leading magic of every tldag datagram.
-pub const MAGIC: [u8; 2] = *b"TL";
+pub(crate) const MAGIC: [u8; 2] = *b"TL";
 /// Wire protocol version carried in the top two bits of the flags byte.
 pub const PROTOCOL_VERSION: u8 = 2;
 /// Flags bit: a req id follows msg seq (the datagram is a reply).
@@ -93,7 +93,7 @@ const MAX_HEADER_LEN: usize = MAGIC.len() + 1 + 5 + 10 + 10 + 3 + 3 + 3;
 /// Default datagram budget: conservative Ethernet MTU minus IP/UDP headers.
 pub const DEFAULT_MTU: usize = 1400;
 /// Extension tag carrying a [`TraceContext`].
-pub const EXT_TRACE: u8 = 0x01;
+pub(crate) const EXT_TRACE: u8 = 0x01;
 /// Encoded size of a [`TraceContext`] extension body.
 const TRACE_BODY_LEN: usize = 28;
 /// On-wire size of a trace extension record (tag + len + body).
@@ -171,7 +171,7 @@ impl Kind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Envelope {
     /// Payload channel.
-    pub kind: Kind,
+    pub(crate) kind: Kind,
     /// The sending node.
     pub sender: NodeId,
     /// Sender-monotonic message sequence number.

@@ -27,13 +27,13 @@ use tldag_crypto::Digest;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlotMismatch {
     /// The diverging node.
-    pub node: u32,
+    pub(crate) node: u32,
     /// The digest the wire node served for this slot (`None` when the
     /// node never answered the pull — pruned history or a dead process).
-    pub wire: Option<Digest>,
+    pub(crate) wire: Option<Digest>,
     /// The reference engine's block digest at this slot (`None` when the
     /// reference node generated no block here, e.g. before a join).
-    pub reference: Option<Digest>,
+    pub(crate) reference: Option<Digest>,
 }
 
 /// The slot-by-slot diff produced by [`diagnose`], plus any trace
@@ -43,15 +43,15 @@ pub struct DivergenceReport {
     /// The earliest slot where any node's wire digest provably differs
     /// from the reference (`None` when the pulls yielded no definite
     /// disagreement — e.g. the evidence window has been pruned).
-    pub first_divergent_slot: Option<u64>,
+    pub(crate) first_divergent_slot: Option<u64>,
     /// Every divergent slot with the differing block digests, ascending.
-    pub mismatches: BTreeMap<u64, Vec<SlotMismatch>>,
+    pub(crate) mismatches: BTreeMap<u64, Vec<SlotMismatch>>,
     /// Suspect slots the wire nodes could not answer (pruned or
     /// unreachable) — divergence there is possible but unprovable.
-    pub unanswered: Vec<(u32, u64)>,
+    pub(crate) unanswered: Vec<(u32, u64)>,
     /// Raw `/trace` timeline JSON of the offending blocks (empty when
     /// tracing or metrics were off for the run).
-    pub timelines: Vec<String>,
+    pub(crate) timelines: Vec<String>,
 }
 
 impl DivergenceReport {

@@ -129,7 +129,7 @@ impl Reassembler {
     }
 
     /// Number of partial messages evicted for exceeding the budget.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 

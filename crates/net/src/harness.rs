@@ -155,7 +155,7 @@ pub fn format_adversary_schedule(placements: &[AdversaryPlacement]) -> String {
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// The `tldag` binary to spawn node processes from.
-    pub exe: PathBuf,
+    pub(crate) exe: PathBuf,
     /// What the processes run and the reference engine replays: seed,
     /// founders (= processes at start), slots each founder executes,
     /// protocol and per-node knobs, churn (late joins are spawned as extra
@@ -312,9 +312,9 @@ pub fn discover_tcp_ports(n: usize) -> Result<Vec<SocketAddr>, String> {
 #[derive(Clone, Debug)]
 pub struct Deployment {
     /// Shared experiment seed (also fixes the topology).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Founding nodes; scheduled joiners take the ids after them.
-    pub founders: usize,
+    pub(crate) founders: usize,
     /// Deployment area side in meters.
     pub side_m: f64,
     /// Consensus parameter γ.
@@ -322,7 +322,7 @@ pub struct Deployment {
     /// Whether members run the PoP verification workload.
     pub pop: bool,
     /// Protocol horizon in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Scheduled late joins and graceful leaves (a valid schedule, see
     /// [`validate_churn`]).
     pub churn: Vec<ChurnEvent>,
@@ -587,14 +587,14 @@ pub struct Verdict {
     /// Network digest over every member's wire chain.
     pub wire_digest: Digest,
     /// The reference engine's network digest.
-    pub reference_digest: Digest,
+    pub(crate) reference_digest: Digest,
     /// Network digest over the wire chains of the members no adversary is
     /// placed on (every member of an honest run, where it is the full
     /// digest). A flapping adversary legitimately forks its own chain by
     /// going dark, so under attack this subset is the digest verdict.
-    pub honest_wire_digest: Digest,
+    pub(crate) honest_wire_digest: Digest,
     /// The same subset of the reference engine's chains.
-    pub honest_reference_digest: Digest,
+    pub(crate) honest_reference_digest: Digest,
     /// Members whose wire chain differs from the reference's, in id order
     /// (an adversary's fork included).
     pub diverged: Vec<NodeId>,

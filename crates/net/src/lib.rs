@@ -8,7 +8,7 @@
 //! * [`envelope`] — versioned, CRC-guarded datagram framing with
 //!   fragmentation for messages larger than one MTU (full blocks).
 //! * [`frag`] — out-of-order, budget-bounded fragment reassembly.
-//! * [`transport`] — the [`Datagram`] socket abstraction:
+//! * `transport` — the [`Datagram`] socket abstraction:
 //!   [`UdpTransport`] for real sockets, [`FaultyTransport`] for
 //!   deterministic loss/duplication/reorder injection (the `fig11_wire`
 //!   knob).
@@ -16,7 +16,7 @@
 //!   membership book: who generates at which slot, every peer's address
 //!   and liveness (the eviction signal), churn-spec parsing, and
 //!   deterministic join placement.
-//! * [`endpoint`] — the [`Endpoint`]: framing + reassembly + reply
+//! * `endpoint` — the [`Endpoint`]: framing + reassembly + reply
 //!   correlation + request retry with bounded backoff, fully metered
 //!   ([`metrics`]).
 //! * [`control`] — runtime control messages: hello bootstrap, slot-tagged
@@ -35,14 +35,14 @@
 //! * [`telemetry`] — live observability: per-node histograms + journal
 //!   ([`telemetry::NodeTelemetry`]), the `/metrics` + `/journal` +
 //!   `/trace` HTTP routes, and the `tldag status` scraper/aggregator.
-//! * [`forensics`] — slot-by-slot divergence diagnosis on parity
+//! * `forensics` — slot-by-slot divergence diagnosis on parity
 //!   failures: first divergent slot, differing block digests, and the
 //!   offending blocks' causal lifecycle timelines.
 //! * [`argv`] — the `tldag` command line: the per-subcommand flag parser
 //!   and the `tldag node` argv of a [`NetNodeConfig`] (its `id@host:port`
 //!   peer list included), which the harness spawns members with and
 //!   `tldag node` reads back.
-//! * [`explore`] — the `tldag explore` DAG explorer: `/dag`, `/slot/<t>`
+//! * `explore` — the `tldag explore` DAG explorer: `/dag`, `/slot/<t>`
 //!   and `/block/<id>` served from disk segments or a live node's
 //!   telemetry endpoints.
 //!
@@ -63,10 +63,10 @@ use std::fmt;
 
 pub mod argv;
 pub mod control;
-pub mod endpoint;
+pub(crate) mod endpoint;
 pub mod envelope;
-pub mod explore;
-pub mod forensics;
+pub(crate) mod explore;
+pub(crate) mod forensics;
 pub mod frag;
 pub mod harness;
 pub mod membership;
@@ -75,17 +75,17 @@ pub mod metrics;
 mod mmsg;
 pub mod runtime;
 pub mod telemetry;
-pub mod transport;
+pub(crate) mod transport;
 
 pub use endpoint::{Endpoint, EndpointConfig, Inbound, ReceiverGuard};
 pub use explore::{Explorer, ExplorerSource};
-pub use forensics::{diagnose, timelines_for_slot, DivergenceReport, SlotMismatch};
+pub use forensics::{diagnose, timelines_for_slot, SlotMismatch};
 pub use harness::{
     format_adversary_schedule, judge, parse_adversary_spec, run_cluster, AdversaryPlacement,
     ClusterConfig, ClusterOutcome, Deployment, LoopbackCluster, Verdict,
 };
 pub use membership::{parse_churn_spec, ChurnEvent, Roster};
-pub use metrics::{NetMetrics, NetStats};
+pub use metrics::NetStats;
 pub use runtime::{NetNode, NetNodeConfig, NetPopTransport};
 pub use telemetry::{
     render_metrics, render_status_table, scrape_metrics, status_json, total_row, MetricsView,

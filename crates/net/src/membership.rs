@@ -17,7 +17,7 @@
 //! `node_joins` / `node_leaves` semantics, which is what makes wire/engine
 //! `network_digest` parity under churn checkable at all.
 //!
-//! Join *placement* is deterministic: [`join_site`] derives the newcomer's
+//! Join *placement* is deterministic: `join_site` derives the newcomer's
 //! coordinates from the joiner's `(seed, slot, id)` membership stream,
 //! anchored within radio range of a live member — every process (and the
 //! reference engine) computes the same radio links without ever shipping
@@ -36,19 +36,19 @@ use tldag_sim::{NodeId, Topology};
 
 /// One member's lifecycle entry in the [`Roster`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Member {
+pub(crate) struct Member {
     /// Where the member's endpoint listens, once known. Scheduled joiners
     /// appear in the roster before their announcement delivers the address.
-    pub addr: Option<SocketAddr>,
+    pub(crate) addr: Option<SocketAddr>,
     /// First slot the member generates in (0 for founders).
-    pub join_slot: u64,
+    pub(crate) join_slot: u64,
     /// First slot the member no longer generates in, if it left.
-    pub leave_slot: Option<u64>,
+    pub(crate) leave_slot: Option<u64>,
     /// Whether the departure was a liveness eviction rather than a
     /// graceful/scheduled leave (evicted members may re-join).
-    pub evicted: bool,
+    pub(crate) evicted: bool,
     /// What this process has heard from the member lately.
-    pub liveness: Liveness,
+    pub(crate) liveness: Liveness,
 }
 
 impl Member {
@@ -65,7 +65,7 @@ impl Member {
     /// Where requests to the member go (PoP, digest pulls, hellos): its
     /// address, unless this process cut it off by eviction. A graceful
     /// leaver stays addressable — it keeps serving.
-    pub fn request_addr(&self) -> Option<SocketAddr> {
+    pub(crate) fn request_addr(&self) -> Option<SocketAddr> {
         self.addr.filter(|_| self.liveness != Liveness::Cut)
     }
 
@@ -81,7 +81,7 @@ impl Member {
 
 /// A member's liveness as one process sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Liveness {
+pub(crate) enum Liveness {
     /// No authenticated envelope arrived yet: a bootstrap straggler, never
     /// an eviction candidate.
     Unheard,
@@ -98,8 +98,8 @@ pub enum Liveness {
 ///
 /// All processes converge on the same roster through two channels:
 /// a shared churn schedule (`--churn`, deterministic) and gossiped
-/// membership deltas ([`crate::control::Control::JoinAnnounce`] /
-/// [`crate::control::Control::Leave`], dynamic).
+/// membership deltas (`crate::control::Control::JoinAnnounce` /
+/// `crate::control::Control::Leave`, dynamic).
 #[derive(Clone, Debug, Default)]
 pub struct Roster {
     members: BTreeMap<NodeId, Member>,
@@ -116,7 +116,7 @@ impl Roster {
 
     /// The founders plus every join and leave `churn` schedules: what each
     /// process of a deployment knows before it starts.
-    pub fn scheduled(founders: usize, churn: &[ChurnEvent]) -> Self {
+    pub(crate) fn scheduled(founders: usize, churn: &[ChurnEvent]) -> Self {
         let mut roster = Roster::founders(founders);
         for event in churn {
             match *event {
@@ -134,7 +134,7 @@ impl Roster {
         }
     }
 
-    /// Where requests to `id` go ([`Member::request_addr`]), if anywhere.
+    /// Where requests to `id` go (`Member::request_addr`), if anywhere.
     pub fn request_addr(&self, id: NodeId) -> Option<SocketAddr> {
         self.members.get(&id).and_then(Member::request_addr)
     }
@@ -173,13 +173,13 @@ impl Roster {
     }
 
     /// The member's entry, if it ever participated.
-    pub fn member(&self, id: NodeId) -> Option<&Member> {
+    pub(crate) fn member(&self, id: NodeId) -> Option<&Member> {
         self.members.get(&id)
     }
 
     /// One past the highest id that ever participated (ids are dense: the
     /// engine's `Topology::add_node` hands out consecutive indices).
-    pub fn total_ids(&self) -> u32 {
+    pub(crate) fn total_ids(&self) -> u32 {
         self.members.keys().next_back().map_or(0, |last| last.0 + 1)
     }
 
@@ -212,7 +212,7 @@ impl Roster {
     /// Learns that `id` stops generating from `slot` on (idempotent; the
     /// earliest recorded leave wins so concurrent announcements converge).
     /// Returns `true` when this was new information.
-    pub fn learn_leave(&mut self, id: NodeId, slot: u64) -> bool {
+    pub(crate) fn learn_leave(&mut self, id: NodeId, slot: u64) -> bool {
         match self.members.get_mut(&id) {
             Some(m) => match m.leave_slot {
                 None => {
@@ -242,21 +242,21 @@ impl Roster {
     }
 
     /// Whether `id` generates a block at `slot` (member and not yet left).
-    pub fn generates_at(&self, id: NodeId, slot: u64) -> bool {
+    pub(crate) fn generates_at(&self, id: NodeId, slot: u64) -> bool {
         self.members
             .get(&id)
             .is_some_and(|m| m.join_slot <= slot && m.leave_slot.is_none_or(|leave| slot < leave))
     }
 
     /// Whether `id` has departed (left or been evicted) by `slot`.
-    pub fn departed_by(&self, id: NodeId, slot: u64) -> bool {
+    pub(crate) fn departed_by(&self, id: NodeId, slot: u64) -> bool {
         self.members
             .get(&id)
             .is_some_and(|m| m.leave_slot.is_some_and(|leave| leave <= slot))
     }
 
     /// All ids generating at `slot`, ascending.
-    pub fn generators_at(&self, slot: u64) -> Vec<NodeId> {
+    pub(crate) fn generators_at(&self, slot: u64) -> Vec<NodeId> {
         self.members
             .keys()
             .copied()
@@ -266,7 +266,7 @@ impl Roster {
 
     /// All `(id, addr)` pairs of members generating at `slot` whose address
     /// is known, excluding `me` — the gossip/barrier fan-out set.
-    pub fn peer_addrs_at(&self, slot: u64, me: NodeId) -> Vec<(NodeId, SocketAddr)> {
+    pub(crate) fn peer_addrs_at(&self, slot: u64, me: NodeId) -> Vec<(NodeId, SocketAddr)> {
         self.members
             .iter()
             .filter(|(&id, m)| id != me && self.generates_at(id, slot) && m.addr.is_some())
@@ -275,7 +275,7 @@ impl Roster {
     }
 
     /// Every entry, ascending by id (the `JoinAck` roster transfer).
-    pub fn entries(&self) -> impl Iterator<Item = (NodeId, &Member)> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (NodeId, &Member)> + '_ {
         self.members.iter().map(|(&id, m)| (id, m))
     }
 }
@@ -425,7 +425,7 @@ pub fn validate_churn(events: &[ChurnEvent], founders: usize, slots: u64) -> Res
 /// leaves first, then joins ascending — the canonical order).
 /// `range_m` is the deployment radio range
 /// ([`crate::runtime::deployment_range_m`] for the standard deployment).
-pub fn join_site(
+pub(crate) fn join_site(
     topology: &Topology,
     roster: &Roster,
     seed: u64,

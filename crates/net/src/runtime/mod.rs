@@ -13,8 +13,8 @@
 //! references the freshest digest each neighbor broadcast at `t-1`. The
 //! runtime reproduces that over an asynchronous datagram network with a
 //! **digest barrier**: before generating at slot `t`, the node waits until
-//! it holds a [`Control::SlotDigest`] for slot `t-1` from every neighbor,
-//! pulling stragglers with [`Control::DigestReq`] (loss recovery on the
+//! it holds a `Control::SlotDigest` for slot `t-1` from every neighbor,
+//! pulling stragglers with `Control::DigestReq` (loss recovery on the
 //! gossip path). All per-node randomness comes from the engine's
 //! `(seed, slot, node)` derived streams, so a cluster of `NetNode`s on a
 //! shared seed produces **byte-identical chains** to `TldagNetwork` on the
@@ -26,14 +26,14 @@
 //! semantics over the wire (see [`crate::membership`]):
 //!
 //! * **Join**: a `--join` process handshakes with any bootstrap peer
-//!   ([`Control::JoinReq`] → [`Control::JoinAck`] + roster transfer),
-//!   announces itself ([`Control::JoinAnnounce`], re-gossiped by every
+//!   (`Control::JoinReq` → `Control::JoinAck` + roster transfer),
+//!   announces itself (`Control::JoinAnnounce`, re-gossiped by every
 //!   peer that learns something new), and starts generating at its join
 //!   slot with an empty chain — its state catch-up rides the existing
 //!   pull-based `DigestReq` recovery path, so a joiner needs no bulk
 //!   transfer to participate.
 //! * **Leave**: a node whose schedule ends at slot `m` generates its last
-//!   block at `m - 1`, broadcasts [`Control::Leave`], and keeps *serving*
+//!   block at `m - 1`, broadcasts `Control::Leave`, and keeps *serving*
 //!   until the run winds down (its historical blocks stay fetchable,
 //!   matching the engine's "blocks stay referenced" semantics while the
 //!   process is alive; once it exits, PoP reports `BlockUnavailable`,
@@ -70,7 +70,8 @@ use tldag_core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_core::codec::WireMessage;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::error::TldagError;
-pub use tldag_core::network::{chain_digest_of, network_digest_of};
+pub(crate) use tldag_core::network::chain_digest_of;
+pub use tldag_core::network::network_digest_of;
 use tldag_core::network::{derived_rng, stream, TargetPool};
 use tldag_core::node::{BlockFetch, ChildServe, LedgerNode};
 use tldag_core::pop::messages::{ChildReply, FetchResponse, PopTransport};
@@ -93,7 +94,8 @@ mod pop;
 mod slot_loop;
 
 use dispatch::dispatch;
-pub use pop::{serve_wire_request, wire_target_pool, NetPopTransport};
+pub(crate) use pop::wire_target_pool;
+pub use pop::{serve_wire_request, NetPopTransport};
 
 /// Configuration of one deployed node.
 #[derive(Clone, Debug)]
@@ -101,16 +103,16 @@ pub struct NetNodeConfig {
     /// This node's id within the deployment topology.
     pub id: NodeId,
     /// Address to bind the UDP socket on.
-    pub listen: SocketAddr,
+    pub(crate) listen: SocketAddr,
     /// Static bootstrap peer list (every founder of the deployment; empty
     /// for a `--join` process, which learns peers from the handshake).
     pub peers: Vec<(NodeId, SocketAddr)>,
     /// Harness controller to report to, if any.
-    pub controller: Option<SocketAddr>,
+    pub(crate) controller: Option<SocketAddr>,
     /// Shared experiment seed; also determines the topology.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Founding nodes in the deployment (initial topology size).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Deployment area side in meters (topology parameter).
     pub side_m: f64,
     /// Consensus path-length parameter γ.
@@ -157,7 +159,7 @@ pub struct NetNodeConfig {
     /// Hard wall-clock cap on the whole process: a watchdog thread exits
     /// the process (code 124) once it passes, so a wedged or orphaned
     /// node can never outlive its harness. `None` disables.
-    pub deadline: Option<Duration>,
+    pub(crate) deadline: Option<Duration>,
     /// Serve `GET /metrics` (Prometheus text) and `GET /journal` (JSONL)
     /// on this address while the node runs. `None` disables the listener;
     /// telemetry is recorded either way.
@@ -176,9 +178,9 @@ pub struct NetNodeConfig {
     /// adversary's *canonical* chain stays protocol-conformant (the engine
     /// generates for malicious nodes too), which is what keeps honest-node
     /// parity with a reference engine run under the same placement.
-    pub behavior: Behavior,
+    pub(crate) behavior: Behavior,
     /// First slot the behaviour activates at (honest before that).
-    pub behavior_from: u64,
+    pub(crate) behavior_from: u64,
 }
 
 impl NetNodeConfig {
@@ -271,7 +273,7 @@ pub fn deployment_topology(seed: u64, nodes: usize, side_m: f64) -> Topology {
 
 /// The deployment radio range in meters (the paper's default) — the
 /// parameter joins use to wire the newcomer's radio links.
-pub fn deployment_range_m() -> f64 {
+pub(crate) fn deployment_range_m() -> f64 {
     TopologyConfig::paper_default().range_m
 }
 
@@ -597,15 +599,6 @@ need --join)",
             )),
             config,
         })
-    }
-
-    /// The bound socket address (useful with an ephemeral `--listen` port).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket's failure to report its address.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.endpoint.local_addr()
     }
 
     /// Shared handle to the node's telemetry (histograms + journal). The

@@ -131,7 +131,7 @@ impl PopTransport for NetPopTransport<'_> {
 /// qualifying blocks are seqs `0..=horizon - j`; departed members hold none.
 /// Owners are in id order, as in the engine, so [`TargetPool::choose`] on a
 /// validator's derived target stream picks the same block.
-pub fn wire_target_pool(roster: &Roster, slot: u64, min_age: u64) -> TargetPool {
+pub(crate) fn wire_target_pool(roster: &Roster, slot: u64, min_age: u64) -> TargetPool {
     // The latest qualifying generation time.
     let Some(horizon) = slot.checked_sub(min_age) else {
         return TargetPool::default();

@@ -19,7 +19,7 @@ use tldag_obs::{
 use tldag_sim::NodeId;
 
 /// Default bound on the journal ring (events, not bytes).
-pub const JOURNAL_CAPACITY: usize = 1024;
+pub(crate) const JOURNAL_CAPACITY: usize = 1024;
 
 /// Everything one node records about itself while running. All recording
 /// paths are relaxed atomics or a short mutex on the journal ring — safe
@@ -44,9 +44,9 @@ pub struct NodeTelemetry {
     /// default, so untraced runs record nothing and count drops instead.
     pub spans: SpanStore,
     /// PoP verifications attempted so far.
-    pub pop_attempts: AtomicU64,
+    pub(crate) pop_attempts: AtomicU64,
     /// PoP verifications that reached consensus so far.
-    pub pop_successes: AtomicU64,
+    pub(crate) pop_successes: AtomicU64,
     /// PoP message/byte counters accumulated over every run.
     pop: Mutex<PopMetrics>,
 }
@@ -60,7 +60,7 @@ impl NodeTelemetry {
 
     /// Telemetry with an additional block-lifecycle span ring of
     /// `span_capacity` spans (0 disables tracing).
-    pub fn with_span_capacity(journal_capacity: usize, span_capacity: usize) -> Self {
+    pub(crate) fn with_span_capacity(journal_capacity: usize, span_capacity: usize) -> Self {
         NodeTelemetry {
             phases: PhaseTimings::new(),
             slot_latency: LatencyHistogram::new(),
@@ -75,7 +75,7 @@ impl NodeTelemetry {
     }
 
     /// Folds one PoP run's counters into the node-lifetime totals.
-    pub fn merge_pop(&self, metrics: &PopMetrics) {
+    pub(crate) fn merge_pop(&self, metrics: &PopMetrics) {
         self.pop
             .lock()
             .expect("pop metrics poisoned")
@@ -83,7 +83,7 @@ impl NodeTelemetry {
     }
 
     /// The accumulated PoP counters.
-    pub fn pop(&self) -> PopMetrics {
+    pub(crate) fn pop(&self) -> PopMetrics {
         *self.pop.lock().expect("pop metrics poisoned")
     }
 }
@@ -402,7 +402,7 @@ impl StatusRow {
     }
 
     /// One JSON object for this row (stable key order, no trailing spaces).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let node = self.node.map_or("null".to_string(), |n| n.to_string());
         let mut json = format!("{{\"target\":\"{}\",\"node\":{node}", self.target);
         for (column, value) in COLUMNS.iter().zip(self.values()) {

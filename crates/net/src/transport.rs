@@ -26,17 +26,17 @@ pub struct RecvSlot {
     /// parked `recv_from` and the `recvmmsg` drain alike. The endpoint sizes
     /// it one byte past the datagram limit, so a full slot means an
     /// oversized datagram.
-    pub buf: Vec<u8>,
+    pub(crate) buf: Vec<u8>,
     /// Bytes of [`RecvSlot::buf`] filled by the last receive (0 = the slot
     /// was filled with an undecodable source address and must be skipped).
-    pub len: usize,
+    pub(crate) len: usize,
     /// Source address of the received datagram.
-    pub src: SocketAddr,
+    pub(crate) src: SocketAddr,
 }
 
 impl RecvSlot {
     /// A slot with a zeroed `capacity`-byte buffer.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         RecvSlot {
             buf: vec![0; capacity],
             len: 0,

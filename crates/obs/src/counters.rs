@@ -75,7 +75,7 @@ mod tests {
 
     /// A unit type, as `tldag_sim::Bits` is for the PoP counters.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct Bytes(u64);
+    pub(crate) struct Bytes(u64);
 
     impl From<u64> for Bytes {
         fn from(n: u64) -> Self {

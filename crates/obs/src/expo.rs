@@ -134,7 +134,7 @@ pub struct Sample {
 
 impl Sample {
     /// The value of label `key`, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
+    pub(crate) fn label(&self, key: &str) -> Option<&str> {
         self.labels
             .iter()
             .find(|(k, _)| k == key)
@@ -142,7 +142,7 @@ impl Sample {
     }
 
     /// Whether every `(key, value)` pair in `filter` is present.
-    pub fn has_labels(&self, filter: &[(&str, &str)]) -> bool {
+    pub(crate) fn has_labels(&self, filter: &[(&str, &str)]) -> bool {
         filter.iter().all(|(k, v)| self.label(k) == Some(*v))
     }
 }

@@ -206,7 +206,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in execution order.
-    pub const ALL: [Phase; 5] = [
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::Generate,
         Phase::Exchange,
         Phase::Gossip,
@@ -258,17 +258,20 @@ impl PhaseTimings {
         self.phase(phase).record(elapsed);
     }
 
-    /// Times `f` under `phase`.
-    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        self.phase(phase).time(f)
-    }
-
     /// Snapshots every phase in execution order.
     pub fn snapshot(&self) -> Vec<(Phase, HistogramSnapshot)> {
         Phase::ALL
             .iter()
             .map(|&p| (p, self.phase(p).snapshot()))
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl PhaseTimings {
+    /// Times `f` under `phase`.
+    fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        self.phase(phase).time(f)
     }
 }
 

@@ -51,7 +51,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Short code used in rendered transcripts and the JSONL dump.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             EventKind::Generate => "gen",
             EventKind::Digest => "dig",
@@ -78,11 +78,11 @@ impl fmt::Display for EventKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalEvent {
     /// Monotonic sequence number (survives ring eviction).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Milliseconds since the journal was created (0 from the engine).
-    pub ts_ms: u64,
+    pub(crate) ts_ms: u64,
     /// Slot at which the event occurred.
-    pub slot: u64,
+    pub(crate) slot: u64,
     /// Category.
     pub kind: EventKind,
     /// Human-readable description.
@@ -91,7 +91,7 @@ pub struct JournalEvent {
 
 /// Renders events as a readable transcript: a dropped-count banner, then
 /// one `[ slot] kind message` line per event.
-pub fn render_events<'a>(
+pub(crate) fn render_events<'a>(
     events: impl IntoIterator<Item = &'a JournalEvent>,
     dropped: u64,
 ) -> String {
@@ -128,7 +128,7 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// One event as a single-line JSON object.
-pub fn event_json(e: &JournalEvent) -> String {
+pub(crate) fn event_json(e: &JournalEvent) -> String {
     format!(
         "{{\"seq\":{},\"ts_ms\":{},\"slot\":{},\"kind\":\"{}\",\"msg\":{}}}",
         e.seq,
@@ -140,7 +140,7 @@ pub fn event_json(e: &JournalEvent) -> String {
 }
 
 /// Renders events as JSONL, oldest first, one object per line.
-pub fn events_jsonl<'a>(events: impl IntoIterator<Item = &'a JournalEvent>) -> String {
+pub(crate) fn events_jsonl<'a>(events: impl IntoIterator<Item = &'a JournalEvent>) -> String {
     let mut out = String::new();
     for e in events {
         out.push_str(&event_json(e));

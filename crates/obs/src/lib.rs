@@ -17,13 +17,13 @@
 //! * [`expo`] — Prometheus-style text exposition: a tiny builder for
 //!   counters/gauges/histograms and a parser ([`parse_exposition`]) used
 //!   by the `tldag status` scraper and the tests.
-//! * [`http`] — [`HttpServer`]: a blocking HTTP/1.0 text responder on a
+//! * `http` — [`HttpServer`]: a blocking HTTP/1.0 text responder on a
 //!   `TcpListener` (the `--metrics-addr` listener), plus [`http_get`],
 //!   the matching one-shot client.
-//! * [`trace`] — [`SpanStore`]: a lock-free bounded ring of block
+//! * `trace` — [`SpanStore`]: a lock-free bounded ring of block
 //!   lifecycle spans (generated → gossiped-out → received → verified →
 //!   committed) keyed by `(slot, origin, hash-prefix)`, grouped into
-//!   cross-node [`BlockTimeline`]s and served as JSON from `/trace`.
+//!   cross-node `BlockTimeline`s and served as JSON from `/trace`.
 //!
 //! The crate is a leaf: every other tldag crate may depend on it.
 
@@ -33,15 +33,15 @@
 mod counters;
 pub mod expo;
 pub mod hist;
-pub mod http;
+pub(crate) mod http;
 pub mod journal;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use expo::{histogram_quantile, parse_exposition, Expo, Sample};
 pub use hist::{HistogramSnapshot, LatencyHistogram, Phase, PhaseTimings};
 pub use http::{http_get, HttpServer, Routes};
 pub use journal::{EventKind, Journal, JournalEvent};
 pub use trace::{
-    build_timelines, span_json, trace_json, unix_micros, BlockTimeline, SpanEvent, SpanKind,
-    SpanStore, DEFAULT_SPAN_CAPACITY,
+    build_timelines, span_json, trace_json, unix_micros, SpanEvent, SpanKind, SpanStore,
+    DEFAULT_SPAN_CAPACITY,
 };

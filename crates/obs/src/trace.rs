@@ -31,7 +31,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable three-letter code used in JSON and metrics labels.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             SpanKind::Generated => "gen",
             SpanKind::GossipedOut => "out",
@@ -83,19 +83,19 @@ pub struct SpanEvent {
 }
 
 /// The identity a timeline groups by.
-pub type BlockKey = (u64, u32, u64);
+pub(crate) type BlockKey = (u64, u32, u64);
 
 /// All spans of one block, across every node that reported them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockTimeline {
     /// Generation slot.
-    pub slot: u64,
+    pub(crate) slot: u64,
     /// Generating node.
-    pub origin: u32,
+    pub(crate) origin: u32,
     /// Header-digest prefix.
-    pub prefix: u64,
+    pub(crate) prefix: u64,
     /// Spans sorted by timestamp (ties broken by lifecycle order, then node).
-    pub spans: Vec<SpanEvent>,
+    pub(crate) spans: Vec<SpanEvent>,
 }
 
 impl BlockTimeline {
@@ -109,7 +109,7 @@ impl BlockTimeline {
 
     /// Whether the timeline is **stitched**: it has a `Generated` span from
     /// its origin *and* spans from at least one other node.
-    pub fn is_stitched(&self) -> bool {
+    pub(crate) fn is_stitched(&self) -> bool {
         let generated_at_origin = self
             .spans
             .iter()
@@ -243,11 +243,6 @@ impl SpanStore {
         }
     }
 
-    /// An inert store (capacity 0) for tracing-off runs.
-    pub fn disabled() -> Self {
-        Self::bounded(0)
-    }
-
     /// Whether this store records anything at all.
     pub fn is_enabled(&self) -> bool {
         !self.cells.is_empty()
@@ -294,12 +289,6 @@ impl SpanStore {
         (start..head)
             .filter_map(|ticket| self.cells[(ticket % cap) as usize].read())
             .collect()
-    }
-
-    /// Snapshot grouped into per-block timelines, ordered by
-    /// `(slot, origin, prefix)`.
-    pub fn timelines(&self) -> Vec<BlockTimeline> {
-        build_timelines(&self.snapshot())
     }
 }
 
@@ -386,6 +375,20 @@ pub fn unix_micros() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_micros() as u64)
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+impl SpanStore {
+    /// Snapshot grouped into per-block timelines, ordered by
+    /// `(slot, origin, prefix)`.
+    fn timelines(&self) -> Vec<BlockTimeline> {
+        build_timelines(&self.snapshot())
+    }
+
+    /// An inert store (capacity 0) for tracing-off runs.
+    fn disabled() -> Self {
+        Self::bounded(0)
+    }
 }
 
 #[cfg(test)]

@@ -66,12 +66,12 @@ impl Accounting {
     }
 
     /// Number of nodes tracked.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tx.len()
     }
 
     /// True if no nodes are tracked.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.tx.is_empty()
     }
 
@@ -111,27 +111,11 @@ impl Accounting {
         self.tx(node, class) + self.rx(node, class)
     }
 
-    /// Total (tx + rx) for `node` across all classes.
-    pub fn node_total_all(&self, node: NodeId) -> Bits {
-        TrafficClass::ALL
-            .iter()
-            .map(|&c| self.node_total(node, c))
-            .sum()
-    }
-
     /// Sum of per-node totals in `class` across the network.
     pub fn network_total(&self, class: TrafficClass) -> Bits {
         (0..self.len() as u32)
             .map(|i| self.node_total(NodeId(i), class))
             .sum()
-    }
-
-    /// Mean per-node total (tx + rx) in `class`.
-    pub fn mean_node_total(&self, class: TrafficClass) -> Bits {
-        if self.is_empty() {
-            return Bits::ZERO;
-        }
-        Bits::from_bits(self.network_total(class).bits() / self.len() as u64)
     }
 
     /// Sum of transmitted bits in `class` across the network.
@@ -176,6 +160,17 @@ impl Accounting {
                 self.rx[i][c] += other.rx[i][c];
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl Accounting {
+    /// Total (tx + rx) for `node` across all classes.
+    fn node_total_all(&self, node: NodeId) -> Bits {
+        TrafficClass::ALL
+            .iter()
+            .map(|&c| self.node_total(node, c))
+            .sum()
     }
 }
 
@@ -239,18 +234,5 @@ mod tests {
         let mut a = Accounting::new(2);
         let b = Accounting::new(3);
         a.merge(&b);
-    }
-
-    #[test]
-    fn mean_node_total() {
-        let mut acc = Accounting::new(2);
-        acc.record(
-            NodeId(0),
-            NodeId(1),
-            TrafficClass::Other,
-            Bits::from_bits(100),
-        );
-        // node0 tx 100, node1 rx 100 → each node total 100, mean 100.
-        assert_eq!(acc.mean_node_total(TrafficClass::Other).bits(), 100);
     }
 }

@@ -54,11 +54,6 @@ impl Default for Sharding {
 }
 
 impl Sharding {
-    /// Single-threaded execution.
-    pub fn single() -> Self {
-        Sharding { threads: 1 }
-    }
-
     /// Shard the loop across `threads` workers.
     ///
     /// # Panics

@@ -26,18 +26,9 @@ pub enum MaliciousPlacement {
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     malicious: Vec<bool>,
-    count: usize,
 }
 
 impl FaultPlan {
-    /// No malicious nodes.
-    pub fn none(nodes: usize) -> Self {
-        FaultPlan {
-            malicious: vec![false; nodes],
-            count: 0,
-        }
-    }
-
     /// Marks `count` nodes as malicious according to `placement`.
     ///
     /// # Panics
@@ -76,42 +67,12 @@ impl FaultPlan {
         for i in chosen {
             malicious[i] = true;
         }
-        FaultPlan { malicious, count }
-    }
-
-    /// Marks an explicit set of nodes as malicious.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is out of bounds.
-    pub fn explicit(nodes: usize, ids: &[NodeId]) -> Self {
-        let mut malicious = vec![false; nodes];
-        for id in ids {
-            assert!(id.index() < nodes, "node {id} out of bounds");
-            malicious[id.index()] = true;
-        }
-        let count = malicious.iter().filter(|&&m| m).count();
-        FaultPlan { malicious, count }
+        FaultPlan { malicious }
     }
 
     /// Whether `node` is malicious.
     pub fn is_malicious(&self, node: NodeId) -> bool {
         self.malicious[node.index()]
-    }
-
-    /// Number of malicious nodes.
-    pub fn malicious_count(&self) -> usize {
-        self.count
-    }
-
-    /// Number of nodes covered by the plan.
-    pub fn len(&self) -> usize {
-        self.malicious.len()
-    }
-
-    /// True if the plan covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.malicious.is_empty()
     }
 
     /// Ids of all malicious nodes.
@@ -157,41 +118,6 @@ pub struct RestartPlan {
 }
 
 impl RestartPlan {
-    /// No restarts.
-    pub fn none() -> Self {
-        RestartPlan::default()
-    }
-
-    /// An explicit schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event revives no later than it crashes, or if one node
-    /// has overlapping downtimes.
-    pub fn explicit(events: Vec<RestartEvent>) -> Self {
-        for e in &events {
-            assert!(
-                e.revive_slot > e.crash_slot,
-                "{} revives at {} before/at its crash at {}",
-                e.node,
-                e.revive_slot,
-                e.crash_slot
-            );
-        }
-        for (i, a) in events.iter().enumerate() {
-            for b in events.iter().skip(i + 1) {
-                if a.node == b.node {
-                    assert!(
-                        a.revive_slot <= b.crash_slot || b.revive_slot <= a.crash_slot,
-                        "{} has overlapping downtimes",
-                        a.node
-                    );
-                }
-            }
-        }
-        RestartPlan { events }
-    }
-
     /// Draws `count` distinct nodes uniformly and gives each one crash of
     /// `downtime_slots` slots, with crash slots uniform in `crash_window`.
     ///
@@ -246,13 +172,6 @@ impl RestartPlan {
             .map(|e| e.node)
             .collect()
     }
-
-    /// Whether `node` is down during `slot`.
-    pub fn is_down(&self, node: NodeId, slot: u64) -> bool {
-        self.events
-            .iter()
-            .any(|e| e.node == node && (e.crash_slot..e.revive_slot).contains(&slot))
-    }
 }
 
 /// Link-level fault injection: independent message-drop probability.
@@ -298,19 +217,60 @@ impl LinkFaults {
 }
 
 #[cfg(test)]
+impl RestartPlan {
+    /// An explicit schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any event revives no later than it crashes, or if one node
+    /// has overlapping downtimes.
+    fn explicit(events: Vec<RestartEvent>) -> Self {
+        for e in &events {
+            assert!(
+                e.revive_slot > e.crash_slot,
+                "{} revives at {} before/at its crash at {}",
+                e.node,
+                e.revive_slot,
+                e.crash_slot
+            );
+        }
+        for (i, a) in events.iter().enumerate() {
+            for b in events.iter().skip(i + 1) {
+                if a.node == b.node {
+                    assert!(
+                        a.revive_slot <= b.crash_slot || b.revive_slot <= a.crash_slot,
+                        "{} has overlapping downtimes",
+                        a.node
+                    );
+                }
+            }
+        }
+        RestartPlan { events }
+    }
+
+    /// Whether `node` is down during `slot`.
+    fn is_down(&self, node: NodeId, slot: u64) -> bool {
+        self.events
+            .iter()
+            .any(|e| e.node == node && (e.crash_slot..e.revive_slot).contains(&slot))
+    }
+}
+
+#[cfg(test)]
+impl FaultPlan {
+    /// Number of malicious nodes.
+    fn malicious_count(&self) -> usize {
+        self.malicious.iter().filter(|&&m| m).count()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::TopologyConfig;
 
     fn topo() -> Topology {
         Topology::random_connected(&TopologyConfig::small(20), &mut DetRng::seed_from(3))
-    }
-
-    #[test]
-    fn none_has_no_malicious() {
-        let plan = FaultPlan::none(10);
-        assert_eq!(plan.malicious_count(), 0);
-        assert!(plan.honest_ids().len() == 10);
     }
 
     #[test]
@@ -339,15 +299,6 @@ mod tests {
         degrees.sort_unstable();
         let median = degrees[degrees.len() / 2];
         assert!(min_malicious_degree >= median.saturating_sub(1));
-    }
-
-    #[test]
-    fn explicit_selection() {
-        let plan = FaultPlan::explicit(5, &[NodeId(1), NodeId(3)]);
-        assert!(plan.is_malicious(NodeId(1)));
-        assert!(plan.is_malicious(NodeId(3)));
-        assert!(!plan.is_malicious(NodeId(0)));
-        assert_eq!(plan.malicious_count(), 2);
     }
 
     #[test]

@@ -15,13 +15,8 @@ impl Point {
         Point { x, y }
     }
 
-    /// Euclidean distance to `other`.
-    pub fn distance(&self, other: &Point) -> f64 {
-        self.distance_sq(other).sqrt()
-    }
-
     /// Squared Euclidean distance (avoids the square root in range tests).
-    pub fn distance_sq(&self, other: &Point) -> f64 {
+    pub(crate) fn distance_sq(&self, other: &Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         dx * dx + dy * dy
@@ -35,6 +30,14 @@ impl Point {
     /// Whether the point lies inside the square `[0, side] × [0, side]`.
     pub fn in_square(&self, side: f64) -> bool {
         (0.0..=side).contains(&self.x) && (0.0..=side).contains(&self.y)
+    }
+}
+
+#[cfg(test)]
+impl Point {
+    /// Euclidean distance to `other`.
+    fn distance(&self, other: &Point) -> f64 {
+        self.distance_sq(other).sqrt()
     }
 }
 

@@ -43,9 +43,6 @@ pub mod stats;
 pub mod topology;
 pub mod units;
 
-pub use bus::{Accounting, TrafficClass};
-pub use engine::GenerationSchedule;
-pub use fault::{FaultPlan, RestartEvent, RestartPlan};
 pub use rng::DetRng;
-pub use topology::{NodeId, Topology, TopologyConfig};
+pub use topology::{NodeId, Topology};
 pub use units::Bits;

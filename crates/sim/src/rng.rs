@@ -144,7 +144,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+    pub(crate) fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot sample {k} from {n}");
         let mut all: Vec<usize> = (0..n).collect();
         self.shuffle(&mut all);

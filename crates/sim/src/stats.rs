@@ -10,11 +10,11 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Number of samples.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Arithmetic mean.
     pub mean: f64,
     /// Population standard deviation.
-    pub std_dev: f64,
+    pub(crate) std_dev: f64,
     /// Minimum.
     pub min: f64,
     /// Maximum.
@@ -130,17 +130,6 @@ impl Cdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// The sample value at cumulative probability `q` (inverse CDF,
-    /// nearest-rank). Returns `None` for an empty CDF.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        Some(self.sorted[rank - 1])
-    }
-
     /// The step points `(x, F(x))` of the CDF, one per distinct sample —
     /// exactly the curve plotted in Figs. 7(d)/8(d).
     pub fn points(&self) -> Vec<(f64, f64)> {
@@ -158,6 +147,20 @@ impl Cdf {
     /// Smallest and largest sample.
     pub fn range(&self) -> Option<(f64, f64)> {
         Some((*self.sorted.first()?, *self.sorted.last()?))
+    }
+}
+
+#[cfg(test)]
+impl Cdf {
+    /// The sample value at cumulative probability `q` (inverse CDF,
+    /// nearest-rank). Returns `None` for an empty CDF.
+    fn quantile(&self, q: f64) -> Option<f64> {
+        if self.sorted.is_empty() {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
+        Some(self.sorted[rank - 1])
     }
 }
 

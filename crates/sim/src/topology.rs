@@ -248,7 +248,7 @@ impl Topology {
     }
 
     /// BFS hop distances from `source`; `None` for unreachable nodes.
-    pub fn hop_distances(&self, source: NodeId) -> Vec<Option<u32>> {
+    pub(crate) fn hop_distances(&self, source: NodeId) -> Vec<Option<u32>> {
         let mut dist = vec![None; self.len()];
         dist[source.index()] = Some(0);
         let mut queue = VecDeque::from([source]);

@@ -42,11 +42,6 @@ impl Bits {
         Bits(kb * 8_000)
     }
 
-    /// Constructs from megabytes (10⁶ bytes).
-    pub const fn from_megabytes(mb: u64) -> Self {
-        Bits(mb * 8_000_000)
-    }
-
     /// Constructs from a fractional megabyte count (e.g. the paper's
     /// `C = 0.1 MB`). Rounds to the nearest bit.
     pub fn from_megabytes_f(mb: f64) -> Self {
@@ -58,11 +53,6 @@ impl Bits {
         self.0
     }
 
-    /// Bytes, rounding up partial bytes.
-    pub const fn bytes_ceil(self) -> u64 {
-        self.0.div_ceil(8)
-    }
-
     /// Value in megabytes (10⁶ bytes), as used for storage plots.
     pub fn as_megabytes(self) -> f64 {
         self.0 as f64 / 8_000_000.0
@@ -71,12 +61,6 @@ impl Bits {
     /// Value in megabits (10⁶ bits), as used for communication plots.
     pub fn as_megabits(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Saturating subtraction.
-    #[must_use]
-    pub fn saturating_sub(self, rhs: Bits) -> Bits {
-        Bits(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -146,6 +130,20 @@ impl fmt::Display for Bits {
 }
 
 #[cfg(test)]
+impl Bits {
+    /// Constructs from megabytes (10⁶ bytes).
+    const fn from_megabytes(mb: u64) -> Self {
+        Bits(mb * 8_000_000)
+    }
+
+    /// Saturating subtraction.
+    #[must_use]
+    fn saturating_sub(self, rhs: Bits) -> Bits {
+        Bits(self.0.saturating_sub(rhs.0))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -167,13 +165,6 @@ mod tests {
         assert_eq!(a.saturating_sub(Bits::from_bits(1000)), Bits::ZERO);
         let total: Bits = [a, b].into_iter().sum();
         assert_eq!(total.bits(), 128);
-    }
-
-    #[test]
-    fn bytes_ceil_rounds_up() {
-        assert_eq!(Bits::from_bits(1).bytes_ceil(), 1);
-        assert_eq!(Bits::from_bits(8).bytes_ceil(), 1);
-        assert_eq!(Bits::from_bits(9).bytes_ceil(), 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl DiskFactory {
     ///
     /// # Errors
     ///
-    /// As [`DurableStore::open`]: the node directory cannot be created (a
+    /// As `DurableStore::open`: the node directory cannot be created (a
     /// regular file in its place, say) or the log cannot be opened.
     pub fn open_fresh(&self, node: NodeId) -> Result<DurableStore, TldagError> {
         let dir = self.node_dir(node);
@@ -174,7 +174,7 @@ impl ShardedDiskFactory {
     /// The shard a node's chain lives in: the contiguous band of
     /// [`Sharding::chunk_ranges`] over the sized node count. Stable under
     /// joins — ids at or beyond the sized count use the last shard.
-    pub fn shard_of(&self, node: NodeId) -> usize {
+    pub(crate) fn shard_of(&self, node: NodeId) -> usize {
         self.sharding.shard_of(self.nodes, node.index())
     }
 

@@ -2,12 +2,12 @@
 //! plus its checksummed snapshot encoding.
 //!
 //! The index holds **fixed-size entries and no digest lists**. Per retained
-//! block it keeps one [`IndexEntry`] (the 32-byte header digest, the
+//! block it keeps one `IndexEntry` (the 32-byte header digest, the
 //! record's location, the generation slot, and the two numbers the overhead
 //! model needs) and one 12-byte prefix entry per digest it names, in two
 //! [`ChainIndex`]es: one over header digests, one over contained digests.
 //! Nothing is hashed and nothing is allocated per block. A header-digest hit
-//! is confirmed against [`IndexEntry::digest`]; a contained-digest hit is
+//! is confirmed against `IndexEntry::digest`; a contained-digest hit is
 //! confirmed against the record the lookup reads anyway
 //! ([`BlockIndex::children`]). That is what bounds a durable node's resident
 //! memory: `O(index) + O(tail buffer) + O(cache)` instead of `O(chain)`.
@@ -34,18 +34,18 @@ pub struct RecordLocation {
 
 /// Per-block index entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IndexEntry {
+pub(crate) struct IndexEntry {
     /// Header digest `H(b^h)`.
-    pub digest: Digest,
+    pub(crate) digest: Digest,
     /// Record location.
-    pub location: RecordLocation,
+    pub(crate) location: RecordLocation,
     /// Generation slot from the block header (`f_t`), kept in the index so
     /// candidate scans never decode bodies.
-    pub time: u64,
+    pub(crate) time: u64,
     /// Number of digest entries in the header (for Eq. 2 sizing).
-    pub digest_entries: u32,
+    pub(crate) digest_entries: u32,
     /// Logical body bits `C` (for Eq. 2 sizing).
-    pub body_bits: u64,
+    pub(crate) body_bits: u64,
 }
 
 const _: () = assert!(std::mem::size_of::<IndexEntry>() == 72);
@@ -83,17 +83,17 @@ impl BlockIndex {
     }
 
     /// Owner id of the chain, once at least one block has been indexed.
-    pub fn owner(&self) -> Option<u32> {
+    pub(crate) fn owner(&self) -> Option<u32> {
         self.owner
     }
 
     /// Number of retained entries.
-    pub fn retained(&self) -> usize {
+    pub(crate) fn retained(&self) -> usize {
         self.entries.len()
     }
 
     /// Looks up a retained entry by sequence number.
-    pub fn entry(&self, seq: u32) -> Option<&IndexEntry> {
+    pub(crate) fn entry(&self, seq: u32) -> Option<&IndexEntry> {
         let idx = seq.checked_sub(self.base_seq)? as usize;
         self.entries.get(idx)
     }
@@ -101,13 +101,13 @@ impl BlockIndex {
     /// Seqs of the retained entries generated at or before `slot`, found by
     /// binary search over [`IndexEntry::time`], which never decreases along
     /// a chain. Empty, starting at the base, when none is.
-    pub fn generated_through(&self, slot: u64) -> Range<u32> {
+    pub(crate) fn generated_through(&self, slot: u64) -> Range<u32> {
         let count = self.entries.partition_point(|e| e.time <= slot);
         self.base_seq..self.base_seq + count as u32
     }
 
     /// Header digest of the newest retained entry.
-    pub fn latest_digest(&self) -> Option<Digest> {
+    pub(crate) fn latest_digest(&self) -> Option<Digest> {
         self.entries.last().map(|e| e.digest)
     }
 
@@ -124,7 +124,7 @@ impl BlockIndex {
     /// The index keeps only a 64-bit prefix of each contained digest, so
     /// every prefix hit is confirmed against its block, which `read` fetches
     /// by seq: once per hit, and only for a hit inside the horizon
-    /// ([`IndexEntry::time`] is checked first). A hit whose block names only
+    /// (`IndexEntry::time` is checked first). A hit whose block names only
     /// another digest with `target`'s prefix is read and dropped. The
     /// iterator is lazy, so a caller after the oldest child reads no block
     /// past it.
@@ -198,7 +198,7 @@ impl BlockIndex {
     }
 
     /// Logical bits of the retained chain (Eq. 2 summed over blocks).
-    pub fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
+    pub(crate) fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
         self.entries
             .iter()
             .map(|e| cfg.header_bits(e.digest_entries as usize) + Bits::from_bits(e.body_bits))
@@ -207,7 +207,7 @@ impl BlockIndex {
 
     /// Bytes the index pins: the entry array at its capacity, plus both
     /// prefix indexes as [`ChainIndex::resident_bytes`] counts them.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<IndexEntry>()
             + self.by_digest.resident_bytes()
             + self.children.resident_bytes()

@@ -10,17 +10,17 @@
 //!
 //! * [`record`] — CRC-32-framed records around the canonical
 //!   `tldag_core::codec` block encoding; torn writes are detectable.
-//! * [`segment`] — the segmented-log core ([`SegmentSet`]): segment files,
+//! * `segment` — the segmented-log core (`SegmentSet`): segment files,
 //!   rolls, streaming replay with torn-tail truncation, retention
 //!   accounting, and the single-writer directory lock.
 //! * [`index`] — the digest → (segment, offset) index rebuilt on open, plus
 //!   its checksummed snapshot form.
-//! * [`log`] — the one durable block log, [`ShardLog`]: the chains of one or
+//! * `log` — the one durable block log, [`ShardLog`]: the chains of one or
 //!   more owners in one group-committed segmented log, with index snapshots,
-//!   a decoded-block cache and head-guarded compaction. [`LogView`] is its
+//!   a decoded-block cache and head-guarded compaction. `LogView` is its
 //!   one [`tldag_core::store::BlockBackend`]: [`DurableStore`] owns a log
 //!   for one node, [`ShardedNodeStore`] shares one with its shard.
-//! * [`factory`] — [`DiskFactory`] (a log per node, `node-<id>/`) and
+//! * `factory` — [`DiskFactory`] (a log per node, `node-<id>/`) and
 //!   [`ShardedDiskFactory`] (a log per shard, `shard-NNNN/`, one fsync per
 //!   shard per slot) for `TldagNetwork::with_factory`.
 //!
@@ -63,13 +63,13 @@
 #![warn(missing_docs)]
 
 pub mod crc32;
-pub mod factory;
+pub(crate) mod factory;
 pub mod index;
-pub mod log;
+pub(crate) mod log;
 pub mod record;
-pub mod segment;
+pub(crate) mod segment;
 
 pub use factory::{DiskFactory, ShardedDiskFactory};
-pub use log::{DurableStore, LogHolder, LogView, ShardLog, ShardedNodeStore};
-pub use segment::{SegmentSet, StorageOptions};
+pub use log::{DurableStore, ShardLog, ShardedNodeStore};
+pub use segment::StorageOptions;
 pub use tldag_core::store::SyncPolicy;

@@ -199,7 +199,7 @@ impl ShardLog {
     }
 
     /// Physical fsync calls issued so far.
-    pub fn fsync_count(&self) -> u64 {
+    pub(crate) fn fsync_count(&self) -> u64 {
         self.set.fsync_count()
     }
 
@@ -222,7 +222,7 @@ impl ShardLog {
 
     /// Durable chain length of `node` (blocks covered by the last fsync;
     /// everything recovered on open counts).
-    pub fn durable_len_of(&self, node: NodeId) -> usize {
+    pub(crate) fn durable_len_of(&self, node: NodeId) -> usize {
         let staged = self.staged.get(&node.0).copied();
         staged.map_or_else(|| self.len_of(node), |seq| seq as usize)
     }
@@ -281,7 +281,7 @@ impl ShardLog {
     /// # Errors
     ///
     /// [`TldagError::Storage`] on I/O failure.
-    pub fn compact_to_budget(&mut self, max_bytes: u64) -> Result<usize, TldagError> {
+    pub(crate) fn compact_to_budget(&mut self, max_bytes: u64) -> Result<usize, TldagError> {
         let mut pruned_total = 0usize;
         let mut removed: Vec<u32> = Vec::new();
         while self.set.disk_usage_bytes() > max_bytes {

@@ -10,11 +10,11 @@ use tldag_core::error::TldagError;
 use tldag_core::DataBlock;
 
 /// Frame header size: length + checksum.
-pub const FRAME_BYTES: usize = 8;
+pub(crate) const FRAME_BYTES: usize = 8;
 
 /// Sanity bound on one record's payload (a block with thousands of digest
 /// entries and the codec's maximum payload stays far below this).
-pub const MAX_RECORD_BYTES: usize = 32 * 1024 * 1024;
+pub(crate) const MAX_RECORD_BYTES: usize = 32 * 1024 * 1024;
 
 /// Encodes `block` into a framed record.
 pub fn encode_record(block: &DataBlock) -> Vec<u8> {
@@ -28,7 +28,7 @@ pub fn encode_record(block: &DataBlock) -> Vec<u8> {
 
 /// Outcome of reading one record from a byte window.
 #[derive(Debug)]
-pub enum RecordRead {
+pub(crate) enum RecordRead {
     /// A complete, checksummed record; `consumed` bytes of the window.
     Complete {
         /// The decoded block.
@@ -49,7 +49,7 @@ pub enum RecordRead {
 ///
 /// An empty window is reported as `Torn` with zero loss — callers treat "no
 /// more bytes" and "half a record" uniformly as the end of the valid prefix.
-pub fn read_record(window: &[u8]) -> RecordRead {
+pub(crate) fn read_record(window: &[u8]) -> RecordRead {
     if window.len() < FRAME_BYTES {
         return RecordRead::Torn;
     }
@@ -82,7 +82,7 @@ pub fn read_record(window: &[u8]) -> RecordRead {
 ///
 /// [`TldagError::Corrupt`] when the checksum or decode fails — an indexed
 /// record was valid when written, so any mismatch is real corruption.
-pub fn decode_indexed(frame: &[u8]) -> Result<DataBlock, TldagError> {
+pub(crate) fn decode_indexed(frame: &[u8]) -> Result<DataBlock, TldagError> {
     match read_record(frame) {
         RecordRead::Complete { block, .. } => Ok(block),
         RecordRead::Torn => Err(TldagError::Corrupt(

@@ -39,13 +39,13 @@ use std::path::{Path, PathBuf};
 use tldag_core::error::TldagError;
 use tldag_core::DataBlock;
 
-pub use crate::index::RecordLocation;
+pub(crate) use crate::index::RecordLocation;
 
 /// Tuning knobs of the durable block log ([`crate::log::ShardLog`]), for
 /// one owner or many alike.
 ///
 /// `snapshot_every` and `cache_blocks` drive the log's index snapshot and
-/// decoded-block cache; the remaining fields drive the [`SegmentSet`] core.
+/// decoded-block cache; the remaining fields drive the `SegmentSet` core.
 #[derive(Clone, Debug)]
 pub struct StorageOptions {
     /// Target maximum bytes per segment file (records never span segments).
@@ -166,12 +166,12 @@ fn pid_is_live(pid: u32) -> bool {
 
 /// Outcome of [`SegmentSet::append_record`].
 #[derive(Clone, Copy, Debug)]
-pub struct SegmentAppend {
+pub(crate) struct SegmentAppend {
     /// Where the record landed.
-    pub location: RecordLocation,
+    pub(crate) location: RecordLocation,
     /// Whether the append sealed the previous tail and started a new
     /// segment — the log hooks its compaction policy here.
-    pub rolled: bool,
+    pub(crate) rolled: bool,
 }
 
 /// A directory of numbered segment files with a write-buffered tail.
@@ -181,7 +181,7 @@ pub struct SegmentAppend {
 /// after [`SegmentSet::open`] (it establishes the valid tail length) before
 /// appending.
 #[derive(Debug)]
-pub struct SegmentSet {
+pub(crate) struct SegmentSet {
     dir: PathBuf,
     prefix: &'static str,
     segment_bytes: u64,
@@ -208,7 +208,7 @@ impl SegmentSet {
     ///
     /// [`TldagError::Locked`] when another live handle owns the directory,
     /// [`TldagError::Storage`] on I/O failure.
-    pub fn open(
+    pub(crate) fn open(
         dir: impl Into<PathBuf>,
         prefix: &'static str,
         segment_bytes: u64,
@@ -275,22 +275,22 @@ impl SegmentSet {
     }
 
     /// The directory this set lives in.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
     /// Live segment ids, ascending (the last one is the tail).
-    pub fn segment_ids(&self) -> Vec<u32> {
+    pub(crate) fn segment_ids(&self) -> Vec<u32> {
         self.readers.keys().copied().collect()
     }
 
     /// The tail segment id.
-    pub fn tail_id(&self) -> u32 {
+    pub(crate) fn tail_id(&self) -> u32 {
         self.tail_id
     }
 
     /// The oldest **sealed** segment (never the tail), if any.
-    pub fn oldest_sealed(&self) -> Option<u32> {
+    pub(crate) fn oldest_sealed(&self) -> Option<u32> {
         self.readers
             .keys()
             .next()
@@ -304,7 +304,7 @@ impl SegmentSet {
     ///
     /// [`TldagError::Storage`] when the segment is unknown or cannot be
     /// stat-ed.
-    pub fn segment_len(&self, id: u32) -> Result<u64, TldagError> {
+    pub(crate) fn segment_len(&self, id: u32) -> Result<u64, TldagError> {
         let file = self
             .readers
             .get(&id)
@@ -316,22 +316,22 @@ impl SegmentSet {
     }
 
     /// Physical fsync calls issued so far.
-    pub fn fsync_count(&self) -> u64 {
+    pub(crate) fn fsync_count(&self) -> u64 {
         self.fsyncs
     }
 
     /// Number of live segment files (the tail included).
-    pub fn segment_count(&self) -> u64 {
+    pub(crate) fn segment_count(&self) -> u64 {
         self.readers.len() as u64
     }
 
     /// Bytes currently staged in the write buffer.
-    pub fn buffered_bytes(&self) -> usize {
+    pub(crate) fn buffered_bytes(&self) -> usize {
         self.buffer.len()
     }
 
     /// Total bytes on disk (flushed) plus the pending write buffer.
-    pub fn disk_usage_bytes(&self) -> u64 {
+    pub(crate) fn disk_usage_bytes(&self) -> u64 {
         let sealed: u64 = self
             .readers
             .iter()
@@ -355,7 +355,7 @@ impl SegmentSet {
     /// rejects a record (e.g. an out-of-order sequence number, which no torn
     /// write can produce); [`TldagError::Storage`] on I/O failure. Errors
     /// from `visit` propagate unchanged.
-    pub fn replay(
+    pub(crate) fn replay(
         &mut self,
         start: Option<(u32, u64)>,
         visit: &mut dyn FnMut(DataBlock, RecordLocation) -> Result<(), TldagError>,
@@ -459,7 +459,7 @@ impl SegmentSet {
     /// # Errors
     ///
     /// [`TldagError::Storage`] when the medium fails.
-    pub fn append_record(&mut self, rec: &[u8]) -> Result<SegmentAppend, TldagError> {
+    pub(crate) fn append_record(&mut self, rec: &[u8]) -> Result<SegmentAppend, TldagError> {
         let tail_size = self.tail_flushed + self.buffer.len() as u64;
         let mut rolled = false;
         if tail_size > 0 && tail_size + rec.len() as u64 > self.segment_bytes {
@@ -504,7 +504,7 @@ impl SegmentSet {
     /// # Errors
     ///
     /// [`TldagError::Storage`] when the medium fails.
-    pub fn flush(&mut self) -> Result<(), TldagError> {
+    pub(crate) fn flush(&mut self) -> Result<(), TldagError> {
         if self.buffer.is_empty() {
             return Ok(());
         }
@@ -521,7 +521,7 @@ impl SegmentSet {
     /// # Errors
     ///
     /// [`TldagError::Storage`] when the medium fails.
-    pub fn sync(&mut self) -> Result<(), TldagError> {
+    pub(crate) fn sync(&mut self) -> Result<(), TldagError> {
         self.flush()?;
         self.readers[&self.tail_id]
             .sync_data()
@@ -540,7 +540,7 @@ impl SegmentSet {
     /// segment or the stored bytes fail the checksum/decode (an indexed
     /// record was valid when written, so any mismatch is real corruption);
     /// [`TldagError::Storage`] on I/O failure.
-    pub fn read(&self, location: RecordLocation) -> Result<DataBlock, TldagError> {
+    pub(crate) fn read(&self, location: RecordLocation) -> Result<DataBlock, TldagError> {
         let mut frame = vec![0u8; location.len as usize];
         if location.segment == self.tail_id && location.offset >= self.tail_flushed {
             let start = (location.offset - self.tail_flushed) as usize;
@@ -565,7 +565,7 @@ impl SegmentSet {
     ///
     /// Panics when asked to retire the tail segment — compaction policies
     /// must never drop the tail.
-    pub fn retire_segment(&mut self, id: u32) {
+    pub(crate) fn retire_segment(&mut self, id: u32) {
         assert_ne!(id, self.tail_id, "the tail segment cannot be retired");
         self.readers.remove(&id);
     }
@@ -575,7 +575,7 @@ impl SegmentSet {
     /// # Errors
     ///
     /// [`TldagError::Storage`] when the file cannot be removed.
-    pub fn delete_segment_file(&self, id: u32) -> Result<(), TldagError> {
+    pub(crate) fn delete_segment_file(&self, id: u32) -> Result<(), TldagError> {
         fs::remove_file(Self::path_of(&self.dir, self.prefix, id))
             .map_err(|e| TldagError::io("remove compacted segment", &e))
     }

@@ -1,16 +1,20 @@
 //! Wire-codec robustness: round trips for arbitrary structures, and decode
 //! must never panic or accept malformed input silently — for the message
-//! codec *and* for the datagram envelopes that carry it.
+//! codec, the runtime's control messages *and* the datagram envelopes that
+//! carry both.
 
 use proptest::prelude::*;
+use std::net::SocketAddr;
 use tldag::core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag::core::codec;
 use tldag::core::codec::CodecError;
 use tldag::core::config::ProtocolConfig;
 use tldag::crypto::schnorr::KeyPair;
 use tldag::crypto::Digest;
+use tldag::net::control::{self, Control, RunReport, WireMember};
 use tldag::net::envelope;
 use tldag::net::frag::Reassembler;
+use tldag::net::NetStats;
 use tldag::sim::NodeId;
 use tldag::storage::crc32::crc32;
 
@@ -38,6 +42,70 @@ fn block_from(
         BlockBody::new(payload, cfg.body_bits),
         &kp,
     )
+}
+
+/// One message of every [`Control`] variant, each optional field both
+/// present and absent, built from the drawn values.
+fn control_variants(id: u32, slot: u64, word: u64, port: u16) -> Vec<Control> {
+    let v4 = SocketAddr::from(([127, 0, 0, 1], port));
+    let v6 = SocketAddr::from(([0, 0, 0, 0, 0, 0, 0, 1], port));
+    let report = |metrics_addr| RunReport {
+        node: NodeId(id),
+        slots: slot,
+        chain_len: word,
+        chain_digest: Digest::from_bytes([id as u8; 32]),
+        pop_attempts: word,
+        pop_successes: slot,
+        catch_up_ms: word,
+        slot_loop_ms: slot,
+        degraded: word & 1 == 0,
+        net: NetStats {
+            datagrams_sent: word,
+            bytes_received: slot,
+            ..NetStats::default()
+        },
+        metrics_addr,
+    };
+    let member = |leave_slot, evicted, addr| WireMember {
+        id: NodeId(id),
+        join_slot: slot,
+        leave_slot,
+        evicted,
+        addr,
+    };
+    vec![
+        Control::Hello { from: NodeId(id) },
+        Control::HelloAck { from: NodeId(id) },
+        Control::SlotDigest {
+            slot,
+            digest: Digest::from_bytes([word as u8; 32]),
+        },
+        Control::DigestReq { slot },
+        Control::SlotDone { slot },
+        Control::Report(report(None)),
+        Control::Report(report(Some(v4))),
+        Control::Report(report(Some(v6))),
+        Control::ReportAck,
+        Control::Shutdown,
+        Control::JoinReq { from: NodeId(id) },
+        Control::JoinAck {
+            from: NodeId(id),
+            slot,
+            members: word as u32,
+        },
+        Control::RosterEntry(member(None, false, None)),
+        Control::RosterEntry(member(Some(word), true, Some(v4))),
+        Control::RosterEntry(member(Some(word), false, Some(v6))),
+        Control::JoinAnnounce {
+            id: NodeId(id),
+            slot,
+            addr: v6,
+        },
+        Control::Leave {
+            node: NodeId(id),
+            slot,
+        },
+    ]
 }
 
 proptest! {
@@ -95,7 +163,8 @@ proptest! {
     /// regardless of what follows the tag byte.
     #[test]
     fn unknown_message_tags_are_distinguished(
-        tag in 0x08u8..0xffu8,
+        // 0x01..=0x08 are the message tags (0x08 is `ReqChildAt`).
+        tag in 0x09u8..0xffu8,
         rest in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let mut data = vec![tag];
@@ -253,5 +322,48 @@ proptest! {
         let mut doubled = frame.clone();
         doubled.extend_from_slice(&frame);
         prop_assert!(envelope::decode_datagram(&doubled).is_err());
+    }
+
+    /// Decoding arbitrary bytes as a control message never panics, whether
+    /// the tag is unknown or names a real variant; whatever it accepts
+    /// round-trips through the encoder.
+    #[test]
+    fn control_decode_never_panics(
+        tag in 0u8..16,
+        tagged in any::<bool>(),
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut bytes = data;
+        if tagged {
+            bytes.insert(0, tag);
+        }
+        if let Ok(msg) = control::decode_control(&bytes) {
+            prop_assert_eq!(control::decode_control(&control::encode_control(&msg)), Ok(msg));
+        }
+    }
+
+    /// Every control variant round-trips; a bit flip anywhere in its
+    /// encoding never panics the decoder, and every truncation is rejected.
+    #[test]
+    fn control_bitflips_and_truncations_never_panic(
+        id in any::<u32>(),
+        slot in any::<u64>(),
+        word in any::<u64>(),
+        port in any::<u16>(),
+        byte_idx in 0usize..4096,
+        bit in 0u8..8,
+    ) {
+        for msg in control_variants(id, slot, word, port) {
+            let bytes = control::encode_control(&msg);
+            prop_assert_eq!(control::decode_control(&bytes), Ok(msg));
+            let mut flipped = bytes.clone();
+            flipped[byte_idx % bytes.len()] ^= 1 << bit;
+            if let Ok(other) = control::decode_control(&flipped) {
+                prop_assert_eq!(control::decode_control(&control::encode_control(&other)), Ok(other));
+            }
+            for cut in 0..bytes.len() {
+                prop_assert!(control::decode_control(&bytes[..cut]).is_err());
+            }
+        }
     }
 }

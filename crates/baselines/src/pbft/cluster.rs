@@ -10,6 +10,7 @@
 use crate::config::BaselineConfig;
 use crate::pbft::messages::{BlockMeta, PbftMessage};
 use crate::pbft::replica::Replica;
+use crate::pbft::PRIMARY;
 use std::collections::VecDeque;
 use tldag_sim::bus::{Accounting, TrafficClass};
 use tldag_sim::NodeId;
@@ -19,6 +20,10 @@ use tldag_sim::NodeId;
 pub struct PbftCluster {
     cfg: BaselineConfig,
     replicas: Vec<Replica>,
+    /// Crash-faulted replicas, which neither send nor process messages.
+    /// Only the crash-fault tests below set one, but they are the only
+    /// check on the quorum margins (`2f` prepares, `2f + 1` commits), so
+    /// the field stays in the non-test code they exercise.
     silenced: Vec<bool>,
     accounting: Accounting,
     queue: VecDeque<(NodeId, NodeId, PbftMessage)>,
@@ -45,8 +50,7 @@ impl PbftCluster {
     /// to quiescence. Returns `true` when a quorum of live replicas committed
     /// the block.
     pub fn submit(&mut self, client: NodeId, block: BlockMeta) -> bool {
-        let primary = self.replicas[0].primary_of(0);
-        self.enqueue(client, primary, PbftMessage::Request { block });
+        self.enqueue(client, PRIMARY, PbftMessage::Request { block });
         self.run_to_quiescence();
         let committed = self
             .replicas

@@ -30,8 +30,6 @@ pub(crate) enum PbftMessage {
     },
     /// Primary's proposal (primary → all replicas). Carries the full block.
     PrePrepare {
-        /// View in which the proposal is made.
-        view: u64,
         /// Sequence number assigned by the primary.
         seq: u64,
         /// The proposed block.
@@ -39,8 +37,6 @@ pub(crate) enum PbftMessage {
     },
     /// Phase-two vote (all → all).
     Prepare {
-        /// View of the instance.
-        view: u64,
         /// Sequence number of the instance.
         seq: u64,
         /// Digest of the proposed block.
@@ -50,8 +46,6 @@ pub(crate) enum PbftMessage {
     },
     /// Phase-three vote (all → all).
     Commit {
-        /// View of the instance.
-        view: u64,
         /// Sequence number of the instance.
         seq: u64,
         /// Digest of the proposed block.
@@ -85,13 +79,8 @@ mod tests {
             digest: Digest::ZERO,
             bits: cfg.block_bits(),
         };
-        let pre = PbftMessage::PrePrepare {
-            view: 0,
-            seq: 1,
-            block,
-        };
+        let pre = PbftMessage::PrePrepare { seq: 1, block };
         let prep = PbftMessage::Prepare {
-            view: 0,
             seq: 1,
             digest: Digest::ZERO,
             replica: NodeId(1),

@@ -2,8 +2,8 @@
 //!
 //! Two layers:
 //!
-//! * `replica`/`cluster` — a message-driven PBFT state machine with
-//!   views, quorums, and crash-fault handling, used by protocol tests.
+//! * `replica`/`cluster` — a message-driven PBFT state machine for view 0,
+//!   with quorums and crash-fault handling, used by protocol tests.
 //! * [`PbftNetwork`] — the experiment-scale model: per slot, every IoT node's
 //!   block runs through the three-phase protocol and is appended to a chain
 //!   replicated at **every** node. Message counts per phase are identical to
@@ -22,6 +22,9 @@ use tldag_crypto::sha256::Sha256;
 use tldag_sim::bus::{Accounting, TrafficClass};
 use tldag_sim::engine::Slot;
 use tldag_sim::{Bits, NodeId, Topology};
+
+/// The primary of view 0, the only view modelled: it orders every block.
+const PRIMARY: NodeId = NodeId(0);
 
 /// The experiment-scale PBFT network.
 ///
@@ -60,11 +63,6 @@ impl PbftNetwork {
         }
     }
 
-    /// The view-0 primary.
-    pub(crate) fn primary(&self) -> NodeId {
-        NodeId(0)
-    }
-
     /// Executes one slot: every node proposes one block; all commit.
     pub fn step(&mut self) {
         let slot = self.slot;
@@ -90,7 +88,7 @@ impl PbftNetwork {
     /// Accounts one happy-path consensus instance and appends the block.
     fn commit_instance(&mut self, block: BlockMeta) {
         let n = self.n as u64;
-        let primary = self.primary();
+        let primary = PRIMARY;
         let request = block.bits + Bits::from_bits(self.cfg.framing_bits);
         let pre_prepare = self.cfg.pre_prepare_bits();
         let vote = self.cfg.vote_bits();

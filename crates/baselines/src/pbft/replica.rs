@@ -6,6 +6,7 @@
 //! correct ordering core, not a production PBFT.
 
 use crate::pbft::messages::{BlockMeta, PbftMessage};
+use crate::pbft::PRIMARY;
 use std::collections::{HashMap, HashSet};
 use tldag_crypto::Digest;
 use tldag_sim::NodeId;
@@ -24,9 +25,9 @@ struct Instance {
 pub(crate) struct Replica {
     id: NodeId,
     n: usize,
-    view: u64,
     next_seq: u64,
-    instances: HashMap<(u64, u64), Instance>,
+    /// Voting state per sequence number.
+    instances: HashMap<u64, Instance>,
     chain: Vec<BlockMeta>,
     committed_digests: HashSet<Digest>,
 }
@@ -43,7 +44,6 @@ impl Replica {
         Replica {
             id,
             n,
-            view: 0,
             next_seq: 0,
             instances: HashMap::new(),
             chain: Vec::new(),
@@ -56,16 +56,6 @@ impl Replica {
         (self.n - 1) / 3
     }
 
-    /// The primary of view `v` (round-robin).
-    pub(crate) fn primary_of(&self, view: u64) -> NodeId {
-        NodeId((view % self.n as u64) as u32)
-    }
-
-    /// Whether this replica is the current primary.
-    pub(crate) fn is_primary(&self) -> bool {
-        self.primary_of(self.view) == self.id
-    }
-
     /// Whether `digest` has been committed.
     pub(crate) fn has_committed(&self, digest: &Digest) -> bool {
         self.committed_digests.contains(digest)
@@ -75,49 +65,38 @@ impl Replica {
     pub(crate) fn handle(&mut self, from: NodeId, msg: PbftMessage) -> Vec<PbftMessage> {
         match msg {
             PbftMessage::Request { block } => self.on_request(block),
-            PbftMessage::PrePrepare { view, seq, block } => {
-                self.on_pre_prepare(from, view, seq, block)
-            }
+            PbftMessage::PrePrepare { seq, block } => self.on_pre_prepare(from, seq, block),
             PbftMessage::Prepare {
-                view,
                 seq,
                 digest,
                 replica,
-            } => self.on_prepare(view, seq, digest, replica),
+            } => self.on_prepare(seq, digest, replica),
             PbftMessage::Commit {
-                view,
                 seq,
                 digest,
                 replica,
-            } => self.on_commit(view, seq, digest, replica),
+            } => self.on_commit(seq, digest, replica),
         }
     }
 
     fn on_request(&mut self, block: BlockMeta) -> Vec<PbftMessage> {
-        if !self.is_primary() {
+        if self.id != PRIMARY {
             return Vec::new(); // non-primaries ignore direct requests
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let view = self.view;
         // The primary's pre-prepare also counts as its prepare vote.
-        let instance = self.instances.entry((view, seq)).or_default();
+        let instance = self.instances.entry(seq).or_default();
         instance.block = Some(block);
         instance.prepares.insert(self.id);
-        vec![PbftMessage::PrePrepare { view, seq, block }]
+        vec![PbftMessage::PrePrepare { seq, block }]
     }
 
-    fn on_pre_prepare(
-        &mut self,
-        from: NodeId,
-        view: u64,
-        seq: u64,
-        block: BlockMeta,
-    ) -> Vec<PbftMessage> {
-        if view != self.view || from != self.primary_of(view) {
+    fn on_pre_prepare(&mut self, from: NodeId, seq: u64, block: BlockMeta) -> Vec<PbftMessage> {
+        if from != PRIMARY {
             return Vec::new();
         }
-        let instance = self.instances.entry((view, seq)).or_default();
+        let instance = self.instances.entry(seq).or_default();
         if instance.block.is_some() {
             return Vec::new(); // duplicate pre-prepare
         }
@@ -126,56 +105,37 @@ impl Replica {
         instance.prepares.insert(self.id);
         self.next_seq = self.next_seq.max(seq + 1);
         let mut out = vec![PbftMessage::Prepare {
-            view,
             seq,
             digest: block.digest,
             replica: self.id,
         }];
-        out.extend(self.try_advance(view, seq));
+        out.extend(self.try_advance(seq));
         out
     }
 
-    fn on_prepare(
-        &mut self,
-        view: u64,
-        seq: u64,
-        digest: Digest,
-        replica: NodeId,
-    ) -> Vec<PbftMessage> {
-        if view != self.view {
-            return Vec::new();
-        }
-        let instance = self.instances.entry((view, seq)).or_default();
+    fn on_prepare(&mut self, seq: u64, digest: Digest, replica: NodeId) -> Vec<PbftMessage> {
+        let instance = self.instances.entry(seq).or_default();
         if instance.block.is_some_and(|b| b.digest != digest) {
             return Vec::new(); // equivocation; ignore
         }
         instance.prepares.insert(replica);
-        self.try_advance(view, seq)
+        self.try_advance(seq)
     }
 
-    fn on_commit(
-        &mut self,
-        view: u64,
-        seq: u64,
-        digest: Digest,
-        replica: NodeId,
-    ) -> Vec<PbftMessage> {
-        if view != self.view {
-            return Vec::new();
-        }
-        let instance = self.instances.entry((view, seq)).or_default();
+    fn on_commit(&mut self, seq: u64, digest: Digest, replica: NodeId) -> Vec<PbftMessage> {
+        let instance = self.instances.entry(seq).or_default();
         if instance.block.is_some_and(|b| b.digest != digest) {
             return Vec::new();
         }
         instance.commits.insert(replica);
-        self.try_advance(view, seq)
+        self.try_advance(seq)
     }
 
     /// Fires prepared/committed transitions for an instance.
-    fn try_advance(&mut self, view: u64, seq: u64) -> Vec<PbftMessage> {
+    fn try_advance(&mut self, seq: u64) -> Vec<PbftMessage> {
         let f = self.f();
         let mut out = Vec::new();
-        let Some(instance) = self.instances.get_mut(&(view, seq)) else {
+        let Some(instance) = self.instances.get_mut(&seq) else {
             return out;
         };
         let Some(block) = instance.block else {
@@ -185,7 +145,6 @@ impl Replica {
         if instance.prepares.len() > 2 * f && !instance.commits.contains(&self.id) {
             instance.commits.insert(self.id);
             out.push(PbftMessage::Commit {
-                view,
                 seq,
                 digest: block.digest,
                 replica: self.id,
@@ -233,14 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn primary_rotates_with_view() {
-        let r = Replica::new(NodeId(0), 4);
-        assert_eq!(r.primary_of(0), NodeId(0));
-        assert_eq!(r.primary_of(1), NodeId(1));
-        assert_eq!(r.primary_of(4), NodeId(0));
-    }
-
-    #[test]
     fn primary_assigns_sequence_numbers() {
         let mut primary = Replica::new(NodeId(0), 4);
         let out1 = primary.handle(NodeId(1), PbftMessage::Request { block: block(1) });
@@ -265,18 +216,10 @@ mod tests {
     fn equivocating_prepare_is_ignored() {
         let mut r = Replica::new(NodeId(1), 4);
         let b = block(1);
-        r.handle(
-            NodeId(0),
-            PbftMessage::PrePrepare {
-                view: 0,
-                seq: 0,
-                block: b,
-            },
-        );
+        r.handle(NodeId(0), PbftMessage::PrePrepare { seq: 0, block: b });
         let out = r.handle(
             NodeId(2),
             PbftMessage::Prepare {
-                view: 0,
                 seq: 0,
                 digest: Digest::from_bytes([9; 32]), // wrong digest
                 replica: NodeId(2),
@@ -287,13 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn other_view_messages_ignored() {
+    fn a_backups_pre_prepare_is_ignored() {
         let mut r = Replica::new(NodeId(2), 4);
-        // A pre-prepare from view 1's primary does not reach a view-0 replica.
+        // Only the view-0 primary, n0, proposes.
         let out = r.handle(
             NodeId(1),
             PbftMessage::PrePrepare {
-                view: 1,
                 seq: 0,
                 block: block(1),
             },

@@ -23,10 +23,10 @@ use tldag_core::block::BlockId;
 use tldag_core::config::ProtocolConfig;
 use tldag_core::network::TldagNetwork;
 use tldag_core::node::LedgerNode;
-use tldag_core::pop::validator::Validator;
+use tldag_core::pop::validator::{PopContext, PopWalk};
 use tldag_core::store::TrustCache;
 use tldag_core::workload::VerificationWorkload;
-use tldag_net::runtime::{deployment_protocol_config, deployment_topology, NetPopTransport};
+use tldag_net::runtime::{ask_over_wire, deployment_protocol_config, deployment_topology};
 use tldag_net::{
     Endpoint, EndpointConfig, FaultSpec, FaultyTransport, NetStats, ReceiverGuard, Roster,
     UdpTransport,
@@ -233,24 +233,21 @@ pub(crate) fn run(config: &WireConfig) -> WireData {
             // sample of the transport (no cache, no carried-over bans).
             let trust = TrustCache::new();
             let mut blacklist = Blacklist::new(cfg.blacklist);
-            let mut pop_rng = DetRng::seed_from(target_rng.next_u64());
-            let mut transport = NetPopTransport {
-                endpoint: validator_endpoint,
-                addr_of: &|peer| roster.request_addr(peer),
-                horizon: None,
-                spans: None,
-            };
-            let started = Instant::now();
-            let report = Validator::new(
-                &cfg,
-                &topology,
-                validator_id,
+            let pop_rng = DetRng::seed_from(target_rng.next_u64());
+            let mut ctx = PopContext {
+                cfg: &cfg,
+                topology: &topology,
+                id: validator_id,
                 own_store,
-                &trust,
-                &mut blacklist,
-                &mut pop_rng,
-            )
-            .run(target, &mut transport);
+                trust_cache: &trust,
+                blacklist: &mut blacklist,
+                horizon: None,
+            };
+            let addr_of = |peer| roster.request_addr(peer);
+            let started = Instant::now();
+            let report = PopWalk::run(target, pop_rng, &mut ctx, |request| {
+                ask_over_wire(validator_endpoint, addr_of, None, request)
+            });
             latencies_ms.push(started.elapsed().as_secs_f64() * 1e3);
             messages += report.metrics.total_messages();
             if report.is_success() {

@@ -56,9 +56,9 @@ use crate::blacklist::Blacklist;
 use crate::block::BlockId;
 use crate::config::ProtocolConfig;
 use crate::error::TldagError;
-use crate::node::{BlockFetch, ChildServe, LedgerNode};
-use crate::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
-use crate::pop::validator::{PopReport, Validator};
+use crate::node::LedgerNode;
+use crate::pop::messages::{Reply, Request};
+use crate::pop::validator::{PopContext, PopReport, PopWalk};
 use crate::store::{
     BackendFactory, BlockBackend, FreshHeaders, HeaderArena, MemoryBackendFactory, SyncPolicy,
     TrustCache,
@@ -348,7 +348,7 @@ impl VerifyJob {
                 continue;
             };
             out.attempts += 1;
-            let mut pop_rng = derived_rng(self.seed, stream::POP, self.slot, validator);
+            let pop_rng = derived_rng(self.seed, stream::POP, self.slot, validator);
             let mut links = self
                 .links
                 .fork(self.slot.wrapping_mul(stream::LINKS << 32) ^ u64::from(validator.0));
@@ -367,7 +367,7 @@ impl VerifyJob {
                 true,
                 self.nodes[validator.index()].trust_cache(),
                 &mut blacklist,
-                &mut pop_rng,
+                pop_rng,
             );
             if report.is_success() {
                 out.successes += 1;
@@ -462,11 +462,12 @@ fn commit_stores(nodes: &mut [LedgerNode], sharding: Sharding) -> Result<(), Tld
     .collect()
 }
 
-/// Transport over the simulated network: synchronous request/response with
-/// behaviour-driven faults and byte accounting at both endpoints.
-struct SimTransport<'a> {
+/// The engine's side of a PoP exchange: carries a walk's asks to the node
+/// array and back, with lossy links and byte accounting at both endpoints.
+struct Exchange<'a> {
     cfg: &'a ProtocolConfig,
     nodes: &'a [LedgerNode],
+    validator: NodeId,
     accounting: &'a mut Accounting,
     /// Per-source BFS parents for multi-hop attribution (present only when
     /// `cfg.multihop_accounting`).
@@ -477,143 +478,68 @@ struct SimTransport<'a> {
     meter: bool,
 }
 
-impl SimTransport<'_> {
-    fn record(&mut self, from: NodeId, to: NodeId, size: Bits) {
-        if !self.meter {
-            return;
-        }
-        match self.routes {
-            None => self
-                .accounting
-                .record(from, to, TrafficClass::Consensus, size),
-            Some(routes) => {
-                // Walk the shortest physical path from `to` back to `from`;
-                // every hop costs the sender tx and the receiver rx.
-                let parents = &routes[from.index()];
-                let mut at = to;
-                let mut guard = 0usize;
-                while let Some(prev) = parents[at.index()] {
-                    self.accounting
-                        .record(prev, at, TrafficClass::Consensus, size);
-                    at = prev;
-                    guard += 1;
-                    if guard > parents.len() {
-                        break; // defensive: corrupt parent array
-                    }
-                }
-                if at != from {
-                    // Unreachable over the physical graph (e.g. the peer
-                    // left): account the attempt at the sender only.
-                    self.accounting
-                        .record_tx_only(from, TrafficClass::Consensus, size);
-                }
-            }
-        }
-    }
-}
-
-impl PopTransport for SimTransport<'_> {
-    fn fetch_block(
-        &mut self,
-        validator: NodeId,
-        owner: NodeId,
-        id: BlockId,
-    ) -> Option<FetchResponse> {
-        // The target block retrieval is application data traffic: the
-        // validator would fetch the sensed data regardless of PoP. It is
-        // accounted under `Other` so the "consensus" panels of Fig. 8 match
-        // the paper's protocol-overhead definition (headers and digests
-        // only); see DESIGN.md.
-        if self.meter {
-            self.accounting.record(
-                validator,
-                owner,
-                TrafficClass::Other,
-                self.cfg.fetch_request_bits(),
-            );
-        }
+impl Exchange<'_> {
+    /// The answer the validator gets to `request`, `None` when the request,
+    /// the answer or the responder is silent. Each leg draws one link loss,
+    /// the answer's only once the responder has something to say.
+    fn answer(&mut self, request: &Request) -> Option<Reply> {
+        let (validator, peer) = (self.validator, request.to());
+        let ask_bits = match request {
+            Request::Fetch(_) => self.cfg.fetch_request_bits(),
+            Request::Child { .. } => self.cfg.req_child_bits(),
+        };
+        self.record(validator, peer, request, ask_bits);
         if self.links.drops() {
             return None; // request lost in the air
         }
-        let served = match self.nodes[owner.index()].serve_block(id) {
-            BlockFetch::Unavailable => return None, // silent / never generated
-            served => served,
-        };
+        let reply = self.nodes[peer.index()].respond(request)?;
         if self.links.drops() {
-            return None; // response lost
+            return None; // reply lost; the validator times out after τ
         }
-        match served {
-            BlockFetch::Served(block) => {
-                if self.meter {
-                    self.accounting.record(
-                        owner,
-                        validator,
-                        TrafficClass::Other,
-                        self.cfg.block_response_bits(block.header.digest_entries()),
-                    );
-                }
-                Some(FetchResponse::Block(Box::new(block)))
-            }
-            BlockFetch::Pruned { retained_from } => {
-                // Graceful miss: the owner compacted the block away. The
-                // reply is nack-sized application traffic.
-                if self.meter {
-                    self.accounting.record(
-                        owner,
-                        validator,
-                        TrafficClass::Other,
-                        self.cfg.nack_bits(),
-                    );
-                }
-                Some(FetchResponse::Pruned { retained_from })
-            }
-            BlockFetch::Unavailable => unreachable!("handled before the reply-loss check"),
-        }
+        let reply_bits = match &reply {
+            Reply::Block(block) => self.cfg.block_response_bits(block.header.digest_entries()),
+            Reply::Child(child) => self.cfg.rpy_child_bits(child.header.digest_entries()),
+            Reply::NoChild | Reply::Pruned { .. } => self.cfg.nack_bits(),
+        };
+        self.record(peer, validator, request, reply_bits);
+        Some(reply)
     }
 
-    fn request_child(
-        &mut self,
-        validator: NodeId,
-        responder: NodeId,
-        target: Digest,
-    ) -> Option<ChildResponse> {
-        self.record(validator, responder, self.cfg.req_child_bits());
-        if self.links.drops() {
-            return None; // REQ_CHILD lost; validator times out after τ
+    /// Accounts one leg of `request`'s exchange. The target block retrieval
+    /// is application data traffic: the validator would fetch the sensed
+    /// data regardless of PoP. It is accounted under `Other`, and never hop
+    /// by hop, so the "consensus" panels of Fig. 8 match the paper's
+    /// protocol-overhead definition (headers and digests only); see
+    /// DESIGN.md.
+    fn record(&mut self, from: NodeId, to: NodeId, request: &Request, size: Bits) {
+        if !self.meter {
+            return;
         }
-        let node = &self.nodes[responder.index()];
-        if node.behavior().is_silent() {
-            return None; // timeout after τ
+        let (class, routes) = match request {
+            Request::Fetch(_) => (TrafficClass::Other, None),
+            Request::Child { .. } => (TrafficClass::Consensus, self.routes),
+        };
+        let Some(routes) = routes else {
+            self.accounting.record(from, to, class, size);
+            return;
+        };
+        // Walk the shortest physical path from `to` back to `from`; every
+        // hop costs the sender tx and the receiver rx.
+        let parents = &routes[from.index()];
+        let mut at = to;
+        let mut guard = 0usize;
+        while let Some(prev) = parents[at.index()] {
+            self.accounting.record(prev, at, class, size);
+            at = prev;
+            guard += 1;
+            if guard > parents.len() {
+                break; // defensive: corrupt parent array
+            }
         }
-        if self.links.drops() {
-            return None; // RPY_CHILD lost
-        }
-        match node.serve_child_request(&target) {
-            None => None, // silent (already screened above; defensive)
-            Some(ChildServe::NoChild) => {
-                self.record(responder, validator, self.cfg.nack_bits());
-                Some(ChildResponse::NoChild)
-            }
-            Some(ChildServe::Pruned) => {
-                self.record(responder, validator, self.cfg.nack_bits());
-                Some(ChildResponse::Pruned)
-            }
-            Some(ChildServe::Found(block_id, header)) => {
-                let claimed_owner = match node.behavior() {
-                    Behavior::SybilImpersonator { claimed } => NodeId(claimed),
-                    _ => responder,
-                };
-                self.record(
-                    responder,
-                    validator,
-                    self.cfg.rpy_child_bits(header.digest_entries()),
-                );
-                Some(ChildResponse::Found(ChildReply {
-                    claimed_owner,
-                    block_id,
-                    header,
-                }))
-            }
+        if at != from {
+            // Unreachable over the physical graph (e.g. the peer left):
+            // account the attempt at the sender only.
+            self.accounting.record_tx_only(from, class, size);
         }
     }
 }
@@ -1397,7 +1323,7 @@ restarting would fork its chain"
         } else {
             self.nodes[vid].blacklist().clone()
         };
-        let mut pop_rng = DetRng::seed_from(self.rng.next_u64());
+        let pop_rng = DetRng::seed_from(self.rng.next_u64());
 
         let mut report = execute_pop(
             &self.cfg,
@@ -1411,7 +1337,7 @@ restarting would fork its chain"
             commit,
             self.nodes[vid].trust_cache(),
             &mut blacklist,
-            &mut pop_rng,
+            pop_rng,
         );
 
         let trusted = std::mem::take(&mut report.trusted);
@@ -1568,26 +1494,29 @@ fn execute_pop(
     meter: bool,
     trust_cache: &TrustCache,
     blacklist: &mut Blacklist,
-    pop_rng: &mut DetRng,
+    pop_rng: DetRng,
 ) -> PopReport {
-    let mut transport = SimTransport {
+    let mut exchange = Exchange {
         cfg,
         nodes,
+        validator,
         accounting,
         routes,
         links,
         meter,
     };
-    let mut v = Validator::new(
+    let mut ctx = PopContext {
         cfg,
         topology,
-        validator,
-        nodes[validator.index()].store(),
+        id: validator,
+        own_store: nodes[validator.index()].store(),
         trust_cache,
         blacklist,
-        pop_rng,
-    );
-    v.run(target, &mut transport)
+        horizon: None,
+    };
+    PopWalk::run(target, pop_rng, &mut ctx, |request| {
+        exchange.answer(request)
+    })
 }
 
 #[cfg(test)]

@@ -15,54 +15,20 @@
 //! Concurrency: a `LedgerNode` is `Send + Sync` (its storage backend is
 //! required to be). The sharded slot engine mutates a node only from the
 //! worker thread that owns its shard; the read-only responder surface
-//! ([`LedgerNode::serve_block`], [`LedgerNode::serve_child_request`],
-//! [`LedgerNode::store`]) is safely shared across validator threads during
-//! the PoP phase.
+//! ([`LedgerNode::respond`], [`LedgerNode::store`]) is safely shared across
+//! validator threads during the PoP phase.
 
 use crate::attack::Behavior;
 use crate::blacklist::Blacklist;
-use crate::block::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
+use crate::block::{BlockBody, BlockId, DataBlock, DigestEntry};
 use crate::config::ProtocolConfig;
 use crate::error::TldagError;
+use crate::pop::messages::{ChildReply, Reply, Request};
 use crate::store::{BlockBackend, BlockStore, TrustCache};
 use tldag_crypto::schnorr::KeyPair;
 use tldag_crypto::Digest;
 use tldag_sim::engine::Slot;
 use tldag_sim::{Bits, NodeId};
-
-/// What a verifier says to a full-block fetch (Algorithm 3 line 2).
-///
-/// Distinguishing "compacted away under the storage budget" from plain
-/// unavailability matters for both the blacklist (pruning is cooperative,
-/// not an offense) and the Eq. 2 retention experiments, which count pruned
-/// misses separately from failures.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BlockFetch {
-    /// The block as stored (possibly tampered by a malicious behaviour).
-    Served(DataBlock),
-    /// The block existed but was compacted away under the retention budget;
-    /// the verifier retains `retained_from` onward.
-    Pruned {
-        /// First sequence number still retained.
-        retained_from: u32,
-    },
-    /// No response: the node is silent or never generated the block.
-    Unavailable,
-}
-
-/// What a responder says to a `REQ_CHILD` (Algorithm 4), before transport
-/// faults are applied.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChildServe {
-    /// The oldest own block whose Digests field contains the target.
-    Found(BlockId, BlockHeader),
-    /// No such block stored (and nothing has been pruned, so none ever
-    /// existed in the retained history).
-    NoChild,
-    /// No such block retained **and** the chain prefix has been compacted
-    /// away — a matching child may have existed below the pruned floor.
-    Pruned,
-}
 
 /// A 2LDAG protocol participant.
 #[derive(Debug)]
@@ -94,6 +60,35 @@ fn sorted_entry<T>(entries: &mut Vec<(NodeId, T)>, id: NodeId, fresh: T) -> &mut
         }
     };
     &mut entries[at].1
+}
+
+/// Algorithm 4 over chain `store`, whose owner answers as `claimed`: the
+/// oldest block whose Digests field holds `target`, among those generated
+/// at or before `horizon` when one is set. When none qualifies,
+/// [`Reply::Pruned`] if the chain's prefix was compacted (the child may have
+/// lived below the floor, which `REQ_CHILD` cannot tell from "never
+/// existed"), else [`Reply::NoChild`]. A validator answers its own asks
+/// with it too.
+pub(crate) fn child_reply(
+    store: &dyn BlockBackend,
+    claimed: NodeId,
+    target: &Digest,
+    horizon: Option<u64>,
+) -> Reply {
+    let horizon = horizon.unwrap_or(u64::MAX);
+    match store.oldest_child_of_within(target, horizon) {
+        Some(block) => Reply::Child(ChildReply {
+            claimed_owner: claimed,
+            block_id: block.id,
+            header: block.header,
+        }),
+        None => match store.pruned_floor() {
+            0 => Reply::NoChild,
+            floor => Reply::Pruned {
+                retained_from: floor,
+            },
+        },
+    }
 }
 
 impl LedgerNode {
@@ -309,83 +304,63 @@ impl LedgerNode {
         self.store.pruned_floor()
     }
 
-    /// Serves a full-block fetch (the verifier role in Algorithm 3 line 2).
-    /// Honest nodes return the block as stored; [`Behavior::CorruptStore`]
-    /// returns a tampered body; silent behaviours are
-    /// [`BlockFetch::Unavailable`]; a block below the pruned floor is a
-    /// graceful [`BlockFetch::Pruned`] miss, never a panic.
-    pub fn serve_block(&self, id: BlockId) -> BlockFetch {
-        if self.behavior.is_silent() {
-            return BlockFetch::Unavailable;
-        }
-        let Some(block) = self.store.get(id.seq) else {
-            let floor = self.store.pruned_floor();
-            if id.seq < floor {
-                return BlockFetch::Pruned {
-                    retained_from: floor,
-                };
-            }
-            return BlockFetch::Unavailable;
-        };
-        match self.behavior {
-            Behavior::CorruptStore => {
-                let mut tampered = block;
-                let mut bytes = tampered.body.payload.to_vec();
-                if bytes.is_empty() {
-                    bytes.push(0xff);
-                } else {
-                    bytes[0] ^= 0xff;
-                }
-                tampered.body = BlockBody::new(bytes, tampered.body.logical_bits);
-                BlockFetch::Served(tampered)
-            }
-            _ => BlockFetch::Served(block),
-        }
-    }
-
-    /// Serves a `REQ_CHILD` request (Algorithm 4): the oldest own block whose
-    /// header contains `target`. Silent nodes return `None` (the requester
-    /// times out); corrupt repliers flip the referenced digest; a miss on a
-    /// compacted chain is reported as [`ChildServe::Pruned`] — the child may
-    /// have lived below the pruned floor, which `REQ_CHILD` cannot
-    /// distinguish from "never existed".
-    pub fn serve_child_request(&self, target: &Digest) -> Option<ChildServe> {
-        self.serve_child_request_within(target, u64::MAX)
-    }
-
-    /// [`Self::serve_child_request`] bounded to a generation horizon: only
-    /// blocks generated at or before slot `horizon` are eligible children.
-    /// Pipelined (epoch-windowed) responders answer `REQ_CHILD_AT` with
-    /// this so blocks minted while running ahead of the requester's
-    /// verification front never leak into a proof path.
-    pub fn serve_child_request_within(&self, target: &Digest, horizon: u64) -> Option<ChildServe> {
+    /// Answers a PoP request: the verifier role of Algorithm 3 line 2 for a
+    /// [`Request::Fetch`], the responder of Algorithm 4 for a
+    /// [`Request::Child`]. `None` is silence, which the requester sees as a
+    /// timeout: a silent behaviour says nothing, and neither does an owner
+    /// asked for a block it never generated.
+    ///
+    /// Honest nodes answer from `S_i` (`child_reply` for a child). A
+    /// block below the pruned floor is a graceful [`Reply::Pruned`] miss,
+    /// never a panic. [`Behavior::CorruptStore`] serves a tampered body,
+    /// [`Behavior::CorruptReply`] flips the referenced digest in a child's
+    /// header, and [`Behavior::SybilImpersonator`] claims another identity
+    /// on its `RPY_CHILD`.
+    pub fn respond(&self, request: &Request) -> Option<Reply> {
         if self.behavior.is_silent() {
             return None;
         }
-        let Some(block) = self.store.oldest_child_of_within(target, horizon) else {
-            return Some(if self.store.pruned_floor() > 0 {
-                ChildServe::Pruned
-            } else {
-                ChildServe::NoChild
-            });
-        };
-        let mut header = block.header;
-        if self.behavior == Behavior::CorruptReply {
-            // A fresh list: the stored one is shared with `S_i` and `H_i`.
-            header.digests = header
-                .digests
-                .iter()
-                .map(|&DigestEntry { origin, digest }| DigestEntry {
-                    origin,
-                    digest: if digest == *target {
-                        digest.corrupted()
-                    } else {
-                        digest
-                    },
-                })
-                .collect();
+        match *request {
+            Request::Fetch(id) => {
+                let Some(mut block) = self.store.get(id.seq) else {
+                    let floor = self.store.pruned_floor();
+                    return (id.seq < floor).then_some(Reply::Pruned {
+                        retained_from: floor,
+                    });
+                };
+                if self.behavior == Behavior::CorruptStore {
+                    let mut bytes = block.body.payload.to_vec();
+                    match bytes.first_mut() {
+                        Some(first) => *first ^= 0xff,
+                        None => bytes.push(0xff),
+                    }
+                    block.body = BlockBody::new(bytes, block.body.logical_bits);
+                }
+                Some(Reply::Block(Box::new(block)))
+            }
+            Request::Child {
+                target, horizon, ..
+            } => {
+                let claimed = match self.behavior {
+                    Behavior::SybilImpersonator { claimed } => NodeId(claimed),
+                    _ => self.id,
+                };
+                let mut reply = child_reply(self.store(), claimed, &target, horizon);
+                if let (Reply::Child(child), Behavior::CorruptReply) = (&mut reply, self.behavior) {
+                    // A fresh list: the stored one is shared with `S_i` and `H_i`.
+                    let flip = |&DigestEntry { origin, digest }| DigestEntry {
+                        origin,
+                        digest: if digest == target {
+                            digest.corrupted()
+                        } else {
+                            digest
+                        },
+                    };
+                    child.header.digests = child.header.digests.iter().map(flip).collect();
+                }
+                Some(reply)
+            }
         }
-        Some(ChildServe::Found(block.id, header))
     }
 
     /// Total logical storage: `|S_i| + |H_i|` in bits (Prop. 3's quantity).
@@ -421,6 +396,15 @@ mod tests {
             neighbors.iter().map(|&n| NodeId(n)).collect(),
             &cfg(),
         )
+    }
+
+    /// `node`'s answer to an uncapped `REQ_CHILD(target)`.
+    fn child_of(node: &LedgerNode, target: &Digest) -> Option<Reply> {
+        node.respond(&Request::Child {
+            responder: node.id(),
+            target: *target,
+            horizon: None,
+        })
     }
 
     #[test]
@@ -499,58 +483,22 @@ mod tests {
         node.receive_digest(NodeId(1), target);
         node.generate_block(&cfg, 0, vec![0]).unwrap(); // seq 0 contains target
         node.generate_block(&cfg, 1, vec![1]).unwrap(); // seq 1 contains own prev (target replaced? no: A_i still has it)
-        let Some(ChildServe::Found(id, header)) = node.serve_child_request(&target) else {
+        let Some(Reply::Child(child)) = child_of(&node, &target) else {
             panic!("expected a child");
         };
-        assert_eq!(id.seq, 0);
-        assert!(header.contains_digest(&target));
+        assert_eq!(child.block_id.seq, 0);
+        assert!(child.header.contains_digest(&target));
         // A miss on an unpruned chain is a definitive NoChild.
-        assert_eq!(
-            node.serve_child_request(&Digest::ZERO),
-            Some(ChildServe::NoChild)
-        );
+        assert_eq!(child_of(&node, &Digest::ZERO), Some(Reply::NoChild));
     }
 
     #[test]
     fn responder_skips_a_child_that_only_shares_the_prefix() {
-        use crate::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
-        use crate::pop::validator::Validator;
+        use crate::pop::validator::{PopContext, PopWalk};
         use tldag_sim::topology::Topology;
 
-        /// Requests served straight from the nodes' own state.
-        struct Direct<'a>(&'a [LedgerNode]);
-        impl PopTransport for Direct<'_> {
-            fn fetch_block(
-                &mut self,
-                _: NodeId,
-                owner: NodeId,
-                id: BlockId,
-            ) -> Option<FetchResponse> {
-                match self.0[owner.index()].serve_block(id) {
-                    BlockFetch::Served(block) => Some(FetchResponse::Block(Box::new(block))),
-                    _ => None,
-                }
-            }
-            fn request_child(
-                &mut self,
-                _: NodeId,
-                to: NodeId,
-                target: Digest,
-            ) -> Option<ChildResponse> {
-                Some(match self.0[to.index()].serve_child_request(&target)? {
-                    ChildServe::Found(block_id, header) => ChildResponse::Found(ChildReply {
-                        claimed_owner: to,
-                        block_id,
-                        header,
-                    }),
-                    ChildServe::NoChild => ChildResponse::NoChild,
-                    ChildServe::Pruned => ChildResponse::Pruned,
-                })
-            }
-        }
-
         let cfg = cfg().with_gamma(1);
-        let mut nodes = vec![
+        let mut nodes = [
             node_with_neighbors(0, &[1]),
             node_with_neighbors(1, &[0, 2]),
             node_with_neighbors(2, &[1]),
@@ -566,31 +514,33 @@ mod tests {
         nodes[1].begin_slot();
         nodes[1].receive_digest(NodeId(0), digest);
         nodes[1].generate_block(&cfg, 2, vec![2]).unwrap();
-        let Some(ChildServe::Found(id, header)) = nodes[1].serve_child_request(&digest) else {
+        let Some(Reply::Child(child)) = child_of(&nodes[1], &digest) else {
             panic!("expected a child");
         };
-        assert_eq!(id.seq, 1);
-        assert!(header.contains_digest(&digest));
+        assert_eq!(child.block_id.seq, 1);
+        assert!(child.header.contains_digest(&digest));
 
         // Node 2 audits the target through node 1: no invalid reply, no
         // offense, and the verified path runs through the true child.
         let topology = Topology::from_edges(3, &[(0, 1), (1, 2)]);
         let (cache, mut blacklist) = (TrustCache::new(), nodes[2].blacklist().clone());
-        let mut rng = tldag_sim::DetRng::seed_from(1);
-        let report = Validator::new(
-            &cfg,
-            &topology,
-            NodeId(2),
-            nodes[2].store(),
-            &cache,
-            &mut blacklist,
-            &mut rng,
-        )
-        .run(target.id, &mut Direct(&nodes));
+        let mut ctx = PopContext {
+            cfg: &cfg,
+            topology: &topology,
+            id: NodeId(2),
+            own_store: nodes[2].store(),
+            trust_cache: &cache,
+            blacklist: &mut blacklist,
+            horizon: None,
+        };
+        let rng = tldag_sim::DetRng::seed_from(1);
+        let report = PopWalk::run(target.id, rng, &mut ctx, |request| {
+            nodes[request.to().index()].respond(request)
+        });
         assert!(report.is_success(), "{report:?}");
         assert_eq!(report.metrics.invalid_replies, 0);
         assert_eq!(report.metrics.offenses, 0);
-        assert_eq!(report.path[1].block_id, id);
+        assert_eq!(report.path[1].block_id, child.block_id);
     }
 
     #[test]
@@ -601,10 +551,10 @@ mod tests {
         node.receive_digest(NodeId(1), target);
         node.generate_block(&cfg, 0, vec![0]).unwrap();
         node.set_behavior(Behavior::CorruptReply);
-        let Some(ChildServe::Found(_, header)) = node.serve_child_request(&target) else {
+        let Some(Reply::Child(child)) = child_of(&node, &target) else {
             panic!("expected a child");
         };
-        assert!(!header.contains_digest(&target));
+        assert!(!child.header.contains_digest(&target));
     }
 
     #[test]
@@ -613,11 +563,9 @@ mod tests {
         let mut node = node_with_neighbors(0, &[1]);
         node.generate_block(&cfg, 0, vec![0]).unwrap();
         node.set_behavior(Behavior::Unresponsive);
-        assert_eq!(
-            node.serve_block(BlockId::genesis(NodeId(0))),
-            BlockFetch::Unavailable
-        );
-        assert!(node.serve_child_request(&Digest::ZERO).is_none());
+        let fetch = Request::Fetch(BlockId::genesis(NodeId(0)));
+        assert_eq!(node.respond(&fetch), None);
+        assert_eq!(child_of(&node, &Digest::ZERO), None);
     }
 
     #[test]
@@ -626,7 +574,8 @@ mod tests {
         let mut node = node_with_neighbors(0, &[1]);
         node.generate_block(&cfg, 0, vec![1, 2, 3]).unwrap();
         node.set_behavior(Behavior::CorruptStore);
-        let BlockFetch::Served(block) = node.serve_block(BlockId::genesis(NodeId(0))) else {
+        let fetch = Request::Fetch(BlockId::genesis(NodeId(0)));
+        let Some(Reply::Block(block)) = node.respond(&fetch) else {
             panic!("corrupt store still serves");
         };
         // Tampered body no longer matches the signed Merkle root.

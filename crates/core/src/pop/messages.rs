@@ -1,4 +1,4 @@
-//! PoP wire messages and the transport abstraction.
+//! PoP messages: what a validator asks and what a node answers.
 //!
 //! The protocol uses three exchanges (Sec. IV-C):
 //!
@@ -9,13 +9,45 @@
 //! 3. `RPY_CHILD` — the responder returns the header of its oldest block
 //!    containing that digest.
 //!
-//! [`PopTransport`] abstracts the exchanges so the validator algorithm can be
-//! unit-tested against scripted mocks and driven by the full network
-//! simulator alike. A `None` return models the paper's timeout `τ`.
+//! The validator's walk ([`crate::pop::validator::PopWalk`]) hands out a
+//! [`Request`] and takes back an `Option<Reply>`; `None` models the paper's
+//! timeout `τ`. A node answers with
+//! [`crate::node::LedgerNode::respond`]. How the two meet — a function
+//! call in the engine, a datagram exchange on the wire, a closure in a
+//! test — is the caller's business.
 
 use crate::block::{BlockHeader, BlockId, DataBlock};
 use tldag_crypto::Digest;
 use tldag_sim::NodeId;
+
+/// What a validator asks of another node.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Request {
+    /// Block retrieval: the full block from its owner, the verifier.
+    Fetch(BlockId),
+    /// `REQ_CHILD`: the oldest of `responder`'s blocks whose Digests field
+    /// holds `target`.
+    Child {
+        /// The node asked.
+        responder: NodeId,
+        /// The digest of the path's tip.
+        target: Digest,
+        /// When set, only blocks generated at or before this slot qualify
+        /// (`REQ_CHILD_AT`): a run-ahead responder answers from its store as
+        /// of the slot being verified.
+        horizon: Option<u64>,
+    },
+}
+
+impl Request {
+    /// The node the request goes to.
+    pub fn to(&self) -> NodeId {
+        match *self {
+            Request::Fetch(id) => id.owner,
+            Request::Child { responder, .. } => responder,
+        }
+    }
+}
 
 /// A `RPY_CHILD` response.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,61 +60,27 @@ pub struct ChildReply {
     pub header: BlockHeader,
 }
 
-/// What a responder says to a `REQ_CHILD`.
+/// What a node answers to a [`Request`].
 ///
-/// Distinguishing a cooperative "I have no child of that block" from silence
-/// matters for the blacklist: only silence and invalid replies are offenses.
-/// A [`ChildResponse::Pruned`] miss is equally cooperative — the responder
-/// compacted its chain prefix under a storage budget (Eq. 2), so a matching
-/// child may once have existed.
+/// Distinguishing a cooperative miss from silence matters for the
+/// blacklist: only silence and invalid replies are offenses. A
+/// [`Reply::Pruned`] miss is equally cooperative — the node compacted its
+/// chain prefix under a storage budget (Eq. 2), so the block, or a matching
+/// child, may once have existed. A reply of the wrong kind for the request
+/// counts as silence.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChildResponse {
-    /// The responder has a child block and returns its header.
-    Found(ChildReply),
-    /// The responder cooperated but stores no child of the target.
-    NoChild,
-    /// The responder cooperated but has pruned its chain prefix; any child
-    /// of the target may have been compacted away.
-    Pruned,
-}
-
-/// What a verifier says to a full-block fetch.
-///
-/// Returned inside an `Option` by [`PopTransport::fetch_block`]: `None`
-/// still models the timeout `τ`, while [`FetchResponse::Pruned`] is a
-/// cooperative answer — the owner is alive but compacted the block away
-/// under its retention budget.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FetchResponse {
-    /// The requested block, as served by its owner.
+pub enum Reply {
+    /// The fetched block, as served by its owner.
     Block(Box<DataBlock>),
-    /// The owner pruned the block; it retains `retained_from` onward.
+    /// `RPY_CHILD`: the responder's child block.
+    Child(ChildReply),
+    /// The node cooperated but stores no child of the target.
+    NoChild,
+    /// The node cooperated but has pruned its chain below `retained_from`.
     Pruned {
-        /// First sequence number the owner still retains.
+        /// First sequence number the node still retains.
         retained_from: u32,
     },
-}
-
-/// Transport used by the validator to reach other nodes.
-///
-/// Implementations account message sizes; returning `None` models a timeout
-/// after `τ` (unresponsive, selfish, or partitioned peers).
-pub trait PopTransport {
-    /// Retrieves the full block `id` from `owner` (validator → verifier).
-    fn fetch_block(
-        &mut self,
-        validator: NodeId,
-        owner: NodeId,
-        id: BlockId,
-    ) -> Option<FetchResponse>;
-
-    /// Sends `REQ_CHILD(target)` to `responder` and waits for `RPY_CHILD`.
-    fn request_child(
-        &mut self,
-        validator: NodeId,
-        responder: NodeId,
-        target: Digest,
-    ) -> Option<ChildResponse>;
 }
 
 #[cfg(test)]
@@ -91,29 +89,6 @@ mod tests {
     use crate::block::{BlockBody, DataBlock};
     use crate::config::ProtocolConfig;
     use tldag_crypto::schnorr::KeyPair;
-
-    /// A transport that always times out; sanity-checks object safety.
-    struct DeadTransport;
-
-    impl PopTransport for DeadTransport {
-        fn fetch_block(&mut self, _: NodeId, _: NodeId, _: BlockId) -> Option<FetchResponse> {
-            None
-        }
-        fn request_child(&mut self, _: NodeId, _: NodeId, _: Digest) -> Option<ChildResponse> {
-            None
-        }
-    }
-
-    #[test]
-    fn transport_is_object_safe() {
-        let mut t: Box<dyn PopTransport> = Box::new(DeadTransport);
-        assert!(t
-            .fetch_block(NodeId(0), NodeId(1), BlockId::genesis(NodeId(1)))
-            .is_none());
-        assert!(t
-            .request_child(NodeId(0), NodeId(1), Digest::ZERO)
-            .is_none());
-    }
 
     #[test]
     fn child_reply_round_trip() {

@@ -11,11 +11,14 @@
 //! * [`tps`] — Trust Path Selection (Algorithm 2): extending the path for
 //!   free from the validator's verified-header cache `H_i`.
 //! * [`validator`] — the full validator procedure (Algorithm 3) with
-//!   timeout handling and rollback.
+//!   timeout handling and rollback, as a resumable walk
+//!   ([`validator::PopWalk`]): it hands out a [`messages::Request`] and
+//!   takes the [`messages::Reply`] back, and never waits for one itself.
 //!
-//! The **responder** procedure (Algorithm 4) is
-//! [`crate::node::LedgerNode::serve_child_request`]; transports wire it to
-//! validators.
+//! The **responder** procedure (Algorithm 4), and the verifier's answer to
+//! a block fetch, is [`crate::node::LedgerNode::respond`]. Whoever drives a
+//! walk carries its asks to the responders: the engine by a call on the
+//! node array, a wire node by one datagram exchange.
 
 pub mod messages;
 pub mod tps;

@@ -27,9 +27,10 @@
 
 use crate::blacklist::Blacklist;
 use crate::block::{BlockHeader, BlockId};
-use crate::config::ProtocolConfig;
+use crate::config::{PathSelection, ProtocolConfig};
 use crate::error::PopError;
-use crate::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
+use crate::node::child_reply;
+use crate::pop::messages::{ChildReply, Reply, Request};
 use crate::pop::{tps, wps};
 use crate::store::{BlockBackend, FreshHeaders, TrustCache, TrustedHeader};
 use std::cell::RefCell;
@@ -38,7 +39,7 @@ use tldag_crypto::schnorr::{KeyPair, PublicKey};
 use tldag_crypto::Digest;
 use tldag_sim::{Bits, DetRng, NodeId, Topology};
 
-/// Defensive cap on validator loop iterations (the protocol itself
+/// Defensive cap on a step's loop iterations (the protocol itself
 /// terminates because the logical DAG is finite and acyclic).
 const MAX_ITERATIONS: usize = 1_000_000;
 
@@ -148,6 +149,7 @@ impl PopReport {
 }
 
 /// Internal path entry: a [`PathStep`] plus search bookkeeping.
+#[derive(Debug)]
 struct Entry {
     owner: NodeId,
     block_id: BlockId,
@@ -194,338 +196,397 @@ pub fn registered_key(node: NodeId) -> PublicKey {
     })
 }
 
-/// The PoP validator role for one node.
-///
-/// Borrows the validator node's blacklist, the only state a run mutates,
-/// and read-only views of `H_i`, the topology and its own store; all remote
-/// interaction goes through the [`PopTransport`].
-pub struct Validator<'a> {
-    cfg: &'a ProtocolConfig,
-    topology: &'a Topology,
-    id: NodeId,
-    own_store: &'a dyn BlockBackend,
-    trust_cache: &'a TrustCache,
-    blacklist: &'a mut Blacklist,
-    rng: &'a mut DetRng,
-    /// When set, the validator's own-store responses are capped to blocks
-    /// generated at or before this slot — the pipelined (epoch-windowed)
-    /// rule that keeps a run-ahead validator from citing its own future
-    /// blocks while verifying an older slot.
-    horizon: Option<u64>,
+/// What a walk reads, borrowed anew for every step: nothing here is held
+/// between a [`Step::Ask`] and its answer.
+pub struct PopContext<'a> {
+    /// Protocol parameters.
+    pub cfg: &'a ProtocolConfig,
+    /// The physical topology `G(V, E)`.
+    pub topology: &'a Topology,
+    /// The validator's id.
+    pub id: NodeId,
+    /// The validator's own chain `S_i`, which answers the walk's asks of
+    /// the validator itself.
+    pub own_store: &'a dyn BlockBackend,
+    /// The validator's `H_i`, which TPS reads.
+    pub trust_cache: &'a TrustCache,
+    /// The validator's blacklist, the only state outside the walk that a
+    /// step changes.
+    pub blacklist: &'a mut Blacklist,
+    /// When set, child lookups — the own store's and every
+    /// [`Request::Child`] — see only blocks generated at or before this
+    /// slot: the pipelined (epoch-windowed) rule that keeps a run-ahead
+    /// chain from leaking into the verification of an older slot.
+    pub horizon: Option<u64>,
 }
 
-impl<'a> Validator<'a> {
-    /// Creates a validator for node `id`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        cfg: &'a ProtocolConfig,
-        topology: &'a Topology,
-        id: NodeId,
-        own_store: &'a dyn BlockBackend,
-        trust_cache: &'a TrustCache,
-        blacklist: &'a mut Blacklist,
-        rng: &'a mut DetRng,
-    ) -> Self {
-        Validator {
-            cfg,
-            topology,
-            id,
-            own_store,
-            trust_cache,
-            blacklist,
+/// Where a walk stands: it asks, or it is done.
+#[derive(Debug)]
+pub enum Step {
+    /// The walk waits for the answer to the request: pass it to
+    /// [`PopWalk::resume`], `None` for a timeout after `τ`.
+    Ask(PopWalk, Request),
+    /// The run is over.
+    Done(PopReport),
+}
+
+/// One run of Algorithm 3 as a value. [`Self::start`] asks for the target
+/// block; each [`Self::resume`] takes the answer to the last ask and walks
+/// on — TPS, WPS, the validator's own store, rollbacks — until it must ask
+/// another node or is done. The walk owns its state (path, owner multiset,
+/// `V \ V'`, rolled-back digests, metrics and randomness) and borrows
+/// nothing between steps, so whoever holds it decides how an ask is
+/// answered and when.
+#[derive(Debug)]
+pub struct PopWalk {
+    rng: DetRng,
+    metrics: PopMetrics,
+    awaiting: Awaiting,
+}
+
+/// What a walk waits for.
+#[derive(Debug)]
+enum Awaiting {
+    /// The target block, from its owner.
+    Target(BlockId),
+    /// `responder`'s `RPY_CHILD` to the path's tip.
+    Child { path: Box<Path>, responder: NodeId },
+}
+
+/// The proof path and its bookkeeping, once the target block is in hand.
+#[derive(Debug)]
+struct Path {
+    /// The target's entry: the path's first block, and its tip while
+    /// `above` is empty.
+    root: Entry,
+    /// The blocks above the target, oldest first.
+    above: Vec<Entry>,
+    /// `R_i` as a multiset, so rollbacks through micro-loops stay
+    /// consistent.
+    owners: wps::OwnerMultiset,
+    /// `V \ V'`: nodes excluded by the current rollback cascade
+    /// (Algorithm 3, line 27). Cleared whenever the path extends, because
+    /// line 14 re-initialises V' = V on every outer iteration.
+    excluded: HashSet<NodeId>,
+    /// Header digests of rolled-back blocks; TPS must not resurrect them.
+    popped: HashSet<Digest>,
+}
+
+impl PopWalk {
+    /// Starts verifying block `target`: the first ask is the target block.
+    pub fn start(target: BlockId, rng: DetRng) -> Step {
+        let walk = PopWalk {
             rng,
-            horizon: None,
-        }
-    }
-
-    /// Caps this validator's own-store responses to blocks generated at or
-    /// before slot `horizon` (see the `horizon` field). Remote responders
-    /// are capped separately by the transport (`REQ_CHILD_AT`).
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: u64) -> Self {
-        self.horizon = Some(horizon);
-        self
-    }
-
-    /// Runs Algorithm 3 to verify block `target`.
-    pub fn run(&mut self, target: BlockId, transport: &mut dyn PopTransport) -> PopReport {
-        let mut metrics = PopMetrics::default();
-        let threshold = self.cfg.consensus_threshold();
-
-        // --- Initialization: retrieve and validate the target block. ---
-        metrics.messages_sent += 1;
-        metrics.bits_sent += self.cfg.fetch_request_bits();
-        let block = match transport.fetch_block(self.id, target.owner, target) {
-            None => {
-                let unavailable = PopError::BlockUnavailable {
-                    owner: target.owner,
-                };
-                return PopReport::failed(unavailable, Vec::new(), 0, metrics);
-            }
-            Some(FetchResponse::Pruned { retained_from }) => {
-                // Graceful miss: the owner compacted the block away under
-                // its storage budget. Cooperative — no offense, no retry.
-                metrics.messages_received += 1;
-                metrics.bits_received += self.cfg.nack_bits();
-                metrics.pruned_misses += 1;
-                let pruned = PopError::TargetPruned {
-                    owner: target.owner,
-                    retained_from,
-                };
-                return PopReport::failed(pruned, Vec::new(), 0, metrics);
-            }
-            Some(FetchResponse::Block(block)) => *block,
+            metrics: PopMetrics::default(),
+            awaiting: Awaiting::Target(target),
         };
-        metrics.messages_received += 1;
-        metrics.bits_received += self.cfg.block_response_bits(block.header.digest_entries());
-        if let Err(reason) = block.validate(self.cfg, &registered_key(target.owner)) {
-            let invalid = PopError::InvalidBlock {
-                owner: target.owner,
-                reason,
-            };
-            return PopReport::failed(invalid, Vec::new(), 0, metrics);
+        Step::Ask(walk, Request::Fetch(target))
+    }
+
+    /// Runs a whole walk, answering each ask with `answer` (`None` for a
+    /// timeout): the loop of every caller that may block on an answer.
+    pub fn run(
+        target: BlockId,
+        rng: DetRng,
+        ctx: &mut PopContext<'_>,
+        mut answer: impl FnMut(&Request) -> Option<Reply>,
+    ) -> PopReport {
+        let mut step = Self::start(target, rng);
+        loop {
+            match step {
+                Step::Ask(walk, request) => step = walk.resume(ctx, answer(&request)),
+                Step::Done(report) => return report,
+            }
         }
+    }
 
-        let mut path: Vec<Entry> = vec![Entry {
-            owner: target.owner,
-            block_id: target,
-            digest: block.header_digest(),
-            fresh: Some(block.header),
-            tried: HashSet::new(),
-        }];
-        let mut owners = wps::OwnerMultiset::with_nodes(self.topology.len());
-        owners.add(target.owner);
-        // `V \ V'`: nodes excluded by the current rollback cascade
-        // (Algorithm 3, line 27). Cleared whenever the path extends, because
-        // line 14 re-initialises V' = V on every outer iteration.
-        let mut excluded: HashSet<NodeId> = HashSet::new();
-        // Header digests of rolled-back blocks; TPS must not resurrect them.
-        let mut popped: HashSet<Digest> = HashSet::new();
+    /// Takes the answer to the last ask and walks on to the next one.
+    pub fn resume(self, ctx: &mut PopContext<'_>, reply: Option<Reply>) -> Step {
+        let PopWalk {
+            mut rng,
+            mut metrics,
+            awaiting,
+        } = self;
+        let mut path = match awaiting {
+            Awaiting::Target(target) => match fetched(ctx, &mut metrics, target, reply) {
+                Ok(path) => Box::new(path),
+                Err(outcome) => {
+                    return Step::Done(PopReport::failed(outcome, Vec::new(), 0, metrics));
+                }
+            },
+            Awaiting::Child {
+                mut path,
+                responder,
+            } => {
+                let bits = match &reply {
+                    Some(Reply::Child(child)) => {
+                        Some(ctx.cfg.rpy_child_bits(child.header.digest_entries()))
+                    }
+                    Some(Reply::NoChild | Reply::Pruned { .. }) => Some(ctx.cfg.nack_bits()),
+                    Some(Reply::Block(_)) | None => None,
+                };
+                if let Some(bits) = bits {
+                    metrics.replies_received += 1;
+                    metrics.messages_received += 1;
+                    metrics.bits_received += bits;
+                }
+                path.answered(ctx, &mut metrics, responder, reply);
+                path
+            }
+        };
+        let threshold = ctx.cfg.consensus_threshold();
 
-        // --- Construct the path. ---
+        // --- Construct the path, up to the next ask of another node. ---
         for _ in 0..MAX_ITERATIONS {
-            if metrics.req_child_sent >= self.cfg.max_requests {
+            if metrics.req_child_sent >= ctx.cfg.max_requests {
                 break;
             }
             // TPS fast-forward (Algorithm 3, line 9). The walk is lazy, so
             // breaking at `γ + 1` owners is where its lookups stop too; the
             // budget only caps a walk that never completes the proof.
-            if self.cfg.enable_tps && owners.len_distinct() < threshold {
-                let tip_digest = path.last().expect("path never empty here").digest;
+            if ctx.cfg.enable_tps && path.owners.len_distinct() < threshold {
+                let tip_digest = path.tip().digest;
                 let budget = threshold * 4 + 16;
-                for step in tps::extend(self.trust_cache, &tip_digest, &popped, budget) {
+                for step in tps::extend(ctx.trust_cache, &tip_digest, &path.popped, budget) {
                     metrics.tps_extensions += 1;
-                    owners.add(step.owner);
-                    path.push(Entry {
+                    path.owners.add(step.owner);
+                    path.above.push(Entry {
                         owner: step.owner,
                         block_id: step.block_id,
                         digest: step.digest,
                         fresh: None,
                         tried: HashSet::new(),
                     });
-                    excluded.clear();
-                    if owners.len_distinct() >= threshold {
+                    path.excluded.clear();
+                    if path.owners.len_distinct() >= threshold {
                         break;
                     }
                 }
             }
-            if owners.len_distinct() >= threshold {
-                return self.finish_success(path, owners.len_distinct(), metrics);
+            if path.owners.len_distinct() >= threshold {
+                return Step::Done(path.success(metrics));
             }
 
-            // WPS candidate selection at the current tip.
-            let tip = path.last().expect("path never empty here");
-            let tip_owner = tip.owner;
-            let tip_digest = tip.digest;
-            let candidates: Vec<NodeId> = self
-                .topology
-                .neighbors(tip_owner)
-                .iter()
-                .copied()
-                .filter(|n| !tip.tried.contains(n))
-                .filter(|n| !excluded.contains(n))
-                .filter(|n| *n == self.id || !self.blacklist.is_banned(*n))
-                .collect();
-
-            let selected = match self.cfg.path_selection {
-                crate::config::PathSelection::Weighted => {
-                    wps::select_next(self.topology, &candidates, &owners, self.rng)
-                }
-                crate::config::PathSelection::Random => self.rng.choose(&candidates).copied(),
-            };
-            let Some(responder) = selected else {
+            let Some(responder) = path.select(ctx, &mut rng) else {
                 // Rollback (Algorithm 3, lines 26–34).
-                let entry = path.pop().expect("path never empty here");
                 metrics.rollbacks += 1;
-                owners.remove(entry.owner);
-                excluded.insert(entry.owner);
-                popped.insert(entry.digest);
-                match path.last_mut() {
-                    Some(new_tip) => {
-                        // Re-asking the same responder would deterministically
-                        // reproduce the popped subtree.
-                        new_tip.tried.insert(entry.owner);
-                        continue;
-                    }
-                    None => {
-                        let exhausted = PopError::PathExhausted {
-                            distinct_nodes: 0,
-                            required: threshold,
-                        };
-                        return PopReport::failed(exhausted, Vec::new(), 0, metrics);
-                    }
+                if path.roll_back() {
+                    continue;
                 }
+                let exhausted = PopError::PathExhausted {
+                    distinct_nodes: 0,
+                    required: threshold,
+                };
+                return Step::Done(PopReport::failed(exhausted, Vec::new(), 0, metrics));
             };
 
             // Obtain the reply: from our own store for free, otherwise over
             // the air (lines 17–24).
-            let response: Option<ChildResponse> = if responder == self.id {
+            let target = path.tip().digest;
+            if responder == ctx.id {
                 metrics.own_store_hits += 1;
-                let child = match self.horizon {
-                    Some(h) => self.own_store.oldest_child_of_within(&tip_digest, h),
-                    None => self.own_store.oldest_child_of(&tip_digest),
-                };
-                Some(match child {
-                    Some(b) => ChildResponse::Found(ChildReply {
-                        claimed_owner: self.id,
-                        block_id: b.id,
-                        header: b.header,
-                    }),
-                    None if self.own_store.pruned_floor() > 0 => ChildResponse::Pruned,
-                    None => ChildResponse::NoChild,
-                })
-            } else {
-                metrics.req_child_sent += 1;
-                metrics.messages_sent += 1;
-                metrics.bits_sent += self.cfg.req_child_bits();
-                let response = transport.request_child(self.id, responder, tip_digest);
-                if let Some(r) = &response {
-                    metrics.replies_received += 1;
-                    metrics.messages_received += 1;
-                    metrics.bits_received += match r {
-                        ChildResponse::Found(reply) => {
-                            self.cfg.rpy_child_bits(reply.header.digest_entries())
-                        }
-                        ChildResponse::NoChild | ChildResponse::Pruned => self.cfg.nack_bits(),
-                    };
-                }
-                response
-            };
-
-            match response {
-                None => {
-                    // Timeout after τ: an offense (Sec. IV-D.6).
-                    metrics.timeouts += 1;
-                    if responder != self.id {
-                        metrics.offenses += 1;
-                        self.blacklist.record_failure(responder);
-                    }
-                    path.last_mut()
-                        .expect("path never empty here")
-                        .tried
-                        .insert(responder);
-                }
-                Some(ChildResponse::NoChild) => {
-                    // Cooperative miss: not an offense, just try elsewhere.
-                    metrics.no_child_replies += 1;
-                    if responder != self.id {
-                        self.blacklist.record_success(responder);
-                    }
-                    path.last_mut()
-                        .expect("path never empty here")
-                        .tried
-                        .insert(responder);
-                }
-                Some(ChildResponse::Pruned) => {
-                    // Equally cooperative: the responder compacted its chain
-                    // prefix, so a child may be gone. Counted separately —
-                    // this is the Eq. 2 budget showing up in the protocol.
-                    metrics.pruned_misses += 1;
-                    if responder != self.id {
-                        self.blacklist.record_success(responder);
-                    }
-                    path.last_mut()
-                        .expect("path never empty here")
-                        .tried
-                        .insert(responder);
-                }
-                Some(ChildResponse::Found(reply)) => {
-                    if self.check_reply(responder, tip_owner, &tip_digest, &reply) {
-                        if responder != self.id {
-                            self.blacklist.record_success(responder);
-                        }
-                        let digest = reply.header.digest();
-                        owners.add(responder);
-                        path.push(Entry {
-                            owner: responder,
-                            block_id: reply.block_id,
-                            digest,
-                            fresh: Some(reply.header),
-                            tried: HashSet::new(),
-                        });
-                        // Successful extension: Algorithm 3 re-initialises
-                        // V' = V (line 14), ending the rollback cascade.
-                        excluded.clear();
-                    } else {
-                        metrics.invalid_replies += 1;
-                        if responder != self.id {
-                            metrics.offenses += 1;
-                            self.blacklist.record_failure(responder);
-                        }
-                        path.last_mut()
-                            .expect("path never empty here")
-                            .tried
-                            .insert(responder);
-                    }
-                }
+                let reply = child_reply(ctx.own_store, ctx.id, &target, ctx.horizon);
+                path.answered(ctx, &mut metrics, responder, Some(reply));
+                continue;
             }
+            metrics.req_child_sent += 1;
+            metrics.messages_sent += 1;
+            metrics.bits_sent += ctx.cfg.req_child_bits();
+            let request = Request::Child {
+                responder,
+                target,
+                horizon: ctx.horizon,
+            };
+            let walk = PopWalk {
+                rng,
+                metrics,
+                awaiting: Awaiting::Child { path, responder },
+            };
+            return Step::Ask(walk, request);
         }
 
-        // Defensive: the iteration cap was hit (cannot happen on a finite DAG).
+        // The request budget is spent, or the defensive per-step iteration
+        // cap was hit (which cannot happen on a finite DAG).
+        let distinct_nodes = path.owners.len_distinct();
         let exhausted = PopError::PathExhausted {
-            distinct_nodes: owners.len_distinct(),
+            distinct_nodes,
             required: threshold,
         };
-        let path = path.iter().map(Entry::step).collect();
-        PopReport::failed(exhausted, path, owners.len_distinct(), metrics)
+        Step::Done(PopReport::failed(
+            exhausted,
+            path.steps(),
+            distinct_nodes,
+            metrics,
+        ))
+    }
+}
+
+/// Initialisation (Algorithm 3, lines 1–4): takes the answer to the target
+/// fetch, validates the block, and starts the path at it.
+fn fetched(
+    ctx: &PopContext<'_>,
+    metrics: &mut PopMetrics,
+    target: BlockId,
+    reply: Option<Reply>,
+) -> Result<Path, PopError> {
+    metrics.messages_sent += 1;
+    metrics.bits_sent += ctx.cfg.fetch_request_bits();
+    let owner = target.owner;
+    let block = match reply {
+        Some(Reply::Block(block)) => *block,
+        Some(Reply::Pruned { retained_from }) => {
+            // Graceful miss: the owner compacted the block away under its
+            // storage budget. Cooperative — no offense, no retry.
+            metrics.messages_received += 1;
+            metrics.bits_received += ctx.cfg.nack_bits();
+            metrics.pruned_misses += 1;
+            return Err(PopError::TargetPruned {
+                owner,
+                retained_from,
+            });
+        }
+        _ => return Err(PopError::BlockUnavailable { owner }),
+    };
+    metrics.messages_received += 1;
+    metrics.bits_received += ctx.cfg.block_response_bits(block.header.digest_entries());
+    block
+        .validate(ctx.cfg, &registered_key(owner))
+        .map_err(|reason| PopError::InvalidBlock { owner, reason })?;
+    let mut owners = wps::OwnerMultiset::with_nodes(ctx.topology.len());
+    owners.add(owner);
+    Ok(Path {
+        root: Entry {
+            owner,
+            block_id: target,
+            digest: block.header_digest(),
+            fresh: Some(block.header),
+            tried: HashSet::new(),
+        },
+        above: Vec::new(),
+        owners,
+        excluded: HashSet::new(),
+        popped: HashSet::new(),
+    })
+}
+
+impl Path {
+    /// The block the walk is extending.
+    fn tip(&self) -> &Entry {
+        self.above.last().unwrap_or(&self.root)
     }
 
-    /// Validates a `RPY_CHILD` header (Algorithm 3, line 21, plus hardening).
-    fn check_reply(
-        &self,
+    fn tip_mut(&mut self) -> &mut Entry {
+        self.above.last_mut().unwrap_or(&mut self.root)
+    }
+
+    /// WPS (or a uniform pick) among the tip owner's neighbours not yet
+    /// tried at the tip, not excluded by the rollback cascade, and not
+    /// banned (the validator itself is never banned).
+    fn select(&self, ctx: &PopContext<'_>, rng: &mut DetRng) -> Option<NodeId> {
+        let tip = self.tip();
+        let candidates: Vec<NodeId> = (ctx.topology.neighbors(tip.owner).iter().copied())
+            .filter(|n| !tip.tried.contains(n))
+            .filter(|n| !self.excluded.contains(n))
+            .filter(|n| *n == ctx.id || !ctx.blacklist.is_banned(*n))
+            .collect();
+        match ctx.cfg.path_selection {
+            PathSelection::Weighted => {
+                wps::select_next(ctx.topology, &candidates, &self.owners, rng)
+            }
+            PathSelection::Random => rng.choose(&candidates).copied(),
+        }
+    }
+
+    /// Pops the tip (Algorithm 3, lines 26–31): its owner leaves `R_i` and
+    /// is excluded, and the new tip never asks it again, because the same
+    /// responder would deterministically reproduce the popped subtree.
+    /// `false` when the tip was the target itself, and nothing is left.
+    fn roll_back(&mut self) -> bool {
+        let Some(entry) = self.above.pop() else {
+            return false;
+        };
+        self.owners.remove(entry.owner);
+        self.excluded.insert(entry.owner);
+        self.popped.insert(entry.digest);
+        self.tip_mut().tried.insert(entry.owner);
+        true
+    }
+
+    /// Folds `responder`'s answer to the tip's `REQ_CHILD` into the path
+    /// and the blacklist (Algorithm 3, lines 17–24).
+    fn answered(
+        &mut self,
+        ctx: &mut PopContext<'_>,
+        metrics: &mut PopMetrics,
         responder: NodeId,
-        verifying_owner: NodeId,
-        verifying_digest: &Digest,
-        reply: &ChildReply,
-    ) -> bool {
-        // Sybil defence: the reply must come from the identity we addressed,
-        // and its block must belong to that identity.
-        if reply.claimed_owner != responder || reply.block_id.owner != responder {
-            return false;
+        reply: Option<Reply>,
+    ) {
+        let remote = responder != ctx.id;
+        let cooperative = match &reply {
+            Some(Reply::Child(child)) => {
+                let valid = check_reply(ctx.cfg, responder, self.tip(), child);
+                metrics.invalid_replies += u64::from(!valid);
+                valid
+            }
+            // Cooperative misses: not an offense, just try elsewhere. A
+            // pruned one (the responder compacted its chain prefix, so a
+            // child may be gone) is the Eq. 2 budget showing up in the
+            // protocol, and is counted apart.
+            Some(Reply::NoChild) => {
+                metrics.no_child_replies += 1;
+                true
+            }
+            Some(Reply::Pruned { .. }) => {
+                metrics.pruned_misses += 1;
+                true
+            }
+            // Timeout after τ.
+            Some(Reply::Block(_)) | None => {
+                metrics.timeouts += 1;
+                false
+            }
+        };
+        // A timeout or an invalid reply is an offense (Sec. IV-D.6).
+        if remote && cooperative {
+            ctx.blacklist.record_success(responder);
+        } else if remote {
+            metrics.offenses += 1;
+            ctx.blacklist.record_failure(responder);
         }
-        // The paper's consistency check (line 21):
-        // H(b^h_v) == GetDigest(b^h_{j'}, v).
-        if reply.header.digest_of(verifying_owner) != Some(*verifying_digest) {
-            return false;
+        match reply {
+            Some(Reply::Child(child)) if cooperative => {
+                self.owners.add(responder);
+                self.above.push(Entry {
+                    owner: responder,
+                    block_id: child.block_id,
+                    digest: child.header.digest(),
+                    fresh: Some(child.header),
+                    tried: HashSet::new(),
+                });
+                // Successful extension: Algorithm 3 re-initialises V' = V
+                // (line 14), ending the rollback cascade.
+                self.excluded.clear();
+            }
+            _ => {
+                self.tip_mut().tried.insert(responder);
+            }
         }
-        // Hardening: the header must be signed by the registered key of the
-        // responder and satisfy the generation puzzle.
-        reply.header.verify_signature(&registered_key(responder))
-            && reply.header.verify_puzzle(self.cfg.difficulty_bits)
     }
 
-    /// Success epilogue: hand back every header on the path that `H_i`
+    /// The path, target first.
+    fn steps(&self) -> Vec<PathStep> {
+        let entries = std::iter::once(&self.root).chain(&self.above);
+        entries.map(Entry::step).collect()
+    }
+
+    /// Success epilogue: hands back every header on the path that `H_i`
     /// does not hold yet, for the caller to cache when it commits the run
     /// (line 39).
-    fn finish_success(
-        &mut self,
-        path: Vec<Entry>,
-        distinct_nodes: usize,
-        metrics: PopMetrics,
-    ) -> PopReport {
-        let steps: Vec<PathStep> = path.iter().map(Entry::step).collect();
+    fn success(self, metrics: PopMetrics) -> PopReport {
+        let steps = self.steps();
+        let distinct_nodes = self.owners.len_distinct();
         let mut trusted = FreshHeaders::default();
-        for entry in path {
+        for entry in std::iter::once(self.root).chain(self.above) {
             if let Some(header) = entry.fresh {
                 let header = TrustedHeader {
                     owner: entry.owner,
@@ -543,6 +604,25 @@ impl<'a> Validator<'a> {
             trusted,
         }
     }
+}
+
+/// Validates a `RPY_CHILD` to the `REQ_CHILD` `responder` got for `tip`
+/// (Algorithm 3, line 21, plus hardening).
+fn check_reply(cfg: &ProtocolConfig, responder: NodeId, tip: &Entry, reply: &ChildReply) -> bool {
+    // Sybil defence: the reply must come from the identity we addressed,
+    // and its block must belong to that identity.
+    if reply.claimed_owner != responder || reply.block_id.owner != responder {
+        return false;
+    }
+    // The paper's consistency check (line 21):
+    // H(b^h_v) == GetDigest(b^h_{j'}, v).
+    if reply.header.digest_of(tip.owner) != Some(tip.digest) {
+        return false;
+    }
+    // Hardening: the header must be signed by the registered key of the
+    // responder and satisfy the generation puzzle.
+    reply.header.verify_signature(&registered_key(responder))
+        && reply.header.verify_puzzle(cfg.difficulty_bits)
 }
 
 #[cfg(test)]

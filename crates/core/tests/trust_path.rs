@@ -1,12 +1,12 @@
 //! Every check on the PoP trust path fails a test when it is removed: a
-//! scripted transport serves replies that only that check rejects, or a
+//! scripted responder serves replies that only that check rejects, or a
 //! topology where only that filter keeps WPS away from a peer.
 
 use tldag_core::blacklist::Blacklist;
 use tldag_core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_core::config::ProtocolConfig;
-use tldag_core::pop::messages::{ChildReply, ChildResponse, FetchResponse, PopTransport};
-use tldag_core::pop::validator::{PopReport, Validator};
+use tldag_core::pop::messages::{ChildReply, Reply, Request};
+use tldag_core::pop::validator::{PopContext, PopReport, PopWalk, Step};
 use tldag_core::store::{BlockStore, TrustCache};
 use tldag_crypto::schnorr::KeyPair;
 use tldag_crypto::Digest;
@@ -42,7 +42,7 @@ fn reply(responder: u32, child: &DataBlock) -> ChildReply {
 }
 
 /// Serves fetches from `blocks` and child requests from `replies`
-/// (`NoChild` for anything unscripted), logging every request.
+/// (`NoChild` for anything unscripted), logging every child request.
 #[derive(Default)]
 struct Scripted {
     blocks: Vec<DataBlock>,
@@ -50,54 +50,52 @@ struct Scripted {
     asked: Vec<(NodeId, Digest)>,
 }
 
-impl PopTransport for Scripted {
-    fn fetch_block(&mut self, _: NodeId, _: NodeId, id: BlockId) -> Option<FetchResponse> {
-        let block = self.blocks.iter().find(|b| b.id == id)?;
-        Some(FetchResponse::Block(Box::new(block.clone())))
-    }
-
-    fn request_child(
-        &mut self,
-        _: NodeId,
-        responder: NodeId,
-        target: Digest,
-    ) -> Option<ChildResponse> {
-        self.asked.push((responder, target));
-        Some(
-            match self
-                .replies
-                .iter()
-                .find(|(r, t, _)| *r == responder && *t == target)
-            {
-                Some((_, _, reply)) => ChildResponse::Found(reply.clone()),
-                None => ChildResponse::NoChild,
-            },
-        )
+impl Scripted {
+    /// The scripted answer to `request`; a block nobody scripted is silence.
+    fn answer(&mut self, request: &Request) -> Option<Reply> {
+        match *request {
+            Request::Fetch(id) => {
+                let block = self.blocks.iter().find(|b| b.id == id)?;
+                Some(Reply::Block(Box::new(block.clone())))
+            }
+            Request::Child {
+                responder, target, ..
+            } => {
+                self.asked.push((responder, target));
+                let scripted =
+                    (self.replies.iter()).find(|(r, t, _)| *r == responder && *t == target);
+                Some(match scripted {
+                    Some((_, _, reply)) => Reply::Child(reply.clone()),
+                    None => Reply::NoChild,
+                })
+            }
+        }
     }
 }
 
-/// Runs validator `validator` on `target` over `transport`, with an empty
-/// store and trust cache, and `blacklist`.
+/// Runs validator `validator` on `target` against `scripted`, with an
+/// empty store and trust cache, and `blacklist`.
 fn audit(
     cfg: &ProtocolConfig,
     topology: &Topology,
     validator: u32,
     target: BlockId,
     blacklist: &mut Blacklist,
-    transport: &mut Scripted,
+    scripted: &mut Scripted,
 ) -> PopReport {
     let (store, cache) = (BlockStore::new(), TrustCache::new());
-    let mut rng = DetRng::seed_from(7);
-    Validator::new(
+    let mut ctx = PopContext {
         cfg,
         topology,
-        NodeId(validator),
-        &store,
-        &cache,
+        id: NodeId(validator),
+        own_store: &store,
+        trust_cache: &cache,
         blacklist,
-        &mut rng,
-    )
-    .run(target, transport)
+        horizon: None,
+    };
+    PopWalk::run(target, DetRng::seed_from(7), &mut ctx, |request| {
+        scripted.answer(request)
+    })
 }
 
 /// A reply header signed by the responder's registered key whose nonce
@@ -265,4 +263,72 @@ fn wps_skips_a_banned_neighbour() {
         "asked a banned peer: {:?}",
         transport.asked
     );
+}
+
+/// A walk holds nothing between its steps: two walks on different targets,
+/// stepped alternately on one thread against one responder, each end with
+/// the report they end with when driven alone.
+#[test]
+fn interleaved_walks_end_as_each_does_alone() {
+    let cfg = ProtocolConfig::test_default().with_gamma(2);
+    let topology = Topology::from_edges(6, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
+    let b0 = block(&cfg, 0, None);
+    let b1 = block(&cfg, 1, Some((0, &b0)));
+    let b2 = block(&cfg, 2, Some((1, &b1)));
+    let b3 = block(&cfg, 3, Some((2, &b2)));
+    let mut scripted = Scripted {
+        blocks: vec![b0.clone(), b1.clone()],
+        replies: vec![
+            (NodeId(1), b0.header_digest(), reply(1, &b1)),
+            (NodeId(2), b1.header_digest(), reply(2, &b2)),
+            (NodeId(3), b2.header_digest(), reply(3, &b3)),
+        ],
+        ..Scripted::default()
+    };
+    // (validator, target) of each walk.
+    let walks = [(4, b0.id), (5, b1.id)];
+    let alone = walks.map(|(validator, target)| {
+        let mut blacklist = Blacklist::new(cfg.blacklist);
+        let report = audit(
+            &cfg,
+            &topology,
+            validator,
+            target,
+            &mut blacklist,
+            &mut scripted,
+        );
+        format!("{report:?}")
+    });
+
+    let (store, cache) = (BlockStore::new(), TrustCache::new());
+    let mut blacklists = walks.map(|_| Blacklist::new(cfg.blacklist));
+    let mut queue = std::collections::VecDeque::new();
+    for (i, (_, target)) in walks.into_iter().enumerate() {
+        let Step::Ask(walk, request) = PopWalk::start(target, DetRng::seed_from(7)) else {
+            panic!("a walk starts with the target fetch");
+        };
+        queue.push_back((i, walk, request));
+    }
+    let mut interleaved = [String::new(), String::new()];
+    let mut steps = [0; 2];
+    while let Some((i, walk, request)) = queue.pop_front() {
+        steps[i] += 1;
+        let mut ctx = PopContext {
+            cfg: &cfg,
+            topology: &topology,
+            id: NodeId(walks[i].0),
+            own_store: &store,
+            trust_cache: &cache,
+            blacklist: &mut blacklists[i],
+            horizon: None,
+        };
+        match walk.resume(&mut ctx, scripted.answer(&request)) {
+            Step::Ask(walk, request) => queue.push_back((i, walk, request)),
+            Step::Done(report) => interleaved[i] = format!("{report:?}"),
+        }
+    }
+    // Both walks fetched their target and asked at least two children, so
+    // their steps did alternate.
+    assert!(steps.iter().all(|&n| n >= 3), "steps {steps:?}");
+    assert_eq!(interleaved, alone);
 }

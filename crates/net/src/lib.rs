@@ -79,14 +79,14 @@ pub(crate) mod transport;
 
 pub use endpoint::{Endpoint, EndpointConfig, Inbound, ReceiverGuard};
 pub use explore::{Explorer, ExplorerSource};
-pub use forensics::{diagnose, timelines_for_slot, SlotMismatch};
+pub use forensics::{diagnose, timelines_for_slot, DivergenceReport, SlotMismatch};
 pub use harness::{
     format_adversary_schedule, judge, parse_adversary_spec, run_cluster, AdversaryPlacement,
     ClusterConfig, ClusterOutcome, Deployment, LoopbackCluster, Verdict,
 };
 pub use membership::{parse_churn_spec, ChurnEvent, Roster};
 pub use metrics::NetStats;
-pub use runtime::{NetNode, NetNodeConfig, NetPopTransport};
+pub use runtime::{NetNode, NetNodeConfig};
 pub use telemetry::{
     render_metrics, render_status_table, scrape_metrics, status_json, total_row, MetricsView,
     NodeTelemetry, StatusRow,

@@ -69,13 +69,12 @@ use tldag_core::blacklist::Blacklist;
 use tldag_core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_core::codec::WireMessage;
 use tldag_core::config::ProtocolConfig;
-use tldag_core::error::TldagError;
 pub(crate) use tldag_core::network::chain_digest_of;
 pub use tldag_core::network::network_digest_of;
 use tldag_core::network::{derived_rng, stream, TargetPool};
-use tldag_core::node::{BlockFetch, ChildServe, LedgerNode};
-use tldag_core::pop::messages::{ChildReply, FetchResponse, PopTransport};
-use tldag_core::pop::validator::{PopReport, Validator};
+use tldag_core::node::LedgerNode;
+use tldag_core::pop::messages::{Reply, Request};
+use tldag_core::pop::validator::{PopContext, PopReport, PopWalk, Step};
 use tldag_core::store::{BlockBackend, BlockStore, TrustCache};
 use tldag_core::workload::sensor_payload;
 use tldag_crypto::{Digest, KeyPair};
@@ -84,7 +83,7 @@ use tldag_obs::{
     DEFAULT_SPAN_CAPACITY,
 };
 use tldag_sim::topology::{Topology, TopologyConfig};
-use tldag_sim::{Bits, DetRng, NodeId};
+use tldag_sim::{DetRng, NodeId};
 use tldag_storage::{DiskFactory, StorageOptions};
 
 mod adversary;
@@ -95,7 +94,7 @@ mod slot_loop;
 
 use dispatch::dispatch;
 pub(crate) use pop::wire_target_pool;
-pub use pop::{serve_wire_request, NetPopTransport};
+pub use pop::{ask_over_wire, serve_wire_request};
 
 /// Configuration of one deployed node.
 #[derive(Clone, Debug)]

@@ -1,126 +1,103 @@
-//! PoP over the wire: the responder role, the socket transport, the
-//! closed-form target pool, and the validator's view of the live chain.
+//! PoP over the wire: the responder role, a walk's asks as datagram
+//! exchanges, the closed-form target pool, and the validator's verify step.
 
 use super::*;
 
 /// Serves one inbound protocol request against a node's state, returning
 /// the reply to send (or `None` when the node stays silent / the message is
-/// not a request). Mirrors the simulator's responder semantics exactly:
-/// cooperative `Nack` for a definitive miss, `PrunedNack` with the pruned
-/// floor for a retention miss, and — unlike the simulator, where silence
-/// models absence — an explicit `Nack` for an unavailable block, so honest
-/// requesters fail fast instead of burning their retry budget.
+/// not a request). The answer is the engine's ([`LedgerNode::respond`]),
+/// with one wire rule on top: a fetch the node cannot serve gets an explicit
+/// `Nack` where the engine stays silent, so honest requesters fail fast
+/// instead of burning their retry budget.
 pub fn serve_wire_request(node: &LedgerNode, msg: &WireMessage) -> Option<WireMessage> {
-    let child_reply = |serve: ChildServe| match serve {
-        ChildServe::Found(block_id, header) => WireMessage::RpyChild(ChildReply {
-            claimed_owner: node.id(),
-            block_id,
-            header,
-        }),
-        ChildServe::NoChild => WireMessage::Nack { from: node.id() },
-        ChildServe::Pruned => WireMessage::PrunedNack {
-            from: node.id(),
-            retained_from: node.pruned_floor(),
+    let request = match *msg {
+        WireMessage::FetchBlock { id, .. } => Request::Fetch(id),
+        WireMessage::ReqChild { target, .. } => Request::Child {
+            responder: node.id(),
+            target,
+            horizon: None,
         },
-    };
-    match msg {
-        WireMessage::ReqChild { target, .. } => node.serve_child_request(target).map(child_reply),
         WireMessage::ReqChildAt {
             target, horizon, ..
-        } => node
-            .serve_child_request_within(target, *horizon)
-            .map(child_reply),
-        WireMessage::FetchBlock { id, .. } => Some(match node.serve_block(*id) {
-            BlockFetch::Served(block) => WireMessage::Block(Box::new(block)),
-            BlockFetch::Pruned { retained_from } => WireMessage::PrunedNack {
-                from: node.id(),
-                retained_from,
-            },
-            BlockFetch::Unavailable => WireMessage::Nack { from: node.id() },
-        }),
+        } => Request::Child {
+            responder: node.id(),
+            target,
+            horizon: Some(horizon),
+        },
+        _ => return None,
+    };
+    let from = node.id();
+    Some(match node.respond(&request) {
+        Some(Reply::Block(block)) => WireMessage::Block(block),
+        Some(Reply::Child(reply)) => WireMessage::RpyChild(reply),
+        Some(Reply::NoChild) => WireMessage::Nack { from },
+        Some(Reply::Pruned { retained_from }) => WireMessage::PrunedNack {
+            from,
+            retained_from,
+        },
+        None if matches!(request, Request::Fetch(_)) => nack_unservable_fetch(from),
+        None => return None,
+    })
+}
+
+/// The wire's one departure from the engine's responder: a block fetch
+/// that gets no answer there (a silent owner, or a block it never
+/// generated) gets an explicit `Nack` here. The validator reads it as the
+/// engine's silence, [`tldag_core::error::PopError::BlockUnavailable`],
+/// without waiting out the retries.
+fn nack_unservable_fetch(from: NodeId) -> WireMessage {
+    WireMessage::Nack { from }
+}
+
+/// Carries a walk's `request` to its addressee as one [`Endpoint::request`]
+/// (with retry/backoff, so datagram loss surfaces as a timeout only after
+/// the retry budget is spent) and returns the answer. `addr_of` is where a
+/// peer's requests go ([`Roster::request_addr`] in the caller's membership
+/// book); `None` skips the peer as unreachable. A block fetched is stamped
+/// with a [`SpanKind::Verified`] span on `spans` when set.
+pub fn ask_over_wire(
+    endpoint: &Endpoint,
+    addr_of: impl Fn(NodeId) -> Option<SocketAddr>,
+    spans: Option<&SpanStore>,
+    request: &Request,
+) -> Option<Reply> {
+    let addr = addr_of(request.to())?;
+    let from = endpoint.id();
+    let msg = match *request {
+        Request::Fetch(id) => WireMessage::FetchBlock { from, id },
+        Request::Child {
+            target,
+            horizon: Some(horizon),
+            ..
+        } => WireMessage::ReqChildAt {
+            from,
+            target,
+            horizon,
+        },
+        Request::Child {
+            target,
+            horizon: None,
+            ..
+        } => WireMessage::ReqChild { from, target },
+    };
+    match endpoint.request(addr, &msg)?.1 {
+        WireMessage::Block(block) => {
+            if let (Some(spans), Request::Fetch(_)) = (spans, request) {
+                spans.record(SpanEvent {
+                    slot: block.header.time,
+                    origin: block.id.owner.0,
+                    prefix: block.header_digest().prefix_u64(),
+                    node: from.0,
+                    kind: SpanKind::Verified,
+                    ts_micros: unix_micros(),
+                });
+            }
+            Some(Reply::Block(block))
+        }
+        WireMessage::RpyChild(reply) => Some(Reply::Child(reply)),
+        WireMessage::Nack { .. } => Some(Reply::NoChild),
+        WireMessage::PrunedNack { retained_from, .. } => Some(Reply::Pruned { retained_from }),
         _ => None,
-    }
-}
-
-/// [`PopTransport`] over a real socket: each exchange is an
-/// [`Endpoint::request`] with retry/backoff, so datagram loss surfaces to
-/// the validator as a timeout only after the retry budget is spent.
-pub struct NetPopTransport<'a> {
-    /// The validator's endpoint.
-    pub endpoint: &'a Endpoint,
-    /// Where a peer's requests go ([`Roster::request_addr`] in the
-    /// caller's membership book); `None` skips the peer as unreachable.
-    pub addr_of: &'a dyn Fn(NodeId) -> Option<SocketAddr>,
-    /// When set, child requests carry this horizon so run-ahead responders
-    /// answer from their store *as of that slot* — a validator inside the
-    /// slot loop must see exactly what the engine's Verify phase saw.
-    /// `None` asks uncapped (`fig11_wire` audits static chains).
-    pub horizon: Option<u64>,
-    /// When set, every block fetched during the PoP walk is stamped with a
-    /// [`SpanKind::Verified`] span on this ring (`None` = tracing off).
-    pub spans: Option<&'a SpanStore>,
-}
-
-impl PopTransport for NetPopTransport<'_> {
-    fn fetch_block(
-        &mut self,
-        validator: NodeId,
-        owner: NodeId,
-        id: BlockId,
-    ) -> Option<FetchResponse> {
-        let addr = (self.addr_of)(owner)?;
-        let msg = WireMessage::FetchBlock {
-            from: validator,
-            id,
-        };
-        match self.endpoint.request(addr, &msg)? {
-            (_, WireMessage::Block(block)) => {
-                if let Some(spans) = self.spans {
-                    spans.record(SpanEvent {
-                        slot: block.header.time,
-                        origin: block.id.owner.0,
-                        prefix: block.header_digest().prefix_u64(),
-                        node: self.endpoint.id().0,
-                        kind: SpanKind::Verified,
-                        ts_micros: unix_micros(),
-                    });
-                }
-                Some(FetchResponse::Block(block))
-            }
-            (_, WireMessage::PrunedNack { retained_from, .. }) => {
-                Some(FetchResponse::Pruned { retained_from })
-            }
-            // An explicit Nack means "not available"; like silence, but
-            // without waiting out the retries.
-            _ => None,
-        }
-    }
-
-    fn request_child(
-        &mut self,
-        validator: NodeId,
-        responder: NodeId,
-        target: Digest,
-    ) -> Option<tldag_core::pop::messages::ChildResponse> {
-        use tldag_core::pop::messages::ChildResponse;
-        let addr = (self.addr_of)(responder)?;
-        let msg = match self.horizon {
-            Some(horizon) => WireMessage::ReqChildAt {
-                from: validator,
-                target,
-                horizon,
-            },
-            None => WireMessage::ReqChild {
-                from: validator,
-                target,
-            },
-        };
-        match self.endpoint.request(addr, &msg)? {
-            (_, WireMessage::RpyChild(reply)) => Some(ChildResponse::Found(reply)),
-            (_, WireMessage::Nack { .. }) => Some(ChildResponse::NoChild),
-            (_, WireMessage::PrunedNack { .. }) => Some(ChildResponse::Pruned),
-            _ => None,
-        }
     }
 }
 
@@ -179,12 +156,12 @@ fn wire_pop_candidates(
 impl NetNode {
     /// One PoP verification of `target` over the wire, with the engine's
     /// derived randomness for this `(slot, validator)`. Generation may keep
-    /// appending while the walk runs, so the validator reads its own chain
-    /// through [`PipelinedStore`] (a fresh read lock per call) and caps
-    /// every child lookup — its own and the wire's — at `slot`, which
-    /// makes the view identical at every window. A successful run's headers
-    /// are committed to the node's `H_i` right after it, as the engine's
-    /// `run_pop` does.
+    /// appending while the walk runs, so each step reads the own chain
+    /// under a fresh node read lock, dropped before the next ask goes out,
+    /// and every child lookup — its own and the wire's — is capped at
+    /// `slot`, which makes the view identical at every window. A successful
+    /// run's headers are committed to the node's `H_i` right after it, as
+    /// the engine's `run_pop` does.
     pub(super) fn run_pop_with(
         &self,
         slot: u64,
@@ -196,98 +173,33 @@ impl NetNode {
         // the topology is only written at slot boundaries (with the
         // pipeline drained to the boundary first).
         let topology = self.shared.topology.read().expect("topology poisoned");
-        let mut pop_rng = derived_rng(self.config.seed, stream::POP, slot, self.config.id);
+        let telemetry = &self.shared.telemetry;
+        let spans = telemetry.spans.is_enabled().then_some(&telemetry.spans);
         let addr_of = |peer| self.shared.book().roster.request_addr(peer);
-        let mut transport = NetPopTransport {
-            endpoint: &self.endpoint,
-            addr_of: &addr_of,
-            horizon: Some(slot),
-            spans: self
-                .shared
-                .telemetry
-                .spans
-                .is_enabled()
-                .then_some(&self.shared.telemetry.spans),
+        let pop_rng = derived_rng(self.config.seed, stream::POP, slot, self.config.id);
+        let mut step = PopWalk::start(target, pop_rng);
+        let mut report = loop {
+            let (walk, request) = match step {
+                Step::Ask(walk, request) => (walk, request),
+                Step::Done(report) => break report,
+            };
+            let reply = ask_over_wire(&self.endpoint, addr_of, spans, &request);
+            let node = self.shared.node.read().expect("node lock poisoned");
+            let mut ctx = PopContext {
+                cfg: &self.cfg,
+                topology: &topology,
+                id: self.config.id,
+                own_store: node.store(),
+                trust_cache: &state.trust_cache,
+                blacklist: &mut state.blacklist,
+                horizon: Some(slot),
+            };
+            step = walk.resume(&mut ctx, reply);
         };
-        let store = PipelinedStore {
-            node: &self.shared.node,
-        };
-        let mut validator = Validator::new(
-            &self.cfg,
-            &topology,
-            self.config.id,
-            &store,
-            &state.trust_cache,
-            &mut state.blacklist,
-            &mut pop_rng,
-        )
-        .with_horizon(slot);
-        let mut report = validator.run(target, &mut transport);
         state
             .trust_cache
             .commit(std::mem::take(&mut report.trusted));
         report
-    }
-}
-
-/// [`BlockBackend`] view over the live node for the validator: every call
-/// takes a fresh read lock, so the verify step never holds the node lock
-/// across PoP network I/O (which would stall a run-ahead generation
-/// thread's writes for a whole round-trip). Horizon capping makes the walk
-/// insensitive to blocks appended between calls — every lookup the
-/// validator performs is filtered to `header.time <= horizon`, and the
-/// store below an already-generated slot never changes.
-struct PipelinedStore<'a> {
-    node: &'a RwLock<LedgerNode>,
-}
-
-impl PipelinedStore<'_> {
-    fn with<T>(&self, f: impl FnOnce(&dyn BlockBackend) -> T) -> T {
-        let node = self.node.read().expect("node lock poisoned");
-        f(node.store())
-    }
-}
-
-impl fmt::Debug for PipelinedStore<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("PipelinedStore")
-    }
-}
-
-impl BlockBackend for PipelinedStore<'_> {
-    fn append(&mut self, _block: DataBlock) -> Result<(), TldagError> {
-        unreachable!("the validator never appends")
-    }
-    fn len(&self) -> usize {
-        self.with(|s| s.len())
-    }
-    fn get(&self, seq: u32) -> Option<DataBlock> {
-        self.with(|s| s.get(seq))
-    }
-    fn by_header_digest(&self, digest: &Digest) -> Option<DataBlock> {
-        self.with(|s| s.by_header_digest(digest))
-    }
-    fn oldest_child_of(&self, target: &Digest) -> Option<DataBlock> {
-        self.with(|s| s.oldest_child_of(target))
-    }
-    fn children_of(&self, target: &Digest) -> Vec<DataBlock> {
-        self.with(|s| s.children_of(target))
-    }
-    fn oldest_child_of_within(&self, target: &Digest, horizon: u64) -> Option<DataBlock> {
-        self.with(|s| s.oldest_child_of_within(target, horizon))
-    }
-    fn iter(&self) -> Box<dyn Iterator<Item = DataBlock> + '_> {
-        let blocks: Vec<DataBlock> = self.with(|s| s.iter().collect());
-        Box::new(blocks.into_iter())
-    }
-    fn logical_bits(&self, cfg: &ProtocolConfig) -> Bits {
-        self.with(|s| s.logical_bits(cfg))
-    }
-    fn resident_bytes(&self) -> usize {
-        self.with(|s| s.resident_bytes())
-    }
-    fn pruned_floor(&self) -> u32 {
-        self.with(|s| s.pruned_floor())
     }
 }
 

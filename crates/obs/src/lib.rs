@@ -42,6 +42,6 @@ pub use hist::{HistogramSnapshot, LatencyHistogram, Phase, PhaseTimings};
 pub use http::{http_get, HttpServer, Routes};
 pub use journal::{EventKind, Journal, JournalEvent};
 pub use trace::{
-    build_timelines, span_json, trace_json, unix_micros, SpanEvent, SpanKind, SpanStore,
-    DEFAULT_SPAN_CAPACITY,
+    build_timelines, span_json, trace_json, unix_micros, BlockTimeline, SpanEvent, SpanKind,
+    SpanStore, DEFAULT_SPAN_CAPACITY,
 };

@@ -70,6 +70,6 @@ pub mod record;
 pub(crate) mod segment;
 
 pub use factory::{DiskFactory, ShardedDiskFactory};
-pub use log::{DurableStore, ShardLog, ShardedNodeStore};
+pub use log::{DurableStore, LogView, ShardLog, ShardedNodeStore};
 pub use segment::StorageOptions;
 pub use tldag_core::store::SyncPolicy;

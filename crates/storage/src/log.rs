@@ -461,7 +461,7 @@ impl LogHolder for Arc<Mutex<ShardLog>> {
 /// One node's [`BlockBackend`] over a [`ShardLog`]: the chain of `node`.
 ///
 /// Implements the trait once for both ways of holding the log, so a
-/// [`tldag_core::LedgerNode`] runs on it interchangeably with the in-memory
+/// [`tldag_core::node::LedgerNode`] runs on it interchangeably with the in-memory
 /// store, with a bounded resident footprint (index + write buffer + read
 /// cache) and a chain that survives process restarts.
 #[derive(Debug)]
@@ -504,9 +504,11 @@ impl DurableStore {
         self.log.disk_usage_bytes()
     }
 
-    /// [`ShardLog::compact_to_budget`]: the chain length
-    /// ([`BlockBackend::len`]) is unaffected, which is what lets a node
-    /// honour the paper's storage budget without forking its chain.
+    /// Drops whole sealed segments, oldest first, until disk usage is within
+    /// `max_bytes` (the tail is never dropped), and returns the number of
+    /// blocks pruned. The chain length ([`BlockBackend::len`]) is
+    /// unaffected, which is what lets a node honour the paper's storage
+    /// budget without forking its chain.
     ///
     /// # Errors
     ///

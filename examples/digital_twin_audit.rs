@@ -53,7 +53,8 @@ fn main() {
 
     // The operator can additionally audit one sample inside the body with a
     // Merkle inclusion proof — no need to trust the transport.
-    let tldag::core::node::BlockFetch::Served(block) = plant.node(sensor).serve_block(block_id)
+    let fetch = tldag::core::pop::messages::Request::Fetch(block_id);
+    let Some(tldag::core::pop::messages::Reply::Block(block)) = plant.node(sensor).respond(&fetch)
     else {
         panic!("honest sensor serves its block");
     };

@@ -1,10 +1,38 @@
 //! Wire codec for 2LDAG types.
 //!
 //! The simulator passes structs in memory, but a deployment serialises
-//! headers, blocks, and PoP messages onto radio frames. This module defines
-//! a compact, canonical, length-prefixed big-endian encoding with full
-//! decode validation — every `decode_*` rejects truncated, oversized, or
-//! mistagged input, so a malformed frame can never panic a node.
+//! headers, blocks, and PoP messages onto radio frames, and the durable log
+//! stores blocks in the same form. This module defines a compact, canonical
+//! encoding with full decode validation — every `decode_*` rejects
+//! truncated, oversized, non-canonical or mistagged input, so a malformed
+//! frame can never panic a node.
+//!
+//! Every integer is a minimal LEB128 varint ([`put_varint`],
+//! [`Reader::varint`]: 7 bits a byte, low group first, the high bit set on
+//! every byte but the last, at most 10 bytes) unless the tables below mark
+//! it fixed. Digests, roots and signatures are random bits and stay fixed;
+//! so does the puzzle nonce.
+//!
+//! ```text
+//! header                              block
+//! field       width                   field          width
+//! version     varint (u32)            owner          varint (u32)
+//! time        varint (u64)            seq            varint (u32)
+//! root        32                      header len     varint
+//! count       varint (<= 4096)        header         header len
+//! origins     count × varint (u32)    logical_bits   varint (u64)
+//! digests     count × 32              payload len    varint (<= 16 MiB)
+//! nonce       4, big-endian           payload        payload len
+//! signature   16
+//! ```
+//!
+//! The digest list is columnar — all origins, then all digests — so a
+//! decoder checks the origins in one pass (or, when every origin is below
+//! 128, sees that the column is `count` one-byte varints) and then builds
+//! the shared list from an exact-size iterator over the 32-byte digests: one
+//! allocation per header. A [`WireMessage`] is a tag byte followed by its fields in
+//! declaration order, each `NodeId`, `seq`, `horizon`, `retained_from` and
+//! header length a varint; a `Block` message is the tag and the block.
 //!
 //! The *logical* sizes of the overhead model (Eq. 2–3) are defined by
 //! [`crate::config::ProtocolConfig`]; this codec is the concrete transport
@@ -29,10 +57,14 @@ use tldag_sim::NodeId;
 /// Maximum digest entries a decoded header may carry (sanity bound: a node
 /// cannot have more neighbors than a deployment has nodes).
 const MAX_DIGEST_ENTRIES: usize = 4096;
-/// Encoded size of one digest entry: `origin ‖ digest`.
-const DIGEST_ENTRY_BYTES: usize = 4 + 32;
+/// Encoded size of one digest in the header's digest column.
+const DIGEST_BYTES: usize = 32;
 /// Maximum payload bytes a decoded body may carry.
 const MAX_PAYLOAD_BYTES: usize = 16 * 1024 * 1024;
+/// The longest varint: ten 7-bit groups cover 64 bits.
+const MAX_VARINT_BYTES: usize = 10;
+/// The fixed tail of a header: the nonce (4) and the signature (16).
+const NONCE_AND_SIGNATURE_BYTES: usize = 4 + 16;
 
 /// Decoding failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,6 +79,9 @@ pub enum CodecError {
     UnknownTag(u8),
     /// A length field exceeded its sanity bound.
     LengthOverflow,
+    /// A varint is not canonical: it has a redundant trailing zero group,
+    /// runs past 10 bytes, or holds more than its field's width.
+    BadVarint,
     /// Valid structure followed by unconsumed bytes.
     TrailingBytes,
 }
@@ -58,6 +93,7 @@ impl fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown type tag {t:#04x}"),
             CodecError::UnknownTag(t) => write!(f, "unknown message tag {t:#04x}"),
             CodecError::LengthOverflow => write!(f, "length field exceeds sanity bound"),
+            CodecError::BadVarint => write!(f, "non-minimal, overlong or too wide varint"),
             CodecError::TrailingBytes => write!(f, "trailing bytes after structure"),
         }
     }
@@ -65,10 +101,26 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Bytes `value` takes as a minimal LEB128 varint (1 to 10).
+pub fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Appends `value` as a minimal LEB128 varint.
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
 /// Cursor-based reader with bounds checking — the decoding core every
-/// big-endian structure in the workspace shares (this codec, and the wire
-/// transport's control-plane codec in `tldag-net`). Every accessor fails
-/// with a clean [`CodecError`] instead of panicking on short input.
+/// binary structure in the workspace shares (this codec, and the wire
+/// transport's envelope and control-plane codecs in `tldag-net`). Every
+/// accessor fails with a clean [`CodecError`] instead of panicking on short
+/// input.
 pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -78,6 +130,11 @@ impl<'a> Reader<'a> {
     /// Starts a cursor at the beginning of `data`.
     pub fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0 }
+    }
+
+    /// The bytes not consumed yet.
+    pub fn remaining(&self) -> &'a [u8] {
+        self.data.get(self.pos..).unwrap_or_default()
     }
 
     /// Consumes the next `n` bytes.
@@ -115,7 +172,8 @@ impl<'a> Reader<'a> {
     ///
     /// [`CodecError::UnexpectedEnd`] at end of input.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        let [byte] = self.array()?;
+        let byte = *self.data.get(self.pos).ok_or(CodecError::UnexpectedEnd)?;
+        self.pos += 1;
         Ok(byte)
     }
 
@@ -135,6 +193,57 @@ impl<'a> Reader<'a> {
     /// [`CodecError::UnexpectedEnd`] when fewer than 8 bytes remain.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_be_bytes(self.array()?))
+    }
+
+    /// Reads a minimal LEB128 varint, the inverse of [`put_varint`].
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEnd`] when the input ends inside it,
+    /// [`CodecError::BadVarint`] when it is not minimal (its last byte is
+    /// a zero group), runs past 10 bytes, or holds more than 64 bits.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        let first = self.u8()?;
+        if first < 0x80 {
+            return Ok(first.into());
+        }
+        let mut value = u64::from(first & 0x7f);
+        for shift in (7..7 * MAX_VARINT_BYTES as u32).step_by(7) {
+            let byte = self.u8()?;
+            // The tenth byte holds bit 63 alone.
+            if shift == 63 && byte > 1 {
+                break;
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return if byte == 0 {
+                    Err(CodecError::BadVarint)
+                } else {
+                    Ok(value)
+                };
+            }
+        }
+        Err(CodecError::BadVarint)
+    }
+
+    /// Reads a varint into a `u32` field.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::varint`], and [`CodecError::BadVarint`] when the value
+    /// exceeds `u32::MAX`.
+    #[inline]
+    pub fn varint_u32(&mut self) -> Result<u32, CodecError> {
+        u32::try_from(self.varint()?).map_err(|_| CodecError::BadVarint)
+    }
+
+    /// Reads a varint length, refusing one above `max`.
+    fn length(&mut self, max: usize) -> Result<usize, CodecError> {
+        match usize::try_from(self.varint()?) {
+            Ok(len) if len <= max => Ok(len),
+            _ => Err(CodecError::LengthOverflow),
+        }
     }
 
     /// Reads a 32-byte digest.
@@ -160,44 +269,91 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encodes a block header.
-pub fn encode_header(header: &BlockHeader) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + header.digests.len() * DIGEST_ENTRY_BYTES);
-    out.extend_from_slice(&header.version.to_be_bytes());
-    out.extend_from_slice(&header.time.to_be_bytes());
+/// Appends the encoded `header`.
+fn put_header(out: &mut Vec<u8>, header: &BlockHeader) {
+    put_varint(out, header.version.into());
+    put_varint(out, header.time);
     out.extend_from_slice(header.root.as_bytes());
-    out.extend_from_slice(&(header.digests.len() as u32).to_be_bytes());
+    put_varint(out, header.digests.len() as u64);
     for entry in header.digests.iter() {
-        out.extend_from_slice(&entry.origin.0.to_be_bytes());
+        put_varint(out, entry.origin.0.into());
+    }
+    for entry in header.digests.iter() {
         out.extend_from_slice(entry.digest.as_bytes());
     }
     out.extend_from_slice(&header.nonce.to_be_bytes());
     out.extend_from_slice(&header.signature.to_bytes());
+}
+
+/// Bytes [`encode_header`] writes for `header`.
+fn header_len(header: &BlockHeader) -> usize {
+    let origins: usize = header
+        .digests
+        .iter()
+        .map(|entry| varint_len(entry.origin.0.into()))
+        .sum();
+    varint_len(header.version.into())
+        + varint_len(header.time)
+        + DIGEST_BYTES
+        + varint_len(header.digests.len() as u64)
+        + origins
+        + header.digests.len() * DIGEST_BYTES
+        + NONCE_AND_SIGNATURE_BYTES
+}
+
+/// Appends the encoded `header` behind its varint length.
+fn put_sized_header(out: &mut Vec<u8>, header: &BlockHeader) {
+    let len = header_len(header);
+    out.reserve(varint_len(len as u64) + len);
+    put_varint(out, len as u64);
+    put_header(out, header);
+}
+
+/// Encodes a block header.
+pub fn encode_header(header: &BlockHeader) -> Vec<u8> {
+    let mut out = Vec::with_capacity(header_len(header));
+    put_header(&mut out, header);
     out
 }
 
 fn read_header(r: &mut Reader<'_>) -> Result<BlockHeader, CodecError> {
-    let version = r.u32()?;
-    let time = r.u64()?;
+    let version = r.varint_u32()?;
+    let time = r.varint()?;
     let root = r.digest()?;
-    let count = r.u32()? as usize;
-    if count > MAX_DIGEST_ENTRIES {
-        return Err(CodecError::LengthOverflow);
-    }
-    // Bounds-checked once, then collected from an exact-size iterator:
-    // one allocation, straight into the shared list.
-    #[allow(clippy::expect_used)] // chunks_exact yields DIGEST_ENTRY_BYTES = 4 + 32 bytes
-    let digests = r
-        .take(count * DIGEST_ENTRY_BYTES)?
-        .chunks_exact(DIGEST_ENTRY_BYTES)
-        .map(|raw| {
-            let (origin, digest) = raw.split_at(4);
-            DigestEntry {
-                origin: NodeId(u32::from_be_bytes(origin.try_into().expect("4 bytes"))),
-                digest: Digest::from_bytes(digest.try_into().expect("32 bytes")),
+    let count = r.length(MAX_DIGEST_ENTRIES)?;
+    // The origin column is read while the digests are collected from an
+    // exact-size iterator: one allocation, straight into the shared list.
+    let entry = |origin: u32, raw: &[u8]| DigestEntry {
+        origin: NodeId(origin),
+        digest: Digest::from_bytes(raw.try_into().unwrap_or_default()),
+    };
+    let column = r.remaining();
+    let digests = match column.get(..count) {
+        // Every origin below 128: each byte is a whole minimal varint, so the
+        // column is zipped as bytes. On the benchmark's 19-entry block this
+        // reads `core.codec_decode_block_ns` 264 ns raw against 428 ns for
+        // the general arm alone (235 ns for the fixed-width layout).
+        Some(origins) if origins.iter().all(|&b| b < 0x80) => {
+            r.pos += count;
+            r.take(count * DIGEST_BYTES)?
+                .chunks_exact(DIGEST_BYTES)
+                .zip(origins)
+                .map(|(raw, &origin)| entry(origin.into(), raw))
+                .collect()
+        }
+        // Checked in one pass, then read again during the collect.
+        _ => {
+            let origins_at = r.pos;
+            for _ in 0..count {
+                r.varint_u32()?;
             }
-        })
-        .collect();
+            let mut origins = Reader::new(column.get(..r.pos - origins_at).unwrap_or_default());
+            r.take(count * DIGEST_BYTES)?
+                .chunks_exact(DIGEST_BYTES)
+                .map(|raw| entry(origins.varint_u32().unwrap_or_default(), raw))
+                .collect()
+        }
+    };
     let nonce = r.u32()?;
     let signature = Signature::from_bytes(r.array()?);
     Ok(BlockHeader {
@@ -214,7 +370,8 @@ fn read_header(r: &mut Reader<'_>) -> Result<BlockHeader, CodecError> {
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] on truncated, oversized, or trailing input.
+/// Returns a [`CodecError`] on truncated, oversized, non-canonical or
+/// trailing input.
 pub fn decode_header(data: &[u8]) -> Result<BlockHeader, CodecError> {
     let mut r = Reader::new(data);
     let header = read_header(&mut r)?;
@@ -222,17 +379,32 @@ pub fn decode_header(data: &[u8]) -> Result<BlockHeader, CodecError> {
     Ok(header)
 }
 
+/// Reads a varint-length-prefixed header that must fill its length.
+fn read_sized_header(r: &mut Reader<'_>) -> Result<BlockHeader, CodecError> {
+    let len = r.length(usize::MAX)?;
+    decode_header(r.take(len)?)
+}
+
+/// Appends the encoded `block`.
+fn put_block(out: &mut Vec<u8>, block: &DataBlock) {
+    let header_len = header_len(&block.header);
+    let payload = &block.body.payload;
+    // The owner and seq take at most 5 bytes each, the two lengths and the
+    // logical bits at most 10 each.
+    out.reserve(40 + header_len + payload.len());
+    put_varint(out, block.id.owner.0.into());
+    put_varint(out, block.id.seq.into());
+    put_varint(out, header_len as u64);
+    put_header(out, &block.header);
+    put_varint(out, block.body.logical_bits);
+    put_varint(out, payload.len() as u64);
+    out.extend_from_slice(payload);
+}
+
 /// Encodes a full data block (id + header + body).
 pub fn encode_block(block: &DataBlock) -> Vec<u8> {
-    let header = encode_header(&block.header);
-    let mut out = Vec::with_capacity(24 + header.len() + block.body.payload.len());
-    out.extend_from_slice(&block.id.owner.0.to_be_bytes());
-    out.extend_from_slice(&block.id.seq.to_be_bytes());
-    out.extend_from_slice(&(header.len() as u32).to_be_bytes());
-    out.extend_from_slice(&header);
-    out.extend_from_slice(&block.body.logical_bits.to_be_bytes());
-    out.extend_from_slice(&(block.body.payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&block.body.payload);
+    let mut out = Vec::new();
+    put_block(&mut out, block);
     out
 }
 
@@ -243,16 +415,11 @@ pub fn encode_block(block: &DataBlock) -> Vec<u8> {
 /// Returns a [`CodecError`] on malformed input.
 pub fn decode_block(data: &[u8]) -> Result<DataBlock, CodecError> {
     let mut r = Reader::new(data);
-    let owner = NodeId(r.u32()?);
-    let seq = r.u32()?;
-    let header_len = r.u32()? as usize;
-    let header_bytes = r.take(header_len)?;
-    let header = decode_header(header_bytes)?;
-    let logical_bits = r.u64()?;
-    let payload_len = r.u32()? as usize;
-    if payload_len > MAX_PAYLOAD_BYTES {
-        return Err(CodecError::LengthOverflow);
-    }
+    let owner = NodeId(r.varint_u32()?);
+    let seq = r.varint_u32()?;
+    let header = read_sized_header(&mut r)?;
+    let logical_bits = r.varint()?;
+    let payload_len = r.length(MAX_PAYLOAD_BYTES)?;
     let payload = r.take(payload_len)?;
     r.finish()?;
     Ok(DataBlock {
@@ -334,69 +501,54 @@ const TAG_REQ_CHILD_AT: u8 = 0x08;
 
 /// Encodes a wire message with a leading type tag.
 pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
+    let mut out = Vec::new();
+    let node = |out: &mut Vec<u8>, tag: u8, id: NodeId| {
+        out.push(tag);
+        put_varint(out, id.0.into());
+    };
     match msg {
         WireMessage::Digest { from, digest } => {
-            let mut out = vec![TAG_DIGEST];
-            out.extend_from_slice(&from.0.to_be_bytes());
+            node(&mut out, TAG_DIGEST, *from);
             out.extend_from_slice(digest.as_bytes());
-            out
         }
         WireMessage::ReqChild { from, target } => {
-            let mut out = vec![TAG_REQ_CHILD];
-            out.extend_from_slice(&from.0.to_be_bytes());
+            node(&mut out, TAG_REQ_CHILD, *from);
             out.extend_from_slice(target.as_bytes());
-            out
         }
         WireMessage::ReqChildAt {
             from,
             target,
             horizon,
         } => {
-            let mut out = vec![TAG_REQ_CHILD_AT];
-            out.extend_from_slice(&from.0.to_be_bytes());
+            node(&mut out, TAG_REQ_CHILD_AT, *from);
             out.extend_from_slice(target.as_bytes());
-            out.extend_from_slice(&horizon.to_be_bytes());
-            out
+            put_varint(&mut out, *horizon);
         }
         WireMessage::RpyChild(reply) => {
-            let header = encode_header(&reply.header);
-            let mut out = vec![TAG_RPY_CHILD];
-            out.extend_from_slice(&reply.claimed_owner.0.to_be_bytes());
-            out.extend_from_slice(&reply.block_id.owner.0.to_be_bytes());
-            out.extend_from_slice(&reply.block_id.seq.to_be_bytes());
-            out.extend_from_slice(&(header.len() as u32).to_be_bytes());
-            out.extend_from_slice(&header);
-            out
+            node(&mut out, TAG_RPY_CHILD, reply.claimed_owner);
+            put_varint(&mut out, reply.block_id.owner.0.into());
+            put_varint(&mut out, reply.block_id.seq.into());
+            put_sized_header(&mut out, &reply.header);
         }
-        WireMessage::Nack { from } => {
-            let mut out = vec![TAG_NACK];
-            out.extend_from_slice(&from.0.to_be_bytes());
-            out
-        }
+        WireMessage::Nack { from } => node(&mut out, TAG_NACK, *from),
         WireMessage::PrunedNack {
             from,
             retained_from,
         } => {
-            let mut out = vec![TAG_PRUNED_NACK];
-            out.extend_from_slice(&from.0.to_be_bytes());
-            out.extend_from_slice(&retained_from.to_be_bytes());
-            out
+            node(&mut out, TAG_PRUNED_NACK, *from);
+            put_varint(&mut out, (*retained_from).into());
         }
         WireMessage::FetchBlock { from, id } => {
-            let mut out = vec![TAG_FETCH];
-            out.extend_from_slice(&from.0.to_be_bytes());
-            out.extend_from_slice(&id.owner.0.to_be_bytes());
-            out.extend_from_slice(&id.seq.to_be_bytes());
-            out
+            node(&mut out, TAG_FETCH, *from);
+            put_varint(&mut out, id.owner.0.into());
+            put_varint(&mut out, id.seq.into());
         }
         WireMessage::Block(block) => {
-            let body = encode_block(block);
-            let mut out = Vec::with_capacity(1 + body.len());
             out.push(TAG_BLOCK);
-            out.extend_from_slice(&body);
-            out
+            put_block(&mut out, block);
         }
     }
+    out
 }
 
 /// Decodes a wire message.
@@ -409,50 +561,45 @@ pub fn decode_message(data: &[u8]) -> Result<WireMessage, CodecError> {
     let tag = r.u8()?;
     let msg = match tag {
         TAG_DIGEST => WireMessage::Digest {
-            from: NodeId(r.u32()?),
+            from: NodeId(r.varint_u32()?),
             digest: r.digest()?,
         },
         TAG_REQ_CHILD => WireMessage::ReqChild {
-            from: NodeId(r.u32()?),
+            from: NodeId(r.varint_u32()?),
             target: r.digest()?,
         },
         TAG_REQ_CHILD_AT => WireMessage::ReqChildAt {
-            from: NodeId(r.u32()?),
+            from: NodeId(r.varint_u32()?),
             target: r.digest()?,
-            horizon: r.u64()?,
+            horizon: r.varint()?,
         },
         TAG_RPY_CHILD => {
-            let claimed_owner = NodeId(r.u32()?);
-            let owner = NodeId(r.u32()?);
-            let seq = r.u32()?;
-            let header_len = r.u32()? as usize;
-            let header = decode_header(r.take(header_len)?)?;
+            let claimed_owner = NodeId(r.varint_u32()?);
+            let owner = NodeId(r.varint_u32()?);
+            let seq = r.varint_u32()?;
             WireMessage::RpyChild(ChildReply {
                 claimed_owner,
                 block_id: BlockId::new(owner, seq),
-                header,
+                header: read_sized_header(&mut r)?,
             })
         }
         TAG_NACK => WireMessage::Nack {
-            from: NodeId(r.u32()?),
+            from: NodeId(r.varint_u32()?),
         },
         TAG_PRUNED_NACK => WireMessage::PrunedNack {
-            from: NodeId(r.u32()?),
-            retained_from: r.u32()?,
+            from: NodeId(r.varint_u32()?),
+            retained_from: r.varint_u32()?,
         },
         TAG_FETCH => {
-            let from = NodeId(r.u32()?);
-            let owner = NodeId(r.u32()?);
-            let seq = r.u32()?;
+            let from = NodeId(r.varint_u32()?);
+            let owner = NodeId(r.varint_u32()?);
+            let seq = r.varint_u32()?;
             WireMessage::FetchBlock {
                 from,
                 id: BlockId::new(owner, seq),
             }
         }
-        TAG_BLOCK => {
-            let rest = r.take(data.len() - 1)?;
-            return Ok(WireMessage::Block(Box::new(decode_block(rest)?)));
-        }
+        TAG_BLOCK => return Ok(WireMessage::Block(Box::new(decode_block(r.remaining())?))),
         other => return Err(CodecError::UnknownTag(other)),
     };
     r.finish()?;
@@ -460,14 +607,14 @@ pub fn decode_message(data: &[u8]) -> Result<WireMessage, CodecError> {
 }
 
 /// Magic + version prefix of a persisted trust cache (`H_i`) blob.
-const TRUST_CACHE_MAGIC: &[u8; 8] = b"TLDAGTC\x01";
+const TRUST_CACHE_MAGIC: &[u8; 8] = b"TLDAGTC\x02";
 
 /// Encodes a trusted-header cache `H_i` for persistence.
 ///
 /// Entries are sorted by `(owner, seq, digest)` so the encoding is
 /// deterministic regardless of hash-map iteration order. The format is
-/// `magic ‖ count ‖ [owner, block-owner, seq, header-len, header]*` with the
-/// header in the canonical [`encode_header`] form.
+/// `magic ‖ count ‖ [owner, block-owner, seq, header-len, header]*`, every
+/// integer a varint and the header in the canonical [`encode_header`] form.
 pub fn encode_trust_cache(cache: &crate::store::TrustCache) -> Vec<u8> {
     // The sort key's digest is the one the cache indexes the header under —
     // nothing is re-hashed (this encoder runs at every commit point once
@@ -476,14 +623,12 @@ pub fn encode_trust_cache(cache: &crate::store::TrustCache) -> Vec<u8> {
     entries.sort_unstable_by_key(|&(digest, t)| (t.owner, t.block_id.seq, digest));
     let mut out = Vec::with_capacity(16 + entries.len() * 96);
     out.extend_from_slice(TRUST_CACHE_MAGIC);
-    out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+    put_varint(&mut out, entries.len() as u64);
     for (_, t) in entries {
-        let header = encode_header(&t.header);
-        out.extend_from_slice(&t.owner.0.to_be_bytes());
-        out.extend_from_slice(&t.block_id.owner.0.to_be_bytes());
-        out.extend_from_slice(&t.block_id.seq.to_be_bytes());
-        out.extend_from_slice(&(header.len() as u32).to_be_bytes());
-        out.extend_from_slice(&header);
+        put_varint(&mut out, t.owner.0.into());
+        put_varint(&mut out, t.block_id.owner.0.into());
+        put_varint(&mut out, t.block_id.seq.into());
+        put_sized_header(&mut out, &t.header);
     }
     out
 }
@@ -499,21 +644,16 @@ pub fn decode_trust_cache(data: &[u8]) -> Result<crate::store::TrustCache, Codec
     if r.take(8)? != TRUST_CACHE_MAGIC {
         return Err(CodecError::BadTag(data.first().copied().unwrap_or(0)));
     }
-    let count = r.u32()? as usize;
-    if count > 1 << 24 {
-        return Err(CodecError::LengthOverflow);
-    }
+    let count = r.length(1 << 24)?;
     let mut cache = crate::store::TrustCache::new();
     for _ in 0..count {
-        let owner = NodeId(r.u32()?);
-        let block_owner = NodeId(r.u32()?);
-        let seq = r.u32()?;
-        let header_len = r.u32()? as usize;
-        let header = decode_header(r.take(header_len)?)?;
+        let owner = NodeId(r.varint_u32()?);
+        let block_owner = NodeId(r.varint_u32()?);
+        let seq = r.varint_u32()?;
         cache.insert(crate::store::TrustedHeader {
             owner,
             block_id: BlockId::new(block_owner, seq),
-            header,
+            header: read_sized_header(&mut r)?,
         });
     }
     r.finish()?;
@@ -586,10 +726,162 @@ mod tests {
     #[test]
     fn oversized_digest_count_rejected() {
         let block = sample_block(0);
-        let mut encoded = encode_header(&block.header);
-        // The count field sits after version (4) + time (8) + root (32).
-        encoded[44..48].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert_eq!(decode_header(&encoded), Err(CodecError::LengthOverflow));
+        let encoded = encode_header(&block.header);
+        // The count follows version and time (varints) and the 32-byte root.
+        let at = varint_len(block.header.version.into()) + varint_len(block.header.time) + 32;
+        assert_eq!(encoded[at], 0, "an empty list");
+        for count in [MAX_DIGEST_ENTRIES as u64 + 1, u32::MAX.into(), u64::MAX] {
+            let mut bad = encoded[..at].to_vec();
+            put_varint(&mut bad, count);
+            bad.extend_from_slice(&encoded[at + 1..]);
+            assert_eq!(decode_header(&bad), Err(CodecError::LengthOverflow));
+        }
+    }
+
+    #[test]
+    fn varints_round_trip_and_reject_non_canonical_forms() {
+        for value in [0, 1, 127, 128, 16_383, 16_384, u32::MAX.into(), u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, value);
+            assert_eq!(buf.len(), varint_len(value), "{value}");
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint(), Ok(value));
+            assert_eq!(r.finish(), Ok(()));
+        }
+        let read = |bytes: &[u8]| Reader::new(bytes).varint();
+        assert_eq!(read(&[]), Err(CodecError::UnexpectedEnd));
+        assert_eq!(read(&[0x80, 0x80]), Err(CodecError::UnexpectedEnd));
+        // A redundant zero group, in the second byte or the tenth.
+        assert_eq!(read(&[0x80, 0x00]), Err(CodecError::BadVarint));
+        assert_eq!(read(&[0xff, 0x00]), Err(CodecError::BadVarint));
+        assert_eq!(
+            read(&[[0xff; 9].as_slice(), &[0x00]].concat()),
+            Err(CodecError::BadVarint)
+        );
+        // Eleven bytes, and a tenth byte carrying more than bit 63.
+        assert_eq!(
+            read(&[[0x80; 10].as_slice(), &[0x01]].concat()),
+            Err(CodecError::BadVarint)
+        );
+        assert_eq!(
+            read(&[[0xff; 9].as_slice(), &[0x02]].concat()),
+            Err(CodecError::BadVarint)
+        );
+        // Too wide for a u32 field.
+        let mut wide = Vec::new();
+        put_varint(&mut wide, u64::from(u32::MAX) + 1);
+        assert_eq!(Reader::new(&wide).varint_u32(), Err(CodecError::BadVarint));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A header with fixed field values (no puzzle search, no signing), so
+    /// its bytes are the layout's and nothing else's.
+    fn golden_header() -> BlockHeader {
+        BlockHeader {
+            version: 1,
+            time: 300,
+            root: Digest::from_bytes([0xaa; 32]),
+            digests: vec![
+                DigestEntry {
+                    origin: NodeId(3),
+                    digest: Digest::from_bytes([0x11; 32]),
+                },
+                DigestEntry {
+                    origin: NodeId(200),
+                    digest: Digest::from_bytes([0x22; 32]),
+                },
+            ]
+            .into(),
+            nonce: 0x0102_0304,
+            signature: Signature::from_bytes([0x5a; 16]),
+        }
+    }
+
+    const GOLDEN_HEADER: [&str; 9] = [
+        "01",                                                               // version 1
+        "ac02",                                                             // time 300
+        "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", // root
+        "02",                                                               // count
+        "03c801",                                                           // origins 3 and 200
+        "1111111111111111111111111111111111111111111111111111111111111111", // digests
+        "2222222222222222222222222222222222222222222222222222222222222222",
+        "01020304",                         // nonce, fixed big-endian
+        "5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a", // signature
+    ];
+
+    #[test]
+    fn golden_bytes_pin_the_header_and_block_layout() {
+        let header = golden_header();
+        let encoded = encode_header(&header);
+        assert_eq!(hex(&encoded), GOLDEN_HEADER.concat());
+        assert_eq!(encoded.len(), 123);
+        assert_eq!(encoded.len(), header_len(&header));
+
+        let block = DataBlock {
+            id: BlockId::new(NodeId(3), 300),
+            header,
+            body: BlockBody {
+                payload: vec![0xab, 0xcd, 0xef].into(),
+                logical_bits: 8000,
+            },
+        };
+        let expected = [
+            "03",   // owner 3
+            "ac02", // seq 300
+            "7b",   // header length 123
+            &GOLDEN_HEADER.concat(),
+            "c03e",   // logical bits 8000
+            "03",     // payload length
+            "abcdef", // payload
+        ];
+        let encoded = encode_block(&block);
+        assert_eq!(hex(&encoded), expected.concat());
+        assert_eq!(decode_block(&encoded), Ok(block));
+    }
+
+    #[test]
+    fn golden_bytes_pin_the_message_layout() {
+        let cases = [
+            (
+                WireMessage::RpyChild(ChildReply {
+                    claimed_owner: NodeId(3),
+                    block_id: BlockId::new(NodeId(3), 300),
+                    header: golden_header(),
+                }),
+                // tag, claimed owner 3, owner 3, seq 300, header length 123
+                ["03", "03", "03", "ac02", "7b", &GOLDEN_HEADER.concat()].concat(),
+            ),
+            (
+                WireMessage::ReqChildAt {
+                    from: NodeId(2),
+                    target: Digest::from_bytes([0x77; 32]),
+                    horizon: 300,
+                },
+                [
+                    "08", // tag
+                    "02", // from 2
+                    "7777777777777777777777777777777777777777777777777777777777777777",
+                    "ac02", // horizon 300
+                ]
+                .concat(),
+            ),
+            (
+                WireMessage::FetchBlock {
+                    from: NodeId(2),
+                    id: BlockId::new(NodeId(200), 300),
+                },
+                // tag, from 2, owner 200, seq 300
+                ["05", "02", "c801", "ac02"].concat(),
+            ),
+        ];
+        for (msg, expected) in cases {
+            let encoded = encode_message(&msg);
+            assert_eq!(hex(&encoded), expected, "{msg:?}");
+            assert_eq!(decode_message(&encoded), Ok(msg));
+        }
     }
 
     #[test]

@@ -121,8 +121,9 @@ proptest! {
 
 /// `H_i`'s persisted form sorts by `(owner, seq, digest)`, so it depends on
 /// what was inserted and never on the order — or on how the cache lays its
-/// headers out in memory. The pinned hash was recorded before the cache
-/// became a slab.
+/// headers out in memory. The pinned hash is of the varint layout (magic
+/// `TLDAGTC\x02`); the fixed-width layout before it hashed to
+/// `8e097b1e…`, recorded before the cache became a slab.
 #[test]
 fn trust_cache_encoding_ignores_insertion_order_and_layout() {
     let cfg = ProtocolConfig::test_default();
@@ -163,7 +164,7 @@ fn trust_cache_encoding_ignores_insertion_order_and_layout() {
     assert!(blobs.iter().all(|blob| *blob == blobs[0]));
     assert_eq!(
         sha256(&blobs[0]).to_string(),
-        "8e097b1e5d05750cf13963fc96ca757a00cc6baaaea9db353ece9f26662be4b4",
+        "b5c8b1fea24e53c527ff9efb8e0752a6ede3d15bed8e346913bf8b9231c53a0b",
         "bytes changed against the recorded encoding"
     );
 }

@@ -13,6 +13,12 @@
 //! receiver missing a neighbor's digest *pulls* it with
 //! [`Control::DigestReq`] — the interest/nack-style recovery DLedger uses
 //! over lossy IoT transports.
+//!
+//! Each message is a tag byte and its fields in declaration order. The
+//! three per-slot controls — [`Control::SlotDigest`], [`Control::DigestReq`]
+//! and [`Control::SlotDone`], sent every slot — carry the slot as a
+//! `tldag_core::codec` varint; the controls a run sends once or per
+//! membership change keep fixed-width big-endian integers.
 #![cfg_attr(
     not(test),
     deny(
@@ -26,7 +32,7 @@
 use crate::metrics::NetStats;
 use crate::NetError;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
-use tldag_core::codec::{CodecError, Reader};
+use tldag_core::codec::{put_varint, CodecError, Reader};
 use tldag_crypto::Digest;
 use tldag_sim::NodeId;
 
@@ -227,18 +233,18 @@ pub fn encode_control(msg: &Control) -> Vec<u8> {
         }
         Control::SlotDigest { slot, digest } => {
             let mut out = vec![TAG_SLOT_DIGEST];
-            out.extend_from_slice(&slot.to_be_bytes());
+            put_varint(&mut out, *slot);
             out.extend_from_slice(digest.as_bytes());
             out
         }
         Control::DigestReq { slot } => {
             let mut out = vec![TAG_DIGEST_REQ];
-            out.extend_from_slice(&slot.to_be_bytes());
+            put_varint(&mut out, *slot);
             out
         }
         Control::SlotDone { slot } => {
             let mut out = vec![TAG_SLOT_DONE];
-            out.extend_from_slice(&slot.to_be_bytes());
+            put_varint(&mut out, *slot);
             out
         }
         Control::Report(r) => {
@@ -325,6 +331,7 @@ pub fn encode_control(msg: &Control) -> Vec<u8> {
 fn framing(e: CodecError) -> NetError {
     match e {
         CodecError::TrailingBytes => NetError::LengthMismatch,
+        CodecError::BadVarint => NetError::BadHeader,
         _ => NetError::Truncated,
     }
 }
@@ -346,14 +353,14 @@ pub fn decode_control(data: &[u8]) -> Result<Control, NetError> {
             from: NodeId(r.u32().map_err(framing)?),
         },
         TAG_SLOT_DIGEST => Control::SlotDigest {
-            slot: r.u64().map_err(framing)?,
+            slot: r.varint().map_err(framing)?,
             digest: r.digest().map_err(framing)?,
         },
         TAG_DIGEST_REQ => Control::DigestReq {
-            slot: r.u64().map_err(framing)?,
+            slot: r.varint().map_err(framing)?,
         },
         TAG_SLOT_DONE => Control::SlotDone {
-            slot: r.u64().map_err(framing)?,
+            slot: r.varint().map_err(framing)?,
         },
         TAG_REPORT => Control::Report(RunReport {
             node: NodeId(r.u32().map_err(framing)?),
@@ -598,6 +605,34 @@ mod tests {
             "01047f000001238c",
         );
         assert_eq!(hex, golden);
+    }
+
+    #[test]
+    fn per_slot_bytes_are_pinned() {
+        let hex = |msg: &Control| -> String {
+            encode_control(msg)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect()
+        };
+        let digest = Control::SlotDigest {
+            slot: 300,
+            digest: Digest::from_bytes([0x11; 32]),
+        };
+        let expected = [
+            "03",   // tag
+            "ac02", // slot 300, varint
+            "1111111111111111111111111111111111111111111111111111111111111111",
+        ];
+        assert_eq!(hex(&digest), expected.concat());
+        // tag, slot 300
+        assert_eq!(hex(&Control::SlotDone { slot: 300 }), "08ac02");
+        assert_eq!(hex(&Control::DigestReq { slot: 300 }), "04ac02");
+        // A slot written in more bytes than it needs is not canonical.
+        assert_eq!(
+            decode_control(&[TAG_SLOT_DONE, 0xac, 0x82, 0x00]),
+            Err(NetError::BadHeader)
+        );
     }
 
     #[test]

@@ -230,18 +230,28 @@ impl Endpoint {
     }
 
     fn send_frames(&self, to: SocketAddr, frames: &[Vec<u8>]) {
+        self.send_batch(
+            &frames
+                .iter()
+                .map(|f| (f.as_slice(), to))
+                .collect::<Vec<_>>(),
+        );
+    }
+
+    /// Hands `batch` to the transport in one call.
+    fn send_batch(&self, batch: &[(&[u8], SocketAddr)]) {
         // UDP send errors (e.g. ICMP-refused on loopback) are
         // indistinguishable from loss for the protocol; the retry layer
         // handles both, so the batch send skips failed datagrams.
-        let batch: Vec<(&[u8], SocketAddr)> = frames.iter().map(|f| (f.as_slice(), to)).collect();
-        if self.transport.send_many(&batch).is_ok() {
-            NetMetrics::inc(&self.metrics.send_batches);
-            NetMetrics::add(&self.metrics.datagrams_sent, frames.len() as u64);
-            NetMetrics::add(
-                &self.metrics.bytes_sent,
-                frames.iter().map(|f| f.len() as u64).sum(),
-            );
+        if batch.is_empty() || self.transport.send_many(batch).is_err() {
+            return;
         }
+        NetMetrics::inc(&self.metrics.send_batches);
+        NetMetrics::add(&self.metrics.datagrams_sent, batch.len() as u64);
+        NetMetrics::add(
+            &self.metrics.bytes_sent,
+            batch.iter().map(|(f, _)| f.len() as u64).sum(),
+        );
     }
 
     fn encode_frames(
@@ -273,39 +283,32 @@ impl Endpoint {
         Ok(seq)
     }
 
-    /// Sends a control message.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Oversize`] when the message cannot be fragmented
-    /// (control messages always fit one datagram in practice).
-    pub(crate) fn send_control(&self, to: SocketAddr, msg: &Control) -> Result<u64, NetError> {
-        self.send_control_traced(to, msg, None)
+    /// Sends a control message (one the envelope cannot frame is
+    /// skipped; control messages always fit one datagram in practice).
+    pub(crate) fn send_control(&self, to: SocketAddr, msg: &Control) {
+        self.send_controls(&[(to, *msg, None)]);
     }
 
-    /// [`Endpoint::send_control`] with a [`TraceContext`] riding the
-    /// envelope's extension region. Old peers skip the extension and see a
-    /// plain control message.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Oversize`] when the message cannot be fragmented.
-    pub(crate) fn send_control_traced(
-        &self,
-        to: SocketAddr,
-        msg: &Control,
-        trace: Option<TraceContext>,
-    ) -> Result<u64, NetError> {
-        let seq = self.alloc_seq();
-        let frames = self.encode_frames(
-            Kind::Control,
-            seq,
-            0,
-            &crate::control::encode_control(msg),
-            trace,
-        )?;
-        self.send_frames(to, &frames);
-        Ok(seq)
+    /// Sends each `(to, msg, trace)` as [`Endpoint::send_control`] would —
+    /// its own msg seq, in order, with `trace` riding the envelope's
+    /// extension region when set — and hands every datagram to the
+    /// transport in one call: a fan-out costs one `sendmmsg`, not one send
+    /// per peer. A message that cannot be framed is skipped.
+    pub(crate) fn send_controls(&self, sends: &[(SocketAddr, Control, Option<TraceContext>)]) {
+        let mut frames = Vec::with_capacity(sends.len());
+        for (to, msg, trace) in sends {
+            let seq = self.alloc_seq();
+            let payload = crate::control::encode_control(msg);
+            if let Ok(encoded) = self.encode_frames(Kind::Control, seq, 0, &payload, *trace) {
+                frames.extend(encoded.into_iter().map(|frame| (frame, *to)));
+            }
+        }
+        self.send_batch(
+            &frames
+                .iter()
+                .map(|(frame, to)| (frame.as_slice(), *to))
+                .collect::<Vec<_>>(),
+        );
     }
 
     /// Sends `msg` to `to` and waits for a correlated reply, retrying with

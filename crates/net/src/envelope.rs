@@ -2,8 +2,9 @@
 //!
 //! Every datagram on the wire is one envelope. Its header is as long as the
 //! fields it has to carry: one flags byte says which optional fields follow,
-//! and the integers are LEB128 varints (7 bits a byte, low group first, high
-//! bit set on every byte but the last; at most 10 bytes).
+//! and the integers are `tldag_core::codec` varints (minimal LEB128: 7 bits
+//! a byte, low group first, high bit set on every byte but the last; at most
+//! 10 bytes), the same integers the message bodies inside carry.
 //!
 //! ```text
 //! size   field        present      meaning
@@ -68,6 +69,7 @@
 )]
 
 use crate::NetError;
+use tldag_core::codec::{put_varint, varint_len, CodecError, Reader};
 use tldag_sim::NodeId;
 use tldag_storage::crc32::crc32;
 
@@ -187,37 +189,14 @@ pub struct Envelope {
     pub trace: Option<TraceContext>,
 }
 
-/// Bytes `value` takes as a LEB128 varint.
-fn varint_len(value: u64) -> usize {
-    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
-}
-
-fn put_varint(out: &mut Vec<u8>, mut value: u64) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
+/// Maps a header varint's codec error onto the envelope's classes:
+/// [`NetError::Truncated`] when the header ends inside it,
+/// [`NetError::BadHeader`] when it is not canonical or too wide.
+fn header_field(e: CodecError) -> NetError {
+    match e {
+        CodecError::UnexpectedEnd => NetError::Truncated,
+        _ => NetError::BadHeader,
     }
-    out.push(value as u8);
-}
-
-/// Reads one varint off the front of `buf`: [`NetError::Truncated`] when
-/// `buf` ends first, [`NetError::BadHeader`] when it runs past 10 bytes or
-/// past `u64`.
-fn take_varint(buf: &mut &[u8]) -> Result<u64, NetError> {
-    let mut value = 0u64;
-    for shift in (0..64).step_by(7) {
-        let (&byte, rest) = buf.split_first().ok_or(NetError::Truncated)?;
-        *buf = rest;
-        // The tenth byte holds bit 63 alone.
-        if shift == 63 && byte > 1 {
-            break;
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-    }
-    Err(NetError::BadHeader)
 }
 
 /// Encodes one datagram carrying one fragment.
@@ -399,7 +378,7 @@ pub fn decode_datagram(data: &[u8]) -> Result<(Envelope, &[u8]), NetError> {
     if crc32(body) != u32::from_be_bytes(*trailer) {
         return Err(NetError::BadCrc);
     }
-    let (&flags, mut rest) = header.split_first().ok_or(NetError::Truncated)?;
+    let (&flags, rest) = header.split_first().ok_or(NetError::Truncated)?;
     let version = flags >> 6;
     if version != PROTOCOL_VERSION {
         return Err(NetError::BadVersion(version));
@@ -408,16 +387,17 @@ pub fn decode_datagram(data: &[u8]) -> Result<(Envelope, &[u8]), NetError> {
     if flags & FLAG_RESERVED != 0 {
         return Err(NetError::BadHeader);
     }
-    let sender = u32::try_from(take_varint(&mut rest)?).map_err(|_| NetError::BadHeader)?;
-    let msg_seq = take_varint(&mut rest)?;
+    let mut r = Reader::new(rest);
+    let sender = r.varint_u32().map_err(header_field)?;
+    let msg_seq = r.varint().map_err(header_field)?;
     let req_id = if flags & FLAG_REPLY != 0 {
-        take_varint(&mut rest)?
+        r.varint().map_err(header_field)?
     } else {
         0
     };
     let (frag_index, frag_count) = if flags & FLAG_FRAG != 0 {
         let mut frag_field =
-            || u16::try_from(take_varint(&mut rest)?).map_err(|_| NetError::BadFragment);
+            || u16::try_from(r.varint().map_err(header_field)?).map_err(|_| NetError::BadFragment);
         (frag_field()?, frag_field()?)
     } else {
         (0, 1)
@@ -426,10 +406,13 @@ pub fn decode_datagram(data: &[u8]) -> Result<(Envelope, &[u8]), NetError> {
         return Err(NetError::BadFragment);
     }
     let (payload, ext) = if flags & FLAG_EXT != 0 {
-        let len = usize::try_from(take_varint(&mut rest)?).map_err(|_| NetError::LengthMismatch)?;
-        rest.split_at_checked(len).ok_or(NetError::LengthMismatch)?
+        let len = usize::try_from(r.varint().map_err(header_field)?)
+            .map_err(|_| NetError::LengthMismatch)?;
+        r.remaining()
+            .split_at_checked(len)
+            .ok_or(NetError::LengthMismatch)?
     } else {
-        (rest, &[][..])
+        (r.remaining(), &[][..])
     };
     let trace = parse_extensions(ext)?;
     Ok((
@@ -669,15 +652,24 @@ mod tests {
 
     #[test]
     fn varints_round_trip_at_every_width() {
+        // The header's integers are the codec's varints: each width of
+        // sender, msg seq and req id costs its varint length and decodes back.
         for value in [0, 1, 127, 128, 16_383, 16_384, u32::MAX.into(), u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, value);
-            assert_eq!(buf.len(), varint_len(value), "{value}");
-            let mut rest = &buf[..];
-            assert_eq!(take_varint(&mut rest), Ok(value));
-            assert!(rest.is_empty());
+            let sender = NodeId(u32::try_from(value).unwrap_or(u32::MAX));
+            let frames = encode_message(Kind::Wire, sender, value, value, b"x", 1400).unwrap();
+            let (env, payload) = decode_datagram(&frames[0]).unwrap();
+            assert_eq!(
+                (env.sender, env.msg_seq, env.req_id),
+                (sender, value, value)
+            );
+            assert_eq!(payload, b"x");
+            let req_id = if value == 0 { 0 } else { varint_len(value) };
+            let header = MAGIC.len() + 1 + varint_len(sender.0.into()) + varint_len(value) + req_id;
+            assert_eq!(frames[0].len(), header + 1 + TRAILER_LEN, "{value}");
         }
-        assert_eq!(varint_len(u64::MAX), 10);
+        // A non-minimal sender (0 written in two bytes) is not canonical.
+        let padded = seal(b"TL\x80\x80\x00\x01".to_vec());
+        assert_eq!(decode_datagram(&padded), Err(NetError::BadHeader));
     }
 
     #[test]

@@ -821,7 +821,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
                     .lock()
                     .expect("reports poisoned")
                     .insert(report.node, report);
-                let _ = controller.send_control(src, &Control::ReportAck);
+                controller.send_control(src, &Control::ReportAck);
             }
             Inbound::Control {
                 from,
@@ -917,7 +917,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     // --- Release the cluster and reap the processes.
     for addr in &addrs {
         for _ in 0..3 {
-            let _ = controller.send_control(*addr, &Control::Shutdown);
+            controller.send_control(*addr, &Control::Shutdown);
         }
     }
     guard.shutdown(Instant::now() + Duration::from_secs(5));
@@ -961,7 +961,7 @@ fn run_forensics(
         }
         for &(node, slot) in &missing {
             if let Some(addr) = addrs.get(node as usize) {
-                let _ = controller.send_control(*addr, &Control::DigestReq { slot });
+                controller.send_control(*addr, &Control::DigestReq { slot });
             }
         }
         std::thread::sleep(Duration::from_millis(150));

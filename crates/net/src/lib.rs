@@ -109,9 +109,9 @@ pub enum NetError {
     BadVersion(u8),
     /// The envelope kind bits name no known channel.
     BadKind(u8),
-    /// An envelope header field is malformed: a reserved flag bit is set,
-    /// a varint runs past 10 bytes or past `u64`, or the sender exceeds
-    /// `u32::MAX`.
+    /// An envelope header or control field is malformed: a reserved flag
+    /// bit is set, or a varint is not minimal, runs past 10 bytes or past
+    /// its field's width (a sender above `u32::MAX`).
     BadHeader,
     /// A control payload carries an unknown tag (runtime version skew).
     BadControlTag(u8),

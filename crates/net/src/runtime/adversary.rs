@@ -82,15 +82,17 @@ impl NetNode {
         let Some((fake_slot, fake_digest)) = fake else {
             return;
         };
-        for (_, addr) in targets {
-            let _ = self.endpoint.send_control(
-                *addr,
-                &Control::SlotDigest {
-                    slot: fake_slot,
-                    digest: fake_digest,
-                },
-            );
-        }
+        let fake = Control::SlotDigest {
+            slot: fake_slot,
+            digest: fake_digest,
+        };
+        send_all(
+            &self.endpoint,
+            targets
+                .iter()
+                .map(|&(_, addr)| (addr, fake, None))
+                .collect(),
+        );
         self.shared.telemetry.journal.record(
             slot,
             EventKind::Penalty,
@@ -134,9 +136,13 @@ impl NetNode {
                 let slot = current.max(from_slot) + 2;
                 if let Ok(addr) = self.endpoint.local_addr() {
                     let announce = Control::JoinAnnounce { id, slot, addr };
-                    for (_, peer) in &targets {
-                        let _ = self.endpoint.send_control(*peer, &announce);
-                    }
+                    send_all(
+                        &self.endpoint,
+                        targets
+                            .iter()
+                            .map(|&(_, peer)| (peer, announce, None))
+                            .collect(),
+                    );
                     rejoins += 1;
                     if rejoins == 1 {
                         self.shared.telemetry.journal.record(

@@ -118,8 +118,7 @@ impl NetNode {
                     "join handshake with {bootstrap} timed out (no roster)"
                 ));
             }
-            let _ = self
-                .endpoint
+            self.endpoint
                 .send_control(bootstrap, &Control::JoinReq { from: me });
             let resend = Instant::now() + Duration::from_millis(60);
             if let Some(slot) = self.shared.park(resend, transferred) {
@@ -207,9 +206,13 @@ impl NetNode {
             if Instant::now() > deadline {
                 return Err(missing.into_iter().map(|(p, _)| p).collect());
             }
-            for (_, addr) in &missing {
-                let _ = self.endpoint.send_control(*addr, msg);
-            }
+            send_all(
+                &self.endpoint,
+                missing
+                    .iter()
+                    .map(|&(_, addr)| (addr, *msg, None))
+                    .collect(),
+            );
             self.shared.park(Instant::now() + period, |book| {
                 let acked = missing.iter().all(|(p, _)| book.hello_acks.contains(p));
                 acked.then_some(())

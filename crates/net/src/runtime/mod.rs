@@ -311,10 +311,9 @@ const PARK_QUANTUM: Duration = Duration::from_millis(25);
 /// sent by [`send_all`] once the book is released.
 type Sends = Vec<(SocketAddr, Control, Option<TraceContext>)>;
 
+/// Sends a fan-out of control messages in one transport call.
 fn send_all(endpoint: &Endpoint, sends: Sends) {
-    for (addr, msg, ctx) in sends {
-        let _ = endpoint.send_control_traced(addr, &msg, ctx);
-    }
+    endpoint.send_controls(&sends);
 }
 
 /// Shared state between the slot loop and the inbound dispatcher thread.
@@ -739,15 +738,17 @@ need --join)",
                 format!("{id} announcing graceful leave at slot {end_slot}"),
             );
             for _ in 0..3 {
-                for (_, addr) in self.generator_addrs(end_slot) {
-                    let _ = self.endpoint.send_control(
-                        addr,
-                        &Control::Leave {
-                            node: id,
-                            slot: end_slot,
-                        },
-                    );
-                }
+                let leave = Control::Leave {
+                    node: id,
+                    slot: end_slot,
+                };
+                send_all(
+                    &self.endpoint,
+                    self.generator_addrs(end_slot)
+                        .into_iter()
+                        .map(|(_, addr)| (addr, leave, None))
+                        .collect(),
+                );
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
@@ -794,8 +795,7 @@ need --join)",
             Some(controller) => {
                 let deadline = Instant::now() + self.config.slot_timeout;
                 while Instant::now() < deadline {
-                    let _ = self
-                        .endpoint
+                    self.endpoint
                         .send_control(controller, &Control::Report(*run));
                     let resend = Instant::now() + Duration::from_millis(100);
                     if self

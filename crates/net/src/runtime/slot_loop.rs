@@ -219,13 +219,13 @@ impl NetNode {
             let prefix = digest.prefix_u64();
             record_span(&self.shared, id.0, slot, id.0, prefix, SpanKind::Generated);
             let trace_ctx = gossip_trace_ctx(&self.shared, id.0, slot, prefix);
-            for (_, addr) in &gossip_targets {
-                let _ = self.endpoint.send_control_traced(
-                    *addr,
-                    &Control::SlotDigest { slot, digest },
-                    trace_ctx,
-                );
-            }
+            send_all(
+                &self.endpoint,
+                gossip_targets
+                    .iter()
+                    .map(|&(_, addr)| (addr, Control::SlotDigest { slot, digest }, trace_ctx))
+                    .collect(),
+            );
             if !gossip_targets.is_empty() {
                 record_span(
                     &self.shared,
@@ -320,11 +320,13 @@ impl NetNode {
         }
         // Slot completed (generated *and* verified): announce it whether
         // or not a target qualified — peers gate their window on it.
-        for (_, addr) in self.generator_addrs(slot) {
-            let _ = self
-                .endpoint
-                .send_control(addr, &Control::SlotDone { slot });
-        }
+        send_all(
+            &self.endpoint,
+            self.generator_addrs(slot)
+                .into_iter()
+                .map(|(_, addr)| (addr, Control::SlotDone { slot }, None))
+                .collect(),
+        );
         self.commit_slot(slot);
         telemetry
             .phases

@@ -18,7 +18,7 @@ use std::net::UdpSocket;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tldag_core::codec::{self, WireMessage};
+use tldag_core::codec::{self, put_varint, WireMessage};
 use tldag_core::config::ProtocolConfig;
 use tldag_core::node::LedgerNode;
 use tldag_net::envelope::{
@@ -35,14 +35,6 @@ fn seal(mut body: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&body).to_be_bytes();
     body.extend_from_slice(&crc);
     body
-}
-
-fn put_varint(out: &mut Vec<u8>, mut value: u64) {
-    while value >= 0x80 {
-        out.push(value as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
 }
 
 /// Hand-builds a datagram with full control over every header field — the

@@ -260,7 +260,7 @@ impl BlockIndex {
     /// # Errors
     ///
     /// [`TldagError::Corrupt`] on any framing, checksum, or structure
-    /// violation, on a snapshot format other than 2, or when the
+    /// violation, on a snapshot format other than 3, or when the
     /// blob holds no chain or its sections disagree on the covered position
     /// — the caller falls back to a full log scan.
     pub fn decode_chains(data: &[u8]) -> Result<(Vec<Self>, u32, u64), TldagError> {
@@ -349,10 +349,14 @@ fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], TldagError> {
 }
 
 const SNAPSHOT_MAGIC: &[u8; 8] = b"TLDAGSNP";
-/// 2: contained digests as `(prefix, seq)` entries after a chain's entries.
-/// A version 1 blob (each entry followed by its contained digests in full)
-/// is rejected like any unknown version, so its log is rebuilt by a scan.
-const SNAPSHOT_VERSION: u32 = 2;
+/// 3: the body of version 2 (contained digests as `(prefix, seq)` entries
+/// after a chain's entries) over a log whose records hold varint-coded
+/// blocks. A version 2 blob sits over fixed-width records, so it is rejected
+/// like any unknown version, and the scan it falls back to reports the first
+/// fixed-width record as corruption instead of opening a log no read can
+/// decode. A version 1 blob (each entry followed by its contained digests in
+/// full) is rejected the same way.
+const SNAPSHOT_VERSION: u32 = 3;
 /// Encoded bytes of one entry, contained digests aside.
 const ENTRY_BYTES: usize = 32 + 4 + 8 + 4 + 8 + 4 + 8;
 
@@ -832,11 +836,11 @@ mod tests {
         let (chain, once, four) = pinned_chain();
         let index = pinned_index(&chain);
         let blob = BlockIndex::encode_chains([&index], 2, 300);
-        // Recorded when version 2 was introduced: other bytes here are a
+        // Recorded when version 3 was introduced: other bytes here are a
         // new format, and need a new `SNAPSHOT_VERSION`.
         assert_eq!(
             tldag_crypto::sha256::sha256(&blob).to_string(),
-            "a2eb39a1ddfba83f817b8130fe68bf44237899f52561a7310e0a3e5d27580a25"
+            "fd14f0a89224490d513f223adee93d8a948dbedec6c67b3676e6f450f1bc7087"
         );
         let (mut chains, ..) = BlockIndex::decode_chains(&blob).unwrap();
         let restored = chains.pop().unwrap();

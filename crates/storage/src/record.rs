@@ -1,8 +1,11 @@
 //! The on-disk record frame: `[len: u32 BE][crc32(payload): u32 BE][payload]`,
 //! where the payload is a block in the canonical `tldag_core::codec` wire
-//! encoding. The frame is what makes torn writes detectable: a record whose
-//! bytes end early or whose checksum mismatches marks the end of the valid
-//! log prefix.
+//! encoding (varint owner, seq and lengths, the columnar header, the body).
+//! The frame is what makes torn writes detectable: a record whose bytes end
+//! early or whose checksum mismatches marks the end of the valid log prefix.
+//! A record whose checksum matches but whose payload does not decode is never
+//! a torn write (that would take a 2⁻³² CRC collision): it is a log written
+//! in another layout, or a bug, and reads as corruption wherever it lies.
 
 use crate::crc32::crc32;
 use tldag_core::codec;
@@ -43,6 +46,9 @@ pub(crate) enum RecordRead {
     /// produce mid-stream (checksum mismatch with full length available, or
     /// an absurd length field).
     Corrupt(String),
+    /// The checksum matches but the payload is not a block: no torn write
+    /// produces this, so it is corruption even at the log's tail.
+    Undecodable(String),
 }
 
 /// Reads the record starting at `window[0]`.
@@ -72,7 +78,7 @@ pub(crate) fn read_record(window: &[u8]) -> RecordRead {
             block,
             consumed: FRAME_BYTES + len,
         },
-        Err(e) => RecordRead::Corrupt(format!("checksummed record failed to decode: {e}")),
+        Err(e) => RecordRead::Undecodable(format!("checksummed record failed to decode: {e}")),
     }
 }
 
@@ -88,7 +94,7 @@ pub(crate) fn decode_indexed(frame: &[u8]) -> Result<DataBlock, TldagError> {
         RecordRead::Torn => Err(TldagError::Corrupt(
             "indexed record shorter than its frame".into(),
         )),
-        RecordRead::Corrupt(msg) => Err(TldagError::Corrupt(msg)),
+        RecordRead::Corrupt(msg) | RecordRead::Undecodable(msg) => Err(TldagError::Corrupt(msg)),
     }
 }
 
@@ -131,7 +137,7 @@ mod tests {
         for cut in 0..rec.len() {
             match read_record(&rec[..cut]) {
                 RecordRead::Complete { .. } => panic!("truncated record decoded at {cut}"),
-                RecordRead::Torn | RecordRead::Corrupt(_) => {}
+                RecordRead::Torn | RecordRead::Corrupt(_) | RecordRead::Undecodable(_) => {}
             }
         }
     }

@@ -344,14 +344,16 @@ impl SegmentSet {
 
     /// Replays the live segments from `start` (a `(segment, offset)` pair;
     /// `None` means the oldest segment from offset 0), handing every valid
-    /// record to `visit` in log order. An invalid frame in the tail segment
-    /// truncates the file to the last valid boundary; in a sealed segment it
-    /// is fatal. Establishes the tail write position — run exactly once
-    /// after [`SegmentSet::open`], before any append.
+    /// record to `visit` in log order. A short or checksum-failing frame in
+    /// the tail segment truncates the file to the last valid boundary; in a
+    /// sealed segment it is fatal. A checksum-valid record that does not
+    /// decode is fatal in any segment. Establishes the tail write position —
+    /// run exactly once after [`SegmentSet::open`], before any append.
     ///
     /// # Errors
     ///
-    /// [`TldagError::Corrupt`] for sealed-segment damage or when `visit`
+    /// [`TldagError::Corrupt`] for sealed-segment damage, for a
+    /// checksum-valid record that does not decode, or when `visit`
     /// rejects a record (e.g. an out-of-order sequence number, which no torn
     /// write can produce); [`TldagError::Storage`] on I/O failure. Errors
     /// from `visit` propagate unchanged.
@@ -423,6 +425,12 @@ impl SegmentSet {
                 RecordRead::Corrupt(msg) => {
                     let valid = window_start + parsed as u64;
                     return self.finish_segment(id, valid, file_len, is_tail, &msg);
+                }
+                RecordRead::Undecodable(msg) => {
+                    let offset = window_start + parsed as u64;
+                    return Err(TldagError::Corrupt(format!(
+                        "segment {id} invalid at offset {offset}: {msg}"
+                    )));
                 }
             }
         }

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use tldag_core::config::ProtocolConfig;
+use tldag_core::error::TldagError;
 use tldag_core::store::{BlockBackend, BlockStore};
 use tldag_core::{BlockBody, BlockId, DataBlock, DigestEntry};
 use tldag_crypto::schnorr::KeyPair;
@@ -472,6 +473,78 @@ fn resident_memory_stays_bounded_at_the_benchmark_block_shape() {
     assert!(
         resident < on_disk / 2,
         "resident {resident} B should be under half the {on_disk} B chain"
+    );
+}
+
+#[test]
+fn a_checksummed_record_that_does_not_decode_is_corruption_even_at_the_tail() {
+    // A torn write leaves a short frame or a checksum mismatch; a frame whose
+    // CRC holds over bytes the codec rejects is a log in another layout, and
+    // truncating it away would silently drop the tail segment.
+    let scratch = Scratch::new("undecodable-tail");
+    let blocks = chain(4, 32);
+    {
+        let mut store = DurableStore::open(scratch.path(), opts()).unwrap();
+        for b in &blocks {
+            store.append(b.clone()).unwrap();
+        }
+        store.sync().unwrap();
+    }
+    let _ = std::fs::remove_file(scratch.path().join("index.snap"));
+    let seg = scratch.path().join("seg-000000.log");
+    // A block's encoding plus one stray byte: framed and checksummed, but
+    // `decode_block` rejects it.
+    let mut payload = tldag_core::codec::encode_block(&blocks[0]);
+    payload.push(0);
+    assert!(tldag_core::codec::decode_block(&payload).is_err());
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(&tldag_storage::crc32::crc32(&payload).to_be_bytes());
+    bytes.extend_from_slice(&payload);
+    std::fs::write(&seg, &bytes).unwrap();
+
+    match DurableStore::open(scratch.path(), opts()) {
+        Err(TldagError::Corrupt(msg)) => assert!(msg.contains("decode"), "{msg}"),
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(store) => panic!("reopened with {} blocks", store.len()),
+    }
+    assert_eq!(
+        std::fs::metadata(&seg).unwrap().len(),
+        bytes.len() as u64,
+        "the segment keeps its length"
+    );
+}
+
+#[test]
+fn a_fixed_width_log_fails_to_open_even_under_its_snapshot() {
+    // `fixtures/fixed-width-log` was written by the store before blocks were
+    // varint-coded: `chain(8, 32)` appended and synced under `opts()`, so its
+    // format 2 `index.snap` covers the whole segment. Trusting that snapshot
+    // would skip the replay and open a log whose every read fails; it is
+    // refused, and the full scan stops at the first record.
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fixed-width-log");
+    let scratch = Scratch::new("fixed-width-log");
+    std::fs::create_dir_all(scratch.path()).unwrap();
+    for name in ["seg-000000.log", "index.snap"] {
+        std::fs::copy(fixture.join(name), scratch.path().join(name)).unwrap();
+    }
+    let snapshot = std::fs::read(scratch.path().join("index.snap")).unwrap();
+    assert_eq!(snapshot[8..12], 2u32.to_be_bytes(), "a format 2 snapshot");
+    let seg = scratch.path().join("seg-000000.log");
+    let seg_len = std::fs::metadata(&seg).unwrap().len();
+
+    match DurableStore::open(scratch.path(), opts()) {
+        Err(TldagError::Corrupt(msg)) => {
+            assert!(msg.contains("offset 0") && msg.contains("decode"), "{msg}")
+        }
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(store) => panic!("opened with {} blocks", store.len()),
+    }
+    assert_eq!(
+        std::fs::metadata(&seg).unwrap().len(),
+        seg_len,
+        "the segment keeps its length"
     );
 }
 

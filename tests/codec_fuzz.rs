@@ -5,11 +5,12 @@
 
 use proptest::prelude::*;
 use std::net::SocketAddr;
-use tldag::core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
+use tldag::core::block::{BlockBody, BlockHeader, BlockId, DataBlock, DigestEntry};
 use tldag::core::codec;
-use tldag::core::codec::CodecError;
+use tldag::core::codec::{CodecError, WireMessage};
 use tldag::core::config::ProtocolConfig;
-use tldag::crypto::schnorr::KeyPair;
+use tldag::core::pop::messages::ChildReply;
+use tldag::crypto::schnorr::{KeyPair, Signature};
 use tldag::crypto::Digest;
 use tldag::net::control::{self, Control, RunReport, WireMember};
 use tldag::net::envelope;
@@ -106,6 +107,97 @@ fn control_variants(id: u32, slot: u64, word: u64, port: u16) -> Vec<Control> {
             slot,
         },
     ]
+}
+
+/// The integer values at the varint width boundaries, drawn beside random
+/// values for every field of a message body.
+const EDGES: [u64; 7] = [0, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+
+/// An edge value for `pick` below [`EDGES`]'s length, else `random`.
+fn edge(pick: u8, random: u64) -> u64 {
+    EDGES.get(usize::from(pick)).copied().unwrap_or(random)
+}
+
+/// [`edge`] for a `u32` field: `u64::MAX` clamps to `u32::MAX`.
+fn edge32(pick: u8, random: u64) -> u32 {
+    u32::try_from(edge(pick, random)).unwrap_or(u32::MAX ^ random as u32)
+}
+
+/// A header with every integer at a drawn width; `origins` entries.
+fn header_with(version: u32, time: u64, origins: &[u32], word: u64) -> BlockHeader {
+    BlockHeader {
+        version,
+        time,
+        root: Digest::from_bytes([word as u8; 32]),
+        digests: origins
+            .iter()
+            .enumerate()
+            .map(|(i, &origin)| DigestEntry {
+                origin: NodeId(origin),
+                digest: Digest::from_bytes([i as u8; 32]),
+            })
+            .collect::<Vec<_>>()
+            .into(),
+        nonce: word as u32,
+        signature: Signature::from_bytes([(word >> 8) as u8; 16]),
+    }
+}
+
+/// One message of every [`WireMessage`] variant, each integer field drawn
+/// through [`edge`] from its own pick.
+fn wire_variants(picks: &[u8; 8], word: u64) -> Vec<WireMessage> {
+    let n = |i: usize| edge32(picks[i], word.rotate_left(8 * i as u32));
+    let w = |i: usize| edge(picks[i], word.rotate_left(8 * i as u32));
+    let header = header_with(n(0), w(1), &[n(2), n(3), n(4)], word);
+    vec![
+        WireMessage::Digest {
+            from: NodeId(n(0)),
+            digest: Digest::from_bytes([1; 32]),
+        },
+        WireMessage::ReqChild {
+            from: NodeId(n(1)),
+            target: Digest::from_bytes([2; 32]),
+        },
+        WireMessage::ReqChildAt {
+            from: NodeId(n(2)),
+            target: Digest::from_bytes([3; 32]),
+            horizon: w(3),
+        },
+        WireMessage::RpyChild(ChildReply {
+            claimed_owner: NodeId(n(4)),
+            block_id: BlockId::new(NodeId(n(5)), n(6)),
+            header: header.clone(),
+        }),
+        WireMessage::Nack { from: NodeId(n(7)) },
+        WireMessage::PrunedNack {
+            from: NodeId(n(0)),
+            retained_from: n(1),
+        },
+        WireMessage::FetchBlock {
+            from: NodeId(n(2)),
+            id: BlockId::new(NodeId(n(3)), n(4)),
+        },
+        WireMessage::Block(Box::new(DataBlock {
+            id: BlockId::new(NodeId(n(5)), n(6)),
+            header,
+            body: BlockBody {
+                payload: vec![word as u8; picks[7].into()].into(),
+                logical_bits: w(7),
+            },
+        })),
+    ]
+}
+
+/// `value` as a varint one byte longer than it needs: the last group gains
+/// a continuation bit and a zero group follows.
+fn padded(value: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::put_varint(&mut out, value);
+    if let Some(last) = out.last_mut() {
+        *last |= 0x80;
+    }
+    out.push(0);
+    out
 }
 
 proptest! {
@@ -364,6 +456,66 @@ proptest! {
             for cut in 0..bytes.len() {
                 prop_assert!(control::decode_control(&bytes[..cut]).is_err());
             }
+        }
+    }
+
+    /// Every message body and per-slot control round-trips with each
+    /// integer field at a varint width boundary or random, and the decoder
+    /// accepts exactly the encoder's bytes.
+    #[test]
+    fn body_fields_round_trip_at_every_width(
+        picks in any::<[u8; 8]>(),
+        word in any::<u64>(),
+    ) {
+        let picks = picks.map(|p| p % 10);
+        for msg in wire_variants(&picks, word) {
+            let bytes = codec::encode_message(&msg);
+            prop_assert_eq!(codec::decode_message(&bytes), Ok(msg));
+        }
+        let slot = edge(picks[0], word);
+        for msg in [
+            Control::SlotDigest { slot, digest: Digest::from_bytes([word as u8; 32]) },
+            Control::DigestReq { slot },
+            Control::SlotDone { slot },
+        ] {
+            let bytes = control::encode_control(&msg);
+            prop_assert_eq!(control::decode_control(&bytes), Ok(msg));
+        }
+    }
+
+    /// A varint one byte longer than it needs, an 11-byte varint, and a
+    /// value above `u32::MAX` in a `u32` field are each rejected — in a
+    /// message, a header's origin column and a per-slot control.
+    #[test]
+    fn body_integers_must_be_canonical(pick in 0u8..10, word in any::<u64>()) {
+        let value = edge(pick, word);
+        let small = u32::try_from(value).unwrap_or(u32::MAX);
+        let eleven = [[0x80u8; 10].as_slice(), &[0x01]].concat();
+        let mut wide = Vec::new();
+        codec::put_varint(&mut wide, u64::from(u32::MAX) + 1 + (word >> 33));
+        let mut canonical = Vec::new();
+        codec::put_varint(&mut canonical, small.into());
+        // `Nack { from }`: tag 0x04, then the node id.
+        for from in [padded(small.into()), eleven.clone(), wide.clone()] {
+            let nack = [&[0x04u8][..], &from].concat();
+            prop_assert_eq!(codec::decode_message(&nack), Err(CodecError::BadVarint));
+        }
+        // The canonical form of the same id decodes.
+        let nack = [&[0x04u8][..], &canonical].concat();
+        prop_assert_eq!(codec::decode_message(&nack), Ok(WireMessage::Nack { from: NodeId(small) }));
+        // A header whose one origin is the bad varint.
+        let header = codec::encode_header(&header_with(1, 2, &[0], word));
+        let origin_at = 1 + 1 + 32 + 1;
+        prop_assert_eq!(header[origin_at], 0);
+        for origin in [padded(small.into()), eleven.clone(), wide.clone()] {
+            let bad = [&header[..origin_at], &origin, &header[origin_at + 1..]].concat();
+            prop_assert_eq!(codec::decode_header(&bad), Err(CodecError::BadVarint));
+        }
+        // `SlotDone { slot }`: tag 0x08, then the slot (a u64 field, so only
+        // the padded and 11-byte forms are malformed).
+        for slot in [padded(value), eleven] {
+            let done = [&[0x08u8][..], &slot].concat();
+            prop_assert!(control::decode_control(&done).is_err());
         }
     }
 }

@@ -151,29 +151,27 @@ pub(crate) fn run(config: &AdversaryConfig) -> AdversaryData {
     for &adversaries in &config.levels {
         let placements = config.placements(adversaries);
         let mut deployment = Deployment::new(config.seed, config.founders, config.slots);
-        deployment.gamma = config.gamma;
+        let node = &mut deployment.node;
+        node.gamma = config.gamma;
         // PoP mode: digest gossip fans out to every generator, so detection
         // does not depend on where an adversary sits in the radio topology.
-        deployment.pop = true;
+        node.pop = true;
+        // A selfish node never answers, so requests aimed at it must burn
+        // their full retry schedule; keep that schedule short so the
+        // failure is cheap and the slot budget generous so the barrier
+        // never degrades while it burns.
+        node.endpoint.request_timeout = Duration::from_millis(40);
+        node.endpoint.max_retries = 8;
+        node.endpoint.max_backoff = Duration::from_millis(300);
+        node.slot_timeout = Duration::from_secs(20);
+        node.hello_timeout = Duration::from_secs(20);
+        node.linger = Duration::from_millis(2500);
         deployment.adversaries = placements.clone();
         let reference = deployment.reference();
 
         let started = Instant::now();
         let addrs = discover_ports(config.founders).expect("probe ports");
-        let mut configs = deployment.member_configs(&addrs);
-        for c in &mut configs {
-            // A selfish node never answers, so requests aimed at it must
-            // burn their full retry schedule; keep that schedule short so
-            // the failure is cheap and the slot budget generous so the
-            // barrier never degrades while it burns.
-            c.endpoint.request_timeout = Duration::from_millis(40);
-            c.endpoint.max_retries = 8;
-            c.endpoint.max_backoff = Duration::from_millis(300);
-            c.slot_timeout = Duration::from_secs(20);
-            c.hello_timeout = Duration::from_secs(20);
-            c.linger = Duration::from_millis(2500);
-        }
-        let outcomes = LoopbackCluster::run(configs);
+        let outcomes = LoopbackCluster::run(deployment.member_configs(&addrs));
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let honest: Vec<&NodeOutcome> = outcomes

@@ -233,9 +233,20 @@ pub(crate) fn run(config: &ChurnConfig) -> ChurnData {
         let events = config.schedule(level);
         validate_churn(&events, config.founders, config.slots).expect("generated schedule");
         let mut deployment = Deployment::new(config.seed, config.founders, config.slots);
-        deployment.gamma = config.gamma;
-        deployment.pop = true;
-        deployment.churn = events;
+        let node = &mut deployment.node;
+        node.gamma = config.gamma;
+        node.pop = true;
+        node.churn = events;
+        // The runtime derives each node's fault stream from (seed, id), so
+        // the loss pattern is deterministic yet uncorrelated across nodes;
+        // the protocol seed stays shared for parity.
+        node.fault = Some(FaultSpec::degraded(config.loss));
+        node.endpoint.request_timeout = Duration::from_millis(40);
+        node.endpoint.max_retries = 8;
+        node.endpoint.max_backoff = Duration::from_millis(300);
+        node.slot_timeout = Duration::from_secs(20);
+        node.hello_timeout = Duration::from_secs(20);
+        node.linger = Duration::from_millis(2500);
         let reference = deployment.reference();
 
         let started = Instant::now();
@@ -244,16 +255,6 @@ pub(crate) fn run(config: &ChurnConfig) -> ChurnData {
         let metrics_addrs = discover_tcp_ports(total).expect("probe metrics ports");
         let mut configs = deployment.member_configs(&addrs);
         for (c, metrics_addr) in configs.iter_mut().zip(&metrics_addrs) {
-            // The runtime derives each node's fault stream from (seed, id),
-            // so the loss pattern is deterministic yet uncorrelated across
-            // nodes; the protocol seed stays shared for parity.
-            c.fault = Some(FaultSpec::degraded(config.loss));
-            c.endpoint.request_timeout = Duration::from_millis(40);
-            c.endpoint.max_retries = 8;
-            c.endpoint.max_backoff = Duration::from_millis(300);
-            c.slot_timeout = Duration::from_secs(20);
-            c.hello_timeout = Duration::from_secs(20);
-            c.linger = Duration::from_millis(2500);
             c.metrics_addr = Some(*metrics_addr);
         }
         let cluster = LoopbackCluster::spawn(configs);

@@ -106,21 +106,18 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// Runs the sweep.
 pub(crate) fn run(config: &LifecycleConfig) -> LifecycleData {
     let mut deployment = Deployment::new(config.seed, config.nodes, config.slots);
-    deployment.gamma = config.gamma;
-    deployment.pop = true;
+    deployment.node.gamma = config.gamma;
+    deployment.node.pop = true;
+    deployment.node.trace = true;
+    deployment.node.linger = Duration::from_millis(600);
     let reference = deployment.reference();
 
     let mut points = Vec::with_capacity(config.windows.len());
     for &window in &config.windows {
         let addrs = discover_ports(config.nodes).expect("probe ports");
-        let mut configs = deployment.member_configs(&addrs);
-        for c in &mut configs {
-            c.window = window;
-            c.trace = true;
-            c.linger = Duration::from_millis(600);
-        }
+        deployment.node.window = window;
         // The telemetry handles' span stores outlive the runtimes.
-        let results = LoopbackCluster::spawn(configs).join();
+        let results = LoopbackCluster::spawn(deployment.member_configs(&addrs)).join();
 
         let verdict = judge(
             &deployment,

@@ -102,20 +102,17 @@ pub(crate) fn run(config: &SaturationConfig) -> SaturationData {
     // Window-independent: the whole point of the pipeline is that the
     // ledger it converges to is identical.
     let mut deployment = Deployment::new(config.seed, config.nodes, config.slots);
-    deployment.gamma = config.gamma;
-    deployment.pop = true;
+    deployment.node.gamma = config.gamma;
+    deployment.node.pop = true;
+    deployment.node.linger = Duration::from_millis(600);
     let reference = deployment.reference();
 
     let mut points: Vec<SaturationPoint> = Vec::with_capacity(config.windows.len());
     for &window in &config.windows {
         let started = Instant::now();
         let addrs = discover_ports(config.nodes).expect("probe ports");
-        let mut configs = deployment.member_configs(&addrs);
-        for c in &mut configs {
-            c.window = window;
-            c.linger = Duration::from_millis(600);
-        }
-        let results = LoopbackCluster::spawn(configs).join();
+        deployment.node.window = window;
+        let results = LoopbackCluster::spawn(deployment.member_configs(&addrs)).join();
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
         let verdict = judge(

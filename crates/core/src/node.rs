@@ -268,6 +268,18 @@ impl LedgerNode {
         Ok(block)
     }
 
+    /// The second block an equivocating owner offers for `block`'s slot:
+    /// the same id, slot and parent digests, the payload with `0xEB`
+    /// appended, freshly mined and signed with this node's key. Nothing is
+    /// stored; the canonical chain keeps `block`.
+    pub fn equivocating_twin(&self, cfg: &ProtocolConfig, block: &DataBlock) -> DataBlock {
+        let mut payload = block.body.payload.to_vec();
+        payload.push(0xEB);
+        let (id, slot, digests) = (block.id, block.header.time, block.header.digests.clone());
+        let body = BlockBody::new(payload, cfg.body_bits);
+        DataBlock::create(cfg, id, slot, digests, body, &self.keypair)
+    }
+
     /// Handles a digest received from `from`. Returns `false` when the digest
     /// is discarded (unknown peer, banned peer, or flood detected).
     ///

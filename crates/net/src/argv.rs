@@ -185,21 +185,10 @@ impl NetNodeConfig {
         let (listen, seed) = (args.required("listen")?, args.get("seed", 42)?);
         let (nodes, slots) = (args.get("nodes", peers.len() + 1)?, args.get("slots", 8)?);
         let mut config = NetNodeConfig::new(id, listen, seed, nodes, slots);
+        config.read_shared_flags(&args, &format!("node-{}", id.0))?;
         config.peers = peers;
         config.controller = args.opt("controller")?;
-        config.side_m = args.get("side", config.side_m)?;
-        config.gamma = args.get("gamma", config.gamma)?;
-        config.pop = args.switch("pop");
-        config.window = args.get("window", config.window)?;
-        config.endpoint.batch = args.get("batch", config.endpoint.batch)?;
-        config.fault = args
-            .opt("drop")?
-            .filter(|&p: &f64| p != 0.0)
-            .map(FaultSpec::loss);
-        config.trace = args.switch("trace");
         config.join = args.opt("join")?;
-        config.churn = parse_churn_spec(&args.get("churn", String::new())?)?;
-        config.evict_after = args.secs("evict-after")?;
         config.deadline = args.secs("deadline")?;
         config.metrics_addr = args.opt("metrics-addr")?;
         if let Some(raw) = args.opt::<String>("behavior")? {
@@ -209,17 +198,44 @@ impl NetNodeConfig {
             config.behavior = Behavior::parse_kind(kind).ok_or_else(invalid)?;
             config.behavior_from = from.parse().map_err(|_| invalid())?;
         }
-        config.storage = match args.get("storage", "memory".to_string())?.as_str() {
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// Reads the flags `tldag node` shares with `tldag cluster`, which
+    /// sets them once for every member: `--side --gamma --pop --window
+    /// --batch --drop --trace --churn --evict-after --storage
+    /// --storage-dir`. An absent `--side`, `--gamma`, `--window` or
+    /// `--batch` keeps this config's value; any other absent flag turns its
+    /// field off. A disk store without `--storage-dir` goes under a fresh
+    /// temp dir named by `storage_tag` ([`Args::storage_dir`]).
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse, naming its flag.
+    pub fn read_shared_flags(&mut self, args: &Args, storage_tag: &str) -> Result<(), String> {
+        self.side_m = args.get("side", self.side_m)?;
+        self.gamma = args.get("gamma", self.gamma)?;
+        self.pop = args.switch("pop");
+        self.window = args.get("window", self.window)?;
+        self.endpoint.batch = args.get("batch", self.endpoint.batch)?;
+        self.fault = args
+            .opt("drop")?
+            .filter(|&p: &f64| p != 0.0)
+            .map(FaultSpec::loss);
+        self.trace = args.switch("trace");
+        self.churn = parse_churn_spec(&args.get("churn", String::new())?)?;
+        self.evict_after = args.secs("evict-after")?;
+        self.storage = match args.get("storage", "memory".to_string())?.as_str() {
             "memory" => None,
-            "disk" => Some(args.storage_dir(&format!("node-{}", id.0))?),
+            "disk" => Some(args.storage_dir(storage_tag)?),
             other => {
                 return Err(format!(
                     "invalid value for --storage: `{other}` (memory|disk)"
                 ))
             }
         };
-        config.validate()?;
-        Ok(config)
+        Ok(())
     }
 
     /// The range checks a node's knobs must pass, named by their flags.

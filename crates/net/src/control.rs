@@ -7,12 +7,11 @@
 //! two tag spaces separate means the wire protocol stays byte-compatible
 //! with the simulator's codec while the runtime can evolve freely.
 //!
-//! The digest pair deserves a note: `codec::WireMessage::Digest` carries no
-//! slot (the synchronous simulator does not need one), but a real network
-//! delivers out of order, so gossip uses [`Control::SlotDigest`] and a
-//! receiver missing a neighbor's digest *pulls* it with
-//! [`Control::DigestReq`] — the interest/nack-style recovery DLedger uses
-//! over lossy IoT transports.
+//! The digest pair deserves a note: the engine hands a slot's digests over
+//! in memory, but a real network delivers out of order, so DAG-construction
+//! gossip is the slot-tagged [`Control::SlotDigest`] and a receiver missing
+//! a neighbor's digest *pulls* it with [`Control::DigestReq`] — the
+//! interest/nack-style recovery DLedger uses over lossy IoT transports.
 //!
 //! Each message is a tag byte and its fields in declaration order. The
 //! three per-slot controls — [`Control::SlotDigest`], [`Control::DigestReq`]

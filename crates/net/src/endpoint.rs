@@ -45,6 +45,9 @@ use tldag_sim::NodeId;
 /// told apart from one that fits exactly.
 const RECV_SLOT_LEN: usize = DEFAULT_MTU + 1;
 
+/// Byte budget for an endpoint's partially reassembled messages.
+const REASSEMBLY_BUDGET: usize = 4 << 20;
+
 /// Tuning knobs for an [`Endpoint`].
 #[derive(Clone, Copy, Debug)]
 pub struct EndpointConfig {
@@ -55,8 +58,6 @@ pub struct EndpointConfig {
     pub max_retries: u32,
     /// Upper bound on the per-attempt timeout as backoff grows.
     pub max_backoff: Duration,
-    /// Byte budget for partially reassembled messages.
-    pub reassembly_budget: usize,
     /// Datagrams received (and decoded) per receiver wakeup: the parked
     /// receive that ends the wait plus up to `batch - 1` drained without
     /// blocking. 1 reproduces the old one-datagram-per-wakeup loop. Each
@@ -74,7 +75,6 @@ impl Default for EndpointConfig {
             request_timeout: Duration::from_millis(80),
             max_retries: 6,
             max_backoff: Duration::from_millis(500),
-            reassembly_budget: 4 << 20,
             batch: 16,
             park_timeout: Duration::from_millis(250),
         }
@@ -383,7 +383,7 @@ impl Endpoint {
             .transport
             .set_read_timeout(Some(self.config.park_timeout.max(Duration::from_millis(1))));
         let mut slots = self.recv_slots();
-        let mut reassembler = Reassembler::new(self.config.reassembly_budget);
+        let mut reassembler = Reassembler::new(REASSEMBLY_BUDGET);
         let mut seen_evictions = 0u64;
         while !stop.load(Ordering::Relaxed) {
             NetMetrics::inc(&self.metrics.recv_wakeups);

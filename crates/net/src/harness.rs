@@ -41,10 +41,9 @@ use crate::runtime::{
     NetNode, NetNodeConfig, NodeOutcome,
 };
 use crate::telemetry::NodeTelemetry;
-use crate::transport::FaultSpec;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::net::{SocketAddr, TcpListener, UdpSocket};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, UdpSocket};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
@@ -158,14 +157,13 @@ pub struct ClusterConfig {
     pub(crate) exe: PathBuf,
     /// What the processes run and the reference engine replays: seed,
     /// founders (= processes at start), slots each founder executes,
-    /// protocol and per-node knobs, churn (late joins are spawned as extra
-    /// processes bootstrapped via the join handshake) and adversaries (each
-    /// placement is passed to its node process as `--behavior` and applied
-    /// to the reference at the same slot boundary, so the honest-subset
-    /// parity verdict compares like with like).
+    /// protocol and per-node knobs (the storage root among them), churn
+    /// (late joins are spawned as extra processes bootstrapped via the
+    /// join handshake) and adversaries (each placement is passed to its
+    /// node process as `--behavior` and applied to the reference at the
+    /// same slot boundary, so the honest-subset parity verdict compares
+    /// like with like).
     pub deployment: Deployment,
-    /// When set, node `i` stores its chain on disk under `root/node-i`.
-    pub storage_root: Option<PathBuf>,
     /// First UDP port; node `i` listens on `base_port + i`. When `None`,
     /// free ports are discovered by probing.
     pub base_port: Option<u16>,
@@ -173,9 +171,9 @@ pub struct ClusterConfig {
     pub report_timeout: Duration,
     /// When true, every node serves `GET /metrics` + `GET /journal` on a
     /// discovered localhost TCP port, announced on stdout as
-    /// `metrics endpoints: ...` before the nodes spawn. With
-    /// [`Deployment::trace`] also set, the harness scrapes each node's
-    /// `/trace` after the reports arrive
+    /// `metrics endpoints: ...` before the nodes spawn. With the
+    /// deployment's [`NetNodeConfig::trace`] also set, the harness scrapes
+    /// each node's `/trace` after the reports arrive
     /// ([`ClusterOutcome::trace_snapshots`]).
     pub metrics: bool,
 }
@@ -186,7 +184,6 @@ impl ClusterConfig {
         ClusterConfig {
             exe,
             deployment: Deployment::new(seed, nodes, slots),
-            storage_root: None,
             base_port: None,
             report_timeout: Duration::from_secs(60),
             metrics: false,
@@ -204,7 +201,7 @@ pub struct ClusterOutcome {
     pub verdict: Verdict,
     /// One `/trace` JSON snapshot per answering node, taken after every
     /// report arrived but before the cluster was released. Populated only
-    /// with [`Deployment::trace`] + [`ClusterConfig::metrics`].
+    /// with [`NetNodeConfig::trace`] + [`ClusterConfig::metrics`].
     pub trace_snapshots: Vec<String>,
     /// The slot-by-slot divergence diagnosis, present only when digest
     /// parity failed and the harness could pull per-slot evidence from
@@ -304,112 +301,70 @@ pub fn discover_tcp_ports(n: usize) -> Result<Vec<SocketAddr>, String> {
         .map_err(|e| format!("cannot read discovered metrics port: {e}"))
 }
 
-/// One deployment under test: the founders, horizon, protocol and per-node
-/// knobs every member shares, plus its membership schedule and adversary
-/// cast. It yields both sides of the parity contract — the members' node
-/// configs ([`Deployment::member_configs`]) and the engine run they must
-/// reproduce ([`Deployment::reference`]).
+/// One deployment under test: the node config every member starts from,
+/// plus its adversary cast. It yields both sides of the parity contract —
+/// the members' node configs ([`Deployment::member_configs`]) and the
+/// engine run they must reproduce ([`Deployment::reference`]).
 #[derive(Clone, Debug)]
 pub struct Deployment {
-    /// Shared experiment seed (also fixes the topology).
-    pub(crate) seed: u64,
-    /// Founding nodes; scheduled joiners take the ids after them.
-    pub(crate) founders: usize,
-    /// Deployment area side in meters.
-    pub side_m: f64,
-    /// Consensus parameter γ.
-    pub gamma: usize,
-    /// Whether members run the PoP verification workload.
-    pub pop: bool,
-    /// Protocol horizon in slots.
-    pub(crate) slots: u64,
-    /// Scheduled late joins and graceful leaves (a valid schedule, see
-    /// [`validate_churn`]).
-    pub churn: Vec<ChurnEvent>,
+    /// What every member runs: seed, founders (`nodes`; scheduled joiners
+    /// take the ids after them), horizon, protocol and per-node knobs, the
+    /// churn schedule (valid, see [`validate_churn`]) and the storage
+    /// root. Its `id` and `listen` are placeholders that
+    /// [`Deployment::member_configs`] replaces.
+    pub node: NetNodeConfig,
     /// Scheduled adversaries.
     pub adversaries: Vec<AdversaryPlacement>,
-    /// Epoch window `W` of every member ([`NetNodeConfig::window`]).
-    pub window: u64,
-    /// Socket batch size of every member (datagrams per
-    /// `sendmmsg`/`recvmmsg` wakeup); `None` keeps the endpoint default.
-    pub batch: Option<usize>,
-    /// Per-datagram drop probability injected at every member's transport
-    /// (deterministic per node seed); `0.0` means a clean transport.
-    pub drop: f64,
-    /// When set, every member evicts a barrier-blocking peer that has gone
-    /// silent this long. Required for runs that must *exclude* a silent
-    /// adversary instead of waiting out every barrier on it.
-    pub evict_after: Option<Duration>,
-    /// Whether every member records causal block-lifecycle spans. Tracing
-    /// never changes protocol byte content.
-    pub trace: bool,
 }
 
 impl Deployment {
-    /// An honest, churn-free deployment with the `tldag cluster` defaults
-    /// (300 m side, γ = 3, PoP off, lockstep, clean transport).
+    /// An honest deployment whose members run [`NetNodeConfig::new`]'s
+    /// defaults.
     pub fn new(seed: u64, founders: usize, slots: u64) -> Self {
+        let unbound = SocketAddr::from((Ipv4Addr::UNSPECIFIED, 0));
         Deployment {
-            seed,
-            founders,
-            side_m: 300.0,
-            gamma: 3,
-            pop: false,
-            slots,
-            churn: Vec::new(),
+            node: NetNodeConfig::new(NodeId(0), unbound, seed, founders, slots),
             adversaries: Vec::new(),
-            window: 1,
-            batch: None,
-            drop: 0.0,
-            evict_after: None,
-            trace: false,
         }
     }
 
     /// Founders plus scheduled joiners.
     pub fn members(&self) -> usize {
-        self.founders
+        self.node.nodes
             + self
+                .node
                 .churn
                 .iter()
                 .filter(|e| matches!(e, ChurnEvent::Join { .. }))
                 .count()
     }
 
-    /// One node config per member, in id order, listening on `addrs[id]`.
+    /// One node config per member, in id order, listening on `addrs[id]`:
+    /// a copy of [`Deployment::node`] with the member's identity filled in.
     /// Founders list every other founder as a peer. A scheduled joiner is
     /// provisioned with only a bootstrap address — the lowest founder
     /// still a member at its join slot (a departed bootstrap keeps
     /// serving, but a live one answers faster) — so the join handshake
     /// carries the roster. Adversary placements set `behavior` /
-    /// `behavior_from`, and the per-node knobs are copied in; every other
-    /// field keeps its [`NetNodeConfig::new`] default for the caller to
-    /// adjust.
+    /// `behavior_from`.
     ///
     /// # Panics
     ///
     /// Panics unless there is exactly one address per member.
     pub fn member_configs(&self, addrs: &[SocketAddr]) -> Vec<NetNodeConfig> {
         assert_eq!(addrs.len(), self.members(), "one address per member");
-        let roster = Roster::scheduled(self.founders, &self.churn);
+        let founders = self.node.nodes;
+        let roster = Roster::scheduled(founders, &self.node.churn);
         (0..addrs.len())
             .map(|i| {
                 let id = NodeId(i as u32);
-                let mut config =
-                    NetNodeConfig::new(id, addrs[i], self.seed, self.founders, self.slots);
-                config.side_m = self.side_m;
-                config.gamma = self.gamma;
-                config.pop = self.pop;
-                config.churn = self.churn.clone();
-                config.window = self.window;
-                if let Some(batch) = self.batch {
-                    config.endpoint.batch = batch;
-                }
-                config.fault = (self.drop != 0.0).then(|| FaultSpec::loss(self.drop));
-                config.evict_after = self.evict_after;
-                config.trace = self.trace;
-                if i < self.founders {
-                    config.peers = (0..self.founders)
+                let mut config = NetNodeConfig {
+                    id,
+                    listen: addrs[i],
+                    ..self.node.clone()
+                };
+                if i < founders {
+                    config.peers = (0..founders)
                         .filter(|&j| j != i)
                         .map(|j| (NodeId(j as u32), addrs[j]))
                         .collect();
@@ -417,7 +372,7 @@ impl Deployment {
                     let join_slot = config
                         .own_churn_slot(true)
                         .expect("joiner ids come from the churn schedule");
-                    let bootstrap = (0..self.founders)
+                    let bootstrap = (0..founders)
                         .find(|&f| !roster.departed_by(NodeId(f as u32), join_slot))
                         .unwrap_or(0);
                     config.join = Some(addrs[bootstrap]);
@@ -435,24 +390,25 @@ impl Deployment {
     /// topology, protocol config and workload, with the membership schedule
     /// and adversary cast replayed by [`replay_reference_schedule`].
     pub fn reference(&self) -> TldagNetwork {
-        let topology = deployment_topology(self.seed, self.founders, self.side_m);
-        let cfg = deployment_protocol_config(self.gamma);
+        let node = &self.node;
+        let topology = deployment_topology(node.seed, node.nodes, node.side_m);
+        let cfg = deployment_protocol_config(node.gamma);
         let schedule = GenerationSchedule::uniform(topology.len());
-        let mut reference = TldagNetwork::new(cfg, topology, schedule, self.seed);
-        reference.set_verification_workload(if self.pop {
+        let mut reference = TldagNetwork::new(cfg, topology, schedule, node.seed);
+        reference.set_verification_workload(if node.pop {
             VerificationWorkload::RandomPast {
-                min_age_slots: self.founders as u64,
+                min_age_slots: node.nodes as u64,
             }
         } else {
             VerificationWorkload::Disabled
         });
         replay_reference_schedule(
             &mut reference,
-            &self.churn,
+            &node.churn,
             &self.adversaries,
-            self.founders,
-            self.seed,
-            self.slots,
+            node.nodes,
+            node.seed,
+            node.slots,
         );
         reference
     }
@@ -716,18 +672,19 @@ pub fn judge(
 /// report-collection timeouts.
 pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
     let deployment = &config.deployment;
-    validate_churn(&deployment.churn, deployment.founders, deployment.slots)?;
+    let node = &deployment.node;
+    validate_churn(&node.churn, node.nodes, node.slots)?;
     for p in &deployment.adversaries {
-        if p.node.0 as usize >= deployment.founders {
+        if p.node.0 as usize >= node.nodes {
             return Err(format!(
                 "adversary placement on n{} is outside the {} founders",
-                p.node.0, deployment.founders
+                p.node.0, node.nodes
             ));
         }
-        if p.slot >= deployment.slots {
+        if p.slot >= node.slots {
             return Err(format!(
                 "adversary n{} activates at slot {} but the run has only {} slots",
-                p.node.0, p.slot, deployment.slots
+                p.node.0, p.slot, node.slots
             ));
         }
     }
@@ -746,7 +703,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
 
 fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String> {
     let deployment = &config.deployment;
-    if deployment.founders == 0 {
+    if deployment.node.nodes == 0 {
         return Err("--nodes must be positive".into());
     }
     let total = deployment.members();
@@ -799,9 +756,6 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
         member.controller = Some(controller_addr);
         member.deadline = Some(child_deadline);
         member.metrics_addr = metrics_addrs.get(i).copied();
-        if let Some(root) = &config.storage_root {
-            member.storage = Some(root.clone());
-        }
         member.validate()?;
     }
     let reports: Arc<Mutex<BTreeMap<NodeId, RunReport>>> = Arc::default();
@@ -888,7 +842,7 @@ fn run_cluster_attempt(config: &ClusterConfig) -> Result<ClusterOutcome, String>
     let verdict = judge(deployment, &reference, ordered.iter().copied());
 
     // --- Trace snapshots while the nodes still serve `/trace`.
-    let trace_snapshots: Vec<String> = if deployment.trace {
+    let trace_snapshots: Vec<String> = if deployment.node.trace {
         metrics_addrs
             .iter()
             .filter_map(|addr| http_get(*addr, "/trace", Duration::from_secs(1)).ok())
@@ -944,7 +898,7 @@ fn run_forensics(
 ) -> DivergenceReport {
     let suspects: Vec<u32> = diverged.iter().map(|id| id.0).collect();
     // Nodes retain the last 64 slots of own-digest history for pulls.
-    let slots = config.deployment.slots;
+    let slots = config.deployment.node.slots;
     let window = slots.saturating_sub(64)..slots;
 
     for _round in 0..4 {
@@ -989,6 +943,7 @@ fn run_forensics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::FaultSpec;
 
     /// A 3-founder deployment, its engine reference, and one report per
     /// member that reproduces the reference exactly.
@@ -1082,7 +1037,7 @@ mod tests {
             .map(|i| SocketAddr::from(([127, 0, 0, 1], 9300 + i)))
             .collect();
         let mut deployment = Deployment::new(5, 3, 10);
-        deployment.churn = vec![
+        deployment.node.churn = vec![
             ChurnEvent::Join {
                 id: NodeId(3),
                 slot: 2,
@@ -1101,7 +1056,7 @@ mod tests {
             behavior: Behavior::Selfish,
             slot: 4,
         }];
-        validate_churn(&deployment.churn, 3, 10).expect("valid schedule");
+        validate_churn(&deployment.node.churn, 3, 10).expect("valid schedule");
         let configs = deployment.member_configs(&addrs);
         assert_eq!(configs.len(), 5);
         for (i, config) in configs.iter().enumerate().take(3) {
@@ -1121,12 +1076,66 @@ mod tests {
         assert!(configs[3].peers.is_empty() && configs[4].peers.is_empty());
         for (i, config) in configs.iter().enumerate() {
             assert_eq!((config.id, config.listen), (NodeId(i as u32), addrs[i]));
-            assert_eq!(config.churn, deployment.churn);
+            assert_eq!(config.churn, deployment.node.churn);
         }
         assert_eq!(
             (configs[2].behavior, configs[2].behavior_from),
             (Behavior::Selfish, 4)
         );
         assert_eq!(configs[1].behavior, Behavior::Honest);
+    }
+
+    /// Every member of a deployment that sets each shared knob away from
+    /// its default, as the `tldag node` argv it is spawned with.
+    #[test]
+    fn every_member_spawns_with_the_pinned_argv() {
+        let addrs: Vec<SocketAddr> = (0..5)
+            .map(|i| SocketAddr::from(([127, 0, 0, 1], 9400 + i)))
+            .collect();
+        let mut deployment = Deployment::new(11, 4, 10);
+        let node = &mut deployment.node;
+        node.gamma = 5;
+        node.side_m = 250.5;
+        node.pop = true;
+        node.window = 4;
+        node.endpoint.batch = 4;
+        node.fault = Some(FaultSpec::loss(0.05));
+        node.evict_after = Some(Duration::from_secs_f64(1.5));
+        node.trace = true;
+        node.churn = crate::membership::parse_churn_spec("join:4@3,leave:1@6").unwrap();
+        node.storage = Some(PathBuf::from("/var/tmp/tldag-golden"));
+        deployment.adversaries = parse_adversary_spec("equivocate:1@2", 4).unwrap();
+        let configs = deployment.member_configs(&addrs);
+        let argv: Vec<String> = configs.iter().map(|c| c.to_args().join(" ")).collect();
+        let expected = [
+            "--id 0 --listen 127.0.0.1:9400 --seed 11 --nodes 4 --side 250.5 \
+             --gamma 5 --slots 10 --window 4 --batch 4 --peers \
+             1@127.0.0.1:9401,2@127.0.0.1:9402,3@127.0.0.1:9403 --churn \
+             join:4@3,leave:1@6 --evict-after 1.5 --drop 0.05 --storage disk \
+             --storage-dir /var/tmp/tldag-golden --pop --trace",
+            "--id 1 --listen 127.0.0.1:9401 --seed 11 --nodes 4 --side 250.5 \
+             --gamma 5 --slots 10 --window 4 --batch 4 --peers \
+             0@127.0.0.1:9400,2@127.0.0.1:9402,3@127.0.0.1:9403 --churn \
+             join:4@3,leave:1@6 --evict-after 1.5 --drop 0.05 --storage disk \
+             --storage-dir /var/tmp/tldag-golden --pop --trace",
+            "--id 2 --listen 127.0.0.1:9402 --seed 11 --nodes 4 --side 250.5 \
+             --gamma 5 --slots 10 --window 4 --batch 4 --peers \
+             0@127.0.0.1:9400,1@127.0.0.1:9401,3@127.0.0.1:9403 --churn \
+             join:4@3,leave:1@6 --evict-after 1.5 --drop 0.05 --storage disk \
+             --storage-dir /var/tmp/tldag-golden --pop --trace",
+            "--id 3 --listen 127.0.0.1:9403 --seed 11 --nodes 4 --side 250.5 \
+             --gamma 5 --slots 10 --window 4 --batch 4 --peers \
+             0@127.0.0.1:9400,1@127.0.0.1:9401,2@127.0.0.1:9402 --churn \
+             join:4@3,leave:1@6 --evict-after 1.5 --behavior equivocate@2 --drop \
+             0.05 --storage disk --storage-dir /var/tmp/tldag-golden --pop --trace",
+            "--id 4 --listen 127.0.0.1:9404 --seed 11 --nodes 4 --side 250.5 \
+             --gamma 5 --slots 10 --window 4 --batch 4 --churn join:4@3,leave:1@6 \
+             --join 127.0.0.1:9400 --evict-after 1.5 --drop 0.05 --storage disk \
+             --storage-dir /var/tmp/tldag-golden --pop --trace",
+        ];
+        for (i, (got, want)) in argv.iter().zip(expected).enumerate() {
+            assert_eq!(got, want, "member {i}");
+        }
+        assert_eq!(argv.len(), expected.len());
     }
 }

@@ -30,40 +30,24 @@ impl NetNode {
     }
 
     /// The adversary's extra push-path traffic for `slot`, sent right after
-    /// the canonical gossip: a second, genuinely mined block's digest for
-    /// the same slot (equivocation), a corrupted digest for the same slot
-    /// (digest lie), or a conflicting re-advertisement of the previous
-    /// slot's block (parasite side-chain, Cullen et al. arXiv:1904.00996).
-    /// The canonical chain is untouched — `DigestReq` pulls still serve it
-    /// — which is what lets honest receivers converge after discarding the
-    /// conflicting pair.
+    /// the canonical gossip: the digest of a second, genuinely mined block
+    /// for the same slot (equivocation: `twin`, same identity and parents,
+    /// different body — two distinct histories offered to the same
+    /// neighbors), a corrupted digest for the same slot (digest lie), or a
+    /// conflicting re-advertisement of the previous slot's block (parasite
+    /// side-chain, Cullen et al. arXiv:1904.00996). The canonical chain is
+    /// untouched — `DigestReq` pulls still serve it — which is what lets
+    /// honest receivers converge after discarding the conflicting pair.
     pub(super) fn adversary_gossip(
         &self,
         slot: u64,
         canonical: Digest,
-        equivocation: Option<(BlockId, Arc<[DigestEntry]>)>,
+        twin: Option<Digest>,
         targets: &[(NodeId, SocketAddr)],
     ) {
         let id = self.config.id;
         let fake: Option<(u64, Digest)> = match self.config.behavior {
-            Behavior::Equivocate => equivocation.map(|(block_id, digests)| {
-                // A real second block for the slot: same identity and
-                // parents, different body, freshly mined and signed — two
-                // distinct histories offered to the same neighbors. The
-                // parents are the canonical block's shared list, read only.
-                let mut rng = derived_rng(self.config.seed, stream::GENERATE, slot, id);
-                let mut payload = sensor_payload(&mut rng, id, slot);
-                payload.push(0xEB);
-                let alt = DataBlock::create(
-                    &self.cfg,
-                    block_id,
-                    slot,
-                    digests,
-                    BlockBody::new(payload, self.cfg.body_bits),
-                    &KeyPair::from_seed(u64::from(id.0)),
-                );
-                (slot, alt.header_digest())
-            }),
+            Behavior::Equivocate => twin.map(|digest| (slot, digest)),
             Behavior::DigestLie => Some((slot, canonical.corrupted())),
             Behavior::Parasite => {
                 // Re-advertise a conflicting digest for the previous slot:

@@ -66,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 use tldag_core::attack::Behavior;
 use tldag_core::blacklist::Blacklist;
-use tldag_core::block::{BlockBody, BlockId, DataBlock, DigestEntry};
+use tldag_core::block::BlockId;
 use tldag_core::codec::WireMessage;
 use tldag_core::config::ProtocolConfig;
 pub(crate) use tldag_core::network::chain_digest_of;
@@ -77,7 +77,7 @@ use tldag_core::pop::messages::{Reply, Request};
 use tldag_core::pop::validator::{PopContext, PopReport, PopWalk, Step};
 use tldag_core::store::{BlockBackend, BlockStore, TrustCache};
 use tldag_core::workload::sensor_payload;
-use tldag_crypto::{Digest, KeyPair};
+use tldag_crypto::Digest;
 use tldag_obs::{
     trace_json, unix_micros, EventKind, HttpServer, Phase, Routes, SpanEvent, SpanKind, SpanStore,
     DEFAULT_SPAN_CAPACITY,

@@ -166,7 +166,7 @@ impl NetNode {
             if slot > start_slot && !self.folds_in_verify() {
                 degraded |= !self.fold_digests(&neighbors, slot - 1, None);
             }
-            let (digest, equivocation) = {
+            let (digest, twin) = {
                 let mut node = self.shared.node.write().expect("node lock poisoned");
                 node.begin_slot();
                 let mut rng = derived_rng(seed, stream::GENERATE, slot, id);
@@ -190,11 +190,10 @@ impl NetNode {
                 let synced = sync_started.elapsed();
                 telemetry.fsync.record(synced);
                 telemetry.phases.record(Phase::Commit, synced);
-                let equivocation = (behavior_applied
-                    && self.config.behavior == Behavior::Equivocate)
-                    .then(|| (block.id, block.header.digests.clone()));
+                let twin = (behavior_applied && self.config.behavior == Behavior::Equivocate)
+                    .then(|| node.equivocating_twin(&self.cfg, &block).header_digest());
                 let digest = node.own_latest_digest().expect("block just appended");
-                (digest, equivocation)
+                (digest, twin)
             };
             let gossip_started = Instant::now();
             // A verify worker may be parked on this very digest. PoP walks
@@ -237,7 +236,7 @@ impl NetNode {
                 );
             }
             if behavior_applied {
-                self.adversary_gossip(slot, digest, equivocation, &gossip_targets);
+                self.adversary_gossip(slot, digest, twin, &gossip_targets);
             }
             telemetry
                 .phases

@@ -24,7 +24,7 @@ fn deploy(
     placements: &[AdversaryPlacement],
 ) -> (Deployment, Vec<NetNodeConfig>) {
     let mut deployment = Deployment::new(seed, founders, slots);
-    deployment.pop = pop;
+    deployment.node.pop = pop;
     deployment.adversaries = placements.to_vec();
     let addrs = discover_ports(founders).expect("probe ports");
     let mut configs = deployment.member_configs(&addrs);

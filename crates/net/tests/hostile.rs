@@ -371,7 +371,7 @@ fn live_endpoint_attributes_every_hostile_class() {
         // Wire channel, known tag truncated mid-structure (codec error).
         (
             "codec",
-            hostile_datagram(V, 0, 9, 5, 0, 0, 1, &[0x01], None, &[]),
+            hostile_datagram(V, 0, 9, 5, 0, 0, 1, &[0x02], None, &[]),
         ),
         // A valid reply correlated to a request nobody made (replay).
         (

@@ -93,7 +93,7 @@ fn dynamic_join_races_slot_boundaries_under_loss() {
     let (seed, slots) = (77_412, 12);
     let addrs = discover_ports(4).expect("probe ports");
     let mut deployment = Deployment::new(seed, 3, slots);
-    deployment.pop = true;
+    deployment.node.pop = true;
     let mut configs = deployment.member_configs(&addrs[..3]);
     // The joiner is outside the schedule: only its bootstrap is known.
     let mut joiner = NetNodeConfig::new(NodeId(3), addrs[3], seed, 3, slots);

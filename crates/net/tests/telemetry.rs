@@ -15,7 +15,7 @@ use tldag_obs::{http_get, EventKind};
 /// with a 2 s serving tail.
 fn members(seed: u64, slots: u64) -> Vec<NetNodeConfig> {
     let mut deployment = Deployment::new(seed, 3, slots);
-    deployment.pop = true;
+    deployment.node.pop = true;
     let mut configs = deployment.member_configs(&discover_ports(3).expect("probe ports"));
     for c in &mut configs {
         c.linger = Duration::from_millis(2000);

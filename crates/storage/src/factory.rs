@@ -118,9 +118,8 @@ impl ShardedDiskFactory {
     /// A **fresh** factory rooted at `root`, with `shards` shard logs sized
     /// for `nodes` node ids: shard-log directories (and persisted trust
     /// caches) left by a previous run are deleted. Only `shard-*`
-    /// directories, legacy `shard-*.log` files, and the `trust/` directory
-    /// are touched — the root may hold other data (it is often a
-    /// user-supplied `--storage-dir`).
+    /// directories and the `trust/` directory are touched — the root may
+    /// hold other data (it is often a user-supplied `--storage-dir`).
     ///
     /// # Panics
     ///
@@ -131,12 +130,8 @@ impl ShardedDiskFactory {
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let Some(name) = name.to_str() else { continue };
-                let is_shard_dir = name.starts_with("shard-") && entry.path().is_dir();
-                let is_legacy_log = name.starts_with("shard-") && name.ends_with(".log");
-                if is_shard_dir {
+                if name.starts_with("shard-") && entry.path().is_dir() {
                     let _ = fs::remove_dir_all(entry.path());
-                } else if is_legacy_log {
-                    let _ = fs::remove_file(entry.path());
                 }
             }
         }

@@ -936,7 +936,6 @@ traded it for seq 1"
         fs::create_dir_all(dir.join("shard-0000")).unwrap();
         fs::write(dir.join("precious.txt"), b"user data").unwrap();
         fs::write(dir.join("shard-0000").join("seg-000000.log"), b"stale").unwrap();
-        fs::write(dir.join("shard-0001.log"), b"legacy single-file log").unwrap();
         fs::create_dir_all(dir.join("trust")).unwrap();
         fs::write(dir.join("trust").join("node-0.cache"), b"stale").unwrap();
         let _factory = ShardedDiskFactory::new(&dir, 2, 4);
@@ -947,10 +946,6 @@ traded it for seq 1"
         assert!(
             !dir.join("shard-0000").exists(),
             "stale shard directories are wiped"
-        );
-        assert!(
-            !dir.join("shard-0001.log").exists(),
-            "legacy shard logs are wiped"
         );
         assert!(!dir.join("trust").exists(), "stale trust caches are wiped");
         fs::remove_dir_all(&dir).unwrap();

@@ -395,15 +395,7 @@ fn cmd_cluster(argv: &[String]) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
     let mut config = ClusterConfig::new(exe, nodes, slots, seed);
     let d = &mut config.deployment;
-    d.side_m = args.get("side", d.side_m)?;
-    d.gamma = args.get("gamma", d.gamma)?;
-    d.pop = args.switch("pop");
-    d.window = args.get("window", d.window)?;
-    d.batch = args.opt("batch")?;
-    d.drop = args.get("drop", d.drop)?;
-    d.evict_after = args.secs("evict-after")?;
-    d.trace = args.switch("trace");
-    d.churn = tldag::net::parse_churn_spec(&args.get("churn", String::new())?)?;
+    d.node.read_shared_flags(&args, "cluster")?;
     d.adversaries =
         tldag::net::parse_adversary_spec(&args.get("adversary", String::new())?, nodes)?;
     config.base_port = args.opt("base-port")?;
@@ -411,29 +403,20 @@ fn cmd_cluster(argv: &[String]) -> Result<(), String> {
         config.report_timeout = timeout;
     }
     config.metrics = args.switch("metrics");
-    config.storage_root = match args.get("storage", "memory".to_string())?.as_str() {
-        "memory" => None,
-        "disk" => Some(args.storage_dir("cluster")?),
-        other => {
-            return Err(format!(
-                "invalid value for --storage: `{other}` (memory|disk)"
-            ))
-        }
-    };
 
     let deployment = &config.deployment;
     let mut header = format!(
         "cluster: {} node processes × {slots} slots (seed {seed}",
         deployment.members()
     );
-    if deployment.pop {
+    if deployment.node.pop {
         header += ", PoP on";
     }
-    if !deployment.churn.is_empty() {
-        let churn = tldag::net::membership::format_churn_spec(&deployment.churn);
+    if !deployment.node.churn.is_empty() {
+        let churn = tldag::net::membership::format_churn_spec(&deployment.node.churn);
         header += &format!(", churn {churn}");
     }
-    if let Some(root) = &config.storage_root {
+    if let Some(root) = &deployment.node.storage {
         header += &format!(", disk under {}", root.display());
     }
     println!("{header})");

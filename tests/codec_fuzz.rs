@@ -150,10 +150,6 @@ fn wire_variants(picks: &[u8; 8], word: u64) -> Vec<WireMessage> {
     let w = |i: usize| edge(picks[i], word.rotate_left(8 * i as u32));
     let header = header_with(n(0), w(1), &[n(2), n(3), n(4)], word);
     vec![
-        WireMessage::Digest {
-            from: NodeId(n(0)),
-            digest: Digest::from_bytes([1; 32]),
-        },
         WireMessage::ReqChild {
             from: NodeId(n(1)),
             target: Digest::from_bytes([2; 32]),

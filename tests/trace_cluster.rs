@@ -35,9 +35,9 @@ fn base_config(nodes: usize, slots: u64, seed: u64) -> ClusterConfig {
 #[test]
 fn traced_cluster_stitches_timelines_across_all_nodes() {
     let mut config = base_config(3, 6, 20260808);
-    config.deployment.pop = true;
+    config.deployment.node.pop = true;
     config.metrics = true;
-    config.deployment.trace = true;
+    config.deployment.node.trace = true;
     let outcome = run_cluster(&config).expect("cluster run");
     let verdict = &outcome.verdict;
     assert!(
@@ -106,13 +106,13 @@ fn tracing_never_perturbs_digests_or_pop_counters() {
     // side-channel that shifted even one datagram would break the
     // engine-parity invariant every other acceptance test relies on.)
     let mut plain = base_config(3, 6, 7);
-    plain.deployment.pop = true;
+    plain.deployment.node.pop = true;
     let baseline = run_cluster(&plain).expect("untraced cluster run");
 
     let mut traced = base_config(3, 6, 7);
-    traced.deployment.pop = true;
+    traced.deployment.node.pop = true;
     traced.metrics = true;
-    traced.deployment.trace = true;
+    traced.deployment.node.trace = true;
     let observed = run_cluster(&traced).expect("traced cluster run");
 
     let (plain, traced) = (&baseline.verdict, &observed.verdict);

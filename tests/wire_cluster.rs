@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-use tldag::net::{run_cluster, ClusterConfig, ClusterOutcome};
+use tldag::net::{run_cluster, ClusterConfig, ClusterOutcome, FaultSpec};
 
 fn tldag_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_tldag"))
@@ -49,8 +49,8 @@ fn cluster_with_pop_over_the_wire_matches_engine_counters() {
     // attempt/success counter — byte-identical to the engine at each.
     for window in [1, 2, 8] {
         let mut config = base_config(4, 9, 7);
-        config.deployment.pop = true;
-        config.deployment.window = window;
+        config.deployment.node.pop = true;
+        config.deployment.node.window = window;
         let verdict = run_at_parity(&config, &format!("W={window}")).verdict;
         assert!(
             verdict.wire_pop.0 > 0,
@@ -68,7 +68,8 @@ fn churn_cluster_matches_engine_through_join_and_leave() {
     // the in-memory engine driving the same node_joins/node_leaves
     // schedule.
     let mut config = base_config(4, 8, 20260726);
-    config.deployment.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@6").expect("spec");
+    config.deployment.node.churn =
+        tldag::net::parse_churn_spec("join:4@3,leave:1@6").expect("spec");
     let outcome = run_at_parity(&config, "churn");
     assert_eq!(outcome.reports.len(), 5, "founders plus the joiner report");
     assert_eq!(
@@ -94,9 +95,10 @@ fn churn_cluster_with_pop_matches_engine_counters() {
     // window, since a membership delta drains the pipeline first.
     for window in [1, 2, 8] {
         let mut config = base_config(4, 10, 7);
-        config.deployment.pop = true;
-        config.deployment.window = window;
-        config.deployment.churn = tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
+        config.deployment.node.pop = true;
+        config.deployment.node.window = window;
+        config.deployment.node.churn =
+            tldag::net::parse_churn_spec("join:4@3,leave:1@8").expect("spec");
         let verdict = run_at_parity(&config, &format!("churn at W={window}")).verdict;
         assert!(
             verdict.wire_pop.0 > 0,
@@ -112,8 +114,8 @@ fn lossy_cluster_heals_to_parity() {
     // run to exact parity (the chance of any request exhausting its
     // 6-retry budget at this rate is ~1e-5 per exchange).
     let mut config = base_config(3, 6, 20260808);
-    config.deployment.pop = true;
-    config.deployment.drop = 0.1;
+    config.deployment.node.pop = true;
+    config.deployment.node.fault = Some(FaultSpec::loss(0.1));
     run_at_parity(&config, "10% loss");
 }
 
@@ -122,7 +124,7 @@ fn disk_backed_cluster_keeps_parity() {
     let dir = std::env::temp_dir().join(format!("tldag-wire-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut config = base_config(3, 4, 99);
-    config.storage_root = Some(dir.clone());
+    config.deployment.node.storage = Some(dir.clone());
     run_at_parity(&config, "disk");
     // The chains actually live on disk: every node directory has a log.
     for i in 0..3 {

@@ -3,7 +3,7 @@
 //! ```text
 //! experiments <name>… | --all | --paper | --list  [--quick]
 //! experiments gate [--baseline DIR] [--current DIR]
-//! experiments compare --parent BIN --change BIN --workload W [--pairs N] [--seconds S]
+//! experiments compare --parent BIN --change BIN --workload W [--pairs N] [--seconds S] [--seed N]
 //! ```
 //!
 //! Runs the named rows of [`REGISTRY`] (`--paper`: the paper's own eight
@@ -12,7 +12,8 @@
 //! `gate` compares those artifacts with `experiments/baselines/` by the
 //! rules `--list` shows. `compare` runs two prebuilt `tldag-benchmark`
 //! binaries alternately (`N` pairs, default 10, of `S`-second runs, default
-//! 20) and prints each end-to-end metric's medians, wins and verdict (see
+//! 20, all on one seed, default 42) and prints each end-to-end metric's
+//! medians, raw medians, wins and verdict (see
 //! [`tldag_bench::compare`]). Exits 1 if any invariant of any report is
 //! false, any gate rule fails or a compared run prints no result, 2 on a
 //! usage error.
@@ -31,7 +32,7 @@ fn usage(problem: &str) -> ExitCode {
          usage: experiments <name>… | --all | --paper | --list  [--quick]\n\
          \x20      experiments gate [--baseline DIR] [--current DIR]\n\
          \x20      experiments compare --parent BIN --change BIN --workload W \
-         [--pairs N] [--seconds S]"
+         [--pairs N] [--seconds S] [--seed N]"
     );
     ExitCode::from(2)
 }
@@ -59,7 +60,7 @@ fn run_gate(args: &[String]) -> ExitCode {
 
 fn run_compare(args: &[String]) -> ExitCode {
     let (mut parent, mut change, mut workload) = (None, None, None);
-    let (mut pairs, mut seconds) = (10usize, 20f64);
+    let (mut pairs, mut seconds, mut seed) = (10usize, 20f64, 42u64);
     let mut args = args.iter();
     while let Some(flag) = args.next() {
         let Some(value) = args.next() else {
@@ -77,6 +78,10 @@ fn run_compare(args: &[String]) -> ExitCode {
             "--seconds" => match value.parse() {
                 Ok(s) if s > 0.0 => seconds = s,
                 _ => return positive(),
+            },
+            "--seed" => match value.parse() {
+                Ok(n) => seed = n,
+                Err(_) => return usage(&format!("--seed needs a number, not `{value}`")),
             },
             other => return usage(&format!("unknown compare option `{other}`")),
         }
@@ -107,7 +112,7 @@ fn run_compare(args: &[String]) -> ExitCode {
         }
         for (side, bin, runs) in sides {
             eprintln!("experiments compare: {workload} pair {pair}/{pairs}, {side}");
-            match compare::run_once(bin, &workload, seconds) {
+            match compare::run_once(bin, &workload, seconds, seed) {
                 Ok(run) => runs.push(run),
                 Err(e) => {
                     eprintln!("experiments compare: {e}");

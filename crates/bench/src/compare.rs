@@ -2,15 +2,17 @@
 //! alternately on one workload, and every end-to-end metric judged.
 //!
 //! ```text
-//! experiments compare --parent BIN --change BIN --workload W [--pairs N] [--seconds S]
+//! experiments compare --parent BIN --change BIN --workload W [--pairs N] [--seconds S] [--seed N]
 //! ```
 //!
 //! Each pair runs the parent binary and the change binary, one process at
-//! a time, as `BIN --workload W --seconds S`; odd pairs start with the
-//! parent and even pairs with the change. A run's last line is the
+//! a time, as `BIN --workload W --seconds S --seed N`; odd pairs start with
+//! the parent and even pairs with the change. A run's last line is the
 //! result object `BENCHMARK.json` describes; its `… kernel: p50 X ms` lines
-//! are the calibration kernels. Per metric the report prints both medians,
-//! how many pairs the change won, and a [`Verdict`]: *resolved* when the
+//! are the calibration kernels, and the `raw …` note beside a normalised
+//! row in its table is that row's raw reading. Per metric the report
+//! prints both medians, both raw medians where the rows give one, how many
+//! pairs the change won, and a [`Verdict`]: *resolved* when the
 //! medians sit further apart than the parent's inter-quartile distance,
 //! *unresolved* otherwise, and *identical* when every run read the same.
 //! Below `MIN_PAIRS` pairs a row whose parent runs spread gets no timing
@@ -41,6 +43,9 @@ pub struct Run {
     pub(crate) failed: u64,
     /// `(name, value)` of every metric, in the result object's order.
     pub(crate) metrics: Vec<(String, f64)>,
+    /// `(name, raw value)` of every metric whose table row gives one, in
+    /// the result object's order.
+    pub(crate) raw: Vec<(String, f64)>,
     /// `(kernel, p50 ms)` of every calibration kernel the run printed.
     pub(crate) kernels: Vec<(String, f64)>,
 }
@@ -56,6 +61,42 @@ impl Run {
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
     }
+
+    /// The raw reading of metric `name`, when its row gives one.
+    pub(crate) fn raw(&self, name: &str) -> Option<f64> {
+        self.raw.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
+}
+
+/// The raw reading a table row's `note` gives for a row of `value`: the
+/// number after `raw ` or `raw median ` in one of its `; `-separated parts,
+/// or `value` itself when the note opens with `raw;` (the row is raw).
+fn raw_of(note: &str, value: f64) -> Option<f64> {
+    if note.starts_with("raw;") {
+        return Some(value);
+    }
+    note.split("; ").find_map(|part| {
+        let rest = part.strip_prefix("raw ")?;
+        let rest = rest.strip_prefix("median ").unwrap_or(rest);
+        let end = rest
+            .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .unwrap_or(rest.len());
+        rest[..end].parse().ok()
+    })
+}
+
+/// The note of `name`'s first table row in `stdout` (`name value unit
+/// note`), if it has a row.
+fn note_of<'a>(stdout: &'a str, name: &str) -> Option<&'a str> {
+    stdout.lines().find_map(|line| {
+        let rest = line.strip_prefix(name)?.strip_prefix(' ')?;
+        let mut rest = rest.trim_start();
+        // Skip the value and the unit.
+        for _ in 0..2 {
+            rest = rest[rest.find(' ').unwrap_or(rest.len())..].trim_start();
+        }
+        Some(rest)
+    })
 }
 
 /// The text after `"key":` in `text`, leading blanks skipped.
@@ -115,6 +156,13 @@ pub(crate) fn parse_run(stdout: &str) -> Result<Run, String> {
             .ok_or_else(|| bad(&format!("no value for {name}")))?;
         metrics.push((name.to_string(), value));
     }
+    let raw = metrics
+        .iter()
+        .filter_map(|(name, value)| {
+            let raw = raw_of(note_of(stdout, name)?, *value)?;
+            Some((name.clone(), raw))
+        })
+        .collect();
     let kernels = stdout
         .lines()
         .filter_map(|l| {
@@ -128,6 +176,7 @@ pub(crate) fn parse_run(stdout: &str) -> Result<Run, String> {
         attempted: number("attempted")?,
         failed: number("failed")?,
         metrics,
+        raw,
         kernels,
     })
 }
@@ -222,8 +271,19 @@ pub(crate) fn wins(parent: &[f64], change: &[f64], lower_is_better: bool) -> usi
         .count()
 }
 
+/// `(change − parent) / |parent|` in percent, 0 for a zero parent.
+fn percent_delta(parent: f64, change: f64) -> f64 {
+    if parent == 0.0 {
+        0.0
+    } else {
+        (change - parent) / parent.abs() * 100.0
+    }
+}
+
 /// The comparison table for one workload: every metric of `directions`
-/// plus `FAILED_SHARE`, then the kernels' medians.
+/// plus `FAILED_SHARE`, each with its raw medians beside the normalised
+/// ones where every run's row gave a raw reading, then the kernels'
+/// medians.
 pub fn render(
     workload: &str,
     directions: &[(String, bool)],
@@ -234,8 +294,16 @@ pub fn render(
     let mut out = format!("== compare {workload}: {pairs} pairs\n");
     let _ = writeln!(
         out,
-        "{:<22} {:>14} {:>14} {:>9} {:>12} {:>6}  verdict",
-        "metric", "parent median", "change median", "delta", "parent IQR", "wins"
+        "{:<22} {:>14} {:>14} {:>9} {:>14} {:>14} {:>9} {:>12} {:>6}  verdict",
+        "metric",
+        "parent median",
+        "change median",
+        "delta",
+        "parent raw",
+        "change raw",
+        "raw delta",
+        "parent IQR",
+        "wins"
     );
     let rows = directions
         .iter()
@@ -254,10 +322,20 @@ pub fn render(
             continue;
         }
         let (pm, cm) = (median(&p), median(&c));
-        let delta = if pm == 0.0 {
-            0.0
-        } else {
-            (cm - pm) / pm.abs() * 100.0
+        let delta = percent_delta(pm, cm);
+        let raw = |runs: &[Run]| -> Option<f64> {
+            let values: Vec<f64> = runs
+                .iter()
+                .take(pairs)
+                .filter_map(|r| r.raw(name))
+                .collect();
+            (values.len() == pairs).then(|| median(&values))
+        };
+        let raw_cells = match (raw(parent), raw(change)) {
+            (Some(pr), Some(cr)) => {
+                format!("{pr:>14.4} {cr:>14.4} {:>+8.2}%", percent_delta(pr, cr))
+            }
+            _ => format!("{:>14} {:>14} {:>9}", "-", "-", "-"),
         };
         let exact = p.iter().all(|v| *v == p[0]);
         let judged = match verdict(&p, &c) {
@@ -271,7 +349,7 @@ pub fn render(
         };
         let _ = writeln!(
             out,
-            "{name:<22} {pm:>14.4} {cm:>14.4} {delta:>+8.2}% {:>12.4} {:>3}/{pairs:<2}  {judged}",
+            "{name:<22} {pm:>14.4} {cm:>14.4} {delta:>+8.2}% {raw_cells} {:>12.4} {:>3}/{pairs:<2}  {judged}",
             iqr(&p),
             wins(&p, &c, lower),
         );
@@ -309,16 +387,28 @@ pub fn render(
     out
 }
 
-/// Runs `bin --workload W --seconds S` to completion and parses it. A run
-/// with failed operations exits non-zero but still prints its result
-/// object: it is kept, and its failures count in `FAILED_SHARE`.
+/// The arguments one run of a benchmark binary gets.
+fn run_args(workload: &str, seconds: f64, seed: u64) -> Vec<String> {
+    vec![
+        "--workload".to_string(),
+        workload.to_string(),
+        "--seconds".to_string(),
+        seconds.to_string(),
+        "--seed".to_string(),
+        seed.to_string(),
+    ]
+}
+
+/// Runs `bin --workload W --seconds S --seed N` to completion and parses
+/// it. A run with failed operations exits non-zero but still prints its
+/// result object: it is kept, and its failures count in `FAILED_SHARE`.
 ///
 /// # Errors
 ///
 /// The process could not start or printed no result object.
-pub fn run_once(bin: &Path, workload: &str, seconds: f64) -> Result<Run, String> {
+pub fn run_once(bin: &Path, workload: &str, seconds: f64, seed: u64) -> Result<Run, String> {
     let output = Command::new(bin)
-        .args(["--workload", workload, "--seconds", &seconds.to_string()])
+        .args(run_args(workload, seconds, seed))
         .output()
         .map_err(|e| format!("{}: {e}", bin.display()))?;
     parse_run(&String::from_utf8_lossy(&output.stdout)).map_err(|e| {
@@ -342,6 +432,113 @@ calibration kernel: p50 24.913 ms over 52 runs (reference 25 ms)\n\
 wire calibration kernel: p50 3.100 ms over 24 runs (reference 3 ms)\n\
 ops: 33192 attempted, 2 failed (ops_failed_share 0.000060)\n\
 {\"correct\": true, \"attempted\": 33192, \"failed\": 2, \"metrics\": {\"setup_s\": {\"value\": 0.0508, \"unit\": \"s\"}, \"blocks_per_s\": {\"value\": 17733.58, \"unit\": \"1/s\"}, \"peak_rss_mb\": {\"value\": 16.28515625, \"unit\": \"MiB\"}}}\n";
+
+    /// A `wire_pipelined` run's output, notes and all: `setup_s` is raw,
+    /// `blocks_per_s` and `audit_us_p50` carry a raw reading in their note,
+    /// and the other rows have none.
+    const NOTED_RUN: &str = "== wire_pipelined  seed 42  seconds 3  trace 0  threads 2\n\
+-- end to end (untraced run)\n\
+setup_s                                      0.0009 s        raw; median of 4 trials, slowest node from before NetNode::new to its first slot\n\
+blocks_per_s                             22054.5719 1/s      normalised by the wire kernel; raw 12774.9/s; median of 4 trials x 800 slots (quartiles 19022.4, 26467.1), blocks / slowest slot loop\n\
+audit_us_p50                                10.2743 us       normalised; raw 20.1 us; 3 segments x 1500 operator audits of the reference chains\n\
+audit_us_p90                                14.4838 us       \n\
+tx_bytes_per_block                         541.4412 B        NetStats bytes_sent of every node\n\
+peak_rss_mb                                 11.6953 MiB      VmHWM when the last trial ended\n\
+-- counters of this run\n\
+net.blocks_per_s_raw                     12774.9092 1/s      \n\
+calibration kernel: p50 48.939 ms over 4 runs (reference 25 ms)\n\
+ops: 26812 attempted, 0 failed (ops_failed_share 0.000000)\n\
+{\"correct\": true, \"attempted\": 26812, \"failed\": 0, \"metrics\": {\"setup_s\": {\"value\": 0.0009266495, \"unit\": \"s\"}, \"blocks_per_s\": {\"value\": 22054.571893445882, \"unit\": \"1/s\"}, \"audit_us_p50\": {\"value\": 10.274253949193339, \"unit\": \"us\"}, \"audit_us_p90\": {\"value\": 14.483824597711811, \"unit\": \"us\"}, \"tx_bytes_per_block\": {\"value\": 541.44125, \"unit\": \"B\"}, \"peak_rss_mb\": {\"value\": 11.6953125, \"unit\": \"MiB\"}}}\n";
+
+    #[test]
+    fn each_run_gets_the_workload_the_seconds_and_the_seed() {
+        assert_eq!(
+            run_args("wire_pipelined", 20.0, 7),
+            [
+                "--workload",
+                "wire_pipelined",
+                "--seconds",
+                "20",
+                "--seed",
+                "7"
+            ]
+        );
+        assert_eq!(
+            run_args("engine_mem", 2.5, 42)[3..],
+            ["2.5", "--seed", "42"]
+        );
+    }
+
+    #[test]
+    fn raw_readings_come_from_the_rows_notes() {
+        let run = parse_run(NOTED_RUN).expect("parses");
+        assert_eq!(
+            run.raw,
+            vec![
+                ("setup_s".to_string(), 0.0009266495),
+                ("blocks_per_s".to_string(), 12774.9),
+                ("audit_us_p50".to_string(), 20.1),
+            ]
+        );
+        assert_eq!(run.raw("peak_rss_mb"), None);
+        // The engine's note names a raw median.
+        assert_eq!(
+            raw_of("normalised; raw median 0.0508 s over 3 set-ups", 0.04),
+            Some(0.0508)
+        );
+        assert_eq!(raw_of("raw; median of 4 trials", 0.5), Some(0.5));
+        assert_eq!(raw_of("VmHWM when the last trial ended", 1.0), None);
+        // The older fixture's rows carry no raw reading.
+        assert!(parse_run(RUN).expect("parses").raw.is_empty());
+    }
+
+    #[test]
+    fn the_table_prints_raw_medians_beside_the_normalised_ones() {
+        let run = parse_run(NOTED_RUN).expect("parses");
+        let mut faster = run.clone();
+        faster.metrics[1].1 = 24260.0;
+        faster.raw[1].1 = 14052.39;
+        let directions = vec![
+            ("blocks_per_s".to_string(), false),
+            ("peak_rss_mb".to_string(), true),
+        ];
+        let table = render(
+            "wire_pipelined",
+            &directions,
+            &[run.clone(), run],
+            &[faster.clone(), faster],
+        );
+        let line = |name: &str| {
+            table
+                .lines()
+                .find(|l| l.starts_with(name))
+                .unwrap_or_else(|| panic!("no {name} row in\n{table}"))
+                .to_string()
+        };
+        let header = table.lines().nth(1).expect("header");
+        assert!(
+            header.contains("parent raw") && header.contains("raw delta"),
+            "{table}"
+        );
+        let blocks = line("blocks_per_s");
+        let blocks: Vec<&str> = blocks.split_whitespace().collect();
+        assert_eq!(
+            blocks[1..8],
+            [
+                "22054.5719",
+                "24260.0000",
+                "+10.00%",
+                "12774.9000",
+                "14052.3900",
+                "+10.00%",
+                "0.0000"
+            ],
+            "{table}"
+        );
+        let rss = line("peak_rss_mb");
+        let rss: Vec<&str> = rss.split_whitespace().collect();
+        assert_eq!(rss[4..7], ["-", "-", "-"], "{table}");
+    }
 
     #[test]
     fn a_run_parses_its_result_object_and_kernels() {

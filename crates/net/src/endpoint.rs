@@ -8,7 +8,10 @@
 //! * [`Endpoint::request`] — synchronous request/response with per-attempt
 //!   timeout and bounded exponential backoff. A request keeps its sequence
 //!   number across retries, so retransmissions are idempotent on the
-//!   responder and a late reply to an earlier attempt still matches.
+//!   responder and a late reply to an earlier attempt still matches. It is
+//!   a send ([`Endpoint::send_request`], which hands back a [`Ticket`])
+//!   and an await ([`Endpoint::await_reply`]) in a row; a caller that
+//!   knows its next ask early sends it early and awaits it later.
 //!
 //! Exactly one thread runs [`Endpoint::run_receiver`], and the
 //! [`ReceiverGuard`] enforces it: [`Endpoint::spawn_receiver`] (or
@@ -31,7 +34,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -117,6 +120,24 @@ pub enum Inbound {
     },
 }
 
+/// A reply routed to its pending request: sender, message, and when the
+/// receive loop routed it.
+type Arrival = (NodeId, WireMessage, Instant);
+
+/// A request in flight ([`Endpoint::send_request`]): its first attempt is
+/// sent, and its reply is taken with [`Endpoint::await_reply`] or given up
+/// with [`Endpoint::cancel`]. Either one drops its pending entry.
+#[must_use = "await or cancel a ticket, or its pending entry stays behind"]
+pub(crate) struct Ticket {
+    seq: u64,
+    to: SocketAddr,
+    /// The request's datagrams, resent as they are on a retry.
+    frames: Vec<Vec<u8>>,
+    /// When the first attempt went out.
+    sent: Instant,
+    reply: Receiver<Arrival>,
+}
+
 /// One socket endpoint of a 2LDAG node (or the harness controller).
 pub struct Endpoint {
     id: NodeId,
@@ -127,10 +148,11 @@ pub struct Endpoint {
     /// `Relaxed` suffices.
     receiving: AtomicBool,
     next_seq: AtomicU64,
-    pending: Mutex<HashMap<u64, SyncSender<(NodeId, WireMessage)>>>,
+    pending: Mutex<HashMap<u64, SyncSender<Arrival>>>,
     metrics: NetMetrics,
-    /// Wall-clock latency of answered requests (send to matched reply,
-    /// retries included).
+    /// Wall-clock latency of answered requests: first send to the matched
+    /// reply's arrival at the receive loop, retries included. How long a
+    /// reply then waits for its [`Endpoint::await_reply`] is not in it.
     request_rtt: LatencyHistogram,
     /// Time burned waiting on attempts that timed out before a retry (the
     /// realized backoff schedule).
@@ -209,7 +231,8 @@ impl Endpoint {
         self.metrics.snapshot()
     }
 
-    /// Latency histogram of answered [`Endpoint::request`] calls.
+    /// Latency histogram of answered requests, first send to the reply's
+    /// arrival.
     pub fn request_rtt(&self) -> &LatencyHistogram {
         &self.request_rtt
     }
@@ -319,32 +342,65 @@ impl Endpoint {
     /// Requires a receiver ([`Endpoint::spawn_receiver`]) to be live on
     /// another thread; without it every request times out.
     pub fn request(&self, to: SocketAddr, msg: &WireMessage) -> Option<(NodeId, WireMessage)> {
+        let ticket = self.send_request(to, msg)?;
+        self.await_reply(ticket)
+    }
+
+    /// Registers a request for `msg` and sends its first attempt to `to`,
+    /// without waiting: the reply is routed to the returned [`Ticket`]
+    /// whenever it arrives. `None` when `msg` cannot be framed.
+    pub(crate) fn send_request(&self, to: SocketAddr, msg: &WireMessage) -> Option<Ticket> {
         let seq = self.alloc_seq();
         let frames = self
             .encode_frames(Kind::Wire, seq, 0, &codec::encode_message(msg), None)
             .ok()?;
-        let (tx, rx) = sync_channel(2);
+        let (tx, reply) = sync_channel(2);
         self.pending
             .lock()
             .expect("pending table poisoned")
             .insert(seq, tx);
         NetMetrics::inc(&self.metrics.requests_sent);
+        let sent = Instant::now();
+        self.send_frames(to, &frames);
+        Some(Ticket {
+            seq,
+            to,
+            frames,
+            sent,
+            reply,
+        })
+    }
 
-        let started = Instant::now();
+    /// Waits for `ticket`'s reply under [`Endpoint::request`]'s retry and
+    /// backoff schedule, resending under the ticket's seq. The first
+    /// attempt's timeout runs from the first send, so a reply that arrived
+    /// in the meantime is returned at once, and a ticket awaited after its
+    /// first timeout passed retransmits at once.
+    pub(crate) fn await_reply(&self, ticket: Ticket) -> Option<(NodeId, WireMessage)> {
+        let Ticket {
+            seq,
+            to,
+            frames,
+            sent,
+            reply,
+        } = ticket;
         let mut timeout = self.config.request_timeout;
+        let mut deadline = sent + timeout;
         let mut outcome = None;
         for attempt in 0..=self.config.max_retries {
             if attempt > 0 {
                 NetMetrics::inc(&self.metrics.request_retries);
+                self.send_frames(to, &frames);
+                deadline = Instant::now() + timeout;
             }
-            self.send_frames(to, &frames);
-            match rx.recv_timeout(timeout) {
-                Ok(reply) => {
+            match reply.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok((from, msg, arrived)) => {
                     // Counted here, not in the receiver thread, so a caller
                     // that sees the reply also sees the counter.
                     NetMetrics::inc(&self.metrics.replies_matched);
-                    self.request_rtt.record(started.elapsed());
-                    outcome = Some(reply);
+                    self.request_rtt
+                        .record(arrived.saturating_duration_since(sent));
+                    outcome = Some((from, msg));
                     break;
                 }
                 Err(RecvTimeoutError::Timeout) => {
@@ -354,14 +410,28 @@ impl Endpoint {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        self.pending
-            .lock()
-            .expect("pending table poisoned")
-            .remove(&seq);
+        self.forget(seq);
         if outcome.is_none() {
             NetMetrics::inc(&self.metrics.request_timeouts);
         }
         outcome
+    }
+
+    /// Gives `ticket` up: its pending entry goes, and a reply that already
+    /// arrived for it, or arrives later, counts in `replies_unmatched`.
+    pub(crate) fn cancel(&self, ticket: Ticket) {
+        self.forget(ticket.seq);
+        for _ in ticket.reply.try_iter() {
+            NetMetrics::inc(&self.metrics.replies_unmatched);
+        }
+    }
+
+    /// Drops request `seq`'s pending entry.
+    fn forget(&self, seq: u64) {
+        self.pending
+            .lock()
+            .expect("pending table poisoned")
+            .remove(&seq);
     }
 
     /// Runs the receive loop until `stop` is set: parks in the kernel until
@@ -536,21 +606,17 @@ impl Endpoint {
         }
     }
 
-    /// Hands a reply to its waiting requester (or counts it as late).
+    /// Hands a reply to its waiting requester, stamped with its arrival
+    /// (or counts it as late).
     fn route_reply(&self, req_id: u64, from: NodeId, msg: WireMessage) {
-        let sender = self
-            .pending
-            .lock()
-            .expect("pending table poisoned")
+        // Sent under the table's lock, so a reply lands in its ticket before
+        // a concurrent `cancel` drains it, or finds no entry at all.
+        let pending = self.pending.lock().expect("pending table poisoned");
+        let routed = pending
             .get(&req_id)
-            .cloned();
-        match sender {
-            Some(tx) => {
-                if tx.try_send((from, msg)).is_err() {
-                    NetMetrics::inc(&self.metrics.replies_unmatched);
-                }
-            }
-            None => NetMetrics::inc(&self.metrics.replies_unmatched),
+            .is_some_and(|tx| tx.try_send((from, msg, Instant::now())).is_ok());
+        if !routed {
+            NetMetrics::inc(&self.metrics.replies_unmatched);
         }
     }
 }
@@ -599,8 +665,232 @@ impl Drop for ReceiverGuard {
 }
 
 #[cfg(test)]
+impl Endpoint {
+    /// Requests registered and neither awaited nor cancelled yet.
+    pub(crate) fn pending_len(&self) -> usize {
+        self.pending.lock().expect("pending table poisoned").len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::decode_datagram;
+    use std::sync::mpsc::{channel, Receiver};
+
+    /// Loopback UDP that drops the first `drop_first` datagrams it is
+    /// asked to send and logs the msg seq of every one.
+    struct Scripted {
+        udp: UdpTransport,
+        drop_first: usize,
+        sent: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl Datagram for Scripted {
+        fn send_to(&self, buf: &[u8], addr: SocketAddr) -> io::Result<usize> {
+            let mut sent = self.sent.lock().expect("log");
+            sent.push(decode_datagram(buf).expect("own datagram").0.msg_seq);
+            if sent.len() <= self.drop_first {
+                return Ok(buf.len());
+            }
+            self.udp.send_to(buf, addr)
+        }
+        fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
+            self.udp.recv_from(buf)
+        }
+        fn local_addr(&self) -> io::Result<SocketAddr> {
+            self.udp.local_addr()
+        }
+        fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+            self.udp.set_read_timeout(dur)
+        }
+    }
+
+    fn loopback() -> SocketAddr {
+        "127.0.0.1:0".parse().expect("addr")
+    }
+
+    /// A short first timeout and a long retry budget: retransmissions come
+    /// quickly, and a request outlasts any test's scripted delay.
+    fn quick(request_timeout: Duration) -> EndpointConfig {
+        EndpointConfig {
+            request_timeout,
+            max_retries: 10,
+            max_backoff: Duration::from_millis(120),
+            park_timeout: Duration::from_millis(10),
+            ..EndpointConfig::default()
+        }
+    }
+
+    /// A requester over `transport` with its receive loop running.
+    fn requester(transport: Box<dyn Datagram>, config: EndpointConfig) -> ReceiverGuard {
+        Arc::new(Endpoint::with_transport(NodeId(0), transport, config)).spawn_receiver(|_, _| {})
+    }
+
+    /// A responder the test answers by hand: the source and seq of every
+    /// request it receives come out of the returned channel.
+    fn manual_responder() -> (ReceiverGuard, Receiver<(SocketAddr, u64)>) {
+        let (tx, rx) = channel();
+        let endpoint = Arc::new(
+            Endpoint::bind(NodeId(1), loopback(), quick(Duration::from_secs(1))).expect("bind"),
+        );
+        let guard = endpoint.spawn_receiver(move |_, inbound| {
+            if let Inbound::Wire { src, seq, .. } = inbound {
+                let _ = tx.send((src, seq));
+            }
+        });
+        (guard, rx)
+    }
+
+    fn fetch() -> WireMessage {
+        WireMessage::FetchBlock {
+            from: NodeId(0),
+            id: tldag_core::block::BlockId::new(NodeId(1), 0),
+        }
+    }
+
+    fn nack() -> WireMessage {
+        WireMessage::Nack { from: NodeId(1) }
+    }
+
+    /// Polls `done` until it holds, for at most five seconds.
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let until = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < until, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A ticket whose reply has reached the requester's receive loop and
+    /// then waited `idle` before anyone awaits it.
+    fn answered_ticket(idle: Duration) -> (ReceiverGuard, Ticket) {
+        let (responder, requests) = manual_responder();
+        let to = responder.endpoint().local_addr().expect("addr");
+        let udp = UdpTransport::bind(loopback()).expect("bind");
+        let requester = requester(Box::new(udp), quick(Duration::from_secs(2)));
+        let endpoint = requester.endpoint();
+        let ticket = endpoint.send_request(to, &fetch()).expect("framed");
+        let (src, seq) = requests
+            .recv_timeout(Duration::from_secs(5))
+            .expect("request");
+        assert_eq!(seq, ticket.seq);
+        responder
+            .endpoint()
+            .send_reply(src, seq, &nack())
+            .expect("framed");
+        eventually("the reply", || endpoint.stats().datagrams_received == 1);
+        std::thread::sleep(idle);
+        (requester, ticket)
+    }
+
+    #[test]
+    fn a_reply_that_arrived_before_the_await_is_returned_at_once_and_counted_once() {
+        let (requester, ticket) = answered_ticket(Duration::from_millis(20));
+        let endpoint = requester.endpoint();
+        assert_eq!(endpoint.stats().replies_matched, 0, "counted when awaited");
+        let started = Instant::now();
+        let reply = endpoint.await_reply(ticket);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the reply was waiting"
+        );
+        assert_eq!(reply, Some((NodeId(1), nack())));
+        let stats = endpoint.stats();
+        assert_eq!((stats.requests_sent, stats.request_retries), (1, 0));
+        assert_eq!((stats.replies_matched, stats.replies_unmatched), (1, 0));
+        assert_eq!(endpoint.pending_len(), 0);
+    }
+
+    #[test]
+    fn request_rtt_ends_when_the_reply_arrives_not_when_it_is_awaited() {
+        let idle = Duration::from_millis(50);
+        let (requester, ticket) = answered_ticket(idle);
+        let endpoint = requester.endpoint();
+        assert!(endpoint.await_reply(ticket).is_some());
+        let rtt = endpoint.request_rtt().snapshot();
+        assert_eq!(rtt.count, 1);
+        assert!(
+            rtt.max_micros < idle.as_micros() as u64,
+            "send -> arrival took {} us, idle time included",
+            rtt.max_micros
+        );
+    }
+
+    #[test]
+    fn a_dropped_first_datagram_is_resent_under_its_seq_and_a_late_reply_still_matches() {
+        let (responder, requests) = manual_responder();
+        let to = responder.endpoint().local_addr().expect("addr");
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let scripted = Scripted {
+            udp: UdpTransport::bind(loopback()).expect("bind"),
+            drop_first: 1,
+            sent: Arc::clone(&sent),
+        };
+        let requester = requester(Box::new(scripted), quick(Duration::from_millis(30)));
+        let endpoint = requester.endpoint();
+        let ticket = endpoint.send_request(to, &fetch()).expect("framed");
+        let seq = ticket.seq;
+        std::thread::scope(|scope| {
+            let awaited = scope.spawn(|| endpoint.await_reply(ticket));
+            // The first attempt was dropped: the second is the first to
+            // arrive. Answer it only after the third went out too.
+            let (src, second) = requests
+                .recv_timeout(Duration::from_secs(5))
+                .expect("retry");
+            let (_, third) = requests
+                .recv_timeout(Duration::from_secs(5))
+                .expect("retry");
+            assert_eq!((second, third), (seq, seq));
+            responder
+                .endpoint()
+                .send_reply(src, second, &nack())
+                .expect("framed");
+            let reply = awaited.join().expect("await");
+            assert_eq!(reply, Some((NodeId(1), nack())));
+            // The answer to the third attempt finds the request done.
+            responder
+                .endpoint()
+                .send_reply(src, third, &nack())
+                .expect("framed");
+        });
+        eventually("the second reply", || {
+            endpoint.stats().replies_unmatched == 1
+        });
+        let sent = sent.lock().expect("log").clone();
+        assert!(sent.len() >= 3, "{sent:?}");
+        assert!(
+            sent.iter().all(|&s| s == seq),
+            "one seq across retries: {sent:?}"
+        );
+        let stats = endpoint.stats();
+        assert_eq!(stats.request_retries, sent.len() as u64 - 1);
+        assert_eq!((stats.replies_matched, stats.request_timeouts), (1, 0));
+        assert_eq!(endpoint.pending_len(), 0);
+    }
+
+    #[test]
+    fn a_reply_to_a_cancelled_ticket_is_unmatched() {
+        let (responder, requests) = manual_responder();
+        let to = responder.endpoint().local_addr().expect("addr");
+        let udp = UdpTransport::bind(loopback()).expect("bind");
+        let requester = requester(Box::new(udp), quick(Duration::from_secs(2)));
+        let endpoint = requester.endpoint();
+        let ticket = endpoint.send_request(to, &fetch()).expect("framed");
+        let (src, seq) = requests
+            .recv_timeout(Duration::from_secs(5))
+            .expect("request");
+        endpoint.cancel(ticket);
+        assert_eq!(endpoint.pending_len(), 0);
+        responder
+            .endpoint()
+            .send_reply(src, seq, &nack())
+            .expect("framed");
+        eventually("the reply", || endpoint.stats().replies_unmatched == 1);
+        let stats = endpoint.stats();
+        assert_eq!((stats.replies_matched, stats.request_timeouts), (0, 0));
+        assert_eq!(endpoint.pending_len(), 0);
+    }
 
     #[test]
     fn receive_slots_hold_one_datagram_each() {

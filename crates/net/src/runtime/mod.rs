@@ -50,7 +50,7 @@
 //! roster changes mid-run.
 
 use crate::control::{Control, RunReport, WireMember};
-use crate::endpoint::{Endpoint, EndpointConfig, Inbound};
+use crate::endpoint::{Endpoint, EndpointConfig, Inbound, Ticket};
 use crate::envelope::TraceContext;
 use crate::membership::{join_site, ChurnEvent, Roster};
 use crate::metrics::{NetMetrics, NetStats};
@@ -481,11 +481,17 @@ impl Shared {
 }
 
 /// What the verify step carries from slot to slot: the node's trust state,
-/// and whether a barrier of the verify half gave up.
+/// whether a barrier of the verify half gave up, and the target fetches
+/// sent ahead of their slots.
 struct VerifyState {
     trust_cache: TrustCache,
     blacklist: Blacklist,
     degraded: bool,
+    /// The run's end: slots from here on are never verified.
+    end_slot: u64,
+    /// Per slot still to verify, the target its fetch was sent for and
+    /// the fetch in flight (only at `W > 1`, see `fetch_ahead`).
+    fetched: BTreeMap<u64, (BlockId, Ticket)>,
 }
 
 /// A deployed 2LDAG node: endpoint + dispatcher + slot loop.
@@ -899,7 +905,96 @@ fn collect_view(node_id: NodeId, endpoint: &Endpoint, shared: &Shared) -> Metric
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{discover_ports, judge, parse_adversary_spec, Deployment, Verdict};
     use std::sync::Barrier;
+
+    /// One ended node of a test cluster: its outcome, telemetry and
+    /// endpoint.
+    type Member = (NodeOutcome, Arc<NodeTelemetry>, Arc<Endpoint>);
+
+    /// Runs `deployment` as an in-process loopback cluster: every node once
+    /// all have ended, and the verdict against the engine.
+    fn run_loopback(deployment: &Deployment) -> (Vec<Member>, Verdict) {
+        let addrs = discover_ports(deployment.members()).expect("probe ports");
+        let nodes: Vec<NetNode> = deployment
+            .member_configs(&addrs)
+            .into_iter()
+            .map(|config| NetNode::new(config).expect("node"))
+            .collect();
+        let members: Vec<_> = std::thread::scope(|scope| {
+            let runs: Vec<_> = nodes
+                .into_iter()
+                .map(|node| {
+                    let (telemetry, endpoint) = (node.telemetry(), Arc::clone(&node.endpoint));
+                    scope.spawn(move || (node.run().expect("node run"), telemetry, endpoint))
+                })
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("node thread"))
+                .collect()
+        });
+        let verdict = judge(
+            deployment,
+            &deployment.reference(),
+            members.iter().map(|(outcome, _, _)| outcome.report()),
+        );
+        (members, verdict)
+    }
+
+    /// A four-node PoP cluster at `W = 8`, with no loss and no churn, that
+    /// reproduced the engine.
+    fn pipelined_run() -> Vec<Member> {
+        let mut deployment = Deployment::new(42, 4, 40);
+        deployment.node.pop = true;
+        deployment.node.window = 8;
+        deployment.node.linger = Duration::from_millis(500);
+        let (members, verdict) = run_loopback(&deployment);
+        assert!(verdict.holds(), "{verdict}");
+        members
+    }
+
+    /// Every request a pipelined node sends is one a walk asked for: the
+    /// fetches sent ahead of their slots add none.
+    #[test]
+    fn a_pipelined_run_sends_exactly_the_requests_its_walks_ask() {
+        let members = pipelined_run();
+        let requests: u64 = members.iter().map(|(o, _, _)| o.stats.requests_sent).sum();
+        let asks: u64 = members.iter().map(|(_, t, _)| t.pop().messages_sent).sum();
+        assert!(asks > 0, "the run verified nothing");
+        assert_eq!(requests, asks);
+    }
+
+    /// Every fetch sent ahead is awaited or cancelled by the time a node
+    /// ends.
+    #[test]
+    fn a_pipelined_run_leaves_no_request_pending() {
+        for (outcome, _, endpoint) in pipelined_run() {
+            assert_eq!(endpoint.pending_len(), 0, "node {}", outcome.run.node);
+        }
+    }
+
+    /// An owner turns silent at its own slot start, so a fetch sent ahead
+    /// must not reach it before that slot: with two owners silent from
+    /// slot 3 on, a pipelined cluster verifies the PoPs the engine
+    /// verifies (none), not the ones an early fetch would let through.
+    #[test]
+    fn a_fetch_sent_ahead_meets_its_owner_no_earlier_than_its_slot() {
+        let mut deployment = Deployment::new(17, 5, 20);
+        deployment.node.pop = true;
+        deployment.node.window = 8;
+        deployment.node.linger = Duration::from_millis(500);
+        // Silent owners cost a timeout per ask: keep it short.
+        deployment.node.endpoint = EndpointConfig {
+            request_timeout: Duration::from_millis(20),
+            max_retries: 2,
+            max_backoff: Duration::from_millis(40),
+            ..EndpointConfig::default()
+        };
+        deployment.adversaries = parse_adversary_spec("unresponsive:2@3", 5).expect("spec");
+        let (_, verdict) = run_loopback(&deployment);
+        assert_eq!(verdict.reference_pop, (45, 0));
+        assert_eq!(verdict.wire_pop, verdict.reference_pop, "{verdict}");
+    }
 
     /// A node's shared state with no socket, for exercising the book alone.
     fn bare_shared() -> Shared {

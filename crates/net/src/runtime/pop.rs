@@ -61,6 +61,18 @@ pub fn ask_over_wire(
     spans: Option<&SpanStore>,
     request: &Request,
 ) -> Option<Reply> {
+    let ticket = send_ask(endpoint, addr_of, request)?;
+    await_ask(endpoint, spans, request, ticket)
+}
+
+/// Sends `request` to its addressee without waiting for the answer
+/// ([`ask_over_wire`]'s first half); `None` when `addr_of` has no address
+/// for it.
+pub(super) fn send_ask(
+    endpoint: &Endpoint,
+    addr_of: impl Fn(NodeId) -> Option<SocketAddr>,
+    request: &Request,
+) -> Option<Ticket> {
     let addr = addr_of(request.to())?;
     let from = endpoint.id();
     let msg = match *request {
@@ -80,14 +92,25 @@ pub fn ask_over_wire(
             ..
         } => WireMessage::ReqChild { from, target },
     };
-    match endpoint.request(addr, &msg)?.1 {
+    endpoint.send_request(addr, &msg)
+}
+
+/// Awaits the answer to `request`, sent as `ticket`, and reads it as the
+/// walk's [`Reply`] ([`ask_over_wire`]'s second half).
+fn await_ask(
+    endpoint: &Endpoint,
+    spans: Option<&SpanStore>,
+    request: &Request,
+    ticket: Ticket,
+) -> Option<Reply> {
+    match endpoint.await_reply(ticket)?.1 {
         WireMessage::Block(block) => {
             if let (Some(spans), Request::Fetch(_)) = (spans, request) {
                 spans.record(SpanEvent {
                     slot: block.header.time,
                     origin: block.id.owner.0,
                     prefix: block.header_digest().prefix_u64(),
-                    node: from.0,
+                    node: endpoint.id().0,
                     kind: SpanKind::Verified,
                     ts_micros: unix_micros(),
                 });
@@ -159,13 +182,17 @@ impl NetNode {
     /// appending while the walk runs, so each step reads the own chain
     /// under a fresh node read lock, dropped before the next ask goes out,
     /// and every child lookup — its own and the wire's — is capped at
-    /// `slot`, which makes the view identical at every window. A successful
-    /// run's headers are committed to the node's `H_i` right after it, as
-    /// the engine's `run_pop` does.
+    /// `slot`, which makes the view identical at every window. `fetched`
+    /// is the target's fetch when it was sent ahead: it answers the walk's
+    /// first ask in place of a new request. While each ask is in flight,
+    /// the fetches of later slots go out ([`NetNode::fetch_ahead`]). A
+    /// successful run's headers are committed to the node's `H_i` right
+    /// after it, as the engine's `run_pop` does.
     pub(super) fn run_pop_with(
         &self,
         slot: u64,
         target: BlockId,
+        mut fetched: Option<Ticket>,
         state: &mut VerifyState,
     ) -> PopReport {
         // Read locks: the dispatcher keeps serving peers' requests
@@ -183,7 +210,13 @@ impl NetNode {
                 Step::Ask(walk, request) => (walk, request),
                 Step::Done(report) => break report,
             };
-            let reply = ask_over_wire(&self.endpoint, addr_of, spans, &request);
+            let ticket = fetched
+                .take()
+                .or_else(|| send_ask(&self.endpoint, addr_of, &request));
+            // Owners may have started later slots since the last ask.
+            self.fetch_ahead(slot, state);
+            let reply =
+                ticket.and_then(|ticket| await_ask(&self.endpoint, spans, &request, ticket));
             let node = self.shared.node.read().expect("node lock poisoned");
             let mut ctx = PopContext {
                 cfg: &self.cfg,

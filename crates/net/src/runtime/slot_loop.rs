@@ -27,6 +27,8 @@ impl NetNode {
                 trust_cache: node.take_trust_cache(),
                 blacklist: node.take_blacklist(&self.cfg),
                 degraded: false,
+                end_slot,
+                fetched: BTreeMap::new(),
             }
         };
         // Who calls the verify step. At `W = 1` the window gate already
@@ -66,6 +68,11 @@ impl NetNode {
                 gen.and_then(|degraded| verify.map(|()| degraded))
             })
         };
+        // Fetches sent ahead for slots the worker never verified (it
+        // degraded or was aborted) are given up.
+        for (_, ticket) in std::mem::take(&mut state.fetched).into_values() {
+            self.endpoint.cancel(ticket);
+        }
         {
             let mut node = self.shared.node.write().expect("node lock poisoned");
             node.restore_trust_cache(state.trust_cache);
@@ -262,7 +269,11 @@ impl NetNode {
         // slot: wait until every generating peer announced its slot-t
         // digest, proving its chain holds its blocks through t.
         let all_generators = self.shared.book().other_generators(id, slot);
-        state.degraded |= !self.digest_barrier(&all_generators, slot);
+        if self.digest_barrier(&all_generators, slot) {
+            self.fetch_ahead(slot, state);
+        } else {
+            state.degraded = true;
+        }
         if self.folds_in_verify() {
             let fold_started = Instant::now();
             state.degraded |=
@@ -271,21 +282,20 @@ impl NetNode {
                 .phases
                 .record(Phase::Gossip, fold_started.elapsed());
         }
-        // The engine never makes a malicious node a validator (its verify
-        // phase filters them out), so an active adversary skips the PoP
-        // identically — no target — or the PoP counters would diverge from
-        // the reference run.
-        let target = if self.adversary_active(slot) {
+        let target = self.verify_target(slot);
+        // A fetch sent ahead for another block (the roster changed since)
+        // is given up, and the walk fetches its target itself.
+        let fetched = state.fetched.remove(&slot).and_then(|(sent_for, ticket)| {
+            if Some(sent_for) == target {
+                return Some(ticket);
+            }
+            self.endpoint.cancel(ticket);
             None
-        } else {
-            let min_age = self.config.nodes as u64; // the paper's workload default
-            let mut target_rng = derived_rng(self.config.seed, stream::TARGET, slot, id);
-            wire_target_pool(&self.shared.book().roster, slot, min_age).choose(id, &mut target_rng)
-        };
+        });
         if let Some(target) = target {
             telemetry.pop_attempts.fetch_add(1, Ordering::Relaxed);
             let pop_started = Instant::now();
-            let report = self.run_pop_with(slot, target, state);
+            let report = self.run_pop_with(slot, target, fetched, state);
             self.shared.book().blacklist_banned = state.blacklist.banned_count() as u64;
             telemetry.pop_rtt.record(pop_started.elapsed());
             telemetry.merge_pop(&report.metrics);
@@ -330,6 +340,58 @@ impl NetNode {
         telemetry
             .phases
             .record(Phase::Verify, verify_started.elapsed());
+    }
+
+    /// The block this node verifies at `slot`: the engine's choice from the
+    /// same derived target stream over the same pool, or `None` when the
+    /// pool is empty. The engine never makes a malicious node a validator
+    /// (its verify phase filters them out), so an active adversary skips
+    /// the PoP identically — no target — or the PoP counters would diverge
+    /// from the reference run.
+    fn verify_target(&self, slot: u64) -> Option<BlockId> {
+        if self.adversary_active(slot) {
+            return None;
+        }
+        let id = self.config.id;
+        let mut target_rng = derived_rng(self.config.seed, stream::TARGET, slot, id);
+        wire_target_pool(&self.shared.book().roster, slot, self.pop_min_age())
+            .choose(id, &mut target_rng)
+    }
+
+    /// How many slots old a block must be to be a target: the paper's
+    /// workload default, the founder count.
+    fn pop_min_age(&self) -> u64 {
+        self.config.nodes as u64
+    }
+
+    /// Sends the target fetch of each slot `next` in `slot + 1 ..= slot +
+    /// k`, below the run's end, with `k = min(W − 1, min_age)`, unless one
+    /// is in flight already or the target's owner has not announced its
+    /// slot-`next` digest yet. Called once `slot`'s all-generators digest
+    /// barrier passed, and again while each ask of its walk is in flight.
+    /// The owner's slot-`next` digest proves that the target, at least
+    /// `min_age` slots older, is in its chain, and, since an owner turns
+    /// adversarial at its own slot start, that the fetch meets the owner
+    /// as the verify step of `next` would after that step's own barrier.
+    /// That step takes the reply as its walk's first answer. At `W = 1`,
+    /// `k = 0`: nothing is sent ahead.
+    pub(super) fn fetch_ahead(&self, slot: u64, state: &mut VerifyState) {
+        let ahead = self.config.window.saturating_sub(1).min(self.pop_min_age());
+        let addr_of = |peer| self.shared.book().roster.request_addr(peer);
+        for next in slot + 1..(slot + 1 + ahead).min(state.end_slot) {
+            if state.fetched.contains_key(&next) {
+                continue;
+            }
+            let Some(target) = self.verify_target(next) else {
+                continue;
+            };
+            if self.shared.book().heard(target.owner, next).is_none() {
+                continue;
+            }
+            if let Some(ticket) = pop::send_ask(&self.endpoint, addr_of, &Request::Fetch(target)) {
+                state.fetched.insert(next, (target, ticket));
+            }
+        }
     }
 
     /// Folds every neighbor's slot-`of` digest into `A_i`
